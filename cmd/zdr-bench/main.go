@@ -52,6 +52,7 @@ var hotPackages = []string{
 	"./internal/bufpool",
 	"./internal/metrics",
 	"./internal/netx",
+	"./internal/proxy",
 }
 
 // Result is one benchmark line.

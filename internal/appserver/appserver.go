@@ -21,7 +21,6 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
-	"fmt"
 	"io"
 	"net"
 	"strconv"
@@ -95,6 +94,10 @@ type Server struct {
 
 	drainCh chan struct{}
 	wg      sync.WaitGroup
+
+	// Per-request and per-connection counters, resolved once.
+	cRequests, cAccepted *metrics.Counter
+	cStatus              *metrics.CodeCounters
 }
 
 // New creates a server. reg may be nil.
@@ -122,10 +125,13 @@ func New(cfg Config, reg *metrics.Registry) *Server {
 		reg = metrics.NewRegistry()
 	}
 	return &Server{
-		cfg:     cfg,
-		reg:     reg,
-		conns:   make(map[net.Conn]struct{}),
-		drainCh: make(chan struct{}),
+		cfg:       cfg,
+		reg:       reg,
+		conns:     make(map[net.Conn]struct{}),
+		drainCh:   make(chan struct{}),
+		cRequests: reg.Counter("appserver.requests"),
+		cAccepted: reg.Counter("appserver.conns.accepted"),
+		cStatus:   reg.CodeCounters("appserver.status."),
 	}
 }
 
@@ -173,6 +179,7 @@ func (s *Server) acceptLoop() {
 		}
 		s.conns[conn] = struct{}{}
 		s.mu.Unlock()
+		s.cAccepted.Inc()
 		if err := netx.TuneConn(conn, s.cfg.Tuning); err != nil {
 			s.reg.Counter("appserver.tune.errors").Inc()
 		}
@@ -186,9 +193,12 @@ func (s *Server) acceptLoop() {
 
 // Draining reports whether the instance is in its drain phase.
 func (s *Server) Draining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
+	select {
+	case <-s.drainCh:
+		return true
+	default:
+		return false
+	}
 }
 
 // Shutdown begins the restart: stop accepting, let complete requests
@@ -207,6 +217,13 @@ func (s *Server) Shutdown() {
 	}
 	s.mu.Unlock()
 	close(s.drainCh)
+	// Draining instances accept no new connections (§2.3), and say so at
+	// the dial: a refused connect costs the proxy nothing, whereas a
+	// connection accepted only to be closed has by then swallowed the
+	// head of a POST body that no one can hand back.
+	if s.ln != nil {
+		s.ln.Close()
+	}
 	// Kick blocked body reads: an expired read deadline wakes them so the
 	// handler can observe the drain and hand the request back. Writes are
 	// unaffected, so the 379 response still goes out.
@@ -220,9 +237,6 @@ func (s *Server) Shutdown() {
 	s.mu.Lock()
 	s.closed = true
 	s.mu.Unlock()
-	if s.ln != nil {
-		s.ln.Close()
-	}
 	// Handlers exit on their own: kicked reads either hand their request
 	// back (379/500/307) or fail out, and completed requests finish their
 	// response writes. Wait rather than hard-close so those writes land.
@@ -263,14 +277,32 @@ func (s *Server) serveConn(conn net.Conn) {
 		conn.Close()
 	}()
 	br := bufio.NewReader(conn)
+	lastCall := false
 	for {
+		// The idle wait is a Peek, which consumes nothing, so the drain
+		// kick (an expired read deadline) can interrupt it and the wait
+		// can be resumed.
+		if _, err := br.Peek(1); err != nil {
+			var ne net.Error
+			if lastCall || !errors.As(err, &ne) || !ne.Timeout() || !s.Draining() {
+				return // clean close, peer gone, or idle through the last call
+			}
+			// The drain found this keep-alive connection idle. The proxy
+			// that pools it may have put a request on the wire before it
+			// could learn of the drain; closing now would reset that
+			// request. Hold the line for GraceSilence: a request that
+			// arrives is served and told Connection: close, silence
+			// closes the connection with nothing unread.
+			lastCall = true
+			conn.SetReadDeadline(time.Now().Add(s.cfg.GraceSilence))
+			continue
+		}
 		req, err := http1.ReadRequest(br)
 		if err != nil {
-			return // clean close or peer gone
+			return
 		}
-		s.reg.Counter("appserver.requests").Inc()
-		keepGoing := s.serveRequest(conn, br, req)
-		if !keepGoing {
+		s.cRequests.Inc()
+		if !s.serveRequest(conn, br, req) {
 			return
 		}
 	}
@@ -300,13 +332,20 @@ func (s *Server) serveRequest(conn net.Conn, br *bufio.Reader, req *http1.Reques
 		resp = http1.NewResponse(500, nil, 0)
 	}
 	resp.Header.Set("X-Served-By", s.cfg.Name)
+	// A response written while draining is the last on its connection,
+	// and says so: the proxy drops its idle connections to this server
+	// on seeing it instead of finding them closed one request at a time.
+	draining := s.Draining()
+	if draining {
+		resp.Header.Set("Connection", "close")
+	}
 	if _, err := http1.WriteResponse(conn, resp); err != nil {
 		sp.Fail(err)
 		return false
 	}
 	sp.SetAttr("status", strconv.Itoa(resp.StatusCode))
-	s.reg.Counter(fmt.Sprintf("appserver.status.%d", resp.StatusCode)).Inc()
-	return true
+	s.cStatus.Inc(resp.StatusCode)
+	return !draining
 }
 
 // readBodyInterruptible streams the request body, checking the drain
@@ -389,20 +428,15 @@ func (s *Server) graceRead(conn net.Conn, req *http1.Request, body []byte) ([]by
 // body was cut off by the restart. Always closes the connection after.
 func (s *Server) respondInterrupted(conn net.Conn, req *http1.Request, partial []byte) bool {
 	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	var resp *http1.Response
 	switch s.cfg.Mode {
 	case ModeFail500:
-		resp := http1.NewResponse(500, nil, 0)
-		resp.Header.Set("X-Served-By", s.cfg.Name)
-		http1.WriteResponse(conn, resp)
-		s.reg.Counter("appserver.status.500").Inc()
+		resp = http1.NewResponse(500, nil, 0)
 	case ModeRedirect307:
-		resp := http1.NewResponse(307, nil, 0)
+		resp = http1.NewResponse(307, nil, 0)
 		resp.Header.Set("Location", req.Target)
-		resp.Header.Set("X-Served-By", s.cfg.Name)
-		http1.WriteResponse(conn, resp)
-		s.reg.Counter("appserver.status.307").Inc()
 	default: // ModePPR
-		resp := http1.NewResponse(http1.StatusPartialPostReplay, bytes.NewReader(partial), int64(len(partial)))
+		resp = http1.NewResponse(http1.StatusPartialPostReplay, bytes.NewReader(partial), int64(len(partial)))
 		// §5.2: pseudo-headers of the original request are echoed with a
 		// special prefix so the proxy can rebuild the request.
 		resp.Header.Set(http1.EchoPseudoHeader(":method"), req.Method)
@@ -410,9 +444,10 @@ func (s *Server) respondInterrupted(conn net.Conn, req *http1.Request, partial [
 		if req.ContentLength >= 0 {
 			resp.Header.Set("X-Original-Content-Length", strconv.FormatInt(req.ContentLength, 10))
 		}
-		resp.Header.Set("X-Served-By", s.cfg.Name)
-		http1.WriteResponse(conn, resp)
-		s.reg.Counter("appserver.status.379").Inc()
 	}
+	resp.Header.Set("X-Served-By", s.cfg.Name)
+	resp.Header.Set("Connection", "close")
+	s.cStatus.Inc(resp.StatusCode)
+	http1.WriteResponse(conn, resp)
 	return false
 }

@@ -289,3 +289,65 @@ func TestGETUnaffectedByDrainSignalRace(t *testing.T) {
 		}
 	}
 }
+
+// TestDrainHandshake is the keep-alive side of a restart as the pooling
+// proxy sees it: the dial is refused from the first instant, a response
+// written while draining says Connection: close and is the last on its
+// connection, an idle connection gets one last call of GraceSilence — a
+// request that raced the drain is served, not reset — and is then closed
+// with nothing unread.
+func TestDrainHandshake(t *testing.T) {
+	s := startServer(t, Config{DrainPeriod: 150 * time.Millisecond, GraceSilence: 60 * time.Millisecond})
+
+	// Two warm keep-alive connections; neither response mentions closing.
+	resp, raced, racedBR := dialReq(t, s.Addr(), http1.NewRequest("GET", "/a", nil, 0))
+	defer raced.Close()
+	if v := resp.Header.Get("Connection"); v != "" {
+		t.Fatalf("Connection: %q on a response written while serving", v)
+	}
+	_, quiet, quietBR := dialReq(t, s.Addr(), http1.NewRequest("GET", "/b", nil, 0))
+	defer quiet.Close()
+	if got := s.Metrics().CounterValue("appserver.conns.accepted"); got != 2 {
+		t.Fatalf("appserver.conns.accepted = %d, want 2", got)
+	}
+
+	done := make(chan struct{})
+	go func() { s.Shutdown(); close(done) }()
+	deadline := time.Now().Add(time.Second)
+	for !s.Draining() && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	t0 := time.Now()
+
+	if c, err := net.DialTimeout("tcp", s.Addr(), time.Second); err == nil {
+		c.Close()
+		t.Fatal("a draining server accepted a dial")
+	}
+
+	// The request that was on the wire before its sender could know.
+	time.Sleep(10 * time.Millisecond)
+	if _, err := http1.WriteRequest(raced, http1.NewRequest("GET", "/raced", nil, 0)); err != nil {
+		t.Fatal(err)
+	}
+	raced.SetReadDeadline(time.Now().Add(2 * time.Second))
+	resp, err := http1.ReadResponse(racedBR)
+	if err != nil {
+		t.Fatalf("request that raced the drain on an idle connection: %v", err)
+	}
+	if resp.StatusCode != 200 || resp.Header.Get("Connection") != "close" {
+		t.Fatalf("status %d, Connection %q; want 200 and close", resp.StatusCode, resp.Header.Get("Connection"))
+	}
+	if _, err := racedBR.ReadByte(); err == nil {
+		t.Fatal("connection still open after a Connection: close response")
+	}
+
+	// The connection nobody used is closed after the last call, cleanly.
+	quiet.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if _, err := quietBR.ReadByte(); err == nil || !strings.Contains(err.Error(), "EOF") {
+		t.Fatalf("idle connection after the last call: %v, want EOF", err)
+	}
+	if waited := time.Since(t0); waited < 40*time.Millisecond || waited > time.Second {
+		t.Fatalf("idle connection closed %v after the drain began, want about GraceSilence (60ms)", waited)
+	}
+	<-done
+}

@@ -297,6 +297,7 @@ func (s *ProxySlot) State() obs.SlotState {
 			st.TakeoverAborts = ps.Slots[0].TakeoverAborts
 			st.TakeoverUndos = ps.Slots[0].TakeoverUndos
 			st.Drains = ps.Slots[0].Drains
+			st.UpstreamIdle = ps.Slots[0].UpstreamIdle
 			if st.Phase == "" {
 				st.Phase = ps.Slots[0].Phase
 			}

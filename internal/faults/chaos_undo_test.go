@@ -62,6 +62,11 @@ func TestChaosReceiverDeathPostCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The origin keeps its app-server connections, and both ends of each
+	// are in this process: the baseline moves by two descriptors for every
+	// idle connection the concurrent load below adds to its pool.
+	idleUpstream := func() int { return int(tp.origin.Current().Metrics().GaugeValue("origin.upstream.idle")) }
+	idleAtBaseline := idleUpstream()
 
 	stop := make(chan struct{})
 	var ok, failed atomic.Int64
@@ -162,6 +167,7 @@ func TestChaosReceiverDeathPostCommit(t *testing.T) {
 
 	// Every descriptor the three recovery windows created — retained dups,
 	// SCM_RIGHTS copies, the dead receivers' adopted sets — is closed.
+	baseline += 2 * (idleUpstream() - idleAtBaseline)
 	if got := settleFDCount(t, baseline); got != baseline {
 		t.Fatalf("fd count after three undos = %d, want baseline %d", got, baseline)
 	}

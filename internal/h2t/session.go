@@ -579,12 +579,17 @@ func (st *Stream) SendHeaders(h map[string]string, endStream bool) error {
 // RecvHeaders waits for a HEADERS frame from the peer (response headers),
 // bounded by timeout.
 func (st *Stream) RecvHeaders(timeout time.Duration) (map[string]string, error) {
+	// Stopped on return: under go 1.22 timer semantics a time.After timer
+	// stays on the heap until it fires, and at the Edge's 30 s response
+	// timeout that is every request of the last half minute.
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
 	select {
 	case h := <-st.hdrCh:
 		return h, nil
 	case <-st.sess.done:
 		return nil, st.sess.closeReason()
-	case <-time.After(timeout):
+	case <-timer.C:
 		return nil, fmt.Errorf("h2t: timeout waiting for headers on stream %d", st.id)
 	}
 }

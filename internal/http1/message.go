@@ -237,15 +237,18 @@ func writeBody(w io.Writer, body io.Reader, contentLength int64) (int64, error) 
 	if body == nil {
 		return 0, nil
 	}
+	// bufpool.Copy, not io.Copy: neither a ChunkedWriter nor an h2t stream
+	// offers ReadFrom/WriteTo, so io.Copy would allocate its 32 KiB
+	// scratch for every message.
 	if contentLength >= 0 {
-		n, err := io.Copy(w, io.LimitReader(body, contentLength))
+		n, err := bufpool.Copy(w, io.LimitReader(body, contentLength))
 		if err == nil && n != contentLength {
 			err = fmt.Errorf("http1: body short: wrote %d of %d", n, contentLength)
 		}
 		return n, err
 	}
 	cw := NewChunkedWriter(w)
-	n, err := io.Copy(cw, body)
+	n, err := bufpool.Copy(cw, body)
 	if err != nil {
 		return n, err
 	}

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -389,6 +390,38 @@ func (r *Registry) AtomicHistogram(name string, bounds ...float64) *AtomicHistog
 		r.atomicHists[name] = h
 	}
 	return h
+}
+
+// CodeCounters is a family of counters named prefix + decimal code —
+// "edge.http.status." + 200 — for callers that bump one per request: the
+// counter of a code is looked up by name the first time the code is seen
+// and held in that code's slot afterwards, so the hot path neither formats
+// a name nor takes the registry lock.
+type CodeCounters struct {
+	reg    *Registry
+	prefix string
+	slots  [1000]atomic.Pointer[Counter]
+}
+
+// CodeCounters returns a counter family over prefix. Counters are created
+// in the registry, under the same names Counter(prefix+code) would use,
+// only when their code is first counted.
+func (r *Registry) CodeCounters(prefix string) *CodeCounters {
+	return &CodeCounters{reg: r, prefix: prefix}
+}
+
+// Inc adds one to code's counter.
+func (cc *CodeCounters) Inc(code int) {
+	if code < 0 || code >= len(cc.slots) {
+		cc.reg.Counter(cc.prefix + strconv.Itoa(code)).Inc()
+		return
+	}
+	c := cc.slots[code].Load()
+	if c == nil {
+		c = cc.reg.Counter(cc.prefix + strconv.Itoa(code))
+		cc.slots[code].Store(c)
+	}
+	c.Inc()
 }
 
 // CounterValue returns the value of the named counter, or 0 if it was never

@@ -246,3 +246,44 @@ func TestTimelineFarFutureClamped(t *testing.T) {
 		t.Fatalf("timeline allocated %d buckets; cap broken", got)
 	}
 }
+
+// TestCodeCounters: the family counts under exactly the names a by-name
+// lookup would use, creates a name only when its code is first counted,
+// and stays correct for codes outside its slots and under concurrency.
+func TestCodeCounters(t *testing.T) {
+	reg := NewRegistry()
+	cc := reg.CodeCounters("edge.http.status.")
+	if names := reg.CounterNames(); len(names) != 0 {
+		t.Fatalf("counters created before any code was counted: %v", names)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				cc.Inc(200)
+			}
+		}()
+	}
+	wg.Wait()
+	cc.Inc(503)
+	cc.Inc(-1)
+	cc.Inc(1000)
+	reg.Counter("edge.http.status.200").Inc() // the same counter, by name
+	for name, want := range map[string]int64{
+		"edge.http.status.200": 4001, "edge.http.status.503": 1,
+		"edge.http.status.-1": 1, "edge.http.status.1000": 1,
+	} {
+		if got := reg.CounterValue(name); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	if n := len(reg.CounterNames()); n != 4 {
+		t.Errorf("%d counters registered, want 4: %v", n, reg.CounterNames())
+	}
+	cc.Inc(200) // warm slot
+	if avg := testing.AllocsPerRun(100, func() { cc.Inc(200) }); avg != 0 {
+		t.Errorf("Inc on a seen code allocates %.1f objects", avg)
+	}
+}

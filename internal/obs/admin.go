@@ -29,6 +29,9 @@ type SlotState struct {
 	TakeoverAborts int64  `json:"takeover_aborts"`
 	TakeoverUndos  int64  `json:"takeover_undos,omitempty"`
 	Drains         int64  `json:"drains"`
+	// UpstreamIdle is an Origin's idle keep-alive connections per app
+	// server: whether the pool is warm after a takeover.
+	UpstreamIdle map[string]int `json:"upstream_idle,omitempty"`
 }
 
 // ReleaseState is the JSON body served at /debug/release: the release

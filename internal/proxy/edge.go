@@ -4,10 +4,10 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
-	"fmt"
 	"net"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -154,18 +154,56 @@ func (p *Proxy) handleEdgeHTTPConn(conn net.Conn) {
 			return
 		}
 	}
-	defer conn.Close()
+	wc := &webConn{Conn: conn}
+	defer p.untrackWebConn(wc)
+	if !p.trackWebConn(wc) {
+		return
+	}
 	br := bufio.NewReader(conn)
 	for {
 		req, err := http1.ReadRequest(br)
 		if err != nil {
 			return
 		}
-		p.reg.Counter("edge.http.requests").Inc()
-		if !p.serveEdgeRequest(conn, req) {
+		p.cRequests.Inc()
+		wc.busy.Store(true)
+		ok := p.serveEdgeRequest(conn, req)
+		wc.busy.Store(false)
+		if !ok {
 			return
 		}
 	}
+}
+
+// webConn is a web client connection served by its own goroutine. busy
+// is true from a parsed request head to the end of its response, which
+// is what tells terminate a disruption from the close of an idle
+// keep-alive connection.
+type webConn struct {
+	net.Conn
+	busy atomic.Bool
+}
+
+// trackWebConn registers wc for terminate to close; false means the
+// generation already terminated.
+func (p *Proxy) trackWebConn(wc *webConn) bool {
+	p.parkedMu.Lock()
+	p.webConns[wc] = struct{}{}
+	p.parkedMu.Unlock()
+	// terminate sets closed before it collects webConns, so a connection
+	// it missed sees closed here.
+	p.mu.Lock()
+	closed := p.closed
+	p.mu.Unlock()
+	return !closed
+}
+
+// untrackWebConn ends wc's handler: the connection is forgotten and closed.
+func (p *Proxy) untrackWebConn(wc *webConn) {
+	p.parkedMu.Lock()
+	delete(p.webConns, wc)
+	p.parkedMu.Unlock()
+	wc.Close()
 }
 
 // serveEdgeHTTPLoop parks conn in the event loop and serves one request
@@ -190,7 +228,7 @@ func (p *Proxy) serveEdgeHTTPLoop(loop *netx.EventLoop, conn net.Conn, rawConn s
 				p.reapParked(w, conn)
 				return
 			}
-			p.reg.Counter("edge.http.requests").Inc()
+			p.cRequests.Inc()
 			if !p.serveEdgeRequest(conn, req) {
 				p.reapParked(w, conn)
 				return
@@ -315,7 +353,7 @@ func (p *Proxy) serveEdgeRequest(conn net.Conn, req *http1.Request) bool {
 		code = 502
 	}
 	sp.SetAttr("status", strconv.Itoa(code))
-	p.reg.Counter(fmt.Sprintf("edge.http.status.%d", code)).Inc()
+	p.cStatus.Inc(code)
 
 	resp := http1.NewResponse(code, st, -1)
 	if msg, ok := respHdr["status-message"]; ok {

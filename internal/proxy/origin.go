@@ -2,11 +2,11 @@ package proxy
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"strconv"
 	"sync"
 	"time"
@@ -259,22 +259,40 @@ func (p *Proxy) relayMQTT(os *originSession, st *h2t.Stream, userID, trace strin
 	<-errCh
 }
 
+// upstreamReq is one tunneled request on its way to an app server, with
+// what is needed to send it again from its first byte.
+type upstreamReq struct {
+	method, path, trace string
+	cl                  int64
+	// replay is the partial body a restarting server handed back (§4.3);
+	// it goes out first.
+	replay []byte
+	// rest is the live client body, nil for a body-less request; buf is
+	// the one pooled buffer it is forwarded through.
+	rest io.Reader
+	buf  []byte
+	// held is the part of buf read from rest that no app server has
+	// accounted for yet — by a response, or by a 379 whose body reflects
+	// everything written before it. It goes out after replay and before
+	// rest is read again, so
+	// replayed = serverReceived ++ consumedUnforwarded ++ stillStreaming.
+	held []byte
+}
+
 // forwardHTTP forwards one tunneled HTTP request to an app server,
 // implementing the client (downstream-proxy) side of Partial Post Replay.
 func (p *Proxy) forwardHTTP(st *h2t.Stream, hdr map[string]string) {
-	method := hdr[":method"]
-	path := hdr[":path"]
-	if method == "" || path == "" {
+	r := upstreamReq{method: hdr[":method"], path: hdr[":path"], cl: -1}
+	if r.method == "" || r.path == "" {
 		st.Reset()
 		return
 	}
-	cl := int64(-1)
 	if v, ok := hdr["content-length"]; ok {
 		if n, err := strconv.ParseInt(v, 10, 64); err == nil {
-			cl = n
+			r.cl = n
 		}
 	}
-	p.reg.Counter("origin.http.requests").Inc()
+	p.cRequests.Inc()
 	t0 := time.Now()
 	p.gRIF.Inc()
 	defer p.gRIF.Dec()
@@ -282,18 +300,18 @@ func (p *Proxy) forwardHTTP(st *h2t.Stream, hdr map[string]string) {
 
 	remote, _ := obs.ParseSpanContext(hdr[obs.TraceHeader])
 	sp := p.cfg.Trace.StartSpan("origin.http", remote)
-	sp.SetAttr("method", method)
-	sp.SetAttr("path", path)
+	sp.SetAttr("method", r.method)
+	sp.SetAttr("path", r.path)
 	defer sp.End()
-	downstreamTrace := hdr[obs.TraceHeader]
+	r.trace = hdr[obs.TraceHeader]
 	if c := sp.Context().String(); c != "" {
-		downstreamTrace = c
+		r.trace = c
 	}
 
-	var replay []byte // partial body handed back by a restarting server
-	var body io.Reader = st
-	if method != "POST" && method != "PUT" {
-		body = nil
+	if (r.method == "POST" || r.method == "PUT") && r.cl != 0 {
+		bp := bufpool.Get(8 << 10)
+		defer bufpool.Put(bp)
+		r.rest, r.buf = st, *bp
 	}
 
 	attempts := p.cfg.PPRRetries
@@ -306,17 +324,25 @@ func (p *Proxy) forwardHTTP(st *h2t.Stream, hdr map[string]string) {
 			break
 		}
 		var attSp *obs.Span
-		if replay != nil {
+		if r.replay != nil {
 			// This attempt replays a 379 hand-back (§4.3).
 			attSp = sp.StartChild("ppr.replay")
 			attSp.SetAttr("attempt", strconv.Itoa(attempt))
 			attSp.SetAttr("app-server", asAddr)
 		}
-		resp, _, conn, err := p.attemptAppServer(asAddr, method, path, cl, replay, body, downstreamTrace)
+		resp, uc, err := p.attemptAppServer(asAddr, &r)
 		if err != nil {
 			lastErr = err
 			attSp.Fail(err)
 			attSp.End()
+			if errors.Is(err, errUpstreamClosed) {
+				// The generation was terminated under the request: the
+				// forced end of the drain period, not an app-server fault.
+				p.cfg.Ledger.Record(disrupt.KindReset, 0, VIPTunnel, "drain-expired", r.path)
+				sp.Fail(err)
+				st.Reset()
+				return
+			}
 			p.reg.Counter("origin.http.attempt_errors").Inc()
 			p.cfg.Ledger.Record(disrupt.KindRetry, 0, VIPTunnel, "", "app-server attempt failed: "+err.Error())
 			// Back off before redialing: a restarting app server needs a
@@ -332,14 +358,14 @@ func (p *Proxy) forwardHTTP(st *h2t.Stream, hdr map[string]string) {
 			// user. Replay to another server with the returned prefix
 			// plus whatever the client is still sending.
 			partial, err := http1.ReadFullBodySized(resp.Body, resp.ContentLength)
-			conn.Close()
+			p.upstream.release(uc, resp, false)
 			attSp.SetAttr("result", "379")
 			attSp.End()
 			if err != nil {
 				lastErr = err
 				continue
 			}
-			replay = partial
+			r.replay = partial
 			p.reg.Counter("origin.http.ppr_replays").Inc()
 			p.cfg.Ledger.Record(disrupt.KindRetry, 0, VIPTunnel, "", "379 hand-back; replaying")
 			continue
@@ -347,8 +373,14 @@ func (p *Proxy) forwardHTTP(st *h2t.Stream, hdr map[string]string) {
 		// Success (or a terminal app error): relay to the Edge.
 		attSp.End()
 		sp.SetAttr("status", strconv.Itoa(resp.StatusCode))
-		p.relayResponse(st, resp)
-		conn.Close()
+		relayed := p.relayResponse(st, resp)
+		// The connection goes back before the stream's END_STREAM tells
+		// the Edge the response is complete, so a client's next request
+		// finds it idle instead of racing its return.
+		p.upstream.release(uc, resp, relayed)
+		if relayed {
+			st.CloseWrite()
+		}
 		return
 	}
 	// All attempts failed: the paper's fallback — a standard 500.
@@ -376,198 +408,242 @@ func (p *Proxy) nextAppServer(attempt int) string {
 	return p.cfg.AppServers[(p.rrApp+attempt)%len(p.cfg.AppServers)]
 }
 
-// attemptAppServer sends one request attempt. The body is streamed in
-// small chunks while the response is watched concurrently, so a 379 that
-// arrives mid-upload stops forwarding promptly (the restarting server
-// grace-reads everything sent before that moment, preserving the
-// no-byte-lost invariant). On return the caller owns conn.
-func (p *Proxy) attemptAppServer(addr, method, path string, cl int64, replay []byte, rest io.Reader, trace string) (*http1.Response, *bufio.Reader, net.Conn, error) {
-	conn, err := p.dialUpstream(addr)
+// attemptAppServer sends one request attempt on a pooled connection and
+// reads the response head. A reused connection that turns out to have
+// died in the pool is not an attempt: the request is sent once more on a
+// fresh dial at once — no backoff, no ledger event, no PPR attempt spent.
+// On success the caller owns the checkout and ends it with release.
+func (p *Proxy) attemptAppServer(addr string, r *upstreamReq) (*http1.Response, *upstreamConn, error) {
+	uc, err := p.upstream.get(addr)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
+	resp, err := p.exchange(uc, r)
+	if errors.Is(err, errStaleUpstream) {
+		p.upstream.discard(uc)
+		p.upstream.staleRetries.Inc()
+		if uc, err = p.upstream.dial(addr); err != nil {
+			return nil, nil, err
+		}
+		resp, err = p.exchange(uc, r)
+	}
+	if err != nil {
+		p.upstream.discard(uc)
+		return nil, nil, err
+	}
+	return resp, uc, nil
+}
 
-	// Response watcher.
-	type respResult struct {
-		resp *http1.Response
-		br   *bufio.Reader
-		err  error
+// appendRequestHead appends r's request line and framing headers to b.
+func appendRequestHead(b []byte, r *upstreamReq) []byte {
+	b = append(b, r.method...)
+	b = append(b, ' ')
+	b = append(b, r.path...)
+	b = append(b, " HTTP/1.1\r\n"...)
+	if r.trace != "" {
+		b = append(b, "X-Zdr-Trace: "...)
+		b = append(b, r.trace...)
+		b = append(b, '\r', '\n')
 	}
-	respCh := make(chan respResult, 1)
-	go func() {
-		br := bufio.NewReader(conn)
-		resp, err := http1.ReadResponse(br)
-		respCh <- respResult{resp, br, err}
-	}()
-
-	fail := func(err error) (*http1.Response, *bufio.Reader, net.Conn, error) {
-		conn.Close()
-		return nil, nil, nil, err
-	}
-
-	// Head.
-	var head bytes.Buffer
-	fmt.Fprintf(&head, "%s %s HTTP/1.1\r\n", method, path)
-	if trace != "" {
-		fmt.Fprintf(&head, "X-Zdr-Trace: %s\r\n", trace)
-	}
-	hasBody := rest != nil || len(replay) > 0
-	chunked := false
 	switch {
-	case !hasBody:
-		head.WriteString("Content-Length: 0\r\n")
-	case cl >= 0:
-		fmt.Fprintf(&head, "Content-Length: %d\r\n", cl)
+	case r.rest == nil:
+		b = append(b, "Content-Length: 0\r\n"...)
+	case r.cl >= 0:
+		b = append(b, "Content-Length: "...)
+		b = strconv.AppendInt(b, r.cl, 10)
+		b = append(b, '\r', '\n')
 	default:
-		head.WriteString("Transfer-Encoding: chunked\r\n")
-		chunked = true
+		b = append(b, "Transfer-Encoding: chunked\r\n"...)
 	}
-	head.WriteString("\r\n")
-	if _, err := conn.Write(head.Bytes()); err != nil {
-		return fail(err)
+	return append(b, '\r', '\n')
+}
+
+// upstreamReply is what reading a response head produced. silent means
+// the connection ended without a single response byte: the app server
+// answers every request it reads, so it never read this one.
+type upstreamReply struct {
+	resp   *http1.Response
+	err    error
+	silent bool
+}
+
+func readReply(br *bufio.Reader) upstreamReply {
+	if _, err := br.Peek(1); err != nil {
+		return upstreamReply{err: err, silent: true}
+	}
+	resp, err := http1.ReadResponse(br)
+	return upstreamReply{resp: resp, err: err}
+}
+
+// settle turns a reply into exchange's result. resendable says every
+// request byte written to uc is still in hand.
+func (uc *upstreamConn) settle(rep upstreamReply, resendable bool) (*http1.Response, error) {
+	uc.SetReadDeadline(time.Time{})
+	switch {
+	case rep.err == nil:
+		return rep.resp, nil
+	case errors.Is(rep.err, os.ErrDeadlineExceeded):
+		return nil, errors.New("proxy: app server response timeout")
+	case rep.silent:
+		return nil, uc.lost(rep.err, resendable)
+	}
+	return nil, rep.err
+}
+
+// lost classifies a transport failure that came before any response byte.
+func (uc *upstreamConn) lost(err error, resendable bool) error {
+	if uc.reused && resendable {
+		return fmt.Errorf("%w: %v", errStaleUpstream, err)
+	}
+	return err
+}
+
+// exchange writes r to uc and reads the response head. A body-less
+// request (every GET) is one Write and a read on this goroutine under a
+// read deadline; only a streamed body, which a 379 may interrupt, needs
+// the response watched concurrently.
+func (p *Proxy) exchange(uc *upstreamConn, r *upstreamReq) (*http1.Response, error) {
+	hp := bufpool.Get(bufpool.TierSmall)
+	_, err := uc.Conn.Write(appendRequestHead((*hp)[:0], r))
+	bufpool.Put(hp)
+	if err != nil {
+		return nil, uc.lost(err, true)
+	}
+	if r.rest != nil {
+		return p.exchangeBody(uc, r)
+	}
+	uc.sent = true
+	uc.SetReadDeadline(time.Now().Add(p.cfg.UpstreamResponseTimeout))
+	return uc.settle(readReply(uc.br), true)
+}
+
+// exchangeBody streams r's body in small chunks while the response is
+// watched concurrently, so a 379 that arrives mid-upload stops forwarding
+// promptly (the restarting server grace-reads everything sent before that
+// moment, preserving the no-byte-lost invariant). The watcher is the only
+// reader of uc.br until its reply has been received, which every return
+// path does.
+func (p *Proxy) exchangeBody(uc *upstreamConn, r *upstreamReq) (*http1.Response, error) {
+	respCh := make(chan upstreamReply, 1)
+	go func() { respCh <- readReply(uc.br) }()
+	early := func() (upstreamReply, bool) {
+		select {
+		case rep := <-respCh:
+			return rep, true
+		default:
+			return upstreamReply{}, false
+		}
 	}
 
-	// Body: replay prefix first, then the live stream, chunk by chunk,
-	// polling for an early response before each write.
 	var cw *http1.ChunkedWriter
-	if chunked {
-		cw = http1.NewChunkedWriter(conn)
+	if r.cl < 0 {
+		cw = http1.NewChunkedWriter(uc.Conn)
 	}
-	writeChunk := func(b []byte) error {
+	write := func(b []byte) error {
 		if len(b) == 0 {
 			return nil
 		}
-		if chunked {
-			_, err := cw.Write(b)
-			return err
+		var err error
+		if cw != nil {
+			_, err = cw.Write(b)
+		} else {
+			_, err = uc.Conn.Write(b)
 		}
-		_, err := conn.Write(b)
 		return err
 	}
-
-	if hasBody {
-		earlyResp := func() *respResult {
-			select {
-			case rr := <-respCh:
-				return &rr
-			default:
-				return nil
-			}
-		}
-		if rr := earlyResp(); rr != nil {
-			if rr.err != nil {
-				return fail(rr.err)
-			}
-			return rr.resp, rr.br, conn, nil
-		}
-		if err := writeChunk(replay); err != nil {
-			return fail(fmt.Errorf("proxy: writing replay prefix: %w", err))
-		}
-		if rest != nil {
-			bp := bufpool.Get(8 << 10)
-			defer bufpool.Put(bp)
-			buf := *bp
-			for {
-				if rr := earlyResp(); rr != nil {
-					// Early response (379 or error) — stop forwarding.
-					if rr.err != nil {
-						return fail(rr.err)
-					}
-					return rr.resp, rr.br, conn, nil
-				}
-				n, rerr := rest.Read(buf)
-				if n > 0 {
-					if rr := earlyResp(); rr != nil {
-						// Response arrived while we were blocked reading
-						// the client: do NOT forward this chunk — the
-						// 379 body already reflects everything the
-						// server received. The chunk stays with the
-						// caller via the replay mechanism? No: it was
-						// consumed from the stream. Hand it back by
-						// prepending to the response body consumer.
-						if rr.err != nil {
-							return fail(rr.err)
-						}
-						return p.prependConsumed(rr.resp, buf[:n]), rr.br, conn, nil
-					}
-					if werr := writeChunk(buf[:n]); werr != nil {
-						return fail(fmt.Errorf("proxy: forwarding body: %w", werr))
-					}
-				}
-				if rerr == io.EOF {
-					break
-				}
-				if rerr != nil {
-					return fail(fmt.Errorf("proxy: reading client body: %w", rerr))
-				}
-			}
-			if chunked {
-				if err := cw.Close(); err != nil {
-					return fail(err)
-				}
-			}
-		} else if chunked {
-			if err := cw.Close(); err != nil {
-				return fail(err)
-			}
-		}
+	// overwritten: bytes written to uc have since been overwritten in
+	// r.buf, so the request can no longer be rebuilt from its first byte.
+	overwritten := false
+	// abandon ends a broken exchange: closing uc stops the watcher.
+	abandon := func() {
+		uc.Conn.Close()
+		<-respCh
+	}
+	// A write that fails means the server cannot have read the whole
+	// request, so it is as good as silent.
+	fail := func(what string, err error) (*http1.Response, error) {
+		abandon()
+		return nil, uc.lost(fmt.Errorf("proxy: %s: %w", what, err), !overwritten)
 	}
 
-	// Await the response.
-	respTimer := time.NewTimer(p.cfg.UpstreamResponseTimeout)
-	defer respTimer.Stop()
-	select {
-	case rr := <-respCh:
-		if rr.err != nil {
-			return fail(rr.err)
-		}
-		return rr.resp, rr.br, conn, nil
-	case <-respTimer.C:
-		return fail(errors.New("proxy: app server response timeout"))
+	if rep, ok := early(); ok {
+		return uc.settle(rep, true)
 	}
+	if err := write(r.replay); err != nil {
+		return fail("writing replay prefix", err)
+	}
+	if err := write(r.held); err != nil {
+		return fail("forwarding body", err)
+	}
+	for {
+		if rep, ok := early(); ok {
+			// Early response (379 or error) — stop forwarding.
+			if rep.err == nil {
+				r.held = nil
+			}
+			return uc.settle(rep, !overwritten)
+		}
+		n, rerr := r.rest.Read(r.buf)
+		if n > 0 {
+			overwritten = overwritten || len(r.held) > 0
+			r.held = r.buf[:n]
+			if rep, ok := early(); ok {
+				// Response arrived while we were blocked reading the
+				// client: do NOT forward this chunk — a 379 body already
+				// reflects everything the server received. It stays held
+				// and leads the replay.
+				return uc.settle(rep, !overwritten)
+			}
+			if werr := write(r.held); werr != nil {
+				return fail("forwarding body", werr)
+			}
+		}
+		if rerr == io.EOF {
+			break
+		}
+		if rerr != nil {
+			abandon()
+			return nil, fmt.Errorf("proxy: reading client body: %w", rerr)
+		}
+	}
+	if cw != nil {
+		if err := cw.Close(); err != nil {
+			return fail("forwarding body", err)
+		}
+	}
+	uc.sent = true
+	uc.SetReadDeadline(time.Now().Add(p.cfg.UpstreamResponseTimeout))
+	rep := <-respCh
+	if rep.err == nil {
+		r.held = nil
+	}
+	return uc.settle(rep, !overwritten)
 }
 
-// prependConsumed attaches body bytes that were consumed from the client
-// stream but never forwarded (the write was cancelled by an early 379) to
-// the 379's partial body, preserving the replay invariant:
-// replayed = serverReceived ++ consumedUnforwarded ++ stillStreaming.
-func (p *Proxy) prependConsumed(resp *http1.Response, consumed []byte) *http1.Response {
-	if !http1.IsPartialPostReplay(resp) || len(consumed) == 0 {
-		return resp
-	}
-	tail := make([]byte, len(consumed))
-	copy(tail, consumed)
-	if resp.Body == nil {
-		resp.Body = bytes.NewReader(tail)
-	} else {
-		resp.Body = io.MultiReader(resp.Body, bytes.NewReader(tail))
-	}
-	if resp.ContentLength >= 0 {
-		resp.ContentLength += int64(len(tail))
-	}
-	return resp
-}
-
-// relayResponse sends an app-server response back over the tunnel stream.
-func (p *Proxy) relayResponse(st *h2t.Stream, resp *http1.Response) {
+// relayResponse sends an app-server response back over the tunnel stream
+// and reports whether all of it went out; ending the stream is left to
+// the caller.
+func (p *Proxy) relayResponse(st *h2t.Stream, resp *http1.Response) bool {
 	hdr := map[string]string{
 		"status":         strconv.Itoa(resp.StatusCode),
 		"status-message": resp.StatusMessage,
 	}
 	for k, vs := range resp.Header {
-		if len(vs) > 0 {
+		// Connection is the app server's word to this Origin about this
+		// hop (upstreamPool.release acts on it), not the user's.
+		if len(vs) > 0 && k != "Connection" {
 			hdr[k] = vs[0]
 		}
 	}
-	p.reg.Counter(fmt.Sprintf("origin.http.status.%d", resp.StatusCode)).Inc()
+	p.cStatus.Inc(resp.StatusCode)
 	if err := st.SendHeaders(hdr, false); err != nil {
-		return
+		return false
 	}
 	if resp.Body != nil {
 		if _, err := netx.Relay(st, resp.Body); err != nil {
 			st.Reset()
-			return
+			return false
 		}
 	}
-	st.CloseWrite()
+	return true
 }

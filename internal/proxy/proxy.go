@@ -256,6 +256,14 @@ type Proxy struct {
 	// gRIF counts requests in flight — the Prequal load signal this
 	// instance advertises in its LOAD probe answers.
 	gRIF *metrics.Gauge
+	// cRequests and cStatus are the per-request counters, resolved once:
+	// {edge,origin}.http.requests and {edge,origin}.http.status.<code>.
+	cRequests *metrics.Counter
+	cStatus   *metrics.CodeCounters
+
+	// upstream holds the Origin's app-server connections (nil at the
+	// Edge). It belongs to this generation alone.
+	upstream *upstreamPool
 
 	// steerLB steers edge→origin placement when Config.Steering is set;
 	// steerSeq hands each fresh request its flow id.
@@ -273,6 +281,11 @@ type Proxy struct {
 	// close them (no goroutine holds them) and retire the bookkeeping.
 	parkedMu sync.Mutex
 	parked   map[*netx.Watch]net.Conn
+	// webConns is the goroutine-per-connection counterpart: every web
+	// client connection with a handler goroutine, which terminate must
+	// close because a handler parked in ReadRequest otherwise returns
+	// only when the client hangs up. Guarded by parkedMu.
+	webConns map[*webConn]struct{}
 
 	takeSrv   *takeover.Server
 	drainSpan *obs.Span
@@ -293,6 +306,7 @@ func New(cfg Config, reg *metrics.Registry) *Proxy {
 		mqttConns:   make(map[*mqttRelay]struct{}),
 		srvSessions: make(map[*originSession]struct{}),
 		parked:      make(map[*netx.Watch]net.Conn),
+		webConns:    make(map[*webConn]struct{}),
 		loadConns:   make(map[net.Conn]struct{}),
 		drainCh:     make(chan struct{}),
 	}
@@ -300,8 +314,13 @@ func New(cfg Config, reg *metrics.Registry) *Proxy {
 	if cfg.Role == RoleOrigin {
 		p.brokerRing = consistent.NewRing(100, cfg.Brokers...)
 		p.latHTTP = reg.AtomicHistogram("origin.http.latency")
+		p.cRequests = reg.Counter("origin.http.requests")
+		p.cStatus = reg.CodeCounters("origin.http.status.")
+		p.upstream = newUpstreamPool(p.dialUpstream, reg)
 	} else {
 		p.latHTTP = reg.AtomicHistogram("edge.http.latency")
+		p.cRequests = reg.Counter("edge.http.requests")
+		p.cStatus = reg.CodeCounters("edge.http.status.")
 		p.latTunnel = reg.AtomicHistogram("edge.tunnel.latency")
 		p.latQUIC = reg.AtomicHistogram("edge.quic.latency")
 		if cfg.Steering != "" && len(cfg.Origins) > 0 {
@@ -990,6 +1009,9 @@ func (p *Proxy) startDrainingTraced(peerTrace string) {
 	if quic != nil {
 		quic.StartDraining()
 	}
+	// The app-server connections are this generation's: idle ones close
+	// now, and the requests still to be served dial their own.
+	p.upstream.retire()
 	// Relayed MQTT streams get the drain span's context in the
 	// solicitation payload, so the Edge's dcr.reconnect spans join this
 	// trace (§4.2 step A).
@@ -1053,6 +1075,7 @@ func (p *Proxy) undoDrain(rearmed *takeover.ListenerSet, cause error) {
 	if quic != nil {
 		quic.UndoDrain()
 	}
+	p.upstream.resume()
 	p.reg.Counter("proxy.drain_undos").Inc()
 	p.syncLedgerPhase()
 	p.cfg.Ledger.Record(disrupt.KindUndo, 0, "", "", fmt.Sprintf("drain undone: %v", cause))
@@ -1139,12 +1162,26 @@ func (p *Proxy) terminate() {
 	p.parkedMu.Lock()
 	parked := p.parked
 	p.parked = make(map[*netx.Watch]net.Conn)
+	webConns := make([]*webConn, 0, len(p.webConns))
+	for wc := range p.webConns {
+		webConns = append(webConns, wc)
+	}
 	p.parkedMu.Unlock()
 	for w, c := range parked {
 		c.Close()
 		w.Cancel()
 		p.reg.Gauge("proxy.loop.parked").Dec()
 	}
+	// Goroutine-mode web connections are forcefully terminated at the end
+	// of the draining period (§4.1): an idle keep-alive connection just
+	// closes, one cut mid-request is a disruption and is recorded as one.
+	for _, wc := range webConns {
+		if wc.busy.Load() {
+			p.cfg.Ledger.Record(disrupt.KindReset, 0, VIPWeb, "drain-expired", "")
+		}
+		wc.Close()
+	}
+	p.upstream.close()
 
 	if takeSrv != nil {
 		takeSrv.Close()
@@ -1216,6 +1253,7 @@ func (p *Proxy) ReleaseState() obs.ReleaseState {
 			TakeoverAborts: p.reg.CounterValue("proxy.takeover_aborts"),
 			TakeoverUndos:  p.reg.CounterValue("proxy.takeover_undos"),
 			Drains:         p.reg.CounterValue("proxy.drains"),
+			UpstreamIdle:   p.upstream.idleCounts(),
 		}},
 		InFlightSpans: p.cfg.Trace.InFlight(),
 	}
