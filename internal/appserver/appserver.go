@@ -147,13 +147,20 @@ func (s *Server) Listen(addr string) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	s.Serve(ln)
+	return ln.Addr().String(), nil
+}
+
+// Serve starts accepting from ln, which the server closes when it stops.
+// It is Listen for a listener the caller made, such as one that wraps
+// the connections it accepts.
+func (s *Server) Serve(ln net.Listener) {
 	s.ln = ln
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
 		s.acceptLoop()
 	}()
-	return ln.Addr().String(), nil
 }
 
 // Addr returns the bound address.

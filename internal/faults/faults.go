@@ -264,6 +264,8 @@ type Injector struct {
 	counts      [opCount]atomic.Uint64
 	partitioned atomic.Bool
 	observer    atomic.Pointer[func(Op)]
+	// writeCalls counts Write calls on the stream connections wrapped.
+	writeCalls atomic.Uint64
 }
 
 // NewInjector creates an injector for sc.
@@ -295,6 +297,18 @@ func (in *Injector) InjectedTotal() uint64 {
 		t += in.counts[i].Load()
 	}
 	return t
+}
+
+// WriteCalls reports how many times Write has been called on the stream
+// connections this injector wrapped: the number of writes the program
+// issued, whatever a scheduled fault then made of each. With the zero
+// Scenario the injector is a pure counter, which is what the
+// writes-per-message tests use it for.
+func (in *Injector) WriteCalls() uint64 {
+	if in == nil {
+		return 0
+	}
+	return in.writeCalls.Load()
 }
 
 func (in *Injector) count(op Op) {
@@ -540,6 +554,7 @@ func (c *conn) Read(p []byte) (int, error) {
 }
 
 func (c *conn) Write(p []byte) (int, error) {
+	c.in.writeCalls.Add(1)
 	c.sh.take(len(p))
 	c.wmu.Lock()
 	var st Step

@@ -97,58 +97,54 @@ type Frame struct {
 // ErrFrameTooLarge is returned for frames exceeding maxFramePayload.
 var ErrFrameTooLarge = errors.New("h2t: frame payload too large")
 
-// WriteFrame serializes f to w.
-func WriteFrame(w io.Writer, f Frame) error {
-	if len(f.Payload) > maxFramePayload {
-		return ErrFrameTooLarge
-	}
-	var hdr [frameHeaderLen]byte
-	hdr[0] = uint8(f.Type)
-	hdr[1] = f.Flags
-	binary.BigEndian.PutUint32(hdr[2:6], f.StreamID)
-	binary.BigEndian.PutUint32(hdr[6:10], uint32(len(f.Payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if len(f.Payload) > 0 {
-		if _, err := w.Write(f.Payload); err != nil {
-			return err
-		}
-	}
-	return nil
+// appendFrameHeader appends the fixed wire header of a frame whose payload
+// is n bytes long.
+func appendFrameHeader(b []byte, t FrameType, flags uint8, streamID uint32, n int) []byte {
+	b = append(b, uint8(t), flags)
+	b = binary.BigEndian.AppendUint32(b, streamID)
+	return binary.BigEndian.AppendUint32(b, uint32(n))
 }
 
-// ReadFrame parses one frame from r. The returned payload is freshly
-// allocated and owned by the caller; the session read loop uses
-// readFrameInto instead to avoid that per-frame allocation.
-func ReadFrame(r io.Reader) (Frame, error) {
-	return readFrameInto(r, nil)
-}
-
-// readFrameInto parses one frame from r. When scratch is non-nil and large
-// enough (len >= maxFramePayload), the payload is read into it and
-// f.Payload aliases scratch — valid only until the caller's next read.
-// Anything that outlives that window must copy the bytes out.
-func readFrameInto(r io.Reader, scratch []byte) (Frame, error) {
-	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return Frame{}, err
-	}
-	f := Frame{
+// parseFrameHeader decodes a fixed wire header; n is the payload length
+// that follows it.
+func parseFrameHeader(hdr []byte) (f Frame, n int, err error) {
+	f = Frame{
 		Type:     FrameType(hdr[0]),
 		Flags:    hdr[1],
 		StreamID: binary.BigEndian.Uint32(hdr[2:6]),
 	}
-	n := binary.BigEndian.Uint32(hdr[6:10])
-	if n > maxFramePayload {
-		return Frame{}, ErrFrameTooLarge
+	size := binary.BigEndian.Uint32(hdr[6:10])
+	if size > maxFramePayload {
+		return Frame{}, 0, ErrFrameTooLarge
+	}
+	return f, int(size), nil
+}
+
+// WriteFrame serializes f to w in one Write.
+func WriteFrame(w io.Writer, f Frame) error {
+	if len(f.Payload) > maxFramePayload {
+		return ErrFrameTooLarge
+	}
+	b := make([]byte, 0, frameHeaderLen+len(f.Payload))
+	b = appendFrameHeader(b, f.Type, f.Flags, f.StreamID, len(f.Payload))
+	_, err := w.Write(append(b, f.Payload...))
+	return err
+}
+
+// ReadFrame parses one frame from r. The returned payload is freshly
+// allocated and owned by the caller. (The session read loop parses frames
+// out of its own read buffer instead; see Session.readFrame.)
+func ReadFrame(r io.Reader) (Frame, error) {
+	var hdr [frameHeaderLen]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return Frame{}, err
+	}
+	f, n, err := parseFrameHeader(hdr[:])
+	if err != nil {
+		return Frame{}, err
 	}
 	if n > 0 {
-		if int(n) <= len(scratch) {
-			f.Payload = scratch[:n]
-		} else {
-			f.Payload = make([]byte, n)
-		}
+		f.Payload = make([]byte, n)
 		if _, err := io.ReadFull(r, f.Payload); err != nil {
 			return Frame{}, err
 		}
@@ -156,20 +152,24 @@ func readFrameInto(r io.Reader, scratch []byte) (Frame, error) {
 	return f, nil
 }
 
-// EncodeHeaders serializes a header map: u16 count, then length-prefixed
-// key/value pairs. Header maps are small (a handful of routing fields).
-func EncodeHeaders(h map[string]string) ([]byte, error) {
+// headerBlockSize validates h and returns the length of its encoding.
+func headerBlockSize(h map[string]string) (int, error) {
 	if len(h) > 0xffff {
-		return nil, errors.New("h2t: too many headers")
+		return 0, errors.New("h2t: too many headers")
 	}
 	size := 2
 	for k, v := range h {
 		if len(k) > 0xffff || len(v) > 0xffff {
-			return nil, errors.New("h2t: header field too long")
+			return 0, errors.New("h2t: header field too long")
 		}
 		size += 4 + len(k) + len(v)
 	}
-	buf := make([]byte, 0, size)
+	return size, nil
+}
+
+// appendHeaderBlock appends the encoding of a header map that passed
+// headerBlockSize: u16 count, then length-prefixed key/value pairs.
+func appendHeaderBlock(buf []byte, h map[string]string) []byte {
 	buf = binary.BigEndian.AppendUint16(buf, uint16(len(h)))
 	for k, v := range h {
 		buf = binary.BigEndian.AppendUint16(buf, uint16(len(k)))
@@ -177,7 +177,17 @@ func EncodeHeaders(h map[string]string) ([]byte, error) {
 		buf = binary.BigEndian.AppendUint16(buf, uint16(len(v)))
 		buf = append(buf, v...)
 	}
-	return buf, nil
+	return buf
+}
+
+// EncodeHeaders serializes a header map: u16 count, then length-prefixed
+// key/value pairs. Header maps are small (a handful of routing fields).
+func EncodeHeaders(h map[string]string) ([]byte, error) {
+	size, err := headerBlockSize(h)
+	if err != nil {
+		return nil, err
+	}
+	return appendHeaderBlock(make([]byte, 0, size), h), nil
 }
 
 // DecodeHeaders parses EncodeHeaders output.

@@ -1,6 +1,7 @@
 package h2t
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -8,8 +9,6 @@ import (
 	"net"
 	"sync"
 	"time"
-
-	"zdr/internal/bufpool"
 )
 
 // Session errors.
@@ -41,13 +40,24 @@ type Session struct {
 	conn     net.Conn
 	isClient bool
 
-	// Write-side scratch, guarded by wmu: the frame header and the two-
-	// element vector handed to net.Buffers.WriteTo live on the session so
-	// a frame write is a single vectored syscall with zero allocations.
-	wmu   sync.Mutex // serializes writeFrame
-	whdr  [frameHeaderLen]byte
-	wvec  [2][]byte
-	wbufs net.Buffers
+	// Write side, guarded by wmu. Every frame leaves through putFrame and
+	// flush: frame headers and small payloads are encoded back to back in
+	// wbuf, a large payload is referenced from wvec between two runs of
+	// wbuf, and flush hands the lot to the transport in one Write or
+	// writev. Nothing stays in wbuf after the call that put it there
+	// returns (DESIGN.md "Writes per message").
+	wmu   sync.Mutex
+	wbuf  []byte
+	wmark int         // start of the run of wbuf not yet referenced from wvec
+	wvec  [][]byte    // the write being assembled, in wire order
+	wbufs net.Buffers // wvec as WriteTo consumes it; a field so that it is not allocated per write
+	werr  error       // sticky: a failed write may have torn a frame
+
+	// Read side, owned by readLoop: frames are parsed out of br, and
+	// response headers parsed from it wait in held until the loop is
+	// about to read the transport again.
+	br   *bufio.Reader
+	held []heldHeaders
 
 	mu         sync.Mutex
 	streams    map[uint32]*Stream
@@ -97,6 +107,7 @@ func NewSession(conn net.Conn, isClient bool, opts ...Option) *Session {
 	}
 	s := &Session{
 		conn:     conn,
+		br:       bufio.NewReaderSize(conn, readBufSize),
 		isClient: isClient,
 		streams:  make(map[uint32]*Stream),
 		acceptCh: make(chan *Stream, 64),
@@ -113,40 +124,129 @@ func NewSession(conn net.Conn, isClient bool, opts ...Option) *Session {
 	return s
 }
 
+// inlinePayload is the largest payload copied into wbuf behind its frame
+// header. Anything larger goes to the transport from the caller's memory
+// as its own element of the vectored write.
+const inlinePayload = 4 << 10
+
+// putFrame adds one frame to the write being assembled. wmu is held.
+func (s *Session) putFrame(t FrameType, flags uint8, id uint32, payload []byte) {
+	s.wbuf = appendFrameHeader(s.wbuf, t, flags, id, len(payload))
+	if len(payload) <= inlinePayload {
+		s.wbuf = append(s.wbuf, payload...)
+		return
+	}
+	// A run of wbuf already referenced stays valid if a later append moves
+	// wbuf: the old array keeps its bytes.
+	s.wvec = append(s.wvec, s.wbuf[s.wmark:], payload)
+	s.wmark = len(s.wbuf)
+}
+
+// flush puts everything assembled since the last flush on the wire: one
+// Write when it is all in wbuf, one writev otherwise (net.Buffers' fast
+// path on TCP; sequential writes on other transports). wmu is held. A
+// failure is final for the session: part of a frame may have gone out, so
+// no frame may follow it.
+func (s *Session) flush() error {
+	if s.werr != nil {
+		s.resetWrite()
+		return s.werr
+	}
+	var err error
+	if len(s.wvec) == 0 {
+		_, err = s.conn.Write(s.wbuf)
+	} else {
+		if s.wmark < len(s.wbuf) {
+			s.wvec = append(s.wvec, s.wbuf[s.wmark:])
+		}
+		s.wbufs = s.wvec
+		_, err = s.wbufs.WriteTo(s.conn)
+	}
+	s.resetWrite()
+	if err != nil {
+		s.werr = err
+		s.shutdown(fmt.Errorf("h2t: write: %w", err))
+	}
+	return err
+}
+
+func (s *Session) resetWrite() {
+	clear(s.wvec) // do not retain the callers' payloads
+	s.wvec, s.wbufs = s.wvec[:0], nil
+	s.wbuf, s.wmark = s.wbuf[:0], 0
+}
+
+// writeFrame sends one frame; it is on the wire when writeFrame returns.
 func (s *Session) writeFrame(f Frame) error {
 	if len(f.Payload) > maxFramePayload {
 		return ErrFrameTooLarge
 	}
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
-	s.whdr[0] = uint8(f.Type)
-	s.whdr[1] = f.Flags
-	binary.BigEndian.PutUint32(s.whdr[2:6], f.StreamID)
-	binary.BigEndian.PutUint32(s.whdr[6:10], uint32(len(f.Payload)))
-	if len(f.Payload) == 0 {
-		_, err := s.conn.Write(s.whdr[:])
-		return err
+	s.putFrame(f.Type, f.Flags, f.StreamID, f.Payload)
+	return s.flush()
+}
+
+// noHeaders is the empty header block, for a HEADERS frame sent with a nil
+// map: to sendMessage a nil map means no HEADERS frame at all.
+var noHeaders = map[string]string{}
+
+func orNoHeaders(h map[string]string) map[string]string {
+	if h == nil {
+		return noHeaders
 	}
-	// Header + payload go out in one writev (net.Buffers fast path on TCP
-	// conns; sequential writes elsewhere), so the peer never sees a header
-	// without its payload in a separate segment and nothing is allocated
-	// to concatenate them.
-	s.wvec[0] = s.whdr[:]
-	s.wvec[1] = f.Payload
-	s.wbufs = s.wvec[:]
-	_, err := s.wbufs.WriteTo(s.conn)
-	s.wvec[1] = nil // do not retain the caller's payload
-	return err
+	return h
+}
+
+// sendMessage sends, for stream id, a HEADERS frame (unless hdr is nil) and
+// body as DATA frames split at the frame size limit, all in one write. end
+// puts END_STREAM on the last of those frames; an empty message that ends
+// the stream is an empty DATA frame.
+func (s *Session) sendMessage(id uint32, hdr map[string]string, body []byte, end bool) error {
+	var hdrSize int
+	if hdr != nil {
+		var err error
+		if hdrSize, err = headerBlockSize(hdr); err != nil {
+			return err
+		}
+		if hdrSize > maxFramePayload {
+			return ErrFrameTooLarge
+		}
+	}
+	endFlag := func(last bool) uint8 {
+		if end && last {
+			return FlagEndStream
+		}
+		return 0
+	}
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	if hdr != nil {
+		// The header block is encoded straight behind its frame header.
+		s.wbuf = appendFrameHeader(s.wbuf, FrameHeaders, endFlag(len(body) == 0), id, hdrSize)
+		s.wbuf = appendHeaderBlock(s.wbuf, hdr)
+	} else if len(body) == 0 && end {
+		s.putFrame(FrameData, FlagEndStream, id, nil)
+	}
+	for len(body) > 0 {
+		n := min(len(body), maxFramePayload)
+		s.putFrame(FrameData, endFlag(n == len(body)), id, body[:n])
+		body = body[n:]
+	}
+	return s.flush()
 }
 
 // OpenStream starts a new stream with the given headers. If endStream is
 // true the local direction is immediately half-closed (a request with no
 // body). Fails with ErrGoAway while draining.
 func (s *Session) OpenStream(hdr map[string]string, endStream bool) (*Stream, error) {
-	payload, err := EncodeHeaders(hdr)
-	if err != nil {
-		return nil, err
-	}
+	return s.OpenStreamWith(hdr, nil, endStream)
+}
+
+// OpenStreamWith is OpenStream for a request whose first body bytes are
+// already in hand: HEADERS and body leave in one write, and with
+// endStream the last frame carries END_STREAM.
+func (s *Session) OpenStreamWith(hdr map[string]string, body []byte, endStream bool) (*Stream, error) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -171,17 +271,11 @@ func (s *Session) OpenStream(hdr map[string]string, endStream bool) (*Stream, er
 	id := s.nextID
 	s.nextID += 2
 	st := newStream(s, id, hdr)
-	if endStream {
-		st.localEnd = true
-	}
+	st.localEnd = endStream
 	s.streams[id] = st
 	s.mu.Unlock()
 
-	var flags uint8
-	if endStream {
-		flags |= FlagEndStream
-	}
-	if err := s.writeFrame(Frame{Type: FrameHeaders, Flags: flags, StreamID: id, Payload: payload}); err != nil {
+	if err := s.sendMessage(id, orNoHeaders(hdr), body, endStream); err != nil {
 		s.dropStream(id)
 		return nil, err
 	}
@@ -330,16 +424,19 @@ func (s *Session) peerInitiated(id uint32) bool {
 	return odd != s.isClient
 }
 
+// readBufSize is the session's read buffer: one read of the transport
+// picks up every frame that has arrived, up to this much.
+const readBufSize = 16 << 10
+
+// heldHeaders is a response header block parsed but not yet delivered.
+type heldHeaders struct {
+	st  *Stream
+	hdr map[string]string
+}
+
 func (s *Session) readLoop() {
-	// One pooled scratch buffer serves every frame on the session; frame
-	// payloads alias it, so handleFrame must copy anything it retains
-	// past the current iteration (recvBuffer.append copies; control
-	// frames are copied explicitly in handleFrame).
-	scratch := bufpool.Get(maxFramePayload)
-	defer bufpool.Put(scratch)
 	for {
-		f, err := readFrameInto(s.conn, *scratch)
-		if err != nil {
+		if err := s.readFrame(); err != nil {
 			if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) {
 				s.shutdown(ErrSessionClosed)
 			} else {
@@ -347,21 +444,84 @@ func (s *Session) readLoop() {
 			}
 			return
 		}
-		s.handleFrame(f)
 	}
+}
+
+// need prepares to consume the next n bytes. If fewer have arrived the
+// transport is about to be read, and the held response headers are
+// delivered first: a consumer woken by its headers finds every frame that
+// came in with them, and none waits on a read that may block.
+func (s *Session) need(n int) {
+	if s.br.Buffered() < n {
+		s.releaseHeld()
+	}
+}
+
+func (s *Session) releaseHeld() {
+	for i, h := range s.held {
+		h.st.deliverHeaders(h.hdr)
+		s.held[i] = heldHeaders{}
+	}
+	s.held = s.held[:0]
+}
+
+// readFrame parses and handles the next frame. Payloads alias the read
+// buffer, so handleFrame must copy anything it retains.
+func (s *Session) readFrame() error {
+	s.need(frameHeaderLen)
+	hdr, err := s.br.Peek(frameHeaderLen)
+	if err != nil {
+		return err
+	}
+	f, n, err := parseFrameHeader(hdr)
+	if err != nil {
+		return err
+	}
+	s.br.Discard(frameHeaderLen)
+	s.need(n)
+	if f.Type == FrameData {
+		return s.readData(f, n)
+	}
+	if n > readBufSize {
+		// Only a header block can be this large.
+		f.Payload = make([]byte, n)
+		if _, err := io.ReadFull(s.br, f.Payload); err != nil {
+			return err
+		}
+		s.handleFrame(f)
+		return nil
+	}
+	if f.Payload, err = s.br.Peek(n); err != nil {
+		return err
+	}
+	s.handleFrame(f)
+	s.br.Discard(n)
+	return nil
+}
+
+// readData moves a DATA payload into its stream's receive buffer: a copy
+// out of the read buffer for what has already arrived, and for a payload
+// larger than that a read of the transport straight into the stream's
+// buffer.
+func (s *Session) readData(f Frame, n int) error {
+	st := s.lookup(f.StreamID)
+	if st == nil {
+		_, err := s.br.Discard(n)
+		return err
+	}
+	if err := st.buf.readFrom(s.br, n); err != nil {
+		return err
+	}
+	if f.Flags&FlagEndStream != 0 {
+		s.remoteEnd(st)
+	}
+	return nil
 }
 
 func (s *Session) handleFrame(f Frame) {
 	switch f.Type {
 	case FrameHeaders:
 		s.handleHeaders(f)
-	case FrameData:
-		if st := s.lookup(f.StreamID); st != nil {
-			st.buf.append(f.Payload)
-			if f.Flags&FlagEndStream != 0 {
-				s.remoteEnd(st)
-			}
-		}
 	case FrameRST:
 		if st := s.lookup(f.StreamID); st != nil {
 			st.buf.fail(ErrStreamReset)
@@ -394,14 +554,16 @@ func (s *Session) handleFrame(f Frame) {
 			}
 			return
 		}
-		// Echo back with ACK.
+		// Echo back with ACK. The write may block: nothing parsed waits
+		// behind it.
+		s.releaseHeld()
 		s.writeFrame(Frame{Type: FramePing, Flags: FlagAck, Payload: f.Payload})
 	case FrameReconnectSolicitation, FrameConnectAck, FrameConnectRefuse:
 		if st := s.lookup(f.StreamID); st != nil {
-			// The payload aliases the read loop's scratch buffer but the
-			// Control sits in a channel past this iteration: copy it.
-			// Control frames are per-reconnect, not per-byte, so this
-			// allocation is off the hot path.
+			// The payload aliases the read buffer but the Control sits in
+			// a channel past this iteration: copy it. Control frames are
+			// per-reconnect, not per-byte, so this allocation is off the
+			// hot path.
 			var payload []byte
 			if len(f.Payload) > 0 {
 				payload = append(payload, f.Payload...)
@@ -421,7 +583,7 @@ func (s *Session) handleHeaders(f Frame) {
 	}
 	if st := s.lookup(f.StreamID); st != nil {
 		// Subsequent HEADERS on a live stream: response/trailer headers.
-		st.deliverHeaders(hdr)
+		s.held = append(s.held, heldHeaders{st, hdr})
 		if f.Flags&FlagEndStream != 0 {
 			s.remoteEnd(st)
 		}
@@ -449,6 +611,7 @@ func (s *Session) handleHeaders(f Frame) {
 		// Accept queue overflow: refuse the stream rather than block the
 		// reader (the peer sees RST, maps to "server overloaded").
 		s.dropStream(f.StreamID)
+		s.releaseHeld()
 		s.writeFrame(Frame{Type: FrameRST, StreamID: f.StreamID})
 	}
 }
@@ -502,44 +665,55 @@ func (st *Stream) Headers() map[string]string { return st.hdr }
 // Read reads decoded DATA payloads.
 func (st *Stream) Read(p []byte) (int, error) { return st.buf.Read(p) }
 
-// Write sends p as DATA frames, splitting at the frame size limit.
-func (st *Stream) Write(p []byte) (int, error) {
-	st.mu.Lock()
-	if st.localEnd || st.reset {
-		st.mu.Unlock()
-		return 0, ErrStreamClosed
-	}
-	st.mu.Unlock()
-	total := 0
-	for len(p) > 0 {
-		n := len(p)
-		if n > maxFramePayload {
-			n = maxFramePayload
-		}
-		if err := st.sess.writeFrame(Frame{Type: FrameData, StreamID: st.id, Payload: p[:n]}); err != nil {
-			return total, err
-		}
-		total += n
-		p = p[n:]
-	}
-	return total, nil
-}
+// Buffered reports what the next Read returns without blocking: n bytes
+// of data or, when n is 0, whether the stream's end (or its error) is
+// already known. A writer that coalesces what it reads from the stream
+// uses it to tell when waiting for more would hold its output back.
+func (st *Stream) Buffered() (n int, end bool) { return st.buf.buffered() }
 
-// CloseWrite half-closes the local direction (END_STREAM).
-func (st *Stream) CloseWrite() error {
+// SendMessage sends a whole message, or the part of one that is in hand,
+// in a single write: a HEADERS frame when hdr is not nil, body as DATA
+// frames, and with end END_STREAM on the last frame instead of a frame of
+// its own. Like every send on a stream it is on the wire on return; it is
+// the one way a stream puts HEADERS and DATA there. With end it
+// half-closes the local direction and reaps the stream once both
+// directions are finished.
+func (st *Stream) SendMessage(hdr map[string]string, body []byte, end bool) error {
 	st.mu.Lock()
 	if st.localEnd || st.reset {
 		st.mu.Unlock()
-		return nil
+		return ErrStreamClosed
 	}
-	st.localEnd = true
-	done := st.remoteEnd
+	done := false
+	if end {
+		st.localEnd = true
+		done = st.remoteEnd
+	}
 	st.mu.Unlock()
-	err := st.sess.writeFrame(Frame{Type: FrameData, Flags: FlagEndStream, StreamID: st.id})
+	err := st.sess.sendMessage(st.id, hdr, body, end)
 	if done {
 		st.sess.dropStream(st.id)
 	}
 	return err
+}
+
+// Write sends p as DATA frames, splitting at the frame size limit.
+func (st *Stream) Write(p []byte) (int, error) {
+	if len(p) == 0 {
+		return 0, nil
+	}
+	if err := st.SendMessage(nil, p, false); err != nil {
+		return 0, err
+	}
+	return len(p), nil
+}
+
+// CloseWrite half-closes the local direction (END_STREAM).
+func (st *Stream) CloseWrite() error {
+	if err := st.SendMessage(nil, nil, true); err != ErrStreamClosed {
+		return err
+	}
+	return nil
 }
 
 // Reset aborts the stream (RST_STREAM to the peer, error to local readers).
@@ -558,22 +732,7 @@ func (st *Stream) Reset() error {
 
 // SendHeaders sends an additional HEADERS frame (e.g. response headers).
 func (st *Stream) SendHeaders(h map[string]string, endStream bool) error {
-	payload, err := EncodeHeaders(h)
-	if err != nil {
-		return err
-	}
-	var flags uint8
-	if endStream {
-		flags |= FlagEndStream
-		st.mu.Lock()
-		st.localEnd = true
-		done := st.remoteEnd
-		st.mu.Unlock()
-		if done {
-			defer st.sess.dropStream(st.id)
-		}
-	}
-	return st.sess.writeFrame(Frame{Type: FrameHeaders, Flags: flags, StreamID: st.id, Payload: payload})
+	return st.SendMessage(orNoHeaders(h), nil, endStream)
 }
 
 // RecvHeaders waits for a HEADERS frame from the peer (response headers),

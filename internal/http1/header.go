@@ -16,11 +16,7 @@
 //   - pseudo-header echo rules for replaying HTTP/2-style requests.
 package http1
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
+import "strings"
 
 // Header is a case-insensitive multimap of header fields. Keys are stored
 // in canonical form (Title-Case per segment).
@@ -77,21 +73,6 @@ func (h Header) Clone() Header {
 		out[k] = append([]string(nil), vs...)
 	}
 	return out
-}
-
-// writeTo serializes the header fields in sorted key order (deterministic
-// output simplifies testing and diffing captures).
-func (h Header) writeTo(sb *strings.Builder) {
-	keys := make([]string, 0, len(h))
-	for k := range h {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		for _, v := range h[k] {
-			fmt.Fprintf(sb, "%s: %s\r\n", k, v)
-		}
-	}
 }
 
 // PseudoEchoPrefix is prepended to HTTP/2+ pseudo-header names when an app

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -187,19 +189,21 @@ func bodyFromHeaders(br *bufio.Reader, h Header, noBody bool) (int64, io.Reader,
 }
 
 // WriteRequest serializes req to w, streaming the body with the framing
-// selected by ContentLength. It returns the number of body bytes written,
-// which PPR uses to know how much of an upload reached a given server.
+// selected by ContentLength. It returns the number of body bytes handed
+// to w, which PPR uses to know how much of an upload reached a given
+// server. Head and body leave in as few writes as the body's arrival
+// allows (see messageWriter).
 func WriteRequest(w io.Writer, req *Request) (int64, error) {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%s %s %s\r\n", req.Method, req.Target, orDefault(req.Proto, "HTTP/1.1"))
-	h := req.Header.Clone()
-	applyFraming(h, req.Body, req.ContentLength)
-	h.writeTo(&sb)
-	sb.WriteString("\r\n")
-	if _, err := io.WriteString(w, sb.String()); err != nil {
-		return 0, err
-	}
-	return writeBody(w, req.Body, req.ContentLength)
+	mw := newMessageWriter(w)
+	defer mw.release()
+	b := append(mw.buf, req.Method...)
+	b = append(b, ' ')
+	b = append(b, req.Target...)
+	b = append(b, ' ')
+	b = append(b, orDefault(req.Proto, "HTTP/1.1")...)
+	b = append(b, '\r', '\n')
+	mw.buf = appendHeaders(b, req.Header, req.Body, req.ContentLength)
+	return mw.writeBody(req.Body, req.ContentLength)
 }
 
 // WriteResponse serializes resp to w, streaming the body.
@@ -208,51 +212,243 @@ func WriteResponse(w io.Writer, resp *Response) (int64, error) {
 	if msg == "" {
 		msg = ReasonPhrase(resp.StatusCode)
 	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%s %d %s\r\n", orDefault(resp.Proto, "HTTP/1.1"), resp.StatusCode, msg)
-	h := resp.Header.Clone()
-	applyFraming(h, resp.Body, resp.ContentLength)
-	h.writeTo(&sb)
-	sb.WriteString("\r\n")
-	if _, err := io.WriteString(w, sb.String()); err != nil {
-		return 0, err
-	}
-	return writeBody(w, resp.Body, resp.ContentLength)
+	mw := newMessageWriter(w)
+	defer mw.release()
+	b := append(mw.buf, orDefault(resp.Proto, "HTTP/1.1")...)
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, int64(resp.StatusCode), 10)
+	b = append(b, ' ')
+	b = append(b, msg...)
+	b = append(b, '\r', '\n')
+	mw.buf = appendHeaders(b, resp.Header, resp.Body, resp.ContentLength)
+	return mw.writeBody(resp.Body, resp.ContentLength)
 }
 
-func applyFraming(h Header, body io.Reader, contentLength int64) {
-	h.Del("Content-Length")
-	h.Del("Transfer-Encoding")
-	switch {
-	case body == nil:
-		h.Set("Content-Length", "0")
-	case contentLength >= 0:
-		h.Set("Content-Length", strconv.FormatInt(contentLength, 10))
-	default:
-		h.Set("Transfer-Encoding", "chunked")
+// appendHeaders appends h's fields in sorted key order (deterministic
+// output simplifies testing and diffing captures) and the blank line that
+// ends the head. Whatever h says about framing is replaced by the one
+// framing field the body calls for, in its sorted place.
+func appendHeaders(b []byte, h Header, body io.Reader, contentLength int64) []byte {
+	framing := "Content-Length"
+	if body != nil && contentLength < 0 {
+		framing = "Transfer-Encoding"
 	}
-}
-
-func writeBody(w io.Writer, body io.Reader, contentLength int64) (int64, error) {
-	if body == nil {
-		return 0, nil
-	}
-	// bufpool.Copy, not io.Copy: neither a ChunkedWriter nor an h2t stream
-	// offers ReadFrom/WriteTo, so io.Copy would allocate its 32 KiB
-	// scratch for every message.
-	if contentLength >= 0 {
-		n, err := bufpool.Copy(w, io.LimitReader(body, contentLength))
-		if err == nil && n != contentLength {
-			err = fmt.Errorf("http1: body short: wrote %d of %d", n, contentLength)
+	keys := append(make([]string, 0, 16), framing)
+	for k := range h {
+		if k != "Content-Length" && k != "Transfer-Encoding" {
+			keys = append(keys, k)
 		}
-		return n, err
 	}
-	cw := NewChunkedWriter(w)
-	n, err := bufpool.Copy(cw, body)
-	if err != nil {
-		return n, err
+	slices.Sort(keys)
+	for _, k := range keys {
+		if k != framing {
+			for _, v := range h[k] {
+				b = appendField(b, k, v)
+			}
+			continue
+		}
+		b = append(b, k...)
+		b = append(b, ':', ' ')
+		switch {
+		case body == nil:
+			b = append(b, '0')
+		case contentLength >= 0:
+			b = strconv.AppendInt(b, contentLength, 10)
+		default:
+			b = append(b, "chunked"...)
+		}
+		b = append(b, '\r', '\n')
 	}
-	return n, cw.Close()
+	return append(b, '\r', '\n')
+}
+
+func appendField(b []byte, k, v string) []byte {
+	b = append(b, k...)
+	b = append(b, ':', ' ')
+	b = append(b, v...)
+	return append(b, '\r', '\n')
+}
+
+// buffered reports what body's next Read returns without blocking: n
+// bytes, or, when n is 0, whether it returns the body's end (or its
+// error) at once. (0, false) means the Read may block.
+func buffered(body io.Reader) (n int, end bool) {
+	switch r := body.(type) {
+	case interface{ Len() int }: // bytes.Reader, strings.Reader, bytes.Buffer
+		n = r.Len()
+		return n, n == 0
+	case *bufio.Reader:
+		return r.Buffered(), false
+	case *io.LimitedReader:
+		if r.N <= 0 {
+			return 0, true
+		}
+		n, end = buffered(r.R)
+		return int(min(int64(n), r.N)), end
+	case interface{ Buffered() (int, bool) }: // h2t.Stream
+		return r.Buffered()
+	}
+	return 0, false
+}
+
+// Buffered reports how many bytes of a message body can be read without
+// blocking.
+func Buffered(body io.Reader) int {
+	n, _ := buffered(body)
+	return n
+}
+
+// messageWriter assembles one message in a pooled scratch and hands it to
+// w in as few writes as the body's arrival allows. The head goes in
+// first; body bytes are read in behind it for as long as the body's next
+// Read cannot block. The scratch is flushed when it fills, when the
+// message ends, and before any Read that may block — so a reply whose
+// body is in hand leaves in one write, head included, and the first byte
+// of a slow body is never held back waiting for the second.
+type messageWriter struct {
+	w  io.Writer
+	bp *[]byte
+	// buf[start:] is what has been assembled and not yet written.
+	buf   []byte
+	start int
+	// pending counts the body bytes in buf[start:], sent those handed
+	// to w.
+	pending, sent int64
+}
+
+// newMessageWriter takes the scratch from the tier above the largest h2t
+// frame, so that a body arriving in 64 KiB frames goes out a whole frame
+// at a time, chunk framing included, with no few bytes of each frame left
+// over for a write of their own.
+func newMessageWriter(w io.Writer) *messageWriter {
+	bp := bufpool.Get(bufpool.TierXLarge)
+	return &messageWriter{w: w, bp: bp, buf: (*bp)[:0]}
+}
+
+func (mw *messageWriter) release() { bufpool.Put(mw.bp) }
+
+func (mw *messageWriter) flush() error {
+	out := mw.buf[mw.start:]
+	mw.buf, mw.start = (*mw.bp)[:0], 0
+	if len(out) == 0 {
+		return nil
+	}
+	n, err := mw.w.Write(out)
+	if err == nil {
+		mw.sent += mw.pending
+	} else if body := int64(n) - (int64(len(out)) - mw.pending); body > 0 {
+		// Everything that is not body precedes it (exactly so with a
+		// Content-Length, at least so when chunked).
+		mw.sent += body
+	}
+	mw.pending = 0
+	return err
+}
+
+// minRoom is the least free scratch worth reading a body into; with less
+// the scratch is flushed first.
+const minRoom = 512
+
+// writeBody streams body behind the head already in mw.buf and returns
+// the number of body bytes handed to w.
+func (mw *messageWriter) writeBody(body io.Reader, contentLength int64) (int64, error) {
+	if cap(mw.buf) != cap(*mw.bp) {
+		// The head outgrew the scratch: it goes out from where append put
+		// it, and the body starts on an empty scratch.
+		if _, err := mw.w.Write(mw.buf); err != nil {
+			return 0, err
+		}
+		mw.buf = (*mw.bp)[:0]
+	}
+	if body == nil {
+		return 0, mw.flush()
+	}
+	chunked := contentLength < 0
+	remaining := contentLength
+	for chunked || remaining > 0 {
+		avail, end := buffered(body)
+		if avail == 0 && !end {
+			// The Read may block: nothing waits behind it.
+			if err := mw.flush(); err != nil {
+				return mw.sent, err
+			}
+		}
+		// A chunk is its size in hex, CRLF, the data, CRLF; the last-chunk
+		// marker may follow it.
+		const chunkTail = len("\r\n0\r\n\r\n")
+		room := cap(mw.buf) - len(mw.buf)
+		if chunked {
+			room -= hexLen(room) + 2 + chunkTail
+		}
+		if room < minRoom {
+			if err := mw.flush(); err != nil {
+				return mw.sent, err
+			}
+			continue
+		}
+		if avail > 0 {
+			room = min(room, avail)
+		}
+		if !chunked {
+			room = int(min(int64(room), remaining))
+		}
+		at := len(mw.buf)
+		if chunked {
+			at += hexLen(room) + 2
+		}
+		n, rerr := body.Read(mw.buf[at : at+room])
+		if n > 0 {
+			if chunked {
+				mw.putChunk(at, n)
+			} else {
+				mw.buf = mw.buf[:at+n]
+				remaining -= int64(n)
+			}
+			mw.pending += int64(n)
+		}
+		if rerr == io.EOF {
+			break
+		}
+		if rerr != nil {
+			// What was read before the error still goes out.
+			mw.flush()
+			return mw.sent, rerr
+		}
+	}
+	if chunked {
+		mw.buf = append(mw.buf, "0\r\n\r\n"...)
+	}
+	err := mw.flush()
+	if err == nil && !chunked && remaining != 0 {
+		err = fmt.Errorf("http1: body short: wrote %d of %d", mw.sent, contentLength)
+	}
+	return mw.sent, err
+}
+
+// putChunk frames the n data bytes read at buf[at:] as one chunk. The
+// size line is written right against the data. Space for it was reserved
+// by the size of the read, so when the read came up short of a digit it
+// leaves a gap: with nothing assembled before it the message simply
+// starts later in the scratch, otherwise the chunk moves down.
+func (mw *messageWriter) putChunk(at, n int) {
+	var line [18]byte
+	size := append(strconv.AppendUint(line[:0], uint64(n), 16), '\r', '\n')
+	from := at - len(size)
+	copy(mw.buf[from:at], size)
+	switch end := len(mw.buf); {
+	case from == end:
+	case end == mw.start:
+		mw.start = from
+	default:
+		copy(mw.buf[end:at+n], mw.buf[from:at+n])
+		at -= from - end
+	}
+	mw.buf = append(mw.buf[:at+n], '\r', '\n')
+}
+
+// hexLen is the number of hex digits in n.
+func hexLen(n int) int {
+	return max(1, (bits.Len(uint(n))+3)/4)
 }
 
 func orDefault(s, d string) string {

@@ -1,6 +1,7 @@
 package mqtt
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -33,6 +34,8 @@ import (
 type Broker struct {
 	name string
 	reg  *metrics.Registry
+	// The per-publish counters, resolved once.
+	cReceived, cDelivered *metrics.Counter
 
 	mu       sync.Mutex
 	sessions map[string]*session
@@ -92,11 +95,29 @@ func NewBroker(name string, reg *metrics.Registry) *Broker {
 		reg = metrics.NewRegistry()
 	}
 	return &Broker{
-		name:     name,
-		reg:      reg,
-		sessions: make(map[string]*session),
-		parked:   make(map[*netx.Watch]struct{}),
+		name:       name,
+		reg:        reg,
+		cReceived:  reg.Counter("mqtt.publish.received"),
+		cDelivered: reg.Counter("mqtt.publish.delivered"),
+		sessions:   make(map[string]*session),
+		parked:     make(map[*netx.Watch]struct{}),
 	}
+}
+
+// readers pools the buffered readers the broker decodes through. One read
+// of a connection picks up every packet that has arrived; a connection
+// parked in an event loop holds none.
+var readers = sync.Pool{New: func() any { return bufio.NewReader(nil) }}
+
+func getReader(conn net.Conn) *bufio.Reader {
+	br := readers.Get().(*bufio.Reader)
+	br.Reset(conn)
+	return br
+}
+
+func putReader(br *bufio.Reader) {
+	br.Reset(nil)
+	readers.Put(br)
 }
 
 // Metrics returns the broker's registry.
@@ -130,7 +151,9 @@ func (b *Broker) Serve(ln net.Listener) error {
 // context is retained for a future resume.
 func (b *Broker) ServeConn(conn net.Conn) error {
 	defer conn.Close()
-	sess, gen, keepAlive, err := b.handshake(conn)
+	br := getReader(conn)
+	defer putReader(br)
+	sess, gen, keepAlive, err := b.handshake(conn, br)
 	if err != nil || sess == nil {
 		return err
 	}
@@ -138,7 +161,7 @@ func (b *Broker) ServeConn(conn net.Conn) error {
 		if keepAlive > 0 {
 			conn.SetReadDeadline(time.Now().Add(keepAlive + keepAlive/2))
 		}
-		pkt, err := Decode(conn)
+		pkt, err := Decode(br)
 		if err != nil {
 			b.detach(sess, conn, gen)
 			return err
@@ -154,9 +177,10 @@ func (b *Broker) ServeConn(conn net.Conn) error {
 // handshake runs the CONNECT/CONNACK exchange and splices the transport
 // into its session. A nil session with nil error means the connection was
 // answered and is done (a refused resume). Shared by the goroutine-per-
-// conn path (ServeConn) and the event-loop path (ServeLoop).
-func (b *Broker) handshake(conn net.Conn) (sess *session, gen uint64, keepAlive time.Duration, err error) {
-	p, err := Decode(conn)
+// conn path (ServeConn) and the event-loop path (ServeLoop). br is conn's
+// reader; it may hold packets that arrived behind the CONNECT.
+func (b *Broker) handshake(conn net.Conn, br *bufio.Reader) (sess *session, gen uint64, keepAlive time.Duration, err error) {
+	p, err := Decode(br)
 	if err != nil {
 		return nil, 0, 0, fmt.Errorf("mqtt: reading CONNECT: %w", err)
 	}
@@ -215,7 +239,7 @@ func (b *Broker) handshake(conn net.Conn) (sess *session, gen uint64, keepAlive 
 func (b *Broker) handlePacket(sess *session, conn net.Conn, gen uint64, pkt *Packet) (keep bool, err error) {
 	switch pkt.Type {
 	case PUBLISH:
-		b.reg.Counter("mqtt.publish.received").Inc()
+		b.cReceived.Inc()
 		b.Publish(pkt.Topic, pkt.Payload)
 		if pkt.QoS == 1 {
 			if err := b.send(sess, &Packet{Type: PUBACK, PacketID: pkt.PacketID}); err != nil {
@@ -296,8 +320,18 @@ func (b *Broker) serveLoopConn(loop *netx.EventLoop, conn net.Conn) {
 		b.ServeConn(conn)
 		return
 	}
-	sess, gen, _, err := b.handshake(conn)
+	br := getReader(conn)
+	sess, gen, _, err := b.handshake(conn, br)
 	if err != nil || sess == nil {
+		putReader(br)
+		conn.Close()
+		return
+	}
+	// Packets sent behind the CONNECT are already in the reader.
+	ok = br.Buffered() == 0 || b.serveBuffered(sess, conn, gen, br)
+	putReader(br)
+	if !ok {
+		b.detach(sess, conn, gen)
 		conn.Close()
 		return
 	}
@@ -315,22 +349,10 @@ func (b *Broker) serveLoopConn(loop *netx.EventLoop, conn net.Conn) {
 			reap(w)
 			return
 		}
-		// Readable: the packet is (mostly) buffered already; a deadline
-		// bounds a peer that stalls mid-packet so a loop worker is never
-		// held hostage.
-		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-		pkt, err := Decode(conn)
-		conn.SetReadDeadline(time.Time{})
-		if err != nil {
-			reap(w)
-			return
-		}
-		keep, err := b.handlePacket(sess, conn, gen, pkt)
-		if err != nil || !keep {
-			reap(w)
-			return
-		}
-		if err := w.Rearm(); err != nil {
+		br := getReader(conn)
+		ok := b.serveBuffered(sess, conn, gen, br)
+		putReader(br)
+		if !ok || w.Rearm() != nil {
 			reap(w)
 		}
 	})
@@ -347,6 +369,28 @@ func (b *Broker) serveLoopConn(loop *netx.EventLoop, conn net.Conn) {
 	// bookkeeping it could not see.
 	if w.Stopped() && b.unpark(w) {
 		gParked.Dec()
+	}
+}
+
+// serveBuffered handles the packet that made conn readable and every
+// packet that arrived with it: epoll stays silent about bytes that have
+// left the kernel, so nothing may be left in the reader when the
+// connection parks. A deadline bounds a peer that stalls mid-packet so a
+// loop worker is never held hostage. False means the transport is done.
+func (b *Broker) serveBuffered(sess *session, conn net.Conn, gen uint64, br *bufio.Reader) bool {
+	for {
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		pkt, err := Decode(br)
+		conn.SetReadDeadline(time.Time{})
+		if err != nil {
+			return false
+		}
+		if keep, err := b.handlePacket(sess, conn, gen, pkt); err != nil || !keep {
+			return false
+		}
+		if br.Buffered() == 0 {
+			return true
+		}
 	}
 }
 
@@ -407,7 +451,7 @@ func (b *Broker) Publish(topic string, payload []byte) int {
 		}
 		s.mu.Unlock()
 	}
-	b.reg.Counter("mqtt.publish.delivered").Add(int64(delivered))
+	b.cDelivered.Add(int64(delivered))
 	return delivered
 }
 

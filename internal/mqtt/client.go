@@ -1,6 +1,7 @@
 package mqtt
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -13,7 +14,10 @@ import (
 // The transport may be a direct TCP connection or (in the full topology)
 // a connection terminated by an Edge proxy and relayed through the tunnel.
 type Client struct {
-	conn         net.Conn
+	conn net.Conn
+	// br is what the handshake and the read loop decode through: one read
+	// of conn picks up every packet that has arrived.
+	br           *bufio.Reader
 	clientID     string
 	cleanSession bool
 	props        map[string]string
@@ -33,6 +37,7 @@ type Client struct {
 func NewClient(conn net.Conn, clientID string, cleanSession bool) *Client {
 	return &Client{
 		conn:         conn,
+		br:           bufio.NewReader(conn),
 		clientID:     clientID,
 		cleanSession: cleanSession,
 		nextID:       1,
@@ -72,7 +77,7 @@ func (c *Client) Connect(keepAlive time.Duration, timeout time.Duration) (*Packe
 	if err != nil {
 		return nil, err
 	}
-	ack, err := Decode(c.conn)
+	ack, err := Decode(c.br)
 	if err != nil {
 		return nil, err
 	}
@@ -88,7 +93,7 @@ func (c *Client) Connect(keepAlive time.Duration, timeout time.Duration) (*Packe
 
 func (c *Client) readLoop() {
 	for {
-		p, err := Decode(c.conn)
+		p, err := Decode(c.br)
 		if err != nil {
 			c.shutdown(err)
 			return

@@ -2,6 +2,7 @@ package mqtt
 
 import (
 	"bytes"
+	"io"
 	"net"
 	"reflect"
 	"testing"
@@ -11,17 +12,14 @@ import (
 
 func TestRemainingLengthRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 127, 128, 16383, 16384, maxRemainingLength} {
-		var buf bytes.Buffer
-		if err := writeRemainingLength(&buf, n); err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		got, err := readRemainingLength(&buf)
+		enc, digits := remainingLength(n)
+		got, err := readRemainingLength(bytes.NewReader(enc[:digits]))
 		if err != nil || got != n {
 			t.Fatalf("n=%d: got %d err %v", n, got, err)
 		}
 	}
-	var buf bytes.Buffer
-	if err := writeRemainingLength(&buf, maxRemainingLength+1); err == nil {
+	big := &Packet{Type: PUBLISH, Topic: "t", Payload: make([]byte, maxRemainingLength)}
+	if err := Encode(io.Discard, big); err == nil {
 		t.Fatal("accepted oversize length")
 	}
 }
@@ -371,13 +369,18 @@ func TestBrokerRejectsNonConnectFirst(t *testing.T) {
 	}
 }
 
+// BenchmarkEncodePublish encodes the publish the benchmark's mqtt_pubsub
+// workload sends and reports how many writes each one cost the transport.
 func BenchmarkEncodePublish(b *testing.B) {
-	p := &Packet{Type: PUBLISH, Topic: "notif/user-12345", Payload: bytes.Repeat([]byte("m"), 128)}
+	p := &Packet{Type: PUBLISH, Topic: "notif/user-12345", Payload: bytes.Repeat([]byte("m"), 128), QoS: 1, PacketID: 7}
+	var w countWriter
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		Encode(&buf, p)
+		if err := Encode(&w, p); err != nil {
+			b.Fatal(err)
+		}
 	}
+	b.ReportMetric(float64(w.writes)/float64(b.N), "writes/op")
 }
 
 func BenchmarkTopicMatch(b *testing.B) {

@@ -20,6 +20,8 @@ import (
 	"fmt"
 	"io"
 	"sort"
+
+	"zdr/internal/bufpool"
 )
 
 // PacketType is the MQTT control packet type (high nibble of byte 1).
@@ -111,39 +113,43 @@ const maxRemainingLength = 1 << 20
 
 var errMalformed = errors.New("mqtt: malformed packet")
 
-// writeRemainingLength emits the MQTT variable-length encoding.
-func writeRemainingLength(w io.Writer, n int) error {
-	if n < 0 || n > maxRemainingLength {
-		return fmt.Errorf("mqtt: remaining length %d out of range", n)
-	}
-	var buf [4]byte
-	i := 0
+// remainingLength returns the MQTT variable-length encoding of n, which
+// must not exceed maxRemainingLength, and how many bytes of it are used.
+func remainingLength(n int) (enc [4]byte, digits int) {
 	for {
 		b := byte(n % 128)
-		n /= 128
-		if n > 0 {
+		if n /= 128; n > 0 {
 			b |= 0x80
 		}
-		buf[i] = b
-		i++
+		enc[digits] = b
+		digits++
 		if n == 0 {
-			break
+			return enc, digits
 		}
 	}
-	_, err := w.Write(buf[:i])
-	return err
+}
+
+// readByte reads one byte of r, through its ReadByte when it has one: a
+// connection's buffered reader does, and so costs no call per byte.
+func readByte(r io.Reader) (byte, error) {
+	if br, ok := r.(io.ByteReader); ok {
+		return br.ReadByte()
+	}
+	var b [1]byte
+	_, err := io.ReadFull(r, b[:])
+	return b[0], err
 }
 
 // readRemainingLength parses the variable-length encoding.
 func readRemainingLength(r io.Reader) (int, error) {
 	mul, val := 1, 0
-	var b [1]byte
 	for i := 0; i < 4; i++ {
-		if _, err := io.ReadFull(r, b[:]); err != nil {
+		b, err := readByte(r)
+		if err != nil {
 			return 0, err
 		}
-		val += int(b[0]&0x7f) * mul
-		if b[0]&0x80 == 0 {
+		val += int(b&0x7f) * mul
+		if b&0x80 == 0 {
 			if val > maxRemainingLength {
 				return 0, fmt.Errorf("%w: remaining length %d too large", errMalformed, val)
 			}
@@ -171,9 +177,20 @@ func takeString(b []byte) (string, []byte, error) {
 	return string(b[:n]), b[n:], nil
 }
 
-// Encode serializes p to w.
+// fixedHeaderMax is the longest fixed header: the type byte and up to
+// four bytes of remaining length.
+const fixedHeaderMax = 5
+
+// Encode serializes p to w in one Write. The packet is built in a pooled
+// buffer with room for the fixed header left in front of the body, so the
+// header is filled in once the body's length is known and nothing is
+// copied a second time.
 func Encode(w io.Writer, p *Packet) error {
-	var body []byte
+	// Sized for everything but an unusual CONNECT or SUBSCRIBE, which
+	// append grows past the pooled buffer.
+	bp := bufpool.Get(fixedHeaderMax + 64 + len(p.ClientID) + len(p.Topic) + len(p.Payload))
+	defer bufpool.Put(bp)
+	body := (*bp)[:fixedHeaderMax]
 	fixedFlags := uint8(0)
 	switch p.Type {
 	case CONNECT:
@@ -231,29 +248,28 @@ func Encode(w io.Writer, p *Packet) error {
 	default:
 		return fmt.Errorf("mqtt: cannot encode packet type %v", p.Type)
 	}
-	hdr := []byte{byte(p.Type)<<4 | fixedFlags}
-	if _, err := w.Write(hdr); err != nil {
-		return err
+	n := len(body) - fixedHeaderMax
+	if n > maxRemainingLength {
+		return fmt.Errorf("mqtt: remaining length %d out of range", n)
 	}
-	if err := writeRemainingLength(w, len(body)); err != nil {
-		return err
-	}
-	if len(body) > 0 {
-		if _, err := w.Write(body); err != nil {
-			return err
-		}
-	}
-	return nil
+	// The fixed header goes right against the body: the type byte, then
+	// the remaining length in the MQTT variable-length encoding.
+	rl, digits := remainingLength(n)
+	start := fixedHeaderMax - 1 - digits
+	body[start] = byte(p.Type)<<4 | fixedFlags
+	copy(body[start+1:], rl[:digits])
+	_, err := w.Write(body[start:])
+	return err
 }
 
 // Decode parses one packet from r.
 func Decode(r io.Reader) (*Packet, error) {
-	var first [1]byte
-	if _, err := io.ReadFull(r, first[:]); err != nil {
+	first, err := readByte(r)
+	if err != nil {
 		return nil, err
 	}
-	ptype := PacketType(first[0] >> 4)
-	flags := first[0] & 0x0f
+	ptype := PacketType(first >> 4)
+	flags := first & 0x0f
 	n, err := readRemainingLength(r)
 	if err != nil {
 		return nil, err

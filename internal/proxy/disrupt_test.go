@@ -76,14 +76,25 @@ func TestLedgerRecordsServingPath(t *testing.T) {
 		t.Fatalf("origin ledger missing accepts: %v", or.ByKind)
 	}
 
-	for reg, name := range map[*Proxy]string{e: "edge.http.latency", o: "origin.http.latency"} {
-		s, ok := reg.Metrics().Snapshot().AtomicHistograms[name]
-		if !ok || s.Count != 3 {
-			t.Fatalf("%s count = %d (ok=%v), want 3", name, s.Count, ok)
+	// A request's latency is observed once its response has been written,
+	// and the response is one write: the client can have all of it before
+	// the observation lands.
+	for _, h := range []struct {
+		p    *Proxy
+		name string
+	}{{e, "edge.http.latency"}, {o, "origin.http.latency"}, {e, "edge.tunnel.latency"}} {
+		name := h.name
+		deadline := time.Now().Add(2 * time.Second)
+		for {
+			s, ok := h.p.Metrics().Snapshot().AtomicHistograms[name]
+			if ok && s.Count == 3 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s count = %d (ok=%v), want 3", name, s.Count, ok)
+			}
+			time.Sleep(time.Millisecond)
 		}
-	}
-	if s, ok := e.Metrics().Snapshot().AtomicHistograms["edge.tunnel.latency"]; !ok || s.Count != 3 {
-		t.Fatalf("edge.tunnel.latency missing: %+v (ok=%v)", s, ok)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"io"
 	"net"
 	"strconv"
 	"sync"
@@ -289,6 +290,20 @@ func (p *Proxy) serveEdgeRequest(conn net.Conn, req *http1.Request) bool {
 	} else {
 		hdr["content-length"] = "-1"
 	}
+	// A request body that arrived whole with its head (the small POST)
+	// rides in the same write as the stream's HEADERS, END_STREAM on its
+	// last frame; any other body is pumped behind them as it arrives.
+	var body []byte
+	streamed := req.Body != nil
+	if n := req.ContentLength; n > 0 && int64(http1.Buffered(req.Body)) >= n {
+		bp := bufpool.Get(int(n))
+		defer bufpool.Put(bp)
+		body = (*bp)[:n]
+		if _, err := io.ReadFull(req.Body, body); err != nil {
+			return false
+		}
+		streamed = false
+	}
 	// A session can announce GOAWAY (its Origin started draining) between
 	// our pick and the open; retry once on a fresh session rather than
 	// failing the user request — the race is routine during releases.
@@ -303,7 +318,7 @@ func (p *Proxy) serveEdgeRequest(conn net.Conn, req *http1.Request) bool {
 			http1.WriteResponse(conn, http1.NewResponse(503, nil, 0))
 			return false
 		}
-		st, err = te.sess.OpenStream(hdr, req.Body == nil)
+		st, err = te.sess.OpenStreamWith(hdr, body, !streamed)
 		if err == nil {
 			break
 		}
@@ -326,7 +341,7 @@ func (p *Proxy) serveEdgeRequest(conn net.Conn, req *http1.Request) bool {
 	// Pump the request body upstream while watching for the response.
 	// netx.Relay keeps this on the pooled-copy path (the stream side is
 	// h2t-framed) while making the selection explicit and accounted.
-	if req.Body != nil {
+	if streamed {
 		done := make(chan error, 1)
 		go func() {
 			_, err := netx.Relay(st, req.Body)

@@ -373,14 +373,7 @@ func (p *Proxy) forwardHTTP(st *h2t.Stream, hdr map[string]string) {
 		// Success (or a terminal app error): relay to the Edge.
 		attSp.End()
 		sp.SetAttr("status", strconv.Itoa(resp.StatusCode))
-		relayed := p.relayResponse(st, resp)
-		// The connection goes back before the stream's END_STREAM tells
-		// the Edge the response is complete, so a client's next request
-		// finds it idle instead of racing its return.
-		p.upstream.release(uc, resp, relayed)
-		if relayed {
-			st.CloseWrite()
-		}
+		p.relayResponse(st, resp, uc)
 		return
 	}
 	// All attempts failed: the paper's fallback — a standard 500.
@@ -621,9 +614,11 @@ func (p *Proxy) exchangeBody(uc *upstreamConn, r *upstreamReq) (*http1.Response,
 }
 
 // relayResponse sends an app-server response back over the tunnel stream
-// and reports whether all of it went out; ending the stream is left to
-// the caller.
-func (p *Proxy) relayResponse(st *h2t.Stream, resp *http1.Response) bool {
+// and ends both the checkout of uc and the stream. Either way the
+// connection goes back before the stream's END_STREAM tells the Edge the
+// response is complete, so a client's next request finds it idle instead
+// of racing its return.
+func (p *Proxy) relayResponse(st *h2t.Stream, resp *http1.Response, uc *upstreamConn) {
 	hdr := map[string]string{
 		"status":         strconv.Itoa(resp.StatusCode),
 		"status-message": resp.StatusMessage,
@@ -636,14 +631,35 @@ func (p *Proxy) relayResponse(st *h2t.Stream, resp *http1.Response) bool {
 		}
 	}
 	p.cStatus.Inc(resp.StatusCode)
-	if err := st.SendHeaders(hdr, false); err != nil {
-		return false
+
+	if n := resp.ContentLength; n >= 0 && int64(uc.br.Buffered()) >= n {
+		// The whole body came in with the head (the small reply): take
+		// it out of the connection's reader, which ends the checkout,
+		// and send HEADERS, DATA and END_STREAM as one message.
+		bp := bufpool.Get(int(n))
+		defer bufpool.Put(bp)
+		body := (*bp)[:n]
+		if resp.Body != nil {
+			if _, err := io.ReadFull(resp.Body, body); err != nil {
+				p.upstream.release(uc, resp, false)
+				st.Reset()
+				return
+			}
+		}
+		p.upstream.release(uc, resp, true)
+		st.SendMessage(hdr, body, true)
+		return
 	}
-	if resp.Body != nil {
+
+	relayed := st.SendHeaders(hdr, false) == nil
+	if relayed && resp.Body != nil {
 		if _, err := netx.Relay(st, resp.Body); err != nil {
 			st.Reset()
-			return false
+			relayed = false
 		}
 	}
-	return true
+	p.upstream.release(uc, resp, relayed)
+	if relayed {
+		st.CloseWrite()
+	}
 }

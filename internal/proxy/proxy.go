@@ -260,6 +260,8 @@ type Proxy struct {
 	// {edge,origin}.http.requests and {edge,origin}.http.status.<code>.
 	cRequests *metrics.Counter
 	cStatus   *metrics.CodeCounters
+	// cQUIC is edge.quic.requests, resolved once like them.
+	cQUIC *metrics.Counter
 
 	// upstream holds the Origin's app-server connections (nil at the
 	// Edge). It belongs to this generation alone.
@@ -323,6 +325,7 @@ func New(cfg Config, reg *metrics.Registry) *Proxy {
 		p.cStatus = reg.CodeCounters("edge.http.status.")
 		p.latTunnel = reg.AtomicHistogram("edge.tunnel.latency")
 		p.latQUIC = reg.AtomicHistogram("edge.quic.latency")
+		p.cQUIC = reg.Counter("edge.quic.requests")
 		if cfg.Steering != "" && len(cfg.Origins) > 0 {
 			p.steerLB = p.newSteerLB(reg)
 		}
@@ -458,7 +461,7 @@ func (p *Proxy) Adopt(set *takeover.ListenerSet) error {
 // process served a flow across a takeover.
 func (p *Proxy) quicHandler(conn quicx.ConnID, payload []byte) []byte {
 	t0 := time.Now()
-	p.reg.Counter("edge.quic.requests").Inc()
+	p.cQUIC.Inc()
 	resp := []byte(p.cfg.Name + "|404")
 	if body, ok := p.cfg.StaticContent[string(payload)]; ok {
 		resp = append([]byte(p.cfg.Name+"|"), body...)

@@ -135,6 +135,8 @@ type Handler func(conn ConnID, payload []byte) (reply []byte)
 type Server struct {
 	name string
 	reg  *metrics.Registry
+	// The per-datagram and per-flow counters, resolved once.
+	cRx, cTx, cOpened, cClosed *metrics.Counter
 
 	handler Handler
 
@@ -189,6 +191,10 @@ func NewServer(name string, vip net.PacketConn, handler Handler, reg *metrics.Re
 	return &Server{
 		name:      name,
 		reg:       reg,
+		cRx:       reg.Counter("quicx.rx"),
+		cTx:       reg.Counter("quicx.tx"),
+		cOpened:   reg.Counter("quicx.flows.opened"),
+		cClosed:   reg.Counter("quicx.flows.closed"),
 		handler:   handler,
 		flows:     make(map[ConnID]net.Addr),
 		acceptNew: true,
@@ -451,7 +457,7 @@ func (s *Server) handlePacket(raw []byte, from net.Addr) {
 		s.reg.Counter("quicx.malformed").Inc()
 		return
 	}
-	s.reg.Counter("quicx.rx").Inc()
+	s.cRx.Inc()
 	switch p.Type {
 	case PktInitial:
 		s.mu.Lock()
@@ -470,7 +476,7 @@ func (s *Server) handlePacket(raw []byte, from net.Addr) {
 			_ = fwdTo
 			return
 		}
-		s.reg.Counter("quicx.flows.opened").Inc()
+		s.cOpened.Inc()
 		s.reply(p.Conn, from, s.handler(p.Conn, p.Payload))
 	case PktData:
 		s.mu.Lock()
@@ -509,7 +515,7 @@ func (s *Server) handlePacket(raw []byte, from net.Addr) {
 		delete(s.flows, p.Conn)
 		s.mu.Unlock()
 		if known {
-			s.reg.Counter("quicx.flows.closed").Inc()
+			s.cClosed.Inc()
 		}
 	default:
 		s.reg.Counter("quicx.malformed").Inc()
@@ -528,7 +534,7 @@ func (s *Server) reply(conn ConnID, to net.Addr, payload []byte) {
 	err := s.sender().QueueTo(pkt, to)
 	bufpool.Put(bp)
 	if err == nil {
-		s.reg.Counter("quicx.tx").Inc()
+		s.cTx.Inc()
 	}
 }
 
