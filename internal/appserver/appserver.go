@@ -34,8 +34,26 @@ import (
 	"zdr/internal/obs"
 )
 
-// Handler produces the response for a fully received request.
+// Handler produces the response for a fully received request. body is
+// valid until the response has been written: a response may read from it
+// (the echo does), but a handler that keeps it longer must copy it.
 type Handler func(req *http1.Request, body []byte) *http1.Response
+
+// Request bodies declared at pooledBodyMin or more are read into pooled
+// buffers of bodyPoolCap, which go back once the response — the
+// handler's, or the 379 that hands a partial body back — is written. A
+// body that outgrows its buffer moves to the heap as any append does.
+// bodyPoolCap is also the most a Content-Length may pre-size: the peer is
+// a trusted proxy, but the header is still client-originated.
+const (
+	pooledBodyMin = 64 << 10
+	bodyPoolCap   = 1 << 20
+)
+
+var bodyPool = sync.Pool{New: func() any {
+	b := make([]byte, 0, bodyPoolCap)
+	return &b
+}}
 
 // Mode selects the restart behaviour for in-flight POSTs.
 type Mode int
@@ -322,7 +340,15 @@ func (s *Server) serveRequest(conn net.Conn, br *bufio.Reader, req *http1.Reques
 	defer sp.End()
 	sp.SetAttr("method", req.Method)
 	sp.SetAttr("path", req.Target)
-	body, complete, err := s.readBodyInterruptible(conn, req)
+	var body []byte
+	if cl := req.ContentLength; cl >= pooledBodyMin {
+		bp := bodyPool.Get().(*[]byte)
+		defer bodyPool.Put(bp) // on return every path has written its response
+		body = *bp
+	} else if cl > 0 {
+		body = make([]byte, 0, cl)
+	}
+	body, complete, err := s.readBodyInterruptible(conn, req, body)
 	if err != nil {
 		s.reg.Counter("appserver.body.errors").Inc()
 		sp.Fail(err)
@@ -356,25 +382,18 @@ func (s *Server) serveRequest(conn net.Conn, br *bufio.Reader, req *http1.Reques
 }
 
 // readBodyInterruptible streams the request body, checking the drain
-// signal between chunks. complete=false means the drain interrupted it.
+// signal between chunks, appending to body (empty, with the capacity the
+// caller chose). complete=false means the drain interrupted it.
 // No read deadline is set during normal operation — Shutdown kicks blocked
 // reads by expiring the connection's read deadline, and a timeout observed
 // while draining means "restart caught this body mid-flight".
-func (s *Server) readBodyInterruptible(conn net.Conn, req *http1.Request) (body []byte, complete bool, err error) {
+func (s *Server) readBodyInterruptible(conn net.Conn, req *http1.Request, body []byte) (_ []byte, complete bool, err error) {
 	if req.Body == nil {
 		return nil, true, nil
 	}
 	bp := bufpool.Get(s.cfg.BodyChunk)
 	defer bufpool.Put(bp)
 	buf := (*bp)[:s.cfg.BodyChunk]
-	if cl := req.ContentLength; cl > 0 {
-		// Pre-size from the declared length, capped: the peer is a
-		// trusted proxy but the header is still client-originated.
-		if cl > 1<<20 {
-			cl = 1 << 20
-		}
-		body = make([]byte, 0, cl)
-	}
 	for {
 		select {
 		case <-s.drainCh:

@@ -164,8 +164,12 @@ func TestChaosMultiOriginDCRReconnect(t *testing.T) {
 		t.Fatalf("restart of relaying origin: %v", err)
 	}
 
+	// The session stays attached through its old path until the
+	// re_connect moves it: the Edge's ack count is what says the splice is
+	// done. (Restart used to return 50 ms after the drain began, which hid
+	// the difference.)
 	deadline = time.Now().Add(5 * time.Second)
-	for !tp.broker.SessionAttached("user-dcr-multi") && time.Now().Before(deadline) {
+	for !(tp.broker.SessionAttached("user-dcr-multi") && tp.edge.Current().Metrics().CounterValue("edge.mqtt.reconnect.ack") > 0) && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	if !tp.broker.SessionAttached("user-dcr-multi") {

@@ -136,6 +136,12 @@ func TestChaosMidSpliceTakeoverDrains(t *testing.T) {
 		t.Fatalf("edge restart: %v", err)
 	}
 	time.Sleep(200 * time.Millisecond)
+	// Each restart used to take 50 ms longer (a fixed wait while the
+	// takeover path armed), and beside two splice pumps on two cores the
+	// load loop needed that time for its quota: give it until it has it.
+	for deadline := time.Now().Add(5 * time.Second); ok.Load() < 20 && failed.Load() == 0 && time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+	}
 
 	close(stop)
 	<-done

@@ -238,9 +238,13 @@ func TestChaosRollingRestartZeroDisruption(t *testing.T) {
 		t.Fatalf("origin restart: %v", err)
 	}
 	// DCR: the relay must come back attached (same client conn) after the
-	// draining origin solicits a re_connect.
+	// draining origin solicits a re_connect. The session stays attached
+	// through its old path until the re_connect moves it, so attachment
+	// alone does not say the splice is done; the Edge's ack count does.
+	// (Restart used to return 50 ms after the drain began, which hid the
+	// difference.)
 	deadline := time.Now().Add(5 * time.Second)
-	for !tp.broker.SessionAttached("user-chaos") && time.Now().Before(deadline) {
+	for !(tp.broker.SessionAttached("user-chaos") && tp.edge.Current().Metrics().CounterValue("edge.mqtt.reconnect.ack") > 0) && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	select {

@@ -150,7 +150,14 @@ func TestAbortIsRSTStyle(t *testing.T) {
 			return
 		}
 		defer c.Close()
-		c.Write([]byte("hello"))
+		// The kernel reports a reset once, to whichever call meets it
+		// first, and a clean end to the calls after: when the RST beats
+		// this write, the write is what sees it and the read below gets
+		// a plain EOF.
+		if _, err := c.Write([]byte("hello")); err != nil {
+			peerErr <- err
+			return
+		}
 		c.SetReadDeadline(time.Now().Add(2 * time.Second))
 		_, err = io.ReadAll(c)
 		peerErr <- err

@@ -3,75 +3,138 @@ package h2t
 import (
 	"bufio"
 	"io"
-	"slices"
 	"sync"
+
+	"zdr/internal/bufpool"
 )
 
-// recvBuffer is an unbounded byte buffer with blocking reads. The session
-// reader goroutine fills it with DATA payloads; stream consumers Read.
-// Unbounded buffering stands in for HTTP/2 flow control (see package
-// comment). Buffered bytes are data[off:]. Consuming by advancing off
-// (rather than reslicing data) keeps the backing array, so a stream that
-// is drained as fast as it fills reuses one allocation for its whole life
-// instead of growing a fresh array every time a fill follows a reslice.
+// streamWindow is the most DATA a sender may have outstanding on one
+// stream: sent and not yet acknowledged by a WINDOW_UPDATE. It covers
+// loopback's and a datacenter link's bandwidth-delay product with room to
+// spare, and four frames of it in flight keep the receiver's consumer
+// busy while a credit travels back. It is a constant on both sides; the
+// session as a whole is bounded by max-concurrent-streams times this.
+const streamWindow = 256 << 10
+
+// creditThreshold is how many consumed bytes a receiver lets accumulate
+// before it acknowledges them: half the window, so that a sender which
+// has filled the window always has a credit on its way by the time the
+// consumer is half through it, and a message under half a window is never
+// acknowledged at all.
+const creditThreshold = streamWindow / 2
+
+// inlineChunks is the room for chunk pointers inside the buffer itself: a
+// window of unread data is at most a partly read chunk, three full ones
+// and a partly filled one. Only a peer that keeps no window (see
+// Session.peerWindow) makes the queue spill to the heap.
+const inlineChunks = 5
+
+// recvBuffer is a stream's receive side: a queue of pooled chunks with
+// blocking reads. The session reader fills it with DATA payloads, read
+// from the transport straight into a chunk; the stream's consumer Reads,
+// and each chunk goes back to the pool the moment it is drained, so an
+// empty buffer holds no memory. How much the peer may put in it is
+// bounded by the stream's credit, which Read hands out (see take).
+//
+// A chunk's length is its filled part. Every chunk but the last is full.
+// The first chunk of an empty buffer is of the smallest tier that holds
+// the frame that needs it, later ones are TierLarge, which is a frame.
+//
+// The buffer is part of its Stream, whose size every small request pays
+// twice per hop: hence the inline array, and hence the session, which
+// accounts the chunk memory held, being passed in and not kept here.
 type recvBuffer struct {
 	mu   sync.Mutex
-	cond *sync.Cond
-	data []byte
-	off  int
-	// filling is true while readFrom reads into the spare capacity behind
-	// data with the lock released; Read must leave data where it is.
+	cond sync.Cond // L is &mu
+
+	chunks []*[]byte // starts as inline[:0]
+	inline [inlineChunks]*[]byte
+	off    int // read position in chunks[0]
+	size   int // unread bytes
+	// unacked counts bytes Read has handed to the consumer since the
+	// last credit.
+	unacked int
+	// filling is true while readFrom reads into the spare capacity of the
+	// last chunk with the lock released; that chunk must stay where it is.
 	filling bool
 	eof     bool  // peer half-closed cleanly
 	err     error // terminal error (RST / session death)
 }
 
-func newRecvBuffer() *recvBuffer {
-	b := &recvBuffer{}
-	b.cond = sync.NewCond(&b.mu)
-	return b
+func (b *recvBuffer) init() {
+	b.cond.L = &b.mu
+	b.chunks = b.inline[:0]
+}
+
+// push appends an empty chunk that holds at least n bytes. mu is held.
+func (b *recvBuffer) push(s *Session, n int) *[]byte {
+	c := bufpool.Get(n)
+	s.hold(cap(*c))
+	*c = (*c)[:0]
+	b.chunks = append(b.chunks, c)
+	return c
+}
+
+// release returns the first n chunks to the pool. mu is held.
+func (b *recvBuffer) release(s *Session, n int) {
+	for _, c := range b.chunks[:n] {
+		s.hold(-cap(*c))
+		bufpool.Put(c)
+	}
+	rest := copy(b.chunks, b.chunks[n:])
+	clear(b.chunks[rest:])
+	if b.chunks = b.chunks[:rest]; rest == 0 {
+		b.chunks = b.inline[:0] // lets go of a spilled queue
+	}
+	b.off = 0
 }
 
 // readFrom moves the next n bytes of r behind the buffered data. The
-// bytes land in the stream's own buffer with no scratch in between, and
-// become readable together, once all n have arrived. After a terminal
+// bytes land in the stream's chunks with no scratch in between: in the
+// room the last chunk has left, then in new chunks. After a terminal
 // state they are discarded. Only the session reader calls it.
-func (b *recvBuffer) readFrom(r *bufio.Reader, n int) error {
-	if n == 0 {
-		return nil
-	}
-	b.mu.Lock()
-	if b.eof || b.err != nil {
+func (b *recvBuffer) readFrom(s *Session, r *bufio.Reader, n int) error {
+	for n > 0 {
+		b.mu.Lock()
+		if b.err != nil || b.eof {
+			b.mu.Unlock()
+			_, err := r.Discard(n)
+			return err
+		}
+		var tail *[]byte
+		if len(b.chunks) > 0 {
+			tail = b.chunks[len(b.chunks)-1]
+		}
+		switch {
+		case tail == nil:
+			tail = b.push(s, n)
+		case len(*tail) == cap(*tail):
+			tail = b.push(s, bufpool.TierLarge)
+		}
+		filled := len(*tail)
+		dst := (*tail)[filled:min(filled+n, cap(*tail))]
+		b.filling = true
 		b.mu.Unlock()
-		_, err := r.Discard(n)
-		return err
-	}
-	if b.off == len(b.data) {
-		// Fully drained: rewind and reuse the backing array.
-		b.data = b.data[:0]
-		b.off = 0
-	} else if b.off > 0 && len(b.data)+n > cap(b.data) {
-		// Would grow: compact first so the dead head isn't copied into
-		// (and kept alive by) the new, larger array.
-		b.data = b.data[:copy(b.data, b.data[b.off:])]
-		b.off = 0
-	}
-	b.data = slices.Grow(b.data, n)
-	end := len(b.data)
-	dst := b.data[end : end+n]
-	b.filling = true
-	b.mu.Unlock()
 
-	_, err := io.ReadFull(r, dst)
+		_, err := io.ReadFull(r, dst)
 
-	b.mu.Lock()
-	b.filling = false
-	if err == nil && !b.eof && b.err == nil {
-		b.data = b.data[:end+n]
-		b.cond.Broadcast()
+		b.mu.Lock()
+		b.filling = false
+		switch {
+		case b.err != nil:
+			b.release(s, len(b.chunks)) // fail left the chunk being filled to us
+		case err == nil:
+			*tail = (*tail)[:filled+len(dst)]
+			b.size += len(dst)
+			b.cond.Broadcast()
+		}
+		b.mu.Unlock()
+		if err != nil {
+			return err
+		}
+		n -= len(dst)
 	}
-	b.mu.Unlock()
-	return err
+	return nil
 }
 
 // setEOF marks a clean end of stream after buffered data drains.
@@ -82,12 +145,22 @@ func (b *recvBuffer) setEOF() {
 	b.cond.Broadcast()
 }
 
-// fail terminates the stream with err (delivered after buffered data).
-func (b *recvBuffer) fail(err error) {
+// fail terminates the stream with err. Unread data is dropped and its
+// chunks go back to the pool, unless the peer's END_STREAM came first:
+// then what is buffered is the whole of what the peer sent, and it stays
+// readable — except with abandon, by which the local consumer says it
+// will read no more.
+func (b *recvBuffer) fail(s *Session, err error, abandon bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.err == nil && !b.eof {
+	if b.err == nil && (!b.eof || abandon) {
 		b.err = err
+		n := len(b.chunks)
+		if b.filling {
+			n-- // readFrom is reading into the last chunk; it lets go of it
+		}
+		b.release(s, n)
+		b.size = 0
 	}
 	b.cond.Broadcast()
 }
@@ -97,30 +170,40 @@ func (b *recvBuffer) fail(err error) {
 func (b *recvBuffer) buffered() (n int, end bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	n = len(b.data) - b.off
-	return n, n == 0 && (b.eof || b.err != nil)
+	return b.size, b.size == 0 && (b.eof || b.err != nil)
 }
 
-// Read implements io.Reader, blocking until data, EOF, or error.
-func (b *recvBuffer) Read(p []byte) (int, error) {
+// take is Read, blocking until data, EOF, or error. credit is not zero
+// when this read took the bytes consumed and not yet acknowledged past
+// creditThreshold: the caller owes the peer a WINDOW_UPDATE of that
+// much. A peer that has sent END_STREAM sends no more and is owed none.
+func (b *recvBuffer) take(s *Session, p []byte) (n, credit int, err error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for {
-		if b.off < len(b.data) {
-			n := copy(p, b.data[b.off:])
-			b.off += n
-			if b.off == len(b.data) && !b.filling {
-				b.data = b.data[:0]
-				b.off = 0
-			}
-			return n, nil
-		}
+	for b.size == 0 {
 		if b.err != nil {
-			return 0, b.err
+			return 0, 0, b.err
 		}
 		if b.eof {
-			return 0, io.EOF
+			return 0, 0, io.EOF
 		}
 		b.cond.Wait()
 	}
+	for n < len(p) && b.size > 0 {
+		head := *b.chunks[0]
+		c := copy(p[n:], head[b.off:])
+		n += c
+		b.off += c
+		b.size -= c
+		if b.off == len(head) {
+			if b.filling && len(b.chunks) == 1 {
+				break // drained as far as it is filled; more is landing in it
+			}
+			b.release(s, 1)
+		}
+	}
+	if b.unacked += n; b.unacked > creditThreshold && !b.eof {
+		credit, b.unacked = b.unacked, 0
+	}
+	return n, credit, nil
 }

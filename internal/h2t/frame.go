@@ -5,20 +5,31 @@
 //
 // It is a simplified HTTP/2: binary frames multiplex many logical streams
 // over one TCP connection, with HEADERS / DATA / RST_STREAM / GOAWAY /
-// PING frame types. GOAWAY gives the tunnel the graceful-shutdown
-// semantics (§3, Option-3) that Downstream Connection Reuse and Socket
-// Takeover lean on: a draining proxy announces GOAWAY, the peer stops
-// opening streams on the connection but in-flight streams run to
-// completion over the draining period.
+// PING / SETTINGS / WINDOW_UPDATE frame types. GOAWAY gives the tunnel
+// the graceful-shutdown semantics (§3, Option-3) that Downstream
+// Connection Reuse and Socket Takeover lean on: a draining proxy announces
+// GOAWAY, the peer stops opening streams on the connection but in-flight
+// streams run to completion over the draining period.
 //
 // Three DCR control frames ride alongside (§4.2): RECONNECT_SOLICITATION
 // (restarting Origin → Edge, per tunneled MQTT stream), and the
 // CONNECT_ACK / CONNECT_REFUSE verdicts for a re_connect attempt.
 //
+// Every stream is bounded by credit (DESIGN.md §15, "Stream windows"): a
+// sender may have at most a window — 256 KiB, a constant on both sides —
+// of DATA outstanding per stream, and parks when it has; the receiver
+// keeps what has arrived in pooled chunks that go back to the pool as its
+// consumer reads, and gives window back with WINDOW_UPDATE when the
+// consumer has taken more than half of it. A session announces that it
+// works this way with FlagWindow on the first frame it sends; toward a
+// peer that has not — the previous release, mid-upgrade — nothing is
+// enforced and no credit is sent. There is no session-level window: a
+// session is bounded by SETTINGS max-concurrent-streams times the stream
+// window, and one stalled stream never holds up another.
+//
 // Deliberate simplifications vs. RFC 7540 (documented in DESIGN.md): no
-// HPACK (headers use a plain length-prefixed encoding), no flow-control
-// windows (streams buffer without bound; experiment workloads are small),
-// no priorities, no server push.
+// HPACK (headers use a plain length-prefixed encoding), one fixed window
+// size and no session window, no priorities, no server push.
 package h2t
 
 import (
@@ -39,6 +50,9 @@ const (
 	FrameGoAway   FrameType = 0x4
 	FramePing     FrameType = 0x5
 	FrameSettings FrameType = 0x6
+	// FrameWindowUpdate acknowledges DATA a stream's consumer has read:
+	// its payload is a u32, the bytes of send window given back.
+	FrameWindowUpdate FrameType = 0x7
 
 	// DCR control frames (§4.2).
 	FrameReconnectSolicitation FrameType = 0x10
@@ -61,6 +75,8 @@ func (t FrameType) String() string {
 		return "PING"
 	case FrameSettings:
 		return "SETTINGS"
+	case FrameWindowUpdate:
+		return "WINDOW_UPDATE"
 	case FrameReconnectSolicitation:
 		return "RECONNECT_SOLICITATION"
 	case FrameConnectAck:
@@ -78,6 +94,11 @@ const (
 	FlagEndStream uint8 = 0x1
 	// FlagAck marks a PING response.
 	FlagAck uint8 = 0x2
+	// FlagWindow, on the first frame a session sends whatever its type,
+	// announces that the sender keeps a receive window on every stream and
+	// replenishes it with WINDOW_UPDATE. A peer that never sets it is not
+	// held to a window.
+	FlagWindow uint8 = 0x4
 )
 
 // maxFramePayload bounds a single frame. DATA larger than this is split.

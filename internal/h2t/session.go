@@ -8,7 +8,10 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
+
+	"zdr/internal/metrics"
 )
 
 // Session errors.
@@ -45,13 +48,34 @@ type Session struct {
 	// wbuf, a large payload is referenced from wvec between two runs of
 	// wbuf, and flush hands the lot to the transport in one Write or
 	// writev. Nothing stays in wbuf after the call that put it there
-	// returns (DESIGN.md "Writes per message").
+	// returns (DESIGN.md §15, "The flush rule").
 	wmu   sync.Mutex
 	wbuf  []byte
 	wmark int         // start of the run of wbuf not yet referenced from wvec
 	wvec  [][]byte    // the write being assembled, in wire order
 	wbufs net.Buffers // wvec as WriteTo consumes it; a field so that it is not allocated per write
 	werr  error       // sticky: a failed write may have torn a frame
+	// announced is set once the first frame has been encoded: that frame
+	// carries FlagWindow, this session's one announcement that it keeps
+	// receive windows.
+	announced bool
+
+	// Credit owed to the peer: WINDOW_UPDATE frames that consumers' Reads
+	// have queued and the next flush puts on the wire, with whatever write
+	// is leaving or else alone (see sendCredit).
+	cmu     sync.Mutex
+	credits []credit
+
+	// peerWindow is set by the peer's announcement. Toward a peer that
+	// has made none — the previous release, during a rolling upgrade —
+	// no window is enforced and no credit is sent: it would not replenish
+	// the one and ignores the other.
+	peerWindow atomic.Bool
+	// legacy makes this session behave as that previous release does.
+	legacy bool
+
+	m        *Metrics
+	resident atomic.Int64 // chunk memory its streams' receive buffers hold
 
 	// Read side, owned by readLoop: frames are parsed out of br, and
 	// response headers parsed from it wait in held until the loop is
@@ -83,7 +107,37 @@ type Session struct {
 type Option func(*sessionOptions)
 
 type sessionOptions struct {
-	wrap func(net.Conn) net.Conn
+	wrap    func(net.Conn) net.Conn
+	metrics *Metrics
+	// legacy is a test hook: the session neither announces nor keeps
+	// windows, as a peer built before they existed.
+	legacy bool
+}
+
+// Metrics are the counters sessions report into. Whoever owns the
+// registry resolves them once and shares them among its sessions, so no
+// frame costs a lookup by name.
+type Metrics struct {
+	stalls   *metrics.Counter // h2t.window.stalls: a sender parked for credit
+	updates  *metrics.Counter // h2t.window.updates_sent: WINDOW_UPDATE frames sent
+	resident *metrics.Gauge   // h2t.recv.resident_bytes: chunk memory held by receive buffers
+}
+
+// NewMetrics resolves the session counters in reg.
+func NewMetrics(reg *metrics.Registry) *Metrics {
+	return &Metrics{
+		stalls:   reg.Counter("h2t.window.stalls"),
+		updates:  reg.Counter("h2t.window.updates_sent"),
+		resident: reg.Gauge("h2t.recv.resident_bytes"),
+	}
+}
+
+// unobserved receives the counts of sessions started without WithMetrics.
+var unobserved = NewMetrics(metrics.NewRegistry())
+
+// WithMetrics makes the session report into m.
+func WithMetrics(m *Metrics) Option {
+	return func(o *sessionOptions) { o.metrics = m }
 }
 
 // WithConnWrapper interposes wrap between the session and its transport.
@@ -105,15 +159,22 @@ func NewSession(conn net.Conn, isClient bool, opts ...Option) *Session {
 			conn = wrapped
 		}
 	}
+	if o.metrics == nil {
+		o.metrics = unobserved
+	}
 	s := &Session{
 		conn:     conn,
 		br:       bufio.NewReaderSize(conn, readBufSize),
 		isClient: isClient,
-		streams:  make(map[uint32]*Stream),
-		acceptCh: make(chan *Stream, 64),
-		goAwayCh: make(chan struct{}),
-		done:     make(chan struct{}),
-		pingWait: make(map[uint64]chan struct{}),
+		legacy:   o.legacy,
+		m:        o.metrics,
+		// A legacy session has nothing to announce.
+		announced: o.legacy,
+		streams:   make(map[uint32]*Stream),
+		acceptCh:  make(chan *Stream, 64),
+		goAwayCh:  make(chan struct{}),
+		done:      make(chan struct{}),
+		pingWait:  make(map[uint64]chan struct{}),
 	}
 	if isClient {
 		s.nextID = 1
@@ -129,9 +190,21 @@ func NewSession(conn net.Conn, isClient bool, opts ...Option) *Session {
 // as its own element of the vectored write.
 const inlinePayload = 4 << 10
 
+// putHeader encodes the wire header of the next frame of the write being
+// assembled. The first frame a session ever sends announces its receive
+// windows: whatever that frame is, the peer has it before any DATA it
+// could answer. wmu is held.
+func (s *Session) putHeader(t FrameType, flags uint8, id uint32, n int) {
+	if !s.announced {
+		s.announced = true
+		flags |= FlagWindow
+	}
+	s.wbuf = appendFrameHeader(s.wbuf, t, flags, id, n)
+}
+
 // putFrame adds one frame to the write being assembled. wmu is held.
 func (s *Session) putFrame(t FrameType, flags uint8, id uint32, payload []byte) {
-	s.wbuf = appendFrameHeader(s.wbuf, t, flags, id, len(payload))
+	s.putHeader(t, flags, id, len(payload))
 	if len(payload) <= inlinePayload {
 		s.wbuf = append(s.wbuf, payload...)
 		return
@@ -142,15 +215,51 @@ func (s *Session) putFrame(t FrameType, flags uint8, id uint32, payload []byte) 
 	s.wmark = len(s.wbuf)
 }
 
-// flush puts everything assembled since the last flush on the wire: one
-// Write when it is all in wbuf, one writev otherwise (net.Buffers' fast
-// path on TCP; sequential writes on other transports). wmu is held. A
-// failure is final for the session: part of a frame may have gone out, so
-// no frame may follow it.
+// credit is a WINDOW_UPDATE waiting for a write to leave with.
+type credit struct{ id, n uint32 }
+
+// sendCredit acknowledges n consumed bytes of stream id to the peer. The
+// frame is queued first and the write lock taken second, so a write that
+// some sender is assembling meanwhile takes the frame along; if none
+// does, the flush here is a write of its own. Either way the credit is on
+// the wire when sendCredit returns — a lone upload whose receiver has
+// nothing else to send must not wait for one. A failed flush has shut the
+// session down, which is all there is to do about it.
+func (s *Session) sendCredit(id uint32, n int) {
+	s.cmu.Lock()
+	s.credits = append(s.credits, credit{id, uint32(n)})
+	s.cmu.Unlock()
+	s.wmu.Lock()
+	s.flush()
+	s.wmu.Unlock()
+}
+
+// putCredits encodes the queued credits behind the frames assembled so
+// far, straight into wbuf. wmu is held.
+func (s *Session) putCredits() {
+	s.cmu.Lock()
+	for _, c := range s.credits {
+		s.putHeader(FrameWindowUpdate, 0, c.id, 4)
+		s.wbuf = binary.BigEndian.AppendUint32(s.wbuf, c.n)
+	}
+	s.m.updates.Add(int64(len(s.credits)))
+	s.credits = s.credits[:0]
+	s.cmu.Unlock()
+}
+
+// flush puts everything assembled since the last flush, and the credits
+// queued since, on the wire: one Write when it is all in wbuf, one writev
+// otherwise (net.Buffers' fast path on TCP; sequential writes on other
+// transports). wmu is held. A failure is final for the session: part of a
+// frame may have gone out, so no frame may follow it.
 func (s *Session) flush() error {
 	if s.werr != nil {
 		s.resetWrite()
 		return s.werr
+	}
+	s.putCredits()
+	if len(s.wbuf) == 0 {
+		return nil // the credits this flush was for left with another write
 	}
 	var err error
 	if len(s.wvec) == 0 {
@@ -223,7 +332,7 @@ func (s *Session) sendMessage(id uint32, hdr map[string]string, body []byte, end
 	defer s.wmu.Unlock()
 	if hdr != nil {
 		// The header block is encoded straight behind its frame header.
-		s.wbuf = appendFrameHeader(s.wbuf, FrameHeaders, endFlag(len(body) == 0), id, hdrSize)
+		s.putHeader(FrameHeaders, endFlag(len(body) == 0), id, hdrSize)
 		s.wbuf = appendHeaderBlock(s.wbuf, hdr)
 	} else if len(body) == 0 && end {
 		s.putFrame(FrameData, FlagEndStream, id, nil)
@@ -271,11 +380,10 @@ func (s *Session) OpenStreamWith(hdr map[string]string, body []byte, endStream b
 	id := s.nextID
 	s.nextID += 2
 	st := newStream(s, id, hdr)
-	st.localEnd = endStream
 	s.streams[id] = st
 	s.mu.Unlock()
 
-	if err := s.sendMessage(id, orNoHeaders(hdr), body, endStream); err != nil {
+	if err := st.SendMessage(orNoHeaders(hdr), body, endStream); err != nil {
 		s.dropStream(id)
 		return nil, err
 	}
@@ -302,6 +410,20 @@ func (s *Session) closeReason() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closeErr != nil {
+		return s.closeErr
+	}
+	return ErrSessionClosed
+}
+
+// abortReason says what ended a stream from outside: the session's death
+// if it has died, the peer's RST if not.
+func (s *Session) abortReason() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	switch {
+	case !s.closed:
+		return ErrStreamReset
+	case s.closeErr != nil:
 		return s.closeErr
 	}
 	return ErrSessionClosed
@@ -338,6 +460,18 @@ func (s *Session) Draining() bool {
 	defer s.mu.Unlock()
 	return s.goAwaySent || s.goAwayRecv
 }
+
+// hold accounts delta bytes of chunk memory taken (or, negative, given
+// back) by a receive buffer of this session.
+func (s *Session) hold(delta int) {
+	s.resident.Add(int64(delta))
+	s.m.resident.Add(int64(delta))
+}
+
+// ResidentBytes returns the chunk memory the session's streams hold for
+// data received and not yet read: at most a window and a chunk per stream
+// whose peer keeps to its window.
+func (s *Session) ResidentBytes() int64 { return s.resident.Load() }
 
 // NumStreams returns the number of live streams.
 func (s *Session) NumStreams() int {
@@ -399,7 +533,7 @@ func (s *Session) shutdown(reason error) error {
 	s.mu.Unlock()
 
 	for _, st := range streams {
-		st.buf.fail(reason)
+		st.abort(reason)
 	}
 	err := s.conn.Close()
 	close(s.done)
@@ -477,6 +611,9 @@ func (s *Session) readFrame() error {
 	if err != nil {
 		return err
 	}
+	if f.Flags&FlagWindow != 0 && !s.legacy {
+		s.peerWindow.Store(true)
+	}
 	s.br.Discard(frameHeaderLen)
 	s.need(n)
 	if f.Type == FrameData {
@@ -509,7 +646,7 @@ func (s *Session) readData(f Frame, n int) error {
 		_, err := s.br.Discard(n)
 		return err
 	}
-	if err := st.buf.readFrom(s.br, n); err != nil {
+	if err := st.buf.readFrom(s, s.br, n); err != nil {
 		return err
 	}
 	if f.Flags&FlagEndStream != 0 {
@@ -524,8 +661,16 @@ func (s *Session) handleFrame(f Frame) {
 		s.handleHeaders(f)
 	case FrameRST:
 		if st := s.lookup(f.StreamID); st != nil {
-			st.buf.fail(ErrStreamReset)
+			st.abort(ErrStreamReset)
 			s.dropStream(f.StreamID)
+		}
+	case FrameWindowUpdate:
+		// Credit for a stream that is gone, or of a size this version
+		// does not know, is dropped: neither can be acted on.
+		if len(f.Payload) == 4 {
+			if st := s.lookup(f.StreamID); st != nil {
+				st.addCredit(binary.BigEndian.Uint32(f.Payload))
+			}
 		}
 	case FrameGoAway:
 		s.mu.Lock()
@@ -630,30 +775,101 @@ func (s *Session) remoteEnd(st *Stream) {
 }
 
 // Stream is one logical bidirectional stream.
+//
+// The receive buffer and both condition variables are part of the Stream
+// itself, so that windows cost a stream no allocation of their own.
 type Stream struct {
 	sess *Session
 	id   uint32
-	hdr  map[string]string
-	buf  *recvBuffer
+	// Guarded by mu (they sit here to fill the word id leaves). aborted:
+	// the stream was ended from outside, by the peer's RST or the
+	// session's death, and can send no more.
+	localEnd, remoteEnd, reset, aborted bool
+	hdr                                 map[string]string
+	buf                                 recvBuffer
 
 	hdrCh  chan map[string]string
 	ctrlCh chan Control
 
-	mu        sync.Mutex
-	localEnd  bool
-	remoteEnd bool
-	reset     bool
+	mu sync.Mutex
+	// sendWin is how many more DATA bytes the peer's window has room for:
+	// streamWindow less what was sent and not yet acknowledged. It is kept
+	// toward every peer and enforced toward one that announced windows
+	// (Session.peerWindow); senders with none left park on wcond.
+	sendWin int64
+	wcond   sync.Cond // L is &mu
 }
 
 func newStream(s *Session, id uint32, hdr map[string]string) *Stream {
-	return &Stream{
-		sess:   s,
-		id:     id,
-		hdr:    hdr,
-		buf:    newRecvBuffer(),
-		hdrCh:  make(chan map[string]string, 4),
-		ctrlCh: make(chan Control, 16),
+	st := &Stream{
+		sess:    s,
+		id:      id,
+		hdr:     hdr,
+		hdrCh:   make(chan map[string]string, 4),
+		ctrlCh:  make(chan Control, 16),
+		sendWin: streamWindow,
 	}
+	st.buf.init()
+	st.wcond.L = &st.mu
+	return st
+}
+
+// abort ends the stream from outside — the peer's RST, the session's
+// death: readers get err (after what the peer had completed, see
+// recvBuffer.fail) and senders, parked for credit or yet to come, too.
+func (st *Stream) abort(err error) {
+	st.buf.fail(st.sess, err, false)
+	st.mu.Lock()
+	st.aborted = true
+	st.mu.Unlock()
+	st.wcond.Broadcast()
+}
+
+// addCredit is the peer's WINDOW_UPDATE. The window never grows past
+// streamWindow, whatever increments arrive: an honest peer acknowledges
+// only what it was sent.
+func (st *Stream) addCredit(n uint32) {
+	st.mu.Lock()
+	st.sendWin = min(st.sendWin+int64(n), streamWindow)
+	st.mu.Unlock()
+	st.wcond.Broadcast()
+}
+
+// reserve takes from the send window what a message with want body bytes
+// may send now — all of it toward a peer that keeps no window — and parks
+// while the window is empty, holding no session lock, until credit, a
+// reset or the session's death. With end, taking the last of the message
+// half-closes the local direction; done then says the stream is finished
+// both ways.
+func (st *Stream) reserve(want int, end bool) (n int, done bool, err error) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	enforced := st.sess.peerWindow.Load()
+	for parked := false; ; parked = true {
+		if st.localEnd || st.reset {
+			return 0, false, ErrStreamClosed
+		}
+		if st.aborted {
+			return 0, false, st.sess.abortReason()
+		}
+		if want == 0 || st.sendWin > 0 || !enforced {
+			break
+		}
+		if !parked {
+			st.sess.m.stalls.Inc()
+		}
+		st.wcond.Wait()
+	}
+	n = want
+	if enforced && want > 0 {
+		n = min(want, int(st.sendWin))
+	}
+	st.sendWin -= int64(n)
+	if end && n == want {
+		st.localEnd = true
+		done = st.remoteEnd
+	}
+	return n, done, nil
 }
 
 // ID returns the stream ID.
@@ -662,8 +878,16 @@ func (st *Stream) ID() uint32 { return st.id }
 // Headers returns the headers the stream was opened with.
 func (st *Stream) Headers() map[string]string { return st.hdr }
 
-// Read reads decoded DATA payloads.
-func (st *Stream) Read(p []byte) (int, error) { return st.buf.Read(p) }
+// Read reads decoded DATA payloads. The Read that takes what has been
+// consumed and not yet acknowledged past half the window sends the peer
+// its credit; Reads of a message smaller than that send nothing.
+func (st *Stream) Read(p []byte) (int, error) {
+	n, credit, err := st.buf.take(st.sess, p)
+	if credit > 0 && st.sess.peerWindow.Load() {
+		st.sess.sendCredit(st.id, credit)
+	}
+	return n, err
+}
 
 // Buffered reports what the next Read returns without blocking: n bytes
 // of data or, when n is 0, whether the stream's end (or its error) is
@@ -678,23 +902,27 @@ func (st *Stream) Buffered() (n int, end bool) { return st.buf.buffered() }
 // the one way a stream puts HEADERS and DATA there. With end it
 // half-closes the local direction and reaps the stream once both
 // directions are finished.
+//
+// A body larger than what the peer's window has room for goes out in as
+// many writes as it takes, each sending what the window allows and the
+// caller parked in between until the peer's consumer has made room. A
+// stream reset by either side, or whose session died, fails the send.
 func (st *Stream) SendMessage(hdr map[string]string, body []byte, end bool) error {
-	st.mu.Lock()
-	if st.localEnd || st.reset {
-		st.mu.Unlock()
-		return ErrStreamClosed
+	for {
+		n, done, err := st.reserve(len(body), end)
+		if err != nil {
+			return err
+		}
+		last := n == len(body)
+		err = st.sess.sendMessage(st.id, hdr, body[:n], end && last)
+		if done {
+			st.sess.dropStream(st.id)
+		}
+		if err != nil || last {
+			return err
+		}
+		hdr, body = nil, body[n:]
 	}
-	done := false
-	if end {
-		st.localEnd = true
-		done = st.remoteEnd
-	}
-	st.mu.Unlock()
-	err := st.sess.sendMessage(st.id, hdr, body, end)
-	if done {
-		st.sess.dropStream(st.id)
-	}
-	return err
 }
 
 // Write sends p as DATA frames, splitting at the frame size limit.
@@ -725,7 +953,8 @@ func (st *Stream) Reset() error {
 	}
 	st.reset = true
 	st.mu.Unlock()
-	st.buf.fail(ErrStreamReset)
+	st.wcond.Broadcast()
+	st.buf.fail(st.sess, ErrStreamReset, true)
 	st.sess.dropStream(st.id)
 	return st.sess.writeFrame(Frame{Type: FrameRST, StreamID: st.id})
 }

@@ -257,22 +257,32 @@ func TestLBAdvanceGenerationDrainsPins(t *testing.T) {
 		t.Fatal("no flows pinned to victim")
 	}
 
-	var stop atomic.Bool
-	var bumped atomic.Bool
+	// The write count is scoped to the bump: the table's counter cannot
+	// say which goroutine wrote, so for the two reads that bracket
+	// AdvanceGeneration the steer workers — which insert and re-pin all
+	// the time — wait at a gate, and every write between the reads is the
+	// bump's own. They steer concurrently before and after, which is what
+	// the routing assertion needs.
+	const workers = 4
+	var stop, bumped atomic.Bool
+	var gate sync.RWMutex // workers steer under RLock; the bracket takes Lock
 	errs := make(chan string, 1)
 	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
 			for !stop.Load() {
 				f := uint64(rng.Intn(flows))
+				gate.RLock()
 				b, err := lb.Steer(f)
+				after := bumped.Load()
+				gate.RUnlock()
 				if err != nil {
 					continue
 				}
-				if bumped.Load() && b.Name == "p0" {
+				if after && b.Name == "p0" {
 					select {
 					case errs <- fmt.Sprintf("flow %d routed to drained p0 after bump", f):
 					default:
@@ -287,10 +297,12 @@ func TestLBAdvanceGenerationDrainsPins(t *testing.T) {
 	// generation. Order matters — after the bump, nothing may route to
 	// p0 anymore.
 	lb.RemoveBackend("p0")
+	gate.Lock()
 	writesBefore := lb.FlowTable().EntryWrites()
 	lb.AdvanceGeneration(true)
 	bumpWrites := lb.FlowTable().EntryWrites() - writesBefore
 	bumped.Store(true)
+	gate.Unlock()
 
 	// Let the steer workers hammer the post-bump table for a while.
 	for f := uint64(0); f < flows; f++ {

@@ -129,7 +129,7 @@ func (p *Proxy) tunnelTo(addr string) (*tunnelEntry, error) {
 	if err != nil {
 		return nil, err
 	}
-	te := &tunnelEntry{addr: addr, sess: h2t.NewSession(conn, true)}
+	te := &tunnelEntry{addr: addr, sess: h2t.NewSession(conn, true, h2t.WithMetrics(p.tunnelMetrics))}
 	p.mu.Lock()
 	if old, ok := p.tunnels[addr]; ok && old.alive() {
 		// Raced with another dial; keep the existing one.
@@ -341,12 +341,20 @@ func (p *Proxy) serveEdgeRequest(conn net.Conn, req *http1.Request) bool {
 	// Pump the request body upstream while watching for the response.
 	// netx.Relay keeps this on the pooled-copy path (the stream side is
 	// h2t-framed) while making the selection explicit and accounted.
+	// The Origin may answer without taking the whole body (a 500 once its
+	// attempts are spent, an app server's early reply) and resets the
+	// stream behind that answer: the pump, possibly parked on the stream's
+	// window, ends there, and what the client still sends is read and
+	// dropped so that the connection is fit for its next request.
 	if streamed {
 		done := make(chan error, 1)
 		go func() {
 			_, err := netx.Relay(st, req.Body)
-			if err == nil {
+			switch {
+			case err == nil:
 				err = st.CloseWrite()
+			case errors.Is(err, h2t.ErrStreamClosed) || errors.Is(err, h2t.ErrStreamReset):
+				_, err = io.Copy(io.Discard, req.Body)
 			}
 			done <- err
 		}()
@@ -463,13 +471,18 @@ func (r *mqttRelay) currentStream() (*h2t.Stream, int) {
 }
 
 // swapStream installs a new stream (DCR splice), returning the old one.
-func (r *mqttRelay) swapStream(st *h2t.Stream) *h2t.Stream {
+// A relay that has been closed meanwhile takes no stream: ok is false and
+// st is the caller's to reset.
+func (r *mqttRelay) swapStream(st *h2t.Stream) (old *h2t.Stream, ok bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	old := r.stream
+	if r.closed {
+		return nil, false
+	}
+	old = r.stream
 	r.stream = st
 	r.gen++
-	return old
+	return old, true
 }
 
 // handleEdgeMQTTConn terminates a user MQTT connection: it peeks the
@@ -654,6 +667,11 @@ func (p *Proxy) pumpUntilSwap(relay *mqttRelay, st *h2t.Stream) bool {
 			}
 		}
 	}()
+	// spliced carries the verdict of the re_connect in flight; nil when
+	// none is. The transaction runs beside the pump, not in it: the old
+	// stream is the user's path until the broker has moved the session,
+	// and what arrives on it meanwhile is the user's to receive.
+	var spliced chan bool
 	for {
 		select {
 		case c := <-dataCh:
@@ -663,13 +681,19 @@ func (p *Proxy) pumpUntilSwap(relay *mqttRelay, st *h2t.Stream) bool {
 				return false
 			}
 		case <-errCh:
+			// The splice itself resets the old stream, and a draining
+			// Origin may drop it first: either way a re_connect in flight
+			// has the last word.
+			if spliced != nil && <-spliced {
+				return true
+			}
 			// Stream ended without a successful splice: the user is
 			// disrupted (the woutDCR baseline measures exactly this).
 			p.reg.Counter("edge.mqtt.stream_lost").Inc()
 			p.cfg.Ledger.Record(disrupt.KindReset, 0, VIPMQTT, "dcr:stream-lost", relay.userID)
 			return false
 		case c := <-st.Controls():
-			if c.Type == h2t.FrameReconnectSolicitation {
+			if c.Type == h2t.FrameReconnectSolicitation && spliced == nil {
 				p.reg.Counter("edge.mqtt.solicitations").Inc()
 				// Payload: "<user-id>\n<trace-context>"; older senders
 				// sent the bare user-id, so a missing second line just
@@ -678,12 +702,20 @@ func (p *Proxy) pumpUntilSwap(relay *mqttRelay, st *h2t.Stream) bool {
 				if i := bytes.IndexByte(c.Payload, '\n'); i >= 0 {
 					peerTrace = string(c.Payload[i+1:])
 				}
-				if p.reconnectThroughAnotherOrigin(relay, peerTrace) {
-					return true
-				}
-				// Refused or failed: keep pumping the old stream until it
-				// dies; the client will re-connect organically.
+				spliced = make(chan bool, 1)
+				p.wg.Add(1)
+				go func() {
+					defer p.wg.Done()
+					spliced <- p.reconnectThroughAnotherOrigin(relay, peerTrace)
+				}()
 			}
+		case ok := <-spliced:
+			if ok {
+				return true
+			}
+			// Refused or failed: keep pumping the old stream until it
+			// dies; the client will re-connect organically.
+			spliced = nil
 		}
 	}
 }
@@ -729,7 +761,13 @@ func (p *Proxy) reconnectThroughAnotherOrigin(relay *mqttRelay, peerTrace string
 	case c := <-st.Controls():
 		switch c.Type {
 		case h2t.FrameConnectAck:
-			old := relay.swapStream(st)
+			old, ok := relay.swapStream(st)
+			if !ok {
+				// The user hung up while the re_connect ran.
+				st.Reset()
+				sp.Fail(errors.New("proxy: relay closed during re_connect"))
+				return false
+			}
 			if old != nil {
 				old.Reset()
 			}

@@ -89,7 +89,7 @@ func (os *originSession) close() {
 func (p *Proxy) handleTunnelConn(conn net.Conn) {
 	os := &originSession{
 		p:      p,
-		sess:   h2t.NewSession(conn, false),
+		sess:   h2t.NewSession(conn, false, h2t.WithMetrics(p.tunnelMetrics)),
 		relays: make(map[*h2t.Stream]*brokerRelay),
 	}
 	p.mu.Lock()
@@ -307,9 +307,22 @@ func (p *Proxy) forwardHTTP(st *h2t.Stream, hdr map[string]string) {
 	if c := sp.Context().String(); c != "" {
 		r.trace = c
 	}
+	// However the request ends — relayed response, the 500 after the
+	// last attempt, an early reply from the app server — a request the
+	// Origin has not read to its END_STREAM is reset behind the response.
+	// The Edge may be parked on the stream's window with body still to
+	// send, and no reader is left here to give it credit; the RST is what
+	// ends its pump. (After END_STREAM both ways the stream is reaped and
+	// there is nothing to reset.)
+	defer func() {
+		if n, end := st.Buffered(); n > 0 || !end {
+			st.Reset()
+		}
+	}()
 
 	if (r.method == "POST" || r.method == "PUT") && r.cl != 0 {
-		bp := bufpool.Get(8 << 10)
+		// One frame per read of the stream.
+		bp := bufpool.Get(bufpool.TierLarge)
 		defer bufpool.Put(bp)
 		r.rest, r.buf = st, *bp
 	}

@@ -34,6 +34,7 @@ import (
 	"zdr/internal/consistent"
 	"zdr/internal/disrupt"
 	"zdr/internal/faults"
+	"zdr/internal/h2t"
 	"zdr/internal/katran"
 	"zdr/internal/metrics"
 	"zdr/internal/netx"
@@ -263,6 +264,10 @@ type Proxy struct {
 	// cQUIC is edge.quic.requests, resolved once like them.
 	cQUIC *metrics.Counter
 
+	// tunnelMetrics are the h2t sessions' counters (window stalls, credit
+	// frames, resident receive bytes) in this instance's registry.
+	tunnelMetrics *h2t.Metrics
+
 	// upstream holds the Origin's app-server connections (nil at the
 	// Edge). It belongs to this generation alone.
 	upstream *upstreamPool
@@ -313,6 +318,7 @@ func New(cfg Config, reg *metrics.Registry) *Proxy {
 		drainCh:     make(chan struct{}),
 	}
 	p.gRIF = reg.Gauge("proxy.rif")
+	p.tunnelMetrics = h2t.NewMetrics(reg)
 	if cfg.Role == RoleOrigin {
 		p.brokerRing = consistent.NewRing(100, cfg.Brokers...)
 		p.latHTTP = reg.AtomicHistogram("origin.http.latency")
@@ -769,8 +775,9 @@ func (p *Proxy) handleHealthConn(conn net.Conn) {
 
 // ServeTakeover runs the Socket Takeover server on path (Fig. 5 step A).
 // When a new instance completes the hand-off, this instance automatically
-// starts draining. Returns immediately; the hand-off happens in the
-// background.
+// starts draining. Returns once the path is bound — a next generation can
+// connect from that moment — or with the reason it could not be; the
+// hand-off happens in the background.
 func (p *Proxy) ServeTakeover(path string) error {
 	p.mu.Lock()
 	set := p.set
@@ -836,17 +843,14 @@ func (p *Proxy) ServeTakeover(path string) error {
 		}
 		srv.Meta = map[string]string{"quic-forward": fwd.String()}
 	}
+	if err := srv.Listen(path); err != nil {
+		return err
+	}
 	p.mu.Lock()
 	p.takeSrv = srv
 	p.mu.Unlock()
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.ListenAndServe(path) }()
-	select {
-	case err := <-errCh:
-		return err
-	case <-time.After(50 * time.Millisecond):
-		return nil // serving in background
-	}
+	go srv.Serve() // until a committed hand-off or Close
+	return nil
 }
 
 // TakeoverFrom connects to the old instance's takeover server, receives

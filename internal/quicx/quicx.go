@@ -156,8 +156,10 @@ type Server struct {
 	closed    bool
 	// mainLoops counts live VIP read loops (0 or 1). UndoDrain and the
 	// loop's own exit decision share the mutex, so an undo never leaves
-	// the socket with zero readers or spawns a second one.
+	// the socket with zero readers or spawns a second one. mainExit is
+	// signalled when it drops: StartDraining waits on it.
 	mainLoops int
+	mainExit  sync.Cond // L is &mu
 	// fwdLoop records that the forward read loop has been spawned; it
 	// runs until Close, so a drain → undo → drain cycle must not spawn
 	// another.
@@ -188,7 +190,7 @@ func NewServer(name string, vip net.PacketConn, handler Handler, reg *metrics.Re
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
-	return &Server{
+	s := &Server{
 		name:      name,
 		reg:       reg,
 		cRx:       reg.Counter("quicx.rx"),
@@ -200,6 +202,8 @@ func NewServer(name string, vip net.PacketConn, handler Handler, reg *metrics.Re
 		acceptNew: true,
 		main:      vip,
 	}
+	s.mainExit.L = &s.mu
+	return s
 }
 
 // Metrics returns the server's registry.
@@ -286,10 +290,18 @@ func (s *Server) PrepareDrain() (*net.UDPAddr, error) {
 }
 
 // StartDraining puts the server in drain mode: it stops reading the VIP
-// socket conceptually (the caller hands the socket to the new instance;
-// this server keeps serving existing flows via its forward socket and
-// writes replies through its still-shared copy of the VIP socket). It
-// returns the local forward address the new instance should tunnel to.
+// socket (the caller hands the socket to the new instance; this server
+// keeps serving existing flows via its forward socket and writes replies
+// through its still-shared copy of the VIP socket). It returns the local
+// forward address the new instance should tunnel to.
+//
+// It is a fence: when it returns, the VIP read loop has exited — having
+// handled the datagrams it had already pulled — and this server takes no
+// further datagram from the VIP, so the instant of return is the instant
+// the VIP's read side has one owner again (§4.1: a datagram the old
+// generation wins after the hand-off is one the new generation never gets
+// to route). Only UndoDrain, which gives the read side back, or Close
+// ends the wait early.
 func (s *Server) StartDraining() (*net.UDPAddr, error) {
 	fwdAddr, err := s.PrepareDrain()
 	if err != nil {
@@ -318,6 +330,11 @@ func (s *Server) StartDraining() (*net.UDPAddr, error) {
 			s.readLoop(fwd, true)
 		}()
 	}
+	s.mu.Lock()
+	for s.mainLoops > 0 && s.drainMain && !s.closed {
+		s.mainExit.Wait()
+	}
+	s.mu.Unlock()
 	return fwdAddr, nil
 }
 
@@ -341,6 +358,7 @@ func (s *Server) UndoDrain() {
 	if spawn {
 		s.mainLoops++
 	}
+	s.mainExit.Broadcast() // a StartDraining still waiting has been overtaken
 	s.mu.Unlock()
 	// Clear the poison deadline StartDraining used to kick the loop.
 	s.main.SetReadDeadline(time.Time{})
@@ -364,6 +382,7 @@ func (s *Server) Close() {
 	}
 	s.closed = true
 	fwd := s.fwd
+	s.mainExit.Broadcast()
 	s.mu.Unlock()
 	s.main.Close()
 	if fwd != nil {
@@ -403,24 +422,22 @@ func (s *Server) readLoop(conn net.PacketConn, forwarded bool) {
 		msgs, err := bc.ReadBatch()
 		if err != nil {
 			if !forwarded {
+				var ne net.Error
+				timeout := errors.As(err, &ne) && ne.Timeout()
 				// The exit decision and the mainLoops decrement are one
 				// critical section: UndoDrain's decision to spawn a
 				// replacement reader keys off mainLoops under the same
 				// lock, so the two can never double-spawn or strand the
 				// socket readerless.
 				s.mu.Lock()
-				if s.drainMain || s.closed {
-					s.mainLoops--
+				if timeout && !s.drainMain && !s.closed {
 					s.mu.Unlock()
-					return // hand the VIP socket's read side to the new instance
-				}
-				s.mu.Unlock()
-				var ne net.Error
-				if errors.As(err, &ne) && ne.Timeout() {
 					continue // spurious deadline; keep serving
 				}
-				s.mu.Lock()
+				// Draining hands the VIP socket's read side to the new
+				// instance; anything else that ends the loop is final.
 				s.mainLoops--
+				s.mainExit.Broadcast()
 				s.mu.Unlock()
 			}
 			return

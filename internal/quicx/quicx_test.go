@@ -146,7 +146,22 @@ func TestFlowClose(t *testing.T) {
 // instance; the new instance forwards old flows to the draining instance
 // via the host-local socket; old flows keep working and new flows land on
 // the new instance. Zero mis-routing.
-func TestTakeoverWithUserSpaceRouting(t *testing.T) {
+func TestTakeoverWithUserSpaceRouting(t *testing.T) { takeoverWithUserSpaceRouting(t) }
+
+// TestStartDrainingIsAFence runs the takeover fifty times over. Before
+// StartDraining waited for the VIP read loop to exit, the old generation
+// won the first datagram after the hand-off in most runs on a two-core
+// machine, and the flow was served without ever crossing the forwarding
+// path — the §4.1 mis-routing window, open for as long as the loop took
+// to notice its deadline.
+func TestStartDrainingIsAFence(t *testing.T) {
+	for i := 0; i < 50; i++ {
+		takeoverWithUserSpaceRouting(t)
+	}
+}
+
+func takeoverWithUserSpaceRouting(t *testing.T) {
+	t.Helper()
 	vip := newVIP(t)
 	oldSrv := NewServer("old", vip, func(c ConnID, p []byte) []byte {
 		return append([]byte("old:"), p...)
@@ -183,6 +198,12 @@ func TestTakeoverWithUserSpaceRouting(t *testing.T) {
 	fwdAddr, err := oldSrv.StartDraining()
 	if err != nil {
 		t.Fatal(err)
+	}
+	oldSrv.mu.Lock()
+	readers := oldSrv.mainLoops
+	oldSrv.mu.Unlock()
+	if readers != 0 {
+		t.Fatalf("StartDraining returned with %d VIP read loops still running", readers)
 	}
 	newSrv.SetForward(fwdAddr)
 	newSrv.Start()

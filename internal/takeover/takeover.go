@@ -1257,6 +1257,16 @@ func awaitReady(conn *net.UnixConn, timeout time.Duration) error {
 // ListenAndServe binds the pre-specified UNIX path and serves hand-offs
 // until Close. It removes a stale socket file first.
 func (s *Server) ListenAndServe(path string) error {
+	if err := s.Listen(path); err != nil {
+		return err
+	}
+	return s.Serve()
+}
+
+// Listen binds the pre-specified UNIX path, removing a stale socket file
+// first. When it returns nil a next generation can connect: the hand-off
+// waits in the listen backlog until Serve accepts it.
+func (s *Server) Listen(path string) error {
 	if err := removeStaleSocket(path); err != nil {
 		return err
 	}
@@ -1267,6 +1277,18 @@ func (s *Server) ListenAndServe(path string) error {
 	s.mu.Lock()
 	s.ul = ul
 	s.mu.Unlock()
+	return nil
+}
+
+// Serve serves hand-offs on the path Listen bound until Close.
+func (s *Server) Serve() error {
+	s.mu.Lock()
+	ul := s.ul
+	s.mu.Unlock()
+	if ul == nil {
+		return errors.New("takeover: Serve without Listen")
+	}
+	path := ul.Addr().String()
 	defer s.Close() // release the path so the next generation can bind it
 	for {
 		conn, err := ul.AcceptUnix()
