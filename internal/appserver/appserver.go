@@ -415,13 +415,12 @@ func (s *Server) readBodyInterruptible(conn net.Conn, req *http1.Request, body [
 	}
 }
 
-// graceRead drains bytes already in flight from the downstream proxy after
-// the restart signal: the proxy stops forwarding as soon as it sees our
-// 379, so reading until the line goes quiet guarantees the partial body we
-// hand back contains every byte the proxy believes it delivered — the
-// invariant Partial Post Replay needs for the replayed request to equal
-// the original. Returns complete=true if the body actually finished during
-// the grace window (then it is served normally instead of handed back).
+// graceRead keeps reading the request body until the line goes quiet
+// (GraceSilence without a byte), the body ends, or GraceWindow has passed.
+// It runs twice for a request the restart caught: after the restart
+// signal, to give a body that is nearly there the chance to finish and be
+// served normally (complete=true); and again behind the 379's head (see
+// handBack), where quiet means the proxy has stopped forwarding.
 func (s *Server) graceRead(conn net.Conn, req *http1.Request, body []byte) ([]byte, bool, error) {
 	silence := s.cfg.GraceSilence
 	bp := bufpool.Get(s.cfg.BodyChunk)
@@ -450,6 +449,36 @@ func (s *Server) graceRead(conn net.Conn, req *http1.Request, body []byte) ([]by
 	return body, false, nil
 }
 
+// handBack is the body of a 379: every byte of the request body this
+// server was sent. The proxy stops forwarding when it sees the 379's head,
+// not before, so whatever it wrote between this server's last read and
+// that moment is still on the line — and Partial Post Replay needs the
+// echo to hold every byte the proxy believes it delivered, or the replayed
+// request comes out short. The echo is therefore of unknown length
+// (chunked) and is produced on its first Read, which http1 makes only
+// after it has put the head on the wire: that Read first takes in what
+// the proxy had still been sending, until the line goes quiet.
+type handBack struct {
+	s       *Server
+	conn    net.Conn
+	req     *http1.Request
+	partial []byte
+	drained bool
+}
+
+func (h *handBack) Read(p []byte) (int, error) {
+	if !h.drained {
+		h.drained = true
+		h.partial, _, _ = h.s.graceRead(h.conn, h.req, h.partial)
+	}
+	if len(h.partial) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, h.partial)
+	h.partial = h.partial[n:]
+	return n, nil
+}
+
 // respondInterrupted emits the Mode-selected response for a request whose
 // body was cut off by the restart. Always closes the connection after.
 func (s *Server) respondInterrupted(conn net.Conn, req *http1.Request, partial []byte) bool {
@@ -462,7 +491,7 @@ func (s *Server) respondInterrupted(conn net.Conn, req *http1.Request, partial [
 		resp = http1.NewResponse(307, nil, 0)
 		resp.Header.Set("Location", req.Target)
 	default: // ModePPR
-		resp = http1.NewResponse(http1.StatusPartialPostReplay, bytes.NewReader(partial), int64(len(partial)))
+		resp = http1.NewResponse(http1.StatusPartialPostReplay, &handBack{s: s, conn: conn, req: req, partial: partial}, -1)
 		// §5.2: pseudo-headers of the original request are echoed with a
 		// special prefix so the proxy can rebuild the request.
 		resp.Header.Set(http1.EchoPseudoHeader(":method"), req.Method)

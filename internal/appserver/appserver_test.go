@@ -147,6 +147,48 @@ func TestPPROnRestart(t *testing.T) {
 	}
 }
 
+// TestPPREchoesWhatArrivesBehindThe379: the proxy stops forwarding when it
+// sees the 379's head, so what it wrote just before that — here one more
+// piece, sent after the head has been read — must still be in the echo.
+// (An echo cut off at the server's last read made the replayed request
+// short: the next app server waited for the missing bytes and the client
+// timed out.)
+func TestPPREchoesWhatArrivesBehindThe379(t *testing.T) {
+	s := startServer(t, Config{
+		Mode: ModePPR, DrainPeriod: 50 * time.Millisecond,
+		GraceWindow: 150 * time.Millisecond, GraceSilence: 50 * time.Millisecond,
+	})
+	conn, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("POST /upload HTTP/1.1\r\nContent-Length: 2000\r\n\r\nfirst-piece ")); err != nil {
+		t.Fatal(err)
+	}
+	for s.Metrics().CounterValue("appserver.requests") == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	go s.Shutdown()
+
+	conn.SetReadDeadline(time.Now().Add(3 * time.Second))
+	resp, err := http1.ReadResponse(bufio.NewReader(conn))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !http1.IsPartialPostReplay(resp) {
+		t.Fatalf("status = %d %q, want 379 PartialPOST", resp.StatusCode, resp.StatusMessage)
+	}
+	// The head is here; a proxy's write that was already under way lands now.
+	if _, err := conn.Write([]byte("late-piece")); err != nil {
+		t.Fatal(err)
+	}
+	got, err := http1.ReadFullBody(resp.Body)
+	if err != nil || string(got) != "first-piece late-piece" {
+		t.Fatalf("echo = %q, %v; want every byte sent before the proxy could stop", got, err)
+	}
+}
+
 // TestFail500OnRestart is the §4.3 option-(i) baseline.
 func TestFail500OnRestart(t *testing.T) {
 	s := startServer(t, Config{Mode: ModeFail500, DrainPeriod: 50 * time.Millisecond})

@@ -200,7 +200,7 @@ func TestCrossProcessTakeover(t *testing.T) {
 	}()
 	time.Sleep(200 * time.Millisecond)
 
-	if err := katran.ProbeHC(healthAddr, time.Second); err != nil {
+	if err := (&katran.HCProber{}).Probe(healthAddr, time.Second); err != nil {
 		t.Fatalf("gen1 health probe: %v", err)
 	}
 
@@ -231,7 +231,7 @@ func TestCrossProcessTakeover(t *testing.T) {
 		t.Fatalf("only %d requests served; load generator broken?", served.Load())
 	}
 	// Health checks now answered by gen2 (step F).
-	if err := katran.ProbeHC(healthAddr, time.Second); err != nil {
+	if err := (&katran.HCProber{}).Probe(healthAddr, time.Second); err != nil {
 		t.Fatalf("health probe after takeover: %v", err)
 	}
 }

@@ -19,7 +19,7 @@ func newBenchLB(b *testing.B, cacheSize int) *LB {
 
 // BenchmarkForward is the per-packet steering hot path under parallel
 // load: every goroutine steers flows that are already resident in the
-// §5.1 connection-table cache, the common case for established traffic.
+// §5.1 connection table, the common case for established traffic.
 // Run with -cpu 4 to expose lock contention.
 func BenchmarkForward(b *testing.B) {
 	const flows = 8192
@@ -42,8 +42,8 @@ func BenchmarkForward(b *testing.B) {
 	})
 }
 
-// BenchmarkForwardNoCache is the table-pick path: no connection cache, so
-// every packet consults the Maglev table (lock-free after sharding).
+// BenchmarkForwardNoCache is the policy-pick path: no connection table, so
+// every packet consults the Maglev table (lock-free).
 func BenchmarkForwardNoCache(b *testing.B) {
 	lb := newBenchLB(b, 0)
 	b.ReportAllocs()
@@ -116,9 +116,9 @@ func BenchmarkFlowTableBump(b *testing.B) {
 	}
 }
 
-// BenchmarkForwardFlowTable is the steering hot path when pins come from
-// the compact table instead of the LRU cache (cache disabled): the
-// million-flow configuration's steady state.
+// BenchmarkForwardFlowTable is BenchmarkForward with the table sized by
+// FlowTableSize, the other name for the same size; both stay because
+// BENCH_baseline.json tracks both.
 func BenchmarkForwardFlowTable(b *testing.B) {
 	const flows = 8192
 	lb := New("bench", Config{FlowTableSize: 1 << 16}, nil)

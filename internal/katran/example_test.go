@@ -6,7 +6,7 @@ import (
 	"zdr/internal/katran"
 )
 
-// Example shows flow steering with the LRU connection-table cache: a
+// Example shows flow steering with the §5.1 connection table: a
 // momentary health flap does not move unrelated established flows.
 func Example() {
 	lb := katran.New("l4-1", katran.Config{FlowCacheSize: 1024}, nil)

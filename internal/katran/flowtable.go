@@ -6,13 +6,13 @@ import (
 	"sync/atomic"
 )
 
-// FlowTable is the million-flow routing memory behind Steer: a compact,
-// bounded-memory, O(1)-update hash table pinning flow hashes to backends,
-// in the spirit of Concury's stateless-ish connection table and the
-// stateful/stateless tradeoff analysis in *LB Scalability* (PAPERS.md).
-// Where ShardedFlowCache is the small §5.1 LRU that absorbs *momentary*
-// shuffles, the FlowTable is sized for every established flow an instance
-// carries, so its design goals are different:
+// FlowTable is the routing memory behind Steer and the LB's only
+// flow-pinning tier — §5.1's "connection table cache for the most recent
+// flows": a compact, bounded-memory, O(1)-update hash table pinning flow
+// hashes to backends, in the spirit of Concury's stateless-ish connection
+// table and the stateful/stateless tradeoff analysis in *LB Scalability*
+// (PAPERS.md). It absorbs momentary shuffles of the routing ring and is
+// sized for every established flow an instance carries:
 //
 //   - Bounded memory per flow: each entry is exactly 16 bytes (flow hash +
 //     packed slot/epoch word) in flat, pointer-free arrays allocated once
@@ -34,6 +34,11 @@ import (
 // unhealthy or drained tombstones its slot in a fresh view — again one
 // O(1) publication flipping every flow pinned to it — and re-admitting it
 // revives the slot, so flows return to their §5.1-consistent home.
+//
+// A table owned by an LB is published by the LB: each view it derives is
+// carried inside the LB's routing View, so Steer resolves a pin and its
+// Backend record from the one snapshot it loaded. The name-based methods
+// below serve a standalone table (idleconns, tests).
 //
 // All methods are safe for concurrent use: lookups take one shard mutex
 // held for a handful of word operations; view publications are lock-free
@@ -82,8 +87,8 @@ func (e flowTableEntry) slot() uint16   { return uint16(e.meta >> ftSlotShift) }
 func (e flowTableEntry) epoch() uint32  { return uint32(e.meta & ftEpochMask) }
 
 // flowTableShard owns a contiguous run of buckets under one lock, padded
-// to 128 bytes (two cache lines, matching flowShard's prefetch-pair
-// stride) so adjacent shard locks never false-share.
+// to 128 bytes — two cache lines, one adjacent-line-prefetch pair — so
+// adjacent shard locks never false-share.
 type flowTableShard struct {
 	mu      sync.Mutex
 	entries []flowTableEntry // bucketsPerShard × ftBucketWay
@@ -101,9 +106,10 @@ type flowTableView struct {
 	// below it are dead regardless of their slot — the O(1) mass
 	// invalidation a takeover uses to flip millions of flows at once.
 	minEpoch uint32
-	// names maps slot -> backend name. Slots are stable for the table's
-	// lifetime so re-admitted backends revive their pinned flows.
-	names []string
+	// backends maps slot -> backend record (as of the slot's last
+	// admission). Slots are stable for the table's lifetime so re-admitted
+	// backends revive their pinned flows.
+	backends []Backend
 	// live marks slots currently routable; a drained backend's slot is
 	// tombstoned (false) in one publication.
 	live []bool
@@ -165,6 +171,17 @@ func bitsFor(n int) int {
 	return b
 }
 
+// shardMix is the splitmix64 finalizer: shard and bucket choice must not
+// correlate with low flow-hash bits (sequential connection IDs would
+// otherwise pile onto a few shards).
+func shardMix(h uint64) uint64 {
+	h ^= h >> 30
+	h *= 0xbf58476d1ce4e5b9
+	h ^= h >> 27
+	h *= 0x94d049bb133111eb
+	return h ^ (h >> 31)
+}
+
 // locate returns the shard and the first entry index of flow's bucket.
 func (t *FlowTable) locate(flow uint64) (*flowTableShard, int) {
 	h := shardMix(flow)
@@ -209,38 +226,46 @@ func (t *FlowTable) Len() int {
 // missing from names has its slot tombstoned, flipping all flows pinned
 // to it in this one O(1) publication. Entry arrays are untouched.
 func (t *FlowTable) SetBackends(names []string) {
+	live := make([]Backend, len(names))
+	for i, n := range names {
+		live[i] = Backend{Name: n}
+	}
+	sort.Slice(live, func(i, j int) bool { return live[i].Name < live[j].Name })
+	t.setBackends(live)
+}
+
+// setBackends is SetBackends over full records, in the order given (slot
+// assignment follows it, so callers sort), returning the published view.
+func (t *FlowTable) setBackends(live []Backend) *flowTableView {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	old := t.view.Load()
 	nv := &flowTableView{
 		epoch:    old.epoch,
 		minEpoch: old.minEpoch,
-		names:    append([]string(nil), old.names...),
-		live:     make([]bool, len(old.live)),
-		slots:    make(map[string]uint16, len(old.slots)+len(names)),
+		backends: append([]Backend(nil), old.backends...),
+		live:     make([]bool, len(old.live), len(old.live)+len(live)),
+		slots:    make(map[string]uint16, len(old.slots)+len(live)),
 	}
 	for k, v := range old.slots {
 		nv.slots[k] = v
 	}
-	sorted := append([]string(nil), names...)
-	sort.Strings(sorted)
-	for _, n := range sorted {
-		slot, ok := nv.slots[n]
+	for _, b := range live {
+		slot, ok := nv.slots[b.Name]
 		if !ok {
-			if len(nv.names) >= maxFlowTableSlots {
-				continue // slot space exhausted: flows fall through to Maglev
+			if len(nv.backends) >= maxFlowTableSlots {
+				continue // slot space exhausted: flows fall through to the policy
 			}
-			slot = uint16(len(nv.names))
-			nv.slots[n] = slot
-			nv.names = append(nv.names, n)
+			slot = uint16(len(nv.backends))
+			nv.slots[b.Name] = slot
+			nv.backends = append(nv.backends, b)
 			nv.live = append(nv.live, false)
 		}
-		for int(slot) >= len(nv.live) {
-			nv.live = append(nv.live, false)
-		}
+		nv.backends[slot] = b
 		nv.live[slot] = true
 	}
 	t.view.Store(nv)
+	return nv
 }
 
 // Bump advances the release generation. With invalidate, the validity
@@ -250,62 +275,74 @@ func (t *FlowTable) SetBackends(names []string) {
 // existing pins stay routable and only new writes carry the new tag
 // (bookkeeping bump, e.g. a release that kept the backend set).
 func (t *FlowTable) Bump(invalidate bool) uint32 {
+	return t.bump(invalidate).epoch
+}
+
+func (t *FlowTable) bump(invalidate bool) *flowTableView {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	old := t.view.Load()
-	nv := &flowTableView{
-		epoch:    old.epoch + 1,
-		minEpoch: old.minEpoch,
-		names:    old.names,
-		live:     old.live,
-		slots:    old.slots,
-	}
+	nv := *t.view.Load()
+	nv.epoch++
 	if invalidate {
 		nv.minEpoch = nv.epoch
 	}
-	t.view.Store(nv)
+	t.view.Store(&nv)
 	t.epochBumps.Add(1)
-	return nv.epoch
+	return &nv
 }
 
-// lookupView resolves an entry against a view: the entry must be from a
+// resolve checks an entry against a view: the entry must be from a
 // still-routable generation and point at a live slot.
-func (v *flowTableView) resolve(e flowTableEntry) (string, bool) {
+func (v *flowTableView) resolve(e flowTableEntry) (slot uint16, ok bool) {
 	if !e.occupied() {
-		return "", false
+		return 0, false
 	}
 	ep := e.epoch()
 	if ep < v.minEpoch || ep > v.epoch {
-		return "", false
+		return 0, false
 	}
-	slot := int(e.slot())
-	if slot >= len(v.live) || !v.live[slot] {
-		return "", false
+	slot = e.slot()
+	if int(slot) >= len(v.live) || !v.live[slot] {
+		return 0, false
 	}
-	return v.names[slot], true
+	return slot, true
+}
+
+// findLocked returns the index of flow's entry in the bucket at base, or
+// -1. Caller holds s.mu.
+func (s *flowTableShard) findLocked(base int, flow uint64) int {
+	for i := base; i < base+ftBucketWay; i++ {
+		if e := s.entries[i]; e.occupied() && e.key == flow {
+			return i
+		}
+	}
+	return -1
+}
+
+// lookup resolves flow's pin against v, the view the caller is routing by.
+func (t *FlowTable) lookup(v *flowTableView, flow uint64) (slot uint16, ok bool) {
+	s, base := t.locate(flow)
+	s.mu.Lock()
+	if at := s.findLocked(base, flow); at >= 0 {
+		slot, ok = v.resolve(s.entries[at])
+	}
+	s.mu.Unlock()
+	return slot, ok
 }
 
 // Lookup returns the pinned backend for flow, if the pin's generation is
 // still routable and its backend is live.
 func (t *FlowTable) Lookup(flow uint64) (string, bool) {
 	v := t.view.Load()
-	s, base := t.locate(flow)
-	s.mu.Lock()
-	for i := base; i < base+ftBucketWay; i++ {
-		e := s.entries[i]
-		if e.occupied() && e.key == flow {
-			name, ok := v.resolve(e)
-			s.mu.Unlock()
-			return name, ok
-		}
+	slot, ok := t.lookup(v, flow)
+	if !ok {
+		return "", false
 	}
-	s.mu.Unlock()
-	return "", false
+	return v.backends[slot].Name, true
 }
 
 // Insert pins flow to backend under the current generation. It reports
-// false when backend has no interned slot (unknown to SetBackends) — the
-// caller simply falls through to Maglev on the next packet.
+// false when backend has no interned slot (unknown to SetBackends).
 func (t *FlowTable) Insert(flow uint64, backend string) bool {
 	v := t.view.Load()
 	slot, ok := v.slots[backend]
@@ -350,64 +387,6 @@ func (t *FlowTable) storeLocked(s *flowTableShard, base int, flow, meta uint64) 
 	}
 	s.entries[at] = flowTableEntry{key: flow, meta: meta}
 	t.entryWrites.Add(1)
-}
-
-// Delete removes flow's pin.
-func (t *FlowTable) Delete(flow uint64) {
-	s, base := t.locate(flow)
-	s.mu.Lock()
-	for i := base; i < base+ftBucketWay; i++ {
-		if s.entries[i].occupied() && s.entries[i].key == flow {
-			s.entries[i] = flowTableEntry{}
-			s.count--
-			t.entryWrites.Add(1)
-			break
-		}
-	}
-	s.mu.Unlock()
-}
-
-// Update runs fn under flow's shard lock with the currently resolved pin
-// (ok=false when absent, dead-generation, or tombstoned) and applies the
-// result: keep=false deletes the pin, otherwise next is pinned under the
-// current generation. This is the validate-and-replace primitive Steer's
-// stale path uses so a concurrent re-pick of the same flow cannot
-// resurrect a just-replaced entry. fn must not call back into the table.
-func (t *FlowTable) Update(flow uint64, fn func(cur string, ok bool) (next string, keep bool)) {
-	v := t.view.Load()
-	s, base := t.locate(flow)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cur, ok := "", false
-	at := -1
-	for i := base; i < base+ftBucketWay; i++ {
-		e := s.entries[i]
-		if e.occupied() && e.key == flow {
-			at = i
-			cur, ok = v.resolve(e)
-			break
-		}
-	}
-	next, keep := fn(cur, ok)
-	if !keep {
-		if at >= 0 {
-			s.entries[at] = flowTableEntry{}
-			s.count--
-			t.entryWrites.Add(1)
-		}
-		return
-	}
-	if ok && next == cur {
-		return // unchanged pin: no write
-	}
-	// Re-load the view: fn may have observed a newer routing snapshot and
-	// its pick must be interned against the freshest slot map.
-	v = t.view.Load()
-	slot, have := v.slots[next]
-	if !have {
-		return
-	}
-	t.storeLocked(s, base, flow, ftMeta(slot, v.epoch))
 }
 
 // Occupancy returns Len()/Capacity() in parts per thousand, the gauge the

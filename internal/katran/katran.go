@@ -11,10 +11,10 @@
 //     draining mode ... by failing health-checks from Katran to remove the
 //     instance from the routing ring", §2.3) with consecutive-success/
 //     -failure thresholds,
-//   - the §5.1 remediation: an LRU connection-table cache of recent flows
-//     that absorbs momentary shuffles in the routing topology so
-//     established connections keep landing on the same L7LB even when a
-//     health flap briefly changes the Maglev table,
+//   - the §5.1 remediation: a connection table of recent flows (the
+//     FlowTable) that absorbs momentary shuffles in the routing topology
+//     so established connections keep landing on the same L7LB even when
+//     a health flap briefly changes the Maglev table,
 //   - a pluggable steering Policy deciding where FRESH flows land: the
 //     default PolicyMaglev (placement-only consistent hashing) or the
 //     drain-aware adaptive PolicyPrequal (probe-based power-of-d with the
@@ -25,11 +25,12 @@
 // it.
 //
 // Concurrency model (DESIGN.md §8): steering is the per-packet hot path,
-// so Steer never takes the control-plane lock. The routing View (Maglev
-// table + healthy-backend set) is an immutable snapshot published through
-// an atomic pointer; rebuilds construct a fresh snapshot under lb.mu and
-// swap it in. The flow cache is sharded with per-shard locks so concurrent
-// flows rarely contend.
+// so Steer never takes the control-plane lock and never allocates. The
+// routing View (Maglev table, healthy-backend set, and the flow table's
+// slot → Backend view) is ONE immutable snapshot published through an
+// atomic pointer; rebuilds and generation bumps construct a fresh snapshot
+// under lb.mu and swap it in. The flow table is sharded with per-shard
+// locks so concurrent flows rarely contend.
 package katran
 
 import (
@@ -69,18 +70,22 @@ type Config struct {
 	UnhealthyAfter int
 	// ProbeTimeout bounds one probe (default 500ms).
 	ProbeTimeout time.Duration
-	// FlowCacheSize enables the §5.1 LRU connection-table cache when > 0.
+	// FlowCacheSize and FlowTableSize both size the one flow-pinning tier,
+	// the §5.1 connection table (FlowTable); it is enabled when either is
+	// > 0 and takes the larger of the two requests. FlowCacheSize is in
+	// flows the table must hold — the contract of the LRU cache that used
+	// to sit in front of the table — and is allocated at
+	// flowTableHeadroom sockets per flow. The table pins every flow it
+	// has seen until its bucket overflows, and flips routing on a takeover
+	// with a single epoch bump (AdvanceGeneration) instead of per-entry
+	// writes.
 	FlowCacheSize int
-	// FlowCacheShards splits the flow cache into this many lock shards
-	// (rounded up to a power of two; 0 = DefaultFlowCacheShards).
-	FlowCacheShards int
-	// FlowTableSize enables the generation-tagged compact flow table when
-	// > 0: bounded-memory (16 B/flow) pinning for every established flow,
-	// sized for millions, whose routing flips on a takeover with a single
-	// epoch bump (AdvanceGeneration) instead of per-entry writes. The
-	// small LRU cache (FlowCacheSize) sits in front of it as the §5.1
-	// momentary-shuffle absorber.
+	// FlowTableSize is in sockets (16 B each, 8-way buckets), as it always
+	// was: a caller sizing for N flows asks for a multiple of N.
 	FlowTableSize int
+	// FlowCacheShards is ignored (the LRU it sharded is gone); it stays
+	// only until bench/rig, its last setter, can change.
+	FlowCacheShards int
 	// FlowTableShards splits the flow table into this many lock shards
 	// (rounded up to a power of two; 0 = DefaultFlowTableShards).
 	FlowTableShards int
@@ -91,15 +96,17 @@ type Config struct {
 	// probes, so one faults.Injector dialer chaos-tests both.
 	Prober Prober
 	// Policy decides where fresh flows land (default NewPolicyMaglev()).
-	// The LB's pinning layers — flow cache and flow table — sit in front
-	// of every policy; see the Policy doc for the precedence contract.
+	// The flow table sits in front of every policy; see the Policy doc
+	// for the precedence contract.
 	Policy Policy
-	// Probe overrides the prober.
-	//
-	// Deprecated: set Prober instead. A non-nil Probe is wrapped into a
-	// Prober that cannot answer load probes.
-	Probe ProbeFunc
 }
+
+// flowTableHeadroom is the table's sockets per flow of FlowCacheSize, i.e.
+// a load factor of 1/4 with that many flows resident: an 8-way bucket then
+// holds a Poisson(2) number of flows and overflows — evicting a pin that
+// an LRU of that size would have kept — for about 1 flow in 7,000. At 1/2
+// it would be 1 in 120.
+const flowTableHeadroom = 4
 
 func (c *Config) fill() {
 	if c.HealthyAfter <= 0 {
@@ -112,11 +119,7 @@ func (c *Config) fill() {
 		c.ProbeTimeout = 500 * time.Millisecond
 	}
 	if c.Prober == nil {
-		if c.Probe != nil {
-			c.Prober = funcProber{c.Probe}
-		} else {
-			c.Prober = &HCProber{}
-		}
+		c.Prober = &HCProber{}
 	}
 	if c.Policy == nil {
 		c.Policy = NewPolicyMaglev()
@@ -129,15 +132,9 @@ type LB struct {
 	cfg    Config
 	reg    *metrics.Registry
 	policy Policy
-	// fastMaglev devirtualizes the default policy: when the policy is
-	// the stock PolicyMaglev, repick inlines the placement pick instead
-	// of paying an interface dispatch + Backend copy on the uncached
-	// steer path (measured ~30% of that path's budget).
-	fastMaglev bool
 
 	// Hot-path counters, resolved once: Registry.Counter takes the
 	// registry mutex per lookup, which would serialize Steer again.
-	cCacheHit   *metrics.Counter
 	cTableHit   *metrics.Counter
 	cPolicyPick *metrics.Counter
 
@@ -152,8 +149,7 @@ type LB struct {
 	mu       sync.Mutex // control plane: guards backends + snapshot publication
 	backends map[string]*backendState
 
-	cache *ShardedFlowCache
-	table *FlowTable
+	table *FlowTable // nil: no pinning, every steer is a policy pick
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -171,7 +167,6 @@ func New(name string, cfg Config, reg *metrics.Registry) *LB {
 		cfg:         cfg,
 		reg:         reg,
 		policy:      cfg.Policy,
-		cCacheHit:   reg.Counter("katran.steer.cache_hit"),
 		cTableHit:   reg.Counter("katran.steer.flowtable_hit"),
 		cPolicyPick: reg.Counter("katran.steer.policy_pick"),
 		gOccupancy:  reg.Gauge("katran.flowtable.occupancy"),
@@ -179,23 +174,21 @@ func New(name string, cfg Config, reg *metrics.Registry) *LB {
 		backends:    make(map[string]*backendState),
 		stop:        make(chan struct{}),
 	}
-	_, lb.fastMaglev = lb.policy.(*PolicyMaglev)
 	reg.Gauge("katran.steer.policy_" + lb.policy.Name()).Set(1)
-	lb.route.Store(&View{
+	rt := &View{
 		maglev:  consistent.NewMaglev(cfg.MaglevSize),
 		healthy: map[string]Backend{},
-	})
-	if cfg.FlowCacheSize > 0 {
-		lb.cache = NewShardedFlowCache(cfg.FlowCacheSize, cfg.FlowCacheShards)
 	}
-	if cfg.FlowTableSize > 0 {
-		lb.table = NewFlowTable(cfg.FlowTableSize, cfg.FlowTableShards)
-		lb.gEpoch.Set(int64(lb.table.Epoch()))
+	if sockets := max(cfg.FlowCacheSize*flowTableHeadroom, cfg.FlowTableSize); sockets > 0 {
+		lb.table = NewFlowTable(sockets, cfg.FlowTableShards)
+		rt.pins = lb.table.view.Load()
+		lb.gEpoch.Set(int64(rt.pins.epoch))
 	}
+	lb.route.Store(rt)
 	return lb
 }
 
-// FlowTable returns the generation-tagged flow table (nil unless
+// FlowTable returns the flow table (nil unless Config.FlowCacheSize or
 // Config.FlowTableSize enabled it).
 func (lb *LB) FlowTable() *FlowTable { return lb.table }
 
@@ -214,13 +207,15 @@ func (lb *LB) AdvanceGeneration(drainOld bool) {
 	if lb.table == nil {
 		return
 	}
-	epoch := lb.table.Bump(drainOld)
-	lb.gEpoch.Set(int64(epoch))
+	lb.mu.Lock()
+	old := lb.route.Load()
+	pins := lb.table.bump(drainOld)
+	lb.route.Store(&View{maglev: old.maglev, healthy: old.healthy, pins: pins})
+	lb.policy.AdvanceGeneration(pins.epoch, drainOld)
+	lb.mu.Unlock()
+	lb.gEpoch.Set(int64(pins.epoch))
 	lb.gOccupancy.Set(int64(lb.table.Occupancy()))
 	lb.reg.Counter("katran.flowtable.bumps").Inc()
-	lb.mu.Lock()
-	lb.policy.AdvanceGeneration(epoch, drainOld)
-	lb.mu.Unlock()
 }
 
 // Metrics returns the LB's registry.
@@ -297,17 +292,23 @@ func (lb *LB) rebuildLocked() {
 		}
 	}
 	sort.Strings(names)
-	lb.route.Store(&View{
+	rt := &View{
 		maglev:  consistent.NewMaglev(lb.cfg.MaglevSize, names...),
 		healthy: healthy,
-	})
+	}
 	if lb.table != nil {
-		// One O(1) view publication: removed backends tombstone their
-		// slot (their flows re-pick lazily), re-admitted ones revive it
-		// (their flows come home, the §5.1 consistency property).
-		lb.table.SetBackends(names)
+		// The table's half of the same snapshot: removed backends
+		// tombstone their slot (their flows re-pick lazily), re-admitted
+		// ones revive it (their flows come home, the §5.1 consistency
+		// property). No entry is written.
+		live := make([]Backend, len(names))
+		for i, n := range names {
+			live[i] = healthy[n]
+		}
+		rt.pins = lb.table.setBackends(live)
 		lb.gOccupancy.Set(int64(lb.table.Occupancy()))
 	}
+	lb.route.Store(rt)
 	lb.reg.Counter("katran.table.rebuilds").Inc()
 	lb.reg.Gauge("katran.backends.healthy").Set(int64(len(names)))
 }
@@ -323,108 +324,64 @@ func (lb *LB) View() *View { return lb.route.Load() }
 // ErrNoBackends is returned by Steer when every backend is out.
 var ErrNoBackends = errors.New("katran: no healthy backends")
 
-// Steer picks the backend for a flow hash: the small §5.1 LRU cache
-// first (momentary-shuffle absorber), then the generation-tagged flow
-// table (million-flow pinning memory), then the steering policy for the
-// fresh pick. Fresh picks are recorded in both pinning layers so the
-// flow sticks — that is the policy-vs-flow-table precedence contract: a
-// policy decides only where NEW (or stale-pinned) flows go, the pinning
-// layers keep established flows where they are.
+// Steer picks the backend for a flow hash: the flow table first (§5.1's
+// connection table, pinning every established flow), then the steering
+// policy for the fresh pick, which is recorded in the table so the flow
+// sticks — that is the policy-vs-flow-table precedence contract: a policy
+// decides only where NEW (or stale-pinned) flows go, the table keeps
+// established flows where they are.
 //
-// Steer is lock-free on the routing View (it reads the current snapshot)
-// and touches at most one shard of each flow structure, so concurrent
-// steering scales across cores. Stale pins — the cached backend went
-// unhealthy, or the pin's generation was drained — are re-picked with a
-// validate-and-replace under one shard critical section (Swap/Update):
-// the old Delete-then-Put pair could interleave with a concurrent steer
-// of the same flow and resurrect a just-deleted entry for a backend that
-// went unhealthy in between.
+// Steer loads one routing snapshot, touches one shard of the table and
+// allocates nothing, so concurrent steering scales across cores. A hit
+// answers from the snapshot's slot → Backend view: a live slot IS a
+// healthy backend in that snapshot, so nothing is revalidated by name.
 func (lb *LB) Steer(flow uint64) (Backend, error) {
 	rt := lb.route.Load()
-	if lb.cache != nil {
-		if name, ok := lb.cache.Get(flow); ok {
-			if b, live := rt.healthy[name]; live {
-				lb.cCacheHit.Inc()
-				return b, nil
-			}
-			return lb.repick(flow)
-		}
+	if lb.table == nil {
+		return lb.pick(flow, rt)
 	}
-	if lb.table != nil {
-		if name, ok := lb.table.Lookup(flow); ok {
-			if b, live := rt.healthy[name]; live {
-				lb.cTableHit.Inc()
-				if lb.cache != nil {
-					lb.cache.Put(flow, name)
-				}
-				return b, nil
-			}
-			return lb.repick(flow)
-		}
+	if slot, ok := lb.table.lookup(rt.pins, flow); ok {
+		lb.cTableHit.Inc()
+		return rt.pins.backends[slot], nil
 	}
-	return lb.repick(flow)
+	return lb.repin(flow)
 }
 
-// repick resolves flow through the steering policy against the freshest
-// routing snapshot and records the result in the flow table and cache,
-// each under a single shard critical section that revalidates before
-// replacing: if a concurrent steer already re-pinned the flow to a live
-// backend, that pick wins and no write happens.
-func (lb *LB) repick(flow uint64) (Backend, error) {
-	var picked Backend
-	var found bool
-	decide := func(cur string, ok bool) (string, bool) {
-		// Loaded inside the critical section so the decision is made
-		// against the freshest published snapshot.
-		rt := lb.route.Load()
-		if ok {
-			if b, live := rt.healthy[cur]; live {
-				picked, found = b, true
-				return cur, true
-			}
-		}
-		if lb.fastMaglev {
-			name := rt.maglev.PickUint(flow)
-			if name == "" {
-				found = false
-				return "", false
-			}
-			picked, found = rt.healthy[name], true
-			return name, true
-		}
-		b, err := lb.policy.Pick(flow, rt)
-		if err != nil {
-			found = false
-			return "", false
-		}
-		picked, found = b, true
-		return b.Name, true
-	}
-	switch {
-	case lb.table != nil:
-		lb.table.Update(flow, decide)
-		if found && lb.cache != nil {
-			lb.cache.Swap(flow, decide)
-		}
-	case lb.cache != nil:
-		lb.cache.Swap(flow, decide)
-	default:
-		decide("", false)
-	}
-	if !found {
+// pick is the policy's fresh pick against rt.
+func (lb *LB) pick(flow uint64, rt *View) (Backend, error) {
+	b, err := lb.policy.Pick(flow, rt)
+	if err != nil {
 		return Backend{}, ErrNoBackends
 	}
 	lb.cPolicyPick.Inc()
-	return picked, nil
+	return b, nil
 }
 
-// SteerAddr is Steer returning just the address.
-//
-// Deprecated: call Steer and use Backend.Addr; this wrapper only
-// delegates.
-func (lb *LB) SteerAddr(flow uint64) (string, error) {
-	b, err := lb.Steer(flow)
-	return b.Addr, err
+// repin handles a flow with no live pin — fresh, pinned to a backend that
+// left the ring, or pinned under a drained generation — in one shard
+// critical section that revalidates before replacing: the snapshot is
+// loaded inside it, so if a concurrent steer already re-pinned the flow
+// to a live backend that pin wins and nothing is written, and a pin can
+// never be written for a backend the freshest snapshot has dropped.
+func (lb *LB) repin(flow uint64) (Backend, error) {
+	s, base := lb.table.locate(flow)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	rt := lb.route.Load()
+	if at := s.findLocked(base, flow); at >= 0 {
+		if slot, ok := rt.pins.resolve(s.entries[at]); ok {
+			lb.cTableHit.Inc()
+			return rt.pins.backends[slot], nil
+		}
+	}
+	b, err := lb.pick(flow, rt)
+	if err != nil {
+		return Backend{}, err
+	}
+	if slot, ok := rt.pins.slots[b.Name]; ok {
+		lb.table.storeLocked(s, base, flow, ftMeta(slot, rt.pins.epoch))
+	}
+	return b, nil
 }
 
 // StartHealthChecks probes all backends every interval until Close.

@@ -6,57 +6,8 @@ import (
 	"fmt"
 	"net"
 	"testing"
-	"testing/quick"
 	"time"
 )
-
-func quickCheck(f any) error {
-	return quick.Check(f, &quick.Config{MaxCount: 100})
-}
-
-func TestFlowCacheBasics(t *testing.T) {
-	c := NewFlowCache(2)
-	c.Put(1, "a")
-	c.Put(2, "b")
-	if got, ok := c.Get(1); !ok || got != "a" {
-		t.Fatalf("get(1) = %q %v", got, ok)
-	}
-	// Access order: 1 is now MRU; adding 3 evicts 2.
-	c.Put(3, "c")
-	if _, ok := c.Get(2); ok {
-		t.Fatal("2 should have been evicted")
-	}
-	if _, ok := c.Get(1); !ok {
-		t.Fatal("1 should have survived (recently used)")
-	}
-	if c.Len() != 2 {
-		t.Fatalf("len = %d", c.Len())
-	}
-}
-
-func TestFlowCacheUpdateMovesToFront(t *testing.T) {
-	c := NewFlowCache(2)
-	c.Put(1, "a")
-	c.Put(2, "b")
-	c.Put(1, "a2") // update, not insert
-	if got, _ := c.Get(1); got != "a2" {
-		t.Fatalf("got %q", got)
-	}
-	c.Put(3, "c")
-	if _, ok := c.Get(2); ok {
-		t.Fatal("2 should have been evicted after 1 was refreshed")
-	}
-}
-
-func TestFlowCacheDelete(t *testing.T) {
-	c := NewFlowCache(4)
-	c.Put(1, "a")
-	c.Delete(1)
-	c.Delete(99) // absent: no-op
-	if _, ok := c.Get(1); ok || c.Len() != 0 {
-		t.Fatal("delete failed")
-	}
-}
 
 func newLB(t *testing.T, cfg Config, backends ...string) *LB {
 	t.Helper()
@@ -250,7 +201,7 @@ func startHealthServer(t *testing.T, answer func() string) *healthServer {
 	return hs
 }
 
-func TestProbeHCAgainstRealServer(t *testing.T) {
+func TestHCProberAgainstRealServer(t *testing.T) {
 	healthy := true
 	hs := startHealthServer(t, func() string {
 		if healthy {
@@ -259,15 +210,16 @@ func TestProbeHCAgainstRealServer(t *testing.T) {
 		return "DRAIN"
 	})
 	addr := hs.ln.Addr().String()
-	if err := ProbeHC(addr, time.Second); err != nil {
+	probe := (&HCProber{}).Probe
+	if err := probe(addr, time.Second); err != nil {
 		t.Fatalf("healthy probe failed: %v", err)
 	}
 	healthy = false
-	if err := ProbeHC(addr, time.Second); err == nil {
+	if err := probe(addr, time.Second); err == nil {
 		t.Fatal("DRAIN answer should probe unhealthy")
 	}
 	hs.ln.Close()
-	if err := ProbeHC(addr, 200*time.Millisecond); err == nil {
+	if err := probe(addr, 200*time.Millisecond); err == nil {
 		t.Fatal("dead listener should probe unhealthy")
 	}
 }
@@ -338,37 +290,5 @@ func BenchmarkSteerUncached(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		lb.Steer(uint64(i))
-	}
-}
-
-// Property: the cache never exceeds capacity and Get always returns what
-// the most recent Put stored.
-func TestFlowCacheProperty(t *testing.T) {
-	const cap = 8
-	c := NewFlowCache(cap)
-	shadow := map[uint64]string{}
-	f := func(ops []uint16) bool {
-		for _, op := range ops {
-			flow := uint64(op % 32)
-			switch {
-			case op%3 == 0:
-				c.Delete(flow)
-				delete(shadow, flow)
-			default:
-				val := fmt.Sprintf("b%d", op%5)
-				c.Put(flow, val)
-				shadow[flow] = val
-			}
-			if c.Len() > cap {
-				return false
-			}
-			if got, ok := c.Get(flow); ok && got != shadow[flow] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quickCheck(f); err != nil {
-		t.Fatal(err)
 	}
 }

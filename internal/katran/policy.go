@@ -6,15 +6,18 @@ import (
 )
 
 // View is one immutable routing snapshot: the Maglev table over the
-// healthy backends plus the backend records for result lookup. Once
-// published it is never mutated — rebuilds allocate a fresh one
-// (consistent.Maglev.Rebuild mutates in place, so sharing one Maglev
-// across snapshots would race with lock-free readers). Policies receive
-// the current View on every Pick and may read it freely without
-// synchronization.
+// healthy backends, the backend records for result lookup, and — when the
+// LB pins flows — the flow table's generation window and slot → Backend
+// view, so a steer that loaded one View resolves pins and picks against
+// the same backend set. Once published it is never mutated — rebuilds
+// allocate a fresh one (consistent.Maglev.Rebuild mutates in place, so a
+// Maglev is shared only between snapshots that never rebuild it).
+// Policies receive the current View on every Pick and may read it freely
+// without synchronization.
 type View struct {
 	maglev  *consistent.Maglev
 	healthy map[string]Backend
+	pins    *flowTableView // nil when the LB has no flow table
 }
 
 // Healthy returns the names of the healthy backends, sorted.
@@ -42,12 +45,12 @@ func (v *View) PickMaglev(flow uint64) (Backend, bool) {
 
 // Policy is katran's pluggable steering surface: given a flow hash and
 // the current immutable routing View, pick the backend a FRESH flow
-// should land on. The LB's pinning layers sit in front of every policy
-// — the §5.1 LRU cache and the generation-tagged flow table keep
-// established flows where they are — so Pick decides only where NEW
-// flows (and flows whose pin went stale) go. That precedence is the
-// ZDR contract: a drain-aware policy bleeds new flows off a draining
-// generation while the flow table still pins established ones.
+// should land on. The LB's flow table (§5.1's connection table) sits in
+// front of every policy and keeps established flows where they are, so
+// Pick decides only where NEW flows (and flows whose pin went stale) go.
+// That precedence is the ZDR contract: a drain-aware policy bleeds new
+// flows off a draining generation while the flow table still pins
+// established ones.
 //
 // Lifecycle hooks observe the LB's control plane. They are invoked with
 // the LB's control-plane lock held and must not call back into the LB.
@@ -72,11 +75,9 @@ type Policy interface {
 	Close()
 }
 
-// PolicyMaglev is the default steering policy: the classic
-// cache→flow-table→Maglev pipeline's terminal pick. Together with the
-// LB's pinning layers it reconstitutes exactly the pre-Policy steering
-// behaviour: fresh flows place by consistent hash, established flows
-// stay pinned.
+// PolicyMaglev is the default steering policy: the flow-table→Maglev
+// pipeline's terminal pick. Fresh flows place by consistent hash,
+// established flows stay pinned by the LB's flow table.
 type PolicyMaglev struct{}
 
 // NewPolicyMaglev returns the default placement-only policy.

@@ -118,67 +118,6 @@ func TestLoadLineRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDeprecatedWrappersDelegate pins the PR 5 convention: every
-// deprecated name is a one-line delegate to the canonical API, not a
-// parallel implementation.
-func TestDeprecatedWrappersDelegate(t *testing.T) {
-	lb := New("lb", Config{}, nil)
-	defer lb.Close()
-	lb.AddBackend(Backend{Name: "a", Addr: "1.2.3.4:80"}, true)
-
-	// SteerAddr → Steer().Addr.
-	for flow := uint64(0); flow < 8; flow++ {
-		b, err := lb.Steer(flow)
-		if err != nil {
-			t.Fatal(err)
-		}
-		addr, err := lb.SteerAddr(flow)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if addr != b.Addr {
-			t.Fatalf("SteerAddr(%d) = %q, Steer().Addr = %q", flow, addr, b.Addr)
-		}
-	}
-
-	// ProbeHC → (&HCProber{}).Probe: same verdicts on the same server.
-	ls := startLoadServer(t, func() LoadSample { return LoadSample{} })
-	if err := ProbeHC(ls.addr(), time.Second); err != nil {
-		t.Fatalf("ProbeHC healthy: %v", err)
-	}
-	if err := (&HCProber{}).Probe(ls.addr(), time.Second); err != nil {
-		t.Fatalf("HCProber healthy: %v", err)
-	}
-	ls.healthy.Store(false)
-	if err := ProbeHC(ls.addr(), time.Second); err == nil {
-		t.Fatal("ProbeHC must fail on DRAIN")
-	}
-	if err := (&HCProber{}).Probe(ls.addr(), time.Second); err == nil {
-		t.Fatal("HCProber must fail on DRAIN")
-	}
-
-	// Config.Probe (deprecated func field) still drives health checks,
-	// wrapped into a Prober.
-	var calls atomic.Int64
-	lb2 := New("lb2", Config{Probe: func(addr string, timeout time.Duration) error {
-		calls.Add(1)
-		return nil
-	}}, nil)
-	defer lb2.Close()
-	lb2.AddBackend(Backend{Name: "b", Addr: "x"}, false)
-	lb2.ProbeOnce()
-	if calls.Load() != 1 {
-		t.Fatalf("deprecated Config.Probe called %d times, want 1", calls.Load())
-	}
-	if got := len(lb2.HealthyBackends()); got != 1 {
-		t.Fatalf("probe success should admit the backend, healthy=%d", got)
-	}
-	// The wrapped prober cannot answer load probes.
-	if _, err := lb2.cfg.Prober.Load("x", time.Second); err == nil {
-		t.Fatal("funcProber must refuse load probes")
-	}
-}
-
 func TestSetHealthUnknownBackend(t *testing.T) {
 	lb := New("lb", Config{}, nil)
 	defer lb.Close()

@@ -235,27 +235,3 @@ func (p *HCProber) Close() error {
 	}
 	return nil
 }
-
-// defaultProber backs the deprecated ProbeHC wrapper.
-var defaultProber = &HCProber{}
-
-// Deprecated: ProbeFunc is the pre-Prober probe shape; implement Prober
-// (or wrap the func in Config.Probe, which still works) instead.
-type ProbeFunc func(addr string, timeout time.Duration) error
-
-// Deprecated: ProbeHC is a legacy wrapper; use (&HCProber{}).Probe.
-func ProbeHC(addr string, timeout time.Duration) error {
-	return defaultProber.Probe(addr, timeout)
-}
-
-// funcProber adapts a legacy ProbeFunc to the Prober interface. Load
-// probing is unsupported: policies fall back to placement-only steering.
-type funcProber struct{ fn ProbeFunc }
-
-func (f funcProber) Probe(addr string, timeout time.Duration) error {
-	return f.fn(addr, timeout)
-}
-
-func (f funcProber) Load(string, time.Duration) (LoadSample, error) {
-	return LoadSample{}, fmt.Errorf("katran: prober does not support load probes")
-}

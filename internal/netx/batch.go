@@ -109,6 +109,15 @@ type BatchPacketConn struct {
 	snames [][]byte
 	queued int
 
+	// The RawConn callbacks, bound once, and the syscall results they
+	// leave behind: a closure built per call captures its results by
+	// reference and costs an allocation per ReadBatch and per flush.
+	// recv* belong to the single reader, send* are guarded by smu.
+	recvFn, sendFn   func(fd uintptr) bool
+	recvN, sendN     uintptr
+	recvErr, sendErr syscall.Errno
+	sendFirst        int // first unsent ring slot of the flush in progress
+
 	cRecvCalls *metrics.Counter
 	cRecvPkts  *metrics.Counter
 	cSendFlush *metrics.Counter
@@ -155,6 +164,7 @@ func NewBatchPacketConn(pc net.PacketConn, cfg BatchConfig) *BatchPacketConn {
 		b.rfall = bufpool.Get(cfg.MaxPacket)
 		return b
 	}
+	b.recvFn, b.sendFn = b.recvmmsg, b.sendmmsg
 	// Ring slots are wired once: each msghdr points at its permanent
 	// iovec, buffer and sockaddr scratch; only lengths change per call.
 	b.rmsgs = make([]mmsghdr, cfg.RecvBatch)
@@ -219,30 +229,17 @@ func (b *BatchPacketConn) ReadBatch() ([]Message, error) {
 		b.rmsgs[i].hdr.Namelen = sockaddrBufLen
 		b.rmsgs[i].n = 0
 	}
-	var got uintptr
-	var errno syscall.Errno
-	err := b.raw.Read(func(fd uintptr) bool {
-		for {
-			got, _, errno = syscall.Syscall6(syscall.SYS_RECVMMSG,
-				fd, uintptr(unsafe.Pointer(&b.rmsgs[0])), uintptr(len(b.rmsgs)),
-				syscall.MSG_DONTWAIT, 0, 0)
-			if errno == syscall.EINTR {
-				continue
-			}
-			return errno != syscall.EAGAIN
-		}
-	})
-	if err != nil {
+	if err := b.raw.Read(b.recvFn); err != nil {
 		return nil, err
 	}
-	if errno != 0 {
-		return nil, os.NewSyscallError("recvmmsg", errno)
+	if b.recvErr != 0 {
+		return nil, os.NewSyscallError("recvmmsg", b.recvErr)
 	}
 	b.cRecvCalls.Inc()
-	b.cRecvPkts.Add(int64(got))
+	b.cRecvPkts.Add(int64(b.recvN))
 	b.updateRatio()
 	b.msgs = b.msgs[:0]
-	for i := 0; i < int(got); i++ {
+	for i := 0; i < int(b.recvN); i++ {
 		m := &b.rmsgs[i]
 		b.msgs = append(b.msgs, Message{
 			Buf:  (*b.rbufs[i])[:m.n],
@@ -250,6 +247,20 @@ func (b *BatchPacketConn) ReadBatch() ([]Message, error) {
 		})
 	}
 	return b.msgs, nil
+}
+
+// recvmmsg is the RawConn.Read callback: one non-blocking recvmmsg over
+// the whole ring, reporting "not ready" on EAGAIN so the poller parks the
+// reader.
+func (b *BatchPacketConn) recvmmsg(fd uintptr) bool {
+	for {
+		b.recvN, _, b.recvErr = syscall.Syscall6(syscall.SYS_RECVMMSG,
+			fd, uintptr(unsafe.Pointer(&b.rmsgs[0])), uintptr(len(b.rmsgs)),
+			syscall.MSG_DONTWAIT, 0, 0)
+		if b.recvErr != syscall.EINTR {
+			return b.recvErr != syscall.EAGAIN
+		}
+	}
 }
 
 // updateRatio publishes the cumulative packets-per-recvmmsg ratio in
@@ -346,35 +357,33 @@ func (b *BatchPacketConn) Flush() error {
 }
 
 func (b *BatchPacketConn) flushLocked() error {
-	for sent := 0; sent < b.queued; {
-		var n uintptr
-		var errno syscall.Errno
-		first := sent
-		err := b.raw.Write(func(fd uintptr) bool {
-			for {
-				n, _, errno = syscall.Syscall6(sysSendmmsg,
-					fd, uintptr(unsafe.Pointer(&b.smsgs[first])), uintptr(b.queued-first),
-					syscall.MSG_DONTWAIT, 0, 0)
-				if errno == syscall.EINTR {
-					continue
-				}
-				return errno != syscall.EAGAIN
-			}
-		})
-		if err != nil {
+	for b.sendFirst = 0; b.sendFirst < b.queued; b.sendFirst += int(b.sendN) {
+		if err := b.raw.Write(b.sendFn); err != nil {
 			b.queued = 0
 			return err
 		}
-		if errno != 0 {
+		if b.sendErr != 0 {
 			b.queued = 0
-			return os.NewSyscallError("sendmmsg", errno)
+			return os.NewSyscallError("sendmmsg", b.sendErr)
 		}
 		b.cSendFlush.Inc()
-		b.cSendPkts.Add(int64(n))
-		sent += int(n)
+		b.cSendPkts.Add(int64(b.sendN))
 	}
 	b.queued = 0
 	return nil
+}
+
+// sendmmsg is the RawConn.Write callback: one non-blocking sendmmsg of
+// ring slots [sendFirst, queued). Caller (through flushLocked) holds smu.
+func (b *BatchPacketConn) sendmmsg(fd uintptr) bool {
+	for {
+		b.sendN, _, b.sendErr = syscall.Syscall6(sysSendmmsg,
+			fd, uintptr(unsafe.Pointer(&b.smsgs[b.sendFirst])), uintptr(b.queued-b.sendFirst),
+			syscall.MSG_DONTWAIT, 0, 0)
+		if b.sendErr != syscall.EINTR {
+			return b.sendErr != syscall.EAGAIN
+		}
+	}
 }
 
 // putSockaddr encodes ua into buf, returning the sockaddr length.

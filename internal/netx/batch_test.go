@@ -5,6 +5,8 @@ import (
 	"net"
 	"testing"
 	"time"
+
+	"zdr/internal/racetest"
 )
 
 func udpPair(t testing.TB) (*net.UDPConn, *net.UDPConn) {
@@ -185,5 +187,47 @@ func TestBatchDisableKernelBatch(t *testing.T) {
 	}
 	if st := receiver.Stats(); st.RecvCalls != 1 || st.RecvPkts != 1 {
 		t.Errorf("fallback stats %+v, want 1 call / 1 pkt", st)
+	}
+}
+
+// TestBatchExchangeAllocatesNothing: one datagram through both rings of a
+// real loopback socket pair — ReadBatch, QueueTo the sender back, Flush —
+// costs no allocation: the RawConn callbacks are bound once and their
+// results live in the conn.
+func TestBatchExchangeAllocatesNothing(t *testing.T) {
+	racetest.SkipAllocs(t)
+	a, b := udpPair(t)
+	echo := NewBatchPacketConn(b, BatchConfig{})
+	peer := NewBatchPacketConn(a, BatchConfig{})
+	defer echo.Release()
+	defer peer.Release()
+	dst := b.LocalAddr().(*net.UDPAddr)
+	a.SetReadDeadline(time.Now().Add(10 * time.Second))
+	b.SetReadDeadline(time.Now().Add(10 * time.Second))
+	payload := []byte("ping")
+	exchange := func() {
+		if err := peer.QueueTo(payload, dst); err != nil {
+			t.Fatal(err)
+		}
+		if err := peer.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		msgs, err := echo.ReadBatch()
+		if err != nil || len(msgs) != 1 {
+			t.Fatalf("echo side read %d messages: %v", len(msgs), err)
+		}
+		if err := echo.QueueTo(msgs[0].Buf, msgs[0].Addr); err != nil {
+			t.Fatal(err)
+		}
+		if err := echo.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if msgs, err = peer.ReadBatch(); err != nil || len(msgs) != 1 || string(msgs[0].Buf) != "ping" {
+			t.Fatalf("peer side read %d messages: %v", len(msgs), err)
+		}
+	}
+	exchange() // first sight of each peer fills the sockaddr caches
+	if n := testing.AllocsPerRun(200, exchange); n != 0 {
+		t.Fatalf("%v allocs per exchange (two ReadBatch, two QueueTo, two Flush), want 0", n)
 	}
 }

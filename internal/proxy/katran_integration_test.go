@@ -49,11 +49,11 @@ func newEdgeFleet(t *testing.T, n int) ([]*Proxy, *katran.LB) {
 
 func steerAndGet(t *testing.T, lb *katran.LB, flow uint64) (string, error) {
 	t.Helper()
-	addr, err := lb.SteerAddr(flow)
+	b, err := lb.Steer(flow)
 	if err != nil {
 		return "", err
 	}
-	conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
+	conn, err := net.DialTimeout("tcp", b.Addr, 2*time.Second)
 	if err != nil {
 		return "", err
 	}

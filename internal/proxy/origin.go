@@ -277,6 +277,9 @@ type upstreamReq struct {
 	// rest is read again, so
 	// replayed = serverReceived ++ consumedUnforwarded ++ stillStreaming.
 	held []byte
+	// wrote counts the body bytes written to the app server in the
+	// current attempt: what a 379 from it must echo, to the byte.
+	wrote int64
 }
 
 // forwardHTTP forwards one tunneled HTTP request to an app server,
@@ -377,6 +380,13 @@ func (p *Proxy) forwardHTTP(st *h2t.Stream, hdr map[string]string) {
 			if err != nil {
 				lastErr = err
 				continue
+			}
+			if int64(len(partial)) != r.wrote {
+				// The server closed on bytes it had been sent: they are
+				// in neither the echo nor, any more, the forwarding
+				// buffer, so no attempt can rebuild the request.
+				lastErr = fmt.Errorf("proxy: 379 echoed %d of %d body bytes sent", len(partial), r.wrote)
+				break
 			}
 			r.replay = partial
 			p.reg.Counter("origin.http.ppr_replays").Inc()
@@ -545,6 +555,7 @@ func (p *Proxy) exchangeBody(uc *upstreamConn, r *upstreamReq) (*http1.Response,
 	if r.cl < 0 {
 		cw = http1.NewChunkedWriter(uc.Conn)
 	}
+	r.wrote = 0
 	write := func(b []byte) error {
 		if len(b) == 0 {
 			return nil
@@ -554,6 +565,9 @@ func (p *Proxy) exchangeBody(uc *upstreamConn, r *upstreamReq) (*http1.Response,
 			_, err = cw.Write(b)
 		} else {
 			_, err = uc.Conn.Write(b)
+		}
+		if err == nil {
+			r.wrote += int64(len(b))
 		}
 		return err
 	}

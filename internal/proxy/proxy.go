@@ -263,6 +263,11 @@ type Proxy struct {
 	cStatus   *metrics.CodeCounters
 	// cQUIC is edge.quic.requests, resolved once like them.
 	cQUIC *metrics.Counter
+	// quicReplies holds the QUIC-style handler's answers, "<name>|<body>"
+	// per StaticContent target, and quicNotFound its "<name>|404": built
+	// once, since neither the name nor the content changes after New.
+	quicReplies  map[string][]byte
+	quicNotFound []byte
 
 	// tunnelMetrics are the h2t sessions' counters (window stalls, credit
 	// frames, resident receive bytes) in this instance's registry.
@@ -332,6 +337,11 @@ func New(cfg Config, reg *metrics.Registry) *Proxy {
 		p.latTunnel = reg.AtomicHistogram("edge.tunnel.latency")
 		p.latQUIC = reg.AtomicHistogram("edge.quic.latency")
 		p.cQUIC = reg.Counter("edge.quic.requests")
+		p.quicNotFound = []byte(cfg.Name + "|404")
+		p.quicReplies = make(map[string][]byte, len(cfg.StaticContent))
+		for target, body := range cfg.StaticContent {
+			p.quicReplies[target] = append([]byte(cfg.Name+"|"), body...)
+		}
 		if cfg.Steering != "" && len(cfg.Origins) > 0 {
 			p.steerLB = p.newSteerLB(reg)
 		}
@@ -464,13 +474,15 @@ func (p *Proxy) Adopt(set *takeover.ListenerSet) error {
 // quicHandler serves the QUIC-style VIP: the payload is a request target
 // resolved against the Edge's cached content (Direct Server Return over
 // UDP). The instance name is prefixed so experiments can attribute which
-// process served a flow across a takeover.
+// process served a flow across a takeover. The reply is shared, not
+// built per packet: quicx marshals it before the handler is called again,
+// which is all Handler's contract asks.
 func (p *Proxy) quicHandler(conn quicx.ConnID, payload []byte) []byte {
 	t0 := time.Now()
 	p.cQUIC.Inc()
-	resp := []byte(p.cfg.Name + "|404")
-	if body, ok := p.cfg.StaticContent[string(payload)]; ok {
-		resp = append([]byte(p.cfg.Name+"|"), body...)
+	resp, ok := p.quicReplies[string(payload)]
+	if !ok {
+		resp = p.quicNotFound
 	}
 	// Latency lands in the proxy-level handler, not quicx's packet loop:
 	// the datagram hot path (HandleData) stays untouched.

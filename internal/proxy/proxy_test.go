@@ -157,14 +157,14 @@ func TestEdgeDirectServerReturn(t *testing.T) {
 
 func TestHealthProbe(t *testing.T) {
 	tp := startTopology(t, 1, 1)
-	if err := katran.ProbeHC(tp.edge.Addr(VIPHealth), time.Second); err != nil {
+	if err := (&katran.HCProber{}).Probe(tp.edge.Addr(VIPHealth), time.Second); err != nil {
 		t.Fatalf("healthy probe: %v", err)
 	}
 	tp.edge.StartDraining()
 	// The edge's own listener handles are closed on drain; with no
 	// takeover the health VIP goes away entirely (HardRestart behaviour):
 	// either a refused connection or a DRAIN answer is "unhealthy".
-	if err := katran.ProbeHC(tp.edge.Addr(VIPHealth), time.Second); err == nil {
+	if err := (&katran.HCProber{}).Probe(tp.edge.Addr(VIPHealth), time.Second); err == nil {
 		t.Fatal("draining edge still probes healthy")
 	}
 }
@@ -522,7 +522,7 @@ func TestEdgeSocketTakeover(t *testing.T) {
 		t.Fatalf("request failed across edge takeover: %v", err)
 	}
 	// Health checks must now be served by the new instance (step F).
-	if err := katran.ProbeHC(newEdge.Addr(VIPHealth), time.Second); err != nil {
+	if err := (&katran.HCProber{}).Probe(newEdge.Addr(VIPHealth), time.Second); err != nil {
 		t.Fatalf("health check after takeover: %v", err)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"zdr/internal/quicx"
+	"zdr/internal/racetest"
 )
 
 func startQUICEdge(t *testing.T, name string) *Proxy {
@@ -49,6 +50,30 @@ func TestEdgeQUICVIPServes(t *testing.T) {
 	reply, err = c.Send([]byte("/nope"), 2*time.Second)
 	if err != nil || string(reply) != "edge-q|404" {
 		t.Fatalf("reply=%q err=%v", reply, err)
+	}
+}
+
+// TestQUICHandlerAllocatesNothing: hit and 404 both answer from replies
+// built at New.
+func TestQUICHandlerAllocatesNothing(t *testing.T) {
+	racetest.SkipAllocs(t)
+	p := New(Config{
+		Name:          "edge-q",
+		Role:          RoleEdge,
+		StaticContent: map[string][]byte{"/video/seg1": []byte("segment-one-bytes")},
+	}, nil)
+	defer p.Close()
+	for target, want := range map[string]string{
+		"/video/seg1": "edge-q|segment-one-bytes",
+		"/nope":       "edge-q|404",
+	} {
+		payload := []byte(target)
+		if got := p.quicHandler(7, payload); string(got) != want {
+			t.Fatalf("quicHandler(%q) = %q, want %q", target, got, want)
+		}
+		if n := testing.AllocsPerRun(1000, func() { p.quicHandler(7, payload) }); n != 0 {
+			t.Errorf("quicHandler(%q): %v allocs, want 0", target, n)
+		}
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"zdr/internal/appserver"
+	"zdr/internal/bufpool"
 	"zdr/internal/disrupt"
 	"zdr/internal/faults"
 	"zdr/internal/h2t"
@@ -587,8 +588,15 @@ func TestUpstreamStaleReuseRetry(t *testing.T) {
 							}
 							if id == 0 && nth == 1 {
 								if tc.wantStale == 0 {
-									// Let the body get well past one buffer.
-									io.CopyN(io.Discard, req.Body, 64<<10)
+									// Die only once the Origin has written
+									// more than its forwarding buffer holds:
+									// then it has read the stream into that
+									// buffer twice and the first chunk is
+									// gone. Dying at exactly one buffer
+									// leaves a race — until the second read
+									// lands, the body IS still in hand and
+									// resending it is right.
+									io.CopyN(io.Discard, req.Body, bufpool.TierLarge+1)
 								}
 								return
 							}
@@ -637,6 +645,41 @@ func TestUpstreamStaleReuseRetry(t *testing.T) {
 				t.Fatalf("dials = %d, want 2", got)
 			}
 		})
+	}
+}
+
+// TestShort379IsNotReplayed: a 379 whose echo is shorter than what the
+// Origin wrote to that server (the server closed on bytes still on the
+// line) cannot be turned back into the request. The Origin fails it at
+// once with the 500 of an exhausted replay — it neither replays a body
+// with a hole in it nor leaves the next server, and the client behind it,
+// waiting out a response timeout for bytes that will never come.
+func TestShort379IsNotReplayed(t *testing.T) {
+	app := newScriptedApp(t, func(conn, _ int, _ *http1.Request, body []byte) (string, bool) {
+		if conn == 0 {
+			echo := body[:len(body)-1]
+			return fmt.Sprintf("HTTP/1.1 379 %s\r\nContent-Length: %d\r\n\r\n%s", http1.StatusMessagePartialPost, len(echo), echo), true
+		}
+		return okReply(string(body)), false
+	})
+	o, tun := startOrigin(t, Config{AppServers: []string{app.ln.Addr().String()}, RetryBackoff: backoffForTests})
+	start := time.Now()
+	code, _, err := tun.do("POST", "/upload", []byte("a short POST body"))
+	if err != nil || code != 500 {
+		t.Fatalf("status %d, err %v; want the 500 of a request that cannot be rebuilt", code, err)
+	}
+	if took := time.Since(start); took > 2*time.Second {
+		t.Fatalf("took %v to give up on a 379 that lost a byte", took)
+	}
+	reg := o.Metrics()
+	if got := reg.CounterValue("origin.http.ppr_replays"); got != 0 {
+		t.Fatalf("ppr_replays = %d: a short echo was replayed", got)
+	}
+	if got := reg.CounterValue("origin.http.ppr_exhausted"); got != 1 {
+		t.Fatalf("ppr_exhausted = %d, want 1", got)
+	}
+	if got := app.accepted.Load(); got != 1 {
+		t.Fatalf("%d app-server connections: the request went out again", got)
 	}
 }
 

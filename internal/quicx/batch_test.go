@@ -9,11 +9,14 @@ import (
 	"zdr/internal/metrics"
 )
 
-// TestBurstPacketsPerSyscall pins the batching win: a 64-packet burst
-// already queued in the socket buffer must be drained and answered with
-// at least a 4x reduction in syscalls per packet in each direction —
-// recvmmsg on the way in, one coalesced sendmmsg flush per drained burst
-// on the way out.
+// TestBurstPacketsPerSyscall pins the batching win as exact counts: a
+// 64-packet burst that is in the socket buffer before the reader starts
+// is drained by ONE recvmmsg and answered by ONE sendmmsg flush. Nothing
+// here depends on how the reader and the sender are scheduled against
+// each other: the sends have returned before Start (loopback delivers a
+// datagram to the receiving socket within the send call), and the
+// counters are read behind StartDraining's fence, after the read loop —
+// which counts a flush after the syscall it made — has exited.
 func TestBurstPacketsPerSyscall(t *testing.T) {
 	vip, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
@@ -25,8 +28,6 @@ func TestBurstPacketsPerSyscall(t *testing.T) {
 	}, reg)
 	defer srv.Close()
 
-	// Land the whole burst before the server reads a single packet, so
-	// the ratio is deterministic rather than racing the sender.
 	client, err := net.Dial("udp", vip.LocalAddr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -41,30 +42,33 @@ func TestBurstPacketsPerSyscall(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	time.Sleep(50 * time.Millisecond) // let the kernel queue the burst
 
 	srv.Start()
-	deadline := time.Now().Add(3 * time.Second)
-	for reg.CounterValue("quicx.rx") < burst {
-		if time.Now().After(deadline) {
-			t.Fatalf("server saw %d/%d packets", reg.CounterValue("quicx.rx"), burst)
+	client.SetReadDeadline(time.Now().Add(3 * time.Second))
+	buf := make([]byte, 2048)
+	for i := 0; i < burst; i++ {
+		if _, err := client.Read(buf); err != nil {
+			t.Fatalf("reply %d of %d: %v (server saw %d packets)", i+1, burst, err, reg.CounterValue("quicx.rx"))
 		}
-		time.Sleep(5 * time.Millisecond)
+	}
+	if _, err := srv.StartDraining(); err != nil {
+		t.Fatal(err)
 	}
 
-	recvCalls := reg.CounterValue("quicx.batch.recvmmsg_calls")
-	if recvCalls == 0 || recvCalls > burst/4 {
-		t.Errorf("recvmmsg_calls = %d for a %d-packet burst, want 1..%d (>=4x fewer syscalls)", recvCalls, burst, burst/4)
+	if rx := reg.CounterValue("quicx.rx"); rx != burst {
+		t.Fatalf("rx = %d, want %d", rx, burst)
 	}
 	if tx := reg.CounterValue("quicx.tx"); tx != burst {
 		t.Fatalf("tx = %d, want %d replies", tx, burst)
 	}
-	flushes := reg.CounterValue("quicx.batch.sendmmsg_flushes")
-	if flushes == 0 || flushes > burst/4 {
-		t.Errorf("sendmmsg_flushes = %d for %d replies, want 1..%d (coalesced bursts)", flushes, burst, burst/4)
+	if calls := reg.CounterValue("quicx.batch.recvmmsg_calls"); calls != 1 {
+		t.Errorf("recvmmsg_calls = %d for a %d-packet burst queued before the first read, want 1", calls, burst)
 	}
-	if ratio := reg.GaugeValue("quicx.batch.pkts_per_recvmmsg"); ratio < 4000 {
-		t.Errorf("pkts_per_recvmmsg = %d milli-pkts/call, want >= 4000", ratio)
+	if flushes := reg.CounterValue("quicx.batch.sendmmsg_flushes"); flushes != 1 {
+		t.Errorf("sendmmsg_flushes = %d for %d replies to one drained burst, want 1", flushes, burst)
+	}
+	if ratio := reg.GaugeValue("quicx.batch.pkts_per_recvmmsg"); ratio != burst*1000 {
+		t.Errorf("pkts_per_recvmmsg = %d milli-pkts/call, want %d", ratio, burst*1000)
 	}
 }
 

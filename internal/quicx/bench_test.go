@@ -27,7 +27,8 @@ func BenchmarkHandleData(b *testing.B) {
 	}, nil)
 	defer srv.Close()
 	from := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 4242}
-	srv.handlePacket(Marshal(Packet{Type: PktInitial, Conn: 7}), from)
+	out := srv.sender()
+	srv.handlePacket(out, Marshal(Packet{Type: PktInitial, Conn: 7}), from)
 	if srv.FlowCount() != 1 {
 		b.Fatal("flow not opened")
 	}
@@ -36,6 +37,6 @@ func BenchmarkHandleData(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		srv.handlePacket(data, from)
+		srv.handlePacket(out, data, from)
 	}
 }

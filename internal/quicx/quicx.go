@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 	"time"
 
@@ -92,34 +93,83 @@ func Unmarshal(b []byte) (Packet, error) {
 	}, nil
 }
 
-// wrapForwarded encapsulates raw with the original client address.
-func wrapForwarded(raw []byte, from net.Addr) []byte {
-	addr := from.String()
-	return appendForwarded(make([]byte, 0, 3+len(addr)+len(raw)), raw, addr)
-}
+// forwardedHdr is type(1) + the address text's length(2).
+const forwardedHdr = 3
 
-// appendForwarded is wrapForwarded onto dst (no allocation given capacity).
-func appendForwarded(dst, raw []byte, addr string) []byte {
-	dst = append(dst, byte(pktForwarded))
-	dst = binary.BigEndian.AppendUint16(dst, uint16(len(addr)))
-	dst = append(dst, addr...)
+// maxAddrText bounds the address text of a forwarded packet: the longest
+// "[ipv6%zone]:port" AppendTo writes for an interface-name zone.
+const maxAddrText = 80
+
+// appendForwarded encapsulates raw with the original client address onto
+// dst: type, the address text's length, the text ("ip:port", IPv6 in
+// brackets with its zone), then raw. It allocates nothing given capacity
+// forwardedHdr + maxAddrText + len(raw).
+func appendForwarded(dst, raw []byte, from netip.AddrPort) []byte {
+	hdr := len(dst)
+	dst = append(dst, byte(pktForwarded), 0, 0)
+	dst = from.AppendTo(dst)
+	binary.BigEndian.PutUint16(dst[hdr+1:], uint16(len(dst)-hdr-forwardedHdr))
 	return append(dst, raw...)
 }
 
-// unwrapForwarded reverses wrapForwarded.
-func unwrapForwarded(b []byte) (raw []byte, from *net.UDPAddr, err error) {
-	if len(b) < 3 || PacketType(b[0]) != pktForwarded {
+// addrPortOf is a's address for the forwarded encapsulation, in IPv4 form
+// when it has one. ok is false for an address that is not UDP's.
+func addrPortOf(a net.Addr) (ap netip.AddrPort, ok bool) {
+	ua, ok := a.(*net.UDPAddr)
+	if !ok {
+		return ap, false
+	}
+	ap = ua.AddrPort()
+	return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port()), ap.IsValid()
+}
+
+// forwardedPeers decodes the client address of forwarded packets, keeping
+// one *net.UDPAddr per distinct address text so a flow's packets arrive
+// with the same pointer every time (nothing allocated per packet, and the
+// migration check's pointer-equal fast path holds on the drain side too).
+// Bounded like netx's sockaddr cache: beyond the limit it starts over.
+type forwardedPeers map[string]*net.UDPAddr
+
+const forwardedPeersLimit = 1024
+
+// unwrap reverses appendForwarded. The address must be a literal IP and
+// port — netip.ParseAddrPort's grammar — so bytes off the wire can never
+// cause a name lookup.
+func (c forwardedPeers) unwrap(b []byte) (raw []byte, from *net.UDPAddr, err error) {
+	if len(b) < forwardedHdr || PacketType(b[0]) != pktForwarded {
 		return nil, nil, errors.New("quicx: not a forwarded packet")
 	}
 	n := int(binary.BigEndian.Uint16(b[1:3]))
-	if len(b) < 3+n {
+	if len(b) < forwardedHdr+n {
 		return nil, nil, errors.New("quicx: truncated forwarded packet")
 	}
-	addr, err := net.ResolveUDPAddr("udp", string(b[3:3+n]))
-	if err != nil {
-		return nil, nil, err
+	text, raw := b[forwardedHdr:forwardedHdr+n], b[forwardedHdr+n:]
+	if from, ok := c[string(text)]; ok {
+		return raw, from, nil
 	}
-	return b[3+n:], addr, nil
+	ap, err := netip.ParseAddrPort(string(text))
+	if err != nil {
+		return nil, nil, fmt.Errorf("quicx: forwarded packet's address: %w", err)
+	}
+	from = net.UDPAddrFromAddrPort(ap)
+	if len(c) >= forwardedPeersLimit {
+		clear(c)
+	}
+	c[string(text)] = from
+	return raw, from, nil
+}
+
+// sameAddr reports whether a and b name one UDP endpoint, by value: the
+// receive ring hands out one *net.UDPAddr per peer, so the pointers are
+// equal except after its cache started over. IPv4 and IPv4-mapped IPv6
+// forms of an address are the same endpoint.
+func sameAddr(a, b net.Addr) bool {
+	ua, aok := a.(*net.UDPAddr)
+	ub, bok := b.(*net.UDPAddr)
+	if !aok || !bok {
+		return a.String() == b.String()
+	}
+	return ua == ub || (ua.Port == ub.Port && ua.Zone == ub.Zone && ua.IP.Equal(ub.IP))
 }
 
 // Handler processes a flow packet and returns an optional reply payload.
@@ -127,6 +177,9 @@ func unwrapForwarded(b []byte) (raw []byte, from *net.UDPAddr, err error) {
 // for the duration of the call: a handler that retains bytes past its
 // return must copy them. (Returning payload, or a slice of it, as the
 // reply is fine — the reply is marshalled before the buffer is reused.)
+// The server only reads the reply and is done with it when the call that
+// returned it has been answered, so a handler may hand the same slice to
+// every caller.
 type Handler func(conn ConnID, payload []byte) (reply []byte)
 
 // Server is a connection-ID-routed UDP server. One Server represents one
@@ -135,8 +188,12 @@ type Handler func(conn ConnID, payload []byte) (reply []byte)
 type Server struct {
 	name string
 	reg  *metrics.Registry
-	// The per-datagram and per-flow counters, resolved once.
-	cRx, cTx, cOpened, cClosed *metrics.Counter
+	// The per-datagram and per-flow counters, resolved once: during a
+	// release every datagram the new generation reads counts on
+	// cForwarded, and Registry.Counter is a mutex and a map lookup.
+	cRx, cTx, cOpened, cClosed         *metrics.Counter
+	cForwarded, cMisrouted, cMalformed *metrics.Counter
+	cForwardBad, cInitialWhileDraining *metrics.Counter
 
 	handler Handler
 
@@ -191,16 +248,21 @@ func NewServer(name string, vip net.PacketConn, handler Handler, reg *metrics.Re
 		reg = metrics.NewRegistry()
 	}
 	s := &Server{
-		name:      name,
-		reg:       reg,
-		cRx:       reg.Counter("quicx.rx"),
-		cTx:       reg.Counter("quicx.tx"),
-		cOpened:   reg.Counter("quicx.flows.opened"),
-		cClosed:   reg.Counter("quicx.flows.closed"),
-		handler:   handler,
-		flows:     make(map[ConnID]net.Addr),
-		acceptNew: true,
-		main:      vip,
+		name:                  name,
+		reg:                   reg,
+		cRx:                   reg.Counter("quicx.rx"),
+		cTx:                   reg.Counter("quicx.tx"),
+		cOpened:               reg.Counter("quicx.flows.opened"),
+		cClosed:               reg.Counter("quicx.flows.closed"),
+		cForwarded:            reg.Counter("quicx.forwarded"),
+		cMisrouted:            reg.Counter("quicx.misrouted"),
+		cMalformed:            reg.Counter("quicx.malformed"),
+		cForwardBad:           reg.Counter("quicx.forward.bad"),
+		cInitialWhileDraining: reg.Counter("quicx.initial.while.draining"),
+		handler:               handler,
+		flows:                 make(map[ConnID]net.Addr),
+		acceptNew:             true,
+		main:                  vip,
 	}
 	s.mainExit.L = &s.mu
 	return s
@@ -418,6 +480,7 @@ func (s *Server) readLoop(conn net.PacketConn, forwarded bool) {
 	})
 	defer bc.Release()
 	out := s.sender()
+	peers := forwardedPeers{} // used by the forward loop only
 	for {
 		msgs, err := bc.ReadBatch()
 		if err != nil {
@@ -450,28 +513,30 @@ func (s *Server) readLoop(conn net.PacketConn, forwarded bool) {
 		// and go out as one sendmmsg when the burst is drained.
 		for _, m := range msgs {
 			if m.Addr == nil {
-				s.reg.Counter("quicx.malformed").Inc()
+				s.cMalformed.Inc()
 				continue
 			}
 			if forwarded {
-				inner, origFrom, err := unwrapForwarded(m.Buf)
+				inner, origFrom, err := peers.unwrap(m.Buf)
 				if err != nil {
-					s.reg.Counter("quicx.forward.bad").Inc()
+					s.cForwardBad.Inc()
 					continue
 				}
-				s.handlePacket(inner, origFrom)
+				s.handlePacket(out, inner, origFrom)
 				continue
 			}
-			s.handlePacket(m.Buf, m.Addr)
+			s.handlePacket(out, m.Buf, m.Addr)
 		}
 		out.Flush()
 	}
 }
 
-func (s *Server) handlePacket(raw []byte, from net.Addr) {
+// handlePacket processes one datagram from the client at from; replies and
+// forwards queue on out, the read loop's handle on the shared VIP sender.
+func (s *Server) handlePacket(out *netx.BatchPacketConn, raw []byte, from net.Addr) {
 	p, err := Unmarshal(raw)
 	if err != nil {
-		s.reg.Counter("quicx.malformed").Inc()
+		s.cMalformed.Inc()
 		return
 	}
 	s.cRx.Inc()
@@ -482,50 +547,47 @@ func (s *Server) handlePacket(raw []byte, from net.Addr) {
 		if accept {
 			s.flows[p.Conn] = from
 		}
-		fwdTo := s.forwardTo
 		s.mu.Unlock()
 		if !accept {
 			// Draining instance: new flows belong to the new instance.
 			// With user-space routing this shouldn't happen (the new
 			// instance reads the VIP), but a forwarding loop guard
 			// matters: count and drop.
-			s.reg.Counter("quicx.initial.while.draining").Inc()
-			_ = fwdTo
+			s.cInitialWhileDraining.Inc()
 			return
 		}
 		s.cOpened.Inc()
-		s.reply(p.Conn, from, s.handler(p.Conn, p.Payload))
+		s.reply(out, p.Conn, from, s.handler(p.Conn, p.Payload))
 	case PktData:
 		s.mu.Lock()
 		addr, known := s.flows[p.Conn]
 		fwdTo := s.forwardTo
 		s.mu.Unlock()
 		if !known {
-			if fwdTo != nil {
+			if ap, ok := addrPortOf(from); ok && fwdTo != nil {
 				// User-space routing (§4.1): tunnel to the draining
 				// instance, preserving the client address.
-				addr := from.String()
-				bp := bufpool.Get(3 + len(addr) + len(raw))
-				fw := appendForwarded((*bp)[:0], raw, addr)
-				err := s.sender().QueueTo(fw, fwdTo)
+				bp := bufpool.Get(forwardedHdr + maxAddrText + len(raw))
+				fw := appendForwarded((*bp)[:0], raw, ap)
+				err := out.QueueTo(fw, fwdTo)
 				bufpool.Put(bp)
 				if err == nil {
-					s.reg.Counter("quicx.forwarded").Inc()
+					s.cForwarded.Inc()
 					return
 				}
 			}
 			// No state and nowhere to forward: this is a mis-routed
 			// packet — the client's flow state is gone.
-			s.reg.Counter("quicx.misrouted").Inc()
+			s.cMisrouted.Inc()
 			return
 		}
-		if addr.String() != from.String() {
+		if !sameAddr(addr, from) {
 			// Client migrated (NAT rebind); update like QUIC does.
 			s.mu.Lock()
 			s.flows[p.Conn] = from
 			s.mu.Unlock()
 		}
-		s.reply(p.Conn, from, s.handler(p.Conn, p.Payload))
+		s.reply(out, p.Conn, from, s.handler(p.Conn, p.Payload))
 	case PktClose:
 		s.mu.Lock()
 		_, known := s.flows[p.Conn]
@@ -535,11 +597,11 @@ func (s *Server) handlePacket(raw []byte, from net.Addr) {
 			s.cClosed.Inc()
 		}
 	default:
-		s.reg.Counter("quicx.malformed").Inc()
+		s.cMalformed.Inc()
 	}
 }
 
-func (s *Server) reply(conn ConnID, to net.Addr, payload []byte) {
+func (s *Server) reply(out *netx.BatchPacketConn, conn ConnID, to net.Addr, payload []byte) {
 	if payload == nil {
 		return
 	}
@@ -548,7 +610,7 @@ func (s *Server) reply(conn ConnID, to net.Addr, payload []byte) {
 	// QueueTo copies pkt into its send ring (or writes through
 	// immediately on the fallback path), so the scratch can be returned
 	// right away; the read loop flushes the ring after each burst.
-	err := s.sender().QueueTo(pkt, to)
+	err := out.QueueTo(pkt, to)
 	bufpool.Put(bp)
 	if err == nil {
 		s.cTx.Inc()

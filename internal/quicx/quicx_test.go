@@ -46,16 +46,30 @@ func TestMarshalProperty(t *testing.T) {
 func TestForwardEncapsulation(t *testing.T) {
 	from := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 54321}
 	raw := Marshal(Packet{Type: PktData, Conn: 7, Payload: []byte("x")})
-	wrapped := wrapForwarded(raw, from)
-	inner, addr, err := unwrapForwarded(wrapped)
+	ap, ok := addrPortOf(from)
+	if !ok {
+		t.Fatalf("addrPortOf(%v) failed", from)
+	}
+	wrapped := appendForwarded(nil, raw, ap)
+	peers := forwardedPeers{}
+	inner, addr, err := peers.unwrap(wrapped)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(inner, raw) || addr.String() != from.String() {
+	if !bytes.Equal(inner, raw) || !sameAddr(addr, from) {
 		t.Fatalf("inner=%v addr=%v", inner, addr)
 	}
-	if _, _, err := unwrapForwarded(raw); err == nil {
+	if _, again, _ := peers.unwrap(wrapped); again != addr {
+		t.Fatal("second packet from one client decoded to a different *net.UDPAddr")
+	}
+	if _, _, err := peers.unwrap(raw); err == nil {
 		t.Fatal("accepted non-forwarded packet")
+	}
+	// A name where the address belongs is refused, never looked up.
+	host := "localhost:443"
+	named := append([]byte{byte(pktForwarded), 0, byte(len(host))}, host...)
+	if _, _, err := peers.unwrap(append(named, raw...)); err == nil {
+		t.Fatal("accepted a hostname as the forwarded client address")
 	}
 }
 

@@ -155,9 +155,14 @@ func RunTCPRelay(totalBytes int64, useSplice bool) (Measurement, error) {
 	}, nil
 }
 
-// RunQuicBurst drives a quicx echo server with back-to-back bursts of
-// burstSize data packets and reports the router's syscalls per packet,
-// summing receive calls and send flushes server-side.
+// RunQuicBurst drives a quicx echo server with bursts of burstSize data
+// packets and reports the router's syscalls per packet, summing receive
+// calls and send flushes server-side. Each burst is in the socket buffer
+// before the server reads (the reader starts, or resumes from a drain,
+// only after the last send returned) and the reader is fenced off again
+// before the next, so how many datagrams one recvmmsg finds is the burst
+// size, not a race between the two sides' scheduling: batched, a burst
+// that fits the ring costs exactly one receive call and one send flush.
 func RunQuicBurst(bursts, burstSize int, batched bool) (Measurement, error) {
 	vip, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
@@ -171,7 +176,6 @@ func RunQuicBurst(bursts, burstSize int, batched bool) (Measurement, error) {
 		srv.DisableBatch()
 	}
 	defer srv.Close()
-	srv.Start()
 
 	conn, err := net.Dial("udp", vip.LocalAddr().String())
 	if err != nil {
@@ -196,6 +200,11 @@ func RunQuicBurst(bursts, burstSize int, batched bool) (Measurement, error) {
 				return Measurement{}, err
 			}
 		}
+		if b == 0 {
+			srv.Start()
+		} else {
+			srv.UndoDrain()
+		}
 		// Drain the echoes before the next burst so neither socket
 		// buffer overflows; tolerate stragglers via the deadline.
 		conn.SetReadDeadline(time.Now().Add(time.Second))
@@ -203,6 +212,11 @@ func RunQuicBurst(bursts, burstSize int, batched bool) (Measurement, error) {
 			if _, err := conn.Read(rbuf); err != nil {
 				break
 			}
+		}
+		// The fence: the read loop has handled what it pulled, flushed,
+		// counted, and exited.
+		if _, err := srv.StartDraining(); err != nil {
+			return Measurement{}, err
 		}
 	}
 	sec := time.Since(start).Seconds()

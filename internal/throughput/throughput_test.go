@@ -44,8 +44,19 @@ func TestQuicBurstBatchedReducesSyscalls(t *testing.T) {
 	if got := unbatched.SyscallsPerPkt; got < 1.9 {
 		t.Fatalf("unbatched syscalls/pkt = %.2f, want ~2", got)
 	}
+	const pkts = bursts * burstSize
+	if unbatched.Packets != pkts || unbatched.RecvCalls != pkts || unbatched.SendFlushes != pkts {
+		t.Fatalf("unbatched: %d packets in %d receive calls and %d send flushes, want %d of each",
+			unbatched.Packets, unbatched.RecvCalls, unbatched.SendFlushes, pkts)
+	}
+	// Batched, every burst was queued before the reader ran and fits the
+	// 64-entry rings: one recvmmsg and one sendmmsg per burst.
+	if batched.Packets != pkts || batched.RecvCalls != bursts || batched.SendFlushes != bursts {
+		t.Fatalf("batched: %d packets in %d receive calls and %d send flushes, want %d in %d and %d",
+			batched.Packets, batched.RecvCalls, batched.SendFlushes, pkts, bursts, bursts)
+	}
 	// The acceptance bar: ≥4× fewer syscalls per packet on 64-packet
-	// bursts. In practice batching lands near 2/64 per direction.
+	// bursts.
 	if batched.SyscallsPerPkt*4 > unbatched.SyscallsPerPkt {
 		t.Fatalf("batched %.3f syscalls/pkt not ≤ ¼ of unbatched %.3f", batched.SyscallsPerPkt, unbatched.SyscallsPerPkt)
 	}
