@@ -335,7 +335,7 @@ func BenchmarkAblationGoawayDrain(b *testing.B) {
 					acceptCh <- st
 				}
 			}()
-			st, err := client.OpenStream(nil, false)
+			st, err := client.OpenStreamWith(nil, nil, false)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -376,7 +376,7 @@ func (s *Server) serveRequest(conn net.Conn, br *bufio.Reader, req *http1.Reques
 		sp.Fail(err)
 		return false
 	}
-	sp.SetAttr("status", strconv.Itoa(resp.StatusCode))
+	sp.SetAttrInt("status", resp.StatusCode)
 	s.cStatus.Inc(resp.StatusCode)
 	return !draining
 }

@@ -27,6 +27,11 @@
 // session is bounded by SETTINGS max-concurrent-streams times the stream
 // window, and one stalled stream never holds up another.
 //
+// A header block in memory is Fields, its fields in wire order as
+// substrings of one copy of the payload; a Stream, with room for its two
+// blocks and the slot response headers wait in, is one allocation
+// (DESIGN.md §15, "Heads and header blocks").
+//
 // Deliberate simplifications vs. RFC 7540 (documented in DESIGN.md): no
 // HPACK (headers use a plain length-prefixed encoding), one fixed window
 // size and no session window, no priorities, no server push.
@@ -173,78 +178,119 @@ func ReadFrame(r io.Reader) (Frame, error) {
 	return f, nil
 }
 
-// headerBlockSize validates h and returns the length of its encoding.
-func headerBlockSize(h map[string]string) (int, error) {
-	if len(h) > 0xffff {
+// Field is one name/value pair of a header block.
+type Field struct{ Name, Value string }
+
+// Fields is a header block in memory: its fields in wire order, names
+// matched exactly. A block that was received is one copy of its payload,
+// as a string, of which every Name and Value is a substring: nothing is
+// copied per field, and the copy lives as long as any of them does.
+type Fields []Field
+
+// Get returns the value of the first field called name, or "".
+func (f Fields) Get(name string) string {
+	for i := range f {
+		if f[i].Name == name {
+			return f[i].Value
+		}
+	}
+	return ""
+}
+
+// fieldsSize validates f and returns the length of its encoding.
+func fieldsSize(f Fields) (int, error) {
+	if len(f) > 0xffff {
 		return 0, errors.New("h2t: too many headers")
 	}
 	size := 2
-	for k, v := range h {
-		if len(k) > 0xffff || len(v) > 0xffff {
+	for i := range f {
+		if len(f[i].Name) > 0xffff || len(f[i].Value) > 0xffff {
 			return 0, errors.New("h2t: header field too long")
 		}
-		size += 4 + len(k) + len(v)
+		size += 4 + len(f[i].Name) + len(f[i].Value)
 	}
 	return size, nil
 }
 
-// appendHeaderBlock appends the encoding of a header map that passed
-// headerBlockSize: u16 count, then length-prefixed key/value pairs.
-func appendHeaderBlock(buf []byte, h map[string]string) []byte {
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(h)))
-	for k, v := range h {
-		buf = binary.BigEndian.AppendUint16(buf, uint16(len(k)))
-		buf = append(buf, k...)
-		buf = binary.BigEndian.AppendUint16(buf, uint16(len(v)))
-		buf = append(buf, v...)
+// appendFields appends the encoding of a block that passed fieldsSize:
+// u16 count, then length-prefixed name/value pairs.
+func appendFields(buf []byte, f Fields) []byte {
+	buf = binary.BigEndian.AppendUint16(buf, uint16(len(f)))
+	for i := range f {
+		buf = binary.BigEndian.AppendUint16(buf, uint16(len(f[i].Name)))
+		buf = append(buf, f[i].Name...)
+		buf = binary.BigEndian.AppendUint16(buf, uint16(len(f[i].Value)))
+		buf = append(buf, f[i].Value...)
 	}
 	return buf
 }
 
-// EncodeHeaders serializes a header map: u16 count, then length-prefixed
-// key/value pairs. Header maps are small (a handful of routing fields).
-func EncodeHeaders(h map[string]string) ([]byte, error) {
-	size, err := headerBlockSize(h)
-	if err != nil {
-		return nil, err
-	}
-	return appendHeaderBlock(make([]byte, 0, size), h), nil
-}
-
-// DecodeHeaders parses EncodeHeaders output.
-func DecodeHeaders(b []byte) (map[string]string, error) {
+// decodeFields parses an encoded header block. The fields go into room,
+// which is the caller's and empty, if it has the capacity and into a new
+// slice if not; the result is never nil.
+func decodeFields(room []Field, b []byte) (Fields, error) {
 	if len(b) < 2 {
 		return nil, errors.New("h2t: short header block")
 	}
-	n := int(binary.BigEndian.Uint16(b[:2]))
-	b = b[2:]
-	h := make(map[string]string, n)
-	for i := 0; i < n; i++ {
-		k, rest, err := takeString(b)
-		if err != nil {
-			return nil, err
-		}
-		v, rest2, err := takeString(rest)
-		if err != nil {
-			return nil, err
-		}
-		h[k] = v
-		b = rest2
+	n, s := int(binary.BigEndian.Uint16(b)), string(b[2:])
+	if len(s) < 4*n {
+		return nil, errors.New("h2t: truncated header block")
 	}
-	if len(b) != 0 {
+	f := Fields(room)
+	if f == nil || cap(f) < n {
+		f = make(Fields, 0, n)
+	}
+	for i := 0; i < 2*n; i++ {
+		if len(s) < 2 || len(s)-2 < int(s[0])<<8+int(s[1]) {
+			return nil, errors.New("h2t: truncated header string")
+		}
+		end := 2 + int(s[0])<<8 + int(s[1])
+		if i%2 == 0 {
+			f = append(f, Field{Name: s[2:end]})
+		} else {
+			f[i/2].Value = s[2:end]
+		}
+		s = s[end:]
+	}
+	if s != "" {
 		return nil, errors.New("h2t: trailing bytes in header block")
 	}
-	return h, nil
+	return f, nil
 }
 
-func takeString(b []byte) (string, []byte, error) {
-	if len(b) < 2 {
-		return "", nil, errors.New("h2t: truncated header block")
+// EncodeHeaders serializes a header map, in no particular order. It and
+// the other map-typed entry points (DecodeHeaders, Session.OpenStream,
+// Stream.SendHeaders, Stream.Headers) are adapters over Fields kept for
+// bench/probe, which names them; no request uses them.
+func EncodeHeaders(h map[string]string) ([]byte, error) {
+	var room [fieldsRoom]Field
+	f := appendMap(room[:0], h)
+	size, err := fieldsSize(f)
+	if err != nil {
+		return nil, err
 	}
-	n := int(binary.BigEndian.Uint16(b[:2]))
-	b = b[2:]
-	if len(b) < n {
-		return "", nil, errors.New("h2t: truncated header string")
+	return appendFields(make([]byte, 0, size), f), nil
+}
+
+// DecodeHeaders parses a header block into a map (the last of a repeated
+// name).
+func DecodeHeaders(b []byte) (map[string]string, error) {
+	var room [fieldsRoom]Field
+	f, err := decodeFields(room[:0], b)
+	return f.toMap(), err
+}
+
+func appendMap(f Fields, h map[string]string) Fields {
+	for k, v := range h {
+		f = append(f, Field{k, v})
 	}
-	return string(b[:n]), b[n:], nil
+	return f
+}
+
+func (f Fields) toMap() map[string]string {
+	h := make(map[string]string, len(f))
+	for i := range f {
+		h[f[i].Name] = f[i].Value
+	}
+	return h
 }

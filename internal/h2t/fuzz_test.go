@@ -92,3 +92,36 @@ func FuzzReadFrame(f *testing.F) {
 		}
 	})
 }
+
+// FuzzFields throws bytes at the header-block decoder. It must never
+// panic; it and the map-typed DecodeHeaders must accept and refuse the
+// same blocks and agree on what an accepted one says (a map keeps the
+// last of a repeated name); and since a block has one encoding, an
+// accepted block encodes back to the bytes it came from. The seed corpus
+// is testdata/fuzz/FuzzFields, one file per case, named for it.
+func FuzzFields(f *testing.F) {
+	f.Fuzz(func(t *testing.T, block []byte) {
+		var room [fieldsRoom]Field
+		fields, err := decodeFields(room[:0], block)
+		asMap, mapErr := DecodeHeaders(block)
+		if (err == nil) != (mapErr == nil) {
+			t.Fatalf("decodeFields: %v, DecodeHeaders: %v", err, mapErr)
+		}
+		if err != nil {
+			return
+		}
+		want := map[string]string{}
+		for _, f := range fields {
+			want[f.Name] = f.Value
+		}
+		if !reflect.DeepEqual(asMap, want) {
+			t.Fatalf("fields %v, map %v", fields, asMap)
+		}
+		if size, err := fieldsSize(fields); err != nil || size != len(block) {
+			t.Fatalf("fieldsSize of a %d-byte block = %d, %v", len(block), size, err)
+		}
+		if again := appendFields(nil, fields); !bytes.Equal(again, block) {
+			t.Fatalf("block %q encodes back as %q", block, again)
+		}
+	})
+}

@@ -49,7 +49,86 @@ func TestFrameTypeString(t *testing.T) {
 	}
 }
 
-func TestHeaderCodecRoundTrip(t *testing.T) {
+// codec runs a block through the wire form and back.
+func codec(t testing.TB, in Fields) Fields {
+	t.Helper()
+	size, err := fieldsSize(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := appendFields(nil, in)
+	if len(b) != size {
+		t.Fatalf("fieldsSize = %d for a %d-byte block", size, len(b))
+	}
+	out, err := decodeFields(nil, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+func TestFieldsRoundTrip(t *testing.T) {
+	in := Fields{{":method", "POST"}, {":path", "/up"}, {"user-id", "u-42"}, {"empty", ""}, {"", "nameless"}, {"set-cookie", "a"}, {"set-cookie", "b"}}
+	if out := codec(t, in); !reflect.DeepEqual(in, out) {
+		t.Fatalf("%v != %v", out, in)
+	}
+	if out := codec(t, Fields{}); out == nil || len(out) != 0 {
+		t.Fatalf("empty block decoded as %#v", out)
+	}
+	if in.Get("set-cookie") != "a" || in.Get("Set-Cookie") != "" || in.Get("empty") != "" {
+		t.Fatal("Get is not first exact match")
+	}
+	// A block that fits the room given is decoded into it, one that does
+	// not leaves it alone.
+	var room [3]Field
+	if out, _ := decodeFields(room[:0], appendFields(nil, in[:3])); &out[0] != &room[0] {
+		t.Fatal("a block that fits was not decoded into the room")
+	}
+	room = [3]Field{}
+	if out, _ := decodeFields(room[:0], appendFields(nil, in)); len(out) != len(in) || room[0] != (Field{}) {
+		t.Fatal("a block that does not fit touched the room")
+	}
+}
+
+// TestHeadersFrameGolden: the bytes of an opening message as recorded at
+// the commit before header blocks became Fields — frame header with the
+// session's one FlagWindow, u16 count, u16-length-prefixed names and
+// values, then the DATA frame. The first case is that commit's output for
+// a one-entry map (a map of more has no one order); the second block is
+// bytes that commit's DecodeHeaders was checked to read as these fields.
+func TestHeadersFrameGolden(t *testing.T) {
+	for _, c := range []struct {
+		hdr  Fields
+		want string
+	}{
+		{Fields{{":path", "/dyn/64"}},
+			"\x01\x04\x00\x00\x00\x01\x00\x00\x00\x12\x00\x01\x00\x05:path\x00\a/dyn/64" +
+				"\x02\x01\x00\x00\x00\x01\x00\x00\x00\x02hi"},
+		{Fields{{":method", "GET"}, {":path", "/dyn/64"}, {"content-length", "0"}},
+			"\x01\x04\x00\x00\x00\x01\x00\x00\x00\x33" +
+				"\x00\x03\x00\x07:method\x00\x03GET\x00\x05:path\x00\x07/dyn/64\x00\x0econtent-length\x00\x010" +
+				"\x02\x01\x00\x00\x00\x01\x00\x00\x00\x02hi"},
+	} {
+		cc, raw := net.Pipe()
+		client := NewSession(cc, true)
+		got := make(chan string, 1)
+		go func() {
+			buf := make([]byte, len(c.want))
+			n, _ := io.ReadFull(raw, buf)
+			got <- string(buf[:n])
+		}()
+		if _, err := client.OpenStreamWith(c.hdr, []byte("hi"), true); err != nil {
+			t.Fatal(err)
+		}
+		if got := <-got; got != c.want {
+			t.Errorf("opening message\n got %q\nwant %q", got, c.want)
+		}
+		client.Close()
+	}
+}
+
+// The map-typed entry points are adapters over Fields.
+func TestHeaderMapAdapters(t *testing.T) {
 	in := map[string]string{":method": "POST", ":path": "/up", "user-id": "u-42", "empty": ""}
 	b, err := EncodeHeaders(in)
 	if err != nil {
@@ -61,6 +140,24 @@ func TestHeaderCodecRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(in, out) {
 		t.Fatalf("%v != %v", out, in)
+	}
+	client, server := sessionPair(t)
+	st, err := client.OpenStream(in, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sst, err := server.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sst.Headers(); !reflect.DeepEqual(got, in) {
+		t.Fatalf("accepted with %v, opened with %v", got, in)
+	}
+	if err := sst.SendHeaders(map[string]string{"status": "200"}, true); err != nil {
+		t.Fatal(err)
+	}
+	if h, err := st.RecvHeaders(2 * time.Second); err != nil || h.Get("status") != "200" {
+		t.Fatalf("response headers = %v, %v", h, err)
 	}
 }
 
@@ -90,14 +187,14 @@ func TestHeaderCodecProperty(t *testing.T) {
 }
 
 func TestHeaderCodecRejectsGarbage(t *testing.T) {
-	for _, b := range [][]byte{nil, {0}, {0, 5, 1}, {0, 1, 0, 3, 'a'}} {
-		if _, err := DecodeHeaders(b); err == nil {
+	for _, b := range [][]byte{nil, {0}, {0, 5, 1}, {0, 1, 0, 3, 'a'}, {0xff, 0xff}, {0, 1, 0, 1, 'a'}} {
+		if _, err := decodeFields(nil, b); err == nil {
 			t.Errorf("accepted %v", b)
 		}
 	}
 	// Trailing bytes must be rejected.
-	good, _ := EncodeHeaders(map[string]string{"a": "b"})
-	if _, err := DecodeHeaders(append(good, 0xff)); err == nil {
+	good := appendFields(nil, Fields{{"a", "b"}})
+	if _, err := decodeFields(nil, append(good, 0xff)); err == nil {
 		t.Error("accepted trailing bytes")
 	}
 }
@@ -112,12 +209,12 @@ func TestOpenAcceptEcho(t *testing.T) {
 			return
 		}
 		body, _ := io.ReadAll(st)
-		st.SendHeaders(map[string]string{"status": "200"}, false)
+		st.SendMessage(Fields{{"status", "200"}}, nil, false)
 		st.Write(body)
 		st.CloseWrite()
 	}()
 
-	st, err := client.OpenStream(map[string]string{":path": "/echo"}, false)
+	st, err := client.OpenStreamWith(Fields{{":path", "/echo"}}, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +228,7 @@ func TestOpenAcceptEcho(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h["status"] != "200" {
+	if h.Get("status") != "200" {
 		t.Fatalf("headers = %v", h)
 	}
 	body, err := io.ReadAll(st)
@@ -167,7 +264,7 @@ func TestManyConcurrentStreams(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			st, err := client.OpenStream(nil, false)
+			st, err := client.OpenStreamWith(nil, nil, false)
 			if err != nil {
 				errs <- err
 				return
@@ -203,7 +300,7 @@ func TestLargeBodySplitsFrames(t *testing.T) {
 		st.Write(b)
 		st.CloseWrite()
 	}()
-	st, err := client.OpenStream(nil, false)
+	st, err := client.OpenStreamWith(nil, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +329,7 @@ func TestGoAwayStopsNewStreams(t *testing.T) {
 			acceptCh <- st
 		}
 	}()
-	st, err := client.OpenStream(nil, false)
+	st, err := client.OpenStreamWith(nil, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,10 +345,10 @@ func TestGoAwayStopsNewStreams(t *testing.T) {
 	if !client.Draining() || !server.Draining() {
 		t.Fatal("both sides should report draining")
 	}
-	if _, err := client.OpenStream(nil, false); !errors.Is(err, ErrGoAway) {
+	if _, err := client.OpenStreamWith(nil, nil, false); !errors.Is(err, ErrGoAway) {
 		t.Fatalf("OpenStream after GOAWAY = %v, want ErrGoAway", err)
 	}
-	if _, err := server.OpenStream(nil, false); !errors.Is(err, ErrGoAway) {
+	if _, err := server.OpenStreamWith(nil, nil, false); !errors.Is(err, ErrGoAway) {
 		t.Fatalf("server OpenStream after its own GOAWAY = %v, want ErrGoAway", err)
 	}
 
@@ -278,7 +375,7 @@ func TestResetDeliversError(t *testing.T) {
 		}
 		st.Reset()
 	}()
-	st, err := client.OpenStream(nil, false)
+	st, err := client.OpenStreamWith(nil, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +403,7 @@ func TestSessionCloseFailsStreams(t *testing.T) {
 		_ = st
 		// Never respond; client stream must fail on session close.
 	}()
-	st, err := client.OpenStream(nil, false)
+	st, err := client.OpenStreamWith(nil, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +415,7 @@ func TestSessionCloseFailsStreams(t *testing.T) {
 	if _, err := st.Read(buf); err == nil {
 		t.Fatal("read succeeded after session close")
 	}
-	if _, err := client.OpenStream(nil, false); !errors.Is(err, ErrSessionClosed) {
+	if _, err := client.OpenStreamWith(nil, nil, false); !errors.Is(err, ErrSessionClosed) {
 		t.Fatalf("OpenStream after close = %v", err)
 	}
 	select {
@@ -330,7 +427,7 @@ func TestSessionCloseFailsStreams(t *testing.T) {
 
 func TestPeerDisconnectFailsStreams(t *testing.T) {
 	client, server := sessionPair(t)
-	st, err := client.OpenStream(nil, false)
+	st, err := client.OpenStreamWith(nil, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +448,7 @@ func TestControlFramesDCR(t *testing.T) {
 		// Origin solicits a reconnect (restart incoming), §4.2 step A.
 		st.SendControl(FrameReconnectSolicitation, []byte("draining"))
 	}()
-	st, err := client.OpenStream(map[string]string{"proto": "mqtt"}, false)
+	st, err := client.OpenStreamWith(Fields{{"proto", "mqtt"}}, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +484,7 @@ func TestStreamsReapedAfterBothEnds(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 20; i++ {
-		st, err := client.OpenStream(nil, false)
+		st, err := client.OpenStreamWith(nil, nil, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -413,7 +510,7 @@ func TestWriteAfterCloseWrite(t *testing.T) {
 			io.Copy(io.Discard, st)
 		}
 	}()
-	st, err := client.OpenStream(nil, false)
+	st, err := client.OpenStreamWith(nil, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,7 +543,7 @@ func BenchmarkStreamEcho(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st, err := client.OpenStream(nil, false)
+		st, err := client.OpenStreamWith(nil, nil, false)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -492,15 +589,15 @@ func TestSettingsStreamLimit(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	st1, err := client.OpenStream(nil, false)
+	st1, err := client.OpenStreamWith(nil, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st2, err := client.OpenStream(nil, false)
+	st2, err := client.OpenStreamWith(nil, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.OpenStream(nil, false); !errors.Is(err, ErrStreamLimit) {
+	if _, err := client.OpenStreamWith(nil, nil, false); !errors.Is(err, ErrStreamLimit) {
 		t.Fatalf("third open = %v, want ErrStreamLimit", err)
 	}
 	// Finish one stream; capacity frees up.
@@ -508,7 +605,7 @@ func TestSettingsStreamLimit(t *testing.T) {
 	io.ReadAll(st1)
 	deadline = time.Now().Add(2 * time.Second)
 	for {
-		st3, err := client.OpenStream(nil, false)
+		st3, err := client.OpenStreamWith(nil, nil, false)
 		if err == nil {
 			st3.CloseWrite()
 			break
@@ -536,7 +633,7 @@ func TestSettingsZeroMeansUnlimited(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 100; i++ {
-		if _, err := client.OpenStream(nil, true); err != nil {
+		if _, err := client.OpenStreamWith(nil, nil, true); err != nil {
 			t.Fatalf("open %d: %v", i, err)
 		}
 	}
@@ -556,9 +653,9 @@ func TestUnknownFrameTypeIgnored(t *testing.T) {
 		if err != nil {
 			return
 		}
-		st.SendHeaders(map[string]string{"status": "200"}, true)
+		st.SendMessage(Fields{{"status", "200"}}, nil, true)
 	}()
-	st, err := client.OpenStream(nil, true)
+	st, err := client.OpenStreamWith(nil, nil, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,265 @@
+package h2t
+
+import (
+	"errors"
+	"io"
+	"net"
+	"strings"
+	"testing"
+	"time"
+
+	"zdr/internal/racetest"
+)
+
+// TestControlBeforeControls: a stream has no control channel until someone
+// needs one, and a frame that arrives before its consumer has asked makes
+// the channel itself; it is there when Controls is called.
+func TestControlBeforeControls(t *testing.T) {
+	client, server := sessionPair(t)
+	st, err := client.OpenStreamWith(Fields{{"proto", "mqtt"}}, nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sst, err := server.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.ctrlCh != nil || sst.ctrlCh != nil {
+		t.Fatal("a stream nobody sent a control frame on has a control channel")
+	}
+	if err := sst.SendControl(FrameReconnectSolicitation, []byte("u-1")); err != nil {
+		t.Fatal(err)
+	}
+	// A ping answered means the client's reader has handled the frame
+	// before it.
+	if err := server.Ping(2 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case c := <-st.Controls():
+		if c.Type != FrameReconnectSolicitation || string(c.Payload) != "u-1" {
+			t.Fatalf("control = %+v", c)
+		}
+	default:
+		t.Fatal("a control frame that arrived before Controls was called was not kept")
+	}
+}
+
+// TestRecvHeadersOnAcceptedStream: headers sent after the opening block
+// reach the accepting side's RecvHeaders as they reach the opener's,
+// whether they arrive before the call or during it.
+func TestRecvHeadersOnAcceptedStream(t *testing.T) {
+	client, server := sessionPair(t)
+	st, err := client.OpenStreamWith(Fields{{":path", "/x"}}, nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sst, err := server.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sst.Fields(); len(got) != 1 || got[0] != (Field{":path", "/x"}) {
+		t.Fatalf("accepted with %v", got)
+	}
+	if err := st.SendMessage(Fields{{"trailer", "early"}}, nil, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := client.Ping(2 * time.Second); err != nil { // the block is in the slot
+		t.Fatal(err)
+	}
+	if h, err := sst.RecvHeaders(2 * time.Second); err != nil || h.Get("trailer") != "early" {
+		t.Fatalf("block that arrived before the call: %v, %v", h, err)
+	}
+	go func() {
+		time.Sleep(20 * time.Millisecond)
+		st.SendMessage(Fields{{"trailer", "late"}, {"more", strings.Repeat("x", 100)}}, nil, true)
+	}()
+	if h, err := sst.RecvHeaders(2 * time.Second); err != nil || h.Get("trailer") != "late" || len(h.Get("more")) != 100 {
+		t.Fatalf("block that arrived during the call: %v, %v", h, err)
+	}
+}
+
+func TestRecvHeadersTimeoutAndSessionDeath(t *testing.T) {
+	client, server := sessionPair(t)
+	st, err := client.OpenStreamWith(nil, nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t0 := time.Now()
+	if _, err := st.RecvHeaders(30 * time.Millisecond); err == nil || !strings.Contains(err.Error(), "timeout") {
+		t.Fatalf("no headers sent: err = %v, want a timeout", err)
+	}
+	if d := time.Since(t0); d < 30*time.Millisecond || d > time.Second {
+		t.Fatalf("timed out after %v, want about 30ms", d)
+	}
+	// A timeout does not break the stream: headers sent afterwards arrive.
+	sst, err := server.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sst.SendMessage(Fields{{"status", "200"}}, nil, false)
+	if h, err := st.RecvHeaders(2 * time.Second); err != nil || h.Get("status") != "200" {
+		t.Fatalf("after a timeout: %v, %v", h, err)
+	}
+	go func() {
+		time.Sleep(20 * time.Millisecond)
+		server.Close()
+	}()
+	if _, err := st.RecvHeaders(5 * time.Second); !errors.Is(err, ErrSessionClosed) {
+		t.Fatalf("session died while waiting: err = %v, want ErrSessionClosed", err)
+	}
+}
+
+// TestRecvHeadersTimerReuse races arrival against the timeout on timers
+// that have been through the pool: a wait given ample time must never end
+// on the tick a previous wait's timer left behind, and a wait that times
+// out must take its whole timeout. (A timer that fires just as the
+// headers arrive, so that the wait returns them and leaves the tick, is
+// the case; the timeouts below are swept across the time an answer takes
+// to make it happen.)
+func TestRecvHeadersTimerReuse(t *testing.T) {
+	client, server := sessionPair(t)
+	go func() {
+		for {
+			sst, err := server.Accept()
+			if err != nil {
+				return
+			}
+			if sst.Fields().Get("answer") != "never" {
+				sst.SendMessage(Fields{{"status", "200"}}, nil, true)
+			}
+		}
+	}()
+	exchange := func(timeout time.Duration) (time.Duration, error) {
+		t0 := time.Now()
+		st, err := client.OpenStreamWith(nil, nil, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err = st.RecvHeaders(timeout); err != nil {
+			st.Reset()
+		}
+		return time.Since(t0), err
+	}
+	rtt, _ := exchange(10 * time.Second)
+	for i := 0; i < 300; i++ {
+		// A wait whose timer fires about when its headers come: either
+		// outcome is legitimate.
+		exchange(rtt * time.Duration(i%20) / 10)
+		if d, err := exchange(10 * time.Second); err != nil {
+			t.Fatalf("round %d: a wait with 10s to spare ended after %v with %v", i, d, err)
+		} else if i%10 == 0 {
+			rtt = d
+		}
+	}
+	st, err := client.OpenStreamWith(Fields{{"answer", "never"}}, nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		t0 := time.Now()
+		if _, err := st.RecvHeaders(2 * time.Millisecond); err == nil || time.Since(t0) < 2*time.Millisecond {
+			t.Fatalf("a 2ms wait for headers nobody sends ended after %v with %v", time.Since(t0), err)
+		}
+	}
+}
+
+// tcpSessionPair is a session pair over loopback TCP, as the proxies'.
+func tcpSessionPair(t testing.TB) (client, server *Session) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		c, _ := ln.Accept()
+		accepted <- c
+	}()
+	cc, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := <-accepted
+	if sc == nil {
+		t.Fatal("accept failed")
+	}
+	client, server = NewSession(cc, true), NewSession(sc, false)
+	t.Cleanup(func() { client.Close(); server.Close() })
+	return client, server
+}
+
+// TestStreamAllocations: what a request costs the tunnel, both sides
+// counted — a Stream and the opening block's string where it is accepted,
+// a Stream, the response block's string and the wake-up channel where it
+// was opened — and what a message on an open stream costs: nothing.
+func TestStreamAllocations(t *testing.T) {
+	racetest.SkipAllocs(t)
+	client, server := tcpSessionPair(t)
+	payload := make([]byte, 64)
+	go func() { // serves every stream on one goroutine: the handler's cost is not the tunnel's
+		buf := make([]byte, 128)
+		for {
+			sst, err := server.Accept()
+			if err != nil {
+				return
+			}
+			if sst.Fields().Get("proto") == "pingpong" {
+				go func() {
+					buf := make([]byte, 128)
+					for {
+						if _, err := io.ReadFull(sst, buf); err != nil {
+							return
+						}
+						sst.Write(buf)
+					}
+				}()
+				continue
+			}
+			n, _ := io.ReadFull(sst, buf[:64])
+			sst.SendMessage(Fields{{"status", "200"}, {"status-message", "OK"}, {"Content-Length", "64"}, {"X-Served-By", "app-0"}}, buf[:n], true)
+		}
+	}()
+	hdr := Fields{{":method", "POST"}, {":path", "/dyn/64"}, {"content-length", "64"}}
+	buf := make([]byte, 128)
+	roundTrip := func() {
+		st, err := client.OpenStreamWith(hdr, payload, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h, err := st.RecvHeaders(5 * time.Second); err != nil || h.Get("status") != "200" {
+			t.Fatalf("response headers %v, %v", h, err)
+		}
+		if _, err := io.ReadFull(st, buf[:64]); err != nil {
+			t.Fatal(err)
+		}
+		if n, err := st.Read(buf); n != 0 || err != io.EOF {
+			t.Fatalf("after the body: %d, %v", n, err)
+		}
+	}
+	if n := testing.AllocsPerRun(200, roundTrip); n > 9 {
+		t.Errorf("open + headers back + 64 B + END_STREAM: %v allocs on the pair, want <= 9", n)
+	}
+	if client.NumStreams() != 0 || server.NumStreams() != 0 {
+		t.Fatalf("streams left: %d, %d", client.NumStreams(), server.NumStreams())
+	}
+
+	st, err := client.OpenStreamWith(Fields{{"proto", "pingpong"}}, nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		if _, err := st.Write(buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(st, buf); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("DATA ping-pong on an open stream: %v allocs, want 0", n)
+	}
+	if st.ctrlCh != nil {
+		t.Error("a stream that carried only DATA has a control channel")
+	}
+}

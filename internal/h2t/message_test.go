@@ -33,7 +33,7 @@ func TestMessageIsOneWrite(t *testing.T) {
 	defer client.Close()
 	defer server.Close()
 
-	st, err := client.OpenStreamWith(map[string]string{":path": "/p"}, []byte("ping"), true)
+	st, err := client.OpenStreamWith(Fields{{":path", "/p"}}, []byte("ping"), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,14 +47,14 @@ func TestMessageIsOneWrite(t *testing.T) {
 	if body, err := io.ReadAll(sst); err != nil || string(body) != "ping" {
 		t.Fatalf("request body = %q, %v", body, err)
 	}
-	if err := sst.SendMessage(map[string]string{"status": "200"}, []byte("pong"), true); err != nil {
+	if err := sst.SendMessage(Fields{{"status", "200"}}, []byte("pong"), true); err != nil {
 		t.Fatal(err)
 	}
 	if n := sw.writes.Load(); n != 1 {
 		t.Fatalf("response took %d writes, want 1", n)
 	}
 	hdr, err := st.RecvHeaders(2 * time.Second)
-	if err != nil || hdr["status"] != "200" {
+	if err != nil || hdr.Get("status") != "200" {
 		t.Fatalf("response headers = %v, %v", hdr, err)
 	}
 	if body, err := io.ReadAll(st); err != nil || string(body) != "pong" {
@@ -79,10 +79,10 @@ func TestMessageFrames(t *testing.T) {
 		want []Frame // after the stream's opening HEADERS
 	}{
 		{"headers, data and end", func(st *Stream) error {
-			return st.SendMessage(map[string]string{"k": "v"}, []byte("body"), true)
+			return st.SendMessage(Fields{{"k", "v"}}, []byte("body"), true)
 		}, []Frame{{Type: FrameHeaders}, {Type: FrameData, Flags: FlagEndStream, Payload: []byte("body")}}},
 		{"headers that end the stream", func(st *Stream) error {
-			return st.SendMessage(map[string]string{"k": "v"}, nil, true)
+			return st.SendMessage(Fields{{"k", "v"}}, nil, true)
 		}, []Frame{{Type: FrameHeaders, Flags: FlagEndStream}}},
 		{"data that ends the stream", func(st *Stream) error {
 			return st.SendMessage(nil, []byte("tail"), true)
@@ -113,7 +113,7 @@ func TestMessageFrames(t *testing.T) {
 				}
 				got <- fs
 			}()
-			st, err := client.OpenStream(nil, false)
+			st, err := client.OpenStreamWith(nil, nil, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -143,7 +143,7 @@ func TestMessageFrames(t *testing.T) {
 // first one out.
 func TestWriteReachesPeerWithNoFurtherCall(t *testing.T) {
 	client, server := sessionPair(t)
-	st, err := client.OpenStream(map[string]string{"proto": "mqtt"}, false)
+	st, err := client.OpenStreamWith(Fields{{"proto", "mqtt"}}, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,14 +185,14 @@ func TestHeadersArriveWithTheFramesBehindThem(t *testing.T) {
 		if err != nil {
 			return
 		}
-		block, _ := EncodeHeaders(map[string]string{"status": "200"})
+		block := appendFields(nil, Fields{{"status", "200"}})
 		var seg bytes.Buffer
 		WriteFrame(&seg, Frame{Type: FrameHeaders, StreamID: req.StreamID, Payload: block})
 		WriteFrame(&seg, Frame{Type: FrameData, StreamID: req.StreamID, Payload: []byte("he")})
 		WriteFrame(&seg, Frame{Type: FrameData, Flags: FlagEndStream, StreamID: req.StreamID, Payload: []byte("llo")})
 		raw.Write(seg.Bytes())
 	}()
-	st, err := client.OpenStream(nil, true)
+	st, err := client.OpenStreamWith(nil, nil, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,9 +220,9 @@ func TestHeadersDoNotWaitForData(t *testing.T) {
 		if err != nil {
 			return
 		}
-		st.SendHeaders(map[string]string{"status": "200"}, false)
+		st.SendMessage(Fields{{"status", "200"}}, nil, false)
 	}()
-	st, err := client.OpenStream(nil, true)
+	st, err := client.OpenStreamWith(nil, nil, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestPartialWritesKeepFramesWhole(t *testing.T) {
 	head := bytes.Repeat([]byte("h"), 10<<10) // past inlinePayload: its own element of the write
 	bulk := bytes.Repeat([]byte("b"), 200<<10)
 	go func() {
-		st, err := client.OpenStreamWith(map[string]string{":path": "/up"}, head, false)
+		st, err := client.OpenStreamWith(Fields{{":path", "/up"}}, head, false)
 		if err != nil {
 			return
 		}
@@ -297,11 +297,11 @@ func TestAbortedWriteEmitsNothingTwice(t *testing.T) {
 			fs = append(fs, f)
 		}
 	}()
-	st, err := client.OpenStream(map[string]string{":path": "/x"}, false)
+	st, err := client.OpenStreamWith(Fields{{":path", "/x"}}, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = st.SendMessage(map[string]string{"k": "v"}, []byte("body"), false)
+	err = st.SendMessage(Fields{{"k", "v"}}, []byte("body"), false)
 	if !errors.Is(err, faults.ErrInjected) {
 		t.Fatalf("send on the aborted write = %v, want the injected error", err)
 	}
@@ -338,11 +338,11 @@ func TestTornWriteIsFinal(t *testing.T) {
 		raw.Close()
 	}()
 	body := bytes.Repeat([]byte("x"), 2<<10)
-	if _, err := client.OpenStreamWith(map[string]string{":path": "/x"}, body, false); err == nil {
+	if _, err := client.OpenStreamWith(Fields{{":path", "/x"}}, body, false); err == nil {
 		t.Fatal("a message the peer read 13 bytes of was reported sent")
 	}
 	calls := in.WriteCalls()
-	if _, err := client.OpenStream(nil, true); err == nil {
+	if _, err := client.OpenStreamWith(nil, nil, true); err == nil {
 		t.Fatal("a stream opened behind a torn frame")
 	}
 	if err := client.GoAway(); err == nil {

@@ -296,26 +296,15 @@ func (s *Session) writeFrame(f Frame) error {
 	return s.flush()
 }
 
-// noHeaders is the empty header block, for a HEADERS frame sent with a nil
-// map: to sendMessage a nil map means no HEADERS frame at all.
-var noHeaders = map[string]string{}
-
-func orNoHeaders(h map[string]string) map[string]string {
-	if h == nil {
-		return noHeaders
-	}
-	return h
-}
-
 // sendMessage sends, for stream id, a HEADERS frame (unless hdr is nil) and
 // body as DATA frames split at the frame size limit, all in one write. end
 // puts END_STREAM on the last of those frames; an empty message that ends
 // the stream is an empty DATA frame.
-func (s *Session) sendMessage(id uint32, hdr map[string]string, body []byte, end bool) error {
+func (s *Session) sendMessage(id uint32, hdr Fields, body []byte, end bool) error {
 	var hdrSize int
 	if hdr != nil {
 		var err error
-		if hdrSize, err = headerBlockSize(hdr); err != nil {
+		if hdrSize, err = fieldsSize(hdr); err != nil {
 			return err
 		}
 		if hdrSize > maxFramePayload {
@@ -333,7 +322,7 @@ func (s *Session) sendMessage(id uint32, hdr map[string]string, body []byte, end
 	if hdr != nil {
 		// The header block is encoded straight behind its frame header.
 		s.putHeader(FrameHeaders, endFlag(len(body) == 0), id, hdrSize)
-		s.wbuf = appendHeaderBlock(s.wbuf, hdr)
+		s.wbuf = appendFields(s.wbuf, hdr)
 	} else if len(body) == 0 && end {
 		s.putFrame(FrameData, FlagEndStream, id, nil)
 	}
@@ -345,17 +334,18 @@ func (s *Session) sendMessage(id uint32, hdr map[string]string, body []byte, end
 	return s.flush()
 }
 
-// OpenStream starts a new stream with the given headers. If endStream is
-// true the local direction is immediately half-closed (a request with no
-// body). Fails with ErrGoAway while draining.
+// OpenStream is OpenStreamWith for a header map (see EncodeHeaders).
 func (s *Session) OpenStream(hdr map[string]string, endStream bool) (*Stream, error) {
-	return s.OpenStreamWith(hdr, nil, endStream)
+	var room [fieldsRoom]Field
+	return s.OpenStreamWith(appendMap(room[:0], hdr), nil, endStream)
 }
 
-// OpenStreamWith is OpenStream for a request whose first body bytes are
-// already in hand: HEADERS and body leave in one write, and with
-// endStream the last frame carries END_STREAM.
-func (s *Session) OpenStreamWith(hdr map[string]string, body []byte, endStream bool) (*Stream, error) {
+// OpenStreamWith starts a new stream with the given headers, of which the
+// stream keeps a copy, and the first body bytes if some are already in
+// hand: HEADERS and body leave in one write. With endStream the last
+// frame carries END_STREAM and the local direction is half-closed at once
+// (a request with no more body). Fails with ErrGoAway while draining.
+func (s *Session) OpenStreamWith(hdr Fields, body []byte, endStream bool) (*Stream, error) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -379,11 +369,12 @@ func (s *Session) OpenStreamWith(hdr map[string]string, body []byte, endStream b
 	}
 	id := s.nextID
 	s.nextID += 2
-	st := newStream(s, id, hdr)
+	st := newStream(s, id)
+	st.hdr = append(st.room[0][:0], hdr...) // not nil: to SendMessage nil is no HEADERS frame
 	s.streams[id] = st
 	s.mu.Unlock()
 
-	if err := st.SendMessage(orNoHeaders(hdr), body, endStream); err != nil {
+	if err := st.SendMessage(st.hdr, body, endStream); err != nil {
 		s.dropStream(id)
 		return nil, err
 	}
@@ -565,7 +556,7 @@ const readBufSize = 16 << 10
 // heldHeaders is a response header block parsed but not yet delivered.
 type heldHeaders struct {
 	st  *Stream
-	hdr map[string]string
+	hdr Fields
 }
 
 func (s *Session) readLoop() {
@@ -720,13 +711,29 @@ func (s *Session) handleFrame(f Frame) {
 	}
 }
 
+// handleHeaders decodes a block into the room its stream has for it.
 func (s *Session) handleHeaders(f Frame) {
-	hdr, err := DecodeHeaders(f.Payload)
+	st := s.lookup(f.StreamID)
+	fresh := st == nil && s.peerInitiated(f.StreamID)
+	var room []Field
+	switch {
+	case fresh:
+		st = newStream(s, f.StreamID)
+		room = st.room[0][:0]
+	case st != nil && !st.respSeen:
+		st.respSeen = true
+		room = st.room[1][:0]
+	}
+	hdr, err := decodeFields(room, f.Payload)
 	if err != nil {
 		s.shutdown(fmt.Errorf("h2t: bad header block: %w", err))
 		return
 	}
-	if st := s.lookup(f.StreamID); st != nil {
+	if st == nil {
+		// HEADERS for a stream we opened but already dropped; ignore.
+		return
+	}
+	if !fresh {
 		// Subsequent HEADERS on a live stream: response/trailer headers.
 		s.held = append(s.held, heldHeaders{st, hdr})
 		if f.Flags&FlagEndStream != 0 {
@@ -734,11 +741,7 @@ func (s *Session) handleHeaders(f Frame) {
 		}
 		return
 	}
-	if !s.peerInitiated(f.StreamID) {
-		// HEADERS for a stream we opened but already dropped; ignore.
-		return
-	}
-	st := newStream(s, f.StreamID, hdr)
+	st.hdr = hdr
 	if f.Flags&FlagEndStream != 0 {
 		st.remoteEnd = true
 		st.buf.setEOF()
@@ -774,10 +777,14 @@ func (s *Session) remoteEnd(st *Stream) {
 	}
 }
 
+// fieldsRoom is the room a Stream has for each of a request's two header
+// blocks, the one that opens it and the response's: the proxies' fit.
+const fieldsRoom = 6
+
 // Stream is one logical bidirectional stream.
 //
-// The receive buffer and both condition variables are part of the Stream
-// itself, so that windows cost a stream no allocation of their own.
+// The receive buffer, both condition variables and the room for header
+// blocks are part of the Stream itself: a stream is one allocation.
 type Stream struct {
 	sess *Session
 	id   uint32
@@ -785,11 +792,9 @@ type Stream struct {
 	// the stream was ended from outside, by the peer's RST or the
 	// session's death, and can send no more.
 	localEnd, remoteEnd, reset, aborted bool
-	hdr                                 map[string]string
-	buf                                 recvBuffer
-
-	hdrCh  chan map[string]string
-	ctrlCh chan Control
+	// respSeen is the session reader's: room[1] has been given out.
+	respSeen bool
+	buf      recvBuffer
 
 	mu sync.Mutex
 	// sendWin is how many more DATA bytes the peer's window has room for:
@@ -798,17 +803,20 @@ type Stream struct {
 	// (Session.peerWindow); senders with none left park on wcond.
 	sendWin int64
 	wcond   sync.Cond // L is &mu
+
+	// hdr is the block the stream was opened with. resp, guarded by mu, is
+	// the slot for one the peer sent after it (response headers), nil when
+	// empty, which RecvHeaders takes; hdrWake, made by the first call that
+	// has to wait, wakes it. room[0] backs hdr, room[1] the first resp.
+	hdr, resp Fields
+	hdrWake   chan struct{}
+	room      [2][fieldsRoom]Field
+	// ctrlCh carries DCR control frames; made on first use (controls).
+	ctrlCh chan Control
 }
 
-func newStream(s *Session, id uint32, hdr map[string]string) *Stream {
-	st := &Stream{
-		sess:    s,
-		id:      id,
-		hdr:     hdr,
-		hdrCh:   make(chan map[string]string, 4),
-		ctrlCh:  make(chan Control, 16),
-		sendWin: streamWindow,
-	}
+func newStream(s *Session, id uint32) *Stream {
+	st := &Stream{sess: s, id: id, sendWin: streamWindow}
 	st.buf.init()
 	st.wcond.L = &st.mu
 	return st
@@ -875,8 +883,11 @@ func (st *Stream) reserve(want int, end bool) (n int, done bool, err error) {
 // ID returns the stream ID.
 func (st *Stream) ID() uint32 { return st.id }
 
-// Headers returns the headers the stream was opened with.
-func (st *Stream) Headers() map[string]string { return st.hdr }
+// Fields returns the header block the stream was opened with.
+func (st *Stream) Fields() Fields { return st.hdr }
+
+// Headers is Fields as a new map (see EncodeHeaders).
+func (st *Stream) Headers() map[string]string { return st.hdr.toMap() }
 
 // Read reads decoded DATA payloads. The Read that takes what has been
 // consumed and not yet acknowledged past half the window sends the peer
@@ -907,7 +918,7 @@ func (st *Stream) Buffered() (n int, end bool) { return st.buf.buffered() }
 // many writes as it takes, each sending what the window allows and the
 // caller parked in between until the peer's consumer has made room. A
 // stream reset by either side, or whose session died, fails the send.
-func (st *Stream) SendMessage(hdr map[string]string, body []byte, end bool) error {
+func (st *Stream) SendMessage(hdr Fields, body []byte, end bool) error {
 	for {
 		n, done, err := st.reserve(len(body), end)
 		if err != nil {
@@ -959,26 +970,53 @@ func (st *Stream) Reset() error {
 	return st.sess.writeFrame(Frame{Type: FrameRST, StreamID: st.id})
 }
 
-// SendHeaders sends an additional HEADERS frame (e.g. response headers).
+// SendHeaders is SendMessage(h, nil, endStream) for a header map (see
+// EncodeHeaders).
 func (st *Stream) SendHeaders(h map[string]string, endStream bool) error {
-	return st.SendMessage(orNoHeaders(h), nil, endStream)
+	var room [fieldsRoom]Field
+	return st.SendMessage(appendMap(room[:0], h), nil, endStream)
 }
 
+// waitTimers holds timers of RecvHeaders calls that returned before they
+// fired: a call costs a Reset, not a timer.
+var waitTimers sync.Pool
+
 // RecvHeaders waits for a HEADERS frame from the peer (response headers),
-// bounded by timeout.
-func (st *Stream) RecvHeaders(timeout time.Duration) (map[string]string, error) {
-	// Stopped on return: under go 1.22 timer semantics a time.After timer
-	// stays on the heap until it fires, and at the Edge's 30 s response
-	// timeout that is every request of the last half minute.
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case h := <-st.hdrCh:
-		return h, nil
-	case <-st.sess.done:
-		return nil, st.sess.closeReason()
-	case <-timer.C:
-		return nil, fmt.Errorf("h2t: timeout waiting for headers on stream %d", st.id)
+// bounded by timeout, and takes it out of the stream's slot.
+func (st *Stream) RecvHeaders(timeout time.Duration) (Fields, error) {
+	timer, _ := waitTimers.Get().(*time.Timer)
+	if timer == nil {
+		timer = time.NewTimer(timeout)
+	} else {
+		timer.Reset(timeout)
+	}
+	defer func() {
+		// go.mod says go 1.22: the tick of a timer that fired outlives Stop
+		// and Reset, to be the next caller's timeout. Only a timer stopped
+		// in time, whose channel is therefore empty, is used again.
+		if timer.Stop() {
+			waitTimers.Put(timer)
+		}
+	}()
+	for {
+		st.mu.Lock()
+		h := st.resp
+		st.resp = nil
+		if h == nil && st.hdrWake == nil {
+			st.hdrWake = make(chan struct{}, 1)
+		}
+		wake := st.hdrWake
+		st.mu.Unlock()
+		if h != nil {
+			return h, nil
+		}
+		select {
+		case <-wake:
+		case <-st.sess.done:
+			return nil, st.sess.closeReason()
+		case <-timer.C:
+			return nil, fmt.Errorf("h2t: timeout waiting for headers on stream %d", st.id)
+		}
 	}
 }
 
@@ -993,19 +1031,39 @@ func (st *Stream) SendControl(t FrameType, payload []byte) error {
 }
 
 // Controls returns the channel of DCR control frames received on this
-// stream.
-func (st *Stream) Controls() <-chan Control { return st.ctrlCh }
+// stream, those that arrived before the first call included.
+func (st *Stream) Controls() <-chan Control { return st.controls() }
 
-func (st *Stream) deliverHeaders(h map[string]string) {
+// controls returns ctrlCh, made by whoever needs it first, the consumer
+// or the session reader with a frame for it: a request's stream has none.
+func (st *Stream) controls() chan Control {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.ctrlCh == nil {
+		// A re_connect is a frame or two; 16 is several re_connects' worth.
+		st.ctrlCh = make(chan Control, 16)
+	}
+	return st.ctrlCh
+}
+
+// deliverHeaders puts a block in the stream's slot, unless the one before
+// is still there, and wakes RecvHeaders; it never blocks the reader.
+func (st *Stream) deliverHeaders(h Fields) {
+	st.mu.Lock()
+	if st.resp == nil {
+		st.resp = h
+	}
+	wake := st.hdrWake
+	st.mu.Unlock()
 	select {
-	case st.hdrCh <- h:
-	default: // never block the session reader
+	case wake <- struct{}{}: // nil while nobody waits
+	default:
 	}
 }
 
 func (st *Stream) deliverControl(c Control) {
 	select {
-	case st.ctrlCh <- c:
+	case st.controls() <- c:
 	default: // drop over backpressure; control frames are advisory
 	}
 }

@@ -237,7 +237,7 @@ func TestStalledConsumerBoundsTheSender(t *testing.T) {
 	client, server, reg := windowedPair(t)
 	big := bytes.Repeat([]byte("stall"), (1<<20)/5)
 
-	stalled, err := client.OpenStream(map[string]string{"which": "stalled"}, false)
+	stalled, err := client.OpenStreamWith(Fields{{"which", "stalled"}}, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,9 +265,9 @@ func TestStalledConsumerBoundsTheSender(t *testing.T) {
 			return
 		}
 		body, _ := io.ReadAll(st)
-		st.SendMessage(map[string]string{"status": "200"}, body, true)
+		st.SendMessage(Fields{{"status", "200"}}, body, true)
 	}()
-	echo, err := client.OpenStreamWith(map[string]string{"which": "echo"}, big, true)
+	echo, err := client.OpenStreamWith(Fields{{"which", "echo"}}, big, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +316,7 @@ func TestParkedWriterWakes(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			client, server, reg := windowedPair(t)
-			st, err := client.OpenStream(nil, false)
+			st, err := client.OpenStreamWith(nil, nil, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -350,7 +350,7 @@ func TestParkedWriterWakes(t *testing.T) {
 func TestCreditFlowsThroughAGoAwayDrain(t *testing.T) {
 	client, server, _ := windowedPair(t)
 	big := bytes.Repeat([]byte("drain"), 4*streamWindow/5)
-	st, err := client.OpenStream(nil, false)
+	st, err := client.OpenStreamWith(nil, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,9 +389,9 @@ func TestPeerWithoutWindows(t *testing.T) {
 			return
 		}
 		body, _ := io.ReadAll(sst)
-		sst.SendMessage(map[string]string{"status": "200"}, body, true)
+		sst.SendMessage(Fields{{"status", "200"}}, body, true)
 	}()
-	st, err := client.OpenStreamWith(map[string]string{":path": "/up"}, big, true)
+	st, err := client.OpenStreamWith(Fields{{":path", "/up"}}, big, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,7 +432,7 @@ func TestHostileWindowUpdate(t *testing.T) {
 			}
 		}
 	}()
-	st, err := client.OpenStream(nil, false)
+	st, err := client.OpenStreamWith(nil, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,3 +80,51 @@ func BenchmarkReadFullBody(b *testing.B) {
 		}
 	}
 }
+
+// The head benchmarks are the three heads a small GET crosses, as the
+// proxies and the app server read and write them.
+
+func BenchmarkReadRequestHead(b *testing.B) {
+	head := []byte("GET /dyn/64 HTTP/1.1\r\nHost: bench\r\nUser-Agent: bench/1\r\nAccept: */*\r\n\r\n")
+	src := bytes.NewReader(nil)
+	br := bufio.NewReader(src)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		src.Reset(head)
+		br.Reset(src)
+		if _, err := ReadRequest(br); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkReadResponseHead(b *testing.B) {
+	msg := []byte("HTTP/1.1 200 OK\r\nContent-Length: 5\r\nX-Served-By: app-0\r\n\r\nhello")
+	src := bytes.NewReader(nil)
+	br := bufio.NewReader(src)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		src.Reset(msg)
+		br.Reset(src)
+		resp, err := ReadResponse(br)
+		if err != nil || resp.ContentLength != 5 {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkWriteResponseHead(b *testing.B) {
+	payload := []byte("hello")
+	body := bytes.NewReader(nil)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		body.Reset(payload)
+		resp := NewResponse(200, body, -1)
+		resp.Header.Add("Content-Length", "5")
+		resp.Header.Add("X-Served-By", "app-0")
+		resp.Header.Set("Via", "edge-0")
+		if _, err := WriteResponse(io.Discard, resp); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

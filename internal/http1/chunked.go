@@ -253,21 +253,3 @@ func (cr *ChunkedReader) Read(p []byte) (int, error) {
 	}
 	return n, nil
 }
-
-// readLine reads a CRLF- (or bare-LF-) terminated line, without the
-// terminator. Lines are bounded to 64 KiB to fence off malformed peers.
-func readLine(br *bufio.Reader) (string, error) {
-	const maxLine = 64 << 10
-	line, err := br.ReadString('\n')
-	if err != nil {
-		return "", err
-	}
-	if len(line) > maxLine {
-		return "", errors.New("http1: header line too long")
-	}
-	line = line[:len(line)-1] // strip \n
-	if len(line) > 0 && line[len(line)-1] == '\r' {
-		line = line[:len(line)-1]
-	}
-	return line, nil
-}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"io"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -25,11 +26,22 @@ func TestCanonicalKey(t *testing.T) {
 	}
 }
 
+// values returns every value of key, in order.
+func values(h *Header, key string) []string {
+	var out []string
+	for i := 0; i < h.Len(); i++ {
+		if name, v := h.At(i); strings.EqualFold(name, key) {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
 func TestHeaderOps(t *testing.T) {
 	h := Header{}
 	h.Set("x-one", "1")
 	h.Add("X-ONE", "2")
-	if got := h["X-One"]; len(got) != 2 || got[0] != "1" || got[1] != "2" {
+	if got := values(&h, "X-One"); len(got) != 2 || got[0] != "1" || got[1] != "2" {
 		t.Fatalf("values = %v", got)
 	}
 	if h.Get("x-ONE") != "1" {
@@ -38,14 +50,45 @@ func TestHeaderOps(t *testing.T) {
 	if !h.Has("X-One") {
 		t.Fatal("Has failed")
 	}
-	cp := h.Clone()
-	cp.Add("X-One", "3")
-	if len(h["X-One"]) != 2 {
-		t.Fatal("Clone aliases storage")
+	if h.Has("X-On") || h.Has("X-Onee") || h.Has("X_One") {
+		t.Fatal("Has matched a different name")
+	}
+	h.Set("Connection", "keep-alive, Close")
+	if !h.HasToken("connection", "close") || h.HasToken("connection", "clos") {
+		t.Fatal("HasToken failed")
 	}
 	h.Del("x-one")
-	if h.Has("X-One") {
+	if h.Has("X-One") || h.Len() != 1 {
 		t.Fatal("Del failed")
+	}
+}
+
+// TestHeaderCopyDoesNotAlias: a Header is copied by assignment, inside
+// its inline room and past it, and neither copy sees what the other does
+// afterwards.
+func TestHeaderCopyDoesNotAlias(t *testing.T) {
+	for _, n := range []int{3, inlineFields, inlineFields + 1, 3 * inlineFields} {
+		var h Header
+		for i := 0; i < n; i++ {
+			h.Add("X-"+strconv.Itoa(i), "v")
+		}
+		cp := h
+		cp.Add("X-Copy", "c")
+		h.Add("X-Orig", "o")
+		cp.Set("X-0", "changed")
+		cp.Del("X-" + strconv.Itoa(n-1))
+		h.Set("X-"+strconv.Itoa(n-1), "mine")
+		if h.Len() != n+1 || h.Has("X-Copy") || h.Get("X-0") != "v" || h.Get("X-Orig") != "o" || h.Get("X-"+strconv.Itoa(n-1)) != "mine" {
+			t.Fatalf("n=%d: original saw the copy's changes: %+v", n, h)
+		}
+		if cp.Len() != n || cp.Has("X-Orig") || cp.Get("X-0") != "changed" || cp.Get("X-Copy") != "c" || cp.Has("X-"+strconv.Itoa(n-1)) {
+			t.Fatalf("n=%d: copy saw the original's changes: %+v", n, cp)
+		}
+		for i := 1; i < n-1; i++ {
+			if k := "X-" + strconv.Itoa(i); h.Get(k) != "v" || cp.Get(k) != "v" {
+				t.Fatalf("n=%d: field %s lost", n, k)
+			}
+		}
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
-	"slices"
 	"strconv"
 	"strings"
 
@@ -55,6 +54,8 @@ type Request struct {
 	Body io.Reader
 	// ContentLength is the declared body length; -1 means chunked.
 	ContentLength int64
+	// limited is Body when a request that was read has a Content-Length.
+	limited io.LimitedReader
 }
 
 // NewRequest builds a request with the given body. If body is nil the
@@ -64,7 +65,6 @@ func NewRequest(method, target string, body io.Reader, contentLength int64) *Req
 		Method:        method,
 		Target:        target,
 		Proto:         "HTTP/1.1",
-		Header:        Header{},
 		Body:          body,
 		ContentLength: contentLength,
 	}
@@ -78,6 +78,8 @@ type Response struct {
 	Header        Header
 	Body          io.Reader
 	ContentLength int64 // -1 means chunked
+
+	limited io.LimitedReader // as Request.limited
 }
 
 // NewResponse builds a response.
@@ -86,7 +88,6 @@ func NewResponse(code int, body io.Reader, contentLength int64) *Response {
 		StatusCode:    code,
 		StatusMessage: ReasonPhrase(code),
 		Proto:         "HTTP/1.1",
-		Header:        Header{},
 		Body:          body,
 		ContentLength: contentLength,
 	}
@@ -95,23 +96,62 @@ func NewResponse(code int, body io.Reader, contentLength int64) *Response {
 // ErrMalformed is wrapped by all parse errors.
 var ErrMalformed = errors.New("http1: malformed message")
 
+// A head — request or status line, fields and the empty line — is at most
+// maxHead bytes and maxFields fields; more is ErrMalformed.
+const (
+	maxHead   = 64 << 10
+	maxFields = 256
+)
+
+// readHead takes the next message head off br as one string, through its
+// empty line. It is bounded while it is read: a peer that never ends its
+// head costs maxHead of memory and one fill of br's buffer.
+func readHead(br *bufio.Reader) (string, error) {
+	var room [512]byte
+	head, whole := room[:0], true // whole: the next fragment starts a line
+	for {
+		frag, err := br.ReadSlice('\n')
+		head = append(head, frag...)
+		switch {
+		case len(head) > maxHead:
+			return "", fmt.Errorf("%w: head longer than %d bytes", ErrMalformed, maxHead)
+		case err == bufio.ErrBufferFull: // a line longer than br's buffer comes in pieces
+			whole = false
+			continue
+		case err != nil:
+			return "", err
+		}
+		if empty := len(frag) == 1 || len(frag) == 2 && frag[0] == '\r'; empty && whole {
+			return string(head), nil
+		}
+		whole = true
+	}
+}
+
+// cutLine splits a head at its first line end. The line comes without
+// its LF or CRLF; a head always ends in one.
+func cutLine(s string) (line, rest string) {
+	line, rest, _ = strings.Cut(s, "\n")
+	return strings.TrimSuffix(line, "\r"), rest
+}
+
 // ReadRequest parses a request head from br and prepares Body for
 // streaming. The body must be fully consumed before the next message is
-// read from the same reader.
+// read from the same reader. Method, Target, Proto and the Header's
+// strings are substrings of one copy of the head.
 func ReadRequest(br *bufio.Reader) (*Request, error) {
-	line, err := readLine(br)
+	head, err := readHead(br)
 	if err != nil {
 		return nil, err
 	}
-	parts := strings.SplitN(line, " ", 3)
-	if len(parts) != 3 || !strings.HasPrefix(parts[2], "HTTP/1.") {
+	line, fields := cutLine(head)
+	method, rest, _ := strings.Cut(line, " ")
+	target, proto, _ := strings.Cut(rest, " ")
+	if method == "" || target == "" || !strings.HasPrefix(proto, "HTTP/1.") {
 		return nil, fmt.Errorf("%w: bad request line %q", ErrMalformed, line)
 	}
-	req := &Request{Method: parts[0], Target: parts[1], Proto: parts[2], Header: Header{}}
-	if err := readHeaders(br, req.Header); err != nil {
-		return nil, err
-	}
-	req.ContentLength, req.Body, err = bodyFromHeaders(br, req.Header, req.Method == "HEAD")
+	req := &Request{Method: method, Target: target, Proto: proto}
+	req.ContentLength, req.Body, err = parseFields(br, &req.Header, fields, method == "HEAD", &req.limited)
 	if err != nil {
 		return nil, err
 	}
@@ -120,72 +160,72 @@ func ReadRequest(br *bufio.Reader) (*Request, error) {
 
 // ReadResponse parses a response head from br.
 func ReadResponse(br *bufio.Reader) (*Response, error) {
-	line, err := readLine(br)
+	head, err := readHead(br)
 	if err != nil {
 		return nil, err
 	}
-	parts := strings.SplitN(line, " ", 3)
-	if len(parts) < 2 || !strings.HasPrefix(parts[0], "HTTP/1.") {
+	line, fields := cutLine(head)
+	proto, rest, _ := strings.Cut(line, " ")
+	status, msg, _ := strings.Cut(rest, " ")
+	if !strings.HasPrefix(proto, "HTTP/1.") {
 		return nil, fmt.Errorf("%w: bad status line %q", ErrMalformed, line)
 	}
-	code, err := strconv.Atoi(parts[1])
-	if err != nil || code < 100 || code > 999 {
+	code, err := strconv.ParseUint(status, 10, 16)
+	if err != nil || len(status) != 3 || code < 100 {
 		return nil, fmt.Errorf("%w: bad status code in %q", ErrMalformed, line)
 	}
-	resp := &Response{StatusCode: code, Proto: parts[0], Header: Header{}}
-	if len(parts) == 3 {
-		resp.StatusMessage = parts[2]
-	}
-	if err := readHeaders(br, resp.Header); err != nil {
-		return nil, err
-	}
+	resp := &Response{StatusCode: int(code), StatusMessage: msg, Proto: proto}
 	noBody := code == 204 || code == 304 || code/100 == 1
-	resp.ContentLength, resp.Body, err = bodyFromHeaders(br, resp.Header, noBody)
+	resp.ContentLength, resp.Body, err = parseFields(br, &resp.Header, fields, noBody, &resp.limited)
 	if err != nil {
 		return nil, err
 	}
 	return resp, nil
 }
 
-func readHeaders(br *bufio.Reader, h Header) error {
-	const maxHeaders = 256
-	for i := 0; ; i++ {
-		if i > maxHeaders {
-			return fmt.Errorf("%w: too many header fields", ErrMalformed)
+// parseFields cuts the field lines of a head, up to its empty line, into
+// h and returns the message's ContentLength and Body; lr is the message's
+// room for the reader of a Content-Length body. A head that says twice,
+// differently, where its body ends — Content-Lengths that disagree, one
+// beside a Transfer-Encoding — is refused, as is a transfer coding other
+// than chunked and a line that continues the one before (obs-fold): a
+// proxy that re-frames what it forwards must not read a boundary where
+// the next hop could read another.
+func parseFields(br *bufio.Reader, h *Header, s string, noBody bool, lr *io.LimitedReader) (int64, io.Reader, error) {
+	length, chunked := int64(-1), false
+	for line, s := cutLine(s); line != ""; line, s = cutLine(s) {
+		name, value, ok := strings.Cut(line, ":")
+		if name, value = strings.TrimSpace(name), strings.TrimSpace(value); !ok || name == "" || line[0] == ' ' || line[0] == '\t' {
+			return 0, nil, fmt.Errorf("%w: bad header field %q", ErrMalformed, line)
 		}
-		line, err := readLine(br)
-		if err != nil {
-			return err
+		if h.n == maxFields {
+			return 0, nil, fmt.Errorf("%w: too many header fields", ErrMalformed)
 		}
-		if line == "" {
-			return nil
+		h.push(name, value)
+		switch {
+		case equalFold(name, "Content-Length"):
+			// Digits only: no sign, no list.
+			n, err := strconv.ParseUint(value, 10, 63)
+			if err != nil || length >= 0 && int64(n) != length {
+				return 0, nil, fmt.Errorf("%w: bad Content-Length %q", ErrMalformed, value)
+			}
+			length = int64(n)
+		case equalFold(name, "Transfer-Encoding"):
+			if chunked = true; !strings.EqualFold(value, "chunked") {
+				return 0, nil, fmt.Errorf("%w: unsupported Transfer-Encoding %q", ErrMalformed, value)
+			}
 		}
-		colon := strings.IndexByte(line, ':')
-		if colon <= 0 {
-			return fmt.Errorf("%w: bad header field %q", ErrMalformed, line)
-		}
-		h.Add(strings.TrimSpace(line[:colon]), strings.TrimSpace(line[colon+1:]))
 	}
-}
-
-func bodyFromHeaders(br *bufio.Reader, h Header, noBody bool) (int64, io.Reader, error) {
-	if noBody {
+	switch {
+	case chunked && length >= 0:
+		return 0, nil, fmt.Errorf("%w: both Content-Length and Transfer-Encoding", ErrMalformed)
+	case noBody || length <= 0 && !chunked:
 		return 0, nil, nil
-	}
-	if strings.EqualFold(h.Get("Transfer-Encoding"), "chunked") {
+	case chunked:
 		return -1, NewChunkedReader(br), nil
 	}
-	if cl := h.Get("Content-Length"); cl != "" {
-		n, err := strconv.ParseInt(cl, 10, 64)
-		if err != nil || n < 0 {
-			return 0, nil, fmt.Errorf("%w: bad Content-Length %q", ErrMalformed, cl)
-		}
-		if n == 0 {
-			return 0, nil, nil
-		}
-		return n, io.LimitReader(br, n), nil
-	}
-	return 0, nil, nil
+	*lr = io.LimitedReader{R: br, N: length}
+	return length, lr, nil
 }
 
 // WriteRequest serializes req to w, streaming the body with the framing
@@ -202,7 +242,7 @@ func WriteRequest(w io.Writer, req *Request) (int64, error) {
 	b = append(b, ' ')
 	b = append(b, orDefault(req.Proto, "HTTP/1.1")...)
 	b = append(b, '\r', '\n')
-	mw.buf = appendHeaders(b, req.Header, req.Body, req.ContentLength)
+	mw.buf = appendHeaders(b, &req.Header, req.Body, req.ContentLength)
 	return mw.writeBody(req.Body, req.ContentLength)
 }
 
@@ -220,36 +260,43 @@ func WriteResponse(w io.Writer, resp *Response) (int64, error) {
 	b = append(b, ' ')
 	b = append(b, msg...)
 	b = append(b, '\r', '\n')
-	mw.buf = appendHeaders(b, resp.Header, resp.Body, resp.ContentLength)
+	mw.buf = appendHeaders(b, &resp.Header, resp.Body, resp.ContentLength)
 	return mw.writeBody(resp.Body, resp.ContentLength)
 }
 
-// appendHeaders appends h's fields in sorted key order (deterministic
-// output simplifies testing and diffing captures) and the blank line that
-// ends the head. Whatever h says about framing is replaced by the one
-// framing field the body calls for, in its sorted place.
-func appendHeaders(b []byte, h Header, body io.Reader, contentLength int64) []byte {
+// appendHeaders appends h's fields sorted by canonical name and written
+// under it, a repeated name's in the order they were added (deterministic
+// output simplifies testing and diffing captures), and the blank line
+// that ends the head. Whatever h says about framing is replaced by the
+// one framing field the body calls for, in its sorted place.
+func appendHeaders(b []byte, h *Header, body io.Reader, contentLength int64) []byte {
 	framing := "Content-Length"
 	if body != nil && contentLength < 0 {
 		framing = "Transfer-Encoding"
 	}
-	keys := append(make([]string, 0, 16), framing)
-	for k := range h {
-		if k != "Content-Length" && k != "Transfer-Encoding" {
-			keys = append(keys, k)
+	name := func(i int) string {
+		if i < 0 {
+			return framing
 		}
+		return h.at(i).name
 	}
-	slices.Sort(keys)
-	for _, k := range keys {
-		if k != framing {
-			for _, v := range h[k] {
-				b = appendField(b, k, v)
-			}
+	var room [2 * inlineFields]int
+	order := append(room[:0], -1) // what goes out: fields by index, -1 the framing field
+	for i := 0; i < h.n; i++ {
+		if equalFold(name(i), "Content-Length") || equalFold(name(i), "Transfer-Encoding") {
 			continue
 		}
-		b = append(b, k...)
-		b = append(b, ':', ' ')
+		j := len(order)
+		for order = append(order, i); j > 0 && canonCmp(name(i), name(order[j-1])) < 0; j-- {
+			order[j] = order[j-1]
+		}
+		order[j] = i
+	}
+	for _, i := range order {
+		b = append(appendCanonical(b, name(i)), ':', ' ')
 		switch {
+		case i >= 0:
+			b = append(b, h.at(i).value...)
 		case body == nil:
 			b = append(b, '0')
 		case contentLength >= 0:
@@ -259,13 +306,6 @@ func appendHeaders(b []byte, h Header, body io.Reader, contentLength int64) []by
 		}
 		b = append(b, '\r', '\n')
 	}
-	return append(b, '\r', '\n')
-}
-
-func appendField(b []byte, k, v string) []byte {
-	b = append(b, k...)
-	b = append(b, ':', ' ')
-	b = append(b, v...)
 	return append(b, '\r', '\n')
 }
 
@@ -320,9 +360,9 @@ type messageWriter struct {
 // frame, so that a body arriving in 64 KiB frames goes out a whole frame
 // at a time, chunk framing included, with no few bytes of each frame left
 // over for a write of their own.
-func newMessageWriter(w io.Writer) *messageWriter {
+func newMessageWriter(w io.Writer) messageWriter {
 	bp := bufpool.Get(bufpool.TierXLarge)
-	return &messageWriter{w: w, bp: bp, buf: (*bp)[:0]}
+	return messageWriter{w: w, bp: bp, buf: (*bp)[:0]}
 }
 
 func (mw *messageWriter) release() { bufpool.Put(mw.bp) }

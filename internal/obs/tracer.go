@@ -139,6 +139,14 @@ func (s *Span) SetAttr(k, v string) {
 	s.attrs[k] = v
 }
 
+// SetAttrInt is SetAttr for a number, formatted only on a live span: the
+// request path calls it with tracing off.
+func (s *Span) SetAttrInt(k string, v int) {
+	if s != nil {
+		s.SetAttr(k, strconv.Itoa(v))
+	}
+}
+
 // Fail marks the span as errored. Fail(nil) is a no-op, so it composes
 // with `defer func() { sp.Fail(err); sp.End() }()`.
 func (s *Span) Fail(err error) {

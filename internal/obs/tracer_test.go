@@ -55,6 +55,7 @@ func TestNilTracerAndSpanAreNoOps(t *testing.T) {
 		t.Fatalf("nil tracer InFlight() = %v", got)
 	}
 	sp.SetAttr("k", "v")
+	sp.SetAttrInt("status", 200)
 	sp.Fail(errors.New("boom"))
 	sp.End()
 	if sp.Context().Valid() {
@@ -76,6 +77,7 @@ func TestTracerSpanLifecycle(t *testing.T) {
 	}
 	child := root.StartChild("slot.restart")
 	child.SetAttr("slot", "edge")
+	child.SetAttrInt("status", 200)
 	if got := tr.InFlight(); len(got) != 2 {
 		t.Fatalf("InFlight = %d spans, want 2", len(got))
 	}
@@ -97,7 +99,7 @@ func TestTracerSpanLifecycle(t *testing.T) {
 	if fin[0].TraceID != fin[1].TraceID {
 		t.Fatal("child left the root's trace")
 	}
-	if fin[0].Error != "kaput" || fin[0].Attrs["slot"] != "edge" {
+	if fin[0].Error != "kaput" || fin[0].Attrs["slot"] != "edge" || fin[0].Attrs["status"] != "200" {
 		t.Fatalf("child record = %+v", fin[0])
 	}
 	if fin[0].Duration() < 0 || fin[0].EndUnixNano < fin[0].StartUnixNano {

@@ -11,7 +11,7 @@ import (
 // BenchmarkForwardHTTPKeepAlive is one small GET through the Origin's
 // whole forward path — tunnel stream in, pooled app-server connection,
 // inline exchange, response relayed back — against a real app server on
-// loopback. The tunnel client's own costs (one stream, two header maps)
+// loopback. The tunnel client's own costs (one stream, reading the body)
 // are in the figure.
 func BenchmarkForwardHTTPKeepAlive(b *testing.B) {
 	payload := bytes.Repeat([]byte("x"), 64)

@@ -249,6 +249,19 @@ func (p *Proxy) serveEdgeHTTPLoop(loop *netx.EventLoop, conn net.Conn, rawConn s
 	p.park(w, conn)
 }
 
+// appendTrace appends the trace context a stream opened under sp carries
+// to the Origin: sp's own, or with tracing off here the one that came in,
+// so that the spans beyond this hop still join the caller's trace.
+func appendTrace(hdr h2t.Fields, sp *obs.Span, incoming string) h2t.Fields {
+	if own := sp.Context().String(); own != "" {
+		incoming = own
+	}
+	if incoming == "" {
+		return hdr
+	}
+	return append(hdr, h2t.Field{Name: obs.TraceHeader, Value: incoming})
+}
+
 func (p *Proxy) serveEdgeRequest(conn net.Conn, req *http1.Request) bool {
 	t0 := time.Now()
 	p.gRIF.Inc()
@@ -267,7 +280,7 @@ func (p *Proxy) serveEdgeRequest(conn net.Conn, req *http1.Request) bool {
 
 	// Direct Server Return for cached content.
 	if body, ok := p.cfg.StaticContent[req.Target]; ok && req.Method == "GET" {
-		p.reg.Counter("edge.http.dsr").Inc()
+		p.cDSR.Inc()
 		sp.SetAttr("dsr", "hit")
 		resp := http1.NewResponse(200, bytes.NewReader(body), int64(len(body)))
 		resp.Header.Set("X-Cache", "HIT")
@@ -276,20 +289,10 @@ func (p *Proxy) serveEdgeRequest(conn net.Conn, req *http1.Request) bool {
 		return err == nil
 	}
 
-	hdr := map[string]string{
-		":method": req.Method,
-		":path":   req.Target,
-	}
-	if traceCtx := sp.Context().String(); traceCtx != "" {
-		hdr[obs.TraceHeader] = traceCtx
-	} else if incoming != "" {
-		hdr[obs.TraceHeader] = incoming
-	}
-	if req.ContentLength >= 0 {
-		hdr["content-length"] = strconv.FormatInt(req.ContentLength, 10)
-	} else {
-		hdr["content-length"] = "-1"
-	}
+	var room [4]h2t.Field
+	hdr := append(room[:0], h2t.Field{Name: ":method", Value: req.Method}, h2t.Field{Name: ":path", Value: req.Target},
+		h2t.Field{Name: "content-length", Value: strconv.FormatInt(req.ContentLength, 10)})
+	hdr = appendTrace(hdr, sp, incoming)
 	// A request body that arrived whole with its head (the small POST)
 	// rides in the same write as the stream's HEADERS, END_STREAM on its
 	// last frame; any other body is pumped behind them as it arrives.
@@ -371,20 +374,23 @@ func (p *Proxy) serveEdgeRequest(conn net.Conn, req *http1.Request) bool {
 		http1.WriteResponse(conn, http1.NewResponse(504, nil, 0))
 		return false
 	}
-	code, _ := strconv.Atoi(respHdr["status"])
+	code, _ := strconv.Atoi(respHdr.Get("status"))
 	if code == 0 {
 		code = 502
 	}
-	sp.SetAttr("status", strconv.Itoa(code))
+	sp.SetAttrInt("status", code)
 	p.cStatus.Inc(code)
 
+	// Every field the app server sent goes on to the client, a repeated
+	// name as often as it came and in that order.
 	resp := http1.NewResponse(code, st, -1)
-	if msg, ok := respHdr["status-message"]; ok {
-		resp.StatusMessage = msg
-	}
-	for k, v := range respHdr {
-		if k != "status" && k != "status-message" {
-			resp.Header.Set(k, v)
+	for _, f := range respHdr {
+		switch f.Name {
+		case "status":
+		case "status-message":
+			resp.StatusMessage = f.Value
+		default:
+			resp.Header.Add(f.Name, f.Value)
 		}
 	}
 	resp.Header.Set("Via", p.cfg.Name)
@@ -513,13 +519,8 @@ func (p *Proxy) handleEdgeMQTTConn(conn net.Conn) {
 		conn.Close()
 		return
 	}
-	streamHdr := map[string]string{"proto": "mqtt", "user-id": userID}
-	if traceCtx := sp.Context().String(); traceCtx != "" {
-		streamHdr[obs.TraceHeader] = traceCtx
-	} else if v := connectPkt.Properties[obs.TraceHeader]; v != "" {
-		streamHdr[obs.TraceHeader] = v
-	}
-	st, err := te.sess.OpenStream(streamHdr, false)
+	streamHdr := h2t.Fields{{Name: "proto", Value: "mqtt"}, {Name: "user-id", Value: userID}}
+	st, err := te.sess.OpenStreamWith(appendTrace(streamHdr, sp, connectPkt.Properties[obs.TraceHeader]), nil, false)
 	if err != nil {
 		sp.Fail(err)
 		conn.Close()
@@ -742,13 +743,8 @@ func (p *Proxy) reconnectThroughAnotherOrigin(relay *mqttRelay, peerTrace string
 			return false
 		}
 	}
-	streamHdr := map[string]string{"proto": "mqtt-resume", "user-id": relay.userID}
-	if traceCtx := sp.Context().String(); traceCtx != "" {
-		streamHdr[obs.TraceHeader] = traceCtx
-	} else if peerTrace != "" {
-		streamHdr[obs.TraceHeader] = peerTrace
-	}
-	st, err := te.sess.OpenStream(streamHdr, false)
+	streamHdr := h2t.Fields{{Name: "proto", Value: "mqtt-resume"}, {Name: "user-id", Value: relay.userID}}
+	st, err := te.sess.OpenStreamWith(appendTrace(streamHdr, sp, peerTrace), nil, false)
 	if err != nil {
 		p.reg.Counter("edge.mqtt.reconnect.failed").Inc()
 		p.cfg.Ledger.Record(disrupt.KindRetry, 0, VIPMQTT, "", "re_connect: open stream failed")

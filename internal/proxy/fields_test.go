@@ -1,0 +1,103 @@
+package proxy
+
+import (
+	"bufio"
+	"bytes"
+	"io"
+	"net"
+	"strings"
+	"testing"
+	"time"
+
+	"zdr/internal/appserver"
+	"zdr/internal/http1"
+	"zdr/internal/racetest"
+)
+
+// startPath stands up app server → Origin → Edge on loopback with the
+// given handler and returns the Edge's web address.
+func startPath(t testing.TB, handler func(*http1.Request, []byte) *http1.Response) string {
+	t.Helper()
+	as := appserver.New(appserver.Config{Name: "as-0", Handler: handler}, nil)
+	asAddr, err := as.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(as.Close)
+	o, _ := startOrigin(t, Config{AppServers: []string{asAddr}})
+	e := New(Config{Name: "edge-0", Role: RoleEdge, Origins: []string{o.Addr(VIPTunnel)}}, nil)
+	if err := e.Listen(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(e.Close)
+	return e.Addr(VIPWeb)
+}
+
+// TestRepeatedResponseFieldsReachTheClient: a field the app server sends
+// twice crosses the Origin, the tunnel and the Edge twice, in order; the
+// hop-by-hop Connection does not cross at all.
+func TestRepeatedResponseFieldsReachTheClient(t *testing.T) {
+	web := startPath(t, func(*http1.Request, []byte) *http1.Response {
+		resp := http1.NewResponse(200, strings.NewReader("ok"), 2)
+		resp.Header.Add("Set-Cookie", "a=1")
+		resp.Header.Add("X-Between", "x")
+		resp.Header.Add("set-cookie", "b=2")
+		resp.Header.Add("connection", "keep-alive")
+		return resp
+	})
+	resp := doRequest(t, web, http1.NewRequest("GET", "/login", nil, 0))
+	var cookies []string
+	for i := 0; i < resp.Header.Len(); i++ {
+		if name, v := resp.Header.At(i); strings.EqualFold(name, "Set-Cookie") {
+			cookies = append(cookies, v)
+		}
+	}
+	if len(cookies) != 2 || cookies[0] != "a=1" || cookies[1] != "b=2" {
+		t.Fatalf("client saw Set-Cookie %q, want [a=1 b=2]", cookies)
+	}
+	if resp.Header.Get("X-Between") != "x" || resp.Header.Get("Via") != "edge-0" || resp.Header.Get("X-Served-By") != "as-0" {
+		t.Fatalf("fields lost on the way: %+v", resp.Header)
+	}
+	if resp.Header.Has("Connection") {
+		t.Fatal("the app server's Connection field reached the client")
+	}
+}
+
+// TestSmallRequestAllocations is http_small's budget as a test: one GET on
+// a kept-alive connection through Edge, tunnel, Origin and app server,
+// every allocation in the process counted, this client's and the
+// handler's included.
+func TestSmallRequestAllocations(t *testing.T) {
+	racetest.SkipAllocs(t)
+	payload := bytes.Repeat([]byte("x"), 64)
+	body := bytes.NewReader(nil)
+	web := startPath(t, func(*http1.Request, []byte) *http1.Response {
+		body.Reset(payload) // one request at a time
+		return http1.NewResponse(200, body, int64(len(payload)))
+	})
+	conn, err := net.DialTimeout("tcp", web, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	request := []byte("GET /dyn/64 HTTP/1.1\r\nHost: bench\r\n\r\n")
+	br := bufio.NewReader(conn)
+	get := func() {
+		if _, err := conn.Write(request); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http1.ReadResponse(br)
+		if err != nil || resp.StatusCode != 200 {
+			t.Fatalf("response %+v, %v", resp, err)
+		}
+		if n, err := io.Copy(io.Discard, resp.Body); err != nil || n != int64(len(payload)) {
+			t.Fatalf("body %d bytes, %v", n, err)
+		}
+	}
+	for i := 0; i < 20; i++ { // connections, pools and timers are made once
+		get()
+	}
+	if n := testing.AllocsPerRun(500, get); n > 16 {
+		t.Errorf("one keep-alive GET through Edge, Origin and app server: %v allocs process-wide, want <= 16", n)
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"net"
 	"os"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -127,12 +128,12 @@ func (p *Proxy) handleTunnelConn(conn net.Conn) {
 }
 
 func (p *Proxy) handleTunnelStream(os *originSession, st *h2t.Stream) {
-	hdr := st.Headers()
-	switch hdr["proto"] {
+	hdr := st.Fields()
+	switch hdr.Get("proto") {
 	case "mqtt":
-		p.relayMQTT(os, st, hdr["user-id"], hdr[obs.TraceHeader], false)
+		p.relayMQTT(os, st, hdr.Get("user-id"), hdr.Get(obs.TraceHeader), false)
 	case "mqtt-resume":
-		p.relayMQTT(os, st, hdr["user-id"], hdr[obs.TraceHeader], true)
+		p.relayMQTT(os, st, hdr.Get("user-id"), hdr.Get(obs.TraceHeader), true)
 	default:
 		p.forwardHTTP(st, hdr)
 	}
@@ -284,16 +285,14 @@ type upstreamReq struct {
 
 // forwardHTTP forwards one tunneled HTTP request to an app server,
 // implementing the client (downstream-proxy) side of Partial Post Replay.
-func (p *Proxy) forwardHTTP(st *h2t.Stream, hdr map[string]string) {
-	r := upstreamReq{method: hdr[":method"], path: hdr[":path"], cl: -1}
+func (p *Proxy) forwardHTTP(st *h2t.Stream, hdr h2t.Fields) {
+	r := upstreamReq{method: hdr.Get(":method"), path: hdr.Get(":path"), trace: hdr.Get(obs.TraceHeader), cl: -1}
 	if r.method == "" || r.path == "" {
 		st.Reset()
 		return
 	}
-	if v, ok := hdr["content-length"]; ok {
-		if n, err := strconv.ParseInt(v, 10, 64); err == nil {
-			r.cl = n
-		}
+	if n, err := strconv.ParseInt(hdr.Get("content-length"), 10, 64); err == nil {
+		r.cl = n
 	}
 	p.cRequests.Inc()
 	t0 := time.Now()
@@ -301,12 +300,11 @@ func (p *Proxy) forwardHTTP(st *h2t.Stream, hdr map[string]string) {
 	defer p.gRIF.Dec()
 	defer func() { p.latHTTP.Observe(time.Since(t0).Seconds()) }()
 
-	remote, _ := obs.ParseSpanContext(hdr[obs.TraceHeader])
+	remote, _ := obs.ParseSpanContext(r.trace)
 	sp := p.cfg.Trace.StartSpan("origin.http", remote)
 	sp.SetAttr("method", r.method)
 	sp.SetAttr("path", r.path)
 	defer sp.End()
-	r.trace = hdr[obs.TraceHeader]
 	if c := sp.Context().String(); c != "" {
 		r.trace = c
 	}
@@ -343,7 +341,7 @@ func (p *Proxy) forwardHTTP(st *h2t.Stream, hdr map[string]string) {
 		if r.replay != nil {
 			// This attempt replays a 379 hand-back (§4.3).
 			attSp = sp.StartChild("ppr.replay")
-			attSp.SetAttr("attempt", strconv.Itoa(attempt))
+			attSp.SetAttrInt("attempt", attempt)
 			attSp.SetAttr("app-server", asAddr)
 		}
 		resp, uc, err := p.attemptAppServer(asAddr, &r)
@@ -395,7 +393,7 @@ func (p *Proxy) forwardHTTP(st *h2t.Stream, hdr map[string]string) {
 		}
 		// Success (or a terminal app error): relay to the Edge.
 		attSp.End()
-		sp.SetAttr("status", strconv.Itoa(resp.StatusCode))
+		sp.SetAttrInt("status", resp.StatusCode)
 		p.relayResponse(st, resp, uc)
 		return
 	}
@@ -407,7 +405,7 @@ func (p *Proxy) forwardHTTP(st *h2t.Stream, hdr map[string]string) {
 	}
 	p.cfg.Ledger.Record(disrupt.KindReset, 0, VIPTunnel, "origin:ppr-exhausted", detail)
 	sp.Fail(lastErr)
-	st.SendHeaders(map[string]string{"status": "500"}, true)
+	st.SendMessage(h2t.Fields{{Name: "status", Value: "500"}}, nil, true)
 }
 
 // nextAppServer round-robins with an attempt offset so PPR retries hit a
@@ -597,10 +595,13 @@ func (p *Proxy) exchangeBody(uc *upstreamConn, r *upstreamReq) (*http1.Response,
 	}
 	for {
 		if rep, ok := early(); ok {
-			// Early response (379 or error) — stop forwarding.
+			// Early response (379 or error) — stop forwarding. It is not
+			// early if every declared byte has been written and only the
+			// client's END_STREAM is yet to be read: the request was sent.
 			if rep.err == nil {
 				r.held = nil
 			}
+			uc.sent = r.cl >= 0 && r.wrote == r.cl
 			return uc.settle(rep, !overwritten)
 		}
 		n, rerr := r.rest.Read(r.buf)
@@ -646,15 +647,17 @@ func (p *Proxy) exchangeBody(uc *upstreamConn, r *upstreamReq) (*http1.Response,
 // response is complete, so a client's next request finds it idle instead
 // of racing its return.
 func (p *Proxy) relayResponse(st *h2t.Stream, resp *http1.Response, uc *upstreamConn) {
-	hdr := map[string]string{
-		"status":         strconv.Itoa(resp.StatusCode),
-		"status-message": resp.StatusMessage,
+	status := "200" // what an app server says day in, day out is not formatted
+	if resp.StatusCode != 200 {
+		status = strconv.Itoa(resp.StatusCode)
 	}
-	for k, vs := range resp.Header {
+	var room [8]h2t.Field
+	hdr := append(room[:0], h2t.Field{Name: "status", Value: status}, h2t.Field{Name: "status-message", Value: resp.StatusMessage})
+	for i := 0; i < resp.Header.Len(); i++ {
 		// Connection is the app server's word to this Origin about this
 		// hop (upstreamPool.release acts on it), not the user's.
-		if len(vs) > 0 && k != "Connection" {
-			hdr[k] = vs[0]
+		if name, v := resp.Header.At(i); !strings.EqualFold(name, "Connection") {
+			hdr = append(hdr, h2t.Field{Name: name, Value: v})
 		}
 	}
 	p.cStatus.Inc(resp.StatusCode)
@@ -678,7 +681,7 @@ func (p *Proxy) relayResponse(st *h2t.Stream, resp *http1.Response, uc *upstream
 		return
 	}
 
-	relayed := st.SendHeaders(hdr, false) == nil
+	relayed := st.SendMessage(hdr, nil, false) == nil
 	if relayed && resp.Body != nil {
 		if _, err := netx.Relay(st, resp.Body); err != nil {
 			st.Reset()

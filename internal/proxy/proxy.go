@@ -261,8 +261,9 @@ type Proxy struct {
 	// {edge,origin}.http.requests and {edge,origin}.http.status.<code>.
 	cRequests *metrics.Counter
 	cStatus   *metrics.CodeCounters
-	// cQUIC is edge.quic.requests, resolved once like them.
-	cQUIC *metrics.Counter
+	// cQUIC is edge.quic.requests and cDSR edge.http.dsr, resolved once
+	// like them.
+	cQUIC, cDSR *metrics.Counter
 	// quicReplies holds the QUIC-style handler's answers, "<name>|<body>"
 	// per StaticContent target, and quicNotFound its "<name>|404": built
 	// once, since neither the name nor the content changes after New.
@@ -337,6 +338,7 @@ func New(cfg Config, reg *metrics.Registry) *Proxy {
 		p.latTunnel = reg.AtomicHistogram("edge.tunnel.latency")
 		p.latQUIC = reg.AtomicHistogram("edge.quic.latency")
 		p.cQUIC = reg.Counter("edge.quic.requests")
+		p.cDSR = reg.Counter("edge.http.dsr")
 		p.quicNotFound = []byte(cfg.Name + "|404")
 		p.quicReplies = make(map[string][]byte, len(cfg.StaticContent))
 		for target, body := range cfg.StaticContent {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"io"
 	"net"
-	"strings"
 	"sync"
 	"syscall"
 	"time"
@@ -286,7 +285,7 @@ func (up *upstreamPool) idleCounts() map[string]int {
 // means the app server is restarting, so every idle connection to it is
 // dropped now rather than discovered dead one at a time.
 func (up *upstreamPool) release(uc *upstreamConn, resp *http1.Response, relayed bool) {
-	closing := headerHasToken(resp.Header["Connection"], "close")
+	closing := resp.Header.HasToken("Connection", "close")
 	if closing {
 		up.closeIdle(uc.addr)
 	}
@@ -306,30 +305,11 @@ func responseDelimited(resp *http1.Response) bool {
 	switch body := resp.Body.(type) {
 	case nil:
 		code := resp.StatusCode
-		return len(resp.Header["Content-Length"]) > 0 || code == 204 || code == 304 || code/100 == 1
+		return resp.Header.Has("Content-Length") || code == 204 || code == 304 || code/100 == 1
 	case *io.LimitedReader:
 		return body.N == 0
 	case *http1.ChunkedReader:
 		return body.Done()
-	}
-	return false
-}
-
-// headerHasToken reports whether any of the comma-separated values holds
-// token, case-insensitively.
-func headerHasToken(values []string, token string) bool {
-	for _, v := range values {
-		for len(v) > 0 {
-			part := v
-			if i := strings.IndexByte(v, ','); i >= 0 {
-				part, v = v[:i], v[i+1:]
-			} else {
-				v = ""
-			}
-			if strings.EqualFold(strings.TrimSpace(part), token) {
-				return true
-			}
-		}
 	}
 	return false
 }

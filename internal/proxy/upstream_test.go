@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -285,6 +286,7 @@ func newScriptedApp(t *testing.T, script func(conn, nth int, req *http1.Request,
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var conns []net.Conn
+	closed := false // under mu: the cleanup has run, and waits for no new connection
 	go func() {
 		for {
 			c, err := ln.Accept()
@@ -293,9 +295,14 @@ func newScriptedApp(t *testing.T, script func(conn, nth int, req *http1.Request,
 			}
 			id := int(s.accepted.Add(1)) - 1
 			mu.Lock()
+			if closed {
+				mu.Unlock()
+				c.Close()
+				return
+			}
 			conns = append(conns, c)
-			mu.Unlock()
 			wg.Add(1)
+			mu.Unlock()
 			go func() {
 				defer wg.Done()
 				defer c.Close()
@@ -317,6 +324,7 @@ func newScriptedApp(t *testing.T, script func(conn, nth int, req *http1.Request,
 	t.Cleanup(func() {
 		ln.Close()
 		mu.Lock()
+		closed = true
 		for _, c := range conns {
 			c.Close()
 		}
@@ -365,11 +373,11 @@ func dialTunnel(t testing.TB, addr string) *tunnelClient {
 
 // do sends one request through the tunnel and returns status and body.
 func (tc *tunnelClient) do(method, path string, body []byte) (int, []byte, error) {
-	hdr := map[string]string{":method": method, ":path": path, "content-length": "-1"}
+	hdr := h2t.Fields{{Name: ":method", Value: method}, {Name: ":path", Value: path}, {Name: "content-length", Value: "-1"}}
 	if body != nil {
-		hdr["content-length"] = fmt.Sprint(len(body))
+		hdr[2].Value = strconv.Itoa(len(body))
 	}
-	st, err := tc.sess.OpenStream(hdr, body == nil)
+	st, err := tc.sess.OpenStreamWith(hdr, nil, body == nil)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -386,8 +394,7 @@ func (tc *tunnelClient) do(method, path string, body []byte) (int, []byte, error
 		st.Reset()
 		return 0, nil, err
 	}
-	var code int
-	fmt.Sscan(rh["status"], &code)
+	code, _ := strconv.Atoi(rh.Get("status"))
 	got, err := io.ReadAll(st)
 	return code, got, err
 }
@@ -779,7 +786,7 @@ func TestOriginTakeoverRetiresWarmPool(t *testing.T) {
 	}
 	// A POST whose body is still to come holds one app-server connection
 	// across the hand-off; the GETs warm a second one.
-	inflight, err := tun1.sess.OpenStream(map[string]string{":method": "POST", ":path": "/up", "content-length": "5"}, false)
+	inflight, err := tun1.sess.OpenStreamWith(h2t.Fields{{Name: ":method", Value: "POST"}, {Name: ":path", Value: "/up"}, {Name: "content-length", Value: "5"}}, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -817,7 +824,7 @@ func TestOriginTakeoverRetiresWarmPool(t *testing.T) {
 	// connection is not kept.
 	inflight.Write([]byte("hello"))
 	inflight.CloseWrite()
-	if rh, err := inflight.RecvHeaders(5 * time.Second); err != nil || rh["status"] != "200" {
+	if rh, err := inflight.RecvHeaders(5 * time.Second); err != nil || rh.Get("status") != "200" {
 		t.Fatalf("in-flight POST across the drain: %v %v", rh, err)
 	}
 	if echoed, _ := io.ReadAll(inflight); string(echoed) != "hello" {
