@@ -19,6 +19,7 @@
 package bufpool
 
 import (
+	"bufio"
 	"io"
 	"sync"
 )
@@ -95,4 +96,24 @@ func Copy(dst io.Writer, src io.Reader) (int64, error) {
 	p := Get(TierLarge)
 	defer Put(p)
 	return io.CopyBuffer(dst, src, *p)
+}
+
+// readers pools the buffered readers accepted connections are read
+// through: one that closes after a few messages, or parks in an event
+// loop between them, gives its 4 KiB to the next.
+var readers = sync.Pool{New: func() any { return bufio.NewReader(nil) }}
+
+// GetReader returns a pooled bufio.Reader reading r. The caller returns
+// it with PutReader once nothing reads through it any more; what it has
+// buffered then is dropped.
+func GetReader(r io.Reader) *bufio.Reader {
+	br := readers.Get().(*bufio.Reader)
+	br.Reset(r)
+	return br
+}
+
+// PutReader returns a reader obtained from GetReader.
+func PutReader(br *bufio.Reader) {
+	br.Reset(nil)
+	readers.Put(br)
 }

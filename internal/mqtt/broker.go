@@ -10,6 +10,7 @@ import (
 	"syscall"
 	"time"
 
+	"zdr/internal/bufpool"
 	"zdr/internal/faults"
 	"zdr/internal/metrics"
 	"zdr/internal/netx"
@@ -104,22 +105,6 @@ func NewBroker(name string, reg *metrics.Registry) *Broker {
 	}
 }
 
-// readers pools the buffered readers the broker decodes through. One read
-// of a connection picks up every packet that has arrived; a connection
-// parked in an event loop holds none.
-var readers = sync.Pool{New: func() any { return bufio.NewReader(nil) }}
-
-func getReader(conn net.Conn) *bufio.Reader {
-	br := readers.Get().(*bufio.Reader)
-	br.Reset(conn)
-	return br
-}
-
-func putReader(br *bufio.Reader) {
-	br.Reset(nil)
-	readers.Put(br)
-}
-
 // Metrics returns the broker's registry.
 func (b *Broker) Metrics() *metrics.Registry { return b.reg }
 
@@ -151,17 +136,18 @@ func (b *Broker) Serve(ln net.Listener) error {
 // context is retained for a future resume.
 func (b *Broker) ServeConn(conn net.Conn) error {
 	defer conn.Close()
-	br := getReader(conn)
-	defer putReader(br)
+	br := bufpool.GetReader(conn)
+	defer bufpool.PutReader(br)
 	sess, gen, keepAlive, err := b.handshake(conn, br)
 	if err != nil || sess == nil {
 		return err
 	}
+	dec := decoder{r: br}
 	for {
 		if keepAlive > 0 {
 			conn.SetReadDeadline(time.Now().Add(keepAlive + keepAlive/2))
 		}
-		pkt, err := Decode(br)
+		pkt, err := dec.next()
 		if err != nil {
 			b.detach(sess, conn, gen)
 			return err
@@ -235,7 +221,10 @@ func (b *Broker) handshake(conn net.Conn, br *bufio.Reader) (sess *session, gen 
 }
 
 // handlePacket processes one post-handshake packet. keep=false means the
-// transport is done (graceful DISCONNECT); the caller detaches.
+// transport is done (graceful DISCONNECT); the caller detaches. pkt is the
+// connection decoder's and is reused for the next packet: nothing here
+// keeps it or its Payload (Publish has encoded the payload for every
+// subscriber when it returns).
 func (b *Broker) handlePacket(sess *session, conn net.Conn, gen uint64, pkt *Packet) (keep bool, err error) {
 	switch pkt.Type {
 	case PUBLISH:
@@ -320,16 +309,16 @@ func (b *Broker) serveLoopConn(loop *netx.EventLoop, conn net.Conn) {
 		b.ServeConn(conn)
 		return
 	}
-	br := getReader(conn)
+	br := bufpool.GetReader(conn)
 	sess, gen, _, err := b.handshake(conn, br)
 	if err != nil || sess == nil {
-		putReader(br)
+		bufpool.PutReader(br)
 		conn.Close()
 		return
 	}
 	// Packets sent behind the CONNECT are already in the reader.
 	ok = br.Buffered() == 0 || b.serveBuffered(sess, conn, gen, br)
-	putReader(br)
+	bufpool.PutReader(br)
 	if !ok {
 		b.detach(sess, conn, gen)
 		conn.Close()
@@ -349,9 +338,9 @@ func (b *Broker) serveLoopConn(loop *netx.EventLoop, conn net.Conn) {
 			reap(w)
 			return
 		}
-		br := getReader(conn)
+		br := bufpool.GetReader(conn)
 		ok := b.serveBuffered(sess, conn, gen, br)
-		putReader(br)
+		bufpool.PutReader(br)
 		if !ok || w.Rearm() != nil {
 			reap(w)
 		}
@@ -378,9 +367,10 @@ func (b *Broker) serveLoopConn(loop *netx.EventLoop, conn net.Conn) {
 // connection parks. A deadline bounds a peer that stalls mid-packet so a
 // loop worker is never held hostage. False means the transport is done.
 func (b *Broker) serveBuffered(sess *session, conn net.Conn, gen uint64, br *bufio.Reader) bool {
+	dec := decoder{r: br}
 	for {
 		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-		pkt, err := Decode(br)
+		pkt, err := dec.next()
 		conn.SetReadDeadline(time.Time{})
 		if err != nil {
 			return false
@@ -427,8 +417,10 @@ func (b *Broker) send(sess *session, p *Packet) error {
 // client-publish fan-out and the API for server-initiated notifications
 // (the "live notifications" workload of §4.2).
 func (b *Broker) Publish(topic string, payload []byte) int {
+	// A stack array for the common fan-out; append spills a larger one.
+	var room [16]*session
+	targets := room[:0]
 	b.mu.Lock()
-	targets := make([]*session, 0, len(b.sessions))
 	for _, s := range b.sessions {
 		targets = append(targets, s)
 	}

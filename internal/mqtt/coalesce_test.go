@@ -115,11 +115,11 @@ func TestDecodeAcrossEverySplit(t *testing.T) {
 	}
 }
 
-// rawSession connects a hand-driven client to a loop-mode broker and
+// rawSession connects a hand-driven client to the broker at addr and
 // subscribes it to its own topic.
-func rawSession(t *testing.T, ln net.Listener, id string) (net.Conn, *bufio.Reader) {
+func rawSession(t *testing.T, addr, id string) (net.Conn, *bufio.Reader) {
 	t.Helper()
-	conn, err := net.Dial("tcp", ln.Addr().String())
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func collect(t *testing.T, br *bufio.Reader, acks, deliveries int) []string {
 // would sit on it for ever.
 func TestLoopBrokerHandlesEverythingOneSegmentBrought(t *testing.T) {
 	_, _, ln := startLoopBroker(t)
-	conn, br := rawSession(t, ln, "pair")
+	conn, br := rawSession(t, ln.Addr().String(), "pair")
 	var seg bytes.Buffer
 	Encode(&seg, &Packet{Type: PUBLISH, Topic: "own/pair", Payload: []byte("one"), QoS: 1, PacketID: 10})
 	Encode(&seg, &Packet{Type: PUBLISH, Topic: "own/pair", Payload: []byte("two"), QoS: 1, PacketID: 11})
@@ -217,7 +217,7 @@ func TestLoopBrokerPacketsBehindConnect(t *testing.T) {
 // two writes, cut at each of a spread of boundaries, is served once.
 func TestLoopBrokerSplitPacket(t *testing.T) {
 	_, _, ln := startLoopBroker(t)
-	conn, br := rawSession(t, ln, "split")
+	conn, br := rawSession(t, ln.Addr().String(), "split")
 	var wire bytes.Buffer
 	Encode(&wire, &Packet{Type: PUBLISH, Topic: "own/split", Payload: bytes.Repeat([]byte("s"), 200), QoS: 1, PacketID: 5})
 	for _, cut := range []int{1, 2, 3, 4, 13, 14, 100, wire.Len() - 1} {
@@ -237,11 +237,13 @@ func TestLoopBrokerSplitPacket(t *testing.T) {
 // trailer of CONNECT included. It must never panic; what it accepts must
 // survive its own encoder (decode, encode, decode gives the same packet);
 // and through a connection's buffered reader the answer must not depend
-// on where the bytes were cut into reads. The seed corpus is
+// on where the bytes were cut into reads, nor on whether the decoder reuses
+// its memory. The seed corpus is
 // testdata/fuzz/FuzzDecode, one file per case, named for it.
 func FuzzDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, cut uint16) {
-		whole, err := Decode(bytes.NewReader(data))
+		rd := bytes.NewReader(data)
+		whole, err := Decode(rd)
 		at := int(cut) % (len(data) + 1)
 		split, splitErr := Decode(bufio.NewReader(&twoPart{a: data[:at], b: data[at:]}))
 		if (err == nil) != (splitErr == nil) || !reflect.DeepEqual(whole, split) {
@@ -249,6 +251,15 @@ func FuzzDecode(f *testing.F) {
 		}
 		if err != nil {
 			return
+		}
+		// A connection's decoder, which reuses its memory, reads the same
+		// packet — also the second time, over what the first left behind.
+		one := data[:len(data)-rd.Len()]
+		dec := decoder{r: io.MultiReader(bytes.NewReader(one), bytes.NewReader(one))}
+		for i := 0; i < 2; i++ {
+			if got, err := dec.next(); err != nil || !reflect.DeepEqual(got, whole) {
+				t.Fatalf("reusing decoder, packet %d: %+v, %v; Decode: %+v", i+1, got, err, whole)
+			}
 		}
 		var again bytes.Buffer
 		if err := Encode(&again, whole); err != nil {

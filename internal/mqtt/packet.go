@@ -166,15 +166,21 @@ func appendString(b []byte, s string) []byte {
 }
 
 func takeString(b []byte) (string, []byte, error) {
+	s, rest, err := takeBytes(b)
+	return string(s), rest, err
+}
+
+// takeBytes is takeString without the copy: s aliases b.
+func takeBytes(b []byte) (s, rest []byte, err error) {
 	if len(b) < 2 {
-		return "", nil, errMalformed
+		return nil, nil, errMalformed
 	}
 	n := int(binary.BigEndian.Uint16(b[:2]))
 	b = b[2:]
 	if len(b) < n {
-		return "", nil, errMalformed
+		return nil, nil, errMalformed
 	}
-	return string(b[:n]), b[n:], nil
+	return b[:n], b[n:], nil
 }
 
 // fixedHeaderMax is the longest fixed header: the type byte and up to
@@ -262,8 +268,28 @@ func Encode(w io.Writer, p *Packet) error {
 	return err
 }
 
-// Decode parses one packet from r.
+// Decode parses one packet from r into memory of its own.
 func Decode(r io.Reader) (*Packet, error) {
+	return (&decoder{r: r}).next()
+}
+
+// decoder parses the packets of one connection into memory it reuses: the
+// Packet next returns, and the Payload and GrantedQoS inside it, are
+// valid until the next call. Strings are copies and may be kept.
+type decoder struct {
+	r    io.Reader
+	body []byte // of the last packet, unless longer than keepBody
+	pkt  Packet
+	// topic is the last PUBLISH's: a publisher repeats its topics, and a
+	// repeated one costs a comparison, not a string.
+	topic string
+}
+
+// keepBody is the longest packet body a decoder keeps the memory of.
+const keepBody = 64 << 10
+
+func (d *decoder) next() (*Packet, error) {
+	r := d.r
 	first, err := readByte(r)
 	if err != nil {
 		return nil, err
@@ -274,11 +300,19 @@ func Decode(r io.Reader) (*Packet, error) {
 	if err != nil {
 		return nil, err
 	}
-	body := make([]byte, n)
+	body := d.body
+	if n > cap(body) {
+		body = make([]byte, n)
+		if n <= keepBody {
+			d.body = body
+		}
+	}
+	body = body[:n]
 	if _, err := io.ReadFull(r, body); err != nil {
 		return nil, err
 	}
-	p := &Packet{Type: ptype}
+	d.pkt = Packet{Type: ptype}
+	p := &d.pkt
 	switch ptype {
 	case CONNECT:
 		name, rest, err := takeString(body)
@@ -310,11 +344,14 @@ func Decode(r io.Reader) (*Packet, error) {
 		if p.QoS > 1 {
 			return nil, fmt.Errorf("mqtt: QoS %d unsupported", p.QoS)
 		}
-		var rest []byte
-		p.Topic, rest, err = takeString(body)
+		topic, rest, err := takeBytes(body)
 		if err != nil {
 			return nil, err
 		}
+		if string(topic) != d.topic {
+			d.topic = string(topic)
+		}
+		p.Topic = d.topic
 		if p.QoS > 0 {
 			if len(rest) < 2 {
 				return nil, errMalformed

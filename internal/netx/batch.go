@@ -1,6 +1,7 @@
-// Batched-syscall UDP: recvmmsg(2)/sendmmsg(2) rings behind a
-// net.PacketConn, so a router draining a burst pays one syscall per
-// batch instead of one per packet in each direction.
+// Batched-syscall UDP: a recvmmsg(2) ring and a sendmmsg(2) ring behind
+// a net.PacketConn, so a router draining a burst pays one syscall per
+// batch instead of one per packet in each direction. A user builds the
+// direction it uses: a read loop a RecvRing, a sender a SendRing.
 //
 // The kernel path engages only when the wrapped conn exposes its raw
 // descriptor (syscall.Conn — a real *net.UDPConn does, fault-injection
@@ -14,6 +15,9 @@
 // — how quicx kicks a blocked VIP reader at drain time — interrupts a
 // batched read exactly like a plain one, surfacing as a net.Error
 // timeout.
+//
+// A ring owns its memory: one slab of slots and one of sockaddr scratch,
+// made with the ring and dropped with it, nothing borrowed from bufpool.
 package netx
 
 import (
@@ -24,17 +28,23 @@ import (
 	"syscall"
 	"unsafe"
 
-	"zdr/internal/bufpool"
 	"zdr/internal/metrics"
 )
 
 // Batch sizing defaults. 64-entry rings match the burst sizes the quicx
-// router sees under load; per-packet buffers cover a full datagram.
+// router sees under load; MaxPacket covers a full datagram and is what a
+// receive ring's slots may grow to.
 const (
 	DefaultRecvBatch = 64
 	DefaultSendBatch = 64
 	DefaultMaxPacket = 64 << 10
 )
+
+// ringSlot is the slot size a ring starts with: an MTU-sized datagram
+// plus quicx's forward encapsulation. A receive ring that meets a longer
+// datagram grows its slots (RecvRing.take); a send ring writes one
+// through.
+const ringSlot = 2 << 10
 
 // sockaddrBufLen fits any sockaddr the kernel writes (RawSockaddrAny).
 const sockaddrBufLen = 128
@@ -51,20 +61,19 @@ type mmsghdr struct {
 	_   [4]byte
 }
 
-// Message is one received datagram. Buf aliases the ring buffer and Addr
+// Message is one received datagram. Buf aliases the ring's slab and Addr
 // may be shared across messages: both are valid only until the next
-// ReadBatch call on the same conn.
+// ReadBatch call on the same ring.
 type Message struct {
 	Buf  []byte
 	Addr net.Addr
 }
 
-// BatchConfig configures a BatchPacketConn. Zero values take the
-// defaults above.
+// BatchConfig configures a ring. Zero values take the defaults above.
 type BatchConfig struct {
 	RecvBatch int // mmsghdr ring entries per recvmmsg
 	SendBatch int // queued datagrams before an automatic flush
-	MaxPacket int // per-datagram buffer size
+	MaxPacket int // the longest datagram a receive ring grows its slots for
 	// Registry+Prefix name the accounting counters (e.g. prefix
 	// "quicx.batch" yields quicx.batch.recvmmsg_calls etc.). A nil
 	// Registry keeps private counters readable via Stats.
@@ -75,59 +84,9 @@ type BatchConfig struct {
 	DisableKernelBatch bool
 }
 
-// BatchStats is a point-in-time copy of one conn's batch counters.
-type BatchStats struct {
-	RecvCalls   int64 // recvmmsg invocations (or fallback ReadFrom calls)
-	RecvPkts    int64 // datagrams received
-	SendFlushes int64 // sendmmsg invocations (or fallback WriteTo calls)
-	SendPkts    int64 // datagrams sent
-}
-
-// BatchPacketConn wraps a net.PacketConn with recvmmsg/sendmmsg rings.
-// ReadBatch is single-caller (one read loop per conn, the quicx
-// ownership rule); QueueTo/Flush are safe for concurrent use — the VIP
-// sender is shared by the main and forward read loops.
-type BatchPacketConn struct {
-	pc  net.PacketConn
-	raw syscall.RawConn // nil → fallback path
-	max int
-
-	// receive ring (single reader, no lock)
-	rmsgs  []mmsghdr
-	rbufs  []*[]byte
-	riovs  []syscall.Iovec
-	rnames [][]byte
-	msgs   []Message
-	rfall  *[]byte // fallback read buffer
-	acache map[string]*net.UDPAddr
-
-	// send ring
-	smu    sync.Mutex
-	smsgs  []mmsghdr
-	sbufs  []*[]byte
-	siovs  []syscall.Iovec
-	snames [][]byte
-	queued int
-
-	// The RawConn callbacks, bound once, and the syscall results they
-	// leave behind: a closure built per call captures its results by
-	// reference and costs an allocation per ReadBatch and per flush.
-	// recv* belong to the single reader, send* are guarded by smu.
-	recvFn, sendFn   func(fd uintptr) bool
-	recvN, sendN     uintptr
-	recvErr, sendErr syscall.Errno
-	sendFirst        int // first unsent ring slot of the flush in progress
-
-	cRecvCalls *metrics.Counter
-	cRecvPkts  *metrics.Counter
-	cSendFlush *metrics.Counter
-	cSendPkts  *metrics.Counter
-	gPktsPer   *metrics.Gauge // cumulative pkts-per-recvmmsg, milli-units
-}
-
-// NewBatchPacketConn wraps pc. Kernel batching engages only when pc
-// exposes a raw descriptor and DisableKernelBatch is unset.
-func NewBatchPacketConn(pc net.PacketConn, cfg BatchConfig) *BatchPacketConn {
+// open fills in cfg's defaults and returns pc's raw descriptor, nil when
+// the ring is to take the fallback path.
+func (cfg *BatchConfig) open(pc net.PacketConn) syscall.RawConn {
 	if cfg.RecvBatch <= 0 {
 		cfg.RecvBatch = DefaultRecvBatch
 	}
@@ -143,142 +102,199 @@ func NewBatchPacketConn(pc net.PacketConn, cfg BatchConfig) *BatchPacketConn {
 	if cfg.Prefix == "" {
 		cfg.Prefix = "netx.batch"
 	}
-	b := &BatchPacketConn{
-		pc:         pc,
-		max:        cfg.MaxPacket,
-		acache:     make(map[string]*net.UDPAddr),
-		cRecvCalls: cfg.Registry.Counter(cfg.Prefix + ".recvmmsg_calls"),
-		cRecvPkts:  cfg.Registry.Counter(cfg.Prefix + ".recvmmsg_pkts"),
-		cSendFlush: cfg.Registry.Counter(cfg.Prefix + ".sendmmsg_flushes"),
-		cSendPkts:  cfg.Registry.Counter(cfg.Prefix + ".sendmmsg_pkts"),
-		gPktsPer:   cfg.Registry.Gauge(cfg.Prefix + ".pkts_per_recvmmsg"),
-	}
-	if !cfg.DisableKernelBatch {
-		if sc, ok := pc.(syscall.Conn); ok {
-			if rc, err := sc.SyscallConn(); err == nil {
-				b.raw = rc
-			}
+	if sc, ok := pc.(syscall.Conn); ok && !cfg.DisableKernelBatch {
+		if rc, err := sc.SyscallConn(); err == nil {
+			return rc
 		}
 	}
-	if b.raw == nil {
-		b.rfall = bufpool.Get(cfg.MaxPacket)
-		return b
-	}
-	b.recvFn, b.sendFn = b.recvmmsg, b.sendmmsg
-	// Ring slots are wired once: each msghdr points at its permanent
-	// iovec, buffer and sockaddr scratch; only lengths change per call.
-	b.rmsgs = make([]mmsghdr, cfg.RecvBatch)
-	b.rbufs = make([]*[]byte, cfg.RecvBatch)
-	b.riovs = make([]syscall.Iovec, cfg.RecvBatch)
-	b.rnames = make([][]byte, cfg.RecvBatch)
-	b.msgs = make([]Message, 0, cfg.RecvBatch)
-	for i := range b.rmsgs {
-		b.rbufs[i] = bufpool.Get(cfg.MaxPacket)
-		b.rnames[i] = make([]byte, sockaddrBufLen)
-		b.riovs[i].Base = &(*b.rbufs[i])[0]
-		b.riovs[i].SetLen(cfg.MaxPacket)
-		b.rmsgs[i].hdr.Name = &b.rnames[i][0]
-		b.rmsgs[i].hdr.Iov = &b.riovs[i]
-		b.rmsgs[i].hdr.Iovlen = 1
-	}
-	b.smsgs = make([]mmsghdr, cfg.SendBatch)
-	b.sbufs = make([]*[]byte, cfg.SendBatch)
-	b.siovs = make([]syscall.Iovec, cfg.SendBatch)
-	b.snames = make([][]byte, cfg.SendBatch)
-	for i := range b.smsgs {
-		b.sbufs[i] = bufpool.Get(cfg.MaxPacket)
-		b.snames[i] = make([]byte, sockaddrBufLen)
-		b.siovs[i].Base = &(*b.sbufs[i])[0]
-		b.smsgs[i].hdr.Name = &b.snames[i][0]
-		b.smsgs[i].hdr.Iov = &b.siovs[i]
-		b.smsgs[i].hdr.Iovlen = 1
-	}
-	return b
+	return nil
 }
 
-// Batched reports whether the kernel recvmmsg/sendmmsg path is active.
-func (b *BatchPacketConn) Batched() bool { return b.raw != nil }
-
-// Stats snapshots the conn's batch counters.
-func (b *BatchPacketConn) Stats() BatchStats {
-	return BatchStats{
-		RecvCalls:   b.cRecvCalls.Value(),
-		RecvPkts:    b.cRecvPkts.Value(),
-		SendFlushes: b.cSendFlush.Value(),
-		SendPkts:    b.cSendPkts.Value(),
+// newSlots makes the n slots of a ring, wired once: each msghdr points at
+// its permanent iovec and sockaddr scratch. The ring points the iovecs
+// at its slab.
+func newSlots(n int) (hdrs []mmsghdr, iovs []syscall.Iovec, names []byte) {
+	hdrs, iovs, names = make([]mmsghdr, n), make([]syscall.Iovec, n), make([]byte, n*sockaddrBufLen)
+	for i := range hdrs {
+		hdrs[i].hdr.Name = &names[i*sockaddrBufLen]
+		hdrs[i].hdr.Iov = &iovs[i]
+		hdrs[i].hdr.Iovlen = 1
 	}
+	return hdrs, iovs, names
+}
+
+// BatchStats is a point-in-time copy of a ring's counters; a ring fills
+// in its own direction.
+type BatchStats struct {
+	RecvCalls   int64 // recvmmsg invocations (or fallback ReadFrom calls)
+	RecvPkts    int64 // datagrams received
+	SendFlushes int64 // sendmmsg invocations (or fallback WriteTo calls)
+	SendPkts    int64 // datagrams sent
+}
+
+// RecvRing reads a net.PacketConn a batch at a time. ReadBatch is
+// single-caller (one read loop per conn, the quicx ownership rule).
+type RecvRing struct {
+	pc  net.PacketConn
+	raw syscall.RawConn // nil → fallback path
+	// Slots are slot bytes now, want bytes from the next ReadBatch on and
+	// never more than max.
+	slot, want, max int
+
+	hdrs   []mmsghdr
+	iovs   []syscall.Iovec
+	slab   []byte // len(hdrs) slots; on the fallback path one slot and a byte
+	names  []byte // sockaddrBufLen of scratch per slot
+	msgs   []Message
+	acache map[string]*net.UDPAddr
+
+	// The RawConn callback, bound once, and the syscall results it leaves
+	// behind: a closure built per call captures its results by reference
+	// and costs an allocation per ReadBatch.
+	recvFn  func(fd uintptr) bool
+	recvN   uintptr
+	recvErr syscall.Errno
+
+	cCalls, cPkts, cTrunc *metrics.Counter
+	gPktsPer              *metrics.Gauge // cumulative pkts-per-recvmmsg, milli-units
+}
+
+// NewRecvRing wraps pc's read side. Kernel batching engages only when pc
+// exposes a raw descriptor and DisableKernelBatch is unset.
+func NewRecvRing(pc net.PacketConn, cfg BatchConfig) *RecvRing {
+	r := &RecvRing{pc: pc, raw: cfg.open(pc), max: cfg.MaxPacket}
+	r.cCalls = cfg.Registry.Counter(cfg.Prefix + ".recvmmsg_calls")
+	r.cPkts = cfg.Registry.Counter(cfg.Prefix + ".recvmmsg_pkts")
+	r.cTrunc = cfg.Registry.Counter(cfg.Prefix + ".truncated")
+	r.gPktsPer = cfg.Registry.Gauge(cfg.Prefix + ".pkts_per_recvmmsg")
+	n := 1
+	if r.raw != nil {
+		n = cfg.RecvBatch
+		r.recvFn = r.recvmmsg
+		r.hdrs, r.iovs, r.names = newSlots(n)
+	}
+	r.msgs = make([]Message, 0, n)
+	r.reslab(min(ringSlot, cfg.MaxPacket))
+	return r
+}
+
+// reslab gives the ring a slab of slot-byte slots. It runs between
+// ReadBatch calls, when the Messages over the old slab are void.
+func (r *RecvRing) reslab(slot int) {
+	r.slot, r.want = slot, slot
+	if r.raw == nil {
+		// One byte over: a ReadFrom that fills it was cut short.
+		r.slab = make([]byte, slot+1)
+		return
+	}
+	r.slab = make([]byte, len(r.hdrs)*slot)
+	for i := range r.iovs {
+		r.iovs[i].Base = &r.slab[i*slot]
+		r.iovs[i].SetLen(slot)
+	}
+}
+
+// Batched reports whether the kernel recvmmsg path is active.
+func (r *RecvRing) Batched() bool { return r.raw != nil }
+
+// Stats snapshots the ring's counters.
+func (r *RecvRing) Stats() BatchStats {
+	return BatchStats{RecvCalls: r.cCalls.Value(), RecvPkts: r.cPkts.Value()}
 }
 
 // ReadBatch blocks until at least one datagram is available and returns
 // every datagram the kernel had queued, up to the ring size. Returned
 // Messages alias ring memory: they are valid only until the next
 // ReadBatch. Deadline and close errors surface exactly as ReadFrom's do.
-func (b *BatchPacketConn) ReadBatch() ([]Message, error) {
-	if b.raw == nil {
-		n, from, err := b.pc.ReadFrom(*b.rfall)
-		if err != nil {
-			return nil, err
+// A datagram longer than a slot is dropped and counted (take), so a batch
+// of nothing else is read past.
+func (r *RecvRing) ReadBatch() ([]Message, error) {
+	for {
+		if r.want > r.slot {
+			r.reslab(r.want)
 		}
-		b.cRecvCalls.Inc()
-		b.cRecvPkts.Inc()
-		b.updateRatio()
-		b.msgs = append(b.msgs[:0], Message{Buf: (*b.rfall)[:n], Addr: from})
-		return b.msgs, nil
+		r.msgs = r.msgs[:0]
+		if r.raw == nil {
+			n, from, err := r.pc.ReadFrom(r.slab)
+			if err != nil {
+				return nil, err
+			}
+			r.cCalls.Inc()
+			r.cPkts.Inc()
+			r.take(r.slab, n, from)
+		} else {
+			for i := range r.hdrs {
+				r.hdrs[i].hdr.Namelen = sockaddrBufLen
+				r.hdrs[i].n = 0
+			}
+			if err := r.raw.Read(r.recvFn); err != nil {
+				return nil, err
+			}
+			if r.recvErr != 0 {
+				return nil, os.NewSyscallError("recvmmsg", r.recvErr)
+			}
+			r.cCalls.Inc()
+			r.cPkts.Add(int64(r.recvN))
+			for i := 0; i < int(r.recvN); i++ {
+				m := &r.hdrs[i]
+				name := r.names[i*sockaddrBufLen:][:m.hdr.Namelen]
+				r.take(r.slab[i*r.slot:], int(m.n), r.parseAddr(name))
+			}
+		}
+		r.updateRatio()
+		if len(r.msgs) > 0 {
+			return r.msgs, nil
+		}
 	}
-	for i := range b.rmsgs {
-		b.rmsgs[i].hdr.Namelen = sockaddrBufLen
-		b.rmsgs[i].n = 0
+}
+
+// take adds a datagram of n bytes, received into buf, to the batch —
+// unless n is more than a slot holds (the kernel reports the real length
+// under MSG_TRUNC, the fallback a byte over): what was received is then
+// the datagram's head, which is counted and dropped, never delivered
+// short, and the next slab is sized for the next power of two that fits
+// n, up to max.
+func (r *RecvRing) take(buf []byte, n int, from net.Addr) {
+	if n <= r.slot {
+		r.msgs = append(r.msgs, Message{Buf: buf[:n:n], Addr: from})
+		return
 	}
-	if err := b.raw.Read(b.recvFn); err != nil {
-		return nil, err
+	r.cTrunc.Inc()
+	for r.want < n && r.want < r.max {
+		r.want = min(2*r.want, r.max)
 	}
-	if b.recvErr != 0 {
-		return nil, os.NewSyscallError("recvmmsg", b.recvErr)
-	}
-	b.cRecvCalls.Inc()
-	b.cRecvPkts.Add(int64(b.recvN))
-	b.updateRatio()
-	b.msgs = b.msgs[:0]
-	for i := 0; i < int(b.recvN); i++ {
-		m := &b.rmsgs[i]
-		b.msgs = append(b.msgs, Message{
-			Buf:  (*b.rbufs[i])[:m.n],
-			Addr: b.parseAddr(b.rnames[i][:m.hdr.Namelen]),
-		})
-	}
-	return b.msgs, nil
 }
 
 // recvmmsg is the RawConn.Read callback: one non-blocking recvmmsg over
 // the whole ring, reporting "not ready" on EAGAIN so the poller parks the
 // reader.
-func (b *BatchPacketConn) recvmmsg(fd uintptr) bool {
+func (r *RecvRing) recvmmsg(fd uintptr) bool {
 	for {
-		b.recvN, _, b.recvErr = syscall.Syscall6(syscall.SYS_RECVMMSG,
-			fd, uintptr(unsafe.Pointer(&b.rmsgs[0])), uintptr(len(b.rmsgs)),
-			syscall.MSG_DONTWAIT, 0, 0)
-		if b.recvErr != syscall.EINTR {
-			return b.recvErr != syscall.EAGAIN
+		r.recvN, _, r.recvErr = syscall.Syscall6(syscall.SYS_RECVMMSG,
+			fd, uintptr(unsafe.Pointer(&r.hdrs[0])), uintptr(len(r.hdrs)),
+			syscall.MSG_DONTWAIT|syscall.MSG_TRUNC, 0, 0)
+		if r.recvErr != syscall.EINTR {
+			return r.recvErr != syscall.EAGAIN
 		}
 	}
 }
 
 // updateRatio publishes the cumulative packets-per-recvmmsg ratio in
 // milli-units (1000 = one packet per syscall).
-func (b *BatchPacketConn) updateRatio() {
-	if calls := b.cRecvCalls.Value(); calls > 0 {
-		b.gPktsPer.Set(b.cRecvPkts.Value() * 1000 / calls)
+func (r *RecvRing) updateRatio() {
+	if calls := r.cCalls.Value(); calls > 0 {
+		r.gPktsPer.Set(r.cPkts.Value() * 1000 / calls)
 	}
 }
 
 // parseAddr converts a raw kernel sockaddr to *net.UDPAddr through a
 // bounded cache, so steady-state traffic from known peers allocates
 // nothing per packet.
-func (b *BatchPacketConn) parseAddr(raw []byte) net.Addr {
+func (r *RecvRing) parseAddr(raw []byte) net.Addr {
 	if len(raw) < 4 {
 		return nil
 	}
-	if a, ok := b.acache[string(raw)]; ok {
+	if a, ok := r.acache[string(raw)]; ok {
 		return a
 	}
 	var a *net.UDPAddr
@@ -297,91 +313,150 @@ func (b *BatchPacketConn) parseAddr(raw []byte) net.Addr {
 	default:
 		return nil
 	}
-	if len(b.acache) >= addrCacheLimit {
-		clear(b.acache)
+	if r.acache == nil || len(r.acache) >= addrCacheLimit {
+		r.acache = make(map[string]*net.UDPAddr)
 	}
-	b.acache[string(raw)] = a
+	r.acache[string(raw)] = a
 	return a
 }
 
-// QueueTo stages one datagram for addr, flushing automatically when the
-// ring fills. On the fallback path (or for addresses sendmmsg cannot
-// encode) it degrades to an immediate WriteTo, preserving one-write-per-
-// packet semantics for interposed wrappers. The payload is copied; the
-// caller keeps ownership of p.
-func (b *BatchPacketConn) QueueTo(p []byte, addr net.Addr) error {
-	if b.raw == nil || len(p) > b.max {
-		return b.writeDirect(p, addr)
-	}
-	ua, ok := addr.(*net.UDPAddr)
-	if !ok {
-		return b.writeDirect(p, addr)
-	}
-	b.smu.Lock()
-	defer b.smu.Unlock()
-	if b.queued == len(b.smsgs) {
-		if err := b.flushLocked(); err != nil {
-			return err
-		}
-	}
-	i := b.queued
-	nameLen, ok := putSockaddr(b.snames[i], ua)
-	if !ok {
-		return b.writeDirect(p, addr)
-	}
-	copy(*b.sbufs[i], p)
-	b.siovs[i].SetLen(len(p))
-	b.smsgs[i].hdr.Namelen = uint32(nameLen)
-	b.queued++
-	return nil
+// Release drops the ring's memory. It does not close the wrapped conn —
+// the caller owns its lifecycle (across Socket Takeover the socket
+// outlives any one generation's rings, which follow their read loop).
+func (r *RecvRing) Release() {
+	r.hdrs, r.iovs, r.slab, r.names, r.msgs, r.acache = nil, nil, nil, nil, nil, nil
 }
 
-func (b *BatchPacketConn) writeDirect(p []byte, addr net.Addr) error {
-	_, err := b.pc.WriteTo(p, addr)
+// SendRing stages datagrams for a net.PacketConn and sends them a batch
+// at a time. QueueTo and Flush are safe for concurrent use — the VIP
+// sender is shared by the main and forward read loops.
+type SendRing struct {
+	pc   net.PacketConn
+	raw  syscall.RawConn // nil → fallback path
+	slot int
+
+	mu     sync.Mutex
+	hdrs   []mmsghdr
+	iovs   []syscall.Iovec
+	slab   []byte // len(hdrs) slots
+	names  []byte // sockaddrBufLen of scratch per slot
+	queued int
+
+	// As RecvRing's; guarded by mu. first is the first unsent slot of the
+	// flush in progress.
+	sendFn  func(fd uintptr) bool
+	sendN   uintptr
+	sendErr syscall.Errno
+	first   int
+
+	cFlush, cPkts *metrics.Counter
+}
+
+// NewSendRing wraps pc's write side; the kernel path engages as for
+// NewRecvRing.
+func NewSendRing(pc net.PacketConn, cfg BatchConfig) *SendRing {
+	s := &SendRing{pc: pc, raw: cfg.open(pc), slot: min(ringSlot, cfg.MaxPacket)}
+	s.cFlush = cfg.Registry.Counter(cfg.Prefix + ".sendmmsg_flushes")
+	s.cPkts = cfg.Registry.Counter(cfg.Prefix + ".sendmmsg_pkts")
+	if s.raw == nil {
+		return s
+	}
+	s.sendFn = s.sendmmsg
+	s.hdrs, s.iovs, s.names = newSlots(cfg.SendBatch)
+	s.slab = make([]byte, cfg.SendBatch*s.slot)
+	for i := range s.iovs {
+		s.iovs[i].Base = &s.slab[i*s.slot]
+	}
+	return s
+}
+
+// Batched reports whether the kernel sendmmsg path is active.
+func (s *SendRing) Batched() bool { return s.raw != nil }
+
+// Stats snapshots the ring's counters.
+func (s *SendRing) Stats() BatchStats {
+	return BatchStats{SendFlushes: s.cFlush.Value(), SendPkts: s.cPkts.Value()}
+}
+
+// QueueTo stages one datagram for addr, flushing automatically when the
+// ring fills. On the fallback path it degrades to an immediate WriteTo,
+// preserving one-write-per-packet semantics for interposed wrappers; a
+// datagram longer than a slot, or for an address sendmmsg cannot encode,
+// is written the same way once what was queued before it has gone out.
+// The payload is copied; the caller keeps ownership of p.
+func (s *SendRing) QueueTo(p []byte, addr net.Addr) error {
+	if s.raw == nil {
+		return s.writeDirect(p, addr)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if ua, ok := addr.(*net.UDPAddr); ok && len(p) <= s.slot {
+		if s.queued == len(s.hdrs) {
+			if err := s.flushLocked(); err != nil {
+				return err
+			}
+		}
+		i := s.queued
+		if nameLen, ok := putSockaddr(s.names[i*sockaddrBufLen:], ua); ok {
+			copy(s.slab[i*s.slot:], p)
+			s.iovs[i].SetLen(len(p))
+			s.hdrs[i].hdr.Namelen = uint32(nameLen)
+			s.queued++
+			return nil
+		}
+	}
+	if err := s.flushLocked(); err != nil {
+		return err
+	}
+	return s.writeDirect(p, addr)
+}
+
+func (s *SendRing) writeDirect(p []byte, addr net.Addr) error {
+	_, err := s.pc.WriteTo(p, addr)
 	if err == nil {
-		b.cSendFlush.Inc()
-		b.cSendPkts.Inc()
+		s.cFlush.Inc()
+		s.cPkts.Inc()
 	}
 	return err
 }
 
 // Flush sends every queued datagram. Call after draining a burst; a
 // no-op when nothing is queued.
-func (b *BatchPacketConn) Flush() error {
-	if b.raw == nil {
+func (s *SendRing) Flush() error {
+	if s.raw == nil {
 		return nil
 	}
-	b.smu.Lock()
-	defer b.smu.Unlock()
-	return b.flushLocked()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.flushLocked()
 }
 
-func (b *BatchPacketConn) flushLocked() error {
-	for b.sendFirst = 0; b.sendFirst < b.queued; b.sendFirst += int(b.sendN) {
-		if err := b.raw.Write(b.sendFn); err != nil {
-			b.queued = 0
+func (s *SendRing) flushLocked() error {
+	for s.first = 0; s.first < s.queued; s.first += int(s.sendN) {
+		if err := s.raw.Write(s.sendFn); err != nil {
+			s.queued = 0
 			return err
 		}
-		if b.sendErr != 0 {
-			b.queued = 0
-			return os.NewSyscallError("sendmmsg", b.sendErr)
+		if s.sendErr != 0 {
+			s.queued = 0
+			return os.NewSyscallError("sendmmsg", s.sendErr)
 		}
-		b.cSendFlush.Inc()
-		b.cSendPkts.Add(int64(b.sendN))
+		s.cFlush.Inc()
+		s.cPkts.Add(int64(s.sendN))
 	}
-	b.queued = 0
+	s.queued = 0
 	return nil
 }
 
 // sendmmsg is the RawConn.Write callback: one non-blocking sendmmsg of
-// ring slots [sendFirst, queued). Caller (through flushLocked) holds smu.
-func (b *BatchPacketConn) sendmmsg(fd uintptr) bool {
+// ring slots [first, queued). Caller (through flushLocked) holds mu.
+func (s *SendRing) sendmmsg(fd uintptr) bool {
 	for {
-		b.sendN, _, b.sendErr = syscall.Syscall6(sysSendmmsg,
-			fd, uintptr(unsafe.Pointer(&b.smsgs[b.sendFirst])), uintptr(b.queued-b.sendFirst),
+		s.sendN, _, s.sendErr = syscall.Syscall6(sysSendmmsg,
+			fd, uintptr(unsafe.Pointer(&s.hdrs[s.first])), uintptr(s.queued-s.first),
 			syscall.MSG_DONTWAIT, 0, 0)
-		if b.sendErr != syscall.EINTR {
-			return b.sendErr != syscall.EAGAIN
+		if s.sendErr != syscall.EINTR {
+			return s.sendErr != syscall.EAGAIN
 		}
 	}
 }
@@ -405,23 +480,12 @@ func putSockaddr(buf []byte, ua *net.UDPAddr) (int, bool) {
 	return 0, false
 }
 
-// Release flushes pending sends and returns ring buffers to the pool.
-// It does not close the wrapped conn — the caller owns its lifecycle
-// (across Socket Takeover the socket outlives any one generation's
-// rings, which follow their read loop).
-func (b *BatchPacketConn) Release() {
-	b.Flush()
-	for _, p := range b.rbufs {
-		bufpool.Put(p)
-	}
-	b.rbufs = nil
-	b.smu.Lock()
-	for _, p := range b.sbufs {
-		bufpool.Put(p)
-	}
-	b.sbufs = nil
-	b.queued = 0
-	b.smu.Unlock()
-	bufpool.Put(b.rfall)
-	b.rfall = nil
+// Release flushes pending sends and drops the ring's memory; the conn
+// stays the caller's, as for RecvRing.Release. The ring is not used
+// again.
+func (s *SendRing) Release() {
+	s.Flush()
+	s.mu.Lock()
+	s.hdrs, s.iovs, s.slab, s.names = nil, nil, nil, nil
+	s.mu.Unlock()
 }

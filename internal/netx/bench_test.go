@@ -58,7 +58,7 @@ func BenchmarkRelayPooledCopy(b *testing.B) { relayBench(b, 64<<10, true) }
 // bursts to one destination, drained by a reader goroutine.
 func BenchmarkBatchSend(b *testing.B) {
 	send, recv := udpPair(b)
-	bc := NewBatchPacketConn(send, BatchConfig{})
+	bc := NewSendRing(send, BatchConfig{})
 	defer bc.Release()
 	if !bc.Batched() {
 		b.Skip("kernel batching unavailable")

@@ -1,7 +1,6 @@
 package proxy
 
 import (
-	"bufio"
 	"bytes"
 	"errors"
 	"io"
@@ -160,7 +159,11 @@ func (p *Proxy) handleEdgeHTTPConn(conn net.Conn) {
 	if !p.trackWebConn(wc) {
 		return
 	}
-	br := bufio.NewReader(conn)
+	// Pooled: a connection that closes after a few requests would
+	// otherwise cost a reader and its 4 KiB each time. serveEdgeRequest
+	// has waited for its body pump, the only other reader, when it returns.
+	br := bufpool.GetReader(conn)
+	defer bufpool.PutReader(br)
 	for {
 		req, err := http1.ReadRequest(br)
 		if err != nil {
@@ -210,14 +213,16 @@ func (p *Proxy) untrackWebConn(wc *webConn) {
 // serveEdgeHTTPLoop parks conn in the event loop and serves one request
 // batch per readiness wake. The handler returns (freeing the loop worker)
 // whenever the connection goes idle with nothing buffered; a parked idle
-// connection costs its watch record and this bufio.Reader, no goroutine.
+// connection costs its watch record — no goroutine, and no reader: one is
+// taken from the pool per wake.
 func (p *Proxy) serveEdgeHTTPLoop(loop *netx.EventLoop, conn net.Conn, rawConn syscall.Conn) {
-	br := bufio.NewReader(conn)
 	w, err := loop.Watch(rawConn, func(w *netx.Watch, r netx.Readiness) {
 		if r.HangUp {
 			p.reapParked(w, conn)
 			return
 		}
+		br := bufpool.GetReader(conn)
+		defer bufpool.PutReader(br)
 		// Readable: serve the request that woke us plus anything
 		// pipelined behind it. The deadline bounds a peer that stalls
 		// mid-request so a loop worker is never held hostage.

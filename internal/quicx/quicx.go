@@ -230,7 +230,7 @@ type Server struct {
 	// forwards from both read loops coalesce through it, one sendmmsg
 	// per drained burst instead of one WriteTo per packet. Created
 	// lazily so DisableBatch can run between NewServer and Start.
-	out *netx.BatchPacketConn
+	out *netx.SendRing
 	// noBatch forces one-syscall-per-packet I/O in both directions —
 	// the before/after lever for throughput benchmarks.
 	noBatch bool
@@ -282,12 +282,12 @@ func (s *Server) DisableBatch() {
 
 // sender returns the batched VIP writer, creating it on first use. Both
 // read loops share it: the VIP socket outlives any one loop generation,
-// so the send rings follow the socket, not the loop.
-func (s *Server) sender() *netx.BatchPacketConn {
+// so the send ring follows the socket, not the loop.
+func (s *Server) sender() *netx.SendRing {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.out == nil {
-		s.out = netx.NewBatchPacketConn(s.main, netx.BatchConfig{
+		s.out = netx.NewSendRing(s.main, netx.BatchConfig{
 			Registry:           s.reg,
 			Prefix:             "quicx.batch",
 			DisableKernelBatch: s.noBatch,
@@ -473,7 +473,7 @@ func (s *Server) readLoop(conn net.PacketConn, forwarded bool) {
 	// succeeding process builds its own. On a fault-wrapped conn the
 	// ring degrades to one ReadFrom per packet, keeping every datagram
 	// visible to the wrapper.
-	bc := netx.NewBatchPacketConn(conn, netx.BatchConfig{
+	bc := netx.NewRecvRing(conn, netx.BatchConfig{
 		Registry:           s.reg,
 		Prefix:             "quicx.batch",
 		DisableKernelBatch: noBatch,
@@ -533,7 +533,7 @@ func (s *Server) readLoop(conn net.PacketConn, forwarded bool) {
 
 // handlePacket processes one datagram from the client at from; replies and
 // forwards queue on out, the read loop's handle on the shared VIP sender.
-func (s *Server) handlePacket(out *netx.BatchPacketConn, raw []byte, from net.Addr) {
+func (s *Server) handlePacket(out *netx.SendRing, raw []byte, from net.Addr) {
 	p, err := Unmarshal(raw)
 	if err != nil {
 		s.cMalformed.Inc()
@@ -601,7 +601,7 @@ func (s *Server) handlePacket(out *netx.BatchPacketConn, raw []byte, from net.Ad
 	}
 }
 
-func (s *Server) reply(out *netx.BatchPacketConn, conn ConnID, to net.Addr, payload []byte) {
+func (s *Server) reply(out *netx.SendRing, conn ConnID, to net.Addr, payload []byte) {
 	if payload == nil {
 		return
 	}
