@@ -45,15 +45,55 @@ type Handler func(req *http1.Request, body []byte) *http1.Response
 // body that outgrows its buffer moves to the heap as any append does.
 // bodyPoolCap is also the most a Content-Length may pre-size: the peer is
 // a trusted proxy, but the header is still client-originated.
+//
+// The pool is a free list of bodyPoolKeep buffers, made when the first
+// such body arrives, and not a sync.Pool. One re-made buffer is what a
+// quarter of a thousand small requests allocate, and a sync.Pool re-makes
+// one after a collection about every other time: what it held moves to
+// the victim cache, where a buffer in one processor's private slot is out
+// of another's reach and is dropped once the rest has been taken. A spare
+// is needed because a holder is sometimes slow to let go — a response's
+// last write wakes its reader, the writer can lose its processor there
+// for milliseconds with the buffer still in hand, and the client's next
+// request arrives. The list allocates only while more than bodyPoolKeep
+// bodies are in flight; an app server that has taken a large body keeps
+// the four.
 const (
 	pooledBodyMin = 64 << 10
 	bodyPoolCap   = 1 << 20
+	bodyPoolKeep  = 4
 )
 
-var bodyPool = sync.Pool{New: func() any {
+var (
+	bodyPool     = make(chan *[]byte, bodyPoolKeep)
+	bodyPoolFill sync.Once
+)
+
+func newBody() *[]byte {
 	b := make([]byte, 0, bodyPoolCap)
 	return &b
-}}
+}
+
+func getBody() *[]byte {
+	bodyPoolFill.Do(func() {
+		for i := 0; i < bodyPoolKeep; i++ {
+			putBody(newBody())
+		}
+	})
+	select {
+	case bp := <-bodyPool:
+		return bp
+	default:
+		return newBody()
+	}
+}
+
+func putBody(bp *[]byte) {
+	select {
+	case bodyPool <- bp:
+	default:
+	}
+}
 
 // Mode selects the restart behaviour for in-flight POSTs.
 type Mode int
@@ -342,8 +382,8 @@ func (s *Server) serveRequest(conn net.Conn, br *bufio.Reader, req *http1.Reques
 	sp.SetAttr("path", req.Target)
 	var body []byte
 	if cl := req.ContentLength; cl >= pooledBodyMin {
-		bp := bodyPool.Get().(*[]byte)
-		defer bodyPool.Put(bp) // on return every path has written its response
+		bp := getBody()
+		defer putBody(bp) // on return every path has written its response
 		body = *bp
 	} else if cl > 0 {
 		body = make([]byte, 0, cl)

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -392,4 +393,38 @@ func TestDrainHandshake(t *testing.T) {
 		t.Fatalf("idle connection closed %v after the drain began, want about GraceSilence (60ms)", waited)
 	}
 	<-done
+}
+
+// TestBodyPoolAllocation: the first pooled body makes the whole list,
+// bodies beyond it come from the heap and are not kept, and what the list
+// holds survives collections (a sync.Pool drops it after two and can
+// strand it after one).
+func TestBodyPoolAllocation(t *testing.T) {
+	first := getBody()
+	if len(bodyPool) == 0 { // bodyPoolKeep-1, less what an earlier test's server has yet to put back
+		t.Fatal("the first body did not fill the list")
+	}
+	held := map[*[]byte]bool{first: true}
+	for i := 0; i < bodyPoolKeep; i++ { // one more than the list has
+		held[getBody()] = true
+	}
+	for bp := range held {
+		putBody(bp)
+	}
+	if n := len(bodyPool); n != bodyPoolKeep {
+		t.Fatalf("the list holds %d buffers, want %d", n, bodyPoolKeep)
+	}
+	runtime.GC()
+	runtime.GC()
+	var got []*[]byte
+	for i := 0; i < bodyPoolKeep; i++ {
+		bp := getBody()
+		if !held[bp] {
+			t.Fatalf("buffer %d was re-made across two collections", i)
+		}
+		got = append(got, bp)
+	}
+	for _, bp := range got {
+		putBody(bp)
+	}
 }
