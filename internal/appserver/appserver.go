@@ -36,7 +36,10 @@ import (
 
 // Handler produces the response for a fully received request. body is
 // valid until the response has been written: a response may read from it
-// (the echo does), but a handler that keeps it longer must copy it.
+// (the echo does), but a handler that keeps it longer must copy it. req is
+// the connection's, read into again for its next request: a handler must
+// not keep it past its return, though what it takes from it — method,
+// target, field values — it may keep.
 type Handler func(req *http1.Request, body []byte) *http1.Response
 
 // Request bodies declared at pooledBodyMin or more are read into pooled
@@ -342,6 +345,8 @@ func (s *Server) serveConn(conn net.Conn) {
 		conn.Close()
 	}()
 	br := bufio.NewReader(conn)
+	// HTTP/1.1 has one request at a time on a connection: this is it.
+	req := new(http1.Request)
 	lastCall := false
 	for {
 		// The idle wait is a Peek, which consumes nothing, so the drain
@@ -362,8 +367,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			conn.SetReadDeadline(time.Now().Add(s.cfg.GraceSilence))
 			continue
 		}
-		req, err := http1.ReadRequest(br)
-		if err != nil {
+		if http1.ReadRequestInto(br, req) != nil {
 			return
 		}
 		s.cRequests.Inc()

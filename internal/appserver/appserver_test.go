@@ -6,6 +6,7 @@ import (
 	"net"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -426,5 +427,61 @@ func TestBodyPoolAllocation(t *testing.T) {
 	}
 	for _, bp := range got {
 		putBody(bp)
+	}
+}
+
+// TestPipelinedRequestsDoNotAlias: a connection reads every request into
+// the one Request it keeps. Two arrive in one write, the first with twelve
+// fields (more than a Header has room for in itself) and a body, the
+// second with two and none: the handler sees each as it was sent, on the
+// same Request, and the strings it kept from the first are what they were.
+func TestPipelinedRequestsDoNotAlias(t *testing.T) {
+	type seen struct {
+		req                   *http1.Request
+		method, target, last  string
+		fields                int
+		length                int64
+		body                  string
+		hasLast, bodyReadable bool
+	}
+	var mu sync.Mutex
+	var got []seen
+	s := startServer(t, Config{Handler: func(req *http1.Request, body []byte) *http1.Response {
+		mu.Lock()
+		got = append(got, seen{req, req.Method, req.Target, req.Header.Get("X-Field-9"), req.Header.Len(),
+			req.ContentLength, string(body), req.Header.Has("X-Field-9"), req.Body != nil})
+		mu.Unlock()
+		return http1.NewResponse(200, nil, 0)
+	}})
+	conn, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	first := "POST /first HTTP/1.1\r\nHost: a\r\nContent-Length: 5\r\n"
+	for i := 0; i < 10; i++ {
+		first += "X-Field-" + string(rune('0'+i)) + ": value-" + string(rune('0'+i)) + "\r\n"
+	}
+	if _, err := conn.Write([]byte(first + "\r\nhello" + "GET /second HTTP/1.1\r\nHost: b\r\nAccept: */*\r\n\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	br := bufio.NewReader(conn)
+	for i := 0; i < 2; i++ {
+		if resp, err := http1.ReadResponse(br); err != nil || resp.StatusCode != 200 {
+			t.Fatalf("response %d: %+v, %v", i, resp, err)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(got) != 2 || got[0].req != got[1].req {
+		t.Fatalf("handler calls: %+v; want two, on the connection's one Request", got)
+	}
+	got[0].req, got[1].req = nil, nil
+	if want := (seen{nil, "POST", "/first", "value-9", 12, 5, "hello", true, true}); got[0] != want {
+		t.Errorf("first request: %+v, want %+v", got[0], want)
+	}
+	if want := (seen{nil, "GET", "/second", "", 2, 0, "", false, false}); got[1] != want {
+		t.Errorf("second request: %+v, want %+v", got[1], want)
 	}
 }

@@ -49,11 +49,13 @@ type recvBuffer struct {
 
 	chunks []*[]byte // starts as inline[:0]
 	inline [inlineChunks]*[]byte
-	off    int // read position in chunks[0]
 	size   int // unread bytes
 	// unacked counts bytes Read has handed to the consumer since the
 	// last credit.
 	unacked int
+	// off is the read position in chunks[0], at most a frame: with the
+	// flags beside it, one word of every Stream.
+	off uint32
 	// filling is true while readFrom reads into the spare capacity of the
 	// last chunk with the lock released; that chunk must stay where it is.
 	filling bool
@@ -193,9 +195,9 @@ func (b *recvBuffer) take(s *Session, p []byte) (n, credit int, err error) {
 		head := *b.chunks[0]
 		c := copy(p[n:], head[b.off:])
 		n += c
-		b.off += c
+		b.off += uint32(c)
 		b.size -= c
-		if b.off == len(head) {
+		if int(b.off) == len(head) {
 			if b.filling && len(b.chunks) == 1 {
 				break // drained as far as it is filled; more is landing in it
 			}

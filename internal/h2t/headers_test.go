@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"zdr/internal/racetest"
 )
@@ -238,8 +239,8 @@ func TestStreamAllocations(t *testing.T) {
 			t.Fatalf("after the body: %d, %v", n, err)
 		}
 	}
-	if n := testing.AllocsPerRun(200, roundTrip); n > 9 {
-		t.Errorf("open + headers back + 64 B + END_STREAM: %v allocs on the pair, want <= 9", n)
+	if n := testing.AllocsPerRun(200, roundTrip); n > 7 {
+		t.Errorf("open + headers back + 64 B + END_STREAM: %v allocs on the pair, want <= 7", n)
 	}
 	if client.NumStreams() != 0 || server.NumStreams() != 0 {
 		t.Fatalf("streams left: %d, %d", client.NumStreams(), server.NumStreams())
@@ -261,5 +262,53 @@ func TestStreamAllocations(t *testing.T) {
 	}
 	if st.ctrlCh != nil {
 		t.Error("a stream that carried only DATA has a control channel")
+	}
+}
+
+// TestStreamSize pins what every request pays twice per hop: a Stream,
+// room for one header block included, fills the 512-byte size class and
+// no more.
+func TestStreamSize(t *testing.T) {
+	if n := unsafe.Sizeof(Stream{}); n > 512 {
+		t.Errorf("a Stream is %d bytes, want <= 512", n)
+	}
+}
+
+// TestRecvHeadersStaleWake: the channel a wait borrows may come with a
+// token in it, left by a wake that raced the previous borrower's return.
+// It is a spurious wake: the wait finds its slot empty and goes on, for
+// its whole timeout or until its own headers come.
+func TestRecvHeadersStaleWake(t *testing.T) {
+	client, server := sessionPair(t)
+	stale := func() {
+		// sync.Pool hands a goroutine back what it last put: the wait
+		// below borrows this channel.
+		ch := make(chan struct{}, 1)
+		ch <- struct{}{}
+		wakePool.Put(ch)
+	}
+	st, err := client.OpenStreamWith(Fields{{":path", "/x"}}, nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sst, err := server.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale()
+	t0 := time.Now()
+	if _, err := st.RecvHeaders(30 * time.Millisecond); err == nil || !strings.Contains(err.Error(), "timeout") || time.Since(t0) < 30*time.Millisecond {
+		t.Fatalf("a wait woken by a stale token: %v after %v, want a timeout after 30ms", err, time.Since(t0))
+	}
+	if st.hdrWake != nil {
+		t.Fatal("the stream kept the channel of a wait that returned")
+	}
+	stale()
+	go func() {
+		time.Sleep(10 * time.Millisecond)
+		sst.SendMessage(Fields{{"status", "200"}}, nil, true)
+	}()
+	if h, err := st.RecvHeaders(5 * time.Second); err != nil || h.Get("status") != "200" {
+		t.Fatalf("a wait woken by a stale token, then by its headers: %v, %v", h, err)
 	}
 }

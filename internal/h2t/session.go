@@ -340,8 +340,9 @@ func (s *Session) OpenStream(hdr map[string]string, endStream bool) (*Stream, er
 	return s.OpenStreamWith(appendMap(room[:0], hdr), nil, endStream)
 }
 
-// OpenStreamWith starts a new stream with the given headers, of which the
-// stream keeps a copy, and the first body bytes if some are already in
+// OpenStreamWith starts a new stream with the given headers, which are
+// encoded from the caller's memory and not kept (Fields is nil on a stream
+// this side opened), and the first body bytes if some are already in
 // hand: HEADERS and body leave in one write. With endStream the last
 // frame carries END_STREAM and the local direction is half-closed at once
 // (a request with no more body). Fails with ErrGoAway while draining.
@@ -370,11 +371,13 @@ func (s *Session) OpenStreamWith(hdr Fields, body []byte, endStream bool) (*Stre
 	id := s.nextID
 	s.nextID += 2
 	st := newStream(s, id)
-	st.hdr = append(st.room[0][:0], hdr...) // not nil: to SendMessage nil is no HEADERS frame
 	s.streams[id] = st
 	s.mu.Unlock()
 
-	if err := st.SendMessage(st.hdr, body, endStream); err != nil {
+	if hdr == nil {
+		hdr = Fields{} // to SendMessage nil is no HEADERS frame
+	}
+	if err := st.SendMessage(hdr, body, endStream); err != nil {
 		s.dropStream(id)
 		return nil, err
 	}
@@ -711,7 +714,9 @@ func (s *Session) handleFrame(f Frame) {
 	}
 }
 
-// handleHeaders decodes a block into the room its stream has for it.
+// handleHeaders decodes a block into the room its stream has for one:
+// the block that opens a stream where it is accepted, the first that
+// comes back where it was opened. Any other goes to the heap.
 func (s *Session) handleHeaders(f Frame) {
 	st := s.lookup(f.StreamID)
 	fresh := st == nil && s.peerInitiated(f.StreamID)
@@ -719,10 +724,9 @@ func (s *Session) handleHeaders(f Frame) {
 	switch {
 	case fresh:
 		st = newStream(s, f.StreamID)
-		room = st.room[0][:0]
-	case st != nil && !st.respSeen:
-		st.respSeen = true
-		room = st.room[1][:0]
+		room = st.room[:0]
+	case st != nil && st.hdr == nil:
+		room = st.room[:0]
 	}
 	hdr, err := decodeFields(room, f.Payload)
 	if err != nil {
@@ -735,6 +739,9 @@ func (s *Session) handleHeaders(f Frame) {
 	}
 	if !fresh {
 		// Subsequent HEADERS on a live stream: response/trailer headers.
+		if st.hdr == nil {
+			st.hdr = hdr
+		}
 		s.held = append(s.held, heldHeaders{st, hdr})
 		if f.Flags&FlagEndStream != 0 {
 			s.remoteEnd(st)
@@ -777,14 +784,15 @@ func (s *Session) remoteEnd(st *Stream) {
 	}
 }
 
-// fieldsRoom is the room a Stream has for each of a request's two header
-// blocks, the one that opens it and the response's: the proxies' fit.
+// fieldsRoom is the room a Stream has for the one header block a request
+// brings it, the request's where the stream is accepted and the
+// response's where it was opened: the proxies' fit.
 const fieldsRoom = 6
 
 // Stream is one logical bidirectional stream.
 //
-// The receive buffer, both condition variables and the room for header
-// blocks are part of the Stream itself: a stream is one allocation.
+// The receive buffer, both condition variables and the room for a header
+// block are part of the Stream itself: a stream is one allocation.
 type Stream struct {
 	sess *Session
 	id   uint32
@@ -792,9 +800,8 @@ type Stream struct {
 	// the stream was ended from outside, by the peer's RST or the
 	// session's death, and can send no more.
 	localEnd, remoteEnd, reset, aborted bool
-	// respSeen is the session reader's: room[1] has been given out.
-	respSeen bool
-	buf      recvBuffer
+
+	buf recvBuffer
 
 	mu sync.Mutex
 	// sendWin is how many more DATA bytes the peer's window has room for:
@@ -804,13 +811,15 @@ type Stream struct {
 	sendWin int64
 	wcond   sync.Cond // L is &mu
 
-	// hdr is the block the stream was opened with. resp, guarded by mu, is
-	// the slot for one the peer sent after it (response headers), nil when
-	// empty, which RecvHeaders takes; hdrWake, made by the first call that
-	// has to wait, wakes it. room[0] backs hdr, room[1] the first resp.
+	// hdr is the first block the peer sent, which room backs: the one that
+	// opened the stream where it was accepted, the response's where it was
+	// opened — there it is the session reader's alone. resp, guarded by mu,
+	// is the slot for a block the peer sent on an open stream (response
+	// headers), nil when empty, which RecvHeaders takes; hdrWake, which a
+	// call that has to wait borrows from wakePool, wakes it.
 	hdr, resp Fields
 	hdrWake   chan struct{}
-	room      [2][fieldsRoom]Field
+	room      [fieldsRoom]Field
 	// ctrlCh carries DCR control frames; made on first use (controls).
 	ctrlCh chan Control
 }
@@ -883,11 +892,17 @@ func (st *Stream) reserve(want int, end bool) (n int, done bool, err error) {
 // ID returns the stream ID.
 func (st *Stream) ID() uint32 { return st.id }
 
-// Fields returns the header block the stream was opened with.
-func (st *Stream) Fields() Fields { return st.hdr }
+// Fields returns the header block the peer opened the stream with; nil on
+// a stream this side opened, whose block stayed the caller's.
+func (st *Stream) Fields() Fields {
+	if !st.sess.peerInitiated(st.id) {
+		return nil
+	}
+	return st.hdr
+}
 
 // Headers is Fields as a new map (see EncodeHeaders).
-func (st *Stream) Headers() map[string]string { return st.hdr.toMap() }
+func (st *Stream) Headers() map[string]string { return st.Fields().toMap() }
 
 // Read reads decoded DATA payloads. The Read that takes what has been
 // consumed and not yet acknowledged past half the window sends the peer
@@ -978,8 +993,14 @@ func (st *Stream) SendHeaders(h map[string]string, endStream bool) error {
 }
 
 // waitTimers holds timers of RecvHeaders calls that returned before they
-// fired: a call costs a Reset, not a timer.
-var waitTimers sync.Pool
+// fired: a call costs a Reset, not a timer. wakePool holds the channels
+// calls wait on. One that comes out of it may hold a token, or get one from
+// a deliverHeaders that saw it on the last borrower's stream: a spurious
+// wake, after which the wait finds its slot empty and resumes.
+var (
+	waitTimers sync.Pool
+	wakePool   = sync.Pool{New: func() any { return make(chan struct{}, 1) }}
+)
 
 // RecvHeaders waits for a HEADERS frame from the peer (response headers),
 // bounded by timeout, and takes it out of the stream's slot.
@@ -990,6 +1011,7 @@ func (st *Stream) RecvHeaders(timeout time.Duration) (Fields, error) {
 	} else {
 		timer.Reset(timeout)
 	}
+	var wake chan struct{}
 	defer func() {
 		// go.mod says go 1.22: the tick of a timer that fired outlives Stop
 		// and Reset, to be the next caller's timeout. Only a timer stopped
@@ -997,15 +1019,21 @@ func (st *Stream) RecvHeaders(timeout time.Duration) (Fields, error) {
 		if timer.Stop() {
 			waitTimers.Put(timer)
 		}
+		if wake != nil {
+			st.mu.Lock()
+			st.hdrWake = nil
+			st.mu.Unlock()
+			wakePool.Put(wake)
+		}
 	}()
 	for {
 		st.mu.Lock()
 		h := st.resp
 		st.resp = nil
-		if h == nil && st.hdrWake == nil {
-			st.hdrWake = make(chan struct{}, 1)
+		if h == nil && wake == nil {
+			wake = wakePool.Get().(chan struct{})
+			st.hdrWake = wake
 		}
-		wake := st.hdrWake
 		st.mu.Unlock()
 		if h != nil {
 			return h, nil

@@ -27,11 +27,10 @@ func eventually(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// windowedPair is a session pair over TCP loopback in which each side has
-// the other's announcement (a PING and its answer carry them), so windows
-// are enforced from the first stream on. reg counts the client's stalls
-// and both sides' credits.
-func windowedPair(t *testing.T, clientOpts ...Option) (client, server *Session, reg *metrics.Registry) {
+// freshPair is a session pair over TCP loopback on which nothing has been
+// sent: neither side has the other's announcement. reg counts the
+// client's stalls and both sides' credits.
+func freshPair(t *testing.T, clientOpts ...Option) (client, server *Session, reg *metrics.Registry) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -51,6 +50,15 @@ func windowedPair(t *testing.T, clientOpts ...Option) (client, server *Session, 
 	client = NewSession(cc, true, append([]Option{WithMetrics(m)}, clientOpts...)...)
 	server = NewSession(sc, false, WithMetrics(m))
 	t.Cleanup(func() { client.Close(); server.Close() })
+	return client, server, reg
+}
+
+// windowedPair is a freshPair in which each side has the other's
+// announcement (a PING and its answer carry them), so windows are
+// enforced from the first stream on.
+func windowedPair(t *testing.T, clientOpts ...Option) (client, server *Session, reg *metrics.Registry) {
+	t.Helper()
+	client, server, reg = freshPair(t, clientOpts...)
 	if err := client.Ping(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -490,4 +498,102 @@ func TestSessionShutdownReturnsChunks(t *testing.T) {
 		t.Fatal("read of a dead session's stream succeeded")
 	}
 	_ = st
+}
+
+// TestFirstExchangeIsBounded: the side that accepts streams has nothing to
+// send until its first response, and a sender keeps to the window only
+// once it has seen a frame of its peer's — so the acceptor says at the
+// start, with a SETTINGS frame that limits nothing, that it keeps one.
+// The first upload on the session, to an acceptor that reads none of it,
+// then parks with a window and at most a chunk resident at the peer;
+// without the frame all of it is sent.
+func TestFirstExchangeIsBounded(t *testing.T) {
+	big := bytes.Repeat([]byte("1st!"), (1<<20)/4)
+	for _, announce := range []bool{true, false} {
+		client, server, reg := freshPair(t)
+		if announce {
+			if err := server.AdvertiseSettings(0); err != nil {
+				t.Fatal(err)
+			}
+			eventually(t, "the announcement to arrive", client.peerWindow.Load)
+		}
+		sent := make(chan error, 1)
+		go func() {
+			st, err := client.OpenStreamWith(Fields{{":path", "/up"}}, nil, false)
+			if err == nil {
+				err = st.SendMessage(nil, big, true)
+			}
+			sent <- err
+		}()
+		sst, err := server.Accept()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !announce {
+			if err := <-sent; err != nil {
+				t.Fatal(err)
+			}
+			eventually(t, "the whole upload to arrive", func() bool { n, _ := sst.Buffered(); return n == len(big) })
+			continue
+		}
+		eventually(t, "the sender to park", func() bool { return reg.CounterValue("h2t.window.stalls") > 0 })
+		eventually(t, "the window to arrive", func() bool { n, _ := sst.Buffered(); return n == streamWindow })
+		if held := server.ResidentBytes(); held > streamWindow+maxFramePayload {
+			t.Fatalf("receiver holds %d bytes of the session's first upload, want at most a window (%d) and a chunk", held, streamWindow)
+		}
+		select {
+		case err := <-sent:
+			t.Fatalf("the sender returned (%v) with nobody reading", err)
+		default:
+		}
+		if got, err := io.ReadAll(sst); err != nil || !bytes.Equal(got, big) {
+			t.Fatalf("the upload, once read: %d bytes, %v", len(got), err)
+		}
+		if err := <-sent; err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestAnnouncementToAPeerWithoutWindows: a peer of the previous release
+// takes the acceptor's opening SETTINGS frame, window flag and all, for
+// what it always was — no stream limit — and its uploads neither stall
+// nor are acknowledged.
+func TestAnnouncementToAPeerWithoutWindows(t *testing.T) {
+	client, server, reg := freshPair(t, func(o *sessionOptions) { o.legacy = true })
+	if err := server.AdvertiseSettings(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := client.Ping(5 * time.Second); err != nil { // the frame has been handled
+		t.Fatal(err)
+	}
+	big := bytes.Repeat([]byte("n-1!"), 1<<18)
+	go func() {
+		for {
+			sst, err := server.Accept()
+			if err != nil {
+				return
+			}
+			body, _ := io.ReadAll(sst)
+			sst.SendMessage(Fields{{"status", "200"}}, body, true)
+		}
+	}()
+	for i := 0; i < 3; i++ { // no limit on streams was read into it either
+		st, err := client.OpenStreamWith(Fields{{":path", "/up"}}, big, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.RecvHeaders(10 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := io.ReadAll(st); err != nil || !bytes.Equal(got, big) {
+			t.Fatalf("echo %d through a peer without windows: %d bytes, %v", i, len(got), err)
+		}
+	}
+	if stalls, updates := reg.CounterValue("h2t.window.stalls"), reg.CounterValue("h2t.window.updates_sent"); stalls != 0 || updates != 0 {
+		t.Fatalf("%d stalls, %d WINDOW_UPDATE frames with a peer that keeps no window", stalls, updates)
+	}
+	if client.peerWindow.Load() {
+		t.Fatal("a session of the previous release enforces a window")
+	}
 }

@@ -3,6 +3,7 @@ package http1
 import (
 	"bufio"
 	"bytes"
+	"io"
 	"reflect"
 	"testing"
 )
@@ -133,6 +134,69 @@ func FuzzReadResponse(f *testing.F) {
 		if got.StatusCode != resp.StatusCode || !sameMessage || got.Proto != resp.Proto || got.ContentLength != resp.ContentLength ||
 			!reflect.DeepEqual(fieldsByName(&got.Header), fieldsByName(&resp.Header)) {
 			t.Fatalf("accepted %q as\n%+v\nrewritten as %q, which reads as\n%+v", data, resp, wire.Bytes(), got)
+		}
+	})
+}
+
+// decodeChunked reads a chunked body from data through a reader whose
+// buffer is smaller than a long size line, a few bytes at a time, and
+// returns the payload, how many bytes of data the decoding used — what
+// was read ahead and not used is not counted — and the error that ended
+// it: io.EOF after the terminating chunk.
+func decodeChunked(data []byte) (payload []byte, used int, cr *ChunkedReader, err error) {
+	src := bytes.NewReader(data)
+	br := bufio.NewReaderSize(src, 16)
+	cr = NewChunkedReader(br)
+	var p [7]byte
+	for err == nil {
+		var n int
+		n, err = cr.Read(p[:])
+		payload = append(payload, p[:n]...)
+	}
+	return payload, len(data) - src.Len() - br.Buffered(), cr, err
+}
+
+// FuzzChunkedReader: the chunk reader never panics; a body it reads to
+// its end it read exactly to its end — the bytes it used, less the last,
+// are not a whole body, so what follows the terminator is the next
+// message's; and the payload it returns, encoded by ChunkedWriter, reads
+// back as the same payload. The seed corpus is
+// testdata/fuzz/FuzzChunkedReader, one file per case, named for it.
+func FuzzChunkedReader(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		payload, used, cr, err := decodeChunked(data)
+		if int64(len(payload)) != cr.Offset() {
+			t.Fatalf("returned %d bytes, Offset() = %d", len(payload), cr.Offset())
+		}
+		if err != io.EOF || !cr.Done() {
+			if cr.Done() {
+				t.Fatalf("Done() with err = %v", err)
+			}
+			return // refused or cut short: there is no body to compare
+		}
+		if again, n, _, err := decodeChunked(data[:used]); err != io.EOF || n != used || !bytes.Equal(again, payload) {
+			t.Fatalf("%q read to its end using %d bytes, which alone read as %q using %d (%v)", data, used, again, n, err)
+		}
+		if _, _, short, err := decodeChunked(data[:used-1]); err == io.EOF && short.Done() {
+			t.Fatalf("%q read to its end using %d bytes, but ends a byte before that", data, used)
+		}
+		var wire bytes.Buffer
+		cw := NewChunkedWriter(&wire)
+		for rest := payload; len(rest) > 0; {
+			n := min(len(rest), 1+len(rest)/3)
+			if _, err := cw.Write(rest[:n]); err != nil {
+				t.Fatal(err)
+			}
+			rest = rest[n:]
+		}
+		if err := cw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if cw.BytesWritten() != int64(len(payload)) {
+			t.Fatalf("BytesWritten() = %d for %d bytes", cw.BytesWritten(), len(payload))
+		}
+		if again, n, _, err := decodeChunked(wire.Bytes()); err != io.EOF || n != wire.Len() || !bytes.Equal(again, payload) {
+			t.Fatalf("payload %q written as %q, which reads as %q using %d bytes (%v)", payload, wire.Bytes(), again, n, err)
 		}
 	})
 }

@@ -213,6 +213,59 @@ func TestRepeatedFieldsSurvive(t *testing.T) {
 	}
 }
 
+// TestReadIntoResetsTheMessage: a message read into again shows nothing
+// of the one read before — fields beyond the Header's own room, length,
+// body, a status message — and what was taken from that one, a copy of
+// its Header included, stays as it was.
+func TestReadIntoResetsTheMessage(t *testing.T) {
+	twelve := "Content-Length: 5\r\nX-A: a\r\n" + strings.Repeat("X-Pad: p\r\n", 9) + "X-Last: kept\r\n"
+	br := bufio.NewReader(strings.NewReader(
+		"POST /first HTTP/1.1\r\n" + twelve + "\r\nhello" + "GET /second HTTP/1.0\r\nHost: b\r\n\r\n" + "BAD\r\n\r\n"))
+	var req Request
+	if err := ReadRequestInto(br, &req); err != nil || req.Header.Len() != 12 || req.ContentLength != 5 {
+		t.Fatalf("first request: %+v, %v", req, err)
+	}
+	target, last, copied := req.Target, req.Header.Get("X-Last"), req.Header
+	if body, err := ReadFullBody(req.Body); err != nil || string(body) != "hello" {
+		t.Fatalf("first body %q, %v", body, err)
+	}
+	if err := ReadRequestInto(br, &req); err != nil {
+		t.Fatal(err)
+	}
+	if req.Method != "GET" || req.Target != "/second" || req.Proto != "HTTP/1.0" || req.ContentLength != 0 || req.Body != nil ||
+		req.Header.Len() != 1 || req.Header.Get("Host") != "b" || req.Header.Has("X-Last") || req.Header.Has("Content-Length") {
+		t.Errorf("second request shows the first: %+v", req)
+	}
+	req.Header.Add("X-Mine", "m")
+	if target != "/first" || last != "kept" || copied.Len() != 12 || copied.Get("X-Last") != "kept" || copied.Has("X-Mine") {
+		t.Errorf("what was kept of the first request changed: %q, %q, %+v", target, last, copied)
+	}
+	if err := ReadRequestInto(br, &req); !errors.Is(err, ErrMalformed) {
+		t.Errorf("a bad request line read into a used message: %v, want ErrMalformed", err)
+	}
+
+	br = bufio.NewReader(strings.NewReader(
+		"HTTP/1.1 379 PartialPOST\r\nTransfer-Encoding: chunked\r\n" + twelve[len("Content-Length: 5\r\n"):] + "\r\n5\r\nhello\r\n0\r\n\r\n" + "HTTP/1.1 204\r\nVia: e\r\n\r\n"))
+	var resp Response
+	if err := ReadResponseInto(br, &resp); err != nil || !IsPartialPostReplay(&resp) || resp.Header.Len() != 12 || resp.ContentLength != -1 {
+		t.Fatalf("first response: %+v, %v", resp, err)
+	}
+	msg, last := resp.StatusMessage, resp.Header.Get("X-Last")
+	if body, err := ReadFullBody(resp.Body); err != nil || string(body) != "hello" {
+		t.Fatalf("first response body %q, %v", body, err)
+	}
+	if err := ReadResponseInto(br, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != 204 || resp.StatusMessage != "" || resp.ContentLength != 0 || resp.Body != nil ||
+		resp.Header.Len() != 1 || resp.Header.Get("Via") != "e" || resp.Header.Has("X-Last") {
+		t.Errorf("second response shows the first: %+v", resp)
+	}
+	if msg != "PartialPOST" || last != "kept" {
+		t.Errorf("what was kept of the first response changed: %q, %q", msg, last)
+	}
+}
+
 // Allocation budgets of the head paths: the head string and the message.
 func TestHeadAllocations(t *testing.T) {
 	racetest.SkipAllocs(t)
@@ -237,6 +290,21 @@ func TestHeadAllocations(t *testing.T) {
 		}
 	}); n > 2 {
 		t.Errorf("ReadResponse with a Content-Length body: %v allocs, want <= 2", n)
+	}
+	// Into a message the caller keeps, a head costs its string.
+	var req Request
+	var kept Response
+	if n := testing.AllocsPerRun(200, func() {
+		src.Reset(get + ok)
+		br.Reset(src)
+		if err := ReadRequestInto(br, &req); err != nil || req.Header.Len() != 3 {
+			t.Fatal(err)
+		}
+		if err := ReadResponseInto(br, &kept); err != nil || kept.ContentLength != 5 {
+			t.Fatal(err)
+		}
+	}); n > 2 {
+		t.Errorf("ReadRequestInto and ReadResponseInto: %v allocs for two heads, want <= 2", n)
 	}
 	hello, body := []byte("hello"), bytes.NewReader(nil)
 	resp := NewResponse(200, body, 5)

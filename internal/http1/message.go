@@ -140,47 +140,64 @@ func cutLine(s string) (line, rest string) {
 // read from the same reader. Method, Target, Proto and the Header's
 // strings are substrings of one copy of the head.
 func ReadRequest(br *bufio.Reader) (*Request, error) {
-	head, err := readHead(br)
-	if err != nil {
-		return nil, err
-	}
-	line, fields := cutLine(head)
-	method, rest, _ := strings.Cut(line, " ")
-	target, proto, _ := strings.Cut(rest, " ")
-	if method == "" || target == "" || !strings.HasPrefix(proto, "HTTP/1.") {
-		return nil, fmt.Errorf("%w: bad request line %q", ErrMalformed, line)
-	}
-	req := &Request{Method: method, Target: target, Proto: proto}
-	req.ContentLength, req.Body, err = parseFields(br, &req.Header, fields, method == "HEAD", &req.limited)
-	if err != nil {
+	req := new(Request)
+	if err := ReadRequestInto(br, req); err != nil {
 		return nil, err
 	}
 	return req, nil
 }
 
-// ReadResponse parses a response head from br.
-func ReadResponse(br *bufio.Reader) (*Response, error) {
+// ReadRequestInto is ReadRequest into a message the caller owns: a
+// connection keeps one for all it serves. Every field is set anew, the
+// fields past the Header's own room included; strings taken from the
+// message read before are of its own head and stay valid. After an error
+// req holds no message.
+func ReadRequestInto(br *bufio.Reader, req *Request) error {
 	head, err := readHead(br)
 	if err != nil {
+		return err
+	}
+	line, fields := cutLine(head)
+	method, rest, _ := strings.Cut(line, " ")
+	target, proto, _ := strings.Cut(rest, " ")
+	if method == "" || target == "" || !strings.HasPrefix(proto, "HTTP/1.") {
+		return fmt.Errorf("%w: bad request line %q", ErrMalformed, line)
+	}
+	*req = Request{Method: method, Target: target, Proto: proto}
+	req.ContentLength, req.Body, err = parseFields(br, &req.Header, fields, method == "HEAD", &req.limited)
+	return err
+}
+
+// ReadResponse parses a response head from br.
+func ReadResponse(br *bufio.Reader) (*Response, error) {
+	resp := new(Response)
+	if err := ReadResponseInto(br, resp); err != nil {
 		return nil, err
+	}
+	return resp, nil
+}
+
+// ReadResponseInto is ReadResponse into a message the caller owns, as
+// ReadRequestInto is ReadRequest.
+func ReadResponseInto(br *bufio.Reader, resp *Response) error {
+	head, err := readHead(br)
+	if err != nil {
+		return err
 	}
 	line, fields := cutLine(head)
 	proto, rest, _ := strings.Cut(line, " ")
 	status, msg, _ := strings.Cut(rest, " ")
 	if !strings.HasPrefix(proto, "HTTP/1.") {
-		return nil, fmt.Errorf("%w: bad status line %q", ErrMalformed, line)
+		return fmt.Errorf("%w: bad status line %q", ErrMalformed, line)
 	}
 	code, err := strconv.ParseUint(status, 10, 16)
 	if err != nil || len(status) != 3 || code < 100 {
-		return nil, fmt.Errorf("%w: bad status code in %q", ErrMalformed, line)
+		return fmt.Errorf("%w: bad status code in %q", ErrMalformed, line)
 	}
-	resp := &Response{StatusCode: int(code), StatusMessage: msg, Proto: proto}
+	*resp = Response{StatusCode: int(code), StatusMessage: msg, Proto: proto}
 	noBody := code == 204 || code == 304 || code/100 == 1
 	resp.ContentLength, resp.Body, err = parseFields(br, &resp.Header, fields, noBody, &resp.limited)
-	if err != nil {
-		return nil, err
-	}
-	return resp, nil
+	return err
 }
 
 // parseFields cuts the field lines of a head, up to its empty line, into

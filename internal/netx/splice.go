@@ -21,6 +21,7 @@
 package netx
 
 import (
+	"errors"
 	"io"
 	"net"
 	"sync"
@@ -166,10 +167,10 @@ func DrainPipePool() int {
 // Relay moves bytes from src to dst until EOF, like io.Copy, choosing the
 // transport per Libra's selective-split rule: splice(2) when both
 // endpoints are bare *net.TCPConn values, a pooled-buffer copy otherwise.
-// The copy path wraps both endpoints in plain io.Writer/io.Reader shells
-// so io.CopyBuffer cannot divert through ReaderFrom/WriterTo — the bytes
-// stay in the pooled buffer and pass through any interposed wrapper,
-// which is exactly what fault injectors and PPR capture rely on.
+// The copy path is a plain Read/Write loop: it asks neither end for
+// ReaderFrom or WriterTo, so the bytes stay in the pooled buffer and pass
+// through any interposed wrapper, which is exactly what fault injectors
+// and PPR capture rely on. Errors and short writes are io.Copy's.
 func Relay(dst io.Writer, src io.Reader) (int64, error) {
 	if d, ok := dst.(*net.TCPConn); ok {
 		if s, ok := src.(*net.TCPConn); ok {
@@ -180,9 +181,30 @@ func Relay(dst io.Writer, src io.Reader) (int64, error) {
 			cSpliceFallbacks.Inc()
 		}
 	}
-	n, err := bufpool.Copy(struct{ io.Writer }{dst}, struct{ io.Reader }{src})
-	cCopyBytes.Add(n)
-	return n, err
+	bp := bufpool.Get(bufpool.TierLarge)
+	defer bufpool.Put(bp)
+	var written int64
+	var err error
+	for err == nil {
+		nr, rerr := src.Read(*bp)
+		if nr > 0 {
+			nw, werr := dst.Write((*bp)[:nr])
+			if nw < 0 || nw > nr {
+				nw, werr = 0, errors.New("netx: invalid write result")
+			} else if werr == nil && nw < nr {
+				werr = io.ErrShortWrite
+			}
+			written, err = written+int64(nw), werr
+		}
+		if rerr == io.EOF {
+			break
+		}
+		if err == nil {
+			err = rerr
+		}
+	}
+	cCopyBytes.Add(written)
+	return written, err
 }
 
 // Splice relays src→dst through a pooled pipe pair until EOF using

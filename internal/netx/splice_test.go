@@ -3,11 +3,16 @@ package netx
 import (
 	"bytes"
 	"crypto/sha256"
+	"errors"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"zdr/internal/faults"
+	"zdr/internal/racetest"
 )
 
 // tcpPair returns two ends of a loopback TCP connection.
@@ -136,6 +141,135 @@ func (o *observedConn) Read(p []byte) (int, error) {
 	*o.n += int64(n)
 	return n, err
 }
+
+// writeCountedTCP is a wrapper that embeds the concrete *net.TCPConn, as
+// a capture tee might: ReadFrom is promoted with everything else, and a
+// copy that asked for it would go round the Write that counts.
+type writeCountedTCP struct {
+	*net.TCPConn
+	n int64
+}
+
+func (w *writeCountedTCP) Write(p []byte) (int, error) {
+	n, err := w.TCPConn.Write(p)
+	w.n += int64(n)
+	return n, err
+}
+
+// TestRelayPassesEveryByteThroughAWrappedDst: the copy path is a plain
+// Read/Write loop, so a wrapped TCP destination sees every byte in its
+// Write whether the wrapper hides ReadFrom (the faults package's, which
+// embeds the net.Conn interface) or promotes it — and the source being a
+// bare *net.TCPConn, which has WriteTo, changes nothing.
+func TestRelayPassesEveryByteThroughAWrappedDst(t *testing.T) {
+	payload := bytes.Repeat([]byte("every byte"), 1<<17) // 1.25 MiB
+	for _, wrapper := range []string{"faults", "promotes ReadFrom"} {
+		in, out, src, dst := relayChain(t)
+		inj := faults.NewInjector(faults.Scenario{})
+		counted := &writeCountedTCP{TCPConn: dst}
+		var wdst io.Writer = counted
+		if wrapper == "faults" {
+			wdst = inj.Conn(counted)
+		}
+		before := ReadRelayStats()
+		relayed := make(chan error, 1)
+		go func() {
+			n, err := Relay(wdst, src)
+			if err == nil && n != int64(len(payload)) {
+				err = io.ErrShortWrite
+			}
+			dst.CloseWrite()
+			relayed <- err
+		}()
+		go func() {
+			in.Write(payload)
+			in.CloseWrite()
+		}()
+		got, err := io.ReadAll(out)
+		if err != nil || !bytes.Equal(got, payload) {
+			t.Fatalf("%s: %d bytes arrived, %v", wrapper, len(got), err)
+		}
+		if err := <-relayed; err != nil {
+			t.Fatalf("%s: relay: %v", wrapper, err)
+		}
+		if counted.n != int64(len(payload)) {
+			t.Errorf("%s: the wrapper's Write saw %d of %d bytes", wrapper, counted.n, len(payload))
+		}
+		if calls := inj.WriteCalls(); wrapper == "faults" && calls == 0 {
+			t.Errorf("%s: the injector saw no Write", wrapper)
+		}
+		after := ReadRelayStats()
+		if d := after.CopyBytes - before.CopyBytes; d != int64(len(payload)) || after.SpliceBytes != before.SpliceBytes {
+			t.Errorf("%s: copy_bytes grew by %d and splice_bytes by %d, want %d and 0", wrapper, d, after.SpliceBytes-before.SpliceBytes, len(payload))
+		}
+	}
+}
+
+// partWriter takes the first take bytes of every Write, all of them when
+// take is negative, and returns err.
+type partWriter struct {
+	take int
+	err  error
+}
+
+func (w partWriter) Write(p []byte) (int, error) {
+	if w.take < 0 {
+		return len(p), w.err
+	}
+	return w.take, w.err
+}
+
+// TestRelayCopyErrors: the copy path ends as io.Copy ends — a write error
+// before a read error, a short write named, a source's error passed on and
+// its EOF not — and counts what the destination took.
+func TestRelayCopyErrors(t *testing.T) {
+	boom := errors.New("boom")
+	for _, c := range []struct {
+		name    string
+		src     io.Reader
+		dst     partWriter
+		written int64
+		err     error
+	}{
+		{"clean", strings.NewReader("0123456789"), partWriter{-1, nil}, 10, nil},
+		{"write error", strings.NewReader("0123456789"), partWriter{4, boom}, 4, boom},
+		{"short write", strings.NewReader("0123456789"), partWriter{4, nil}, 4, io.ErrShortWrite},
+		{"read error", io.MultiReader(strings.NewReader("01234"), dataAndErr{"", boom}), partWriter{-1, nil}, 5, boom},
+		{"data with the read error", dataAndErr{"01234", boom}, partWriter{-1, nil}, 5, boom},
+		{"write error beside a read error", dataAndErr{"01234", io.ErrUnexpectedEOF}, partWriter{2, boom}, 2, boom},
+	} {
+		before := ReadRelayStats().CopyBytes
+		n, err := Relay(c.dst, c.src)
+		if n != c.written || err != c.err {
+			t.Errorf("%s: Relay = %d, %v; want %d, %v", c.name, n, err, c.written, c.err)
+		}
+		if d := ReadRelayStats().CopyBytes - before; d != c.written {
+			t.Errorf("%s: copy_bytes grew by %d, want %d", c.name, d, c.written)
+		}
+	}
+}
+
+// TestRelayCopyAllocations: a relay on the copy path costs its pooled
+// buffer and nothing else — no shell around either end.
+func TestRelayCopyAllocations(t *testing.T) {
+	racetest.SkipAllocs(t)
+	src := strings.NewReader("")
+	var dst io.Writer = partWriter{-1, nil}
+	if n := testing.AllocsPerRun(100, func() {
+		src.Reset("0123456789")
+		Relay(dst, src)
+	}); n != 0 {
+		t.Errorf("Relay on the copy path: %v allocs, want 0", n)
+	}
+}
+
+// dataAndErr returns its data and its error from one Read.
+type dataAndErr struct {
+	data string
+	err  error
+}
+
+func (r dataAndErr) Read(p []byte) (int, error) { return copy(p, r.data), r.err }
 
 func TestSpliceLargeTransferIntegrity(t *testing.T) {
 	in, out, src, dst := relayChain(t)

@@ -165,13 +165,12 @@ func (p *Proxy) handleEdgeHTTPConn(conn net.Conn) {
 	br := bufpool.GetReader(conn)
 	defer bufpool.PutReader(br)
 	for {
-		req, err := http1.ReadRequest(br)
-		if err != nil {
+		if http1.ReadRequestInto(br, &wc.req) != nil {
 			return
 		}
 		p.cRequests.Inc()
 		wc.busy.Store(true)
-		ok := p.serveEdgeRequest(conn, req)
+		ok := p.serveEdgeRequest(conn, &wc.req)
 		wc.busy.Store(false)
 		if !ok {
 			return
@@ -182,10 +181,12 @@ func (p *Proxy) handleEdgeHTTPConn(conn net.Conn) {
 // webConn is a web client connection served by its own goroutine. busy
 // is true from a parsed request head to the end of its response, which
 // is what tells terminate a disruption from the close of an idle
-// keep-alive connection.
+// keep-alive connection. req is the one request the connection has at a
+// time, read into anew for each: its handler's alone.
 type webConn struct {
 	net.Conn
 	busy atomic.Bool
+	req  http1.Request
 }
 
 // trackWebConn registers wc for terminate to close; false means the
@@ -223,12 +224,15 @@ func (p *Proxy) serveEdgeHTTPLoop(loop *netx.EventLoop, conn net.Conn, rawConn s
 		}
 		br := bufpool.GetReader(conn)
 		defer bufpool.PutReader(br)
+		// One Request for the requests of this wake, not of the connection:
+		// like the reader, it is not something a parked connection keeps.
+		req := new(http1.Request)
 		// Readable: serve the request that woke us plus anything
 		// pipelined behind it. The deadline bounds a peer that stalls
 		// mid-request so a loop worker is never held hostage.
 		for {
 			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-			req, err := http1.ReadRequest(br)
+			err := http1.ReadRequestInto(br, req)
 			conn.SetReadDeadline(time.Time{})
 			if err != nil {
 				p.reapParked(w, conn)
@@ -267,6 +271,9 @@ func appendTrace(hdr h2t.Fields, sp *obs.Span, incoming string) h2t.Fields {
 	return append(hdr, h2t.Field{Name: obs.TraceHeader, Value: incoming})
 }
 
+// serveEdgeRequest serves one request of conn and reports whether it can
+// take another. req is the connection's, read into again once this returns:
+// nothing keeps it or its Body longer; values taken from it may be kept.
 func (p *Proxy) serveEdgeRequest(conn net.Conn, req *http1.Request) bool {
 	t0 := time.Now()
 	p.gRIF.Inc()

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"io"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -17,6 +18,12 @@ import (
 // startPath stands up app server → Origin → Edge on loopback with the
 // given handler and returns the Edge's web address.
 func startPath(t testing.TB, handler func(*http1.Request, []byte) *http1.Response) string {
+	return startPathEdge(t, Config{}, handler)
+}
+
+// startPathEdge is startPath with the Edge's configuration, to which it
+// adds name, role and the Origin.
+func startPathEdge(t testing.TB, edge Config, handler func(*http1.Request, []byte) *http1.Response) string {
 	t.Helper()
 	as := appserver.New(appserver.Config{Name: "as-0", Handler: handler}, nil)
 	asAddr, err := as.Listen("127.0.0.1:0")
@@ -25,7 +32,8 @@ func startPath(t testing.TB, handler func(*http1.Request, []byte) *http1.Respons
 	}
 	t.Cleanup(as.Close)
 	o, _ := startOrigin(t, Config{AppServers: []string{asAddr}})
-	e := New(Config{Name: "edge-0", Role: RoleEdge, Origins: []string{o.Addr(VIPTunnel)}}, nil)
+	edge.Name, edge.Role, edge.Origins = "edge-0", RoleEdge, []string{o.Addr(VIPTunnel)}
+	e := New(edge, nil)
 	if err := e.Listen(); err != nil {
 		t.Fatal(err)
 	}
@@ -63,12 +71,10 @@ func TestRepeatedResponseFieldsReachTheClient(t *testing.T) {
 	}
 }
 
-// TestSmallRequestAllocations is http_small's budget as a test: one GET on
-// a kept-alive connection through Edge, tunnel, Origin and app server,
-// every allocation in the process counted, this client's and the
-// handler's included.
-func TestSmallRequestAllocations(t *testing.T) {
-	racetest.SkipAllocs(t)
+// smallGET stands the path up and returns http_small's operation: one GET
+// of 64 bytes on a kept-alive connection through Edge, tunnel, Origin and
+// app server.
+func smallGET(t *testing.T) func() {
 	payload := bytes.Repeat([]byte("x"), 64)
 	body := bytes.NewReader(nil)
 	web := startPath(t, func(*http1.Request, []byte) *http1.Response {
@@ -79,10 +85,10 @@ func TestSmallRequestAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
+	t.Cleanup(func() { conn.Close() })
 	request := []byte("GET /dyn/64 HTTP/1.1\r\nHost: bench\r\n\r\n")
 	br := bufio.NewReader(conn)
-	get := func() {
+	return func() {
 		if _, err := conn.Write(request); err != nil {
 			t.Fatal(err)
 		}
@@ -94,10 +100,38 @@ func TestSmallRequestAllocations(t *testing.T) {
 			t.Fatalf("body %d bytes, %v", n, err)
 		}
 	}
+}
+
+// TestSmallRequestAllocations is http_small's budget as a test: one GET on
+// a kept-alive connection through Edge, tunnel, Origin and app server,
+// every allocation in the process counted, this client's and the
+// handler's included.
+func TestSmallRequestAllocations(t *testing.T) {
+	racetest.SkipAllocs(t)
+	get := smallGET(t)
 	for i := 0; i < 20; i++ { // connections, pools and timers are made once
 		get()
 	}
-	if n := testing.AllocsPerRun(500, get); n > 16 {
-		t.Errorf("one keep-alive GET through Edge, Origin and app server: %v allocs process-wide, want <= 16", n)
+	if n := testing.AllocsPerRun(500, get); n > 11 {
+		t.Errorf("one keep-alive GET through Edge, Origin and app server: %v allocs process-wide, want <= 11", n)
+	}
+}
+
+// TestSmallRequestBytesAllocated is the same budget in bytes.
+func TestSmallRequestBytesAllocated(t *testing.T) {
+	racetest.SkipAllocs(t)
+	get := smallGET(t)
+	for i := 0; i < 20; i++ {
+		get()
+	}
+	const n = 500
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		get()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per > 2300 {
+		t.Errorf("one keep-alive GET through Edge, Origin and app server: %d bytes allocated process-wide, want <= 2300", per)
 	}
 }

@@ -1,7 +1,6 @@
 package proxy
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -10,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"zdr/internal/bufpool"
@@ -26,6 +26,9 @@ import (
 type originSession struct {
 	p    *Proxy
 	sess *h2t.Session
+	// idle counts the goroutines blocked in sess.Accept (see acceptStreams).
+	idle  atomic.Int32
+	ended sync.Once
 
 	mu     sync.Mutex
 	relays map[*h2t.Stream]*brokerRelay
@@ -103,28 +106,60 @@ func (p *Proxy) handleTunnelConn(conn net.Conn) {
 	draining := p.draining
 	p.mu.Unlock()
 	p.reg.Counter("origin.tunnel.sessions").Inc()
+	// The Edge keeps to a stream window once it has seen any frame of this
+	// session's, and an Origin has none to send before its first response:
+	// it says that it limits nothing, so that the first upload is bounded.
+	os.sess.AdvertiseSettings(0)
 	if draining {
 		// A session accepted in the race window of a drain is immediately
 		// told to go elsewhere.
 		os.sess.GoAway()
 	}
-	defer func() {
-		p.mu.Lock()
-		delete(p.srvSessions, os)
-		p.mu.Unlock()
-		os.close()
-	}()
+	os.acceptStreams()
+}
+
+// tunnelIdleAcceptors is how many goroutines an idle tunnel session keeps
+// blocked in Accept: what two keep-alive connections' requests, one
+// arriving as the other finishes, find waiting with no goroutine made.
+const tunnelIdleAcceptors = 3
+
+// acceptStreams serves the session's streams, one at a time, each on the
+// goroutine the session reader woke with it. A session's acceptors are
+// all alike. One that takes a stream and leaves nobody waiting starts a
+// successor before it serves, so a stream never waits for a handler to
+// finish; one that finishes and finds tunnelIdleAcceptors waiting exits;
+// all exit when Accept fails, and the first to see that ends the session.
+func (os *originSession) acceptStreams() {
 	for {
-		st, err := os.sess.Accept()
-		if err != nil {
+		n := os.idle.Load()
+		if n >= tunnelIdleAcceptors {
 			return
 		}
-		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			p.handleTunnelStream(os, st)
-		}()
+		if !os.idle.CompareAndSwap(n, n+1) {
+			continue
+		}
+		st, err := os.sess.Accept()
+		if os.idle.Add(-1) == 0 && err == nil {
+			os.p.wg.Add(1)
+			go func() {
+				defer os.p.wg.Done()
+				os.acceptStreams()
+			}()
+		}
+		if err != nil {
+			os.ended.Do(os.end)
+			return
+		}
+		os.p.handleTunnelStream(os, st)
 	}
+}
+
+// end forgets a session that has died and closes what it carried.
+func (os *originSession) end() {
+	os.p.mu.Lock()
+	delete(os.p.srvSessions, os)
+	os.p.mu.Unlock()
+	os.close()
 }
 
 func (p *Proxy) handleTunnelStream(os *originSession, st *h2t.Stream) {
@@ -472,21 +507,19 @@ func appendRequestHead(b []byte, r *upstreamReq) []byte {
 	return append(b, '\r', '\n')
 }
 
-// upstreamReply is what reading a response head produced. silent means
-// the connection ended without a single response byte: the app server
-// answers every request it reads, so it never read this one.
+// upstreamReply is what reading a response head into uc.resp produced.
+// silent means the connection ended without a single response byte: the
+// app server answers every request it reads, so it never read this one.
 type upstreamReply struct {
-	resp   *http1.Response
 	err    error
 	silent bool
 }
 
-func readReply(br *bufio.Reader) upstreamReply {
-	if _, err := br.Peek(1); err != nil {
+func (uc *upstreamConn) readReply() upstreamReply {
+	if _, err := uc.br.Peek(1); err != nil {
 		return upstreamReply{err: err, silent: true}
 	}
-	resp, err := http1.ReadResponse(br)
-	return upstreamReply{resp: resp, err: err}
+	return upstreamReply{err: http1.ReadResponseInto(uc.br, &uc.resp)}
 }
 
 // settle turns a reply into exchange's result. resendable says every
@@ -495,7 +528,7 @@ func (uc *upstreamConn) settle(rep upstreamReply, resendable bool) (*http1.Respo
 	uc.SetReadDeadline(time.Time{})
 	switch {
 	case rep.err == nil:
-		return rep.resp, nil
+		return &uc.resp, nil
 	case errors.Is(rep.err, os.ErrDeadlineExceeded):
 		return nil, errors.New("proxy: app server response timeout")
 	case rep.silent:
@@ -528,7 +561,7 @@ func (p *Proxy) exchange(uc *upstreamConn, r *upstreamReq) (*http1.Response, err
 	}
 	uc.sent = true
 	uc.SetReadDeadline(time.Now().Add(p.cfg.UpstreamResponseTimeout))
-	return uc.settle(readReply(uc.br), true)
+	return uc.settle(uc.readReply(), true)
 }
 
 // exchangeBody streams r's body in small chunks while the response is
@@ -539,7 +572,7 @@ func (p *Proxy) exchange(uc *upstreamConn, r *upstreamReq) (*http1.Response, err
 // path does.
 func (p *Proxy) exchangeBody(uc *upstreamConn, r *upstreamReq) (*http1.Response, error) {
 	respCh := make(chan upstreamReply, 1)
-	go func() { respCh <- readReply(uc.br) }()
+	go func() { respCh <- uc.readReply() }()
 	early := func() (upstreamReply, bool) {
 		select {
 		case rep := <-respCh:

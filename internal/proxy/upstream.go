@@ -38,12 +38,14 @@ var errUpstreamClosed = errors.New("proxy: generation closed")
 var errStaleUpstream = errors.New("proxy: reused app-server connection was dead")
 
 // upstreamConn is one app-server connection together with the reader
-// that frames it. The reader stays with the connection for its whole
-// life, so read-ahead survives between exchanges and its buffer is paid
-// once per connection.
+// that frames it and the response read from it. Both stay with the
+// connection for its whole life, so read-ahead survives between exchanges
+// and reader and message are paid once per connection. resp belongs to
+// whoever has the connection checked out, until release.
 type upstreamConn struct {
 	net.Conn
 	br   *bufio.Reader
+	resp http1.Response
 	addr string
 	// reused is true when this checkout came off the idle list.
 	reused bool

@@ -896,6 +896,19 @@ func TestCloseDoesNotWaitForWebClients(t *testing.T) {
 		t.Fatalf("keep-alive request: %v", err)
 	}
 	http1.ReadFullBody(resp.Body)
+	// The client has its response before the handler that wrote it has
+	// returned: only then is the connection idle, and proxy.rif the
+	// stuck request's alone.
+	waitFor(t, "the keep-alive request's handler to return", func() bool {
+		edge.parkedMu.Lock()
+		defer edge.parkedMu.Unlock()
+		for wc := range edge.webConns {
+			if wc.busy.Load() {
+				return false
+			}
+		}
+		return true
+	})
 
 	busy, err := net.Dial("tcp", edge.Addr(VIPWeb))
 	if err != nil {
