@@ -15,15 +15,15 @@
 // table, reconnect-storm absorption, and peak RSS.
 //
 // -compare FILE re-runs the micro-benchmarks and gates against a stored
-// baseline: after calibrating out machine speed via the median new/old
-// ns-per-op ratio, any benchmark more than 20% above the calibrated
-// expectation — or allocating >20% more per op — fails the run.
+// baseline on what does not depend on the machine: a benchmark
+// allocating >20% more per op fails the run. ns/op is printed beside its
+// baseline and decides nothing.
 //
 // -throughput appends the kernel-assisted data-plane suite: splice(2)
 // versus pooled-copy TCP relaying (Gbps and syscalls/MB) and batched
 // versus packet-at-a-time quicx bursts (syscalls/packet). With -compare,
-// the machine-independent numbers gate too: a >20% syscalls-per-unit
-// increase or a >20% drop in the splice-over-copy Gbps speedup fails.
+// a >20% syscalls-per-unit increase fails too; the splice-over-copy Gbps
+// speedup is printed beside its baseline and decides nothing.
 package main
 
 import (
@@ -35,7 +35,6 @@ import (
 	"os"
 	"os/exec"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -97,7 +96,7 @@ func main() {
 	pattern := flag.String("bench", ".", "go test -bench pattern")
 	takeoverConns := flag.Int("takeover-conns", 0, "run the idleconns takeover demo curve up to this many connections (0 = skip)")
 	takeoverFlows := flag.Int("takeover-flows", 1<<20, "flow-table population for the takeover curve")
-	compare := flag.String("compare", "", "compare against this baseline file instead of writing one; exit 1 on >20% regression")
+	compare := flag.String("compare", "", "compare against this baseline file instead of writing one; exit 1 on >20% more allocs/op or syscalls per unit")
 	tput := flag.Bool("throughput", false, "run the zero-copy/batched-syscall throughput suite (splice vs copy, batched vs unbatched quicx)")
 	tputBytes := flag.Int64("throughput-bytes", 256<<20, "bytes to pump through each TCP relay measurement")
 	tputBursts := flag.Int("throughput-bursts", 100, "64-packet bursts per quicx measurement")
@@ -231,12 +230,10 @@ func takeoverCurve(maxConns, flows int) ([]TakeoverPoint, error) {
 	return curve, nil
 }
 
-// compareBaseline gates the fresh results against a stored baseline.
-// Absolute ns/op is machine-dependent, so the gate first calibrates: the
-// median new/old ratio across all shared benchmarks estimates this
-// machine's speed relative to the baseline machine; a benchmark regresses
-// only if it is >20% slower than that calibrated expectation. Allocs/op
-// are machine-independent and gate directly at +20%.
+// compareBaseline gates the fresh results against a stored baseline on
+// allocs/op, which is machine-independent, at +20%. ns/op follows the
+// machine and whatever else it is running: each benchmark's ratio to the
+// baseline is printed for the reader and is no part of the verdict.
 func compareBaseline(path string, fresh []Result, freshTput []throughput.Measurement) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -251,61 +248,43 @@ func compareBaseline(path string, fresh []Result, freshTput []throughput.Measure
 		old[r.Package+"/"+r.Name] = r
 	}
 
-	type pair struct {
-		key      string
-		ratio    float64
-		now, was Result
-	}
-	var pairs []pair
-	var ratios []float64
+	const tolerance = 1.20
+	var failures []string
+	shared := 0
 	for _, r := range fresh {
 		key := r.Package + "/" + r.Name
 		o, ok := old[key]
-		if !ok || o.NsPerOp <= 0 || r.NsPerOp <= 0 {
+		if !ok {
 			continue
 		}
-		p := pair{key: key, ratio: r.NsPerOp / o.NsPerOp, now: r, was: o}
-		pairs = append(pairs, p)
-		ratios = append(ratios, p.ratio)
-	}
-	if len(pairs) == 0 {
-		return fmt.Errorf("no benchmarks shared with baseline %s", path)
-	}
-	sort.Float64s(ratios)
-	median := ratios[len(ratios)/2]
-	if len(ratios)%2 == 0 {
-		median = (ratios[len(ratios)/2-1] + ratios[len(ratios)/2]) / 2
-	}
-
-	const tolerance = 1.20
-	var failures []string
-	for _, p := range pairs {
-		if p.ratio > median*tolerance {
-			failures = append(failures, fmt.Sprintf(
-				"%s: %.1f ns/op vs baseline %.1f (%.2fx; calibrated limit %.2fx)",
-				p.key, p.now.NsPerOp, p.was.NsPerOp, p.ratio, median*tolerance))
+		shared++
+		if o.NsPerOp > 0 {
+			fmt.Printf("  %-64s %12.1f ns/op  %5.2fx baseline (not gated)\n", key, r.NsPerOp, r.NsPerOp/o.NsPerOp)
 		}
-		if p.now.AllocsPerOp > p.was.AllocsPerOp &&
-			float64(p.now.AllocsPerOp) > float64(p.was.AllocsPerOp)*tolerance {
+		if r.AllocsPerOp > o.AllocsPerOp &&
+			float64(r.AllocsPerOp) > float64(o.AllocsPerOp)*tolerance {
 			failures = append(failures, fmt.Sprintf(
 				"%s: %d allocs/op vs baseline %d",
-				p.key, p.now.AllocsPerOp, p.was.AllocsPerOp))
+				key, r.AllocsPerOp, o.AllocsPerOp))
 		}
 	}
+	if shared == 0 {
+		return fmt.Errorf("no benchmarks shared with baseline %s", path)
+	}
 	failures = append(failures, compareThroughput(base.Throughput, freshTput)...)
-	fmt.Printf("zdr-bench: compared %d benchmarks (median speed ratio %.2fx)\n", len(pairs), median)
+	fmt.Printf("zdr-bench: compared %d benchmarks on allocs/op\n", shared)
 	if len(failures) > 0 {
 		return fmt.Errorf("%d regression(s):\n  %s", len(failures), strings.Join(failures, "\n  "))
 	}
 	return nil
 }
 
-// compareThroughput gates the machine-independent throughput numbers.
-// Absolute Gbps tracks the host, so it is never compared directly;
-// instead the gate holds (a) syscalls per unit of work — per MB relayed,
-// per packet routed — within +20% of baseline, and (b) the splice-over-
-// copy Gbps speedup ratio, which divides out machine speed, within a
-// wider -33% floor (it is the noisiest of the three; see below).
+// compareThroughput gates the machine-independent throughput numbers:
+// syscalls per unit of work — per MB copied, per packet routed — within
+// +20% of baseline. Absolute Gbps tracks the host and is never compared;
+// the splice-over-copy Gbps speedup divides machine speed out but keeps
+// the scheduler noise of two separately timed loopback runs, so it is
+// printed beside its baseline and gates nothing.
 func compareThroughput(base, fresh []throughput.Measurement) []string {
 	if len(fresh) == 0 {
 		return nil
@@ -329,7 +308,10 @@ func compareThroughput(base, fresh []throughput.Measurement) []string {
 		if !ok {
 			continue
 		}
-		if o.SyscallsPerMB > 0 && m.SyscallsPerMB > o.SyscallsPerMB*tolerance {
+		// What one splice(2) call finds queued follows scheduling — 2.4 to
+		// 3.2 calls per MB across ten runs on one idle machine — so that
+		// row's crossings stay in the table and out of the verdict.
+		if o.SyscallsPerMB > 0 && m.Name != "tcp_relay_splice" && m.SyscallsPerMB > o.SyscallsPerMB*tolerance {
 			failures = append(failures, fmt.Sprintf(
 				"%s: %.2f syscalls/MB vs baseline %.2f (limit %.2f)",
 				m.Name, m.SyscallsPerMB, o.SyscallsPerMB, o.SyscallsPerMB*tolerance))
@@ -340,17 +322,8 @@ func compareThroughput(base, fresh []throughput.Measurement) []string {
 				m.Name, m.SyscallsPerPkt, o.SyscallsPerPkt, o.SyscallsPerPkt*tolerance))
 		}
 	}
-	// The Gbps ratio divides out absolute machine speed but still carries
-	// scheduler noise from two separately timed loopback runs, so its
-	// tolerance is wider than the syscall counters': the gate catches
-	// "splice collapsed relative to copy", not run-to-run jitter.
-	const ratioTolerance = 1.5
-	oldRatio := gbpsRatio(old)
-	newRatio := gbpsRatio(now)
-	if oldRatio > 0 && newRatio > 0 && newRatio < oldRatio/ratioTolerance {
-		failures = append(failures, fmt.Sprintf(
-			"splice speedup: %.2fx over copy vs baseline %.2fx (floor %.2fx)",
-			newRatio, oldRatio, oldRatio/ratioTolerance))
+	if oldRatio, newRatio := gbpsRatio(old), gbpsRatio(now); oldRatio > 0 && newRatio > 0 {
+		fmt.Printf("zdr-bench: splice speedup %.2fx over copy, baseline %.2fx (not gated)\n", newRatio, oldRatio)
 	}
 	return failures
 }

@@ -173,12 +173,6 @@ func (s *ProxySlot) Restart(opts ...RestartOption) error {
 	return err
 }
 
-// Deprecated: RestartTraced is a legacy wrapper; use
-// Restart(WithTrace(parent)).
-func (s *ProxySlot) RestartTraced(parent *obs.Span) error {
-	return s.Restart(WithTrace(parent))
-}
-
 // setPhase publishes the slot's restart state machine position for
 // State() (""/steady, "handing-off", "committed-awaiting-ready",
 // "rolling-back" while a committed hand-off unwinds, and the sticky
@@ -498,12 +492,6 @@ func (s *AppServerSlot) Restart(opts ...RestartOption) error {
 	err := s.restart(sp)
 	sp.Fail(err)
 	return err
-}
-
-// Deprecated: RestartTraced is a legacy wrapper; use
-// Restart(WithTrace(parent)).
-func (s *AppServerSlot) RestartTraced(parent *obs.Span) error {
-	return s.Restart(WithTrace(parent))
 }
 
 // State summarises the slot for /debug/release.

@@ -14,13 +14,13 @@ import (
 
 // releasePhaseOrder is the canonical presentation order for the phase
 // table: the release envelope, then the per-slot restart machinery, then
-// the six Fig. 5 takeover steps, then the drain tails.
+// the Fig. 5 takeover steps, then the drain tails.
 var releasePhaseOrder = []string{
 	"release", "release.batch", "slot.restart", "takeover.handoff",
 	"takeover.serve",
 	"takeover.step.A", "takeover.step.B", "takeover.step.C",
 	"takeover.prepare", "takeover.commit",
-	"takeover.step.D", "takeover.step.E", "takeover.step.F",
+	"takeover.step.E", "takeover.step.F",
 	"slot.drain", "proxy.drain",
 }
 

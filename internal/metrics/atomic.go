@@ -6,12 +6,10 @@ import (
 	"sync/atomic"
 )
 
-// AtomicHistogram is the hot-path companion to the sampled Histogram: a
-// fixed-boundary bucket histogram whose Observe is a couple of atomic
-// adds — no mutex, no sample array, no sort. It trades exact quantiles
-// for O(1), allocation-free recording, which is what a data plane
-// observing millions of flows needs (the sampled Histogram stays around
-// for offline, experiment-scale analysis).
+// AtomicHistogram is a fixed-boundary bucket histogram whose Observe is a
+// couple of atomic adds — no mutex, no sample array, no sort. It trades
+// exact quantiles for O(1), allocation-free recording, which is what a
+// data plane observing millions of flows needs.
 //
 // Buckets are defined by ascending upper bounds; an implicit +Inf
 // bucket catches the overflow. Two histograms with identical bounds can

@@ -5,81 +5,47 @@ import (
 	"testing"
 )
 
-// TestHistogramEdgeCases pins the sampled Histogram's behaviour on the
+// TestAtomicHistogramEdgeCases pins the histogram's behaviour on the
 // inputs that used to be able to poison a snapshot: no data at all, and
-// NaN/Inf observations (now dropped at Observe).
-func TestHistogramEdgeCases(t *testing.T) {
-	finite := func(vs ...float64) []float64 { return vs }
+// NaN/Inf observations (dropped at Observe).
+func TestAtomicHistogramEdgeCases(t *testing.T) {
 	cases := []struct {
 		name      string
 		observe   []float64
 		wantCount int64
 		wantMean  float64
-		wantMin   float64
-		wantMax   float64
-		wantP99   float64
 	}{
 		{name: "empty", observe: nil},
-		{name: "nan only", observe: finite(math.NaN())},
-		{name: "inf only", observe: finite(math.Inf(1), math.Inf(-1))},
-		{
-			name:      "nan mixed with data",
-			observe:   finite(1, math.NaN(), 3),
-			wantCount: 2, wantMean: 2, wantMin: 1, wantMax: 3, wantP99: 2.98,
-		},
-		{
-			name:      "inf mixed with data",
-			observe:   finite(math.Inf(1), 5, math.Inf(-1)),
-			wantCount: 1, wantMean: 5, wantMin: 5, wantMax: 5, wantP99: 5,
-		},
-		{
-			name:      "single sample",
-			observe:   finite(7),
-			wantCount: 1, wantMean: 7, wantMin: 7, wantMax: 7, wantP99: 7,
-		},
+		{name: "nan only", observe: []float64{math.NaN()}},
+		{name: "inf only", observe: []float64{math.Inf(1), math.Inf(-1)}},
+		{name: "nan mixed with data", observe: []float64{1, math.NaN(), 3}, wantCount: 2, wantMean: 2},
+		{name: "inf mixed with data", observe: []float64{math.Inf(1), 5, math.Inf(-1)}, wantCount: 1, wantMean: 5},
+		{name: "single sample", observe: []float64{7}, wantCount: 1, wantMean: 7},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			h := NewHistogram(0)
+			h := NewAtomicHistogram([]float64{1, 10, 100})
 			for _, v := range tc.observe {
 				h.Observe(v)
 			}
 			if got := h.Count(); got != tc.wantCount {
 				t.Fatalf("Count = %d, want %d", got, tc.wantCount)
 			}
-			check := func(name string, got, want float64) {
-				if math.IsNaN(got) || math.IsInf(got, 0) {
-					t.Fatalf("%s = %g: non-finite leaked into the summary", name, got)
-				}
-				if math.Abs(got-want) > 1e-9 {
-					t.Fatalf("%s = %g, want %g", name, got, want)
-				}
+			if got := h.Mean(); math.Abs(got-tc.wantMean) > 1e-9 {
+				t.Fatalf("Mean = %g, want %g", got, tc.wantMean)
 			}
-			check("Mean", h.Mean(), tc.wantMean)
-			check("Min", h.Min(), tc.wantMin)
-			check("Max", h.Max(), tc.wantMax)
-			check("Quantile(0.99)", h.Quantile(0.99), tc.wantP99)
-
+			if got, want := h.Sum(), tc.wantMean*float64(tc.wantCount); math.Abs(got-want) > 1e-9 {
+				t.Fatalf("Sum = %g, want %g", got, want)
+			}
 			s := h.Snapshot()
 			for name, v := range map[string]float64{
-				"snapshot mean": s.Mean, "snapshot min": s.Min, "snapshot max": s.Max,
-				"snapshot p50": s.P50, "snapshot p99": s.P99, "snapshot p999": s.P999,
+				"sum": s.Sum, "mean": s.Mean(), "p0": s.Quantile(0), "p50": s.Quantile(0.5),
+				"p99": s.Quantile(0.99), "p100": s.Quantile(1),
 			} {
 				if math.IsNaN(v) || math.IsInf(v, 0) {
-					t.Fatalf("%s = %g: non-finite leaked into the snapshot", name, v)
+					t.Fatalf("snapshot %s = %g: non-finite leaked into the snapshot", name, v)
 				}
 			}
 		})
-	}
-}
-
-// TestHistogramEmptyQuantiles covers the zero-data quantile batch path.
-func TestHistogramEmptyQuantiles(t *testing.T) {
-	h := NewHistogram(4)
-	qs := h.Quantiles(0, 0.5, 0.99, 1)
-	for i, q := range qs {
-		if q != 0 {
-			t.Fatalf("empty Quantiles()[%d] = %g, want 0", i, q)
-		}
 	}
 }

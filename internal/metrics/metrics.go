@@ -1,6 +1,6 @@
 // Package metrics implements the lightweight auditing primitives that the
-// Zero Downtime Release evaluation relies on: counters, gauges, histograms
-// with quantile estimation, and time-bucketed timelines.
+// Zero Downtime Release evaluation relies on: counters, gauges and
+// fixed-bucket histograms with quantile estimation.
 //
 // The paper (§6, "Evaluation Metrics") describes a monitoring system that
 // collects per-instance signals in real time — HTTP status codes sent, TCP
@@ -15,12 +15,10 @@ package metrics
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Counter is a monotonically increasing counter.
@@ -62,271 +60,12 @@ func (g *Gauge) Dec() { g.v.Add(-1) }
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// Histogram records observations and reports quantiles. It keeps all
-// samples (bounded by maxSamples with reservoir-style decimation) which is
-// appropriate for experiment-scale data volumes.
-type Histogram struct {
-	mu         sync.Mutex
-	samples    []float64 // retained samples, always in arrival order
-	sortCache  []float64 // sorted copy of samples; nil when stale
-	count      int64
-	sum        float64
-	min, max   float64
-	maxSamples int
-}
-
-// NewHistogram returns a histogram bounded to maxSamples retained samples.
-// If maxSamples <= 0 a default of 1<<16 is used.
-func NewHistogram(maxSamples int) *Histogram {
-	if maxSamples <= 0 {
-		maxSamples = 1 << 16
-	}
-	return &Histogram{maxSamples: maxSamples, min: math.Inf(1), max: math.Inf(-1)}
-}
-
-// Observe records a sample. Non-finite values (NaN, ±Inf) are dropped:
-// a single NaN would otherwise poison the running sum — and with it
-// every Mean and Prometheus _sum line until process restart — and an
-// Inf pins Min/Max forever. Dropping keeps snapshots finite by
-// construction.
-func (h *Histogram) Observe(v float64) {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.count++
-	h.sum += v
-	if v < h.min {
-		h.min = v
-	}
-	if v > h.max {
-		h.max = v
-	}
-	if len(h.samples) >= h.maxSamples {
-		// Decimate: drop every other sample *in arrival order*. Samples
-		// are never reordered in place (quantiles sort a cached copy), so
-		// the survivors stay an unbiased stride over time rather than a
-		// stride over the sorted values, which would thin one tail.
-		kept := h.samples[:0]
-		for i := 0; i < len(h.samples); i += 2 {
-			kept = append(kept, h.samples[i])
-		}
-		h.samples = kept
-	}
-	h.samples = append(h.samples, v)
-	h.sortCache = nil
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
-
-// Sum returns the sum of all observations.
-func (h *Histogram) Sum() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
-
-// Mean returns the mean of all observations, or 0 with no data.
-func (h *Histogram) Mean() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	return h.sum / float64(h.count)
-}
-
-// Min returns the smallest observation, or 0 with no data.
-func (h *Histogram) Min() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	return h.min
-}
-
-// Max returns the largest observation, or 0 with no data.
-func (h *Histogram) Max() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	return h.max
-}
-
-// Quantile returns the q-quantile (0 <= q <= 1) over retained samples using
-// linear interpolation. Returns 0 with no data.
-func (h *Histogram) Quantile(q float64) float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.quantileLocked(q)
-}
-
-func (h *Histogram) quantileLocked(q float64) float64 {
-	n := len(h.samples)
-	if n == 0 {
-		return 0
-	}
-	if h.sortCache == nil {
-		h.sortCache = append(make([]float64, 0, n), h.samples...)
-		sort.Float64s(h.sortCache)
-	}
-	if q <= 0 {
-		return h.sortCache[0]
-	}
-	if q >= 1 {
-		return h.sortCache[n-1]
-	}
-	pos := q * float64(n-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return h.sortCache[lo]
-	}
-	frac := pos - float64(lo)
-	return h.sortCache[lo]*(1-frac) + h.sortCache[hi]*frac
-}
-
-// Quantiles returns several quantiles at once under a single lock.
-func (h *Histogram) Quantiles(qs ...float64) []float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := make([]float64, len(qs))
-	for i, q := range qs {
-		out[i] = h.quantileLocked(q)
-	}
-	return out
-}
-
-// Snapshot summarises the histogram.
-type Snapshot struct {
-	Count int64   `json:"count"`
-	Mean  float64 `json:"mean"`
-	Min   float64 `json:"min"`
-	Max   float64 `json:"max"`
-	P50   float64 `json:"p50"`
-	P90   float64 `json:"p90"`
-	P99   float64 `json:"p99"`
-	P999  float64 `json:"p999"`
-}
-
-// Snapshot returns a consistent summary of the histogram.
-func (h *Histogram) Snapshot() Snapshot {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	s := Snapshot{Count: h.count}
-	if h.count > 0 {
-		s.Mean = h.sum / float64(h.count)
-		s.Min, s.Max = h.min, h.max
-	}
-	s.P50 = h.quantileLocked(0.50)
-	s.P90 = h.quantileLocked(0.90)
-	s.P99 = h.quantileLocked(0.99)
-	s.P999 = h.quantileLocked(0.999)
-	return s
-}
-
-// Timeline accumulates values into fixed-width time buckets relative to a
-// start instant. It is how the paper's timeline figures (capacity, RPS,
-// MQTT connections, CPU, publish messages) are assembled.
-type Timeline struct {
-	mu     sync.Mutex
-	start  time.Time
-	width  time.Duration
-	sums   []float64
-	counts []int64
-}
-
-// NewTimeline creates a timeline with the given bucket width, starting at
-// start. Observations before start are clamped into bucket 0.
-func NewTimeline(start time.Time, width time.Duration) *Timeline {
-	if width <= 0 {
-		panic("metrics: timeline bucket width must be positive")
-	}
-	return &Timeline{start: start, width: width}
-}
-
-// maxTimelineBuckets bounds memory: observations beyond the cap clamp
-// into the final bucket rather than allocating without limit.
-const maxTimelineBuckets = 1 << 20
-
-func (t *Timeline) bucketFor(at time.Time) int {
-	d := at.Sub(t.start)
-	if d < 0 {
-		return 0
-	}
-	b := int(d / t.width)
-	if b >= maxTimelineBuckets {
-		return maxTimelineBuckets - 1
-	}
-	return b
-}
-
-// ObserveAt adds v into the bucket containing at.
-func (t *Timeline) ObserveAt(at time.Time, v float64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	b := t.bucketFor(at)
-	for len(t.sums) <= b {
-		t.sums = append(t.sums, 0)
-		t.counts = append(t.counts, 0)
-	}
-	t.sums[b] += v
-	t.counts[b]++
-}
-
-// Sums returns a copy of the per-bucket sums.
-func (t *Timeline) Sums() []float64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]float64, len(t.sums))
-	copy(out, t.sums)
-	return out
-}
-
-// Means returns a copy of the per-bucket means (0 for empty buckets).
-func (t *Timeline) Means() []float64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]float64, len(t.sums))
-	for i := range t.sums {
-		if t.counts[i] > 0 {
-			out[i] = t.sums[i] / float64(t.counts[i])
-		}
-	}
-	return out
-}
-
-// Counts returns a copy of the per-bucket observation counts.
-func (t *Timeline) Counts() []int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]int64, len(t.counts))
-	copy(out, t.counts)
-	return out
-}
-
-// BucketWidth returns the configured bucket width.
-func (t *Timeline) BucketWidth() time.Duration { return t.width }
-
-// Start returns the timeline origin.
-func (t *Timeline) Start() time.Time { return t.start }
-
 // Registry is a named collection of metrics. Names are free-form; by
 // convention they are dotted paths like "proxy.http.status.500".
 type Registry struct {
 	mu          sync.Mutex
 	counters    map[string]*Counter
 	gauges      map[string]*Gauge
-	histograms  map[string]*Histogram
 	atomicHists map[string]*AtomicHistogram
 }
 
@@ -335,7 +74,6 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counters:    make(map[string]*Counter),
 		gauges:      make(map[string]*Gauge),
-		histograms:  make(map[string]*Histogram),
 		atomicHists: make(map[string]*AtomicHistogram),
 	}
 }
@@ -362,18 +100,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 		r.gauges[name] = g
 	}
 	return g
-}
-
-// Histogram returns the named histogram, creating it if needed.
-func (r *Registry) Histogram(name string) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.histograms[name]
-	if !ok {
-		h = NewHistogram(0)
-		r.histograms[name] = h
-	}
-	return h
 }
 
 // AtomicHistogram returns the named atomic (bucketed) histogram,
@@ -462,7 +188,6 @@ func (r *Registry) CounterNames() []string {
 type RegistrySnapshot struct {
 	Counters         map[string]int64          `json:"counters"`
 	Gauges           map[string]int64          `json:"gauges"`
-	Histograms       map[string]Snapshot       `json:"histograms"`
 	AtomicHistograms map[string]AtomicSnapshot `json:"atomic_histograms,omitempty"`
 }
 
@@ -473,10 +198,8 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 	snap := RegistrySnapshot{
 		Counters:         make(map[string]int64, len(r.counters)),
 		Gauges:           make(map[string]int64, len(r.gauges)),
-		Histograms:       make(map[string]Snapshot, len(r.histograms)),
 		AtomicHistograms: make(map[string]AtomicSnapshot, len(r.atomicHists)),
 	}
-	hists := make(map[string]*Histogram, len(r.histograms))
 	ahists := make(map[string]*AtomicHistogram, len(r.atomicHists))
 	for n, c := range r.counters {
 		snap.Counters[n] = c.Value()
@@ -484,16 +207,10 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 	for n, g := range r.gauges {
 		snap.Gauges[n] = g.Value()
 	}
-	for n, h := range r.histograms {
-		hists[n] = h
-	}
 	for n, h := range r.atomicHists {
 		ahists[n] = h
 	}
 	r.mu.Unlock()
-	for n, h := range hists {
-		snap.Histograms[n] = h.Snapshot()
-	}
 	for n, h := range ahists {
 		snap.AtomicHistograms[n] = h.Snapshot()
 	}
@@ -510,10 +227,6 @@ func (r *Registry) Dump() string {
 	}
 	for n, v := range snap.Gauges {
 		rows = append(rows, fmt.Sprintf("gauge %s %d", n, v))
-	}
-	for n, s := range snap.Histograms {
-		rows = append(rows, fmt.Sprintf("histogram %s count=%d mean=%g p50=%g p99=%g",
-			n, s.Count, s.Mean, s.P50, s.P99))
 	}
 	for n, s := range snap.AtomicHistograms {
 		rows = append(rows, fmt.Sprintf("atomic-histogram %s count=%d mean=%g p50=%g p99=%g",

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestCounterBasics(t *testing.T) {
@@ -59,110 +58,26 @@ func TestGauge(t *testing.T) {
 	}
 }
 
-func TestHistogramEmpty(t *testing.T) {
-	h := NewHistogram(0)
-	if h.Mean() != 0 || h.Min() != 0 || h.Max() != 0 || h.Quantile(0.5) != 0 {
-		t.Fatal("empty histogram should report zeros")
-	}
-	s := h.Snapshot()
-	if s.Count != 0 || s.P999 != 0 {
-		t.Fatalf("empty snapshot = %+v", s)
-	}
-}
-
-func TestHistogramStats(t *testing.T) {
-	h := NewHistogram(0)
-	for i := 1; i <= 100; i++ {
-		h.Observe(float64(i))
-	}
-	if got := h.Count(); got != 100 {
-		t.Fatalf("count = %d", got)
-	}
-	if got := h.Mean(); math.Abs(got-50.5) > 1e-9 {
-		t.Fatalf("mean = %v, want 50.5", got)
-	}
-	if h.Min() != 1 || h.Max() != 100 {
-		t.Fatalf("min/max = %v/%v", h.Min(), h.Max())
-	}
-	if p50 := h.Quantile(0.5); math.Abs(p50-50.5) > 1 {
-		t.Fatalf("p50 = %v, want ~50.5", p50)
-	}
-	if p0 := h.Quantile(0); p0 != 1 {
-		t.Fatalf("q0 = %v, want 1", p0)
-	}
-	if p1 := h.Quantile(1); p1 != 100 {
-		t.Fatalf("q1 = %v, want 100", p1)
-	}
-}
-
-func TestHistogramQuantilesMonotone(t *testing.T) {
+func TestAtomicHistogramQuantilesMonotone(t *testing.T) {
 	// Property: quantiles are non-decreasing in q for any data.
 	f := func(data []float64) bool {
-		h := NewHistogram(0)
+		h := NewAtomicHistogram(ExpBuckets(1e-3, 4, 16))
 		for _, v := range data {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				continue
-			}
 			h.Observe(v)
 		}
-		qs := h.Quantiles(0, 0.25, 0.5, 0.75, 0.9, 0.99, 1)
-		for i := 1; i < len(qs); i++ {
-			if qs[i] < qs[i-1] {
+		s, last := h.Snapshot(), math.Inf(-1)
+		for _, q := range []float64{0, 0.25, 0.5, 0.75, 0.9, 0.99, 1} {
+			got := s.Quantile(q)
+			if got < last {
 				return false
 			}
+			last = got
 		}
 		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestHistogramDecimation(t *testing.T) {
-	h := NewHistogram(64)
-	for i := 0; i < 10_000; i++ {
-		h.Observe(float64(i % 100))
-	}
-	if got := h.Count(); got != 10_000 {
-		t.Fatalf("count survived decimation = %d, want 10000", got)
-	}
-	// Quantiles stay in range even after decimation.
-	if p50 := h.Quantile(0.5); p50 < 0 || p50 > 99 {
-		t.Fatalf("p50 out of data range: %v", p50)
-	}
-}
-
-func TestTimelineBuckets(t *testing.T) {
-	start := time.Unix(1000, 0)
-	tl := NewTimeline(start, time.Second)
-	tl.ObserveAt(start, 1)
-	tl.ObserveAt(start.Add(500*time.Millisecond), 2)
-	tl.ObserveAt(start.Add(2*time.Second), 10)
-	tl.ObserveAt(start.Add(-time.Hour), 100) // clamped to bucket 0
-	sums := tl.Sums()
-	if len(sums) != 3 {
-		t.Fatalf("buckets = %d, want 3", len(sums))
-	}
-	if sums[0] != 103 || sums[1] != 0 || sums[2] != 10 {
-		t.Fatalf("sums = %v", sums)
-	}
-	means := tl.Means()
-	if means[1] != 0 {
-		t.Fatalf("empty bucket mean = %v, want 0", means[1])
-	}
-	counts := tl.Counts()
-	if counts[0] != 3 || counts[2] != 1 {
-		t.Fatalf("counts = %v", counts)
-	}
-}
-
-func TestTimelinePanicsOnBadWidth(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for zero bucket width")
-		}
-	}()
-	NewTimeline(time.Now(), 0)
 }
 
 func TestRegistryReturnsSameInstance(t *testing.T) {
@@ -184,9 +99,9 @@ func TestRegistryReturnsSameInstance(t *testing.T) {
 	if r.GaugeValue("g") != 7 {
 		t.Fatal("GaugeValue mismatch")
 	}
-	h := r.Histogram("h")
+	h := r.AtomicHistogram("h")
 	h.Observe(1)
-	if r.Histogram("h").Count() != 1 {
+	if r.AtomicHistogram("h").Count() != 1 {
 		t.Fatal("registry returned a different histogram")
 	}
 }
@@ -228,22 +143,13 @@ func TestRegistryConcurrentAccess(t *testing.T) {
 			for j := 0; j < 200; j++ {
 				r.Counter("shared").Inc()
 				r.Gauge("g").Add(1)
-				r.Histogram("h").Observe(1)
+				r.AtomicHistogram("h").Observe(1)
 			}
 		}()
 	}
 	wg.Wait()
 	if got := r.CounterValue("shared"); got != 1600 {
 		t.Fatalf("shared counter = %d, want 1600", got)
-	}
-}
-
-func TestTimelineFarFutureClamped(t *testing.T) {
-	start := time.Unix(0, 0)
-	tl := NewTimeline(start, time.Millisecond)
-	tl.ObserveAt(start.AddDate(100, 0, 0), 1) // a century later
-	if got := len(tl.Sums()); got > 1<<20 {
-		t.Fatalf("timeline allocated %d buckets; cap broken", got)
 	}
 }
 

@@ -2,71 +2,25 @@ package metrics
 
 import (
 	"strings"
-	"sync"
 	"testing"
-	"time"
 )
-
-// TestHistogramDecimationKeepsArrivalOrder pins the decimation fix: a
-// Quantile call between Observes must not perturb which samples a later
-// decimation drops. The old implementation sorted samples in place for
-// quantiles, so decimation then strode over the sorted values — thinning
-// one tail of the distribution instead of thinning time.
-func TestHistogramDecimationKeepsArrivalOrder(t *testing.T) {
-	h := NewHistogram(4)
-	for _, v := range []float64{10, 0, 1, 2} {
-		h.Observe(v)
-	}
-	// Force the sort path while the reservoir is full.
-	if got := h.Quantile(1); got != 10 {
-		t.Fatalf("pre-decimation max = %v, want 10", got)
-	}
-	// This Observe decimates. In arrival order the survivors are indices
-	// 0 and 2 of [10 0 1 2] -> [10 1], then 3 is appended. Had the
-	// quantile call left the samples sorted ([0 1 2 10]), the survivors
-	// would be [0 2] and the true max 10 would vanish from the reservoir.
-	h.Observe(3)
-	if got := h.Quantile(1); got != 10 {
-		t.Fatalf("post-decimation max = %v, want 10 (decimation strode over sorted samples)", got)
-	}
-	if got := h.Quantile(0); got != 1 {
-		t.Fatalf("post-decimation min over retained samples = %v, want 1", got)
-	}
-}
-
-func TestHistogramSnapshotAfterDecimation(t *testing.T) {
-	h := NewHistogram(8)
-	for i := 0; i < 100; i++ {
-		h.Observe(float64(i))
-	}
-	s := h.Snapshot()
-	if s.Count != 100 {
-		t.Fatalf("Count = %d", s.Count)
-	}
-	if s.Min != 0 || s.Max != 99 {
-		t.Fatalf("Min/Max = %v/%v", s.Min, s.Max)
-	}
-	if s.P50 > s.P90 || s.P90 > s.P99 || s.P99 > s.P999 {
-		t.Fatalf("quantiles not monotone: %+v", s)
-	}
-}
 
 func TestRegistrySnapshot(t *testing.T) {
 	r := NewRegistry()
 	snap := r.Snapshot()
-	if snap.Counters == nil || snap.Gauges == nil || snap.Histograms == nil {
+	if snap.Counters == nil || snap.Gauges == nil || snap.AtomicHistograms == nil {
 		t.Fatal("empty registry snapshot has nil maps")
 	}
 	r.Counter("a.b").Add(5)
 	r.Gauge("g").Set(-3)
-	r.Histogram("h").Observe(2)
-	r.Histogram("h").Observe(4)
+	r.AtomicHistogram("h").Observe(2)
+	r.AtomicHistogram("h").Observe(4)
 	snap = r.Snapshot()
 	if snap.Counters["a.b"] != 5 || snap.Gauges["g"] != -3 {
 		t.Fatalf("snapshot = %+v", snap)
 	}
-	hs := snap.Histograms["h"]
-	if hs.Count != 2 || hs.Mean != 3 {
+	hs := snap.AtomicHistograms["h"]
+	if hs.Count != 2 || hs.Mean() != 3 {
 		t.Fatalf("histogram snapshot = %+v", hs)
 	}
 	// The snapshot is a copy: later mutation is invisible.
@@ -79,64 +33,12 @@ func TestRegistrySnapshot(t *testing.T) {
 func TestDumpIncludesHistograms(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("c").Inc()
-	r.Histogram("lat").Observe(7)
+	r.AtomicHistogram("lat", 10).Observe(7)
 	d := r.Dump()
 	if !strings.Contains(d, "counter c 1") {
 		t.Fatalf("Dump missing counter: %q", d)
 	}
-	if !strings.Contains(d, "histogram lat count=1 mean=7 p50=7 p99=7") {
+	if !strings.Contains(d, "atomic-histogram lat count=1 mean=7 ") {
 		t.Fatalf("Dump missing histogram snapshot: %q", d)
-	}
-}
-
-func TestTimelinePreStartClampsToBucketZero(t *testing.T) {
-	start := time.Now()
-	tl := NewTimeline(start, time.Second)
-	tl.ObserveAt(start.Add(-time.Hour), 5)
-	counts := tl.Counts()
-	if len(counts) != 1 || counts[0] != 1 {
-		t.Fatalf("counts = %v, want one observation in bucket 0", counts)
-	}
-	if sums := tl.Sums(); sums[0] != 5 {
-		t.Fatalf("sums = %v", sums)
-	}
-}
-
-func TestTimelineFarFutureClampsToFinalBucket(t *testing.T) {
-	start := time.Now()
-	tl := NewTimeline(start, time.Nanosecond) // tiny width maximises the bucket index
-	tl.ObserveAt(start.Add(time.Hour), 1)     // hours/ns >> maxTimelineBuckets
-	counts := tl.Counts()
-	if len(counts) != maxTimelineBuckets {
-		t.Fatalf("len(counts) = %d, want cap %d", len(counts), maxTimelineBuckets)
-	}
-	if counts[maxTimelineBuckets-1] != 1 {
-		t.Fatal("observation did not clamp into the final bucket")
-	}
-}
-
-func TestTimelineConcurrentObserveAt(t *testing.T) {
-	start := time.Now()
-	tl := NewTimeline(start, time.Millisecond)
-	const goroutines, per = 8, 500
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				// Spread across buckets, including pre-start and far-future.
-				at := start.Add(time.Duration(i-g) * time.Millisecond)
-				tl.ObserveAt(at, 1)
-			}
-		}(g)
-	}
-	wg.Wait()
-	var total int64
-	for _, c := range tl.Counts() {
-		total += c
-	}
-	if total != goroutines*per {
-		t.Fatalf("total observations = %d, want %d", total, goroutines*per)
 	}
 }

@@ -108,8 +108,14 @@ func TestBrokerServeLoopIdlePark(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if got := b.Metrics().GaugeValue("mqtt.loop.parked"); got != clients {
-		t.Fatalf("parked gauge = %d want %d", got, clients)
+	// ServeLoop bumps the gauge after loop.Watch has registered the watch,
+	// so the 50th watch can be visible a moment before the 50th increment:
+	// wait on the gauge too (reading it once here failed 49 != 50).
+	for b.Metrics().GaugeValue("mqtt.loop.parked") != clients {
+		if time.Now().After(deadline) {
+			t.Fatalf("parked gauge = %d want %d", b.Metrics().GaugeValue("mqtt.loop.parked"), clients)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 
 	// Kill half the transports abruptly: RDHUP reaps them, context stays.

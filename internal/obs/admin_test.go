@@ -66,7 +66,7 @@ func TestRenderPrometheusValidExposition(t *testing.T) {
 	reg.Counter("proxy.takeovers").Add(3)
 	reg.Counter("edge.http.errors.upstream") // zero-valued
 	reg.Gauge("origin.mqtt.relays").Set(-2)
-	h := reg.Histogram("edge.http.latency_us")
+	h := reg.AtomicHistogram("edge.http.latency_us", 25, 50, 75, 100)
 	for i := 1; i <= 100; i++ {
 		h.Observe(float64(i))
 	}
@@ -86,10 +86,10 @@ func TestRenderPrometheusValidExposition(t *testing.T) {
 	if got := samples["zdr_edge_http_latency_us_sum"]; got != 5050 {
 		t.Errorf("_sum = %v, want 5050", got)
 	}
-	q50 := samples[`zdr_edge_http_latency_us{quantile="0.5"}`]
-	q99 := samples[`zdr_edge_http_latency_us{quantile="0.99"}`]
-	if q50 <= 0 || q99 < q50 {
-		t.Errorf("quantiles not monotone: p50=%v p99=%v", q50, q99)
+	b50 := samples[`zdr_edge_http_latency_us_bucket{le="50"}`]
+	bInf := samples[`zdr_edge_http_latency_us_bucket{le="+Inf"}`]
+	if b50 != 50 || bInf != 100 {
+		t.Errorf("buckets not cumulative: le=50 %v (want 50), le=+Inf %v (want 100)", b50, bInf)
 	}
 	// Rendering is deterministic.
 	if again := RenderPrometheus(reg.Snapshot()); again != body {

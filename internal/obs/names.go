@@ -6,12 +6,12 @@ package obs
 // reports has a single authoritative list.
 //
 // Fig. 5 hand-off steps (receiver-rooted trace, sender spans stitched in
-// via the ack frame's trace context):
+// via the ack frame's trace context; step D is takeover.prepare and
+// takeover.commit below):
 //
 //	takeover.step.A   dial the old instance's takeover socket
 //	takeover.step.B   manifest + FD frames read
 //	takeover.step.C   listeners reconstructed from the FDs
-//	takeover.step.D   arm + single ACK (one-shot peers only)
 //	takeover.step.E   sender's drain-start confirmation awaited
 //	takeover.step.F   health-check responsibility assumed
 //
@@ -34,7 +34,6 @@ const (
 	SpanTakeoverStepA   = "takeover.step.A"
 	SpanTakeoverStepB   = "takeover.step.B"
 	SpanTakeoverStepC   = "takeover.step.C"
-	SpanTakeoverStepD   = "takeover.step.D"
 	SpanTakeoverStepE   = "takeover.step.E"
 	SpanTakeoverStepF   = "takeover.step.F"
 	SpanTakeoverPrepare = "takeover.prepare"

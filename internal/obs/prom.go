@@ -30,55 +30,26 @@ func PromName(name string) string {
 
 // RenderPrometheus renders a registry snapshot in the Prometheus text
 // exposition format (version 0.0.4): counters and gauges as their native
-// types, sampled histograms as summaries with quantile labels plus _sum
-// and _count series, and atomic bucket histograms as native histograms
-// with cumulative le-labelled buckets (including the +Inf bucket), so a
-// scraper can histogram_quantile() across nodes. Output is sorted by
-// metric name, so it is stable.
+// types, and bucket histograms as native histograms with cumulative
+// le-labelled buckets (including the +Inf bucket), so a scraper can
+// histogram_quantile() across nodes. Output is sorted by metric name, so
+// it is stable.
 func RenderPrometheus(snap metrics.RegistrySnapshot) string {
 	var b strings.Builder
 
-	counterNames := sortedKeys(snap.Counters)
-	for _, n := range counterNames {
+	for _, n := range sortedKeys(snap.Counters) {
 		pn := PromName(n)
 		b.WriteString("# TYPE " + pn + " counter\n")
 		b.WriteString(pn + " " + strconv.FormatInt(snap.Counters[n], 10) + "\n")
 	}
 
-	gaugeNames := sortedKeys(snap.Gauges)
-	for _, n := range gaugeNames {
+	for _, n := range sortedKeys(snap.Gauges) {
 		pn := PromName(n)
 		b.WriteString("# TYPE " + pn + " gauge\n")
 		b.WriteString(pn + " " + strconv.FormatInt(snap.Gauges[n], 10) + "\n")
 	}
 
-	histNames := make([]string, 0, len(snap.Histograms))
-	for n := range snap.Histograms {
-		histNames = append(histNames, n)
-	}
-	sort.Strings(histNames)
-	for _, n := range histNames {
-		s := snap.Histograms[n]
-		pn := PromName(n)
-		b.WriteString("# TYPE " + pn + " summary\n")
-		for _, q := range []struct {
-			label string
-			v     float64
-		}{
-			{"0.5", s.P50}, {"0.9", s.P90}, {"0.99", s.P99}, {"0.999", s.P999},
-		} {
-			b.WriteString(pn + `{quantile="` + q.label + `"} ` + promFloat(q.v) + "\n")
-		}
-		b.WriteString(pn + "_sum " + promFloat(s.Mean*float64(s.Count)) + "\n")
-		b.WriteString(pn + "_count " + strconv.FormatInt(s.Count, 10) + "\n")
-	}
-
-	ahNames := make([]string, 0, len(snap.AtomicHistograms))
-	for n := range snap.AtomicHistograms {
-		ahNames = append(ahNames, n)
-	}
-	sort.Strings(ahNames)
-	for _, n := range ahNames {
+	for _, n := range sortedKeys(snap.AtomicHistograms) {
 		s := snap.AtomicHistograms[n]
 		pn := PromName(n)
 		b.WriteString("# TYPE " + pn + " histogram\n")
@@ -101,7 +72,7 @@ func promFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-func sortedKeys(m map[string]int64) []string {
+func sortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
 		out = append(out, k)

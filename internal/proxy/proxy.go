@@ -873,12 +873,6 @@ func (p *Proxy) TakeoverFrom(path string) (*takeover.Result, error) {
 	return p.TakeoverFromWith(path, TakeoverOptions{})
 }
 
-// / Deprecated: TakeoverFromTraced is a legacy wrapper; use TakeoverFromWith
-// with TakeoverOptions{Trace}.
-func (p *Proxy) TakeoverFromTraced(path string, parent *obs.Span) (*takeover.Result, error) {
-	return p.TakeoverFromWith(path, TakeoverOptions{Trace: parent})
-}
-
 // TakeoverOptions configures the receiver side of a proxy takeover.
 type TakeoverOptions struct {
 	// Trace, when non-nil, parents the takeover.handoff span; otherwise a

@@ -58,12 +58,12 @@ func TestAbortFDAuditArmFailure(t *testing.T) {
 	a, b := pair(t)
 	sendErr := make(chan error, 1)
 	go func() {
-		_, err := HandoffWith(a, set, HandoffOptions{Timeout: 2 * time.Second})
+		_, err := Handoff(a, set, HandoffOptions{Timeout: 2 * time.Second})
 		sendErr <- err
 	}()
 
 	disarmed := false
-	got, res, err := ReceiveWith(b, ReceiveOptions{
+	got, res, err := Receive(b, ReceiveOptions{
 		Timeout: 2 * time.Second,
 		Arm: func(s *ListenerSet, r *Result) error {
 			if s.Len() != 2 {
@@ -127,13 +127,13 @@ func TestAbortFDAuditPrepareAckLost(t *testing.T) {
 	a, b := pair(t)
 	sendErr := make(chan error, 1)
 	go func() {
-		_, err := HandoffWith(a, set, HandoffOptions{Timeout: 2 * time.Second})
+		_, err := Handoff(a, set, HandoffOptions{Timeout: 2 * time.Second})
 		sendErr <- err
 		a.Close()
 	}()
 
 	disarmed := false
-	_, _, err = ReceiveWith(b, ReceiveOptions{
+	_, _, err = Receive(b, ReceiveOptions{
 		Timeout: 2 * time.Second,
 		Arm:     func(*ListenerSet, *Result) error { return nil },
 		Disarm:  func(s *ListenerSet) { disarmed = true; s.Close() },
@@ -180,7 +180,7 @@ func TestAbortFDAuditCommitLost(t *testing.T) {
 	a, b := pair(t)
 	sendErr := make(chan error, 1)
 	go func() {
-		_, err := HandoffWith(a, set, HandoffOptions{Timeout: 2 * time.Second})
+		_, err := Handoff(a, set, HandoffOptions{Timeout: 2 * time.Second})
 		sendErr <- err
 		// The real sender (Server.ListenAndServe) closes the connection on
 		// any hand-off error; that close is what tells a waiting receiver
@@ -189,7 +189,7 @@ func TestAbortFDAuditCommitLost(t *testing.T) {
 	}()
 
 	disarmed := false
-	_, _, err = ReceiveWith(b, ReceiveOptions{
+	_, _, err = Receive(b, ReceiveOptions{
 		Timeout: 2 * time.Second,
 		Arm:     func(*ListenerSet, *Result) error { return nil },
 		Disarm:  func(s *ListenerSet) { disarmed = true; s.Close() },

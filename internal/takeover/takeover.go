@@ -15,14 +15,12 @@
 //	    (reconstructing net.Listener/net.UDPConn values from them) and
 //	    arms them: accept loops running, health checks green.
 //	(D) The new instance confirms to the old server so it can start
-//	    draining existing connections. Since ProtoTwoPhase this
-//	    confirmation is split in two: the receiver sends PREPARE-ACK once
-//	    it is armed, and the sender answers with COMMIT — only then does
-//	    draining begin. Any failure before the COMMIT is delivered (arm
-//	    error, receiver crash, timeout) aborts the hand-off: the sender
-//	    keeps serving, the receiver disarms, and no client ever sees a
-//	    reset. ProtoOneShot peers keep the original single-ACK exchange,
-//	    where the ACK itself is the commit point.
+//	    draining existing connections. The confirmation is split in two:
+//	    the receiver sends PREPARE-ACK once it is armed, and the sender
+//	    answers with COMMIT — only then does draining begin. Any failure
+//	    before the COMMIT is delivered (arm error, receiver crash,
+//	    timeout) aborts the hand-off: the sender keeps serving, the
+//	    receiver disarms, and no client ever sees a reset.
 //	(E) On commit, the old instance stops handling new connections and
 //	    drains.
 //	(F) The new instance takes over health-check responsibility.
@@ -44,6 +42,17 @@
 // observed at. The kernel socket ring for SO_REUSEPORT VIPs is unchanged
 // (no entries added or purged), which is what eliminates the mis-routing
 // flux of Fig. 2d.
+//
+// Compatibility rule — N and N−1: a build speaks ProtoDrainUndo (v3) and
+// ProtoTwoPhase (v2), because a rolling upgrade only ever meets its
+// predecessor. The sender offers a revision in the manifest's proto field
+// and the receiver answers min(offer, v3) in its PREPARE-ACK; a v2
+// receiver answers without the field, which a v3 sender reads as
+// "two-phase, no lease". A peer of the original one-shot protocol — no
+// proto field in its manifest, a single ACK as its commit point — is
+// refused before anything is armed or drained: the receiver nacks such a
+// manifest, the sender answers such an ACK with ABORT, and either way the
+// old instance keeps serving.
 //
 // §5.1 pitfalls are handled explicitly:
 //
@@ -83,14 +92,14 @@ const (
 // protocol constants.
 const (
 	magic = 0x5a44 // "ZD"
-	// version is the wire epoch byte. It stays 1: v1 receivers hard-reject
+	// version is the wire epoch byte. It stays 1: receivers hard-reject
 	// any other value with no retry, so protocol revisions are negotiated
 	// in-band via the manifest's proto field instead (see ProtoTwoPhase).
 	version     = 1
 	maxManifest = 1 << 20
 
 	msgManifest     = 1
-	msgAck          = 2 // receiver → sender: one-shot confirmation (v1 step D)
+	msgAck          = 2 // receiver → sender: refusal before arming (an OK one, the one-shot commit, is refused)
 	msgFDChunk      = 3
 	msgDrainStarted = 4 // sender → receiver: accepting stopped, drain begun (step E)
 	msgPrepareAck   = 5 // receiver → sender: armed and serving, awaiting commit
@@ -105,33 +114,21 @@ const (
 )
 
 // Protocol revisions, negotiated via the manifest's proto field (sender's
-// offer) and the prepare-ack's proto field (receiver's answer). A v1
-// receiver never sees the manifest field (unknown JSON keys are ignored)
-// and answers with its classic single ACK, which the sender accepts as a
-// negotiated-down one-shot hand-off; a v1 sender never writes the field,
-// so newer receivers fall back to the one-shot exchange too. A v2
-// receiver answers PREPARE-ACK without a proto field, which a v3 sender
-// reads as "two-phase, no lease". All directions interoperate without a
-// flag day.
+// offer) and the prepare-ack's proto field (receiver's answer); the
+// package doc states which revisions a build speaks.
 const (
-	// ProtoOneShot is the original protocol: the receiver's ACK is the
-	// commit point, so an adopt failure after the ACK leaves only
-	// RestartFresh (a rebind) as recovery.
-	ProtoOneShot = 1
-	// ProtoTwoPhase splits the confirmation into PREPARE-ACK (receiver
-	// armed) and COMMIT (sender stops accepting): every failure before
-	// COMMIT rolls both sides back with zero client-visible resets.
+	// ProtoTwoPhase is step (D) of the package doc: PREPARE-ACK (receiver
+	// armed), then COMMIT (sender stops accepting).
 	ProtoTwoPhase = 2
-	// ProtoDrainUndo adds a post-commit recovery window on top of
-	// ProtoTwoPhase: the sender retains dup'd listener FDs past COMMIT
-	// and holds the session open as a liveness lease until the receiver's
-	// READY frame; a broken lease un-drains the sender (re-arm from the
-	// retained dups) instead of falling through to RestartFresh. Offering
-	// it promises exactly that undo behaviour, so only lease-driving
-	// senders (Server with OnUndo, or an explicit Proto) advertise it.
+	// ProtoDrainUndo adds the post-commit lease and un-drain of the
+	// package doc on top of ProtoTwoPhase, instead of falling through to
+	// RestartFresh. Offering it promises exactly that undo behaviour, so
+	// only lease-driving senders (Server with OnUndo, or an explicit
+	// HandoffOptions.Proto) advertise it.
 	ProtoDrainUndo = 3
 
-	// maxProto is the newest revision this build understands.
+	// maxProto is the newest revision this build understands; the oldest
+	// is ProtoTwoPhase.
 	maxProto = ProtoDrainUndo
 )
 
@@ -238,29 +235,24 @@ func (s *ListenerSet) add(e entry) error {
 	return nil
 }
 
-// TCP returns the listener registered under name, or nil.
-func (s *ListenerSet) TCP(name string) *net.TCPListener {
+// find returns the entry registered under name (names are unique), or the
+// zero entry.
+func (s *ListenerSet) find(name string) entry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, e := range s.entries {
-		if e.vip.Name == name && e.ln != nil {
-			return e.ln
+		if e.vip.Name == name {
+			return e
 		}
 	}
-	return nil
+	return entry{}
 }
 
+// TCP returns the listener registered under name, or nil.
+func (s *ListenerSet) TCP(name string) *net.TCPListener { return s.find(name).ln }
+
 // UDP returns the packet socket registered under name, or nil.
-func (s *ListenerSet) UDP(name string) *net.UDPConn {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, e := range s.entries {
-		if e.vip.Name == name && e.pc != nil {
-			return e.pc
-		}
-	}
-	return nil
-}
+func (s *ListenerSet) UDP(name string) *net.UDPConn { return s.find(name).pc }
 
 // VIPs returns the VIP descriptors in registration order.
 func (s *ListenerSet) VIPs() []VIP {
@@ -329,11 +321,6 @@ func (s *ListenerSet) fds() ([]int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	fds := make([]int, 0, len(s.entries))
-	closeAll := func() {
-		for _, fd := range fds {
-			syscall.Close(fd)
-		}
-	}
 	for _, e := range s.entries {
 		var fd int
 		var err error
@@ -343,7 +330,7 @@ func (s *ListenerSet) fds() ([]int, error) {
 			fd, err = netx.PacketConnFD(e.pc)
 		}
 		if err != nil {
-			closeAll()
+			closeFDs(fds)
 			return nil, err
 		}
 		fds = append(fds, fd)
@@ -354,11 +341,15 @@ func (s *ListenerSet) fds() ([]int, error) {
 // adoptFDs reconstructs listeners/packet sockets from fds according to
 // vips, consuming every descriptor (adopted into the set or closed —
 // §5.1 orphan prevention). It returns the set, the number of descriptors
-// it had to close, and the first adoption error.
+// it had to close, and the first adoption error; a VIP left without a
+// descriptor is one.
 func adoptFDs(vips []VIP, fds []int) (*ListenerSet, int, error) {
 	set := NewListenerSet()
 	orphans := 0
 	var firstErr error
+	if len(fds) < len(vips) {
+		firstErr = fmt.Errorf("takeover: %d vips listed but only %d fds arrived", len(vips), len(fds))
+	}
 	for i, fd := range fds {
 		if i >= len(vips) {
 			// More FDs than manifest entries: close the strays rather
@@ -481,10 +472,6 @@ func (r *RetainedSet) Rearm() (*ListenerSet, error) {
 		set.Close()
 		return nil, fmt.Errorf("takeover: re-arming retained listeners: %w", err)
 	}
-	if set.Len() != len(vips) {
-		set.Close()
-		return nil, fmt.Errorf("takeover: re-armed %d of %d retained listeners", set.Len(), len(vips))
-	}
 	return set, nil
 }
 
@@ -493,10 +480,8 @@ type manifest struct {
 	Magic   uint16 `json:"magic"`
 	Version uint8  `json:"version"`
 	// Proto is the protocol revision the sender offers (ProtoTwoPhase or
-	// ProtoDrainUndo). Absent/zero means a v1 sender: the receiver runs
-	// the one-shot exchange. v1 receivers ignore the field entirely,
-	// which is what makes the negotiation backward-compatible in both
-	// directions.
+	// ProtoDrainUndo). Absent/zero means a one-shot sender, which the
+	// receiver refuses (see the package doc's compatibility rule).
 	Proto uint8 `json:"proto,omitempty"`
 	VIPs  []VIP `json:"vips"`
 	// Meta carries side-band hand-off data the new instance needs before
@@ -505,7 +490,8 @@ type manifest struct {
 	Meta map[string]string `json:"meta,omitempty"`
 }
 
-// ack is the confirmation from the new instance (step D).
+// ack is the confirmation from the new instance (step D): a PREPARE-ACK,
+// or a refusal.
 type ack struct {
 	OK      bool   `json:"ok"`
 	Adopted int    `json:"adopted"`
@@ -541,10 +527,12 @@ type Result struct {
 	// accepting and began draining (receiver side). On v2 it requires a
 	// sender that announces metaDrainNotify (i.e. Server.ListenAndServe)
 	// and is best-effort; on ProtoDrainUndo the confirmation is the lease
-	// release and always true on success.
+	// release and mandatory — without it the sender undid the hand-off,
+	// so Receive disarms and returns ErrUndone — hence always true on
+	// success.
 	DrainConfirmed bool
-	// Proto is the negotiated protocol revision (ProtoOneShot,
-	// ProtoTwoPhase or ProtoDrainUndo).
+	// Proto is the negotiated protocol revision (ProtoTwoPhase or
+	// ProtoDrainUndo).
 	Proto int
 	// Committed reports the hand-off passed its commit point: the sender
 	// has stopped accepting and is draining. Always true on a successful
@@ -556,9 +544,7 @@ type Result struct {
 	Ready bool
 	// Retained holds the sender's dup'd FDs through the post-commit
 	// window (sender side, ProtoDrainUndo only; nil otherwise). The
-	// caller owns it and must Close it once the receiver is confirmed
-	// serving, or Rearm it to un-drain. Server.ListenAndServe drives
-	// this lease automatically.
+	// caller owns it: see RetainedSet.
 	Retained *RetainedSet
 }
 
@@ -583,10 +569,13 @@ var (
 	// gate, lost READY — so the sender re-armed its retained listener
 	// dups and resumed serving. Like ErrAborted, no client saw a reset
 	// and the caller may retry with a fresh receiver; unlike ErrAborted,
-	// the failure happened after COMMIT, in the window that previously
-	// required RestartFresh.
+	// the failure happened after COMMIT.
 	ErrUndone = errors.New("takeover: hand-off undone after commit")
 )
+
+// outsideRule is how every refusal of a one-shot peer names the
+// compatibility rule.
+const outsideRule = "this build speaks protocol v3 and v2 only (N and N-1)"
 
 // abortErr classifies err as a pre-commit abort.
 func abortErr(err error) error {
@@ -655,6 +644,24 @@ func readFrame(conn *net.UnixConn) (kind byte, payload []byte, fds []int, err er
 	return kind, payload, fds, nil
 }
 
+// expectFrame reads one frame that must be of kind want; what names it in
+// the error. Descriptors that rode in with it are closed (only the
+// manifest and its continuations carry any), and a sender's ABORT in its
+// place is reported with the reason the sender gave.
+func expectFrame(conn *net.UnixConn, want byte, what string) error {
+	kind, payload, stray, err := readFrame(conn)
+	closeFDs(stray)
+	switch {
+	case err != nil:
+		return fmt.Errorf("takeover: waiting for %s: %w", what, err)
+	case kind == msgAbort:
+		return fmt.Errorf("takeover: peer aborted before %s: %s", what, payload)
+	case kind != want:
+		return fmt.Errorf("takeover: expected %s, got frame kind %d", what, kind)
+	}
+	return nil
+}
+
 func closeFDs(fds []int) {
 	for _, fd := range fds {
 		syscall.Close(fd)
@@ -672,29 +679,26 @@ type HandoffOptions struct {
 	// the manifest+FD transfer through commit delivery. An aborted
 	// hand-off fails that span and records no "takeover.commit" span.
 	Trace *obs.Span
-	// Proto is the protocol revision to offer; zero means ProtoTwoPhase.
-	// ProtoOneShot forces the legacy single-ACK exchange (wire-identical
-	// to a v1 sender). ProtoDrainUndo promises the caller will drive the
-	// post-commit lease itself: close or re-arm Result.Retained (Server
-	// does this automatically and is the normal way to offer v3).
+	// Proto is the protocol revision to offer; zero means ProtoTwoPhase
+	// (wire-identical to an N−1 sender). ProtoDrainUndo promises the
+	// caller will drive the post-commit lease itself: close or re-arm
+	// Result.Retained (Server does this automatically and is the normal
+	// way to offer v3).
 	Proto int
 }
 
 // Handoff runs the sender side (old instance) of the takeover protocol on
 // an established UNIX socket connection: it sends the manifest and FDs for
 // every socket in set, then waits for the new instance's confirmation and
-// delivers the COMMIT. It is the canonical sender entry point; the
-// HandoffMeta/HandoffWith names are deprecated wrappers around it.
+// delivers the COMMIT.
 //
 // On success the old instance should stop accepting new connections and
 // begin draining (step E); its copies of the listening sockets remain open
 // until it exits, which is harmless because both instances share the file
 // table entries. On an error the hand-off aborted before this instance
 // stopped accepting: it is still fully in charge and must keep serving.
-//
-// When ProtoDrainUndo is negotiated, Result.Retained holds dup'd FDs for
-// every transferred listener; the caller owns the post-commit lease (see
-// RetainedSet).
+// When ProtoDrainUndo is negotiated the caller owns the post-commit lease
+// (see Result.Retained).
 func Handoff(conn *net.UnixConn, set *ListenerSet, opts HandoffOptions) (*Result, error) {
 	timeout := opts.Timeout
 	if timeout <= 0 {
@@ -704,12 +708,11 @@ func Handoff(conn *net.UnixConn, set *ListenerSet, opts HandoffOptions) (*Result
 	if proto == 0 {
 		proto = ProtoTwoPhase
 	}
-	if proto < ProtoOneShot || proto > maxProto {
+	if proto < ProtoTwoPhase || proto > maxProto {
 		return nil, fmt.Errorf("takeover: unknown protocol revision %d", proto)
 	}
 	start := time.Now()
-	deadline := start.Add(timeout)
-	if err := conn.SetDeadline(deadline); err != nil {
+	if err := conn.SetDeadline(start.Add(timeout)); err != nil {
 		return nil, err
 	}
 	defer conn.SetDeadline(time.Time{})
@@ -730,12 +733,7 @@ func Handoff(conn *net.UnixConn, set *ListenerSet, opts HandoffOptions) (*Result
 		return fail(err)
 	}
 
-	m := manifest{Magic: magic, Version: version, VIPs: set.VIPs(), Meta: opts.Meta}
-	if proto >= ProtoTwoPhase {
-		// A forced one-shot offer stays byte-identical to a v1 sender
-		// (field absent).
-		m.Proto = uint8(proto)
-	}
+	m := manifest{Magic: magic, Version: version, Proto: uint8(proto), VIPs: set.VIPs(), Meta: opts.Meta}
 	payload, err := json.Marshal(m)
 	if err != nil {
 		return fail(err)
@@ -746,27 +744,14 @@ func Handoff(conn *net.UnixConn, set *ListenerSet, opts HandoffOptions) (*Result
 	}
 	// Our dups; the receiver has its own after sendmsg. On a negotiated
 	// ProtoDrainUndo hand-off they instead survive as Result.Retained —
-	// the post-commit recovery window.
-	retained := false
-	defer func() {
-		if !retained {
-			closeFDs(fds)
-		}
-	}()
-	first := fds
-	if len(first) > fdsPerFrame {
-		first = first[:fdsPerFrame]
-	}
-	if err := writeFrame(conn, msgManifest, payload, first); err != nil {
+	// the post-commit recovery window — and fds is emptied.
+	defer func() { closeFDs(fds) }()
+	if err := writeFrame(conn, msgManifest, payload, fds[:min(len(fds), fdsPerFrame)]); err != nil {
 		return fail(err)
 	}
 	// Continuation frames for large VIP sets.
 	for off := fdsPerFrame; off < len(fds); off += fdsPerFrame {
-		end := off + fdsPerFrame
-		if end > len(fds) {
-			end = len(fds)
-		}
-		if err := writeFrame(conn, msgFDChunk, nil, fds[off:end]); err != nil {
+		if err := writeFrame(conn, msgFDChunk, nil, fds[off:min(off+fdsPerFrame, len(fds))]); err != nil {
 			return fail(err)
 		}
 	}
@@ -787,33 +772,26 @@ func Handoff(conn *net.UnixConn, set *ListenerSet, opts HandoffOptions) (*Result
 		// The receiver already rolled itself back; no abort frame needed.
 		return fail(fmt.Errorf("%w: %s", ErrRejected, a.Err))
 	}
-	res := &Result{VIPs: m.VIPs, PeerTrace: a.Trace, Proto: ProtoOneShot}
-	if kind == msgPrepareAck {
-		if proto < ProtoTwoPhase {
-			return abort(fmt.Errorf("takeover: unexpected prepare-ack on a one-shot hand-off"))
-		}
-		// The receiver's answer caps the revision: a pre-v3 receiver
-		// omits the proto field (zero), and the sender must not hold a
-		// lease such a peer will never release.
-		negotiated := ProtoTwoPhase
-		if proto >= ProtoDrainUndo && a.Proto >= ProtoDrainUndo {
-			negotiated = ProtoDrainUndo
-		}
-		// This write is the commit point: if COMMIT cannot be delivered
-		// the receiver disarms and this instance keeps serving — nobody
-		// drains, nobody resets.
-		if err := writeFrame(conn, msgCommit, nil, nil); err != nil {
-			return fail(fmt.Errorf("takeover: delivering commit: %w", err))
-		}
-		res.Proto = negotiated
-		if negotiated >= ProtoDrainUndo {
-			res.Retained = newRetainedSet(m.VIPs, fds)
-			retained = true
-			sp.SetAttr("retained_fds", strconv.Itoa(len(fds)))
-		}
+	if kind == msgAck {
+		// A one-shot receiver took its single ACK for the commit point.
+		// This instance never stopped accepting and does not start now.
+		return abort(fmt.Errorf("takeover: peer confirmed with a one-shot ack; %s", outsideRule))
 	}
-	// A one-shot receiver's single ACK is already the commit point — a v1
-	// peer negotiates the two-phase offer down rather than failing it.
+	// The receiver's answer caps the revision: a pre-v3 receiver omits
+	// the proto field (zero), and the sender must not hold a lease such a
+	// peer will never release.
+	res := &Result{VIPs: m.VIPs, PeerTrace: a.Trace, Proto: max(ProtoTwoPhase, min(proto, a.Proto))}
+	// This write is the commit point: if COMMIT cannot be delivered the
+	// receiver disarms and this instance keeps serving — nobody drains,
+	// nobody resets.
+	if err := writeFrame(conn, msgCommit, nil, nil); err != nil {
+		return fail(fmt.Errorf("takeover: delivering commit: %w", err))
+	}
+	if res.Proto >= ProtoDrainUndo {
+		res.Retained = newRetainedSet(m.VIPs, fds)
+		sp.SetAttr("retained_fds", strconv.Itoa(len(fds)))
+		fds = nil
+	}
 	res.Committed = true
 	res.Duration = time.Since(start)
 	sp.SetAttr("proto", strconv.Itoa(res.Proto))
@@ -821,48 +799,22 @@ func Handoff(conn *net.UnixConn, set *ListenerSet, opts HandoffOptions) (*Result
 	return res, nil
 }
 
-// Deprecated: HandoffMeta is a legacy wrapper; use Handoff with
-// HandoffOptions{Meta, Timeout}.
-func HandoffMeta(conn *net.UnixConn, set *ListenerSet, meta map[string]string, timeout time.Duration) (*Result, error) {
-	return Handoff(conn, set, HandoffOptions{Meta: meta, Timeout: timeout})
-}
-
-// Deprecated: HandoffWith is the pre-consolidation name for Handoff.
-func HandoffWith(conn *net.UnixConn, set *ListenerSet, opts HandoffOptions) (*Result, error) {
-	return Handoff(conn, set, opts)
-}
-
 // ReceiveOptions configures the receiver side of a hand-off.
 type ReceiveOptions struct {
 	// Timeout bounds the exchange; zero means DefaultHandshakeTimeout.
 	Timeout time.Duration
-	// Trace, when non-nil, gets the Fig. 5 step spans as children:
-	//
-	//	takeover.step.B   manifest + FD frames read
-	//	takeover.step.C   listeners reconstructed from the FDs
-	//	takeover.prepare  Arm run, PREPARE-ACK sent   (two-phase)
-	//	takeover.commit   sender's COMMIT awaited     (two-phase)
-	//	takeover.step.D   Arm run, single ACK sent    (one-shot peers)
-	//	takeover.ready    Ready gate run, READY sent  (ProtoDrainUndo)
-	//	takeover.step.E   sender's drain-start confirmation awaited
-	//
-	// On v2 step E is only awaited when the sender announced it
-	// (metaDrainNotify in the manifest) and its failure is recorded on
-	// the span without failing the hand-off. On ProtoDrainUndo the
-	// drain-start confirmation is the lease release and mandatory: its
-	// absence means the sender undid the hand-off, so this side disarms
-	// and returns ErrUndone.
+	// Trace, when non-nil, gets the receiver's Fig. 5 step spans as
+	// children, in order: step B, step C, prepare, commit, ready
+	// (ProtoDrainUndo only) and step E (obs/names.go says what each
+	// covers). A step E that fails on v2 (see Result.DrainConfirmed) is
+	// recorded on its span without failing the hand-off.
 	Trace *obs.Span
-	// Proto caps the revision this receiver accepts; zero means the
-	// newest supported (ProtoDrainUndo). ProtoTwoPhase emulates a v2
-	// receiver, ProtoOneShot a v1 receiver (compat testing).
-	Proto int
 	// Arm, when non-nil, runs after the listener set is reconstructed and
 	// must leave this instance fully serving (accept loops running,
 	// health checks green) before returning nil: its success is exactly
-	// what the confirmation — PREPARE-ACK or one-shot ACK — attests to.
-	// An error rolls the hand-off back: the sender is nacked and keeps
-	// serving, the set is closed, and the error is wrapped in ErrAborted.
+	// what the PREPARE-ACK attests to. An error rolls the hand-off back:
+	// the sender is nacked and keeps serving, the set is closed, and the
+	// error is wrapped in ErrAborted.
 	Arm func(set *ListenerSet, res *Result) error
 	// Disarm, when non-nil, unwinds a successful Arm after a pre-commit
 	// abort (commit timeout, peer abort or crash) or a post-commit undo
@@ -874,15 +826,80 @@ type ReceiveOptions struct {
 	// serving (e.g. /healthz green) before the READY frame goes out. An
 	// error steps this instance down — Disarm runs, the sender's lease
 	// breaks, the sender un-drains, and the error is wrapped in
-	// ErrUndone. Never invoked on pre-v3 negotiations.
+	// ErrUndone. Never invoked on a ProtoTwoPhase negotiation.
 	Ready func(set *ListenerSet, res *Result) error
+}
+
+// readManifest reads the manifest frame and the FD continuation frames
+// behind it (step B). On every failure it closes each descriptor that
+// arrived and, once a manifest has parsed, nacks the sender with the
+// reason — the sender keeps serving.
+func readManifest(conn *net.UnixConn) (manifest, []int, error) {
+	kind, payload, fds, err := readFrame(conn)
+	if err != nil {
+		return manifest{}, nil, err
+	}
+	refuse := func(nack string, err error) (manifest, []int, error) {
+		closeFDs(fds)
+		if nack != "" {
+			sendAck(conn, msgAck, ack{OK: false, Err: nack})
+		}
+		return manifest{}, nil, err
+	}
+	if kind != msgManifest {
+		return refuse("", fmt.Errorf("takeover: expected manifest, got frame kind %d", kind))
+	}
+	var m manifest
+	if err := json.Unmarshal(payload, &m); err != nil {
+		return refuse("", fmt.Errorf("takeover: bad manifest: %w", err))
+	}
+	if m.Magic != magic {
+		return refuse("bad magic", ErrBadMagic)
+	}
+	if m.Version != version {
+		return refuse(fmt.Sprintf("unsupported version %d", m.Version),
+			fmt.Errorf("takeover: unsupported protocol version %d", m.Version))
+	}
+	if int(m.Proto) < ProtoTwoPhase {
+		// A one-shot sender would take the single ACK it expects for the
+		// commit point; refuse it before anything is adopted.
+		err := fmt.Errorf("takeover: peer offers protocol revision %d (one-shot); %s", m.Proto, outsideRule)
+		return refuse(err.Error(), err)
+	}
+	// Collect continuation frames until every declared VIP has its FD. A
+	// sender that declared more VIPs than it attached FDs for never sends
+	// a continuation; bound the wait so the mismatch surfaces as the
+	// missing-FDs error in step C rather than a hang.
+	for len(fds) < len(m.VIPs) && len(fds) >= fdsPerFrame && len(fds)%fdsPerFrame == 0 {
+		kind, _, more, err := readFrame(conn)
+		if err != nil {
+			return refuse("fd continuation: "+err.Error(), fmt.Errorf("takeover: reading fd continuation: %w", err))
+		}
+		fds = append(fds, more...)
+		if kind != msgFDChunk {
+			return refuse("unexpected frame during fd transfer", fmt.Errorf("takeover: expected fd chunk, got frame kind %d", kind))
+		}
+		if len(more) == 0 {
+			break
+		}
+	}
+	return m, fds, nil
+}
+
+// awaitDrainStart reads the sender's drain-start confirmation (step E)
+// under its own span. What a failure means is the caller's to say: on
+// ProtoDrainUndo the lease was not released, on ProtoTwoPhase nothing.
+func awaitDrainStart(conn *net.UnixConn, parent *obs.Span) error {
+	spE := parent.StartChild(obs.SpanTakeoverStepE)
+	defer spE.End()
+	err := expectFrame(conn, msgDrainStarted, "drain-start confirmation")
+	spE.Fail(err)
+	return err
 }
 
 // Receive runs the receiver side (new instance): it reads the manifest and
 // FDs, reconstructs a ListenerSet, closes any FD it cannot adopt (orphan
-// prevention, §5.1), arms, and confirms to the old instance. It is the
-// canonical receiver entry point; the ReceiveTraced/ReceiveWith names are
-// deprecated wrappers around it.
+// prevention, §5.1), arms, and confirms to the old instance.
 //
 // An error wrapped in ErrAborted means the hand-off died before its commit
 // point; one wrapped in ErrUndone means it was rolled back through the
@@ -893,13 +910,6 @@ func Receive(conn *net.UnixConn, opts ReceiveOptions) (*ListenerSet, *Result, er
 	if timeout <= 0 {
 		timeout = DefaultHandshakeTimeout
 	}
-	rcap := opts.Proto
-	if rcap == 0 {
-		rcap = maxProto
-	}
-	if rcap < ProtoOneShot || rcap > maxProto {
-		return nil, nil, fmt.Errorf("takeover: unknown protocol revision %d", rcap)
-	}
 	parent := opts.Trace
 	start := time.Now()
 	if err := conn.SetDeadline(start.Add(timeout)); err != nil {
@@ -908,66 +918,11 @@ func Receive(conn *net.UnixConn, opts ReceiveOptions) (*ListenerSet, *Result, er
 	defer conn.SetDeadline(time.Time{})
 
 	spB := parent.StartChild(obs.SpanTakeoverStepB)
-	failB := func(err error) {
+	m, fds, err := readManifest(conn)
+	if err != nil {
 		spB.Fail(err)
 		spB.End()
-	}
-	kind, payload, fds, err := readFrame(conn)
-	if err != nil {
-		failB(err)
 		return nil, nil, err
-	}
-	if kind != msgManifest {
-		closeFDs(fds)
-		err = fmt.Errorf("takeover: expected manifest, got frame kind %d", kind)
-		failB(err)
-		return nil, nil, err
-	}
-	var m manifest
-	if err := json.Unmarshal(payload, &m); err != nil {
-		closeFDs(fds)
-		err = fmt.Errorf("takeover: bad manifest: %w", err)
-		failB(err)
-		return nil, nil, err
-	}
-	if m.Magic != magic {
-		closeFDs(fds)
-		sendAck(conn, ack{OK: false, Err: "bad magic"})
-		failB(ErrBadMagic)
-		return nil, nil, ErrBadMagic
-	}
-	if m.Version != version {
-		closeFDs(fds)
-		sendAck(conn, ack{OK: false, Err: fmt.Sprintf("unsupported version %d", m.Version)})
-		err = fmt.Errorf("takeover: unsupported protocol version %d", m.Version)
-		failB(err)
-		return nil, nil, err
-	}
-	// Collect continuation frames until every declared VIP has its FD. A
-	// sender that declared more VIPs than it attached FDs for never sends
-	// a continuation; bound the wait so the mismatch surfaces as the
-	// missing-FDs error below rather than a hang.
-	for len(fds) < len(m.VIPs) && len(fds) >= fdsPerFrame && len(fds)%fdsPerFrame == 0 {
-		kind, _, more, err := readFrame(conn)
-		if err != nil {
-			sendAck(conn, ack{OK: false, Err: "fd continuation: " + err.Error()})
-			closeFDs(fds)
-			err = fmt.Errorf("takeover: reading fd continuation: %w", err)
-			failB(err)
-			return nil, nil, err
-		}
-		if kind != msgFDChunk {
-			closeFDs(fds)
-			closeFDs(more)
-			sendAck(conn, ack{OK: false, Err: "unexpected frame during fd transfer"})
-			err = fmt.Errorf("takeover: expected fd chunk, got frame kind %d", kind)
-			failB(err)
-			return nil, nil, err
-		}
-		if len(more) == 0 {
-			break
-		}
-		fds = append(fds, more...)
 	}
 	spB.SetAttr("vips", fmt.Sprintf("%d", len(m.VIPs)))
 	spB.SetAttr("fds", fmt.Sprintf("%d", len(fds)))
@@ -975,14 +930,9 @@ func Receive(conn *net.UnixConn, opts ReceiveOptions) (*ListenerSet, *Result, er
 
 	spC := parent.StartChild(obs.SpanTakeoverStepC)
 	set, orphans, firstErr := adoptFDs(m.VIPs, fds)
-	if len(fds) < len(m.VIPs) {
-		if firstErr == nil {
-			firstErr = fmt.Errorf("takeover: manifest lists %d vips but only %d fds arrived", len(m.VIPs), len(fds))
-		}
-	}
 	if firstErr != nil {
 		set.Close()
-		sendAck(conn, ack{OK: false, Err: firstErr.Error()})
+		sendAck(conn, msgAck, ack{OK: false, Err: firstErr.Error()})
 		spC.Fail(firstErr)
 		spC.End()
 		return nil, nil, firstErr
@@ -990,85 +940,55 @@ func Receive(conn *net.UnixConn, opts ReceiveOptions) (*ListenerSet, *Result, er
 	spC.SetAttr("adopted", fmt.Sprintf("%d", set.Len()))
 	spC.End()
 
-	res := &Result{VIPs: m.VIPs, Meta: m.Meta, OrphanedFDs: orphans, PeerTrace: m.Meta[TraceMetaKey], Proto: ProtoOneShot}
-	if int(m.Proto) >= ProtoTwoPhase && rcap >= ProtoTwoPhase {
-		res.Proto = ProtoTwoPhase
-		if int(m.Proto) >= ProtoDrainUndo && rcap >= ProtoDrainUndo {
-			res.Proto = ProtoDrainUndo
-		}
-	}
-	twoPhase := res.Proto >= ProtoTwoPhase
+	// The accepted revision is min(offer, newest): a sender from a later
+	// build is met at this build's newest.
+	res := &Result{VIPs: m.VIPs, Meta: m.Meta, OrphanedFDs: orphans, PeerTrace: m.Meta[TraceMetaKey], Proto: min(int(m.Proto), maxProto)}
 
-	// Arm before confirming: the confirmation — PREPARE-ACK on the
-	// two-phase protocol, the single ACK for one-shot peers — attests
-	// that this instance is already serving every VIP.
-	armSpan, ackKind := obs.SpanTakeoverStepD, byte(msgAck)
-	if twoPhase {
-		armSpan, ackKind = obs.SpanTakeoverPrepare, msgPrepareAck
-	}
-	spD := parent.StartChild(armSpan)
-	spD.SetAttr("side", "receiver")
+	// Arm before confirming: the PREPARE-ACK attests that this instance
+	// is already serving every VIP.
+	spP := parent.StartChild(obs.SpanTakeoverPrepare)
+	spP.SetAttr("side", "receiver")
 	armed := false
 	disarm := func() {
 		if armed && opts.Disarm != nil {
 			opts.Disarm(set)
 		} else {
-			set.Close()
+			set.Close() // never armed, or nothing but the set to unwind
 		}
+	}
+	abort := func(sp *obs.Span, err error) (*ListenerSet, *Result, error) {
+		disarm()
+		sp.Fail(err)
+		sp.End()
+		return nil, nil, abortErr(err)
 	}
 	if opts.Arm != nil {
 		if err := opts.Arm(set, res); err != nil {
 			err = fmt.Errorf("takeover: arming receiver: %w", err)
-			sendAckKind(conn, ackKind, ack{OK: false, Err: err.Error()})
-			set.Close()
-			spD.Fail(err)
-			spD.End()
-			return nil, nil, abortErr(err)
+			sendAck(conn, msgPrepareAck, ack{OK: false, Err: err.Error()})
+			return abort(spP, err)
 		}
 		armed = true
 	}
-	a := ack{OK: true, Adopted: set.Len(), Trace: parent.Context().String()}
-	if twoPhase {
-		// Answer with the accepted revision so a v3 sender knows whether
-		// this side will run the READY/lease epilogue. A one-shot ack
-		// stays byte-identical to v1 (field omitted when zero — and the
-		// one-shot path never sets it).
-		a.Proto = res.Proto
+	// Answer with the accepted revision so a v3 sender knows whether this
+	// side will run the READY/lease epilogue.
+	a := ack{OK: true, Adopted: set.Len(), Trace: parent.Context().String(), Proto: res.Proto}
+	if err := sendAck(conn, msgPrepareAck, a); err != nil {
+		return abort(spP, err)
 	}
-	if err := sendAckKind(conn, ackKind, a); err != nil {
-		disarm()
-		spD.Fail(err)
-		spD.End()
-		return nil, nil, abortErr(err)
-	}
-	spD.End()
+	spP.End()
 
-	if twoPhase {
-		// Await COMMIT. Until it arrives the sender may abort — with an
-		// explicit msgAbort, by crashing (read error/EOF), or by simply
-		// never answering (deadline) — and in every one of those cases
-		// this instance disarms: from the clients' point of view the
-		// hand-off never happened, and the sender keeps serving.
-		spCommit := parent.StartChild(obs.SpanTakeoverCommit)
-		spCommit.SetAttr("side", "receiver")
-		kind, payload, stray, err := readFrame(conn)
-		closeFDs(stray)
-		switch {
-		case err != nil:
-			err = fmt.Errorf("takeover: waiting for commit: %w", err)
-		case kind == msgAbort:
-			err = fmt.Errorf("takeover: peer aborted before commit: %s", payload)
-		case kind != msgCommit:
-			err = fmt.Errorf("takeover: expected commit, got frame kind %d", kind)
-		}
-		if err != nil {
-			disarm()
-			spCommit.Fail(err)
-			spCommit.End()
-			return nil, nil, abortErr(err)
-		}
-		spCommit.End()
+	// Await COMMIT. Until it arrives the sender may abort — with an
+	// explicit msgAbort, by crashing (read error/EOF), or by simply never
+	// answering (deadline) — and in every one of those cases this
+	// instance disarms: from the clients' point of view the hand-off
+	// never happened, and the sender keeps serving.
+	spCommit := parent.StartChild(obs.SpanTakeoverCommit)
+	spCommit.SetAttr("side", "receiver")
+	if err := expectFrame(conn, msgCommit, "commit"); err != nil {
+		return abort(spCommit, err)
 	}
+	spCommit.End()
 	res.Committed = true
 
 	if res.Proto >= ProtoDrainUndo {
@@ -1094,69 +1014,28 @@ func Receive(conn *net.UnixConn, opts ReceiveOptions) (*ListenerSet, *Result, er
 				res.Ready = true
 			}
 		}
-		if rerr != nil {
-			spReady.Fail(rerr)
-			spReady.End()
-		} else {
-			spReady.End()
-			spE := parent.StartChild(obs.SpanTakeoverStepE)
-			kind, _, stray, err := readFrame(conn)
-			closeFDs(stray)
-			switch {
-			case err != nil:
-				rerr = fmt.Errorf("takeover: waiting for lease release: %w", err)
-			case kind != msgDrainStarted:
-				rerr = fmt.Errorf("takeover: expected drain-start confirmation, got frame kind %d", kind)
-			default:
-				res.DrainConfirmed = true
-			}
-			if rerr != nil {
-				spE.Fail(rerr)
-			}
-			spE.End()
+		spReady.Fail(rerr)
+		spReady.End()
+		if rerr == nil {
+			rerr = awaitDrainStart(conn, parent)
 		}
 		if rerr != nil {
 			disarm()
 			return nil, nil, undoneErr(rerr)
 		}
+		res.DrainConfirmed = true
 	} else if m.Meta[metaDrainNotify] == "1" {
 		// Step E: the old instance stops accepting and begins draining; it
 		// confirms with a msgDrainStarted frame. Best-effort — the sockets
 		// are already ours, so a timeout here degrades to an errored span
 		// and DrainConfirmed=false, not a failed hand-off.
-		spE := parent.StartChild(obs.SpanTakeoverStepE)
-		kind, _, stray, err := readFrame(conn)
-		closeFDs(stray)
-		switch {
-		case err != nil:
-			spE.Fail(fmt.Errorf("takeover: waiting for drain-start confirmation: %w", err))
-		case kind != msgDrainStarted:
-			spE.Fail(fmt.Errorf("takeover: expected drain-start confirmation, got frame kind %d", kind))
-		default:
-			res.DrainConfirmed = true
-		}
-		spE.End()
+		res.DrainConfirmed = awaitDrainStart(conn, parent) == nil
 	}
 	res.Duration = time.Since(start)
 	return set, res, nil
 }
 
-// Deprecated: ReceiveTraced is a legacy wrapper; use Receive with
-// ReceiveOptions{Timeout, Trace}.
-func ReceiveTraced(conn *net.UnixConn, timeout time.Duration, parent *obs.Span) (*ListenerSet, *Result, error) {
-	return Receive(conn, ReceiveOptions{Timeout: timeout, Trace: parent})
-}
-
-// Deprecated: ReceiveWith is the pre-consolidation name for Receive.
-func ReceiveWith(conn *net.UnixConn, opts ReceiveOptions) (*ListenerSet, *Result, error) {
-	return Receive(conn, opts)
-}
-
-func sendAck(conn *net.UnixConn, a ack) error {
-	return sendAckKind(conn, msgAck, a)
-}
-
-func sendAckKind(conn *net.UnixConn, kind byte, a ack) error {
+func sendAck(conn *net.UnixConn, kind byte, a ack) error {
 	payload, err := json.Marshal(a)
 	if err != nil {
 		return err
@@ -1186,9 +1065,9 @@ type Server struct {
 	// before READY (receiver crash, wedge, failed readiness gate): the
 	// listeners have been re-armed from the retained dups and the
 	// callback must resume accepting on them — reversing whatever
-	// OnDrainStart did. cause is the lease failure. Offering
-	// ProtoDrainUndo requires this callback (without it the server caps
-	// its offer at ProtoTwoPhase).
+	// OnDrainStart did. cause is the lease failure. The server offers
+	// ProtoDrainUndo exactly when this callback is set, and
+	// ProtoTwoPhase otherwise.
 	OnUndo func(rearmed *ListenerSet, cause error)
 	// OnHandoffError, if non-nil, is invoked after a failed hand-off
 	// attempt (receiver died mid-handshake, arm failure nack, prepare-ack
@@ -1213,45 +1092,21 @@ type Server struct {
 	// the retained-FD count. An aborted attempt therefore shows a failed
 	// takeover.prepare and no takeover.commit.
 	Tracer *obs.Tracer
-	// Proto forces the offered protocol revision (compat testing); zero
-	// means ProtoDrainUndo when OnUndo is set, ProtoTwoPhase otherwise.
-	Proto int
 
 	mu sync.Mutex
 	ul *net.UnixListener
 }
 
-func (s *Server) offeredProto() int {
-	if s.Proto != 0 {
-		return s.Proto
-	}
-	if s.OnUndo != nil {
-		return ProtoDrainUndo
-	}
-	return ProtoTwoPhase
-}
-
-func (s *Server) readyTimeout() time.Duration {
-	if s.ReadyTimeout > 0 {
-		return s.ReadyTimeout
-	}
-	return DefaultReadyTimeout
-}
-
 // awaitReady blocks until the receiver's READY frame arrives or the lease
-// breaks (read error, EOF, timeout, unexpected frame).
+// breaks (read error, EOF, timeout, unexpected frame). A zero timeout
+// means DefaultReadyTimeout.
 func awaitReady(conn *net.UnixConn, timeout time.Duration) error {
+	if timeout <= 0 {
+		timeout = DefaultReadyTimeout
+	}
 	conn.SetDeadline(time.Now().Add(timeout))
 	defer conn.SetDeadline(time.Time{})
-	kind, _, stray, err := readFrame(conn)
-	closeFDs(stray)
-	switch {
-	case err != nil:
-		return fmt.Errorf("takeover: waiting for ready: %w", err)
-	case kind != msgReady:
-		return fmt.Errorf("takeover: expected ready, got frame kind %d", kind)
-	}
-	return nil
+	return expectFrame(conn, msgReady, "ready")
 }
 
 // ListenAndServe binds the pre-specified UNIX path and serves hand-offs
@@ -1290,6 +1145,10 @@ func (s *Server) Serve() error {
 	}
 	path := ul.Addr().String()
 	defer s.Close() // release the path so the next generation can bind it
+	proto := ProtoTwoPhase
+	if s.OnUndo != nil {
+		proto = ProtoDrainUndo // a promise to drive the lease: see OnUndo
+	}
 	for {
 		conn, err := ul.AcceptUnix()
 		if err != nil {
@@ -1309,7 +1168,7 @@ func (s *Server) Serve() error {
 			Meta:    meta,
 			Timeout: s.HandshakeTimeout,
 			Trace:   sp,
-			Proto:   s.offeredProto(),
+			Proto:   proto,
 		})
 		if err != nil {
 			conn.Close()
@@ -1331,98 +1190,72 @@ func (s *Server) Serve() error {
 		}
 		spCommit.End()
 
-		if res.Retained == nil {
-			// v1/v2 peer: the commit is final — a failure past this point
-			// is the caller's RestartFresh territory, never a silent
-			// retry. End the spans before the drain-started confirmation
-			// goes out: the frame releases the receiver, and a release
-			// report assembled right after must not catch this trace
-			// still in flight. The confirmation itself is best-effort — a
-			// receiver that doesn't wait (bare Receive) has already hung
-			// up.
-			sp.End()
-			conn.SetDeadline(time.Now().Add(time.Second))
-			writeFrame(conn, msgDrainStarted, nil, nil)
-			conn.Close()
-			return nil
-		}
-
-		// ProtoDrainUndo: the commit is fenced by a liveness lease. Hold
-		// the session open until the receiver's READY frame proves it is
-		// serving, then release the lease by delivering the drain-start
-		// confirmation. Either half failing rolls the hand-off back: the
-		// receiver steps down (it treats a missing confirmation as undo)
-		// and this instance re-arms from the retained dups.
-		spReady := sp.StartChild(obs.SpanTakeoverReady)
-		spReady.SetAttr("side", "sender")
-		spansOpen := true
-		cause := awaitReady(conn, s.readyTimeout())
-		if cause == nil {
-			if s.OnReady != nil {
+		// ProtoDrainUndo (something retained): the commit is fenced by a
+		// liveness lease. Hold the session open until the receiver's READY
+		// frame proves it is serving, then release the lease by delivering
+		// the drain-start confirmation. Either half failing rolls the
+		// hand-off back: the receiver steps down (it treats a missing
+		// confirmation as undo) and this instance re-arms from the
+		// retained dups. With a v2 peer the commit is final — a failure
+		// past this point is the caller's RestartFresh territory, never a
+		// silent retry — and the confirmation is best-effort: a receiver
+		// that doesn't wait (bare Receive) has already hung up.
+		var cause error
+		if res.Retained != nil {
+			spReady := sp.StartChild(obs.SpanTakeoverReady)
+			spReady.SetAttr("side", "sender")
+			cause = awaitReady(conn, s.ReadyTimeout)
+			if cause == nil && s.OnReady != nil {
 				s.OnReady(*res)
 			}
-			// Same discipline as the v2 path: close the trace before the
-			// confirmation releases the receiver.
-			spReady.End()
-			sp.End()
-			spansOpen = false
-			conn.SetDeadline(time.Now().Add(time.Second))
-			if werr := writeFrame(conn, msgDrainStarted, nil, nil); werr != nil {
-				cause = fmt.Errorf("takeover: delivering drain-start: %w", werr)
-			}
-		} else {
 			spReady.Fail(cause)
 			spReady.End()
 		}
 		if cause == nil {
-			res.Retained.Close()
-			conn.Close()
-			return nil
+			// End the spans before the drain-started confirmation goes
+			// out: the frame releases the receiver, and a release report
+			// assembled right after must not catch this trace still in
+			// flight.
+			sp.End()
+			sp = nil
+			conn.SetDeadline(time.Now().Add(time.Second))
+			if werr := writeFrame(conn, msgDrainStarted, nil, nil); werr != nil && res.Retained != nil {
+				cause = fmt.Errorf("takeover: delivering drain-start: %w", werr)
+			}
 		}
 		conn.Close()
+		if cause == nil {
+			res.Retained.Close()
+			return nil
+		}
 
 		// Undo: re-arm from the retained dups and resume serving. The
 		// kernel sockets were alive (and queuing SYNs) the whole time.
-		var spUndo *obs.Span
-		if spansOpen {
-			spUndo = sp.StartChild(obs.SpanTakeoverUndo)
-		} else {
+		spUndo := sp.StartChild(obs.SpanTakeoverUndo)
+		if sp == nil {
+			// The hand-off's trace is closed; the undo is its own root.
 			spUndo = s.Tracer.StartSpan(obs.SpanTakeoverUndo, obs.SpanContext{})
 		}
 		spUndo.SetAttr("retained_fds", strconv.Itoa(res.Retained.Len()))
 		spUndo.SetAttr("cause", cause.Error())
 		rearmed, rerr := res.Retained.Rearm()
+		err = undoneErr(cause)
 		if rerr != nil {
 			// No way back: this instance is draining and its listeners
 			// cannot be restored — the one edge left for RestartFresh.
-			err := fmt.Errorf("takeover: drain-undo failed, RestartFresh required: %w (lease: %v)", rerr, cause)
+			err = fmt.Errorf("takeover: drain-undo failed, RestartFresh required: %w (lease: %v)", rerr, cause)
 			spUndo.Fail(err)
-			spUndo.End()
-			if spansOpen {
-				sp.Fail(err)
-				sp.End()
-			}
-			if s.OnHandoffError != nil {
-				s.OnHandoffError(err)
-			}
-			return err
-		}
-		if s.OnUndo != nil {
-			s.OnUndo(rearmed, cause)
 		} else {
-			// Nobody to hand the re-armed set to (forced Proto without a
-			// callback): the server's own handles in s.Set are still
-			// open, so just drop the dups.
-			rearmed.Close()
+			s.OnUndo(rearmed, cause) // set: the lease is only offered with it
 		}
 		spUndo.End()
-		undone := undoneErr(cause)
-		if spansOpen {
-			sp.Fail(undone)
-			sp.End()
-		}
+		sp.Fail(err)
+		sp.End()
 		if s.OnHandoffError != nil {
-			s.OnHandoffError(undone)
+			s.OnHandoffError(err)
+		}
+		if rerr != nil {
+			return err
 		}
 		// Un-drained: this instance is fully in charge again; keep
 		// serving hand-offs so a redeploy can retry.
@@ -1462,9 +1295,7 @@ type ConnectOptions struct {
 }
 
 // Connect dials the old instance's takeover server at path and receives
-// the socket set (steps A–F, receiver side). It is the canonical
-// dial-and-receive entry point; the ConnectBackoff/ConnectTraced/
-// ConnectWith names are deprecated wrappers around it.
+// the socket set (steps A–F, receiver side).
 //
 // Dial failures are retried per opts.Backoff until opts.Timeout; protocol
 // failures behind a successful dial are not retried (the sender rolled
@@ -1500,37 +1331,12 @@ func Connect(path string, opts ConnectOptions) (*ListenerSet, *Result, error) {
 		spA.End()
 		conn := c.(*net.UnixConn)
 		defer conn.Close()
-		s, r, err := Receive(conn, opts.ReceiveOptions)
-		if err != nil {
+		if set, res, err = Receive(conn, opts.ReceiveOptions); err != nil {
 			return faults.Permanent(err)
 		}
-		set, res = s, r
 		return nil
 	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return set, res, nil
-}
-
-// Deprecated: ConnectBackoff is a legacy wrapper; use Connect with
-// ConnectOptions{Backoff, ReceiveOptions: ReceiveOptions{Timeout}}.
-func ConnectBackoff(path string, timeout time.Duration, bo faults.Backoff) (*ListenerSet, *Result, error) {
-	return Connect(path, ConnectOptions{Backoff: bo, ReceiveOptions: ReceiveOptions{Timeout: timeout}})
-}
-
-// Deprecated: ConnectTraced is a legacy wrapper; use Connect with
-// ConnectOptions carrying Trace.
-func ConnectTraced(path string, timeout time.Duration, bo faults.Backoff, parent *obs.Span) (*ListenerSet, *Result, error) {
-	return Connect(path, ConnectOptions{Backoff: bo, ReceiveOptions: ReceiveOptions{Timeout: timeout, Trace: parent}})
-}
-
-// Deprecated: ConnectWith is the pre-consolidation name for Connect.
-func ConnectWith(path string, timeout time.Duration, bo faults.Backoff, opts ReceiveOptions) (*ListenerSet, *Result, error) {
-	if opts.Timeout <= 0 {
-		opts.Timeout = timeout
-	}
-	return Connect(path, ConnectOptions{Backoff: bo, ReceiveOptions: opts})
+	return set, res, err // both nil unless the hand-off completed
 }
 
 func removeStaleSocket(path string) error {

@@ -216,7 +216,7 @@ func TestReceiveClosesStrayFDs(t *testing.T) {
 	a, b := pair(t)
 	go func() {
 		// Manifest declares only VIP "a" but both FDs ride along.
-		m := manifest{Magic: magic, Version: version, VIPs: set.VIPs()[:1]}
+		m := manifest{Magic: magic, Version: version, Proto: ProtoTwoPhase, VIPs: set.VIPs()[:1]}
 		payload, _ := mustJSON(m)
 		fds, _ := set.fds()
 		writeFrame(a, msgManifest, payload, fds)
@@ -224,6 +224,7 @@ func TestReceiveClosesStrayFDs(t *testing.T) {
 			closeFDs([]int{fd})
 		}
 		readFrame(a)
+		writeFrame(a, msgCommit, nil, nil)
 	}()
 	got, res, err := Receive(b, ReceiveOptions{Timeout: time.Second})
 	if err != nil {
@@ -245,7 +246,7 @@ func TestReceiveFailsOnMissingFDs(t *testing.T) {
 	a, b := pair(t)
 	handErr := make(chan error, 1)
 	go func() {
-		m := manifest{Magic: magic, Version: version, VIPs: append(set.VIPs(), VIP{Name: "ghost", Network: NetworkTCP, Addr: "127.0.0.1:1"})}
+		m := manifest{Magic: magic, Version: version, Proto: ProtoTwoPhase, VIPs: append(set.VIPs(), VIP{Name: "ghost", Network: NetworkTCP, Addr: "127.0.0.1:1"})}
 		payload, _ := mustJSON(m)
 		fds, _ := set.fds()
 		err := writeFrame(a, msgManifest, payload, fds)
@@ -414,7 +415,7 @@ func mustJSON(v any) ([]byte, error) {
 func TestHandoffMeta(t *testing.T) {
 	set := mustListen(t, VIP{Name: "a", Network: NetworkTCP, Addr: "127.0.0.1:0"})
 	a, b := pair(t)
-	go HandoffMeta(a, set, map[string]string{"quic-forward": "127.0.0.1:9999"}, 0)
+	go Handoff(a, set, HandoffOptions{Meta: map[string]string{"quic-forward": "127.0.0.1:9999"}})
 	got, res, err := Receive(b, ReceiveOptions{})
 	if err != nil {
 		t.Fatal(err)

@@ -9,8 +9,8 @@ package takeover
 //      retained dups (verified by SO_COOKIE identity) and resumes,
 //      classified ErrUndone on the receiver so orchestrators may retry.
 //   2. The lease frames are invisible to pre-v3 peers: mixed-version
-//      hand-offs negotiate down to plain two-phase (or one-shot) and the
-//      wire after COMMIT stays byte-identical to the old protocol.
+//      hand-offs negotiate down to plain two-phase and the wire after
+//      COMMIT stays byte-identical to the old protocol.
 //   3. Every descriptor the recovery window creates is accounted for:
 //      retained dups are closed after READY, consumed (not leaked) by a
 //      successful undo, measured against /proc/self/fd ground truth.
@@ -531,110 +531,6 @@ func TestV2SenderToV3Receiver(t *testing.T) {
 	if n, _ := a.Read(buf); n != 0 {
 		t.Fatalf("v3 receiver wrote %d byte(s) a v2 sender never reads (frame kind %d)", n, buf[0])
 	}
-}
-
-// TestV3SenderToV1Receiver: the oldest peer in the fleet. The v1 double
-// answers with a bare single ACK; the v3 offer must complete as a
-// one-shot hand-off with no commit frame, no lease, no retained FDs.
-func TestV3SenderToV1Receiver(t *testing.T) {
-	set := mustListen(t, VIP{Name: "web", Network: NetworkTCP, Addr: "127.0.0.1:0"})
-	a, b := pair(t)
-
-	type recvOut struct {
-		set *ListenerSet
-		err error
-	}
-	recvCh := make(chan recvOut, 1)
-	go func() {
-		s, err := legacyReceiveV1(b, 2*time.Second)
-		recvCh <- recvOut{s, err}
-	}()
-
-	res, err := Handoff(a, set, HandoffOptions{Timeout: 2 * time.Second, Proto: ProtoDrainUndo})
-	if err != nil {
-		t.Fatalf("v3 sender against v1 receiver: %v", err)
-	}
-	if res.Proto != ProtoOneShot || res.Retained != nil {
-		t.Fatalf("res = proto %d retained %v, want one-shot, nil", res.Proto, res.Retained)
-	}
-	out := <-recvCh
-	if out.err != nil {
-		t.Fatalf("legacy v1 receiver: %v", out.err)
-	}
-	defer out.set.Close()
-	b.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
-	buf := make([]byte, 16)
-	if n, _ := b.Read(buf); n != 0 {
-		t.Fatalf("v3 sender wrote %d byte(s) after a v1 ack (frame kind %d)", n, buf[0])
-	}
-	assertListenerServes(t, out.set, "web")
-}
-
-// TestDeprecatedWrappersDelegate pins the consolidation satellite: every
-// legacy entry-point name must remain a compile-clean delegation to its
-// canonical options-struct form with identical behaviour.
-func TestDeprecatedWrappersDelegate(t *testing.T) {
-	t.Run("HandoffMeta-ReceiveTraced", func(t *testing.T) {
-		set := mustListen(t, VIP{Name: "web", Network: NetworkTCP, Addr: "127.0.0.1:0"})
-		a, b := pair(t)
-		sendErr := make(chan error, 1)
-		go func() {
-			_, err := HandoffMeta(a, set, map[string]string{"k": "v"}, 2*time.Second)
-			sendErr <- err
-		}()
-		got, res, err := ReceiveTraced(b, 2*time.Second, nil)
-		if err != nil {
-			t.Fatalf("ReceiveTraced: %v", err)
-		}
-		defer got.Close()
-		if res.Meta["k"] != "v" {
-			t.Fatalf("meta lost through wrappers: %v", res.Meta)
-		}
-		if err := <-sendErr; err != nil {
-			t.Fatalf("HandoffMeta: %v", err)
-		}
-	})
-	t.Run("HandoffWith-ReceiveWith", func(t *testing.T) {
-		set := mustListen(t, VIP{Name: "web", Network: NetworkTCP, Addr: "127.0.0.1:0"})
-		a, b := pair(t)
-		sendErr := make(chan error, 1)
-		go func() {
-			_, err := HandoffWith(a, set, HandoffOptions{Timeout: 2 * time.Second})
-			sendErr <- err
-		}()
-		got, res, err := ReceiveWith(b, ReceiveOptions{Timeout: 2 * time.Second})
-		if err != nil {
-			t.Fatalf("ReceiveWith: %v", err)
-		}
-		defer got.Close()
-		if res.Proto != ProtoTwoPhase {
-			t.Fatalf("wrapper negotiated proto %d, want default two-phase", res.Proto)
-		}
-		if err := <-sendErr; err != nil {
-			t.Fatalf("HandoffWith: %v", err)
-		}
-	})
-	t.Run("ConnectBackoff-ConnectWith", func(t *testing.T) {
-		set := mustListen(t, VIP{Name: "web", Network: NetworkTCP, Addr: "127.0.0.1:0"})
-		path := filepath.Join(t.TempDir(), "takeover.sock")
-		srv := &Server{Set: set}
-		go srv.ListenAndServe(path)
-		defer srv.Close()
-		got, res, err := ConnectBackoff(path, 2*time.Second, faults.Backoff{})
-		if err != nil {
-			t.Fatalf("ConnectBackoff: %v", err)
-		}
-		defer got.Close()
-		if !res.Committed {
-			t.Fatal("wrapper hand-off not committed")
-		}
-		// ConnectWith must default its embedded Timeout from the positional
-		// argument (the old signature's contract).
-		if _, _, err := ConnectWith(filepath.Join(t.TempDir(), "absent.sock"),
-			300*time.Millisecond, faults.Backoff{Attempts: 1}, ReceiveOptions{}); err == nil {
-			t.Fatal("ConnectWith against an absent path succeeded")
-		}
-	})
 }
 
 // TestErrorTaxonomy pins the DESIGN.md §7 error lattice with errors.Is:
