@@ -238,6 +238,7 @@ func (s *Server) acceptLoop() {
 		if err != nil {
 			return
 		}
+		c := s.newConn(conn)
 		s.mu.Lock()
 		if s.draining || s.closed {
 			// Draining instances accept no new connections (§2.3).
@@ -245,7 +246,7 @@ func (s *Server) acceptLoop() {
 			conn.Close()
 			continue
 		}
-		s.conns[conn] = struct{}{}
+		s.conns[c] = struct{}{}
 		s.mu.Unlock()
 		s.cAccepted.Inc()
 		if err := netx.TuneConn(conn, s.cfg.Tuning); err != nil {
@@ -254,7 +255,7 @@ func (s *Server) acceptLoop() {
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
-			s.serveConn(conn)
+			s.serveConn(c)
 		}()
 	}
 }
@@ -337,43 +338,53 @@ func (s *Server) Close() {
 	s.wg.Wait()
 }
 
-func (s *Server) serveConn(conn net.Conn) {
+// servedConn is one accepted connection with what reads it for its whole
+// life (http1.KeepAlive: a request that arrives whole costs one read).
+type servedConn struct {
+	net.Conn
+	s    *Server
+	ka   http1.KeepAlive
+	rbuf [4 << 10]byte
+}
+
+func (s *Server) newConn(conn net.Conn) *servedConn {
+	c := &servedConn{Conn: conn, s: s}
+	c.ka.Init(conn, bufio.NewReaderSize(nil, len(c.rbuf)), c.rbuf[:], c)
+	return c
+}
+
+// Close does not wait for a request being served.
+func (c *servedConn) Close() error { return c.ka.Close() }
+
+func (c *servedConn) ServeRequest(req *http1.Request, br *bufio.Reader) bool {
+	c.s.cRequests.Inc()
+	return c.s.serveRequest(c, br, req)
+}
+
+func (s *Server) serveConn(c *servedConn) {
 	defer func() {
 		s.mu.Lock()
-		delete(s.conns, conn)
+		delete(s.conns, c)
 		s.mu.Unlock()
-		conn.Close()
+		c.Close()
 	}()
-	br := bufio.NewReader(conn)
-	// HTTP/1.1 has one request at a time on a connection: this is it.
-	req := new(http1.Request)
 	lastCall := false
 	for {
-		// The idle wait is a Peek, which consumes nothing, so the drain
-		// kick (an expired read deadline) can interrupt it and the wait
-		// can be resumed.
-		if _, err := br.Peek(1); err != nil {
-			var ne net.Error
-			if lastCall || !errors.As(err, &ne) || !ne.Timeout() || !s.Draining() {
-				return // clean close, peer gone, or idle through the last call
-			}
-			// The drain found this keep-alive connection idle. The proxy
-			// that pools it may have put a request on the wire before it
-			// could learn of the drain; closing now would reset that
-			// request. Hold the line for GraceSilence: a request that
-			// arrives is served and told Connection: close, silence
-			// closes the connection with nothing unread.
-			lastCall = true
-			conn.SetReadDeadline(time.Now().Add(s.cfg.GraceSilence))
-			continue
+		// The wait between requests consumes nothing, so the drain kick
+		// (an expired read deadline) can interrupt it and it can be resumed.
+		err := c.ka.Serve()
+		var ne net.Error
+		if lastCall || !errors.As(err, &ne) || !ne.Timeout() || !s.Draining() {
+			return // done, clean close, peer gone, or idle through the last call
 		}
-		if http1.ReadRequestInto(br, req) != nil {
-			return
-		}
-		s.cRequests.Inc()
-		if !s.serveRequest(conn, br, req) {
-			return
-		}
+		// The drain found this keep-alive connection idle. The proxy
+		// that pools it may have put a request on the wire before it
+		// could learn of the drain; closing now would reset that
+		// request. Hold the line for GraceSilence: a request that
+		// arrives is served and told Connection: close, silence
+		// closes the connection with nothing unread.
+		lastCall = true
+		c.SetReadDeadline(time.Now().Add(s.cfg.GraceSilence))
 	}
 }
 

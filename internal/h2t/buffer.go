@@ -1,7 +1,6 @@
 package h2t
 
 import (
-	"bufio"
 	"io"
 	"sync"
 
@@ -56,8 +55,9 @@ type recvBuffer struct {
 	// off is the read position in chunks[0], at most a frame: with the
 	// flags beside it, one word of every Stream.
 	off uint32
-	// filling is true while readFrom reads into the spare capacity of the
-	// last chunk with the lock released; that chunk must stay where it is.
+	// filling is true while the session reader has the spare capacity of
+	// the last chunk to read into (room), the lock released; that chunk
+	// must stay where it is.
 	filling bool
 	eof     bool  // peer half-closed cleanly
 	err     error // terminal error (RST / session death)
@@ -91,52 +91,51 @@ func (b *recvBuffer) release(s *Session, n int) {
 	b.off = 0
 }
 
-// readFrom moves the next n bytes of r behind the buffered data. The
-// bytes land in the stream's chunks with no scratch in between: in the
-// room the last chunk has left, then in new chunks. After a terminal
-// state they are discarded. Only the session reader calls it.
-func (b *recvBuffer) readFrom(s *Session, r *bufio.Reader, n int) error {
-	for n > 0 {
-		b.mu.Lock()
-		if b.err != nil || b.eof {
-			b.mu.Unlock()
-			_, err := r.Discard(n)
-			return err
-		}
-		var tail *[]byte
-		if len(b.chunks) > 0 {
-			tail = b.chunks[len(b.chunks)-1]
-		}
-		switch {
-		case tail == nil:
-			tail = b.push(s, n)
-		case len(*tail) == cap(*tail):
-			tail = b.push(s, bufpool.TierLarge)
-		}
-		filled := len(*tail)
-		dst := (*tail)[filled:min(filled+n, cap(*tail))]
-		b.filling = true
-		b.mu.Unlock()
-
-		_, err := io.ReadFull(r, dst)
-
-		b.mu.Lock()
-		b.filling = false
-		switch {
-		case b.err != nil:
+// room returns where the next bytes of a DATA payload land, of which n are
+// still to come: the room the last chunk has left, else a new chunk, so
+// that they get there with no scratch in between. It is nil after a
+// terminal state, when they are to be discarded. Until filled says how
+// many were put there the room stays the caller's, and asked again room
+// returns the same. Only the session reader calls the two.
+func (b *recvBuffer) room(s *Session, n int) []byte {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.err != nil || b.eof {
+		if b.filling {
+			b.filling = false
 			b.release(s, len(b.chunks)) // fail left the chunk being filled to us
-		case err == nil:
-			*tail = (*tail)[:filled+len(dst)]
-			b.size += len(dst)
-			b.cond.Broadcast()
 		}
-		b.mu.Unlock()
-		if err != nil {
-			return err
-		}
-		n -= len(dst)
+		return nil
 	}
-	return nil
+	var tail *[]byte
+	if len(b.chunks) > 0 {
+		tail = b.chunks[len(b.chunks)-1]
+	}
+	switch {
+	case tail == nil:
+		tail = b.push(s, n)
+	case len(*tail) == cap(*tail):
+		tail = b.push(s, bufpool.TierLarge)
+	}
+	b.filling = true
+	filled := len(*tail)
+	return (*tail)[filled:min(filled+n, cap(*tail))]
+}
+
+// filled puts the first n bytes of the room handed out behind the
+// buffered data.
+func (b *recvBuffer) filled(s *Session, n int) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.filling = false
+	if b.err != nil {
+		b.release(s, len(b.chunks)) // as in room
+		return
+	}
+	tail := b.chunks[len(b.chunks)-1]
+	*tail = (*tail)[:len(*tail)+n]
+	b.size += n
+	b.cond.Broadcast()
 }
 
 // setEOF marks a clean end of stream after buffered data drains.
@@ -159,7 +158,7 @@ func (b *recvBuffer) fail(s *Session, err error, abandon bool) {
 		b.err = err
 		n := len(b.chunks)
 		if b.filling {
-			n-- // readFrom is reading into the last chunk; it lets go of it
+			n-- // the session reader has room in the last chunk; it lets go of it
 		}
 		b.release(s, n)
 		b.size = 0

@@ -3,6 +3,7 @@ package h2t
 import (
 	"bytes"
 	"io"
+	"math/rand"
 	"net"
 	"reflect"
 	"testing"
@@ -60,12 +61,79 @@ func feed(segments ...[]byte) (seen []streamSeen, ok bool) {
 	}
 }
 
+// parsed is what the push parser made of a byte string: every stream the
+// peer opened with everything it carried, first as it stood when the last
+// byte had been taken in and then at the hang-up; the replies the reader
+// came to owe, in order (a PING's echo, a refused stream's RST: they
+// follow the frame sequence); what else frames told the session; and the
+// error the parser ended it for.
+type parsed struct {
+	Streams    []streamSeen
+	Owed       []Frame
+	GoAway     bool
+	Window     bool
+	MaxStreams uint32
+	Err        string
+}
+
+// push plays the segments to a session's parser on this goroutine, each
+// in as many reads as the room the parser offers makes of it, and then
+// hangs up.
+func push(segments ...[]byte) parsed {
+	s := newSession(&scriptConn{}, false)
+	var p parsed
+	for _, seg := range segments {
+		for len(seg) > 0 && s.rerr == nil {
+			n := copy(s.nextBuf(), seg)
+			seg = seg[n:]
+			(*sessionReader)(s).ServeWake(n)
+			p.Owed = append(p.Owed, s.owed...)
+			s.owed = s.owed[:0]
+		}
+	}
+	var open []*Stream
+	for more := true; more; {
+		select {
+		case st := <-s.acceptCh:
+			open = append(open, st)
+			seen := streamSeen{ID: st.ID(), Hdr: st.Headers()}
+			for n, _ := st.Buffered(); n > 0; n, _ = st.Buffered() {
+				b := make([]byte, n)
+				st.Read(b)
+				seen.Data = append(seen.Data, b...)
+			}
+			p.Streams = append(p.Streams, seen)
+		default:
+			more = false
+		}
+	}
+	s.mu.Lock()
+	p.GoAway, p.MaxStreams = s.goAwayRecv, s.peerMaxStreams
+	s.mu.Unlock()
+	p.Window = s.peerWindow.Load()
+	s.endRead(io.EOF)
+	for i, st := range open {
+		_, err := st.Read(make([]byte, 1))
+		p.Streams[i].EOF = err == io.EOF
+	}
+	if held := s.ResidentBytes(); held != 0 {
+		p.Err = "chunks still held: "
+	}
+	if s.rerr != nil {
+		p.Err += s.rerr.Error()
+	}
+	return p
+}
+
 // FuzzReadFrame throws bytes at both frame parsers. ReadFrame must never
-// panic and never return more than a frame may hold; a session fed the
-// same bytes must stop, and must make the same streams, headers and data
-// of them however the bytes are cut into reads — one segment, or two cut
-// at any point, which is what its read buffer has to hide. The seed
-// corpus is testdata/fuzz/FuzzReadFrame, one file per case, named for it.
+// panic and never return more than a frame may hold. The session's push
+// parser must make the same of a byte string however it is cut into
+// reads — whole, cut in two at every point (at 256 spread over a long
+// one), cut into many pieces by a seeded choice — the same streams,
+// headers and data, the same replies owed, the same error: that is what
+// nextBuf and advance have to hide. And a session fed the bytes by its
+// own read loop must stop. The seed corpus is testdata/fuzz/FuzzReadFrame,
+// one file per case, named for it.
 func FuzzReadFrame(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, cut uint16) {
 		r := bytes.NewReader(data)
@@ -78,17 +146,25 @@ func FuzzReadFrame(f *testing.F) {
 				t.Fatalf("ReadFrame returned a %d-byte payload", len(fr.Payload))
 			}
 		}
-		whole, ok := feed(data)
-		if !ok {
-			t.Fatal("session fed one segment did not stop")
+		whole := push(data)
+		step := len(data)/256 + 1
+		for at := int(cut) % step; at <= len(data); at += step {
+			if split := push(data[:at], data[at:]); !reflect.DeepEqual(whole, split) {
+				t.Fatalf("cut at %d of %d bytes:\n one segment: %+v\ntwo segments: %+v", at, len(data), whole, split)
+			}
+		}
+		rng := rand.New(rand.NewSource(int64(cut)))
+		var pieces [][]byte
+		for rest := data; len(rest) > 0; {
+			n := 1 + rng.Intn(min(len(rest), 1+rng.Intn(64)))
+			pieces, rest = append(pieces, rest[:n]), rest[n:]
+		}
+		if split := push(pieces...); !reflect.DeepEqual(whole, split) {
+			t.Fatalf("cut into %d pieces (seed %d):\n one segment: %+v\n     pieces: %+v", len(pieces), cut, whole, split)
 		}
 		at := int(cut) % (len(data) + 1)
-		split, ok := feed(data[:at], data[at:])
-		if !ok {
+		if _, ok := feed(data[:at], data[at:]); !ok {
 			t.Fatalf("session fed two segments cut at %d did not stop", at)
-		}
-		if !reflect.DeepEqual(whole, split) {
-			t.Fatalf("cut at %d of %d bytes:\n one segment: %+v\ntwo segments: %+v", at, len(data), whole, split)
 		}
 	})
 }

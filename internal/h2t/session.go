@@ -1,7 +1,6 @@
 package h2t
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -12,6 +11,7 @@ import (
 	"time"
 
 	"zdr/internal/metrics"
+	"zdr/internal/netx"
 )
 
 // Session errors.
@@ -77,11 +77,28 @@ type Session struct {
 	m        *Metrics
 	resident atomic.Int64 // chunk memory its streams' receive buffers hold
 
-	// Read side, owned by readLoop: frames are parsed out of br, and
-	// response headers parsed from it wait in held until the loop is
-	// about to read the transport again.
-	br   *bufio.Reader
-	held []heldHeaders
+	// Read side, owned by readLoop, which wr drives one read per wake
+	// (netx.WakeReader). Frames are parsed as their bytes arrive (nextBuf,
+	// advance): rbuf[rr:rw] is read and not yet parsed, and once its header
+	// is parsed a frame is cur, with left bytes of its payload to come.
+	// Those go to curSt's receive buffer when cur is DATA (nil: to nowhere)
+	// and to big when any other payload is larger than rbuf; direct is
+	// where the read under way lands when not in rbuf. Response headers
+	// parsed wait in held, and replies the reader owes — the write of one
+	// may block, a wake must not — in owed, until what a wake brought is
+	// spent. rerr is what the parser ended the session for.
+	wr      netx.WakeReader
+	rbuf    []byte
+	rr, rw  int
+	inFrame bool
+	cur     Frame
+	left    int
+	curSt   *Stream
+	big     []byte
+	direct  []byte
+	held    []heldHeaders
+	owed    []Frame
+	rerr    error
 
 	mu         sync.Mutex
 	streams    map[uint32]*Stream
@@ -150,6 +167,13 @@ func WithConnWrapper(wrap func(net.Conn) net.Conn) Option {
 // NewSession starts a session over conn. Exactly one endpoint must pass
 // isClient=true. The session owns conn.
 func NewSession(conn net.Conn, isClient bool, opts ...Option) *Session {
+	s := newSession(conn, isClient, opts...)
+	go s.readLoop()
+	return s
+}
+
+// newSession is NewSession short of starting the read side.
+func newSession(conn net.Conn, isClient bool, opts ...Option) *Session {
 	var o sessionOptions
 	for _, opt := range opts {
 		opt(&o)
@@ -164,7 +188,7 @@ func NewSession(conn net.Conn, isClient bool, opts ...Option) *Session {
 	}
 	s := &Session{
 		conn:     conn,
-		br:       bufio.NewReaderSize(conn, readBufSize),
+		rbuf:     make([]byte, readBufSize),
 		isClient: isClient,
 		legacy:   o.legacy,
 		m:        o.metrics,
@@ -181,7 +205,10 @@ func NewSession(conn net.Conn, isClient bool, opts ...Option) *Session {
 	} else {
 		s.nextID = 2
 	}
-	go s.readLoop()
+	s.wr.Init(conn, (*sessionReader)(s))
+	// A frame read owes the peer no write: a reset that came in behind one
+	// may have nothing to fail.
+	s.wr.ConfirmWaits()
 	return s
 }
 
@@ -562,27 +589,54 @@ type heldHeaders struct {
 	hdr Fields
 }
 
+// readLoop runs the read side until the transport or the parser ends
+// the session. A wake that leaves replies owed ends the Run they were
+// parsed in: they are written here, where a write may block.
 func (s *Session) readLoop() {
 	for {
-		if err := s.readFrame(); err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) {
-				s.shutdown(ErrSessionClosed)
-			} else {
-				s.shutdown(fmt.Errorf("h2t: read: %w", err))
+		err := s.wr.Run()
+		if err == nil && s.rerr == nil {
+			for i, f := range s.owed {
+				s.writeFrame(f) // a failure ends the session, and the next Run
+				s.owed[i] = Frame{}
 			}
-			return
+			s.owed = s.owed[:0]
+			continue
 		}
+		s.endRead(err)
+		return
 	}
 }
 
-// need prepares to consume the next n bytes. If fewer have arrived the
-// transport is about to be read, and the held response headers are
-// delivered first: a consumer woken by its headers finds every frame that
-// came in with them, and none waits on a read that may block.
-func (s *Session) need(n int) {
-	if s.br.Buffered() < n {
-		s.releaseHeld()
+// endRead shuts the session down for what ended its read side: the
+// parser's verdict if it gave one, else the transport's error.
+func (s *Session) endRead(err error) {
+	if s.direct != nil && s.big == nil {
+		s.curSt.buf.filled(s, 0) // the room a DATA payload was landing in
 	}
+	switch {
+	case s.rerr != nil:
+		s.shutdown(s.rerr)
+	case errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed):
+		s.shutdown(ErrSessionClosed)
+	default:
+		s.shutdown(fmt.Errorf("h2t: read: %w", err))
+	}
+}
+
+// sessionReader is a Session as its WakeReader sees it.
+type sessionReader Session
+
+func (r *sessionReader) ReadBuf() []byte { return (*Session)(r).nextBuf() }
+
+func (r *sessionReader) ServeWake(n int) (done bool) {
+	s := (*Session)(r)
+	s.rerr = s.advance(n)
+	// What the wake brought is spent and the transport is about to be
+	// waited for: a consumer woken by its headers now finds every frame
+	// that came in with them, and none waits on a read that may block.
+	s.releaseHeld()
+	return s.rerr != nil || len(s.owed) > 0
 }
 
 func (s *Session) releaseHeld() {
@@ -593,66 +647,118 @@ func (s *Session) releaseHeld() {
 	s.held = s.held[:0]
 }
 
-// readFrame parses and handles the next frame. Payloads alias the read
-// buffer, so handleFrame must copy anything it retains.
-func (s *Session) readFrame() error {
-	s.need(frameHeaderLen)
-	hdr, err := s.br.Peek(frameHeaderLen)
-	if err != nil {
-		return err
-	}
-	f, n, err := parseFrameHeader(hdr)
-	if err != nil {
-		return err
-	}
-	if f.Flags&FlagWindow != 0 && !s.legacy {
-		s.peerWindow.Store(true)
-	}
-	s.br.Discard(frameHeaderLen)
-	s.need(n)
-	if f.Type == FrameData {
-		return s.readData(f, n)
-	}
-	if n > readBufSize {
-		// Only a header block can be this large.
-		f.Payload = make([]byte, n)
-		if _, err := io.ReadFull(s.br, f.Payload); err != nil {
-			return err
+// nextBuf returns where the next bytes of the transport belong: with the
+// read buffer spent in mid-payload, straight where that payload is going,
+// else in the read buffer behind what is unparsed.
+func (s *Session) nextBuf() []byte {
+	s.direct = nil
+	if s.rr == s.rw {
+		s.rr, s.rw = 0, 0
+		switch {
+		case !s.inFrame:
+		case s.big != nil:
+			s.direct = s.big[len(s.big)-s.left:]
+		case s.curSt != nil:
+			s.direct = s.curSt.buf.room(s, s.left) // nil once the stream has ended
 		}
-		s.handleFrame(f)
-		return nil
 	}
-	if f.Payload, err = s.br.Peek(n); err != nil {
-		return err
+	if s.direct != nil {
+		return s.direct
 	}
-	s.handleFrame(f)
-	s.br.Discard(n)
-	return nil
+	if s.rr > 0 {
+		s.rw = copy(s.rbuf, s.rbuf[s.rr:s.rw])
+		s.rr = 0
+	}
+	return s.rbuf[s.rw:]
 }
 
-// readData moves a DATA payload into its stream's receive buffer: a copy
-// out of the read buffer for what has already arrived, and for a payload
-// larger than that a read of the transport straight into the stream's
-// buffer.
-func (s *Session) readData(f Frame, n int) error {
-	st := s.lookup(f.StreamID)
-	if st == nil {
-		_, err := s.br.Discard(n)
-		return err
+// advance takes in the n bytes that were read into what nextBuf returned
+// and parses and handles every frame they complete. Payloads alias the
+// read buffer, so handleFrame must copy anything it retains.
+func (s *Session) advance(n int) error {
+	if s.direct != nil {
+		if s.big == nil {
+			s.curSt.buf.filled(s, n)
+		}
+		s.direct = nil
+		if s.left -= n; s.left > 0 {
+			return nil
+		}
+		return s.endFrame(s.big)
 	}
-	if err := st.buf.readFrom(s, s.br, n); err != nil {
-		return err
+	s.rw += n
+	for {
+		if !s.inFrame {
+			if s.rw-s.rr < frameHeaderLen {
+				return nil
+			}
+			f, size, err := parseFrameHeader(s.rbuf[s.rr:])
+			if err != nil {
+				return fmt.Errorf("h2t: read: %w", err)
+			}
+			if f.Flags&FlagWindow != 0 && !s.legacy {
+				s.peerWindow.Store(true)
+			}
+			s.rr += frameHeaderLen
+			s.inFrame, s.cur, s.left, s.curSt, s.big = true, f, size, nil, nil
+			switch {
+			case f.Type == FrameData:
+				s.curSt = s.lookup(f.StreamID)
+			case size > len(s.rbuf):
+				s.big = make([]byte, size) // only a header block can be this large
+			}
+		}
+		have := min(s.rw-s.rr, s.left)
+		src := s.rbuf[s.rr : s.rr+have]
+		switch {
+		case s.cur.Type == FrameData:
+			for s.curSt != nil && len(src) > 0 {
+				dst := s.curSt.buf.room(s, s.left-have+len(src))
+				if dst == nil {
+					break // the stream has ended: the payload goes nowhere
+				}
+				k := copy(dst, src)
+				s.curSt.buf.filled(s, k)
+				src = src[k:]
+			}
+		case s.big != nil:
+			copy(s.big[len(s.big)-s.left:], src)
+		case have < s.left:
+			return nil // handled from the read buffer, once it is all there
+		}
+		s.rr += have
+		if s.left -= have; s.left > 0 {
+			return nil
+		}
+		payload := src
+		if s.big != nil {
+			payload = s.big
+		}
+		if err := s.endFrame(payload); err != nil {
+			return err
+		}
 	}
-	if f.Flags&FlagEndStream != 0 {
+}
+
+// endFrame handles cur, whose payload has arrived: a DATA frame's is in
+// its stream's buffer by now, any other's is payload.
+func (s *Session) endFrame(payload []byte) error {
+	f, st := s.cur, s.curSt
+	s.inFrame, s.curSt, s.big = false, nil, nil
+	if f.Type != FrameData {
+		f.Payload = payload
+		return s.handleFrame(f)
+	}
+	if st != nil && f.Flags&FlagEndStream != 0 {
 		s.remoteEnd(st)
 	}
 	return nil
 }
 
-func (s *Session) handleFrame(f Frame) {
+func (s *Session) handleFrame(f Frame) error {
 	switch f.Type {
 	case FrameHeaders:
-		s.handleHeaders(f)
+		return s.handleHeaders(f)
 	case FrameRST:
 		if st := s.lookup(f.StreamID); st != nil {
 			st.abort(ErrStreamReset)
@@ -691,12 +797,10 @@ func (s *Session) handleFrame(f Frame) {
 				}
 				s.pingMu.Unlock()
 			}
-			return
+			return nil
 		}
-		// Echo back with ACK. The write may block: nothing parsed waits
-		// behind it.
-		s.releaseHeld()
-		s.writeFrame(Frame{Type: FramePing, Flags: FlagAck, Payload: f.Payload})
+		// Echo back with ACK, once this wake is spent.
+		s.owed = append(s.owed, Frame{Type: FramePing, Flags: FlagAck, Payload: append([]byte(nil), f.Payload...)})
 	case FrameReconnectSolicitation, FrameConnectAck, FrameConnectRefuse:
 		if st := s.lookup(f.StreamID); st != nil {
 			// The payload aliases the read buffer but the Control sits in
@@ -712,12 +816,13 @@ func (s *Session) handleFrame(f Frame) {
 	default:
 		// Unknown frame types are ignored for forward compatibility.
 	}
+	return nil
 }
 
 // handleHeaders decodes a block into the room its stream has for one:
 // the block that opens a stream where it is accepted, the first that
 // comes back where it was opened. Any other goes to the heap.
-func (s *Session) handleHeaders(f Frame) {
+func (s *Session) handleHeaders(f Frame) error {
 	st := s.lookup(f.StreamID)
 	fresh := st == nil && s.peerInitiated(f.StreamID)
 	var room []Field
@@ -730,12 +835,11 @@ func (s *Session) handleHeaders(f Frame) {
 	}
 	hdr, err := decodeFields(room, f.Payload)
 	if err != nil {
-		s.shutdown(fmt.Errorf("h2t: bad header block: %w", err))
-		return
+		return fmt.Errorf("h2t: bad header block: %w", err)
 	}
 	if st == nil {
 		// HEADERS for a stream we opened but already dropped; ignore.
-		return
+		return nil
 	}
 	if !fresh {
 		// Subsequent HEADERS on a live stream: response/trailer headers.
@@ -746,7 +850,7 @@ func (s *Session) handleHeaders(f Frame) {
 		if f.Flags&FlagEndStream != 0 {
 			s.remoteEnd(st)
 		}
-		return
+		return nil
 	}
 	st.hdr = hdr
 	if f.Flags&FlagEndStream != 0 {
@@ -756,7 +860,7 @@ func (s *Session) handleHeaders(f Frame) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return
+		return nil
 	}
 	s.streams[f.StreamID] = st
 	s.mu.Unlock()
@@ -766,9 +870,9 @@ func (s *Session) handleHeaders(f Frame) {
 		// Accept queue overflow: refuse the stream rather than block the
 		// reader (the peer sees RST, maps to "server overloaded").
 		s.dropStream(f.StreamID)
-		s.releaseHeld()
-		s.writeFrame(Frame{Type: FrameRST, StreamID: f.StreamID})
+		s.owed = append(s.owed, Frame{Type: FrameRST, StreamID: f.StreamID})
 	}
+	return nil
 }
 
 // remoteEnd records the peer's half-close and reaps the stream when both

@@ -1,7 +1,6 @@
 package h2t
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -82,6 +81,25 @@ func (r *sliverReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
+// fill lands the next n bytes of r in b the way the session reader lands
+// a DATA payload: in the room b has for them, as they come.
+func fill(b *recvBuffer, s *Session, r io.Reader, n int) error {
+	for n > 0 {
+		dst := b.room(s, n)
+		if dst == nil {
+			_, err := io.CopyN(io.Discard, r, int64(n))
+			return err
+		}
+		k, err := r.Read(dst)
+		b.filled(s, k)
+		if err != nil {
+			return err
+		}
+		n -= k
+	}
+	return nil
+}
+
 // TestRecvBufferModel drives a receive buffer with random fills, reads,
 // ends and failures, one operation at a time, and holds it to a
 // bytes.Buffer: same bytes, same counts, same ends. Frames of every size
@@ -123,8 +141,8 @@ func TestRecvBufferModel(t *testing.T) {
 				if !eof && !failed {
 					model.Write(frame)
 				}
-				if err := b.readFrom(s, bufio.NewReaderSize(bytes.NewReader(frame), readBufSize), n); err != nil {
-					t.Fatalf("seed %d: readFrom: %v", seed, err)
+				if err := fill(&b, s, bytes.NewReader(frame), n); err != nil {
+					t.Fatalf("seed %d: fill: %v", seed, err)
 				}
 				check("fill")
 			case k < 90: // a Read, if it would not block
@@ -199,11 +217,11 @@ func TestRecvBufferReadRacesFill(t *testing.T) {
 		go func() {
 			defer filler.Done()
 			frng := rand.New(rand.NewSource(seed))
-			br := bufio.NewReaderSize(&sliverReader{rng: frng, data: want}, readBufSize)
+			r := &sliverReader{rng: frng, data: want}
 			for left := len(want); left > 0; {
 				n := min(left, 1+frng.Intn(maxFramePayload))
-				if err := b.readFrom(s, br, n); err != nil {
-					t.Errorf("seed %d: readFrom: %v", seed, err)
+				if err := fill(&b, s, r, n); err != nil {
+					t.Errorf("seed %d: fill: %v", seed, err)
 					return
 				}
 				left -= n

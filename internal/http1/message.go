@@ -2,6 +2,7 @@ package http1
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -127,6 +128,19 @@ func readHead(br *bufio.Reader) (string, error) {
 		whole = true
 	}
 }
+
+// HeadBuffered reports whether what br holds, filling its buffer from its
+// source once if it holds nothing, includes the end of a message head:
+// then reading that head reads nothing more from the source. It looks for
+// an empty line that ends in CRLF, as every head this program's peers
+// send does; a head it misses is only read the slower way.
+func HeadBuffered(br *bufio.Reader) bool {
+	br.Peek(1)
+	b, _ := br.Peek(br.Buffered())
+	return bytes.Contains(b, crlfcrlf)
+}
+
+var crlfcrlf = []byte("\r\n\r\n")
 
 // cutLine splits a head at its first line end. The line comes without
 // its LF or CRLF; a head always ends in one.

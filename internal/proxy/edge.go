@@ -1,6 +1,7 @@
 package proxy
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"io"
@@ -154,39 +155,42 @@ func (p *Proxy) handleEdgeHTTPConn(conn net.Conn) {
 			return
 		}
 	}
-	wc := &webConn{Conn: conn}
-	defer p.untrackWebConn(wc)
-	if !p.trackWebConn(wc) {
-		return
-	}
+	wc := &webConn{Conn: conn, p: p}
 	// Pooled: a connection that closes after a few requests would
-	// otherwise cost a reader and its 4 KiB each time. serveEdgeRequest
-	// has waited for its body pump, the only other reader, when it returns.
-	br := bufpool.GetReader(conn)
+	// otherwise cost a reader and its 4 KiB, twice, each time.
+	// serveEdgeRequest has waited for its body pump, the only other
+	// reader, when it returns.
+	br, rbuf := bufpool.GetReader(nil), bufpool.Get(bufpool.TierSmall)
 	defer bufpool.PutReader(br)
-	for {
-		if http1.ReadRequestInto(br, &wc.req) != nil {
-			return
-		}
-		p.cRequests.Inc()
-		wc.busy.Store(true)
-		ok := p.serveEdgeRequest(conn, &wc.req)
-		wc.busy.Store(false)
-		if !ok {
-			return
-		}
+	defer bufpool.Put(rbuf)
+	wc.ka.Init(conn, br, *rbuf, wc)
+	defer p.untrackWebConn(wc)
+	if p.trackWebConn(wc) {
+		wc.ka.Serve()
 	}
 }
 
-// webConn is a web client connection served by its own goroutine. busy
-// is true from a parsed request head to the end of its response, which
-// is what tells terminate a disruption from the close of an idle
-// keep-alive connection. req is the one request the connection has at a
-// time, read into anew for each: its handler's alone.
+// webConn is a web client connection served by its own goroutine, its
+// requests read by ka (http1.KeepAlive: one that arrives whole costs one
+// read). busy is true from a parsed request head to the end of its
+// response, which is what tells terminate a disruption from the close of
+// an idle keep-alive connection.
 type webConn struct {
 	net.Conn
+	p    *Proxy
 	busy atomic.Bool
-	req  http1.Request
+	ka   http1.KeepAlive
+}
+
+// Close does not wait for a request being served.
+func (wc *webConn) Close() error { return wc.ka.Close() }
+
+func (wc *webConn) ServeRequest(req *http1.Request, _ *bufio.Reader) bool {
+	wc.p.cRequests.Inc()
+	wc.busy.Store(true)
+	ok := wc.p.serveEdgeRequest(wc.Conn, req)
+	wc.busy.Store(false)
+	return ok
 }
 
 // trackWebConn registers wc for terminate to close; false means the
@@ -426,6 +430,9 @@ type mqttRelay struct {
 	stream *h2t.Stream
 	gen    int
 	closed bool
+	// swapped, when not nil, is closed by the next swapStream: a writer
+	// whose stream died under it is waiting for the splice.
+	swapped chan struct{}
 	// watch is the client conn's event-loop registration when the relay
 	// runs in loop mode (Config.ConnLoop); nil in goroutine mode.
 	watch *netx.Watch
@@ -469,8 +476,7 @@ func (r *mqttRelay) forwardUpstream(b []byte) bool {
 	}
 	if _, werr := st.Write(b); werr != nil {
 		// Stream died mid-write; a splice may be in progress.
-		time.Sleep(50 * time.Millisecond)
-		st2, _ := r.currentStream()
+		st2 := r.streamAfter(st, spliceWait)
 		if st2 == nil || st2 == st {
 			return false
 		}
@@ -479,6 +485,37 @@ func (r *mqttRelay) forwardUpstream(b []byte) bool {
 		}
 	}
 	return true
+}
+
+// spliceWait is how long a write that found its stream dead waits for a
+// DCR splice to give it another.
+const spliceWait = 50 * time.Millisecond
+
+// streamAfter returns the stream that has replaced old, waiting up to
+// wait for swapStream to install one if none has yet; old itself if none
+// does.
+func (r *mqttRelay) streamAfter(old *h2t.Stream, wait time.Duration) *h2t.Stream {
+	r.mu.Lock()
+	st := r.stream
+	var swapped chan struct{}
+	if st == old && !r.closed {
+		if r.swapped == nil {
+			r.swapped = make(chan struct{})
+		}
+		swapped = r.swapped
+	}
+	r.mu.Unlock()
+	if swapped == nil {
+		return st
+	}
+	timer := time.NewTimer(wait)
+	defer timer.Stop()
+	select {
+	case <-swapped:
+	case <-timer.C:
+	}
+	st, _ = r.currentStream()
+	return st
 }
 
 // currentStream returns the active stream and its generation.
@@ -500,6 +537,10 @@ func (r *mqttRelay) swapStream(st *h2t.Stream) (old *h2t.Stream, ok bool) {
 	old = r.stream
 	r.stream = st
 	r.gen++
+	if r.swapped != nil {
+		close(r.swapped)
+		r.swapped = nil
+	}
 	return old, true
 }
 

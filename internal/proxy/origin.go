@@ -546,22 +546,30 @@ func (uc *upstreamConn) lost(err error, resendable bool) error {
 }
 
 // exchange writes r to uc and reads the response head. A body-less
-// request (every GET) is one Write and a read on this goroutine under a
-// read deadline; only a streamed body, which a 379 may interrupt, needs
-// the response watched concurrently.
+// request (every GET) is one Run of the connection's reader on this
+// goroutine under a read deadline — liveness read, one Write, the wait,
+// the response's read; only a streamed body, which a 379 may interrupt,
+// needs the response watched concurrently.
 func (p *Proxy) exchange(uc *upstreamConn, r *upstreamReq) (*http1.Response, error) {
 	hp := bufpool.Get(bufpool.TierSmall)
-	_, err := uc.Conn.Write(appendRequestHead((*hp)[:0], r))
-	bufpool.Put(hp)
-	if err != nil {
-		return nil, uc.lost(err, true)
+	uc.head, uc.streamed, uc.werr = appendRequestHead((*hp)[:0], r), r.rest != nil, nil
+	if !uc.streamed {
+		uc.SetReadDeadline(time.Now().Add(p.cfg.UpstreamResponseTimeout))
 	}
-	if r.rest != nil {
+	err := uc.wr.Run()
+	uc.head = nil
+	bufpool.Put(hp)
+	if err == nil {
+		err = uc.werr
+	}
+	switch {
+	case err != nil:
+		return uc.settle(upstreamReply{err: err, silent: true}, true)
+	case uc.streamed:
 		return p.exchangeBody(uc, r)
 	}
 	uc.sent = true
-	uc.SetReadDeadline(time.Now().Add(p.cfg.UpstreamResponseTimeout))
-	return uc.settle(uc.readReply(), true)
+	return uc.settle(upstreamReply{err: http1.ReadResponseInto(uc.br, &uc.resp)}, true)
 }
 
 // exchangeBody streams r's body in small chunks while the response is

@@ -6,11 +6,11 @@ import (
 	"io"
 	"net"
 	"sync"
-	"syscall"
 	"time"
 
 	"zdr/internal/http1"
 	"zdr/internal/metrics"
+	"zdr/internal/netx"
 )
 
 // The Origin keeps its app-server connections (DESIGN.md "Upstream
@@ -42,8 +42,15 @@ var errStaleUpstream = errors.New("proxy: reused app-server connection was dead"
 // connection for its whole life, so read-ahead survives between exchanges
 // and reader and message are paid once per connection. resp belongs to
 // whoever has the connection checked out, until release.
+//
+// An exchange starts as one Run of wr (see ServeWake): the read that finds
+// the connection quiet is the liveness check of a reused connection, the
+// request goes out behind it, and the response's first bytes arrive on
+// the wake that follows — three crossings, none of them a peek. br reads
+// those bytes and then the connection.
 type upstreamConn struct {
 	net.Conn
+	wr   netx.WakeReader
 	br   *bufio.Reader
 	resp http1.Response
 	addr string
@@ -54,45 +61,45 @@ type upstreamConn struct {
 	sent   bool
 	idleAt time.Time
 
-	// rc and peek implement the liveness check without allocating per
-	// checkout; rc is nil when the connection hides its descriptor (a
-	// fault-injecting wrapper).
-	rc      syscall.RawConn
-	peek    func(fd uintptr) bool
-	peekOK  bool
-	peekBuf [1]byte
+	// head is the request head the exchange under way has yet to write,
+	// streamed whether a body follows it, which its sender writes; werr is
+	// why the head could not be sent.
+	head     []byte
+	streamed bool
+	werr     error
+	rbuf     [4 << 10]byte
 }
 
+// errUnsolicited: an idle keep-alive connection has nothing to say.
+var errUnsolicited = errors.New("proxy: app server sent bytes nobody asked for")
+
 func newUpstreamConn(conn net.Conn, addr string) *upstreamConn {
-	uc := &upstreamConn{Conn: conn, br: bufio.NewReader(conn), addr: addr}
-	if sc, ok := conn.(syscall.Conn); ok {
-		if rc, err := sc.SyscallConn(); err == nil {
-			uc.rc = rc
-			uc.peek = func(fd uintptr) bool {
-				n, _, err := syscall.Recvfrom(int(fd), uc.peekBuf[:], syscall.MSG_PEEK|syscall.MSG_DONTWAIT)
-				// An idle keep-alive connection has nothing to read:
-				// EAGAIN. 0 bytes is the peer's FIN, a byte is something
-				// the last exchange did not account for.
-				uc.peekOK = n < 0 && (err == syscall.EAGAIN || err == syscall.EWOULDBLOCK)
-				return true // never wait for readiness
-			}
-		}
-	}
+	uc := &upstreamConn{Conn: conn, addr: addr}
+	uc.wr.Init(conn, uc)
+	uc.br = bufio.NewReaderSize(&uc.wr, len(uc.rbuf))
 	return uc
 }
 
-// alive is the non-blocking liveness peek made at checkout. A connection
-// whose descriptor is hidden cannot be peeked and passes: the stale-reuse
-// retry covers it.
-func (uc *upstreamConn) alive() bool {
-	if uc.rc == nil {
+func (uc *upstreamConn) ReadBuf() []byte { return uc.rbuf[:] }
+
+// ServeWake is an exchange up to the response's first bytes. The first
+// read finds nothing when the connection is idle and alive — a byte then
+// is something the last exchange did not account for, and the peer's FIN
+// ends the Run — and the head is written behind it: after the Run's
+// reset of the descriptor's readiness, so the response's edge cannot be
+// lost. A connection whose descriptor is hidden cannot be asked and
+// passes: the stale-reuse retry covers it.
+func (uc *upstreamConn) ServeWake(n int) (done bool) {
+	switch {
+	case uc.head == nil:
+		return true // the response: br has it from here
+	case n > 0:
+		uc.werr = errUnsolicited
 		return true
 	}
-	uc.peekOK = false
-	if err := uc.rc.Read(uc.peek); err != nil {
-		return false
-	}
-	return uc.peekOK
+	_, uc.werr = uc.Conn.Write(uc.head)
+	uc.head = nil
+	return uc.werr != nil || uc.streamed
 }
 
 // upstreamPool is one proxy generation's app-server connections: idle
@@ -127,7 +134,8 @@ func newUpstreamPool(dial func(addr string) (net.Conn, error), reg *metrics.Regi
 }
 
 // get checks a connection to addr out: the most recently used idle one
-// that is young enough and passes the liveness peek, else a fresh dial.
+// that is young enough, else a fresh dial. Whether it is still alive its
+// exchange finds out (upstreamConn.ServeWake).
 func (up *upstreamPool) get(addr string) (*upstreamConn, error) {
 	for {
 		up.mu.Lock()
@@ -142,7 +150,7 @@ func (up *upstreamPool) get(addr string) (*upstreamConn, error) {
 		up.active[uc] = struct{}{}
 		up.mu.Unlock()
 		up.idleGauge.Dec()
-		if time.Since(uc.idleAt) <= upstreamIdleAge && uc.alive() {
+		if time.Since(uc.idleAt) <= upstreamIdleAge {
 			uc.reused, uc.sent = true, false
 			up.reuses.Inc()
 			return uc, nil

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -172,6 +173,12 @@ func TestUpstreamPoolIdleCap(t *testing.T) {
 	}
 }
 
+// TestUpstreamPoolPeekDiscardsDeadEntries: an idle entry that has aged
+// out is discarded at checkout. One that died in the pool — the peer
+// closed it, or sent bytes nobody asked for — is found out by the read
+// its exchange starts with (upstreamConn.ServeWake), before a byte of the
+// request is written, and the exchange reports it stale: attemptAppServer
+// sends the request on a fresh dial at no cost.
 func TestUpstreamPoolPeekDiscardsDeadEntries(t *testing.T) {
 	cases := []struct {
 		name string
@@ -191,23 +198,44 @@ func TestUpstreamPoolPeekDiscardsDeadEntries(t *testing.T) {
 			peer := srv.accepted(t)
 			up.put(uc)
 			tc.spoil(uc, peer)
-			// The FIN or the byte crosses loopback asynchronously.
-			deadline := time.Now().Add(2 * time.Second)
-			for tc.name != "aged out" && uc.alive() && time.Now().Before(deadline) {
-				time.Sleep(time.Millisecond)
-			}
 			next := mustGet(t, up, srv.addr())
-			if next == uc || next.reused {
-				t.Fatal("dead idle entry was handed out")
+			if tc.name == "aged out" {
+				if next == uc || next.reused {
+					t.Fatal("dead idle entry was handed out")
+				}
+				if got := reg.CounterValue("origin.upstream.discarded"); got != 1 {
+					t.Fatalf("discarded = %d, want 1", got)
+				}
+				if got := reg.CounterValue("origin.upstream.dials"); got != 2 {
+					t.Fatalf("dials = %d, want 2", got)
+				}
+				if got := reg.GaugeValue("origin.upstream.idle"); got != 0 {
+					t.Fatalf("idle gauge = %d, want 0", got)
+				}
+				return
 			}
-			if got := reg.CounterValue("origin.upstream.discarded"); got != 1 {
-				t.Fatalf("discarded = %d, want 1", got)
+			// The FIN or the byte crosses loopback asynchronously.
+			rc, err := uc.Conn.(*net.TCPConn).SyscallConn()
+			if err != nil {
+				t.Fatal(err)
 			}
-			if got := reg.CounterValue("origin.upstream.dials"); got != 2 {
-				t.Fatalf("dials = %d, want 2", got)
+			deadline := time.Now().Add(2 * time.Second)
+			for arrived := false; !arrived && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+				rc.Control(func(fd uintptr) {
+					_, _, err := syscall.Recvfrom(int(fd), make([]byte, 1), syscall.MSG_PEEK|syscall.MSG_DONTWAIT)
+					arrived = err != syscall.EAGAIN
+				})
 			}
-			if got := reg.GaugeValue("origin.upstream.idle"); got != 0 {
-				t.Fatalf("idle gauge = %d, want 0", got)
+			p := &Proxy{cfg: Config{UpstreamResponseTimeout: 2 * time.Second}}
+			_, err = p.exchange(next, &upstreamReq{method: "GET", path: "/x", cl: -1})
+			if next != uc || !errors.Is(err, errStaleUpstream) {
+				t.Fatalf("exchange on the dead entry: %v (same entry: %v), want errStaleUpstream", err, next == uc)
+			}
+			if tc.name == "unsolicited bytes" {
+				peer.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
+				if n, err := peer.Read(make([]byte, 1)); n > 0 || !isNetTimeout(err) {
+					t.Fatalf("the request was written to a connection found stale (%d bytes, %v)", n, err)
+				}
 			}
 		})
 	}
