@@ -1,7 +1,6 @@
 package mqtt
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -36,7 +35,7 @@ type Broker struct {
 	name string
 	reg  *metrics.Registry
 	// The per-publish counters, resolved once.
-	cReceived, cDelivered *metrics.Counter
+	cReceived, cDelivered, cFlushErrors *metrics.Counter
 
 	mu       sync.Mutex
 	sessions map[string]*session
@@ -52,7 +51,7 @@ type Broker struct {
 	// its kernel-side epoll interest silently; the watch bookkeeping must
 	// be cancelled explicitly).
 	parkedMu sync.Mutex
-	parked   map[*netx.Watch]struct{}
+	parked   map[*netx.Watch]*transport
 
 	wg sync.WaitGroup
 }
@@ -83,12 +82,38 @@ func (b *Broker) tune(conn net.Conn) {
 // session is per-user connection context.
 type session struct {
 	id string
+	// tr is the transport attached, nil while detached: stored under mu,
+	// loaded without it by who must close the transport to get mu
+	// (lockClosed).
+	tr atomic.Pointer[transport]
 
 	mu   sync.Mutex
-	conn net.Conn // nil while detached
 	subs []string
-	gen  uint64 // bumped on each transport splice
+	// out is the packets queued for tr and not written yet (queue).
+	out []byte
+	// wake is the transport whose reader queued here last and owes the
+	// flush; another's only makes a second, empty flush.
+	wake *transport
 }
+
+// lockClosed locks s.mu with the session's transport closed. A writer
+// parked on a subscriber that does not read holds mu, and the close is
+// what frees it: taking mu first would wait for the subscriber.
+func (s *session) lockClosed() {
+	for {
+		tr := s.tr.Load()
+		if tr != nil {
+			tr.wr.Close()
+		}
+		s.mu.Lock()
+		if s.tr.Load() == tr {
+			return
+		}
+		s.mu.Unlock()
+	}
+}
+
+func (s *session) detached() error { return fmt.Errorf("mqtt: session %s detached", s.id) }
 
 // NewBroker creates a broker. reg may be nil.
 func NewBroker(name string, reg *metrics.Registry) *Broker {
@@ -96,12 +121,13 @@ func NewBroker(name string, reg *metrics.Registry) *Broker {
 		reg = metrics.NewRegistry()
 	}
 	return &Broker{
-		name:       name,
-		reg:        reg,
-		cReceived:  reg.Counter("mqtt.publish.received"),
-		cDelivered: reg.Counter("mqtt.publish.delivered"),
-		sessions:   make(map[string]*session),
-		parked:     make(map[*netx.Watch]struct{}),
+		name:         name,
+		reg:          reg,
+		cReceived:    reg.Counter("mqtt.publish.received"),
+		cDelivered:   reg.Counter("mqtt.publish.delivered"),
+		cFlushErrors: reg.Counter("mqtt.flush.errors"),
+		sessions:     make(map[string]*session),
+		parked:       make(map[*netx.Watch]*transport),
 	}
 }
 
@@ -135,53 +161,140 @@ func (b *Broker) Serve(ln net.Listener) error {
 // carrying one tunneled user. It returns when the transport dies; session
 // context is retained for a future resume.
 func (b *Broker) ServeConn(conn net.Conn) error {
-	defer conn.Close()
-	br := bufpool.GetReader(conn)
-	defer bufpool.PutReader(br)
-	sess, gen, keepAlive, err := b.handshake(conn, br)
-	if err != nil || sess == nil {
-		return err
+	t := b.newTransport(conn)
+	err := t.wr.Run()
+	t.end()
+	if err == nil && t.err != errDone {
+		err = t.err
 	}
-	dec := decoder{r: br}
-	for {
-		if keepAlive > 0 {
-			conn.SetReadDeadline(time.Now().Add(keepAlive + keepAlive/2))
-		}
-		pkt, err := dec.next()
-		if err != nil {
-			b.detach(sess, conn, gen)
-			return err
-		}
-		keep, err := b.handlePacket(sess, conn, gen, pkt)
-		if err != nil || !keep {
-			b.detach(sess, conn, gen)
-			return err
-		}
-	}
+	return err
 }
 
-// handshake runs the CONNECT/CONNACK exchange and splices the transport
-// into its session. A nil session with nil error means the connection was
-// answered and is done (a refused resume). Shared by the goroutine-per-
-// conn path (ServeConn) and the event-loop path (ServeLoop). br is conn's
-// reader; it may hold packets that arrived behind the CONNECT.
-func (b *Broker) handshake(conn net.Conn, br *bufio.Reader) (sess *session, gen uint64, keepAlive time.Duration, err error) {
-	p, err := Decode(br)
-	if err != nil {
-		return nil, 0, 0, fmt.Errorf("mqtt: reading CONNECT: %w", err)
+// transport is one connection as the broker reads it, in either mode: a
+// netx.WakeHandler that takes what a read brought in behind what the last
+// one left unparsed, serves every whole packet of it, and then writes what
+// serving them queued, once per session (flush).
+type transport struct {
+	b    *Broker
+	conn net.Conn
+	wr   netx.WakeReader
+	// parks: the connection waits in an event loop, not in wr.Run, and
+	// holds no buffer while it has no part of a packet.
+	parks bool
+
+	sess      *session      // nil until the CONNECT
+	keepAlive time.Duration // 0 when parks: a dead peer is reaped by RDHUP
+
+	// buf[r:w] is read and not parsed; buf is *pooled unless a packet
+	// longer than that is arriving.
+	pooled *[]byte
+	buf    []byte
+	r, w   int
+	dec    decoder
+
+	flushes []*session // with packets queued by this wake
+	err     error      // what ended the transport; errDone when nothing failed
+}
+
+// errDone ends a transport that was answered and is done with: a graceful
+// DISCONNECT, a refused resume.
+var errDone = errors.New("mqtt: transport done")
+
+func (b *Broker) newTransport(conn net.Conn) *transport {
+	t := &transport{b: b, conn: conn}
+	t.wr.Init(conn, t)
+	// A QoS 0 publisher is owed no write: a reset behind its last packet
+	// may have nothing to fail.
+	t.wr.ConfirmWaits()
+	return t
+}
+
+// end closes the transport and detaches it from its session if it is
+// still the one attached (a resume may have replaced it). The close comes
+// first: a flush parked on this connection holds the session's lock.
+func (t *transport) end() {
+	t.wr.Close()
+	if s := t.sess; s != nil {
+		s.mu.Lock()
+		s.tr.CompareAndSwap(t, nil)
+		s.mu.Unlock()
 	}
+	t.release()
+}
+
+func (t *transport) release() {
+	bufpool.Put(t.pooled)
+	t.pooled, t.buf, t.r, t.w = nil, nil, 0, 0
+}
+
+func (t *transport) ReadBuf() []byte {
+	if t.buf == nil {
+		t.pooled = bufpool.Get(bufpool.TierSmall)
+		t.buf = *t.pooled
+	}
+	if t.r > 0 {
+		t.w = copy(t.buf, t.buf[t.r:t.w])
+		t.r = 0
+	}
+	if t.w == len(t.buf) {
+		// The packet in front is longer than the room: it gets its own.
+		hdr, n, _ := fixedHeader(t.buf)
+		whole := make([]byte, hdr+n)
+		copy(whole, t.buf)
+		bufpool.Put(t.pooled)
+		t.pooled, t.buf = nil, whole
+	}
+	return t.buf[t.w:]
+}
+
+// ServeWake serves what a read brought: every whole packet, in order, and
+// then one write to every session they queued packets for. A packet that
+// is not all there stays in front of the next read.
+func (t *transport) ServeWake(n int) (done bool) {
+	t.w += n
+	served := false
+	for t.err == nil && t.r < t.w {
+		pkt, used, err := t.dec.take(t.buf[t.r:t.w])
+		if used == 0 {
+			t.err = err
+			break
+		}
+		t.r += used
+		if t.err = err; err == nil {
+			t.err = t.serve(pkt)
+		}
+		served = true
+	}
+	t.b.flush(t)
+	if t.err == nil && t.sess != nil && t.sess.tr.Load() != t {
+		t.err = t.sess.detached() // by a failed flush, or for a resume's transport
+	}
+	if t.r == t.w && (t.parks || t.pooled == nil) {
+		t.release()
+	}
+	if served && t.keepAlive > 0 {
+		t.conn.SetReadDeadline(time.Now().Add(t.keepAlive + t.keepAlive/2))
+	}
+	return t.err != nil
+}
+
+// connect serves the first packet, which must be a CONNECT: the
+// CONNECT/CONNACK exchange, and the splice of the transport into its
+// session.
+func (t *transport) connect(p *Packet) error {
+	b := t.b
 	if p.Type != CONNECT {
-		return nil, 0, 0, fmt.Errorf("mqtt: first packet was %v, want CONNECT", p.Type)
+		return fmt.Errorf("mqtt: first packet was %v, want CONNECT", p.Type)
 	}
 	if p.ClientID == "" {
-		Encode(conn, &Packet{Type: CONNACK, ReturnCode: ConnRefusedIDRejected})
-		return nil, 0, 0, errors.New("mqtt: empty client id")
+		Encode(t.conn, &Packet{Type: CONNACK, ReturnCode: ConnRefusedIDRejected})
+		return errors.New("mqtt: empty client id")
 	}
 
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
-		return nil, 0, 0, ErrBrokerClosed
+		return ErrBrokerClosed
 	}
 	sess, exists := b.sessions[p.ClientID]
 	if p.CleanSession {
@@ -193,19 +306,27 @@ func (b *Broker) handshake(conn net.Conn, br *bufio.Reader) (sess *session, gen 
 		// Resume with no context: refuse (DCR connect_refuse).
 		b.mu.Unlock()
 		b.reg.Counter("mqtt.connect.refused").Inc()
-		return nil, 0, 0, Encode(conn, &Packet{Type: CONNACK, ReturnCode: ConnRefusedIDRejected})
+		if err := Encode(t.conn, &Packet{Type: CONNACK, ReturnCode: ConnRefusedIDRejected}); err != nil {
+			return err
+		}
+		return errDone
 	}
 	b.mu.Unlock()
 
-	// Splice the transport into the session.
-	sess.mu.Lock()
-	if old := sess.conn; old != nil && old != conn {
-		old.Close()
-	}
-	sess.conn = conn
-	sess.gen++
-	gen = sess.gen
+	// Splice the transport into the session. What was queued for the old
+	// one and not written is the user's all the same: it follows the
+	// CONNACK, which is the new one's first packet.
+	sess.lockClosed()
+	sess.tr.Store(t)
+	pending := append([]byte(nil), sess.out...)
+	sess.out, sess.wake = sess.out[:0], nil
+	err := b.queue(t, sess, &Packet{Type: CONNACK, SessionPresent: exists, ReturnCode: ConnAccepted})
+	sess.out = append(sess.out, pending...)
 	sess.mu.Unlock()
+	t.sess = sess
+	if !t.parks {
+		t.keepAlive = time.Duration(p.KeepAlive) * time.Second
+	}
 
 	b.reg.Counter("mqtt.connack.sent").Inc()
 	if exists {
@@ -213,29 +334,25 @@ func (b *Broker) handshake(conn net.Conn, br *bufio.Reader) (sess *session, gen 
 	} else {
 		b.reg.Counter("mqtt.connect.new").Inc()
 	}
-	if err := Encode(conn, &Packet{Type: CONNACK, SessionPresent: exists, ReturnCode: ConnAccepted}); err != nil {
-		b.detach(sess, conn, gen)
-		return nil, 0, 0, err
-	}
-	return sess, gen, time.Duration(p.KeepAlive) * time.Second, nil
+	return err
 }
 
-// handlePacket processes one post-handshake packet. keep=false means the
-// transport is done (graceful DISCONNECT); the caller detaches. pkt is the
-// connection decoder's and is reused for the next packet: nothing here
-// keeps it or its Payload (Publish has encoded the payload for every
-// subscriber when it returns).
-func (b *Broker) handlePacket(sess *session, conn net.Conn, gen uint64, pkt *Packet) (keep bool, err error) {
+// serve processes one packet. pkt is the transport decoder's and aliases
+// its read buffer: nothing here keeps it or its Payload (publish has
+// queued the payload for every subscriber when it returns).
+func (t *transport) serve(pkt *Packet) error {
+	b, sess := t.b, t.sess
+	if sess == nil {
+		return t.connect(pkt)
+	}
 	switch pkt.Type {
 	case PUBLISH:
 		b.cReceived.Inc()
-		b.Publish(pkt.Topic, pkt.Payload)
+		b.publish(t, pkt.Topic, pkt.Payload)
 		if pkt.QoS == 1 {
-			if err := b.send(sess, &Packet{Type: PUBACK, PacketID: pkt.PacketID}); err != nil {
-				return false, err
-			}
+			return b.reply(t, &Packet{Type: PUBACK, PacketID: pkt.PacketID})
 		}
-		return true, nil
+		return nil
 	case SUBSCRIBE:
 		sess.mu.Lock()
 		for _, f := range pkt.TopicFilters {
@@ -245,31 +362,24 @@ func (b *Broker) handlePacket(sess *session, conn net.Conn, gen uint64, pkt *Pac
 		}
 		sess.mu.Unlock()
 		granted := make([]uint8, len(pkt.TopicFilters))
-		if err := b.send(sess, &Packet{Type: SUBACK, PacketID: pkt.PacketID, GrantedQoS: granted}); err != nil {
-			return false, err
-		}
-		return true, nil
+		return b.reply(t, &Packet{Type: SUBACK, PacketID: pkt.PacketID, GrantedQoS: granted})
 	case PINGREQ:
-		if err := b.send(sess, &Packet{Type: PINGRESP}); err != nil {
-			return false, err
-		}
-		return true, nil
+		return b.reply(t, &Packet{Type: PINGRESP})
 	case DISCONNECT:
 		// Graceful disconnect retains context (the transport may be a
 		// relay that is being restarted; the user is still out there).
-		return false, nil
+		return errDone
 	default:
-		return false, fmt.Errorf("mqtt: unexpected packet %v", pkt.Type)
+		return fmt.Errorf("mqtt: unexpected packet %v", pkt.Type)
 	}
 }
 
 // ServeLoop is Serve for idle-heavy fleets: connections are parked in an
 // epoll EventLoop between packets instead of holding a goroutine each, so
 // a million mostly-idle MQTT sessions cost watch records, not stacks
-// (DESIGN.md §11). The handshake still runs on a short-lived goroutine
-// (CONNECT may arrive fragmented); after CONNACK the transport is parked
-// and only borrows a loop worker while a packet is actually readable.
-// Peer hang-ups are reaped via EPOLLRDHUP.
+// (DESIGN.md §11). A transport is parked from its accept on — its CONNECT
+// is the first packet a wake brings — and only borrows a loop worker while
+// there is something to read. Peer hang-ups are reaped via EPOLLRDHUP.
 //
 // Loop-mode limitations, by design: keep-alive expiry is not enforced
 // while parked (a dead peer is reaped by RDHUP, not by deadline), and
@@ -291,96 +401,53 @@ func (b *Broker) ServeLoop(ln net.Listener, loop *netx.EventLoop) error {
 			return err
 		}
 		b.tune(conn)
-		conn = b.faults.Load().Conn(conn)
-		b.wg.Add(1)
-		go func() {
-			defer b.wg.Done()
-			b.serveLoopConn(loop, conn)
-		}()
+		b.serveLoopConn(loop, b.faults.Load().Conn(conn))
 	}
 }
 
-// serveLoopConn runs the handshake, then parks the connection in loop.
+// serveLoopConn parks the connection in loop: every wake is one read,
+// which its readiness says will not wait, and the serving of what it
+// brought.
 func (b *Broker) serveLoopConn(loop *netx.EventLoop, conn net.Conn) {
 	rawConn, ok := conn.(syscall.Conn)
 	if !ok {
 		// Fault-wrapped (or otherwise opaque) transport: serve it the
 		// classic way.
-		b.ServeConn(conn)
+		b.wg.Add(1)
+		go func() {
+			defer b.wg.Done()
+			b.ServeConn(conn)
+		}()
 		return
 	}
-	br := bufpool.GetReader(conn)
-	sess, gen, _, err := b.handshake(conn, br)
-	if err != nil || sess == nil {
-		bufpool.PutReader(br)
-		conn.Close()
-		return
-	}
-	// Packets sent behind the CONNECT are already in the reader.
-	ok = br.Buffered() == 0 || b.serveBuffered(sess, conn, gen, br)
-	bufpool.PutReader(br)
-	if !ok {
-		b.detach(sess, conn, gen)
-		conn.Close()
-		return
-	}
+	t := b.newTransport(conn)
+	t.parks = true
 	gParked := b.reg.Gauge("mqtt.loop.parked")
-	reap := func(w *netx.Watch) {
-		b.detach(sess, conn, gen)
-		conn.Close()
+	w, err := loop.Watch(rawConn, func(w *netx.Watch, r netx.Readiness) {
+		if !r.HangUp {
+			n, err := conn.Read(t.ReadBuf())
+			if n > 0 && !t.ServeWake(n) && err == nil && w.Rearm() == nil {
+				return
+			}
+		}
+		t.end()
 		if b.unpark(w) {
 			gParked.Dec()
 		}
 		w.Cancel()
-	}
-	w, err := loop.Watch(rawConn, func(w *netx.Watch, r netx.Readiness) {
-		if r.HangUp {
-			reap(w)
-			return
-		}
-		br := bufpool.GetReader(conn)
-		ok := b.serveBuffered(sess, conn, gen, br)
-		bufpool.PutReader(br)
-		if !ok || w.Rearm() != nil {
-			reap(w)
-		}
 	})
 	if err != nil {
-		b.detach(sess, conn, gen)
-		conn.Close()
+		t.end()
 		return
 	}
 	b.parkedMu.Lock()
-	b.parked[w] = struct{}{}
+	b.parked[w] = t
 	b.parkedMu.Unlock()
 	gParked.Inc()
 	// The handler may have reaped before the stash above; settle the
 	// bookkeeping it could not see.
 	if w.Stopped() && b.unpark(w) {
 		gParked.Dec()
-	}
-}
-
-// serveBuffered handles the packet that made conn readable and every
-// packet that arrived with it: epoll stays silent about bytes that have
-// left the kernel, so nothing may be left in the reader when the
-// connection parks. A deadline bounds a peer that stalls mid-packet so a
-// loop worker is never held hostage. False means the transport is done.
-func (b *Broker) serveBuffered(sess *session, conn net.Conn, gen uint64, br *bufio.Reader) bool {
-	dec := decoder{r: br}
-	for {
-		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-		pkt, err := dec.next()
-		conn.SetReadDeadline(time.Time{})
-		if err != nil {
-			return false
-		}
-		if keep, err := b.handlePacket(sess, conn, gen, pkt); err != nil || !keep {
-			return false
-		}
-		if br.Buffered() == 0 {
-			return true
-		}
 	}
 }
 
@@ -392,31 +459,85 @@ func (b *Broker) unpark(w *netx.Watch) bool {
 	return ok
 }
 
-// detach clears the session transport if it is still the one this handler
-// owns (a resume may already have replaced it).
-func (b *Broker) detach(sess *session, conn net.Conn, gen uint64) {
-	sess.mu.Lock()
-	if sess.gen == gen && sess.conn == conn {
-		sess.conn = nil
+// outCap is how much a session's queue holds before it is written through:
+// one frame of the tunnel that carries it on.
+const outCap = 64 << 10
+
+// queue puts p on its way to s's transport, with s.mu held, by the flush
+// rule (DESIGN.md §15): it is appended to what already waits, and the lot
+// is written here and now unless it is t's wake that produced it — then
+// when what that wake's read brought is spent (flush), one write for
+// everything the read caused. t is nil for a publish no reader made.
+func (b *Broker) queue(t *transport, s *session, p *Packet) error {
+	if s.tr.Load() == nil {
+		return s.detached()
 	}
-	sess.mu.Unlock()
+	out, err := appendPacket(s.out, p)
+	if err != nil {
+		return err
+	}
+	s.out = out
+	if t == nil || len(out) > outCap {
+		return b.writeOut(s)
+	}
+	if s.wake != t {
+		s.wake = t
+		t.flushes = append(t.flushes, s)
+	}
+	return nil
 }
 
-// send writes a packet to the session's current transport.
-func (b *Broker) send(sess *session, p *Packet) error {
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	if sess.conn == nil {
-		return fmt.Errorf("mqtt: session %s detached", sess.id)
+// writeOut writes what is queued for s's transport, with s.mu held, in
+// one Write. A transport that fails it is detached: its own reader will
+// find out and end, and until then no publish need try it again.
+func (b *Broker) writeOut(s *session) error {
+	tr, out := s.tr.Load(), s.out
+	if s.out = out[:0]; cap(out) > 2*outCap {
+		s.out = nil
 	}
-	return Encode(sess.conn, p)
+	if tr == nil || len(out) == 0 {
+		return nil
+	}
+	_, err := tr.conn.Write(out)
+	if err != nil {
+		s.tr.Store(nil)
+		b.cFlushErrors.Inc()
+	}
+	return err
+}
+
+// flush ends t's wake: every session it queued packets for gets them, and
+// whatever others queued there meanwhile, in one write.
+func (b *Broker) flush(t *transport) {
+	for i, s := range t.flushes {
+		s.mu.Lock()
+		if s.wake == t {
+			s.wake = nil
+		}
+		b.writeOut(s)
+		s.mu.Unlock()
+		t.flushes[i] = nil
+	}
+	t.flushes = t.flushes[:0]
+}
+
+// reply queues a packet for t's own session.
+func (b *Broker) reply(t *transport, p *Packet) error {
+	t.sess.mu.Lock()
+	defer t.sess.mu.Unlock()
+	return b.queue(t, t.sess, p)
 }
 
 // Publish delivers payload on topic to every attached session with a
-// matching subscription, returning the delivery count. It is both the
-// client-publish fan-out and the API for server-initiated notifications
-// (the "live notifications" workload of §4.2).
+// matching subscription, returning how many it was queued for. It is both
+// the client-publish fan-out and the API for server-initiated
+// notifications (the "live notifications" workload of §4.2).
 func (b *Broker) Publish(topic string, payload []byte) int {
+	return b.publish(nil, topic, payload)
+}
+
+// publish is Publish from t's wake; t is nil outside any.
+func (b *Broker) publish(t *transport, topic string, payload []byte) int {
 	// A stack array for the common fan-out; append spills a larger one.
 	var room [16]*session
 	targets := room[:0]
@@ -427,18 +548,15 @@ func (b *Broker) Publish(topic string, payload []byte) int {
 	b.mu.Unlock()
 
 	delivered := 0
+	pkt := Packet{Type: PUBLISH, Topic: topic, Payload: payload}
 	for _, s := range targets {
 		s.mu.Lock()
-		match := false
 		for _, f := range s.subs {
 			if TopicMatches(f, topic) {
-				match = true
+				if b.queue(t, s, &pkt) == nil {
+					delivered++
+				}
 				break
-			}
-		}
-		if match && s.conn != nil {
-			if err := Encode(s.conn, &Packet{Type: PUBLISH, Topic: topic, Payload: payload}); err == nil {
-				delivered++
 			}
 		}
 		s.mu.Unlock()
@@ -463,9 +581,7 @@ func (b *Broker) SessionAttached(clientID string) bool {
 	if !ok {
 		return false
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.conn != nil
+	return s.tr.Load() != nil
 }
 
 // SessionCount returns the number of sessions with context.
@@ -483,11 +599,8 @@ func (b *Broker) DropSession(clientID string) {
 	delete(b.sessions, clientID)
 	b.mu.Unlock()
 	if ok {
-		s.mu.Lock()
-		if s.conn != nil {
-			s.conn.Close()
-			s.conn = nil
-		}
+		s.lockClosed()
+		s.tr.Store(nil)
 		s.mu.Unlock()
 	}
 }
@@ -501,21 +614,20 @@ func (b *Broker) Close() {
 	b.sessions = map[string]*session{}
 	b.mu.Unlock()
 	for _, s := range sessions {
-		s.mu.Lock()
-		if s.conn != nil {
-			s.conn.Close()
-			s.conn = nil
-		}
+		s.lockClosed()
+		s.tr.Store(nil)
 		s.mu.Unlock()
 	}
 	// Closing a parked conn silently drops its kernel-side epoll interest;
-	// retire the watch bookkeeping too.
+	// retire the watch bookkeeping too. One parked before its CONNECT has
+	// no session to have closed it.
 	b.parkedMu.Lock()
 	parked := b.parked
-	b.parked = make(map[*netx.Watch]struct{})
+	b.parked = make(map[*netx.Watch]*transport)
 	b.parkedMu.Unlock()
-	for w := range parked {
+	for w, t := range parked {
 		w.Cancel()
+		t.wr.Close()
 	}
 	b.wg.Wait()
 }

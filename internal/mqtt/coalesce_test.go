@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"io"
+	"math/rand"
 	"net"
 	"reflect"
 	"testing"
@@ -233,29 +234,106 @@ func TestLoopBrokerSplitPacket(t *testing.T) {
 	}
 }
 
+// ranOut reports whether a reader-fed decode failed only because its
+// input ended: what the slice-fed decoder calls "not yet".
+func ranOut(err error) bool { return err == io.EOF || err == io.ErrUnexpectedEOF }
+
+// sameVerdict reports whether the two decoders made the same of the same
+// bytes: the same packet of the same length, or the same refusal.
+func sameVerdict(p *Packet, n int, err error, q *Packet, m int, qerr error) bool {
+	if err != nil || qerr != nil {
+		return err != nil && qerr != nil && err.Error() == qerr.Error()
+	}
+	return n == m && reflect.DeepEqual(p, q)
+}
+
 // FuzzDecode throws bytes at the packet decoder, the trace-properties
-// trailer of CONNECT included. It must never panic; what it accepts must
-// survive its own encoder (decode, encode, decode gives the same packet);
-// and through a connection's buffered reader the answer must not depend
-// on where the bytes were cut into reads, nor on whether the decoder reuses
-// its memory. The seed corpus is
-// testdata/fuzz/FuzzDecode, one file per case, named for it.
+// trailer of CONNECT included, and holds its two entries to each other.
+// It must never panic; what it accepts must survive its own encoder
+// (decode, encode, decode gives the same packet); through a connection's
+// buffered reader the answer must not depend on where the bytes were cut
+// into reads, nor on whether the decoder reuses its memory; and the
+// slice-fed entry a broker connection parses through (take) must make of
+// every input what Decode makes of it from a reader — the same packets,
+// the same lengths consumed, the same errors — whole, cut at every offset
+// and cut many ways by a generator seeded with cut, where a cut is never
+// an error, only "not yet". The seed corpus is testdata/fuzz/FuzzDecode,
+// one file per case, named for it.
 func FuzzDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, cut uint16) {
 		rd := bytes.NewReader(data)
 		whole, err := Decode(rd)
+		used := len(data) - rd.Len()
 		at := int(cut) % (len(data) + 1)
 		split, splitErr := Decode(bufio.NewReader(&twoPart{a: data[:at], b: data[at:]}))
 		if (err == nil) != (splitErr == nil) || !reflect.DeepEqual(whole, split) {
 			t.Fatalf("cut at %d of %d bytes: %+v, %v; uncut: %+v, %v", at, len(data), split, splitErr, whole, err)
 		}
+
+		// The slice-fed entry on the same bytes: not yet where the reader
+		// ran out, else the reader's verdict; and on every prefix either
+		// not yet or, from the first byte that settles it on, that verdict.
+		var dec decoder
+		settled := false
+		for k := 0; k <= len(data); k++ {
+			p, n, perr := dec.take(data[:k])
+			switch {
+			case p == nil && n == 0 && perr == nil:
+				if settled {
+					t.Fatalf("%d bytes settled it and %d are not enough", k-1, k)
+				}
+			case ranOut(err) || !sameVerdict(p, n, perr, whole, used, err):
+				t.Fatalf("take(%d of %d bytes) = %+v, %d, %v; Decode: %+v, %d, %v", k, len(data), p, n, perr, whole, used, err)
+			default:
+				settled = true
+			}
+		}
+		if !settled && !ranOut(err) {
+			t.Fatalf("take never settled what Decode did: %+v, %v", whole, err)
+		}
+
+		// Every packet of the input, as a connection meets them: read in
+		// pieces behind what the last read left unparsed.
+		rd.Reset(data)
+		rng := rand.New(rand.NewSource(int64(cut)))
+		var buf []byte
+		dec = decoder{}
+		for fed, r := 0, 0; ; {
+			want, werr := Decode(rd)
+			wantUsed := len(data) - rd.Len()
+			var p *Packet
+			var n int
+			var perr error
+			for {
+				if p, n, perr = dec.take(buf[r:]); p != nil || perr != nil || fed == len(data) {
+					break
+				}
+				piece := 1 + rng.Intn(len(data)-fed)
+				buf = append(buf[:copy(buf, buf[r:])], data[fed:fed+piece]...)
+				fed, r = fed+piece, 0
+			}
+			if ranOut(werr) {
+				if p != nil || perr != nil {
+					t.Fatalf("in pieces: %+v, %v where the reader ran out", p, perr)
+				}
+				break
+			}
+			r += n
+			if !sameVerdict(p, fed-len(buf)+r, perr, want, wantUsed, werr) {
+				t.Fatalf("in pieces: %+v, %v ending at %d; Decode: %+v, %v ending at %d", p, perr, fed-len(buf)+r, want, werr, wantUsed)
+			}
+			if werr != nil {
+				break
+			}
+		}
+
 		if err != nil {
 			return
 		}
 		// A connection's decoder, which reuses its memory, reads the same
 		// packet — also the second time, over what the first left behind.
-		one := data[:len(data)-rd.Len()]
-		dec := decoder{r: io.MultiReader(bytes.NewReader(one), bytes.NewReader(one))}
+		one := data[:used]
+		dec = decoder{r: io.MultiReader(bytes.NewReader(one), bytes.NewReader(one))}
 		for i := 0; i < 2; i++ {
 			if got, err := dec.next(); err != nil || !reflect.DeepEqual(got, whole) {
 				t.Fatalf("reusing decoder, packet %d: %+v, %v; Decode: %+v", i+1, got, err, whole)

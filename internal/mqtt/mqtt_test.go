@@ -13,9 +13,9 @@ import (
 func TestRemainingLengthRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 127, 128, 16383, 16384, maxRemainingLength} {
 		enc, digits := remainingLength(n)
-		got, err := readRemainingLength(bytes.NewReader(enc[:digits]))
-		if err != nil || got != n {
-			t.Fatalf("n=%d: got %d err %v", n, got, err)
+		hdr, got, err := fixedHeader(append([]byte{byte(PUBLISH) << 4}, enc[:digits]...))
+		if err != nil || got != n || hdr != 1+digits {
+			t.Fatalf("n=%d: got %d in %d bytes, err %v", n, got, hdr, err)
 		}
 	}
 	big := &Packet{Type: PUBLISH, Topic: "t", Payload: make([]byte, maxRemainingLength)}

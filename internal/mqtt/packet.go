@@ -130,7 +130,7 @@ func remainingLength(n int) (enc [4]byte, digits int) {
 }
 
 // readByte reads one byte of r, through its ReadByte when it has one: a
-// connection's buffered reader does, and so costs no call per byte.
+// buffered reader does, and so costs no call per byte.
 func readByte(r io.Reader) (byte, error) {
 	if br, ok := r.(io.ByteReader); ok {
 		return br.ReadByte()
@@ -140,24 +140,25 @@ func readByte(r io.Reader) (byte, error) {
 	return b[0], err
 }
 
-// readRemainingLength parses the variable-length encoding.
-func readRemainingLength(r io.Reader) (int, error) {
-	mul, val := 1, 0
-	for i := 0; i < 4; i++ {
-		b, err := readByte(r)
-		if err != nil {
-			return 0, err
+// fixedHeader parses the fixed header at the front of b: its length and
+// the packet's remaining length in the variable-length encoding. hdr is 0
+// while the header is not all there.
+func fixedHeader(b []byte) (hdr, n int, err error) {
+	mul := 1
+	for i := 1; i < fixedHeaderMax; i++ {
+		if i >= len(b) {
+			return 0, 0, nil
 		}
-		val += int(b&0x7f) * mul
-		if b&0x80 == 0 {
-			if val > maxRemainingLength {
-				return 0, fmt.Errorf("%w: remaining length %d too large", errMalformed, val)
+		n += int(b[i]&0x7f) * mul
+		if b[i]&0x80 == 0 {
+			if n > maxRemainingLength {
+				return 0, 0, fmt.Errorf("%w: remaining length %d too large", errMalformed, n)
 			}
-			return val, nil
+			return i + 1, n, nil
 		}
 		mul *= 128
 	}
-	return 0, fmt.Errorf("%w: remaining length overlong", errMalformed)
+	return 0, 0, fmt.Errorf("%w: remaining length overlong", errMalformed)
 }
 
 func appendString(b []byte, s string) []byte {
@@ -196,12 +197,37 @@ func Encode(w io.Writer, p *Packet) error {
 	// append grows past the pooled buffer.
 	bp := bufpool.Get(fixedHeaderMax + 64 + len(p.ClientID) + len(p.Topic) + len(p.Payload))
 	defer bufpool.Put(bp)
-	body := (*bp)[:fixedHeaderMax]
+	b, start, err := build((*bp)[:0], p)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(b[start:])
+	return err
+}
+
+// appendPacket appends p's wire form to b, which other packets may fill:
+// the few bytes the fixed header left unused in front of it are closed up.
+func appendPacket(b []byte, p *Packet) ([]byte, error) {
+	end := len(b)
+	out, start, err := build(b, p)
+	if err != nil {
+		return b, err
+	}
+	return out[:end+copy(out[end:], out[start:])], nil
+}
+
+// build appends to b the longest fixed header's worth of room and p's
+// body behind it, and fills the header in right against the body: the
+// packet is b[start:].
+func build(b []byte, p *Packet) (out []byte, start int, err error) {
+	room := len(b)
+	var header [fixedHeaderMax]byte
+	body := append(b, header[:]...)
 	fixedFlags := uint8(0)
 	switch p.Type {
 	case CONNECT:
 		if len(p.ClientID) > 0xffff {
-			return fmt.Errorf("mqtt: client id too long")
+			return nil, 0, fmt.Errorf("mqtt: client id too long")
 		}
 		body = appendString(body, protocolName)
 		body = append(body, protocolLevel)
@@ -252,20 +278,19 @@ func Encode(w io.Writer, p *Packet) error {
 	case PINGREQ, PINGRESP, DISCONNECT:
 		// no body
 	default:
-		return fmt.Errorf("mqtt: cannot encode packet type %v", p.Type)
+		return nil, 0, fmt.Errorf("mqtt: cannot encode packet type %v", p.Type)
 	}
-	n := len(body) - fixedHeaderMax
+	n := len(body) - room - fixedHeaderMax
 	if n > maxRemainingLength {
-		return fmt.Errorf("mqtt: remaining length %d out of range", n)
+		return nil, 0, fmt.Errorf("mqtt: remaining length %d out of range", n)
 	}
-	// The fixed header goes right against the body: the type byte, then
-	// the remaining length in the MQTT variable-length encoding.
+	// The type byte, then the remaining length in the MQTT variable-length
+	// encoding.
 	rl, digits := remainingLength(n)
-	start := fixedHeaderMax - 1 - digits
+	start = room + fixedHeaderMax - 1 - digits
 	body[start] = byte(p.Type)<<4 | fixedFlags
 	copy(body[start+1:], rl[:digits])
-	_, err := w.Write(body[start:])
-	return err
+	return body, start, nil
 }
 
 // Decode parses one packet from r into memory of its own.
@@ -274,45 +299,58 @@ func Decode(r io.Reader) (*Packet, error) {
 }
 
 // decoder parses the packets of one connection into memory it reuses: the
-// Packet next returns, and the Payload and GrantedQoS inside it, are
-// valid until the next call. Strings are copies and may be kept.
+// Packet next and take return, and the Payload and GrantedQoS inside it,
+// are valid until the next call. Strings are copies and may be kept.
 type decoder struct {
-	r    io.Reader
-	body []byte // of the last packet, unless longer than keepBody
-	pkt  Packet
+	r   io.Reader // of next
+	pkt Packet
 	// topic is the last PUBLISH's: a publisher repeats its topics, and a
 	// repeated one costs a comparison, not a string.
 	topic string
 }
 
-// keepBody is the longest packet body a decoder keeps the memory of.
-const keepBody = 64 << 10
-
+// next reads one packet from d.r into a body of its own, the fixed header
+// byte by byte until fixedHeader has all of it.
 func (d *decoder) next() (*Packet, error) {
-	r := d.r
-	first, err := readByte(r)
-	if err != nil {
-		return nil, err
-	}
-	ptype := PacketType(first >> 4)
-	flags := first & 0x0f
-	n, err := readRemainingLength(r)
-	if err != nil {
-		return nil, err
-	}
-	body := d.body
-	if n > cap(body) {
-		body = make([]byte, n)
-		if n <= keepBody {
-			d.body = body
+	var header [fixedHeaderMax]byte
+	hdr, n := 0, 0
+	for i := 0; hdr == 0; i++ {
+		c, err := readByte(d.r)
+		if err != nil {
+			return nil, err
+		}
+		header[i] = c
+		if hdr, n, err = fixedHeader(header[:i+1]); err != nil {
+			return nil, err
 		}
 	}
-	body = body[:n]
-	if _, err := io.ReadFull(r, body); err != nil {
+	body := make([]byte, n)
+	if _, err := io.ReadFull(d.r, body); err != nil {
 		return nil, err
 	}
+	return d.parse(header[0], body)
+}
+
+// take is next for a caller that holds the connection's bytes itself: it
+// parses the packet at the front of b, whose Payload and GrantedQoS then
+// alias b, and returns its length on the wire. A packet that is not all
+// there is no error: n is 0, "not yet".
+func (d *decoder) take(b []byte) (p *Packet, n int, err error) {
+	hdr, n, err := fixedHeader(b)
+	if err != nil || hdr == 0 || len(b) < hdr+n {
+		return nil, 0, err
+	}
+	p, err = d.parse(b[0], b[hdr:hdr+n])
+	return p, hdr + n, err
+}
+
+// parse decodes a packet's body behind the first byte of its header.
+func (d *decoder) parse(first byte, body []byte) (*Packet, error) {
+	ptype := PacketType(first >> 4)
+	flags := first & 0x0f
 	d.pkt = Packet{Type: ptype}
 	p := &d.pkt
+	var err error
 	switch ptype {
 	case CONNECT:
 		name, rest, err := takeString(body)

@@ -90,6 +90,11 @@ type Watch struct {
 	fn      func(*Watch, Readiness)
 	token   uint64
 	stopped atomic.Bool
+	// rearms is what orders one handler call before the next where the
+	// memory model and the race detector can see it: the kernel orders
+	// them too, and tells neither. It is what lets a handler keep state
+	// between its calls without a lock.
+	rearms atomic.Uint32
 }
 
 // EventLoopConfig tunes NewEventLoop.
@@ -220,6 +225,7 @@ func (w *Watch) Rearm() error {
 	if w.stopped.Load() {
 		return ErrLoopClosed
 	}
+	w.rearms.Add(1)
 	return w.loop.ctl(w.conn, syscall.EPOLL_CTL_MOD, w.token)
 }
 
@@ -316,6 +322,7 @@ func (l *EventLoop) workerLoop() {
 			l.cStale.Inc()
 			continue
 		}
+		re.w.rearms.Load()
 		re.w.fn(re.w, re.ev)
 	}
 }

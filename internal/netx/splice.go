@@ -171,30 +171,38 @@ func DrainPipePool() int {
 // ReaderFrom or WriterTo, so the bytes stay in the pooled buffer and pass
 // through any interposed wrapper, which is exactly what fault injectors
 // and PPR capture rely on. Errors and short writes are io.Copy's.
+//
+// The third case is the copy loop with a bare *net.TCPConn for src only:
+// the reads are a WakeReader's, one per message where src.Read makes two,
+// and the writes happen inside its wake, under src's read lock. Whoever
+// closes src while dst can block must unblock dst first (the Origin's
+// relayMQTT resets the stream before it closes the broker connection): a
+// Close of src waits for a Write to dst under way.
 func Relay(dst io.Writer, src io.Reader) (int64, error) {
-	if d, ok := dst.(*net.TCPConn); ok {
-		if s, ok := src.(*net.TCPConn); ok {
-			n, handled, err := Splice(d, s)
-			if handled {
-				return n, err
-			}
-			cSpliceFallbacks.Inc()
+	s, wakes := src.(*net.TCPConn)
+	if d, ok := dst.(*net.TCPConn); ok && wakes {
+		n, handled, err := Splice(d, s)
+		if handled {
+			return n, err
 		}
+		cSpliceFallbacks.Inc()
+		wakes = false
 	}
 	bp := bufpool.Get(bufpool.TierLarge)
 	defer bufpool.Put(bp)
+	if wakes {
+		written, err := relayWakes(dst, s, *bp)
+		cCopyBytes.Add(written)
+		return written, err
+	}
 	var written int64
 	var err error
 	for err == nil {
 		nr, rerr := src.Read(*bp)
 		if nr > 0 {
-			nw, werr := dst.Write((*bp)[:nr])
-			if nw < 0 || nw > nr {
-				nw, werr = 0, errors.New("netx: invalid write result")
-			} else if werr == nil && nw < nr {
-				werr = io.ErrShortWrite
-			}
-			written, err = written+int64(nw), werr
+			var nw int
+			nw, err = relayWrite(dst, (*bp)[:nr])
+			written += int64(nw)
 		}
 		if rerr == io.EOF {
 			break
@@ -204,6 +212,35 @@ func Relay(dst io.Writer, src io.Reader) (int64, error) {
 		}
 	}
 	cCopyBytes.Add(written)
+	return written, err
+}
+
+// relayWrite is one Write of the copy path, its result held to io.Copy's
+// rules.
+func relayWrite(dst io.Writer, b []byte) (int, error) {
+	nw, err := dst.Write(b)
+	if nw < 0 || nw > len(b) {
+		return 0, errors.New("netx: invalid write result")
+	}
+	if err == nil && nw < len(b) {
+		err = io.ErrShortWrite
+	}
+	return nw, err
+}
+
+// relayWakes is the copy path from a connection a WakeReader can read.
+func relayWakes(dst io.Writer, src *net.TCPConn, buf []byte) (written int64, err error) {
+	var wr WakeReader
+	wr.Init(src, &Pump{Buf: buf, Forward: func(b []byte) bool {
+		var nw int
+		nw, err = relayWrite(dst, b)
+		written += int64(nw)
+		return err == nil
+	}})
+	wr.ConfirmWaits()
+	if rerr := wr.Run(); err == nil && rerr != io.EOF {
+		err = rerr
+	}
 	return written, err
 }
 

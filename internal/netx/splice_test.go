@@ -261,7 +261,37 @@ func TestRelayCopyAllocations(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("Relay on the copy path: %v allocs, want 0", n)
 	}
+
+	// From a bare TCP connection to anything else the reads are a
+	// WakeReader's: what that costs, it costs once per relay and not per
+	// message, and it ends as the plain loop does.
+	in, tcpSrc := tcpConnPair(t)
+	got := make(chan int)
+	before := ReadRelayStats().CopyBytes
+	done := make(chan error)
+	go func() {
+		_, err := Relay(writerFunc(func(p []byte) (int, error) { got <- len(p); return len(p), nil }), tcpSrc)
+		done <- err
+	}()
+	msg := []byte("0123456789")
+	if n := testing.AllocsPerRun(100, func() {
+		in.Write(msg)
+		<-got
+	}); n != 0 {
+		t.Errorf("Relay from a TCP connection: %v allocs per message, want 0", n)
+	}
+	in.Close()
+	if err := <-done; err != nil {
+		t.Errorf("Relay from a TCP connection closed by its peer: %v, want nil", err)
+	}
+	if d := ReadRelayStats().CopyBytes - before; d != 101*int64(len(msg)) {
+		t.Errorf("copy_bytes grew by %d over 101 messages of %d bytes", d, len(msg))
+	}
 }
+
+type writerFunc func(p []byte) (int, error)
+
+func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
 
 // dataAndErr returns its data and its error from one Read.
 type dataAndErr struct {

@@ -25,6 +25,21 @@ type WakeHandler interface {
 	ServeWake(n int) (done bool)
 }
 
+// A Pump is the WakeHandler of a connection whose bytes are not parsed
+// where they are read, only handed on: every read lands in Buf and goes to
+// Forward, which says whether to go on. Forward waits for whoever takes
+// the bytes, never for the connection they came from, to which it owes no
+// write: a Pump's reader asks for ConfirmWaits, and a closer of the
+// connection unblocks Forward first or goes through WakeReader.Close.
+type Pump struct {
+	Buf     []byte
+	Forward func(b []byte) (ok bool)
+}
+
+func (p *Pump) ReadBuf() []byte { return p.Buf }
+
+func (p *Pump) ServeWake(n int) (done bool) { return n > 0 && !p.Forward(p.Buf[:n]) }
+
 // A WakeReader runs a connection's read side as serve-per-wake, and is
 // the only code that uses syscall.RawConn.Read to that end. conn.Read
 // pays two reads for a message that is waited for: the one that returns

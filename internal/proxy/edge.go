@@ -448,6 +448,12 @@ func (r *mqttRelay) close() {
 	st := r.stream
 	w := r.watch
 	r.mu.Unlock()
+	// The stream first: the upstream pump writes to it under the client
+	// connection's read lock, and the Close would wait for a write parked
+	// on its window.
+	if st != nil {
+		st.Reset()
+	}
 	r.clientConn.Close()
 	if w != nil {
 		// Closing the conn silently dropped the kernel-side epoll
@@ -456,9 +462,6 @@ func (r *mqttRelay) close() {
 			r.p.reg.Gauge("proxy.loop.parked").Dec()
 		}
 		w.Cancel()
-	}
-	if st != nil {
-		st.Reset()
 	}
 	r.p.mu.Lock()
 	delete(r.p.mqttConns, r)
@@ -644,16 +647,10 @@ func (p *Proxy) handleEdgeMQTTConn(conn net.Conn) {
 			defer p.wg.Done()
 			bp := bufpool.Get(32 << 10)
 			defer bufpool.Put(bp)
-			buf := *bp
-			for {
-				n, err := conn.Read(buf)
-				if n > 0 && !relay.forwardUpstream(buf[:n]) {
-					break
-				}
-				if err != nil {
-					break
-				}
-			}
+			var wr netx.WakeReader
+			wr.Init(conn, &netx.Pump{Buf: *bp, Forward: relay.forwardUpstream})
+			wr.ConfirmWaits()
+			wr.Run()
 			relay.close()
 		}()
 	}
@@ -683,40 +680,26 @@ func (p *Proxy) runMQTTDownstream(relay *mqttRelay) {
 
 // pumpUntilSwap forwards downstream bytes and handles control frames for
 // one stream generation. It returns true when the relay was spliced onto a
-// new stream (caller re-arms), false when the relay is finished.
+// new stream (caller re-arms), false when the relay is finished — either
+// way only after the goroutine that reads st has exited, so two
+// generations never interleave bytes on the user's connection.
 func (p *Proxy) pumpUntilSwap(relay *mqttRelay, st *h2t.Stream) bool {
-	// Chunks carry pooled buffers across the channel: ownership transfers
-	// to the receiving select arm, which must Put after the client write.
-	type chunk struct {
-		buf *[]byte
-		n   int
-	}
-	dataCh := make(chan chunk)
-	errCh := make(chan error, 1)
-	done := make(chan struct{})
-	defer close(done)
+	// ended carries how the reader ended: true, the stream did; false,
+	// the client's connection.
+	ended := make(chan bool, 1)
 	go func() {
+		bp := bufpool.Get(8 << 10)
+		defer bufpool.Put(bp)
 		for {
-			buf := bufpool.Get(8 << 10)
-			n, err := st.Read(*buf)
+			n, err := st.Read(*bp)
 			if n > 0 {
-				select {
-				case dataCh <- chunk{buf, n}:
-					buf = nil // owned by the consumer now
-				case <-done:
-					bufpool.Put(buf)
+				if _, werr := relay.clientConn.Write((*bp)[:n]); werr != nil {
+					ended <- false
 					return
 				}
-			} else {
-				bufpool.Put(buf)
-				buf = nil
 			}
 			if err != nil {
-				bufpool.Put(buf)
-				select {
-				case errCh <- err:
-				case <-done:
-				}
+				ended <- true
 				return
 			}
 		}
@@ -728,13 +711,10 @@ func (p *Proxy) pumpUntilSwap(relay *mqttRelay, st *h2t.Stream) bool {
 	var spliced chan bool
 	for {
 		select {
-		case c := <-dataCh:
-			_, err := relay.clientConn.Write((*c.buf)[:c.n])
-			bufpool.Put(c.buf)
-			if err != nil {
+		case streamEnded := <-ended:
+			if !streamEnded {
 				return false
 			}
-		case <-errCh:
 			// The splice itself resets the old stream, and a draining
 			// Origin may drop it first: either way a re_connect in flight
 			// has the last word.
@@ -765,6 +745,8 @@ func (p *Proxy) pumpUntilSwap(relay *mqttRelay, st *h2t.Stream) bool {
 			}
 		case ok := <-spliced:
 			if ok {
+				// The splice reset st: its reader is on its way out.
+				<-ended
 				return true
 			}
 			// Refused or failed: keep pumping the old stream until it

@@ -83,10 +83,13 @@ func (os *originSession) close() {
 	}
 	os.relays = map[*h2t.Stream]*brokerRelay{}
 	os.mu.Unlock()
+	// The session first: a relay's broker→stream pump writes to its stream
+	// under the broker connection's read lock (netx.Relay), and a Close of
+	// that connection would wait for a write parked on the stream's window.
+	os.sess.Close()
 	for _, r := range relays {
 		r.conn.Close()
 	}
-	os.sess.Close()
 }
 
 // handleTunnelConn serves one Edge-facing tunnel connection.
@@ -275,11 +278,9 @@ func (p *Proxy) relayMQTT(os *originSession, st *h2t.Stream, userID, trace strin
 	// Bidirectional byte relay; returns when either side closes. The
 	// relay selector (netx.Relay) takes the kernel splice path only when
 	// both ends are bare TCP conns; the stream side here is h2t-framed,
-	// so these pumps keep the pooled copy — with both ends wrapped plain
-	// inside Relay, since a bare *net.TCPConn dst would divert
-	// io.CopyBuffer into ReadFrom and allocate its own scratch. A fault-
-	// wrapped bconn also fails the selector, keeping injected faults on
-	// the observable path.
+	// so these pumps keep the pooled copy, the broker→stream one reading
+	// a bare bconn by wakes. A fault-wrapped bconn fails the selector
+	// both ways, keeping injected faults on the observable path.
 	errCh := make(chan error, 2)
 	go func() {
 		_, err := netx.Relay(bconn, st)
@@ -290,8 +291,10 @@ func (p *Proxy) relayMQTT(os *originSession, st *h2t.Stream, userID, trace strin
 		errCh <- err
 	}()
 	<-errCh
-	bconn.Close()
+	// The stream first: the reset is what frees a broker→stream write
+	// parked on its window, and the Close would wait for that write.
 	st.Reset()
+	bconn.Close()
 	<-errCh
 }
 

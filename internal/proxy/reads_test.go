@@ -13,6 +13,7 @@ import (
 	"zdr/internal/appserver"
 	"zdr/internal/h2t"
 	"zdr/internal/http1"
+	"zdr/internal/mqtt"
 	"zdr/internal/netx"
 )
 
@@ -138,6 +139,69 @@ func TestOneReadPerHopPerMessage(t *testing.T) {
 		perGet, (float64(syscr)-float64(mine))/gets, float64(mine)/gets, float64(wake)/gets)
 	if perGet > 6*1.1 {
 		t.Errorf("%.2f reads per GET, want 6: one per message per hop and the origin's liveness read", perGet)
+	}
+}
+
+// TestOneReadPerMQTTPacketPerHop is TestOneWritePerMQTTPacketPerHop's twin
+// on bare TCP connections: a QoS 1 publish of a user to itself is read by
+// the program five times — the PUBLISH at the edge, its DATA frame at the
+// origin, the PUBLISH at the broker, delivery and PUBACK in one segment at
+// the origin, their frame at the edge — at one read each, all of them a
+// WakeReader's (conn.Read's read-EAGAIN-wait-read made ten). Counted from
+// netx.WakeReads and /proc/self/io as TestOneReadPerHopPerMessage counts,
+// but with no stub to take the client's own reads off: a stub answers so
+// fast that the client's read sometimes finds the answer there and is one
+// read(2), not the two it is behind five hops. The client's blocking read
+// of an answer that comes in one segment is two at most, and that bound is
+// what is taken off.
+func TestOneReadPerMQTTPacketPerHop(t *testing.T) {
+	tp := startTopology(t, 0, 1)
+	var pub, reply bytes.Buffer
+	payload := make([]byte, 128)
+	mqtt.Encode(&pub, &mqtt.Packet{Type: mqtt.PUBLISH, Topic: "self/reader", Payload: payload, QoS: 1, PacketID: 7})
+	mqtt.Encode(&reply, &mqtt.Packet{Type: mqtt.PUBLISH, Topic: "self/reader", Payload: payload})
+	mqtt.Encode(&reply, &mqtt.Packet{Type: mqtt.PUBACK, PacketID: 7})
+
+	conn, err := net.Dial("tcp", tp.edge.Addr(VIPMQTT))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	mqtt.Encode(conn, &mqtt.Packet{Type: mqtt.CONNECT, ClientID: "reader", CleanSession: true})
+	if p, err := mqtt.Decode(conn); err != nil || p.Type != mqtt.CONNACK {
+		t.Fatalf("CONNACK: %+v, %v", p, err)
+	}
+	mqtt.Encode(conn, &mqtt.Packet{Type: mqtt.SUBSCRIBE, PacketID: 1, TopicFilters: []string{"self/reader"}})
+	if p, err := mqtt.Decode(conn); err != nil || p.Type != mqtt.SUBACK {
+		t.Fatalf("SUBACK: %+v, %v", p, err)
+	}
+
+	got := make([]byte, reply.Len())
+	publish := func() {
+		if _, err := conn.Write(pub.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := io.ReadFull(conn, got); err != nil || !bytes.Equal(got, reply.Bytes()) {
+			t.Fatalf("publish answered %x, %v", got, err)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		publish()
+	}
+	const publishes = 2000
+	syscr, wake := readSyscalls(t), netx.WakeReads()
+	for i := 0; i < publishes; i++ {
+		publish()
+	}
+	perSyscr, perWake := float64(readSyscalls(t)-syscr)/publishes, float64(netx.WakeReads()-wake)/publishes
+	t.Logf("per publish: %.3f recvmsg(2) by the program, %.3f read(2) by the process, of which the client's are at most 2", perWake, perSyscr)
+	if perWake > 5*1.1 {
+		t.Errorf("%.2f reads per publish by the program's WakeReaders, want 5: one per packet per hop", perWake)
+	}
+	if perSyscr > 2.5 {
+		t.Errorf("%.2f read(2) per publish, want the client's own 2 at most: every program read is a WakeReader's", perSyscr)
 	}
 }
 

@@ -205,6 +205,61 @@ func TestOneWritePerMQTTPacketPerHop(t *testing.T) {
 			"broker→origin": 2, "origin→edge": 2, "edge→client": 2, // delivery and PUBACK, down
 		})
 	}
+
+	// A user subscribed to its own topic has delivery and PUBACK on one
+	// connection: what one read of it caused the broker answers in one
+	// write, and every hop below carries the pair on as it came.
+	own := dial("own")
+	if err := own.Subscribe(5*time.Second, "self/own"); err != nil {
+		t.Fatal(err)
+	}
+	before := h.snapshot()
+	if err := own.Publish("self/own", bytes.Repeat([]byte("m"), 128), 1, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-own.Messages():
+	case <-time.After(5 * time.Second):
+		t.Fatal("publish never delivered")
+	}
+	h.expectWrites(t, "publish to itself", before, map[string]uint64{
+		"edge→origin": 1, "origin→app/broker": 1, "broker→origin": 1, "origin→edge": 1, "edge→client": 1,
+	})
+
+	// Eight QoS 1 publishes that reach the broker in one read are answered
+	// — eight deliveries, eight PUBACKs — in one write.
+	conn, err := net.Dial("tcp", h.edge.Addr(VIPMQTT))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	br := bufio.NewReader(conn)
+	expect := func(typ mqtt.PacketType) {
+		t.Helper()
+		if p, err := mqtt.Decode(br); err != nil || p.Type != typ {
+			t.Fatalf("waiting for %v: %+v, %v", typ, p, err)
+		}
+	}
+	mqtt.Encode(conn, &mqtt.Packet{Type: mqtt.CONNECT, ClientID: "eight", CleanSession: true})
+	expect(mqtt.CONNACK)
+	mqtt.Encode(conn, &mqtt.Packet{Type: mqtt.SUBSCRIBE, PacketID: 1, TopicFilters: []string{"self/eight"}})
+	expect(mqtt.SUBACK)
+	var seg bytes.Buffer
+	for i := 0; i < 8; i++ {
+		mqtt.Encode(&seg, &mqtt.Packet{Type: mqtt.PUBLISH, Topic: "self/eight", Payload: []byte("m"), QoS: 1, PacketID: uint16(10 + i)})
+	}
+	before = h.snapshot()
+	if _, err := conn.Write(seg.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		expect(mqtt.PUBLISH)
+		expect(mqtt.PUBACK)
+	}
+	h.expectWrites(t, "eight publishes in one write", before, map[string]uint64{
+		"edge→origin": 1, "origin→app/broker": 1, "broker→origin": 1, "origin→edge": 1, "edge→client": 1,
+	})
 }
 
 // slowAppServer answers every request with a ten-byte first half at once
