@@ -16,7 +16,9 @@
 // Design: recording claims a slot with one atomic increment and takes
 // only that slot's striped mutex (writers contend only on ring wrap),
 // so the hot path is O(1) and allocation-free for callers that pass
-// pre-built strings. Aggregation (cause × phase × generation counts)
+// pre-built strings. The ring is made a page at a time by the Records
+// that first reach each page: a ledger that has recorded nothing — an
+// Origin's, in steady state — holds no ring. Aggregation (cause × phase × generation counts)
 // uses a small map under its own mutex — attribution events are rare
 // next to data-plane operations. All methods are nil-receiver safe, so
 // wiring can be unconditional.
@@ -122,7 +124,7 @@ type Ledger struct {
 	node  string
 	mask  uint64
 	seq   atomic.Uint64
-	slots []slot
+	pages []atomic.Pointer[[pageSlots]slot]
 	phase atomic.Pointer[phaseInfo]
 
 	kinds [kindCount]atomic.Int64
@@ -135,6 +137,9 @@ type Ledger struct {
 
 // DefaultCapacity is the ring size used when New is given cap <= 0.
 const DefaultCapacity = 4096
+
+// pageSlots is how many slots of the ring are allocated together.
+const pageSlots = 64
 
 // New returns a ledger for the named node. capacity is rounded up to a
 // power of two; the ring retains that many most-recent events (the
@@ -150,11 +155,27 @@ func New(node string, capacity int) *Ledger {
 	l := &Ledger{
 		node:  node,
 		mask:  uint64(size - 1),
-		slots: make([]slot, size),
+		pages: make([]atomic.Pointer[[pageSlots]slot], (size+pageSlots-1)/pageSlots),
 		attr:  make(map[attrKey]int64),
 	}
 	l.phase.Store(&phaseInfo{phase: "serving"})
 	return l
+}
+
+// slot returns the ring's slot for seq, or nil when no Record has reached
+// its page yet and create is false; Record passes true and makes the page.
+func (l *Ledger) slot(seq uint64, create bool) *slot {
+	i := seq & l.mask
+	page := &l.pages[i/pageSlots]
+	p := page.Load()
+	if p == nil {
+		if !create {
+			return nil
+		}
+		page.CompareAndSwap(nil, new([pageSlots]slot))
+		p = page.Load()
+	}
+	return &p[i%pageSlots]
 }
 
 // Node returns the node name, or "" on a nil ledger.
@@ -194,7 +215,7 @@ func (l *Ledger) Record(kind Kind, conn uint64, vip, cause, detail string) {
 	}
 	p := l.phase.Load()
 	seq := l.seq.Add(1) - 1
-	s := &l.slots[seq&l.mask]
+	s := l.slot(seq, true)
 	s.mu.Lock()
 	s.ev = Event{
 		Seq:        seq,
@@ -232,17 +253,17 @@ func (l *Ledger) Recent(n int) []Event {
 		return nil
 	}
 	end := l.seq.Load()
-	span := uint64(len(l.slots))
-	if uint64(n) < span {
-		span = uint64(n)
-	}
+	span := min(l.mask+1, uint64(n))
 	start := uint64(0)
 	if end > span {
 		start = end - span
 	}
 	out := make([]Event, 0, span)
 	for seq := start; seq < end; seq++ {
-		s := &l.slots[seq&l.mask]
+		s := l.slot(seq, false)
+		if s == nil {
+			continue
+		}
 		s.mu.Lock()
 		ev, ok := s.ev, s.ok
 		s.mu.Unlock()

@@ -2,6 +2,7 @@ package disrupt
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -119,6 +120,74 @@ func TestLedgerRingWrap(t *testing.T) {
 	}
 	if r := l.Report(); r.Total != 100 {
 		t.Fatalf("aggregate total = %d, want 100 (ring must not bound totals)", r.Total)
+	}
+}
+
+// TestLedgerHoldsNoRingUntilRecorded: New allocates the page table and no
+// page, a Record makes the one page it lands in, and Recent reads across
+// page boundaries, over pages nobody has made and over a wrap as it did
+// over one slice.
+func TestLedgerHoldsNoRingUntilRecorded(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	l := New("origin-01", 0)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 16<<10 {
+		t.Fatalf("New allocated %d bytes, want < 16 KiB", got)
+	}
+	made := func() (n int) {
+		for i := range l.pages {
+			if l.pages[i].Load() != nil {
+				n++
+			}
+		}
+		return n
+	}
+	if evs := l.Recent(DefaultCapacity); len(evs) != 0 || made() != 0 {
+		t.Fatalf("empty ledger: %d events, %d pages", len(evs), made())
+	}
+	contiguous := func(evs []Event, first, n uint64) {
+		t.Helper()
+		if uint64(len(evs)) != n {
+			t.Fatalf("recent = %d events, want %d", len(evs), n)
+		}
+		for i, ev := range evs {
+			if ev.Seq != first+uint64(i) || ev.Conn != ev.Seq {
+				t.Fatalf("event %d: seq %d conn %d, want %d", i, ev.Seq, ev.Conn, first+uint64(i))
+			}
+		}
+	}
+	for i := uint64(0); i < pageSlots+6; i++ {
+		l.Record(KindAccept, i, "web", "", "")
+	}
+	contiguous(l.Recent(DefaultCapacity), 0, pageSlots+6)
+	if made() != 2 {
+		t.Fatalf("%d pages made for %d events, want 2", made(), pageSlots+6)
+	}
+	for i := uint64(pageSlots + 6); i < DefaultCapacity+pageSlots+6; i++ {
+		l.Record(KindAccept, i, "web", "", "")
+	}
+	contiguous(l.Recent(2*DefaultCapacity), pageSlots+6, DefaultCapacity)
+	contiguous(l.Recent(pageSlots+1), DefaultCapacity+5, pageSlots+1)
+
+	// Concurrent Records reaching a page together make it once: no event
+	// lands in a page that loses the race and is dropped.
+	l = New("edge-01", 0)
+	const writers, each = 8, DefaultCapacity / 8
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				l.Record(KindAccept, 0, "web", "", "")
+				l.Recent(pageSlots)
+			}
+		}()
+	}
+	wg.Wait()
+	if evs := l.Recent(DefaultCapacity); len(evs) != DefaultCapacity {
+		t.Fatalf("%d of %d concurrent events readable", len(evs), DefaultCapacity)
 	}
 }
 

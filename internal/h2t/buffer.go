@@ -1,10 +1,12 @@
 package h2t
 
 import (
+	"encoding/binary"
 	"io"
 	"sync"
 
 	"zdr/internal/bufpool"
+	"zdr/internal/netx"
 )
 
 // streamWindow is the most DATA a sender may have outstanding on one
@@ -31,9 +33,12 @@ const inlineChunks = 5
 // recvBuffer is a stream's receive side: a queue of pooled chunks with
 // blocking reads. The session reader fills it with DATA payloads, read
 // from the transport straight into a chunk; the stream's consumer Reads,
-// and each chunk goes back to the pool the moment it is drained, so an
-// empty buffer holds no memory. How much the peer may put in it is
-// bounded by the stream's credit, which Read hands out (see take).
+// or writes them out of the chunks (Stream.WriteTo), and each chunk goes
+// back to the pool the moment it is drained, so an empty buffer holds no
+// memory. How much the peer may put in it is bounded by the stream's
+// credit, which the consumer hands out (see consumed). While a WriteTo is
+// parked on an empty buffer the reader writes each payload to its socket
+// itself and queues only what the socket does not take at once (put).
 //
 // A chunk's length is its filled part. Every chunk but the last is full.
 // The first chunk of an empty buffer is of the smallest tier that holds
@@ -49,18 +54,20 @@ type recvBuffer struct {
 	chunks []*[]byte // starts as inline[:0]
 	inline [inlineChunks]*[]byte
 	size   int // unread bytes
-	// unacked counts bytes Read has handed to the consumer since the
-	// last credit.
+	// unacked counts bytes consumed since the last credit. size + unacked
+	// is what the peer has sent and not been given back (admits).
 	unacked int
 	// off is the read position in chunks[0], at most a frame: with the
 	// flags beside it, one word of every Stream.
 	off uint32
 	// filling is true while the session reader has the spare capacity of
-	// the last chunk to read into (room), the lock released; that chunk
-	// must stay where it is.
-	filling bool
-	eof     bool  // peer half-closed cleanly
-	err     error // terminal error (RST / session death)
+	// the last chunk to read into (room), the lock released, and draining
+	// while WriteTo has the filled part of the first to write out (head):
+	// those chunks stay where they are, and after a failure whichever of
+	// the two comes back last lets go of them (drop).
+	filling, draining bool
+	eof               bool  // peer half-closed cleanly
+	err               error // terminal error (RST / session death)
 }
 
 func (b *recvBuffer) init() {
@@ -77,18 +84,87 @@ func (b *recvBuffer) push(s *Session, n int) *[]byte {
 	return c
 }
 
-// release returns the first n chunks to the pool. mu is held.
-func (b *recvBuffer) release(s *Session, n int) {
-	for _, c := range b.chunks[:n] {
+// release returns chunks lo to hi of the queue to the pool. mu is held.
+func (b *recvBuffer) release(s *Session, lo, hi int) {
+	for _, c := range b.chunks[lo:hi] {
 		s.hold(-cap(*c))
 		bufpool.Put(c)
 	}
-	rest := copy(b.chunks, b.chunks[n:])
+	rest := lo + copy(b.chunks[lo:], b.chunks[hi:])
 	clear(b.chunks[rest:])
 	if b.chunks = b.chunks[:rest]; rest == 0 {
 		b.chunks = b.inline[:0] // lets go of a spilled queue
 	}
-	b.off = 0
+	if lo == 0 {
+		b.off = 0
+	}
+}
+
+// drop returns every chunk but the pinned ones to the pool. mu is held.
+func (b *recvBuffer) drop(s *Session) {
+	lo, hi := 0, len(b.chunks)
+	if b.draining && hi > 0 {
+		lo = 1
+	}
+	if b.filling && hi > lo {
+		hi--
+	}
+	b.release(s, lo, hi)
+}
+
+// tail returns the chunk the next bytes of a payload land in, n of them
+// to come: the last while it has room, else a new one. mu is held.
+func (b *recvBuffer) tail(s *Session, n int) *[]byte {
+	if k := len(b.chunks); k == 0 {
+		return b.push(s, n)
+	} else if c := b.chunks[k-1]; len(*c) < cap(*c) {
+		return c
+	}
+	return b.push(s, bufpool.TierLarge)
+}
+
+// admits reports whether a DATA frame of n bytes fits the peer's window,
+// queued and consumed-but-unacknowledged bytes on one account.
+func (b *recvBuffer) admits(n int) bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.size+b.unacked+n <= streamWindow
+}
+
+// put takes in src, the part of a DATA payload that came in the session's
+// read buffer, more bytes of the frame still to come; after the stream's
+// end it goes nowhere. With a WriteTo parked (sink) src is first offered to
+// its socket in one write that does not wait: under mu the reader is that
+// socket's only writer, since WriteTo writes only while size > 0 and parks
+// only at 0. What the socket took is consumed, the credit owed as the
+// reader's replies are; the rest is queued, which wakes WriteTo. Only the
+// session reader calls put.
+func (b *recvBuffer) put(s *Session, st *Stream, src []byte, more int) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.err != nil || b.eof {
+		return
+	}
+	if r := st.relay.Load(); r != nil && r.sink != nil && b.size == 0 {
+		n := r.sink.TryWrite(src)
+		s.m.direct.Add(int64(n))
+		if credit := b.consumed(n); credit > 0 && s.peerWindow.Load() {
+			s.m.updates.Inc()
+			s.owed = append(s.owed, Frame{Type: FrameWindowUpdate, StreamID: st.id,
+				Payload: binary.BigEndian.AppendUint32(nil, uint32(credit))})
+		}
+		src = src[n:]
+	}
+	if len(src) > 0 {
+		b.cond.Broadcast()
+	}
+	for len(src) > 0 {
+		c := b.tail(s, len(src)+more)
+		n := copy((*c)[len(*c):cap(*c)], src)
+		*c = (*c)[:len(*c)+n]
+		b.size += n
+		src = src[n:]
+	}
 }
 
 // room returns where the next bytes of a DATA payload land, of which n are
@@ -103,23 +179,14 @@ func (b *recvBuffer) room(s *Session, n int) []byte {
 	if b.err != nil || b.eof {
 		if b.filling {
 			b.filling = false
-			b.release(s, len(b.chunks)) // fail left the chunk being filled to us
+			b.drop(s) // fail left the chunk being filled to us
 		}
 		return nil
 	}
-	var tail *[]byte
-	if len(b.chunks) > 0 {
-		tail = b.chunks[len(b.chunks)-1]
-	}
-	switch {
-	case tail == nil:
-		tail = b.push(s, n)
-	case len(*tail) == cap(*tail):
-		tail = b.push(s, bufpool.TierLarge)
-	}
+	c := b.tail(s, n)
 	b.filling = true
-	filled := len(*tail)
-	return (*tail)[filled:min(filled+n, cap(*tail))]
+	filled := len(*c)
+	return (*c)[filled:min(filled+n, cap(*c))]
 }
 
 // filled puts the first n bytes of the room handed out behind the
@@ -129,7 +196,7 @@ func (b *recvBuffer) filled(s *Session, n int) {
 	defer b.mu.Unlock()
 	b.filling = false
 	if b.err != nil {
-		b.release(s, len(b.chunks)) // as in room
+		b.drop(s) // as in room
 		return
 	}
 	tail := b.chunks[len(b.chunks)-1]
@@ -156,11 +223,7 @@ func (b *recvBuffer) fail(s *Session, err error, abandon bool) {
 	defer b.mu.Unlock()
 	if b.err == nil && (!b.eof || abandon) {
 		b.err = err
-		n := len(b.chunks)
-		if b.filling {
-			n-- // the session reader has room in the last chunk; it lets go of it
-		}
-		b.release(s, n)
+		b.drop(s)
 		b.size = 0
 	}
 	b.cond.Broadcast()
@@ -174,10 +237,8 @@ func (b *recvBuffer) buffered() (n int, end bool) {
 	return b.size, b.size == 0 && (b.eof || b.err != nil)
 }
 
-// take is Read, blocking until data, EOF, or error. credit is not zero
-// when this read took the bytes consumed and not yet acknowledged past
-// creditThreshold: the caller owes the peer a WINDOW_UPDATE of that
-// much. A peer that has sent END_STREAM sends no more and is owed none.
+// take is Read, blocking until data, EOF, or error; credit is what the
+// bytes it took have earned the peer (see consumed).
 func (b *recvBuffer) take(s *Session, p []byte) (n, credit int, err error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -191,20 +252,67 @@ func (b *recvBuffer) take(s *Session, p []byte) (n, credit int, err error) {
 		b.cond.Wait()
 	}
 	for n < len(p) && b.size > 0 {
-		head := *b.chunks[0]
-		c := copy(p[n:], head[b.off:])
+		c := copy(p[n:], (*b.chunks[0])[b.off:])
 		n += c
-		b.off += uint32(c)
-		b.size -= c
-		if int(b.off) == len(head) {
-			if b.filling && len(b.chunks) == 1 {
-				break // drained as far as it is filled; more is landing in it
-			}
-			b.release(s, 1)
-		}
+		b.pop(s, c)
 	}
+	return n, b.consumed(n), nil
+}
+
+// pop takes the next n bytes of the first chunk out of the queue, and the
+// chunk once it is drained, unless it is drained only as far as it is
+// filled and more is landing in it. mu is held.
+func (b *recvBuffer) pop(s *Session, n int) {
+	b.off += uint32(n)
+	b.size -= n
+	if int(b.off) == len(*b.chunks[0]) && !(b.filling && len(b.chunks) == 1) {
+		b.release(s, 0, 1)
+	}
+}
+
+// consumed accounts n bytes the consumer, or its socket, has taken. credit
+// is not zero when they carry unacked past creditThreshold: the peer is
+// owed a WINDOW_UPDATE of that much. A peer that has sent END_STREAM sends
+// no more and is owed none. mu is held.
+func (b *recvBuffer) consumed(n int) (credit int) {
 	if b.unacked += n; b.unacked > creditThreshold && !b.eof {
 		credit, b.unacked = b.unacked, 0
 	}
-	return n, credit, nil
+	return credit
+}
+
+// head is WriteTo's wait: it blocks until data is queued and returns the
+// filled part of the first chunk, pinned until drained says how much of it
+// was written. While it waits, sink (nil: none) is where the session reader
+// writes what arrives (put). At the peer's END_STREAM both results are nil.
+func (b *recvBuffer) head(r *relayState, sink *netx.TryWriter) ([]byte, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for b.size == 0 {
+		if b.err != nil {
+			return nil, b.err
+		}
+		if b.eof {
+			return nil, nil
+		}
+		r.sink = sink
+		b.cond.Wait()
+		r.sink = nil
+	}
+	b.draining = true
+	return (*b.chunks[0])[b.off:], nil
+}
+
+// drained takes the first n bytes of what head returned out of the queue
+// and returns the credit they earn (see consumed).
+func (b *recvBuffer) drained(s *Session, n int) (credit int) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.draining = false
+	if b.err != nil {
+		b.drop(s) // fail left the chunk being written out to us
+		return 0
+	}
+	b.pop(s, n)
+	return b.consumed(n)
 }

@@ -23,9 +23,11 @@
 // consumer has taken more than half of it. A session announces that it
 // works this way with FlagWindow on the first frame it sends; toward a
 // peer that has not — the previous release, mid-upgrade — nothing is
-// enforced and no credit is sent. There is no session-level window: a
-// session is bounded by SETTINGS max-concurrent-streams times the stream
-// window, and one stalled stream never holds up another.
+// enforced and no credit is sent. A peer that has seen this side's
+// announcement and sends past its window loses that stream. There is no
+// session-level window: a session is bounded by SETTINGS
+// max-concurrent-streams times the stream window, and one stalled stream
+// never holds up another.
 //
 // A header block in memory is Fields, its fields in wire order as
 // substrings of one copy of the payload; a Stream, with room for its two

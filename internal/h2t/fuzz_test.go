@@ -8,6 +8,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"zdr/internal/metrics"
 )
 
 // streamSeen is what a session made of one stream its peer opened.
@@ -125,14 +127,80 @@ func push(segments ...[]byte) parsed {
 	return p
 }
 
+// relayed plays the segments to a session's parser as push does, with a
+// consumer on every stream that keeps up: between two reads it has taken
+// everything the stream has. Read is the consumer, or — sunk — a WriteTo
+// into a socket of the stream's own, parked while nothing is queued, so
+// that the reader writes what the next read brings. The result is the bytes
+// each consumer got, by stream; policed says that the parser reset a stream
+// for overrunning its window, which depends on how soon the consumer took
+// what: such runs do not compare.
+func relayed(t *testing.T, sunk bool, segments ...[]byte) (data map[uint32][]byte, policed bool) {
+	reg := metrics.NewRegistry()
+	s := newSession(&scriptConn{}, false, WithMetrics(NewMetrics(reg)))
+	data = map[uint32][]byte{}
+	type consumer struct {
+		st   *Stream
+		w    net.Conn
+		done chan []byte // what the far end of w read, once WriteTo has returned
+	}
+	var open []consumer
+	catchUp := func() {
+		for more := true; more; {
+			select {
+			case st := <-s.acceptCh:
+				c := consumer{st: st}
+				if sunk {
+					w, far := socketPair(t)
+					c.w, c.done = w, make(chan []byte, 1)
+					go func() {
+						st.WriteTo(w)
+						w.Close()
+					}()
+					go func() {
+						got, _ := io.ReadAll(far)
+						far.Close()
+						c.done <- got
+					}()
+				}
+				open = append(open, c)
+			default:
+				more = false
+			}
+		}
+		for _, c := range open {
+			if sunk {
+				soon(t, "WriteTo to catch up", func() bool { return parked(c.st) })
+				continue
+			}
+			for n, _ := c.st.Buffered(); n > 0; n, _ = c.st.Buffered() {
+				b := make([]byte, n)
+				c.st.Read(b)
+				data[c.st.ID()] = append(data[c.st.ID()], b...)
+			}
+		}
+	}
+	for _, seg := range segments {
+		feedParser(s, seg, catchUp)
+	}
+	s.endRead(io.EOF)
+	for _, c := range open {
+		if sunk {
+			data[c.st.ID()] = <-c.done
+		}
+	}
+	return data, reg.CounterValue("h2t.window.overruns") > 0
+}
+
 // FuzzReadFrame throws bytes at both frame parsers. ReadFrame must never
 // panic and never return more than a frame may hold. The session's push
 // parser must make the same of a byte string however it is cut into
 // reads — whole, cut in two at every point (at 256 spread over a long
 // one), cut into many pieces by a seeded choice — the same streams,
 // headers and data, the same replies owed, the same error: that is what
-// nextBuf and advance have to hide. And a session fed the bytes by its
-// own read loop must stop. The seed corpus is testdata/fuzz/FuzzReadFrame,
+// nextBuf and advance have to hide. A consumer that is a WriteTo must get
+// the bytes one that Reads gets (relayed). And a session fed the bytes by
+// its own read loop must stop. The seed corpus is testdata/fuzz/FuzzReadFrame,
 // one file per case, named for it.
 func FuzzReadFrame(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, cut uint16) {
@@ -161,6 +229,18 @@ func FuzzReadFrame(f *testing.F) {
 		}
 		if split := push(pieces...); !reflect.DeepEqual(whole, split) {
 			t.Fatalf("cut into %d pieces (seed %d):\n one segment: %+v\n     pieces: %+v", len(pieces), cut, whole, split)
+		}
+		// A stream whose bytes are written to a socket by WriteTo, the reader
+		// doing the writing whenever it finds the call parked, delivers what
+		// one that is Read delivers, to the byte: a reset drops what its
+		// consumer had not taken, and each consumer had taken all there was
+		// before the read that brought the reset.
+		read, overran := relayed(t, false, pieces...)
+		written, overranToo := relayed(t, true, pieces...)
+		for id, got := range written {
+			if !overran && !overranToo && !bytes.Equal(got, read[id]) {
+				t.Fatalf("cut into %d pieces (seed %d), stream %d:\n   Read returned: %x\nWriteTo wrote: %x", len(pieces), cut, id, read[id], got)
+			}
 		}
 		at := int(cut) % (len(data) + 1)
 		if _, ok := feed(data[:at], data[at:]); !ok {

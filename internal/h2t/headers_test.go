@@ -25,7 +25,7 @@ func TestControlBeforeControls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.ctrlCh != nil || sst.ctrlCh != nil {
+	if st.relay.Load() != nil || sst.relay.Load() != nil {
 		t.Fatal("a stream nobody sent a control frame on has a control channel")
 	}
 	if err := sst.SendControl(FrameReconnectSolicitation, []byte("u-1")); err != nil {
@@ -260,7 +260,7 @@ func TestStreamAllocations(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("DATA ping-pong on an open stream: %v allocs, want 0", n)
 	}
-	if st.ctrlCh != nil {
+	if st.relay.Load() != nil {
 		t.Error("a stream that carried only DATA has a control channel")
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"zdr/internal/metrics"
@@ -29,6 +30,12 @@ var (
 	// SETTINGS max-concurrent-streams would be exceeded.
 	ErrStreamLimit = errors.New("h2t: peer stream limit reached")
 )
+
+// A SinkError is what Stream.WriteTo returns when w ended it, not the stream.
+type SinkError struct{ Err error }
+
+func (e *SinkError) Error() string { return "h2t: write to sink: " + e.Err.Error() }
+func (e *SinkError) Unwrap() error { return e.Err }
 
 // Control is a DCR control frame delivered on a stream.
 type Control struct {
@@ -99,6 +106,7 @@ type Session struct {
 	held    []heldHeaders
 	owed    []Frame
 	rerr    error
+	policed bool // the peer is held to its windows (advance)
 
 	mu         sync.Mutex
 	streams    map[uint32]*Stream
@@ -137,6 +145,9 @@ type sessionOptions struct {
 type Metrics struct {
 	stalls   *metrics.Counter // h2t.window.stalls: a sender parked for credit
 	updates  *metrics.Counter // h2t.window.updates_sent: WINDOW_UPDATE frames sent
+	overruns *metrics.Counter // h2t.window.overruns: streams reset for DATA beyond their window
+	direct   *metrics.Counter // h2t.sink.direct_bytes: WriteTo bytes the session reader wrote as they came
+	buffered *metrics.Counter // h2t.sink.buffered_bytes: WriteTo bytes that went through the chunk queue
 	resident *metrics.Gauge   // h2t.recv.resident_bytes: chunk memory held by receive buffers
 }
 
@@ -145,6 +156,9 @@ func NewMetrics(reg *metrics.Registry) *Metrics {
 	return &Metrics{
 		stalls:   reg.Counter("h2t.window.stalls"),
 		updates:  reg.Counter("h2t.window.updates_sent"),
+		overruns: reg.Counter("h2t.window.overruns"),
+		direct:   reg.Counter("h2t.sink.direct_bytes"),
+		buffered: reg.Counter("h2t.sink.buffered_bytes"),
 		resident: reg.Gauge("h2t.recv.resident_bytes"),
 	}
 }
@@ -595,17 +609,23 @@ type heldHeaders struct {
 func (s *Session) readLoop() {
 	for {
 		err := s.wr.Run()
-		if err == nil && s.rerr == nil {
-			for i, f := range s.owed {
-				s.writeFrame(f) // a failure ends the session, and the next Run
-				s.owed[i] = Frame{}
-			}
-			s.owed = s.owed[:0]
-			continue
+		if err != nil || s.rerr != nil {
+			s.endRead(err)
+			return
 		}
-		s.endRead(err)
-		return
+		s.payOwed()
 	}
+}
+
+// payOwed writes what the wakes of a Run came to owe: replies, and credit
+// for DATA the reader wrote through. A failure ends the session, and the
+// next Run.
+func (s *Session) payOwed() {
+	for i, f := range s.owed {
+		s.writeFrame(f)
+		s.owed[i] = Frame{}
+	}
+	s.owed = s.owed[:0]
 }
 
 // endRead shuts the session down for what ended its read side: the
@@ -699,11 +719,26 @@ func (s *Session) advance(n int) error {
 			if f.Flags&FlagWindow != 0 && !s.legacy {
 				s.peerWindow.Store(true)
 			}
+			// Credit, a PING's echo and whatever names a stream this side
+			// opened answer a frame of ours, so the peer has our announcement;
+			// before, a tunnel's first upload may cross it and is not policed.
+			if !s.policed && (f.Type == FrameWindowUpdate || f.Type == FramePing && f.Flags&FlagAck != 0 ||
+				f.StreamID != 0 && !s.peerInitiated(f.StreamID)) {
+				s.policed = s.peerWindow.Load()
+			}
 			s.rr += frameHeaderLen
 			s.inFrame, s.cur, s.left, s.curSt, s.big = true, f, size, nil, nil
 			switch {
 			case f.Type == FrameData:
-				s.curSt = s.lookup(f.StreamID)
+				if s.curSt = s.lookup(f.StreamID); s.curSt != nil && s.policed && !s.curSt.buf.admits(size) {
+					// Past its window: the peer loses this stream and nothing
+					// else, and the payload goes nowhere.
+					s.m.overruns.Inc()
+					s.curSt.abort(ErrStreamReset)
+					s.dropStream(f.StreamID)
+					s.owed = append(s.owed, Frame{Type: FrameRST, StreamID: f.StreamID})
+					s.curSt = nil
+				}
 			case size > len(s.rbuf):
 				s.big = make([]byte, size) // only a header block can be this large
 			}
@@ -712,14 +747,8 @@ func (s *Session) advance(n int) error {
 		src := s.rbuf[s.rr : s.rr+have]
 		switch {
 		case s.cur.Type == FrameData:
-			for s.curSt != nil && len(src) > 0 {
-				dst := s.curSt.buf.room(s, s.left-have+len(src))
-				if dst == nil {
-					break // the stream has ended: the payload goes nowhere
-				}
-				k := copy(dst, src)
-				s.curSt.buf.filled(s, k)
-				src = src[k:]
+			if s.curSt != nil && len(src) > 0 {
+				s.curSt.buf.put(s, s.curSt, src, s.left-have)
 			}
 		case s.big != nil:
 			copy(s.big[len(s.big)-s.left:], src)
@@ -924,8 +953,16 @@ type Stream struct {
 	hdr, resp Fields
 	hdrWake   chan struct{}
 	room      [fieldsRoom]Field
-	// ctrlCh carries DCR control frames; made on first use (controls).
-	ctrlCh chan Control
+	relay     atomic.Pointer[relayState] // made on first use (relayState)
+}
+
+// relayState is what only a stream relayed between two connections needs,
+// the MQTT streams, and a request's stream does not pay for.
+type relayState struct {
+	ctrlCh chan Control // DCR control frames
+	// sink, guarded by buf.mu, is the socket of a WriteTo parked on the
+	// empty buffer: the session reader writes DATA there (recvBuffer.put).
+	sink *netx.TryWriter
 }
 
 func newStream(s *Session, id uint32) *Stream {
@@ -1017,6 +1054,39 @@ func (st *Stream) Read(p []byte) (int, error) {
 		st.sess.sendCredit(st.id, credit)
 	}
 	return n, err
+}
+
+// WriteTo is the consumer, in place of Read, of a stream whose bytes are
+// only handed on. It writes the stream's DATA to w and returns how much,
+// with nil at the peer's END_STREAM, the stream's error if it was reset or
+// its session died, and a *SinkError if a write to w failed. It holds no
+// buffer: what is queued it writes from the chunks it arrived in, and while
+// nothing is queued and w gives up its descriptor (a bare connection, not
+// a wrapped one) the session reader writes each payload to w as it arrives
+// (recvBuffer.put). Nobody else may write w while WriteTo runs.
+func (st *Stream) WriteTo(w io.Writer) (n int64, err error) {
+	s, r := st.sess, st.relayState()
+	var sink *netx.TryWriter
+	if sc, ok := w.(syscall.Conn); ok {
+		if sink = netx.NewTryWriter(sc); sink != nil {
+			defer func() { n += sink.Written() }()
+		}
+	}
+	for {
+		p, err := st.buf.head(r, sink)
+		if p == nil {
+			return n, err
+		}
+		k, err := w.Write(p)
+		n += int64(k)
+		s.m.buffered.Add(int64(k))
+		if credit := st.buf.drained(s, k); credit > 0 && s.peerWindow.Load() {
+			s.sendCredit(st.id, credit)
+		}
+		if err != nil {
+			return n, &SinkError{err}
+		}
+	}
 }
 
 // Buffered reports what the next Read returns without blocking: n bytes
@@ -1164,18 +1234,17 @@ func (st *Stream) SendControl(t FrameType, payload []byte) error {
 
 // Controls returns the channel of DCR control frames received on this
 // stream, those that arrived before the first call included.
-func (st *Stream) Controls() <-chan Control { return st.controls() }
+func (st *Stream) Controls() <-chan Control { return st.relayState().ctrlCh }
 
-// controls returns ctrlCh, made by whoever needs it first, the consumer
-// or the session reader with a frame for it: a request's stream has none.
-func (st *Stream) controls() chan Control {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.ctrlCh == nil {
-		// A re_connect is a frame or two; 16 is several re_connects' worth.
-		st.ctrlCh = make(chan Control, 16)
+// relayState returns the stream's relay state, made by whoever needs it
+// first: the consumer, or the session reader with a control frame for it.
+func (st *Stream) relayState() *relayState {
+	if r := st.relay.Load(); r != nil {
+		return r
 	}
-	return st.ctrlCh
+	// A re_connect is a frame or two; 16 is several re_connects' worth.
+	st.relay.CompareAndSwap(nil, &relayState{ctrlCh: make(chan Control, 16)})
+	return st.relay.Load()
 }
 
 // deliverHeaders puts a block in the stream's slot, unless the one before
@@ -1195,7 +1264,7 @@ func (st *Stream) deliverHeaders(h Fields) {
 
 func (st *Stream) deliverControl(c Control) {
 	select {
-	case st.controls() <- c:
+	case st.relayState().ctrlCh <- c:
 	default: // drop over backpressure; control frames are advisory
 	}
 }

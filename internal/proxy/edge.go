@@ -681,28 +681,17 @@ func (p *Proxy) runMQTTDownstream(relay *mqttRelay) {
 // pumpUntilSwap forwards downstream bytes and handles control frames for
 // one stream generation. It returns true when the relay was spliced onto a
 // new stream (caller re-arms), false when the relay is finished — either
-// way only after the goroutine that reads st has exited, so two
-// generations never interleave bytes on the user's connection.
+// way only after st's WriteTo has returned: until then it and st's session
+// reader write the user's connection, and two generations never interleave
+// bytes there.
 func (p *Proxy) pumpUntilSwap(relay *mqttRelay, st *h2t.Stream) bool {
-	// ended carries how the reader ended: true, the stream did; false,
-	// the client's connection.
+	// ended carries how WriteTo ended: true, the stream did; false, the
+	// client's connection.
 	ended := make(chan bool, 1)
 	go func() {
-		bp := bufpool.Get(8 << 10)
-		defer bufpool.Put(bp)
-		for {
-			n, err := st.Read(*bp)
-			if n > 0 {
-				if _, werr := relay.clientConn.Write((*bp)[:n]); werr != nil {
-					ended <- false
-					return
-				}
-			}
-			if err != nil {
-				ended <- true
-				return
-			}
-		}
+		_, err := st.WriteTo(relay.clientConn)
+		var sink *h2t.SinkError
+		ended <- !errors.As(err, &sink)
 	}()
 	// spliced carries the verdict of the re_connect in flight; nil when
 	// none is. The transaction runs beside the pump, not in it: the old

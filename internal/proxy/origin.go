@@ -275,15 +275,14 @@ func (p *Proxy) relayMQTT(os *originSession, st *h2t.Stream, userID, trace strin
 		p.reg.Gauge("origin.mqtt.active").Dec()
 	}()
 
-	// Bidirectional byte relay; returns when either side closes. The
-	// relay selector (netx.Relay) takes the kernel splice path only when
-	// both ends are bare TCP conns; the stream side here is h2t-framed,
-	// so these pumps keep the pooled copy, the broker→stream one reading
-	// a bare bconn by wakes. A fault-wrapped bconn fails the selector
-	// both ways, keeping injected faults on the observable path.
+	// Bidirectional byte relay; returns when either side closes. Toward a
+	// bare bconn the tunnel's reader writes the stream's DATA as it arrives
+	// (Stream.WriteTo), no buffer held; from it netx.Relay reads by wakes
+	// into a pooled one. A fault-wrapped bconn gets a plain loop both ways,
+	// keeping injected faults on the observable path.
 	errCh := make(chan error, 2)
 	go func() {
-		_, err := netx.Relay(bconn, st)
+		_, err := st.WriteTo(bconn)
 		errCh <- err
 	}()
 	go func() {

@@ -3,14 +3,19 @@ package proxy
 import (
 	"bufio"
 	"encoding/binary"
+	"fmt"
+	"io"
 	"net"
 	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"zdr/internal/bufpool"
+	"zdr/internal/http1"
 	"zdr/internal/mqtt"
 	"zdr/internal/netx"
+	"zdr/internal/racetest"
 )
 
 // rawMQTT connects a hand-driven MQTT user to addr, subscribed to filter,
@@ -60,32 +65,84 @@ func within(t *testing.T, what string, do func()) {
 	}
 }
 
+// deafUser connects a user behind the Edge that subscribes and reads
+// nothing, and has the broker publish size bytes to it for as long as it is
+// taken: published counts, and stops moving once everything on the way is
+// full.
+func (tp *topology) deafUser(t *testing.T, size int) (user net.Conn, published *atomic.Int64) {
+	user = rawMQTT(t, tp.edge.Addr(VIPMQTT), "deaf", "notif/deaf")
+	published = new(atomic.Int64)
+	go func() {
+		for payload := make([]byte, size); tp.broker.Publish("notif/deaf", payload) == 1; {
+			published.Add(1)
+		}
+	}()
+	return user, published
+}
+
+// downstreamParked: a deaf user with everything on the way to it full. The
+// Edge's stream → user pump (Stream.WriteTo) is parked in a write of the
+// user's socket with a window of DATA queued behind it, and the Origin's
+// broker→stream pump on the stream's window.
+func downstreamParked(t *testing.T) (*topology, net.Conn) {
+	tp := startTopology(t, 0, 1)
+	user, published := tp.deafUser(t, 32<<10)
+	waitFor(t, "the origin's pump to run out of window", func() bool {
+		return tp.origins[0].Metrics().CounterValue("h2t.window.stalls") > 0
+	})
+	settled(t, "the broker's write to park", published)
+	return tp, user
+}
+
+// downstreamFlowing: a user behind the Edge that reads all it is sent while
+// the broker publishes to it without pause: the Edge's session reader is
+// writing the stream's DATA to the user's socket itself, wake after wake.
+func downstreamFlowing(t *testing.T) (*topology, net.Conn) {
+	tp := startTopology(t, 0, 1)
+	user := rawMQTT(t, tp.edge.Addr(VIPMQTT), "keen", "notif/keen")
+	user.(*net.TCPConn).SetReadBuffer(1 << 20) // rawMQTT's is a deaf user's
+	user.SetReadDeadline(time.Time{})
+	go io.Copy(io.Discard, user)
+	go func() {
+		for payload := make([]byte, 512); tp.broker.Publish("notif/keen", payload) == 1; {
+		}
+	}()
+	direct := func() int64 { return tp.edge.Metrics().CounterValue("h2t.sink.direct_bytes") }
+	waitFor(t, "the edge's reader to be writing through", func() bool { return direct() > 256<<10 })
+	return tp, user
+}
+
+// theRelay returns the Edge's one MQTT relay.
+func (tp *topology) theRelay() (relay *mqttRelay) {
+	tp.edge.mu.Lock()
+	defer tp.edge.mu.Unlock()
+	for r := range tp.edge.mqttConns {
+		relay = r
+	}
+	return relay
+}
+
 // TestTeardownNeverWaitsForAParkedWrite: the MQTT pumps that read by wakes
 // write, under the read lock of the connection they read, to a stream
-// whose window can run out. However such a relay is torn down — the
-// Origin's relay ending, the Origin closing, the Edge closing the relay —
-// the teardown frees the parked write instead of waiting behind it, and
-// the process is back at its descriptors and goroutines afterwards.
+// whose window can run out; the pump the other way writes the user's
+// socket, or has the tunnel's reader write it, and can be parked on that.
+// However such a relay is torn down — the Origin's relay ending, the
+// Origin closing, the Edge closing the relay, the user hanging up — and
+// whichever of the two has the socket at that instant, the teardown frees
+// the parked write instead of waiting behind it, and the process is back
+// at its descriptors and goroutines afterwards.
 func TestTeardownNeverWaitsForAParkedWrite(t *testing.T) {
 	payload := make([]byte, 32<<10)
-
-	// downstreamParked: a user behind the Edge subscribes and stops
-	// reading while the broker publishes to it, until the Origin's
-	// broker→stream pump is parked on the stream's window.
-	downstreamParked := func(t *testing.T) (*topology, net.Conn) {
-		tp := startTopology(t, 0, 1)
-		user := rawMQTT(t, tp.edge.Addr(VIPMQTT), "deaf", "notif/deaf")
-		var published atomic.Int64
-		go func() {
-			for tp.broker.Publish("notif/deaf", payload) == 1 {
-				published.Add(1)
+	// hungUp: the Edge lets go of a user that has closed its connection.
+	hungUp := func(t *testing.T, tp *topology, user net.Conn) {
+		user.Close()
+		t0 := time.Now()
+		for tp.edge.MQTTConnCount() != 0 {
+			if time.Since(t0) > time.Second {
+				t.Fatal("the relay outlived its user's connection")
 			}
-		}()
-		waitFor(t, "the origin's pump to run out of window", func() bool {
-			return tp.origins[0].Metrics().CounterValue("h2t.window.stalls") > 0
-		})
-		settled(t, "the broker's write to park", &published)
-		return tp, user
+			time.Sleep(time.Millisecond)
+		}
 	}
 
 	cases := []struct {
@@ -95,6 +152,26 @@ func TestTeardownNeverWaitsForAParkedWrite(t *testing.T) {
 		{"the origin closes", func(t *testing.T) {
 			tp, _ := downstreamParked(t)
 			within(t, "Origin.Close", tp.origins[0].Close)
+		}},
+		{"the origin closes under the reader's writes", func(t *testing.T) {
+			tp, _ := downstreamFlowing(t)
+			within(t, "Origin.Close", tp.origins[0].Close)
+		}},
+		{"the edge closes a relay parked on its user", func(t *testing.T) {
+			tp, _ := downstreamParked(t)
+			within(t, "mqttRelay.close", tp.theRelay().close)
+		}},
+		{"the edge closes a relay under the reader's writes", func(t *testing.T) {
+			tp, _ := downstreamFlowing(t)
+			within(t, "mqttRelay.close", tp.theRelay().close)
+		}},
+		{"the user hangs up on a parked relay", func(t *testing.T) {
+			tp, user := downstreamParked(t)
+			hungUp(t, tp, user)
+		}},
+		{"the user hangs up under the reader's writes", func(t *testing.T) {
+			tp, user := downstreamFlowing(t)
+			hungUp(t, tp, user)
 		}},
 		{"the origin's relay ends", func(t *testing.T) {
 			// The broker drops the user; the Origin learns of it from the
@@ -128,13 +205,7 @@ func TestTeardownNeverWaitsForAParkedWrite(t *testing.T) {
 				return tp.edge.Metrics().CounterValue("h2t.window.stalls") > 0
 			})
 			settled(t, "the user's write to park", &sent)
-			tp.edge.mu.Lock()
-			var relay *mqttRelay
-			for r := range tp.edge.mqttConns {
-				relay = r
-			}
-			tp.edge.mu.Unlock()
-			within(t, "mqttRelay.close", relay.close)
+			within(t, "mqttRelay.close", tp.theRelay().close)
 		}},
 	}
 	for _, c := range cases {
@@ -149,6 +220,113 @@ func TestTeardownNeverWaitsForAParkedWrite(t *testing.T) {
 			return n <= fds && runtime.NumGoroutine() <= goroutines
 		})
 	}
+}
+
+// selfPublisher connects an MQTT user through the Edge that is subscribed
+// to its own topic; the function returned publishes to it at QoS 1 and
+// waits for the delivery.
+func selfPublisher(t *testing.T, tp *topology, id string) (roundTrip func()) {
+	t.Helper()
+	c := dialMQTT(t, tp, id)
+	if err := c.Subscribe(5*time.Second, "self/"+id); err != nil {
+		t.Fatal(err)
+	}
+	payload := make([]byte, 128)
+	return func() {
+		t.Helper()
+		if err := c.Publish("self/"+id, payload, 1, 2*time.Second); err != nil {
+			t.Fatalf("%s: publish: %v", id, err)
+		}
+		select {
+		case <-c.Messages():
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s: its publish was not delivered", id)
+		}
+	}
+}
+
+// TestSlowSinkDoesNotStallTheSession: the tunnel's reader writes a relayed
+// stream's DATA to its user's socket itself, and a wake must never wait.
+// One MQTT user stops reading until its socket is full and a window is
+// queued behind it. A second user and an HTTP GET on the same tunnel
+// session go on completing while that builds up and after; the stalled
+// stream costs its session a window and a chunk of memory at most, and
+// nothing once its user is gone. (The second user pings: a publish would
+// wait in the broker, whose fan-out takes every session's lock in turn and
+// finds the deaf one's held by the write parked on it — the broker's
+// matter, before this test as after, and not the tunnel's.)
+func TestSlowSinkDoesNotStallTheSession(t *testing.T) {
+	tp := startTopology(t, 1, 1)
+	neighbour := dialMQTT(t, tp, "neighbour")
+	roundTrip := func() {
+		t.Helper()
+		if err := neighbour.Ping(2 * time.Second); err != nil {
+			t.Fatalf("the stalled user's neighbour: %v", err)
+		}
+	}
+	get := func() {
+		t.Helper()
+		if resp := doRequest(t, tp.edge.Addr(VIPWeb), http1.NewRequest("GET", "/api/feed", nil, 0)); resp.StatusCode != 200 {
+			t.Fatalf("GET beside a stalled user: status %d", resp.StatusCode)
+		}
+	}
+	resident := func() int64 { return tp.edge.Metrics().GaugeValue("h2t.recv.resident_bytes") }
+
+	// Publishes far smaller than a read of the tunnel: the Edge's reader
+	// finds nothing queued and writes them itself, so it is the reader's
+	// write that finds the user's socket full.
+	user, published := tp.deafUser(t, 300)
+	stalls := func() int64 { return tp.origins[0].Metrics().CounterValue("h2t.window.stalls") }
+	for stalls() == 0 { // while the user's socket and the window fill up
+		roundTrip()
+		get()
+	}
+	settled(t, "the broker's write to park", published)
+	if n := tp.edge.Metrics().CounterValue("h2t.sink.buffered_bytes"); n == 0 {
+		t.Fatal("a user that reads nothing had no byte queued for it")
+	}
+	for i := 0; i < 50; i++ {
+		roundTrip()
+		get()
+	}
+	if held := resident(); held == 0 || held > 256<<10+bufpool.TierLarge {
+		t.Fatalf("the stalled stream holds %d bytes of chunks, want at most a window and a chunk", held)
+	}
+	user.Close()
+	waitFor(t, "the chunks of the stalled stream to go back", func() bool { return resident() == 0 })
+	roundTrip()
+	tp.edge.mu.Lock()
+	defer tp.edge.mu.Unlock()
+	if n := len(tp.edge.tunnels); n != 1 {
+		t.Fatalf("the edge has %d tunnel sessions, want the one all of this shared", n)
+	}
+}
+
+// TestSinkCountsDirectAndBuffered: h2t.sink.direct_bytes and
+// h2t.sink.buffered_bytes say which way a relayed stream's DATA reached its
+// socket. Once a user's handshake is over — its first packets can reach a
+// proxy before the pump that will wait for them is parked — a steady
+// publish loop is written by the tunnels' readers to the last byte, at the
+// Origin on the way up and at the Edge on the way down; a user that stops
+// reading moves its bytes to the queue.
+func TestSinkCountsDirectAndBuffered(t *testing.T) {
+	tp, counts := startTopology(t, 0, 1), func(p *Proxy) (direct, buffered int64) {
+		return p.Metrics().CounterValue("h2t.sink.direct_bytes"), p.Metrics().CounterValue("h2t.sink.buffered_bytes")
+	}
+	roundTrip := selfPublisher(t, tp, "steady")
+	roundTrip()
+	for _, p := range []*Proxy{tp.origins[0], tp.edge} {
+		direct, buffered := counts(p)
+		for i := 0; i < 200; i++ {
+			roundTrip()
+		}
+		if d, b := counts(p); d-direct < 200*128 || b != buffered {
+			t.Errorf("%s: 200 publishes moved %d bytes direct and %d through the queue, want all of them direct", p.cfg.Name, d-direct, b-buffered)
+		}
+	}
+	_, buffered := counts(tp.edge)
+	tp.deafUser(t, 32<<10)
+	waitFor(t, "a stalled user's bytes to be queued", func() bool { _, b := counts(tp.edge); return b > buffered })
 }
 
 // TestDCRSpliceKeepsByteOrder: a user publishes to itself as fast as a
@@ -231,4 +409,57 @@ func TestDCRSpliceKeepsByteOrder(t *testing.T) {
 			return
 		}
 	}
+}
+
+// TestIdleRelayedUserHoldsNoRelayBuffer is the paper's idle tier (§4.2):
+// MQTT users are carried through Edge and Origin for hours, mostly silent,
+// so what a silent one holds at each hop is the steady-state price. Four
+// hundred users subscribe through one Edge and one Origin and fall silent;
+// each is sent one publish and falls silent again. Both times no receive
+// buffer holds a chunk, and the heap of the whole process — both proxies,
+// the broker and the test's own bookkeeping — is at most 160 KB a user:
+// the stream → socket pumps park in Stream.WriteTo with no buffer of their
+// own, where a pooled 16 KiB at the Edge and 64 KiB at the Origin used to
+// wait with every user.
+func TestIdleRelayedUserHoldsNoRelayBuffer(t *testing.T) {
+	racetest.SkipAllocs(t)
+	const users, perUser = 400, 160 << 10
+	tp := startTopology(t, 0, 1)
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC() // the second empties what the first left in the pools' victim caches
+		runtime.ReadMemStats(&ms)
+		return ms.HeapInuse
+	}
+	before := heap()
+	idle := func(when string) {
+		t.Helper()
+		for _, p := range []*Proxy{tp.edge, tp.origins[0]} {
+			p := p
+			waitFor(t, p.cfg.Name+" to hold no chunk "+when, func() bool {
+				return p.Metrics().GaugeValue("h2t.recv.resident_bytes") == 0
+			})
+		}
+		if held := (heap() - before) / users; held > perUser {
+			t.Fatalf("%s an idle user holds %d KB of heap, want at most %d", when, held>>10, perUser>>10)
+		} else {
+			t.Logf("%s: %d KB of heap per idle user", when, held>>10)
+		}
+	}
+	conns := make([]net.Conn, users)
+	for i := range conns {
+		conns[i] = rawMQTT(t, tp.edge.Addr(VIPMQTT), fmt.Sprintf("idle-%d", i), fmt.Sprintf("notif/idle-%d", i))
+	}
+	idle("after subscribing")
+	for i, c := range conns {
+		if n := tp.broker.Publish(fmt.Sprintf("notif/idle-%d", i), []byte("wake")); n != 1 {
+			t.Fatalf("user %d: publish delivered to %d sessions", i, n)
+		}
+		c.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if p, err := mqtt.Decode(c); err != nil || p.Type != mqtt.PUBLISH || string(p.Payload) != "wake" {
+			t.Fatalf("user %d: %+v, %v", i, p, err)
+		}
+	}
+	idle("after a publish each")
 }
