@@ -11,8 +11,9 @@
 //
 // -takeover-conns N appends a takeover curve: the idleconns demo run at
 // several connection scales (auto-clamped to the fd budget), recording
-// hand-off wall time, the O(1) epoch-bump cost over a million-entry flow
-// table, reconnect-storm absorption, and peak RSS.
+// what an idle connection holds (heap+stack and goroutines), hand-off wall
+// time, the O(1) epoch-bump cost over a million-entry flow table,
+// reconnect-storm absorption, and peak RSS.
 //
 // -compare FILE re-runs the micro-benchmarks and gates against a stored
 // baseline on what does not depend on the machine: a benchmark
@@ -67,13 +68,15 @@ type Result struct {
 
 // TakeoverPoint is one idleconns demo run on the takeover curve.
 type TakeoverPoint struct {
-	Conns           int     `json:"conns"`
-	Flows           int     `json:"flows"`
-	TakeoverMs      float64 `json:"takeover_ms"`
-	EpochBumpNs     int64   `json:"epoch_bump_ns"`
-	EpochBumpWrites uint64  `json:"epoch_bump_writes"`
-	ReconnectMs     float64 `json:"reconnect_ms"`
-	PeakRSSKB       int64   `json:"peak_rss_kb"`
+	Conns             int     `json:"conns"`
+	Flows             int     `json:"flows"`
+	IdleBytesPerConn  int64   `json:"idle_bytes_per_conn"`
+	GoroutinesPerConn float64 `json:"goroutines_per_conn"`
+	TakeoverMs        float64 `json:"takeover_ms"`
+	EpochBumpNs       int64   `json:"epoch_bump_ns"`
+	EpochBumpWrites   uint64  `json:"epoch_bump_writes"`
+	ReconnectMs       float64 `json:"reconnect_ms"`
+	PeakRSSKB         int64   `json:"peak_rss_kb"`
 }
 
 // Baseline is the emitted document.
@@ -213,13 +216,15 @@ func takeoverCurve(maxConns, flows int) ([]TakeoverPoint, error) {
 			return nil, fmt.Errorf("%d conns: %w", conns, err)
 		}
 		curve = append(curve, TakeoverPoint{
-			Conns:           rep.Conns,
-			Flows:           rep.FlowTableFlows,
-			TakeoverMs:      rep.TakeoverMs,
-			EpochBumpNs:     rep.EpochBumpNs,
-			EpochBumpWrites: rep.EpochBumpWrites,
-			ReconnectMs:     rep.ReconnectMs,
-			PeakRSSKB:       rep.PeakRSSKB,
+			Conns:             rep.Conns,
+			Flows:             rep.FlowTableFlows,
+			IdleBytesPerConn:  rep.IdleBytesPerConn,
+			GoroutinesPerConn: rep.GoroutinesPerConn,
+			TakeoverMs:        rep.TakeoverMs,
+			EpochBumpNs:       rep.EpochBumpNs,
+			EpochBumpWrites:   rep.EpochBumpWrites,
+			ReconnectMs:       rep.ReconnectMs,
+			PeakRSSKB:         rep.PeakRSSKB,
 		})
 		// The harness clamps to the fd budget; once we hit the ceiling,
 		// larger requested scales would just repeat the same point.

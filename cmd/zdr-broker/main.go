@@ -25,8 +25,6 @@ func main() {
 	name := flag.String("name", "", "broker name (default broker-<pid>)")
 	admin := flag.String("admin", "", "admin endpoint bind address (/metrics, /healthz); empty disables")
 	profile := flag.Bool("profile", false, "expose /debug/pprof/ and sample Go runtime gauges on the admin endpoint")
-	eventLoop := flag.Bool("event-loop", false, "park idle sessions in an epoll event loop instead of goroutines")
-	loopWorkers := flag.Int("event-loop-workers", 0, "event loop worker pool size (0 = GOMAXPROCS)")
 	tuningFlags := netx.TuningFlags(flag.CommandLine)
 	flag.Parse()
 	if *name == "" {
@@ -40,19 +38,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	if *eventLoop {
-		loop, err := netx.NewEventLoop(netx.EventLoopConfig{Workers: *loopWorkers})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer loop.Close()
-		fmt.Printf("%s: serving MQTT on %s (event loop)\n", *name, ln.Addr())
-		go b.ServeLoop(ln, loop)
-	} else {
-		fmt.Printf("%s: serving MQTT on %s\n", *name, ln.Addr())
-		go b.Serve(ln)
-	}
+	fmt.Printf("%s: serving MQTT on %s\n", *name, ln.Addr())
+	go b.Serve(ln)
 	if *admin != "" {
 		a := &obs.Admin{Service: *name, Registry: b.Metrics(), Profile: *profile}
 		if *profile {

@@ -11,7 +11,7 @@
 //	zdr-loadgen -web 127.0.0.1:8080 -mqtt 127.0.0.1:8883 -mqtt-conns 20
 //
 // Idle-connection storm mode holds a herd of established keep-alive
-// connections (the population an event-loop edge parks in epoll),
+// connections (the silent population an edge serves between requests),
 // counts any that the server severs while idle — e.g. a release
 // terminating its drained generation — and then wakes every survivor at
 // once, re-dialing casualties, to measure reconnect-storm absorption:

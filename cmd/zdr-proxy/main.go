@@ -58,8 +58,6 @@ func main() {
 	admin := flag.String("admin", "", "admin endpoint bind address (/metrics, /healthz, /debug/release, /debug/disruption); empty disables")
 	profile := flag.Bool("profile", false, "expose /debug/pprof/ and sample Go runtime gauges on the admin endpoint")
 	generation := flag.Int("generation", 1, "process generation for disruption-ledger attribution (bump on each deploy)")
-	eventLoop := flag.Bool("event-loop", false, "park idle edge connections in an epoll event loop instead of goroutines")
-	loopWorkers := flag.Int("event-loop-workers", 0, "event loop worker pool size (0 = GOMAXPROCS)")
 	tuningFlags := netx.TuningFlags(flag.CommandLine)
 	flag.Parse()
 
@@ -108,18 +106,6 @@ func main() {
 	led := disrupt.New(cfg.Name, 0)
 	cfg.Ledger = led
 	cfg.Generation = *generation
-
-	// The loop is per-process state: it is created fresh here and is
-	// never part of the takeover transfer — a receiving generation
-	// re-registers adopted fds in its own loop.
-	if *eventLoop {
-		loop, err := netx.NewEventLoop(netx.EventLoopConfig{Workers: *loopWorkers})
-		if err != nil {
-			fatal("event loop: %v", err)
-		}
-		defer loop.Close()
-		cfg.ConnLoop = loop
-	}
 
 	p := proxy.New(cfg, nil)
 	if *admin != "" {

@@ -339,17 +339,17 @@ func (s *Server) Close() {
 }
 
 // servedConn is one accepted connection with what reads it for its whole
-// life (http1.KeepAlive: a request that arrives whole costs one read).
+// life (http1.KeepAlive: a request that arrives whole costs one read, and
+// one waited for holds no buffer).
 type servedConn struct {
 	net.Conn
-	s    *Server
-	ka   http1.KeepAlive
-	rbuf [4 << 10]byte
+	s  *Server
+	ka http1.KeepAlive
 }
 
 func (s *Server) newConn(conn net.Conn) *servedConn {
 	c := &servedConn{Conn: conn, s: s}
-	c.ka.Init(conn, bufio.NewReaderSize(nil, len(c.rbuf)), c.rbuf[:], c)
+	c.ka.Init(conn, c)
 	return c
 }
 

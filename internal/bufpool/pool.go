@@ -99,8 +99,8 @@ func Copy(dst io.Writer, src io.Reader) (int64, error) {
 }
 
 // readers pools the buffered readers accepted connections are read
-// through: one that closes after a few messages, or parks in an event
-// loop between them, gives its 4 KiB to the next.
+// through: one that closes after a few messages, or waits with nothing
+// buffered between them, gives its 4 KiB to the next.
 var readers = sync.Pool{New: func() any { return bufio.NewReader(nil) }}
 
 // GetReader returns a pooled bufio.Reader reading r. The caller returns

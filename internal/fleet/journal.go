@@ -1,9 +1,10 @@
 package fleet
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"sync"
 	"time"
@@ -64,16 +65,28 @@ type Record struct {
 
 // Journal is an append-only, fsync-per-record JSONL file. Appends are
 // serialised; a torn final line (operator died mid-write) is tolerated
-// by Replay.
+// by Replay and cut off by OpenJournal.
 type Journal struct {
 	mu sync.Mutex
 	f  *os.File
 }
 
 // OpenJournal opens (creating if needed) the journal at path for append.
+// A torn append a crash left at its end is cut off first: the next record
+// starts a line of its own, where Replay finds it.
 func OpenJournal(path string) (*Journal, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
+		return nil, err
+	}
+	data, err := io.ReadAll(f)
+	if err == nil {
+		if whole := bytes.LastIndexByte(data, '\n') + 1; whole < len(data) {
+			err = f.Truncate(int64(whole))
+		}
+	}
+	if err != nil {
+		f.Close()
 		return nil, err
 	}
 	return &Journal{f: f}, nil
@@ -119,39 +132,41 @@ func (j *Journal) Close() error {
 	return err
 }
 
-// Replay reads every complete record from a journal file. A truncated
-// final line — the signature of a crash mid-append — is skipped, not an
-// error: everything before it was fsynced and is trusted. A missing file
-// replays empty.
+// Replay reads every complete record from a journal file. A record is a
+// line that its newline ends: Append returns, and the transition it
+// records runs, only once both are synced, so what follows the last
+// newline is a torn append whose transition never ran, and is skipped even
+// where it parses. A line that does not parse ends the replay: nothing
+// after it is trusted. A missing file replays empty.
 func Replay(path string) ([]Record, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
+	if os.IsNotExist(err) {
+		return nil, nil
+	}
 	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
 		return nil, err
 	}
-	defer f.Close()
+	return replay(data), nil
+}
+
+// replay is Replay of a journal's bytes.
+func replay(data []byte) []Record {
 	var recs []Record
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 64*1024), 16*1024*1024)
-	for sc.Scan() {
-		line := sc.Bytes()
+	for {
+		line, rest, whole := bytes.Cut(data, []byte{'\n'})
+		if !whole {
+			return recs
+		}
+		data = rest
 		if len(line) == 0 {
 			continue
 		}
 		var rec Record
-		if err := json.Unmarshal(line, &rec); err != nil {
-			// Torn tail from a mid-write crash. Anything after it would
-			// postdate the tear, and appends are serialised, so stop here.
-			break
+		if json.Unmarshal(line, &rec) != nil {
+			return recs
 		}
 		recs = append(recs, rec)
 	}
-	if err := sc.Err(); err != nil {
-		return recs, err
-	}
-	return recs, nil
 }
 
 // Progress is the resume point reconstructed from a journal.

@@ -3,6 +3,7 @@ package fleet
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -77,6 +78,31 @@ func TestJournalTornTail(t *testing.T) {
 	}
 }
 
+// TestJournalAppendAfterTornTail: an operator that resumes after a crash
+// appends to the journal its predecessor tore; the torn record is gone and
+// the resumed one replays in its place, whole — where, glued to the tear,
+// it and every record after it would be lost to the next recovery.
+func TestJournalAppendAfterTornTail(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "rollout.jsonl")
+	if err := os.WriteFile(path, []byte(`{"kind":"begin","rollout":"r1","nodes":["a","b"]}`+"\n"+`{"kind":"node-promoted","node":"a"}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Append(Record{Kind: RecResume, Rollout: "r1"})
+	j.Append(Record{Kind: RecNodePromoted, Rollout: "r1", Node: "b"})
+	j.Close()
+	got, err := Replay(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 3 || got[1].Kind != RecResume || got[2].Node != "b" {
+		t.Fatalf("replayed %+v, want begin, resume, node-promoted b", got)
+	}
+}
+
 // TestReplayMissingFile: a never-written journal replays empty, not as
 // an error — first boot and post-crash boot share one code path.
 func TestReplayMissingFile(t *testing.T) {
@@ -147,4 +173,41 @@ func TestRecoverEmpty(t *testing.T) {
 	if p.Rollout != "" || len(p.Promoted) != 0 || len(p.InFlight) != 0 {
 		t.Fatalf("empty journal recovered %+v", p)
 	}
+}
+
+// FuzzReplay throws bytes at the journal parser: torn, duplicated and
+// garbage records among real ones. Neither Replay nor Recover may panic,
+// and a journal cut anywhere — what a crash left before the rest was
+// appended — replays a prefix of the records the whole replays, so it
+// recovers no promotion or rollback the whole does not have. The seed
+// corpus is testdata/fuzz/FuzzReplay, one file per case, named for it.
+func FuzzReplay(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte, cut uint16) {
+		whole := replay(data)
+		all := Recover(whole)
+		// Either side of every newline, and one cut the input chooses.
+		cuts := []int{0, int(cut) % (len(data) + 1), len(data)}
+		for i, c := range data {
+			if c == '\n' {
+				cuts = append(cuts, i, i+1)
+			}
+		}
+		for _, at := range cuts {
+			part := replay(data[:at])
+			if len(part) > len(whole) || len(part) > 0 && !reflect.DeepEqual(part, whole[:len(part)]) {
+				t.Fatalf("cut at %d of %d bytes: %d records, not a prefix of the whole's %d", at, len(data), len(part), len(whole))
+			}
+			p := Recover(part)
+			for n := range p.Promoted {
+				if !all.Promoted[n] {
+					t.Fatalf("cut at %d: %q promoted, and not in the whole", at, n)
+				}
+			}
+			for n := range p.RolledBack {
+				if !all.RolledBack[n] {
+					t.Fatalf("cut at %d: %q rolled back, and not in the whole", at, n)
+				}
+			}
+		}
+	})
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -131,18 +132,18 @@ func push(segments ...[]byte) parsed {
 // consumer on every stream that keeps up: between two reads it has taken
 // everything the stream has. Read is the consumer, or — sunk — a WriteTo
 // into a socket of the stream's own, parked while nothing is queued, so
-// that the reader writes what the next read brings. The result is the bytes
-// each consumer got, by stream; policed says that the parser reset a stream
-// for overrunning its window, which depends on how soon the consumer took
-// what: such runs do not compare.
+// that the reader writes what the next read brings. The socket's buffers
+// are as large as the kernel allows, so that a write to it does not wait
+// for the far end's reader. The result is the bytes each consumer got, by stream; policed says that the
+// parser reset a stream for overrunning its window, which depends on how
+// soon the consumer took what: such runs do not compare.
 func relayed(t *testing.T, sunk bool, segments ...[]byte) (data map[uint32][]byte, policed bool) {
 	reg := metrics.NewRegistry()
 	s := newSession(&scriptConn{}, false, WithMetrics(NewMetrics(reg)))
 	data = map[uint32][]byte{}
 	type consumer struct {
 		st   *Stream
-		w    net.Conn
-		done chan []byte // what the far end of w read, once WriteTo has returned
+		done chan []byte // what the far end of the socket read, once WriteTo has returned
 	}
 	var open []consumer
 	catchUp := func() {
@@ -152,7 +153,9 @@ func relayed(t *testing.T, sunk bool, segments ...[]byte) (data map[uint32][]byt
 				c := consumer{st: st}
 				if sunk {
 					w, far := socketPair(t)
-					c.w, c.done = w, make(chan []byte, 1)
+					w.SetWriteBuffer(4 << 20)
+					far.SetReadBuffer(4 << 20)
+					c.done = make(chan []byte, 1)
 					go func() {
 						st.WriteTo(w)
 						w.Close()
@@ -170,7 +173,13 @@ func relayed(t *testing.T, sunk bool, segments ...[]byte) (data map[uint32][]byt
 		}
 		for _, c := range open {
 			if sunk {
-				soon(t, "WriteTo to catch up", func() bool { return parked(c.st) })
+				// Nothing but the goroutine of WriteTo is left to run: yield to
+				// it, a sleep would cost more than all the rest of a read.
+				for deadline := time.Now().Add(5 * time.Second); !parked(c.st); runtime.Gosched() {
+					if time.Now().After(deadline) {
+						t.Fatal("WriteTo did not catch up")
+					}
+				}
 				continue
 			}
 			for n, _ := c.st.Buffered(); n > 0; n, _ = c.st.Buffered() {

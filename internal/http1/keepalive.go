@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"net"
 
+	"zdr/internal/bufpool"
 	"zdr/internal/netx"
 )
 
@@ -22,10 +23,14 @@ type RequestHandler interface {
 // that wake, at one read of the connection. Any other request (a head in
 // pieces, a body still arriving) ends the wake with its bytes in br and
 // is read the blocking way, through br; then the wait resumes.
+//
+// The reader and the room a wake's bytes land in are pooled: taken for a
+// wake, and given back when the wake leaves nothing buffered, so that a
+// connection waiting for its next request holds neither.
 type KeepAlive struct {
 	wr   netx.WakeReader
-	br   *bufio.Reader
-	rbuf []byte
+	br   *bufio.Reader // nil, as rbuf, while nothing is buffered
+	rbuf *[]byte
 	h    RequestHandler
 	// HTTP/1.1 has one request at a time on a connection: this is it.
 	req Request
@@ -34,13 +39,10 @@ type KeepAlive struct {
 	parsed, last bool
 }
 
-// Init makes k the reader of conn. br becomes the connection's reader;
-// rbuf, no larger than br's buffer, is where a wake's bytes land first.
-// Both are the caller's to pool.
-func (k *KeepAlive) Init(conn net.Conn, br *bufio.Reader, rbuf []byte, h RequestHandler) {
-	*k = KeepAlive{br: br, rbuf: rbuf, h: h}
+// Init makes k the reader of conn.
+func (k *KeepAlive) Init(conn net.Conn, h RequestHandler) {
+	*k = KeepAlive{h: h}
 	k.wr.Init(conn, (*keepAliveReader)(k))
-	br.Reset(&k.wr)
 }
 
 // Serve serves requests until the connection is done with, which is nil
@@ -48,6 +50,7 @@ func (k *KeepAlive) Init(conn net.Conn, br *bufio.Reader, rbuf []byte, h Request
 // the next request fails: io.EOF at the peer's close, else the error of
 // the connection's Read. After a timeout it can be called again.
 func (k *KeepAlive) Serve() error {
+	defer k.release()
 	for !k.last {
 		if err := k.wr.Run(); err != nil {
 			return err
@@ -71,10 +74,26 @@ func (k *KeepAlive) Serve() error {
 // served in a wake (netx.WakeReader.Close).
 func (k *KeepAlive) Close() error { return k.wr.Close() }
 
+// release gives the reader and the room back. Nothing of them is left to
+// read: req's strings are a copy of its head, and its body has been read.
+func (k *KeepAlive) release() {
+	if k.br != nil {
+		bufpool.PutReader(k.br)
+		bufpool.Put(k.rbuf)
+		k.br, k.rbuf = nil, nil
+	}
+}
+
 // keepAliveReader is a KeepAlive as its WakeReader sees it.
 type keepAliveReader KeepAlive
 
-func (r *keepAliveReader) ReadBuf() []byte { return r.rbuf }
+func (r *keepAliveReader) ReadBuf() []byte {
+	k := (*KeepAlive)(r)
+	if k.br == nil {
+		k.br, k.rbuf = bufpool.GetReader(&k.wr), bufpool.Get(bufpool.TierSmall)
+	}
+	return *k.rbuf
+}
 
 func (r *keepAliveReader) ServeWake(n int) (done bool) {
 	k := (*KeepAlive)(r)
@@ -92,8 +111,12 @@ func (r *keepAliveReader) ServeWake(n int) (done bool) {
 			return true
 		}
 		if k.br.Buffered() == 0 {
-			return false
+			break
 		}
 	}
-	return n > 0 // the bytes of a head that is not all there yet
+	if n > 0 && k.br.Buffered() > 0 {
+		return true // the bytes of a head that is not all there yet
+	}
+	k.release()
+	return false
 }

@@ -57,8 +57,7 @@ func TestKeepAliveServesHoweverRequestsArrive(t *testing.T) {
 				client, server := pair(t)
 				defer client.Close()
 				var k KeepAlive
-				rbuf := make([]byte, 4<<10)
-				k.Init(server, bufio.NewReaderSize(nil, len(rbuf)), rbuf, &requestEcho{server})
+				k.Init(server, &requestEcho{server})
 				done := make(chan error, 1)
 				go func() {
 					err := k.Serve()

@@ -1,8 +1,8 @@
 // Package idleconns is the million-flow takeover acceptance demo: hand
 // off an Edge listener carrying a large set of established, mostly-idle
-// connections (parked in an epoll event loop, not goroutines) to a new
-// instance, and measure what the paper's §5 release machinery promises —
-// takeover wall time, peak RSS, and reconnect-storm absorption — while a
+// connections to a new instance, and measure what each of them costs while
+// it waits and what the paper's §5 release machinery promises — takeover
+// wall time, peak RSS, and reconnect-storm absorption — while a
 // generation-tagged flow table holding millions of flows flips its
 // routing epoch in O(1).
 //
@@ -20,6 +20,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -29,7 +30,6 @@ import (
 
 	"zdr/internal/http1"
 	"zdr/internal/katran"
-	"zdr/internal/netx"
 	"zdr/internal/proxy"
 )
 
@@ -41,8 +41,6 @@ type Config struct {
 	// Flows is the flow-table population for the O(1) epoch-bump check.
 	// Defaults to 1<<20 (the "million-flow" in the title).
 	Flows int
-	// LoopWorkers sizes each event loop's worker pool (0 = default).
-	LoopWorkers int
 	// DrainPeriod for both proxy generations (0 = 200ms).
 	DrainPeriod time.Duration
 	// Logf, when set, receives progress lines (e.g. fmt.Printf).
@@ -58,6 +56,14 @@ type Report struct {
 	FDBudget       int `json:"fd_budget"`
 
 	FlowTableFlows int `json:"flowtable_flows"`
+
+	// IdleBytesPerConn is what the process's heap and stacks in use after a
+	// collection grew by, per connection, once every connection has been
+	// served one request and waits for the next; GoroutinesPerConn is the
+	// same for its goroutines. Both ends of every connection are in this
+	// process.
+	IdleBytesPerConn  int64   `json:"idle_bytes_per_conn"`
+	GoroutinesPerConn float64 `json:"goroutines_per_conn"`
 
 	// TakeoverMs is the wall time of the hand-off protocol exchange as
 	// observed by the receiver (listener fds transferred, meta applied).
@@ -85,7 +91,7 @@ type Report struct {
 }
 
 // FDBudget returns how many idle connections the process may hold,
-// leaving headroom for listeners, pipes, and epoll fds. Each in-process
+// leaving headroom for listeners, pipes and the runtime. Each in-process
 // connection costs two descriptors (client end + accepted end).
 func FDBudget() int {
 	var lim syscall.Rlimit
@@ -132,19 +138,13 @@ func Run(cfg Config) (*Report, error) {
 			cfg.Conns, rep.Conns, rep.FDBudget)
 	}
 
-	// --- Generation 1: loop-mode edge holding the idle herd. ---
-	oldLoop, err := netx.NewEventLoop(netx.EventLoopConfig{Workers: cfg.LoopWorkers})
-	if err != nil {
-		return nil, err
-	}
-	defer oldLoop.Close()
+	// --- Generation 1: the edge holding the idle herd. ---
 	static := map[string][]byte{"/static/ping": []byte("pong")}
 	oldEdge := proxy.New(proxy.Config{
 		Name:          "idleconns-g1",
 		Role:          proxy.RoleEdge,
 		DrainPeriod:   cfg.DrainPeriod,
 		StaticContent: static,
-		ConnLoop:      oldLoop,
 	}, nil)
 	if err := oldEdge.Listen(); err != nil {
 		return nil, err
@@ -157,6 +157,7 @@ func Run(cfg Config) (*Report, error) {
 	addr := oldEdge.Addr(proxy.VIPWeb)
 
 	logf("idleconns: establishing %d idle connections ...\n", rep.Conns)
+	bytes0, goroutines0 := footprint()
 	conns := make([]net.Conn, 0, rep.Conns)
 	defer func() {
 		for _, c := range conns {
@@ -170,19 +171,20 @@ func Run(cfg Config) (*Report, error) {
 		}
 		conns = append(conns, c)
 	}
-	// One warm-up request per conn proves the parked path serves, then
-	// the conn goes idle in the loop.
-	if err := oneRequest(conns[0], addr); err != nil {
-		return nil, fmt.Errorf("warm-up: %w", err)
-	}
-	deadline := time.Now().Add(30 * time.Second)
-	for oldLoop.Watched() < len(conns) {
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("only %d/%d conns parked", oldLoop.Watched(), len(conns))
+	// One request per conn proves each is served, then it goes idle.
+	for i, c := range conns {
+		if err := oneRequest(c, addr); err != nil {
+			return nil, fmt.Errorf("request on conn %d: %w", i, err)
 		}
-		time.Sleep(10 * time.Millisecond)
 	}
-	logf("idleconns: %d connections parked in generation-1 loop\n", oldLoop.Watched())
+	if n := oldEdge.Metrics().CounterValue("edge.http.requests"); n != int64(len(conns)) {
+		return nil, fmt.Errorf("generation 1 served %d requests on %d conns", n, len(conns))
+	}
+	bytes1, goroutines1 := footprint()
+	rep.IdleBytesPerConn = (int64(bytes1) - int64(bytes0)) / int64(len(conns))
+	rep.GoroutinesPerConn = float64(goroutines1-goroutines0) / float64(len(conns))
+	logf("idleconns: %d connections served and idle: %d B of heap+stack and %.2f goroutines each\n",
+		len(conns), rep.IdleBytesPerConn, rep.GoroutinesPerConn)
 
 	// --- The million flows. ---
 	table := katran.NewFlowTable(cfg.Flows*2, 0)
@@ -200,17 +202,11 @@ func Run(cfg Config) (*Report, error) {
 	logf("idleconns: flow table resident with %d flows (%d shards)\n", table.Len(), table.Shards())
 
 	// --- Generation 2 takes over. ---
-	newLoop, err := netx.NewEventLoop(netx.EventLoopConfig{Workers: cfg.LoopWorkers})
-	if err != nil {
-		return nil, err
-	}
-	defer newLoop.Close()
 	newEdge := proxy.New(proxy.Config{
 		Name:          "idleconns-g2",
 		Role:          proxy.RoleEdge,
 		DrainPeriod:   cfg.DrainPeriod,
 		StaticContent: static,
-		ConnLoop:      newLoop,
 	}, nil)
 	defer newEdge.Close()
 	res, err := newEdge.TakeoverFrom(sock)
@@ -245,7 +241,7 @@ func Run(cfg Config) (*Report, error) {
 		cfg.Flows, rep.EpochBumpNs, rep.EpochBumpWrites, rep.DrainedSampleHits)
 
 	// --- Reconnect storm. ---
-	// Terminating generation 1 severs every parked connection at once;
+	// Terminating generation 1 severs every idle connection at once;
 	// each client re-dials the shared VIP, now answered by generation 2.
 	oldEdge.Shutdown()
 	storm0 := time.Now()
@@ -286,6 +282,16 @@ func Run(cfg Config) (*Report, error) {
 	rep.PeakRSSKB = peakRSSKB()
 	logf("idleconns: peak RSS %d KB\n", rep.PeakRSSKB)
 	return rep, nil
+}
+
+// footprint returns the heap and stacks in use after a collection, and
+// the goroutines.
+func footprint() (bytes uint64, goroutines int) {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.GC() // the second empties what the first left in the pools' victim caches
+	runtime.ReadMemStats(&ms)
+	return ms.HeapInuse + ms.StackInuse, runtime.NumGoroutine()
 }
 
 // oneRequest runs a single keep-alive GET on an established conn.

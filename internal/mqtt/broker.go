@@ -6,7 +6,6 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"zdr/internal/bufpool"
@@ -45,13 +44,6 @@ type Broker struct {
 	// tuning, when set, is applied to every accepted transport before
 	// any fault wrapper hides the descriptor. Advisory; see netx.TuneConn.
 	tuning atomic.Pointer[netx.ConnTuning]
-
-	// parked tracks event-loop watches for idle connections served by
-	// ServeLoop, so Close can retire them (closing a parked conn drops
-	// its kernel-side epoll interest silently; the watch bookkeeping must
-	// be cancelled explicitly).
-	parkedMu sync.Mutex
-	parked   map[*netx.Watch]*transport
 
 	wg sync.WaitGroup
 }
@@ -127,7 +119,6 @@ func NewBroker(name string, reg *metrics.Registry) *Broker {
 		cDelivered:   reg.Counter("mqtt.publish.delivered"),
 		cFlushErrors: reg.Counter("mqtt.flush.errors"),
 		sessions:     make(map[string]*session),
-		parked:       make(map[*netx.Watch]*transport),
 	}
 }
 
@@ -170,23 +161,20 @@ func (b *Broker) ServeConn(conn net.Conn) error {
 	return err
 }
 
-// transport is one connection as the broker reads it, in either mode: a
-// netx.WakeHandler that takes what a read brought in behind what the last
-// one left unparsed, serves every whole packet of it, and then writes what
-// serving them queued, once per session (flush).
+// transport is one connection as the broker reads it: a netx.WakeHandler
+// that takes what a read brought in behind what the last one left
+// unparsed, serves every whole packet of it, and then writes what serving
+// them queued, once per session (flush).
 type transport struct {
 	b    *Broker
 	conn net.Conn
 	wr   netx.WakeReader
-	// parks: the connection waits in an event loop, not in wr.Run, and
-	// holds no buffer while it has no part of a packet.
-	parks bool
 
-	sess      *session      // nil until the CONNECT
-	keepAlive time.Duration // 0 when parks: a dead peer is reaped by RDHUP
+	sess      *session // nil until the CONNECT
+	keepAlive time.Duration
 
 	// buf[r:w] is read and not parsed; buf is *pooled unless a packet
-	// longer than that is arriving.
+	// longer than that is arriving, and nil while no part of one is.
 	pooled *[]byte
 	buf    []byte
 	r, w   int
@@ -269,7 +257,7 @@ func (t *transport) ServeWake(n int) (done bool) {
 	if t.err == nil && t.sess != nil && t.sess.tr.Load() != t {
 		t.err = t.sess.detached() // by a failed flush, or for a resume's transport
 	}
-	if t.r == t.w && (t.parks || t.pooled == nil) {
+	if t.r == t.w {
 		t.release()
 	}
 	if served && t.keepAlive > 0 {
@@ -324,9 +312,7 @@ func (t *transport) connect(p *Packet) error {
 	sess.out = append(sess.out, pending...)
 	sess.mu.Unlock()
 	t.sess = sess
-	if !t.parks {
-		t.keepAlive = time.Duration(p.KeepAlive) * time.Second
-	}
+	t.keepAlive = time.Duration(p.KeepAlive) * time.Second
 
 	b.reg.Counter("mqtt.connack.sent").Inc()
 	if exists {
@@ -372,91 +358,6 @@ func (t *transport) serve(pkt *Packet) error {
 	default:
 		return fmt.Errorf("mqtt: unexpected packet %v", pkt.Type)
 	}
-}
-
-// ServeLoop is Serve for idle-heavy fleets: connections are parked in an
-// epoll EventLoop between packets instead of holding a goroutine each, so
-// a million mostly-idle MQTT sessions cost watch records, not stacks
-// (DESIGN.md §11). A transport is parked from its accept on — its CONNECT
-// is the first packet a wake brings — and only borrows a loop worker while
-// there is something to read. Peer hang-ups are reaped via EPOLLRDHUP.
-//
-// Loop-mode limitations, by design: keep-alive expiry is not enforced
-// while parked (a dead peer is reaped by RDHUP, not by deadline), and
-// fault-wrapped connections (SetFaults) fall back to goroutine-per-conn
-// since the wrapper hides the raw socket.
-//
-// Accepting stays a blocking goroutine: one goroutine per *listener* is
-// the cheap part (and closing a listener drops its epoll registration
-// silently, which would leave a loop-driven accept unable to observe the
-// shutdown) — the per-*connection* goroutines are what the loop
-// eliminates. ServeLoop returns when ln is closed.
-func (b *Broker) ServeLoop(ln net.Listener, loop *netx.EventLoop) error {
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			return err
-		}
-		b.tune(conn)
-		b.serveLoopConn(loop, b.faults.Load().Conn(conn))
-	}
-}
-
-// serveLoopConn parks the connection in loop: every wake is one read,
-// which its readiness says will not wait, and the serving of what it
-// brought.
-func (b *Broker) serveLoopConn(loop *netx.EventLoop, conn net.Conn) {
-	rawConn, ok := conn.(syscall.Conn)
-	if !ok {
-		// Fault-wrapped (or otherwise opaque) transport: serve it the
-		// classic way.
-		b.wg.Add(1)
-		go func() {
-			defer b.wg.Done()
-			b.ServeConn(conn)
-		}()
-		return
-	}
-	t := b.newTransport(conn)
-	t.parks = true
-	gParked := b.reg.Gauge("mqtt.loop.parked")
-	w, err := loop.Watch(rawConn, func(w *netx.Watch, r netx.Readiness) {
-		if !r.HangUp {
-			n, err := conn.Read(t.ReadBuf())
-			if n > 0 && !t.ServeWake(n) && err == nil && w.Rearm() == nil {
-				return
-			}
-		}
-		t.end()
-		if b.unpark(w) {
-			gParked.Dec()
-		}
-		w.Cancel()
-	})
-	if err != nil {
-		t.end()
-		return
-	}
-	b.parkedMu.Lock()
-	b.parked[w] = t
-	b.parkedMu.Unlock()
-	gParked.Inc()
-	// The handler may have reaped before the stash above; settle the
-	// bookkeeping it could not see.
-	if w.Stopped() && b.unpark(w) {
-		gParked.Dec()
-	}
-}
-
-func (b *Broker) unpark(w *netx.Watch) bool {
-	b.parkedMu.Lock()
-	_, ok := b.parked[w]
-	delete(b.parked, w)
-	b.parkedMu.Unlock()
-	return ok
 }
 
 // outCap is how much a session's queue holds before it is written through:
@@ -617,17 +518,6 @@ func (b *Broker) Close() {
 		s.lockClosed()
 		s.tr.Store(nil)
 		s.mu.Unlock()
-	}
-	// Closing a parked conn silently drops its kernel-side epoll interest;
-	// retire the watch bookkeeping too. One parked before its CONNECT has
-	// no session to have closed it.
-	b.parkedMu.Lock()
-	parked := b.parked
-	b.parked = make(map[*netx.Watch]*transport)
-	b.parkedMu.Unlock()
-	for w, t := range parked {
-		w.Cancel()
-		t.wr.Close()
 	}
 	b.wg.Wait()
 }

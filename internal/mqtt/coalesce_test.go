@@ -161,14 +161,14 @@ func collect(t *testing.T, br *bufio.Reader, acks, deliveries int) []string {
 	return got
 }
 
-// TestLoopBrokerHandlesEverythingOneSegmentBrought: two PUBLISH packets
-// sent in one write are both served before the connection parks again.
-// Once a read has taken them out of the kernel no readiness event will
-// ever mention the second, so a handler that served one packet per wake
-// would sit on it for ever.
-func TestLoopBrokerHandlesEverythingOneSegmentBrought(t *testing.T) {
-	_, _, ln := startLoopBroker(t)
-	conn, br := rawSession(t, ln.Addr().String(), "pair")
+// TestBrokerHandlesEverythingOneSegmentBrought: two PUBLISH packets sent
+// in one write are both served before the connection waits again. Once a
+// read has taken them out of the kernel no readiness edge will ever
+// mention the second, so a handler that served one packet per wake would
+// sit on it for ever.
+func TestBrokerHandlesEverythingOneSegmentBrought(t *testing.T) {
+	_, addr := startBroker(t)
+	conn, br := rawSession(t, addr, "pair")
 	var seg bytes.Buffer
 	Encode(&seg, &Packet{Type: PUBLISH, Topic: "own/pair", Payload: []byte("one"), QoS: 1, PacketID: 10})
 	Encode(&seg, &Packet{Type: PUBLISH, Topic: "own/pair", Payload: []byte("two"), QoS: 1, PacketID: 11})
@@ -178,19 +178,19 @@ func TestLoopBrokerHandlesEverythingOneSegmentBrought(t *testing.T) {
 	if got := collect(t, br, 2, 2); !reflect.DeepEqual(got, []string{"one", "two"}) {
 		t.Fatalf("delivered %q, want one then two", got)
 	}
-	// The connection parked with nothing left behind: it still answers.
+	// The connection waits with nothing left behind: it still answers.
 	Encode(conn, &Packet{Type: PINGREQ})
 	if p, err := Decode(br); err != nil || p.Type != PINGRESP {
 		t.Fatalf("after the pair: %+v, %v", p, err)
 	}
 }
 
-// TestLoopBrokerPacketsBehindConnect: packets pipelined behind the CONNECT
-// are read with it during the handshake; they are served before the
-// connection parks for the first time.
-func TestLoopBrokerPacketsBehindConnect(t *testing.T) {
-	_, _, ln := startLoopBroker(t)
-	conn, err := net.Dial("tcp", ln.Addr().String())
+// TestBrokerPacketsBehindConnect: packets pipelined behind the CONNECT are
+// read with it during the handshake; they are served before the
+// connection waits for the first time.
+func TestBrokerPacketsBehindConnect(t *testing.T) {
+	_, addr := startBroker(t)
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,11 +214,11 @@ func TestLoopBrokerPacketsBehindConnect(t *testing.T) {
 	}
 }
 
-// TestLoopBrokerSplitPacket: a PUBLISH that reaches a loop-mode broker in
-// two writes, cut at each of a spread of boundaries, is served once.
-func TestLoopBrokerSplitPacket(t *testing.T) {
-	_, _, ln := startLoopBroker(t)
-	conn, br := rawSession(t, ln.Addr().String(), "split")
+// TestBrokerSplitPacket: a PUBLISH that reaches the broker in two writes,
+// cut at each of a spread of boundaries, is served once.
+func TestBrokerSplitPacket(t *testing.T) {
+	_, addr := startBroker(t)
+	conn, br := rawSession(t, addr, "split")
 	var wire bytes.Buffer
 	Encode(&wire, &Packet{Type: PUBLISH, Topic: "own/split", Payload: bytes.Repeat([]byte("s"), 200), QoS: 1, PacketID: 5})
 	for _, cut := range []int{1, 2, 3, 4, 13, 14, 100, wire.Len() - 1} {

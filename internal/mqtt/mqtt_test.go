@@ -1,7 +1,9 @@
 package mqtt
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
 	"io"
 	"net"
 	"reflect"
@@ -280,6 +282,71 @@ func TestBrokerResume(t *testing.T) {
 	}
 	if b.Metrics().CounterValue("mqtt.connect.resumed") != 1 {
 		t.Fatal("resume not counted")
+	}
+}
+
+// TestBrokerIdleSessionsHoldNoReadBuffer: a transport holds its read
+// buffer only while part of a packet is in it — not once a read's packets
+// are served, and across a packet cut between two reads only until the
+// second — and of fifty idle sessions half reset by their peers, each
+// keeps its context, detached, while the other half still answer.
+func TestBrokerIdleSessionsHoldNoReadBuffer(t *testing.T) {
+	b, addr := startBroker(t)
+
+	client, server := net.Pipe()
+	defer client.Close()
+	go io.Copy(io.Discard, client) // the CONNACK and the PINGRESP
+	tr := b.newTransport(server)
+	defer tr.end()
+	feed := func(b []byte) {
+		t.Helper()
+		if tr.ServeWake(copy(tr.ReadBuf(), b)) {
+			t.Fatalf("the transport ended: %v", tr.err)
+		}
+	}
+	var wire bytes.Buffer
+	Encode(&wire, &Packet{Type: CONNECT, ClientID: "held", CleanSession: true})
+	feed(wire.Bytes())
+	if tr.buf != nil {
+		t.Fatal("a transport whose packets are served holds its read buffer")
+	}
+	wire.Reset()
+	Encode(&wire, &Packet{Type: PINGREQ})
+	feed(wire.Bytes()[:1])
+	if tr.buf == nil {
+		t.Fatal("the first byte of a packet was not kept")
+	}
+	feed(wire.Bytes()[1:])
+	if tr.buf != nil {
+		t.Fatal("a transport holds its read buffer once the packet is served")
+	}
+
+	const clients = 50
+	conns := make([]net.Conn, clients)
+	brs := make([]*bufio.Reader, clients)
+	for i := range conns {
+		conns[i], brs[i] = rawSession(t, addr, fmt.Sprintf("user-%d", i))
+	}
+	for _, c := range conns[:clients/2] {
+		c.(*net.TCPConn).SetLinger(0)
+		c.Close()
+	}
+	for i := 0; i < clients/2; i++ {
+		id := fmt.Sprintf("user-%d", i)
+		for deadline := time.Now().Add(2 * time.Second); b.SessionAttached(id); time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("session %s still attached after its peer's reset", id)
+			}
+		}
+		if !b.HasSession(id) {
+			t.Fatalf("session %s lost its context with its transport", id)
+		}
+	}
+	for i := clients / 2; i < clients; i++ {
+		Encode(conns[i], &Packet{Type: PINGREQ})
+		if p, err := Decode(brs[i]); err != nil || p.Type != PINGRESP {
+			t.Fatalf("user-%d: %+v, %v", i, p, err)
+		}
 	}
 }
 

@@ -234,35 +234,6 @@ func ListenerFromFD(fd int, name string) (*net.TCPListener, error) {
 	return tln, nil
 }
 
-// ConnFromFD reconstructs a *net.TCPConn from a received FD — the
-// established-connection counterpart of ListenerFromFD, used when a
-// hand-off transfers individual parked connections so the receiving
-// instance can re-register them in its own event loop (epoll interest is
-// per-process state and never part of the transferred set). The input fd
-// is closed before returning (ownership transfers in).
-func ConnFromFD(fd int, name string) (*net.TCPConn, error) {
-	c, err := connFromFD(fd, name)
-	if err != nil {
-		return nil, err
-	}
-	tc, ok := c.(*net.TCPConn)
-	if !ok {
-		c.Close()
-		return nil, fmt.Errorf("netx: fd %d is a %T, not *net.TCPConn", fd, c)
-	}
-	return tc, nil
-}
-
-func connFromFD(fd int, name string) (net.Conn, error) {
-	f := os.NewFile(uintptr(fd), name)
-	defer f.Close()
-	c, err := net.FileConn(f)
-	if err != nil {
-		return nil, fmt.Errorf("netx: FileConn: %w", err)
-	}
-	return c, nil
-}
-
 // PacketConnFromFD reconstructs a *net.UDPConn from a received FD. The
 // input fd is closed before returning (ownership transfers in).
 func PacketConnFromFD(fd int, name string) (*net.UDPConn, error) {

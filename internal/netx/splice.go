@@ -13,8 +13,7 @@
 //
 // Pipe pairs are pooled per process and must never cross a Socket
 // Takeover: descriptors for an in-flight splice belong to the generation
-// that opened them (the same loop-per-generation ownership rule the epoll
-// interest lists follow, DESIGN.md §11). Drain terminates in-flight
+// that opened them. Drain terminates in-flight
 // splices by closing their TCP endpoints as usual; DrainPipePool releases
 // the idle pairs so a retiring generation holds no stray pipe fds — and
 // so fd-audit tests can assert a clean table.
@@ -174,11 +173,12 @@ func DrainPipePool() int {
 // stream is a dst here and never a src: Stream.WriteTo is that relay.
 //
 // The third case is the copy loop with a bare *net.TCPConn for src only:
-// the reads are a WakeReader's, one per message where src.Read makes two,
-// and the writes happen inside its wake, under src's read lock. Whoever
-// closes src while dst can block must unblock dst first (the Origin's
-// relayMQTT resets the stream before it closes the broker connection): a
-// Close of src waits for a Write to dst under way.
+// the reads are a WakeReader's Pump, one per message where src.Read makes
+// two, and the writes happen inside its wake, under src's read lock; a
+// relay waiting for its next message holds no buffer. Whoever closes src
+// while dst can block must unblock dst first (the Origin's relayMQTT
+// resets the stream before it closes the broker connection): a Close of
+// src waits for a Write to dst under way.
 func Relay(dst io.Writer, src io.Reader) (int64, error) {
 	s, wakes := src.(*net.TCPConn)
 	if d, ok := dst.(*net.TCPConn); ok && wakes {
@@ -189,13 +189,13 @@ func Relay(dst io.Writer, src io.Reader) (int64, error) {
 		cSpliceFallbacks.Inc()
 		wakes = false
 	}
-	bp := bufpool.Get(bufpool.TierLarge)
-	defer bufpool.Put(bp)
 	if wakes {
-		written, err := relayWakes(dst, s, *bp)
+		written, err := relayWakes(dst, s)
 		cCopyBytes.Add(written)
 		return written, err
 	}
+	bp := bufpool.Get(bufpool.TierLarge)
+	defer bufpool.Put(bp)
 	var written int64
 	var err error
 	for err == nil {
@@ -230,9 +230,9 @@ func relayWrite(dst io.Writer, b []byte) (int, error) {
 }
 
 // relayWakes is the copy path from a connection a WakeReader can read.
-func relayWakes(dst io.Writer, src *net.TCPConn, buf []byte) (written int64, err error) {
+func relayWakes(dst io.Writer, src *net.TCPConn) (written int64, err error) {
 	var wr WakeReader
-	wr.Init(src, &Pump{Buf: buf, Forward: func(b []byte) bool {
+	wr.Init(src, &Pump{Forward: func(b []byte) bool {
 		var nw int
 		nw, err = relayWrite(dst, b)
 		written += int64(nw)

@@ -15,7 +15,7 @@ import (
 	"zdr/internal/racetest"
 )
 
-// tcpPair returns two ends of a loopback TCP connection.
+// tcpConnPair returns two ends of a loopback TCP connection.
 func tcpConnPair(t testing.TB) (*net.TCPConn, *net.TCPConn) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

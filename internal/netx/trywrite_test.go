@@ -15,7 +15,7 @@ import (
 // says it wrote are the bytes the peer reads, in order; after Close it
 // writes nothing and does not fail the caller.
 func TestTryWriterNeverWaits(t *testing.T) {
-	client, server := wakePair(t)
+	client, server := tcpConnPair(t)
 	server.SetWriteBuffer(4 << 10)
 	client.SetReadBuffer(4 << 10)
 	w := NewTryWriter(server)
@@ -54,7 +54,7 @@ func TestTryWriterNeverWaits(t *testing.T) {
 // TestTryWriteAllocatesNothing: the callback is bound once.
 func TestTryWriteAllocatesNothing(t *testing.T) {
 	racetest.SkipAllocs(t)
-	client, server := wakePair(t)
+	client, server := tcpConnPair(t)
 	go io.Copy(io.Discard, client)
 	w, msg := NewTryWriter(server), make([]byte, 128)
 	if avg := testing.AllocsPerRun(200, func() { w.TryWrite(msg) }); avg != 0 {

@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"syscall"
 	"time"
+
+	"zdr/internal/bufpool"
 )
 
 // WakeHandler is a connection's read side as a WakeReader drives it.
@@ -20,25 +22,39 @@ type WakeHandler interface {
 	// ReadBuf's room, which Read returns too. It does with them all there
 	// is to do — parse, serve, reply — and may block on anything except a
 	// read of the connection or a Close of it that is not the WakeReader's.
-	// n is 0 at most once per Run, first, when the connection was found
-	// with nothing to read: idle and alive. done ends the Run.
+	// n is 0 when a read found nothing: first in a Run, the connection idle
+	// and alive; later, an edge that an earlier read had answered. The wait
+	// follows either way, and a handler holding no bytes can give its room
+	// back. done ends the Run.
 	ServeWake(n int) (done bool)
 }
 
 // A Pump is the WakeHandler of a connection whose bytes are not parsed
-// where they are read, only handed on: every read lands in Buf and goes to
-// Forward, which says whether to go on. Forward waits for whoever takes
-// the bytes, never for the connection they came from, to which it owes no
-// write: a Pump's reader asks for ConfirmWaits, and a closer of the
-// connection unblocks Forward first or goes through WakeReader.Close.
+// where they are read, only handed on: every read lands in a pooled
+// bufpool.TierLarge buffer, taken for the read and given back once Forward
+// has them, and goes to Forward, which says whether to go on. Forward
+// waits for whoever takes the bytes, never for the connection they came
+// from, to which it owes no write: a Pump's reader asks for ConfirmWaits,
+// and a closer of the connection unblocks Forward first or goes through
+// WakeReader.Close.
 type Pump struct {
-	Buf     []byte
 	Forward func(b []byte) (ok bool)
+	buf     *[]byte // between ReadBuf and ServeWake
 }
 
-func (p *Pump) ReadBuf() []byte { return p.Buf }
+func (p *Pump) ReadBuf() []byte {
+	if p.buf == nil {
+		p.buf = bufpool.Get(bufpool.TierLarge)
+	}
+	return *p.buf
+}
 
-func (p *Pump) ServeWake(n int) (done bool) { return n > 0 && !p.Forward(p.Buf[:n]) }
+func (p *Pump) ServeWake(n int) (done bool) {
+	done = n > 0 && !p.Forward((*p.buf)[:n])
+	bufpool.Put(p.buf)
+	p.buf = nil
+	return done
+}
 
 // A WakeReader runs a connection's read side as serve-per-wake, and is
 // the only code that uses syscall.RawConn.Read to that end. conn.Read
@@ -87,7 +103,6 @@ type WakeReader struct {
 	asked  bool
 
 	rest   []byte // of the last read, what Read has yet to return
-	entry  bool   // the next read is the first of this Run
 	inWake bool
 	err    error // what ended a Run from inside wake
 
@@ -166,7 +181,7 @@ func (w *WakeReader) Run() error {
 	if w.rc == nil {
 		return w.runReads()
 	}
-	w.entry, w.err = true, nil
+	w.err = nil
 	err := w.rc.Read(w.onFD)
 	if w.state.Load() == wakeHanded {
 		w.conn.Close()
@@ -192,13 +207,11 @@ func (w *WakeReader) wake(fd uintptr) (done bool) {
 			continue
 		}
 		wakeReads[fd%uintptr(len(wakeReads))].n.Add(1)
-		entry := w.entry
-		w.entry = false
 		switch {
 		case err == syscall.EAGAIN:
 			// At entry this is news, the connection is quiet; later it is
 			// an edge that a read before this one had already answered.
-			return entry && w.serve(nil)
+			return w.serve(nil)
 		case err != nil:
 			w.err = &net.OpError{Op: "read", Net: w.conn.LocalAddr().Network(), Source: w.conn.LocalAddr(),
 				Addr: w.conn.RemoteAddr(), Err: os.NewSyscallError("read", err)}

@@ -15,13 +15,6 @@ import (
 	"zdr/internal/racetest"
 )
 
-// wakePair is tcpPair, typed.
-func wakePair(t *testing.T) (client, server *net.TCPConn) {
-	t.Helper()
-	c, s := tcpPair(t)
-	return c.(*net.TCPConn), s.(*net.TCPConn)
-}
-
 // wakeEcho is a handler that writes back what each wake brought and keeps
 // the books the tests read: wakes by their size, bytes, and whether the
 // connection was found quiet at entry.
@@ -84,7 +77,7 @@ func TestWakeReaderNoLostWake(t *testing.T) {
 	}
 	for _, procs := range []int{1, 2, 4} {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-		client, server := wakePair(t)
+		client, server := tcpConnPair(t)
 		e := &wakeEcho{conn: server, buf: make([]byte, 256), stopAt: 8 * rounds}
 		var w WakeReader
 		w.Init(server, e)
@@ -115,7 +108,7 @@ func TestWakeReaderNoLostWake(t *testing.T) {
 // bytes queued is followed by another at once, one that took all there
 // was — short of its room or exactly filling it — by the wait.
 func TestWakeReaderReadsAgainOnlyBehindMore(t *testing.T) {
-	client, server := wakePair(t)
+	client, server := tcpConnPair(t)
 	e := &wakeEcho{conn: server, buf: make([]byte, 64)}
 	var w WakeReader
 	w.Init(server, e)
@@ -232,7 +225,7 @@ func TestWakeReaderEndsOfAWait(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			client, server := wakePair(t)
+			client, server := tcpConnPair(t)
 			e := &wakeEcho{conn: server, buf: make([]byte, 64)}
 			var w WakeReader
 			w.Init(server, e)
@@ -295,7 +288,7 @@ func TestWakeReaderCloseDoesNotWaitForAServe(t *testing.T) {
 	if err != nil {
 		t.Skip(err)
 	}
-	client, server := wakePair(t)
+	client, server := tcpConnPair(t)
 	e := &wakeEcho{conn: server, buf: make([]byte, 64), hold: make(chan struct{})}
 	var w WakeReader
 	w.Init(server, e)
@@ -348,7 +341,7 @@ func TestWakeReaderCloseDoesNotWaitForAServe(t *testing.T) {
 // and is found by the backstop of a reader that asked for one.
 func TestWakeReaderSeesTheEndBehindData(t *testing.T) {
 	for _, rst := range []bool{false, true} {
-		client, server := wakePair(t)
+		client, server := tcpConnPair(t)
 		h := &wakeSink{buf: make([]byte, 64)}
 		var w WakeReader
 		w.Init(server, h)
@@ -460,7 +453,7 @@ func TestWakeReaderHiddenDescriptor(t *testing.T) {
 // allocation — the callback is bound once, at Init.
 func TestWakeReaderRunAllocatesNothing(t *testing.T) {
 	racetest.SkipAllocs(t)
-	client, server := wakePair(t)
+	client, server := tcpConnPair(t)
 	e := &wakeEcho{conn: server, buf: make([]byte, 64)}
 	e.sizes = make([]int, 0, 4096)
 	var w WakeReader

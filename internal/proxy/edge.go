@@ -9,7 +9,6 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"zdr/internal/bufpool"
@@ -145,25 +144,10 @@ func (p *Proxy) tunnelTo(addr string) (*tunnelEntry, error) {
 
 // handleEdgeHTTPConn terminates a user HTTP connection (§2.2 step 1-2):
 // cacheable content is answered directly (Direct Server Return), the rest
-// is forwarded over the tunnel to an Origin. With Config.ConnLoop the
-// connection parks in the epoll loop between requests instead of blocking
-// a goroutine in ReadRequest — the idle keep-alive tier's cost model.
+// is forwarded over the tunnel to an Origin.
 func (p *Proxy) handleEdgeHTTPConn(conn net.Conn) {
-	if loop := p.cfg.ConnLoop; loop != nil {
-		if rawConn, ok := conn.(syscall.Conn); ok {
-			p.serveEdgeHTTPLoop(loop, conn, rawConn)
-			return
-		}
-	}
 	wc := &webConn{Conn: conn, p: p}
-	// Pooled: a connection that closes after a few requests would
-	// otherwise cost a reader and its 4 KiB, twice, each time.
-	// serveEdgeRequest has waited for its body pump, the only other
-	// reader, when it returns.
-	br, rbuf := bufpool.GetReader(nil), bufpool.Get(bufpool.TierSmall)
-	defer bufpool.PutReader(br)
-	defer bufpool.Put(rbuf)
-	wc.ka.Init(conn, br, *rbuf, wc)
+	wc.ka.Init(conn, wc)
 	defer p.untrackWebConn(wc)
 	if p.trackWebConn(wc) {
 		wc.ka.Serve()
@@ -172,9 +156,9 @@ func (p *Proxy) handleEdgeHTTPConn(conn net.Conn) {
 
 // webConn is a web client connection served by its own goroutine, its
 // requests read by ka (http1.KeepAlive: one that arrives whole costs one
-// read). busy is true from a parsed request head to the end of its
-// response, which is what tells terminate a disruption from the close of
-// an idle keep-alive connection.
+// read, and one waited for holds no buffer). busy is true from a parsed
+// request head to the end of its response, which is what tells terminate
+// a disruption from the close of an idle keep-alive connection.
 type webConn struct {
 	net.Conn
 	p    *Proxy
@@ -196,9 +180,9 @@ func (wc *webConn) ServeRequest(req *http1.Request, _ *bufio.Reader) bool {
 // trackWebConn registers wc for terminate to close; false means the
 // generation already terminated.
 func (p *Proxy) trackWebConn(wc *webConn) bool {
-	p.parkedMu.Lock()
+	p.webConnsMu.Lock()
 	p.webConns[wc] = struct{}{}
-	p.parkedMu.Unlock()
+	p.webConnsMu.Unlock()
 	// terminate sets closed before it collects webConns, so a connection
 	// it missed sees closed here.
 	p.mu.Lock()
@@ -209,57 +193,10 @@ func (p *Proxy) trackWebConn(wc *webConn) bool {
 
 // untrackWebConn ends wc's handler: the connection is forgotten and closed.
 func (p *Proxy) untrackWebConn(wc *webConn) {
-	p.parkedMu.Lock()
+	p.webConnsMu.Lock()
 	delete(p.webConns, wc)
-	p.parkedMu.Unlock()
+	p.webConnsMu.Unlock()
 	wc.Close()
-}
-
-// serveEdgeHTTPLoop parks conn in the event loop and serves one request
-// batch per readiness wake. The handler returns (freeing the loop worker)
-// whenever the connection goes idle with nothing buffered; a parked idle
-// connection costs its watch record — no goroutine, and no reader: one is
-// taken from the pool per wake.
-func (p *Proxy) serveEdgeHTTPLoop(loop *netx.EventLoop, conn net.Conn, rawConn syscall.Conn) {
-	w, err := loop.Watch(rawConn, func(w *netx.Watch, r netx.Readiness) {
-		if r.HangUp {
-			p.reapParked(w, conn)
-			return
-		}
-		br := bufpool.GetReader(conn)
-		defer bufpool.PutReader(br)
-		// One Request for the requests of this wake, not of the connection:
-		// like the reader, it is not something a parked connection keeps.
-		req := new(http1.Request)
-		// Readable: serve the request that woke us plus anything
-		// pipelined behind it. The deadline bounds a peer that stalls
-		// mid-request so a loop worker is never held hostage.
-		for {
-			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-			err := http1.ReadRequestInto(br, req)
-			conn.SetReadDeadline(time.Time{})
-			if err != nil {
-				p.reapParked(w, conn)
-				return
-			}
-			p.cRequests.Inc()
-			if !p.serveEdgeRequest(conn, req) {
-				p.reapParked(w, conn)
-				return
-			}
-			if br.Buffered() == 0 {
-				break
-			}
-		}
-		if w.Rearm() != nil {
-			p.reapParked(w, conn)
-		}
-	})
-	if err != nil {
-		conn.Close()
-		return
-	}
-	p.park(w, conn)
 }
 
 // appendTrace appends the trace context a stream opened under sp carries
@@ -433,9 +370,6 @@ type mqttRelay struct {
 	// swapped, when not nil, is closed by the next swapStream: a writer
 	// whose stream died under it is waiting for the splice.
 	swapped chan struct{}
-	// watch is the client conn's event-loop registration when the relay
-	// runs in loop mode (Config.ConnLoop); nil in goroutine mode.
-	watch *netx.Watch
 }
 
 func (r *mqttRelay) close() {
@@ -446,7 +380,6 @@ func (r *mqttRelay) close() {
 	}
 	r.closed = true
 	st := r.stream
-	w := r.watch
 	r.mu.Unlock()
 	// The stream first: the upstream pump writes to it under the client
 	// connection's read lock, and the Close would wait for a write parked
@@ -455,14 +388,6 @@ func (r *mqttRelay) close() {
 		st.Reset()
 	}
 	r.clientConn.Close()
-	if w != nil {
-		// Closing the conn silently dropped the kernel-side epoll
-		// interest; retire the watch bookkeeping too.
-		if r.p.unpark(w) {
-			r.p.reg.Gauge("proxy.loop.parked").Dec()
-		}
-		w.Cancel()
-	}
 	r.p.mu.Lock()
 	delete(r.p.mqttConns, r)
 	r.p.mu.Unlock()
@@ -604,56 +529,16 @@ func (p *Proxy) handleEdgeMQTTConn(conn net.Conn) {
 	p.reg.Counter("edge.mqtt.accepted").Inc()
 	p.reg.Gauge("edge.mqtt.conns").Inc()
 
-	// Upstream pump: client -> current stream. In loop mode the client
-	// side parks in the epoll loop — a mostly-idle user costs a watch
-	// record, not a goroutine blocked in Read (the downstream side keeps
-	// its goroutine: it multiplexes stream data with DCR control frames).
-	rawConn, canPark := conn.(syscall.Conn)
-	if loop := p.cfg.ConnLoop; loop != nil && canPark {
-		w, err := loop.Watch(rawConn, func(w *netx.Watch, r netx.Readiness) {
-			if r.HangUp {
-				relay.close()
-				return
-			}
-			bp := bufpool.Get(32 << 10)
-			defer bufpool.Put(bp)
-			buf := *bp
-			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-			n, err := conn.Read(buf)
-			conn.SetReadDeadline(time.Time{})
-			if n > 0 && !relay.forwardUpstream(buf[:n]) {
-				relay.close()
-				return
-			}
-			if err != nil {
-				relay.close()
-				return
-			}
-			if w.Rearm() != nil {
-				relay.close()
-			}
-		})
-		if err != nil {
-			relay.close()
-			return
-		}
-		relay.mu.Lock()
-		relay.watch = w
-		relay.mu.Unlock()
-		p.park(w, conn)
-	} else {
-		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			bp := bufpool.Get(32 << 10)
-			defer bufpool.Put(bp)
-			var wr netx.WakeReader
-			wr.Init(conn, &netx.Pump{Buf: *bp, Forward: relay.forwardUpstream})
-			wr.ConfirmWaits()
-			wr.Run()
-			relay.close()
-		}()
-	}
+	// Upstream pump: client -> current stream.
+	p.wg.Add(1)
+	go func() {
+		defer p.wg.Done()
+		var wr netx.WakeReader
+		wr.Init(conn, &netx.Pump{Forward: relay.forwardUpstream})
+		wr.ConfirmWaits()
+		wr.Run()
+		relay.close()
+	}()
 
 	// Downstream pump + control watcher, restarted per stream generation.
 	p.wg.Add(1)

@@ -277,8 +277,9 @@ func (p *Proxy) relayMQTT(os *originSession, st *h2t.Stream, userID, trace strin
 
 	// Bidirectional byte relay; returns when either side closes. Toward a
 	// bare bconn the tunnel's reader writes the stream's DATA as it arrives
-	// (Stream.WriteTo), no buffer held; from it netx.Relay reads by wakes
-	// into a pooled one. A fault-wrapped bconn gets a plain loop both ways,
+	// (Stream.WriteTo), no buffer held; from it netx.Relay reads by wakes,
+	// each into a pooled buffer it gives back. A fault-wrapped bconn gets a
+	// plain loop both ways,
 	// keeping injected faults on the observable path.
 	errCh := make(chan error, 2)
 	go func() {

@@ -140,16 +140,6 @@ type Config struct {
 	// the receiver's READY frame; zero means takeover.DefaultReadyTimeout.
 	TakeoverReadyTimeout time.Duration
 
-	// ConnLoop, when non-nil, serves this instance's idle-heavy Edge
-	// connections from an epoll readiness loop (DESIGN.md §11): HTTP
-	// keep-alive connections park between requests and MQTT relays park
-	// their client side, each costing a watch record instead of a blocked
-	// goroutine. The loop is owned by the caller and is per-process state:
-	// after a Socket Takeover the receiving instance registers adopted
-	// traffic in its OWN loop — epoll interest never crosses the hand-off.
-	// Fault-wrapped accepts (AcceptFaults) fall back to goroutine-per-conn.
-	ConnLoop *netx.EventLoop
-
 	// Tuning, when non-nil, applies socket options (TCP_NODELAY,
 	// TCP_QUICKACK, SO_BUSY_POLL, buffer sizes) to every connection this
 	// proxy accepts on its TCP VIPs and every upstream connection it
@@ -289,16 +279,11 @@ type Proxy struct {
 	loadConnsMu sync.Mutex
 	loadConns   map[net.Conn]struct{}
 
-	// parked tracks event-loop watches for connections idling in
-	// Config.ConnLoop, with the conn each watch guards: terminate must
-	// close them (no goroutine holds them) and retire the bookkeeping.
-	parkedMu sync.Mutex
-	parked   map[*netx.Watch]net.Conn
-	// webConns is the goroutine-per-connection counterpart: every web
-	// client connection with a handler goroutine, which terminate must
-	// close because a handler parked in ReadRequest otherwise returns
-	// only when the client hangs up. Guarded by parkedMu.
-	webConns map[*webConn]struct{}
+	// webConns is every web client connection with a handler goroutine,
+	// which terminate must close because a handler waiting for a request
+	// otherwise returns only when the client hangs up.
+	webConnsMu sync.Mutex
+	webConns   map[*webConn]struct{}
 
 	takeSrv   *takeover.Server
 	drainSpan *obs.Span
@@ -318,7 +303,6 @@ func New(cfg Config, reg *metrics.Registry) *Proxy {
 		tunnels:     make(map[string]*tunnelEntry),
 		mqttConns:   make(map[*mqttRelay]struct{}),
 		srvSessions: make(map[*originSession]struct{}),
-		parked:      make(map[*netx.Watch]net.Conn),
 		webConns:    make(map[*webConn]struct{}),
 		loadConns:   make(map[net.Conn]struct{}),
 		drainCh:     make(chan struct{}),
@@ -535,37 +519,6 @@ func (p *Proxy) serveLoop(vip string, ln *net.TCPListener, handler func(net.Conn
 			}()
 		}
 	}()
-}
-
-// park stashes a loop watch and the conn it guards so terminate can reap
-// it; settles the race where the watch's handler already reaped before
-// the stash happened.
-func (p *Proxy) park(w *netx.Watch, conn net.Conn) {
-	p.parkedMu.Lock()
-	p.parked[w] = conn
-	p.parkedMu.Unlock()
-	p.reg.Gauge("proxy.loop.parked").Inc()
-	if w.Stopped() && p.unpark(w) {
-		p.reg.Gauge("proxy.loop.parked").Dec()
-	}
-}
-
-func (p *Proxy) unpark(w *netx.Watch) bool {
-	p.parkedMu.Lock()
-	_, ok := p.parked[w]
-	delete(p.parked, w)
-	p.parkedMu.Unlock()
-	return ok
-}
-
-// reapParked closes a parked connection and retires its watch — the
-// loop-mode handler's terminal path.
-func (p *Proxy) reapParked(w *netx.Watch, conn net.Conn) {
-	conn.Close()
-	if p.unpark(w) {
-		p.reg.Gauge("proxy.loop.parked").Dec()
-	}
-	w.Cancel()
 }
 
 // Addr returns the bound address of the named VIP ("" if absent).
@@ -1170,26 +1123,15 @@ func (p *Proxy) terminate() {
 	}
 	p.mu.Unlock()
 
-	// Parked loop-mode connections have no goroutine to notice the
-	// shutdown; close them and retire their watches here. Draining does
-	// NOT touch them — existing connections are served until terminate,
-	// exactly like their goroutine-backed peers.
-	p.parkedMu.Lock()
-	parked := p.parked
-	p.parked = make(map[*netx.Watch]net.Conn)
+	// Web connections are forcefully terminated at the end of the
+	// draining period (§4.1): an idle keep-alive connection just closes,
+	// one cut mid-request is a disruption and is recorded as one.
+	p.webConnsMu.Lock()
 	webConns := make([]*webConn, 0, len(p.webConns))
 	for wc := range p.webConns {
 		webConns = append(webConns, wc)
 	}
-	p.parkedMu.Unlock()
-	for w, c := range parked {
-		c.Close()
-		w.Cancel()
-		p.reg.Gauge("proxy.loop.parked").Dec()
-	}
-	// Goroutine-mode web connections are forcefully terminated at the end
-	// of the draining period (§4.1): an idle keep-alive connection just
-	// closes, one cut mid-request is a disruption and is recorded as one.
+	p.webConnsMu.Unlock()
 	for _, wc := range webConns {
 		if wc.busy.Load() {
 			p.cfg.Ledger.Record(disrupt.KindReset, 0, VIPWeb, "drain-expired", "")

@@ -416,23 +416,15 @@ func TestDCRSpliceKeepsByteOrder(t *testing.T) {
 // so what a silent one holds at each hop is the steady-state price. Four
 // hundred users subscribe through one Edge and one Origin and fall silent;
 // each is sent one publish and falls silent again. Both times no receive
-// buffer holds a chunk, and the heap of the whole process — both proxies,
-// the broker and the test's own bookkeeping — is at most 160 KB a user:
-// the stream → socket pumps park in Stream.WriteTo with no buffer of their
-// own, where a pooled 16 KiB at the Edge and 64 KiB at the Origin used to
-// wait with every user.
+// buffer holds a chunk, and the heap and stacks of the whole process —
+// both proxies, the broker and the test's own clients — are at most 48 KB
+// a user: every pump waits for its next message with no buffer of its
+// own, so what is left is goroutines and connection state.
 func TestIdleRelayedUserHoldsNoRelayBuffer(t *testing.T) {
 	racetest.SkipAllocs(t)
-	const users, perUser = 400, 160 << 10
+	const users, perUser = 400, 48 << 10
 	tp := startTopology(t, 0, 1)
-	heap := func() uint64 {
-		var ms runtime.MemStats
-		runtime.GC()
-		runtime.GC() // the second empties what the first left in the pools' victim caches
-		runtime.ReadMemStats(&ms)
-		return ms.HeapInuse
-	}
-	before := heap()
+	before := inUse()
 	idle := func(when string) {
 		t.Helper()
 		for _, p := range []*Proxy{tp.edge, tp.origins[0]} {
@@ -441,10 +433,10 @@ func TestIdleRelayedUserHoldsNoRelayBuffer(t *testing.T) {
 				return p.Metrics().GaugeValue("h2t.recv.resident_bytes") == 0
 			})
 		}
-		if held := (heap() - before) / users; held > perUser {
-			t.Fatalf("%s an idle user holds %d KB of heap, want at most %d", when, held>>10, perUser>>10)
+		if held := (inUse() - before) / users; held > perUser {
+			t.Fatalf("%s an idle user holds %d KB of heap and stack, want at most %d", when, held>>10, perUser>>10)
 		} else {
-			t.Logf("%s: %d KB of heap per idle user", when, held>>10)
+			t.Logf("%s: %d KB of heap and stack per idle user", when, held>>10)
 		}
 	}
 	conns := make([]net.Conn, users)

@@ -16,7 +16,6 @@ import (
 	"zdr/internal/appserver"
 	"zdr/internal/h2t"
 	"zdr/internal/http1"
-	"zdr/internal/netx"
 	"zdr/internal/obs"
 )
 
@@ -33,65 +32,55 @@ type seenRequest struct {
 // the first with twelve fields, which spill the Header's own room, a trace
 // context and a body; the second with two fields and none of that — and
 // the app server is forwarded each as it was sent: nothing of the first
-// is left for the second to show. Goroutine and loop mode both.
+// is left for the second to show. The connection is served by its own
+// goroutine, which parks in a WakeReader between the two reads.
 func TestPipelinedRequestsDoNotAlias(t *testing.T) {
-	for _, mode := range []string{"goroutine", "loop"} {
-		t.Run(mode, func(t *testing.T) {
-			var mu sync.Mutex
-			var seen []seenRequest
-			var edge Config
-			if mode == "loop" {
-				loop, err := netx.NewEventLoop(netx.EventLoopConfig{Workers: 2})
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(func() { loop.Close() })
-				edge.ConnLoop = loop
-			}
-			web := startPathEdge(t, edge, func(req *http1.Request, body []byte) *http1.Response {
-				mu.Lock()
-				seen = append(seen, seenRequest{req.Method, req.Target, req.Header.Get(obs.TraceHeader), req.ContentLength, req.Header.Len(), string(body)})
-				mu.Unlock()
-				return http1.NewResponse(200, strings.NewReader("ok"), 2)
-			})
-			conn, err := net.DialTimeout("tcp", web, 2*time.Second)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer conn.Close()
-			first := "POST /first HTTP/1.1\r\nHost: a\r\n" + obs.TraceHeader + ": 1-2-3\r\nContent-Length: 5\r\n"
-			for i := 0; i < 9; i++ {
-				first += fmt.Sprintf("X-Filler-%d: %d\r\n", i, i)
-			}
-			first += "\r\nhello"
-			second := "GET /second HTTP/1.1\r\nHost: b\r\nAccept: */*\r\n\r\n"
-			if _, err := io.WriteString(conn, first+second); err != nil {
-				t.Fatal(err)
-			}
-			conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-			br := bufio.NewReader(conn)
-			for i := 0; i < 2; i++ {
-				resp, err := http1.ReadResponse(br)
-				if err != nil || resp.StatusCode != 200 {
-					t.Fatalf("response %d: %+v, %v", i, resp, err)
-				}
-				if body, err := http1.ReadFullBody(resp.Body); err != nil || string(body) != "ok" {
-					t.Fatalf("response %d: body %q, %v", i, body, err)
-				}
-			}
+	t.Run("goroutine", func(t *testing.T) {
+		var mu sync.Mutex
+		var seen []seenRequest
+		web := startPathEdge(t, Config{}, func(req *http1.Request, body []byte) *http1.Response {
 			mu.Lock()
-			defer mu.Unlock()
-			if len(seen) != 2 {
-				t.Fatalf("the app server saw %d requests, want 2", len(seen))
-			}
-			if got, want := seen[0], (seenRequest{"POST", "/first", "1-2-3", 5, 2, "hello"}); got != want {
-				t.Errorf("first request reached the app server as %+v, want %+v", got, want)
-			}
-			if got, want := seen[1], (seenRequest{"GET", "/second", "", 0, 1, ""}); got != want {
-				t.Errorf("second request reached the app server as %+v, want %+v", got, want)
-			}
+			seen = append(seen, seenRequest{req.Method, req.Target, req.Header.Get(obs.TraceHeader), req.ContentLength, req.Header.Len(), string(body)})
+			mu.Unlock()
+			return http1.NewResponse(200, strings.NewReader("ok"), 2)
 		})
-	}
+		conn, err := net.DialTimeout("tcp", web, 2*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		first := "POST /first HTTP/1.1\r\nHost: a\r\n" + obs.TraceHeader + ": 1-2-3\r\nContent-Length: 5\r\n"
+		for i := 0; i < 9; i++ {
+			first += fmt.Sprintf("X-Filler-%d: %d\r\n", i, i)
+		}
+		first += "\r\nhello"
+		second := "GET /second HTTP/1.1\r\nHost: b\r\nAccept: */*\r\n\r\n"
+		if _, err := io.WriteString(conn, first+second); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+		br := bufio.NewReader(conn)
+		for i := 0; i < 2; i++ {
+			resp, err := http1.ReadResponse(br)
+			if err != nil || resp.StatusCode != 200 {
+				t.Fatalf("response %d: %+v, %v", i, resp, err)
+			}
+			if body, err := http1.ReadFullBody(resp.Body); err != nil || string(body) != "ok" {
+				t.Fatalf("response %d: body %q, %v", i, body, err)
+			}
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if len(seen) != 2 {
+			t.Fatalf("the app server saw %d requests, want 2", len(seen))
+		}
+		if got, want := seen[0], (seenRequest{"POST", "/first", "1-2-3", 5, 2, "hello"}); got != want {
+			t.Errorf("first request reached the app server as %+v, want %+v", got, want)
+		}
+		if got, want := seen[1], (seenRequest{"GET", "/second", "", 0, 1, ""}); got != want {
+			t.Errorf("second request reached the app server as %+v, want %+v", got, want)
+		}
+	})
 }
 
 // TestUpstreamConnResponseSlot: an upstreamConn reads every response into

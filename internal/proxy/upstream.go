@@ -92,7 +92,7 @@ func (uc *upstreamConn) ReadBuf() []byte { return uc.rbuf[:] }
 func (uc *upstreamConn) ServeWake(n int) (done bool) {
 	switch {
 	case uc.head == nil:
-		return true // the response: br has it from here
+		return n > 0 // the response: br has it from here
 	case n > 0:
 		uc.werr = errUnsolicited
 		return true

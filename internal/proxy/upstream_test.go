@@ -928,8 +928,8 @@ func TestCloseDoesNotWaitForWebClients(t *testing.T) {
 	// returned: only then is the connection idle, and proxy.rif the
 	// stuck request's alone.
 	waitFor(t, "the keep-alive request's handler to return", func() bool {
-		edge.parkedMu.Lock()
-		defer edge.parkedMu.Unlock()
+		edge.webConnsMu.Lock()
+		defer edge.webConnsMu.Unlock()
 		for wc := range edge.webConns {
 			if wc.busy.Load() {
 				return false
