@@ -27,7 +27,6 @@ import (
 	"sync"
 	"time"
 
-	"zdr/internal/bufpool"
 	"zdr/internal/http1"
 	"zdr/internal/metrics"
 	"zdr/internal/netx"
@@ -122,9 +121,6 @@ type Config struct {
 	// have already fully arrived (default 100ms in tests; the paper's
 	// tier uses 10–15s).
 	DrainPeriod time.Duration
-	// BodyChunk is the body streaming granularity (default 4 KiB). The
-	// server checks for a drain signal between chunks.
-	BodyChunk int
 	// GraceWindow caps how long an interrupted body read keeps draining
 	// in-flight bytes before handing the request back (default 1s). An
 	// upload that finishes inside the window is served normally.
@@ -172,9 +168,6 @@ func New(cfg Config, reg *metrics.Registry) *Server {
 	}
 	if cfg.DrainPeriod <= 0 {
 		cfg.DrainPeriod = 100 * time.Millisecond
-	}
-	if cfg.BodyChunk <= 0 {
-		cfg.BodyChunk = 4 << 10
 	}
 	if cfg.GraceWindow <= 0 {
 		cfg.GraceWindow = time.Second
@@ -372,9 +365,7 @@ func (s *Server) serveConn(c *servedConn) {
 	for {
 		// The wait between requests consumes nothing, so the drain kick
 		// (an expired read deadline) can interrupt it and it can be resumed.
-		err := c.ka.Serve()
-		var ne net.Error
-		if lastCall || !errors.As(err, &ne) || !ne.Timeout() || !s.Draining() {
+		if err := c.ka.Serve(); lastCall || !isTimeout(err) || !s.Draining() {
 			return // done, clean close, peer gone, or idle through the last call
 		}
 		// The drain found this keep-alive connection idle. The proxy
@@ -403,7 +394,7 @@ func (s *Server) serveRequest(conn net.Conn, br *bufio.Reader, req *http1.Reques
 	} else if cl > 0 {
 		body = make([]byte, 0, cl)
 	}
-	body, complete, err := s.readBodyInterruptible(conn, req, body)
+	body, complete, err := s.readBody(conn, req, body, false)
 	if err != nil {
 		s.reg.Counter("appserver.body.errors").Inc()
 		sp.Fail(err)
@@ -436,72 +427,62 @@ func (s *Server) serveRequest(conn net.Conn, br *bufio.Reader, req *http1.Reques
 	return !draining
 }
 
-// readBodyInterruptible streams the request body, checking the drain
-// signal between chunks, appending to body (empty, with the capacity the
-// caller chose). complete=false means the drain interrupted it.
-// No read deadline is set during normal operation — Shutdown kicks blocked
-// reads by expiring the connection's read deadline, and a timeout observed
-// while draining means "restart caught this body mid-flight".
-func (s *Server) readBodyInterruptible(conn net.Conn, req *http1.Request, body []byte) (_ []byte, complete bool, err error) {
+// readBody reads the request body into body's spare room — the room the
+// caller chose, and for a body larger than that room (chunked, or longer
+// than a pooled buffer) more, grown as append grows it — so that a read
+// takes all the connection holds and the body is copied nowhere else.
+// complete=false means the drain cut the body short.
+//
+// No read deadline is set during normal operation: Shutdown kicks a
+// blocked read by expiring the connection's read deadline, and the drain
+// signal is checked between reads. Once it is up (or from the start, with
+// grace) the read is a grace read: it goes on until the line goes quiet
+// (GraceSilence without a byte), the body ends, or GraceWindow has passed,
+// and bytes that come back with a timeout are kept. A request the restart
+// caught has two: after the restart signal, to give a body that is nearly
+// there the chance to finish and be served normally; and behind the 379's
+// head (see handBack), where quiet means the proxy has stopped forwarding.
+func (s *Server) readBody(conn net.Conn, req *http1.Request, body []byte, grace bool) (_ []byte, complete bool, err error) {
 	if req.Body == nil {
-		return nil, true, nil
+		return body, true, nil
 	}
-	bp := bufpool.Get(s.cfg.BodyChunk)
-	defer bufpool.Put(bp)
-	buf := (*bp)[:s.cfg.BodyChunk]
+	var until time.Time // the end of the grace window, once there is one
 	for {
-		select {
-		case <-s.drainCh:
-			return s.graceRead(conn, req, body)
-		default:
+		if until.IsZero() && (grace || s.Draining()) {
+			until = time.Now().Add(s.cfg.GraceWindow)
 		}
-		n, rerr := req.Body.Read(buf)
-		body = append(body, buf[:n]...)
-		if rerr == io.EOF {
-			return body, true, nil
-		}
-		if rerr != nil {
-			var ne net.Error
-			if errors.As(rerr, &ne) && ne.Timeout() && s.Draining() {
-				return s.graceRead(conn, req, body)
+		if !until.IsZero() {
+			if !time.Now().Before(until) {
+				return body, false, nil
 			}
+			conn.SetReadDeadline(time.Now().Add(s.cfg.GraceSilence))
+		}
+		if len(body) == cap(body) && int64(len(body)) != req.ContentLength {
+			// (A body at its declared length reads its end into no room.)
+			body = append(body, 0)[:len(body)]
+		}
+		n, rerr := req.Body.Read(body[len(body):cap(body)])
+		body = body[:len(body)+n]
+		switch {
+		case rerr == nil:
+		case rerr == io.EOF:
+			if !until.IsZero() {
+				conn.SetReadDeadline(time.Time{})
+			}
+			return body, true, nil
+		case isTimeout(rerr) && s.Draining() && (until.IsZero() || n > 0):
+			// The kick, or bytes still arriving inside the grace window.
+		case !until.IsZero():
+			return body, false, nil // quiet, or the peer is gone: hand back what is here
+		default:
 			return body, false, rerr
 		}
 	}
 }
 
-// graceRead keeps reading the request body until the line goes quiet
-// (GraceSilence without a byte), the body ends, or GraceWindow has passed.
-// It runs twice for a request the restart caught: after the restart
-// signal, to give a body that is nearly there the chance to finish and be
-// served normally (complete=true); and again behind the 379's head (see
-// handBack), where quiet means the proxy has stopped forwarding.
-func (s *Server) graceRead(conn net.Conn, req *http1.Request, body []byte) ([]byte, bool, error) {
-	silence := s.cfg.GraceSilence
-	bp := bufpool.Get(s.cfg.BodyChunk)
-	defer bufpool.Put(bp)
-	buf := (*bp)[:s.cfg.BodyChunk]
-	deadline := time.Now().Add(s.cfg.GraceWindow)
-	for time.Now().Before(deadline) {
-		conn.SetReadDeadline(time.Now().Add(silence))
-		n, err := req.Body.Read(buf)
-		body = append(body, buf[:n]...)
-		if err == io.EOF {
-			conn.SetReadDeadline(time.Time{})
-			return body, true, nil
-		}
-		if err != nil {
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() {
-				if n == 0 {
-					break // line went quiet: everything in flight captured
-				}
-				continue
-			}
-			break // peer gone; hand back what we have
-		}
-	}
-	return body, false, nil
+func isTimeout(err error) bool {
+	var ne net.Error
+	return errors.As(err, &ne) && ne.Timeout()
 }
 
 // handBack is the body of a 379: every byte of the request body this
@@ -524,7 +505,7 @@ type handBack struct {
 func (h *handBack) Read(p []byte) (int, error) {
 	if !h.drained {
 		h.drained = true
-		h.partial, _, _ = h.s.graceRead(h.conn, h.req, h.partial)
+		h.partial, _, _ = h.s.readBody(h.conn, h.req, h.partial, true)
 	}
 	if len(h.partial) == 0 {
 		return 0, io.EOF

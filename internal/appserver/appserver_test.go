@@ -3,10 +3,15 @@ package appserver
 import (
 	"bufio"
 	"bytes"
+	"fmt"
+	"io"
 	"net"
+	"os"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -234,31 +239,231 @@ func TestRedirect307OnRestart(t *testing.T) {
 }
 
 // TestChunkedPPR: a chunked upload interrupted by restart also hands back
-// its partial body (the §5.2 chunked corner case).
+// its partial body (the §5.2 chunked corner case) — a few bytes, and one
+// of several KiB, whose room grew on the way.
 func TestChunkedPPR(t *testing.T) {
+	big := strings.Repeat("0123456789abcdef", 600) // 9,600 bytes
+	for _, c := range []struct {
+		name   string
+		chunks []string // the last is cut off mid-chunk
+		want   string
+	}{
+		// Declare 10 bytes, deliver 3.
+		{"small", []string{"5\r\nhello\r\n", "a\r\nwor"}, "hellowor"},
+		{"past 4 KiB", []string{"5\r\nhello\r\n", fmt.Sprintf("%x\r\n%s\r\n", len(big), big), "3000\r\n" + big[:5000]}, "hello" + big + big[:5000]},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s := startServer(t, Config{Mode: ModePPR, DrainPeriod: 50 * time.Millisecond})
+			conn, err := net.Dial("tcp", s.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			conn.Write([]byte("POST /up HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"))
+			for _, chunk := range c.chunks {
+				conn.Write([]byte(chunk))
+			}
+			time.Sleep(100 * time.Millisecond)
+			go s.Shutdown()
+			conn.SetReadDeadline(time.Now().Add(3 * time.Second))
+			resp, err := http1.ReadResponse(bufio.NewReader(conn))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !http1.IsPartialPostReplay(resp) {
+				t.Fatalf("status = %d", resp.StatusCode)
+			}
+			if got, _ := http1.ReadFullBody(resp.Body); string(got) != c.want {
+				t.Fatalf("partial chunked body: %d bytes, want %d identical bytes", len(got), len(c.want))
+			}
+		})
+	}
+}
+
+// TestPPRKickLandsInALargeRead: the drain kick finds the body's read
+// parked with most of a 1 MiB room still to fill. What arrived before it
+// — an odd number of bytes, in writes of odd sizes — is the 379's echo,
+// exactly.
+func TestPPRKickLandsInALargeRead(t *testing.T) {
 	s := startServer(t, Config{Mode: ModePPR, DrainPeriod: 50 * time.Millisecond})
 	conn, err := net.Dial("tcp", s.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	conn.Write([]byte("POST /up HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"))
-	conn.Write([]byte("5\r\nhello\r\n"))
-	// Mid-chunk stall: declare 10 bytes, deliver 3.
-	conn.Write([]byte("a\r\nwor"))
-	time.Sleep(100 * time.Millisecond)
+	sent := make([]byte, 300_001)
+	for i := range sent {
+		sent[i] = byte(i * 7 % 251)
+	}
+	if _, err := conn.Write([]byte("POST /upload HTTP/1.1\r\nContent-Length: 1048576\r\n\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	for i, rest := 0, sent; len(rest) > 0; i++ {
+		n := min(len(rest), []int{1, 4093, 3, 65537, 7, 12289}[i%6])
+		if _, err := conn.Write(rest[:n]); err != nil {
+			t.Fatal(err)
+		}
+		rest = rest[n:]
+	}
+	time.Sleep(100 * time.Millisecond) // let the server read it all and park
 	go s.Shutdown()
+
 	conn.SetReadDeadline(time.Now().Add(3 * time.Second))
 	resp, err := http1.ReadResponse(bufio.NewReader(conn))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !http1.IsPartialPostReplay(resp) {
-		t.Fatalf("status = %d", resp.StatusCode)
+	if !http1.IsPartialPostReplay(resp) || resp.Header.Get("X-Original-Content-Length") != "1048576" {
+		t.Fatalf("status %d %q, original length %q; want 379 PartialPOST of 1048576", resp.StatusCode, resp.StatusMessage, resp.Header.Get("X-Original-Content-Length"))
 	}
-	got, _ := http1.ReadFullBody(resp.Body)
-	if string(got) != "hellowor" {
-		t.Fatalf("partial chunked body = %q, want %q", got, "hellowor")
+	if got, err := http1.ReadFullBody(resp.Body); err != nil || !bytes.Equal(got, sent) {
+		t.Fatalf("echo: %d bytes (%v), want the %d sent, identical", len(got), err, len(sent))
+	}
+}
+
+// readSyscalls returns /proc/self/io's syscr: the read(2)-family calls
+// this process has made. recvmsg(2), which an app server waits for a
+// request head with, is not among them.
+func readSyscalls(t *testing.T) uint64 {
+	t.Helper()
+	b, err := os.ReadFile("/proc/self/io")
+	if err != nil {
+		t.Skipf("no /proc/self/io: %v", err)
+	}
+	for _, line := range bytes.Split(b, []byte("\n")) {
+		if v, ok := bytes.CutPrefix(line, []byte("syscr: ")); ok {
+			n, err := strconv.ParseUint(string(v), 10, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return n
+		}
+	}
+	t.Skip("no syscr in /proc/self/io")
+	return 0
+}
+
+// countedReads reads a connection with read(2) calls it counts, every one
+// of them, those that find nothing included: they are the client's share
+// of syscr.
+type countedReads struct {
+	rc    syscall.RawConn
+	calls uint64
+}
+
+func (r *countedReads) Read(p []byte) (n int, err error) {
+	rerr := r.rc.Read(func(fd uintptr) bool {
+		for {
+			r.calls++
+			if n, err = syscall.Read(int(fd), p); err != syscall.EINTR {
+				return err != syscall.EAGAIN
+			}
+		}
+	})
+	switch {
+	case rerr != nil:
+		return 0, rerr
+	case err != nil:
+		return 0, err
+	case n == 0:
+		return 0, io.EOF
+	}
+	return n, nil
+}
+
+// writeCounter is a connection the app server accepted, with the size of
+// every Write made on it kept. It is a *net.TCPConn all the same, so the
+// server waits on it and reads it as it does any other.
+type writeCounter struct {
+	*net.TCPConn
+	mu     sync.Mutex
+	writes []int
+}
+
+func (c *writeCounter) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	c.writes = append(c.writes, len(p))
+	c.mu.Unlock()
+	return c.TCPConn.Write(p)
+}
+
+type countingListener struct {
+	net.Listener
+	accepted chan *writeCounter
+}
+
+func (l countingListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	c := &writeCounter{TCPConn: conn.(*net.TCPConn)}
+	l.accepted <- c
+	return c, nil
+}
+
+// TestLargeBodyReadsWhatTheSocketHolds: a 1 MiB POST echoed over bare
+// loopback TCP. The app server reads the body into the buffer the handler
+// is given, each read as large as what the socket holds — a few reads,
+// where 4 KiB at a time made more than 256 — and the echo leaves from that
+// buffer: two writes, the head and then the body. Reads are counted from
+// /proc/self/io with the client's own taken off.
+func TestLargeBodyReadsWhatTheSocketHolds(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepted := make(chan *writeCounter, 1)
+	s := New(Config{Name: "as-1"}, nil)
+	s.Serve(countingListener{ln, accepted})
+	t.Cleanup(s.Close)
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	rc, err := conn.(*net.TCPConn).SyscallConn()
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := &countedReads{rc: rc}
+	br := bufio.NewReader(client)
+
+	body := make([]byte, 1<<20)
+	for i := range body {
+		body[i] = byte(i * 13 % 253)
+	}
+	msg := append([]byte(fmt.Sprintf("POST /up HTTP/1.1\r\nContent-Length: %d\r\n\r\n", len(body))), body...)
+	const posts = 4
+	for i := 0; i < posts; i++ {
+		syscr, mine := readSyscalls(t), client.calls
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		if _, err := conn.Write(msg); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http1.ReadResponse(br)
+		if err != nil || resp.StatusCode != 200 {
+			t.Fatalf("POST %d: %+v, %v", i, resp, err)
+		}
+		if got, err := http1.ReadFullBody(resp.Body); err != nil || !bytes.Equal(got, body) {
+			t.Fatalf("POST %d: echo of %d bytes (%v), want the %d sent, identical", i, len(got), err, len(body))
+		}
+		reads := readSyscalls(t) - syscr - (client.calls - mine)
+		t.Logf("POST %d: %d reads by the app server", i, reads)
+		if reads > 32 {
+			t.Errorf("POST %d: the app server made %d reads of a 1 MiB body, want at most 32", i, reads)
+		}
+	}
+	c := <-accepted
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.writes) != 2*posts {
+		t.Fatalf("the app server's writes: %v, want the head and then the body, per POST", c.writes)
+	}
+	for i := 0; i < posts; i++ {
+		if c.writes[2*i] >= 256 || c.writes[2*i+1] != len(body) {
+			t.Fatalf("the app server's writes: %v, want the head and then the body, per POST", c.writes)
+		}
 	}
 }
 

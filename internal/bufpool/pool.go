@@ -1,8 +1,8 @@
 // Package bufpool provides tiered, reusable byte buffers for the data
 // plane. Every hot copy loop in the repo (proxy pumps, h2t frame I/O,
-// chunked transfer coding, app-server body reads, quicx datagrams) moves
-// bytes through short-lived scratch buffers; allocating them per unit of
-// work makes the garbage collector a per-packet cost. This package fronts
+// HTTP/1 message writes, quicx datagrams) moves bytes through
+// short-lived scratch buffers; allocating them per unit of work makes
+// the garbage collector a per-packet cost. This package fronts
 // a small set of size-tiered sync.Pools so steady-state forwarding
 // allocates nothing.
 //
@@ -28,10 +28,10 @@ import (
 // requests beyond the largest tier fall through to a plain allocation
 // that Put discards.
 const (
-	TierSmall  = 4 << 10   // chunked bodies, datagrams, app-server chunks
+	TierSmall  = 4 << 10   // keep-alive and broker read room, the Origin's request heads, datagrams
 	TierMedium = 16 << 10  // h2t frame scratch, MQTT pumps
 	TierLarge  = 64 << 10  // max h2t frame / max datagram, proxy copy loops
-	TierXLarge = 256 << 10 // PPR body capture
+	TierXLarge = 256 << 10 // http1 message writer's scratch, PPR body capture
 )
 
 var tiers = [...]int{TierSmall, TierMedium, TierLarge, TierXLarge}

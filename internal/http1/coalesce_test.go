@@ -5,15 +5,18 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"strconv"
 	"strings"
 	"testing"
 )
 
-// recorder keeps every Write made on it as its own element.
-type recorder struct{ writes [][]byte }
+// recorder keeps every Write made on it as its own element: a copy of the
+// bytes, and the slice they were written from.
+type recorder struct{ writes, from [][]byte }
 
 func (r *recorder) Write(p []byte) (int, error) {
 	r.writes = append(r.writes, append([]byte(nil), p...))
+	r.from = append(r.from, p)
 	return len(p), nil
 }
 
@@ -200,7 +203,9 @@ func TestChunkBehindPendingBytesWhenReadComesUpShort(t *testing.T) {
 }
 
 // TestLargeBodyFillsTheScratch: a body far larger than the scratch goes
-// out in scratch-sized writes, both framings, byte-exact.
+// out in scratch-sized writes, both framings, byte-exact — unless it is in
+// hand with a Content-Length: then it is two writes, the head and the
+// body, and the body's is the caller's own memory, not a copy of it.
 func TestLargeBodyFillsTheScratch(t *testing.T) {
 	data := bytes.Repeat([]byte("0123456789abcdef"), 1<<16) // 1 MiB
 	for _, body := range []struct {
@@ -211,6 +216,9 @@ func TestLargeBodyFillsTheScratch(t *testing.T) {
 		n, err := WriteResponse(&rec, NewResponse(200, body.r, body.cl))
 		if err != nil || n != int64(len(data)) {
 			t.Fatalf("cl %d: %d, %v", body.cl, n, err)
+		}
+		if inHand := body.cl >= 0; inHand && (len(rec.writes) != 2 || len(rec.from[1]) != len(data) || &rec.from[1][0] != &data[0]) {
+			t.Fatalf("a 1 MiB body in hand took %d writes, want the head and then the body from its own memory", len(rec.writes))
 		}
 		resp, err := ReadResponse(bufio.NewReader(strings.NewReader(rec.all())))
 		if err != nil {
@@ -241,21 +249,25 @@ func (f *failAfter) Write(p []byte) (int, error) {
 }
 
 // TestBodyCountIsBytesHandedToTheSocket: the count WriteRequest returns
-// is of body bytes the writer took, not of bytes assembled.
+// is of body bytes the writer took, not of bytes assembled — for a body
+// that goes through the scratch, and for one larger than the scratch that
+// goes out from its own memory behind the head.
 func TestBodyCountIsBytesHandedToTheSocket(t *testing.T) {
-	body := bytes.Repeat([]byte("b"), 1000)
-	head := len("POST /up HTTP/1.1\r\nContent-Length: 1000\r\n\r\n")
-	for _, room := range []int{0, head - 1, head, head + 300, head + 1000} {
-		n, err := WriteRequest(&failAfter{room: room}, NewRequest("POST", "/up", bytes.NewReader(body), 1000))
-		want := int64(max(0, room-head))
-		if room == head+1000 {
-			if err != nil || n != 1000 {
-				t.Fatalf("room for all of it: %d, %v", n, err)
+	for _, size := range []struct{ body, part int }{{1000, 300}, {1 << 20, 300 << 10}} {
+		body := bytes.Repeat([]byte("b"), size.body)
+		head := len("POST /up HTTP/1.1\r\nContent-Length: " + strconv.Itoa(size.body) + "\r\n\r\n")
+		for _, room := range []int{0, head - 1, head, head + size.part, head + size.body} {
+			n, err := WriteRequest(&failAfter{room: room}, NewRequest("POST", "/up", bytes.NewReader(body), int64(size.body)))
+			want := int64(max(0, room-head))
+			if room == head+size.body {
+				if err != nil || n != int64(size.body) {
+					t.Fatalf("%d bytes, room for all of it: %d, %v", size.body, n, err)
+				}
+				continue
 			}
-			continue
-		}
-		if !errors.Is(err, errSink) || n != want {
-			t.Fatalf("room %d: reported %d body bytes (%v), want %d", room, n, err, want)
+			if !errors.Is(err, errSink) || n != want {
+				t.Fatalf("%d bytes, room %d: reported %d body bytes (%v), want %d", size.body, room, n, err, want)
+			}
 		}
 	}
 }

@@ -375,7 +375,10 @@ func Buffered(body io.Reader) int {
 // Read cannot block. The scratch is flushed when it fills, when the
 // message ends, and before any Read that may block — so a reply whose
 // body is in hand leaves in one write, head included, and the first byte
-// of a slow body is never held back waiting for the second.
+// of a slow body is never held back waiting for the second. A
+// Content-Length body in hand that the scratch has no room for (it has
+// Len and WriteTo, as bytes.Reader does) is not copied into it: the head
+// goes out, then the body in one WriteTo, from its own memory.
 type messageWriter struct {
 	w  io.Writer
 	bp *[]byte
@@ -433,6 +436,15 @@ func (mw *messageWriter) writeBody(body io.Reader, contentLength int64) (int64, 
 	}
 	if body == nil {
 		return 0, mw.flush()
+	}
+	if inHand, ok := body.(interface {
+		io.WriterTo
+		Len() int
+	}); ok && int64(inHand.Len()) == contentLength && inHand.Len() > cap(mw.buf)-len(mw.buf) {
+		if err := mw.flush(); err != nil {
+			return 0, err
+		}
+		return inHand.WriteTo(mw.w)
 	}
 	chunked := contentLength < 0
 	remaining := contentLength

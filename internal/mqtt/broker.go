@@ -39,6 +39,9 @@ type Broker struct {
 	mu       sync.Mutex
 	sessions map[string]*session
 	closed   bool
+	// transports is every connection being served, attached or not: Close
+	// closes them all.
+	transports map[*transport]struct{}
 
 	faults atomic.Pointer[faults.Injector]
 	// tuning, when set, is applied to every accepted transport before
@@ -119,6 +122,7 @@ func NewBroker(name string, reg *metrics.Registry) *Broker {
 		cDelivered:   reg.Counter("mqtt.publish.delivered"),
 		cFlushErrors: reg.Counter("mqtt.flush.errors"),
 		sessions:     make(map[string]*session),
+		transports:   make(map[*transport]struct{}),
 	}
 }
 
@@ -194,6 +198,13 @@ func (b *Broker) newTransport(conn net.Conn) *transport {
 	// A QoS 0 publisher is owed no write: a reset behind its last packet
 	// may have nothing to fail.
 	t.wr.ConfirmWaits()
+	b.mu.Lock()
+	if b.closed {
+		t.wr.Close()
+	} else {
+		b.transports[t] = struct{}{}
+	}
+	b.mu.Unlock()
 	return t
 }
 
@@ -202,6 +213,9 @@ func (b *Broker) newTransport(conn net.Conn) *transport {
 // first: a flush parked on this connection holds the session's lock.
 func (t *transport) end() {
 	t.wr.Close()
+	t.b.mu.Lock()
+	delete(t.b.transports, t)
+	t.b.mu.Unlock()
 	if s := t.sess; s != nil {
 		s.mu.Lock()
 		s.tr.CompareAndSwap(t, nil)
@@ -506,18 +520,18 @@ func (b *Broker) DropSession(clientID string) {
 	}
 }
 
-// Close drops all sessions and waits for handlers to finish. Listeners
-// passed to Serve must be closed by the caller.
+// Close drops all sessions, closes every connection being served — one
+// that has not sent its CONNECT included — and waits for handlers to
+// finish. Listeners passed to Serve must be closed by the caller.
 func (b *Broker) Close() {
 	b.mu.Lock()
 	b.closed = true
-	sessions := b.sessions
 	b.sessions = map[string]*session{}
+	transports := b.transports
+	b.transports = nil
 	b.mu.Unlock()
-	for _, s := range sessions {
-		s.lockClosed()
-		s.tr.Store(nil)
-		s.mu.Unlock()
+	for t := range transports {
+		t.wr.Close()
 	}
 	b.wg.Wait()
 }

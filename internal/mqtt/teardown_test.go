@@ -18,7 +18,7 @@ func within(t *testing.T, what string, do func()) {
 	select {
 	case <-done:
 	case <-time.After(time.Second):
-		t.Fatalf("%s waited for a parked write", what)
+		t.Fatalf("%s has not returned after a second", what)
 	}
 }
 
@@ -95,22 +95,66 @@ func TestTeardownNeverWaitsForAParkedFlush(t *testing.T) {
 		}},
 	}
 	for _, c := range cases {
-		fds, err := netx.OpenFDCount()
-		if err != nil {
-			t.Fatal(err)
-		}
-		goroutines := runtime.NumGoroutine()
+		back := baseline(t)
 		t.Run(c.name, c.run) // its cleanups close everything it opened
+		back(c.name)
+	}
+}
+
+// baseline takes the process's descriptor and goroutine counts and returns
+// what fails the test if they are not back there within five seconds.
+func baseline(t *testing.T) func(what string) {
+	t.Helper()
+	fds, err := netx.OpenFDCount()
+	if err != nil {
+		t.Fatal(err)
+	}
+	goroutines := runtime.NumGoroutine()
+	return func(what string) {
+		t.Helper()
 		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(2 * time.Millisecond) {
 			n, _ := netx.OpenFDCount()
 			if n <= fds && runtime.NumGoroutine() <= goroutines {
-				break
+				return
 			}
 			if time.Now().After(deadline) {
-				t.Fatalf("%s: %d descriptors and %d goroutines, baseline %d and %d", c.name, n, runtime.NumGoroutine(), fds, goroutines)
+				t.Fatalf("%s: %d descriptors and %d goroutines, baseline %d and %d", what, n, runtime.NumGoroutine(), fds, goroutines)
 			}
 		}
 	}
+}
+
+// TestCloseClosesAConnectionBeforeItsConnect: a connection that never
+// sends its CONNECT has no session, and no keep-alive deadline either:
+// Close closes it all the same and returns at once, and nothing of it is
+// left.
+func TestCloseClosesAConnectionBeforeItsConnect(t *testing.T) {
+	back := baseline(t)
+	b := NewBroker("test", nil)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go b.Serve(ln)
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		b.mu.Lock()
+		served := len(b.transports)
+		b.mu.Unlock()
+		if served == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the broker never served the connection")
+		}
+	}
+	ln.Close()
+	within(t, "Close", b.Close)
+	conn.Close()
+	back("after Close")
 }
 
 // deafConn fails every Write once broken is set; its reads go on.
