@@ -1,6 +1,7 @@
 package h2t
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"net"
@@ -193,8 +194,8 @@ func tcpSessionPair(t testing.TB) (client, server *Session) {
 
 // TestStreamAllocations: what a request costs the tunnel, both sides
 // counted — a Stream and the opening block's string where it is accepted,
-// a Stream, the response block's string and the wake-up channel where it
-// was opened — and what a message on an open stream costs: nothing.
+// a Stream and the response block's string where it was opened — and what
+// a message on an open stream costs: nothing.
 func TestStreamAllocations(t *testing.T) {
 	racetest.SkipAllocs(t)
 	client, server := tcpSessionPair(t)
@@ -241,6 +242,8 @@ func TestStreamAllocations(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(200, roundTrip); n > 7 {
 		t.Errorf("open + headers back + 64 B + END_STREAM: %v allocs on the pair, want <= 7", n)
+	} else {
+		t.Logf("open + headers back + 64 B + END_STREAM: %v allocs on the pair", n)
 	}
 	if client.NumStreams() != 0 || server.NumStreams() != 0 {
 		t.Fatalf("streams left: %d, %d", client.NumStreams(), server.NumStreams())
@@ -266,28 +269,21 @@ func TestStreamAllocations(t *testing.T) {
 }
 
 // TestStreamSize pins what every request pays twice per hop: a Stream,
-// room for one header block included, fills the 512-byte size class and
+// room for one header block included, fills the 384-byte size class and
 // no more.
 func TestStreamSize(t *testing.T) {
-	if n := unsafe.Sizeof(Stream{}); n > 512 {
-		t.Errorf("a Stream is %d bytes, want <= 512", n)
+	if n := unsafe.Sizeof(Stream{}); n > 384 {
+		t.Errorf("a Stream is %d bytes, want <= 384", n)
+	} else {
+		t.Logf("a Stream is %d bytes", n)
 	}
 }
 
-// TestRecvHeadersStaleWake: the channel a wait borrows may come with a
-// token in it, left by a wake that raced the previous borrower's return.
-// It is a spurious wake: the wait finds its slot empty and goes on, for
-// its whole timeout or until its own headers come.
-func TestRecvHeadersStaleWake(t *testing.T) {
+// TestResetWakesRecvHeaders: a wait for response headers ends when the
+// peer resets the stream, not at its timeout, and says why.
+func TestResetWakesRecvHeaders(t *testing.T) {
 	client, server := sessionPair(t)
-	stale := func() {
-		// sync.Pool hands a goroutine back what it last put: the wait
-		// below borrows this channel.
-		ch := make(chan struct{}, 1)
-		ch <- struct{}{}
-		wakePool.Put(ch)
-	}
-	st, err := client.OpenStreamWith(Fields{{":path", "/x"}}, nil, false)
+	st, err := client.OpenStreamWith(Fields{{":path", "/x"}}, nil, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,20 +291,60 @@ func TestRecvHeadersStaleWake(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stale()
-	t0 := time.Now()
-	if _, err := st.RecvHeaders(30 * time.Millisecond); err == nil || !strings.Contains(err.Error(), "timeout") || time.Since(t0) < 30*time.Millisecond {
-		t.Fatalf("a wait woken by a stale token: %v after %v, want a timeout after 30ms", err, time.Since(t0))
-	}
-	if st.hdrWake != nil {
-		t.Fatal("the stream kept the channel of a wait that returned")
-	}
-	stale()
 	go func() {
-		time.Sleep(10 * time.Millisecond)
-		sst.SendMessage(Fields{{"status", "200"}}, nil, true)
+		time.Sleep(50 * time.Millisecond)
+		sst.Reset()
 	}()
-	if h, err := st.RecvHeaders(5 * time.Second); err != nil || h.Get("status") != "200" {
-		t.Fatalf("a wait woken by a stale token, then by its headers: %v, %v", h, err)
+	t0 := time.Now()
+	if _, err := st.RecvHeaders(3 * time.Second); !errors.Is(err, ErrStreamReset) || time.Since(t0) > 150*time.Millisecond {
+		t.Fatalf("a wait whose stream was reset 50ms in ended after %v with %v, want ErrStreamReset within 100ms of the reset", time.Since(t0), err)
+	}
+	if _, err := st.RecvHeaders(3 * time.Second); !errors.Is(err, ErrStreamReset) {
+		t.Fatalf("a wait on a stream already reset: %v, want ErrStreamReset", err)
+	}
+}
+
+// TestResetBehindTheResponseKeepsIt: a peer that answers and then resets
+// the stream — an Origin's early reply to an upload it will not take —
+// can have the answer and the RST arrive in one read, with RecvHeaders
+// already waiting. The response is still the consumer's: the RST wakes
+// the wait only once the block that came before it is in the slot, and
+// the body that ended before the RST stays readable.
+func TestResetBehindTheResponseKeepsIt(t *testing.T) {
+	cc, raw := net.Pipe()
+	client := NewSession(cc, true)
+	defer client.Close()
+	go io.Copy(io.Discard, raw)
+	st, err := client.OpenStreamWith(Fields{{":path", "/up"}}, nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type answer struct {
+		h   Fields
+		err error
+	}
+	got := make(chan answer, 1)
+	go func() {
+		h, err := st.RecvHeaders(2 * time.Second)
+		got <- answer{h, err}
+	}()
+	time.Sleep(20 * time.Millisecond) // the wait is parked
+	var wire bytes.Buffer
+	block := appendFields(nil, Fields{{"status", "500"}})
+	for _, f := range []Frame{
+		{Type: FrameHeaders, StreamID: st.ID(), Payload: block},
+		{Type: FrameData, Flags: FlagEndStream, StreamID: st.ID(), Payload: []byte("no")},
+		{Type: FrameRST, StreamID: st.ID()},
+	} {
+		WriteFrame(&wire, f)
+	}
+	if _, err := raw.Write(wire.Bytes()); err != nil { // one read's worth
+		t.Fatal(err)
+	}
+	if a := <-got; a.err != nil || a.h.Get("status") != "500" {
+		t.Fatalf("response with an RST behind it: %v, %v", a.h, a.err)
+	}
+	if body, err := io.ReadAll(st); err != nil || string(body) != "no" {
+		t.Fatalf("its body: %q, %v", body, err)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -437,31 +438,20 @@ func (s *Session) Accept() (*Stream, error) {
 			return st, nil
 		default:
 		}
-		return nil, s.closeReason()
+		return nil, s.endReason()
 	}
 }
 
-func (s *Session) closeReason() error {
+// endReason says what ended a stream from outside, or the session: the
+// session's death once it has died (a shutdown's reason is never nil), a
+// reset while it lives.
+func (s *Session) endReason() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closeErr != nil {
+	if s.closed {
 		return s.closeErr
 	}
-	return ErrSessionClosed
-}
-
-// abortReason says what ended a stream from outside: the session's death
-// if it has died, the peer's RST if not.
-func (s *Session) abortReason() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	switch {
-	case !s.closed:
-		return ErrStreamReset
-	case s.closeErr != nil:
-		return s.closeErr
-	}
-	return ErrSessionClosed
+	return ErrStreamReset
 }
 
 // GoAway announces graceful drain: the peer must open no more streams and
@@ -538,7 +528,7 @@ func (s *Session) Ping(timeout time.Duration) error {
 	case <-ch:
 		return nil
 	case <-s.done:
-		return s.closeReason()
+		return s.endReason()
 	case <-time.After(timeout):
 		return fmt.Errorf("h2t: ping timeout after %v", timeout)
 	}
@@ -790,6 +780,7 @@ func (s *Session) handleFrame(f Frame) error {
 		return s.handleHeaders(f)
 	case FrameRST:
 		if st := s.lookup(f.StreamID); st != nil {
+			s.releaseHeld() // a block that came before the RST is the consumer's
 			st.abort(ErrStreamReset)
 			s.dropStream(f.StreamID)
 		}
@@ -870,22 +861,18 @@ func (s *Session) handleHeaders(f Frame) error {
 		// HEADERS for a stream we opened but already dropped; ignore.
 		return nil
 	}
+	if f.Flags&FlagEndStream != 0 {
+		s.remoteEnd(st)
+	}
 	if !fresh {
 		// Subsequent HEADERS on a live stream: response/trailer headers.
 		if st.hdr == nil {
 			st.hdr = hdr
 		}
 		s.held = append(s.held, heldHeaders{st, hdr})
-		if f.Flags&FlagEndStream != 0 {
-			s.remoteEnd(st)
-		}
 		return nil
 	}
 	st.hdr = hdr
-	if f.Flags&FlagEndStream != 0 {
-		st.remoteEnd = true
-		st.buf.setEOF()
-	}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -908,10 +895,9 @@ func (s *Session) handleHeaders(f Frame) error {
 // directions are finished.
 func (s *Session) remoteEnd(st *Stream) {
 	st.buf.setEOF()
-	st.mu.Lock()
-	st.remoteEnd = true
+	st.buf.mu.Lock()
 	done := st.localEnd
-	st.mu.Unlock()
+	st.buf.mu.Unlock()
 	if done {
 		s.dropStream(st.id)
 	}
@@ -919,39 +905,38 @@ func (s *Session) remoteEnd(st *Stream) {
 
 // fieldsRoom is the room a Stream has for the one header block a request
 // brings it, the request's where the stream is accepted and the
-// response's where it was opened: the proxies' fit.
-const fieldsRoom = 6
+// response's where it was opened: the proxies' fit (a response's four).
+const fieldsRoom = 4
 
 // Stream is one logical bidirectional stream.
 //
-// The receive buffer, both condition variables and the room for a header
-// block are part of the Stream itself: a stream is one allocation.
+// A stream has one lock, buf.mu, and one wait, buf.cond, on which a Read
+// or WriteTo parks for data, a sender for credit and RecvHeaders for a
+// block: a peer's RST, a local Reset and the session's death wake them
+// all. The receive buffer and the room for a header block are part of the
+// Stream itself: a stream is one allocation, in the 384-byte size class.
 type Stream struct {
 	sess *Session
 	id   uint32
-	// Guarded by mu (they sit here to fill the word id leaves). aborted:
-	// the stream was ended from outside, by the peer's RST or the
-	// session's death, and can send no more.
-	localEnd, remoteEnd, reset, aborted bool
+	// Guarded by buf.mu (they sit here to fill the word id leaves); the
+	// peer's END_STREAM is buf.eof. aborted: the stream was ended from
+	// outside, by the peer's RST or the session's death.
+	localEnd, reset, aborted bool
 
 	buf recvBuffer
 
-	mu sync.Mutex
-	// sendWin is how many more DATA bytes the peer's window has room for:
-	// streamWindow less what was sent and not yet acknowledged. It is kept
-	// toward every peer and enforced toward one that announced windows
-	// (Session.peerWindow); senders with none left park on wcond.
+	// sendWin, guarded by buf.mu, is how many more DATA bytes the peer's
+	// window has room for: streamWindow less what was sent and not yet
+	// acknowledged. It is kept toward every peer and enforced toward one
+	// that announced windows (Session.peerWindow).
 	sendWin int64
-	wcond   sync.Cond // L is &mu
 
 	// hdr is the first block the peer sent, which room backs: the one that
 	// opened the stream where it was accepted, the response's where it was
-	// opened — there it is the session reader's alone. resp, guarded by mu,
-	// is the slot for a block the peer sent on an open stream (response
-	// headers), nil when empty, which RecvHeaders takes; hdrWake, which a
-	// call that has to wait borrows from wakePool, wakes it.
+	// opened — there it is the session reader's alone. resp, guarded by
+	// buf.mu, is the slot for a block the peer sent on an open stream
+	// (response headers), nil when empty, which RecvHeaders takes.
 	hdr, resp Fields
-	hdrWake   chan struct{}
 	room      [fieldsRoom]Field
 	relay     atomic.Pointer[relayState] // made on first use (relayState)
 }
@@ -959,38 +944,41 @@ type Stream struct {
 // relayState is what only a stream relayed between two connections needs,
 // the MQTT streams, and a request's stream does not pay for.
 type relayState struct {
-	ctrlCh chan Control // DCR control frames
-	// sink, guarded by buf.mu, is the socket of a WriteTo parked on the
+	ctrlCh chan Control // DCR control frames, until OnControl
+	// Guarded by buf.mu. sink is the socket of a WriteTo parked on the
 	// empty buffer: the session reader writes DATA there (recvBuffer.put).
-	sink *netx.TryWriter
+	sink      *netx.TryWriter
+	onControl func(Control)
 }
 
 func newStream(s *Session, id uint32) *Stream {
 	st := &Stream{sess: s, id: id, sendWin: streamWindow}
 	st.buf.init()
-	st.wcond.L = &st.mu
 	return st
 }
 
 // abort ends the stream from outside — the peer's RST, the session's
 // death: readers get err (after what the peer had completed, see
-// recvBuffer.fail) and senders, parked for credit or yet to come, too.
+// recvBuffer.fail), and senders and RecvHeaders, waiting or yet to come,
+// too.
 func (st *Stream) abort(err error) {
-	st.buf.fail(st.sess, err, false)
-	st.mu.Lock()
+	st.buf.mu.Lock()
 	st.aborted = true
-	st.mu.Unlock()
-	st.wcond.Broadcast()
+	st.buf.mu.Unlock()
+	st.buf.fail(st.sess, err, false)
 }
 
 // addCredit is the peer's WINDOW_UPDATE. The window never grows past
 // streamWindow, whatever increments arrive: an honest peer acknowledges
-// only what it was sent.
+// only what it was sent. A sender parks on a window that is not open:
+// at zero, or below where it sent before the peer's announcement.
 func (st *Stream) addCredit(n uint32) {
-	st.mu.Lock()
+	st.buf.mu.Lock()
+	defer st.buf.mu.Unlock()
+	if st.sendWin <= 0 {
+		st.buf.cond.Broadcast()
+	}
 	st.sendWin = min(st.sendWin+int64(n), streamWindow)
-	st.mu.Unlock()
-	st.wcond.Broadcast()
 }
 
 // reserve takes from the send window what a message with want body bytes
@@ -1000,15 +988,15 @@ func (st *Stream) addCredit(n uint32) {
 // half-closes the local direction; done then says the stream is finished
 // both ways.
 func (st *Stream) reserve(want int, end bool) (n int, done bool, err error) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
+	st.buf.mu.Lock()
+	defer st.buf.mu.Unlock()
 	enforced := st.sess.peerWindow.Load()
 	for parked := false; ; parked = true {
 		if st.localEnd || st.reset {
 			return 0, false, ErrStreamClosed
 		}
 		if st.aborted {
-			return 0, false, st.sess.abortReason()
+			return 0, false, st.sess.endReason()
 		}
 		if want == 0 || st.sendWin > 0 || !enforced {
 			break
@@ -1016,7 +1004,7 @@ func (st *Stream) reserve(want int, end bool) (n int, done bool, err error) {
 		if !parked {
 			st.sess.m.stalls.Inc()
 		}
-		st.wcond.Wait()
+		st.buf.cond.Wait()
 	}
 	n = want
 	if enforced && want > 0 {
@@ -1025,7 +1013,7 @@ func (st *Stream) reserve(want int, end bool) (n int, done bool, err error) {
 	st.sendWin -= int64(n)
 	if end && n == want {
 		st.localEnd = true
-		done = st.remoteEnd
+		done = st.buf.eof
 	}
 	return n, done, nil
 }
@@ -1146,14 +1134,13 @@ func (st *Stream) CloseWrite() error {
 
 // Reset aborts the stream (RST_STREAM to the peer, error to local readers).
 func (st *Stream) Reset() error {
-	st.mu.Lock()
+	st.buf.mu.Lock()
 	if st.reset {
-		st.mu.Unlock()
+		st.buf.mu.Unlock()
 		return nil
 	}
 	st.reset = true
-	st.mu.Unlock()
-	st.wcond.Broadcast()
+	st.buf.mu.Unlock()
 	st.buf.fail(st.sess, ErrStreamReset, true)
 	st.sess.dropStream(st.id)
 	return st.sess.writeFrame(Frame{Type: FrameRST, StreamID: st.id})
@@ -1166,60 +1153,56 @@ func (st *Stream) SendHeaders(h map[string]string, endStream bool) error {
 	return st.SendMessage(appendMap(room[:0], h), nil, endStream)
 }
 
-// waitTimers holds timers of RecvHeaders calls that returned before they
-// fired: a call costs a Reset, not a timer. wakePool holds the channels
-// calls wait on. One that comes out of it may hold a token, or get one from
-// a deliverHeaders that saw it on the last borrower's stream: a spurious
-// wake, after which the wait finds its slot empty and resumes.
-var (
-	waitTimers sync.Pool
-	wakePool   = sync.Pool{New: func() any { return make(chan struct{}, 1) }}
-)
+// A headersTimer ends a RecvHeaders wait at its deadline by waking the
+// stream's waiters. One stopped in time goes back to headersTimers: the
+// next call costs a Reset, not a timer.
+type headersTimer struct {
+	t  *time.Timer
+	st *Stream
+}
+
+var headersTimers sync.Pool
+
+func (w *headersTimer) fire() {
+	w.st.buf.mu.Lock()
+	w.st.buf.cond.Broadcast()
+	w.st.buf.mu.Unlock()
+}
 
 // RecvHeaders waits for a HEADERS frame from the peer (response headers),
-// bounded by timeout, and takes it out of the stream's slot.
+// bounded by timeout, and takes it out of the stream's slot. A reset
+// stream or a dead session fails it with the reason (endReason), the
+// timeout with an error that is os.ErrDeadlineExceeded.
 func (st *Stream) RecvHeaders(timeout time.Duration) (Fields, error) {
-	timer, _ := waitTimers.Get().(*time.Timer)
-	if timer == nil {
-		timer = time.NewTimer(timeout)
+	deadline := time.Now().Add(timeout)
+	w, _ := headersTimers.Get().(*headersTimer)
+	if w == nil {
+		w = &headersTimer{st: st}
+		w.t = time.AfterFunc(timeout, w.fire)
 	} else {
-		timer.Reset(timeout)
+		w.st = st
+		w.t.Reset(timeout)
 	}
-	var wake chan struct{}
 	defer func() {
-		// go.mod says go 1.22: the tick of a timer that fired outlives Stop
-		// and Reset, to be the next caller's timeout. Only a timer stopped
-		// in time, whose channel is therefore empty, is used again.
-		if timer.Stop() {
-			waitTimers.Put(timer)
-		}
-		if wake != nil {
-			st.mu.Lock()
-			st.hdrWake = nil
-			st.mu.Unlock()
-			wakePool.Put(wake)
+		if w.t.Stop() { // one that fired may yet be on its way to st
+			w.st = nil
+			headersTimers.Put(w)
 		}
 	}()
-	for {
-		st.mu.Lock()
-		h := st.resp
-		st.resp = nil
-		if h == nil && wake == nil {
-			wake = wakePool.Get().(chan struct{})
-			st.hdrWake = wake
+	st.buf.mu.Lock()
+	defer st.buf.mu.Unlock()
+	for st.resp == nil {
+		if st.reset || st.aborted {
+			return nil, st.sess.endReason()
 		}
-		st.mu.Unlock()
-		if h != nil {
-			return h, nil
+		if !time.Now().Before(deadline) {
+			return nil, fmt.Errorf("h2t: timeout waiting for headers on stream %d: %w", st.id, os.ErrDeadlineExceeded)
 		}
-		select {
-		case <-wake:
-		case <-st.sess.done:
-			return nil, st.sess.closeReason()
-		case <-timer.C:
-			return nil, fmt.Errorf("h2t: timeout waiting for headers on stream %d", st.id)
-		}
+		st.buf.cond.Wait()
 	}
+	h := st.resp
+	st.resp = nil
+	return h, nil
 }
 
 // SendControl sends a DCR control frame on this stream.
@@ -1236,6 +1219,20 @@ func (st *Stream) SendControl(t FrameType, payload []byte) error {
 // stream, those that arrived before the first call included.
 func (st *Stream) Controls() <-chan Control { return st.relayState().ctrlCh }
 
+// OnControl makes f the receiver of the stream's control frames in place
+// of Controls, whose channel nobody may read from then on: the session
+// reader calls it with each, and OnControl with those queued before, so
+// f may run on both at once and must not block.
+func (st *Stream) OnControl(f func(Control)) {
+	r := st.relayState()
+	st.buf.mu.Lock()
+	r.onControl = f
+	st.buf.mu.Unlock()
+	for len(r.ctrlCh) > 0 {
+		f(<-r.ctrlCh)
+	}
+}
+
 // relayState returns the stream's relay state, made by whoever needs it
 // first: the consumer, or the session reader with a control frame for it.
 func (st *Stream) relayState() *relayState {
@@ -1250,21 +1247,23 @@ func (st *Stream) relayState() *relayState {
 // deliverHeaders puts a block in the stream's slot, unless the one before
 // is still there, and wakes RecvHeaders; it never blocks the reader.
 func (st *Stream) deliverHeaders(h Fields) {
-	st.mu.Lock()
+	st.buf.mu.Lock()
 	if st.resp == nil {
 		st.resp = h
 	}
-	wake := st.hdrWake
-	st.mu.Unlock()
-	select {
-	case wake <- struct{}{}: // nil while nobody waits
-	default:
-	}
+	st.buf.cond.Broadcast()
+	st.buf.mu.Unlock()
 }
 
 func (st *Stream) deliverControl(c Control) {
-	select {
-	case st.relayState().ctrlCh <- c:
-	default: // drop over backpressure; control frames are advisory
+	r := st.relayState()
+	st.buf.mu.Lock()
+	f := r.onControl
+	if f == nil && len(r.ctrlCh) < cap(r.ctrlCh) { // else dropped: control frames are advisory
+		r.ctrlCh <- c
+	}
+	st.buf.mu.Unlock()
+	if f != nil {
+		f(c)
 	}
 }

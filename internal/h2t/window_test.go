@@ -481,9 +481,9 @@ func TestHostileWindowUpdate(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("session stopped answering after hostile WINDOW_UPDATEs")
 	}
-	st.mu.Lock()
+	st.buf.mu.Lock()
 	win := st.sendWin
-	st.mu.Unlock()
+	st.buf.mu.Unlock()
 	if win != streamWindow {
 		t.Fatalf("send window = %d after hostile increments, want %d", win, streamWindow)
 	}
@@ -613,5 +613,45 @@ func TestAnnouncementToAPeerWithoutWindows(t *testing.T) {
 	}
 	if client.peerWindow.Load() {
 		t.Fatal("a session of the previous release enforces a window")
+	}
+}
+
+// TestCreditWakesASenderPastTheWindow: what a sender sends before its
+// peer's announcement is not held to the window, so the window it keeps
+// can be below zero when the announcement makes it enforced. A sender
+// that parks there is woken by the credit that lifts it, with nothing else
+// arriving on the stream.
+func TestCreditWakesASenderPastTheWindow(t *testing.T) {
+	client, server, reg := freshPair(t)
+	early := bytes.Repeat([]byte("pre!"), (1<<20)/4)
+	st, err := client.OpenStreamWith(Fields{{":path", "/up"}}, early, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sst, err := server.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := server.AdvertiseSettings(0); err != nil {
+		t.Fatal(err)
+	}
+	eventually(t, "the announcement to arrive", client.peerWindow.Load)
+	sent := make(chan error, 1)
+	go func() { sent <- st.SendMessage(nil, make([]byte, 64<<10), true) }()
+	eventually(t, "the sender to park", func() bool { return reg.CounterValue("h2t.window.stalls") > 0 })
+	got := make(chan error, 1)
+	go func() {
+		_, err := io.ReadFull(sst, make([]byte, len(early)+64<<10))
+		got <- err
+	}()
+	for _, ch := range []chan error{sent, got} {
+		select {
+		case err := <-ch:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("the sender parked below zero was not woken by the credit")
+		}
 	}
 }

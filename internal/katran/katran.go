@@ -83,9 +83,6 @@ type Config struct {
 	// FlowTableSize is in sockets (16 B each, 8-way buckets), as it always
 	// was: a caller sizing for N flows asks for a multiple of N.
 	FlowTableSize int
-	// FlowCacheShards is ignored (the LRU it sharded is gone); it stays
-	// only until bench/rig, its last setter, can change.
-	FlowCacheShards int
 	// FlowTableShards splits the flow table into this many lock shards
 	// (rounded up to a power of two; 0 = DefaultFlowTableShards).
 	FlowTableShards int

@@ -19,7 +19,7 @@ import (
 // must never be served from its pin — run under -race to also pin the
 // locking.
 func TestSteerStaleHitNoResurrection(t *testing.T) {
-	lb := New("t", Config{FlowCacheSize: 1024, FlowCacheShards: 2}, nil)
+	lb := New("t", Config{FlowCacheSize: 1024}, nil)
 	defer lb.Close()
 	lb.AddBackend(Backend{Name: "victim", Addr: "v"}, true)
 	lb.AddBackend(Backend{Name: "stable", Addr: "s"}, true)
@@ -114,7 +114,7 @@ func (lb *LB) victimHealthyForTest() bool {
 // rolling release) and steering runs concurrently, a flow that was pinned
 // to a still-healthy backend keeps landing on that backend.
 func TestSteerConsistencyAcrossTakeover(t *testing.T) {
-	lb := New("test", Config{FlowCacheSize: 4096, FlowCacheShards: 8}, nil)
+	lb := New("test", Config{FlowCacheSize: 4096}, nil)
 	defer lb.Close()
 	const backends = 8
 	for i := 0; i < backends; i++ {

@@ -10,6 +10,7 @@ import (
 	"zdr/internal/appserver"
 	"zdr/internal/disrupt"
 	"zdr/internal/faults"
+	"zdr/internal/h2t"
 	"zdr/internal/http1"
 )
 
@@ -126,6 +127,53 @@ func TestLedgerAttributesTerminalFailures(t *testing.T) {
 	if len(r.Cells) != 1 || r.Cells[0].Cause != "edge:no-origin" ||
 		r.Cells[0].Phase != "serving" || r.Cells[0].Generation != 2 {
 		t.Fatalf("attribution cells: %+v", r.Cells)
+	}
+}
+
+// TestUpstreamResetAnswers502: an Origin that resets a request's stream
+// before answering — as one does for a stream its accept queue has no
+// room for — gets the client a 502 at once, not a 504 at the response
+// timeout, and the ledger calls it a reset. The Origin here is a bare
+// tunnel session that resets every stream it accepts.
+func TestUpstreamResetAnswers502(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			sess := h2t.NewSession(c, false) // ends when the Edge closes its tunnel
+			go func() {
+				for {
+					st, err := sess.Accept()
+					if err != nil {
+						return
+					}
+					st.Reset()
+				}
+			}()
+		}
+	}()
+	led := disrupt.New("edge-rst", 64)
+	e := New(Config{Name: "edge-rst", Role: RoleEdge, Origins: []string{ln.Addr().String()}, Ledger: led}, nil)
+	if err := e.Listen(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(e.Close)
+
+	t0 := time.Now()
+	resp := doRequest(t, e.Addr(VIPWeb), http1.NewRequest("GET", "/api/feed", nil, 0))
+	if took := time.Since(t0); resp.StatusCode != 502 || took > time.Second {
+		t.Fatalf("status %d after %v, want 502 within 1s", resp.StatusCode, took)
+	}
+	r := led.Report()
+	if r.ByKind["reset"] != 1 || r.ByKind["timeout"] != 0 || causeCount(led, "edge:upstream") != 1 {
+		t.Fatalf("ledger: %v, cells %+v; want one reset attributed to edge:upstream", r.ByKind, r.Cells)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"os"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -320,11 +321,17 @@ func (p *Proxy) serveEdgeRequest(conn net.Conn, req *http1.Request) bool {
 	respHdr, err := st.RecvHeaders(p.cfg.UpstreamResponseTimeout)
 	p.latTunnel.Observe(time.Since(tunnelT0).Seconds())
 	if err != nil {
+		// The Origin said nothing in time (504), or the stream or its
+		// session ended first (502).
+		kind, code := disrupt.KindReset, 502
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			kind, code = disrupt.KindTimeout, 504
+		}
 		p.reg.Counter("edge.http.errors.upstream").Inc()
-		p.cfg.Ledger.Record(disrupt.KindTimeout, 0, VIPWeb, "edge:upstream", err.Error())
+		p.cfg.Ledger.Record(kind, 0, VIPWeb, "edge:upstream", err.Error())
 		sp.Fail(err)
 		st.Reset()
-		http1.WriteResponse(conn, http1.NewResponse(504, nil, 0))
+		http1.WriteResponse(conn, http1.NewResponse(code, nil, 0))
 		return false
 	}
 	code, _ := strconv.Atoi(respHdr.Get("status"))
@@ -365,11 +372,13 @@ type mqttRelay struct {
 
 	mu     sync.Mutex
 	stream *h2t.Stream
-	gen    int
 	closed bool
 	// swapped, when not nil, is closed by the next swapStream: a writer
 	// whose stream died under it is waiting for the splice.
 	swapped chan struct{}
+	// dcr, when not nil, is closed when the re_connect in flight has
+	// spliced the relay onto a new stream or given up.
+	dcr chan struct{}
 }
 
 func (r *mqttRelay) close() {
@@ -398,7 +407,7 @@ func (r *mqttRelay) close() {
 // retrying once on the (possibly spliced) stream when a DCR swap races
 // the write. Returns false when the relay is finished.
 func (r *mqttRelay) forwardUpstream(b []byte) bool {
-	st, _ := r.currentStream()
+	st := r.currentStream()
 	if st == nil {
 		return false
 	}
@@ -442,15 +451,14 @@ func (r *mqttRelay) streamAfter(old *h2t.Stream, wait time.Duration) *h2t.Stream
 	case <-swapped:
 	case <-timer.C:
 	}
-	st, _ = r.currentStream()
-	return st
+	return r.currentStream()
 }
 
-// currentStream returns the active stream and its generation.
-func (r *mqttRelay) currentStream() (*h2t.Stream, int) {
+// currentStream returns the active stream.
+func (r *mqttRelay) currentStream() *h2t.Stream {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.stream, r.gen
+	return r.stream
 }
 
 // swapStream installs a new stream (DCR splice), returning the old one.
@@ -464,7 +472,6 @@ func (r *mqttRelay) swapStream(st *h2t.Stream) (old *h2t.Stream, ok bool) {
 	}
 	old = r.stream
 	r.stream = st
-	r.gen++
 	if r.swapped != nil {
 		close(r.swapped)
 		r.swapped = nil
@@ -528,6 +535,7 @@ func (p *Proxy) handleEdgeMQTTConn(conn net.Conn) {
 	p.mu.Unlock()
 	p.reg.Counter("edge.mqtt.accepted").Inc()
 	p.reg.Gauge("edge.mqtt.conns").Inc()
+	relay.watch(st)
 
 	// Upstream pump: client -> current stream.
 	p.wg.Add(1)
@@ -540,7 +548,7 @@ func (p *Proxy) handleEdgeMQTTConn(conn net.Conn) {
 		relay.close()
 	}()
 
-	// Downstream pump + control watcher, restarted per stream generation.
+	// Downstream pump: current stream -> client.
 	p.wg.Add(1)
 	go func() {
 		defer p.wg.Done()
@@ -548,86 +556,78 @@ func (p *Proxy) handleEdgeMQTTConn(conn net.Conn) {
 	}()
 }
 
-// runMQTTDownstream relays stream→client and watches for DCR control
-// frames, re-arming itself each time the stream is swapped.
+// runMQTTDownstream writes the relay's streams to the client, one
+// generation after another: a generation's WriteTo has returned — until
+// then it and its session's reader write the user's connection — before
+// the next starts, so two generations never interleave bytes there.
 func (p *Proxy) runMQTTDownstream(relay *mqttRelay) {
+	defer relay.close()
+	st := relay.currentStream()
 	for {
-		st, _ := relay.currentStream()
-		if st == nil {
+		var sink *h2t.SinkError
+		if _, err := st.WriteTo(relay.clientConn); errors.As(err, &sink) {
 			return
 		}
-		if !p.pumpUntilSwap(relay, st) {
-			relay.close()
-			return
+		// The splice itself resets the old stream, and a draining Origin
+		// may drop it first: either way a re_connect in flight has the
+		// last word.
+		relay.mu.Lock()
+		dcr := relay.dcr
+		relay.mu.Unlock()
+		if dcr != nil {
+			<-dcr
 		}
+		if next := relay.currentStream(); next != st {
+			st = next
+			continue
+		}
+		// Stream ended without a successful splice: the user is disrupted
+		// (the woutDCR baseline measures exactly this).
+		p.reg.Counter("edge.mqtt.stream_lost").Inc()
+		p.cfg.Ledger.Record(disrupt.KindReset, 0, VIPMQTT, "dcr:stream-lost", relay.userID)
+		return
 	}
 }
 
-// pumpUntilSwap forwards downstream bytes and handles control frames for
-// one stream generation. It returns true when the relay was spliced onto a
-// new stream (caller re-arms), false when the relay is finished — either
-// way only after st's WriteTo has returned: until then it and st's session
-// reader write the user's connection, and two generations never interleave
-// bytes there.
-func (p *Proxy) pumpUntilSwap(relay *mqttRelay, st *h2t.Stream) bool {
-	// ended carries how WriteTo ended: true, the stream did; false, the
-	// client's connection.
-	ended := make(chan bool, 1)
-	go func() {
-		_, err := st.WriteTo(relay.clientConn)
-		var sink *h2t.SinkError
-		ended <- !errors.As(err, &sink)
-	}()
-	// spliced carries the verdict of the re_connect in flight; nil when
-	// none is. The transaction runs beside the pump, not in it: the old
-	// stream is the user's path until the broker has moved the session,
-	// and what arrives on it meanwhile is the user's to receive.
-	var spliced chan bool
-	for {
-		select {
-		case streamEnded := <-ended:
-			if !streamEnded {
-				return false
-			}
-			// The splice itself resets the old stream, and a draining
-			// Origin may drop it first: either way a re_connect in flight
-			// has the last word.
-			if spliced != nil && <-spliced {
-				return true
-			}
-			// Stream ended without a successful splice: the user is
-			// disrupted (the woutDCR baseline measures exactly this).
-			p.reg.Counter("edge.mqtt.stream_lost").Inc()
-			p.cfg.Ledger.Record(disrupt.KindReset, 0, VIPMQTT, "dcr:stream-lost", relay.userID)
-			return false
-		case c := <-st.Controls():
-			if c.Type == h2t.FrameReconnectSolicitation && spliced == nil {
-				p.reg.Counter("edge.mqtt.solicitations").Inc()
-				// Payload: "<user-id>\n<trace-context>"; older senders
-				// sent the bare user-id, so a missing second line just
-				// means an untraced drain.
-				peerTrace := ""
-				if i := bytes.IndexByte(c.Payload, '\n'); i >= 0 {
-					peerTrace = string(c.Payload[i+1:])
-				}
-				spliced = make(chan bool, 1)
-				p.wg.Add(1)
-				go func() {
-					defer p.wg.Done()
-					spliced <- p.reconnectThroughAnotherOrigin(relay, peerTrace)
-				}()
-			}
-		case ok := <-spliced:
-			if ok {
-				// The splice reset st: its reader is on its way out.
-				<-ended
-				return true
-			}
-			// Refused or failed: keep pumping the old stream until it
-			// dies; the client will re-connect organically.
-			spliced = nil
+// watch has the session reader start the DCR re_connect for a reconnect
+// solicitation on st, unless one is in flight or st is no longer the
+// relay's stream. The transaction runs on a goroutine that exists only
+// while it does, beside the downstream pump and not in it: the old stream
+// is the user's path until the broker has moved the session, and what
+// arrives on it meanwhile is the user's to receive. A splice has the new
+// stream watched in turn.
+func (r *mqttRelay) watch(st *h2t.Stream) {
+	st.OnControl(func(c h2t.Control) {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		if c.Type != h2t.FrameReconnectSolicitation || r.closed || r.stream != st || r.dcr != nil {
+			return
 		}
-	}
+		r.p.reg.Counter("edge.mqtt.solicitations").Inc()
+		// Payload: "<user-id>\n<trace-context>"; older senders sent the
+		// bare user-id, so a missing second line just means an untraced
+		// drain.
+		peerTrace := ""
+		if i := bytes.IndexByte(c.Payload, '\n'); i >= 0 {
+			peerTrace = string(c.Payload[i+1:])
+		}
+		dcr := make(chan struct{})
+		r.dcr = dcr
+		// An open relay's pumps hold p.wg above zero until they close it.
+		r.p.wg.Add(1)
+		go func() {
+			defer r.p.wg.Done()
+			spliced := r.p.reconnectThroughAnotherOrigin(r, peerTrace)
+			r.mu.Lock()
+			r.dcr = nil
+			next := r.stream
+			r.mu.Unlock()
+			close(dcr)
+			if spliced {
+				r.watch(next)
+			}
+		}()
+	})
 }
 
 // reconnectThroughAnotherOrigin performs the §4.2 DCR transaction:

@@ -277,25 +277,23 @@ func (p *Proxy) relayMQTT(os *originSession, st *h2t.Stream, userID, trace strin
 
 	// Bidirectional byte relay; returns when either side closes. Toward a
 	// bare bconn the tunnel's reader writes the stream's DATA as it arrives
-	// (Stream.WriteTo), no buffer held; from it netx.Relay reads by wakes,
-	// each into a pooled buffer it gives back. A fault-wrapped bconn gets a
-	// plain loop both ways,
-	// keeping injected faults on the observable path.
-	errCh := make(chan error, 2)
+	// (Stream.WriteTo, on a goroutine of its own), no buffer held; from it
+	// netx.Relay, here, reads by wakes, each into a pooled buffer it gives
+	// back. A fault-wrapped bconn gets a plain loop both ways, keeping
+	// injected faults on the observable path. Either pump's end ends the
+	// other: the stream first, for the reset is what frees a broker→stream
+	// write parked on its window, and the Close would wait for that write.
+	wrote := make(chan struct{})
 	go func() {
-		_, err := st.WriteTo(bconn)
-		errCh <- err
+		defer close(wrote)
+		st.WriteTo(bconn)
+		st.Reset()
+		bconn.Close()
 	}()
-	go func() {
-		_, err := netx.Relay(st, bconn)
-		errCh <- err
-	}()
-	<-errCh
-	// The stream first: the reset is what frees a broker→stream write
-	// parked on its window, and the Close would wait for that write.
+	netx.Relay(st, bconn)
 	st.Reset()
 	bconn.Close()
-	<-errCh
+	<-wrote
 }
 
 // upstreamReq is one tunneled request on its way to an app server, with

@@ -416,15 +416,17 @@ func TestDCRSpliceKeepsByteOrder(t *testing.T) {
 // so what a silent one holds at each hop is the steady-state price. Four
 // hundred users subscribe through one Edge and one Origin and fall silent;
 // each is sent one publish and falls silent again. Both times no receive
-// buffer holds a chunk, and the heap and stacks of the whole process —
-// both proxies, the broker and the test's own clients — are at most 48 KB
-// a user: every pump waits for its next message with no buffer of its
-// own, so what is left is goroutines and connection state.
+// buffer holds a chunk, the heap and stacks of the whole process — both
+// proxies, the broker and the test's own clients — are at most 40 KB a
+// user, and a user keeps at most five goroutines: a pump each way at the
+// Edge and at the Origin, each waiting for its next message with no
+// buffer of its own, and the broker's session. What is left is goroutines
+// and connection state.
 func TestIdleRelayedUserHoldsNoRelayBuffer(t *testing.T) {
 	racetest.SkipAllocs(t)
-	const users, perUser = 400, 48 << 10
+	const users, perUser, goroutinesPerUser = 400, 40 << 10, 5
 	tp := startTopology(t, 0, 1)
-	before := inUse()
+	before, goroutines := inUse(), runtime.NumGoroutine()
 	idle := func(when string) {
 		t.Helper()
 		for _, p := range []*Proxy{tp.edge, tp.origins[0]} {
@@ -433,11 +435,16 @@ func TestIdleRelayedUserHoldsNoRelayBuffer(t *testing.T) {
 				return p.Metrics().GaugeValue("h2t.recv.resident_bytes") == 0
 			})
 		}
-		if held := (inUse() - before) / users; held > perUser {
+		// The tunnel session's few goroutines are shared: they do not make a
+		// user's count the next whole number.
+		held, g := (inUse()-before)/users, runtime.NumGoroutine()-goroutines
+		if held > perUser {
 			t.Fatalf("%s an idle user holds %d KB of heap and stack, want at most %d", when, held>>10, perUser>>10)
-		} else {
-			t.Logf("%s: %d KB of heap and stack per idle user", when, held>>10)
 		}
+		if g/users > goroutinesPerUser {
+			t.Fatalf("%s an idle user keeps %.2f goroutines, want at most %d", when, float64(g)/users, goroutinesPerUser)
+		}
+		t.Logf("%s: %d KB of heap and stack and %.2f goroutines per idle user", when, held>>10, float64(g)/users)
 	}
 	conns := make([]net.Conn, users)
 	for i := range conns {
