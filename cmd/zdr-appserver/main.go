@@ -19,7 +19,6 @@ import (
 
 	"zdr/internal/appserver"
 	"zdr/internal/http1"
-	"zdr/internal/netx"
 	"zdr/internal/obs"
 )
 
@@ -30,7 +29,6 @@ func main() {
 	drain := flag.Duration("drain", 12*time.Second, "drain period")
 	admin := flag.String("admin", "", "admin endpoint bind address (/metrics, /healthz); empty disables")
 	profile := flag.Bool("profile", false, "expose /debug/pprof/ and sample Go runtime gauges on the admin endpoint")
-	tuningFlags := netx.TuningFlags(flag.CommandLine)
 	flag.Parse()
 
 	var m appserver.Mode
@@ -53,7 +51,6 @@ func main() {
 		Name:        *name,
 		Mode:        m,
 		DrainPeriod: *drain,
-		Tuning:      tuningFlags(),
 		Handler: func(req *http1.Request, body []byte) *http1.Response {
 			// Echo service: the default app used by examples and load
 			// generators; GETs answer with a small status document.

@@ -16,7 +16,6 @@ import (
 	"syscall"
 
 	"zdr/internal/mqtt"
-	"zdr/internal/netx"
 	"zdr/internal/obs"
 )
 
@@ -25,14 +24,12 @@ func main() {
 	name := flag.String("name", "", "broker name (default broker-<pid>)")
 	admin := flag.String("admin", "", "admin endpoint bind address (/metrics, /healthz); empty disables")
 	profile := flag.Bool("profile", false, "expose /debug/pprof/ and sample Go runtime gauges on the admin endpoint")
-	tuningFlags := netx.TuningFlags(flag.CommandLine)
 	flag.Parse()
 	if *name == "" {
 		*name = fmt.Sprintf("broker-%d", os.Getpid())
 	}
 
 	b := mqtt.NewBroker(*name, nil)
-	b.SetTuning(tuningFlags())
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

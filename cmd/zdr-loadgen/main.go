@@ -20,7 +20,8 @@
 //
 // Bulk-transfer mode streams large POST bodies over keep-alive
 // connections and reports client-observed Gbps — the workload that
-// exercises the proxies' splice(2)/pooled-copy relay pumps end to end:
+// exercises, end to end, the proxies' pooled copies of request and reply
+// bodies into and out of the tunnel's streams:
 //
 //	zdr-loadgen -web 127.0.0.1:8080 -throughput -throughput-mb 16 -c 2
 //
@@ -230,9 +231,8 @@ func main() {
 	}
 }
 
-// establishIdleHerd dials n keep-alive connections and leaves them idle.
-// Each gets one warm-up request so a parked-vs-goroutine edge treats it
-// as an established, previously-served session.
+// establishIdleHerd dials n keep-alive connections and leaves them idle,
+// sending nothing on them: each one's first request is wakeStorm's.
 func establishIdleHerd(st *stats, addr string, n int) []net.Conn {
 	herd := make([]net.Conn, 0, n)
 	for i := 0; i < n; i++ {

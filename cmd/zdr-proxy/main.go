@@ -58,14 +58,12 @@ func main() {
 	admin := flag.String("admin", "", "admin endpoint bind address (/metrics, /healthz, /debug/release, /debug/disruption); empty disables")
 	profile := flag.Bool("profile", false, "expose /debug/pprof/ and sample Go runtime gauges on the admin endpoint")
 	generation := flag.Int("generation", 1, "process generation for disruption-ledger attribution (bump on each deploy)")
-	tuningFlags := netx.TuningFlags(flag.CommandLine)
 	flag.Parse()
 
 	cfg := proxy.Config{
 		Name:        *name,
 		DrainPeriod: *drain,
 		VIPAddrs:    map[string]string{},
-		Tuning:      tuningFlags(),
 	}
 	if cfg.Name == "" {
 		cfg.Name = fmt.Sprintf("%s-%d", *role, os.Getpid())

@@ -29,7 +29,6 @@ import (
 
 	"zdr/internal/http1"
 	"zdr/internal/metrics"
-	"zdr/internal/netx"
 	"zdr/internal/obs"
 )
 
@@ -131,10 +130,6 @@ type Config struct {
 	// Trace records appserver.request spans, joining the trace carried in
 	// the x-zdr-trace request header. Nil disables tracing.
 	Trace *obs.Tracer
-	// Tuning, when non-nil, applies socket options to every accepted
-	// connection (netx.TuneConn). Advisory: failures are counted under
-	// appserver.tune.errors and the connection serves untuned.
-	Tuning *netx.ConnTuning
 }
 
 // Server is one app-server instance.
@@ -242,9 +237,6 @@ func (s *Server) acceptLoop() {
 		s.conns[c] = struct{}{}
 		s.mu.Unlock()
 		s.cAccepted.Inc()
-		if err := netx.TuneConn(conn, s.cfg.Tuning); err != nil {
-			s.reg.Counter("appserver.tune.errors").Inc()
-		}
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"time"
 
+	"zdr/internal/fleet"
 	"zdr/internal/workload"
 )
 
@@ -60,24 +61,12 @@ type Config struct {
 	// Load is the offered load as a fraction of total fleet capacity
 	// right before the release (baseline utilisation). Default 0.7.
 	Load float64
-	// TakeoverCPUOverhead is the extra per-machine CPU (fraction of one
-	// machine) while two instances run in parallel. §6.3: median < 5%.
-	// Default 0.04.
-	TakeoverCPUOverhead float64
-	// TakeoverSpike is the initial extra CPU at the instant of takeover,
-	// decaying to TakeoverCPUOverhead over TakeoverSpikeDecay (the 60–70 s
-	// tail in Fig. 17). The per-batch average is modest because takeovers
-	// within a batch stagger in practice. Defaults 0.10 / 60 s.
-	TakeoverSpike      float64
-	TakeoverSpikeDecay time.Duration
-	// CanarySize, when > 0, stages the release canary-first the way the
-	// fleet orchestrator (internal/fleet) plans batches: the first batch
-	// has CanarySize machines and each next one grows by BatchGrowth,
-	// capped at BatchFraction of the fleet. 0 keeps the classic fixed
-	// BatchFraction batches.
+	// CanarySize, when > 0, stages the release canary-first by the fleet
+	// orchestrator's rule (fleet.BatchSizes): the first batch has
+	// CanarySize machines and each next one doubles, capped at
+	// BatchFraction of the fleet. 0 keeps the classic fixed BatchFraction
+	// batches.
 	CanarySize int
-	// BatchGrowth is the canary-first growth factor. Default 2.
-	BatchGrowth int
 	// Tick is the simulation step. Default 10 s.
 	Tick time.Duration
 	// Seed drives the PRNG. Default 1.
@@ -99,18 +88,6 @@ func (c *Config) fill() {
 	if c.Load <= 0 || c.Load >= 1 {
 		c.Load = 0.7
 	}
-	if c.TakeoverCPUOverhead <= 0 {
-		c.TakeoverCPUOverhead = 0.04
-	}
-	if c.TakeoverSpike <= 0 {
-		c.TakeoverSpike = 0.10
-	}
-	if c.TakeoverSpikeDecay <= 0 {
-		c.TakeoverSpikeDecay = time.Minute
-	}
-	if c.BatchGrowth < 2 {
-		c.BatchGrowth = 2
-	}
 	if c.Tick <= 0 {
 		c.Tick = 10 * time.Second
 	}
@@ -121,6 +98,17 @@ func (c *Config) fill() {
 		c.MQTTConnsPerMachine = 10_000
 	}
 }
+
+// The extra per-machine CPU (fraction of one machine) while two instances
+// run in parallel: takeoverSpike at the instant of takeover, decaying to
+// takeoverCPUOverhead (§6.3: median < 5%) over takeoverSpikeDecay (the
+// 60–70 s tail in Fig. 17). The per-batch average is modest because
+// takeovers within a batch stagger in practice.
+const (
+	takeoverCPUOverhead = 0.04
+	takeoverSpike       = 0.10
+	takeoverSpikeDecay  = time.Minute
+)
 
 // machineState tracks one machine through the release.
 type machineState int
@@ -187,13 +175,11 @@ func RunRelease(cfg Config) ReleaseResult {
 	}
 	// Canary-first staging ramps the batch size toward the cap; classic
 	// releases run at the cap from the first batch.
-	batch := maxBatch
+	canary := maxBatch
 	if cfg.CanarySize > 0 {
-		batch = cfg.CanarySize
-		if batch > maxBatch {
-			batch = maxBatch
-		}
+		canary = cfg.CanarySize
 	}
+	sizes := fleet.BatchSizes(n, canary, maxBatch)
 
 	res := ReleaseResult{Config: cfg, MinCapacityFraction: 1, MinIdleCPUFraction: 1}
 
@@ -212,7 +198,7 @@ func RunRelease(cfg Config) ReleaseResult {
 
 	startBatch := func() {
 		current = current[:0]
-		for i := 0; i < batch && next < n; i++ {
+		for range sizes[0] {
 			current = append(current, next)
 			if cfg.Strategy == HardRestart {
 				machines[next].state = stateDrainingOffline
@@ -223,12 +209,7 @@ func RunRelease(cfg Config) ReleaseResult {
 			next++
 		}
 		batchStart = now
-		if cfg.CanarySize > 0 && batch < maxBatch {
-			batch *= cfg.BatchGrowth
-			if batch > maxBatch {
-				batch = maxBatch
-			}
-		}
+		sizes = sizes[1:]
 	}
 	startBatch()
 
@@ -328,11 +309,11 @@ func sampleTick(cfg Config, machines []machine, now, batchStart time.Duration, c
 		if machines[i].state == stateTakeoverParallel {
 			// CPU overhead decays from the spike to the steady overhead.
 			el := now - machines[i].stateSince
-			frac := float64(el) / float64(cfg.TakeoverSpikeDecay)
+			frac := float64(el) / float64(takeoverSpikeDecay)
 			if frac > 1 {
 				frac = 1
 			}
-			takeoverCPU += cfg.TakeoverSpike*(1-frac) + cfg.TakeoverCPUOverhead*frac
+			takeoverCPU += takeoverSpike*(1-frac) + takeoverCPUOverhead*frac
 		}
 	}
 
@@ -399,45 +380,28 @@ type ReconnectStormResult struct {
 	Timeline []float64
 }
 
-// ReconnectStormConfig parameterises the storm.
-type ReconnectStormConfig struct {
-	// ProxyFractionRestarted is the fraction of Origin proxies hard-
-	// restarted at t=0 (paper's datapoint: 0.10).
-	ProxyFractionRestarted float64
-	// BaselineCPU is the steady app-tier utilisation. Default 0.5.
-	BaselineCPU float64
-	// HandshakeCostRatio is the CPU cost of one reconnection handshake
-	// (TCP+TLS+session rebuild) relative to serving one steady-state
-	// request-second. Calibrated default 2.0 (§2.5 cites [11, 18]).
-	HandshakeCostRatio float64
-	// ReconnectSpreadTicks is how many ticks the reconnect wave spans.
-	ReconnectSpreadTicks int
-	// Ticks is the total timeline length.
-	Ticks int
-}
+// The storm's calibration: the steady app-tier utilisation; the CPU cost
+// of one reconnection handshake (TCP+TLS+session rebuild) relative to
+// serving one steady-state request-second (§2.5 cites [11, 18]); how many
+// ticks the reconnect wave spans; and the timeline's length in ticks.
+const (
+	stormBaselineCPU   = 0.5
+	stormHandshakeCost = 2.0
+	stormSpreadTicks   = 6
+	stormTicks         = 30
+)
 
-// RunReconnectStorm simulates the Fig. 3b experiment.
-func RunReconnectStorm(cfg ReconnectStormConfig) ReconnectStormResult {
-	if cfg.BaselineCPU <= 0 {
-		cfg.BaselineCPU = 0.5
-	}
-	if cfg.HandshakeCostRatio <= 0 {
-		cfg.HandshakeCostRatio = 2.0
-	}
-	if cfg.ReconnectSpreadTicks <= 0 {
-		cfg.ReconnectSpreadTicks = 6
-	}
-	if cfg.Ticks <= 0 {
-		cfg.Ticks = 30
-	}
-	res := ReconnectStormResult{BaselineCPU: cfg.BaselineCPU}
-	// The restarted proxies carried ProxyFractionRestarted of all user
-	// connections; all of them reconnect, spread over the wave.
-	totalReconnectLoad := cfg.ProxyFractionRestarted * cfg.HandshakeCostRatio * cfg.BaselineCPU * 2
-	for t := 0; t < cfg.Ticks; t++ {
-		cpu := cfg.BaselineCPU
-		if t >= 2 && t < 2+cfg.ReconnectSpreadTicks {
-			cpu += totalReconnectLoad / float64(cfg.ReconnectSpreadTicks) * triangle(t-2, cfg.ReconnectSpreadTicks) * float64(cfg.ReconnectSpreadTicks) / 2
+// RunReconnectStorm simulates the Fig. 3b experiment with frac of the
+// Origin proxies hard-restarted at t=0 (the paper's datapoint: 0.10).
+func RunReconnectStorm(frac float64) ReconnectStormResult {
+	res := ReconnectStormResult{BaselineCPU: stormBaselineCPU}
+	// The restarted proxies carried frac of all user connections; all of
+	// them reconnect, spread over the wave.
+	totalReconnectLoad := frac * stormHandshakeCost * stormBaselineCPU * 2
+	for t := 0; t < stormTicks; t++ {
+		cpu := stormBaselineCPU
+		if t >= 2 && t < 2+stormSpreadTicks {
+			cpu += totalReconnectLoad / float64(stormSpreadTicks) * triangle(t-2, stormSpreadTicks) * float64(stormSpreadTicks) / 2
 		}
 		if cpu > 1 {
 			cpu = 1

@@ -168,12 +168,12 @@ func TestCompletionTimeOrdering(t *testing.T) {
 func TestReconnectStormMatchesPaperDatapoint(t *testing.T) {
 	// §2.5 / Fig. 3b: restarting 10% of Origin proxies costs the app tier
 	// ~20% extra CPU rebuilding state.
-	res := RunReconnectStorm(ReconnectStormConfig{ProxyFractionRestarted: 0.10})
+	res := RunReconnectStorm(0.10)
 	if res.ExtraCPUFraction < 0.15 || res.ExtraCPUFraction > 0.25 {
 		t.Fatalf("extra CPU = %v, want ~0.20", res.ExtraCPUFraction)
 	}
 	// More restarts, more storm.
-	bigger := RunReconnectStorm(ReconnectStormConfig{ProxyFractionRestarted: 0.20})
+	bigger := RunReconnectStorm(0.20)
 	if bigger.ExtraCPUFraction <= res.ExtraCPUFraction {
 		t.Fatal("storm should scale with restarted fraction")
 	}
@@ -183,7 +183,7 @@ func TestReconnectStormMatchesPaperDatapoint(t *testing.T) {
 }
 
 func TestWebTierWeekShape(t *testing.T) {
-	res := RunWebTierWeek(WebTierConfig{Seed: 7})
+	res := RunWebTierWeek(7)
 	if len(res.TotalPosts) != 7 {
 		t.Fatalf("days = %d", len(res.TotalPosts))
 	}
@@ -362,5 +362,24 @@ func TestCanaryFirstStaging(t *testing.T) {
 	}
 	if hs.MinCapacityFraction > 0.85 {
 		t.Fatalf("staged hard restart min capacity %v — never reached the 20%% cap", hs.MinCapacityFraction)
+	}
+}
+
+// TestOneMachinePerBatch: a 1% batch over 100 machines is a release of
+// 100 one-machine batches, each lasting at least the drain period.
+func TestOneMachinePerBatch(t *testing.T) {
+	cfg := Config{
+		Machines:      100,
+		BatchFraction: 0.01,
+		DrainPeriod:   time.Minute,
+		Strategy:      ZeroDowntime,
+		Tick:          30 * time.Second,
+	}
+	res := RunRelease(cfg)
+	if floor := 100 * cfg.DrainPeriod; res.CompletionTime < floor {
+		t.Fatalf("completion %v below 100 drain periods (%v)", res.CompletionTime, floor)
+	}
+	if res.MinCapacityFraction < 0.999 {
+		t.Fatalf("zero-downtime release dropped capacity to %v", res.MinCapacityFraction)
 	}
 }

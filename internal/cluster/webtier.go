@@ -6,58 +6,22 @@ import (
 	"zdr/internal/workload"
 )
 
-// WebTierConfig parameterises the Fig. 11 experiment: a week of App
-// Server restarts observed from the downstream Origin proxy's vantage
-// point, counting POST requests that would have been disrupted without
-// Partial Post Replay.
-type WebTierConfig struct {
-	// Days of observation (paper: 7).
-	Days int
-	// RestartsPerDay at the web tier (paper: "tens of times a day").
-	RestartsPerDay int
-	// PostsPerMinute across the tier (paper: "billions ... per minute";
+// The Fig. 11 experiment's parameters: a week of App Server restarts
+// observed from the downstream Origin proxy's vantage point, counting POST
+// requests that would have been disrupted without Partial Post Replay.
+const (
+	webTierDays           = 7                // paper: 7
+	webTierRestartsPerDay = 10               // paper: "tens of times a day"
+	webTierDrainPeriod    = 12 * time.Second // an app server's drain (10–15 s)
+	webTierBatchFraction  = 0.05             // of servers per restart batch
+	webTierUploadBps      = 2e6 / 8          // 2 Mbit/s uplink: POST size → duration
+	// POSTs per minute across the tier (paper: "billions ... per minute";
 	// scaled down — only the *fraction* disrupted matters).
-	PostsPerMinute int
-	// DrainPeriod of an app server (10–15 s).
-	DrainPeriod time.Duration
-	// BatchFraction of servers per restart batch.
-	BatchFraction float64
-	// MeanUploadBandwidthBps converts POST sizes to durations.
-	MeanUploadBandwidthBps float64
-	// PPRRetries is the replay budget (10); with at least one healthy
-	// server, replays always succeed, so PPR disruptions are only those
-	// that exhaust the budget.
-	PPRRetries int
-	// Seed drives the PRNG.
-	Seed uint64
-}
-
-func (c *WebTierConfig) fill() {
-	if c.Days <= 0 {
-		c.Days = 7
-	}
-	if c.RestartsPerDay <= 0 {
-		c.RestartsPerDay = 10
-	}
-	if c.PostsPerMinute <= 0 {
-		c.PostsPerMinute = 200_000
-	}
-	if c.DrainPeriod <= 0 {
-		c.DrainPeriod = 12 * time.Second
-	}
-	if c.BatchFraction <= 0 {
-		c.BatchFraction = 0.05
-	}
-	if c.MeanUploadBandwidthBps <= 0 {
-		c.MeanUploadBandwidthBps = 2e6 / 8 // 2 Mbit/s uplink
-	}
-	if c.PPRRetries <= 0 {
-		c.PPRRetries = 10
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-}
+	webTierPostsPerMinute = 200_000
+	// The replay budget; with at least one healthy server, replays always
+	// succeed, so PPR disruptions are only those that exhaust it.
+	webTierPPRRetries = 10
+)
 
 // WebTierResult reports the Fig. 11 quantities, per day.
 type WebTierResult struct {
@@ -74,45 +38,48 @@ type WebTierResult struct {
 	DisruptedPctWithoutPPR []float64
 }
 
-// RunWebTierWeek runs the Fig. 11 simulation.
-func RunWebTierWeek(cfg WebTierConfig) WebTierResult {
-	cfg.fill()
-	rng := workload.NewRNG(cfg.Seed)
+// RunWebTierWeek runs the Fig. 11 simulation; seed drives the PRNG
+// (0 selects 1).
+func RunWebTierWeek(seed uint64) WebTierResult {
+	if seed == 0 {
+		seed = 1
+	}
+	rng := workload.NewRNG(seed)
 	var res WebTierResult
 
 	minutesPerDay := 24 * 60
-	for day := 0; day < cfg.Days; day++ {
+	for day := 0; day < webTierDays; day++ {
 		var total, would, pprFail int64
 		// Restart moments for the day, in minutes.
 		restartAt := make(map[int]bool)
-		for r := 0; r < cfg.RestartsPerDay; r++ {
+		for r := 0; r < webTierRestartsPerDay; r++ {
 			h := workload.RestartHour(rng, workload.TierAppServer)
 			restartAt[h*60+rng.Intn(60)] = true
 		}
 		for minute := 0; minute < minutesPerDay; minute++ {
-			posts := int64(float64(cfg.PostsPerMinute) * workload.DiurnalLoad(float64(minute)/60))
+			posts := int64(float64(webTierPostsPerMinute) * workload.DiurnalLoad(float64(minute)/60))
 			total += posts
 			if !restartAt[minute] {
 				continue
 			}
-			// A restart hits BatchFraction of servers; POSTs in flight on
+			// A restart hits webTierBatchFraction of servers; POSTs in flight on
 			// them at that instant are at risk. The number in flight is
 			// (arrival rate) × (mean duration) scaled to the batch.
 			// Sample individual at-risk uploads to apply the tail.
-			atRisk := int(float64(posts) / 60 * cfg.BatchFraction * 30) // ~30s window of in-flight arrivals
+			atRisk := int(float64(posts) / 60 * webTierBatchFraction * 30) // ~30s window of in-flight arrivals
 			for i := 0; i < atRisk; i++ {
 				size := workload.PostSizeBytes(rng)
-				duration := time.Duration(float64(size) / cfg.MeanUploadBandwidthBps * float64(time.Second))
+				duration := time.Duration(float64(size) / webTierUploadBps * float64(time.Second))
 				// Uniform progress at restart time.
 				remaining := time.Duration(rng.Float64() * float64(duration))
-				if remaining > cfg.DrainPeriod {
+				if remaining > webTierDrainPeriod {
 					would++
 					// With PPR the request replays; it only fails if
 					// every retry lands on a restarting server — with one
-					// batch restarting, chance BatchFraction^retries ≈ 0.
+					// batch restarting, chance batchFraction^retries ≈ 0.
 					p := 1.0
-					for k := 0; k < cfg.PPRRetries; k++ {
-						p *= cfg.BatchFraction
+					for k := 0; k < webTierPPRRetries; k++ {
+						p *= webTierBatchFraction
 					}
 					if rng.Float64() < p {
 						pprFail++

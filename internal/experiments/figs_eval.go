@@ -323,7 +323,7 @@ func Fig10UDPMisrouting() (Table, error) {
 // Fig11PPRDisruption regenerates Fig. 11: percentage of POSTs across the
 // web tier that restarts would have disrupted, over 7 days.
 func Fig11PPRDisruption() (Table, error) {
-	res := cluster.RunWebTierWeek(cluster.WebTierConfig{Seed: 0xF11})
+	res := cluster.RunWebTierWeek(0xF11)
 	t := Table{
 		ID:      "F11",
 		Title:   "POST requests disrupted by App Server restarts over 7 days",

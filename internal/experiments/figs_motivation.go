@@ -143,7 +143,7 @@ func Fig3bReconnectCPU() (Table, error) {
 		Notes:   "paper: when 10% of Origin Proxygen restart, the app cluster spends ~20% of CPU cycles rebuilding state",
 	}
 	for _, frac := range []float64{0.05, 0.10, 0.20} {
-		res := cluster.RunReconnectStorm(cluster.ReconnectStormConfig{ProxyFractionRestarted: frac})
+		res := cluster.RunReconnectStorm(frac)
 		t.Rows = append(t.Rows, []string{
 			pct(frac), pct(res.BaselineCPU), pct(res.PeakCPU), pct(res.ExtraCPUFraction),
 		})

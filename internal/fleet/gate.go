@@ -67,10 +67,6 @@ type GateConfig struct {
 	// This is the §6 measure gated live: connection-level disruption, not
 	// just HTTP error counters.
 	MaxDisruptionRate float64
-	// RequestKeys and ErrorKeys select the counters summed into the
-	// request/error totals. Empty uses DefaultRequestKeys/DefaultErrorKeys.
-	RequestKeys []string
-	ErrorKeys   []string
 }
 
 func (g GateConfig) withDefaults() GateConfig {
@@ -82,12 +78,6 @@ func (g GateConfig) withDefaults() GateConfig {
 	}
 	if g.MinWindowRequests <= 0 {
 		g.MinWindowRequests = 1
-	}
-	if len(g.RequestKeys) == 0 {
-		g.RequestKeys = DefaultRequestKeys
-	}
-	if len(g.ErrorKeys) == 0 {
-		g.ErrorKeys = DefaultErrorKeys
 	}
 	return g
 }

@@ -121,17 +121,18 @@ func HTTPProbe(addr, path string, timeout time.Duration) error {
 	return nil
 }
 
-// DefaultRequestKeys are the cumulative request counters summed into the
-// gate's request total — the serving paths a proxy node exposes.
-var DefaultRequestKeys = []string{
+// requestKeys are the cumulative request counters summed into the gate's
+// and the telemetry's request total — the serving paths a proxy node
+// exposes.
+var requestKeys = []string{
 	"edge.http.requests",
 	"edge.quic.requests",
 	"origin.http.requests",
 }
 
-// DefaultErrorKeys are the cumulative error counters summed into the
-// gate's error total.
-var DefaultErrorKeys = []string{
+// errorKeys are the cumulative error counters summed into the gate's and
+// the telemetry's error total.
+var errorKeys = []string{
 	"edge.http.errors.no_origin",
 	"edge.http.errors.open_stream",
 	"edge.http.errors.upstream",

@@ -344,15 +344,6 @@ func (o *Orchestrator) rpc(op string) error {
 	return o.cfg.Control.RPC(op)
 }
 
-// scrape reads one node's telemetry surface with the gate's counter-key
-// selection. Callers gate it behind rpc() first, so a partitioned
-// control plane loses the scrape (the telemetry channel abstains) rather
-// than fabricating a clean window.
-func (o *Orchestrator) scrape(n *Node) NodeTelemetry {
-	g := o.cfg.Gate.withDefaults()
-	return scrapeNode(n, DefaultLatencyKeys, g.RequestKeys, g.ErrorKeys)
-}
-
 // Run executes the rollout to a terminal state: StateDone (all nodes
 // promoted), StateAborted (operator Decide), or StatePaused left
 // standing when Close unwinds a pause wait. Close mid-flight returns
@@ -603,7 +594,7 @@ func (o *Orchestrator) runBatch(idx int, batch []*Node, root *obs.Span) (Decisio
 			c.before = n.Counters()
 		}
 		if err := o.rpc("scrape " + n.Name); err == nil {
-			c.telBefore = o.scrape(n)
+			c.telBefore = scrapeNode(n)
 		}
 		if o.cfg.BaselineWindow > 0 {
 			wg.Add(1)
@@ -702,8 +693,7 @@ func (o *Orchestrator) runBatch(idx int, batch []*Node, root *obs.Span) (Decisio
 		if err := o.rpc("counters " + c.node.Name); err == nil && c.node.Counters != nil {
 			after = c.node.Counters()
 		}
-		g := o.cfg.Gate.withDefaults()
-		delta := core.HealthDeltaBetween(c.before, after, g.RequestKeys, g.ErrorKeys)
+		delta := core.HealthDeltaBetween(c.before, after, requestKeys, errorKeys)
 		if c.before == nil || after == nil {
 			// Either snapshot RPC dropped (or the node exposes no
 			// counters): the channel abstains. Judging a missing baseline
@@ -713,7 +703,7 @@ func (o *Orchestrator) runBatch(idx int, batch []*Node, root *obs.Span) (Decisio
 		}
 		var telAfter NodeTelemetry
 		if err := o.rpc("scrape " + c.node.Name); err == nil {
-			telAfter = o.scrape(c.node)
+			telAfter = scrapeNode(c.node)
 		}
 		telWindows[i] = telemetryWindowBetween(c.telBefore, telAfter)
 		verdicts[i] = evalNode(o.cfg.Gate, c.node.Name, delta, c.baseline, windows[i], telWindows[i])
@@ -848,7 +838,7 @@ func (o *Orchestrator) runUngatedBatch(idx int, batch []*Node, sp *obs.Span) ([]
 	befores := make([]NodeTelemetry, len(batch))
 	for i, n := range batch {
 		if err := o.rpc("scrape " + n.Name); err == nil {
-			befores[i] = o.scrape(n)
+			befores[i] = scrapeNode(n)
 		}
 	}
 	errs := make([]error, len(batch))
@@ -874,7 +864,7 @@ func (o *Orchestrator) runUngatedBatch(idx int, batch []*Node, sp *obs.Span) ([]
 		names[i] = n.Name
 		var after NodeTelemetry
 		if err := o.rpc("scrape " + n.Name); err == nil {
-			after = o.scrape(n)
+			after = scrapeNode(n)
 		}
 		telWindows[i] = telemetryWindowBetween(befores[i], after)
 	}
@@ -982,15 +972,11 @@ func (o *Orchestrator) journal(rec Record) error {
 func planBatches(nodes []*Node, canary, growth, maxBatch int) [][]*Node {
 	var batches [][]*Node
 	remaining := append([]*Node(nil), nodes...)
-	size := canary
-	if size < 1 {
-		size = 1
+	if maxBatch <= 0 || maxBatch > len(nodes) {
+		maxBatch = len(nodes)
 	}
-	for len(remaining) > 0 {
-		take := size
-		if maxBatch > 0 && take > maxBatch {
-			take = maxBatch
-		}
+	for take := 0; len(remaining) > 0; {
+		take = rampBatch(take, canary, growth, maxBatch)
 		var batch, deferred []*Node
 		used := map[string]bool{}
 		for _, n := range remaining {
@@ -1003,12 +989,39 @@ func planBatches(nodes []*Node, canary, growth, maxBatch int) [][]*Node {
 		}
 		batches = append(batches, batch)
 		remaining = deferred
-		if growth < 2 {
-			growth = 2
-		}
-		size *= growth
 	}
 	return batches
+}
+
+// rampBatch is the canary-first size rule: the batch after one of prev
+// nodes (0 before the first batch) has canary nodes first (at least 1),
+// then growth times prev (growth < 2 counts as 2), never more than
+// maxBatch (> 0). Once a batch reaches maxBatch the size stops growing,
+// so it cannot overflow however many batches a release takes.
+func rampBatch(prev, canary, growth, maxBatch int) int {
+	if prev == 0 {
+		return min(max(canary, 1), maxBatch)
+	}
+	growth = max(growth, 2)
+	if prev > maxBatch/growth {
+		return maxBatch
+	}
+	return min(prev*growth, maxBatch)
+}
+
+// BatchSizes is the canary-first staging of n nodes that share no VIP,
+// at the default growth factor (each batch doubles): the size of each
+// batch in turn. The cluster simulator stages its releases by it.
+func BatchSizes(n, canary, maxBatch int) []int {
+	if maxBatch <= 0 || maxBatch > n {
+		maxBatch = n
+	}
+	var sizes []int
+	for take := 0; n > 0; n -= take {
+		take = min(rampBatch(take, canary, 2, maxBatch), n)
+		sizes = append(sizes, take)
+	}
+	return sizes
 }
 
 func pauseReason(d Decision, verdicts []NodeVerdict) string {

@@ -166,6 +166,33 @@ func TestPlanBatchesCanaryGrowth(t *testing.T) {
 	}
 }
 
+// TestBatchSizesManyBatches: a release of more batches than an int has
+// bits still ends. The size stops growing at the cap, so it never
+// overflows to an empty batch.
+func TestBatchSizesManyBatches(t *testing.T) {
+	sizes := BatchSizes(100, 1, 1)
+	if len(sizes) != 100 {
+		t.Fatalf("BatchSizes(100, 1, 1) planned %d batches, want 100", len(sizes))
+	}
+	for i, s := range sizes {
+		if s != 1 {
+			t.Fatalf("batch %d has %d nodes, want 1: %v", i, s, sizes)
+		}
+	}
+	if got, want := fmt.Sprint(BatchSizes(24, 2, 8)), "[2 4 8 8 2]"; got != want {
+		t.Fatalf("BatchSizes(24, 2, 8) = %s, want %s (planBatches' shape)", got, want)
+	}
+
+	// Uncapped, 100 nodes behind one VIP go one per batch.
+	var nodes []*Node
+	for i := 0; i < 100; i++ {
+		nodes = append(nodes, &Node{Name: fmt.Sprintf("n%03d", i), VIP: "vip-a"})
+	}
+	if got := len(planBatches(nodes, 1, 2, 0)); got != 100 {
+		t.Fatalf("100 same-VIP nodes planned into %d batches, want 100", got)
+	}
+}
+
 // TestPlanBatchesVIPDisjoint: two nodes sharing a VIP group are never
 // co-scheduled — the batch planner defers the second to a later batch,
 // the in-rollout form of the conflict fence.

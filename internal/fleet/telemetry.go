@@ -15,11 +15,11 @@ import (
 	"zdr/internal/metrics"
 )
 
-// DefaultLatencyKeys are the request-boundary atomic histograms merged
-// into the fleet latency distribution. edge.tunnel.latency is excluded
+// latencyKeys are the request-boundary atomic histograms merged into the
+// fleet latency distribution. edge.tunnel.latency is excluded
 // deliberately: it is a sub-span of edge.http.latency and would double
 // count every tunneled request.
-var DefaultLatencyKeys = []string{
+var latencyKeys = []string{
 	"edge.http.latency",
 	"edge.quic.latency",
 	"origin.http.latency",
@@ -74,34 +74,15 @@ type Telemetry struct {
 	// rollout control plane, and a partition degrades coverage
 	// (ScrapedNodes < TotalNodes), never invents data.
 	Control *faults.Injector
-	// LatencyKeys selects the atomic histograms merged into the latency
-	// distribution. Empty uses DefaultLatencyKeys.
-	LatencyKeys []string
-	// RequestKeys / ErrorKeys select the counters summed into the
-	// request/error totals. Empty uses DefaultRequestKeys/DefaultErrorKeys.
-	RequestKeys []string
-	ErrorKeys   []string
 }
 
 // Scrape reads every node and merges the fleet report.
 func (t *Telemetry) Scrape() TelemetryReport {
-	latKeys := t.LatencyKeys
-	if len(latKeys) == 0 {
-		latKeys = DefaultLatencyKeys
-	}
-	reqKeys := t.RequestKeys
-	if len(reqKeys) == 0 {
-		reqKeys = DefaultRequestKeys
-	}
-	errKeys := t.ErrorKeys
-	if len(errKeys) == 0 {
-		errKeys = DefaultErrorKeys
-	}
 	rep := TelemetryReport{TotalNodes: len(t.Nodes)}
 	for _, n := range t.Nodes {
 		nt := NodeTelemetry{Node: n.Name}
 		if err := t.Control.RPC("scrape " + n.Name); err == nil {
-			nt = scrapeNode(n, latKeys, reqKeys, errKeys)
+			nt = scrapeNode(n)
 		} else if n.State != nil {
 			s := n.State()
 			nt.Generation, nt.Phase = s.Generation, s.Phase
@@ -124,10 +105,12 @@ func (t *Telemetry) Scrape() TelemetryReport {
 	return rep
 }
 
-// scrapeNode reads one node's telemetry surface directly (control-plane
-// faults are the caller's concern). A node exposing neither Metrics nor
-// Disruption is reported unscraped.
-func scrapeNode(n *Node, latKeys, reqKeys, errKeys []string) NodeTelemetry {
+// scrapeNode reads one node's telemetry surface directly. Control-plane
+// faults are the caller's concern: callers pass the RPC first, so a
+// partitioned control plane loses the scrape (the telemetry channel
+// abstains) rather than fabricating a clean window. A node exposing
+// neither Metrics nor Disruption is reported unscraped.
+func scrapeNode(n *Node) NodeTelemetry {
 	nt := NodeTelemetry{Node: n.Name}
 	if n.State != nil {
 		s := n.State()
@@ -139,13 +122,13 @@ func scrapeNode(n *Node, latKeys, reqKeys, errKeys []string) NodeTelemetry {
 	nt.Scraped = true
 	if n.Metrics != nil {
 		snap := n.Metrics()
-		for _, k := range reqKeys {
+		for _, k := range requestKeys {
 			nt.Requests += snap.Counters[k]
 		}
-		for _, k := range errKeys {
+		for _, k := range errorKeys {
 			nt.Errors += snap.Counters[k]
 		}
-		for _, k := range latKeys {
+		for _, k := range latencyKeys {
 			if s, ok := snap.AtomicHistograms[k]; ok {
 				nt.Latency.Merge(s)
 			}

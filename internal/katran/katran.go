@@ -83,11 +83,6 @@ type Config struct {
 	// FlowTableSize is in sockets (16 B each, 8-way buckets), as it always
 	// was: a caller sizing for N flows asks for a multiple of N.
 	FlowTableSize int
-	// FlowTableShards splits the flow table into this many lock shards
-	// (rounded up to a power of two; 0 = DefaultFlowTableShards).
-	FlowTableShards int
-	// MaglevSize overrides the lookup table size (0 = default).
-	MaglevSize int
 	// Prober carries health probes (default &HCProber{}, which speaks the
 	// "HC\n" → "OK\n" protocol). The same transport carries Prequal load
 	// probes, so one faults.Injector dialer chaos-tests both.
@@ -173,11 +168,11 @@ func New(name string, cfg Config, reg *metrics.Registry) *LB {
 	}
 	reg.Gauge("katran.steer.policy_" + lb.policy.Name()).Set(1)
 	rt := &View{
-		maglev:  consistent.NewMaglev(cfg.MaglevSize),
+		maglev:  consistent.NewMaglev(0),
 		healthy: map[string]Backend{},
 	}
 	if sockets := max(cfg.FlowCacheSize*flowTableHeadroom, cfg.FlowTableSize); sockets > 0 {
-		lb.table = NewFlowTable(sockets, cfg.FlowTableShards)
+		lb.table = NewFlowTable(sockets, 0)
 		rt.pins = lb.table.view.Load()
 		lb.gEpoch.Set(int64(rt.pins.epoch))
 	}
@@ -290,7 +285,7 @@ func (lb *LB) rebuildLocked() {
 	}
 	sort.Strings(names)
 	rt := &View{
-		maglev:  consistent.NewMaglev(lb.cfg.MaglevSize, names...),
+		maglev:  consistent.NewMaglev(0, names...),
 		healthy: healthy,
 	}
 	if lb.table != nil {

@@ -20,8 +20,6 @@ type PrequalConfig struct {
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one probe (default 200ms).
 	ProbeTimeout time.Duration
-	// PoolSize bounds the per-backend probe pool (default 16).
-	PoolSize int
 	// ReuseBudget is how many picks one probe sample may steer before
 	// it is discarded (the paper's probe reuse; default 3). A backend
 	// whose samples are all spent steers like an unprobed one until the
@@ -55,9 +53,6 @@ func (c *PrequalConfig) fill() {
 	if c.ProbeTimeout <= 0 {
 		c.ProbeTimeout = 200 * time.Millisecond
 	}
-	if c.PoolSize <= 0 {
-		c.PoolSize = 16
-	}
 	if c.ReuseBudget <= 0 {
 		c.ReuseBudget = 3
 	}
@@ -81,6 +76,9 @@ type poolSample struct {
 	at   time.Time
 	uses int
 }
+
+// probePoolSize bounds the samples a probe pool keeps.
+const probePoolSize = 16
 
 // probePool is one backend's probe state: a small ring of recent
 // samples plus the async probe loop feeding it.
@@ -243,12 +241,12 @@ func (p *PolicyPrequal) probeLoop(pool *probePool) {
 }
 
 // admit appends a fresh sample to the pool, evicting the oldest past
-// PoolSize.
+// probePoolSize.
 func (p *PolicyPrequal) admit(pool *probePool, s LoadSample) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	pool.samples = append(pool.samples, poolSample{LoadSample: s, at: time.Now()})
-	if n := len(pool.samples) - p.cfg.PoolSize; n > 0 {
+	if n := len(pool.samples) - probePoolSize; n > 0 {
 		pool.samples = pool.samples[n:]
 	}
 }

@@ -44,9 +44,6 @@ type Broker struct {
 	transports map[*transport]struct{}
 
 	faults atomic.Pointer[faults.Injector]
-	// tuning, when set, is applied to every accepted transport before
-	// any fault wrapper hides the descriptor. Advisory; see netx.TuneConn.
-	tuning atomic.Pointer[netx.ConnTuning]
 
 	wg sync.WaitGroup
 }
@@ -57,21 +54,6 @@ type Broker struct {
 // concurrently with Serve.
 func (b *Broker) SetFaults(in *faults.Injector) {
 	b.faults.Store(in)
-}
-
-// SetTuning installs socket options (netx.ConnTuning) applied to every
-// transport the broker accepts. Pass nil to stop tuning. Safe to call
-// concurrently with Serve.
-func (b *Broker) SetTuning(t *netx.ConnTuning) {
-	b.tuning.Store(t)
-}
-
-// tune applies the installed tuning to a freshly accepted conn;
-// failures are counted, never fatal.
-func (b *Broker) tune(conn net.Conn) {
-	if err := netx.TuneConn(conn, b.tuning.Load()); err != nil {
-		b.reg.Counter("mqtt.tune.errors").Inc()
-	}
 }
 
 // session is per-user connection context.
@@ -142,7 +124,6 @@ func (b *Broker) Serve(ln net.Listener) error {
 			}
 			return err
 		}
-		b.tune(conn)
 		conn = b.faults.Load().Conn(conn)
 		b.wg.Add(1)
 		go func() {

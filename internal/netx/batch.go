@@ -32,19 +32,20 @@ import (
 )
 
 // Batch sizing defaults. 64-entry rings match the burst sizes the quicx
-// router sees under load; MaxPacket covers a full datagram and is what a
-// receive ring's slots may grow to.
+// router sees under load.
 const (
 	DefaultRecvBatch = 64
 	DefaultSendBatch = 64
-	DefaultMaxPacket = 64 << 10
 )
 
 // ringSlot is the slot size a ring starts with: an MTU-sized datagram
 // plus quicx's forward encapsulation. A receive ring that meets a longer
-// datagram grows its slots (RecvRing.take); a send ring writes one
-// through.
-const ringSlot = 2 << 10
+// datagram grows its slots (RecvRing.take), up to maxPacket, which covers
+// a full datagram; a send ring writes one through.
+const (
+	ringSlot  = 2 << 10
+	maxPacket = 64 << 10
+)
 
 // sockaddrBufLen fits any sockaddr the kernel writes (RawSockaddrAny).
 const sockaddrBufLen = 128
@@ -73,7 +74,6 @@ type Message struct {
 type BatchConfig struct {
 	RecvBatch int // mmsghdr ring entries per recvmmsg
 	SendBatch int // queued datagrams before an automatic flush
-	MaxPacket int // the longest datagram a receive ring grows its slots for
 	// Registry+Prefix name the accounting counters (e.g. prefix
 	// "quicx.batch" yields quicx.batch.recvmmsg_calls etc.). A nil
 	// Registry keeps private counters readable via Stats.
@@ -92,9 +92,6 @@ func (cfg *BatchConfig) open(pc net.PacketConn) syscall.RawConn {
 	}
 	if cfg.SendBatch <= 0 {
 		cfg.SendBatch = DefaultSendBatch
-	}
-	if cfg.MaxPacket <= 0 {
-		cfg.MaxPacket = DefaultMaxPacket
 	}
 	if cfg.Registry == nil {
 		cfg.Registry = metrics.NewRegistry()
@@ -138,8 +135,8 @@ type RecvRing struct {
 	pc  net.PacketConn
 	raw syscall.RawConn // nil → fallback path
 	// Slots are slot bytes now, want bytes from the next ReadBatch on and
-	// never more than max.
-	slot, want, max int
+	// never more than maxPacket.
+	slot, want int
 
 	hdrs   []mmsghdr
 	iovs   []syscall.Iovec
@@ -162,7 +159,7 @@ type RecvRing struct {
 // NewRecvRing wraps pc's read side. Kernel batching engages only when pc
 // exposes a raw descriptor and DisableKernelBatch is unset.
 func NewRecvRing(pc net.PacketConn, cfg BatchConfig) *RecvRing {
-	r := &RecvRing{pc: pc, raw: cfg.open(pc), max: cfg.MaxPacket}
+	r := &RecvRing{pc: pc, raw: cfg.open(pc)}
 	r.cCalls = cfg.Registry.Counter(cfg.Prefix + ".recvmmsg_calls")
 	r.cPkts = cfg.Registry.Counter(cfg.Prefix + ".recvmmsg_pkts")
 	r.cTrunc = cfg.Registry.Counter(cfg.Prefix + ".truncated")
@@ -174,7 +171,7 @@ func NewRecvRing(pc net.PacketConn, cfg BatchConfig) *RecvRing {
 		r.hdrs, r.iovs, r.names = newSlots(n)
 	}
 	r.msgs = make([]Message, 0, n)
-	r.reslab(min(ringSlot, cfg.MaxPacket))
+	r.reslab(ringSlot)
 	return r
 }
 
@@ -253,15 +250,15 @@ func (r *RecvRing) ReadBatch() ([]Message, error) {
 // under MSG_TRUNC, the fallback a byte over): what was received is then
 // the datagram's head, which is counted and dropped, never delivered
 // short, and the next slab is sized for the next power of two that fits
-// n, up to max.
+// n, up to maxPacket.
 func (r *RecvRing) take(buf []byte, n int, from net.Addr) {
 	if n <= r.slot {
 		r.msgs = append(r.msgs, Message{Buf: buf[:n:n], Addr: from})
 		return
 	}
 	r.cTrunc.Inc()
-	for r.want < n && r.want < r.max {
-		r.want = min(2*r.want, r.max)
+	for r.want < n && r.want < maxPacket {
+		r.want = min(2*r.want, maxPacket)
 	}
 }
 
@@ -355,7 +352,7 @@ type SendRing struct {
 // NewSendRing wraps pc's write side; the kernel path engages as for
 // NewRecvRing.
 func NewSendRing(pc net.PacketConn, cfg BatchConfig) *SendRing {
-	s := &SendRing{pc: pc, raw: cfg.open(pc), slot: min(ringSlot, cfg.MaxPacket)}
+	s := &SendRing{pc: pc, raw: cfg.open(pc), slot: ringSlot}
 	s.cFlush = cfg.Registry.Counter(cfg.Prefix + ".sendmmsg_flushes")
 	s.cPkts = cfg.Registry.Counter(cfg.Prefix + ".sendmmsg_pkts")
 	if s.raw == nil {

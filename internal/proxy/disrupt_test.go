@@ -1,8 +1,11 @@
 package proxy
 
 import (
+	"bufio"
+	"errors"
 	"fmt"
 	"net"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -12,6 +15,8 @@ import (
 	"zdr/internal/faults"
 	"zdr/internal/h2t"
 	"zdr/internal/http1"
+	"zdr/internal/katran"
+	"zdr/internal/takeover"
 )
 
 // startLedgeredPair starts one Origin and one Edge, each with its own
@@ -201,6 +206,97 @@ func TestLedgerDrainPhaseStamping(t *testing.T) {
 	if r := led.Report(); r.ByKind["drain"] != 1 {
 		t.Fatalf("drain events: %v", r.ByKind)
 	}
+}
+
+// TestReleasePhaseAgrees drives an Origin from serving into
+// committed-awaiting-ready (a receiver holds its readiness gate), back to
+// serving through an undo, and into draining. At every step the ledger
+// stamp, the LOAD answer on a probe connection opened while serving, and
+// ReleaseState report the same phase. READY is not a step here: it ends
+// committed-awaiting-ready without a ledger stamp, because a ledger shared
+// across generations belongs to the receiver by then. With a ledger the
+// LOAD answer reads its stamp; without one it reads the proxy's own
+// phase, so the release runs both ways.
+func TestReleasePhaseAgrees(t *testing.T) {
+	t.Run("ledger", func(t *testing.T) { releasePhaseAgrees(t, disrupt.New("origin-phase", 64)) })
+	t.Run("no-ledger", func(t *testing.T) { releasePhaseAgrees(t, nil) })
+}
+
+func releasePhaseAgrees(t *testing.T, led *disrupt.Ledger) {
+	o := New(Config{Name: "origin-phase", Role: RoleOrigin, Ledger: led, Generation: 1}, nil)
+	if err := o.Listen(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(o.Close)
+	path := filepath.Join(t.TempDir(), "origin-phase.sock")
+	if err := o.ServeTakeover(path); err != nil {
+		t.Fatal(err)
+	}
+	probe, err := net.DialTimeout("tcp", o.Addr(VIPHealth), 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { probe.Close() })
+	br := bufio.NewReader(probe)
+	load := func() string {
+		t.Helper()
+		fmt.Fprint(probe, "LOAD\n")
+		probe.SetReadDeadline(time.Now().Add(2 * time.Second))
+		line, err := br.ReadString('\n')
+		if err != nil {
+			t.Fatalf("LOAD: %v", err)
+		}
+		s, err := katran.ParseLoadLine(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s.Phase
+	}
+	// The hand-off's callbacks run on the takeover server's goroutine, so
+	// each step is awaited rather than read once.
+	expect := func(step, want string) {
+		t.Helper()
+		deadline := time.Now().Add(2 * time.Second)
+		for {
+			stamp := want // a proxy without a ledger stamps nothing
+			if led != nil {
+				stamp, _ = led.Phase()
+			}
+			answer, state := load(), o.ReleaseState().Slots[0].Phase
+			if stamp == want && answer == want && state == want {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: ledger %q, LOAD %q, ReleaseState %q; want %q", step, stamp, answer, state, want)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	expect("before the release", katran.PhaseServing)
+
+	gated := make(chan struct{})
+	verdict := make(chan error)
+	next := New(Config{Name: "origin-next", Role: RoleOrigin, Generation: 2, ReadyGate: func() error {
+		close(gated)
+		return <-verdict
+	}}, nil)
+	t.Cleanup(next.Close)
+	handoff := make(chan error, 1)
+	go func() {
+		_, err := next.TakeoverFrom(path)
+		handoff <- err
+	}()
+	<-gated
+	expect("receiver in its readiness gate", katran.PhaseCommitted)
+
+	verdict <- errors.New("receiver held back")
+	if err := <-handoff; !errors.Is(err, takeover.ErrUndone) {
+		t.Fatalf("hand-off error %v, want an undo", err)
+	}
+	expect("after the undo", katran.PhaseServing)
+
+	o.StartDraining()
+	expect("draining", katran.PhaseDraining)
 }
 
 // TestLedgerChaosAttribution is the chaos-suite reconciliation: every

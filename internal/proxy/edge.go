@@ -630,6 +630,10 @@ func (r *mqttRelay) watch(st *h2t.Stream) {
 	})
 }
 
+// dcrAckTimeout bounds how long a DCR re_connect waits for the broker's
+// connect_ack / connect_refuse before the relay gives up (§4.2).
+const dcrAckTimeout = 5 * time.Second
+
 // reconnectThroughAnotherOrigin performs the §4.2 DCR transaction:
 // re_connect (with user-id) via a different healthy Origin; on connect_ack
 // splice the relay onto the new stream; on connect_refuse give up. The
@@ -660,7 +664,7 @@ func (p *Proxy) reconnectThroughAnotherOrigin(relay *mqttRelay, peerTrace string
 		sp.Fail(err)
 		return false
 	}
-	ackTimer := time.NewTimer(p.cfg.DCRAckTimeout)
+	ackTimer := time.NewTimer(dcrAckTimeout)
 	defer ackTimer.Stop()
 	select {
 	case c := <-st.Controls():

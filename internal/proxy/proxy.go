@@ -37,7 +37,6 @@ import (
 	"zdr/internal/h2t"
 	"zdr/internal/katran"
 	"zdr/internal/metrics"
-	"zdr/internal/netx"
 	"zdr/internal/obs"
 	"zdr/internal/quicx"
 	"zdr/internal/takeover"
@@ -101,10 +100,6 @@ type Config struct {
 	// must rebind the same address.
 	VIPAddrs map[string]string
 
-	// DCRAckTimeout bounds how long a DCR re_connect waits for the
-	// broker's connect_ack / connect_refuse before the relay gives up
-	// (§4.2). Default 5s; chaos tests tighten it.
-	DCRAckTimeout time.Duration
 	// UpstreamResponseTimeout bounds the wait for an upstream response:
 	// the app-server reply at the Origin and the tunnel response headers
 	// at the Edge. Default 30s.
@@ -139,14 +134,6 @@ type Config struct {
 	// TakeoverReadyTimeout bounds the sender-side post-commit wait for
 	// the receiver's READY frame; zero means takeover.DefaultReadyTimeout.
 	TakeoverReadyTimeout time.Duration
-
-	// Tuning, when non-nil, applies socket options (TCP_NODELAY,
-	// TCP_QUICKACK, SO_BUSY_POLL, buffer sizes) to every connection this
-	// proxy accepts on its TCP VIPs and every upstream connection it
-	// dials. Best-effort: a setsockopt failure is counted
-	// (proxy.tune.errors) and the connection serves untuned. Fault-
-	// wrapped conns hide their descriptor and are skipped by design.
-	Tuning *netx.ConnTuning
 
 	// Steering selects the Edge's origin-steering policy: "" keeps the
 	// legacy prefer-alive-then-round-robin behaviour, "maglev" steers
@@ -189,9 +176,6 @@ func (c *Config) fill() {
 	}
 	if c.DialTimeout <= 0 {
 		c.DialTimeout = 2 * time.Second
-	}
-	if c.DCRAckTimeout <= 0 {
-		c.DCRAckTimeout = 5 * time.Second
 	}
 	if c.UpstreamResponseTimeout <= 0 {
 		c.UpstreamResponseTimeout = 30 * time.Second
@@ -480,22 +464,7 @@ func (p *Proxy) quicHandler(conn quicx.ConnID, payload []byte) []byte {
 // broker) through the optional fault injector; with no injector it is
 // exactly net.DialTimeout.
 func (p *Proxy) dialUpstream(addr string) (net.Conn, error) {
-	conn, err := p.cfg.Faults.Dial("tcp", addr, p.cfg.DialTimeout)
-	if err == nil {
-		p.tune(conn)
-	}
-	return conn, err
-}
-
-// tune applies the configured socket options to a freshly accepted or
-// dialed conn. Advisory: failures count, the conn serves untuned.
-func (p *Proxy) tune(conn net.Conn) {
-	if p.cfg.Tuning.Zero() {
-		return
-	}
-	if err := netx.TuneConn(conn, p.cfg.Tuning); err != nil {
-		p.reg.Counter("proxy.tune.errors").Inc()
-	}
+	return p.cfg.Faults.Dial("tcp", addr, p.cfg.DialTimeout)
 }
 
 // serveLoop runs an accept loop feeding handler goroutines. vip names
@@ -510,7 +479,6 @@ func (p *Proxy) serveLoop(vip string, ln *net.TCPListener, handler func(net.Conn
 				return // listener handle closed (drain or shutdown)
 			}
 			p.cfg.Ledger.Record(disrupt.KindAccept, p.connSeq.Add(1), vip, "", "")
-			p.tune(conn)
 			c := p.cfg.AcceptFaults.Conn(conn)
 			p.wg.Add(1)
 			go func() {
@@ -575,17 +543,24 @@ func (p *Proxy) syncLedgerPhase() {
 		return
 	}
 	p.mu.Lock()
-	draining := p.draining
-	awaiting := p.awaitingReady
+	phase := p.phaseLocked()
 	p.mu.Unlock()
-	phase := "serving"
-	switch {
-	case awaiting:
-		phase = "committed-awaiting-ready"
-	case draining:
-		phase = "draining"
-	}
 	p.cfg.Ledger.SetPhase(phase, p.cfg.Generation)
+}
+
+// phaseLocked is the release state machine's position as a katran.Phase*
+// string: committed-awaiting-ready from a committed ProtoDrainUndo
+// hand-off to its lease resolution, then draining, and serving otherwise.
+// syncLedgerPhase stamps it, and the LOAD answer (when no ledger is
+// configured) and ReleaseState report it. Callers hold p.mu.
+func (p *Proxy) phaseLocked() string {
+	switch {
+	case p.awaitingReady:
+		return katran.PhaseCommitted
+	case p.draining:
+		return katran.PhaseDraining
+	}
+	return katran.PhaseServing
 }
 
 // newSteerLB builds the Edge's embedded katran LB over the configured
@@ -637,17 +612,8 @@ func (p *Proxy) loadSample() katran.LoadSample {
 		return s
 	}
 	p.mu.Lock()
-	draining := p.draining
-	awaiting := p.awaitingReady
+	s.Phase = p.phaseLocked()
 	p.mu.Unlock()
-	switch {
-	case awaiting:
-		s.Phase = katran.PhaseCommitted
-	case draining:
-		s.Phase = katran.PhaseDraining
-	default:
-		s.Phase = katran.PhaseServing
-	}
 	return s
 }
 
@@ -1188,16 +1154,9 @@ func (p *Proxy) Tracer() *obs.Tracer { return p.cfg.Trace }
 func (p *Proxy) ReleaseState() obs.ReleaseState {
 	p.mu.Lock()
 	draining := p.draining
-	awaiting := p.awaitingReady
+	phase := p.phaseLocked()
 	armed := p.takeSrv != nil
 	p.mu.Unlock()
-	phase := "serving"
-	switch {
-	case awaiting:
-		phase = "committed-awaiting-ready"
-	case draining:
-		phase = "draining"
-	}
 	return obs.ReleaseState{
 		Service:  p.cfg.Name,
 		Draining: draining,
