@@ -195,6 +195,25 @@ func (l *Ledger) SetPhase(phase string, generation int) {
 	l.phase.Store(&phaseInfo{phase: phase, gen: generation})
 }
 
+// CompareAndSetPhase moves the ledger's release position, as SetPhase
+// does, only if it is still (oldPhase, oldGeneration), and reports whether
+// it did: a generation moves its own stamp on without overwriting one that
+// another generation sharing the ledger has made since.
+func (l *Ledger) CompareAndSetPhase(oldPhase string, oldGeneration int, phase string, generation int) bool {
+	if l == nil {
+		return false
+	}
+	for {
+		cur := l.phase.Load()
+		if cur.phase != oldPhase || cur.gen != oldGeneration {
+			return false
+		}
+		if l.phase.CompareAndSwap(cur, &phaseInfo{phase: phase, gen: generation}) {
+			return true
+		}
+	}
+}
+
 // Phase returns the current release position.
 func (l *Ledger) Phase() (string, int) {
 	if l == nil {

@@ -150,7 +150,7 @@ func fleetRollout(gated, bad bool) (fleetRolloutResult, error) {
 					return
 				default:
 				}
-				code, err := fleetGET(addr)
+				code, err := fleetGET(addr, "/hello")
 				switch {
 				case err != nil:
 					transportN.Add(1)
@@ -223,15 +223,16 @@ func fleetRollout(gated, bad bool) (fleetRolloutResult, error) {
 	return res, nil
 }
 
-// fleetGET issues one plain-HTTP GET /hello and returns the status code.
-func fleetGET(addr string) (int, error) {
+// fleetGET issues one plain-HTTP GET for target on a connection of its
+// own, reads the response to its end and returns the status code.
+func fleetGET(addr, target string) (int, error) {
 	conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
 	if err != nil {
 		return 0, err
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	if _, err := http1.WriteRequest(conn, http1.NewRequest("GET", "/hello", nil, 0)); err != nil {
+	if _, err := http1.WriteRequest(conn, http1.NewRequest("GET", target, nil, 0)); err != nil {
 		return 0, err
 	}
 	resp, err := http1.ReadResponse(bufio.NewReader(conn))

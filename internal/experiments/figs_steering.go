@@ -1,14 +1,11 @@
 package experiments
 
 import (
-	"bufio"
 	"fmt"
-	"net"
 	"sort"
 	"sync/atomic"
 	"time"
 
-	"zdr/internal/http1"
 	"zdr/internal/katran"
 	"zdr/internal/metrics"
 	"zdr/internal/proxy"
@@ -183,7 +180,7 @@ func steeringRelease(policyName string) (steeringResult, error) {
 			res.drainArrivals++
 		}
 		t0 := time.Now()
-		if err := steerGET(b.Addr); err != nil {
+		if code, err := fleetGET(b.Addr, "/s"); err != nil || code != 200 {
 			res.disrupted++
 		} else {
 			res.ok++
@@ -204,28 +201,4 @@ func steeringRelease(policyName string) (steeringResult, error) {
 		res.p99 = latencies[n*99/100]
 	}
 	return res, nil
-}
-
-// steerGET issues one GET /s to a steered edge and drains the response.
-func steerGET(addr string) error {
-	conn, err := net.DialTimeout("tcp", addr, time.Second)
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(2 * time.Second))
-	if _, err := http1.WriteRequest(conn, http1.NewRequest("GET", "/s", nil, 0)); err != nil {
-		return err
-	}
-	resp, err := http1.ReadResponse(bufio.NewReader(conn))
-	if err != nil {
-		return err
-	}
-	if _, err := http1.ReadFullBody(resp.Body); err != nil {
-		return err
-	}
-	if resp.StatusCode != 200 {
-		return fmt.Errorf("status %d", resp.StatusCode)
-	}
-	return nil
 }

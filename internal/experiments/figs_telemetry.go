@@ -177,7 +177,7 @@ func disruptionRollout(gated bool) (disruptionRun, error) {
 					return
 				default:
 				}
-				fleetGET(addr)
+				fleetGET(addr, "/hello")
 				time.Sleep(time.Millisecond)
 			}
 		}(s.webAddr)

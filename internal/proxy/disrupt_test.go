@@ -210,19 +210,22 @@ func TestLedgerDrainPhaseStamping(t *testing.T) {
 
 // TestReleasePhaseAgrees drives an Origin from serving into
 // committed-awaiting-ready (a receiver holds its readiness gate), back to
-// serving through an undo, and into draining. At every step the ledger
-// stamp, the LOAD answer on a probe connection opened while serving, and
-// ReleaseState report the same phase. READY is not a step here: it ends
-// committed-awaiting-ready without a ledger stamp, because a ledger shared
-// across generations belongs to the receiver by then. With a ledger the
-// LOAD answer reads its stamp; without one it reads the proxy's own
-// phase, so the release runs both ways.
+// serving through an undo, into committed-awaiting-ready again, and past
+// the receiver's READY into draining. At every step the ledger stamp, the
+// LOAD answer on a probe connection opened while serving, and ReleaseState
+// report the same phase and generation. With a ledger the LOAD answer
+// reads its stamp; without one it reads the proxy's own phase, so the
+// release runs both ways. It runs once more with a ledger shared with the
+// receivers, which after READY is the serving generation's: there the
+// stamp and the LOAD answer say serving, generation 2, as the receiver's
+// ReleaseState does, while the Origin's own says draining.
 func TestReleasePhaseAgrees(t *testing.T) {
-	t.Run("ledger", func(t *testing.T) { releasePhaseAgrees(t, disrupt.New("origin-phase", 64)) })
-	t.Run("no-ledger", func(t *testing.T) { releasePhaseAgrees(t, nil) })
+	t.Run("ledger", func(t *testing.T) { releasePhaseAgrees(t, disrupt.New("origin-phase", 64), false) })
+	t.Run("shared-ledger", func(t *testing.T) { releasePhaseAgrees(t, disrupt.New("origin-phase", 64), true) })
+	t.Run("no-ledger", func(t *testing.T) { releasePhaseAgrees(t, nil, false) })
 }
 
-func releasePhaseAgrees(t *testing.T, led *disrupt.Ledger) {
+func releasePhaseAgrees(t *testing.T, led *disrupt.Ledger, shared bool) {
 	o := New(Config{Name: "origin-phase", Role: RoleOrigin, Ledger: led, Generation: 1}, nil)
 	if err := o.Listen(); err != nil {
 		t.Fatal(err)
@@ -238,7 +241,7 @@ func releasePhaseAgrees(t *testing.T, led *disrupt.Ledger) {
 	}
 	t.Cleanup(func() { probe.Close() })
 	br := bufio.NewReader(probe)
-	load := func() string {
+	load := func() (string, int) {
 		t.Helper()
 		fmt.Fprint(probe, "LOAD\n")
 		probe.SetReadDeadline(time.Now().Add(2 * time.Second))
@@ -250,53 +253,75 @@ func releasePhaseAgrees(t *testing.T, led *disrupt.Ledger) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return s.Phase
+		return s.Phase, s.Generation
 	}
 	// The hand-off's callbacks run on the takeover server's goroutine, so
-	// each step is awaited rather than read once.
-	expect := func(step, want string) {
+	// each step is awaited rather than read once. state is the proxy whose
+	// ReleaseState is the ledger's.
+	expect := func(step, want string, gen int, state *Proxy) {
 		t.Helper()
 		deadline := time.Now().Add(2 * time.Second)
 		for {
-			stamp := want // a proxy without a ledger stamps nothing
+			stamp, stampGen := want, gen // a proxy without a ledger stamps nothing
 			if led != nil {
-				stamp, _ = led.Phase()
+				stamp, stampGen = led.Phase()
 			}
-			answer, state := load(), o.ReleaseState().Slots[0].Phase
-			if stamp == want && answer == want && state == want {
+			answer, answerGen := load()
+			phase := state.ReleaseState().Slots[0].Phase
+			if stamp == want && answer == want && phase == want && stampGen == gen && answerGen == gen {
 				return
 			}
 			if time.Now().After(deadline) {
-				t.Fatalf("%s: ledger %q, LOAD %q, ReleaseState %q; want %q", step, stamp, answer, state, want)
+				t.Fatalf("%s: ledger %q/%d, LOAD %q/%d, ReleaseState %q; want %q/%d",
+					step, stamp, stampGen, answer, answerGen, phase, want, gen)
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
 	}
-	expect("before the release", katran.PhaseServing)
+	expect("before the release", katran.PhaseServing, 1, o)
 
-	gated := make(chan struct{})
-	verdict := make(chan error)
-	next := New(Config{Name: "origin-next", Role: RoleOrigin, Generation: 2, ReadyGate: func() error {
-		close(gated)
-		return <-verdict
-	}}, nil)
-	t.Cleanup(next.Close)
-	handoff := make(chan error, 1)
-	go func() {
-		_, err := next.TakeoverFrom(path)
-		handoff <- err
-	}()
-	<-gated
-	expect("receiver in its readiness gate", katran.PhaseCommitted)
-
+	// handOff starts a hand-off to a next generation and returns once the
+	// receiver is in its readiness gate, which lets go on the verdict.
+	var nextLedger *disrupt.Ledger
+	if shared {
+		nextLedger = led
+	}
+	handOff := func() (next *Proxy, verdict chan<- error, handoff <-chan error) {
+		gated, v, h := make(chan struct{}), make(chan error), make(chan error, 1)
+		next = New(Config{Name: "origin-next", Role: RoleOrigin, Generation: 2, Ledger: nextLedger, ReadyGate: func() error {
+			close(gated)
+			return <-v
+		}}, nil)
+		t.Cleanup(next.Close)
+		go func() {
+			_, err := next.TakeoverFrom(path)
+			h <- err
+		}()
+		<-gated
+		return next, v, h
+	}
+	_, verdict, handoff := handOff()
+	expect("receiver in its readiness gate", katran.PhaseCommitted, 1, o)
 	verdict <- errors.New("receiver held back")
 	if err := <-handoff; !errors.Is(err, takeover.ErrUndone) {
 		t.Fatalf("hand-off error %v, want an undo", err)
 	}
-	expect("after the undo", katran.PhaseServing)
+	expect("after the undo", katran.PhaseServing, 1, o)
 
-	o.StartDraining()
-	expect("draining", katran.PhaseDraining)
+	next, verdict, handoff := handOff()
+	expect("receiver in its readiness gate again", katran.PhaseCommitted, 1, o)
+	verdict <- nil
+	if err := <-handoff; err != nil {
+		t.Fatalf("hand-off: %v", err)
+	}
+	if !shared {
+		expect("after READY", katran.PhaseDraining, 1, o)
+		return
+	}
+	expect("after READY, the ledger the receiver's", katran.PhaseServing, 2, next)
+	if phase := o.ReleaseState().Slots[0].Phase; phase != katran.PhaseDraining {
+		t.Fatalf("after READY the Origin's ReleaseState says %q, want %q", phase, katran.PhaseDraining)
+	}
 }
 
 // TestLedgerChaosAttribution is the chaos-suite reconciliation: every

@@ -21,145 +21,103 @@ import (
 	"zdr/internal/obs"
 )
 
-// tunnelEntry tracks one Edge→Origin tunnel session.
-type tunnelEntry struct {
-	addr string
-	sess *h2t.Session
-}
-
-// alive reports whether the session can still open streams.
-func (te *tunnelEntry) alive() bool {
+// alive reports whether an Edge→Origin tunnel session can still open
+// streams.
+func alive(sess *h2t.Session) bool {
 	select {
-	case <-te.sess.Done():
+	case <-sess.Done():
 		return false
 	default:
 	}
-	return !te.sess.Draining()
+	return !sess.Draining()
 }
 
-// originSessionFor returns a live tunnel session, dialing one if needed.
-// exclude skips a specific origin address (the DCR "another healthy LB"
-// requirement). Sessions that died or announced GOAWAY are replaced by a
-// fresh dial — which, after a Socket Takeover, transparently lands on the
-// new instance because the listening socket never closed.
-func (p *Proxy) originSessionFor(exclude string) (*tunnelEntry, error) {
-	// With a steering policy configured, the embedded katran LB decides
-	// which origin serves this request; any steering failure (policy
-	// error, dead pick) falls through to the legacy path below.
+// originSessionFor returns a live tunnel session to an origin other than
+// exclude (the DCR "another healthy LB" requirement), dialing one if
+// needed. With a steering policy configured, the embedded katran LB picks
+// the origin first: a fresh flow id per request leaves the policy free to
+// rebalance request by request, while sessions to each origin are still
+// shared. Without a pick, or once the pick fails to dial, any live
+// session will do, and else the origins are dialed in round-robin order.
+// Sessions that died or announced GOAWAY are replaced by a fresh dial —
+// which, after a Socket Takeover, transparently lands on the new instance
+// because the listening socket never closed. It returns the session and
+// its origin's address.
+func (p *Proxy) originSessionFor(exclude string) (*h2t.Session, string, error) {
+	pick := ""
 	if p.steerLB != nil {
-		if te, err := p.steeredSession(exclude); err == nil {
-			return te, nil
+		if b, err := p.steerLB.Steer(p.steerSeq.Add(1)); err == nil && b.Addr != exclude {
+			p.reg.Counter("edge.steer.picks").Inc()
+			pick = b.Addr
 		}
 	}
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return nil, errors.New("proxy: closed")
-	}
-	// Prefer an existing live session.
-	for addr, te := range p.tunnels {
-		if addr == exclude {
-			continue
-		}
-		if te.alive() {
+	for {
+		p.mu.Lock()
+		if p.closed {
 			p.mu.Unlock()
-			return te, nil
+			return nil, "", errors.New("proxy: closed")
 		}
-		delete(p.tunnels, addr)
-	}
-	// Round-robin over configured origins.
-	candidates := make([]string, 0, len(p.cfg.Origins))
-	for i := 0; i < len(p.cfg.Origins); i++ {
-		addr := p.cfg.Origins[(p.rrOrigin+i)%len(p.cfg.Origins)]
-		if addr != exclude {
-			candidates = append(candidates, addr)
+		for addr, sess := range p.tunnels {
+			if !alive(sess) {
+				delete(p.tunnels, addr)
+			} else if addr != exclude && (pick == "" || addr == pick) {
+				p.mu.Unlock()
+				return sess, addr, nil
+			}
 		}
-	}
-	p.rrOrigin++
-	p.mu.Unlock()
-
-	var lastErr error
-	for _, addr := range candidates {
-		te, err := p.tunnelTo(addr)
-		if err != nil {
-			lastErr = err
-			continue
+		candidates := []string{pick}
+		if pick == "" {
+			candidates = candidates[:0]
+			for i := range p.cfg.Origins {
+				if addr := p.cfg.Origins[(p.rrOrigin+i)%len(p.cfg.Origins)]; addr != exclude {
+					candidates = append(candidates, addr)
+				}
+			}
+			p.rrOrigin++
 		}
-		return te, nil
-	}
-	if lastErr == nil {
-		lastErr = errors.New("proxy: no origin available")
-	}
-	return nil, lastErr
-}
-
-// steeredSession resolves one request's origin through the steering
-// policy. Each request gets a fresh flow id, so the policy is free to
-// rebalance request-by-request (sessions to each origin are still
-// shared — steering picks the origin, not the connection).
-func (p *Proxy) steeredSession(exclude string) (*tunnelEntry, error) {
-	b, err := p.steerLB.Steer(p.steerSeq.Add(1))
-	if err != nil {
-		return nil, err
-	}
-	if b.Addr == exclude {
-		return nil, errors.New("proxy: steered to excluded origin")
-	}
-	p.reg.Counter("edge.steer.picks").Inc()
-	p.mu.Lock()
-	if p.closed {
 		p.mu.Unlock()
-		return nil, errors.New("proxy: closed")
-	}
-	if te, ok := p.tunnels[b.Addr]; ok {
-		if te.alive() {
-			p.mu.Unlock()
-			return te, nil
+		err := errors.New("proxy: no origin available")
+		for _, addr := range candidates {
+			var sess *h2t.Session
+			if sess, err = p.tunnelTo(addr); err == nil {
+				return sess, addr, nil
+			}
 		}
-		delete(p.tunnels, b.Addr)
+		if pick == "" {
+			return nil, "", err
+		}
+		pick = ""
 	}
-	p.mu.Unlock()
-	return p.tunnelTo(b.Addr)
 }
 
 // tunnelTo dials a tunnel session to addr and registers it, keeping an
 // existing live session if a concurrent dial raced us there.
-func (p *Proxy) tunnelTo(addr string) (*tunnelEntry, error) {
+func (p *Proxy) tunnelTo(addr string) (*h2t.Session, error) {
 	conn, err := p.dialUpstream(addr)
 	if err != nil {
 		return nil, err
 	}
-	te := &tunnelEntry{addr: addr, sess: h2t.NewSession(conn, true, h2t.WithMetrics(p.tunnelMetrics))}
+	sess := h2t.NewSession(conn, true, h2t.WithMetrics(p.tunnelMetrics))
 	p.mu.Lock()
-	if old, ok := p.tunnels[addr]; ok && old.alive() {
+	if old, ok := p.tunnels[addr]; ok && alive(old) {
 		// Raced with another dial; keep the existing one.
 		p.mu.Unlock()
-		te.sess.Close()
+		sess.Close()
 		return old, nil
 	}
-	p.tunnels[addr] = te
+	p.tunnels[addr] = sess
 	p.mu.Unlock()
 	p.reg.Counter("edge.tunnel.dials").Inc()
-	return te, nil
+	return sess, nil
 }
 
-// handleEdgeHTTPConn terminates a user HTTP connection (§2.2 step 1-2):
-// cacheable content is answered directly (Direct Server Return), the rest
-// is forwarded over the tunnel to an Origin.
-func (p *Proxy) handleEdgeHTTPConn(conn net.Conn) {
-	wc := &webConn{Conn: conn, p: p}
-	wc.ka.Init(conn, wc)
-	defer p.untrackWebConn(wc)
-	if p.trackWebConn(wc) {
-		wc.ka.Serve()
-	}
-}
-
-// webConn is a web client connection served by its own goroutine, its
-// requests read by ka (http1.KeepAlive: one that arrives whole costs one
-// read, and one waited for holds no buffer). busy is true from a parsed
-// request head to the end of its response, which is what tells terminate
-// a disruption from the close of an idle keep-alive connection.
+// webConn is a user HTTP connection (§2.2 step 1-2), its requests read by
+// ka (http1.KeepAlive: one that arrives whole costs one read, and one
+// waited for holds no buffer): cacheable content is answered directly
+// (Direct Server Return), the rest is forwarded over the tunnel to an
+// Origin. busy is true from a parsed request head to the end of its
+// response, which is what tells a disruption from the close of an idle
+// keep-alive connection.
 type webConn struct {
 	net.Conn
 	p    *Proxy
@@ -167,37 +125,21 @@ type webConn struct {
 	ka   http1.KeepAlive
 }
 
-// Close does not wait for a request being served.
-func (wc *webConn) Close() error { return wc.ka.Close() }
+func (wc *webConn) serve() { wc.ka.Serve() }
+
+// close does not wait for a request being served, and records one it cuts.
+func (wc *webConn) close() {
+	if wc.busy.Load() {
+		wc.p.cfg.Ledger.Record(disrupt.KindReset, 0, VIPWeb, "drain-expired", "")
+	}
+	wc.ka.Close()
+}
 
 func (wc *webConn) ServeRequest(req *http1.Request, _ *bufio.Reader) bool {
-	wc.p.cRequests.Inc()
 	wc.busy.Store(true)
 	ok := wc.p.serveEdgeRequest(wc.Conn, req)
 	wc.busy.Store(false)
 	return ok
-}
-
-// trackWebConn registers wc for terminate to close; false means the
-// generation already terminated.
-func (p *Proxy) trackWebConn(wc *webConn) bool {
-	p.webConnsMu.Lock()
-	p.webConns[wc] = struct{}{}
-	p.webConnsMu.Unlock()
-	// terminate sets closed before it collects webConns, so a connection
-	// it missed sees closed here.
-	p.mu.Lock()
-	closed := p.closed
-	p.mu.Unlock()
-	return !closed
-}
-
-// untrackWebConn ends wc's handler: the connection is forgotten and closed.
-func (p *Proxy) untrackWebConn(wc *webConn) {
-	p.webConnsMu.Lock()
-	delete(p.webConns, wc)
-	p.webConnsMu.Unlock()
-	wc.Close()
 }
 
 // appendTrace appends the trace context a stream opened under sp carries
@@ -217,20 +159,11 @@ func appendTrace(hdr h2t.Fields, sp *obs.Span, incoming string) h2t.Fields {
 // take another. req is the connection's, read into again once this returns:
 // nothing keeps it or its Body longer; values taken from it may be kept.
 func (p *Proxy) serveEdgeRequest(conn net.Conn, req *http1.Request) bool {
-	t0 := time.Now()
-	p.gRIF.Inc()
-	defer p.gRIF.Dec()
-	defer func() { p.latHTTP.Observe(time.Since(t0).Seconds()) }()
-	// Join (or start) the request trace: a client-supplied x-zdr-trace
-	// makes this span a remote child; the context is forwarded over the
-	// tunnel either way so the Origin and app-server spans stitch into
-	// one trace.
+	// The trace context is forwarded over the tunnel either way, so that
+	// the Origin and app-server spans stitch into one trace.
 	incoming := req.Header.Get(obs.TraceHeader)
-	remote, _ := obs.ParseSpanContext(incoming)
-	sp := p.cfg.Trace.StartSpan("edge.http", remote)
-	sp.SetAttr("method", req.Method)
-	sp.SetAttr("path", req.Target)
-	defer sp.End()
+	sp, t0 := p.startRequest("edge.http", req.Method, req.Target, incoming)
+	defer p.endRequest(sp, t0)
 
 	// Direct Server Return for cached content.
 	if body, ok := p.cfg.StaticContent[req.Target]; ok && req.Method == "GET" {
@@ -265,34 +198,22 @@ func (p *Proxy) serveEdgeRequest(conn net.Conn, req *http1.Request) bool {
 	// our pick and the open; retry once on a fresh session rather than
 	// failing the user request — the race is routine during releases.
 	var st *h2t.Stream
+	var err error
 	tunnelT0 := time.Now()
 	for attempt := 0; attempt < 2; attempt++ {
-		te, err := p.originSessionFor("")
-		if err != nil {
-			p.reg.Counter("edge.http.errors.no_origin").Inc()
-			p.cfg.Ledger.Record(disrupt.KindReset, 0, VIPWeb, "edge:no-origin", err.Error())
-			sp.Fail(err)
-			http1.WriteResponse(conn, http1.NewResponse(503, nil, 0))
-			return false
+		var sess *h2t.Session
+		if sess, _, err = p.originSessionFor(""); err != nil {
+			return p.failRequest(conn, sp, 503, "edge.http.errors.no_origin", "edge:no-origin", err)
 		}
-		st, err = te.sess.OpenStreamWith(hdr, body, !streamed)
-		if err == nil {
-			break
-		}
-		st = nil
-		if !errors.Is(err, h2t.ErrGoAway) {
+		if st, err = sess.OpenStreamWith(hdr, body, !streamed); !errors.Is(err, h2t.ErrGoAway) {
 			break
 		}
 		// The session announced GOAWAY between pick and open — routine
 		// during a release; the retry absorbs it.
 		p.cfg.Ledger.Record(disrupt.KindRetry, 0, VIPWeb, "", "goaway between pick and open")
 	}
-	if st == nil {
-		p.reg.Counter("edge.http.errors.open_stream").Inc()
-		p.cfg.Ledger.Record(disrupt.KindReset, 0, VIPWeb, "edge:open-stream", "")
-		sp.Fail(errors.New("proxy: open stream failed"))
-		http1.WriteResponse(conn, http1.NewResponse(502, nil, 0))
-		return false
+	if err != nil {
+		return p.failRequest(conn, sp, 502, "edge.http.errors.open_stream", "edge:open-stream", err)
 	}
 
 	// Pump the request body upstream while watching for the response.
@@ -323,16 +244,12 @@ func (p *Proxy) serveEdgeRequest(conn net.Conn, req *http1.Request) bool {
 	if err != nil {
 		// The Origin said nothing in time (504), or the stream or its
 		// session ended first (502).
-		kind, code := disrupt.KindReset, 502
-		if errors.Is(err, os.ErrDeadlineExceeded) {
-			kind, code = disrupt.KindTimeout, 504
-		}
-		p.reg.Counter("edge.http.errors.upstream").Inc()
-		p.cfg.Ledger.Record(kind, 0, VIPWeb, "edge:upstream", err.Error())
-		sp.Fail(err)
 		st.Reset()
-		http1.WriteResponse(conn, http1.NewResponse(code, nil, 0))
-		return false
+		code := 502
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			code = 504
+		}
+		return p.failRequest(conn, sp, code, "edge.http.errors.upstream", "edge:upstream", err)
 	}
 	code, _ := strconv.Atoi(respHdr.Get("status"))
 	if code == 0 {
@@ -361,9 +278,25 @@ func (p *Proxy) serveEdgeRequest(conn net.Conn, req *http1.Request) bool {
 	return true
 }
 
+// failRequest answers a request that did not get an Origin's response with
+// code, counts it in counter, records it as a disruption with cause — a
+// timeout for a 504, a reset otherwise — and ends the connection.
+func (p *Proxy) failRequest(conn net.Conn, sp *obs.Span, code int, counter, cause string, err error) bool {
+	kind := disrupt.KindReset
+	if code == 504 {
+		kind = disrupt.KindTimeout
+	}
+	p.reg.Counter(counter).Inc()
+	p.cfg.Ledger.Record(kind, 0, VIPWeb, cause, err.Error())
+	sp.Fail(err)
+	http1.WriteResponse(conn, http1.NewResponse(code, nil, 0))
+	return false
+}
+
 // mqttRelay is the Edge-side state for one end-user MQTT connection: the
-// terminated client conn plus the current tunnel stream carrying it. The
-// stream is swapped atomically during Downstream Connection Reuse.
+// terminated client conn plus the current tunnel stream carrying it, none
+// until the user's CONNECT has been taken to an Origin. The stream is
+// swapped atomically during Downstream Connection Reuse.
 type mqttRelay struct {
 	p          *Proxy
 	userID     string
@@ -397,10 +330,6 @@ func (r *mqttRelay) close() {
 		st.Reset()
 	}
 	r.clientConn.Close()
-	r.p.mu.Lock()
-	delete(r.p.mqttConns, r)
-	r.p.mu.Unlock()
-	r.p.reg.Gauge("edge.mqtt.conns").Dec()
 }
 
 // forwardUpstream writes client bytes to the relay's current stream,
@@ -479,81 +408,90 @@ func (r *mqttRelay) swapStream(st *h2t.Stream) (old *h2t.Stream, ok bool) {
 	return old, true
 }
 
-// handleEdgeMQTTConn terminates a user MQTT connection: it peeks the
-// CONNECT to learn the user-id (§4.2: "Each end-user has a globally unique
-// ID used to route the messages"), opens a tunnel stream to an Origin, and
-// relays bytes both ways. On reconnect_solicitation it performs the DCR
-// re_connect through another Origin and splices the streams.
-func (p *Proxy) handleEdgeMQTTConn(conn net.Conn) {
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	connectPkt, err := mqtt.Decode(conn)
-	if err != nil || connectPkt.Type != mqtt.CONNECT {
-		conn.Close()
+// serve terminates a user MQTT connection: it reads the CONNECT to learn
+// the user-id (§4.2: "Each end-user has a globally unique ID used to route
+// the messages"), opens a tunnel stream to an Origin, and relays bytes
+// both ways, client to stream on this goroutine. On
+// reconnect_solicitation it performs the DCR re_connect through another
+// Origin and splices the streams.
+func (r *mqttRelay) serve() {
+	st := r.connect()
+	if st == nil {
 		return
 	}
-	conn.SetReadDeadline(time.Time{})
-	userID := connectPkt.ClientID
-
-	// Clients may carry a trace context in CONNECT properties; it rides
-	// the tunnel stream headers so the Origin relay joins the same trace.
-	remote, _ := obs.ParseSpanContext(connectPkt.Properties[obs.TraceHeader])
-	sp := p.cfg.Trace.StartSpan("edge.mqtt.connect", remote)
-	sp.SetAttr("user-id", userID)
-	defer sp.End()
-
-	te, err := p.originSessionFor("")
-	if err != nil {
-		sp.Fail(err)
-		conn.Close()
-		return
-	}
-	streamHdr := h2t.Fields{{Name: "proto", Value: "mqtt"}, {Name: "user-id", Value: userID}}
-	st, err := te.sess.OpenStreamWith(appendTrace(streamHdr, sp, connectPkt.Properties[obs.TraceHeader]), nil, false)
-	if err != nil {
-		sp.Fail(err)
-		conn.Close()
-		return
-	}
-	// Replay the CONNECT into the tunnel so the broker sees it verbatim.
-	var connectBuf bytes.Buffer
-	mqtt.Encode(&connectBuf, connectPkt)
-	if _, err := st.Write(connectBuf.Bytes()); err != nil {
-		st.Reset()
-		conn.Close()
-		return
-	}
-
-	relay := &mqttRelay{p: p, userID: userID, clientConn: conn, originAddr: te.addr, stream: st}
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		relay.clientConn.Close()
-		st.Reset()
-		return
-	}
-	p.mqttConns[relay] = struct{}{}
-	p.mu.Unlock()
+	p := r.p
 	p.reg.Counter("edge.mqtt.accepted").Inc()
-	p.reg.Gauge("edge.mqtt.conns").Inc()
-	relay.watch(st)
-
-	// Upstream pump: client -> current stream.
-	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
-		var wr netx.WakeReader
-		wr.Init(conn, &netx.Pump{Forward: relay.forwardUpstream})
-		wr.ConfirmWaits()
-		wr.Run()
-		relay.close()
-	}()
+	conns := p.reg.Gauge("edge.mqtt.conns")
+	conns.Inc()
+	defer conns.Dec()
+	r.watch(st)
 
 	// Downstream pump: current stream -> client.
 	p.wg.Add(1)
 	go func() {
 		defer p.wg.Done()
-		p.runMQTTDownstream(relay)
+		p.runMQTTDownstream(r)
 	}()
+	var wr netx.WakeReader
+	wr.Init(r.clientConn, &netx.Pump{Forward: r.forwardUpstream})
+	wr.ConfirmWaits()
+	wr.Run()
+}
+
+// connect takes the user's CONNECT to an Origin on a stream of its own,
+// which it returns, or nil if the connection is done with.
+func (r *mqttRelay) connect() *h2t.Stream {
+	conn := r.clientConn
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	connectPkt, err := mqtt.Decode(conn)
+	if err != nil || connectPkt.Type != mqtt.CONNECT {
+		return nil
+	}
+	conn.SetReadDeadline(time.Time{})
+	r.userID = connectPkt.ClientID
+
+	// Clients may carry a trace context in CONNECT properties; it rides
+	// the tunnel stream headers so the Origin relay joins the same trace.
+	incoming := connectPkt.Properties[obs.TraceHeader]
+	remote, _ := obs.ParseSpanContext(incoming)
+	sp := r.p.cfg.Trace.StartSpan("edge.mqtt.connect", remote)
+	sp.SetAttr("user-id", r.userID)
+	defer sp.End()
+	st, addr, err := r.open("mqtt", sp, incoming)
+	if err != nil {
+		sp.Fail(err)
+		return nil
+	}
+	r.originAddr = addr
+	if _, ok := r.swapStream(st); !ok {
+		st.Reset() // the generation terminated meanwhile
+		return nil
+	}
+	// Replay the CONNECT into the tunnel so the broker sees it verbatim.
+	var connectBuf bytes.Buffer
+	mqtt.Encode(&connectBuf, connectPkt)
+	if _, err := st.Write(connectBuf.Bytes()); err != nil {
+		return nil
+	}
+	return st
+}
+
+// open opens a tunnel stream for the relay's user, proto "mqtt" for its
+// CONNECT or "mqtt-resume" for a DCR re_connect, carrying the trace of sp
+// or, untraced here, incoming. The Origin is one other than the relay's,
+// or any when no other answers: the restarting one's new instance is a
+// different, healthy process too. It returns the Origin's address.
+func (r *mqttRelay) open(proto string, sp *obs.Span, incoming string) (*h2t.Stream, string, error) {
+	sess, addr, err := r.p.originSessionFor(r.originAddr)
+	if err != nil && r.originAddr != "" {
+		sess, addr, err = r.p.originSessionFor("")
+	}
+	if err != nil {
+		return nil, "", err
+	}
+	hdr := h2t.Fields{{Name: "proto", Value: proto}, {Name: "user-id", Value: r.userID}}
+	st, err := sess.OpenStreamWith(appendTrace(hdr, sp, incoming), nil, false)
+	return st, addr, err
 }
 
 // runMQTTDownstream writes the relay's streams to the client, one
@@ -644,23 +582,10 @@ func (p *Proxy) reconnectThroughAnotherOrigin(relay *mqttRelay, peerTrace string
 	sp := p.cfg.Trace.StartSpan("dcr.reconnect", remote)
 	sp.SetAttr("user-id", relay.userID)
 	defer sp.End()
-	te, err := p.originSessionFor(relay.originAddr)
-	if err != nil {
-		// Fall back to any origin (the restarting one's new instance
-		// also works — it is a different, healthy process).
-		te, err = p.originSessionFor("")
-		if err != nil {
-			p.reg.Counter("edge.mqtt.reconnect.failed").Inc()
-			p.cfg.Ledger.Record(disrupt.KindRetry, 0, VIPMQTT, "", "re_connect: no origin")
-			sp.Fail(err)
-			return false
-		}
-	}
-	streamHdr := h2t.Fields{{Name: "proto", Value: "mqtt-resume"}, {Name: "user-id", Value: relay.userID}}
-	st, err := te.sess.OpenStreamWith(appendTrace(streamHdr, sp, peerTrace), nil, false)
+	st, addr, err := relay.open("mqtt-resume", sp, peerTrace)
 	if err != nil {
 		p.reg.Counter("edge.mqtt.reconnect.failed").Inc()
-		p.cfg.Ledger.Record(disrupt.KindRetry, 0, VIPMQTT, "", "re_connect: open stream failed")
+		p.cfg.Ledger.Record(disrupt.KindRetry, 0, VIPMQTT, "", "re_connect: "+err.Error())
 		sp.Fail(err)
 		return false
 	}
@@ -668,44 +593,36 @@ func (p *Proxy) reconnectThroughAnotherOrigin(relay *mqttRelay, peerTrace string
 	defer ackTimer.Stop()
 	select {
 	case c := <-st.Controls():
-		switch c.Type {
-		case h2t.FrameConnectAck:
-			old, ok := relay.swapStream(st)
-			if !ok {
-				// The user hung up while the re_connect ran.
-				st.Reset()
-				sp.Fail(errors.New("proxy: relay closed during re_connect"))
-				return false
-			}
-			if old != nil {
-				old.Reset()
-			}
-			relay.originAddr = te.addr
+		if c.Type != h2t.FrameConnectAck {
+			p.reg.Counter("edge.mqtt.reconnect.refused").Inc()
+			p.cfg.Ledger.Record(disrupt.KindRetry, 0, VIPMQTT, "", "re_connect refused")
+			err = errors.New("proxy: re_connect refused")
+		} else if old, ok := relay.swapStream(st); !ok {
+			err = errors.New("proxy: relay closed during re_connect") // the user hung up
+		} else {
+			old.Reset()
+			relay.originAddr = addr
 			p.reg.Counter("edge.mqtt.reconnect.ack").Inc()
 			// The DCR splice: the user's connection survived its Origin's
 			// restart by re-attaching through another path.
 			p.cfg.Ledger.Record(disrupt.KindReattach, 0, VIPMQTT, "", relay.userID)
 			sp.SetAttr("result", "ack")
 			return true
-		default:
-			p.reg.Counter("edge.mqtt.reconnect.refused").Inc()
-			p.cfg.Ledger.Record(disrupt.KindRetry, 0, VIPMQTT, "", "re_connect refused")
-			sp.Fail(errors.New("proxy: re_connect refused"))
-			st.Reset()
-			return false
 		}
 	case <-ackTimer.C:
 		p.reg.Counter("edge.mqtt.reconnect.timeout").Inc()
 		p.cfg.Ledger.Record(disrupt.KindTimeout, 0, VIPMQTT, "dcr:reconnect-timeout", relay.userID)
-		sp.Fail(errors.New("proxy: connect_ack timeout"))
-		st.Reset()
-		return false
+		err = errors.New("proxy: connect_ack timeout")
 	}
+	sp.Fail(err)
+	st.Reset()
+	return false
 }
 
-// MQTTConnCount returns the number of relayed MQTT connections.
+// MQTTConnCount returns the number of user MQTT connections this
+// generation holds.
 func (p *Proxy) MQTTConnCount() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.mqttConns)
+	return len(ownersOf[*mqttRelay](p))
 }

@@ -27,8 +27,7 @@ type originSession struct {
 	p    *Proxy
 	sess *h2t.Session
 	// idle counts the goroutines blocked in sess.Accept (see acceptStreams).
-	idle  atomic.Int32
-	ended sync.Once
+	idle atomic.Int32
 
 	mu     sync.Mutex
 	relays map[*h2t.Stream]*brokerRelay
@@ -59,13 +58,7 @@ func (os *originSession) removeRelay(st *h2t.Stream) {
 // solicitation payload so the Edge's dcr.reconnect spans join the trace.
 func (os *originSession) startDrain(trace string) {
 	os.sess.GoAway()
-	os.mu.Lock()
-	relays := make([]*brokerRelay, 0, len(os.relays))
-	for _, r := range os.relays {
-		relays = append(relays, r)
-	}
-	os.mu.Unlock()
-	for _, r := range relays {
+	for _, r := range os.takeRelays(false) {
 		payload := r.userID
 		if trace != "" {
 			payload += "\n" + trace
@@ -76,13 +69,7 @@ func (os *originSession) startDrain(trace string) {
 }
 
 func (os *originSession) close() {
-	os.mu.Lock()
-	relays := make([]*brokerRelay, 0, len(os.relays))
-	for _, r := range os.relays {
-		relays = append(relays, r)
-	}
-	os.relays = map[*h2t.Stream]*brokerRelay{}
-	os.mu.Unlock()
+	relays := os.takeRelays(true)
 	// The session first: a relay's broker→stream pump writes to its stream
 	// under the broker connection's read lock (netx.Relay), and a Close of
 	// that connection would wait for a write parked on the stream's window.
@@ -92,33 +79,36 @@ func (os *originSession) close() {
 	}
 }
 
-// handleTunnelConn serves one Edge-facing tunnel connection.
-func (p *Proxy) handleTunnelConn(conn net.Conn) {
-	os := &originSession{
-		p:      p,
-		sess:   h2t.NewSession(conn, false, h2t.WithMetrics(p.tunnelMetrics)),
-		relays: make(map[*h2t.Stream]*brokerRelay),
+// takeRelays returns the relays the session carries, and with forget
+// leaves it none.
+func (os *originSession) takeRelays(forget bool) []*brokerRelay {
+	os.mu.Lock()
+	defer os.mu.Unlock()
+	relays := make([]*brokerRelay, 0, len(os.relays))
+	for _, r := range os.relays {
+		relays = append(relays, r)
 	}
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		os.sess.Close()
-		return
+	if forget {
+		clear(os.relays)
 	}
-	p.srvSessions[os] = struct{}{}
-	draining := p.draining
-	p.mu.Unlock()
-	p.reg.Counter("origin.tunnel.sessions").Inc()
+	return relays
+}
+
+// serve serves one Edge-facing tunnel connection until its session ends.
+func (os *originSession) serve() {
+	os.p.reg.Counter("origin.tunnel.sessions").Inc()
 	// The Edge keeps to a stream window once it has seen any frame of this
 	// session's, and an Origin has none to send before its first response:
 	// it says that it limits nothing, so that the first upload is bounded.
 	os.sess.AdvertiseSettings(0)
-	if draining {
-		// A session accepted in the race window of a drain is immediately
-		// told to go elsewhere.
+	if os.p.Draining() {
+		// A session accepted in the race window of a drain, owned after
+		// the drain looked for sessions, is told to go elsewhere.
 		os.sess.GoAway()
 	}
+	// An acceptor may leave early; the session is owned until it ends.
 	os.acceptStreams()
+	<-os.sess.Done()
 }
 
 // tunnelIdleAcceptors is how many goroutines an idle tunnel session keeps
@@ -131,7 +121,7 @@ const tunnelIdleAcceptors = 3
 // all alike. One that takes a stream and leaves nobody waiting starts a
 // successor before it serves, so a stream never waits for a handler to
 // finish; one that finishes and finds tunnelIdleAcceptors waiting exits;
-// all exit when Accept fails, and the first to see that ends the session.
+// all exit when Accept fails, which is when the session has ended.
 func (os *originSession) acceptStreams() {
 	for {
 		n := os.idle.Load()
@@ -150,41 +140,20 @@ func (os *originSession) acceptStreams() {
 			}()
 		}
 		if err != nil {
-			os.ended.Do(os.end)
 			return
 		}
 		os.p.handleTunnelStream(os, st)
 	}
 }
 
-// end forgets a session that has died and closes what it carried.
-func (os *originSession) end() {
-	os.p.mu.Lock()
-	delete(os.p.srvSessions, os)
-	os.p.mu.Unlock()
-	os.close()
-}
-
 func (p *Proxy) handleTunnelStream(os *originSession, st *h2t.Stream) {
 	hdr := st.Fields()
-	switch hdr.Get("proto") {
-	case "mqtt":
-		p.relayMQTT(os, st, hdr.Get("user-id"), hdr.Get(obs.TraceHeader), false)
-	case "mqtt-resume":
-		p.relayMQTT(os, st, hdr.Get("user-id"), hdr.Get(obs.TraceHeader), true)
+	switch proto := hdr.Get("proto"); proto {
+	case "mqtt", "mqtt-resume":
+		p.relayMQTT(os, st, hdr.Get("user-id"), hdr.Get(obs.TraceHeader), proto == "mqtt-resume")
 	default:
 		p.forwardHTTP(st, hdr)
 	}
-}
-
-// pickBroker resolves a user-id to its broker by consistent hashing — the
-// property that lets ANY healthy Origin find the same broker (§4.2).
-func (p *Proxy) pickBroker(userID string) (string, error) {
-	addr := p.brokerRing.Pick(userID)
-	if addr == "" {
-		return "", errors.New("proxy: no brokers configured")
-	}
-	return addr, nil
 }
 
 // relayMQTT connects a tunnel stream to the user's broker and relays
@@ -202,67 +171,16 @@ func (p *Proxy) relayMQTT(os *originSession, st *h2t.Stream, userID, trace strin
 	}
 	sp := p.cfg.Trace.StartSpan(spanName, remote)
 	sp.SetAttr("user-id", userID)
-	fail := func(err error) {
+	bconn, err := p.brokerConn(st, userID, resume, sp)
+	if err != nil {
+		if resume {
+			// The Edge falls back to its old stream at once.
+			st.SendControl(h2t.FrameConnectRefuse, nil)
+		}
 		sp.Fail(err)
 		sp.End()
-	}
-	if userID == "" {
-		fail(errors.New("proxy: missing user-id"))
 		st.Reset()
 		return
-	}
-	brokerAddr, err := p.pickBroker(userID)
-	if err != nil {
-		fail(err)
-		st.Reset()
-		return
-	}
-	sp.SetAttr("broker", brokerAddr)
-	bconn, err := p.dialUpstream(brokerAddr)
-	if err != nil {
-		p.reg.Counter("origin.mqtt.broker_dial_failed").Inc()
-		if resume {
-			// The Edge falls back to its old stream; not yet terminal.
-			p.cfg.Ledger.Record(disrupt.KindRetry, 0, VIPTunnel, "", "resume: broker dial failed")
-			st.SendControl(h2t.FrameConnectRefuse, nil)
-		} else {
-			p.cfg.Ledger.Record(disrupt.KindReset, 0, VIPTunnel, "origin:broker-dial-failed", userID)
-		}
-		fail(err)
-		st.Reset()
-		return
-	}
-
-	if resume {
-		// §4.2 steps B2/C1-C2: re_connect to the broker holding the
-		// user's context; it accepts only if context exists.
-		if err := mqtt.Encode(bconn, &mqtt.Packet{Type: mqtt.CONNECT, ClientID: userID, CleanSession: false}); err != nil {
-			st.SendControl(h2t.FrameConnectRefuse, nil)
-			bconn.Close()
-			fail(err)
-			st.Reset()
-			return
-		}
-		bconn.SetReadDeadline(time.Now().Add(5 * time.Second))
-		ack, err := mqtt.Decode(bconn)
-		bconn.SetReadDeadline(time.Time{})
-		if err != nil || ack.Type != mqtt.CONNACK || ack.ReturnCode != mqtt.ConnAccepted || !ack.SessionPresent {
-			p.reg.Counter("origin.mqtt.resume_refused").Inc()
-			p.cfg.Ledger.Record(disrupt.KindRetry, 0, VIPTunnel, "", "resume refused by broker")
-			st.SendControl(h2t.FrameConnectRefuse, nil)
-			bconn.Close()
-			fail(errors.New("proxy: broker refused resume"))
-			st.Reset()
-			return
-		}
-		p.reg.Counter("origin.mqtt.resume_ack").Inc()
-		p.cfg.Ledger.Record(disrupt.KindReattach, 0, VIPTunnel, "", userID)
-		if err := st.SendControl(h2t.FrameConnectAck, nil); err != nil {
-			bconn.Close()
-			fail(err)
-			st.Reset()
-			return
-		}
 	}
 	sp.End()
 
@@ -294,6 +212,52 @@ func (p *Proxy) relayMQTT(os *originSession, st *h2t.Stream, userID, trace strin
 	st.Reset()
 	bconn.Close()
 	<-wrote
+}
+
+// brokerConn dials userID's broker, which consistent hashing makes the
+// same from ANY healthy Origin (§4.2). On a resume it has the broker take
+// the user's session back and tells the Edge so with connect_ack.
+func (p *Proxy) brokerConn(st *h2t.Stream, userID string, resume bool, sp *obs.Span) (net.Conn, error) {
+	addr := p.brokerRing.Pick(userID)
+	if userID == "" || addr == "" {
+		return nil, fmt.Errorf("proxy: no broker for user-id %q", userID)
+	}
+	sp.SetAttr("broker", addr)
+	bconn, err := p.dialUpstream(addr)
+	if err != nil {
+		p.reg.Counter("origin.mqtt.broker_dial_failed").Inc()
+		if resume { // not yet terminal: the Edge keeps its old stream
+			p.cfg.Ledger.Record(disrupt.KindRetry, 0, VIPTunnel, "", "resume: broker dial failed")
+		} else {
+			p.cfg.Ledger.Record(disrupt.KindReset, 0, VIPTunnel, "origin:broker-dial-failed", userID)
+		}
+		return nil, err
+	}
+	if !resume {
+		return bconn, nil
+	}
+	// §4.2 steps B2/C1-C2: re_connect to the broker holding the user's
+	// context; it accepts only if context exists.
+	err = mqtt.Encode(bconn, &mqtt.Packet{Type: mqtt.CONNECT, ClientID: userID, CleanSession: false})
+	if err == nil {
+		bconn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		ack, derr := mqtt.Decode(bconn)
+		bconn.SetReadDeadline(time.Time{})
+		if derr != nil || ack.Type != mqtt.CONNACK || ack.ReturnCode != mqtt.ConnAccepted || !ack.SessionPresent {
+			p.reg.Counter("origin.mqtt.resume_refused").Inc()
+			p.cfg.Ledger.Record(disrupt.KindRetry, 0, VIPTunnel, "", "resume refused by broker")
+			err = errors.New("proxy: broker refused resume")
+		} else {
+			p.reg.Counter("origin.mqtt.resume_ack").Inc()
+			p.cfg.Ledger.Record(disrupt.KindReattach, 0, VIPTunnel, "", userID)
+			err = st.SendControl(h2t.FrameConnectAck, nil)
+		}
+	}
+	if err != nil {
+		bconn.Close()
+		return nil, err
+	}
+	return bconn, nil
 }
 
 // upstreamReq is one tunneled request on its way to an app server, with
@@ -330,17 +294,8 @@ func (p *Proxy) forwardHTTP(st *h2t.Stream, hdr h2t.Fields) {
 	if n, err := strconv.ParseInt(hdr.Get("content-length"), 10, 64); err == nil {
 		r.cl = n
 	}
-	p.cRequests.Inc()
-	t0 := time.Now()
-	p.gRIF.Inc()
-	defer p.gRIF.Dec()
-	defer func() { p.latHTTP.Observe(time.Since(t0).Seconds()) }()
-
-	remote, _ := obs.ParseSpanContext(r.trace)
-	sp := p.cfg.Trace.StartSpan("origin.http", remote)
-	sp.SetAttr("method", r.method)
-	sp.SetAttr("path", r.path)
-	defer sp.End()
+	sp, t0 := p.startRequest("origin.http", r.method, r.path, r.trace)
+	defer p.endRequest(sp, t0)
 	if c := sp.Context().String(); c != "" {
 		r.trace = c
 	}

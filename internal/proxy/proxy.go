@@ -205,14 +205,16 @@ type Proxy struct {
 	// and its lease resolution (READY received or undo) — the
 	// "committed-awaiting-ready" state of the release state machine.
 	awaitingReady bool
+	// owners is every connection this generation accepted whose handler
+	// has not returned, as what the handler makes of it. terminate closes
+	// each, and an accept after that is closed instead of owned.
+	owners map[owner]struct{}
 	// edge state
-	tunnels   map[string]*tunnelEntry // origin addr -> session
-	rrOrigin  int
-	mqttConns map[*mqttRelay]struct{}
+	tunnels  map[string]*h2t.Session // origin addr -> session
+	rrOrigin int
 	// origin state
-	srvSessions map[*originSession]struct{}
-	rrApp       int
-	brokerRing  *consistent.Ring
+	rrApp      int
+	brokerRing *consistent.Ring
 
 	// quic is the Edge's UDP stack (nil unless EnableQUIC).
 	quic *quicx.Server
@@ -257,18 +259,6 @@ type Proxy struct {
 	steerLB  *katran.LB
 	steerSeq atomic.Uint64
 
-	// loadConns tracks persistent LOAD probe connections so terminate
-	// can close them — their handler goroutines otherwise block in read
-	// and would hang the drain's wg.Wait.
-	loadConnsMu sync.Mutex
-	loadConns   map[net.Conn]struct{}
-
-	// webConns is every web client connection with a handler goroutine,
-	// which terminate must close because a handler waiting for a request
-	// otherwise returns only when the client hangs up.
-	webConnsMu sync.Mutex
-	webConns   map[*webConn]struct{}
-
 	takeSrv   *takeover.Server
 	drainSpan *obs.Span
 	drainCh   chan struct{}
@@ -282,14 +272,11 @@ func New(cfg Config, reg *metrics.Registry) *Proxy {
 		reg = metrics.NewRegistry()
 	}
 	p := &Proxy{
-		cfg:         cfg,
-		reg:         reg,
-		tunnels:     make(map[string]*tunnelEntry),
-		mqttConns:   make(map[*mqttRelay]struct{}),
-		srvSessions: make(map[*originSession]struct{}),
-		webConns:    make(map[*webConn]struct{}),
-		loadConns:   make(map[net.Conn]struct{}),
-		drainCh:     make(chan struct{}),
+		cfg:     cfg,
+		reg:     reg,
+		owners:  make(map[owner]struct{}),
+		tunnels: make(map[string]*h2t.Session),
+		drainCh: make(chan struct{}),
 	}
 	p.gRIF = reg.Gauge("proxy.rif")
 	p.tunnelMetrics = h2t.NewMetrics(reg)
@@ -340,35 +327,28 @@ func (p *Proxy) Metrics() *metrics.Registry { return p.reg }
 // Name returns the instance name.
 func (p *Proxy) Name() string { return p.cfg.Name }
 
-// vipsForRole returns the VIPs this role binds (port 0 = ephemeral unless
-// pinned in overrides).
-func vipsForRole(role Role, host string, enableQUIC bool, overrides map[string]string) []takeover.VIP {
-	addr := func(name string) string {
-		if a, ok := overrides[name]; ok {
-			return a
-		}
-		return host + ":0"
-	}
-	var names []string
-	switch role {
-	case RoleEdge:
-		names = []string{VIPWeb, VIPMQTT, VIPHealth}
-	default:
-		names = []string{VIPTunnel, VIPHealth}
-	}
-	vips := make([]takeover.VIP, 0, len(names)+1)
-	for _, n := range names {
-		vips = append(vips, takeover.VIP{Name: n, Network: takeover.NetworkTCP, Addr: addr(n)})
-	}
-	if role == RoleEdge && enableQUIC {
-		vips = append(vips, takeover.VIP{Name: VIPQUIC, Network: takeover.NetworkUDP, Addr: addr(VIPQUIC)})
-	}
-	return vips
-}
-
-// Listen binds fresh VIP sockets on 127.0.0.1 and starts serving.
+// Listen binds fresh sockets on 127.0.0.1 for the TCP VIPs this role
+// serves, and the QUIC one when enabled at the Edge (port 0, ephemeral,
+// unless pinned in Config.VIPAddrs), and starts serving.
 func (p *Proxy) Listen() error {
-	set, err := takeover.Listen(vipsForRole(p.cfg.Role, "127.0.0.1", p.cfg.EnableQUIC, p.cfg.VIPAddrs)...)
+	var vips []takeover.VIP
+	for _, name := range []string{VIPWeb, VIPMQTT, VIPTunnel, VIPHealth, VIPQUIC} {
+		network := takeover.NetworkTCP
+		if name == VIPQUIC {
+			network = takeover.NetworkUDP
+			if !p.cfg.EnableQUIC || p.cfg.Role != RoleEdge {
+				continue
+			}
+		} else if p.acceptor(name) == nil {
+			continue
+		}
+		addr, ok := p.cfg.VIPAddrs[name]
+		if !ok {
+			addr = "127.0.0.1:0"
+		}
+		vips = append(vips, takeover.VIP{Name: name, Network: network, Addr: addr})
+	}
+	set, err := takeover.Listen(vips...)
 	if err != nil {
 		return err
 	}
@@ -379,28 +359,38 @@ func (p *Proxy) Listen() error {
 	return nil
 }
 
-// tcpHandler returns the connection handler a named TCP VIP is served
-// with in this proxy's role, or nil for VIPs the role does not serve. It
-// is the single source of truth for VIP→handler wiring, shared by Adopt
-// (initial arming) and undoDrain (re-arming after a drain-undo).
-func (p *Proxy) tcpHandler(name string) func(net.Conn) {
-	switch name {
-	case VIPHealth:
-		return p.handleHealthConn
-	case VIPWeb:
-		if p.cfg.Role == RoleEdge {
-			return p.handleEdgeHTTPConn
+// acceptor returns what a connection accepted on the named TCP VIP is
+// owned as in this proxy's role, or nil for VIPs the role does not serve:
+// the single source of truth for VIP→handler wiring.
+func (p *Proxy) acceptor(name string) func(net.Conn) owner {
+	switch {
+	case name == VIPHealth:
+		return func(c net.Conn) owner { return &healthConn{c, p} }
+	case name == VIPWeb && p.cfg.Role == RoleEdge:
+		return func(c net.Conn) owner {
+			wc := &webConn{Conn: c, p: p}
+			wc.ka.Init(c, wc)
+			return wc
 		}
-	case VIPMQTT:
-		if p.cfg.Role == RoleEdge {
-			return p.handleEdgeMQTTConn
-		}
-	case VIPTunnel:
-		if p.cfg.Role == RoleOrigin {
-			return p.handleTunnelConn
+	case name == VIPMQTT && p.cfg.Role == RoleEdge:
+		return func(c net.Conn) owner { return &mqttRelay{p: p, clientConn: c} }
+	case name == VIPTunnel && p.cfg.Role == RoleOrigin:
+		return func(c net.Conn) owner {
+			sess := h2t.NewSession(c, false, h2t.WithMetrics(p.tunnelMetrics))
+			return &originSession{p: p, sess: sess, relays: make(map[*h2t.Stream]*brokerRelay)}
 		}
 	}
 	return nil
+}
+
+// arm starts an accept loop on every TCP listener of set that this role
+// serves.
+func (p *Proxy) arm(set *takeover.ListenerSet) {
+	for _, v := range set.VIPs() {
+		if accept := p.acceptor(v.Name); accept != nil && v.Network == takeover.NetworkTCP {
+			p.serveLoop(v.Name, set.TCP(v.Name), accept)
+		}
+	}
 }
 
 // Adopt starts serving on an existing listener set — either freshly bound
@@ -414,29 +404,16 @@ func (p *Proxy) Adopt(set *takeover.ListenerSet) error {
 	p.set = set
 	p.mu.Unlock()
 
-	for _, v := range set.VIPs() {
-		if v.Network != takeover.NetworkTCP {
-			continue
-		}
-		handler := p.tcpHandler(v.Name)
-		if handler == nil {
-			continue
-		}
-		if ln := set.TCP(v.Name); ln != nil {
-			p.serveLoop(v.Name, ln, handler)
-		}
-	}
-	if p.cfg.Role == RoleEdge {
-		if pc := set.UDP(VIPQUIC); pc != nil {
-			// The shared *net.UDPConn stays in the listener set for FD
-			// hand-off; the serving stack sees it through the optional
-			// fault-injecting PacketConn wrapper.
-			q := quicx.NewServer(p.cfg.Name+"/quic", p.cfg.AcceptFaults.PacketConn(pc), p.quicHandler, p.reg)
-			p.mu.Lock()
-			p.quic = q
-			p.mu.Unlock()
-			q.Start()
-		}
+	p.arm(set)
+	if pc := set.UDP(VIPQUIC); pc != nil && p.cfg.Role == RoleEdge {
+		// The shared *net.UDPConn stays in the listener set for FD
+		// hand-off; the serving stack sees it through the optional
+		// fault-injecting PacketConn wrapper.
+		q := quicx.NewServer(p.cfg.Name+"/quic", p.cfg.AcceptFaults.PacketConn(pc), p.quicHandler, p.reg)
+		p.mu.Lock()
+		p.quic = q
+		p.mu.Unlock()
+		q.Start()
 	}
 	return nil
 }
@@ -467,9 +444,42 @@ func (p *Proxy) dialUpstream(addr string) (net.Conn, error) {
 	return p.cfg.Faults.Dial("tcp", addr, p.cfg.DialTimeout)
 }
 
-// serveLoop runs an accept loop feeding handler goroutines. vip names
-// the listener for ledger attribution of accepted connections.
-func (p *Proxy) serveLoop(vip string, ln *net.TCPListener, handler func(net.Conn)) {
+// startRequest begins every request this proxy serves, at either role: it
+// is counted, it is in flight (the RIF that LOAD answers advertise) until
+// endRequest, and its span, called name, joins the trace whose context
+// came with it in x-zdr-trace. A deferred endRequest ends the span and
+// times the request.
+func (p *Proxy) startRequest(name, method, path, trace string) (*obs.Span, time.Time) {
+	t0 := time.Now()
+	p.cRequests.Inc()
+	p.gRIF.Inc()
+	remote, _ := obs.ParseSpanContext(trace)
+	sp := p.cfg.Trace.StartSpan(name, remote)
+	sp.SetAttr("method", method)
+	sp.SetAttr("path", path)
+	return sp, t0
+}
+
+func (p *Proxy) endRequest(sp *obs.Span, t0 time.Time) {
+	sp.End()
+	p.latHTTP.Observe(time.Since(t0).Seconds())
+	p.gRIF.Dec()
+}
+
+// An owner is one accepted connection as its generation holds it, from
+// accept until serve, its handler, returns. close ends the connection and
+// what serve built on it, from any goroutine, in the order those parts
+// need and without waiting for serve.
+type owner interface {
+	serve()
+	close()
+}
+
+// serveLoop runs an accept loop on vip's listener: each connection is
+// owned, as accept makes it, before anything reads it and until its
+// handler returns, and one accepted after terminate's sweep is closed.
+// vip names the listener for ledger attribution of accepted connections.
+func (p *Proxy) serveLoop(vip string, ln *net.TCPListener, accept func(net.Conn) owner) {
 	p.wg.Add(1)
 	go func() {
 		defer p.wg.Done()
@@ -479,32 +489,42 @@ func (p *Proxy) serveLoop(vip string, ln *net.TCPListener, handler func(net.Conn
 				return // listener handle closed (drain or shutdown)
 			}
 			p.cfg.Ledger.Record(disrupt.KindAccept, p.connSeq.Add(1), vip, "", "")
-			c := p.cfg.AcceptFaults.Conn(conn)
+			o := accept(p.cfg.AcceptFaults.Conn(conn))
+			p.mu.Lock()
+			if p.closed {
+				p.mu.Unlock()
+				o.close()
+				continue
+			}
+			p.owners[o] = struct{}{}
+			p.mu.Unlock()
 			p.wg.Add(1)
 			go func() {
 				defer p.wg.Done()
-				handler(c)
+				o.serve()
+				p.mu.Lock()
+				delete(p.owners, o)
+				p.mu.Unlock()
+				o.close()
 			}()
 		}
 	}()
 }
 
-// Addr returns the bound address of the named VIP ("" if absent).
-func (p *Proxy) Addr(vip string) string {
-	p.mu.Lock()
-	set := p.set
-	p.mu.Unlock()
-	if set == nil {
-		return ""
+// ownersOf returns the owners of type T, for the work that is only
+// theirs. Callers hold p.mu.
+func ownersOf[T owner](p *Proxy) []T {
+	var out []T
+	for o := range p.owners {
+		if t, ok := o.(T); ok {
+			out = append(out, t)
+		}
 	}
-	if ln := set.TCP(vip); ln != nil {
-		return ln.Addr().String()
-	}
-	if pc := set.UDP(vip); pc != nil {
-		return pc.LocalAddr().String()
-	}
-	return ""
+	return out
 }
+
+// Addr returns the bound address of the named VIP ("" if absent).
+func (p *Proxy) Addr(vip string) string { return p.VIPAddrs()[vip] }
 
 // VIPAddrs returns the bound address of every VIP this instance serves.
 // Used by the fresh-socket restart path (§5.1 remediation), where the next
@@ -617,34 +637,6 @@ func (p *Proxy) loadSample() katran.LoadSample {
 	return s
 }
 
-// serveLoadConn answers load probes on a persistent connection: one
-// LOAD line per "LOAD\n" request until the prober hangs up or this
-// instance terminates. The connection stays open across a drain — a
-// draining instance stops accepting but keeps serving established
-// connections, so the probe channel is exactly how the drain
-// advertisement reaches steering peers instantly.
-func (p *Proxy) serveLoadConn(conn net.Conn, br *bufio.Reader) {
-	p.loadConnsMu.Lock()
-	p.loadConns[conn] = struct{}{}
-	p.loadConnsMu.Unlock()
-	defer func() {
-		p.loadConnsMu.Lock()
-		delete(p.loadConns, conn)
-		p.loadConnsMu.Unlock()
-	}()
-	for {
-		p.reg.Counter("proxy.loadprobes").Inc()
-		if _, err := fmt.Fprint(conn, katran.EncodeLoadLine(p.loadSample())); err != nil {
-			return
-		}
-		conn.SetDeadline(time.Now().Add(time.Minute))
-		line, err := br.ReadString('\n')
-		if err != nil || line != "LOAD\n" {
-			return
-		}
-	}
-}
-
 // Draining reports whether the proxy is in its drain phase.
 func (p *Proxy) Draining() bool {
 	p.mu.Lock()
@@ -669,6 +661,15 @@ func (p *Proxy) readyToServe() error {
 	return nil
 }
 
+// healthConn is a connection on the health VIP.
+type healthConn struct {
+	net.Conn
+	p *Proxy
+}
+
+func (hc *healthConn) serve() { hc.p.handleHealthConn(hc.Conn) }
+func (hc *healthConn) close() { hc.Conn.Close() }
+
 // handleHealthConn answers Katran's probes and the monitoring plane:
 //
 //	"HC\n"    → "OK\n", or "DRAIN\n" while draining (§2.3: draining
@@ -680,7 +681,6 @@ func (p *Proxy) readyToServe() error {
 //	            release signal (§6: "Each restarting instance emits a
 //	            signal through which its status can be observed").
 func (p *Proxy) handleHealthConn(conn net.Conn) {
-	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(2 * time.Second))
 	br := bufio.NewReader(conn)
 	line, err := br.ReadString('\n')
@@ -689,7 +689,18 @@ func (p *Proxy) handleHealthConn(conn net.Conn) {
 	}
 	switch line {
 	case "LOAD\n":
-		p.serveLoadConn(conn, br)
+		// The connection stays open, across a drain too — a draining
+		// instance keeps serving established connections — so the probe
+		// channel is how the drain advertisement reaches steering peers
+		// at once.
+		for line == "LOAD\n" {
+			p.reg.Counter("proxy.loadprobes").Inc()
+			if _, err := fmt.Fprint(conn, katran.EncodeLoadLine(p.loadSample())); err != nil {
+				return
+			}
+			conn.SetDeadline(time.Now().Add(time.Minute))
+			line, _ = br.ReadString('\n')
+		}
 	case "HC\n":
 		p.reg.Counter("proxy.healthchecks").Inc()
 		if p.Draining() {
@@ -713,7 +724,7 @@ func (p *Proxy) handleHealthConn(conn net.Conn) {
 // hand-off happens in the background.
 func (p *Proxy) ServeTakeover(path string) error {
 	p.mu.Lock()
-	set := p.set
+	set, quic := p.set, p.quic
 	p.mu.Unlock()
 	if set == nil {
 		return errors.New("proxy: not serving yet")
@@ -738,15 +749,16 @@ func (p *Proxy) ServeTakeover(path string) error {
 		},
 		OnReady: func(takeover.Result) {
 			// The receiver confirmed serving: the lease is released and
-			// the drain is final.
+			// the drain is final. The ledger says so only if it still
+			// holds this generation's committed-awaiting-ready stamp: one
+			// shared with the receiver is the serving generation's, and
+			// this instance's drain tail must not regress it.
 			p.mu.Lock()
 			p.awaitingReady = false
 			p.mu.Unlock()
 			p.reg.Counter("proxy.takeover_readies").Inc()
-			// No ledger re-stamp here: the receiver stamped "serving" for
-			// the new generation when it sent READY, and this instance's
-			// remaining drain tail must not regress a shared ledger to
-			// "draining" under the old generation forever.
+			gen := p.cfg.Generation
+			p.cfg.Ledger.CompareAndSetPhase(katran.PhaseCommitted, gen, katran.PhaseDraining, gen)
 		},
 		OnUndo: func(rearmed *takeover.ListenerSet, cause error) {
 			// The lease broke before READY: the receiver is presumed dead
@@ -764,9 +776,6 @@ func (p *Proxy) ServeTakeover(path string) error {
 			p.reg.Counter("proxy.takeover_aborts").Inc()
 		},
 	}
-	p.mu.Lock()
-	quic := p.quic
-	p.mu.Unlock()
 	if quic != nil {
 		// Pre-configure the host-local forward address for user-space UDP
 		// routing and advertise it to the next generation (§4.1).
@@ -914,11 +923,8 @@ func (p *Proxy) startDrainingTraced(peerTrace string) {
 		return
 	}
 	p.draining = true
-	set := p.set
-	sessions := make([]*originSession, 0, len(p.srvSessions))
-	for s := range p.srvSessions {
-		sessions = append(sessions, s)
-	}
+	set, quic := p.set, p.quic
+	sessions := ownersOf[*originSession](p)
 	remote, _ := obs.ParseSpanContext(peerTrace)
 	sp := p.cfg.Trace.StartSpan("proxy.drain", remote)
 	sp.SetAttr("instance", p.cfg.Name)
@@ -937,9 +943,6 @@ func (p *Proxy) startDrainingTraced(peerTrace string) {
 	if set != nil {
 		set.CloseTCP()
 	}
-	p.mu.Lock()
-	quic := p.quic
-	p.mu.Unlock()
 	if quic != nil {
 		quic.StartDraining()
 	}
@@ -962,12 +965,10 @@ func (p *Proxy) startDrainingTraced(peerTrace string) {
 // during the recovery window still queued in their backlogs.
 //
 // The TCP listeners are folded back into the serving set (the drain's
-// CloseTCP removed those entries) and their accept loops restarted; the
-// UDP dups are redundant — the draining instance never closed its UDP
-// handles — so they are dropped and the QUIC stack just resumes reading.
-// Origin sessions that already received a reconnect solicitation are left
-// alone: DCR re-homes those streams through another Origin regardless
-// (§4.2), while unsolicited future connections land here again.
+// CloseTCP removed those entries) and armed; the QUIC stack just resumes
+// reading. Origin sessions that already received a reconnect solicitation
+// are left alone: DCR re-homes those streams through another Origin
+// regardless (§4.2), while unsolicited future connections land here again.
 func (p *Proxy) undoDrain(rearmed *takeover.ListenerSet, cause error) {
 	p.mu.Lock()
 	if p.closed || !p.draining {
@@ -984,28 +985,15 @@ func (p *Proxy) undoDrain(rearmed *takeover.ListenerSet, cause error) {
 	quic := p.quic
 	p.mu.Unlock()
 
+	// The UDP dups go: the draining instance never closed its own.
 	for _, v := range rearmed.VIPs() {
 		if v.Network == takeover.NetworkUDP {
-			if pc := rearmed.UDP(v.Name); pc != nil {
-				pc.Close()
-			}
-			continue
-		}
-		ln := rearmed.TCP(v.Name)
-		if ln == nil {
-			continue
-		}
-		handler := p.tcpHandler(v.Name)
-		if handler == nil || set == nil || set.TCP(v.Name) != nil {
+			rearmed.UDP(v.Name).Close()
+		} else if ln := rearmed.TCP(v.Name); p.acceptor(v.Name) == nil || set.AddTCP(v.Name, ln) != nil {
 			ln.Close()
-			continue
 		}
-		if err := set.AddTCP(v.Name, ln); err != nil {
-			ln.Close()
-			continue
-		}
-		p.serveLoop(v.Name, ln, handler)
 	}
+	p.arm(set)
 	if quic != nil {
 		quic.UndoDrain()
 	}
@@ -1039,8 +1027,7 @@ func (p *Proxy) Close() { p.terminate() }
 // survivable rollback into client-visible disruption.
 func (p *Proxy) stepDown() {
 	p.mu.Lock()
-	closed := p.closed
-	set := p.set
+	closed, set := p.closed, p.set
 	p.mu.Unlock()
 	if closed {
 		return
@@ -1073,72 +1060,44 @@ func (p *Proxy) terminate() {
 	}
 	drainSpan := p.drainSpan
 	p.drainSpan = nil
-	set := p.set
-	takeSrv := p.takeSrv
-	tunnels := make([]*tunnelEntry, 0, len(p.tunnels))
-	for _, te := range p.tunnels {
-		tunnels = append(tunnels, te)
+	set, takeSrv, quic := p.set, p.takeSrv, p.quic
+	tunnels := make([]*h2t.Session, 0, len(p.tunnels))
+	for _, sess := range p.tunnels {
+		tunnels = append(tunnels, sess)
 	}
-	relays := make([]*mqttRelay, 0, len(p.mqttConns))
-	for r := range p.mqttConns {
-		relays = append(relays, r)
-	}
-	sessions := make([]*originSession, 0, len(p.srvSessions))
-	for s := range p.srvSessions {
-		sessions = append(sessions, s)
-	}
+	owners, relays := ownersOf[owner](p), ownersOf[*mqttRelay](p)
 	p.mu.Unlock()
 
-	// Web connections are forcefully terminated at the end of the
-	// draining period (§4.1): an idle keep-alive connection just closes,
-	// one cut mid-request is a disruption and is recorded as one.
-	p.webConnsMu.Lock()
-	webConns := make([]*webConn, 0, len(p.webConns))
-	for wc := range p.webConns {
-		webConns = append(webConns, wc)
-	}
-	p.webConnsMu.Unlock()
-	for _, wc := range webConns {
-		if wc.busy.Load() {
-			p.cfg.Ledger.Record(disrupt.KindReset, 0, VIPWeb, "drain-expired", "")
+	// Accepted connections are forcefully terminated at the end of the
+	// draining period (§4.1), each by its owner: a client that has said
+	// nothing, or waits for its next request, just goes; a request cut
+	// in the middle is a disruption and is recorded as one. An MQTT
+	// relay goes after the tunnels: its close resets its stream, and that
+	// write would wait behind one parked on a tunnel whose Origin stopped
+	// reading, which only the tunnel's close frees.
+	for _, o := range owners {
+		if _, relay := o.(*mqttRelay); !relay {
+			o.close()
 		}
-		wc.Close()
 	}
 	p.upstream.close()
 
 	if takeSrv != nil {
 		takeSrv.Close()
 	}
-	p.mu.Lock()
-	quic := p.quic
-	p.mu.Unlock()
 	if quic != nil {
 		quic.Close()
 	}
 	if set != nil {
 		set.Close()
 	}
-	for _, te := range tunnels {
-		te.sess.Close()
+	for _, sess := range tunnels {
+		sess.Close()
 	}
 	for _, r := range relays {
 		r.close()
 	}
-	for _, s := range sessions {
-		s.close()
-	}
-	// Persistent LOAD probe channels have a goroutine blocked in read;
-	// close them or wg.Wait below never returns. The embedded steering
-	// LB goes with them (its probe pools hold channels to the origins).
-	p.loadConnsMu.Lock()
-	loadConns := make([]net.Conn, 0, len(p.loadConns))
-	for c := range p.loadConns {
-		loadConns = append(loadConns, c)
-	}
-	p.loadConnsMu.Unlock()
-	for _, c := range loadConns {
-		c.Close()
-	}
+	// The embedded steering LB's probe pools hold channels to the origins.
 	if p.steerLB != nil {
 		p.steerLB.Close()
 	}

@@ -116,7 +116,7 @@ func downstreamFlowing(t *testing.T) (*topology, net.Conn) {
 func (tp *topology) theRelay() (relay *mqttRelay) {
 	tp.edge.mu.Lock()
 	defer tp.edge.mu.Unlock()
-	for r := range tp.edge.mqttConns {
+	for _, r := range ownersOf[*mqttRelay](tp.edge) {
 		relay = r
 	}
 	return relay

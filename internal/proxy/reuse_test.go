@@ -152,10 +152,11 @@ func onlySession(t *testing.T, o *Proxy) *originSession {
 	waitFor(t, "the Origin to have its tunnel session", func() bool {
 		o.mu.Lock()
 		defer o.mu.Unlock()
-		for os := range o.srvSessions {
+		sessions := ownersOf[*originSession](o)
+		for _, os := range sessions {
 			found = os
 		}
-		return len(o.srvSessions) == 1
+		return len(sessions) == 1
 	})
 	return found
 }
@@ -222,7 +223,7 @@ func TestTunnelAcceptors(t *testing.T) {
 	waitFor(t, "every acceptor to exit with its session", func() bool {
 		o.mu.Lock()
 		defer o.mu.Unlock()
-		return len(o.srvSessions) == 0 && acceptorGoroutines() == 0
+		return len(ownersOf[*originSession](o)) == 0 && acceptorGoroutines() == 0
 	})
 }
 

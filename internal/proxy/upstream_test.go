@@ -928,9 +928,9 @@ func TestCloseDoesNotWaitForWebClients(t *testing.T) {
 	// returned: only then is the connection idle, and proxy.rif the
 	// stuck request's alone.
 	waitFor(t, "the keep-alive request's handler to return", func() bool {
-		edge.webConnsMu.Lock()
-		defer edge.webConnsMu.Unlock()
-		for wc := range edge.webConns {
+		edge.mu.Lock()
+		defer edge.mu.Unlock()
+		for _, wc := range ownersOf[*webConn](edge) {
 			if wc.busy.Load() {
 				return false
 			}
