@@ -31,7 +31,7 @@ const (
 	TierSmall  = 4 << 10   // keep-alive and broker read room, the Origin's request heads, datagrams
 	TierMedium = 16 << 10  // h2t frame scratch, MQTT pumps
 	TierLarge  = 64 << 10  // max h2t frame / max datagram, proxy copy loops
-	TierXLarge = 256 << 10 // http1 message writer's scratch, PPR body capture
+	TierXLarge = 256 << 10 // a streamed http1 message's scratch, PPR body capture
 )
 
 var tiers = [...]int{TierSmall, TierMedium, TierLarge, TierXLarge}

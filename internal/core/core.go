@@ -14,9 +14,8 @@
 //     and-replace (the tier is too memory-constrained for two parallel
 //     instances, §4.4) during which in-flight POSTs are handed back to the
 //     downstream proxy via PPR.
-//   - Release executes a rolling update over any set of Restartables in
-//     batches (§2.3), recording per-batch and total completion times —
-//     the quantity Fig. 16 reports.
+//   - ReleaseReport is the machine-readable record of a traced release,
+//     built from its spans; internal/fleet drives the release itself.
 package core
 
 import (
@@ -29,7 +28,6 @@ import (
 
 	"zdr/internal/appserver"
 	"zdr/internal/faults"
-	"zdr/internal/metrics"
 	"zdr/internal/obs"
 	"zdr/internal/proxy"
 	"zdr/internal/takeover"
@@ -55,8 +53,8 @@ type RestartOptions struct {
 // RestartOption mutates RestartOptions. Options are applied in order.
 type RestartOption func(*RestartOptions)
 
-// WithTrace records the restart as a span tree under parent. Run passes
-// it automatically when Plan.Trace is set.
+// WithTrace records the restart as a span tree under parent. The fleet
+// orchestrator passes its batch span.
 func WithTrace(parent *obs.Span) RestartOption {
 	return func(o *RestartOptions) { o.Trace = parent }
 }
@@ -69,13 +67,6 @@ type Restartable interface {
 	// once the new generation is serving. Options modify a single call;
 	// no options means an untraced default restart.
 	Restart(opts ...RestartOption) error
-}
-
-// DrainWaiter is a release target whose restarts leave background drains
-// running. Run waits for them before assembling a traced report, so the
-// report's slot.drain spans are complete.
-type DrainWaiter interface {
-	WaitDrains()
 }
 
 // ProxySlot manages generations of a Proxygen instance.
@@ -266,7 +257,8 @@ func (s *ProxySlot) restart(sp *obs.Span) error {
 }
 
 // WaitDrains blocks until every background drain started by Restart has
-// retired its old generation. Implements DrainWaiter.
+// retired its old generation: a traced release waits for it before it
+// reads the spans, so that every slot.drain span has ended.
 func (s *ProxySlot) WaitDrains() { s.drainWG.Wait() }
 
 // State summarises the slot for /debug/release.
@@ -542,154 +534,4 @@ func (s *AppServerSlot) Close() {
 	if cur != nil {
 		cur.Close()
 	}
-}
-
-// Plan configures a rolling release (§2.3: updates are released to
-// batches of machines; each batch drains before the next begins).
-type Plan struct {
-	// BatchFraction is the fraction of the fleet restarted concurrently
-	// (the paper evaluates 5%, 15% and 20%). Default 0.2.
-	BatchFraction float64
-	// BatchDelay is a pause between batches (the "time gap when one
-	// batch finished and the other started" visible in Fig. 3a).
-	BatchDelay time.Duration
-	// FailFast aborts the release on the first restart error; otherwise
-	// errors are recorded and the release continues.
-	FailFast bool
-	// Trace, when non-nil, records the release as a span tree: a root
-	// "release" span, one "release.batch" span per batch, and per-target
-	// "slot.restart" trees (Run passes WithTrace to every Restart).
-	// The finished spans are folded into Report.Release.
-	Trace *obs.Tracer
-	// ReportPath, when non-empty, writes the ReleaseReport JSON there
-	// after the release completes (even a FailFast-aborted one).
-	ReportPath string
-}
-
-// BatchReport records one batch's outcome.
-type BatchReport struct {
-	Targets  []string
-	Duration time.Duration
-	Errors   []error
-}
-
-// Report summarises a release.
-type Report struct {
-	Total    time.Duration
-	Batches  []BatchReport
-	Restarts int
-	Failed   int
-	// Release is the machine-readable report (per-phase durations,
-	// counters, span tree). Built when Plan.Trace or Plan.ReportPath is
-	// set; nil otherwise.
-	Release *ReleaseReport
-}
-
-// Run executes a rolling release over targets. Restarts within a batch run
-// concurrently; batches are sequential.
-//
-// With Plan.Trace set, the release is recorded as a span tree (root
-// "release" span, per-batch "release.batch" spans, per-target restart
-// trees) and Report.Release carries the machine-readable ReleaseReport;
-// Run waits for background drains (DrainWaiter targets) first so the
-// report's drain spans are complete.
-func Run(plan Plan, targets []Restartable, reg *metrics.Registry) (*Report, error) {
-	if plan.BatchFraction <= 0 || plan.BatchFraction > 1 {
-		plan.BatchFraction = 0.2
-	}
-	if reg == nil {
-		reg = metrics.NewRegistry()
-	}
-	batchSize := int(float64(len(targets)) * plan.BatchFraction)
-	if batchSize < 1 {
-		batchSize = 1
-	}
-	wantReport := plan.Trace != nil || plan.ReportPath != ""
-	var countersBefore map[string]int64
-	if wantReport {
-		countersBefore = reg.Snapshot().Counters
-	}
-	root := plan.Trace.StartSpan("release", obs.SpanContext{})
-	root.SetAttr("targets", strconv.Itoa(len(targets)))
-	root.SetAttr("batch_fraction", strconv.FormatFloat(plan.BatchFraction, 'g', -1, 64))
-
-	report := &Report{}
-	start := time.Now()
-	// finish closes the release span, settles background drains, and
-	// assembles the machine-readable report. Used by both the normal and
-	// the FailFast-abort exits.
-	finish := func(runErr error) (*Report, error) {
-		report.Total = time.Since(start)
-		root.Fail(runErr)
-		root.End()
-		if !wantReport {
-			return report, runErr
-		}
-		if plan.Trace != nil {
-			// Drains outlive Restart; wait so their spans are finished.
-			for _, t := range targets {
-				if dw, ok := t.(DrainWaiter); ok {
-					dw.WaitDrains()
-				}
-			}
-		}
-		report.Release = buildReleaseReport(report, plan.BatchFraction,
-			countersBefore, reg.Snapshot().Counters, plan.Trace.Finished())
-		if plan.ReportPath != "" {
-			if err := report.Release.WriteFile(plan.ReportPath); err != nil && runErr == nil {
-				runErr = err
-			}
-		}
-		return report, runErr
-	}
-	for off := 0; off < len(targets); off += batchSize {
-		end := off + batchSize
-		if end > len(targets) {
-			end = len(targets)
-		}
-		batch := targets[off:end]
-		br := BatchReport{}
-		for _, t := range batch {
-			br.Targets = append(br.Targets, t.Name())
-		}
-		bSp := root.StartChild("release.batch")
-		bSp.SetAttr("batch", strconv.Itoa(len(report.Batches)))
-		bStart := time.Now()
-		errs := make([]error, len(batch))
-		var wg sync.WaitGroup
-		for i, t := range batch {
-			wg.Add(1)
-			go func(i int, t Restartable) {
-				defer wg.Done()
-				if plan.Trace != nil {
-					errs[i] = t.Restart(WithTrace(bSp))
-					return
-				}
-				errs[i] = t.Restart()
-			}(i, t)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			report.Restarts++
-			reg.Counter("core.restarts").Inc()
-			if err != nil {
-				report.Failed++
-				reg.Counter("core.restart_failures").Inc()
-				br.Errors = append(br.Errors, err)
-			}
-		}
-		br.Duration = time.Since(bStart)
-		if len(br.Errors) > 0 {
-			bSp.Fail(br.Errors[0])
-		}
-		bSp.End()
-		report.Batches = append(report.Batches, br)
-		if plan.FailFast && len(br.Errors) > 0 {
-			return finish(br.Errors[0])
-		}
-		if end < len(targets) && plan.BatchDelay > 0 {
-			time.Sleep(plan.BatchDelay)
-		}
-	}
-	return finish(nil)
 }

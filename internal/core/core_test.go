@@ -2,143 +2,16 @@ package core
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
 	"net"
 	"path/filepath"
-	"sync"
 	"testing"
 	"time"
 
 	"zdr/internal/appserver"
 	"zdr/internal/http1"
-	"zdr/internal/metrics"
 	"zdr/internal/proxy"
 )
-
-// fakeTarget is a scripted Restartable for Plan/Run unit tests.
-type fakeTarget struct {
-	name  string
-	delay time.Duration
-	err   error
-
-	mu       sync.Mutex
-	restarts int
-	at       []time.Time
-}
-
-func (f *fakeTarget) Name() string { return f.name }
-func (f *fakeTarget) Restart(opts ...RestartOption) error {
-	f.mu.Lock()
-	f.restarts++
-	f.at = append(f.at, time.Now())
-	f.mu.Unlock()
-	if f.delay > 0 {
-		time.Sleep(f.delay)
-	}
-	return f.err
-}
-
-func TestRunRestartsEveryTarget(t *testing.T) {
-	var targets []Restartable
-	var fakes []*fakeTarget
-	for i := 0; i < 10; i++ {
-		f := &fakeTarget{name: fmt.Sprintf("t%d", i)}
-		fakes = append(fakes, f)
-		targets = append(targets, f)
-	}
-	rep, err := Run(Plan{BatchFraction: 0.2}, targets, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Restarts != 10 || rep.Failed != 0 {
-		t.Fatalf("report = %+v", rep)
-	}
-	if len(rep.Batches) != 5 {
-		t.Fatalf("batches = %d, want 5 (20%% of 10)", len(rep.Batches))
-	}
-	for _, f := range fakes {
-		if f.restarts != 1 {
-			t.Fatalf("%s restarted %d times", f.name, f.restarts)
-		}
-	}
-}
-
-func TestRunBatchSizing(t *testing.T) {
-	cases := []struct {
-		n        int
-		fraction float64
-		batches  int
-	}{
-		{10, 0.5, 2},
-		{10, 1.0, 1},
-		{3, 0.2, 3},  // batch size clamps to 1
-		{10, -1, 5},  // invalid fraction -> default 0.2
-		{10, 1.5, 5}, // invalid fraction -> default 0.2
-	}
-	for _, c := range cases {
-		var targets []Restartable
-		for i := 0; i < c.n; i++ {
-			targets = append(targets, &fakeTarget{name: fmt.Sprintf("t%d", i)})
-		}
-		rep, err := Run(Plan{BatchFraction: c.fraction}, targets, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rep.Batches) != c.batches {
-			t.Fatalf("n=%d f=%v: batches = %d, want %d", c.n, c.fraction, len(rep.Batches), c.batches)
-		}
-	}
-}
-
-func TestRunRecordsErrorsAndContinues(t *testing.T) {
-	boom := errors.New("boom")
-	targets := []Restartable{
-		&fakeTarget{name: "a", err: boom},
-		&fakeTarget{name: "b"},
-	}
-	reg := metrics.NewRegistry()
-	rep, err := Run(Plan{BatchFraction: 0.5}, targets, reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Failed != 1 || rep.Restarts != 2 {
-		t.Fatalf("report = %+v", rep)
-	}
-	if reg.CounterValue("core.restart_failures") != 1 {
-		t.Fatal("failure not counted")
-	}
-}
-
-func TestRunFailFast(t *testing.T) {
-	boom := errors.New("boom")
-	second := &fakeTarget{name: "b"}
-	targets := []Restartable{&fakeTarget{name: "a", err: boom}, second}
-	_, err := Run(Plan{BatchFraction: 0.5, FailFast: true}, targets, nil)
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v", err)
-	}
-	if second.restarts != 0 {
-		t.Fatal("fail-fast still restarted the next batch")
-	}
-}
-
-func TestRunBatchesAreConcurrentWithinSequentialBatches(t *testing.T) {
-	a := &fakeTarget{name: "a", delay: 100 * time.Millisecond}
-	b := &fakeTarget{name: "b", delay: 100 * time.Millisecond}
-	c := &fakeTarget{name: "c"}
-	rep, err := Run(Plan{BatchFraction: 0.67}, []Restartable{a, b, c}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// a and b share a batch → total should be ~100ms, not ~200ms.
-	if rep.Total > 300*time.Millisecond {
-		t.Fatalf("batch concurrency broken: total = %v", rep.Total)
-	}
-	if c.at[0].Before(a.at[0].Add(90 * time.Millisecond)) {
-		t.Fatal("second batch started before first finished")
-	}
-}
 
 // TestProxySlotGenerations drives two successive zero-downtime restarts of
 // a real Edge proxy under continuous load: three generations, one socket,

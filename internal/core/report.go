@@ -15,26 +15,15 @@ import (
 	"zdr/internal/obs"
 )
 
-// ReleaseBatch is one batch of a rolling release.
-type ReleaseBatch struct {
-	Targets    []string `json:"targets"`
-	DurationNS int64    `json:"duration_ns"`
-	Errors     []string `json:"errors,omitempty"`
-}
-
-// ReleaseReport is the machine-readable summary of a release: shape,
-// outcome, per-phase time accounting derived from the span stream, the
+// ReleaseReport is the machine-readable summary of a release: outcome
+// and per-phase time accounting derived from the span stream, the
 // registry counters bracketing the release, and the full span tree.
 type ReleaseReport struct {
-	// BatchFraction is the effective fraction used (after defaulting).
-	BatchFraction float64 `json:"batch_fraction"`
-	// Restarts and Failed count restart attempts and failures.
+	// Restarts and Failed count slot.restart spans and the failed ones.
 	Restarts int `json:"restarts"`
 	Failed   int `json:"failed"`
-	// TotalNS is the wall-clock duration of the whole release.
+	// TotalNS runs from the first span's start to the last span's end.
 	TotalNS int64 `json:"total_ns"`
-	// Batches records per-batch targets, duration and errors.
-	Batches []ReleaseBatch `json:"batches"`
 	// CountersBefore/After snapshot the registry counters bracketing the
 	// release. Never nil.
 	CountersBefore map[string]int64 `json:"counters_before"`
@@ -79,14 +68,12 @@ func ReadReleaseReport(path string) (*ReleaseReport, error) {
 	return &r, nil
 }
 
-// buildReleaseReport assembles the report from the run summary, the
-// counter snapshots and the finished span stream.
-func buildReleaseReport(rep *Report, fraction float64, before, after map[string]int64, spans []obs.SpanRecord) *ReleaseReport {
+// NewReleaseReport assembles the report of a finished release from the
+// registry counters bracketing it and its span stream. Every span must
+// have ended: a caller whose targets drain in the background waits for
+// them (ProxySlot.WaitDrains) before it reads the spans.
+func NewReleaseReport(before, after map[string]int64, spans []obs.SpanRecord) *ReleaseReport {
 	rr := &ReleaseReport{
-		BatchFraction:  fraction,
-		Restarts:       rep.Restarts,
-		Failed:         rep.Failed,
-		TotalNS:        rep.Total.Nanoseconds(),
 		CountersBefore: before,
 		CountersAfter:  after,
 		PhaseNS:        map[string]int64{},
@@ -98,22 +85,22 @@ func buildReleaseReport(rep *Report, fraction float64, before, after map[string]
 	if rr.CountersAfter == nil {
 		rr.CountersAfter = map[string]int64{}
 	}
-	for _, b := range rep.Batches {
-		rb := ReleaseBatch{
-			Targets:    append([]string(nil), b.Targets...),
-			DurationNS: b.Duration.Nanoseconds(),
-		}
-		for _, err := range b.Errors {
-			rb.Errors = append(rb.Errors, err.Error())
-		}
-		rr.Batches = append(rr.Batches, rb)
+	if len(spans) == 0 {
+		return rr
 	}
+	first, last := spans[0].StartUnixNano, spans[0].EndUnixNano
 	for _, s := range spans {
+		first, last = min(first, s.StartUnixNano), max(last, s.EndUnixNano)
 		rr.PhaseNS[s.Name] += int64(s.Duration())
 		rr.PhaseCount[s.Name]++
+		if s.Name == obs.SpanSlotRestart {
+			rr.Restarts++
+			if s.Error != "" {
+				rr.Failed++
+			}
+		}
 	}
-	if len(spans) > 0 {
-		rr.Spans = obs.BuildTree(spans)
-	}
+	rr.TotalNS = last - first
+	rr.Spans = obs.BuildTree(spans)
 	return rr
 }

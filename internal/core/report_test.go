@@ -7,162 +7,92 @@ import (
 	"testing"
 	"time"
 
-	"zdr/internal/metrics"
 	"zdr/internal/obs"
 )
 
-// tracedFake is a scripted Restartable that honours WithTrace: a traced
-// restart records a nested work span so report tests see a realistic
-// tree.
-type tracedFake struct {
-	fakeTarget
-	traced int
-}
-
-func (f *tracedFake) Restart(opts ...RestartOption) error {
-	var o RestartOptions
-	for _, opt := range opts {
-		opt(&o)
-	}
-	if o.Trace == nil {
-		return f.fakeTarget.Restart()
-	}
-	f.traced++
-	sp := o.Trace.StartChild("slot.restart")
-	sp.SetAttr("slot", f.name)
-	defer sp.End()
-	work := sp.StartChild("slot.drain")
-	time.Sleep(f.delay)
-	work.End()
-	err := f.fakeTarget.Restart()
-	sp.Fail(err)
-	return err
-}
-
-func TestRunTracedBuildsReleaseReport(t *testing.T) {
+// tracedRelease records a small release's spans: a root, one batch per
+// slot, and each slot's restart with a drain child of the given length;
+// a slot named in failed records a failed restart.
+func tracedRelease(drain time.Duration, failed string, slots ...string) *obs.Tracer {
 	tr := obs.NewTracer("core-test")
-	a := &tracedFake{fakeTarget: fakeTarget{name: "a", delay: 2 * time.Millisecond}}
-	b := &tracedFake{fakeTarget: fakeTarget{name: "b"}}
-	c := &fakeTarget{name: "c", err: errors.New("scripted failure")} // untraced path
-	reg := metrics.NewRegistry()
-	reg.Counter("preexisting").Add(4)
+	root := tr.StartSpan(obs.SpanRollout, obs.SpanContext{})
+	for _, name := range slots {
+		batch := root.StartChild(obs.SpanRolloutBatch)
+		sp := batch.StartChild(obs.SpanSlotRestart)
+		sp.SetAttr("slot", name)
+		work := sp.StartChild(obs.SpanSlotDrain)
+		time.Sleep(drain)
+		work.End()
+		if name == failed {
+			sp.Fail(errors.New("scripted failure"))
+		}
+		sp.End()
+		batch.End()
+	}
+	root.End()
+	return tr
+}
 
-	rep, err := Run(Plan{BatchFraction: 0.34, Trace: tr}, []Restartable{a, b, c}, reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.traced != 1 || b.traced != 1 {
-		t.Fatalf("traced restarts = %d, %d; want 1, 1", a.traced, b.traced)
-	}
-	rr := rep.Release
-	if rr == nil {
-		t.Fatal("traced run produced no ReleaseReport")
-	}
+func TestNewReleaseReport(t *testing.T) {
+	tr := tracedRelease(2*time.Millisecond, "c", "a", "b", "c")
+	before := map[string]int64{"preexisting": 4}
+	after := map[string]int64{"preexisting": 4, "proxy.takeovers": 3}
+	rr := NewReleaseReport(before, after, tr.Finished())
 	if rr.Restarts != 3 || rr.Failed != 1 {
-		t.Fatalf("restarts/failed = %d/%d", rr.Restarts, rr.Failed)
+		t.Fatalf("restarts/failed = %d/%d, want 3/1", rr.Restarts, rr.Failed)
 	}
-	if len(rr.Batches) != 3 || rr.Batches[2].Errors[0] == "" {
-		t.Fatalf("batches = %+v", rr.Batches)
+	if rr.CountersBefore["preexisting"] != 4 || rr.CountersAfter["proxy.takeovers"] != 3 {
+		t.Fatalf("counters = %v → %v", rr.CountersBefore, rr.CountersAfter)
 	}
-	if rr.CountersBefore["preexisting"] != 4 || rr.CountersBefore["core.restarts"] != 0 {
-		t.Fatalf("counters before = %v", rr.CountersBefore)
-	}
-	if rr.CountersAfter["core.restarts"] != 3 || rr.CountersAfter["core.restart_failures"] != 1 {
-		t.Fatalf("counters after = %v", rr.CountersAfter)
-	}
-	// Phase accounting: one release, three batches, two traced restarts.
+	// Phase accounting: one release, three batches, three restarts.
 	for phase, want := range map[string]int64{
-		"release": 1, "release.batch": 3, "slot.restart": 2, "slot.drain": 2,
+		"rollout": 1, "rollout.batch": 3, "slot.restart": 3, "slot.drain": 3,
 	} {
 		if got := rr.PhaseCount[phase]; got != want {
 			t.Errorf("PhaseCount[%q] = %d, want %d", phase, got, want)
 		}
 	}
-	if rr.Phase("slot.drain") < 2*time.Millisecond {
-		t.Fatalf("Phase(slot.drain) = %v, want >= 2ms", rr.Phase("slot.drain"))
+	if rr.Phase("slot.drain") < 6*time.Millisecond {
+		t.Fatalf("Phase(slot.drain) = %v, want >= 6ms", rr.Phase("slot.drain"))
 	}
-	if rr.Phase("release") < rr.Phase("release.batch") {
+	if rr.Phase("rollout") < rr.Phase("rollout.batch") {
 		t.Fatal("release phase shorter than its batches")
 	}
-	if rr.TotalNS <= 0 || rr.Total() != time.Duration(rr.TotalNS) {
-		t.Fatalf("TotalNS = %d", rr.TotalNS)
+	// The total spans the stream: here, exactly the root.
+	if rr.TotalNS != int64(rr.Phase("rollout")) || rr.Total() != time.Duration(rr.TotalNS) {
+		t.Fatalf("TotalNS = %d, want the root's %d", rr.TotalNS, rr.Phase("rollout"))
 	}
 	// Exactly one root: the release span, with every batch under it.
-	if len(rr.Spans) != 1 || rr.Spans[0].Name != "release" {
+	if len(rr.Spans) != 1 || rr.Spans[0].Name != "rollout" {
 		t.Fatalf("span forest roots = %+v", rr.Spans)
 	}
 	if len(rr.Spans[0].Children) != 3 {
 		t.Fatalf("release children = %d, want 3 batches", len(rr.Spans[0].Children))
 	}
+
+	// No spans: an empty report, its maps present.
+	empty := NewReleaseReport(nil, nil, nil)
+	if empty.Restarts != 0 || empty.TotalNS != 0 || empty.Spans != nil ||
+		empty.CountersBefore == nil || empty.CountersAfter == nil || empty.PhaseNS == nil {
+		t.Fatalf("report of no spans = %+v", empty)
+	}
 }
 
 func TestReleaseReportJSONRoundTrip(t *testing.T) {
-	tr := obs.NewTracer("core-test")
-	a := &tracedFake{fakeTarget: fakeTarget{name: "a", delay: time.Millisecond}}
+	tr := tracedRelease(time.Millisecond, "", "a")
+	rr := NewReleaseReport(map[string]int64{"x": 1}, map[string]int64{"x": 2}, tr.Finished())
 	path := filepath.Join(t.TempDir(), "release.json")
-	rep, err := Run(Plan{Trace: tr, ReportPath: path}, []Restartable{a}, nil)
-	if err != nil {
+	if err := rr.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
 	back, err := ReadReleaseReport(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(rep.Release, back) {
-		t.Fatalf("report did not survive the JSON round-trip:\nwrote %+v\nread  %+v", rep.Release, back)
+	if !reflect.DeepEqual(rr, back) {
+		t.Fatalf("report did not survive the JSON round-trip:\nwrote %+v\nread  %+v", rr, back)
 	}
 	if back.Phase("slot.restart") < time.Millisecond {
 		t.Fatalf("reloaded Phase(slot.restart) = %v", back.Phase("slot.restart"))
-	}
-}
-
-func TestRunReportPathWithoutTracer(t *testing.T) {
-	a := &fakeTarget{name: "a"}
-	path := filepath.Join(t.TempDir(), "release.json")
-	rep, err := Run(Plan{ReportPath: path}, []Restartable{a}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Release == nil {
-		t.Fatal("ReportPath alone should still build the report")
-	}
-	if len(rep.Release.Spans) != 0 {
-		t.Fatal("untraced run has spans")
-	}
-	back, err := ReadReleaseReport(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Restarts != 1 {
-		t.Fatalf("reloaded report = %+v", back)
-	}
-}
-
-func TestRunFailFastStillWritesReport(t *testing.T) {
-	tr := obs.NewTracer("core-test")
-	bad := &fakeTarget{name: "bad", err: errors.New("boom")}
-	never := &fakeTarget{name: "never"}
-	path := filepath.Join(t.TempDir(), "release.json")
-	rep, err := Run(Plan{BatchFraction: 0.5, FailFast: true, Trace: tr, ReportPath: path},
-		[]Restartable{bad, never}, nil)
-	if err == nil {
-		t.Fatal("FailFast swallowed the error")
-	}
-	if rep.Release == nil || rep.Release.Failed != 1 {
-		t.Fatalf("release report = %+v", rep.Release)
-	}
-	if never.restarts != 0 {
-		t.Fatal("FailFast still restarted the second batch")
-	}
-	back, err := ReadReleaseReport(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back.Batches) != 1 || len(back.Batches[0].Errors) != 1 {
-		t.Fatalf("aborted report batches = %+v", back.Batches)
-	}
-	// The root release span is closed and errored even on the abort path.
-	if len(back.Spans) != 1 || back.Spans[0].Error == "" || back.Spans[0].EndUnixNano == 0 {
-		t.Fatalf("release span on abort = %+v", back.Spans)
 	}
 }

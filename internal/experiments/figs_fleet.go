@@ -70,42 +70,42 @@ type fleetRolloutResult struct {
 	state      string
 	promoted   int
 	rolledBack int
-	ok         int64
 	serverErr  int64
 	transport  int64
 }
 
-// fleetRollout pushes a build to a small live fleet and reports the
-// rollout outcome plus the client's view of it. It is the experiments-
-// side miniature of internal/fleet's chaos suite.
-func fleetRollout(gated, bad bool) (fleetRolloutResult, error) {
-	const nodes = 6
-	var res fleetRolloutResult
+// liveFleet is the small live fleet the rollout experiments (T-E, T-F)
+// push builds to: one Edge ProxySlot per node, wired for the
+// orchestrator through fleet.ProxyNode — with a canary window as each
+// generation's ReadyGate when gated — and a GET loop per node.
+type liveFleet struct {
+	gated bool
+	dir   string
+	slots []*core.ProxySlot
+	addrs []string
+	nodes []*fleet.Node
+	stop  chan struct{}
+	wg    sync.WaitGroup
+	once  sync.Once
+}
 
+// newLiveFleet starts n nodes. edit completes node i's config for each
+// generation it builds.
+func newLiveFleet(n int, gated bool, edit func(i int, cfg *proxy.Config)) (*liveFleet, error) {
 	dir, err := os.MkdirTemp("", "zdr-fleet-*")
 	if err != nil {
-		return res, err
+		return nil, err
 	}
-	defer os.RemoveAll(dir)
-
-	type simNode struct {
-		slot    *core.ProxySlot
-		win     *fleet.CanaryWindow
-		good    atomic.Bool
-		webAddr string
-	}
-	sims := make([]*simNode, nodes)
-	fnodes := make([]*fleet.Node, nodes)
-	for i := range sims {
+	f := &liveFleet{gated: gated, dir: dir, stop: make(chan struct{})}
+	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("edge-%02d", i)
-		s := &simNode{}
+		var win *fleet.CanaryWindow
 		if gated {
-			s.win = fleet.NewCanaryWindow(5 * time.Second)
+			win = fleet.NewCanaryWindow(5 * time.Second)
 		}
-		s.good.Store(true)
 		reg := metrics.NewRegistry()
 		gen := 0
-		s.slot = &core.ProxySlot{
+		slot := &core.ProxySlot{
 			SlotName:  name,
 			Path:      filepath.Join(dir, name+".sock"),
 			DrainWait: 5 * time.Millisecond,
@@ -115,69 +115,103 @@ func fleetRollout(gated, bad bool) (fleetRolloutResult, error) {
 					Name:                 fmt.Sprintf("%s-g%d", name, gen),
 					Role:                 proxy.RoleEdge,
 					TakeoverReadyTimeout: 30 * time.Second,
+					Generation:           gen,
 				}
-				if s.win != nil {
-					cfg.ReadyGate = s.win.Gate
+				if win != nil {
+					cfg.ReadyGate = win.Gate
 				}
-				if s.good.Load() {
-					cfg.StaticContent = map[string][]byte{"/hello": []byte("ok")}
-				}
+				edit(i, &cfg)
 				return proxy.New(cfg, reg)
 			},
 		}
-		if err := s.slot.Start(); err != nil {
-			return res, err
+		if err := slot.Start(); err != nil {
+			f.close()
+			return nil, err
 		}
-		defer s.slot.Close()
-		s.webAddr = s.slot.Current().Addr(proxy.VIPWeb)
-		fnodes[i] = fleet.ProxyNode(fmt.Sprintf("vip-%02d", i), s.slot, reg,
-			func() string { return s.webAddr }, "/hello", s.win)
-		sims[i] = s
+		addr := slot.Current().Addr(proxy.VIPWeb)
+		f.slots, f.addrs = append(f.slots, slot), append(f.addrs, addr)
+		f.nodes = append(f.nodes, fleet.ProxyNode(fmt.Sprintf("vip-%02d", i), slot, reg,
+			func() string { return addr }, "/hello", win))
 	}
+	return f, nil
+}
 
-	// Continuous client load against every node, with the two failure
-	// classes separated: 5xx (the bad build) vs transport (forbidden).
-	var okN, errN, transportN atomic.Int64
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for _, s := range sims {
-		wg.Add(1)
-		go func(addr string) {
-			defer wg.Done()
+// load runs a GET loop against every node until close, handing each
+// outcome to got, which the loops call concurrently.
+func (f *liveFleet) load(got func(code int, err error)) {
+	for _, addr := range f.addrs {
+		f.wg.Add(1)
+		go func() {
+			defer f.wg.Done()
 			for {
 				select {
-				case <-stop:
+				case <-f.stop:
 					return
 				default:
 				}
-				code, err := fleetGET(addr, "/hello")
-				switch {
-				case err != nil:
-					transportN.Add(1)
-				case code == 200:
-					okN.Add(1)
-				default:
-					errN.Add(1)
-				}
+				got(fleetGET(addr, "/hello"))
 				time.Sleep(time.Millisecond)
 			}
-		}(s.webAddr)
+		}()
 	}
-	time.Sleep(100 * time.Millisecond) // error-free baseline history
+}
 
-	for _, s := range sims {
-		s.good.Store(!bad)
-	}
-
-	o, err := fleet.New(fleet.Config{
-		Name:          "tbl-fleet",
-		CanarySize:    1,
-		GrowthFactor:  2,
+// orchestrator builds the rollout over the fleet: fleet's canary-first
+// defaults, a 150 ms health window probed every 10 ms.
+func (f *liveFleet) orchestrator(name string, gate fleet.GateConfig) (*fleet.Orchestrator, error) {
+	return fleet.New(fleet.Config{
+		Name:          name,
 		HealthWindow:  150 * time.Millisecond,
 		ProbeInterval: 10 * time.Millisecond,
-		WindowTimeout: 10 * time.Second,
-		Ungated:       !gated,
-	}, fnodes)
+		Ungated:       !f.gated,
+		Gate:          gate,
+	}, f.nodes)
+}
+
+// close stops the load and closes every slot, which joins their
+// in-flight handlers. Calls after the first do nothing.
+func (f *liveFleet) close() {
+	f.once.Do(func() {
+		close(f.stop)
+		f.wg.Wait()
+		for _, s := range f.slots {
+			s.Close()
+		}
+		os.RemoveAll(f.dir)
+	})
+}
+
+// fleetRollout pushes a build to a small live fleet and reports the
+// rollout outcome plus the client's view of it. It is the experiments-
+// side miniature of internal/fleet's chaos suite.
+func fleetRollout(gated, bad bool) (fleetRolloutResult, error) {
+	var res fleetRolloutResult
+	var good atomic.Bool
+	good.Store(true)
+	f, err := newLiveFleet(6, gated, func(_ int, cfg *proxy.Config) {
+		if good.Load() {
+			cfg.StaticContent = map[string][]byte{"/hello": []byte("ok")}
+		}
+	})
+	if err != nil {
+		return res, err
+	}
+	defer f.close()
+
+	// Continuous client load against every node, with the two failure
+	// classes separated: 5xx (the bad build) vs transport (forbidden).
+	var errN, transportN atomic.Int64
+	f.load(func(code int, err error) {
+		if err != nil {
+			transportN.Add(1)
+		} else if code != 200 {
+			errN.Add(1)
+		}
+	})
+	time.Sleep(100 * time.Millisecond) // error-free baseline history
+
+	good.Store(!bad)
+	o, err := f.orchestrator("tbl-fleet", fleet.GateConfig{})
 	if err != nil {
 		return res, err
 	}
@@ -188,7 +222,7 @@ func fleetRollout(gated, bad bool) (fleetRolloutResult, error) {
 		defer close(abandoned)
 		for {
 			select {
-			case <-stop:
+			case <-f.stop:
 				return
 			case <-time.After(10 * time.Millisecond):
 			}
@@ -203,8 +237,7 @@ func fleetRollout(gated, bad bool) (fleetRolloutResult, error) {
 	}
 
 	time.Sleep(50 * time.Millisecond) // post-rollout serving tail
-	close(stop)
-	wg.Wait()
+	f.close()
 	<-abandoned
 
 	st := o.Status()
@@ -217,7 +250,6 @@ func fleetRollout(gated, bad bool) (fleetRolloutResult, error) {
 			res.rolledBack++
 		}
 	}
-	res.ok = okN.Load()
 	res.serverErr = errN.Load()
 	res.transport = transportN.Load()
 	return res, nil

@@ -5,14 +5,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 	"time"
 
-	"zdr/internal/core"
 	"zdr/internal/disrupt"
 	"zdr/internal/faults"
 	"zdr/internal/fleet"
-	"zdr/internal/metrics"
 	"zdr/internal/proxy"
 )
 
@@ -100,106 +97,36 @@ type disruptionRun struct {
 func disruptionRollout(gated bool) (disruptionRun, error) {
 	const nodes = 4
 	var run disruptionRun
-
-	dir, err := os.MkdirTemp("", "zdr-disrupt-*")
+	leds := make([]*disrupt.Ledger, nodes)
+	injs := make([]*faults.Injector, nodes)
+	for i := range leds {
+		leds[i] = disrupt.New(fmt.Sprintf("edge-%02d", i), 256)
+		injs[i] = faults.NewInjector(faults.Scenario{Seed: uint64(i + 1), AbortRate: 0.12, AbortMinOps: 1})
+	}
+	f, err := newLiveFleet(nodes, gated, func(i int, cfg *proxy.Config) {
+		cfg.AcceptFaults, cfg.Ledger = injs[i], leds[i]
+		cfg.StaticContent = map[string][]byte{"/hello": []byte("ok")}
+	})
 	if err != nil {
 		return run, err
 	}
-	defer os.RemoveAll(dir)
-
-	type simNode struct {
-		slot    *core.ProxySlot
-		win     *fleet.CanaryWindow
-		led     *disrupt.Ledger
-		inj     *faults.Injector
-		webAddr string
-	}
-	sims := make([]*simNode, nodes)
-	fnodes := make([]*fleet.Node, nodes)
-	for i := range sims {
-		name := fmt.Sprintf("edge-%02d", i)
-		s := &simNode{
-			led: disrupt.New(name, 256),
-			inj: faults.NewInjector(faults.Scenario{
-				Seed:        uint64(i + 1),
-				AbortRate:   0.12,
-				AbortMinOps: 1,
-			}),
-		}
-		if gated {
-			s.win = fleet.NewCanaryWindow(5 * time.Second)
-		}
-		reg := metrics.NewRegistry()
-		gen := 0
-		s.slot = &core.ProxySlot{
-			SlotName:  name,
-			Path:      filepath.Join(dir, name+".sock"),
-			DrainWait: 5 * time.Millisecond,
-			Build: func() *proxy.Proxy {
-				gen++
-				cfg := proxy.Config{
-					Name:                 fmt.Sprintf("%s-g%d", name, gen),
-					Role:                 proxy.RoleEdge,
-					TakeoverReadyTimeout: 30 * time.Second,
-					AcceptFaults:         s.inj,
-					Ledger:               s.led,
-					Generation:           gen,
-					StaticContent:        map[string][]byte{"/hello": []byte("ok")},
-				}
-				if s.win != nil {
-					cfg.ReadyGate = s.win.Gate
-				}
-				return proxy.New(cfg, reg)
-			},
-		}
-		if err := s.slot.Start(); err != nil {
-			return run, err
-		}
-		defer s.slot.Close()
-		s.webAddr = s.slot.Current().Addr(proxy.VIPWeb)
-		fnodes[i] = fleet.ProxyNode(fmt.Sprintf("vip-%02d", i), s.slot, reg,
-			func() string { return s.webAddr }, "/hello", s.win)
-		fnodes[i].Disruption = s.led.Report
-		sims[i] = s
+	defer f.close()
+	for i, n := range f.nodes {
+		n.Disruption = leds[i].Report
 	}
 
 	// Continuous load; aborted connections are the injected chaos, so the
 	// client outcome is irrelevant here — the ledgers keep the books.
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for _, s := range sims {
-		wg.Add(1)
-		go func(addr string) {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				fleetGET(addr, "/hello")
-				time.Sleep(time.Millisecond)
-			}
-		}(s.webAddr)
-	}
+	f.load(func(int, error) {})
 	time.Sleep(100 * time.Millisecond) // pre-release baseline history
 
 	// The gate must tolerate the chaos (it hits old and new generation
 	// alike); the telemetry channel is exercised, not tripped.
-	o, err := fleet.New(fleet.Config{
-		Name:          "tbl-disrupt",
-		CanarySize:    1,
-		GrowthFactor:  2,
-		HealthWindow:  150 * time.Millisecond,
-		ProbeInterval: 10 * time.Millisecond,
-		WindowTimeout: 10 * time.Second,
-		Ungated:       !gated,
-		Gate: fleet.GateConfig{
-			MaxErrorRateDelta:   0.9,
-			MaxProbeFailureRate: 0.95,
-			MaxDisruptionRate:   0.9,
-		},
-	}, fnodes)
+	o, err := f.orchestrator("tbl-disrupt", fleet.GateConfig{
+		MaxErrorRateDelta:   0.9,
+		MaxProbeFailureRate: 0.95,
+		MaxDisruptionRate:   0.9,
+	})
 	if err != nil {
 		return run, err
 	}
@@ -210,18 +137,13 @@ func disruptionRollout(gated bool) (disruptionRun, error) {
 		return run, fmt.Errorf("rollout state %q (%s), want done", st.State, st.Reason)
 	}
 
-	close(stop)
-	wg.Wait()
 	// Join in-flight handlers so every late fault is recorded before the
 	// books are audited.
-	for _, s := range sims {
-		s.slot.Close()
+	f.close()
+	for _, inj := range injs {
+		run.injected += int64(inj.InjectedTotal())
 	}
-
-	for _, s := range sims {
-		run.injected += int64(s.inj.InjectedTotal())
-	}
-	tele := &fleet.Telemetry{Nodes: fnodes}
+	tele := &fleet.Telemetry{Nodes: f.nodes}
 	run.report = tele.Scrape()
 	return run, nil
 }

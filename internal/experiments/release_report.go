@@ -8,6 +8,8 @@ import (
 	"time"
 
 	"zdr/internal/core"
+	"zdr/internal/fleet"
+	"zdr/internal/metrics"
 	"zdr/internal/obs"
 	"zdr/internal/proxy"
 )
@@ -16,7 +18,7 @@ import (
 // table: the release envelope, then the per-slot restart machinery, then
 // the Fig. 5 takeover steps, then the drain tails.
 var releasePhaseOrder = []string{
-	"release", "release.batch", "slot.restart", "takeover.handoff",
+	"rollout", "rollout.batch", "slot.restart", "takeover.handoff",
 	"takeover.serve",
 	"takeover.step.A", "takeover.step.B", "takeover.step.C",
 	"takeover.prepare", "takeover.commit",
@@ -25,8 +27,8 @@ var releasePhaseOrder = []string{
 }
 
 // TblReleasePhases regenerates the release-phase breakdown: a traced
-// two-tier rolling release (Origin then Edge, real sockets, real Socket
-// Takeover hand-offs) whose ReleaseReport is folded into a table of
+// two-tier rolling release run by fleet.Orchestrator (Origin then Edge,
+// real sockets, real Socket Takeover hand-offs) whose ReleaseReport is folded into a table of
 // per-phase durations. It is the experiments-side consumer of the
 // machine-readable release report.
 func TblReleasePhases() (Table, error) {
@@ -46,6 +48,7 @@ func releasePhases(reportPath string, hook func(*obs.Span)) (Table, *core.Releas
 	defer os.RemoveAll(dir)
 
 	tracer := obs.NewTracer("experiments")
+	reg := metrics.NewRegistry()
 	if hook != nil {
 		tracer.SetSpanStartHook(hook)
 	}
@@ -62,7 +65,7 @@ func releasePhases(reportPath string, hook func(*obs.Span)) (Table, *core.Releas
 				Role:       proxy.RoleOrigin,
 				AppServers: []string{"127.0.0.1:9"}, // no traffic flows
 				Trace:      tracer,
-			}, nil)
+			}, reg)
 		},
 	}
 	if err := origin.Start(); err != nil {
@@ -83,7 +86,7 @@ func releasePhases(reportPath string, hook func(*obs.Span)) (Table, *core.Releas
 				Role:    proxy.RoleEdge,
 				Origins: []string{tunnelAddr},
 				Trace:   tracer,
-			}, nil)
+			}, reg)
 		},
 	}
 	if err := edge.Start(); err != nil {
@@ -91,12 +94,26 @@ func releasePhases(reportPath string, hook func(*obs.Span)) (Table, *core.Releas
 	}
 	defer edge.Close()
 
-	rep, err := core.Run(core.Plan{BatchFraction: 0.5, Trace: tracer, ReportPath: reportPath},
-		[]core.Restartable{origin, edge}, nil)
+	// Origin then edge, one slot a batch: the operator's release with
+	// the health gate left out.
+	nodes := []*fleet.Node{{Name: origin.SlotName, Target: origin}, {Name: edge.SlotName, Target: edge}}
+	o, err := fleet.New(fleet.Config{Ungated: true, MaxBatchSize: 1, Trace: tracer}, nodes)
 	if err != nil {
 		return Table{}, nil, err
 	}
-	rr := rep.Release
+	before := reg.Snapshot().Counters
+	if err := o.Run(); err != nil {
+		return Table{}, nil, err
+	}
+	// Drains outlive Restart; wait so that their spans have ended.
+	origin.WaitDrains()
+	edge.WaitDrains()
+	rr := core.NewReleaseReport(before, reg.Snapshot().Counters, tracer.Finished())
+	if reportPath != "" {
+		if err := rr.WriteFile(reportPath); err != nil {
+			return Table{}, nil, err
+		}
+	}
 
 	// Canonical phases first, anything else (future spans) alphabetically.
 	var names []string

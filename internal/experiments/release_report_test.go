@@ -73,7 +73,7 @@ func TestReleaseReport(t *testing.T) {
 	if drain, stepE := rr.Phase("slot.drain"), rr.Phase("takeover.step.E"); drain >= stepE {
 		t.Errorf("Phase(slot.drain) = %v not below Phase(takeover.step.E) = %v — stall misattributed", drain, stepE)
 	}
-	if rr.Phase("release") < rr.Phase("takeover.step.E") {
+	if rr.Phase("rollout") < rr.Phase("takeover.step.E") {
 		t.Error("release envelope shorter than a phase inside it")
 	}
 
@@ -193,7 +193,7 @@ func TestTblReleasePhasesShape(t *testing.T) {
 	if tab.ID != "T-D" {
 		t.Fatalf("ID = %q", tab.ID)
 	}
-	want := map[string]bool{"release": false, "takeover.handoff": false, "slot.drain": false}
+	want := map[string]bool{"rollout": false, "takeover.handoff": false, "slot.drain": false}
 	for _, row := range tab.Rows {
 		if _, ok := want[row[0]]; ok {
 			want[row[0]] = true

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"zdr/internal/core"
+	"zdr/internal/fleet"
 	"zdr/internal/obs"
 	"zdr/internal/proxy"
 )
@@ -44,17 +45,22 @@ func TestChaosTracedRollingRestartSpanTree(t *testing.T) {
 		func(cfg *proxy.Config) { cfg.Trace = tracer },
 	)
 
-	rep, err := core.Run(core.Plan{BatchFraction: 0.5, Trace: tracer},
-		[]core.Restartable{tp.origin, tp.edge}, nil)
+	nodes := []*fleet.Node{{Name: tp.origin.SlotName, Target: tp.origin}, {Name: tp.edge.SlotName, Target: tp.edge}}
+	o, err := fleet.New(fleet.Config{Ungated: true, MaxBatchSize: 1, Trace: tracer}, nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Failed != 0 {
-		t.Fatalf("release failed %d restarts", rep.Failed)
+	if err := o.Run(); err != nil {
+		t.Fatal(err)
 	}
-	rr := rep.Release
+	tp.origin.WaitDrains()
+	tp.edge.WaitDrains()
+	rr := core.NewReleaseReport(nil, nil, tracer.Finished())
 	if rr == nil {
 		t.Fatal("no release report")
+	}
+	if rr.Failed != 0 {
+		t.Fatalf("release failed %d restarts", rr.Failed)
 	}
 
 	// The forest has one release root (the receiver-side view, since the
@@ -65,7 +71,7 @@ func TestChaosTracedRollingRestartSpanTree(t *testing.T) {
 	var serves []*obs.SpanNode
 	for _, r := range rr.Spans {
 		switch r.Name {
-		case "release":
+		case "rollout":
 			release = r
 		case "takeover.serve":
 			serves = append(serves, r)

@@ -502,6 +502,97 @@ func TestOrchestratorUngated(t *testing.T) {
 	}
 }
 
+// timedTarget is a scripted ungated restart: it takes delay, returns err,
+// and records when it began and ended.
+type timedTarget struct {
+	name       string
+	delay      time.Duration
+	err        error
+	began, end time.Time
+}
+
+func (f *timedTarget) Name() string { return f.name }
+
+func (f *timedTarget) Restart(...core.RestartOption) error {
+	f.began = time.Now()
+	time.Sleep(f.delay)
+	f.end = time.Now()
+	return f.err
+}
+
+// runUngated runs an ungated rollout over targets, one node each, with
+// batches capped at maxBatch, and returns its journal.
+func runUngated(t *testing.T, maxBatch int, targets ...*timedTarget) []Record {
+	t.Helper()
+	jpath := filepath.Join(t.TempDir(), "r.jsonl")
+	j, err := OpenJournal(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	var nodes []*Node
+	for _, ft := range targets {
+		nodes = append(nodes, &Node{Name: ft.name, Target: ft})
+	}
+	cfg := fastConfig("ungated")
+	cfg.Ungated, cfg.MaxBatchSize, cfg.Journal = true, maxBatch, j
+	o, err := New(cfg, nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := o.Run(); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if o.Status().State != StateDone {
+		t.Fatalf("state %q", o.Status().State)
+	}
+	recs, err := Replay(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs
+}
+
+// TestOrchestratorUngatedRecordsFailedRestart: an ungated restart that
+// fails is recorded against its node, and the rollout goes on to the
+// next batch.
+func TestOrchestratorUngatedRecordsFailedRestart(t *testing.T) {
+	bad := &timedTarget{name: "a", err: errors.New("boom")}
+	next := &timedTarget{name: "b"}
+	recs := runUngated(t, 1, bad, next)
+	if next.began.IsZero() {
+		t.Fatal("the rollout stopped at the failed restart")
+	}
+	reasons := map[string]string{}
+	for _, r := range recs {
+		if r.Kind == RecNodePromoted {
+			reasons[r.Node] = r.Reason
+		}
+	}
+	if !strings.Contains(reasons["a"], "boom") || reasons["b"] != "" {
+		t.Fatalf("journaled restart outcomes %q, want a's error and none for b", reasons)
+	}
+}
+
+// TestOrchestratorUngatedBatchConcurrency: a batch restarts its nodes
+// concurrently, and the next batch starts only after the whole batch
+// has finished.
+func TestOrchestratorUngatedBatchConcurrency(t *testing.T) {
+	const delay = 100 * time.Millisecond
+	// Batches of 1 then 2: a, then b and c together, then d.
+	a := &timedTarget{name: "a"}
+	b := &timedTarget{name: "b", delay: delay}
+	c := &timedTarget{name: "c", delay: delay}
+	d := &timedTarget{name: "d"}
+	runUngated(t, 2, a, b, c, d)
+	if b.began.After(c.end) || c.began.After(b.end) {
+		t.Fatal("b and c share a batch but restarted one after the other")
+	}
+	if d.began.Before(b.end) || d.began.Before(c.end) {
+		t.Fatal("the next batch started before the batch ahead of it finished")
+	}
+}
+
 // TestOrchestratorPartitionedControlPlane: with the operator↔node
 // channel severed before the rollout starts, no restart command gets
 // through — the fleet stays untouched and the rollout pauses for a

@@ -265,7 +265,7 @@ func parseFields(br *bufio.Reader, h *Header, s string, noBody bool, lr *io.Limi
 // server. Head and body leave in as few writes as the body's arrival
 // allows (see messageWriter).
 func WriteRequest(w io.Writer, req *Request) (int64, error) {
-	mw := newMessageWriter(w)
+	mw := newMessageWriter(w, req.Body)
 	defer mw.release()
 	b := append(mw.buf, req.Method...)
 	b = append(b, ' ')
@@ -283,7 +283,7 @@ func WriteResponse(w io.Writer, resp *Response) (int64, error) {
 	if msg == "" {
 		msg = ReasonPhrase(resp.StatusCode)
 	}
-	mw := newMessageWriter(w)
+	mw := newMessageWriter(w, resp.Body)
 	defer mw.release()
 	b := append(mw.buf, orDefault(resp.Proto, "HTTP/1.1")...)
 	b = append(b, ' ')
@@ -390,13 +390,32 @@ type messageWriter struct {
 	pending, sent int64
 }
 
-// newMessageWriter takes the scratch from the tier above the largest h2t
-// frame, so that a body arriving in 64 KiB frames goes out a whole frame
-// at a time, chunk framing included, with no few bytes of each frame left
-// over for a write of their own.
-func newMessageWriter(w io.Writer) messageWriter {
-	bp := bufpool.Get(bufpool.TierXLarge)
+// headRoom is the least room a small scratch leaves a head beside the
+// body bytes in hand.
+const headRoom = 1 << 10
+
+// newMessageWriter takes a small scratch when it holds a head and the
+// body bytes in hand, so that a small reply whose body has arrived does
+// not hold a streaming scratch; grow moves a body that turns out larger,
+// or that must be waited for, to one.
+func newMessageWriter(w io.Writer, body io.Reader) messageWriter {
+	size := bufpool.TierXLarge
+	if n, _ := buffered(body); n+headRoom <= bufpool.TierSmall {
+		size = bufpool.TierSmall
+	}
+	bp := bufpool.Get(size)
 	return messageWriter{w: w, bp: bp, buf: (*bp)[:0]}
+}
+
+// grow moves what is assembled to the streaming scratch: the tier above
+// the largest h2t frame, so that a body arriving in 64 KiB frames goes
+// out a whole frame at a time, chunk framing included, with no few bytes
+// of each frame left over for a write of their own.
+func (mw *messageWriter) grow() {
+	bp := bufpool.Get(bufpool.TierXLarge)
+	mw.buf, mw.start = append((*bp)[:0], mw.buf[mw.start:]...), 0
+	bufpool.Put(mw.bp)
+	mw.bp = bp
 }
 
 func (mw *messageWriter) release() { bufpool.Put(mw.bp) }
@@ -462,6 +481,10 @@ func (mw *messageWriter) writeBody(body io.Reader, contentLength int64) (int64, 
 		room := cap(mw.buf) - len(mw.buf)
 		if chunked {
 			room -= hexLen(room) + 2 + chunkTail
+		}
+		if cap(*mw.bp) < bufpool.TierXLarge && (room < avail || avail == 0 && !end) {
+			mw.grow()
+			continue
 		}
 		if room < minRoom {
 			if err := mw.flush(); err != nil {

@@ -43,8 +43,6 @@ const (
 	SpanProxyDrain      = "proxy.drain"
 	SpanSlotRestart     = "slot.restart"
 	SpanSlotDrain       = "slot.drain"
-	SpanRelease         = "release"
-	SpanReleaseBatch    = "release.batch"
 )
 
 // Fleet rollout spans, recorded by the internal/fleet orchestrator:

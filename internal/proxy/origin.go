@@ -312,7 +312,9 @@ func (p *Proxy) forwardHTTP(st *h2t.Stream, hdr h2t.Fields) {
 		}
 	}()
 
-	if (r.method == "POST" || r.method == "PUT") && r.cl != 0 {
+	// A body follows the head, whatever the method, unless its length
+	// says there is none or the stream ended empty with its HEADERS.
+	if n, end := st.Buffered(); r.cl != 0 && (n > 0 || !end) {
 		// One frame per read of the stream.
 		bp := bufpool.Get(bufpool.TierLarge)
 		defer bufpool.Put(bp)

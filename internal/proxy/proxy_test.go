@@ -127,16 +127,30 @@ func TestEndToEndGET(t *testing.T) {
 	}
 }
 
+// TestEndToEndPOSTEcho: a request body reaches the app server whatever
+// the method, framed by Content-Length or chunked (length -1).
 func TestEndToEndPOSTEcho(t *testing.T) {
 	tp := startTopology(t, 2, 1)
 	body := strings.Repeat("payload!", 512)
-	resp := doRequest(t, tp.edge.Addr(VIPWeb), http1.NewRequest("POST", "/upload", strings.NewReader(body), int64(len(body))))
-	if resp.StatusCode != 200 {
-		t.Fatalf("status = %d", resp.StatusCode)
-	}
-	b, _ := http1.ReadFullBody(resp.Body)
-	if string(b) != body {
-		t.Fatalf("echo mismatch: %d vs %d bytes", len(b), len(body))
+	for _, c := range []struct {
+		method string
+		cl     int64
+	}{
+		{"POST", int64(len(body))},
+		{"PUT", int64(len(body))},
+		{"PATCH", int64(len(body))},
+		{"DELETE", int64(len(body))},
+		{"PATCH", -1},
+		{"GET", -1},
+	} {
+		resp := doRequest(t, tp.edge.Addr(VIPWeb), http1.NewRequest(c.method, "/upload", strings.NewReader(body), c.cl))
+		if resp.StatusCode != 200 {
+			t.Fatalf("%s (length %d): status = %d", c.method, c.cl, resp.StatusCode)
+		}
+		b, _ := http1.ReadFullBody(resp.Body)
+		if string(b) != body {
+			t.Fatalf("%s (length %d): echo mismatch: %d vs %d bytes", c.method, c.cl, len(b), len(body))
+		}
 	}
 }
 

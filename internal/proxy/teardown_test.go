@@ -1,7 +1,3 @@
-// This file sorts after fields_test.go on purpose. That file's
-// TestSmallRequestBytesAllocated reads the process-wide TotalAlloc, and
-// how often it passes follows the tests run before it in the same
-// process: run first, these raised its failures in whole-package runs.
 package proxy
 
 import (
