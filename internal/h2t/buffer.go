@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"zdr/internal/bufpool"
-	"zdr/internal/netx"
 )
 
 // streamWindow is the most DATA a sender may have outstanding on one
@@ -33,12 +32,13 @@ const inlineChunks = 5
 // recvBuffer is a stream's receive side: a queue of pooled chunks with
 // blocking reads. The session reader fills it with DATA payloads, read
 // from the transport straight into a chunk; the stream's consumer Reads,
-// or writes them out of the chunks (Stream.WriteTo), and each chunk goes
-// back to the pool the moment it is drained, so an empty buffer holds no
-// memory. How much the peer may put in it is bounded by the stream's
-// credit, which the consumer hands out (see consumed). While a WriteTo is
-// parked on an empty buffer the reader writes each payload to its socket
-// itself and queues only what the socket does not take at once (put).
+// or its sink's writer writes them out of the chunks (Stream.Sink), and
+// each chunk goes back to the pool the moment it is drained, so an empty
+// buffer holds no memory. How much the peer may put in it is bounded by
+// the stream's credit, which the consumer hands out (see consumed). While
+// a sink is attached and nothing is queued the reader writes each payload
+// to its socket itself and queues only what the socket does not take at
+// once (put).
 //
 // A chunk's length is its filled part. Every chunk but the last is full.
 // The first chunk of an empty buffer is of the smallest tier that holds
@@ -62,7 +62,7 @@ type recvBuffer struct {
 	off uint32
 	// filling is true while the session reader has the spare capacity of
 	// the last chunk to read into (room), the lock released, and draining
-	// while WriteTo has the filled part of the first to write out (head):
+	// while the sink's writer has the filled part of the first to write out:
 	// those chunks stay where they are, and after a failure whichever of
 	// the two comes back last lets go of them (drop).
 	filling, draining bool
@@ -133,12 +133,12 @@ func (b *recvBuffer) admits(n int) bool {
 
 // put takes in src, the part of a DATA payload that came in the session's
 // read buffer, more bytes of the frame still to come; after the stream's
-// end it goes nowhere. With a WriteTo parked (sink) src is first offered to
-// its socket in one write that does not wait: under mu the reader is that
-// socket's only writer, since WriteTo writes only while size > 0 and parks
-// only at 0. What the socket took is consumed, the credit owed as the
-// reader's replies are; the rest is queued, which wakes WriteTo. Only the
-// session reader calls put.
+// end it goes nowhere. With a sink attached (Stream.Sink) src is first
+// offered to its socket in one write that does not wait: under mu the
+// reader is that socket's only writer, since the sink's writer writes only
+// while size > 0 and exits at 0. What the socket took is consumed, the
+// credit owed as the reader's replies are; the rest is queued, which starts
+// the writer. Only the session reader calls put.
 func (b *recvBuffer) put(s *Session, st *Stream, src []byte, more int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -147,6 +147,7 @@ func (b *recvBuffer) put(s *Session, st *Stream, src []byte, more int) {
 	}
 	if r := st.relay.Load(); r != nil && r.sink != nil && b.size == 0 {
 		n := r.sink.TryWrite(src)
+		r.written += int64(n)
 		s.m.direct.Add(int64(n))
 		if credit := b.consumed(n); credit > 0 && s.peerWindow.Load() {
 			s.m.updates.Inc()
@@ -165,6 +166,7 @@ func (b *recvBuffer) put(s *Session, st *Stream, src []byte, more int) {
 		b.size += n
 		src = src[n:]
 	}
+	st.startWriter()
 }
 
 // room returns where the next bytes of a DATA payload land, of which n are
@@ -281,33 +283,10 @@ func (b *recvBuffer) consumed(n int) (credit int) {
 	return credit
 }
 
-// head is WriteTo's wait: it blocks until data is queued and returns the
-// filled part of the first chunk, pinned until drained says how much of it
-// was written. While it waits, sink (nil: none) is where the session reader
-// writes what arrives (put). At the peer's END_STREAM both results are nil.
-func (b *recvBuffer) head(r *relayState, sink *netx.TryWriter) ([]byte, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for b.size == 0 {
-		if b.err != nil {
-			return nil, b.err
-		}
-		if b.eof {
-			return nil, nil
-		}
-		r.sink = sink
-		b.cond.Wait()
-		r.sink = nil
-	}
-	b.draining = true
-	return (*b.chunks[0])[b.off:], nil
-}
-
-// drained takes the first n bytes of what head returned out of the queue
-// and returns the credit they earn (see consumed).
+// drained takes the first n bytes of the first chunk, which the sink's
+// writer has written out, out of the queue and returns the credit they
+// earn (see consumed). mu is held.
 func (b *recvBuffer) drained(s *Session, n int) (credit int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	b.draining = false
 	if b.err != nil {
 		b.drop(s) // fail left the chunk being written out to us

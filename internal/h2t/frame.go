@@ -30,9 +30,8 @@
 // never holds up another.
 //
 // A header block in memory is Fields, its fields in wire order as
-// substrings of one copy of the payload; a Stream, with room for its two
-// blocks and the slot response headers wait in, is one allocation
-// (DESIGN.md §15, "Heads and header blocks").
+// substrings of one copy of the payload; a Stream, with room for one
+// block, is one allocation (DESIGN.md §15, "Heads and header blocks").
 //
 // Deliberate simplifications vs. RFC 7540 (documented in DESIGN.md): no
 // HPACK (headers use a plain length-prefixed encoding), one fixed window

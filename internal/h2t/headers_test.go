@@ -269,11 +269,11 @@ func TestStreamAllocations(t *testing.T) {
 }
 
 // TestStreamSize pins what every request pays twice per hop: a Stream,
-// room for one header block included, fills the 384-byte size class and
+// room for one header block included, fills the 352-byte size class and
 // no more.
 func TestStreamSize(t *testing.T) {
-	if n := unsafe.Sizeof(Stream{}); n > 384 {
-		t.Errorf("a Stream is %d bytes, want <= 384", n)
+	if n := unsafe.Sizeof(Stream{}); n > 352 {
+		t.Errorf("a Stream is %d bytes, want <= 352", n)
 	} else {
 		t.Logf("a Stream is %d bytes", n)
 	}

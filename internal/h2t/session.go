@@ -32,7 +32,7 @@ var (
 	ErrStreamLimit = errors.New("h2t: peer stream limit reached")
 )
 
-// A SinkError is what Stream.WriteTo returns when w ended it, not the stream.
+// A SinkError is the end of a stream's sink that w made, not the stream.
 type SinkError struct{ Err error }
 
 func (e *SinkError) Error() string { return "h2t: write to sink: " + e.Err.Error() }
@@ -85,7 +85,7 @@ type Session struct {
 	m        *Metrics
 	resident atomic.Int64 // chunk memory its streams' receive buffers hold
 
-	// Read side, owned by readLoop, which wr drives one read per wake
+	// Read side, owned by Serve, which wr drives one read per wake
 	// (netx.WakeReader). Frames are parsed as their bytes arrive (nextBuf,
 	// advance): rbuf[rr:rw] is read and not yet parsed, and once its header
 	// is parsed a frame is cur, with left bytes of its payload to come.
@@ -147,8 +147,8 @@ type Metrics struct {
 	stalls   *metrics.Counter // h2t.window.stalls: a sender parked for credit
 	updates  *metrics.Counter // h2t.window.updates_sent: WINDOW_UPDATE frames sent
 	overruns *metrics.Counter // h2t.window.overruns: streams reset for DATA beyond their window
-	direct   *metrics.Counter // h2t.sink.direct_bytes: WriteTo bytes the session reader wrote as they came
-	buffered *metrics.Counter // h2t.sink.buffered_bytes: WriteTo bytes that went through the chunk queue
+	direct   *metrics.Counter // h2t.sink.direct_bytes: sink bytes the session reader wrote as they came
+	buffered *metrics.Counter // h2t.sink.buffered_bytes: sink bytes that went through the chunk queue
 	resident *metrics.Gauge   // h2t.recv.resident_bytes: chunk memory held by receive buffers
 }
 
@@ -179,12 +179,18 @@ func WithConnWrapper(wrap func(net.Conn) net.Conn) Option {
 	return func(o *sessionOptions) { o.wrap = wrap }
 }
 
-// NewSession starts a session over conn. Exactly one endpoint must pass
-// isClient=true. The session owns conn.
+// NewSession starts a session over conn, Serve on a goroutine of its own.
+// Exactly one endpoint must pass isClient=true. The session owns conn.
 func NewSession(conn net.Conn, isClient bool, opts ...Option) *Session {
 	s := newSession(conn, isClient, opts...)
-	go s.readLoop()
+	go s.Serve()
 	return s
+}
+
+// NewServedSession is NewSession for a caller that runs Serve itself, on a
+// goroutine it has anyway.
+func NewServedSession(conn net.Conn, isClient bool, opts ...Option) *Session {
+	return newSession(conn, isClient, opts...)
 }
 
 // newSession is NewSession short of starting the read side.
@@ -593,10 +599,10 @@ type heldHeaders struct {
 	hdr Fields
 }
 
-// readLoop runs the read side until the transport or the parser ends
-// the session. A wake that leaves replies owed ends the Run they were
+// Serve runs the session's read side until the transport or the parser
+// ends the session. A wake that leaves replies owed ends the Run they were
 // parsed in: they are written here, where a write may block.
-func (s *Session) readLoop() {
+func (s *Session) Serve() {
 	for {
 		err := s.wr.Run()
 		if err != nil || s.rerr != nil {
@@ -689,6 +695,7 @@ func (s *Session) advance(n int) error {
 	if s.direct != nil {
 		if s.big == nil {
 			s.curSt.buf.filled(s, n)
+			s.curSt.kick()
 		}
 		s.direct = nil
 		if s.left -= n; s.left > 0 {
@@ -850,7 +857,7 @@ func (s *Session) handleHeaders(f Frame) error {
 	case fresh:
 		st = newStream(s, f.StreamID)
 		room = st.room[:0]
-	case st != nil && st.hdr == nil:
+	case st != nil && !st.roomUsed:
 		room = st.room[:0]
 	}
 	hdr, err := decodeFields(room, f.Payload)
@@ -861,14 +868,12 @@ func (s *Session) handleHeaders(f Frame) error {
 		// HEADERS for a stream we opened but already dropped; ignore.
 		return nil
 	}
+	st.roomUsed = true
 	if f.Flags&FlagEndStream != 0 {
 		s.remoteEnd(st)
 	}
 	if !fresh {
 		// Subsequent HEADERS on a live stream: response/trailer headers.
-		if st.hdr == nil {
-			st.hdr = hdr
-		}
 		s.held = append(s.held, heldHeaders{st, hdr})
 		return nil
 	}
@@ -895,6 +900,7 @@ func (s *Session) handleHeaders(f Frame) error {
 // directions are finished.
 func (s *Session) remoteEnd(st *Stream) {
 	st.buf.setEOF()
+	st.kick()
 	st.buf.mu.Lock()
 	done := st.localEnd
 	st.buf.mu.Unlock()
@@ -911,17 +917,18 @@ const fieldsRoom = 4
 // Stream is one logical bidirectional stream.
 //
 // A stream has one lock, buf.mu, and one wait, buf.cond, on which a Read
-// or WriteTo parks for data, a sender for credit and RecvHeaders for a
-// block: a peer's RST, a local Reset and the session's death wake them
-// all. The receive buffer and the room for a header block are part of the
-// Stream itself: a stream is one allocation, in the 384-byte size class.
+// parks for data, a sender for credit and RecvHeaders for a block: a
+// peer's RST, a local Reset and the session's death wake them all. The
+// receive buffer and the room for a header block are part of the Stream
+// itself: a stream is one allocation, in the 352-byte size class.
 type Stream struct {
 	sess *Session
 	id   uint32
 	// Guarded by buf.mu (they sit here to fill the word id leaves); the
 	// peer's END_STREAM is buf.eof. aborted: the stream was ended from
-	// outside, by the peer's RST or the session's death.
-	localEnd, reset, aborted bool
+	// outside, by the peer's RST or the session's death. roomUsed, the
+	// session reader's: a block has been decoded into room.
+	localEnd, reset, aborted, roomUsed bool
 
 	buf recvBuffer
 
@@ -931,24 +938,34 @@ type Stream struct {
 	// that announced windows (Session.peerWindow).
 	sendWin int64
 
-	// hdr is the first block the peer sent, which room backs: the one that
-	// opened the stream where it was accepted, the response's where it was
-	// opened — there it is the session reader's alone. resp, guarded by
-	// buf.mu, is the slot for a block the peer sent on an open stream
-	// (response headers), nil when empty, which RecvHeaders takes.
-	hdr, resp Fields
-	room      [fieldsRoom]Field
-	relay     atomic.Pointer[relayState] // made on first use (relayState)
+	// hdr is, where the stream was accepted, the block that opened it,
+	// which room backs. Where it was opened it is the slot, guarded by
+	// buf.mu and nil when empty, for the blocks the peer sends (the
+	// response's, decoded into room, and any after it), which RecvHeaders
+	// takes; an accepted stream's slot is relayState's.
+	hdr   Fields
+	room  [fieldsRoom]Field
+	relay atomic.Pointer[relayState] // made on first use (relayState)
 }
 
 // relayState is what only a stream relayed between two connections needs,
-// the MQTT streams, and a request's stream does not pay for.
+// the MQTT streams, and a request's stream does not pay for; and the slot
+// of an accepted stream for blocks after the one that opened it.
 type relayState struct {
-	ctrlCh chan Control // DCR control frames, until OnControl
-	// Guarded by buf.mu. sink is the socket of a WriteTo parked on the
-	// empty buffer: the session reader writes DATA there (recvBuffer.put).
+	ctrlCh chan Control // DCR control frames, until OnControl (controls)
+	// Guarded by buf.mu. w is the stream's sink and end its end callback
+	// (Sink), both nil until it is attached and once its end is taken;
+	// sink is w's descriptor, which the session reader writes DATA to as it
+	// arrives (recvBuffer.put), nil if w hides it. writing: a writer runs
+	// (startWriter). written counts what reached w either way. later is an
+	// accepted stream's slot for header blocks (Stream.hdr).
+	w         io.Writer
 	sink      *netx.TryWriter
+	end       func(error)
+	writing   bool
+	written   int64
 	onControl func(Control)
+	later     Fields
 }
 
 func newStream(s *Session, id uint32) *Stream {
@@ -960,12 +977,13 @@ func newStream(s *Session, id uint32) *Stream {
 // abort ends the stream from outside — the peer's RST, the session's
 // death: readers get err (after what the peer had completed, see
 // recvBuffer.fail), and senders and RecvHeaders, waiting or yet to come,
-// too.
+// too; a sink gets its end.
 func (st *Stream) abort(err error) {
 	st.buf.mu.Lock()
 	st.aborted = true
 	st.buf.mu.Unlock()
 	st.buf.fail(st.sess, err, false)
+	st.kick()
 }
 
 // addCredit is the peer's WINDOW_UPDATE. The window never grows past
@@ -1044,37 +1062,112 @@ func (st *Stream) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// WriteTo is the consumer, in place of Read, of a stream whose bytes are
-// only handed on. It writes the stream's DATA to w and returns how much,
-// with nil at the peer's END_STREAM, the stream's error if it was reset or
-// its session died, and a *SinkError if a write to w failed. It holds no
-// buffer: what is queued it writes from the chunks it arrived in, and while
-// nothing is queued and w gives up its descriptor (a bare connection, not
-// a wrapped one) the session reader writes each payload to w as it arrives
-// (recvBuffer.put). Nobody else may write w while WriteTo runs.
+// WriteTo is Sink that waits for the end: it returns how much it wrote to
+// w, and what end was given. Nobody else may write w meanwhile.
 func (st *Stream) WriteTo(w io.Writer) (n int64, err error) {
-	s, r := st.sess, st.relayState()
+	done := make(chan error, 1)
+	st.Sink(w, func(err error) { done <- err })
+	err = <-done
+	st.buf.mu.Lock()
+	defer st.buf.mu.Unlock()
+	return st.relay.Load().written, err
+}
+
+// Sink makes w the consumer, in place of Read, of a stream whose bytes are
+// only handed on, and end the receiver of its end, once: nil at the peer's
+// END_STREAM once every byte is in w, the stream's error if it was reset
+// or its session died, a *SinkError if a write to w failed. No buffer and
+// no goroutine wait for the bytes: while nothing is queued and w gives up
+// its descriptor (a bare connection, not a wrapped one) the session reader
+// writes each payload to w (recvBuffer.put), and what is queued a writer
+// writes out of its chunks, on a goroutine that exits once they are gone.
+// end runs on the writer, never in a wake nor under the stream's lock, and
+// may block. Nobody else may write w until it runs.
+func (st *Stream) Sink(w io.Writer, end func(error)) {
+	r := st.relayState()
 	var sink *netx.TryWriter
 	if sc, ok := w.(syscall.Conn); ok {
-		if sink = netx.NewTryWriter(sc); sink != nil {
-			defer func() { n += sink.Written() }()
-		}
+		sink = netx.NewTryWriter(sc)
 	}
-	for {
-		p, err := st.buf.head(r, sink)
-		if p == nil {
-			return n, err
+	st.buf.mu.Lock()
+	r.w, r.sink, r.end = w, sink, end
+	st.startWriter()
+	st.buf.mu.Unlock()
+}
+
+// kick is startWriter for a caller that holds no lock: the session reader
+// with bytes it has queued, whoever ends the stream.
+func (st *Stream) kick() {
+	if st.relay.Load() != nil {
+		st.buf.mu.Lock()
+		st.startWriter()
+		st.buf.mu.Unlock()
+	}
+}
+
+// startWriter starts the sink's writer, unless one runs, for what is
+// queued or for the stream's end, which it delivers: neither a wake nor a
+// shutdown, which may hold wmu, runs an end callback, and a writer
+// started for the end alone lives only for it. buf.mu is held.
+func (st *Stream) startWriter() {
+	b := &st.buf
+	if r := st.relay.Load(); r != nil && r.end != nil && !r.writing && (b.size > 0 || b.eof || b.err != nil) {
+		r.writing = true
+		go st.write(r)
+	}
+}
+
+// write is the sink's writer. It writes the queue out of the chunks with
+// the lock released and exits under the lock once the queue is empty: the
+// session reader writes w only at size 0, so one of the two writes it at
+// any instant. What the bytes earned the peer goes out first, then the
+// stream's end if it has come.
+func (st *Stream) write(r *relayState) {
+	s, b := st.sess, &st.buf
+	var err error
+	for more := true; more; {
+		credit := 0
+		b.mu.Lock()
+		if b.size > 0 { // else it was started for the end, or a failure emptied the queue
+			b.draining = true
+			p := (*b.chunks[0])[b.off:]
+			b.mu.Unlock()
+			var k int
+			k, err = r.w.Write(p)
+			s.m.buffered.Add(int64(k))
+			b.mu.Lock()
+			r.written += int64(k)
+			credit = b.drained(s, k)
 		}
-		k, err := w.Write(p)
-		n += int64(k)
-		s.m.buffered.Add(int64(k))
-		if credit := st.buf.drained(s, k); credit > 0 && s.peerWindow.Load() {
+		var end func(error)
+		if more = b.size > 0 && err == nil; !more {
+			r.writing = false
+			end, err = st.takeEnd(r, err)
+		}
+		b.mu.Unlock()
+		if credit > 0 && s.peerWindow.Load() {
 			s.sendCredit(st.id, credit)
 		}
-		if err != nil {
-			return n, &SinkError{err}
+		if end != nil {
+			end(err)
 		}
 	}
+}
+
+// takeEnd detaches the sink and returns its end callback and what to give
+// it, once the stream is over and nothing is queued — at once if werr
+// failed a write to the sink. The writer calls it. buf.mu is held.
+func (st *Stream) takeEnd(r *relayState, werr error) (end func(error), err error) {
+	b := &st.buf
+	if werr == nil && (b.size > 0 || !b.eof && b.err == nil) {
+		return nil, nil
+	}
+	end, err = r.end, b.err
+	if werr != nil {
+		err = &SinkError{werr}
+	}
+	r.w, r.sink, r.end = nil, nil, nil
+	return end, err
 }
 
 // Buffered reports what the next Read returns without blocking: n bytes
@@ -1142,6 +1235,7 @@ func (st *Stream) Reset() error {
 	st.reset = true
 	st.buf.mu.Unlock()
 	st.buf.fail(st.sess, ErrStreamReset, true)
+	st.kick()
 	st.sess.dropStream(st.id)
 	return st.sess.writeFrame(Frame{Type: FrameRST, StreamID: st.id})
 }
@@ -1189,9 +1283,10 @@ func (st *Stream) RecvHeaders(timeout time.Duration) (Fields, error) {
 			headersTimers.Put(w)
 		}
 	}()
+	slot := st.slot()
 	st.buf.mu.Lock()
 	defer st.buf.mu.Unlock()
-	for st.resp == nil {
+	for *slot == nil {
 		if st.reset || st.aborted {
 			return nil, st.sess.endReason()
 		}
@@ -1200,8 +1295,8 @@ func (st *Stream) RecvHeaders(timeout time.Duration) (Fields, error) {
 		}
 		st.buf.cond.Wait()
 	}
-	h := st.resp
-	st.resp = nil
+	h := *slot
+	*slot = nil
 	return h, nil
 }
 
@@ -1217,7 +1312,21 @@ func (st *Stream) SendControl(t FrameType, payload []byte) error {
 
 // Controls returns the channel of DCR control frames received on this
 // stream, those that arrived before the first call included.
-func (st *Stream) Controls() <-chan Control { return st.relayState().ctrlCh }
+func (st *Stream) Controls() <-chan Control {
+	st.buf.mu.Lock()
+	defer st.buf.mu.Unlock()
+	return st.relayState().controls()
+}
+
+// controls returns the control channel, made by whoever needs it first.
+// buf.mu is held.
+func (r *relayState) controls() chan Control {
+	if r.ctrlCh == nil {
+		// A re_connect is a frame or two; 16 is several re_connects' worth.
+		r.ctrlCh = make(chan Control, 16)
+	}
+	return r.ctrlCh
+}
 
 // OnControl makes f the receiver of the stream's control frames in place
 // of Controls, whose channel nobody may read from then on: the session
@@ -1227,29 +1336,37 @@ func (st *Stream) OnControl(f func(Control)) {
 	r := st.relayState()
 	st.buf.mu.Lock()
 	r.onControl = f
+	queued := r.ctrlCh
 	st.buf.mu.Unlock()
-	for len(r.ctrlCh) > 0 {
-		f(<-r.ctrlCh)
+	for len(queued) > 0 {
+		f(<-queued)
 	}
 }
 
 // relayState returns the stream's relay state, made by whoever needs it
-// first: the consumer, or the session reader with a control frame for it.
+// first: the consumer, or the session reader with a frame for it.
 func (st *Stream) relayState() *relayState {
-	if r := st.relay.Load(); r != nil {
-		return r
+	if r := st.relay.Load(); r == nil {
+		st.relay.CompareAndSwap(nil, new(relayState))
 	}
-	// A re_connect is a frame or two; 16 is several re_connects' worth.
-	st.relay.CompareAndSwap(nil, &relayState{ctrlCh: make(chan Control, 16)})
 	return st.relay.Load()
+}
+
+// slot is where the peer's blocks wait for RecvHeaders (see hdr).
+func (st *Stream) slot() *Fields {
+	if st.sess.peerInitiated(st.id) {
+		return &st.relayState().later
+	}
+	return &st.hdr
 }
 
 // deliverHeaders puts a block in the stream's slot, unless the one before
 // is still there, and wakes RecvHeaders; it never blocks the reader.
 func (st *Stream) deliverHeaders(h Fields) {
+	slot := st.slot()
 	st.buf.mu.Lock()
-	if st.resp == nil {
-		st.resp = h
+	if *slot == nil {
+		*slot = h
 	}
 	st.buf.cond.Broadcast()
 	st.buf.mu.Unlock()
@@ -1259,8 +1376,10 @@ func (st *Stream) deliverControl(c Control) {
 	r := st.relayState()
 	st.buf.mu.Lock()
 	f := r.onControl
-	if f == nil && len(r.ctrlCh) < cap(r.ctrlCh) { // else dropped: control frames are advisory
-		r.ctrlCh <- c
+	if f == nil {
+		if ch := r.controls(); len(ch) < cap(ch) { // else dropped: control frames are advisory
+			ch <- c
+		}
 	}
 	st.buf.mu.Unlock()
 	if f != nil {

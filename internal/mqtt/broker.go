@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,9 +38,13 @@ type Broker struct {
 	// The per-publish counters, resolved once.
 	cReceived, cDelivered, cFlushErrors *metrics.Counter
 
-	mu       sync.Mutex
+	mu       sync.RWMutex
 	sessions map[string]*session
-	closed   bool
+	// subs indexes the sessions' subscriptions, filter to subscribers, and
+	// wild lists those with a wildcard; a publish reads them (publish).
+	subs   map[string][]*session
+	wild   []string
+	closed bool
 	// transports is every connection being served, attached or not: Close
 	// closes them all.
 	transports map[*transport]struct{}
@@ -64,8 +70,8 @@ type session struct {
 	// (lockClosed).
 	tr atomic.Pointer[transport]
 
+	subs []string // guarded by Broker.mu
 	mu   sync.Mutex
-	subs []string
 	// out is the packets queued for tr and not written yet (queue).
 	out []byte
 	// wake is the transport whose reader queued here last and owes the
@@ -104,6 +110,7 @@ func NewBroker(name string, reg *metrics.Registry) *Broker {
 		cDelivered:   reg.Counter("mqtt.publish.delivered"),
 		cFlushErrors: reg.Counter("mqtt.flush.errors"),
 		sessions:     make(map[string]*session),
+		subs:         make(map[string][]*session),
 		transports:   make(map[*transport]struct{}),
 	}
 }
@@ -282,6 +289,7 @@ func (t *transport) connect(p *Packet) error {
 	sess, exists := b.sessions[p.ClientID]
 	if p.CleanSession {
 		// Fresh context (replaces any stale one).
+		b.forget(p.ClientID)
 		sess = &session{id: p.ClientID}
 		b.sessions[p.ClientID] = sess
 		exists = false
@@ -335,13 +343,7 @@ func (t *transport) serve(pkt *Packet) error {
 		}
 		return nil
 	case SUBSCRIBE:
-		sess.mu.Lock()
-		for _, f := range pkt.TopicFilters {
-			if !contains(sess.subs, f) {
-				sess.subs = append(sess.subs, f)
-			}
-		}
-		sess.mu.Unlock()
+		b.subscribe(sess, pkt.TopicFilters)
 		granted := make([]uint8, len(pkt.TopicFilters))
 		return b.reply(t, &Packet{Type: SUBACK, PacketID: pkt.PacketID, GrantedQoS: granted})
 	case PINGREQ:
@@ -432,33 +434,71 @@ func (b *Broker) Publish(topic string, payload []byte) int {
 	return b.publish(nil, topic, payload)
 }
 
-// publish is Publish from t's wake; t is nil outside any.
+// publish is Publish from t's wake; t is nil outside any. It locks only
+// the sessions it is for: a subscriber that stops reading stalls only those.
 func (b *Broker) publish(t *transport, topic string, payload []byte) int {
 	// A stack array for the common fan-out; append spills a larger one.
 	var room [16]*session
-	targets := room[:0]
-	b.mu.Lock()
-	for _, s := range b.sessions {
-		targets = append(targets, s)
+	b.mu.RLock()
+	targets := append(room[:0], b.subs[topic]...)
+	for _, f := range b.wild {
+		if TopicMatches(f, topic) {
+			for _, s := range b.subs[f] {
+				if !slices.Contains(targets, s) {
+					targets = append(targets, s)
+				}
+			}
+		}
 	}
-	b.mu.Unlock()
+	b.mu.RUnlock()
 
 	delivered := 0
 	pkt := Packet{Type: PUBLISH, Topic: topic, Payload: payload}
 	for _, s := range targets {
 		s.mu.Lock()
-		for _, f := range s.subs {
-			if TopicMatches(f, topic) {
-				if b.queue(t, s, &pkt) == nil {
-					delivered++
-				}
-				break
-			}
+		if b.queue(t, s, &pkt) == nil {
+			delivered++
 		}
 		s.mu.Unlock()
 	}
 	b.cDelivered.Add(int64(delivered))
 	return delivered
+}
+
+// subscribe adds filters to s's subscriptions, unless s has been replaced
+// or dropped meanwhile.
+func (b *Broker) subscribe(s *session, filters []string) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for _, f := range filters {
+		if b.sessions[s.id] != s || contains(s.subs, f) {
+			continue
+		}
+		s.subs = append(s.subs, f)
+		if len(b.subs[f]) == 0 && strings.ContainsAny(f, "+#") {
+			b.wild = append(b.wild, f)
+		}
+		b.subs[f] = append(b.subs[f], s)
+	}
+}
+
+// forget takes clientID's session, if there is one, out of sessions and
+// the index, and returns it. mu is held.
+func (b *Broker) forget(clientID string) *session {
+	s := b.sessions[clientID]
+	if s == nil {
+		return nil
+	}
+	delete(b.sessions, clientID)
+	for _, f := range s.subs {
+		if subs := slices.DeleteFunc(b.subs[f], func(x *session) bool { return x == s }); len(subs) > 0 {
+			b.subs[f] = subs
+			continue
+		}
+		delete(b.subs, f)
+		b.wild = slices.DeleteFunc(b.wild, func(w string) bool { return w == f })
+	}
+	return s
 }
 
 // HasSession reports whether connection context exists for clientID.
@@ -491,10 +531,9 @@ func (b *Broker) SessionCount() int {
 // tests to force the connect_refuse path).
 func (b *Broker) DropSession(clientID string) {
 	b.mu.Lock()
-	s, ok := b.sessions[clientID]
-	delete(b.sessions, clientID)
+	s := b.forget(clientID)
 	b.mu.Unlock()
-	if ok {
+	if s != nil {
 		s.lockClosed()
 		s.tr.Store(nil)
 		s.mu.Unlock()
@@ -508,6 +547,7 @@ func (b *Broker) Close() {
 	b.mu.Lock()
 	b.closed = true
 	b.sessions = map[string]*session{}
+	b.subs, b.wild = map[string][]*session{}, nil
 	transports := b.transports
 	b.transports = nil
 	b.mu.Unlock()

@@ -241,3 +241,34 @@ func TestSpliceCarriesWhatWasQueued(t *testing.T) {
 		t.Fatalf("behind the CONNACK: %+v, %v, want what was queued", p, err)
 	}
 }
+
+// TestDeafSubscriberStallsOnlyItsPublishers: a subscriber that reads
+// nothing parks the publish that writes to it, its session's lock held.
+// A publish on another topic locks no session but its subscribers': one
+// from a client's wake and one through Publish are delivered meanwhile.
+func TestDeafSubscriberStallsOnlyItsPublishers(t *testing.T) {
+	b, addr := startBroker(t)
+	sink, _ := rawSession(t, addr, "sink")
+	sink.(*net.TCPConn).SetReadBuffer(8 << 10)
+	var published atomic.Int64
+	go func() {
+		for payload := make([]byte, 32<<10); b.Publish("own/sink", payload) == 1; {
+			published.Add(1)
+		}
+	}()
+	for last, since := int64(-1), time.Now(); time.Since(since) < 100*time.Millisecond; time.Sleep(time.Millisecond) {
+		if now := published.Load(); now != last {
+			last, since = now, time.Now()
+		}
+	}
+	neighbour, br := rawSession(t, addr, "neighbour")
+	neighbour.SetDeadline(time.Now().Add(time.Second))
+	Encode(neighbour, &Packet{Type: PUBLISH, QoS: 1, PacketID: 1, Topic: "own/neighbour", Payload: []byte("wake")})
+	if got := collect(t, br, 1, 1); got[0] != "wake" {
+		t.Fatalf("the neighbour's own publish delivered %q", got)
+	}
+	within(t, "Publish beside a parked one", func() { b.Publish("own/neighbour", []byte("api")) })
+	if got := collect(t, br, 0, 1); got[0] != "api" {
+		t.Fatalf("Publish delivered %q", got)
+	}
+}

@@ -170,7 +170,7 @@ func DrainPipePool() int {
 // ReaderFrom or WriterTo, so the bytes stay in the pooled buffer and pass
 // through any interposed wrapper, which is exactly what fault injectors
 // and PPR capture rely on. Errors and short writes are io.Copy's. An h2t
-// stream is a dst here and never a src: Stream.WriteTo is that relay.
+// stream is a dst here and never a src: Stream.Sink is that relay.
 //
 // The third case is the copy loop with a bare *net.TCPConn for src only:
 // the reads are a WakeReader's Pump, one per message where src.Read makes

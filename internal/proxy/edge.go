@@ -411,9 +411,9 @@ func (r *mqttRelay) swapStream(st *h2t.Stream) (old *h2t.Stream, ok bool) {
 // serve terminates a user MQTT connection: it reads the CONNECT to learn
 // the user-id (§4.2: "Each end-user has a globally unique ID used to route
 // the messages"), opens a tunnel stream to an Origin, and relays bytes
-// both ways, client to stream on this goroutine. On
-// reconnect_solicitation it performs the DCR re_connect through another
-// Origin and splices the streams.
+// both ways: client to stream on this goroutine, stream to client by the
+// stream's sink. On reconnect_solicitation it performs the DCR re_connect
+// through another Origin and splices the streams.
 func (r *mqttRelay) serve() {
 	st := r.connect()
 	if st == nil {
@@ -425,13 +425,7 @@ func (r *mqttRelay) serve() {
 	conns.Inc()
 	defer conns.Dec()
 	r.watch(st)
-
-	// Downstream pump: current stream -> client.
-	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
-		p.runMQTTDownstream(r)
-	}()
+	r.sink(st)
 	var wr netx.WakeReader
 	wr.Init(r.clientConn, &netx.Pump{Forward: r.forwardUpstream})
 	wr.ConfirmWaits()
@@ -494,43 +488,43 @@ func (r *mqttRelay) open(proto string, sp *obs.Span, incoming string) (*h2t.Stre
 	return st, addr, err
 }
 
-// runMQTTDownstream writes the relay's streams to the client, one
-// generation after another: a generation's WriteTo has returned — until
-// then it and its session's reader write the user's connection — before
-// the next starts, so two generations never interleave bytes there.
-func (p *Proxy) runMQTTDownstream(relay *mqttRelay) {
-	defer relay.close()
-	st := relay.currentStream()
-	for {
-		var sink *h2t.SinkError
-		if _, err := st.WriteTo(relay.clientConn); errors.As(err, &sink) {
+// sink has st's DATA written to the user's connection (h2t.Stream.Sink)
+// and its end followed, one generation after another: the next
+// generation's sink is attached only once the last one's end callback runs
+// — its writer done and its session's reader writing no more for it — so
+// two generations never interleave bytes on the user's connection.
+func (r *mqttRelay) sink(st *h2t.Stream) {
+	st.Sink(r.clientConn, func(err error) {
+		var sinkErr *h2t.SinkError
+		if errors.As(err, &sinkErr) {
+			r.close()
 			return
 		}
 		// The splice itself resets the old stream, and a draining Origin
 		// may drop it first: either way a re_connect in flight has the
 		// last word.
-		relay.mu.Lock()
-		dcr := relay.dcr
-		relay.mu.Unlock()
+		r.mu.Lock()
+		dcr := r.dcr
+		r.mu.Unlock()
 		if dcr != nil {
 			<-dcr
 		}
-		if next := relay.currentStream(); next != st {
-			st = next
-			continue
+		if next := r.currentStream(); next != st {
+			r.sink(next)
+			return
 		}
 		// Stream ended without a successful splice: the user is disrupted
 		// (the woutDCR baseline measures exactly this).
-		p.reg.Counter("edge.mqtt.stream_lost").Inc()
-		p.cfg.Ledger.Record(disrupt.KindReset, 0, VIPMQTT, "dcr:stream-lost", relay.userID)
-		return
-	}
+		r.p.reg.Counter("edge.mqtt.stream_lost").Inc()
+		r.p.cfg.Ledger.Record(disrupt.KindReset, 0, VIPMQTT, "dcr:stream-lost", r.userID)
+		r.close()
+	})
 }
 
 // watch has the session reader start the DCR re_connect for a reconnect
 // solicitation on st, unless one is in flight or st is no longer the
 // relay's stream. The transaction runs on a goroutine that exists only
-// while it does, beside the downstream pump and not in it: the old stream
+// while it does, beside the old stream's sink and not in it: that stream
 // is the user's path until the broker has moved the session, and what
 // arrives on it meanwhile is the user's to receive. A splice has the new
 // stream watched in turn.
@@ -551,7 +545,7 @@ func (r *mqttRelay) watch(st *h2t.Stream) {
 		}
 		dcr := make(chan struct{})
 		r.dcr = dcr
-		// An open relay's pumps hold p.wg above zero until they close it.
+		// An open relay's owner holds p.wg above zero until it closes it.
 		r.p.wg.Add(1)
 		go func() {
 			defer r.p.wg.Done()

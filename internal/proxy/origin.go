@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"os"
 	"strconv"
@@ -22,7 +23,8 @@ import (
 )
 
 // originSession tracks one Edge-facing tunnel session on the Origin, with
-// the MQTT relays it carries (needed for reconnect_solicitation at drain).
+// the MQTT relays it carries (needed for reconnect_solicitation at drain):
+// each one's stream and broker connection.
 type originSession struct {
 	p    *Proxy
 	sess *h2t.Session
@@ -30,25 +32,7 @@ type originSession struct {
 	idle atomic.Int32
 
 	mu     sync.Mutex
-	relays map[*h2t.Stream]*brokerRelay
-}
-
-type brokerRelay struct {
-	stream *h2t.Stream
-	conn   net.Conn
-	userID string
-}
-
-func (os *originSession) addRelay(r *brokerRelay) {
-	os.mu.Lock()
-	os.relays[r.stream] = r
-	os.mu.Unlock()
-}
-
-func (os *originSession) removeRelay(st *h2t.Stream) {
-	os.mu.Lock()
-	delete(os.relays, st)
-	os.mu.Unlock()
+	relays map[*h2t.Stream]net.Conn
 }
 
 // startDrain performs the Origin side of a graceful restart: GOAWAY on
@@ -58,12 +42,12 @@ func (os *originSession) removeRelay(st *h2t.Stream) {
 // solicitation payload so the Edge's dcr.reconnect spans join the trace.
 func (os *originSession) startDrain(trace string) {
 	os.sess.GoAway()
-	for _, r := range os.takeRelays(false) {
-		payload := r.userID
+	for st := range os.takeRelays(false) {
+		payload := st.Fields().Get("user-id")
 		if trace != "" {
 			payload += "\n" + trace
 		}
-		r.stream.SendControl(h2t.FrameReconnectSolicitation, []byte(payload))
+		st.SendControl(h2t.FrameReconnectSolicitation, []byte(payload))
 		os.p.reg.Counter("origin.mqtt.solicitations_sent").Inc()
 	}
 }
@@ -74,27 +58,25 @@ func (os *originSession) close() {
 	// under the broker connection's read lock (netx.Relay), and a Close of
 	// that connection would wait for a write parked on the stream's window.
 	os.sess.Close()
-	for _, r := range relays {
-		r.conn.Close()
+	for _, conn := range relays {
+		conn.Close()
 	}
 }
 
 // takeRelays returns the relays the session carries, and with forget
 // leaves it none.
-func (os *originSession) takeRelays(forget bool) []*brokerRelay {
+func (os *originSession) takeRelays(forget bool) map[*h2t.Stream]net.Conn {
 	os.mu.Lock()
 	defer os.mu.Unlock()
-	relays := make([]*brokerRelay, 0, len(os.relays))
-	for _, r := range os.relays {
-		relays = append(relays, r)
-	}
+	relays := maps.Clone(os.relays)
 	if forget {
 		clear(os.relays)
 	}
 	return relays
 }
 
-// serve serves one Edge-facing tunnel connection until its session ends.
+// serve serves one Edge-facing tunnel connection until its session ends,
+// the session's reader on this goroutine and its acceptors beside it.
 func (os *originSession) serve() {
 	os.p.reg.Counter("origin.tunnel.sessions").Inc()
 	// The Edge keeps to a stream window once it has seen any frame of this
@@ -106,9 +88,12 @@ func (os *originSession) serve() {
 		// the drain looked for sessions, is told to go elsewhere.
 		os.sess.GoAway()
 	}
-	// An acceptor may leave early; the session is owned until it ends.
-	os.acceptStreams()
-	<-os.sess.Done()
+	os.p.wg.Add(1)
+	go func() {
+		defer os.p.wg.Done()
+		os.acceptStreams()
+	}()
+	os.sess.Serve()
 }
 
 // tunnelIdleAcceptors is how many goroutines an idle tunnel session keeps
@@ -184,34 +169,34 @@ func (p *Proxy) relayMQTT(os *originSession, st *h2t.Stream, userID, trace strin
 	}
 	sp.End()
 
-	relay := &brokerRelay{stream: st, conn: bconn, userID: userID}
-	os.addRelay(relay)
+	os.mu.Lock()
+	os.relays[st] = bconn
+	os.mu.Unlock()
 	p.reg.Counter("origin.mqtt.relays").Inc()
 	p.reg.Gauge("origin.mqtt.active").Inc()
 	defer func() {
-		os.removeRelay(st)
+		os.mu.Lock()
+		delete(os.relays, st)
+		os.mu.Unlock()
 		p.reg.Gauge("origin.mqtt.active").Dec()
 	}()
 
 	// Bidirectional byte relay; returns when either side closes. Toward a
-	// bare bconn the tunnel's reader writes the stream's DATA as it arrives
-	// (Stream.WriteTo, on a goroutine of its own), no buffer held; from it
-	// netx.Relay, here, reads by wakes, each into a pooled buffer it gives
-	// back. A fault-wrapped bconn gets a plain loop both ways, keeping
-	// injected faults on the observable path. Either pump's end ends the
-	// other: the stream first, for the reset is what frees a broker→stream
-	// write parked on its window, and the Close would wait for that write.
-	wrote := make(chan struct{})
-	go func() {
-		defer close(wrote)
-		st.WriteTo(bconn)
+	// bare bconn the tunnel's reader writes the stream's DATA as it arrives,
+	// and a writer only what is queued (Stream.Sink): no buffer is held and
+	// no goroutine waits; from it netx.Relay, here, reads by wakes, each
+	// into a pooled buffer it gives back. A fault-wrapped bconn gets a plain
+	// loop from it, keeping injected faults on the observable path. Either
+	// direction's end ends the other: the stream first, for the reset is
+	// what frees a broker→stream write parked on its window, and the Close
+	// would wait for that write.
+	end := func(error) {
 		st.Reset()
 		bconn.Close()
-	}()
+	}
+	st.Sink(bconn, end)
 	netx.Relay(st, bconn)
-	st.Reset()
-	bconn.Close()
-	<-wrote
+	end(nil)
 }
 
 // brokerConn dials userID's broker, which consistent hashing makes the

@@ -376,8 +376,8 @@ func (p *Proxy) acceptor(name string) func(net.Conn) owner {
 		return func(c net.Conn) owner { return &mqttRelay{p: p, clientConn: c} }
 	case name == VIPTunnel && p.cfg.Role == RoleOrigin:
 		return func(c net.Conn) owner {
-			sess := h2t.NewSession(c, false, h2t.WithMetrics(p.tunnelMetrics))
-			return &originSession{p: p, sess: sess, relays: make(map[*h2t.Stream]*brokerRelay)}
+			sess := h2t.NewServedSession(c, false, h2t.WithMetrics(p.tunnelMetrics))
+			return &originSession{p: p, sess: sess, relays: make(map[*h2t.Stream]net.Conn)}
 		}
 	}
 	return nil

@@ -248,22 +248,14 @@ func selfPublisher(t *testing.T, tp *topology, id string) (roundTrip func()) {
 // TestSlowSinkDoesNotStallTheSession: the tunnel's reader writes a relayed
 // stream's DATA to its user's socket itself, and a wake must never wait.
 // One MQTT user stops reading until its socket is full and a window is
-// queued behind it. A second user and an HTTP GET on the same tunnel
-// session go on completing while that builds up and after; the stalled
-// stream costs its session a window and a chunk of memory at most, and
-// nothing once its user is gone. (The second user pings: a publish would
-// wait in the broker, whose fan-out takes every session's lock in turn and
-// finds the deaf one's held by the write parked on it — the broker's
-// matter, before this test as after, and not the tunnel's.)
+// queued behind it. A second user's publishes to itself, through the same
+// tunnel session and broker, and an HTTP GET go on completing while that
+// builds up and after: neither the tunnel nor the broker's fan-out waits
+// for the stalled user. The stalled stream costs its session a window and
+// a chunk of memory at most, and nothing once its user is gone.
 func TestSlowSinkDoesNotStallTheSession(t *testing.T) {
 	tp := startTopology(t, 1, 1)
-	neighbour := dialMQTT(t, tp, "neighbour")
-	roundTrip := func() {
-		t.Helper()
-		if err := neighbour.Ping(2 * time.Second); err != nil {
-			t.Fatalf("the stalled user's neighbour: %v", err)
-		}
-	}
+	roundTrip := selfPublisher(t, tp, "neighbour")
 	get := func() {
 		t.Helper()
 		if resp := doRequest(t, tp.edge.Addr(VIPWeb), http1.NewRequest("GET", "/api/feed", nil, 0)); resp.StatusCode != 200 {
@@ -417,14 +409,16 @@ func TestDCRSpliceKeepsByteOrder(t *testing.T) {
 // hundred users subscribe through one Edge and one Origin and fall silent;
 // each is sent one publish and falls silent again. Both times no receive
 // buffer holds a chunk, the heap and stacks of the whole process — both
-// proxies, the broker and the test's own clients — are at most 40 KB a
-// user, and a user keeps at most five goroutines: a pump each way at the
-// Edge and at the Origin, each waiting for its next message with no
-// buffer of its own, and the broker's session. What is left is goroutines
-// and connection state.
+// proxies, the broker and the test's own clients — are at most 32 KB a
+// user, and a user keeps at most three goroutines: the reader of its
+// connection at the Edge, of its broker connection at the Origin and of
+// its session at the broker, each waiting for its next message with no
+// buffer of its own. The other way no goroutine waits: the tunnels'
+// readers write it (h2t.Stream.Sink). What is left is goroutines and
+// connection state.
 func TestIdleRelayedUserHoldsNoRelayBuffer(t *testing.T) {
 	racetest.SkipAllocs(t)
-	const users, perUser, goroutinesPerUser = 400, 40 << 10, 5
+	const users, perUser, goroutinesPerUser = 400, 32 << 10, 3
 	tp := startTopology(t, 0, 1)
 	before, goroutines := inUse(), runtime.NumGoroutine()
 	idle := func(when string) {
