@@ -43,9 +43,10 @@ type Handler func(req *http1.Request, body []byte) *http1.Response
 // Request bodies declared at pooledBodyMin or more are read into pooled
 // buffers of bodyPoolCap, which go back once the response — the
 // handler's, or the 379 that hands a partial body back — is written. A
-// body that outgrows its buffer moves to the heap as any append does.
-// bodyPoolCap is also the most a Content-Length may pre-size: the peer is
-// a trusted proxy, but the header is still client-originated.
+// body that outgrows its buffer moves to the heap as any append does, up
+// to maxBody: one longer is answered 413 (tooLarge). bodyPoolCap is also
+// the most a Content-Length may pre-size: the peer is a trusted proxy,
+// but the header is still client-originated.
 //
 // The pool is a free list of bodyPoolKeep buffers, made when the first
 // such body arrives, and not a sync.Pool. One re-made buffer is what a
@@ -63,11 +64,13 @@ const (
 	pooledBodyMin = 64 << 10
 	bodyPoolCap   = 1 << 20
 	bodyPoolKeep  = 4
+	maxBody       = 64 << 20
 )
 
 var (
 	bodyPool     = make(chan *[]byte, bodyPoolKeep)
 	bodyPoolFill sync.Once
+	errTooLarge  = errors.New("appserver: request body longer than maxBody")
 )
 
 func newBody() *[]byte {
@@ -387,6 +390,9 @@ func (s *Server) serveRequest(conn net.Conn, br *bufio.Reader, req *http1.Reques
 		body = make([]byte, 0, cl)
 	}
 	body, complete, err := s.readBody(conn, req, body, false)
+	if err == errTooLarge {
+		return s.tooLarge(conn, br)
+	}
 	if err != nil {
 		s.reg.Counter("appserver.body.errors").Inc()
 		sp.Fail(err)
@@ -421,9 +427,9 @@ func (s *Server) serveRequest(conn net.Conn, br *bufio.Reader, req *http1.Reques
 
 // readBody reads the request body into body's spare room — the room the
 // caller chose, and for a body larger than that room (chunked, or longer
-// than a pooled buffer) more, grown as append grows it — so that a read
-// takes all the connection holds and the body is copied nowhere else.
-// complete=false means the drain cut the body short.
+// than a pooled buffer) more, grown as append grows it up to maxBody — so
+// that a read takes all the connection holds and the body is copied
+// nowhere else. complete=false means the drain cut the body short.
 //
 // No read deadline is set during normal operation: Shutdown kicks a
 // blocked read by expiring the connection's read deadline, and the drain
@@ -440,6 +446,9 @@ func (s *Server) readBody(conn net.Conn, req *http1.Request, body []byte, grace 
 	}
 	var until time.Time // the end of the grace window, once there is one
 	for {
+		if req.ContentLength > maxBody || len(body) > maxBody {
+			return body, false, errTooLarge
+		}
 		if until.IsZero() && (grace || s.Draining()) {
 			until = time.Now().Add(s.cfg.GraceWindow)
 		}
@@ -470,6 +479,22 @@ func (s *Server) readBody(conn net.Conn, req *http1.Request, body []byte, grace 
 			return body, false, rerr
 		}
 	}
+}
+
+// tooLarge answers 413 to a body past maxBody and closes the connection
+// once the line is quiet, as behind a 379: a close with bytes unread
+// resets it, and the reset can wipe the 413 from the proxy's queue.
+func (s *Server) tooLarge(conn net.Conn, br *bufio.Reader) bool {
+	resp := http1.NewResponse(413, nil, 0)
+	resp.Header.Set("Connection", "close")
+	s.cStatus.Inc(413)
+	http1.WriteResponse(conn, resp)
+	until := time.Now().Add(s.cfg.GraceWindow)
+	for took := int64(1); took > 0 && time.Now().Before(until); {
+		conn.SetReadDeadline(time.Now().Add(s.cfg.GraceSilence))
+		took, _ = io.Copy(io.Discard, br)
+	}
+	return false
 }
 
 func isTimeout(err error) bool {

@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -688,5 +689,60 @@ func TestPipelinedRequestsDoNotAlias(t *testing.T) {
 	}
 	if want := (seen{nil, "GET", "/second", "", 2, 0, "", false, false}); got[1] != want {
 		t.Errorf("second request: %+v, want %+v", got[1], want)
+	}
+}
+
+// TestBodyPastTheBoundIs413: a request body longer than maxBody is not
+// held. One declared longer is answered 413 before a byte of it is sent,
+// a chunked one once it passes the bound. Either answer ends the
+// connection, and only when what the client still sends has stopped
+// coming: the client reads a FIN, not a reset, and the handler never runs.
+func TestBodyPastTheBoundIs413(t *testing.T) {
+	chunk := append([]byte(fmt.Sprintf("%x\r\n", 1<<20)), bytes.Repeat([]byte("b"), 1<<20)...)
+	chunk = append(chunk, "\r\n"...)
+	for _, tc := range []struct {
+		name, framing string
+		before        int // chunks sent before the answer is read; four follow it
+	}{
+		{"declared", "Content-Length: 10737418240", 0},
+		{"chunked", "Transfer-Encoding: chunked", maxBody>>20 + 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var served atomic.Int32
+			s := startServer(t, Config{GraceSilence: 250 * time.Millisecond, GraceWindow: 5 * time.Second,
+				Handler: func(*http1.Request, []byte) *http1.Response {
+					served.Add(1)
+					return http1.NewResponse(200, nil, 0)
+				}})
+			conn, err := net.Dial("tcp", s.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			send := func(n int) {
+				for i := 0; i < n; i++ {
+					if _, err := conn.Write(chunk); err != nil {
+						t.Fatalf("sending the body: %v", err)
+					}
+				}
+			}
+			if _, err := conn.Write([]byte("POST /upload HTTP/1.1\r\n" + tc.framing + "\r\n\r\n")); err != nil {
+				t.Fatal(err)
+			}
+			send(tc.before)
+			conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+			br := bufio.NewReader(conn)
+			resp, err := http1.ReadResponse(br)
+			if err != nil || resp.StatusCode != 413 || !resp.Header.HasToken("Connection", "close") {
+				t.Fatalf("answer %+v, %v; want 413 with Connection: close", resp, err)
+			}
+			send(4)
+			if n, err := io.Copy(io.Discard, br); n != 0 || err != nil {
+				t.Fatalf("after the 413: %d more bytes, %v; want a FIN", n, err)
+			}
+			if served.Load() != 0 {
+				t.Fatal("the handler ran")
+			}
+		})
 	}
 }

@@ -31,6 +31,7 @@ var reasonPhrases = map[int]string{
 	379: StatusMessagePartialPost,
 	400: "Bad Request",
 	404: "Not Found",
+	413: "Content Too Large",
 	500: "Internal Server Error",
 	502: "Bad Gateway",
 	503: "Service Unavailable",

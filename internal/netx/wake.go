@@ -96,11 +96,10 @@ type WakeReader struct {
 	rc   syscall.RawConn // nil when conn hides its descriptor
 	h    WakeHandler
 	onFD func(fd uintptr) bool // wake, bound once so that Run allocates nothing
-	// oob is where recvmsg puts the queued-bytes count; empty when the
-	// socket did not take TCP_INQ, which the first wake asks of it.
-	oob    []byte
-	oobBuf [cmsgInqLen]byte
-	asked  bool
+	// oob is where recvmsg puts the queued-bytes count, when inq: the
+	// socket took TCP_INQ, which the first wake (asked) asks of it.
+	oob        [cmsgInqLen]byte
+	asked, inq bool
 
 	rest   []byte // of the last read, what Read has yet to return
 	inWake bool
@@ -196,13 +195,14 @@ func (w *WakeReader) Run() error {
 func (w *WakeReader) wake(fd uintptr) (done bool) {
 	if !w.asked {
 		w.asked = true
-		if syscall.SetsockoptInt(int(fd), syscall.IPPROTO_TCP, tcpInq, 1) == nil {
-			w.oob = w.oobBuf[:]
-		}
+		w.inq = syscall.SetsockoptInt(int(fd), syscall.IPPROTO_TCP, tcpInq, 1) == nil
 	}
 	for {
-		buf := w.h.ReadBuf()
-		n, oobn, _, _, err := syscall.Recvmsg(int(fd), buf, w.oob, 0)
+		buf, oob := w.h.ReadBuf(), w.oob[:0]
+		if w.inq {
+			oob = w.oob[:]
+		}
+		n, oobn, _, _, err := syscall.Recvmsg(int(fd), buf, oob, 0)
 		if err == syscall.EINTR {
 			continue
 		}

@@ -191,7 +191,7 @@ func TestWakeReaderWithoutInqReadsToEAGAIN(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if w.oob != nil {
+	if w.inq {
 		t.Fatal("a unix socket took TCP_INQ")
 	}
 }

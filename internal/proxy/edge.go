@@ -117,11 +117,13 @@ func (p *Proxy) tunnelTo(addr string) (*h2t.Session, error) {
 // (Direct Server Return), the rest is forwarded over the tunnel to an
 // Origin. busy is true from a parsed request head to the end of its
 // response, which is what tells a disruption from the close of an idle
-// keep-alive connection.
+// keep-alive connection. pump counts the request's body pump, which its
+// handler waits for before the connection reads its next request.
 type webConn struct {
 	net.Conn
 	p    *Proxy
 	busy atomic.Bool
+	pump sync.WaitGroup
 	ka   http1.KeepAlive
 }
 
@@ -137,7 +139,7 @@ func (wc *webConn) close() {
 
 func (wc *webConn) ServeRequest(req *http1.Request, _ *bufio.Reader) bool {
 	wc.busy.Store(true)
-	ok := wc.p.serveEdgeRequest(wc.Conn, req)
+	ok := wc.p.serveEdgeRequest(wc.Conn, &wc.pump, req)
 	wc.busy.Store(false)
 	return ok
 }
@@ -155,10 +157,11 @@ func appendTrace(hdr h2t.Fields, sp *obs.Span, incoming string) h2t.Fields {
 	return append(hdr, h2t.Field{Name: obs.TraceHeader, Value: incoming})
 }
 
-// serveEdgeRequest serves one request of conn and reports whether it can
-// take another. req is the connection's, read into again once this returns:
-// nothing keeps it or its Body longer; values taken from it may be kept.
-func (p *Proxy) serveEdgeRequest(conn net.Conn, req *http1.Request) bool {
+// serveEdgeRequest serves one request of conn, its body pump counted in
+// pump, and reports whether it can take another. req is the connection's,
+// read into again once this returns: nothing keeps it or its Body longer;
+// values taken from it may be kept.
+func (p *Proxy) serveEdgeRequest(conn net.Conn, pump *sync.WaitGroup, req *http1.Request) bool {
 	// The trace context is forwarded over the tunnel either way, so that
 	// the Origin and app-server spans stitch into one trace.
 	incoming := req.Header.Get(obs.TraceHeader)
@@ -216,27 +219,27 @@ func (p *Proxy) serveEdgeRequest(conn net.Conn, req *http1.Request) bool {
 		return p.failRequest(conn, sp, 502, "edge.http.errors.open_stream", "edge:open-stream", err)
 	}
 
-	// Pump the request body upstream while watching for the response.
-	// netx.Relay keeps this on the pooled-copy path (the stream side is
-	// h2t-framed) while making the selection explicit and accounted.
-	// The Origin may answer without taking the whole body (a 500 once its
-	// attempts are spent, an app server's early reply) and resets the
-	// stream behind that answer: the pump, possibly parked on the stream's
-	// window, ends there, and what the client still sends is read and
-	// dropped so that the connection is fit for its next request.
+	// Pump the request body upstream on a goroutine of its own (netx.Relay,
+	// the pooled-copy path: the stream side is h2t-framed). The Origin may
+	// answer before taking the whole body (a 500 once its attempts are
+	// spent, an app server's 413): pumped from here, the upload would wait
+	// on the Origin's window while an answer longer than a window waited
+	// on this Edge's. The Origin resets the stream behind such an answer:
+	// the pump ends there and reads what the client still sends to
+	// nowhere, so that the connection is fit for its next request.
 	if streamed {
-		done := make(chan error, 1)
+		pump.Add(1)
 		go func() {
+			defer pump.Done()
 			_, err := netx.Relay(st, req.Body)
 			switch {
 			case err == nil:
-				err = st.CloseWrite()
+				st.CloseWrite()
 			case errors.Is(err, h2t.ErrStreamClosed) || errors.Is(err, h2t.ErrStreamReset):
-				_, err = io.Copy(io.Discard, req.Body)
+				io.Copy(io.Discard, req.Body)
 			}
-			done <- err
 		}()
-		defer func() { <-done }()
+		defer pump.Wait()
 	}
 
 	respHdr, err := st.RecvHeaders(p.cfg.UpstreamResponseTimeout)

@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"zdr/internal/http1"
 	"zdr/internal/netx"
@@ -45,6 +46,17 @@ func getOn(t *testing.T, c net.Conn) string {
 		t.Fatal(err)
 	}
 	return resp.Header.Get("Via")
+}
+
+// TestWebConnSize pins what every connection accepted at the web VIP
+// pays: a webConn, its reader and its body pump's WaitGroup included,
+// fills the 640-byte size class and no more.
+func TestWebConnSize(t *testing.T) {
+	if n := unsafe.Sizeof(webConn{}); n > 640 {
+		t.Errorf("a webConn is %d bytes, want <= 640", n)
+	} else {
+		t.Logf("a webConn is %d bytes", n)
+	}
 }
 
 // TestIdleWebConnHoldsNoBuffer is the idle tier at the Edge's web VIP: a

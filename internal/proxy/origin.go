@@ -488,11 +488,26 @@ func (uc *upstreamConn) lost(err error, resendable bool) error {
 	return err
 }
 
-// exchange writes r to uc and reads the response head. A body-less
-// request (every GET) is one Run of the connection's reader on this
-// goroutine under a read deadline — liveness read, one Write, the wait,
-// the response's read; only a streamed body, which a 379 may interrupt,
-// needs the response watched concurrently.
+// probe is one read of uc between the chunks of a streamed body, a read
+// that does not wait (upstreamConn.ServeWake). It reports whether the
+// response has begun, and if so the reply: the head read under timeout
+// from now, or how the connection ended. A connection whose descriptor is
+// hidden cannot be asked; its response is read once the body is sent.
+func (uc *upstreamConn) probe(timeout time.Duration) (upstreamReply, bool) {
+	if err := uc.wr.Run(); err != nil {
+		return upstreamReply{err: err, silent: true}, true
+	}
+	if !uc.begun {
+		return upstreamReply{}, false
+	}
+	uc.SetReadDeadline(time.Now().Add(timeout))
+	return uc.readReply(), true
+}
+
+// exchange writes r to uc and reads the response head, on this goroutine.
+// A body-less request (every GET) is one Run of the connection's reader
+// under a read deadline — liveness read, one Write, the wait, the
+// response's read; a streamed body follows the Run's Write (exchangeBody).
 func (p *Proxy) exchange(uc *upstreamConn, r *upstreamReq) (*http1.Response, error) {
 	hp := bufpool.Get(bufpool.TierSmall)
 	uc.head, uc.streamed, uc.werr = appendRequestHead((*hp)[:0], r), r.rest != nil, nil
@@ -515,24 +530,14 @@ func (p *Proxy) exchange(uc *upstreamConn, r *upstreamReq) (*http1.Response, err
 	return uc.settle(upstreamReply{err: http1.ReadResponseInto(uc.br, &uc.resp)}, true)
 }
 
-// exchangeBody streams r's body in small chunks while the response is
-// watched concurrently, so a 379 that arrives mid-upload stops forwarding
-// promptly (the restarting server grace-reads everything sent before that
-// moment, preserving the no-byte-lost invariant). The watcher is the only
-// reader of uc.br until its reply has been received, which every return
-// path does.
+// exchangeBody streams r's body in chunks and probes for the response
+// before each one that comes from the client, and before the bytes a
+// replay has in hand, so that a 379 that arrives mid-upload stops the
+// forwarding at a chunk's boundary (the restarting server grace-reads
+// everything sent before that moment, preserving the no-byte-lost
+// invariant). The response is read on this goroutine, at the probe that
+// finds it or after the last byte.
 func (p *Proxy) exchangeBody(uc *upstreamConn, r *upstreamReq) (*http1.Response, error) {
-	respCh := make(chan upstreamReply, 1)
-	go func() { respCh <- uc.readReply() }()
-	early := func() (upstreamReply, bool) {
-		select {
-		case rep := <-respCh:
-			return rep, true
-		default:
-			return upstreamReply{}, false
-		}
-	}
-
 	var cw *http1.ChunkedWriter
 	if r.cl < 0 {
 		cw = http1.NewChunkedWriter(uc.Conn)
@@ -556,20 +561,17 @@ func (p *Proxy) exchangeBody(uc *upstreamConn, r *upstreamReq) (*http1.Response,
 	// overwritten: bytes written to uc have since been overwritten in
 	// r.buf, so the request can no longer be rebuilt from its first byte.
 	overwritten := false
-	// abandon ends a broken exchange: closing uc stops the watcher.
-	abandon := func() {
-		uc.Conn.Close()
-		<-respCh
-	}
 	// A write that fails means the server cannot have read the whole
-	// request, so it is as good as silent.
+	// request, so it is as good as silent. The caller discards uc.
 	fail := func(what string, err error) (*http1.Response, error) {
-		abandon()
 		return nil, uc.lost(fmt.Errorf("proxy: %s: %w", what, err), !overwritten)
 	}
+	timeout := p.cfg.UpstreamResponseTimeout
 
-	if rep, ok := early(); ok {
-		return uc.settle(rep, true)
+	if len(r.replay)+len(r.held) > 0 {
+		if rep, ok := uc.probe(timeout); ok {
+			return uc.settle(rep, true)
+		}
 	}
 	if err := write(r.replay); err != nil {
 		return fail("writing replay prefix", err)
@@ -578,25 +580,14 @@ func (p *Proxy) exchangeBody(uc *upstreamConn, r *upstreamReq) (*http1.Response,
 		return fail("forwarding body", err)
 	}
 	for {
-		if rep, ok := early(); ok {
-			// Early response (379 or error) — stop forwarding. It is not
-			// early if every declared byte has been written and only the
-			// client's END_STREAM is yet to be read: the request was sent.
-			if rep.err == nil {
-				r.held = nil
-			}
-			uc.sent = r.cl >= 0 && r.wrote == r.cl
-			return uc.settle(rep, !overwritten)
-		}
 		n, rerr := r.rest.Read(r.buf)
 		if n > 0 {
 			overwritten = overwritten || len(r.held) > 0
 			r.held = r.buf[:n]
-			if rep, ok := early(); ok {
-				// Response arrived while we were blocked reading the
-				// client: do NOT forward this chunk — a 379 body already
-				// reflects everything the server received. It stays held
-				// and leads the replay.
+			if rep, ok := uc.probe(timeout); ok {
+				// An early response (379 or error): do NOT forward this
+				// chunk — a 379 body already reflects everything the
+				// server received. It stays held and leads the replay.
 				return uc.settle(rep, !overwritten)
 			}
 			if werr := write(r.held); werr != nil {
@@ -607,7 +598,6 @@ func (p *Proxy) exchangeBody(uc *upstreamConn, r *upstreamReq) (*http1.Response,
 			break
 		}
 		if rerr != nil {
-			abandon()
 			return nil, fmt.Errorf("proxy: reading client body: %w", rerr)
 		}
 	}
@@ -617,8 +607,8 @@ func (p *Proxy) exchangeBody(uc *upstreamConn, r *upstreamReq) (*http1.Response,
 		}
 	}
 	uc.sent = true
-	uc.SetReadDeadline(time.Now().Add(p.cfg.UpstreamResponseTimeout))
-	rep := <-respCh
+	uc.SetReadDeadline(time.Now().Add(timeout))
+	rep := uc.readReply()
 	if rep.err == nil {
 		r.held = nil
 	}

@@ -63,11 +63,11 @@ type upstreamConn struct {
 
 	// head is the request head the exchange under way has yet to write,
 	// streamed whether a body follows it, which its sender writes; werr is
-	// why the head could not be sent.
-	head     []byte
-	streamed bool
-	werr     error
-	rbuf     [4 << 10]byte
+	// why the head could not be sent. begun is what the last probe found.
+	head            []byte
+	streamed, begun bool
+	werr            error
+	rbuf            [4 << 10]byte
 }
 
 // errUnsolicited: an idle keep-alive connection has nothing to say.
@@ -88,9 +88,13 @@ func (uc *upstreamConn) ReadBuf() []byte { return uc.rbuf[:] }
 // ends the Run — and the head is written behind it: after the Run's
 // reset of the descriptor's readiness, so the response's edge cannot be
 // lost. A connection whose descriptor is hidden cannot be asked and
-// passes: the stale-reuse retry covers it.
+// passes: the stale-reuse retry covers it. Once a streamed request's head
+// is out, every Run is a probe, which a read that finds nothing ends.
 func (uc *upstreamConn) ServeWake(n int) (done bool) {
 	switch {
+	case uc.head == nil && uc.streamed:
+		uc.begun = n > 0
+		return true
 	case uc.head == nil:
 		return n > 0 // the response: br has it from here
 	case n > 0:

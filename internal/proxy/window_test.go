@@ -110,6 +110,101 @@ func TestEarlyResponseEndsTheBodyPump(t *testing.T) {
 	})
 }
 
+// TestBodyPastTheBoundIs413ThroughThePath: a POST of 65 MiB, past the
+// 64 MiB an app server holds, is answered 413 while its body is still
+// arriving, 64 KiB every 5 ms, and before 4 MiB of it has been sent. The
+// app server refuses it unread, the Origin's probe finds the answer
+// between two chunks and stops forwarding, and the Edge writes it while
+// its pump drops what the client still sends. The connection then serves
+// a GET.
+func TestBodyPastTheBoundIs413ThroughThePath(t *testing.T) {
+	conn, err := net.DialTimeout("tcp", startPath(t, nil), 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	body := make([]byte, 65<<20)
+	var written atomic.Int64
+	answered, sent := make(chan struct{}), make(chan error, 1)
+	go func() {
+		_, err := fmt.Fprintf(conn, "POST /upload HTTP/1.1\r\nContent-Length: %d\r\n\r\n", len(body))
+		for rest := body; err == nil && len(rest) > 0; {
+			n := len(rest) // the rest at once when the answer is in
+			select {
+			case <-answered:
+			default:
+				n = min(n, 64<<10)
+				time.Sleep(5 * time.Millisecond)
+			}
+			n, err = conn.Write(rest[:n])
+			written.Add(int64(n))
+			rest = rest[n:]
+		}
+		sent <- err
+	}()
+	conn.SetReadDeadline(time.Now().Add(20 * time.Second))
+	br := bufio.NewReader(conn)
+	resp, err := http1.ReadResponse(br)
+	at := written.Load()
+	close(answered)
+	if err != nil || resp.StatusCode != 413 {
+		t.Fatalf("POST of 65 MiB: %+v, %v; want 413", resp, err)
+	}
+	if at >= 4<<20 {
+		t.Errorf("the 413 came after %d bytes of the body, want it before 4 MiB", at)
+	}
+	if _, err := http1.ReadFullBody(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-sent; err != nil {
+		t.Fatalf("sending the body: %v", err)
+	}
+	if _, err := http1.WriteRequest(conn, http1.NewRequest("GET", "/next", nil, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := http1.ReadResponse(br); err != nil || resp.StatusCode != 200 {
+		t.Fatalf("GET after the 413: %+v, %v", resp, err)
+	}
+}
+
+// TestHalfSentUploadHasNoWatcher: while a POST's body is half sent, the
+// goroutine forwarding it at the Origin is the only one that reads the app
+// server's connection — none was started to watch it for the reply. The
+// rest then arrives and the echo is whole.
+func TestHalfSentUploadHasNoWatcher(t *testing.T) {
+	conn, err := net.DialTimeout("tcp", startPath(t, nil), 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	body := bytes.Repeat([]byte("h"), 1<<20)
+	if _, err := fmt.Fprintf(conn, "POST /upload HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s", len(body), body[:len(body)/2]); err != nil {
+		t.Fatal(err)
+	}
+	var stacks []byte
+	waitFor(t, "the Origin to forward the body", func() bool {
+		stacks = make([]byte, 1<<20)
+		stacks = stacks[:runtime.Stack(stacks, true)]
+		return bytes.Contains(stacks, []byte("(*Proxy).exchangeBody("))
+	})
+	for _, watcher := range []string{"(*upstreamConn).readReply", "created by zdr/internal/proxy.(*Proxy).exchangeBody"} {
+		if bytes.Contains(stacks, []byte(watcher)) {
+			t.Fatalf("a goroutine watches the upload (%s):\n%s", watcher, stacks)
+		}
+	}
+	if _, err := conn.Write(body[len(body)/2:]); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	resp, err := http1.ReadResponse(bufio.NewReader(conn))
+	if err != nil || resp.StatusCode != 200 {
+		t.Fatalf("echo: %+v, %v", resp, err)
+	}
+	if got, err := http1.ReadFullBody(resp.Body); err != nil || !bytes.Equal(got, body) {
+		t.Fatalf("echo of %d bytes, %v; want the %d sent", len(got), err, len(body))
+	}
+}
+
 // TestPPRReplaysALargeBodyThroughTheWindow: TestPPREndToEnd with a body of
 // sixteen windows. The app server restarts a quarter of the way in and
 // hands back what it has; the Origin replays that and the rest, which

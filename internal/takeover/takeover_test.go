@@ -303,7 +303,11 @@ func TestServerConnect(t *testing.T) {
 	// Wait for the socket file to appear.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		if _, _, err := Connect(path, ConnectOptions{ReceiveOptions: ReceiveOptions{Timeout: 500 * time.Millisecond}}); err == nil {
+		got, _, err := Connect(path, ConnectOptions{ReceiveOptions: ReceiveOptions{Timeout: 500 * time.Millisecond}})
+		if err == nil {
+			// Closed here: a set left to the collector closes its socket
+			// under a later test's fd ledger.
+			got.Close()
 			break
 		} else if time.Now().After(deadline) {
 			t.Fatalf("connect never succeeded: %v", err)
