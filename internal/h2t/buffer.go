@@ -44,9 +44,9 @@ const inlineChunks = 5
 // The first chunk of an empty buffer is of the smallest tier that holds
 // the frame that needs it, later ones are TierLarge, which is a frame.
 //
-// The buffer is part of its Stream, whose size every small request pays
-// twice per hop: hence the inline array, and hence the session, which
-// accounts the chunk memory held, being passed in and not kept here.
+// The buffer is part of its Stream, whose size an idle relayed stream
+// holds: hence the inline array, and hence the session, which accounts the
+// chunk memory held, being passed in and not kept here.
 type recvBuffer struct {
 	mu   sync.Mutex
 	cond sync.Cond // L is &mu
@@ -67,6 +67,7 @@ type recvBuffer struct {
 	// the two comes back last lets go of them (drop).
 	filling, draining bool
 	eof               bool  // peer half-closed cleanly
+	released          bool  // the stream's user let go of it (Stream.Release)
 	err               error // terminal error (RST / session death)
 }
 
@@ -123,12 +124,13 @@ func (b *recvBuffer) tail(s *Session, n int) *[]byte {
 	return b.push(s, bufpool.TierLarge)
 }
 
-// admits reports whether a DATA frame of n bytes fits the peer's window,
-// queued and consumed-but-unacknowledged bytes on one account.
-func (b *recvBuffer) admits(n int) bool {
+// admits reports whether a frame may come for the stream, open while the
+// peer has not ended it, and whether a DATA frame of n bytes fits its
+// window, queued and consumed-but-unacknowledged bytes on one account.
+func (b *recvBuffer) admits(n int) (open, fits bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.size+b.unacked+n <= streamWindow
+	return !b.eof, b.size+b.unacked+n <= streamWindow
 }
 
 // put takes in src, the part of a DATA payload that came in the session's
@@ -204,14 +206,6 @@ func (b *recvBuffer) filled(s *Session, n int) {
 	tail := b.chunks[len(b.chunks)-1]
 	*tail = (*tail)[:len(*tail)+n]
 	b.size += n
-	b.cond.Broadcast()
-}
-
-// setEOF marks a clean end of stream after buffered data drains.
-func (b *recvBuffer) setEOF() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.eof = true
 	b.cond.Broadcast()
 }
 

@@ -164,6 +164,32 @@ func TestRecvHeadersTimerReuse(t *testing.T) {
 			t.Fatalf("a 2ms wait for headers nobody sends ended after %v with %v", time.Since(t0), err)
 		}
 	}
+	st.Reset()
+	// A stream whose wait got its headers as its timer fired is released
+	// and reused by the next stream at once: the late tick wakes the next
+	// user's wait for nothing, and that wait still takes its own timeout.
+	for i := 0; i < 40; i++ {
+		done, err := client.OpenStreamWith(nil, nil, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := done.RecvHeaders(rtt * time.Duration(i%20) / 10); err != nil {
+			done.Reset()
+		} else if n, end := done.Buffered(); n != 0 || !end {
+			t.Fatalf("a response of headers alone: Buffered() = %d, %v", n, end)
+		}
+		done.Release()
+		t0 := time.Now()
+		next, err := client.OpenStreamWith(Fields{{"answer", "never"}}, nil, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := next.RecvHeaders(2 * time.Millisecond); err == nil || time.Since(t0) < 2*time.Millisecond {
+			t.Fatalf("round %d: a 2ms wait on a stream opened after a release ended after %v with %v", i, time.Since(t0), err)
+		}
+		next.Reset()
+		next.Release()
+	}
 }
 
 // tcpSessionPair is a session pair over loopback TCP, as the proxies'.
@@ -195,7 +221,9 @@ func tcpSessionPair(t testing.TB) (client, server *Session) {
 // TestStreamAllocations: what a request costs the tunnel, both sides
 // counted — a Stream and the opening block's string where it is accepted,
 // a Stream and the response block's string where it was opened — and what
-// a message on an open stream costs: nothing.
+// a message on an open stream costs: nothing. A request whose streams both
+// sides release costs the two strings alone once the pool is warm, with
+// room for a pool a collection emptied but none for a Stream.
 func TestStreamAllocations(t *testing.T) {
 	racetest.SkipAllocs(t)
 	client, server := tcpSessionPair(t)
@@ -221,6 +249,9 @@ func TestStreamAllocations(t *testing.T) {
 			}
 			n, _ := io.ReadFull(sst, buf[:64])
 			sst.SendMessage(Fields{{"status", "200"}, {"status-message", "OK"}, {"Content-Length", "64"}, {"X-Served-By", "app-0"}}, buf[:n], true)
+			if sst.Fields().Get("release") != "" {
+				sst.Release()
+			}
 		}
 	}()
 	hdr := Fields{{":method", "POST"}, {":path", "/dyn/64"}, {"content-length", "64"}}
@@ -239,11 +270,23 @@ func TestStreamAllocations(t *testing.T) {
 		if n, err := st.Read(buf); n != 0 || err != io.EOF {
 			t.Fatalf("after the body: %d, %v", n, err)
 		}
+		if hdr.Get("release") != "" {
+			st.Release()
+		}
 	}
 	if n := testing.AllocsPerRun(200, roundTrip); n > 7 {
 		t.Errorf("open + headers back + 64 B + END_STREAM: %v allocs on the pair, want <= 7", n)
 	} else {
 		t.Logf("open + headers back + 64 B + END_STREAM: %v allocs on the pair", n)
+	}
+	hdr = append(hdr, Field{"release", "1"})
+	for i := 0; i < 20; i++ {
+		roundTrip()
+	}
+	if n := testing.AllocsPerRun(200, roundTrip); n > 2.5 {
+		t.Errorf("the same with both streams released: %v allocs on the pair, want <= 2.5 (no Stream)", n)
+	} else {
+		t.Logf("the same with both streams released: %v allocs on the pair", n)
 	}
 	if client.NumStreams() != 0 || server.NumStreams() != 0 {
 		t.Fatalf("streams left: %d, %d", client.NumStreams(), server.NumStreams())
@@ -268,9 +311,9 @@ func TestStreamAllocations(t *testing.T) {
 	}
 }
 
-// TestStreamSize pins what every request pays twice per hop: a Stream,
-// room for one header block included, fills the 352-byte size class and
-// no more.
+// TestStreamSize pins what an idle relayed stream holds (a request's
+// stream is reused once released): a Stream, room for one header block
+// included, fills the 352-byte size class and no more.
 func TestStreamSize(t *testing.T) {
 	if n := unsafe.Sizeof(Stream{}); n > 352 {
 		t.Errorf("a Stream is %d bytes, want <= 352", n)

@@ -556,15 +556,12 @@ func (s *Session) shutdown(reason error) error {
 	}
 	s.closed = true
 	s.closeErr = reason
-	streams := make([]*Stream, 0, len(s.streams))
-	for _, st := range s.streams {
-		streams = append(streams, st)
-	}
+	streams := s.streams // nobody else has the old map
 	s.streams = map[uint32]*Stream{}
 	s.mu.Unlock()
 
-	for _, st := range streams {
-		st.abort(reason)
+	for id, st := range streams {
+		st.abort(s, id, reason)
 	}
 	err := s.conn.Close()
 	close(s.done)
@@ -596,6 +593,7 @@ const readBufSize = 16 << 10
 // heldHeaders is a response header block parsed but not yet delivered.
 type heldHeaders struct {
 	st  *Stream
+	id  uint32
 	hdr Fields
 }
 
@@ -657,7 +655,7 @@ func (r *sessionReader) ServeWake(n int) (done bool) {
 
 func (s *Session) releaseHeld() {
 	for i, h := range s.held {
-		h.st.deliverHeaders(h.hdr)
+		h.st.deliverHeaders(s, h.id, h.hdr)
 		s.held[i] = heldHeaders{}
 	}
 	s.held = s.held[:0]
@@ -727,14 +725,19 @@ func (s *Session) advance(n int) error {
 			s.inFrame, s.cur, s.left, s.curSt, s.big = true, f, size, nil, nil
 			switch {
 			case f.Type == FrameData:
-				if s.curSt = s.lookup(f.StreamID); s.curSt != nil && s.policed && !s.curSt.buf.admits(size) {
-					// Past its window: the peer loses this stream and nothing
-					// else, and the payload goes nowhere.
-					s.m.overruns.Inc()
-					s.curSt.abort(ErrStreamReset)
-					s.dropStream(f.StreamID)
-					s.owed = append(s.owed, Frame{Type: FrameRST, StreamID: f.StreamID})
-					s.curSt = nil
+				// A stream the peer ended is no target, as one that is gone:
+				// its user may have released it (Stream.Release).
+				if st := s.lookup(f.StreamID); st != nil {
+					if open, fits := st.buf.admits(size); open && (fits || !s.policed) {
+						s.curSt = st
+					} else if open {
+						// Past its window: the peer loses this stream and nothing
+						// else, and the payload goes nowhere.
+						s.m.overruns.Inc()
+						st.abort(s, f.StreamID, ErrStreamReset)
+						s.dropStream(f.StreamID)
+						s.owed = append(s.owed, Frame{Type: FrameRST, StreamID: f.StreamID})
+					}
 				}
 			case size > len(s.rbuf):
 				s.big = make([]byte, size) // only a header block can be this large
@@ -788,7 +791,7 @@ func (s *Session) handleFrame(f Frame) error {
 	case FrameRST:
 		if st := s.lookup(f.StreamID); st != nil {
 			s.releaseHeld() // a block that came before the RST is the consumer's
-			st.abort(ErrStreamReset)
+			st.abort(s, f.StreamID, ErrStreamReset)
 			s.dropStream(f.StreamID)
 		}
 	case FrameWindowUpdate:
@@ -796,7 +799,7 @@ func (s *Session) handleFrame(f Frame) error {
 		// does not know, is dropped: neither can be acted on.
 		if len(f.Payload) == 4 {
 			if st := s.lookup(f.StreamID); st != nil {
-				st.addCredit(binary.BigEndian.Uint32(f.Payload))
+				st.addCredit(s, f.StreamID, binary.BigEndian.Uint32(f.Payload))
 			}
 		}
 	case FrameGoAway:
@@ -838,7 +841,7 @@ func (s *Session) handleFrame(f Frame) error {
 			if len(f.Payload) > 0 {
 				payload = append(payload, f.Payload...)
 			}
-			st.deliverControl(Control{Type: f.Type, Payload: payload})
+			st.deliverControl(s, f.StreamID, Control{Type: f.Type, Payload: payload})
 		}
 	default:
 		// Unknown frame types are ignored for forward compatibility.
@@ -848,10 +851,16 @@ func (s *Session) handleFrame(f Frame) error {
 
 // handleHeaders decodes a block into the room its stream has for one:
 // the block that opens a stream where it is accepted, the first that
-// comes back where it was opened. Any other goes to the heap.
+// comes back where it was opened. Any other goes to the heap, and none
+// to a stream the peer ended (see advance).
 func (s *Session) handleHeaders(f Frame) error {
 	st := s.lookup(f.StreamID)
 	fresh := st == nil && s.peerInitiated(f.StreamID)
+	if st != nil {
+		if open, _ := st.buf.admits(0); !open {
+			st = nil
+		}
+	}
 	var room []Field
 	switch {
 	case fresh:
@@ -874,7 +883,7 @@ func (s *Session) handleHeaders(f Frame) error {
 	}
 	if !fresh {
 		// Subsequent HEADERS on a live stream: response/trailer headers.
-		s.held = append(s.held, heldHeaders{st, hdr})
+		s.held = append(s.held, heldHeaders{st, f.StreamID, hdr})
 		return nil
 	}
 	st.hdr = hdr
@@ -897,16 +906,17 @@ func (s *Session) handleHeaders(f Frame) error {
 }
 
 // remoteEnd records the peer's half-close and reaps the stream when both
-// directions are finished.
+// directions are finished. Its user may release it once it sees the end:
+// it leaves s.streams in the same hold of its lock.
 func (s *Session) remoteEnd(st *Stream) {
-	st.buf.setEOF()
-	st.kick()
 	st.buf.mu.Lock()
-	done := st.localEnd
-	st.buf.mu.Unlock()
-	if done {
+	defer st.buf.mu.Unlock()
+	if st.localEnd {
 		s.dropStream(st.id)
 	}
+	st.buf.eof = true
+	st.buf.cond.Broadcast()
+	st.startWriter()
 }
 
 // fieldsRoom is the room a Stream has for the one header block a request
@@ -920,7 +930,9 @@ const fieldsRoom = 4
 // parks for data, a sender for credit and RecvHeaders for a block: a
 // peer's RST, a local Reset and the session's death wake them all. The
 // receive buffer and the room for a header block are part of the Stream
-// itself: a stream is one allocation, in the 352-byte size class.
+// itself: a stream is one allocation, in the 352-byte size class, which an
+// idle relayed stream holds. A request's stream is reused once its user
+// releases it (Release).
 type Stream struct {
 	sess *Session
 	id   uint32
@@ -968,18 +980,67 @@ type relayState struct {
 	later     Fields
 }
 
+// streamPool holds released streams for newStream, which remakes one in
+// place under its lock: a reader (lockAs) or a late headersTimer may yet
+// take that.
+var streamPool sync.Pool
+
 func newStream(s *Session, id uint32) *Stream {
-	st := &Stream{sess: s, id: id, sendWin: streamWindow}
-	st.buf.init()
+	st, _ := streamPool.Get().(*Stream)
+	if st == nil {
+		st = new(Stream)
+		st.buf.init()
+	}
+	st.buf.mu.Lock()
+	st.sess, st.id, st.sendWin, st.hdr, st.room = s, id, streamWindow, nil, [fieldsRoom]Field{}
+	st.localEnd, st.reset, st.aborted, st.roomUsed = false, false, false, false
+	st.buf.unacked, st.buf.eof, st.buf.released = 0, false, false
+	st.buf.mu.Unlock()
 	return st
 }
 
-// abort ends the stream from outside — the peer's RST, the session's
-// death: readers get err (after what the peer had completed, see
-// recvBuffer.fail), and senders and RecvHeaders, waiting or yet to come,
-// too; a sink gets its end.
-func (st *Stream) abort(err error) {
+// Release says the caller is done with the stream, which neither it nor
+// its Fields may be used after. A later stream reuses one that is
+// reusable; any other is the collector's, so any path may release.
+func (st *Stream) Release() {
 	st.buf.mu.Lock()
+	defer st.buf.mu.Unlock()
+	if st.reusable() {
+		streamPool.Put(st)
+	}
+	st.buf.released = true
+}
+
+// reusable reports whether nothing but a new user can reach st: not
+// released before, ended cleanly both ways (so out of s.streams: remoteEnd,
+// SendMessage), holding no chunk nor lending one out, never relayed and,
+// opened here, its header slot taken. buf.mu is held.
+func (st *Stream) reusable() bool {
+	b := &st.buf
+	return !b.released && st.localEnd && b.eof && !st.reset && !st.aborted && b.err == nil &&
+		len(b.chunks) == 0 && !b.filling && !b.draining && st.relay.Load() == nil &&
+		(st.sess.peerInitiated(st.id) || st.roomUsed && st.hdr == nil)
+}
+
+// lockAs takes buf.mu if st is still what s calls id: one found in
+// s.streams may have been released since, and reused.
+func (st *Stream) lockAs(s *Session, id uint32) bool {
+	st.buf.mu.Lock()
+	ok := st.sess == s && st.id == id && !st.buf.released
+	if !ok {
+		st.buf.mu.Unlock()
+	}
+	return ok
+}
+
+// abort ends the stream s knows as id from outside — the peer's RST, the
+// session's death: readers get err (after what the peer had completed,
+// see recvBuffer.fail), and senders and RecvHeaders, waiting or yet to
+// come, too; a sink gets its end.
+func (st *Stream) abort(s *Session, id uint32, err error) {
+	if !st.lockAs(s, id) {
+		return
+	}
 	st.aborted = true
 	st.buf.mu.Unlock()
 	st.buf.fail(st.sess, err, false)
@@ -990,8 +1051,10 @@ func (st *Stream) abort(err error) {
 // streamWindow, whatever increments arrive: an honest peer acknowledges
 // only what it was sent. A sender parks on a window that is not open:
 // at zero, or below where it sent before the peer's announcement.
-func (st *Stream) addCredit(n uint32) {
-	st.buf.mu.Lock()
+func (st *Stream) addCredit(s *Session, id uint32, n uint32) {
+	if !st.lockAs(s, id) {
+		return
+	}
 	defer st.buf.mu.Unlock()
 	if st.sendWin <= 0 {
 		st.buf.cond.Broadcast()
@@ -1249,7 +1312,8 @@ func (st *Stream) SendHeaders(h map[string]string, endStream bool) error {
 
 // A headersTimer ends a RecvHeaders wait at its deadline by waking the
 // stream's waiters. One stopped in time goes back to headersTimers: the
-// next call costs a Reset, not a timer.
+// next call costs a Reset, not a timer. One that fires late, the stream
+// released and reused, wakes the next user's waiters for nothing.
 type headersTimer struct {
 	t  *time.Timer
 	st *Stream
@@ -1360,21 +1424,25 @@ func (st *Stream) slot() *Fields {
 	return &st.hdr
 }
 
-// deliverHeaders puts a block in the stream's slot, unless the one before
-// is still there, and wakes RecvHeaders; it never blocks the reader.
-func (st *Stream) deliverHeaders(h Fields) {
-	slot := st.slot()
-	st.buf.mu.Lock()
-	if *slot == nil {
+// deliverHeaders puts a block in the slot of the stream s knows as id,
+// unless the one before is still there or the stream was released since
+// its end, and wakes RecvHeaders; it never blocks the reader.
+func (st *Stream) deliverHeaders(s *Session, id uint32, h Fields) {
+	if !st.lockAs(s, id) {
+		return
+	}
+	if slot := st.slot(); *slot == nil {
 		*slot = h
 	}
 	st.buf.cond.Broadcast()
 	st.buf.mu.Unlock()
 }
 
-func (st *Stream) deliverControl(c Control) {
+func (st *Stream) deliverControl(s *Session, id uint32, c Control) {
+	if !st.lockAs(s, id) {
+		return
+	}
 	r := st.relayState()
-	st.buf.mu.Lock()
 	f := r.onControl
 	if f == nil {
 		if ch := r.controls(); len(ch) < cap(ch) { // else dropped: control frames are advisory

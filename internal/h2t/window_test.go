@@ -81,6 +81,14 @@ func (r *sliverReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
+// setEOF is the peer's END_STREAM as the session's remoteEnd marks it.
+func (b *recvBuffer) setEOF() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.eof = true
+	b.cond.Broadcast()
+}
+
 // fill lands the next n bytes of r in b the way the session reader lands
 // a DATA payload: in the room b has for them, as they come.
 func fill(b *recvBuffer, s *Session, r io.Reader, n int) error {

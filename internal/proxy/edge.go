@@ -218,6 +218,7 @@ func (p *Proxy) serveEdgeRequest(conn net.Conn, pump *sync.WaitGroup, req *http1
 	if err != nil {
 		return p.failRequest(conn, sp, 502, "edge.http.errors.open_stream", "edge:open-stream", err)
 	}
+	defer st.Release() // after the body pump is joined (below)
 
 	// Pump the request body upstream on a goroutine of its own (netx.Relay,
 	// the pooled-copy path: the stream side is h2t-framed). The Origin may

@@ -289,12 +289,13 @@ func (p *Proxy) forwardHTTP(st *h2t.Stream, hdr h2t.Fields) {
 	// Origin has not read to its END_STREAM is reset behind the response.
 	// The Edge may be parked on the stream's window with body still to
 	// send, and no reader is left here to give it credit; the RST is what
-	// ends its pump. (After END_STREAM both ways the stream is reaped and
-	// there is nothing to reset.)
+	// ends its pump. (After END_STREAM both ways the stream is reaped,
+	// nothing is reset, and Release gives it back for reuse.)
 	defer func() {
 		if n, end := st.Buffered(); n > 0 || !end {
 			st.Reset()
 		}
+		st.Release()
 	}()
 
 	// A body follows the head, whatever the method, unless its length
