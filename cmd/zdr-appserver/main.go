@@ -52,8 +52,8 @@ func main() {
 		Mode:        m,
 		DrainPeriod: *drain,
 		Handler: func(req *http1.Request, body []byte) *http1.Response {
-			// Echo service: the default app used by examples and load
-			// generators; GETs answer with a small status document.
+			// Echo service: the default app load generators drive;
+			// GETs answer with a small status document.
 			if req.Method == "GET" {
 				doc := fmt.Sprintf("ok %s %s\n", *name, req.Target)
 				return http1.NewResponse(200, bytes.NewReader([]byte(doc)), int64(len(doc)))

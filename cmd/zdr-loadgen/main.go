@@ -48,6 +48,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"zdr/internal/fleet"
 	"zdr/internal/http1"
 	"zdr/internal/katran"
 	"zdr/internal/metrics"
@@ -55,12 +56,13 @@ import (
 )
 
 type stats struct {
-	ok, connReset, streamAbort, timeout, writeTimeout atomic.Int64
-	mqttDrops                                         atomic.Int64
-	idleDrops, stormOK, stormReconnect, stormFail     atomic.Int64
-	bulkBytes                                         atomic.Int64
-	latency                                           sync.Mutex
-	latencies                                         []float64
+	// class counts HTTP requests by how they ended (Fig. 12's classes).
+	class                                         [http1.ClassWriteTimeout + 1]atomic.Int64
+	mqttDrops                                     atomic.Int64
+	idleDrops, stormOK, stormReconnect, stormFail atomic.Int64
+	bulkBytes                                     atomic.Int64
+	latency                                       sync.Mutex
+	latencies                                     []float64
 }
 
 func main() {
@@ -153,13 +155,13 @@ func main() {
 					if pick != nil {
 						var err error
 						if addr, err = pick(); err != nil {
-							st.connReset.Add(1)
+							st.class[http1.ClassConnReset].Add(1)
 							time.Sleep(10 * time.Millisecond)
 							continue
 						}
 					}
 					start := time.Now()
-					classify(&st, doRequest(addr, *target, *timeout))
+					st.class[http1.Classify(fleet.GetStatus(addr, *target, *timeout))].Add(1)
 					st.latency.Lock()
 					st.latencies = append(st.latencies, float64(time.Since(start).Microseconds()))
 					st.latency.Unlock()
@@ -197,18 +199,19 @@ func main() {
 		stormMs = wakeStorm(&st, *web, *target, idleHerd, *timeout)
 	}
 
-	total := st.ok.Load() + st.connReset.Load() + st.streamAbort.Load() + st.timeout.Load() + st.writeTimeout.Load()
+	var total int64
+	for i := range st.class {
+		total += st.class[i].Load()
+	}
 	fmt.Printf("\nHTTP requests: %d\n", total)
 	if *tput {
 		moved := st.bulkBytes.Load()
 		fmt.Printf("Bulk transfer: %d MiB in %.1fs = %.2f Gbps (%d workers, %d MiB bodies)\n",
 			moved>>20, loadElapsed, float64(moved)*8/loadElapsed/1e9, *concurrency, *tputMB)
 	}
-	fmt.Printf("  ok             %d\n", st.ok.Load())
-	fmt.Printf("  conn. rst.     %d\n", st.connReset.Load())
-	fmt.Printf("  stream abort   %d\n", st.streamAbort.Load())
-	fmt.Printf("  timeout        %d\n", st.timeout.Load())
-	fmt.Printf("  write timeout  %d\n", st.writeTimeout.Load())
+	for i := range st.class {
+		fmt.Printf("  %-15s%d\n", http1.ErrorClass(i), st.class[i].Load())
+	}
 	st.latency.Lock()
 	if n := len(st.latencies); n > 0 {
 		var sum float64
@@ -282,80 +285,12 @@ func wakeStorm(st *stats, addr, target string, herd []net.Conn, timeout time.Dur
 
 // keepAliveGet runs one GET on an already-established connection.
 func keepAliveGet(conn net.Conn, target string, timeout time.Duration) error {
-	conn.SetWriteDeadline(time.Now().Add(timeout))
-	if _, err := http1.WriteRequest(conn, http1.NewRequest("GET", target, nil, 0)); err != nil {
-		return err
+	conn.SetDeadline(time.Now().Add(timeout))
+	code, err := http1.Get(conn, target)
+	if err == nil && code >= 500 {
+		err = fmt.Errorf("status %d", code)
 	}
-	conn.SetReadDeadline(time.Now().Add(timeout))
-	resp, err := http1.ReadResponse(bufio.NewReader(conn))
-	if err != nil {
-		return err
-	}
-	if _, err := http1.ReadFullBody(resp.Body); err != nil {
-		return err
-	}
-	if resp.StatusCode >= 500 {
-		return fmt.Errorf("status %d", resp.StatusCode)
-	}
-	return nil
-}
-
-type outcome int
-
-const (
-	outOK outcome = iota
-	outConnReset
-	outStreamAbort
-	outTimeout
-	outWriteTimeout
-)
-
-func classify(st *stats, o outcome) {
-	switch o {
-	case outOK:
-		st.ok.Add(1)
-	case outConnReset:
-		st.connReset.Add(1)
-	case outStreamAbort:
-		st.streamAbort.Add(1)
-	case outTimeout:
-		st.timeout.Add(1)
-	case outWriteTimeout:
-		st.writeTimeout.Add(1)
-	}
-}
-
-func doRequest(addr, target string, timeout time.Duration) outcome {
-	conn, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return outConnReset
-	}
-	defer conn.Close()
-	conn.SetWriteDeadline(time.Now().Add(timeout))
-	if _, err := http1.WriteRequest(conn, http1.NewRequest("GET", target, nil, 0)); err != nil {
-		if isTimeout(err) {
-			return outWriteTimeout
-		}
-		return outConnReset
-	}
-	conn.SetReadDeadline(time.Now().Add(timeout))
-	resp, err := http1.ReadResponse(bufio.NewReader(conn))
-	if err != nil {
-		if isTimeout(err) {
-			return outTimeout
-		}
-		return outConnReset
-	}
-	if _, err := http1.ReadFullBody(resp.Body); err != nil {
-		if isTimeout(err) {
-			return outTimeout
-		}
-		return outConnReset
-	}
-	if resp.StatusCode >= 500 {
-		return outStreamAbort
-	}
-	return outOK
+	return err
 }
 
 // bulkWorker streams bodyLen-byte POSTs back to back over one keep-alive
@@ -380,7 +315,7 @@ func bulkWorker(st *stats, addr, target string, bodyLen int64, timeout time.Dura
 			var err error
 			conn, err = net.DialTimeout("tcp", addr, timeout)
 			if err != nil {
-				st.connReset.Add(1)
+				st.class[http1.ClassConnReset].Add(1)
 				time.Sleep(100 * time.Millisecond)
 				continue
 			}
@@ -388,7 +323,7 @@ func bulkWorker(st *stats, addr, target string, bodyLen int64, timeout time.Dura
 		conn.SetWriteDeadline(time.Now().Add(timeout))
 		body := &repeatReader{chunk: chunk, left: bodyLen}
 		if _, err := http1.WriteRequest(conn, http1.NewRequest("POST", target, body, bodyLen)); err != nil {
-			st.connReset.Add(1)
+			st.class[http1.ClassConnReset].Add(1)
 			conn.Close()
 			conn = nil
 			continue
@@ -396,19 +331,19 @@ func bulkWorker(st *stats, addr, target string, bodyLen int64, timeout time.Dura
 		conn.SetReadDeadline(time.Now().Add(timeout))
 		resp, err := http1.ReadResponse(bufio.NewReader(conn))
 		if err != nil {
-			st.connReset.Add(1)
+			st.class[http1.ClassConnReset].Add(1)
 			conn.Close()
 			conn = nil
 			continue
 		}
 		down, err := io.Copy(io.Discard, resp.Body)
 		if err != nil || resp.StatusCode >= 500 {
-			st.streamAbort.Add(1)
+			st.class[http1.ClassStreamAbort].Add(1)
 			conn.Close()
 			conn = nil
 			continue
 		}
-		st.ok.Add(1)
+		st.class[http1.ClassOK].Add(1)
 		st.bulkBytes.Add(bodyLen + down)
 	}
 }
@@ -433,11 +368,6 @@ func (r *repeatReader) Read(p []byte) (int, error) {
 	copy(p, r.chunk[:n])
 	r.left -= int64(n)
 	return n, nil
-}
-
-func isTimeout(err error) bool {
-	ne, ok := err.(net.Error)
-	return ok && ne.Timeout()
 }
 
 func splitList(s string) []string {

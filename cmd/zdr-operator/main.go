@@ -22,22 +22,16 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
-	"net"
 	"os"
 	"os/signal"
-	"path/filepath"
-	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
 
-	"zdr/internal/core"
 	"zdr/internal/disrupt"
 	"zdr/internal/fleet"
-	"zdr/internal/http1"
 	"zdr/internal/metrics"
 	"zdr/internal/obs"
 	"zdr/internal/proxy"
@@ -63,39 +57,49 @@ func main() {
 	name := flag.String("name", "rollout", "rollout name (journal attribution, fence ownership)")
 	flag.Parse()
 
-	dir, err := os.MkdirTemp("", "zdr-operator-")
+	// good says what the NEXT generation serves: flipping it is pushing a
+	// release artifact.
+	var good atomic.Bool
+	good.Store(true)
+	leds := make([]*disrupt.Ledger, *nodes)
+	for i := range leds {
+		leds[i] = disrupt.New(fmt.Sprintf("edge-%02d", i), 0)
+	}
+	f, err := fleet.NewFleet(*nodes, !*ungated, *maxHold, func(i int, cfg *proxy.Config) {
+		cfg.Ledger = leds[i]
+		if good.Load() {
+			cfg.StaticContent = map[string][]byte{"/hello": []byte("hello\n")}
+		}
+	})
 	if err != nil {
-		fatal("tempdir: %v", err)
+		fatal("fleet: %v", err)
 	}
-	defer os.RemoveAll(dir)
-
-	sims := make([]*simNode, *nodes)
-	for i := range sims {
-		s, err := newSimNode(dir, i, *maxHold, *ungated)
-		if err != nil {
-			fatal("node %d: %v", i, err)
-		}
-		defer s.slot.Close()
-		sims[i] = s
+	defer f.Close()
+	for i, n := range f.Nodes {
+		n.Disruption = leds[i].Report
 	}
-	fmt.Printf("zdr-operator: %d-node fleet up (generation 1 serving)\n", len(sims))
+	fmt.Printf("zdr-operator: %d-node fleet up (generation 1 serving)\n", len(f.Nodes))
 
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
+	// Client load counts transport failures (what zero-downtime release
+	// must keep at zero) apart from server errors (what a bad build
+	// produces).
+	var ok, serverErr, transport atomic.Int64
 	if *load {
-		for _, s := range sims {
-			wg.Add(1)
-			go s.hammer(stop, &wg)
-		}
+		f.Load(func(_, code int, err error) {
+			switch {
+			case err != nil:
+				transport.Add(1)
+			case code == 200:
+				ok.Add(1)
+			default:
+				serverErr.Add(1)
+			}
+		})
 		time.Sleep(200 * time.Millisecond) // error-free baseline history
 	}
 
-	// Ship the build: flipping `good` changes what the NEXT generation
-	// serves, exactly like pushing a release artifact.
 	if *bad {
-		for _, s := range sims {
-			s.good.Store(false)
-		}
+		good.Store(false)
 		fmt.Println("zdr-operator: shipping a BAD build — the gate should refuse it")
 	}
 
@@ -133,11 +137,7 @@ func main() {
 		cfg.Journal = j
 	}
 
-	fnodes := make([]*fleet.Node, len(sims))
-	for i, s := range sims {
-		fnodes[i] = s.node
-	}
-	o, err := fleet.New(cfg, fnodes)
+	o, err := fleet.New(cfg, f.Nodes)
 	if err != nil {
 		fatal("orchestrator: %v", err)
 	}
@@ -145,7 +145,7 @@ func main() {
 	// The telemetry pipeline: scrape every node's metrics + ledger and
 	// merge fleet-wide. Served live at /debug/telemetry and printed as
 	// the final accounting when the rollout ends.
-	tele := &fleet.Telemetry{Nodes: fnodes}
+	tele := &fleet.Telemetry{Nodes: f.Nodes}
 
 	if *admin != "" {
 		operatorReg := metrics.NewRegistry()
@@ -157,9 +157,9 @@ func main() {
 			Debug: map[string]func() any{
 				"rollout": func() any { return o.Status() },
 				"fleet": func() any {
-					states := make([]obs.SlotState, len(sims))
-					for i, s := range sims {
-						states[i] = s.slot.State()
+					states := make([]obs.SlotState, len(f.Slots))
+					for i, s := range f.Slots {
+						states[i] = s.State()
 					}
 					return states
 				},
@@ -225,8 +225,7 @@ func main() {
 
 	runErr := o.Run()
 	close(pauseWatch)
-	close(stop)
-	wg.Wait()
+	f.Close()
 
 	st := o.Status()
 	fmt.Printf("zdr-operator: rollout %q finished: state=%s", cfg.Name, st.State)
@@ -243,14 +242,8 @@ func main() {
 			rolledBack++
 		}
 	}
-	var ok, serverErr, transport int64
-	for _, s := range sims {
-		ok += s.ok.Load()
-		serverErr += s.serverErr.Load()
-		transport += s.transport.Load()
-	}
 	fmt.Printf("zdr-operator: %d promoted, %d rolled back; client load: %d ok, %d server errors, %d transport failures\n",
-		promoted, rolledBack, ok, serverErr, transport)
+		promoted, rolledBack, ok.Load(), serverErr.Load(), transport.Load())
 
 	// Final fleet-wide disruption accounting: merge every node's metrics
 	// and ledger, then report the §6 numbers — requests, tail latency, and
@@ -271,109 +264,6 @@ func main() {
 	if runErr != nil {
 		fatal("rollout: %v", runErr)
 	}
-}
-
-// simNode is one fleet member: a real Edge ProxySlot whose generations
-// share a metrics registry and install the node's canary window as their
-// readiness gate (see internal/fleet's chaos tests for the same shape).
-type simNode struct {
-	name string
-	slot *core.ProxySlot
-	reg  *metrics.Registry
-	win  *fleet.CanaryWindow
-	led  *disrupt.Ledger
-	node *fleet.Node
-	good atomic.Bool
-	// webAddr is captured once after Start: the VIP address survives
-	// takeovers, and querying the slot mid-hand-off is racy.
-	webAddr string
-
-	ok        atomic.Int64
-	serverErr atomic.Int64
-	transport atomic.Int64
-}
-
-func newSimNode(dir string, i int, maxHold time.Duration, ungated bool) (*simNode, error) {
-	name := fmt.Sprintf("edge-%02d", i)
-	s := &simNode{name: name, reg: metrics.NewRegistry(), led: disrupt.New(name, 0)}
-	if !ungated {
-		s.win = fleet.NewCanaryWindow(maxHold)
-	}
-	s.good.Store(true)
-	gen := 0
-	s.slot = &core.ProxySlot{
-		SlotName:  name,
-		Path:      filepath.Join(dir, name+".sock"),
-		DrainWait: 50 * time.Millisecond,
-		Build: func() *proxy.Proxy {
-			gen++
-			cfg := proxy.Config{
-				Name:                 fmt.Sprintf("%s-g%d", name, gen),
-				Role:                 proxy.RoleEdge,
-				TakeoverReadyTimeout: maxHold + 30*time.Second,
-				Ledger:               s.led,
-				Generation:           gen,
-			}
-			if s.win != nil {
-				cfg.ReadyGate = s.win.Gate
-			}
-			if s.good.Load() {
-				cfg.StaticContent = map[string][]byte{"/hello": []byte("hello from " + name + "\n")}
-			}
-			return proxy.New(cfg, s.reg)
-		},
-	}
-	if err := s.slot.Start(); err != nil {
-		return nil, err
-	}
-	s.webAddr = s.slot.Current().Addr(proxy.VIPWeb)
-	s.node = fleet.ProxyNode(fmt.Sprintf("vip-%02d", i), s.slot, s.reg, func() string { return s.webAddr }, "/hello", s.win)
-	s.node.Disruption = s.led.Report
-	return s, nil
-}
-
-// hammer drives continuous GETs at the node until stop closes, counting
-// transport failures (what zero-downtime release must keep at zero)
-// separately from server errors (what a bad build produces).
-func (s *simNode) hammer(stop chan struct{}, wg *sync.WaitGroup) {
-	defer wg.Done()
-	for {
-		select {
-		case <-stop:
-			return
-		default:
-		}
-		code, err := getHello(s.webAddr)
-		switch {
-		case err != nil:
-			s.transport.Add(1)
-		case code == 200:
-			s.ok.Add(1)
-		default:
-			s.serverErr.Add(1)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-}
-
-func getHello(addr string) (int, error) {
-	conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
-	if err != nil {
-		return 0, err
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	if _, err := http1.WriteRequest(conn, http1.NewRequest("GET", "/hello", nil, 0)); err != nil {
-		return 0, err
-	}
-	resp, err := http1.ReadResponse(bufio.NewReader(conn))
-	if err != nil {
-		return 0, err
-	}
-	if _, err := http1.ReadFullBody(resp.Body); err != nil {
-		return 0, err
-	}
-	return resp.StatusCode, nil
 }
 
 func fatal(format string, args ...any) {

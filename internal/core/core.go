@@ -237,10 +237,21 @@ func (s *ProxySlot) restart(sp *obs.Span) error {
 	// The hand-off flipped the old generation into draining via its
 	// takeover server callback. Retire it in the background and promote
 	// the new generation.
+	s.retire(old, sp)
+	// New generation stands up its own takeover server for the release
+	// after this one. The old generation's server closed its socket after
+	// the hand-off; backoff absorbs that teardown.
+	return s.promote(next)
+}
+
+// retire terminates old in the background, under a slot.drain span
+// child of sp: after DrainWait it is closed, or with no DrainWait it
+// drains for its own period.
+func (s *ProxySlot) retire(old *proxy.Proxy, sp *obs.Span) {
 	drainSp := sp.StartChild(obs.SpanSlotDrain)
 	drainSp.SetAttr("slot", s.SlotName)
 	s.drainWG.Add(1)
-	go func(old *proxy.Proxy) {
+	go func() {
 		defer s.drainWG.Done()
 		defer drainSp.End()
 		if s.DrainWait > 0 {
@@ -249,16 +260,13 @@ func (s *ProxySlot) restart(sp *obs.Span) error {
 			return
 		}
 		old.Shutdown()
-	}(old)
-	// New generation stands up its own takeover server for the release
-	// after this one. The old generation's server closed its socket after
-	// the hand-off; backoff absorbs that teardown.
-	return s.promote(next)
+	}()
 }
 
-// WaitDrains blocks until every background drain started by Restart has
-// retired its old generation: a traced release waits for it before it
-// reads the spans, so that every slot.drain span has ended.
+// WaitDrains blocks until every background drain started by Restart or
+// RestartFresh has retired its old generation: a traced release waits
+// for it before it reads the spans, so that every slot.drain span has
+// ended.
 func (s *ProxySlot) WaitDrains() { s.drainWG.Wait() }
 
 // State summarises the slot for /debug/release.
@@ -384,14 +392,7 @@ func (s *ProxySlot) RestartFresh(build func(vipAddrs map[string]string) *proxy.P
 	// loops stop, so the new sockets receive all new connections.
 	old.StopTakeoverServer()
 	old.StartDraining()
-	go func(old *proxy.Proxy) {
-		if s.DrainWait > 0 {
-			time.Sleep(s.DrainWait)
-			old.Close()
-			return
-		}
-		old.Shutdown()
-	}(old)
+	s.retire(old, nil)
 	return s.promote(next)
 }
 

@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"net"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"zdr/internal/appserver"
 	"zdr/internal/http1"
+	"zdr/internal/obs"
 	"zdr/internal/proxy"
 )
 
@@ -40,6 +42,7 @@ func TestProxySlotGenerations(t *testing.T) {
 
 	stop := make(chan struct{})
 	loadErr := make(chan error, 1)
+	var served atomic.Int64
 	go func() {
 		defer close(loadErr)
 		for {
@@ -67,6 +70,7 @@ func TestProxySlotGenerations(t *testing.T) {
 			}
 			http1.ReadFullBody(resp.Body)
 			conn.Close()
+			served.Add(1)
 		}
 	}()
 	time.Sleep(50 * time.Millisecond)
@@ -83,6 +87,9 @@ func TestProxySlotGenerations(t *testing.T) {
 	close(stop)
 	if err, ok := <-loadErr; ok && err != nil {
 		t.Fatalf("load failed across generations: %v", err)
+	}
+	if served.Load() == 0 {
+		t.Fatal("no request served: the restarts ran without load")
 	}
 	if slot.Current().Addr(proxy.VIPWeb) != addr {
 		t.Fatal("VIP address changed across takeover — socket was rebound")
@@ -176,6 +183,7 @@ func TestProxySlotRestartFresh(t *testing.T) {
 			DrainPeriod:   100 * time.Millisecond,
 			StaticContent: map[string][]byte{"/s": []byte("static")},
 			VIPAddrs:      addrs,
+			Trace:         obs.NewTracer(fmt.Sprintf("edge-fresh-g%d", gen)),
 		}, nil)
 	}
 	slot := &ProxySlot{
@@ -210,8 +218,15 @@ func TestProxySlotRestartFresh(t *testing.T) {
 	if via, err := get(); err != nil || via != "edge-fresh-g1" {
 		t.Fatalf("gen1: via=%q err=%v", via, err)
 	}
+	old := slot.Current()
 	if err := slot.RestartFresh(build); err != nil {
 		t.Fatal(err)
+	}
+	// The old generation's drain is the slot's like a takeover's: once
+	// WaitDrains returns, it has terminated and its proxy.drain span ended.
+	slot.WaitDrains()
+	if spans := old.ReleaseState().InFlightSpans; len(spans) != 0 {
+		t.Fatalf("old generation still draining after WaitDrains: %+v", spans)
 	}
 	if slot.Generation() != 2 {
 		t.Fatalf("generation = %d", slot.Generation())

@@ -13,6 +13,7 @@ import (
 
 	"zdr/internal/appserver"
 	"zdr/internal/cluster"
+	"zdr/internal/fleet"
 	"zdr/internal/http1"
 	"zdr/internal/mqtt"
 	"zdr/internal/netx"
@@ -351,8 +352,8 @@ func Fig12ProxyErrors() (Table, error) {
 		mqttConns = 8
 	)
 
-	runScenario := func(zdr bool) (map[ErrorClass]int, error) {
-		counts := map[ErrorClass]int{}
+	runScenario := func(zdr bool) (map[http1.ErrorClass]int, error) {
+		counts := map[http1.ErrorClass]int{}
 		tb, err := NewTestbed(TestbedConfig{Apps: 2, Origins: 1, DrainPeriod: time.Second})
 		if err != nil {
 			return nil, err
@@ -416,7 +417,8 @@ func Fig12ProxyErrors() (Table, error) {
 					}(replacement)
 				}
 			}
-			if class := tb.DoRequest("/api/item", 700*time.Millisecond); class != ErrNone {
+			code, err := fleet.GetStatus(tb.Edge.Addr(proxy.VIPWeb), "/api/item", 700*time.Millisecond)
+			if class := http1.Classify(code, err); class != http1.ClassOK {
 				counts[class]++
 			}
 			time.Sleep(4 * time.Millisecond)
@@ -426,7 +428,7 @@ func Fig12ProxyErrors() (Table, error) {
 		for _, c := range clients {
 			select {
 			case <-c.Done():
-				counts[ErrConnReset]++
+				counts[http1.ClassConnReset]++
 			default:
 			}
 		}
@@ -448,7 +450,7 @@ func Fig12ProxyErrors() (Table, error) {
 		Columns: []string{"error class", "traditional", "zero downtime", "ratio"},
 		Notes:   "paper: every class increases under traditional restarts, write timeouts by as much as 16x",
 	}
-	for _, class := range []ErrorClass{ErrConnReset, ErrStreamAbort, ErrTimeout, ErrWriteTimeout} {
+	for _, class := range []http1.ErrorClass{http1.ClassConnReset, http1.ClassStreamAbort, http1.ClassTimeout, http1.ClassWriteTimeout} {
 		tc, zc := trad[class], zdr[class]
 		ratio := "-"
 		switch {

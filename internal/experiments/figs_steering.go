@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"zdr/internal/fleet"
 	"zdr/internal/katran"
 	"zdr/internal/metrics"
 	"zdr/internal/proxy"
@@ -180,7 +181,7 @@ func steeringRelease(policyName string) (steeringResult, error) {
 			res.drainArrivals++
 		}
 		t0 := time.Now()
-		if code, err := fleetGET(b.Addr, "/s"); err != nil || code != 200 {
+		if code, err := fleet.GetStatus(b.Addr, "/s", 5*time.Second); err != nil || code != 200 {
 			res.disrupted++
 		} else {
 			res.ok++

@@ -103,26 +103,26 @@ func disruptionRollout(gated bool) (disruptionRun, error) {
 		leds[i] = disrupt.New(fmt.Sprintf("edge-%02d", i), 256)
 		injs[i] = faults.NewInjector(faults.Scenario{Seed: uint64(i + 1), AbortRate: 0.12, AbortMinOps: 1})
 	}
-	f, err := newLiveFleet(nodes, gated, func(i int, cfg *proxy.Config) {
+	f, err := fleet.NewFleet(nodes, gated, 5*time.Second, func(i int, cfg *proxy.Config) {
 		cfg.AcceptFaults, cfg.Ledger = injs[i], leds[i]
 		cfg.StaticContent = map[string][]byte{"/hello": []byte("ok")}
 	})
 	if err != nil {
 		return run, err
 	}
-	defer f.close()
-	for i, n := range f.nodes {
+	defer f.Close()
+	for i, n := range f.Nodes {
 		n.Disruption = leds[i].Report
 	}
 
 	// Continuous load; aborted connections are the injected chaos, so the
 	// client outcome is irrelevant here — the ledgers keep the books.
-	f.load(func(int, error) {})
+	f.Load(func(int, int, error) {})
 	time.Sleep(100 * time.Millisecond) // pre-release baseline history
 
 	// The gate must tolerate the chaos (it hits old and new generation
 	// alike); the telemetry channel is exercised, not tripped.
-	o, err := f.orchestrator("tbl-disrupt", fleet.GateConfig{
+	o, err := rolloutOver(f, gated, "tbl-disrupt", fleet.GateConfig{
 		MaxErrorRateDelta:   0.9,
 		MaxProbeFailureRate: 0.95,
 		MaxDisruptionRate:   0.9,
@@ -139,11 +139,11 @@ func disruptionRollout(gated bool) (disruptionRun, error) {
 
 	// Join in-flight handlers so every late fault is recorded before the
 	// books are audited.
-	f.close()
+	f.Close()
 	for _, inj := range injs {
 		run.injected += int64(inj.InjectedTotal())
 	}
-	tele := &fleet.Telemetry{Nodes: f.nodes}
+	tele := &fleet.Telemetry{Nodes: f.Nodes}
 	run.report = tele.Scrape()
 	return run, nil
 }

@@ -1,13 +1,11 @@
 package experiments
 
 import (
-	"bufio"
 	"fmt"
 	"net"
 	"time"
 
 	"zdr/internal/appserver"
-	"zdr/internal/http1"
 	"zdr/internal/mqtt"
 	"zdr/internal/proxy"
 )
@@ -125,74 +123,6 @@ func (tb *Testbed) Close() {
 	if tb.Broker != nil {
 		tb.Broker.Close()
 	}
-}
-
-// ErrorClass classifies a client-observed failure (Fig. 12's categories).
-type ErrorClass int
-
-// Error classes.
-const (
-	ErrNone ErrorClass = iota
-	ErrConnReset
-	ErrStreamAbort
-	ErrTimeout
-	ErrWriteTimeout
-)
-
-// String names the class as the paper does.
-func (e ErrorClass) String() string {
-	switch e {
-	case ErrConnReset:
-		return "conn. rst."
-	case ErrStreamAbort:
-		return "stream abort"
-	case ErrTimeout:
-		return "timeout"
-	case ErrWriteTimeout:
-		return "write timeout"
-	default:
-		return "ok"
-	}
-}
-
-// DoRequest issues one HTTP request through the edge and classifies the
-// outcome.
-func (tb *Testbed) DoRequest(target string, timeout time.Duration) ErrorClass {
-	conn, err := net.DialTimeout("tcp", tb.Edge.Addr(proxy.VIPWeb), timeout)
-	if err != nil {
-		return ErrConnReset
-	}
-	defer conn.Close()
-	conn.SetWriteDeadline(time.Now().Add(timeout))
-	if _, err := http1.WriteRequest(conn, http1.NewRequest("GET", target, nil, 0)); err != nil {
-		if isTimeout(err) {
-			return ErrWriteTimeout
-		}
-		return ErrConnReset
-	}
-	conn.SetReadDeadline(time.Now().Add(timeout))
-	resp, err := http1.ReadResponse(bufio.NewReader(conn))
-	if err != nil {
-		if isTimeout(err) {
-			return ErrTimeout
-		}
-		return ErrConnReset
-	}
-	if _, err := http1.ReadFullBody(resp.Body); err != nil {
-		if isTimeout(err) {
-			return ErrTimeout
-		}
-		return ErrConnReset
-	}
-	if resp.StatusCode >= 500 {
-		return ErrStreamAbort
-	}
-	return ErrNone
-}
-
-func isTimeout(err error) bool {
-	ne, ok := err.(net.Error)
-	return ok && ne.Timeout()
 }
 
 // DialMQTT connects an MQTT client through the edge.

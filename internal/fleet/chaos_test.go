@@ -15,95 +15,58 @@
 package fleet_test
 
 import (
-	"bufio"
 	"fmt"
-	"net"
 	"path/filepath"
-	"sync"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"zdr/internal/core"
+	"zdr/internal/disrupt"
 	"zdr/internal/faults"
 	"zdr/internal/fleet"
-	"zdr/internal/http1"
 	"zdr/internal/metrics"
+	"zdr/internal/netx"
 	"zdr/internal/obs"
 	"zdr/internal/proxy"
 )
 
-// simNode is one fleet member: a real Edge ProxySlot whose generations
-// share a registry (so gate windows bracket restarts) and install the
-// node's canary window as their readiness gate.
+// simNode is one node of the fleet under test, named for its audits.
 type simNode struct {
 	name string
 	slot *core.ProxySlot
 	reg  *metrics.Registry
-	win  *fleet.CanaryWindow
-	node *fleet.Node
-	good atomic.Bool // whether the NEXT build serves content
-	// webAddr is captured once after Start: the VIP address never
-	// changes across takeovers (the very point of the protocol), and
-	// querying the slot mid-hand-off is racy — the old generation's
-	// listener set empties the moment its FDs transfer.
-	webAddr string
+	led  *disrupt.Ledger
+	inj  *faults.Injector
 }
 
-func (s *simNode) addr() string { return s.webAddr }
-
-// newSimFleet builds n Edge nodes. Good builds serve /hello from static
-// content (the DSR path); a bad build omits it AND has no origins, so
-// every request is answered 503 + edge.http.errors.no_origin — counter-
-// visible badness with zero transport failures.
-func newSimFleet(t *testing.T, n int, maxHold time.Duration) []*simNode {
+// newSimFleet starts n gated Edge nodes (fleet.NewFleet); build completes
+// node i's config for each generation.
+func newSimFleet(t *testing.T, n int, maxHold time.Duration, build func(i int, cfg *proxy.Config)) (*fleet.Fleet, []*simNode) {
 	t.Helper()
-	dir := t.TempDir()
-	sims := make([]*simNode, n)
-	for i := 0; i < n; i++ {
-		name := fmt.Sprintf("edge-%02d", i)
-		s := &simNode{name: name, reg: metrics.NewRegistry(), win: fleet.NewCanaryWindow(maxHold)}
-		s.good.Store(true)
-		gen := 0
-		s.slot = &core.ProxySlot{
-			SlotName:  name,
-			Path:      filepath.Join(dir, name+".sock"),
-			DrainWait: 5 * time.Millisecond,
-			Build: func() *proxy.Proxy {
-				gen++
-				cfg := proxy.Config{
-					Name: fmt.Sprintf("%s-g%d", name, gen),
-					Role: proxy.RoleEdge,
-					// The canary window IS the readiness gate: promote
-					// releases READY, rollback triggers drain-undo.
-					ReadyGate: s.win.Gate,
-					// Sender-side lease: must outlast the orchestrator's
-					// observation window plus MaxHold self-rollback.
-					TakeoverReadyTimeout: 20 * time.Second,
-				}
-				if s.good.Load() {
-					cfg.StaticContent = map[string][]byte{"/hello": []byte("hello from " + name)}
-				}
-				return proxy.New(cfg, s.reg)
-			},
-		}
-		if err := s.slot.Start(); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(s.slot.Close)
-		s.webAddr = s.slot.Current().Addr(proxy.VIPWeb)
-		s.node = fleet.ProxyNode(fmt.Sprintf("vip-%02d", i), s.slot, s.reg, s.addr, "/hello", s.win)
-		sims[i] = s
+	f, err := fleet.NewFleet(n, true, maxHold, build)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return sims
+	t.Cleanup(f.Close)
+	sims := make([]*simNode, n)
+	for i := range sims {
+		sims[i] = &simNode{name: f.Nodes[i].Name, slot: f.Slots[i], reg: f.Regs[i]}
+	}
+	return f, sims
 }
 
-func fleetNodes(sims []*simNode) []*fleet.Node {
-	out := make([]*fleet.Node, len(sims))
-	for i, s := range sims {
-		out[i] = s.node
+// badWhile makes bad builds while bad holds. A good build serves /hello
+// from static content (the DSR path); a bad build omits it AND has no
+// origins, so every request is answered 503 + edge.http.errors.no_origin
+// — counter-visible badness with zero transport failures.
+func badWhile(bad *atomic.Bool) func(int, *proxy.Config) {
+	return func(_ int, cfg *proxy.Config) {
+		if !bad.Load() {
+			cfg.StaticContent = map[string][]byte{"/hello": []byte("hello")}
+		}
 	}
-	return out
 }
 
 // loadCounts separates the two failure classes: transport failures
@@ -116,46 +79,26 @@ type loadCounts struct {
 	lastErr   atomic.Value
 }
 
-func getHello(addr string) (int, error) {
-	conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
-	if err != nil {
-		return 0, fmt.Errorf("dial: %w", err)
+// hammer drives GETs at every node of f until f closes, counting each
+// node's outcomes.
+func hammer(f *fleet.Fleet) []*loadCounts {
+	perNode := make([]*loadCounts, len(f.Nodes))
+	for i := range perNode {
+		perNode[i] = &loadCounts{}
 	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	if _, err := http1.WriteRequest(conn, http1.NewRequest("GET", "/hello", nil, 0)); err != nil {
-		return 0, fmt.Errorf("write: %w", err)
-	}
-	resp, err := http1.ReadResponse(bufio.NewReader(conn))
-	if err != nil {
-		return 0, fmt.Errorf("read: %w", err)
-	}
-	if _, err := http1.ReadFullBody(resp.Body); err != nil {
-		return 0, fmt.Errorf("body: %w", err)
-	}
-	return resp.StatusCode, nil
-}
-
-// hammer drives continuous GETs at one node until stop closes.
-func hammer(s *simNode, counts *loadCounts, stop chan struct{}, wg *sync.WaitGroup) {
-	defer wg.Done()
-	for {
-		select {
-		case <-stop:
-			return
-		default:
-		}
-		code, err := getHello(s.addr())
+	f.Load(func(i, code int, err error) {
+		c := perNode[i]
 		switch {
 		case err != nil:
-			counts.transport.Add(1)
-			counts.lastErr.Store(fmt.Errorf("%s: %w", s.name, err))
+			c.transport.Add(1)
+			c.lastErr.Store(fmt.Errorf("%s: %w", f.Nodes[i].Name, err))
 		case code == 200:
-			counts.ok.Add(1)
+			c.ok.Add(1)
 		default:
-			counts.serverErr.Add(1)
+			c.serverErr.Add(1)
 		}
-	}
+	})
+	return perNode
 }
 
 func waitOrchestratorState(t *testing.T, o *fleet.Orchestrator, state string, timeout time.Duration) {
@@ -171,27 +114,67 @@ func waitOrchestratorState(t *testing.T, o *fleet.Orchestrator, state string, ti
 	t.Fatalf("orchestrator never reached %q (state %q, reason %q)", state, st.State, st.Reason)
 }
 
+// TestFleetCloseLeavesNothing: a fleet that served load through one
+// gated rollout leaves no descriptor and no goroutine behind once closed.
+// Every harness that stands up a fleet shares this code.
+func TestFleetCloseLeavesNothing(t *testing.T) {
+	fds0, err := netx.OpenFDCount()
+	if err != nil {
+		t.Fatal(err)
+	}
+	goroutines0 := runtime.NumGoroutine()
+
+	f, err := fleet.NewFleet(3, true, 5*time.Second, badWhile(new(atomic.Bool)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	perNode := hammer(f)
+	o, err := fleet.New(fleet.Config{
+		Name:          "leak",
+		HealthWindow:  100 * time.Millisecond,
+		ProbeInterval: 10 * time.Millisecond,
+	}, f.Nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := o.Run(); err != nil {
+		t.Fatalf("rollout: %v", err)
+	}
+	if st := o.Status(); st.State != fleet.StateDone {
+		t.Fatalf("rollout state %q (reason %q), want done", st.State, st.Reason)
+	}
+	f.Close()
+	for i, c := range perNode {
+		if c.ok.Load() == 0 || c.transport.Load() != 0 {
+			t.Fatalf("node %d: %d ok, %d transport failures (last: %v)", i, c.ok.Load(), c.transport.Load(), c.lastErr.Load())
+		}
+	}
+
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		fds, _ := netx.OpenFDCount()
+		if fds <= fds0 && runtime.NumGoroutine() <= goroutines0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("after Close: %d descriptors and %d goroutines, at start %d and %d",
+				fds, runtime.NumGoroutine(), fds0, goroutines0)
+		}
+	}
+}
+
 // TestFleetChaosBadCanaryRollsBack is the headline acceptance scenario:
 // a 24-node rollout of a broken build. The canary batch fails its gate,
 // rolls back via drain-undo, the rollout pauses, and nobody else is
 // touched — all under live client load with zero transport failures.
 func TestFleetChaosBadCanaryRollsBack(t *testing.T) {
-	sims := newSimFleet(t, 24, 10*time.Second)
-	perNode := make([]*loadCounts, len(sims))
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for i, s := range sims {
-		perNode[i] = &loadCounts{}
-		wg.Add(1)
-		go hammer(s, perNode[i], stop, &wg)
-	}
+	var bad atomic.Bool
+	f, sims := newSimFleet(t, 24, 10*time.Second, badWhile(&bad))
+	perNode := hammer(f)
 	// Let the baseline accumulate error-free history on every node.
 	time.Sleep(150 * time.Millisecond)
 
 	// Ship the bad build.
-	for _, s := range sims {
-		s.good.Store(false)
-	}
+	bad.Store(true)
 
 	jpath := filepath.Join(t.TempDir(), "rollout.jsonl")
 	j, err := fleet.OpenJournal(jpath)
@@ -211,7 +194,7 @@ func TestFleetChaosBadCanaryRollsBack(t *testing.T) {
 		Trace:         tracer,
 		Fence:         fleet.NewFence(),
 	}
-	o, err := fleet.New(cfg, fleetNodes(sims))
+	o, err := fleet.New(cfg, f.Nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,8 +252,7 @@ func TestFleetChaosBadCanaryRollsBack(t *testing.T) {
 
 	// Let the un-drained canaries serve a little longer, then audit load.
 	time.Sleep(100 * time.Millisecond)
-	close(stop)
-	wg.Wait()
+	f.Close()
 	for i, s := range sims {
 		c := perNode[i]
 		if tf := c.transport.Load(); tf != 0 {
@@ -323,15 +305,8 @@ func TestFleetChaosBadCanaryRollsBack(t *testing.T) {
 // — every node on generation 2, zero failed requests throughout.
 func TestFleetChaosOperatorCrashResume(t *testing.T) {
 	const fleetSize = 24
-	sims := newSimFleet(t, fleetSize, 500*time.Millisecond)
-	perNode := make([]*loadCounts, len(sims))
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for i, s := range sims {
-		perNode[i] = &loadCounts{}
-		wg.Add(1)
-		go hammer(s, perNode[i], stop, &wg)
-	}
+	f, sims := newSimFleet(t, fleetSize, 500*time.Millisecond, badWhile(new(atomic.Bool)))
+	perNode := hammer(f)
 	time.Sleep(100 * time.Millisecond)
 
 	jpath := filepath.Join(t.TempDir(), "rollout.jsonl")
@@ -348,7 +323,7 @@ func TestFleetChaosOperatorCrashResume(t *testing.T) {
 		WindowTimeout: 10 * time.Second,
 		Journal:       j,
 	}
-	o1, err := fleet.New(cfg, fleetNodes(sims))
+	o1, err := fleet.New(cfg, f.Nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,7 +388,7 @@ func TestFleetChaosOperatorCrashResume(t *testing.T) {
 	cfg2 := cfg
 	cfg2.Journal = j2
 	cfg2.Resume = &prog
-	o2, err := fleet.New(cfg2, fleetNodes(sims))
+	o2, err := fleet.New(cfg2, f.Nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,8 +430,7 @@ wait2:
 		}
 	}
 
-	close(stop)
-	wg.Wait()
+	f.Close()
 	for i, s := range sims {
 		c := perNode[i]
 		if tf := c.transport.Load(); tf != 0 {
@@ -475,15 +449,8 @@ wait2:
 // plane never failed a request. Control-plane loss must degrade the
 // ROLLOUT, never the traffic.
 func TestFleetChaosControlPartitionMidWindow(t *testing.T) {
-	sims := newSimFleet(t, 4, 400*time.Millisecond)
-	perNode := make([]*loadCounts, len(sims))
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for i, s := range sims {
-		perNode[i] = &loadCounts{}
-		wg.Add(1)
-		go hammer(s, perNode[i], stop, &wg)
-	}
+	f, sims := newSimFleet(t, 4, 400*time.Millisecond, badWhile(new(atomic.Bool)))
+	perNode := hammer(f)
 	time.Sleep(100 * time.Millisecond)
 
 	in := faults.NewInjector(faults.Scenario{Seed: 7})
@@ -495,7 +462,7 @@ func TestFleetChaosControlPartitionMidWindow(t *testing.T) {
 		WindowTimeout: 10 * time.Second,
 		Control:       in,
 	}
-	o, err := fleet.New(cfg, fleetNodes(sims))
+	o, err := fleet.New(cfg, f.Nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -560,8 +527,7 @@ func TestFleetChaosControlPartitionMidWindow(t *testing.T) {
 	}
 
 	time.Sleep(50 * time.Millisecond)
-	close(stop)
-	wg.Wait()
+	f.Close()
 	for i, s := range sims {
 		c := perNode[i]
 		if tf := c.transport.Load(); tf != 0 {

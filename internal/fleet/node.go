@@ -1,9 +1,11 @@
 package fleet
 
 import (
-	"bufio"
 	"fmt"
 	"net"
+	"os"
+	"path/filepath"
+	"sync"
 	"time"
 
 	"zdr/internal/core"
@@ -11,6 +13,7 @@ import (
 	"zdr/internal/http1"
 	"zdr/internal/metrics"
 	"zdr/internal/obs"
+	"zdr/internal/proxy"
 )
 
 // Node is one fleet member under orchestrator control: a restart target
@@ -70,55 +73,146 @@ func (n *Node) phase() string {
 	return n.State().Phase
 }
 
-// ProxyNode assembles a Node around a core.ProxySlot: counters from the
-// slot's shared registry, HTTP probes against addr()+path, and the
-// canary window win — the same window the slot's Build closure must
-// wire as proxy.Config.ReadyGate on every generation (see
-// cmd/zdr-operator for the full pattern). The proxies'
-// TakeoverReadyTimeout must exceed win's MaxHold.
-func ProxyNode(vip string, slot *core.ProxySlot, reg *metrics.Registry, addr func() string, path string, win *CanaryWindow) *Node {
-	// A gate-rejected hand-off must surface to the orchestrator, not be
-	// retried by the slot: the retry's Gate call would find the window's
-	// one-shot entry already consumed and silently promote the rejected
-	// build.
-	slot.AbortRetries = -1
-	return &Node{
-		Name:     slot.SlotName,
-		VIP:      vip,
-		Target:   slot,
-		Counters: func() map[string]int64 { return reg.Snapshot().Counters },
-		Probe:    func() error { return HTTPProbe(addr(), path, 2*time.Second) },
-		Window:   win,
-		State:    slot.State,
-		Metrics:  reg.Snapshot,
-		// Disruption is left nil: assign the node's ledger Report (e.g.
-		// led.Report) when the slot's generations share a disrupt.Ledger.
+// Fleet is the in-process Edge fleet a rollout is pushed to: one
+// core.ProxySlot per node, whose generations share the node's registry
+// and, when gated, take the node's CanaryWindow as their ReadyGate. A
+// build hook sets what differs between builds and nodes: content,
+// faults and ledgers.
+type Fleet struct {
+	// Slots, Regs and Nodes are per node, in order: the slot, the
+	// registry its generations share, and the orchestrator's Node over
+	// them, probed with a GET of /hello.
+	Slots []*core.ProxySlot
+	Regs  []*metrics.Registry
+	Nodes []*Node
+
+	// addrs are the web VIPs, captured at Start: an address survives
+	// takeovers, and asking a slot for it mid-hand-off is racy.
+	addrs []string
+	dir   string
+	stop  chan struct{}
+	wg    sync.WaitGroup
+	once  sync.Once
+}
+
+// NewFleet starts n Edge nodes, edge-00 on vip-00 and on. When gated,
+// each node's generations hold a CanaryWindow bounded by maxHold as
+// their ReadyGate, and every generation's lease outlasts that bound by
+// 10 s. A replaced generation is closed 5 ms after its hand-off. build
+// completes node i's config for each generation it builds.
+func NewFleet(n int, gated bool, maxHold time.Duration, build func(i int, cfg *proxy.Config)) (*Fleet, error) {
+	dir, err := os.MkdirTemp("", "zdr-fleet-*")
+	if err != nil {
+		return nil, err
+	}
+	f := &Fleet{dir: dir, stop: make(chan struct{})}
+	for i := 0; i < n; i++ {
+		name := fmt.Sprintf("edge-%02d", i)
+		var win *CanaryWindow
+		if gated {
+			win = NewCanaryWindow(maxHold)
+		}
+		reg := metrics.NewRegistry()
+		gen := 0
+		slot := &core.ProxySlot{
+			SlotName:  name,
+			Path:      filepath.Join(dir, name+".sock"),
+			DrainWait: 5 * time.Millisecond,
+			// A gate-rejected hand-off must surface to the orchestrator,
+			// not be retried by the slot: the retry's Gate call would find
+			// the window's one-shot entry already consumed and silently
+			// promote the rejected build.
+			AbortRetries: -1,
+			Build: func() *proxy.Proxy {
+				gen++
+				cfg := proxy.Config{
+					Name:                 fmt.Sprintf("%s-g%d", name, gen),
+					Role:                 proxy.RoleEdge,
+					TakeoverReadyTimeout: maxHold + 10*time.Second,
+					Generation:           gen,
+				}
+				if win != nil {
+					cfg.ReadyGate = win.Gate
+				}
+				build(i, &cfg)
+				return proxy.New(cfg, reg)
+			},
+		}
+		if err := slot.Start(); err != nil {
+			f.Close()
+			return nil, err
+		}
+		addr := slot.Current().Addr(proxy.VIPWeb)
+		f.Slots, f.Regs, f.addrs = append(f.Slots, slot), append(f.Regs, reg), append(f.addrs, addr)
+		f.Nodes = append(f.Nodes, &Node{
+			Name:     name,
+			VIP:      fmt.Sprintf("vip-%02d", i),
+			Target:   slot,
+			Counters: func() map[string]int64 { return reg.Snapshot().Counters },
+			// Any transport failure or a >= 500 status fails the probe.
+			Probe: func() error {
+				code, err := GetStatus(addr, "/hello", 2*time.Second)
+				if err == nil && code >= 500 {
+					err = fmt.Errorf("fleet: probe status %d", code)
+				}
+				return err
+			},
+			Window:  win,
+			State:   slot.State,
+			Metrics: reg.Snapshot,
+			// Disruption is left nil: assign the node's ledger Report
+			// when the build hook gives its generations one.
+		})
+	}
+	return f, nil
+}
+
+// Load runs a loop of GETs of /hello per node, a millisecond apart,
+// until Close, and hands node i's outcomes to got, which the loops call
+// concurrently.
+func (f *Fleet) Load(got func(i, status int, err error)) {
+	for i, addr := range f.addrs {
+		f.wg.Add(1)
+		go func() {
+			defer f.wg.Done()
+			for {
+				select {
+				case <-f.stop:
+					return
+				default:
+				}
+				code, err := GetStatus(addr, "/hello", 5*time.Second)
+				got(i, code, err)
+				time.Sleep(time.Millisecond)
+			}
+		}()
 	}
 }
 
-// HTTPProbe issues one GET against addr and classifies the outcome: any
-// transport failure or a >= 500 status is a probe failure.
-func HTTPProbe(addr, path string, timeout time.Duration) error {
+// Close stops the load, closes every slot and waits out its drains.
+// Calls after the first do nothing.
+func (f *Fleet) Close() {
+	f.once.Do(func() {
+		close(f.stop)
+		f.wg.Wait()
+		for _, s := range f.Slots {
+			s.Close()
+			s.WaitDrains()
+		}
+		os.RemoveAll(f.dir)
+	})
+}
+
+// GetStatus GETs path from addr on a connection of its own, the dial and
+// the exchange each bounded by timeout, and returns the status.
+func GetStatus(addr, path string, timeout time.Duration) (int, error) {
 	conn, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(timeout))
-	if _, err := http1.WriteRequest(conn, http1.NewRequest("GET", path, nil, 0)); err != nil {
-		return err
-	}
-	resp, err := http1.ReadResponse(bufio.NewReader(conn))
-	if err != nil {
-		return err
-	}
-	if _, err := http1.ReadFullBody(resp.Body); err != nil {
-		return err
-	}
-	if resp.StatusCode >= 500 {
-		return fmt.Errorf("fleet: probe status %d", resp.StatusCode)
-	}
-	return nil
+	return http1.Get(conn, path)
 }
 
 // requestKeys are the cumulative request counters summed into the gate's

@@ -9,114 +9,50 @@ package fleet_test
 
 import (
 	"fmt"
-	"path/filepath"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
-	"zdr/internal/core"
 	"zdr/internal/disrupt"
 	"zdr/internal/faults"
 	"zdr/internal/fleet"
-	"zdr/internal/metrics"
 	"zdr/internal/proxy"
 )
 
-// telemetrySimNode is a simNode with the full telemetry surface wired:
-// a per-node disruption ledger shared across generations and a per-node
-// accept-path fault injector whose observer feeds the ledger.
-type telemetrySimNode struct {
-	name    string
-	slot    *core.ProxySlot
-	reg     *metrics.Registry
-	win     *fleet.CanaryWindow
-	led     *disrupt.Ledger
-	inj     *faults.Injector
-	node    *fleet.Node
-	good    atomic.Bool
-	webAddr string
-}
-
-func newTelemetrySimFleet(t *testing.T, n int, maxHold time.Duration) []*telemetrySimNode {
+// newTelemetrySimFleet wires the full telemetry surface onto each node:
+// a disruption ledger shared across generations and an accept-path
+// fault injector whose observer feeds the ledger.
+func newTelemetrySimFleet(t *testing.T, n int, maxHold time.Duration) (*fleet.Fleet, []*simNode) {
 	t.Helper()
-	dir := t.TempDir()
-	sims := make([]*telemetrySimNode, n)
-	for i := 0; i < n; i++ {
-		name := fmt.Sprintf("edge-%02d", i)
-		s := &telemetrySimNode{
-			name: name,
-			reg:  metrics.NewRegistry(),
-			win:  fleet.NewCanaryWindow(maxHold),
-			led:  disrupt.New(name, 512),
-			inj: faults.NewInjector(faults.Scenario{
-				Seed:        uint64(i + 1),
-				AbortRate:   0.15,
-				AbortMinOps: 1,
-			}),
-		}
-		s.good.Store(true)
-		gen := 0
-		s.slot = &core.ProxySlot{
-			SlotName:  name,
-			Path:      filepath.Join(dir, name+".sock"),
-			DrainWait: 5 * time.Millisecond,
-			Build: func() *proxy.Proxy {
-				gen++
-				cfg := proxy.Config{
-					Name:                 fmt.Sprintf("%s-g%d", name, gen),
-					Role:                 proxy.RoleEdge,
-					ReadyGate:            s.win.Gate,
-					TakeoverReadyTimeout: 20 * time.Second,
-					AcceptFaults:         s.inj,
-					Ledger:               s.led,
-					Generation:           gen,
-				}
-				if s.good.Load() {
-					cfg.StaticContent = map[string][]byte{"/hello": []byte("hello from " + name)}
-				}
-				return proxy.New(cfg, s.reg)
-			},
-		}
-		if err := s.slot.Start(); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(s.slot.Close)
-		s.webAddr = s.slot.Current().Addr(proxy.VIPWeb)
-		s.node = fleet.ProxyNode(fmt.Sprintf("vip-%02d", i), s.slot, s.reg, func() string { return s.webAddr }, "/hello", s.win)
-		s.node.Disruption = s.led.Report
-		sims[i] = s
+	leds := make([]*disrupt.Ledger, n)
+	injs := make([]*faults.Injector, n)
+	for i := range leds {
+		leds[i] = disrupt.New(fmt.Sprintf("edge-%02d", i), 512)
+		injs[i] = faults.NewInjector(faults.Scenario{
+			Seed:        uint64(i + 1),
+			AbortRate:   0.15,
+			AbortMinOps: 1,
+		})
 	}
-	return sims
+	f, sims := newSimFleet(t, n, maxHold, func(i int, cfg *proxy.Config) {
+		cfg.AcceptFaults, cfg.Ledger = injs[i], leds[i]
+		cfg.StaticContent = map[string][]byte{"/hello": []byte("hello")}
+	})
+	for i, s := range sims {
+		s.led, s.inj = leds[i], injs[i]
+		f.Nodes[i].Disruption = leds[i].Report
+	}
+	return f, sims
 }
 
 // TestFleetChaosTelemetryAttribution rolls a good build across 24 nodes
 // while every node's accept path randomly aborts connections, then
 // demands exact books: injected == attributed, unattributed == 0.
 func TestFleetChaosTelemetryAttribution(t *testing.T) {
-	sims := newTelemetrySimFleet(t, 24, 10*time.Second)
-	nodes := make([]*fleet.Node, len(sims))
-	for i, s := range sims {
-		nodes[i] = s.node
-	}
+	f, sims := newTelemetrySimFleet(t, 24, 10*time.Second)
+	nodes := f.Nodes
 
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for _, s := range sims {
-		wg.Add(1)
-		go func(s *telemetrySimNode) {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				getHello(s.webAddr) // aborts are expected; outcome irrelevant
-			}
-		}(s)
-	}
+	f.Load(func(int, int, error) {}) // aborts are expected; outcome irrelevant
 	time.Sleep(150 * time.Millisecond)
 
 	// The gate must tolerate the injected chaos (it is background noise on
@@ -161,13 +97,9 @@ func TestFleetChaosTelemetryAttribution(t *testing.T) {
 		t.Fatal("batch telemetry windows saw no traffic")
 	}
 
-	close(stop)
-	wg.Wait()
 	// Join in-flight handlers so every late fault is recorded before the
 	// books are audited.
-	for _, s := range sims {
-		s.slot.Close()
-	}
+	f.Close()
 
 	var injected int64
 	for _, s := range sims {

@@ -4,10 +4,12 @@ import (
 	"bufio"
 	"bytes"
 	"io"
+	"net"
 	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestCanonicalKey(t *testing.T) {
@@ -452,5 +454,101 @@ func BenchmarkChunkedRoundTrip(b *testing.B) {
 		cw.Close()
 		cr := NewChunkedReader(bufio.NewReader(&buf))
 		io.Copy(io.Discard, cr)
+	}
+}
+
+// TestGetClassify runs Get against one loopback server per case and
+// sorts the outcome into Fig. 12's classes.
+func TestGetClassify(t *testing.T) {
+	cases := []struct {
+		name string
+		// serve answers the one request; nil answers nothing and waits.
+		serve func(c net.Conn)
+		// prep readies the client's connection for Get.
+		prep   func(c net.Conn)
+		status int
+		class  ErrorClass
+		// least is how long Get takes at least: the body's end comes late.
+		least time.Duration
+	}{
+		{name: "200, body read to its end", status: 200, class: ClassOK, least: 50 * time.Millisecond,
+			serve: func(c net.Conn) {
+				io.WriteString(c, "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n")
+				time.Sleep(50 * time.Millisecond)
+				io.WriteString(c, "0\r\n\r\n")
+			}},
+		{name: "503", status: 503, class: ClassStreamAbort,
+			serve: func(c net.Conn) {
+				io.WriteString(c, "HTTP/1.1 503 Service Unavailable\r\nContent-Length: 0\r\n\r\n")
+			}},
+		{name: "silent server", class: ClassTimeout,
+			prep: func(c net.Conn) { c.SetReadDeadline(time.Now().Add(50 * time.Millisecond)) }},
+		{name: "peer reset", class: ClassConnReset,
+			serve: func(c net.Conn) {
+				c.(*net.TCPConn).SetLinger(0)
+				c.Close()
+			}},
+		{name: "write past its deadline", class: ClassWriteTimeout,
+			prep: func(c net.Conn) { c.SetWriteDeadline(time.Now().Add(-time.Second)) }},
+		{name: "write on a closed connection", class: ClassConnReset,
+			prep: func(c net.Conn) { c.Close() }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			done := make(chan struct{})
+			defer func() { <-done }()
+			go func() {
+				defer close(done)
+				c, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				defer c.Close()
+				if _, err := ReadRequest(bufio.NewReader(c)); err != nil {
+					return
+				}
+				if tc.serve == nil {
+					io.Copy(io.Discard, c) // until the client goes
+					return
+				}
+				tc.serve(c)
+			}()
+			c, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			c.SetDeadline(time.Now().Add(5 * time.Second))
+			if tc.prep != nil {
+				tc.prep(c)
+			}
+			start := time.Now()
+			status, err := Get(c, "/x")
+			if took := time.Since(start); took < tc.least {
+				t.Fatalf("Get returned after %v, before the body's end at %v", took, tc.least)
+			}
+			if status != tc.status {
+				t.Fatalf("status %d (err %v), want %d", status, err, tc.status)
+			}
+			if got := Classify(status, err); got != tc.class {
+				t.Fatalf("class %v (err %v), want %v", got, err, tc.class)
+			}
+			c.Close()
+		})
+	}
+	// A dial that fails is a connection reset too.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln.Close()
+	_, err = net.Dial("tcp", ln.Addr().String())
+	if got := Classify(0, err); err == nil || got != ClassConnReset {
+		t.Fatalf("refused dial (err %v) classed %v, want %v", err, got, ClassConnReset)
 	}
 }

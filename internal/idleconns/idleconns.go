@@ -15,7 +15,6 @@
 package idleconns
 
 import (
-	"bufio"
 	"fmt"
 	"net"
 	"os"
@@ -173,7 +172,7 @@ func Run(cfg Config) (*Report, error) {
 	}
 	// One request per conn proves each is served, then it goes idle.
 	for i, c := range conns {
-		if err := oneRequest(c, addr); err != nil {
+		if err := oneRequest(c); err != nil {
 			return nil, fmt.Errorf("request on conn %d: %w", i, err)
 		}
 	}
@@ -259,7 +258,7 @@ func Run(cfg Config) (*Report, error) {
 			if err != nil {
 				return
 			}
-			if err := oneRequest(c, addr); err != nil {
+			if err := oneRequest(c); err != nil {
 				c.Close()
 				return
 			}
@@ -295,20 +294,13 @@ func footprint() (bytes uint64, goroutines int) {
 }
 
 // oneRequest runs a single keep-alive GET on an established conn.
-func oneRequest(conn net.Conn, addr string) error {
-	if _, err := http1.WriteRequest(conn, http1.NewRequest("GET", "/static/ping", nil, 0)); err != nil {
-		return err
-	}
+func oneRequest(conn net.Conn) error {
 	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	resp, err := http1.ReadResponse(bufio.NewReader(conn))
-	if err != nil {
-		return err
+	defer conn.SetReadDeadline(time.Time{})
+	code, err := http1.Get(conn, "/static/ping")
+	if err == nil && code != 200 {
+		err = fmt.Errorf("status %d", code)
 	}
-	if resp.StatusCode != 200 {
-		return fmt.Errorf("status %d", resp.StatusCode)
-	}
-	_, err = http1.ReadFullBody(resp.Body)
-	conn.SetReadDeadline(time.Time{})
 	return err
 }
 

@@ -140,9 +140,8 @@ func OpenFDCount() (int, error) {
 }
 
 // SocketPair returns both ends of a connected AF_UNIX SOCK_STREAM pair as
-// *net.UnixConn. It is how tests (and the in-process takeover used by the
-// examples) wire an old and a new "instance" together without touching the
-// filesystem.
+// *net.UnixConn. It is how tests wire an old and a new "instance"
+// together without touching the filesystem.
 func SocketPair() (a, b *net.UnixConn, err error) {
 	fds, err := syscall.Socketpair(syscall.AF_UNIX, syscall.SOCK_STREAM|syscall.SOCK_CLOEXEC, 0)
 	if err != nil {
