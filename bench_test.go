@@ -30,6 +30,16 @@ import (
 	"zdr/internal/workload"
 )
 
+// figure returns the generator experiments.All() registers under id.
+func figure(id string) func() (experiments.Table, error) {
+	for _, e := range experiments.All() {
+		if e.ID == id {
+			return e.Run
+		}
+	}
+	panic("no experiment " + id)
+}
+
 // runExperiment executes one figure generator b.N times, failing the
 // bench if the experiment errors. Allocation counts are reported so the
 // figure-level benches double as coarse allocation regressions alongside
@@ -63,30 +73,30 @@ func cell(b *testing.B, s string) float64 {
 }
 
 func BenchmarkFig2aReleaseCadence(b *testing.B) {
-	tab := runExperiment(b, experiments.Fig2aReleaseCadence)
+	tab := runExperiment(b, figure("F2a"))
 	b.ReportMetric(cell(b, tab.Rows[0][2]), "l7lb-releases/wk-p50")
 	b.ReportMetric(cell(b, tab.Rows[1][2]), "app-releases/wk-p50")
 }
 
 func BenchmarkFig2bReleaseCauses(b *testing.B) {
-	tab := runExperiment(b, experiments.Fig2bReleaseCauses)
+	tab := runExperiment(b, figure("F2b"))
 	b.ReportMetric(cell(b, tab.Rows[0][1]), "binary-share-%")
 }
 
 func BenchmarkFig2cCommitsPerRelease(b *testing.B) {
-	tab := runExperiment(b, experiments.Fig2cCommitsPerRelease)
+	tab := runExperiment(b, figure("F2c"))
 	b.ReportMetric(cell(b, tab.Rows[0][1]), "commits-p50")
 }
 
 func BenchmarkFig2dReuseportMisrouting(b *testing.B) {
-	tab := runExperiment(b, experiments.Fig2dReuseportMisrouting)
+	tab := runExperiment(b, figure("F2d"))
 	// Last row = 100k flows.
 	last := tab.Rows[len(tab.Rows)-1]
 	b.ReportMetric(cell(b, last[1])+cell(b, last[2]), "misrouted-pkts-100kflows")
 }
 
 func BenchmarkFig3aCapacityTimeline(b *testing.B) {
-	tab := runExperiment(b, experiments.Fig3aCapacityTimeline)
+	tab := runExperiment(b, figure("F3a"))
 	min := 101.0
 	for _, row := range tab.Rows {
 		if v := cell(b, row[1]); v < min {
@@ -97,18 +107,18 @@ func BenchmarkFig3aCapacityTimeline(b *testing.B) {
 }
 
 func BenchmarkFig3bReconnectCPU(b *testing.B) {
-	tab := runExperiment(b, experiments.Fig3bReconnectCPU)
+	tab := runExperiment(b, figure("F3b"))
 	b.ReportMetric(cell(b, tab.Rows[1][3]), "extra-cpu-%-at-10%-restarts")
 }
 
 func BenchmarkFig8IdleCPU(b *testing.B) {
-	tab := runExperiment(b, experiments.Fig8IdleCPU)
+	tab := runExperiment(b, figure("F8"))
 	b.ReportMetric(cell(b, tab.Rows[1][1]), "hard20-min-idle-%")
 	b.ReportMetric(cell(b, tab.Rows[3][1]), "zdr20-min-idle-%")
 }
 
 func BenchmarkFig9DCRTimeline(b *testing.B) {
-	tab := runExperiment(b, experiments.Fig9DCRTimeline)
+	tab := runExperiment(b, figure("F9"))
 	var dcrMin, noMin float64 = 1e18, 1e18
 	for i, row := range tab.Rows {
 		if i < 4 || i > 7 {
@@ -126,13 +136,13 @@ func BenchmarkFig9DCRTimeline(b *testing.B) {
 }
 
 func BenchmarkFig10UDPMisrouting(b *testing.B) {
-	tab := runExperiment(b, experiments.Fig10UDPMisrouting)
+	tab := runExperiment(b, figure("F10"))
 	b.ReportMetric(cell(b, tab.Rows[0][2]), "misrouted-traditional")
 	b.ReportMetric(cell(b, tab.Rows[1][2]), "misrouted-takeover")
 }
 
 func BenchmarkFig11PPRDisruption(b *testing.B) {
-	tab := runExperiment(b, experiments.Fig11PPRDisruption)
+	tab := runExperiment(b, figure("F11"))
 	var worst float64
 	for _, row := range tab.Rows {
 		if v := cell(b, row[3]); v > worst {
@@ -143,7 +153,7 @@ func BenchmarkFig11PPRDisruption(b *testing.B) {
 }
 
 func BenchmarkFig12ProxyErrors(b *testing.B) {
-	tab := runExperiment(b, experiments.Fig12ProxyErrors)
+	tab := runExperiment(b, figure("F12"))
 	var trad, zdr float64
 	for _, row := range tab.Rows {
 		trad += cell(b, row[1])
@@ -154,7 +164,7 @@ func BenchmarkFig12ProxyErrors(b *testing.B) {
 }
 
 func BenchmarkFig13ReleaseTimeline(b *testing.B) {
-	tab := runExperiment(b, experiments.Fig13ReleaseTimeline)
+	tab := runExperiment(b, figure("F13"))
 	minRPS := 10.0
 	for _, row := range tab.Rows {
 		if v := cell(b, row[1]); v < minRPS {
@@ -165,7 +175,7 @@ func BenchmarkFig13ReleaseTimeline(b *testing.B) {
 }
 
 func BenchmarkFig15RestartHours(b *testing.B) {
-	tab := runExperiment(b, experiments.Fig15RestartHours)
+	tab := runExperiment(b, figure("F15"))
 	for _, row := range tab.Rows {
 		if row[0] == "14:00" {
 			b.ReportMetric(cell(b, row[1]), "proxygen-density-14h")
@@ -174,18 +184,18 @@ func BenchmarkFig15RestartHours(b *testing.B) {
 }
 
 func BenchmarkFig16CompletionTime(b *testing.B) {
-	tab := runExperiment(b, experiments.Fig16CompletionTime)
+	tab := runExperiment(b, figure("F16"))
 	b.ReportMetric(cell(b, tab.Rows[0][2]), "proxygen-p50-min")
 	b.ReportMetric(cell(b, tab.Rows[1][2]), "appserver-p50-min")
 }
 
 func BenchmarkFig17TakeoverOverhead(b *testing.B) {
-	tab := runExperiment(b, experiments.Fig17TakeoverOverhead)
+	tab := runExperiment(b, figure("F17"))
 	b.ReportMetric(cell(b, tab.Rows[0][1]), "handoff-p50-us")
 }
 
 func BenchmarkTblPPRRetries(b *testing.B) {
-	tab := runExperiment(b, experiments.TblPPRRetries)
+	tab := runExperiment(b, figure("T-A"))
 	b.ReportMetric(cell(b, tab.Rows[0][3]), "budget-exhaustions")
 }
 
@@ -445,13 +455,13 @@ func readAll(st *h2t.Stream) ([]byte, error) {
 }
 
 func BenchmarkTblHeadlineBenefits(b *testing.B) {
-	tab := runExperiment(b, experiments.TblHeadlineBenefits)
+	tab := runExperiment(b, figure("T-B"))
 	b.ReportMetric(cell(b, strings.TrimSuffix(tab.Rows[0][2], " min")), "app-release-min")
 	b.ReportMetric(cell(b, strings.TrimSuffix(tab.Rows[1][2], " min")), "l7lb-release-min")
 }
 
 func BenchmarkTblPeakHourRelease(b *testing.B) {
-	tab := runExperiment(b, experiments.TblPeakHourRelease)
+	tab := runExperiment(b, figure("T-C"))
 	// Row 1 = HardRestart at peak: dropped load fraction.
 	b.ReportMetric(cell(b, tab.Rows[1][4]), "hard-peak-dropped-%")
 	b.ReportMetric(cell(b, tab.Rows[3][4]), "zdr-peak-dropped-%")

@@ -1,14 +1,19 @@
-// Package apicheck pins the exported API surface of the packages that
-// form the repo's public contract — takeover (wire protocol + hand-off
-// API), core (release orchestration), netx (FD passing) — as a golden
-// snapshot. Any signature change, addition, or removal fails CI until
-// the golden is regenerated with:
+// Package apicheck holds two checks of the exported API surface.
+//
+// TestAPISurface pins the surface of seven packages — core (release
+// orchestration), netx (FD passing), takeover (wire protocol and
+// hand-off API), fleet, disrupt, metrics and katran — as a golden
+// snapshot built from the AST alone. Any signature change, addition or
+// removal fails until the golden is regenerated with:
 //
 //	go test ./internal/apicheck/ -run TestAPISurface -update
 //
 // which makes API drift a reviewed, diffable event instead of an
-// accident. The snapshot is built from the AST alone (no type checking,
-// no build), so it runs everywhere `go test ./...` runs.
+// accident.
+//
+// TestCallers (callers_test.go) checks who uses that surface: every
+// exported name of every package under internal/ must have a caller in
+// another package outside _test.go files.
 package apicheck
 
 import (

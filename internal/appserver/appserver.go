@@ -32,13 +32,13 @@ import (
 	"zdr/internal/obs"
 )
 
-// Handler produces the response for a fully received request. body is
+// handler produces the response for a fully received request. body is
 // valid until the response has been written: a response may read from it
 // (the echo does), but a handler that keeps it longer must copy it. req is
 // the connection's, read into again for its next request: a handler must
 // not keep it past its return, though what it takes from it — method,
 // target, field values — it may keep.
-type Handler func(req *http1.Request, body []byte) *http1.Response
+type handler func(req *http1.Request, body []byte) *http1.Response
 
 // Request bodies declared at pooledBodyMin or more are read into pooled
 // buffers of bodyPoolCap, which go back once the response — the
@@ -116,7 +116,7 @@ type Config struct {
 	// Name identifies the instance in metrics and X-Served-By.
 	Name string
 	// Handler serves completed requests; nil installs a default echo.
-	Handler Handler
+	Handler handler
 	// Mode selects restart behaviour (default ModePPR).
 	Mode Mode
 	// DrainPeriod is how long Shutdown waits for requests whose bodies
@@ -190,9 +190,6 @@ func New(cfg Config, reg *metrics.Registry) *Server {
 // Metrics returns the server's registry.
 func (s *Server) Metrics() *metrics.Registry { return s.reg }
 
-// Name returns the configured instance name.
-func (s *Server) Name() string { return s.cfg.Name }
-
 // Listen binds addr and starts accepting.
 func (s *Server) Listen(addr string) (string, error) {
 	ln, err := net.Listen("tcp", addr)
@@ -213,14 +210,6 @@ func (s *Server) Serve(ln net.Listener) {
 		defer s.wg.Done()
 		s.acceptLoop()
 	}()
-}
-
-// Addr returns the bound address.
-func (s *Server) Addr() string {
-	if s.ln == nil {
-		return ""
-	}
-	return s.ln.Addr().String()
 }
 
 func (s *Server) acceptLoop() {

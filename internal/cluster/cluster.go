@@ -61,18 +61,18 @@ type Config struct {
 	// Load is the offered load as a fraction of total fleet capacity
 	// right before the release (baseline utilisation). Default 0.7.
 	Load float64
-	// CanarySize, when > 0, stages the release canary-first by the fleet
+	// canarySize, when > 0, stages the release canary-first by the fleet
 	// orchestrator's rule (fleet.BatchSizes): the first batch has
-	// CanarySize machines and each next one doubles, capped at
+	// canarySize machines and each next one doubles, capped at
 	// BatchFraction of the fleet. 0 keeps the classic fixed BatchFraction
 	// batches.
-	CanarySize int
+	canarySize int
 	// Tick is the simulation step. Default 10 s.
 	Tick time.Duration
 	// Seed drives the PRNG. Default 1.
 	Seed uint64
-	// MQTTConnsPerMachine scales the connection-count series (Fig. 13).
-	MQTTConnsPerMachine int
+	// mqttConnsPerMachine scales the connection-count series (Fig. 13).
+	mqttConnsPerMachine int
 }
 
 func (c *Config) fill() {
@@ -94,8 +94,8 @@ func (c *Config) fill() {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.MQTTConnsPerMachine <= 0 {
-		c.MQTTConnsPerMachine = 10_000
+	if c.mqttConnsPerMachine <= 0 {
+		c.mqttConnsPerMachine = 10_000
 	}
 }
 
@@ -150,7 +150,7 @@ type TickSample struct {
 
 // ReleaseResult is a full simulated rolling release.
 type ReleaseResult struct {
-	Config         Config
+	config         Config
 	CompletionTime time.Duration
 	Timeline       []TickSample
 	// MinCapacityFraction is the lowest point of the capacity timeline.
@@ -176,18 +176,18 @@ func RunRelease(cfg Config) ReleaseResult {
 	// Canary-first staging ramps the batch size toward the cap; classic
 	// releases run at the cap from the first batch.
 	canary := maxBatch
-	if cfg.CanarySize > 0 {
-		canary = cfg.CanarySize
+	if cfg.canarySize > 0 {
+		canary = cfg.canarySize
 	}
 	sizes := fleet.BatchSizes(n, canary, maxBatch)
 
-	res := ReleaseResult{Config: cfg, MinCapacityFraction: 1, MinIdleCPUFraction: 1}
+	res := ReleaseResult{config: cfg, MinCapacityFraction: 1, MinIdleCPUFraction: 1}
 
 	// Per-connection disruption accounting: each machine carries
-	// MQTTConnsPerMachine persistent connections; a HardRestart kills the
+	// mqttConnsPerMachine persistent connections; a HardRestart kills the
 	// ones that outlive the drain (§2.5: at the tail most persistent
 	// connections do).
-	connsPerMachine := cfg.MQTTConnsPerMachine
+	connsPerMachine := cfg.mqttConnsPerMachine
 	totalConns := int64(n * connsPerMachine)
 	liveConns := totalConns
 
@@ -376,8 +376,8 @@ type ReconnectStormResult struct {
 	// ExtraCPUFraction is the peak increase relative to baseline
 	// (paper: restarting 10% of Origin proxies costs ~20% extra CPU).
 	ExtraCPUFraction float64
-	// Timeline is the CPU fraction per tick.
-	Timeline []float64
+	// timeline is the CPU fraction per tick.
+	timeline []float64
 }
 
 // The storm's calibration: the steady app-tier utilisation; the CPU cost
@@ -409,7 +409,7 @@ func RunReconnectStorm(frac float64) ReconnectStormResult {
 		if cpu > res.PeakCPU {
 			res.PeakCPU = cpu
 		}
-		res.Timeline = append(res.Timeline, cpu)
+		res.timeline = append(res.timeline, cpu)
 	}
 	res.ExtraCPUFraction = (res.PeakCPU - res.BaselineCPU) / res.BaselineCPU
 	return res
@@ -428,6 +428,6 @@ func triangle(i, width int) float64 {
 // String renders a release result compactly (debugging aid).
 func (r ReleaseResult) String() string {
 	return fmt.Sprintf("%s machines=%d batch=%.0f%% drain=%v: completion=%v minCap=%.2f minIdle=%.2f disrupted=%d",
-		r.Config.Strategy, r.Config.Machines, r.Config.BatchFraction*100, r.Config.DrainPeriod,
+		r.config.Strategy, r.config.Machines, r.config.BatchFraction*100, r.config.DrainPeriod,
 		r.CompletionTime, r.MinCapacityFraction, r.MinIdleCPUFraction, r.DisruptedConns)
 }

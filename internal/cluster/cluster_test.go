@@ -111,11 +111,11 @@ func TestFig13GroupSeries(t *testing.T) {
 func TestDisruptedConnections(t *testing.T) {
 	hard := RunRelease(Config{
 		Machines: 100, BatchFraction: 0.2, DrainPeriod: 5 * time.Minute,
-		Strategy: HardRestart, Tick: 30 * time.Second, MQTTConnsPerMachine: 1000,
+		Strategy: HardRestart, Tick: 30 * time.Second, mqttConnsPerMachine: 1000,
 	})
 	zdr := RunRelease(Config{
 		Machines: 100, BatchFraction: 0.2, DrainPeriod: 5 * time.Minute,
-		Strategy: ZeroDowntime, Tick: 30 * time.Second, MQTTConnsPerMachine: 1000,
+		Strategy: ZeroDowntime, Tick: 30 * time.Second, mqttConnsPerMachine: 1000,
 	})
 	if zdr.DisruptedConns != 0 {
 		t.Fatalf("ZDR disrupted %d connections", zdr.DisruptedConns)
@@ -177,7 +177,7 @@ func TestReconnectStormMatchesPaperDatapoint(t *testing.T) {
 	if bigger.ExtraCPUFraction <= res.ExtraCPUFraction {
 		t.Fatal("storm should scale with restarted fraction")
 	}
-	if len(res.Timeline) == 0 || res.PeakCPU <= res.BaselineCPU {
+	if len(res.timeline) == 0 || res.PeakCPU <= res.BaselineCPU {
 		t.Fatalf("timeline broken: %+v", res)
 	}
 }
@@ -229,15 +229,15 @@ func BenchmarkRunRelease(b *testing.B) {
 }
 
 func TestTailLatencyCurve(t *testing.T) {
-	base := TailLatency(time.Millisecond, 0.5)
-	loaded := TailLatency(time.Millisecond, 0.9)
+	base := tailLatency(time.Millisecond, 0.5)
+	loaded := tailLatency(time.Millisecond, 0.9)
 	if loaded <= base {
 		t.Fatal("latency must rise with utilisation")
 	}
-	if got := TailLatency(time.Millisecond, 0.995); got != 100*time.Millisecond {
+	if got := tailLatency(time.Millisecond, 0.995); got != 100*time.Millisecond {
 		t.Fatalf("saturated latency = %v, want clamped 100x", got)
 	}
-	if TailLatency(time.Millisecond, -1) != time.Millisecond {
+	if tailLatency(time.Millisecond, -1) != time.Millisecond {
 		t.Fatal("negative utilisation should clamp to unloaded")
 	}
 }
@@ -245,14 +245,14 @@ func TestTailLatencyCurve(t *testing.T) {
 func TestLatencyImpactTenPercent(t *testing.T) {
 	// The §2.5 companion observation: taking 10% of capacity away at
 	// realistic load visibly inflates the tail.
-	x := LatencyImpact(0.7, 0.10)
+	x := latencyImpact(0.7, 0.10)
 	if x < 1.1 || x > 3 {
 		t.Fatalf("10%% capacity loss latency multiplier = %v, want noticeable", x)
 	}
-	if LatencyImpact(0.7, 0.0) != 1 {
+	if latencyImpact(0.7, 0.0) != 1 {
 		t.Fatal("no capacity loss must mean no impact")
 	}
-	if !math.IsInf(LatencyImpact(0.5, 1.0), 1) {
+	if !math.IsInf(latencyImpact(0.5, 1.0), 1) {
 		t.Fatal("whole-fleet loss must be infinite impact")
 	}
 }
@@ -320,7 +320,7 @@ func TestRunDayShape(t *testing.T) {
 	}
 }
 
-// TestCanaryFirstStaging: with CanarySize set, the release follows the
+// TestCanaryFirstStaging: with canarySize set, the release follows the
 // fleet orchestrator's batch plan — a small first batch, exponential
 // growth to the BatchFraction cap. The ramp trades completion time for
 // a smaller first-exposure blast radius; capacity behaviour per strategy
@@ -336,7 +336,7 @@ func TestCanaryFirstStaging(t *testing.T) {
 	flat := RunRelease(base)
 
 	canary := base
-	canary.CanarySize = 1
+	canary.canarySize = 1
 	staged := RunRelease(canary)
 
 	// Batch plan 1,2,4,8,16,20,20,... = 9 batches vs 5 flat ones: the

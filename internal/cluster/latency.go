@@ -5,14 +5,14 @@ import (
 	"time"
 )
 
-// TailLatency models per-request latency as a function of utilisation
+// tailLatency models per-request latency as a function of utilisation
 // with an M/M/1-style queueing approximation: W = S / (1 - ρ), where S is
 // the unloaded service time and ρ the machine utilisation. The paper's
 // complementary experiment to Fig. 3a ("we analyzed the tail latency and
 // observed significant increase due to a 10% reduced cluster capacity")
 // is exactly this curve: taking capacity offline raises ρ on the
 // survivors, and the tail blows up as ρ → 1.
-func TailLatency(serviceTime time.Duration, utilisation float64) time.Duration {
+func tailLatency(serviceTime time.Duration, utilisation float64) time.Duration {
 	if utilisation < 0 {
 		utilisation = 0
 	}
@@ -24,15 +24,15 @@ func TailLatency(serviceTime time.Duration, utilisation float64) time.Duration {
 	return time.Duration(float64(serviceTime) / (1 - utilisation))
 }
 
-// LatencyImpact reports the p99-style latency multiplier when a fraction
+// latencyImpact reports the p99-style latency multiplier when a fraction
 // of the fleet is taken offline at a given baseline load: survivors run at
 // load/(1-offline) utilisation.
-func LatencyImpact(load, offlineFraction float64) float64 {
+func latencyImpact(load, offlineFraction float64) float64 {
 	if offlineFraction >= 1 {
 		return math.Inf(1)
 	}
-	before := TailLatency(time.Millisecond, load)
-	after := TailLatency(time.Millisecond, load/(1-offlineFraction))
+	before := tailLatency(time.Millisecond, load)
+	after := tailLatency(time.Millisecond, load/(1-offlineFraction))
 	return float64(after) / float64(before)
 }
 
@@ -74,7 +74,7 @@ func ReleaseAtLoad(strategy Strategy, load float64) PeakHourOutcome {
 			out.TailLatencyX = math.Inf(1)
 			return out
 		}
-		out.TailLatencyX = LatencyImpact(load, batch)
+		out.TailLatencyX = latencyImpact(load, batch)
 	case ZeroDowntime:
 		// The pool keeps every machine; only the parallel-instance CPU
 		// overhead (few %) raises utilisation.
@@ -86,8 +86,8 @@ func ReleaseAtLoad(strategy Strategy, load float64) PeakHourOutcome {
 			out.TailLatencyX = math.Inf(1)
 			return out
 		}
-		before := TailLatency(time.Millisecond, load)
-		after := TailLatency(time.Millisecond, util)
+		before := tailLatency(time.Millisecond, load)
+		after := tailLatency(time.Millisecond, util)
 		out.TailLatencyX = float64(after) / float64(before)
 	}
 	return out

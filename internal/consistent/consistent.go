@@ -11,22 +11,13 @@
 //     which is what makes Downstream Connection Reuse possible: any healthy
 //     Origin proxy resolves the same user to the same broker.
 //
-// Both a classic hash Ring (virtual nodes) and a Maglev table are provided;
-// they share the Picker interface so callers can swap them.
+// Both a classic hash Ring (virtual nodes) and a Maglev table are
+// provided.
 package consistent
 
 import (
-	"fmt"
 	"sort"
 )
-
-// Picker maps a key to one of a set of member names.
-type Picker interface {
-	// Pick returns the member for key, or "" if there are no members.
-	Pick(key string) string
-	// Members returns the current member set in sorted order.
-	Members() []string
-}
 
 // fnv64a is a small local FNV-1a so the package has zero dependencies and
 // the hash is stable across runs (important: experiments must be
@@ -100,43 +91,7 @@ func (r *Ring) add(member string) {
 	r.members = append(r.members, member)
 }
 
-// Add inserts a member into the ring.
-func (r *Ring) Add(member string) {
-	for _, m := range r.members {
-		if m == member {
-			return
-		}
-	}
-	r.add(member)
-	sort.Slice(r.keys, func(i, j int) bool { return r.keys[i] < r.keys[j] })
-	sort.Strings(r.members)
-}
-
-// Remove deletes a member and all its virtual nodes.
-func (r *Ring) Remove(member string) {
-	idx := -1
-	for i, m := range r.members {
-		if m == member {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		return
-	}
-	r.members = append(r.members[:idx], r.members[idx+1:]...)
-	kept := r.keys[:0]
-	for _, k := range r.keys {
-		if r.owner[k] == member {
-			delete(r.owner, k)
-		} else {
-			kept = append(kept, k)
-		}
-	}
-	r.keys = kept
-}
-
-// Pick implements Picker.
+// Pick returns the member for key, or "" if there are no members.
 func (r *Ring) Pick(key string) string {
 	if len(r.keys) == 0 {
 		return ""
@@ -149,13 +104,6 @@ func (r *Ring) Pick(key string) string {
 	return r.owner[r.keys[i]]
 }
 
-// Members implements Picker.
-func (r *Ring) Members() []string {
-	out := make([]string, len(r.members))
-	copy(out, r.members)
-	return out
-}
-
 // Maglev is a Maglev-style consistent-hash lookup table (the scheme Katran
 // uses). The table size M should be a prime noticeably larger than the
 // number of members; lookups are a single modulo + array index.
@@ -165,25 +113,25 @@ type Maglev struct {
 	members []string
 }
 
-// DefaultMaglevSize is a prime comfortably larger than any member set used
+// defaultMaglevSize is a prime comfortably larger than any member set used
 // in the experiments.
-const DefaultMaglevSize = 2039
+const defaultMaglevSize = 2039
 
-// NewMaglev builds a lookup table of size m (0 means DefaultMaglevSize)
+// NewMaglev builds a lookup table of size m (0 means defaultMaglevSize)
 // over the given members. m must be prime for good permutation coverage;
 // this is not enforced, but non-prime sizes degrade balance.
 func NewMaglev(m int, members ...string) *Maglev {
 	if m <= 0 {
-		m = DefaultMaglevSize
+		m = defaultMaglevSize
 	}
 	g := &Maglev{m: m}
-	g.Rebuild(members)
+	g.rebuild(members)
 	return g
 }
 
-// Rebuild recomputes the lookup table for a new member set. Members are
+// rebuild recomputes the lookup table for a new member set. Members are
 // sorted first so the table is a pure function of the set.
-func (g *Maglev) Rebuild(members []string) {
+func (g *Maglev) rebuild(members []string) {
 	g.members = append([]string(nil), members...)
 	sort.Strings(g.members)
 	n := len(g.members)
@@ -219,7 +167,7 @@ func (g *Maglev) Rebuild(members []string) {
 	}
 }
 
-// Pick implements Picker.
+// Pick returns the member for key, or "" if there are no members.
 func (g *Maglev) Pick(key string) string {
 	if len(g.members) == 0 {
 		return ""
@@ -235,55 +183,9 @@ func (g *Maglev) PickUint(h uint64) string {
 	return g.members[g.table[h%uint64(g.m)]]
 }
 
-// Members implements Picker.
+// Members returns the current member set in sorted order.
 func (g *Maglev) Members() []string {
 	out := make([]string, len(g.members))
 	copy(out, g.members)
 	return out
-}
-
-// TableSize returns the lookup-table size M.
-func (g *Maglev) TableSize() int { return g.m }
-
-// Disruption reports, for the key space sampled with n keys, the fraction
-// of keys that map differently between two pickers. It quantifies the
-// "minimal disruption" property the paper depends on for connection
-// stickiness across membership changes.
-func Disruption(a, b Picker, n int) float64 {
-	if n <= 0 {
-		n = 10_000
-	}
-	moved := 0
-	for i := 0; i < n; i++ {
-		k := fmt.Sprintf("flow-%d", i)
-		if a.Pick(k) != b.Pick(k) {
-			moved++
-		}
-	}
-	return float64(moved) / float64(n)
-}
-
-// LoadSpread reports min/max share of n sampled keys across members for a
-// picker, as fractions of a perfectly even share (1.0 = perfectly even).
-func LoadSpread(p Picker, n int) (minShare, maxShare float64) {
-	members := p.Members()
-	if len(members) == 0 || n <= 0 {
-		return 0, 0
-	}
-	counts := make(map[string]int, len(members))
-	for i := 0; i < n; i++ {
-		counts[p.Pick(fmt.Sprintf("flow-%d", i))]++
-	}
-	even := float64(n) / float64(len(members))
-	minShare, maxShare = 1e18, 0
-	for _, m := range members {
-		share := float64(counts[m]) / even
-		if share < minShare {
-			minShare = share
-		}
-		if share > maxShare {
-			maxShare = share
-		}
-	}
-	return minShare, maxShare
 }

@@ -212,6 +212,6 @@ func BenchmarkMaglevRebuild(b *testing.B) {
 	g := NewMaglev(2039, members...)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		g.Rebuild(members)
+		g.rebuild(members)
 	}
 }

@@ -36,27 +36,27 @@ import (
 // ErrTakeoverNotArmed reports a partially successful restart: the new
 // generation owns the sockets and is serving, but its takeover server
 // could not bind the slot path, so the NEXT release cannot reach it.
-// Traffic is fine; the slot is not releasable until RearmTakeover
+// Traffic is fine; the slot is not releasable until rearmTakeover
 // succeeds. Test with errors.Is.
 var ErrTakeoverNotArmed = errors.New("core: new generation serving but takeover server not armed")
 
-// RestartOptions configures a single Restart call. The zero value is an
+// restartOptions configures a single Restart call. The zero value is an
 // untraced restart; construct non-default calls with RestartOption values
 // (WithTrace, ...).
-type RestartOptions struct {
-	// Trace, when non-nil, is the parent span under which the restart
+type restartOptions struct {
+	// trace, when non-nil, is the parent span under which the restart
 	// records its "slot.restart" tree (with a "slot.drain" child covering
 	// the old generation's retirement).
-	Trace *obs.Span
+	trace *obs.Span
 }
 
-// RestartOption mutates RestartOptions. Options are applied in order.
-type RestartOption func(*RestartOptions)
+// RestartOption mutates restartOptions. Options are applied in order.
+type RestartOption func(*restartOptions)
 
 // WithTrace records the restart as a span tree under parent. The fleet
 // orchestrator passes its batch span.
 func WithTrace(parent *obs.Span) RestartOption {
-	return func(o *RestartOptions) { o.Trace = parent }
+	return func(o *restartOptions) { o.trace = parent }
 }
 
 // Restartable is one release target.
@@ -81,11 +81,11 @@ type ProxySlot struct {
 	// DrainWait is how long the old generation drains before termination.
 	// Zero uses the old generation's own Shutdown default asynchronously.
 	DrainWait time.Duration
-	// RearmBackoff paces the new generation's attempts to re-bind the
+	// rearmBackoff paces the new generation's attempts to re-bind the
 	// takeover path after a hand-off (the old generation's server tears
 	// its socket down asynchronously). The zero value uses the faults
 	// package defaults (20ms base, doubling, 500ms cap, 10 attempts).
-	RearmBackoff faults.Backoff
+	rearmBackoff faults.Backoff
 	// AbortRetries is how many times Restart rebuilds a fresh generation
 	// and retries after a survivable hand-off failure: a pre-commit abort
 	// (takeover.ErrAborted) or a post-commit undo (takeover.ErrUndone).
@@ -149,14 +149,14 @@ func (s *ProxySlot) Name() string { return s.SlotName }
 // With WithTrace, the restart is recorded as a "slot.restart" span (with
 // a "slot.drain" child covering the old generation's retirement).
 func (s *ProxySlot) Restart(opts ...RestartOption) error {
-	var o RestartOptions
+	var o restartOptions
 	for _, opt := range opts {
 		opt(&o)
 	}
-	if o.Trace == nil {
+	if o.trace == nil {
 		return s.restart(nil)
 	}
-	sp := o.Trace.StartChild(obs.SpanSlotRestart)
+	sp := o.trace.StartChild(obs.SpanSlotRestart)
 	sp.SetAttr("slot", s.SlotName)
 	defer sp.End()
 	err := s.restart(sp)
@@ -264,7 +264,7 @@ func (s *ProxySlot) retire(old *proxy.Proxy, sp *obs.Span) {
 }
 
 // WaitDrains blocks until every background drain started by Restart or
-// RestartFresh has retired its old generation: a traced release waits
+// restartFresh has retired its old generation: a traced release waits
 // for it before it reads the spans, so that every slot.drain span has
 // ended.
 func (s *ProxySlot) WaitDrains() { s.drainWG.Wait() }
@@ -305,9 +305,9 @@ func (s *ProxySlot) State() obs.SlotState {
 // even if arming fails — the alternative (an error pointing at a
 // draining, soon-to-die generation) would strand the slot. An arming
 // failure is surfaced via ErrTakeoverNotArmed and is recoverable with
-// RearmTakeover.
+// rearmTakeover.
 func (s *ProxySlot) promote(next *proxy.Proxy) error {
-	armErr := s.RearmBackoff.Retry(context.Background(), func() error {
+	armErr := s.rearmBackoff.Retry(context.Background(), func() error {
 		return next.ServeTakeover(s.Path)
 	})
 	s.mu.Lock()
@@ -322,18 +322,10 @@ func (s *ProxySlot) promote(next *proxy.Proxy) error {
 	return nil
 }
 
-// TakeoverArmed reports whether the serving generation has a takeover
-// server bound on the slot path (i.e. the slot is releasable).
-func (s *ProxySlot) TakeoverArmed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cur != nil && s.armErr == nil
-}
-
-// RearmTakeover retries arming the serving generation's takeover server
+// rearmTakeover retries arming the serving generation's takeover server
 // after a Restart returned ErrTakeoverNotArmed. It is a no-op when the
 // server is already armed.
-func (s *ProxySlot) RearmTakeover() error {
+func (s *ProxySlot) rearmTakeover() error {
 	s.mu.Lock()
 	cur, armErr := s.cur, s.armErr
 	s.mu.Unlock()
@@ -343,7 +335,7 @@ func (s *ProxySlot) RearmTakeover() error {
 	if armErr == nil {
 		return nil
 	}
-	err := s.RearmBackoff.Retry(context.Background(), func() error {
+	err := s.rearmBackoff.Retry(context.Background(), func() error {
 		return cur.ServeTakeover(s.Path)
 	})
 	s.mu.Lock()
@@ -357,7 +349,7 @@ func (s *ProxySlot) RearmTakeover() error {
 	return nil
 }
 
-// RestartFresh performs the §5.1 remediation restart: instead of passing
+// restartFresh performs the §5.1 remediation restart: instead of passing
 // the existing socket FDs (whose in-kernel state survives a process
 // restart — the pitfall behind the UDP GSO sk_buff bug the paper
 // describes), the next generation binds BRAND-NEW sockets on the same
@@ -374,7 +366,7 @@ func (s *ProxySlot) RearmTakeover() error {
 //
 // build receives the current generation's bound VIP addresses and must
 // return a proxy configured to bind them (Config.VIPAddrs).
-func (s *ProxySlot) RestartFresh(build func(vipAddrs map[string]string) *proxy.Proxy) error {
+func (s *ProxySlot) restartFresh(build func(vipAddrs map[string]string) *proxy.Proxy) error {
 	s.mu.Lock()
 	old := s.cur
 	s.mu.Unlock()
@@ -413,9 +405,6 @@ type AppServerSlot struct {
 	SlotName string
 	// Build constructs the next generation.
 	Build func() *appserver.Server
-	// BindBackoff paces the new generation's attempts to re-bind the
-	// address the old generation is releasing. Zero value = defaults.
-	BindBackoff faults.Backoff
 
 	mu   sync.Mutex
 	cur  *appserver.Server
@@ -449,20 +438,6 @@ func (s *AppServerSlot) Addr() string {
 	return s.addr
 }
 
-// Current returns the serving generation.
-func (s *AppServerSlot) Current() *appserver.Server {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cur
-}
-
-// Generation returns the generation counter.
-func (s *AppServerSlot) Generation() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.gen
-}
-
 // Name implements Restartable.
 func (s *AppServerSlot) Name() string { return s.SlotName }
 
@@ -472,31 +447,19 @@ func (s *AppServerSlot) Name() string { return s.SlotName }
 // With WithTrace, the restart is recorded as a "slot.restart" span with a
 // "slot.drain" child covering the old generation's synchronous drain.
 func (s *AppServerSlot) Restart(opts ...RestartOption) error {
-	var o RestartOptions
+	var o restartOptions
 	for _, opt := range opts {
 		opt(&o)
 	}
-	if o.Trace == nil {
+	if o.trace == nil {
 		return s.restart(nil)
 	}
-	sp := o.Trace.StartChild(obs.SpanSlotRestart)
+	sp := o.trace.StartChild(obs.SpanSlotRestart)
 	sp.SetAttr("slot", s.SlotName)
 	defer sp.End()
 	err := s.restart(sp)
 	sp.Fail(err)
 	return err
-}
-
-// State summarises the slot for /debug/release.
-func (s *AppServerSlot) State() obs.SlotState {
-	s.mu.Lock()
-	cur, gen := s.cur, s.gen
-	s.mu.Unlock()
-	st := obs.SlotState{Name: s.SlotName, Generation: gen}
-	if cur != nil {
-		st.Draining = cur.Draining()
-	}
-	return st
 }
 
 func (s *AppServerSlot) restart(sp *obs.Span) error {
@@ -512,7 +475,9 @@ func (s *AppServerSlot) restart(sp *obs.Span) error {
 	old.Shutdown()
 	drainSp.End()
 	next := s.Build()
-	err := s.BindBackoff.Retry(context.Background(), func() error {
+	// faults' default backoff paces the new generation's attempts to
+	// re-bind the address the old generation is releasing.
+	err := faults.Backoff{}.Retry(context.Background(), func() error {
 		_, e := next.Listen(addr)
 		return e
 	})

@@ -219,7 +219,7 @@ func TestProxySlotRestartFresh(t *testing.T) {
 		t.Fatalf("gen1: via=%q err=%v", via, err)
 	}
 	old := slot.Current()
-	if err := slot.RestartFresh(build); err != nil {
+	if err := slot.restartFresh(build); err != nil {
 		t.Fatal(err)
 	}
 	// The old generation's drain is the slot's like a takeover's: once

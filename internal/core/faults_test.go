@@ -147,7 +147,7 @@ func TestProxySlotRearmFailureSurfaced(t *testing.T) {
 	slot := &ProxySlot{
 		SlotName:     "edge-slot",
 		Path:         goodPath,
-		RearmBackoff: faults.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond, Attempts: 3},
+		rearmBackoff: faults.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond, Attempts: 3},
 		Build: func() *proxy.Proxy {
 			gen++
 			return proxy.New(proxy.Config{
@@ -196,13 +196,13 @@ func TestProxySlotRearmFailureSurfaced(t *testing.T) {
 
 	// Repair: restore a bindable path, re-arm, and release again.
 	slot.Path = goodPath
-	if err := slot.RearmTakeover(); err != nil {
+	if err := slot.rearmTakeover(); err != nil {
 		t.Fatalf("RearmTakeover: %v", err)
 	}
 	if !slot.TakeoverArmed() {
 		t.Fatal("slot unarmed after successful RearmTakeover")
 	}
-	if err := slot.RearmTakeover(); err != nil {
+	if err := slot.rearmTakeover(); err != nil {
 		t.Fatalf("RearmTakeover must be a no-op when armed: %v", err)
 	}
 	if err := slot.Restart(); err != nil {

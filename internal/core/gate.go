@@ -85,10 +85,3 @@ func HealthDeltaBetween(before, after map[string]int64, requestKeys, errorKeys [
 	}
 	return d
 }
-
-// HealthDelta computes the release-window health delta from the report's
-// own counter snapshots (CountersBefore vs CountersAfter). It carries the
-// same zero-request guarantees as HealthDeltaBetween.
-func (r *ReleaseReport) HealthDelta(requestKeys, errorKeys []string) HealthDelta {
-	return HealthDeltaBetween(r.CountersBefore, r.CountersAfter, requestKeys, errorKeys)
-}

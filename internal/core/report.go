@@ -37,9 +37,6 @@ type ReleaseReport struct {
 	Spans []*obs.SpanNode `json:"spans,omitempty"`
 }
 
-// Total is the release's wall-clock duration.
-func (r *ReleaseReport) Total() time.Duration { return time.Duration(r.TotalNS) }
-
 // Phase returns the summed duration of all finished spans with the given
 // name (0 when the phase never ran).
 func (r *ReleaseReport) Phase(name string) time.Duration {

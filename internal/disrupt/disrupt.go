@@ -31,16 +31,16 @@ import (
 	"time"
 )
 
-// Kind is the event taxonomy. Accept/Handoff/Drain/Undo/Reattach trace
+// kind is the event taxonomy. Accept/Handoff/Drain/Undo/Reattach trace
 // a connection's path through a release; Reset/Timeout are terminal
 // failures; Retry marks a recoverable failure that was absorbed by a
 // retry mechanism (PPR replay, DCR reconnect, backoff redial); Fault is
 // the fault injector's attribution channel — every injected fault lands
 // in the ledger as one Fault event whose cause names the injected op.
-type Kind uint8
+type kind uint8
 
 const (
-	KindAccept Kind = iota
+	KindAccept kind = iota
 	KindHandoff
 	KindDrain
 	KindUndo
@@ -58,23 +58,23 @@ var kindNames = [kindCount]string{
 }
 
 // String returns the lower-case event name.
-func (k Kind) String() string {
+func (k kind) String() string {
 	if int(k) < len(kindNames) {
 		return kindNames[k]
 	}
 	return "unknown"
 }
 
-// Terminal reports whether the kind is a client-visible failure that
+// terminal reports whether the kind is a client-visible failure that
 // must carry a cause attribution.
-func (k Kind) Terminal() bool {
+func (k kind) terminal() bool {
 	return k == KindReset || k == KindTimeout || k == KindFault
 }
 
-// Event is one ledger entry. Terminal events (Reset, Timeout, Fault)
+// event is one ledger entry. Terminal events (Reset, Timeout, Fault)
 // must have Cause set; Phase/Generation/Node are stamped by the ledger
 // from its current release position.
-type Event struct {
+type event struct {
 	Seq        uint64 `json:"seq"`
 	UnixNano   int64  `json:"unix_nano"`
 	Kind       string `json:"kind"`
@@ -105,7 +105,7 @@ type attrKey struct {
 
 type slot struct {
 	mu sync.Mutex
-	ev Event
+	ev event
 	ok bool // slot has been written at least once
 }
 
@@ -135,8 +135,8 @@ type Ledger struct {
 	unattributed atomic.Int64
 }
 
-// DefaultCapacity is the ring size used when New is given cap <= 0.
-const DefaultCapacity = 4096
+// defaultCapacity is the ring size used when New is given cap <= 0.
+const defaultCapacity = 4096
 
 // pageSlots is how many slots of the ring are allocated together.
 const pageSlots = 64
@@ -146,7 +146,7 @@ const pageSlots = 64
 // aggregate attribution counts are not ring-bounded).
 func New(node string, capacity int) *Ledger {
 	if capacity <= 0 {
-		capacity = DefaultCapacity
+		capacity = defaultCapacity
 	}
 	size := 1
 	for size < capacity {
@@ -176,14 +176,6 @@ func (l *Ledger) slot(seq uint64, create bool) *slot {
 		p = page.Load()
 	}
 	return &p[i%pageSlots]
-}
-
-// Node returns the node name, or "" on a nil ledger.
-func (l *Ledger) Node() string {
-	if l == nil {
-		return ""
-	}
-	return l.node
 }
 
 // SetPhase moves the ledger's release position. Subsequent events are
@@ -228,7 +220,7 @@ func (l *Ledger) Phase() (string, int) {
 // on, cause attributes terminal events ("" is a recording bug for a
 // terminal kind and is counted as unattributed), and detail is free
 // text. Safe for unbounded concurrent use; nil-receiver safe.
-func (l *Ledger) Record(kind Kind, conn uint64, vip, cause, detail string) {
+func (l *Ledger) Record(kind kind, conn uint64, vip, cause, detail string) {
 	if l == nil {
 		return
 	}
@@ -236,7 +228,7 @@ func (l *Ledger) Record(kind Kind, conn uint64, vip, cause, detail string) {
 	seq := l.seq.Add(1) - 1
 	s := l.slot(seq, true)
 	s.mu.Lock()
-	s.ev = Event{
+	s.ev = event{
 		Seq:        seq,
 		UnixNano:   time.Now().UnixNano(),
 		Kind:       kind.String(),
@@ -254,7 +246,7 @@ func (l *Ledger) Record(kind Kind, conn uint64, vip, cause, detail string) {
 	if int(kind) < len(l.kinds) {
 		l.kinds[kind].Add(1)
 	}
-	if kind.Terminal() {
+	if kind.terminal() {
 		if cause == "" {
 			l.unattributed.Add(1)
 			return
@@ -267,7 +259,7 @@ func (l *Ledger) Record(kind Kind, conn uint64, vip, cause, detail string) {
 }
 
 // Recent returns up to n most-recent events, oldest first.
-func (l *Ledger) Recent(n int) []Event {
+func (l *Ledger) Recent(n int) []event {
 	if l == nil || n <= 0 {
 		return nil
 	}
@@ -277,7 +269,7 @@ func (l *Ledger) Recent(n int) []Event {
 	if end > span {
 		start = end - span
 	}
-	out := make([]Event, 0, span)
+	out := make([]event, 0, span)
 	for seq := start; seq < end; seq++ {
 		s := l.slot(seq, false)
 		if s == nil {
@@ -307,7 +299,7 @@ type Report struct {
 	Unattributed int64            `json:"unattributed"`
 	ByKind       map[string]int64 `json:"by_kind,omitempty"`
 	Cells        []Cell           `json:"cells,omitempty"`
-	Recent       []Event          `json:"recent,omitempty"`
+	Recent       []event          `json:"recent,omitempty"`
 }
 
 // ReportRecent builds the node's disruption report, including the ring
@@ -323,14 +315,14 @@ func (l *Ledger) ReportRecent(recent int) Report {
 		Generation: gen,
 		ByKind:     make(map[string]int64, kindCount),
 	}
-	for k := Kind(0); k < kindCount; k++ {
+	for k := kind(0); k < kindCount; k++ {
 		n := l.kinds[k].Load()
 		if n == 0 {
 			continue
 		}
 		r.ByKind[k.String()] = n
 		r.Total += n
-		if k.Terminal() {
+		if k.terminal() {
 			r.Terminal += n
 		}
 	}

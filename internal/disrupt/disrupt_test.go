@@ -8,7 +8,7 @@ import (
 )
 
 func TestKindTaxonomy(t *testing.T) {
-	want := map[Kind]string{
+	want := map[kind]string{
 		KindAccept: "accept", KindHandoff: "handoff", KindDrain: "drain",
 		KindUndo: "undo", KindReset: "reset", KindTimeout: "timeout",
 		KindRetry: "retry", KindReattach: "reattach", KindFault: "fault",
@@ -18,16 +18,16 @@ func TestKindTaxonomy(t *testing.T) {
 			t.Fatalf("%d.String() = %q, want %q", k, k.String(), name)
 		}
 	}
-	if Kind(200).String() != "unknown" {
-		t.Fatalf("out-of-range kind name = %q", Kind(200).String())
+	if kind(200).String() != "unknown" {
+		t.Fatalf("out-of-range kind name = %q", kind(200).String())
 	}
-	for _, k := range []Kind{KindReset, KindTimeout, KindFault} {
-		if !k.Terminal() {
+	for _, k := range []kind{KindReset, KindTimeout, KindFault} {
+		if !k.terminal() {
 			t.Fatalf("%s not terminal", k)
 		}
 	}
-	for _, k := range []Kind{KindAccept, KindHandoff, KindDrain, KindUndo, KindRetry, KindReattach} {
-		if k.Terminal() {
+	for _, k := range []kind{KindAccept, KindHandoff, KindDrain, KindUndo, KindRetry, KindReattach} {
+		if k.terminal() {
 			t.Fatalf("%s terminal", k)
 		}
 	}
@@ -143,10 +143,10 @@ func TestLedgerHoldsNoRingUntilRecorded(t *testing.T) {
 		}
 		return n
 	}
-	if evs := l.Recent(DefaultCapacity); len(evs) != 0 || made() != 0 {
+	if evs := l.Recent(defaultCapacity); len(evs) != 0 || made() != 0 {
 		t.Fatalf("empty ledger: %d events, %d pages", len(evs), made())
 	}
-	contiguous := func(evs []Event, first, n uint64) {
+	contiguous := func(evs []event, first, n uint64) {
 		t.Helper()
 		if uint64(len(evs)) != n {
 			t.Fatalf("recent = %d events, want %d", len(evs), n)
@@ -160,20 +160,20 @@ func TestLedgerHoldsNoRingUntilRecorded(t *testing.T) {
 	for i := uint64(0); i < pageSlots+6; i++ {
 		l.Record(KindAccept, i, "web", "", "")
 	}
-	contiguous(l.Recent(DefaultCapacity), 0, pageSlots+6)
+	contiguous(l.Recent(defaultCapacity), 0, pageSlots+6)
 	if made() != 2 {
 		t.Fatalf("%d pages made for %d events, want 2", made(), pageSlots+6)
 	}
-	for i := uint64(pageSlots + 6); i < DefaultCapacity+pageSlots+6; i++ {
+	for i := uint64(pageSlots + 6); i < defaultCapacity+pageSlots+6; i++ {
 		l.Record(KindAccept, i, "web", "", "")
 	}
-	contiguous(l.Recent(2*DefaultCapacity), pageSlots+6, DefaultCapacity)
-	contiguous(l.Recent(pageSlots+1), DefaultCapacity+5, pageSlots+1)
+	contiguous(l.Recent(2*defaultCapacity), pageSlots+6, defaultCapacity)
+	contiguous(l.Recent(pageSlots+1), defaultCapacity+5, pageSlots+1)
 
 	// Concurrent Records reaching a page together make it once: no event
 	// lands in a page that loses the race and is dropped.
 	l = New("edge-01", 0)
-	const writers, each = 8, DefaultCapacity / 8
+	const writers, each = 8, defaultCapacity / 8
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
@@ -186,8 +186,8 @@ func TestLedgerHoldsNoRingUntilRecorded(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if evs := l.Recent(DefaultCapacity); len(evs) != DefaultCapacity {
-		t.Fatalf("%d of %d concurrent events readable", len(evs), DefaultCapacity)
+	if evs := l.Recent(defaultCapacity); len(evs) != defaultCapacity {
+		t.Fatalf("%d of %d concurrent events readable", len(evs), defaultCapacity)
 	}
 }
 

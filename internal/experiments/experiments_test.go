@@ -23,10 +23,10 @@ func num(t *testing.T, cell string) float64 {
 
 func TestTableRender(t *testing.T) {
 	tab := Table{
-		ID: "X", Title: "demo",
-		Columns: []string{"a", "bb"},
+		id: "X", title: "demo",
+		columns: []string{"a", "bb"},
 		Rows:    [][]string{{"1", "2"}, {"333", "4"}},
-		Notes:   "n",
+		notes:   "n",
 	}
 	out := tab.Render()
 	if !strings.Contains(out, "== X: demo ==") || !strings.Contains(out, "333") || !strings.Contains(out, "note: n") {
@@ -43,7 +43,7 @@ func TestAllListsEveryFigure(t *testing.T) {
 	for _, e := range All() {
 		ids[e.ID] = true
 	}
-	for _, want := range []string{"F2a", "F2b", "F2c", "F2d", "F3a", "F3b", "F8", "F9", "F10", "F11", "F12", "F13", "F15", "F16", "F17", "T-A"} {
+	for _, want := range []string{"F2a", "F2b", "F2c", "F2d", "F3a", "F3b", "F8", "F9", "F10", "F11", "F12", "F13", "F15", "F16", "F17", "T-A", "T-B", "T-C", "T-D", "T-E", "T-F", "T-G"} {
 		if !ids[want] {
 			t.Fatalf("experiment %s missing from All()", want)
 		}
@@ -51,7 +51,7 @@ func TestAllListsEveryFigure(t *testing.T) {
 }
 
 func TestFig2aShape(t *testing.T) {
-	tab, err := Fig2aReleaseCadence()
+	tab, err := fig2aReleaseCadence()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestFig2aShape(t *testing.T) {
 }
 
 func TestFig2bShape(t *testing.T) {
-	tab, err := Fig2bReleaseCauses()
+	tab, err := fig2bReleaseCauses()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestFig2bShape(t *testing.T) {
 }
 
 func TestFig2cShape(t *testing.T) {
-	tab, err := Fig2cCommitsPerRelease()
+	tab, err := fig2cCommitsPerRelease()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestFig2cShape(t *testing.T) {
 }
 
 func TestFig2dShape(t *testing.T) {
-	tab, err := Fig2dReuseportMisrouting()
+	tab, err := fig2dReuseportMisrouting()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestFig2dShape(t *testing.T) {
 }
 
 func TestFig3aShape(t *testing.T) {
-	tab, err := Fig3aCapacityTimeline()
+	tab, err := fig3aCapacityTimeline()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestFig3aShape(t *testing.T) {
 }
 
 func TestFig3bShape(t *testing.T) {
-	tab, err := Fig3bReconnectCPU()
+	tab, err := fig3bReconnectCPU()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestFig3bShape(t *testing.T) {
 }
 
 func TestFig8Shape(t *testing.T) {
-	tab, err := Fig8IdleCPU()
+	tab, err := fig8IdleCPU()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestFig8Shape(t *testing.T) {
 }
 
 func TestFig9Shape(t *testing.T) {
-	tab, err := Fig9DCRTimeline()
+	tab, err := fig9DCRTimeline()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestFig9Shape(t *testing.T) {
 }
 
 func TestFig10Shape(t *testing.T) {
-	tab, err := Fig10UDPMisrouting()
+	tab, err := fig10UDPMisrouting()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestFig10Shape(t *testing.T) {
 }
 
 func TestFig11Shape(t *testing.T) {
-	tab, err := Fig11PPRDisruption()
+	tab, err := fig11PPRDisruption()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestFig11Shape(t *testing.T) {
 }
 
 func TestFig12Shape(t *testing.T) {
-	tab, err := Fig12ProxyErrors()
+	tab, err := fig12ProxyErrors()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestFig12Shape(t *testing.T) {
 }
 
 func TestFig13Shape(t *testing.T) {
-	tab, err := Fig13ReleaseTimeline()
+	tab, err := fig13ReleaseTimeline()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestFig13Shape(t *testing.T) {
 }
 
 func TestFig15Shape(t *testing.T) {
-	tab, err := Fig15RestartHours()
+	tab, err := fig15RestartHours()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestFig15Shape(t *testing.T) {
 }
 
 func TestFig16Shape(t *testing.T) {
-	tab, err := Fig16CompletionTime()
+	tab, err := fig16CompletionTime()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestFig16Shape(t *testing.T) {
 }
 
 func TestFig17Shape(t *testing.T) {
-	tab, err := Fig17TakeoverOverhead()
+	tab, err := fig17TakeoverOverhead()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +305,7 @@ func TestFig17Shape(t *testing.T) {
 }
 
 func TestTblPPRRetriesShape(t *testing.T) {
-	tab, err := TblPPRRetries()
+	tab, err := tblPPRRetries()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +322,7 @@ func TestTblPPRRetriesShape(t *testing.T) {
 }
 
 func TestTblHeadlineBenefitsShape(t *testing.T) {
-	tab, err := TblHeadlineBenefits()
+	tab, err := tblHeadlineBenefits()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +341,7 @@ func TestTblHeadlineBenefitsShape(t *testing.T) {
 }
 
 func TestTblPeakHourReleaseShape(t *testing.T) {
-	tab, err := TblPeakHourRelease()
+	tab, err := tblPeakHourRelease()
 	if err != nil {
 		t.Fatal(err)
 	}

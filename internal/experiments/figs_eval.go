@@ -23,9 +23,9 @@ import (
 	"zdr/internal/workload"
 )
 
-// Fig8IdleCPU regenerates Fig. 8(b): normalised idle CPU during the drain
+// fig8IdleCPU regenerates Fig. 8(b): normalised idle CPU during the drain
 // phase, HardRestart (5% and 20% batches) vs Zero Downtime Release.
-func Fig8IdleCPU() (Table, error) {
+func fig8IdleCPU() (Table, error) {
 	run := func(strategy cluster.Strategy, frac float64) cluster.ReleaseResult {
 		return cluster.RunRelease(cluster.Config{
 			Machines:      100,
@@ -51,15 +51,15 @@ func Fig8IdleCPU() (Table, error) {
 		rows = append(rows, []string{c.label, pct(res.MinIdleCPUFraction), pct(res.MinCapacityFraction)})
 	}
 	return Table{
-		ID:      "F8",
-		Title:   "Idle CPU during drain, normalised to pre-release baseline",
-		Columns: []string{"strategy/batch", "min idle CPU", "min capacity"},
+		id:      "F8",
+		title:   "Idle CPU during drain, normalised to pre-release baseline",
+		columns: []string{"strategy/batch", "min idle CPU", "min capacity"},
 		Rows:    rows,
-		Notes:   "paper: ZDR within ~1-3% of baseline; HardRestart degrades linearly with the restarted fraction",
+		notes:   "paper: ZDR within ~1-3% of baseline; HardRestart degrades linearly with the restarted fraction",
 	}, nil
 }
 
-// Fig9DCRTimeline regenerates Fig. 9 on real sockets: MQTT publishes
+// fig9DCRTimeline regenerates Fig. 9 on real sockets: MQTT publishes
 // delivered and new-connection CONNACKs around an Origin restart, with
 // and without Downstream Connection Reuse.
 //
@@ -68,7 +68,7 @@ func Fig8IdleCPU() (Table, error) {
 // payload says which): what the broker handed to a session whose path had
 // just died is not a delivery. Both scenarios publish the same number of
 // rounds per bucket, so a bucket's shortfall is its loss.
-func Fig9DCRTimeline() (Table, error) {
+func fig9DCRTimeline() (Table, error) {
 	type series struct {
 		publishes []int64
 		connacks  []int64
@@ -84,11 +84,11 @@ func Fig9DCRTimeline() (Table, error) {
 
 	runScenario := func(withDCR bool) (series, error) {
 		var s series
-		tb, err := NewTestbed(TestbedConfig{Apps: 1, Origins: 2, DrainPeriod: 2 * time.Second})
+		tb, err := newTestbed(testbedConfig{apps: 1, origins: 2, drainPeriod: 2 * time.Second})
 		if err != nil {
 			return s, err
 		}
-		defer tb.Close()
+		defer tb.close()
 
 		// Every client connection has a receiver that tallies what arrives
 		// by the bucket it was published in, until the connection ends.
@@ -135,7 +135,7 @@ func Fig9DCRTimeline() (Table, error) {
 			}
 		}()
 		for i := range conns {
-			c, err := tb.DialMQTT(fmt.Sprintf("user-%02d", i), 5*time.Second)
+			c, err := tb.dialMQTT(fmt.Sprintf("user-%02d", i), 5*time.Second)
 			if err != nil {
 				return s, fmt.Errorf("client %d: %w", i, err)
 			}
@@ -146,24 +146,24 @@ func Fig9DCRTimeline() (Table, error) {
 			receive(c)
 		}
 
-		lastAcks := tb.Broker.Metrics().CounterValue("mqtt.connack.sent")
+		lastAcks := tb.broker.Metrics().CounterValue("mqtt.connack.sent")
 		for b := 0; b < buckets; b++ {
 			if b == restartAt {
-				serving := tb.ServingOrigin()
+				serving := tb.servingOrigin()
 				if serving < 0 {
 					return s, fmt.Errorf("no serving origin")
 				}
 				if withDCR {
 					// Zero Downtime restart: drain → GOAWAY + solicitation.
-					tb.Origins[serving].StartDraining()
+					tb.origins[serving].StartDraining()
 				} else {
 					// Traditional restart: the instance just dies.
-					tb.Origins[serving].Close()
+					tb.origins[serving].Close()
 				}
 			}
 			for r := 0; r < rounds; r++ {
 				for i := 0; i < clients; i++ {
-					tb.Broker.Publish(fmt.Sprintf("notif/user-%02d", i), []byte{byte(b)})
+					tb.broker.Publish(fmt.Sprintf("notif/user-%02d", i), []byte{byte(b)})
 				}
 				time.Sleep(round)
 
@@ -173,7 +173,7 @@ func Fig9DCRTimeline() (Table, error) {
 					for i, c := range conns {
 						select {
 						case <-c.Done():
-							nc, err := tb.DialMQTT(fmt.Sprintf("user-%02d", i), 2*time.Second)
+							nc, err := tb.dialMQTT(fmt.Sprintf("user-%02d", i), 2*time.Second)
 							if err == nil {
 								nc.Subscribe(2*time.Second, fmt.Sprintf("notif/user-%02d", i))
 								conns[i] = nc
@@ -184,7 +184,7 @@ func Fig9DCRTimeline() (Table, error) {
 					}
 				}
 			}
-			acks := tb.Broker.Metrics().CounterValue("mqtt.connack.sent")
+			acks := tb.broker.Metrics().CounterValue("mqtt.connack.sent")
 			s.connacks = append(s.connacks, acks-lastAcks)
 			lastAcks = acks
 		}
@@ -192,7 +192,7 @@ func Fig9DCRTimeline() (Table, error) {
 		// nothing published before it is still on its way. A client whose
 		// re-connect failed never gets one, and is not waited for long.
 		for i := 0; i < clients; i++ {
-			tb.Broker.Publish(fmt.Sprintf("notif/user-%02d", i), []byte{flushMark})
+			tb.broker.Publish(fmt.Sprintf("notif/user-%02d", i), []byte{flushMark})
 		}
 		settle := time.After(2 * time.Second)
 	wait:
@@ -219,10 +219,10 @@ func Fig9DCRTimeline() (Table, error) {
 	}
 
 	t := Table{
-		ID:      "F9",
-		Title:   "MQTT publishes received by the clients and new-connection ACKs around an Origin restart (real sockets)",
-		Columns: []string{"bucket", "publishes (DCR)", "connacks (DCR)", "publishes (woutDCR)", "connacks (woutDCR)"},
-		Notes:   "paper: with DCR no deterioration and no ACK spike; without DCR publishes drop sharply and a reconnect ACK spike follows (restart at bucket 4)",
+		id:      "F9",
+		title:   "MQTT publishes received by the clients and new-connection ACKs around an Origin restart (real sockets)",
+		columns: []string{"bucket", "publishes (DCR)", "connacks (DCR)", "publishes (woutDCR)", "connacks (woutDCR)"},
+		notes:   "paper: with DCR no deterioration and no ACK spike; without DCR publishes drop sharply and a reconnect ACK spike follows (restart at bucket 4)",
 	}
 	for b := 0; b < buckets; b++ {
 		t.Rows = append(t.Rows, []string{
@@ -236,10 +236,10 @@ func Fig9DCRTimeline() (Table, error) {
 	return t, nil
 }
 
-// Fig10UDPMisrouting regenerates Fig. 10: mis-routed UDP packets per
+// fig10UDPMisrouting regenerates Fig. 10: mis-routed UDP packets per
 // instance — a real Socket Takeover with connection-ID user-space routing
 // vs the modeled traditional (ring-flux) release.
-func Fig10UDPMisrouting() (Table, error) {
+func fig10UDPMisrouting() (Table, error) {
 	const flows, packetsPerFlow = 500, 4
 
 	// Real side: takeover with user-space routing on localhost.
@@ -310,26 +310,26 @@ func Fig10UDPMisrouting() (Table, error) {
 		ratio = fmt.Sprintf("%dx", tradMis/realMis)
 	}
 	return Table{
-		ID:      "F10",
-		Title:   "UDP packets mis-routed per instance during a release",
-		Columns: []string{"approach", "packets", "misrouted", "forwarded in user-space"},
+		id:      "F10",
+		title:   "UDP packets mis-routed per instance during a release",
+		columns: []string{"approach", "packets", "misrouted", "forwarded in user-space"},
 		Rows: [][]string{
 			{"traditional (ring flux, modeled)", fmt.Sprintf("%d", trad.Delivered), fmt.Sprintf("%d", tradMis), "-"},
 			{"socket takeover + connID routing (real)", fmt.Sprintf("%d", flows*packetsPerFlow), fmt.Sprintf("%d", realMis), fmt.Sprintf("%d", forwarded)},
 		},
-		Notes: fmt.Sprintf("paper: ~100x fewer misrouted packets in the worst case; measured advantage %s", ratio),
+		notes: fmt.Sprintf("paper: ~100x fewer misrouted packets in the worst case; measured advantage %s", ratio),
 	}, nil
 }
 
-// Fig11PPRDisruption regenerates Fig. 11: percentage of POSTs across the
+// fig11PPRDisruption regenerates Fig. 11: percentage of POSTs across the
 // web tier that restarts would have disrupted, over 7 days.
-func Fig11PPRDisruption() (Table, error) {
+func fig11PPRDisruption() (Table, error) {
 	res := cluster.RunWebTierWeek(0xF11)
 	t := Table{
-		ID:      "F11",
-		Title:   "POST requests disrupted by App Server restarts over 7 days",
-		Columns: []string{"day", "posts", "at-risk (379 hand-backs)", "% without PPR", "failed with PPR"},
-		Notes:   "paper: median would-be disruption 0.0008% — tiny percentage, millions of requests; PPR reduces it to ~zero",
+		id:      "F11",
+		title:   "POST requests disrupted by App Server restarts over 7 days",
+		columns: []string{"day", "posts", "at-risk (379 hand-backs)", "% without PPR", "failed with PPR"},
+		notes:   "paper: median would-be disruption 0.0008% — tiny percentage, millions of requests; PPR reduces it to ~zero",
 	}
 	for d := range res.TotalPosts {
 		t.Rows = append(t.Rows, []string{
@@ -343,9 +343,9 @@ func Fig11PPRDisruption() (Table, error) {
 	return t, nil
 }
 
-// Fig12ProxyErrors regenerates Fig. 12 on real sockets: client-observed
+// fig12ProxyErrors regenerates Fig. 12 on real sockets: client-observed
 // error classes during an Origin restart, traditional vs Zero Downtime.
-func Fig12ProxyErrors() (Table, error) {
+func fig12ProxyErrors() (Table, error) {
 	const (
 		requests  = 150
 		restartAt = 30
@@ -354,15 +354,15 @@ func Fig12ProxyErrors() (Table, error) {
 
 	runScenario := func(zdr bool) (map[http1.ErrorClass]int, error) {
 		counts := map[http1.ErrorClass]int{}
-		tb, err := NewTestbed(TestbedConfig{Apps: 2, Origins: 1, DrainPeriod: time.Second})
+		tb, err := newTestbed(testbedConfig{apps: 2, origins: 1, drainPeriod: time.Second})
 		if err != nil {
 			return nil, err
 		}
-		defer tb.Close()
+		defer tb.close()
 
 		var clients []*mqtt.Client
 		for i := 0; i < mqttConns; i++ {
-			c, err := tb.DialMQTT(fmt.Sprintf("u%d", i), 5*time.Second)
+			c, err := tb.dialMQTT(fmt.Sprintf("u%d", i), 5*time.Second)
 			if err != nil {
 				return nil, err
 			}
@@ -370,7 +370,7 @@ func Fig12ProxyErrors() (Table, error) {
 			defer c.Disconnect()
 		}
 
-		origin := tb.Origins[0]
+		origin := tb.origins[0]
 		tunnelAddr := origin.Addr(proxy.VIPTunnel)
 		healthAddr := origin.Addr(proxy.VIPHealth)
 		takeoverPath := filepath.Join(os.TempDir(), fmt.Sprintf("zdr-f12-%d.sock", time.Now().UnixNano()))
@@ -392,8 +392,8 @@ func Fig12ProxyErrors() (Table, error) {
 				nextCfg := proxy.Config{
 					Name:        "origin-0-next",
 					Role:        proxy.RoleOrigin,
-					AppServers:  tb.AppAddrs,
-					Brokers:     []string{tb.BrokerAddr},
+					AppServers:  tb.appAddrs,
+					Brokers:     []string{tb.brokerAddr},
 					DrainPeriod: time.Second,
 				}
 				if zdr {
@@ -417,7 +417,7 @@ func Fig12ProxyErrors() (Table, error) {
 					}(replacement)
 				}
 			}
-			code, err := fleet.GetStatus(tb.Edge.Addr(proxy.VIPWeb), "/api/item", 700*time.Millisecond)
+			code, err := fleet.GetStatus(tb.edge.Addr(proxy.VIPWeb), "/api/item", 700*time.Millisecond)
 			if class := http1.Classify(code, err); class != http1.ClassOK {
 				counts[class]++
 			}
@@ -445,10 +445,10 @@ func Fig12ProxyErrors() (Table, error) {
 	}
 
 	t := Table{
-		ID:      "F12",
-		Title:   "Client-observed errors during an Origin restart (real sockets)",
-		Columns: []string{"error class", "traditional", "zero downtime", "ratio"},
-		Notes:   "paper: every class increases under traditional restarts, write timeouts by as much as 16x",
+		id:      "F12",
+		title:   "Client-observed errors during an Origin restart (real sockets)",
+		columns: []string{"error class", "traditional", "zero downtime", "ratio"},
+		notes:   "paper: every class increases under traditional restarts, write timeouts by as much as 16x",
 	}
 	for _, class := range []http1.ErrorClass{http1.ClassConnReset, http1.ClassStreamAbort, http1.ClassTimeout, http1.ClassWriteTimeout} {
 		tc, zc := trad[class], zdr[class]
@@ -464,10 +464,10 @@ func Fig12ProxyErrors() (Table, error) {
 	return t, nil
 }
 
-// Fig13ReleaseTimeline regenerates Fig. 13: system metrics for the
+// fig13ReleaseTimeline regenerates Fig. 13: system metrics for the
 // restarted (GR) vs non-restarted (GNR) machine groups during a ZDR batch
 // release.
-func Fig13ReleaseTimeline() (Table, error) {
+func fig13ReleaseTimeline() (Table, error) {
 	res := cluster.RunRelease(cluster.Config{
 		Machines:      100,
 		BatchFraction: 0.20,
@@ -477,10 +477,10 @@ func Fig13ReleaseTimeline() (Table, error) {
 		Seed:          0xF13,
 	})
 	t := Table{
-		ID:      "F13",
-		Title:   "Release timeline: restarted (GR) vs non-restarted (GNR) groups under ZDR",
-		Columns: []string{"minute", "RPS GR", "RPS GNR", "CPU GR", "MQTT conns"},
-		Notes:   "paper: virtually no change in cluster-wide RPS and MQTT connections; small CPU bump in the restarted group from the parallel instance",
+		id:      "F13",
+		title:   "Release timeline: restarted (GR) vs non-restarted (GNR) groups under ZDR",
+		columns: []string{"minute", "RPS GR", "RPS GNR", "CPU GR", "MQTT conns"},
+		notes:   "paper: virtually no change in cluster-wide RPS and MQTT connections; small CPU bump in the restarted group from the parallel instance",
 	}
 	for i, s := range res.Timeline {
 		if i%3 != 0 {
@@ -497,9 +497,9 @@ func Fig13ReleaseTimeline() (Table, error) {
 	return t, nil
 }
 
-// Fig16CompletionTime regenerates Fig. 16: distribution of global release
+// fig16CompletionTime regenerates Fig. 16: distribution of global release
 // completion times per tier.
-func Fig16CompletionTime() (Table, error) {
+func fig16CompletionTime() (Table, error) {
 	l7 := cluster.CompletionTimes(cluster.CompletionTimeConfig{Tier: workload.TierL7LB, Samples: 40, Seed: 0xF16})
 	app := cluster.CompletionTimes(cluster.CompletionTimeConfig{Tier: workload.TierAppServer, Samples: 40, Seed: 0xF16})
 	q := func(ds []time.Duration, p float64) string {
@@ -510,21 +510,21 @@ func Fig16CompletionTime() (Table, error) {
 		return fmt.Sprintf("%.0f min", workload.Percentile(vals, p))
 	}
 	return Table{
-		ID:      "F16",
-		Title:   "Release completion time per tier",
-		Columns: []string{"tier", "p25", "p50", "p75"},
+		id:      "F16",
+		title:   "Release completion time per tier",
+		columns: []string{"tier", "p25", "p50", "p75"},
 		Rows: [][]string{
 			{"Proxygen (ZDR, 20-min drains)", q(l7, 0.25), q(l7, 0.5), q(l7, 0.75)},
 			{"App Server (drain+replace)", q(app, 0.25), q(app, 0.5), q(app, 0.75)},
 		},
-		Notes: "paper: Proxygen releases ~1.5h at the median; App Server releases ~25 min",
+		notes: "paper: Proxygen releases ~1.5h at the median; App Server releases ~25 min",
 	}, nil
 }
 
-// Fig17TakeoverOverhead regenerates Fig. 17: the cost of Socket Takeover —
+// fig17TakeoverOverhead regenerates Fig. 17: the cost of Socket Takeover —
 // real hand-off latency on this machine plus the modeled CPU envelope of
 // running two instances in parallel.
-func Fig17TakeoverOverhead() (Table, error) {
+func fig17TakeoverOverhead() (Table, error) {
 	const iterations = 25
 	var durations []float64
 	for i := 0; i < iterations; i++ {
@@ -561,32 +561,32 @@ func Fig17TakeoverOverhead() (Table, error) {
 		b.Close()
 	}
 	return Table{
-		ID:      "F17",
-		Title:   "Socket Takeover overhead",
-		Columns: []string{"metric", "value"},
+		id:      "F17",
+		title:   "Socket Takeover overhead",
+		columns: []string{"metric", "value"},
 		Rows: [][]string{
 			{"hand-off latency p50 (3 VIPs, real)", fmt.Sprintf("%.0f us", workload.Percentile(durations, 0.5))},
 			{"hand-off latency p99 (3 VIPs, real)", fmt.Sprintf("%.0f us", workload.Percentile(durations, 0.99))},
 			{"parallel-instance CPU overhead, median (model)", "4%"},
 			{"parallel-instance CPU spike at takeover (model)", "10%, decaying over ~60s"},
 		},
-		Notes: "paper: median CPU/RAM overhead below 5%, spike persisting 60-70s; machine stays available throughout",
+		notes: "paper: median CPU/RAM overhead below 5%, spike persisting 60-70s; machine stays available throughout",
 	}, nil
 }
 
-// TblPPRRetries validates the §4.4 claim that a 10-retry budget never
+// tblPPRRetries validates the §4.4 claim that a 10-retry budget never
 // exhausts: repeated uploads with the serving app server restarting
 // mid-body all succeed.
-func TblPPRRetries() (Table, error) {
+func tblPPRRetries() (Table, error) {
 	const uploads = 5
-	tb, err := NewTestbed(TestbedConfig{Apps: 3, Origins: 1})
+	tb, err := newTestbed(testbedConfig{apps: 3, origins: 1})
 	if err != nil {
 		return Table{}, err
 	}
-	defer tb.Close()
+	defer tb.close()
 
-	appSlots := make([]*appserver.Server, len(tb.Apps))
-	copy(appSlots, tb.Apps)
+	appSlots := make([]*appserver.Server, len(tb.apps))
+	copy(appSlots, tb.apps)
 	succeeded, replays := 0, int64(0)
 	for u := 0; u < uploads; u++ {
 		// Refresh restarted app servers so the pool never runs dry.
@@ -599,7 +599,7 @@ func TblPPRRetries() (Table, error) {
 					GraceWindow:  300 * time.Millisecond,
 					GraceSilence: 60 * time.Millisecond,
 				}, nil)
-				if _, err := na.Listen(tb.AppAddrs[i]); err == nil {
+				if _, err := na.Listen(tb.appAddrs[i]); err == nil {
 					appSlots[i] = na
 					defer na.Close()
 				}
@@ -614,19 +614,19 @@ func TblPPRRetries() (Table, error) {
 			succeeded++
 		}
 	}
-	replays = tb.Origins[0].Metrics().CounterValue("origin.http.ppr_replays")
-	exhausted := tb.Origins[0].Metrics().CounterValue("origin.http.ppr_exhausted")
+	replays = tb.origins[0].Metrics().CounterValue("origin.http.ppr_replays")
+	exhausted := tb.origins[0].Metrics().CounterValue("origin.http.ppr_exhausted")
 	return Table{
-		ID:      "T-A",
-		Title:   "PPR retry budget under repeated mid-upload restarts",
-		Columns: []string{"uploads", "succeeded", "379 replays", "budget exhaustions"},
+		id:      "T-A",
+		title:   "PPR retry budget under repeated mid-upload restarts",
+		columns: []string{"uploads", "succeeded", "379 replays", "budget exhaustions"},
 		Rows: [][]string{{
 			fmt.Sprintf("%d", uploads),
 			fmt.Sprintf("%d", succeeded),
 			fmt.Sprintf("%d", replays),
 			fmt.Sprintf("%d", exhausted),
 		}},
-		Notes: "paper: 10 retries 'found enough to never result in a failure due to unavailability of an active server'",
+		notes: "paper: 10 retries 'found enough to never result in a failure due to unavailability of an active server'",
 	}, nil
 }
 
@@ -640,8 +640,8 @@ func requestsServed(apps []*appserver.Server) []int64 {
 
 // pprUpload runs one paced upload through the testbed, restarting the
 // serving app server mid-body, and verifies the echoed response.
-func pprUpload(tb *Testbed, apps []*appserver.Server, before []int64) (bool, error) {
-	conn, err := net.DialTimeout("tcp", tb.Edge.Addr(proxy.VIPWeb), 2*time.Second)
+func pprUpload(tb *testbed, apps []*appserver.Server, before []int64) (bool, error) {
+	conn, err := net.DialTimeout("tcp", tb.edge.Addr(proxy.VIPWeb), 2*time.Second)
 	if err != nil {
 		return false, err
 	}

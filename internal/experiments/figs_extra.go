@@ -9,12 +9,12 @@ import (
 	"zdr/internal/workload"
 )
 
-// TblHeadlineBenefits regenerates the §1 summary of deployed benefits:
+// tblHeadlineBenefits regenerates the §1 summary of deployed benefits:
 // "(i) we reduced the release times to 25 and 90 minutes, for the App.
 // Server tier and the L7LB tiers respectively, (ii) we were able to
 // increase the effective L7LB CPU capacity by 15-20%, and (iii) prevent
 // millions of error codes from being propagated to the end-user."
-func TblHeadlineBenefits() (Table, error) {
+func tblHeadlineBenefits() (Table, error) {
 	// (i) release completion times per tier.
 	l7 := cluster.CompletionTimes(cluster.CompletionTimeConfig{Tier: workload.TierL7LB, Samples: 30, Seed: 0x7B1})
 	app := cluster.CompletionTimes(cluster.CompletionTimeConfig{Tier: workload.TierAppServer, Samples: 30, Seed: 0x7B1})
@@ -44,28 +44,28 @@ func TblHeadlineBenefits() (Table, error) {
 	prevented := hard.DisruptedConns - zdr.DisruptedConns
 
 	return Table{
-		ID:      "T-B",
-		Title:   "Headline deployed benefits (§1)",
-		Columns: []string{"benefit", "paper", "measured"},
+		id:      "T-B",
+		title:   "Headline deployed benefits (§1)",
+		columns: []string{"benefit", "paper", "measured"},
 		Rows: [][]string{
 			{"App Server release time (median)", "25 min", fmt.Sprintf("%.0f min", med(app))},
 			{"L7LB release time (median)", "~90 min", fmt.Sprintf("%.0f min", med(l7))},
 			{"effective L7LB capacity kept", "+15-20%", fmt.Sprintf("+%.0f%%", capacityGain)},
 			{"user-facing disruptions prevented / release", "millions", fmt.Sprintf("%d (100 machines x 10k conns)", prevented)},
 		},
-		Notes: "capacity row compares the serving pool at the worst point of a 20%-batch release",
+		notes: "capacity row compares the serving pool at the worst point of a 20%-batch release",
 	}, nil
 }
 
-// TblPeakHourRelease regenerates the §6.2.2 operational argument: ZDR can
+// tblPeakHourRelease regenerates the §6.2.2 operational argument: ZDR can
 // release at peak hours; a traditional release at peak saturates the
 // surviving machines.
-func TblPeakHourRelease() (Table, error) {
+func tblPeakHourRelease() (Table, error) {
 	t := Table{
-		ID:      "T-C",
-		Title:   "Releasing at peak vs off-peak (20% batches)",
-		Columns: []string{"strategy", "load", "survivor util", "saturated", "dropped load", "p99 latency x"},
-		Notes:   "paper §6.2.2: Proxygen updates are mostly released during peak hours (12pm-5pm) — only possible because ZDR keeps the pool whole",
+		id:      "T-C",
+		title:   "Releasing at peak vs off-peak (20% batches)",
+		columns: []string{"strategy", "load", "survivor util", "saturated", "dropped load", "p99 latency x"},
+		notes:   "paper §6.2.2: Proxygen updates are mostly released during peak hours (12pm-5pm) — only possible because ZDR keeps the pool whole",
 	}
 	for _, c := range []struct {
 		s    cluster.Strategy

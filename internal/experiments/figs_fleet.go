@@ -9,7 +9,7 @@ import (
 	"zdr/internal/proxy"
 )
 
-// TblFleetRollout regenerates the fleet control-plane comparison (§6 at
+// tblFleetRollout regenerates the fleet control-plane comparison (§6 at
 // simulation scale): the same broken build pushed to the same live
 // fleet under the pre-gate release process (ungated: every node
 // restarts and is promoted regardless of health) versus the health-gated
@@ -20,7 +20,7 @@ import (
 // batch's observation window, and in every scenario — promote, rollback,
 // fleet-wide bad build — transport-level failures stay at zero, because
 // the data plane never leaves the Socket Takeover protocol.
-func TblFleetRollout() (Table, error) {
+func tblFleetRollout() (Table, error) {
 	type scenario struct {
 		name  string
 		gated bool
@@ -32,10 +32,10 @@ func TblFleetRollout() (Table, error) {
 		{"ungated, bad build", false, true},
 	}
 	tab := Table{
-		ID:      "T-E",
-		Title:   "Fleet rollout disruption: health-gated canary vs ungated push",
-		Columns: []string{"scenario", "state", "promoted", "rolled back", "client 5xx", "transport fails"},
-		Notes: "6-node fleet under continuous client load; the bad build answers every request " +
+		id:      "T-E",
+		title:   "Fleet rollout disruption: health-gated canary vs ungated push",
+		columns: []string{"scenario", "state", "promoted", "rolled back", "client 5xx", "transport fails"},
+		notes: "6-node fleet under continuous client load; the bad build answers every request " +
 			"503. Gating pauses the rollout at the canary batch (blast radius = canary's " +
 			"observation window) where the ungated push promotes the broken build fleet-wide; " +
 			"transport failures are zero everywhere — rollback is drain-undo, not a rebind",

@@ -11,12 +11,12 @@ import (
 // fleet), asserts the gate's blast-radius claim numerically, and writes
 // the rendered table to $ZDR_RELEASE_REPORT_DIR for CI to upload.
 func TestTblFleetRollout(t *testing.T) {
-	tab, err := TblFleetRollout()
+	tab, err := tblFleetRollout()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tab.ID != "T-E" {
-		t.Fatalf("ID = %q", tab.ID)
+	if tab.id != "T-E" {
+		t.Fatalf("ID = %q", tab.id)
 	}
 	if len(tab.Rows) != 3 {
 		t.Fatalf("rows = %d, want 3", len(tab.Rows))

@@ -9,10 +9,10 @@ import (
 	"zdr/internal/workload"
 )
 
-// Fig2aReleaseCadence regenerates Fig. 2a: per-week release counts for
+// fig2aReleaseCadence regenerates Fig. 2a: per-week release counts for
 // Edge (L7LB) and DataCenter (App Server) clusters over a 3-month window,
 // 10 clusters each.
-func Fig2aReleaseCadence() (Table, error) {
+func fig2aReleaseCadence() (Table, error) {
 	rng := workload.NewRNG(0xF2A)
 	const clusters, weeks = 10, 13
 	var l7, app []float64
@@ -24,20 +24,20 @@ func Fig2aReleaseCadence() (Table, error) {
 	}
 	q := func(v []float64, p float64) string { return f2(workload.Percentile(v, p)) }
 	t := Table{
-		ID:      "F2a",
-		Title:   "Releases per week (10 clusters, 13 weeks)",
-		Columns: []string{"tier", "p10", "p50", "p90"},
+		id:      "F2a",
+		title:   "Releases per week (10 clusters, 13 weeks)",
+		columns: []string{"tier", "p10", "p50", "p90"},
 		Rows: [][]string{
 			{"L7LB (Proxygen)", q(l7, 0.1), q(l7, 0.5), q(l7, 0.9)},
 			{"App Server", q(app, 0.1), q(app, 0.5), q(app, 0.9)},
 		},
-		Notes: "paper: L7LB >= 3/week on average; App Server ~100/week at the median",
+		notes: "paper: L7LB >= 3/week on average; App Server ~100/week at the median",
 	}
 	return t, nil
 }
 
-// Fig2bReleaseCauses regenerates Fig. 2b: root causes of L7LB releases.
-func Fig2bReleaseCauses() (Table, error) {
+// fig2bReleaseCauses regenerates Fig. 2b: root causes of L7LB releases.
+func fig2bReleaseCauses() (Table, error) {
 	rng := workload.NewRNG(0xF2B)
 	const samples = 100_000
 	counts := map[workload.ReleaseCause]int{}
@@ -45,10 +45,10 @@ func Fig2bReleaseCauses() (Table, error) {
 		counts[workload.SampleCause(rng)]++
 	}
 	t := Table{
-		ID:      "F2b",
-		Title:   "Root causes of L7LB releases",
-		Columns: []string{"cause", "share"},
-		Notes:   "paper: binary (code) updates ~47%, configuration next; both require a restart",
+		id:      "F2b",
+		title:   "Root causes of L7LB releases",
+		columns: []string{"cause", "share"},
+		notes:   "paper: binary (code) updates ~47%, configuration next; both require a restart",
 	}
 	for c := workload.CauseBinary; c <= workload.CauseRollback; c++ {
 		t.Rows = append(t.Rows, []string{c.String(), pct(float64(counts[c]) / samples)})
@@ -56,18 +56,18 @@ func Fig2bReleaseCauses() (Table, error) {
 	return t, nil
 }
 
-// Fig2cCommitsPerRelease regenerates Fig. 2c: distinct commits per App
+// fig2cCommitsPerRelease regenerates Fig. 2c: distinct commits per App
 // Server release.
-func Fig2cCommitsPerRelease() (Table, error) {
+func fig2cCommitsPerRelease() (Table, error) {
 	rng := workload.NewRNG(0xF2C)
 	var v []float64
 	for i := 0; i < 50_000; i++ {
 		v = append(v, float64(workload.CommitsPerRelease(rng)))
 	}
 	t := Table{
-		ID:      "F2c",
-		Title:   "Code commits per App Server release",
-		Columns: []string{"p10", "p50", "p90", "min", "max"},
+		id:      "F2c",
+		title:   "Code commits per App Server release",
+		columns: []string{"p10", "p50", "p90", "min", "max"},
 		Rows: [][]string{{
 			f2(workload.Percentile(v, 0.1)),
 			f2(workload.Percentile(v, 0.5)),
@@ -75,20 +75,20 @@ func Fig2cCommitsPerRelease() (Table, error) {
 			f2(workload.Percentile(v, 0)),
 			f2(workload.Percentile(v, 1)),
 		}},
-		Notes: "paper: each update carries 10-100 distinct commits",
+		notes: "paper: each update carries 10-100 distinct commits",
 	}
 	return t, nil
 }
 
-// Fig2dReuseportMisrouting regenerates Fig. 2d: UDP packets mis-routed
+// fig2dReuseportMisrouting regenerates Fig. 2d: UDP packets mis-routed
 // during a SO_REUSEPORT socket handover (kernel socket-ring flux model),
 // for several flow counts.
-func Fig2dReuseportMisrouting() (Table, error) {
+func fig2dReuseportMisrouting() (Table, error) {
 	t := Table{
-		ID:      "F2d",
-		Title:   "UDP packets mis-routed during SO_REUSEPORT socket handover",
-		Columns: []string{"flows", "flux misrouted", "purge misrouted", "misroute rate"},
-		Notes:   "paper: the ring flux 'significantly increases the likelihood of UDP packets being misrouted'",
+		id:      "F2d",
+		title:   "UDP packets mis-routed during SO_REUSEPORT socket handover",
+		columns: []string{"flows", "flux misrouted", "purge misrouted", "misroute rate"},
+		notes:   "paper: the ring flux 'significantly increases the likelihood of UDP packets being misrouted'",
 	}
 	for _, flows := range []int{1_000, 10_000, 100_000} {
 		out, err := quicx.SimulateReuseportRelease(8, flows, 5)
@@ -106,9 +106,9 @@ func Fig2dReuseportMisrouting() (Table, error) {
 	return t, nil
 }
 
-// Fig3aCapacityTimeline regenerates Fig. 3a: an Edge cluster's capacity
+// fig3aCapacityTimeline regenerates Fig. 3a: an Edge cluster's capacity
 // during a traditional rolling release with 15-20% batches.
-func Fig3aCapacityTimeline() (Table, error) {
+func fig3aCapacityTimeline() (Table, error) {
 	res := cluster.RunRelease(cluster.Config{
 		Machines:      100,
 		BatchFraction: 0.20,
@@ -119,10 +119,10 @@ func Fig3aCapacityTimeline() (Table, error) {
 		Seed:          0xF3A,
 	})
 	t := Table{
-		ID:      "F3a",
-		Title:   "Cluster capacity during a traditional rolling update (20% batches)",
-		Columns: []string{"minute", "capacity"},
-		Notes:   fmt.Sprintf("paper: persistently <85%% capacity during the update; measured min %.0f%%, completion %v", res.MinCapacityFraction*100, res.CompletionTime),
+		id:      "F3a",
+		title:   "Cluster capacity during a traditional rolling update (20% batches)",
+		columns: []string{"minute", "capacity"},
+		notes:   fmt.Sprintf("paper: persistently <85%% capacity during the update; measured min %.0f%%, completion %v", res.MinCapacityFraction*100, res.CompletionTime),
 	}
 	for i, s := range res.Timeline {
 		if i%5 != 0 {
@@ -133,14 +133,14 @@ func Fig3aCapacityTimeline() (Table, error) {
 	return t, nil
 }
 
-// Fig3bReconnectCPU regenerates Fig. 3b: app-tier CPU while clients
+// fig3bReconnectCPU regenerates Fig. 3b: app-tier CPU while clients
 // reconnect after a fraction of Origin proxies hard-restart.
-func Fig3bReconnectCPU() (Table, error) {
+func fig3bReconnectCPU() (Table, error) {
 	t := Table{
-		ID:      "F3b",
-		Title:   "App-tier CPU surge from client reconnections",
-		Columns: []string{"% proxies restarted", "baseline CPU", "peak CPU", "extra CPU"},
-		Notes:   "paper: when 10% of Origin Proxygen restart, the app cluster spends ~20% of CPU cycles rebuilding state",
+		id:      "F3b",
+		title:   "App-tier CPU surge from client reconnections",
+		columns: []string{"% proxies restarted", "baseline CPU", "peak CPU", "extra CPU"},
+		notes:   "paper: when 10% of Origin Proxygen restart, the app cluster spends ~20% of CPU cycles rebuilding state",
 	}
 	for _, frac := range []float64{0.05, 0.10, 0.20} {
 		res := cluster.RunReconnectStorm(frac)
@@ -151,9 +151,9 @@ func Fig3bReconnectCPU() (Table, error) {
 	return t, nil
 }
 
-// Fig15RestartHours regenerates Fig. 15: the hour-of-day PDF of releases
+// fig15RestartHours regenerates Fig. 15: the hour-of-day PDF of releases
 // per tier.
-func Fig15RestartHours() (Table, error) {
+func fig15RestartHours() (Table, error) {
 	rng := workload.NewRNG(0xF15)
 	const samples = 100_000
 	l7 := make([]int, 24)
@@ -163,10 +163,10 @@ func Fig15RestartHours() (Table, error) {
 		app[workload.RestartHour(rng, workload.TierAppServer)]++
 	}
 	t := Table{
-		ID:      "F15",
-		Title:   "PDF of restart hour-of-day per tier",
-		Columns: []string{"hour", "Proxygen", "App Server"},
-		Notes:   "paper: Proxygen releases concentrate 12:00-17:00 (peak hours); App Server restarts run continuously (flat)",
+		id:      "F15",
+		title:   "PDF of restart hour-of-day per tier",
+		columns: []string{"hour", "Proxygen", "App Server"},
+		notes:   "paper: Proxygen releases concentrate 12:00-17:00 (peak hours); App Server restarts run continuously (flat)",
 	}
 	for h := 0; h < 24; h += 2 {
 		t.Rows = append(t.Rows, []string{

@@ -12,7 +12,7 @@ import (
 	"zdr/internal/proxy"
 )
 
-// TblSteeringRelease regenerates the steering-policy release comparison:
+// tblSteeringRelease regenerates the steering-policy release comparison:
 // the same rolling restart of one edge (fresh-socket model: drain, exit,
 // rebind — the disruptive §6 baseline) under the same request schedule,
 // steered by the default Maglev placement policy versus Prequal-assisted
@@ -25,12 +25,12 @@ import (
 // instance's own LOAD probe channel advertises phase=draining within
 // one probe interval — long before any health verdict — so new flows
 // bleed off it almost immediately, at no tail-latency cost.
-func TblSteeringRelease() (Table, error) {
+func tblSteeringRelease() (Table, error) {
 	tab := Table{
-		ID:      "T-G",
-		Title:   "Rolling release under Maglev-only vs Prequal drain-aware steering",
-		Columns: []string{"policy", "requests", "ok", "drain arrivals", "disrupted", "p50", "p99"},
-		Notes: "4-edge fleet, one edge fresh-socket-restarted mid-run (drain 400ms, rebind, " +
+		id:      "T-G",
+		title:   "Rolling release under Maglev-only vs Prequal drain-aware steering",
+		columns: []string{"policy", "requests", "ok", "drain arrivals", "disrupted", "p50", "p99"},
+		notes: "4-edge fleet, one edge fresh-socket-restarted mid-run (drain 400ms, rebind, " +
 			"readmit) under an identical seeded request schedule; 'drain arrivals' counts fresh " +
 			"flows steered to the restarting edge while its release was in flight. Maglev keeps " +
 			"feeding it until health-check eviction (2 failures x 100ms); Prequal hears the " +

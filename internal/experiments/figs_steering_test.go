@@ -12,12 +12,12 @@ import (
 // and writes the rendered table to $ZDR_RELEASE_REPORT_DIR for CI to
 // upload.
 func TestTblSteeringRelease(t *testing.T) {
-	tab, err := TblSteeringRelease()
+	tab, err := tblSteeringRelease()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tab.ID != "T-G" {
-		t.Fatalf("ID = %q", tab.ID)
+	if tab.id != "T-G" {
+		t.Fatalf("ID = %q", tab.id)
 	}
 	if len(tab.Rows) != 2 {
 		t.Fatalf("rows = %d, want 2", len(tab.Rows))

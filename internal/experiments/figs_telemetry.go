@@ -13,7 +13,7 @@ import (
 	"zdr/internal/proxy"
 )
 
-// TblDisruptionAttribution regenerates the §6-style disruption
+// tblDisruptionAttribution regenerates the §6-style disruption
 // attribution table (T-F): the same chaos — accept-path connection
 // aborts on every node — applied while a build rolls out gated vs
 // ungated, with every terminal failure attributed by the per-node
@@ -24,20 +24,20 @@ import (
 // rollout holds canaries in committed-awaiting-ready while the gate
 // watches, so chaos landing inside the observation window is attributed
 // to that phase instead of blurring into steady-state serving.
-func TblDisruptionAttribution() (Table, error) {
-	tab, _, err := tblDisruptionAttribution("")
+func tblDisruptionAttribution() (Table, error) {
+	tab, _, err := disruptionAttribution("")
 	return tab, err
 }
 
-// tblDisruptionAttribution builds the T-F table. When artifactDir is
+// disruptionAttribution builds the T-F table. When artifactDir is
 // non-empty the fleet-merged TelemetryReport of each scenario is written
 // there as telemetry-report-<scenario>.json (the CI artifacts).
-func tblDisruptionAttribution(artifactDir string) (Table, map[string]disruptionRun, error) {
+func disruptionAttribution(artifactDir string) (Table, map[string]disruptionRun, error) {
 	tab := Table{
-		ID:      "T-F",
-		Title:   "Disruption attribution: terminal failures by cause x release phase, gated vs ungated",
-		Columns: []string{"scenario", "cause", "release phase", "count", "per request"},
-		Notes: "4-node fleet under load with accept-path chaos during the rollout; every row " +
+		id:      "T-F",
+		title:   "Disruption attribution: terminal failures by cause x release phase, gated vs ungated",
+		columns: []string{"scenario", "cause", "release phase", "count", "per request"},
+		notes: "4-node fleet under load with accept-path chaos during the rollout; every row " +
 			"is a fleet-merged ledger cell and the books balance exactly (injected == " +
 			"attributed, unattributed == 0). Gated canaries sit in committed-awaiting-ready " +
 			"while the gate watches, so in-window chaos is attributed to the release — the " +

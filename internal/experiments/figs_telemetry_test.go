@@ -24,12 +24,12 @@ func TestDisruptionAttributionArtifact(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tab, runs, err := tblDisruptionAttribution(dir)
+	tab, runs, err := disruptionAttribution(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tab.ID != "T-F" {
-		t.Fatalf("ID = %q", tab.ID)
+	if tab.id != "T-F" {
+		t.Fatalf("ID = %q", tab.id)
 	}
 	if err := os.WriteFile(filepath.Join(dir, "disruption-attribution.txt"),
 		[]byte(tab.Render()), 0o644); err != nil {

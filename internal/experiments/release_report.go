@@ -26,12 +26,12 @@ var releasePhaseOrder = []string{
 	"slot.drain", "proxy.drain",
 }
 
-// TblReleasePhases regenerates the release-phase breakdown: a traced
+// tblReleasePhases regenerates the release-phase breakdown: a traced
 // two-tier rolling release run by fleet.Orchestrator (Origin then Edge,
 // real sockets, real Socket Takeover hand-offs) whose ReleaseReport is folded into a table of
 // per-phase durations. It is the experiments-side consumer of the
 // machine-readable release report.
-func TblReleasePhases() (Table, error) {
+func tblReleasePhases() (Table, error) {
 	tab, _, err := releasePhases("", nil)
 	return tab, err
 }
@@ -134,10 +134,10 @@ func releasePhases(reportPath string, hook func(*obs.Span)) (Table, *core.Releas
 	names = append(names, extra...)
 
 	tab := Table{
-		ID:      "T-D",
-		Title:   "Release-phase durations from the machine-readable ReleaseReport",
-		Columns: []string{"phase", "count", "total (ms)", "mean (ms)"},
-		Notes: "per-phase time from the traced release span tree; takeover.step.* rows are " +
+		id:      "T-D",
+		title:   "Release-phase durations from the machine-readable ReleaseReport",
+		columns: []string{"phase", "count", "total (ms)", "mean (ms)"},
+		notes: "per-phase time from the traced release span tree; takeover.step.* rows are " +
 			"Fig. 5's steps, takeover.prepare/takeover.commit the two-phase confirmation " +
 			"(recorded on both sides of the hand-off socket)",
 	}

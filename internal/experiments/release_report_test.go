@@ -186,12 +186,12 @@ func TestReleaseReportTwoPhaseAbort(t *testing.T) {
 }
 
 func TestTblReleasePhasesShape(t *testing.T) {
-	tab, err := TblReleasePhases()
+	tab, err := tblReleasePhases()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tab.ID != "T-D" {
-		t.Fatalf("ID = %q", tab.ID)
+	if tab.id != "T-D" {
+		t.Fatalf("ID = %q", tab.id)
 	}
 	want := map[string]bool{"rollout": false, "takeover.handoff": false, "slot.drain": false}
 	for _, row := range tab.Rows {

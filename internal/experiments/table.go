@@ -16,25 +16,25 @@ import (
 
 // Table is one regenerated figure or table.
 type Table struct {
-	// ID matches the per-experiment index (e.g. "F8", "F12").
-	ID string
-	// Title describes the experiment.
-	Title string
-	// Columns are the header cells.
-	Columns []string
+	// id matches the per-experiment index (e.g. "F8", "F12").
+	id string
+	// title describes the experiment.
+	title string
+	// columns are the header cells.
+	columns []string
 	// Rows are the data cells, already formatted.
 	Rows [][]string
-	// Notes records the paper's expectation and how the measured shape
+	// notes records the paper's expectation and how the measured shape
 	// compares.
-	Notes string
+	notes string
 }
 
 // Render formats the table as aligned plain text.
 func (t Table) Render() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "== %s: %s ==\n", t.ID, t.Title)
-	widths := make([]int, len(t.Columns))
-	for i, c := range t.Columns {
+	fmt.Fprintf(&sb, "== %s: %s ==\n", t.id, t.title)
+	widths := make([]int, len(t.columns))
+	for i, c := range t.columns {
 		widths[i] = len(c)
 	}
 	for _, row := range t.Rows {
@@ -53,7 +53,7 @@ func (t Table) Render() string {
 		}
 		sb.WriteByte('\n')
 	}
-	writeRow(t.Columns)
+	writeRow(t.columns)
 	for i, w := range widths {
 		if i > 0 {
 			sb.WriteString("  ")
@@ -64,8 +64,8 @@ func (t Table) Render() string {
 	for _, row := range t.Rows {
 		writeRow(row)
 	}
-	if t.Notes != "" {
-		fmt.Fprintf(&sb, "note: %s\n", t.Notes)
+	if t.notes != "" {
+		fmt.Fprintf(&sb, "note: %s\n", t.notes)
 	}
 	return sb.String()
 }
@@ -73,14 +73,14 @@ func (t Table) Render() string {
 // Markdown renders the table as GitHub-flavoured markdown.
 func (t Table) Markdown() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "### %s — %s\n\n", t.ID, t.Title)
-	sb.WriteString("| " + strings.Join(t.Columns, " | ") + " |\n")
-	sb.WriteString("|" + strings.Repeat(" --- |", len(t.Columns)) + "\n")
+	fmt.Fprintf(&sb, "### %s — %s\n\n", t.id, t.title)
+	sb.WriteString("| " + strings.Join(t.columns, " | ") + " |\n")
+	sb.WriteString("|" + strings.Repeat(" --- |", len(t.columns)) + "\n")
 	for _, row := range t.Rows {
 		sb.WriteString("| " + strings.Join(row, " | ") + " |\n")
 	}
-	if t.Notes != "" {
-		fmt.Fprintf(&sb, "\n*%s*\n", t.Notes)
+	if t.notes != "" {
+		fmt.Fprintf(&sb, "\n*%s*\n", t.notes)
 	}
 	return sb.String()
 }
@@ -94,27 +94,28 @@ type Experiment struct {
 // All returns every experiment in paper order.
 func All() []Experiment {
 	return []Experiment{
-		{"F2a", Fig2aReleaseCadence},
-		{"F2b", Fig2bReleaseCauses},
-		{"F2c", Fig2cCommitsPerRelease},
-		{"F2d", Fig2dReuseportMisrouting},
-		{"F3a", Fig3aCapacityTimeline},
-		{"F3b", Fig3bReconnectCPU},
-		{"F8", Fig8IdleCPU},
-		{"F9", Fig9DCRTimeline},
-		{"F10", Fig10UDPMisrouting},
-		{"F11", Fig11PPRDisruption},
-		{"F12", Fig12ProxyErrors},
-		{"F13", Fig13ReleaseTimeline},
-		{"F15", Fig15RestartHours},
-		{"F16", Fig16CompletionTime},
-		{"F17", Fig17TakeoverOverhead},
-		{"T-A", TblPPRRetries},
-		{"T-B", TblHeadlineBenefits},
-		{"T-C", TblPeakHourRelease},
-		{"T-D", TblReleasePhases},
-		{"T-E", TblFleetRollout},
-		{"T-F", TblDisruptionAttribution},
+		{"F2a", fig2aReleaseCadence},
+		{"F2b", fig2bReleaseCauses},
+		{"F2c", fig2cCommitsPerRelease},
+		{"F2d", fig2dReuseportMisrouting},
+		{"F3a", fig3aCapacityTimeline},
+		{"F3b", fig3bReconnectCPU},
+		{"F8", fig8IdleCPU},
+		{"F9", fig9DCRTimeline},
+		{"F10", fig10UDPMisrouting},
+		{"F11", fig11PPRDisruption},
+		{"F12", fig12ProxyErrors},
+		{"F13", fig13ReleaseTimeline},
+		{"F15", fig15RestartHours},
+		{"F16", fig16CompletionTime},
+		{"F17", fig17TakeoverOverhead},
+		{"T-A", tblPPRRetries},
+		{"T-B", tblHeadlineBenefits},
+		{"T-C", tblPeakHourRelease},
+		{"T-D", tblReleasePhases},
+		{"T-E", tblFleetRollout},
+		{"T-F", tblDisruptionAttribution},
+		{"T-G", tblSteeringRelease},
 	}
 }
 

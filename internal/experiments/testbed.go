@@ -10,60 +10,59 @@ import (
 	"zdr/internal/proxy"
 )
 
-// Testbed is a real localhost deployment of the full topology: MQTT
+// testbed is a real localhost deployment of the full topology: MQTT
 // broker, app servers, Origin proxies, one Edge proxy. The real-socket
 // experiments (F9, F12, F17, T-A) run against it.
-type Testbed struct {
-	Broker     *mqtt.Broker
-	BrokerAddr string
-	Apps       []*appserver.Server
-	AppAddrs   []string
-	Origins    []*proxy.Proxy
-	Edge       *proxy.Proxy
+type testbed struct {
+	broker     *mqtt.Broker
+	brokerAddr string
+	apps       []*appserver.Server
+	appAddrs   []string
+	origins    []*proxy.Proxy
+	edge       *proxy.Proxy
 
 	brokerLn net.Listener
 }
 
-// TestbedConfig sizes the deployment.
-type TestbedConfig struct {
-	Apps        int
-	Origins     int
-	AppMode     appserver.Mode
-	DrainPeriod time.Duration
+// testbedConfig sizes the deployment.
+type testbedConfig struct {
+	apps        int
+	origins     int
+	drainPeriod time.Duration
 }
 
-// NewTestbed deploys the topology.
-func NewTestbed(cfg TestbedConfig) (*Testbed, error) {
-	if cfg.Apps <= 0 {
-		cfg.Apps = 1
+// newTestbed deploys the topology.
+func newTestbed(cfg testbedConfig) (*testbed, error) {
+	if cfg.apps <= 0 {
+		cfg.apps = 1
 	}
-	if cfg.Origins <= 0 {
-		cfg.Origins = 1
+	if cfg.origins <= 0 {
+		cfg.origins = 1
 	}
-	if cfg.DrainPeriod <= 0 {
-		cfg.DrainPeriod = 200 * time.Millisecond
+	if cfg.drainPeriod <= 0 {
+		cfg.drainPeriod = 200 * time.Millisecond
 	}
-	tb := &Testbed{}
+	tb := &testbed{}
 	ok := false
 	defer func() {
 		if !ok {
-			tb.Close()
+			tb.close()
 		}
 	}()
 
-	tb.Broker = mqtt.NewBroker("broker-1", nil)
+	tb.broker = mqtt.NewBroker("broker-1", nil)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, err
 	}
 	tb.brokerLn = ln
-	tb.BrokerAddr = ln.Addr().String()
-	go tb.Broker.Serve(ln)
+	tb.brokerAddr = ln.Addr().String()
+	go tb.broker.Serve(ln)
 
-	for i := 0; i < cfg.Apps; i++ {
+	for i := 0; i < cfg.apps; i++ {
 		as := appserver.New(appserver.Config{
 			Name:         fmt.Sprintf("as-%d", i),
-			Mode:         cfg.AppMode,
+			Mode:         appserver.ModePPR,
 			DrainPeriod:  50 * time.Millisecond,
 			GraceWindow:  300 * time.Millisecond,
 			GraceSilence: 60 * time.Millisecond,
@@ -72,62 +71,62 @@ func NewTestbed(cfg TestbedConfig) (*Testbed, error) {
 		if err != nil {
 			return nil, err
 		}
-		tb.Apps = append(tb.Apps, as)
-		tb.AppAddrs = append(tb.AppAddrs, addr)
+		tb.apps = append(tb.apps, as)
+		tb.appAddrs = append(tb.appAddrs, addr)
 	}
 
 	var originAddrs []string
-	for i := 0; i < cfg.Origins; i++ {
+	for i := 0; i < cfg.origins; i++ {
 		o := proxy.New(proxy.Config{
 			Name:        fmt.Sprintf("origin-%d", i),
 			Role:        proxy.RoleOrigin,
-			AppServers:  tb.AppAddrs,
-			Brokers:     []string{tb.BrokerAddr},
-			DrainPeriod: cfg.DrainPeriod,
+			AppServers:  tb.appAddrs,
+			Brokers:     []string{tb.brokerAddr},
+			DrainPeriod: cfg.drainPeriod,
 		}, nil)
 		if err := o.Listen(); err != nil {
 			return nil, err
 		}
-		tb.Origins = append(tb.Origins, o)
+		tb.origins = append(tb.origins, o)
 		originAddrs = append(originAddrs, o.Addr(proxy.VIPTunnel))
 	}
 
-	tb.Edge = proxy.New(proxy.Config{
+	tb.edge = proxy.New(proxy.Config{
 		Name:          "edge-0",
 		Role:          proxy.RoleEdge,
 		Origins:       originAddrs,
-		DrainPeriod:   cfg.DrainPeriod,
+		DrainPeriod:   cfg.drainPeriod,
 		StaticContent: map[string][]byte{"/static/ping": []byte("pong")},
 	}, nil)
-	if err := tb.Edge.Listen(); err != nil {
+	if err := tb.edge.Listen(); err != nil {
 		return nil, err
 	}
 	ok = true
 	return tb, nil
 }
 
-// Close tears everything down.
-func (tb *Testbed) Close() {
-	if tb.Edge != nil {
-		tb.Edge.Close()
+// close tears everything down.
+func (tb *testbed) close() {
+	if tb.edge != nil {
+		tb.edge.Close()
 	}
-	for _, o := range tb.Origins {
+	for _, o := range tb.origins {
 		o.Close()
 	}
-	for _, as := range tb.Apps {
+	for _, as := range tb.apps {
 		as.Close()
 	}
 	if tb.brokerLn != nil {
 		tb.brokerLn.Close()
 	}
-	if tb.Broker != nil {
-		tb.Broker.Close()
+	if tb.broker != nil {
+		tb.broker.Close()
 	}
 }
 
-// DialMQTT connects an MQTT client through the edge.
-func (tb *Testbed) DialMQTT(userID string, timeout time.Duration) (*mqtt.Client, error) {
-	conn, err := net.DialTimeout("tcp", tb.Edge.Addr(proxy.VIPMQTT), timeout)
+// dialMQTT connects an MQTT client through the edge.
+func (tb *testbed) dialMQTT(userID string, timeout time.Duration) (*mqtt.Client, error) {
+	conn, err := net.DialTimeout("tcp", tb.edge.Addr(proxy.VIPMQTT), timeout)
 	if err != nil {
 		return nil, err
 	}
@@ -139,10 +138,10 @@ func (tb *Testbed) DialMQTT(userID string, timeout time.Duration) (*mqtt.Client,
 	return c, nil
 }
 
-// ServingOrigin returns the index of the Origin currently relaying MQTT
+// servingOrigin returns the index of the Origin currently relaying MQTT
 // connections, or -1.
-func (tb *Testbed) ServingOrigin() int {
-	for i, o := range tb.Origins {
+func (tb *testbed) servingOrigin() int {
+	for i, o := range tb.origins {
 		if o.Metrics().GaugeValue("origin.mqtt.active") > 0 {
 			return i
 		}

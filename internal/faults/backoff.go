@@ -16,9 +16,9 @@ type Backoff struct {
 	Base     time.Duration // first delay (default 20ms)
 	Max      time.Duration // per-delay cap (default 500ms)
 	Factor   float64       // growth factor (default 2)
-	Jitter   float64       // fraction of the delay randomised, in [0,1]
+	jitter   float64       // fraction of the delay randomised, in [0,1]
 	Attempts int           // attempts for Retry (default 10)
-	Seed     uint64        // jitter seed; same seed → same jitter sequence
+	seed     uint64        // jitter seed; same seed → same jitter sequence
 }
 
 const (
@@ -52,14 +52,14 @@ func (b Backoff) Delay(attempt int) time.Duration {
 	if d > float64(max) {
 		d = float64(max)
 	}
-	if b.Jitter > 0 {
-		j := b.Jitter
+	if b.jitter > 0 {
+		j := b.jitter
 		if j > 1 {
 			j = 1
 		}
 		// Deterministic jitter: scale by a factor in [1-j/2, 1+j/2]
 		// drawn from the (Seed, attempt) stream.
-		u := workload.NewRNG(mix(b.Seed, uint64(attempt))).Float64()
+		u := workload.NewRNG(mix(b.seed, uint64(attempt))).Float64()
 		d *= 1 - j/2 + j*u
 	}
 	if d < 0 {

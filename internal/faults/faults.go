@@ -3,7 +3,7 @@
 // interesting behavior of a zero-downtime release only shows up when the
 // network misbehaves mid-handoff).
 //
-// A Scenario describes fault *rates*; Scenario.Plan materialises, purely
+// A Scenario describes fault *rates*; Scenario.plan materialises, purely
 // from (Seed, connection index), the exact schedule of faults one
 // connection will experience — which delay before which read, which
 // write is split, which operation aborts the transport. The PRNG is the
@@ -33,17 +33,17 @@ import (
 type Op uint8
 
 const (
-	// OpNone leaves the operation untouched.
-	OpNone Op = iota
-	// OpDelay sleeps before a write (or a dial) proceeds.
-	OpDelay
+	// opNone leaves the operation untouched.
+	opNone Op = iota
+	// opDelay sleeps before a write (or a dial) proceeds.
+	opDelay
 	// OpPartialWrite splits one write into several small underlying
 	// writes, stressing reader-side reassembly of framed protocols. The
 	// io.Writer contract is preserved: the full buffer is written unless
 	// the transport itself errors.
 	OpPartialWrite
-	// OpStallRead sleeps before a read proceeds.
-	OpStallRead
+	// opStallRead sleeps before a read proceeds.
+	opStallRead
 	// OpAbort closes the transport abruptly (SO_LINGER=0 on TCP, i.e. an
 	// RST rather than an orderly FIN) and fails the operation.
 	OpAbort
@@ -54,8 +54,8 @@ const (
 	// OpDropRPC fails one control-plane call (Injector.RPC) outright —
 	// the operator↔node analogue of a lost request.
 	OpDropRPC
-	// OpDelayRPC delays one control-plane call before it proceeds.
-	OpDelayRPC
+	// opDelayRPC delays one control-plane call before it proceeds.
+	opDelayRPC
 
 	opCount
 )
@@ -63,13 +63,13 @@ const (
 // String names the op for schedule dumps and test output.
 func (o Op) String() string {
 	switch o {
-	case OpNone:
+	case opNone:
 		return "none"
-	case OpDelay:
+	case opDelay:
 		return "delay"
 	case OpPartialWrite:
 		return "partial-write"
-	case OpStallRead:
+	case opStallRead:
 		return "stall-read"
 	case OpAbort:
 		return "abort"
@@ -79,18 +79,18 @@ func (o Op) String() string {
 		return "fail-dial"
 	case OpDropRPC:
 		return "drop-rpc"
-	case OpDelayRPC:
+	case opDelayRPC:
 		return "delay-rpc"
 	}
 	return fmt.Sprintf("op(%d)", uint8(o))
 }
 
-// Step is one scheduled fault applied to the n-th read or write of a
+// step is one scheduled fault applied to the n-th read or write of a
 // connection.
-type Step struct {
-	Op    Op
-	Delay time.Duration // OpDelay / OpStallRead: how long to sleep
-	Chunk int           // OpPartialWrite: max bytes per underlying write
+type step struct {
+	op    Op
+	delay time.Duration // opDelay / opStallRead: how long to sleep
+	chunk int           // OpPartialWrite: max bytes per underlying write
 }
 
 // Scenario describes a reproducible fault schedule. All *Rate fields are
@@ -115,23 +115,23 @@ type Scenario struct {
 	AbortRate        float64       // probability an op aborts the conn
 	AbortMinOps      int           // ops exempt from abort at the head of a conn (lets handshakes complete)
 
-	// Bandwidth shaping: when BandwidthBytesPerSec > 0, every wrapped
+	// Bandwidth shaping: when bandwidthBytesPerSec > 0, every wrapped
 	// stream connection's writes pass through a per-connection token
-	// bucket of that sustained rate, with BandwidthBurstBytes of burst
+	// bucket of that sustained rate, with bandwidthBurstBytes of burst
 	// capacity (default: 100 ms worth of the rate). Shaping composes with
 	// the scheduled faults above — WriteDelayRate/WriteDelayMax remain
 	// the per-operation jitter knobs — and, unlike them, is continuous
 	// rather than sampled, so it models a slow link instead of a glitch.
-	BandwidthBytesPerSec float64
-	BandwidthBurstBytes  int
+	bandwidthBytesPerSec float64
+	bandwidthBurstBytes  int
 
 	// Control-plane faults, applied per Injector.RPC call (the
 	// operator↔node channel, distinct from the data-plane conns above).
 	// Fleet chaos tests use these to degrade — and, together with
 	// Injector.SetPartitioned, sever — the control plane mid-batch.
-	RPCDropRate  float64       // probability a control call fails outright
-	RPCDelayRate float64       // probability a control call is delayed
-	RPCDelayMax  time.Duration // upper bound for an injected RPC delay
+	rpcDropRate  float64       // probability a control call fails outright
+	rpcDelayRate float64       // probability a control call is delayed
+	rpcDelayMax  time.Duration // upper bound for an injected RPC delay
 
 	// Datagram faults.
 	DropRate float64 // probability a datagram is dropped (each direction)
@@ -141,42 +141,42 @@ type Scenario struct {
 	MaxOps int
 }
 
-// DefaultMaxOps is the schedule length used when Scenario.MaxOps is 0.
-const DefaultMaxOps = 64
+// defaultMaxOps is the schedule length used when Scenario.MaxOps is 0.
+const defaultMaxOps = 64
 
-// Plan is the fully materialised fault schedule for one connection:
+// plan is the fully materialised fault schedule for one connection:
 // Reads[i] / Writes[i] apply to the connection's i-th read / write,
 // Drops[i] to its i-th datagram in each direction.
-type Plan struct {
-	Conn      uint64 // connection index the plan was derived for
-	DialFail  bool
-	DialDelay time.Duration
-	RPCDrop   bool          // the call this plan is consumed by fails
-	RPCDelay  time.Duration // delay before the call proceeds
-	Reads     []Step
-	Writes    []Step
-	Drops     []bool
+type plan struct {
+	conn      uint64 // connection index the plan was derived for
+	dialFail  bool
+	dialDelay time.Duration
+	rpcDrop   bool          // the call this plan is consumed by fails
+	rpcDelay  time.Duration // delay before the call proceeds
+	reads     []step
+	writes    []step
+	drops     []bool
 }
 
 // String renders the plan canonically; the determinism acceptance test
 // compares these dumps byte-for-byte across runs.
-func (p Plan) String() string {
+func (p plan) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "conn %d dialfail=%v dialdelay=%s\n", p.Conn, p.DialFail, p.DialDelay)
-	if p.RPCDrop || p.RPCDelay > 0 {
-		fmt.Fprintf(&b, "  rpc drop=%v delay=%s\n", p.RPCDrop, p.RPCDelay)
+	fmt.Fprintf(&b, "conn %d dialfail=%v dialdelay=%s\n", p.conn, p.dialFail, p.dialDelay)
+	if p.rpcDrop || p.rpcDelay > 0 {
+		fmt.Fprintf(&b, "  rpc drop=%v delay=%s\n", p.rpcDrop, p.rpcDelay)
 	}
-	for i, s := range p.Reads {
-		if s.Op != OpNone {
-			fmt.Fprintf(&b, "  r[%d] %s delay=%s\n", i, s.Op, s.Delay)
+	for i, s := range p.reads {
+		if s.op != opNone {
+			fmt.Fprintf(&b, "  r[%d] %s delay=%s\n", i, s.op, s.delay)
 		}
 	}
-	for i, s := range p.Writes {
-		if s.Op != OpNone {
-			fmt.Fprintf(&b, "  w[%d] %s delay=%s chunk=%d\n", i, s.Op, s.Delay, s.Chunk)
+	for i, s := range p.writes {
+		if s.op != opNone {
+			fmt.Fprintf(&b, "  w[%d] %s delay=%s chunk=%d\n", i, s.op, s.delay, s.chunk)
 		}
 	}
-	for i, d := range p.Drops {
+	for i, d := range p.drops {
 		if d {
 			fmt.Fprintf(&b, "  p[%d] drop\n", i)
 		}
@@ -202,51 +202,51 @@ func randDur(rng *workload.RNG, max time.Duration) time.Duration {
 	return time.Duration(rng.Float64() * float64(max))
 }
 
-// Plan derives the schedule for the conn-th connection. It is a pure
+// plan derives the schedule for the conn-th connection. It is a pure
 // function of (Scenario, conn).
-func (s Scenario) Plan(conn uint64) Plan {
+func (s Scenario) plan(conn uint64) plan {
 	rng := workload.NewRNG(mix(s.Seed, conn))
 	maxOps := s.MaxOps
 	if maxOps <= 0 {
-		maxOps = DefaultMaxOps
+		maxOps = defaultMaxOps
 	}
-	pl := Plan{Conn: conn}
-	pl.DialFail = s.DialFailRate > 0 && rng.Float64() < s.DialFailRate
+	pl := plan{conn: conn}
+	pl.dialFail = s.DialFailRate > 0 && rng.Float64() < s.DialFailRate
 	if s.DialDelayRate > 0 && rng.Float64() < s.DialDelayRate {
-		pl.DialDelay = randDur(rng, s.DialDelayMax)
+		pl.dialDelay = randDur(rng, s.DialDelayMax)
 	}
-	pl.RPCDrop = s.RPCDropRate > 0 && rng.Float64() < s.RPCDropRate
-	if s.RPCDelayRate > 0 && rng.Float64() < s.RPCDelayRate {
-		pl.RPCDelay = randDur(rng, s.RPCDelayMax)
+	pl.rpcDrop = s.rpcDropRate > 0 && rng.Float64() < s.rpcDropRate
+	if s.rpcDelayRate > 0 && rng.Float64() < s.rpcDelayRate {
+		pl.rpcDelay = randDur(rng, s.rpcDelayMax)
 	}
 	if s.ReadStallRate > 0 || s.AbortRate > 0 {
-		pl.Reads = make([]Step, maxOps)
-		for i := range pl.Reads {
+		pl.reads = make([]step, maxOps)
+		for i := range pl.reads {
 			switch {
 			case s.AbortRate > 0 && i >= s.AbortMinOps && rng.Float64() < s.AbortRate:
-				pl.Reads[i] = Step{Op: OpAbort}
+				pl.reads[i] = step{op: OpAbort}
 			case s.ReadStallRate > 0 && rng.Float64() < s.ReadStallRate:
-				pl.Reads[i] = Step{Op: OpStallRead, Delay: randDur(rng, s.ReadStallMax)}
+				pl.reads[i] = step{op: opStallRead, delay: randDur(rng, s.ReadStallMax)}
 			}
 		}
 	}
 	if s.WriteDelayRate > 0 || s.PartialWriteRate > 0 || s.AbortRate > 0 {
-		pl.Writes = make([]Step, maxOps)
-		for i := range pl.Writes {
+		pl.writes = make([]step, maxOps)
+		for i := range pl.writes {
 			switch {
 			case s.AbortRate > 0 && i >= s.AbortMinOps && rng.Float64() < s.AbortRate:
-				pl.Writes[i] = Step{Op: OpAbort}
+				pl.writes[i] = step{op: OpAbort}
 			case s.PartialWriteRate > 0 && rng.Float64() < s.PartialWriteRate:
-				pl.Writes[i] = Step{Op: OpPartialWrite, Chunk: 1 + rng.Intn(512)}
+				pl.writes[i] = step{op: OpPartialWrite, chunk: 1 + rng.Intn(512)}
 			case s.WriteDelayRate > 0 && rng.Float64() < s.WriteDelayRate:
-				pl.Writes[i] = Step{Op: OpDelay, Delay: randDur(rng, s.WriteDelayMax)}
+				pl.writes[i] = step{op: opDelay, delay: randDur(rng, s.WriteDelayMax)}
 			}
 		}
 	}
 	if s.DropRate > 0 {
-		pl.Drops = make([]bool, maxOps)
-		for i := range pl.Drops {
-			pl.Drops[i] = rng.Float64() < s.DropRate
+		pl.drops = make([]bool, maxOps)
+		for i := range pl.drops {
+			pl.drops[i] = rng.Float64() < s.DropRate
 		}
 	}
 	return pl
@@ -270,14 +270,6 @@ type Injector struct {
 
 // NewInjector creates an injector for sc.
 func NewInjector(sc Scenario) *Injector { return &Injector{sc: sc} }
-
-// Scenario returns the injector's scenario (zero Scenario when nil).
-func (in *Injector) Scenario() Scenario {
-	if in == nil {
-		return Scenario{}
-	}
-	return in.sc
-}
 
 // Injected reports how many faults of class op have fired so far.
 func (in *Injector) Injected(op Op) uint64 {
@@ -338,7 +330,7 @@ func (in *Injector) SetObserver(fn func(Op)) {
 }
 
 // nextPlan consumes the next connection index.
-func (in *Injector) nextPlan() Plan { return in.sc.Plan(in.next.Add(1) - 1) }
+func (in *Injector) nextPlan() plan { return in.sc.plan(in.next.Add(1) - 1) }
 
 // Conn wraps c with the next connection's fault schedule. Nil injector
 // (or nil conn) passes through.
@@ -350,7 +342,7 @@ func (in *Injector) Conn(c net.Conn) net.Conn {
 }
 
 func (in *Injector) newShaper() *shaper {
-	return newShaper(in.sc.BandwidthBytesPerSec, in.sc.BandwidthBurstBytes)
+	return newShaper(in.sc.bandwidthBytesPerSec, in.sc.bandwidthBurstBytes)
 }
 
 // Listener wraps l so every accepted connection is fault-wrapped. Nil
@@ -374,17 +366,12 @@ func (in *Injector) PacketConn(pc net.PacketConn) net.PacketConn {
 // SetPartitioned severs (true) or heals (false) the control plane: while
 // severed, every RPC call fails immediately, modelling a full network
 // partition between the operator and its nodes. Orthogonal to the
-// scheduled RPCDropRate/RPCDelayRate faults, which model a lossy — not
+// scheduled rpcDropRate/rpcDelayRate faults, which model a lossy — not
 // absent — channel. Nil-receiver safe (no-op).
 func (in *Injector) SetPartitioned(v bool) {
 	if in != nil {
 		in.partitioned.Store(v)
 	}
-}
-
-// Partitioned reports whether the control plane is currently severed.
-func (in *Injector) Partitioned() bool {
-	return in != nil && in.partitioned.Load()
 }
 
 // RPC applies the next scheduled control-plane fault to one
@@ -401,17 +388,17 @@ func (in *Injector) RPC(op string) error {
 		in.count(OpDropRPC)
 		return fmt.Errorf("%w rpc %s dropped (partitioned)", ErrInjected, op)
 	}
-	if in.sc.RPCDropRate <= 0 && in.sc.RPCDelayRate <= 0 {
+	if in.sc.rpcDropRate <= 0 && in.sc.rpcDelayRate <= 0 {
 		return nil
 	}
 	pl := in.nextPlan()
-	if pl.RPCDelay > 0 {
-		in.count(OpDelayRPC)
-		time.Sleep(pl.RPCDelay)
+	if pl.rpcDelay > 0 {
+		in.count(opDelayRPC)
+		time.Sleep(pl.rpcDelay)
 	}
-	if pl.RPCDrop {
+	if pl.rpcDrop {
 		in.count(OpDropRPC)
-		return fmt.Errorf("%w rpc %s dropped (conn %d)", ErrInjected, op, pl.Conn)
+		return fmt.Errorf("%w rpc %s dropped (conn %d)", ErrInjected, op, pl.conn)
 	}
 	return nil
 }
@@ -425,13 +412,13 @@ func (in *Injector) Dial(network, addr string, timeout time.Duration) (net.Conn,
 		return net.DialTimeout(network, addr, timeout)
 	}
 	pl := in.nextPlan()
-	if pl.DialDelay > 0 {
-		in.count(OpDelay)
-		time.Sleep(pl.DialDelay)
+	if pl.dialDelay > 0 {
+		in.count(opDelay)
+		time.Sleep(pl.dialDelay)
 	}
-	if pl.DialFail {
+	if pl.dialFail {
 		in.count(OpFailDial)
-		return nil, &net.OpError{Op: "dial", Net: network, Err: fmt.Errorf("%w dial failure (conn %d)", ErrInjected, pl.Conn)}
+		return nil, &net.OpError{Op: "dial", Net: network, Err: fmt.Errorf("%w dial failure (conn %d)", ErrInjected, pl.conn)}
 	}
 	c, err := net.DialTimeout(network, addr, timeout)
 	if err != nil {
@@ -510,7 +497,7 @@ func (s *shaper) take(n int) {
 type conn struct {
 	net.Conn
 	in *Injector
-	pl Plan
+	pl plan
 	sh *shaper
 
 	rmu  sync.Mutex
@@ -535,20 +522,20 @@ func (c *conn) abort() {
 
 func (c *conn) Read(p []byte) (int, error) {
 	c.rmu.Lock()
-	var st Step
-	if c.ridx < len(c.pl.Reads) {
-		st = c.pl.Reads[c.ridx]
+	var st step
+	if c.ridx < len(c.pl.reads) {
+		st = c.pl.reads[c.ridx]
 		c.ridx++
 	}
 	c.rmu.Unlock()
-	switch st.Op {
-	case OpStallRead:
-		c.in.count(OpStallRead)
-		time.Sleep(st.Delay)
+	switch st.op {
+	case opStallRead:
+		c.in.count(opStallRead)
+		time.Sleep(st.delay)
 	case OpAbort:
 		c.in.count(OpAbort)
 		c.abort()
-		return 0, fmt.Errorf("%w abort on read (conn %d)", ErrInjected, c.pl.Conn)
+		return 0, fmt.Errorf("%w abort on read (conn %d)", ErrInjected, c.pl.conn)
 	}
 	return c.Conn.Read(p)
 }
@@ -557,23 +544,23 @@ func (c *conn) Write(p []byte) (int, error) {
 	c.in.writeCalls.Add(1)
 	c.sh.take(len(p))
 	c.wmu.Lock()
-	var st Step
-	if c.widx < len(c.pl.Writes) {
-		st = c.pl.Writes[c.widx]
+	var st step
+	if c.widx < len(c.pl.writes) {
+		st = c.pl.writes[c.widx]
 		c.widx++
 	}
 	c.wmu.Unlock()
-	switch st.Op {
-	case OpDelay:
-		c.in.count(OpDelay)
-		time.Sleep(st.Delay)
+	switch st.op {
+	case opDelay:
+		c.in.count(opDelay)
+		time.Sleep(st.delay)
 	case OpAbort:
 		c.in.count(OpAbort)
 		c.abort()
-		return 0, fmt.Errorf("%w abort on write (conn %d)", ErrInjected, c.pl.Conn)
+		return 0, fmt.Errorf("%w abort on write (conn %d)", ErrInjected, c.pl.conn)
 	case OpPartialWrite:
 		c.in.count(OpPartialWrite)
-		chunk := st.Chunk
+		chunk := st.chunk
 		if chunk <= 0 {
 			chunk = 1
 		}
@@ -601,7 +588,7 @@ func (c *conn) Write(p []byte) (int, error) {
 type packetConn struct {
 	net.PacketConn
 	in *Injector
-	pl Plan
+	pl plan
 
 	rmu  sync.Mutex
 	ridx int
@@ -617,8 +604,8 @@ func (pc *packetConn) ReadFrom(p []byte) (int, net.Addr, error) {
 		}
 		pc.rmu.Lock()
 		drop := false
-		if pc.ridx < len(pc.pl.Drops) {
-			drop = pc.pl.Drops[pc.ridx]
+		if pc.ridx < len(pc.pl.drops) {
+			drop = pc.pl.drops[pc.ridx]
 			pc.ridx++
 		}
 		pc.rmu.Unlock()
@@ -633,8 +620,8 @@ func (pc *packetConn) ReadFrom(p []byte) (int, net.Addr, error) {
 func (pc *packetConn) WriteTo(p []byte, addr net.Addr) (int, error) {
 	pc.wmu.Lock()
 	drop := false
-	if pc.widx < len(pc.pl.Drops) {
-		drop = pc.pl.Drops[pc.widx]
+	if pc.widx < len(pc.pl.drops) {
+		drop = pc.pl.drops[pc.widx]
 		pc.widx++
 	}
 	pc.wmu.Unlock()

@@ -38,7 +38,7 @@ func TestScenarioDeterminism(t *testing.T) {
 	dump := func(sc Scenario) string {
 		var b strings.Builder
 		for conn := uint64(0); conn < 200; conn++ {
-			b.WriteString(sc.Plan(conn).String())
+			b.WriteString(sc.plan(conn).String())
 		}
 		return b.String()
 	}
@@ -245,7 +245,7 @@ func TestBackoffDelayShape(t *testing.T) {
 			t.Fatalf("Delay(%d) = %v, want %v", i, got, w*time.Millisecond)
 		}
 	}
-	j := Backoff{Base: 10 * time.Millisecond, Max: time.Second, Factor: 2, Jitter: 0.5, Seed: 9}
+	j := Backoff{Base: 10 * time.Millisecond, Max: time.Second, Factor: 2, jitter: 0.5, seed: 9}
 	for i := 0; i < 6; i++ {
 		d1, d2 := j.Delay(i), j.Delay(i)
 		if d1 != d2 {

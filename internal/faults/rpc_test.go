@@ -10,7 +10,7 @@ import (
 // pure function of (Scenario, call index): two injectors with the same
 // scenario inject drops on exactly the same calls.
 func TestRPCInjectorDeterministic(t *testing.T) {
-	sc := Scenario{Seed: 42, RPCDropRate: 0.3, RPCDelayRate: 0.2, RPCDelayMax: time.Microsecond}
+	sc := Scenario{Seed: 42, rpcDropRate: 0.3, rpcDelayRate: 0.2, rpcDelayMax: time.Microsecond}
 	outcomes := func() []bool {
 		in := NewInjector(sc)
 		var out []bool
@@ -38,7 +38,7 @@ func TestRPCInjectorDeterministic(t *testing.T) {
 // dropped RPC is an ErrInjected so retry loops can tell chaos from real
 // faults.
 func TestRPCInjectorErrorsAreInjected(t *testing.T) {
-	in := NewInjector(Scenario{Seed: 7, RPCDropRate: 1})
+	in := NewInjector(Scenario{Seed: 7, rpcDropRate: 1})
 	err := in.RPC("restart")
 	if err == nil || !errors.Is(err, ErrInjected) {
 		t.Fatalf("want ErrInjected, got %v", err)

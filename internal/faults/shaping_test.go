@@ -14,8 +14,8 @@ import (
 // (too slow).
 func TestShapingSustainedRate(t *testing.T) {
 	in := NewInjector(Scenario{
-		BandwidthBytesPerSec: 4 << 20,
-		BandwidthBurstBytes:  64 << 10,
+		bandwidthBytesPerSec: 4 << 20,
+		bandwidthBurstBytes:  64 << 10,
 	})
 	a, b := net.Pipe()
 	defer b.Close()
@@ -45,8 +45,8 @@ func TestShapingSustainedRate(t *testing.T) {
 // must not sleep at all.
 func TestShapingBurstPassesUnthrottled(t *testing.T) {
 	in := NewInjector(Scenario{
-		BandwidthBytesPerSec: 1 << 20,
-		BandwidthBurstBytes:  256 << 10,
+		bandwidthBytesPerSec: 1 << 20,
+		bandwidthBurstBytes:  256 << 10,
 	})
 	a, b := net.Pipe()
 	defer b.Close()

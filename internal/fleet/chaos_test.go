@@ -7,12 +7,12 @@
 //     transport-level client failures, and every other node never
 //     leaves the old generation;
 //   - the operator is killed mid-batch → abandoned canaries self-roll-
-//     back via MaxHold, and a second operator resumes from the journal
+//     back via maxHold, and a second operator resumes from the journal
 //     and converges to the same terminal state as an uninterrupted run;
 //   - the operator↔node control channel is partitioned mid-window → the
 //     verdict is lost, the canary reclaims itself, the data plane never
 //     drops a request.
-package fleet_test
+package fleet
 
 import (
 	"fmt"
@@ -25,7 +25,6 @@ import (
 	"zdr/internal/core"
 	"zdr/internal/disrupt"
 	"zdr/internal/faults"
-	"zdr/internal/fleet"
 	"zdr/internal/metrics"
 	"zdr/internal/netx"
 	"zdr/internal/obs"
@@ -41,18 +40,18 @@ type simNode struct {
 	inj  *faults.Injector
 }
 
-// newSimFleet starts n gated Edge nodes (fleet.NewFleet); build completes
+// newSimFleet starts n gated Edge nodes (NewFleet); build completes
 // node i's config for each generation.
-func newSimFleet(t *testing.T, n int, maxHold time.Duration, build func(i int, cfg *proxy.Config)) (*fleet.Fleet, []*simNode) {
+func newSimFleet(t *testing.T, n int, maxHold time.Duration, build func(i int, cfg *proxy.Config)) (*Fleet, []*simNode) {
 	t.Helper()
-	f, err := fleet.NewFleet(n, true, maxHold, build)
+	f, err := NewFleet(n, true, maxHold, build)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(f.Close)
 	sims := make([]*simNode, n)
 	for i := range sims {
-		sims[i] = &simNode{name: f.Nodes[i].Name, slot: f.Slots[i], reg: f.Regs[i]}
+		sims[i] = &simNode{name: f.Nodes[i].Name, slot: f.Slots[i], reg: f.regs[i]}
 	}
 	return f, sims
 }
@@ -81,7 +80,7 @@ type loadCounts struct {
 
 // hammer drives GETs at every node of f until f closes, counting each
 // node's outcomes.
-func hammer(f *fleet.Fleet) []*loadCounts {
+func hammer(f *Fleet) []*loadCounts {
 	perNode := make([]*loadCounts, len(f.Nodes))
 	for i := range perNode {
 		perNode[i] = &loadCounts{}
@@ -101,7 +100,7 @@ func hammer(f *fleet.Fleet) []*loadCounts {
 	return perNode
 }
 
-func waitOrchestratorState(t *testing.T, o *fleet.Orchestrator, state string, timeout time.Duration) {
+func waitOrchestratorState(t *testing.T, o *Orchestrator, state string, timeout time.Duration) {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
@@ -124,12 +123,12 @@ func TestFleetCloseLeavesNothing(t *testing.T) {
 	}
 	goroutines0 := runtime.NumGoroutine()
 
-	f, err := fleet.NewFleet(3, true, 5*time.Second, badWhile(new(atomic.Bool)))
+	f, err := NewFleet(3, true, 5*time.Second, badWhile(new(atomic.Bool)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	perNode := hammer(f)
-	o, err := fleet.New(fleet.Config{
+	o, err := New(Config{
 		Name:          "leak",
 		HealthWindow:  100 * time.Millisecond,
 		ProbeInterval: 10 * time.Millisecond,
@@ -140,7 +139,7 @@ func TestFleetCloseLeavesNothing(t *testing.T) {
 	if err := o.Run(); err != nil {
 		t.Fatalf("rollout: %v", err)
 	}
-	if st := o.Status(); st.State != fleet.StateDone {
+	if st := o.Status(); st.State != StateDone {
 		t.Fatalf("rollout state %q (reason %q), want done", st.State, st.Reason)
 	}
 	f.Close()
@@ -177,13 +176,13 @@ func TestFleetChaosBadCanaryRollsBack(t *testing.T) {
 	bad.Store(true)
 
 	jpath := filepath.Join(t.TempDir(), "rollout.jsonl")
-	j, err := fleet.OpenJournal(jpath)
+	j, err := OpenJournal(jpath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j.Close()
 	tracer := obs.NewTracer("fleet-chaos")
-	cfg := fleet.Config{
+	cfg := Config{
 		Name:          "bad-build",
 		CanarySize:    2,
 		GrowthFactor:  2,
@@ -192,15 +191,15 @@ func TestFleetChaosBadCanaryRollsBack(t *testing.T) {
 		WindowTimeout: 10 * time.Second,
 		Journal:       j,
 		Trace:         tracer,
-		Fence:         fleet.NewFence(),
+		Fence:         NewFence(),
 	}
-	o, err := fleet.New(cfg, f.Nodes)
+	o, err := New(cfg, f.Nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	runDone := make(chan error, 1)
 	go func() { runDone <- o.Run() }()
-	waitOrchestratorState(t, o, fleet.StatePaused, 30*time.Second)
+	waitOrchestratorState(t, o, StatePaused, 30*time.Second)
 
 	st := o.Status()
 	if st.GateOutcome != "rollback" {
@@ -246,7 +245,7 @@ func TestFleetChaosBadCanaryRollsBack(t *testing.T) {
 	if err := <-runDone; err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if got := o.Status().State; got != fleet.StateAborted {
+	if got := o.Status().State; got != stateAborted {
 		t.Fatalf("state %q after abort", got)
 	}
 
@@ -271,7 +270,7 @@ func TestFleetChaosBadCanaryRollsBack(t *testing.T) {
 
 	// Journal audit: both canaries rolled back, nobody promoted, and the
 	// pause is on disk.
-	recs, err := fleet.Replay(jpath)
+	recs, err := Replay(jpath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,10 +278,10 @@ func TestFleetChaosBadCanaryRollsBack(t *testing.T) {
 	for _, r := range recs {
 		counts[r.Kind]++
 	}
-	if counts[fleet.RecNodeRolledBack] != 2 || counts[fleet.RecNodePromoted] != 0 {
+	if counts[recNodeRolledBack] != 2 || counts[recNodePromoted] != 0 {
 		t.Fatalf("journal counts %v: want 2 rollbacks, 0 promotions", counts)
 	}
-	if counts[fleet.RecPause] != 1 || counts[fleet.RecDone] != 1 {
+	if counts[recPause] != 1 || counts[recDone] != 1 {
 		t.Fatalf("journal counts %v: want 1 pause, 1 done", counts)
 	}
 
@@ -299,7 +298,7 @@ func TestFleetChaosBadCanaryRollsBack(t *testing.T) {
 }
 
 // TestFleetChaosOperatorCrashResume: the operator dies mid-batch; its
-// abandoned canaries self-roll-back via MaxHold; a second operator
+// abandoned canaries self-roll-back via maxHold; a second operator
 // recovers the journal, skips the promoted nodes, re-drives the rest,
 // and lands in the same terminal state an uninterrupted rollout reaches
 // — every node on generation 2, zero failed requests throughout.
@@ -310,11 +309,11 @@ func TestFleetChaosOperatorCrashResume(t *testing.T) {
 	time.Sleep(100 * time.Millisecond)
 
 	jpath := filepath.Join(t.TempDir(), "rollout.jsonl")
-	j, err := fleet.OpenJournal(jpath)
+	j, err := OpenJournal(jpath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := fleet.Config{
+	cfg := Config{
 		Name:          "crash-resume",
 		CanarySize:    1,
 		GrowthFactor:  2,
@@ -323,7 +322,7 @@ func TestFleetChaosOperatorCrashResume(t *testing.T) {
 		WindowTimeout: 10 * time.Second,
 		Journal:       j,
 	}
-	o1, err := fleet.New(cfg, f.Nodes)
+	o1, err := New(cfg, f.Nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,23 +352,23 @@ func TestFleetChaosOperatorCrashResume(t *testing.T) {
 		if promoted >= 1 && inWindow {
 			break
 		}
-		if st.State == fleet.StateDone {
+		if st.State == StateDone {
 			t.Fatal("rollout finished before the kill — shrink the windows")
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
 	o1.Close() // simulated crash: no terminal journal record
-	if err := <-runDone; err != fleet.ErrClosed {
+	if err := <-runDone; err != errClosed {
 		t.Fatalf("killed run returned %v, want ErrClosed", err)
 	}
 	j.Close()
 
 	// Recover from the journal exactly as a fresh operator process would.
-	recs, err := fleet.Replay(jpath)
+	recs, err := Replay(jpath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog := fleet.Recover(recs)
+	prog := Recover(recs)
 	if prog.Rollout != "crash-resume" {
 		t.Fatalf("recovered rollout %q", prog.Rollout)
 	}
@@ -380,7 +379,7 @@ func TestFleetChaosOperatorCrashResume(t *testing.T) {
 		t.Fatal("every node already promoted — kill landed too late")
 	}
 
-	j2, err := fleet.OpenJournal(jpath)
+	j2, err := OpenJournal(jpath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +387,7 @@ func TestFleetChaosOperatorCrashResume(t *testing.T) {
 	cfg2 := cfg
 	cfg2.Journal = j2
 	cfg2.Resume = &prog
-	o2, err := fleet.New(cfg2, f.Nodes)
+	o2, err := New(cfg2, f.Nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,7 +404,7 @@ wait2:
 			break wait2
 		default:
 		}
-		if st := o2.Status(); st.State == fleet.StatePaused {
+		if st := o2.Status(); st.State == StatePaused {
 			t.Fatalf("resumed rollout paused: %q (gate %+v)", st.Reason, st.LastGate)
 		}
 		if time.Now().After(resumeDeadline) {
@@ -414,7 +413,7 @@ wait2:
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if got := o2.Status().State; got != fleet.StateDone {
+	if got := o2.Status().State; got != StateDone {
 		t.Fatalf("resumed rollout state %q, want done", got)
 	}
 
@@ -445,7 +444,7 @@ wait2:
 
 // TestFleetChaosControlPartitionMidWindow: the control channel is
 // severed while canaries hold their windows. The verdict never arrives;
-// MaxHold self-rollback reclaims the nodes; the rollout pauses; the data
+// maxHold self-rollback reclaims the nodes; the rollout pauses; the data
 // plane never failed a request. Control-plane loss must degrade the
 // ROLLOUT, never the traffic.
 func TestFleetChaosControlPartitionMidWindow(t *testing.T) {
@@ -454,15 +453,15 @@ func TestFleetChaosControlPartitionMidWindow(t *testing.T) {
 	time.Sleep(100 * time.Millisecond)
 
 	in := faults.NewInjector(faults.Scenario{Seed: 7})
-	cfg := fleet.Config{
+	cfg := Config{
 		Name:          "partition",
 		CanarySize:    1,
 		HealthWindow:  300 * time.Millisecond,
 		ProbeInterval: 20 * time.Millisecond,
 		WindowTimeout: 10 * time.Second,
-		Control:       in,
+		control:       in,
 	}
-	o, err := fleet.New(cfg, f.Nodes)
+	o, err := New(cfg, f.Nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,7 +487,7 @@ func TestFleetChaosControlPartitionMidWindow(t *testing.T) {
 	}
 	in.SetPartitioned(true)
 
-	waitOrchestratorState(t, o, fleet.StatePaused, 30*time.Second)
+	waitOrchestratorState(t, o, StatePaused, 30*time.Second)
 	if in.Injected(faults.OpDropRPC) == 0 {
 		t.Fatal("partition never dropped an RPC")
 	}

@@ -6,40 +6,40 @@ import (
 	"sync"
 )
 
-// ErrFenced reports a conflict-fence refusal: another rollout already
+// errFenced reports a conflict-fence refusal: another rollout already
 // holds one of the VIP groups this rollout needs. Draining two Origins
 // that share a VIP simultaneously would leave the VIP's downstream-
 // connection-reuse pool with no stable side, so overlapping rollouts are
 // refused outright rather than interleaved. Test with errors.Is via
 // fmt.Errorf wrapping.
-type ErrFenced struct {
-	VIP    string // the contended VIP group
-	Holder string // the rollout holding it
+type errFenced struct {
+	vip    string // the contended VIP group
+	holder string // the rollout holding it
 }
 
-func (e *ErrFenced) Error() string {
-	return fmt.Sprintf("fleet: vip %q fenced by rollout %q", e.VIP, e.Holder)
+func (e *errFenced) Error() string {
+	return fmt.Sprintf("fleet: vip %q fenced by rollout %q", e.vip, e.holder)
 }
 
-// Fence serialises rollouts over VIP groups. A rollout acquires every
+// fence serialises rollouts over VIP groups. A rollout acquires every
 // VIP its nodes serve before touching any node — all or nothing, so two
 // rollouts with overlapping VIP sets cannot both proceed (and cannot
 // deadlock: failed acquisition releases everything).
-type Fence struct {
+type fence struct {
 	mu     sync.Mutex
 	holder map[string]string // vip → rollout name
 }
 
 // NewFence returns an empty fence.
-func NewFence() *Fence {
-	return &Fence{holder: map[string]string{}}
+func NewFence() *fence {
+	return &fence{holder: map[string]string{}}
 }
 
-// Acquire claims every vip for rollout. On conflict nothing is claimed
+// acquire claims every vip for rollout. On conflict nothing is claimed
 // and the error identifies the contended VIP and its holder. Empty vips
 // ("" = unfenced node) are ignored. Re-acquiring a VIP already held by
 // the same rollout is a no-op (resume after crash).
-func (f *Fence) Acquire(rollout string, vips []string) error {
+func (f *fence) acquire(rollout string, vips []string) error {
 	if f == nil {
 		return nil
 	}
@@ -58,7 +58,7 @@ func (f *Fence) Acquire(rollout string, vips []string) error {
 	defer f.mu.Unlock()
 	for _, v := range ordered {
 		if h, held := f.holder[v]; held && h != rollout {
-			return &ErrFenced{VIP: v, Holder: h}
+			return &errFenced{vip: v, holder: h}
 		}
 	}
 	for _, v := range ordered {
@@ -67,8 +67,8 @@ func (f *Fence) Acquire(rollout string, vips []string) error {
 	return nil
 }
 
-// Release drops every VIP held by rollout.
-func (f *Fence) Release(rollout string) {
+// release drops every VIP held by rollout.
+func (f *fence) release(rollout string) {
 	if f == nil {
 		return
 	}
@@ -82,7 +82,7 @@ func (f *Fence) Release(rollout string) {
 }
 
 // Holder reports which rollout holds vip ("" = unheld).
-func (f *Fence) Holder(vip string) string {
+func (f *fence) Holder(vip string) string {
 	if f == nil {
 		return ""
 	}

@@ -10,19 +10,19 @@ import (
 // named.
 func TestFenceConflict(t *testing.T) {
 	f := NewFence()
-	if err := f.Acquire("r1", []string{"vip-a", "vip-b"}); err != nil {
+	if err := f.acquire("r1", []string{"vip-a", "vip-b"}); err != nil {
 		t.Fatalf("first acquire: %v", err)
 	}
-	err := f.Acquire("r2", []string{"vip-b", "vip-c"})
+	err := f.acquire("r2", []string{"vip-b", "vip-c"})
 	if err == nil {
 		t.Fatal("overlapping acquire succeeded")
 	}
-	var fe *ErrFenced
+	var fe *errFenced
 	if !errors.As(err, &fe) {
 		t.Fatalf("error type %T, want *ErrFenced", err)
 	}
-	if fe.VIP != "vip-b" || fe.Holder != "r1" {
-		t.Fatalf("fenced on %q by %q, want vip-b by r1", fe.VIP, fe.Holder)
+	if fe.vip != "vip-b" || fe.holder != "r1" {
+		t.Fatalf("fenced on %q by %q, want vip-b by r1", fe.vip, fe.holder)
 	}
 }
 
@@ -30,14 +30,14 @@ func TestFenceConflict(t *testing.T) {
 // non-contended VIPs stay free for others.
 func TestFenceAllOrNothing(t *testing.T) {
 	f := NewFence()
-	f.Acquire("r1", []string{"vip-b"})
-	if err := f.Acquire("r2", []string{"vip-a", "vip-b"}); err == nil {
+	f.acquire("r1", []string{"vip-b"})
+	if err := f.acquire("r2", []string{"vip-a", "vip-b"}); err == nil {
 		t.Fatal("contended acquire succeeded")
 	}
 	if h := f.Holder("vip-a"); h != "" {
 		t.Fatalf("vip-a leaked to %q on a failed acquire", h)
 	}
-	if err := f.Acquire("r3", []string{"vip-a"}); err != nil {
+	if err := f.acquire("r3", []string{"vip-a"}); err != nil {
 		t.Fatalf("vip-a should be free: %v", err)
 	}
 }
@@ -46,11 +46,11 @@ func TestFenceAllOrNothing(t *testing.T) {
 // is a no-op; Release frees everything the rollout held.
 func TestFenceReacquireAndRelease(t *testing.T) {
 	f := NewFence()
-	f.Acquire("r1", []string{"vip-a", "vip-b"})
-	if err := f.Acquire("r1", []string{"vip-a", "vip-b", "vip-c"}); err != nil {
+	f.acquire("r1", []string{"vip-a", "vip-b"})
+	if err := f.acquire("r1", []string{"vip-a", "vip-b", "vip-c"}); err != nil {
 		t.Fatalf("same-rollout reacquire: %v", err)
 	}
-	f.Release("r1")
+	f.release("r1")
 	for _, v := range []string{"vip-a", "vip-b", "vip-c"} {
 		if h := f.Holder(v); h != "" {
 			t.Fatalf("%s still held by %q after release", v, h)
@@ -62,15 +62,15 @@ func TestFenceReacquireAndRelease(t *testing.T) {
 // ignored, and a nil fence is a pass-through.
 func TestFenceUnfencedNodes(t *testing.T) {
 	f := NewFence()
-	if err := f.Acquire("r1", []string{"", "", "vip-a"}); err != nil {
+	if err := f.acquire("r1", []string{"", "", "vip-a"}); err != nil {
 		t.Fatalf("acquire with empty vips: %v", err)
 	}
-	if err := f.Acquire("r2", []string{""}); err != nil {
+	if err := f.acquire("r2", []string{""}); err != nil {
 		t.Fatalf("empty-only acquire fenced: %v", err)
 	}
-	var nilF *Fence
-	if err := nilF.Acquire("r", []string{"v"}); err != nil {
+	var nilF *fence
+	if err := nilF.acquire("r", []string{"v"}); err != nil {
 		t.Fatalf("nil fence: %v", err)
 	}
-	nilF.Release("r")
+	nilF.release("r")
 }

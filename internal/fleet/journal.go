@@ -15,50 +15,50 @@ import (
 // executes, so a restarted operator can reconstruct where the rollout
 // was and resume — or roll back — without guessing.
 const (
-	// RecBegin opens a rollout: name, node set, batch plan.
-	RecBegin = "begin"
-	// RecBatchStart marks a batch entering its canary window.
-	RecBatchStart = "batch-start"
-	// RecNodePromoted marks one node's verdict delivered as promote and
+	// recBegin opens a rollout: name, node set, batch plan.
+	recBegin = "begin"
+	// recBatchStart marks a batch entering its canary window.
+	recBatchStart = "batch-start"
+	// recNodePromoted marks one node's verdict delivered as promote and
 	// its window released. Promoted nodes are never revisited on resume.
-	RecNodePromoted = "node-promoted"
-	// RecNodeRolledBack marks one node rolled back via drain-undo.
-	RecNodeRolledBack = "node-rolled-back"
-	// RecGate records a batch's gate decision with its verdicts.
-	RecGate = "gate"
-	// RecPause marks the rollout paused awaiting operator Decide.
-	RecPause = "pause"
-	// RecResume marks an operator Decide(resume) or a journal recovery.
-	RecResume = "resume"
-	// RecDone closes the rollout with its terminal state.
-	RecDone = "done"
+	recNodePromoted = "node-promoted"
+	// recNodeRolledBack marks one node rolled back via drain-undo.
+	recNodeRolledBack = "node-rolled-back"
+	// recGate records a batch's gate decision with its verdicts.
+	recGate = "gate"
+	// recPause marks the rollout paused awaiting operator Decide.
+	recPause = "pause"
+	// recResume marks an operator Decide(resume) or a journal recovery.
+	recResume = "resume"
+	// recDone closes the rollout with its terminal state.
+	recDone = "done"
 )
 
-// Record is one journal line.
-type Record struct {
+// record is one journal line.
+type record struct {
 	Kind string `json:"kind"`
 	// TS is the wall-clock append time (UnixNano).
 	TS int64 `json:"ts"`
 	// Rollout is the rollout name (on every record, so interleaved or
 	// concatenated journals stay attributable).
 	Rollout string `json:"rollout,omitempty"`
-	// Nodes carries the full node list (RecBegin) or the batch members
-	// (RecBatchStart).
+	// Nodes carries the full node list (recBegin) or the batch members
+	// (recBatchStart).
 	Nodes []string `json:"nodes,omitempty"`
 	// Gens records each batch member's generation BEFORE its restart
-	// (RecBatchStart). Recovery reconciles an in-flight node against it:
+	// (recBatchStart). Recovery reconciles an in-flight node against it:
 	// a higher observed generation means the verdict was delivered and
 	// the promotion simply missed its journal record when the operator
 	// died.
 	Gens map[string]int `json:"gens,omitempty"`
 	// Node is the subject of per-node records.
 	Node string `json:"node,omitempty"`
-	// Batch is the batch index (RecBatchStart, RecGate).
+	// Batch is the batch index (recBatchStart, recGate).
 	Batch int `json:"batch,omitempty"`
-	// Decision is the gate outcome (RecGate) or terminal state (RecDone).
+	// Decision is the gate outcome (recGate) or terminal state (recDone).
 	Decision string `json:"decision,omitempty"`
-	// Verdicts carries the per-node gate evaluations (RecGate).
-	Verdicts []NodeVerdict `json:"verdicts,omitempty"`
+	// Verdicts carries the per-node gate evaluations (recGate).
+	Verdicts []nodeVerdict `json:"verdicts,omitempty"`
 	// Reason annotates pauses, rollbacks, and recoveries.
 	Reason string `json:"reason,omitempty"`
 }
@@ -92,9 +92,9 @@ func OpenJournal(path string) (*Journal, error) {
 	return &Journal{f: f}, nil
 }
 
-// Append writes one record and fsyncs before returning, so the record
+// append writes one record and fsyncs before returning, so the record
 // survives an operator crash immediately after the call.
-func (j *Journal) Append(rec Record) error {
+func (j *Journal) append(rec record) error {
 	if j == nil {
 		return nil
 	}
@@ -138,7 +138,7 @@ func (j *Journal) Close() error {
 // newline is a torn append whose transition never ran, and is skipped even
 // where it parses. A line that does not parse ends the replay: nothing
 // after it is trusted. A missing file replays empty.
-func Replay(path string) ([]Record, error) {
+func Replay(path string) ([]record, error) {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		return nil, nil
@@ -150,8 +150,8 @@ func Replay(path string) ([]Record, error) {
 }
 
 // replay is Replay of a journal's bytes.
-func replay(data []byte) []Record {
-	var recs []Record
+func replay(data []byte) []record {
+	var recs []record
 	for {
 		line, rest, whole := bytes.Cut(data, []byte{'\n'})
 		if !whole {
@@ -161,7 +161,7 @@ func replay(data []byte) []Record {
 		if len(line) == 0 {
 			continue
 		}
-		var rec Record
+		var rec record
 		if json.Unmarshal(line, &rec) != nil {
 			return recs
 		}
@@ -173,8 +173,8 @@ func replay(data []byte) []Record {
 type Progress struct {
 	// Rollout is the journaled rollout's name ("" = empty journal).
 	Rollout string
-	// Nodes is the node list from RecBegin, in rollout order.
-	Nodes []string
+	// nodes is the node list from recBegin, in rollout order.
+	nodes []string
 	// Promoted names nodes whose promotion was journaled; resume skips
 	// them.
 	Promoted map[string]bool
@@ -183,59 +183,59 @@ type Progress struct {
 	// InFlight names nodes of a batch that started but reached no
 	// per-node terminal record — the batch the operator died inside.
 	// These nodes are in an unknown state: possibly still holding a
-	// canary window (which will self-roll-back via MaxHold), possibly
+	// canary window (which will self-roll-back via maxHold), possibly
 	// already promoted with the journal record lost, possibly back on
-	// the old generation. Resume re-examines them against InFlightGens.
+	// the old generation. Resume re-examines them against inFlightGens.
 	InFlight []string
-	// InFlightGens maps each in-flight node to its journaled pre-restart
+	// inFlightGens maps each in-flight node to its journaled pre-restart
 	// generation (absent for journals predating the field).
-	InFlightGens map[string]int
-	// Paused reports whether the last gate decision left the rollout
+	inFlightGens map[string]int
+	// paused reports whether the last gate decision left the rollout
 	// paused with no subsequent resume.
-	Paused bool
-	// Done is the terminal state from RecDone ("" = rollout still open).
-	Done string
+	paused bool
+	// done is the terminal state from recDone ("" = rollout still open).
+	done string
 }
 
 // Recover folds journal records into a resume point.
-func Recover(recs []Record) Progress {
-	p := Progress{Promoted: map[string]bool{}, RolledBack: map[string]bool{}, InFlightGens: map[string]int{}}
+func Recover(recs []record) Progress {
+	p := Progress{Promoted: map[string]bool{}, RolledBack: map[string]bool{}, inFlightGens: map[string]int{}}
 	inflight := map[string]bool{}
 	for _, r := range recs {
 		switch r.Kind {
-		case RecBegin:
+		case recBegin:
 			p.Rollout = r.Rollout
-			p.Nodes = r.Nodes
-		case RecBatchStart:
+			p.nodes = r.Nodes
+		case recBatchStart:
 			for _, n := range r.Nodes {
 				inflight[n] = true
 				if g, ok := r.Gens[n]; ok {
-					p.InFlightGens[n] = g
+					p.inFlightGens[n] = g
 				}
 			}
-		case RecNodePromoted:
+		case recNodePromoted:
 			p.Promoted[r.Node] = true
 			delete(inflight, r.Node)
-		case RecNodeRolledBack:
+		case recNodeRolledBack:
 			p.RolledBack[r.Node] = true
 			delete(inflight, r.Node)
-		case RecPause:
-			p.Paused = true
-		case RecResume:
-			p.Paused = false
-		case RecDone:
-			p.Done = r.Decision
+		case recPause:
+			p.paused = true
+		case recResume:
+			p.paused = false
+		case recDone:
+			p.done = r.Decision
 		}
 	}
 	// Preserve rollout order for the re-examined batch.
-	for _, n := range p.Nodes {
+	for _, n := range p.nodes {
 		if inflight[n] {
 			p.InFlight = append(p.InFlight, n)
 		}
 	}
-	for n := range p.InFlightGens {
+	for n := range p.inFlightGens {
 		if !inflight[n] {
-			delete(p.InFlightGens, n)
+			delete(p.inFlightGens, n)
 		}
 	}
 	return p

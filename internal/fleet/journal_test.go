@@ -14,15 +14,15 @@ func TestJournalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := []Record{
-		{Kind: RecBegin, Rollout: "r1", Nodes: []string{"a", "b", "c"}},
-		{Kind: RecBatchStart, Rollout: "r1", Batch: 0, Nodes: []string{"a"}},
-		{Kind: RecNodePromoted, Rollout: "r1", Node: "a", Batch: 0},
-		{Kind: RecGate, Rollout: "r1", Batch: 0, Decision: "promote",
-			Verdicts: []NodeVerdict{{Node: "a", Outcome: "promote"}}},
+	recs := []record{
+		{Kind: recBegin, Rollout: "r1", Nodes: []string{"a", "b", "c"}},
+		{Kind: recBatchStart, Rollout: "r1", Batch: 0, Nodes: []string{"a"}},
+		{Kind: recNodePromoted, Rollout: "r1", Node: "a", Batch: 0},
+		{Kind: recGate, Rollout: "r1", Batch: 0, Decision: "promote",
+			Verdicts: []nodeVerdict{{Node: "a", Outcome: "promote"}}},
 	}
 	for _, r := range recs {
-		if err := j.Append(r); err != nil {
+		if err := j.append(r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -57,8 +57,8 @@ func TestJournalTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.Append(Record{Kind: RecBegin, Rollout: "r1", Nodes: []string{"a"}})
-	j.Append(Record{Kind: RecBatchStart, Rollout: "r1", Nodes: []string{"a"}})
+	j.append(record{Kind: recBegin, Rollout: "r1", Nodes: []string{"a"}})
+	j.append(record{Kind: recBatchStart, Rollout: "r1", Nodes: []string{"a"}})
 	j.Close()
 	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
@@ -73,7 +73,7 @@ func TestJournalTornTail(t *testing.T) {
 	if len(got) != 2 {
 		t.Fatalf("replayed %d records, want 2 (torn tail skipped)", len(got))
 	}
-	if got[1].Kind != RecBatchStart {
+	if got[1].Kind != recBatchStart {
 		t.Fatalf("last trusted record = %q, want batch-start", got[1].Kind)
 	}
 }
@@ -91,14 +91,14 @@ func TestJournalAppendAfterTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.Append(Record{Kind: RecResume, Rollout: "r1"})
-	j.Append(Record{Kind: RecNodePromoted, Rollout: "r1", Node: "b"})
+	j.append(record{Kind: recResume, Rollout: "r1"})
+	j.append(record{Kind: recNodePromoted, Rollout: "r1", Node: "b"})
 	j.Close()
 	got, err := Replay(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 3 || got[1].Kind != RecResume || got[2].Node != "b" {
+	if len(got) != 3 || got[1].Kind != recResume || got[2].Node != "b" {
 		t.Fatalf("replayed %+v, want begin, resume, node-promoted b", got)
 	}
 }
@@ -116,13 +116,13 @@ func TestReplayMissingFile(t *testing.T) {
 // promoted nodes skipped, the interrupted batch re-examined in rollout
 // order.
 func TestRecoverProgress(t *testing.T) {
-	p := Recover([]Record{
-		{Kind: RecBegin, Rollout: "r1", Nodes: []string{"a", "b", "c", "d"}},
-		{Kind: RecBatchStart, Batch: 0, Nodes: []string{"a"}},
-		{Kind: RecNodePromoted, Node: "a", Batch: 0},
-		{Kind: RecGate, Batch: 0, Decision: "promote"},
-		{Kind: RecBatchStart, Batch: 1, Nodes: []string{"b", "c"}},
-		{Kind: RecNodeRolledBack, Node: "b", Batch: 1},
+	p := Recover([]record{
+		{Kind: recBegin, Rollout: "r1", Nodes: []string{"a", "b", "c", "d"}},
+		{Kind: recBatchStart, Batch: 0, Nodes: []string{"a"}},
+		{Kind: recNodePromoted, Node: "a", Batch: 0},
+		{Kind: recGate, Batch: 0, Decision: "promote"},
+		{Kind: recBatchStart, Batch: 1, Nodes: []string{"b", "c"}},
+		{Kind: recNodeRolledBack, Node: "b", Batch: 1},
 		// operator died here: c has no terminal record, d never started
 	})
 	if p.Rollout != "r1" {
@@ -137,33 +137,33 @@ func TestRecoverProgress(t *testing.T) {
 	if len(p.InFlight) != 1 || p.InFlight[0] != "c" {
 		t.Fatalf("in-flight = %v, want [c]", p.InFlight)
 	}
-	if p.Paused || p.Done != "" {
-		t.Fatalf("paused=%v done=%q on an open rollout", p.Paused, p.Done)
+	if p.paused || p.done != "" {
+		t.Fatalf("paused=%v done=%q on an open rollout", p.paused, p.done)
 	}
 }
 
 // TestRecoverPauseResume: the latest pause/resume wins, and a terminal
 // record closes the rollout.
 func TestRecoverPauseResume(t *testing.T) {
-	p := Recover([]Record{
-		{Kind: RecBegin, Rollout: "r1", Nodes: []string{"a"}},
-		{Kind: RecPause, Batch: 0},
+	p := Recover([]record{
+		{Kind: recBegin, Rollout: "r1", Nodes: []string{"a"}},
+		{Kind: recPause, Batch: 0},
 	})
-	if !p.Paused {
+	if !p.paused {
 		t.Fatal("pause not recovered")
 	}
-	p = Recover([]Record{
-		{Kind: RecBegin, Rollout: "r1", Nodes: []string{"a"}},
-		{Kind: RecPause, Batch: 0},
-		{Kind: RecResume},
-		{Kind: RecNodePromoted, Node: "a"},
-		{Kind: RecDone, Decision: StateDone},
+	p = Recover([]record{
+		{Kind: recBegin, Rollout: "r1", Nodes: []string{"a"}},
+		{Kind: recPause, Batch: 0},
+		{Kind: recResume},
+		{Kind: recNodePromoted, Node: "a"},
+		{Kind: recDone, Decision: StateDone},
 	})
-	if p.Paused {
+	if p.paused {
 		t.Fatal("resume did not clear pause")
 	}
-	if p.Done != StateDone {
-		t.Fatalf("done = %q", p.Done)
+	if p.done != StateDone {
+		t.Fatalf("done = %q", p.done)
 	}
 }
 

@@ -21,36 +21,36 @@ import (
 type Node struct {
 	// Name identifies the node in the journal, status, and spans.
 	Name string
-	// VIP names the VIP group the node serves. Conflict fencing never
+	// vip names the VIP group the node serves. Conflict fencing never
 	// drains two nodes of the same group concurrently (the fleet-level
 	// form of the multi-Origin DCR invariant), and concurrent rollouts
 	// over overlapping groups are refused. Empty means unfenced.
-	VIP string
+	vip string
 	// Target is restarted to release the node. During a gated rollout the
 	// restart blocks inside the canary window (committed-awaiting-ready)
 	// until the orchestrator's verdict resolves it.
 	Target core.Restartable
-	// Counters snapshots the node's cumulative serving counters (the
+	// counters snapshots the node's cumulative serving counters (the
 	// same shape as a ReleaseReport's CountersBefore/After). The registry
 	// must be shared across generations so windows bracket a restart.
-	Counters func() map[string]int64
-	// Probe issues one synchronous health probe against the node's
+	counters func() map[string]int64
+	// probe issues one synchronous health probe against the node's
 	// serving path (Prequal-style: the gate reads probe latency and
 	// failures, not raw load). A nil Probe disables the probe channel.
-	Probe func() error
-	// Window must be installed as the ReadyGate of every proxy
+	probe func() error
+	// window must be installed as the ReadyGate of every proxy
 	// generation the target builds; the orchestrator holds canaries open
 	// through it. Nil makes the node ungateable (ungated rollouts only).
-	Window *CanaryWindow
-	// State reports the node's release state machine position
+	window *canaryWindow
+	// state reports the node's release state machine position
 	// (generation, phase) for status pages and crash resume. Typically
 	// (*core.ProxySlot).State.
-	State func() obs.SlotState
-	// Metrics snapshots the node's full metrics registry — counters,
+	state func() obs.SlotState
+	// metrics snapshots the node's full metrics registry — counters,
 	// gauges, and the mergeable atomic latency histograms the telemetry
 	// pipeline aggregates fleet-wide. Nil excludes the node from latency
 	// merges and the gate's telemetry channel.
-	Metrics func() metrics.RegistrySnapshot
+	metrics func() metrics.RegistrySnapshot
 	// Disruption reports the node's disruption ledger. Nil excludes the
 	// node from disruption accounting (the gate's disruption-rate channel
 	// then abstains for it).
@@ -59,31 +59,31 @@ type Node struct {
 
 // generation returns the node's current generation (0 when unknown).
 func (n *Node) generation() int {
-	if n.State == nil {
+	if n.state == nil {
 		return 0
 	}
-	return n.State().Generation
+	return n.state().Generation
 }
 
 // phase returns the node's release phase ("" when unknown).
 func (n *Node) phase() string {
-	if n.State == nil {
+	if n.state == nil {
 		return ""
 	}
-	return n.State().Phase
+	return n.state().Phase
 }
 
 // Fleet is the in-process Edge fleet a rollout is pushed to: one
 // core.ProxySlot per node, whose generations share the node's registry
-// and, when gated, take the node's CanaryWindow as their ReadyGate. A
+// and, when gated, take the node's canaryWindow as their ReadyGate. A
 // build hook sets what differs between builds and nodes: content,
 // faults and ledgers.
 type Fleet struct {
-	// Slots, Regs and Nodes are per node, in order: the slot, the
+	// Slots, regs and Nodes are per node, in order: the slot, the
 	// registry its generations share, and the orchestrator's Node over
 	// them, probed with a GET of /hello.
 	Slots []*core.ProxySlot
-	Regs  []*metrics.Registry
+	regs  []*metrics.Registry
 	Nodes []*Node
 
 	// addrs are the web VIPs, captured at Start: an address survives
@@ -96,7 +96,7 @@ type Fleet struct {
 }
 
 // NewFleet starts n Edge nodes, edge-00 on vip-00 and on. When gated,
-// each node's generations hold a CanaryWindow bounded by maxHold as
+// each node's generations hold a canaryWindow bounded by maxHold as
 // their ReadyGate, and every generation's lease outlasts that bound by
 // 10 s. A replaced generation is closed 5 ms after its hand-off. build
 // completes node i's config for each generation it builds.
@@ -108,9 +108,9 @@ func NewFleet(n int, gated bool, maxHold time.Duration, build func(i int, cfg *p
 	f := &Fleet{dir: dir, stop: make(chan struct{})}
 	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("edge-%02d", i)
-		var win *CanaryWindow
+		var win *canaryWindow
 		if gated {
-			win = NewCanaryWindow(maxHold)
+			win = newCanaryWindow(maxHold)
 		}
 		reg := metrics.NewRegistry()
 		gen := 0
@@ -132,7 +132,7 @@ func NewFleet(n int, gated bool, maxHold time.Duration, build func(i int, cfg *p
 					Generation:           gen,
 				}
 				if win != nil {
-					cfg.ReadyGate = win.Gate
+					cfg.ReadyGate = win.gate
 				}
 				build(i, &cfg)
 				return proxy.New(cfg, reg)
@@ -143,23 +143,23 @@ func NewFleet(n int, gated bool, maxHold time.Duration, build func(i int, cfg *p
 			return nil, err
 		}
 		addr := slot.Current().Addr(proxy.VIPWeb)
-		f.Slots, f.Regs, f.addrs = append(f.Slots, slot), append(f.Regs, reg), append(f.addrs, addr)
+		f.Slots, f.regs, f.addrs = append(f.Slots, slot), append(f.regs, reg), append(f.addrs, addr)
 		f.Nodes = append(f.Nodes, &Node{
 			Name:     name,
-			VIP:      fmt.Sprintf("vip-%02d", i),
+			vip:      fmt.Sprintf("vip-%02d", i),
 			Target:   slot,
-			Counters: func() map[string]int64 { return reg.Snapshot().Counters },
+			counters: func() map[string]int64 { return reg.Snapshot().Counters },
 			// Any transport failure or a >= 500 status fails the probe.
-			Probe: func() error {
+			probe: func() error {
 				code, err := GetStatus(addr, "/hello", 2*time.Second)
 				if err == nil && code >= 500 {
 					err = fmt.Errorf("fleet: probe status %d", code)
 				}
 				return err
 			},
-			Window:  win,
-			State:   slot.State,
-			Metrics: reg.Snapshot,
+			window:  win,
+			state:   slot.State,
+			metrics: reg.Snapshot,
 			// Disruption is left nil: assign the node's ledger Report
 			// when the build hook gives its generations one.
 		})

@@ -3,7 +3,7 @@
 // nodes (§6 scaled down to an in-process simulation).
 //
 // The mechanism under the mechanism is drain-undo (takeover
-// ProtoDrainUndo): every node's proxy generations install a CanaryWindow
+// ProtoDrainUndo): every node's proxy generations install a canaryWindow
 // as their readiness gate, so a restart commits the hand-off, serves
 // live traffic in committed-awaiting-ready, and then waits for the
 // orchestrator's verdict. Promote releases READY and the old generation
@@ -16,7 +16,7 @@
 // growing ones), health-gated per batch against each node's own
 // pre-release baseline (counter deltas + orchestrator-side probes),
 // conflict-fenced per VIP group, and journaled to disk so a crashed
-// operator resumes — or safely abandons, letting MaxHold self-rollback
+// operator resumes — or safely abandons, letting maxHold self-rollback
 // reclaim the canaries — without guessing.
 package fleet
 
@@ -36,28 +36,28 @@ import (
 
 // Rollout states reported by Status.
 const (
-	StateIdle    = "idle"
-	StateRunning = "running"
+	stateIdle    = "idle"
+	stateRunning = "running"
 	StatePaused  = "paused"
 	StateDone    = "done"
-	StateAborted = "aborted"
-	StateStopped = "stopped" // operator closed/crashed mid-rollout
+	stateAborted = "aborted"
+	stateStopped = "stopped" // operator closed/crashed mid-rollout
 )
 
-// ErrClosed reports that Close tore the orchestrator down mid-rollout.
-var ErrClosed = errors.New("fleet: orchestrator closed")
+// errClosed reports that Close tore the orchestrator down mid-rollout.
+var errClosed = errors.New("fleet: orchestrator closed")
 
-// ErrNotPaused reports a Decide call outside a pause.
-var ErrNotPaused = errors.New("fleet: rollout is not paused")
+// errNotPaused reports a Decide call outside a pause.
+var errNotPaused = errors.New("fleet: rollout is not paused")
 
-// ErrDecidePending reports a Decide call while a decision for the
+// errDecidePending reports a Decide call while a decision for the
 // current pause is already queued and not yet consumed.
-var ErrDecidePending = errors.New("fleet: a decision for this pause is already pending")
+var errDecidePending = errors.New("fleet: a decision for this pause is already pending")
 
-// ErrGateRejected is the verdict delivered into a canary window when the
+// errGateRejected is the verdict delivered into a canary window when the
 // health gate votes against the batch; it surfaces (wrapped) from the
 // node's Restart as the drain-undo cause.
-var ErrGateRejected = errors.New("fleet: health gate rejected the new build")
+var errGateRejected = errors.New("fleet: health gate rejected the new build")
 
 // Config parameterises a rollout.
 type Config struct {
@@ -70,11 +70,8 @@ type Config struct {
 	GrowthFactor int
 	// MaxBatchSize caps batch growth. 0 = no cap.
 	MaxBatchSize int
-	// BaselineWindow is the pre-restart probe window per batch (baseline
-	// p99). 0 skips baseline probing (the latency term then never fires).
-	BaselineWindow time.Duration
 	// HealthWindow is the post-commit observation window per batch. Must
-	// comfortably undercut every node window's MaxHold. Default 2s.
+	// comfortably undercut every node window's maxHold. Default 2s.
 	HealthWindow time.Duration
 	// ProbeInterval paces orchestrator-side probes. Default 50ms.
 	ProbeInterval time.Duration
@@ -97,12 +94,12 @@ type Config struct {
 	Resume *Progress
 	// Trace, when non-nil, records the rollout span tree.
 	Trace *obs.Tracer
-	// Control, when non-nil, injects faults into the operator↔node
+	// control, when non-nil, injects faults into the operator↔node
 	// control channel (every RPC the orchestrator issues).
-	Control *faults.Injector
+	control *faults.Injector
 	// Fence, when non-nil, serialises this rollout against others over
 	// shared VIP groups.
-	Fence *Fence
+	Fence *fence
 }
 
 func (c Config) withDefaults() Config {
@@ -146,11 +143,11 @@ type Status struct {
 	Batch       int           `json:"batch"`
 	Batches     [][]string    `json:"batches,omitempty"`
 	Nodes       []NodeStatus  `json:"nodes"`
-	LastGate    []NodeVerdict `json:"last_gate,omitempty"`
+	LastGate    []nodeVerdict `json:"last_gate,omitempty"`
 	GateOutcome string        `json:"gate_outcome,omitempty"`
 	// Telemetry is the live per-batch disruption/latency roll-up, one
 	// entry per batch driven so far (gated and ungated alike).
-	Telemetry []BatchTelemetry `json:"telemetry,omitempty"`
+	Telemetry []batchTelemetrySum `json:"telemetry,omitempty"`
 }
 
 // Orchestrator drives one rollout over a fixed node set.
@@ -165,9 +162,9 @@ type Orchestrator struct {
 	batches    [][]*Node
 	promoted   map[string]bool
 	rolledBack map[string]bool
-	lastGate   []NodeVerdict
+	lastGate   []nodeVerdict
 	gateOut    string
-	telemetry  []BatchTelemetry
+	telemetry  []batchTelemetrySum
 	// inflight maps node name → the done channel of a restart that
 	// outlived its settle timeout. The node must not be re-driven until
 	// that restart resolves.
@@ -182,7 +179,7 @@ type Orchestrator struct {
 // rollout over nodes.
 func New(cfg Config, nodes []*Node) (*Orchestrator, error) {
 	cfg = cfg.withDefaults()
-	if err := cfg.Gate.Validate(); err != nil {
+	if err := cfg.Gate.validate(); err != nil {
 		return nil, err
 	}
 	if len(nodes) == 0 {
@@ -200,14 +197,14 @@ func New(cfg Config, nodes []*Node) (*Orchestrator, error) {
 		if n.Target == nil {
 			return nil, fmt.Errorf("fleet: node %q has no restart target", n.Name)
 		}
-		if !cfg.Ungated && n.Window == nil {
+		if !cfg.Ungated && n.window == nil {
 			return nil, fmt.Errorf("fleet: node %q has no canary window (required for gated rollouts)", n.Name)
 		}
 	}
 	return &Orchestrator{
 		cfg:        cfg,
 		nodes:      nodes,
-		state:      StateIdle,
+		state:      stateIdle,
 		promoted:   map[string]bool{},
 		rolledBack: map[string]bool{},
 		inflight:   map[string]chan error{},
@@ -219,7 +216,7 @@ func New(cfg Config, nodes []*Node) (*Orchestrator, error) {
 // Close tears the orchestrator down without journaling a terminal
 // record — deliberately indistinguishable (to the journal) from the
 // operator process dying. Canaries left holding their windows
-// self-roll-back once MaxHold expires; a later orchestrator resumes
+// self-roll-back once maxHold expires; a later orchestrator resumes
 // from the journal.
 func (o *Orchestrator) Close() {
 	o.once.Do(func() { close(o.closed) })
@@ -233,19 +230,19 @@ func (o *Orchestrator) Close() {
 func (o *Orchestrator) Decide(resume bool) error {
 	select {
 	case <-o.closed:
-		return ErrClosed
+		return errClosed
 	default:
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if o.state != StatePaused {
-		return ErrNotPaused
+		return errNotPaused
 	}
 	select {
 	case o.decide <- resume:
 		return nil
 	default:
-		return ErrDecidePending
+		return errDecidePending
 	}
 }
 
@@ -257,9 +254,9 @@ func (o *Orchestrator) Status() Status {
 		State:       o.state,
 		Reason:      o.reason,
 		Batch:       o.batch,
-		LastGate:    append([]NodeVerdict(nil), o.lastGate...),
+		LastGate:    append([]nodeVerdict(nil), o.lastGate...),
 		GateOutcome: o.gateOut,
-		Telemetry:   append([]BatchTelemetry(nil), o.telemetry...),
+		Telemetry:   append([]batchTelemetrySum(nil), o.telemetry...),
 	}
 	for _, b := range o.batches {
 		var names []string
@@ -280,12 +277,12 @@ func (o *Orchestrator) Status() Status {
 	for _, n := range o.nodes {
 		ns := NodeStatus{
 			Name:       n.Name,
-			VIP:        n.VIP,
+			VIP:        n.vip,
 			Promoted:   promoted[n.Name],
 			RolledBack: rolledBack[n.Name],
 		}
-		if n.State != nil {
-			s := n.State()
+		if n.state != nil {
+			s := n.state()
 			ns.Generation = s.Generation
 			ns.Phase = s.Phase
 		}
@@ -341,23 +338,23 @@ func (o *Orchestrator) inflightResolved(name string) bool {
 // operator→node interaction funnels here, so a partitioned or lossy
 // control channel degrades the rollout, never the data plane.
 func (o *Orchestrator) rpc(op string) error {
-	return o.cfg.Control.RPC(op)
+	return o.cfg.control.RPC(op)
 }
 
 // Run executes the rollout to a terminal state: StateDone (all nodes
-// promoted), StateAborted (operator Decide), or StatePaused left
+// promoted), stateAborted (operator Decide), or StatePaused left
 // standing when Close unwinds a pause wait. Close mid-flight returns
-// ErrClosed with the journal reflecting exactly what had been committed.
+// errClosed with the journal reflecting exactly what had been committed.
 func (o *Orchestrator) Run() error {
 	if o.cfg.Fence != nil {
 		var vips []string
 		for _, n := range o.nodes {
-			vips = append(vips, n.VIP)
+			vips = append(vips, n.vip)
 		}
-		if err := o.cfg.Fence.Acquire(o.cfg.Name, vips); err != nil {
+		if err := o.cfg.Fence.acquire(o.cfg.Name, vips); err != nil {
 			return err
 		}
-		defer o.cfg.Fence.Release(o.cfg.Name)
+		defer o.cfg.Fence.release(o.cfg.Name)
 	}
 
 	resuming := o.cfg.Resume != nil && o.cfg.Resume.Rollout == o.cfg.Name
@@ -367,7 +364,7 @@ func (o *Orchestrator) Run() error {
 			o.promoted[name] = true
 			o.mu.Unlock()
 		}
-		if err := o.journal(Record{Kind: RecResume, Reason: "journal recovery"}); err != nil {
+		if err := o.journal(record{Kind: recResume, Reason: "journal recovery"}); err != nil {
 			return err
 		}
 		if err := o.reconcileAbandoned(o.cfg.Resume); err != nil {
@@ -378,15 +375,15 @@ func (o *Orchestrator) Run() error {
 		for _, n := range o.nodes {
 			names = append(names, n.Name)
 		}
-		if err := o.journal(Record{Kind: RecBegin, Nodes: names}); err != nil {
+		if err := o.journal(record{Kind: recBegin, Nodes: names}); err != nil {
 			return err
 		}
 	}
 
 	// A window left armed by a dead operator must not leak into this run.
 	for _, n := range o.nodes {
-		if n.Window != nil {
-			n.Window.disarm()
+		if n.window != nil {
+			n.window.disarm()
 		}
 	}
 
@@ -395,7 +392,7 @@ func (o *Orchestrator) Run() error {
 	root.SetAttr("nodes", strconv.Itoa(len(o.nodes)))
 	defer root.End()
 
-	o.setState(StateRunning, "")
+	o.setState(stateRunning, "")
 	err := o.run(root)
 	root.Fail(err)
 	return err
@@ -405,7 +402,7 @@ func (o *Orchestrator) run(root *obs.Span) error {
 	for {
 		remaining := o.remaining()
 		if len(remaining) == 0 {
-			if err := o.journal(Record{Kind: RecDone, Decision: StateDone}); err != nil {
+			if err := o.journal(record{Kind: recDone, Decision: StateDone}); err != nil {
 				return err
 			}
 			o.setState(StateDone, "")
@@ -422,16 +419,16 @@ func (o *Orchestrator) run(root *obs.Span) error {
 			o.mu.Unlock()
 			decision, verdicts, err := o.runBatch(i, batch, root)
 			if err != nil {
-				o.setState(StateStopped, err.Error())
+				o.setState(stateStopped, err.Error())
 				return err
 			}
 			o.mu.Lock()
 			o.lastGate = verdicts
 			o.gateOut = decision.String()
 			o.mu.Unlock()
-			if decision != Promote {
+			if decision != promote {
 				reason := pauseReason(decision, verdicts)
-				if err := o.journal(Record{Kind: RecPause, Batch: i, Reason: reason}); err != nil {
+				if err := o.journal(record{Kind: recPause, Batch: i, Reason: reason}); err != nil {
 					return err
 				}
 				o.pauseState(reason)
@@ -440,16 +437,16 @@ func (o *Orchestrator) run(root *obs.Span) error {
 					return err // Close during pause: state stays paused on disk
 				}
 				if !resume {
-					if err := o.journal(Record{Kind: RecDone, Decision: StateAborted}); err != nil {
+					if err := o.journal(record{Kind: recDone, Decision: stateAborted}); err != nil {
 						return err
 					}
-					o.setState(StateAborted, reason)
+					o.setState(stateAborted, reason)
 					return nil
 				}
-				if err := o.journal(Record{Kind: RecResume, Reason: "operator resume"}); err != nil {
+				if err := o.journal(record{Kind: recResume, Reason: "operator resume"}); err != nil {
 					return err
 				}
-				o.setState(StateRunning, "")
+				o.setState(stateRunning, "")
 				paused = true
 				break // re-plan over what is still unpromoted
 			}
@@ -457,8 +454,8 @@ func (o *Orchestrator) run(root *obs.Span) error {
 				select {
 				case <-time.After(o.cfg.BatchDelay):
 				case <-o.closed:
-					o.setState(StateStopped, ErrClosed.Error())
-					return ErrClosed
+					o.setState(stateStopped, errClosed.Error())
+					return errClosed
 				}
 			}
 		}
@@ -488,13 +485,13 @@ func (o *Orchestrator) awaitDecide() (bool, error) {
 	case resume := <-o.decide:
 		return resume, nil
 	case <-o.closed:
-		return false, ErrClosed
+		return false, errClosed
 	}
 }
 
 // reconcileAbandoned settles the batch a dead operator left mid-flight.
 // First it waits for each node to exit its transition phases (the
-// MaxHold self-rollback resolves a held window; an in-progress hand-off
+// maxHold self-rollback resolves a held window; an in-progress hand-off
 // completes or unwinds on its own) — re-driving a node that is still
 // transitioning would race its previous restart. Then it reconciles the
 // journal against reality: a node whose observed generation advanced
@@ -506,10 +503,10 @@ func (o *Orchestrator) reconcileAbandoned(p *Progress) error {
 	for _, n := range o.nodes {
 		byName[n.Name] = n
 	}
-	deadline := time.Now().Add(o.cfg.WindowTimeout + DefaultMaxHold)
+	deadline := time.Now().Add(o.cfg.WindowTimeout + defaultMaxHold)
 	for _, name := range p.InFlight {
 		n := byName[name]
-		if n == nil || n.State == nil {
+		if n == nil || n.state == nil {
 			continue
 		}
 		for {
@@ -523,16 +520,16 @@ func (o *Orchestrator) reconcileAbandoned(p *Progress) error {
 					case <-time.After(10 * time.Millisecond):
 						continue
 					case <-o.closed:
-						return ErrClosed
+						return errClosed
 					}
 				}
 				return fmt.Errorf("fleet: abandoned canary %s stuck in phase %q", name, n.phase())
 			}
 			break
 		}
-		startGen, known := p.InFlightGens[name]
+		startGen, known := p.inFlightGens[name]
 		if known && n.generation() > startGen {
-			if err := o.journal(Record{Kind: RecNodePromoted, Node: name,
+			if err := o.journal(record{Kind: recNodePromoted, Node: name,
 				Reason: "reconciled: promoted before operator death"}); err != nil {
 				return err
 			}
@@ -548,8 +545,7 @@ func (o *Orchestrator) reconcileAbandoned(p *Progress) error {
 type canary struct {
 	node        *Node
 	before      map[string]int64
-	telBefore   NodeTelemetry
-	baseline    ProbeWindow
+	telBefore   nodeTelemetry
 	entered     <-chan struct{}
 	verdict     chan<- error
 	done        chan error
@@ -560,18 +556,18 @@ type canary struct {
 }
 
 // runBatch drives one batch through restart → observe → gate → settle
-// and returns the gate decision. Journal invariants: RecBatchStart
+// and returns the gate decision. Journal invariants: recBatchStart
 // precedes any node action; every node that entered its window gets a
-// terminal RecNodePromoted or RecNodeRolledBack before RecGate.
-func (o *Orchestrator) runBatch(idx int, batch []*Node, root *obs.Span) (Decision, []NodeVerdict, error) {
+// terminal recNodePromoted or recNodeRolledBack before recGate.
+func (o *Orchestrator) runBatch(idx int, batch []*Node, root *obs.Span) (decision, []nodeVerdict, error) {
 	var names []string
 	gens := map[string]int{}
 	for _, n := range batch {
 		names = append(names, n.Name)
 		gens[n.Name] = n.generation()
 	}
-	if err := o.journal(Record{Kind: RecBatchStart, Batch: idx, Nodes: names, Gens: gens}); err != nil {
-		return Pause, nil, err
+	if err := o.journal(record{Kind: recBatchStart, Batch: idx, Nodes: names, Gens: gens}); err != nil {
+		return pause, nil, err
 	}
 	sp := root.StartChild(obs.SpanRolloutBatch)
 	sp.SetAttr("batch", strconv.Itoa(idx))
@@ -580,31 +576,22 @@ func (o *Orchestrator) runBatch(idx int, batch []*Node, root *obs.Span) (Decisio
 
 	if o.cfg.Ungated {
 		verdicts, err := o.runUngatedBatch(idx, batch, sp)
-		return Promote, verdicts, err
+		return promote, verdicts, err
 	}
 
-	// Baseline: per-node counter snapshot + probe window, before any
-	// restart. Each node is judged against itself.
+	// Baseline: per-node counter snapshot, before any restart. Each node
+	// is judged against itself.
 	cans := make([]*canary, len(batch))
-	var wg sync.WaitGroup
 	for i, n := range batch {
 		c := &canary{node: n, done: make(chan error, 1)}
 		cans[i] = c
-		if err := o.rpc("snapshot " + n.Name); err == nil && n.Counters != nil {
-			c.before = n.Counters()
+		if err := o.rpc("snapshot " + n.Name); err == nil && n.counters != nil {
+			c.before = n.counters()
 		}
 		if err := o.rpc("scrape " + n.Name); err == nil {
 			c.telBefore = scrapeNode(n)
 		}
-		if o.cfg.BaselineWindow > 0 {
-			wg.Add(1)
-			go func(c *canary) {
-				defer wg.Done()
-				c.baseline = o.probeWindow(c.node, o.cfg.BaselineWindow)
-			}(c)
-		}
 	}
-	wg.Wait()
 
 	// Restart every node; each blocks inside its canary window. A node
 	// whose previous restart outlived its settle timeout is skipped —
@@ -619,7 +606,7 @@ func (o *Orchestrator) runBatch(idx int, batch []*Node, root *obs.Span) (Decisio
 			c.failed = fmt.Sprintf("restart rpc: %v", err)
 			continue
 		}
-		c.entered, c.verdict = c.node.Window.arm()
+		c.entered, c.verdict = c.node.window.arm()
 		go func(c *canary) {
 			c.done <- c.node.Target.Restart(core.WithTrace(sp))
 		}(c)
@@ -639,7 +626,7 @@ func (o *Orchestrator) runBatch(idx int, batch []*Node, root *obs.Span) (Decisio
 			// Restart resolved without entering the window: a pre-commit
 			// abort (old generation never stopped serving). Benign; the
 			// restart is over, so disarming cannot race it.
-			c.node.Window.disarm()
+			c.node.window.disarm()
 			c.failed = fmt.Sprintf("restart did not reach canary window: %v", err)
 		case <-time.After(time.Until(deadline)):
 			// The restart is still in flight. Disarming here would let a
@@ -649,18 +636,18 @@ func (o *Orchestrator) runBatch(idx int, batch []*Node, root *obs.Span) (Decisio
 			// buffered: delivery never blocks). If the node ever reaches
 			// its window, drain-undo unwinds it; the window is disarmed
 			// only once the restart resolves (settle loop below).
-			c.verdict <- fmt.Errorf("%w: timeout waiting for canary window", ErrGateRejected)
+			c.verdict <- fmt.Errorf("%w: timeout waiting for canary window", errGateRejected)
 			c.preRejected = true
 			c.failed = "timeout waiting for canary window"
 		case <-o.closed:
-			return Pause, nil, ErrClosed
+			return pause, nil, errClosed
 		}
 	}
 
 	// Observation window: the new generations serve live traffic while
 	// the old ones hold their FDs as the instant rollback.
 	gateSp := sp.StartChild(obs.SpanRolloutGate)
-	windows := make([]ProbeWindow, len(cans))
+	windows := make([]probeWindow, len(cans))
 	var obsWG sync.WaitGroup
 	for i, c := range cans {
 		if !c.inWindow {
@@ -677,21 +664,21 @@ func (o *Orchestrator) runBatch(idx int, batch []*Node, root *obs.Span) (Decisio
 	// Evaluate: counter deltas vs the node's own baseline, plus the
 	// probe window. Nodes that never entered their window vote Pause —
 	// the control plane could not judge them, so a human must.
-	verdicts := make([]NodeVerdict, len(cans))
-	telWindows := make([]TelemetryWindow, len(cans))
+	verdicts := make([]nodeVerdict, len(cans))
+	telWindows := make([]telemetryWindow, len(cans))
 	for i, c := range cans {
 		if !c.inWindow {
-			verdicts[i] = NodeVerdict{
+			verdicts[i] = nodeVerdict{
 				Node:     c.node.Name,
-				Decision: Pause,
-				Outcome:  Pause.String(),
+				Decision: pause,
+				Outcome:  pause.String(),
 				Reason:   c.failed,
 			}
 			continue
 		}
 		var after map[string]int64
-		if err := o.rpc("counters " + c.node.Name); err == nil && c.node.Counters != nil {
-			after = c.node.Counters()
+		if err := o.rpc("counters " + c.node.Name); err == nil && c.node.counters != nil {
+			after = c.node.counters()
 		}
 		delta := core.HealthDeltaBetween(c.before, after, requestKeys, errorKeys)
 		if c.before == nil || after == nil {
@@ -701,19 +688,19 @@ func (o *Orchestrator) runBatch(idx int, batch []*Node, root *obs.Span) (Decisio
 			// zero and roll back healthy nodes with any lifetime errors.
 			delta.Inconclusive = true
 		}
-		var telAfter NodeTelemetry
+		var telAfter nodeTelemetry
 		if err := o.rpc("scrape " + c.node.Name); err == nil {
 			telAfter = scrapeNode(c.node)
 		}
 		telWindows[i] = telemetryWindowBetween(c.telBefore, telAfter)
-		verdicts[i] = evalNode(o.cfg.Gate, c.node.Name, delta, c.baseline, windows[i], telWindows[i])
+		verdicts[i] = evalNode(o.cfg.Gate, c.node.Name, delta, windows[i], telWindows[i])
 	}
 	o.mu.Lock()
 	o.telemetry = append(o.telemetry, batchTelemetry(idx, names, telWindows))
 	o.mu.Unlock()
 	decision := aggregate(verdicts)
 	gateSp.SetAttr("decision", decision.String())
-	if decision != Promote {
+	if decision != promote {
 		gateSp.Fail(fmt.Errorf("fleet: batch %d gate: %s", idx, pauseReason(decision, verdicts)))
 	}
 	gateSp.End()
@@ -721,7 +708,7 @@ func (o *Orchestrator) runBatch(idx int, batch []*Node, root *obs.Span) (Decisio
 	// Settle every node that holds a window. Promote → nil verdict, the
 	// READY frame goes out and the old generation drains. Anything else →
 	// error verdict, drain-undo re-arms the old generation. A dropped
-	// verdict RPC delivers nothing: MaxHold self-rollback reclaims the
+	// verdict RPC delivers nothing: maxHold self-rollback reclaims the
 	// node, and it is accounted rolled-back like the rest. A node that
 	// SHOULD have promoted but could not (verdict lost, restart error)
 	// downgrades the batch to Pause — the control plane is unhealthy, so
@@ -740,7 +727,7 @@ func (o *Orchestrator) runBatch(idx int, batch []*Node, root *obs.Span) (Decisio
 		}
 	}()
 	// Deliver every verdict before waiting on any settle: a held window
-	// ages against its MaxHold the whole time, so queueing node N's
+	// ages against its maxHold the whole time, so queueing node N's
 	// verdict behind node N-1's drain would spuriously self-roll-back the
 	// tail of a large batch.
 	for _, c := range cans {
@@ -748,10 +735,10 @@ func (o *Orchestrator) runBatch(idx int, batch []*Node, root *obs.Span) (Decisio
 			continue
 		}
 		if err := o.rpc("verdict " + c.node.Name); err == nil {
-			if decision == Promote {
+			if decision == promote {
 				c.verdict <- nil
 			} else {
-				c.verdict <- fmt.Errorf("%w (batch %d)", ErrGateRejected, idx)
+				c.verdict <- fmt.Errorf("%w (batch %d)", errGateRejected, idx)
 			}
 			c.delivered = true
 		}
@@ -762,7 +749,7 @@ func (o *Orchestrator) runBatch(idx int, batch []*Node, root *obs.Span) (Decisio
 		}
 		settleTimeout := o.cfg.WindowTimeout
 		if !c.delivered && !c.preRejected {
-			// The node never hears from us again; wait out its MaxHold.
+			// The node never hears from us again; wait out its maxHold.
 			settleTimeout += maxHold(c.node)
 		}
 		var restartErr error
@@ -774,12 +761,12 @@ func (o *Orchestrator) runBatch(idx int, batch []*Node, root *obs.Span) (Decisio
 			restartErr = fmt.Errorf("fleet: node %s did not settle within %s", c.node.Name, settleTimeout)
 		case <-o.closed:
 			if c.inWindow {
-				c.node.Window.disarm()
+				c.node.window.disarm()
 			}
-			return Pause, nil, ErrClosed
+			return pause, nil, errClosed
 		}
 		if settled {
-			c.node.Window.disarm()
+			c.node.window.disarm()
 		} else {
 			// The restart is still in flight: keep the window armed (a
 			// pre-rejected node's queued verdict still fails a late Gate)
@@ -789,13 +776,13 @@ func (o *Orchestrator) runBatch(idx int, batch []*Node, root *obs.Span) (Decisio
 			o.inflight[c.node.Name] = c.done
 			o.mu.Unlock()
 		}
-		promoted := c.delivered && decision == Promote && (restartErr == nil || errors.Is(restartErr, core.ErrTakeoverNotArmed))
+		promoted := c.delivered && decision == promote && (restartErr == nil || errors.Is(restartErr, core.ErrTakeoverNotArmed))
 		if promoted {
 			// ErrTakeoverNotArmed means the new generation serves but is
 			// not yet releasable; that is a promotion with a warning, not
 			// a rollback.
-			if err := o.journal(Record{Kind: RecNodePromoted, Node: c.node.Name, Batch: idx}); err != nil {
-				return Pause, verdicts, err
+			if err := o.journal(record{Kind: recNodePromoted, Node: c.node.Name, Batch: idx}); err != nil {
+				return pause, verdicts, err
 			}
 			o.mu.Lock()
 			o.promoted[c.node.Name] = true
@@ -808,25 +795,25 @@ func (o *Orchestrator) runBatch(idx int, batch []*Node, root *obs.Span) (Decisio
 			reason = c.failed // timeout waiting for canary window
 		case !c.delivered:
 			reason = "verdict lost, MaxHold self-rollback"
-		case decision == Promote:
+		case decision == promote:
 			reason = fmt.Sprintf("promote failed: %v", restartErr)
 		}
-		if decision == Promote {
-			decision = Pause
-			verdicts = append(verdicts, NodeVerdict{
-				Node: c.node.Name, Decision: Pause, Outcome: Pause.String(), Reason: reason,
+		if decision == promote {
+			decision = pause
+			verdicts = append(verdicts, nodeVerdict{
+				Node: c.node.Name, Decision: pause, Outcome: pause.String(), Reason: reason,
 			})
 		}
 		rollbackSpan()
-		if err := o.journal(Record{Kind: RecNodeRolledBack, Node: c.node.Name, Batch: idx, Reason: reason}); err != nil {
-			return Pause, verdicts, err
+		if err := o.journal(record{Kind: recNodeRolledBack, Node: c.node.Name, Batch: idx, Reason: reason}); err != nil {
+			return pause, verdicts, err
 		}
 		o.mu.Lock()
 		o.rolledBack[c.node.Name] = true
 		o.mu.Unlock()
 	}
-	if err := o.journal(Record{Kind: RecGate, Batch: idx, Decision: decision.String(), Verdicts: verdicts}); err != nil {
-		return Pause, verdicts, err
+	if err := o.journal(record{Kind: recGate, Batch: idx, Decision: decision.String(), Verdicts: verdicts}); err != nil {
+		return pause, verdicts, err
 	}
 	return decision, verdicts, nil
 }
@@ -834,8 +821,8 @@ func (o *Orchestrator) runBatch(idx int, batch []*Node, root *obs.Span) (Decisio
 // runUngatedBatch restarts the batch with no window and no gate — the
 // pre-gate release process kept for disruption comparisons. Every node
 // is promoted regardless of health.
-func (o *Orchestrator) runUngatedBatch(idx int, batch []*Node, sp *obs.Span) ([]NodeVerdict, error) {
-	befores := make([]NodeTelemetry, len(batch))
+func (o *Orchestrator) runUngatedBatch(idx int, batch []*Node, sp *obs.Span) ([]nodeVerdict, error) {
+	befores := make([]nodeTelemetry, len(batch))
 	for i, n := range batch {
 		if err := o.rpc("scrape " + n.Name); err == nil {
 			befores[i] = scrapeNode(n)
@@ -858,11 +845,11 @@ func (o *Orchestrator) runUngatedBatch(idx int, batch []*Node, sp *obs.Span) ([]
 	// The telemetry window brackets the restart itself: with no canary
 	// window, whatever the ungated restart disrupted is exactly what the
 	// gated-vs-ungated §6 comparison wants counted.
-	telWindows := make([]TelemetryWindow, len(batch))
+	telWindows := make([]telemetryWindow, len(batch))
 	names := make([]string, len(batch))
 	for i, n := range batch {
 		names[i] = n.Name
-		var after NodeTelemetry
+		var after nodeTelemetry
 		if err := o.rpc("scrape " + n.Name); err == nil {
 			after = scrapeNode(n)
 		}
@@ -871,20 +858,20 @@ func (o *Orchestrator) runUngatedBatch(idx int, batch []*Node, sp *obs.Span) ([]
 	o.mu.Lock()
 	o.telemetry = append(o.telemetry, batchTelemetry(idx, names, telWindows))
 	o.mu.Unlock()
-	verdicts := make([]NodeVerdict, len(batch))
+	verdicts := make([]nodeVerdict, len(batch))
 	for i, n := range batch {
-		verdicts[i] = NodeVerdict{Node: n.Name, Decision: Promote, Outcome: Promote.String()}
+		verdicts[i] = nodeVerdict{Node: n.Name, Decision: promote, Outcome: promote.String()}
 		if errs[i] != nil {
 			verdicts[i].Reason = errs[i].Error()
 		}
-		if err := o.journal(Record{Kind: RecNodePromoted, Node: n.Name, Batch: idx, Reason: verdicts[i].Reason}); err != nil {
+		if err := o.journal(record{Kind: recNodePromoted, Node: n.Name, Batch: idx, Reason: verdicts[i].Reason}); err != nil {
 			return verdicts, err
 		}
 		o.mu.Lock()
 		o.promoted[n.Name] = true
 		o.mu.Unlock()
 	}
-	if err := o.journal(Record{Kind: RecGate, Batch: idx, Decision: Promote.String(), Verdicts: verdicts}); err != nil {
+	if err := o.journal(record{Kind: recGate, Batch: idx, Decision: promote.String(), Verdicts: verdicts}); err != nil {
 		return verdicts, err
 	}
 	return verdicts, nil
@@ -894,9 +881,9 @@ func (o *Orchestrator) runUngatedBatch(idx int, batch []*Node, sp *obs.Span) ([]
 // aggregates them. Dropped probe RPCs are not counted at all — a lossy
 // control plane must not masquerade as node badness (it surfaces as an
 // inconclusive channel instead).
-func (o *Orchestrator) probeWindow(n *Node, window time.Duration) ProbeWindow {
-	var pw ProbeWindow
-	if n.Probe == nil || window <= 0 {
+func (o *Orchestrator) probeWindow(n *Node, window time.Duration) probeWindow {
+	var pw probeWindow
+	if n.probe == nil || window <= 0 {
 		return pw
 	}
 	var lat []time.Duration
@@ -904,7 +891,7 @@ func (o *Orchestrator) probeWindow(n *Node, window time.Duration) ProbeWindow {
 	for {
 		if err := o.rpc("probe " + n.Name); err == nil {
 			start := time.Now()
-			err := n.Probe()
+			err := n.probe()
 			pw.Sent++
 			if err != nil {
 				pw.Failures++
@@ -948,20 +935,20 @@ func quantile(samples []time.Duration, q float64) time.Duration {
 
 // maxHold is the node window's effective hold bound.
 func maxHold(n *Node) time.Duration {
-	if n.Window == nil || n.Window.MaxHold <= 0 {
-		return DefaultMaxHold
+	if n.window == nil || n.window.maxHold <= 0 {
+		return defaultMaxHold
 	}
-	return n.Window.MaxHold
+	return n.window.maxHold
 }
 
 // journal appends to the rollout's write-ahead log (no-op when
 // unjournaled). Records carry the rollout name for attribution.
-func (o *Orchestrator) journal(rec Record) error {
+func (o *Orchestrator) journal(rec record) error {
 	if o.cfg.Journal == nil {
 		return nil
 	}
 	rec.Rollout = o.cfg.Name
-	return o.cfg.Journal.Append(rec)
+	return o.cfg.Journal.append(rec)
 }
 
 // planBatches slices nodes into canary-first batches: the first batch
@@ -980,9 +967,9 @@ func planBatches(nodes []*Node, canary, growth, maxBatch int) [][]*Node {
 		var batch, deferred []*Node
 		used := map[string]bool{}
 		for _, n := range remaining {
-			if len(batch) < take && (n.VIP == "" || !used[n.VIP]) {
+			if len(batch) < take && (n.vip == "" || !used[n.vip]) {
 				batch = append(batch, n)
-				used[n.VIP] = true
+				used[n.vip] = true
 			} else {
 				deferred = append(deferred, n)
 			}
@@ -1024,7 +1011,7 @@ func BatchSizes(n, canary, maxBatch int) []int {
 	return sizes
 }
 
-func pauseReason(d Decision, verdicts []NodeVerdict) string {
+func pauseReason(d decision, verdicts []nodeVerdict) string {
 	for _, v := range verdicts {
 		if v.Decision == d && v.Reason != "" {
 			return fmt.Sprintf("%s: %s (%s)", d, v.Node, v.Reason)

@@ -20,7 +20,7 @@ import (
 // proxy generation runs its ReadyGate), and either promotes or unwinds.
 type fakeTarget struct {
 	name     string
-	win      *CanaryWindow
+	win      *canaryWindow
 	preGate  func() // runs before the commit + gate (simulates a slow hand-off)
 	mu       sync.Mutex
 	gen      int
@@ -42,7 +42,7 @@ func (f *fakeTarget) Restart(...core.RestartOption) error {
 		f.preGate()
 	}
 	f.setPhase("committed-awaiting-ready")
-	if err := f.win.Gate(); err != nil {
+	if err := f.win.gate(); err != nil {
 		f.setPhase("rolled-back")
 		return fmt.Errorf("fake: hand-off undone: %w", err)
 	}
@@ -105,17 +105,17 @@ func (c *fakeCounters) snapshot() map[string]int64 {
 // newFakeNode builds a gated fake node. bad (optional) makes its counter
 // window erroring when it returns true.
 func newFakeNode(name, vip string, bad func() bool) (*Node, *fakeTarget) {
-	win := NewCanaryWindow(5 * time.Second)
+	win := newCanaryWindow(5 * time.Second)
 	ft := &fakeTarget{name: name, win: win}
 	ctrs := &fakeCounters{bad: bad}
 	return &Node{
 		Name:     name,
-		VIP:      vip,
+		vip:      vip,
 		Target:   ft,
-		Counters: ctrs.snapshot,
-		Probe:    func() error { return nil },
-		Window:   win,
-		State:    ft.state,
+		counters: ctrs.snapshot,
+		probe:    func() error { return nil },
+		window:   win,
+		state:    ft.state,
 	}, ft
 }
 
@@ -186,7 +186,7 @@ func TestBatchSizesManyBatches(t *testing.T) {
 	// Uncapped, 100 nodes behind one VIP go one per batch.
 	var nodes []*Node
 	for i := 0; i < 100; i++ {
-		nodes = append(nodes, &Node{Name: fmt.Sprintf("n%03d", i), VIP: "vip-a"})
+		nodes = append(nodes, &Node{Name: fmt.Sprintf("n%03d", i), vip: "vip-a"})
 	}
 	if got := len(planBatches(nodes, 1, 2, 0)); got != 100 {
 		t.Fatalf("100 same-VIP nodes planned into %d batches, want 100", got)
@@ -198,19 +198,19 @@ func TestBatchSizesManyBatches(t *testing.T) {
 // the in-rollout form of the conflict fence.
 func TestPlanBatchesVIPDisjoint(t *testing.T) {
 	nodes := []*Node{
-		{Name: "a1", VIP: "vip-a"},
-		{Name: "a2", VIP: "vip-a"},
-		{Name: "b1", VIP: "vip-b"},
-		{Name: "a3", VIP: "vip-a"},
+		{Name: "a1", vip: "vip-a"},
+		{Name: "a2", vip: "vip-a"},
+		{Name: "b1", vip: "vip-b"},
+		{Name: "a3", vip: "vip-a"},
 	}
 	batches := planBatches(nodes, 4, 2, 0)
 	for bi, b := range batches {
 		seen := map[string]bool{}
 		for _, n := range b {
-			if n.VIP != "" && seen[n.VIP] {
-				t.Fatalf("batch %d co-schedules two %s nodes: %v", bi, n.VIP, names(b))
+			if n.vip != "" && seen[n.vip] {
+				t.Fatalf("batch %d co-schedules two %s nodes: %v", bi, n.vip, names(b))
 			}
-			seen[n.VIP] = true
+			seen[n.vip] = true
 		}
 	}
 	total := 0
@@ -277,12 +277,12 @@ func TestOrchestratorHappyPath(t *testing.T) {
 	for _, r := range recs {
 		counts[r.Kind]++
 	}
-	if counts[RecBegin] != 1 || counts[RecNodePromoted] != 5 || counts[RecDone] != 1 {
+	if counts[recBegin] != 1 || counts[recNodePromoted] != 5 || counts[recDone] != 1 {
 		t.Fatalf("journal counts %v", counts)
 	}
 	// Canary-first: batches of 1, 2, 2.
-	if counts[RecBatchStart] != 3 {
-		t.Fatalf("batch starts %d, want 3", counts[RecBatchStart])
+	if counts[recBatchStart] != 3 {
+		t.Fatalf("batch starts %d, want 3", counts[recBatchStart])
 	}
 	// Span tree: one rollout root with batch children carrying gates.
 	roots := obs.BuildTree(cfg.Trace.Finished())
@@ -342,7 +342,7 @@ func TestOrchestratorBadCanaryPausesFleet(t *testing.T) {
 	if err := <-runDone; err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if o.Status().State != StateAborted {
+	if o.Status().State != stateAborted {
 		t.Fatalf("state %q after abort", o.Status().State)
 	}
 }
@@ -384,7 +384,7 @@ func TestOrchestratorPauseResume(t *testing.T) {
 // fence is refused before touching any node.
 func TestOrchestratorFenceRefusal(t *testing.T) {
 	fence := NewFence()
-	if err := fence.Acquire("other-rollout", []string{"vip-a"}); err != nil {
+	if err := fence.acquire("other-rollout", []string{"vip-a"}); err != nil {
 		t.Fatal(err)
 	}
 	n, ft := newFakeNode("n0", "vip-a", nil)
@@ -395,7 +395,7 @@ func TestOrchestratorFenceRefusal(t *testing.T) {
 		t.Fatal(err)
 	}
 	err = o.Run()
-	var fe *ErrFenced
+	var fe *errFenced
 	if !errors.As(err, &fe) {
 		t.Fatalf("run returned %v, want *ErrFenced", err)
 	}
@@ -412,7 +412,7 @@ func TestOrchestratorResumeSkipsPromoted(t *testing.T) {
 	cfg := fastConfig("resumed")
 	cfg.Resume = &Progress{
 		Rollout:  "resumed",
-		Nodes:    []string{"n0", "n1"},
+		nodes:    []string{"n0", "n1"},
 		Promoted: map[string]bool{"n0": true},
 	}
 	o, err := New(cfg, []*Node{n0, n1})
@@ -438,22 +438,22 @@ func TestOrchestratorResumeSkipsPromoted(t *testing.T) {
 // committed-awaiting-ready — probes observe that phase, and the gate
 // still promotes on a healthy window.
 func TestOrchestratorGateDuringAwaitingReady(t *testing.T) {
-	win := NewCanaryWindow(5 * time.Second)
+	win := newCanaryWindow(5 * time.Second)
 	ft := &fakeTarget{name: "n0", win: win}
 	ctrs := &fakeCounters{}
 	var sawAwaitingReady atomic.Bool
 	node := &Node{
 		Name:     "n0",
 		Target:   ft,
-		Counters: ctrs.snapshot,
-		Probe: func() error {
+		counters: ctrs.snapshot,
+		probe: func() error {
 			if ft.state().Phase == "committed-awaiting-ready" {
 				sawAwaitingReady.Store(true)
 			}
 			return nil
 		},
-		Window: win,
-		State:  ft.state,
+		window: win,
+		state:  ft.state,
 	}
 	o, err := New(fastConfig("awaiting-ready"), []*Node{node})
 	if err != nil {
@@ -479,7 +479,7 @@ func TestOrchestratorUngated(t *testing.T) {
 	var fts []*fakeTarget
 	for i := 0; i < 4; i++ {
 		n, ft := newFakeNode(fmt.Sprintf("n%d", i), "", alwaysBad)
-		n.Window = nil // ungated rollouts need no canary window
+		n.window = nil // ungated rollouts need no canary window
 		nodes = append(nodes, n)
 		fts = append(fts, ft)
 	}
@@ -522,7 +522,7 @@ func (f *timedTarget) Restart(...core.RestartOption) error {
 
 // runUngated runs an ungated rollout over targets, one node each, with
 // batches capped at maxBatch, and returns its journal.
-func runUngated(t *testing.T, maxBatch int, targets ...*timedTarget) []Record {
+func runUngated(t *testing.T, maxBatch int, targets ...*timedTarget) []record {
 	t.Helper()
 	jpath := filepath.Join(t.TempDir(), "r.jsonl")
 	j, err := OpenJournal(jpath)
@@ -565,7 +565,7 @@ func TestOrchestratorUngatedRecordsFailedRestart(t *testing.T) {
 	}
 	reasons := map[string]string{}
 	for _, r := range recs {
-		if r.Kind == RecNodePromoted {
+		if r.Kind == recNodePromoted {
 			reasons[r.Node] = r.Reason
 		}
 	}
@@ -602,7 +602,7 @@ func TestOrchestratorPartitionedControlPlane(t *testing.T) {
 	in.SetPartitioned(true)
 	n0, ft0 := newFakeNode("n0", "", nil)
 	cfg := fastConfig("partitioned")
-	cfg.Control = in
+	cfg.control = in
 	o, err := New(cfg, []*Node{n0})
 	if err != nil {
 		t.Fatal(err)
@@ -740,13 +740,13 @@ func TestOrchestratorWindowTimeoutPerCanary(t *testing.T) {
 // error rate (50%) dwarfs MaxErrorRateDelta; only the missing-baseline
 // guard keeps the healthy window from being spuriously rolled back.
 func TestOrchestratorBaselineSnapshotDropAbstains(t *testing.T) {
-	win := NewCanaryWindow(5 * time.Second)
+	win := newCanaryWindow(5 * time.Second)
 	ft := &fakeTarget{name: "n0", win: win}
 	var calls atomic.Int32
 	node := &Node{
 		Name:   "n0",
 		Target: ft,
-		Counters: func() map[string]int64 {
+		counters: func() map[string]int64 {
 			if calls.Add(1) == 1 {
 				return nil // baseline snapshot lost
 			}
@@ -755,9 +755,9 @@ func TestOrchestratorBaselineSnapshotDropAbstains(t *testing.T) {
 				"edge.http.errors.no_origin": 5000,
 			}
 		},
-		Probe:  func() error { return nil },
-		Window: win,
-		State:  ft.state,
+		probe:  func() error { return nil },
+		window: win,
+		state:  ft.state,
 	}
 	o, err := New(fastConfig("no-baseline"), []*Node{node})
 	if err != nil {
@@ -784,14 +784,14 @@ func TestDecideSingleFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := o.Decide(true); !errors.Is(err, ErrNotPaused) {
+	if err := o.Decide(true); !errors.Is(err, errNotPaused) {
 		t.Fatalf("Decide on idle rollout: %v, want ErrNotPaused", err)
 	}
 	o.setState(StatePaused, "test")
 	if err := o.Decide(true); err != nil {
 		t.Fatalf("first Decide: %v", err)
 	}
-	if err := o.Decide(true); !errors.Is(err, ErrDecidePending) {
+	if err := o.Decide(true); !errors.Is(err, errDecidePending) {
 		t.Fatalf("second Decide: %v, want ErrDecidePending", err)
 	}
 	// Entering a new pause discards the undelivered decision.
@@ -802,7 +802,7 @@ func TestDecideSingleFlight(t *testing.T) {
 	default:
 	}
 	o.Close()
-	if err := o.Decide(true); !errors.Is(err, ErrClosed) {
+	if err := o.Decide(true); !errors.Is(err, errClosed) {
 		t.Fatalf("Decide after Close: %v, want ErrClosed", err)
 	}
 }
@@ -817,7 +817,7 @@ func TestOrchestratorValidation(t *testing.T) {
 		t.Fatal("empty fleet accepted")
 	}
 	cfg := fastConfig("v")
-	cfg.Gate.MaxP99Factor = 0.3
+	cfg.Gate.maxP99Factor = 0.3
 	if _, err := New(cfg, []*Node{n}); err == nil {
 		t.Fatal("invalid gate config accepted")
 	}

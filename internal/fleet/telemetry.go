@@ -25,12 +25,12 @@ var latencyKeys = []string{
 	"origin.http.latency",
 }
 
-// NodeTelemetry is one node's scrape: request/error totals, the node's
+// nodeTelemetry is one node's scrape: request/error totals, the node's
 // merged latency distribution, and its disruption report. Scraped is
 // false when the scrape RPC was dropped by a faulted control plane or
 // the node exposes no telemetry surface — merged reports then degrade
 // to partial coverage instead of inventing zeros.
-type NodeTelemetry struct {
+type nodeTelemetry struct {
 	Node       string                 `json:"node"`
 	Generation int                    `json:"generation,omitempty"`
 	Phase      string                 `json:"phase,omitempty"`
@@ -47,7 +47,7 @@ type NodeTelemetry struct {
 // quantiles). CausePhase is the §6-table shape: terminal failures
 // collapsed to (cause, phase) cells.
 type TelemetryReport struct {
-	Nodes        []NodeTelemetry        `json:"nodes,omitempty"`
+	Nodes        []nodeTelemetry        `json:"nodes,omitempty"`
 	TotalNodes   int                    `json:"total_nodes"`
 	ScrapedNodes int                    `json:"scraped_nodes"`
 	Requests     int64                  `json:"requests"`
@@ -57,7 +57,7 @@ type TelemetryReport struct {
 	LatencyP99   float64                `json:"latency_p99_s"`
 	LatencyP999  float64                `json:"latency_p999_s"`
 	Disruption   disrupt.Report         `json:"disruption"`
-	// DisruptionRate is terminal ledger events / requests (0 with no
+	// disruptionRate is terminal ledger events / requests (0 with no
 	// requests).
 	DisruptionRate float64        `json:"disruption_rate"`
 	CausePhase     []disrupt.Cell `json:"cause_phase,omitempty"`
@@ -69,22 +69,22 @@ type TelemetryReport struct {
 type Telemetry struct {
 	// Nodes is the scrape set.
 	Nodes []*Node
-	// Control, when non-nil, injects faults into the scrape RPCs — the
+	// control, when non-nil, injects faults into the scrape RPCs — the
 	// telemetry plane rides the same lossy operator↔node channel as the
 	// rollout control plane, and a partition degrades coverage
 	// (ScrapedNodes < TotalNodes), never invents data.
-	Control *faults.Injector
+	control *faults.Injector
 }
 
 // Scrape reads every node and merges the fleet report.
 func (t *Telemetry) Scrape() TelemetryReport {
 	rep := TelemetryReport{TotalNodes: len(t.Nodes)}
 	for _, n := range t.Nodes {
-		nt := NodeTelemetry{Node: n.Name}
-		if err := t.Control.RPC("scrape " + n.Name); err == nil {
+		nt := nodeTelemetry{Node: n.Name}
+		if err := t.control.RPC("scrape " + n.Name); err == nil {
 			nt = scrapeNode(n)
-		} else if n.State != nil {
-			s := n.State()
+		} else if n.state != nil {
+			s := n.state()
 			nt.Generation, nt.Phase = s.Generation, s.Phase
 		}
 		rep.Nodes = append(rep.Nodes, nt)
@@ -110,18 +110,18 @@ func (t *Telemetry) Scrape() TelemetryReport {
 // partitioned control plane loses the scrape (the telemetry channel
 // abstains) rather than fabricating a clean window. A node exposing
 // neither Metrics nor Disruption is reported unscraped.
-func scrapeNode(n *Node) NodeTelemetry {
-	nt := NodeTelemetry{Node: n.Name}
-	if n.State != nil {
-		s := n.State()
+func scrapeNode(n *Node) nodeTelemetry {
+	nt := nodeTelemetry{Node: n.Name}
+	if n.state != nil {
+		s := n.state()
 		nt.Generation, nt.Phase = s.Generation, s.Phase
 	}
-	if n.Metrics == nil && n.Disruption == nil {
+	if n.metrics == nil && n.Disruption == nil {
 		return nt
 	}
 	nt.Scraped = true
-	if n.Metrics != nil {
-		snap := n.Metrics()
+	if n.metrics != nil {
+		snap := n.metrics()
 		for _, k := range requestKeys {
 			nt.Requests += snap.Counters[k]
 		}
@@ -142,12 +142,12 @@ func scrapeNode(n *Node) NodeTelemetry {
 	return nt
 }
 
-// TelemetryWindow is the windowed node-local telemetry the health gate's
+// telemetryWindow is the windowed node-local telemetry the health gate's
 // third channel judges: ledger disruption and data-plane latency deltas
 // across the canary observation window, against the node's own
 // pre-release history. Scraped is false when either bracketing scrape
 // was lost — the channel then abstains.
-type TelemetryWindow struct {
+type telemetryWindow struct {
 	Scraped      bool  `json:"scraped"`
 	Requests     int64 `json:"requests"`
 	Terminal     int64 `json:"terminal"`
@@ -158,20 +158,20 @@ type TelemetryWindow struct {
 	BaselineP99 float64 `json:"baseline_p99_s"`
 }
 
-// DisruptionRate is terminal window events / window requests (0 with no
+// disruptionRate is terminal window events / window requests (0 with no
 // requests).
-func (w TelemetryWindow) DisruptionRate() float64 {
+func (w telemetryWindow) disruptionRate() float64 {
 	return rate(w.Terminal, w.Requests)
 }
 
 // telemetryWindowBetween computes the observation-window deltas from two
 // scrapes of the same node. Negative deltas (restarted counters, racing
 // snapshots) clamp to zero.
-func telemetryWindowBetween(before, after NodeTelemetry) TelemetryWindow {
+func telemetryWindowBetween(before, after nodeTelemetry) telemetryWindow {
 	if !before.Scraped || !after.Scraped {
-		return TelemetryWindow{}
+		return telemetryWindow{}
 	}
-	w := TelemetryWindow{
+	w := telemetryWindow{
 		Scraped:      true,
 		Requests:     clamp0(after.Requests - before.Requests),
 		Terminal:     clamp0(after.Disruption.Terminal - before.Disruption.Terminal),
@@ -182,10 +182,10 @@ func telemetryWindowBetween(before, after NodeTelemetry) TelemetryWindow {
 	return w
 }
 
-// BatchTelemetry is the live per-batch roll-up surfaced in Status while
+// batchTelemetrySum is the live per-batch roll-up surfaced in Status while
 // a rollout runs: the batch's windowed request/disruption totals and the
 // merged canary-window latency tail.
-type BatchTelemetry struct {
+type batchTelemetrySum struct {
 	Batch          int      `json:"batch"`
 	Nodes          []string `json:"nodes,omitempty"`
 	ScrapedNodes   int      `json:"scraped_nodes"`
@@ -200,8 +200,8 @@ type BatchTelemetry struct {
 // batchTelemetry folds per-node windows into the batch roll-up. The p99
 // columns take the worst node — a batch's tail is its slowest member,
 // and averaging would hide exactly the node the gate should catch.
-func batchTelemetry(idx int, names []string, windows []TelemetryWindow) BatchTelemetry {
-	bt := BatchTelemetry{Batch: idx, Nodes: append([]string(nil), names...)}
+func batchTelemetry(idx int, names []string, windows []telemetryWindow) batchTelemetrySum {
+	bt := batchTelemetrySum{Batch: idx, Nodes: append([]string(nil), names...)}
 	for _, w := range windows {
 		if !w.Scraped {
 			continue

@@ -5,7 +5,7 @@
 // TelemetryReport must reconcile EXACTLY: every injected fault appears
 // as one attributed ledger event, nothing is unattributed, and the
 // merged atomic histograms carry the fleet's latency distribution.
-package fleet_test
+package fleet
 
 import (
 	"fmt"
@@ -15,14 +15,13 @@ import (
 
 	"zdr/internal/disrupt"
 	"zdr/internal/faults"
-	"zdr/internal/fleet"
 	"zdr/internal/proxy"
 )
 
 // newTelemetrySimFleet wires the full telemetry surface onto each node:
 // a disruption ledger shared across generations and an accept-path
 // fault injector whose observer feeds the ledger.
-func newTelemetrySimFleet(t *testing.T, n int, maxHold time.Duration) (*fleet.Fleet, []*simNode) {
+func newTelemetrySimFleet(t *testing.T, n int, maxHold time.Duration) (*Fleet, []*simNode) {
 	t.Helper()
 	leds := make([]*disrupt.Ledger, n)
 	injs := make([]*faults.Injector, n)
@@ -57,20 +56,20 @@ func TestFleetChaosTelemetryAttribution(t *testing.T) {
 
 	// The gate must tolerate the injected chaos (it is background noise on
 	// old AND new generation alike) while the telemetry channel watches.
-	cfg := fleet.Config{
+	cfg := Config{
 		Name:          "telemetry-chaos",
 		CanarySize:    2,
 		GrowthFactor:  2,
 		HealthWindow:  300 * time.Millisecond,
 		ProbeInterval: 20 * time.Millisecond,
 		WindowTimeout: 10 * time.Second,
-		Gate: fleet.GateConfig{
+		Gate: GateConfig{
 			MaxErrorRateDelta:   0.9,
 			MaxProbeFailureRate: 0.95,
 			MaxDisruptionRate:   0.9,
 		},
 	}
-	o, err := fleet.New(cfg, nodes)
+	o, err := New(cfg, nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +77,7 @@ func TestFleetChaosTelemetryAttribution(t *testing.T) {
 		t.Fatalf("rollout: %v (status %+v)", err, o.Status())
 	}
 	st := o.Status()
-	if st.State != fleet.StateDone {
+	if st.State != StateDone {
 		t.Fatalf("rollout state %q (reason %q), want done", st.State, st.Reason)
 	}
 
@@ -109,7 +108,7 @@ func TestFleetChaosTelemetryAttribution(t *testing.T) {
 		t.Fatal("chaos injected nothing; test is vacuous")
 	}
 
-	tele := &fleet.Telemetry{Nodes: nodes}
+	tele := &Telemetry{Nodes: nodes}
 	rep := tele.Scrape()
 	if rep.ScrapedNodes != len(sims) {
 		t.Fatalf("scraped %d of %d nodes", rep.ScrapedNodes, len(sims))

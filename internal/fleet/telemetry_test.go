@@ -29,8 +29,8 @@ func fakeTelemetryNode(name string, requests, errors int64, lat []float64, cause
 	}
 	return &Node{
 		Name:       name,
-		State:      func() obs.SlotState { return obs.SlotState{Name: name, Generation: 1, Phase: "serving"} },
-		Metrics:    reg.Snapshot,
+		state:      func() obs.SlotState { return obs.SlotState{Name: name, Generation: 1, Phase: "serving"} },
+		metrics:    reg.Snapshot,
 		Disruption: led.Report,
 	}
 }
@@ -76,7 +76,7 @@ func TestTelemetryScrapeMergesFleet(t *testing.T) {
 		t.Fatalf("cause-phase cells: %+v", rep.CausePhase)
 	}
 	// The unscraped node is present in the rows but contributes nothing.
-	var n3 NodeTelemetry
+	var n3 nodeTelemetry
 	for _, nt := range rep.Nodes {
 		if nt.Node == "n3" {
 			n3 = nt
@@ -94,7 +94,7 @@ func TestTelemetryControlPartition(t *testing.T) {
 	in.SetPartitioned(true)
 	tele := &Telemetry{
 		Nodes:   []*Node{fakeTelemetryNode("n1", 100, 0, []float64{0.001}, nil)},
-		Control: in,
+		control: in,
 	}
 	rep := tele.Scrape()
 	if rep.ScrapedNodes != 0 || rep.Requests != 0 || rep.Latency.Count != 0 {
@@ -109,8 +109,8 @@ func TestTelemetryControlPartition(t *testing.T) {
 }
 
 func TestTelemetryWindowBetween(t *testing.T) {
-	mk := func(req int64, terminal int64, lat []float64) NodeTelemetry {
-		nt := NodeTelemetry{Scraped: true, Requests: req}
+	mk := func(req int64, terminal int64, lat []float64) nodeTelemetry {
+		nt := nodeTelemetry{Scraped: true, Requests: req}
 		nt.Disruption.Terminal = terminal
 		h := metrics.NewAtomicHistogram(nil)
 		for _, v := range lat {
@@ -125,8 +125,8 @@ func TestTelemetryWindowBetween(t *testing.T) {
 	if !w.Scraped || w.Requests != 200 || w.Terminal != 5 {
 		t.Fatalf("window = %+v", w)
 	}
-	if w.DisruptionRate() != float64(5)/200 {
-		t.Fatalf("rate = %v", w.DisruptionRate())
+	if w.disruptionRate() != float64(5)/200 {
+		t.Fatalf("rate = %v", w.disruptionRate())
 	}
 	// The windowed p99 reflects only the new (slow) samples, while the
 	// baseline p99 is the cumulative pre-window distribution.
@@ -134,7 +134,7 @@ func TestTelemetryWindowBetween(t *testing.T) {
 		t.Fatalf("p99=%v baseline=%v", w.P99, w.BaselineP99)
 	}
 	// A lost bracketing scrape abstains instead of guessing.
-	if w := telemetryWindowBetween(NodeTelemetry{}, after); w.Scraped {
+	if w := telemetryWindowBetween(nodeTelemetry{}, after); w.Scraped {
 		t.Fatalf("half-scraped window conclusive: %+v", w)
 	}
 	// Restarted counters clamp to zero rather than going negative.
@@ -148,38 +148,38 @@ func TestTelemetryWindowBetween(t *testing.T) {
 // connection resets with clean 200s).
 func TestEvalNodeDisruptionRate(t *testing.T) {
 	g := GateConfig{MaxDisruptionRate: 0.02}
-	clean := TelemetryWindow{Scraped: true, Requests: 1000, Terminal: 10} // 1%
-	v := evalNode(g, "n1", delta(100, 0, 100, 0), ProbeWindow{}, ProbeWindow{Sent: 5}, clean)
-	if v.Decision != Promote {
+	clean := telemetryWindow{Scraped: true, Requests: 1000, Terminal: 10} // 1%
+	v := evalNode(g, "n1", delta(100, 0, 100, 0), probeWindow{Sent: 5}, clean)
+	if v.Decision != promote {
 		t.Fatalf("1%% disruption under 2%% bound: %s (%s)", v.Decision, v.Reason)
 	}
-	dirty := TelemetryWindow{Scraped: true, Requests: 1000, Terminal: 100} // 10%
-	v = evalNode(g, "n1", delta(100, 0, 100, 0), ProbeWindow{}, ProbeWindow{Sent: 5}, dirty)
-	if v.Decision != Rollback {
+	dirty := telemetryWindow{Scraped: true, Requests: 1000, Terminal: 100} // 10%
+	v = evalNode(g, "n1", delta(100, 0, 100, 0), probeWindow{Sent: 5}, dirty)
+	if v.Decision != rollback {
 		t.Fatalf("10%% disruption: %s", v.Decision)
 	}
 	if !strings.Contains(v.Reason, "disruption rate") {
 		t.Fatalf("reason %q does not name the channel", v.Reason)
 	}
 	// Zero bound disables the channel entirely.
-	v = evalNode(GateConfig{}, "n1", delta(100, 0, 100, 0), ProbeWindow{}, ProbeWindow{Sent: 5}, dirty)
-	if v.Decision != Promote {
+	v = evalNode(GateConfig{}, "n1", delta(100, 0, 100, 0), probeWindow{Sent: 5}, dirty)
+	if v.Decision != promote {
 		t.Fatalf("disabled channel gated: %s (%s)", v.Decision, v.Reason)
 	}
 }
 
 // TestEvalNodeTelemetryLatency: the data-plane histogram p99 shares
-// MaxP99Factor with the probe channel.
+// maxP99Factor with the probe channel.
 func TestEvalNodeTelemetryLatency(t *testing.T) {
-	g := GateConfig{MaxP99Factor: 3}
-	ok := TelemetryWindow{Scraped: true, Requests: 500, P99: 0.002, BaselineP99: 0.001}
-	v := evalNode(g, "n1", delta(100, 0, 100, 0), ProbeWindow{}, ProbeWindow{Sent: 5}, ok)
-	if v.Decision != Promote {
+	g := GateConfig{maxP99Factor: 3}
+	ok := telemetryWindow{Scraped: true, Requests: 500, P99: 0.002, BaselineP99: 0.001}
+	v := evalNode(g, "n1", delta(100, 0, 100, 0), probeWindow{Sent: 5}, ok)
+	if v.Decision != promote {
 		t.Fatalf("2x data-plane p99 under 3x factor: %s (%s)", v.Decision, v.Reason)
 	}
-	slow := TelemetryWindow{Scraped: true, Requests: 500, P99: 0.010, BaselineP99: 0.001}
-	v = evalNode(g, "n1", delta(100, 0, 100, 0), ProbeWindow{}, ProbeWindow{Sent: 5}, slow)
-	if v.Decision != Rollback {
+	slow := telemetryWindow{Scraped: true, Requests: 500, P99: 0.010, BaselineP99: 0.001}
+	v = evalNode(g, "n1", delta(100, 0, 100, 0), probeWindow{Sent: 5}, slow)
+	if v.Decision != rollback {
 		t.Fatalf("10x data-plane p99: %s", v.Decision)
 	}
 }
@@ -189,20 +189,20 @@ func TestEvalNodeTelemetryLatency(t *testing.T) {
 // are both silent.
 func TestEvalNodeTelemetryRescuesInconclusive(t *testing.T) {
 	silentCounters := delta(1000, 5, 0, 0)
-	tel := TelemetryWindow{Scraped: true, Requests: 50}
-	v := evalNode(GateConfig{MaxDisruptionRate: 0.05}, "n1", silentCounters, ProbeWindow{}, ProbeWindow{}, tel)
-	if v.Decision != Promote {
+	tel := telemetryWindow{Scraped: true, Requests: 50}
+	v := evalNode(GateConfig{MaxDisruptionRate: 0.05}, "n1", silentCounters, probeWindow{}, tel)
+	if v.Decision != promote {
 		t.Fatalf("clean telemetry did not rescue: %s (%s)", v.Decision, v.Reason)
 	}
 	// All three channels silent still pauses.
-	v = evalNode(GateConfig{}, "n1", silentCounters, ProbeWindow{}, ProbeWindow{}, TelemetryWindow{})
-	if v.Decision != Pause {
+	v = evalNode(GateConfig{}, "n1", silentCounters, probeWindow{}, telemetryWindow{})
+	if v.Decision != pause {
 		t.Fatalf("fully silent node: %s, want pause", v.Decision)
 	}
 }
 
 func TestBatchTelemetryWorstNodeTail(t *testing.T) {
-	bt := batchTelemetry(2, []string{"a", "b", "c"}, []TelemetryWindow{
+	bt := batchTelemetry(2, []string{"a", "b", "c"}, []telemetryWindow{
 		{Scraped: true, Requests: 100, Terminal: 1, P99: 0.002, BaselineP99: 0.001},
 		{Scraped: true, Requests: 300, Terminal: 5, P99: 0.040, BaselineP99: 0.002},
 		{}, // lost scrape

@@ -6,18 +6,18 @@ import (
 	"time"
 )
 
-// ErrOperatorLost is returned by a canary window's Gate when no verdict
-// arrived within MaxHold: the orchestrator crashed, was partitioned away,
+// errOperatorLost is returned by a canary window's Gate when no verdict
+// arrived within maxHold: the orchestrator crashed, was partitioned away,
 // or simply forgot the node. The readiness gate failing makes drain-undo
 // unwind the hand-off, so an abandoned canary self-rolls-back to the old
 // generation instead of serving an unjudged build forever.
-var ErrOperatorLost = errors.New("fleet: no gate verdict before MaxHold, self-rolling-back")
+var errOperatorLost = errors.New("fleet: no gate verdict before MaxHold, self-rolling-back")
 
-// DefaultMaxHold bounds how long an armed canary window waits for the
+// defaultMaxHold bounds how long an armed canary window waits for the
 // orchestrator's verdict before self-rolling-back.
-const DefaultMaxHold = 30 * time.Second
+const defaultMaxHold = 30 * time.Second
 
-// CanaryWindow is the synchronization point between the orchestrator and
+// canaryWindow is the synchronization point between the orchestrator and
 // one node's restart: installed as the proxy's ReadyGate (via the slot's
 // Build closure), it turns the drain-undo protocol's committed-awaiting-
 // ready state into a health-gated canary.
@@ -29,11 +29,11 @@ const DefaultMaxHold = 30 * time.Second
 // orchestrator delivers a verdict: nil promotes (READY is sent, the old
 // generation drains), an error rolls back (drain-undo re-arms the old
 // generation with zero failed requests).
-type CanaryWindow struct {
-	// MaxHold bounds the wait for a verdict; zero means DefaultMaxHold.
+type canaryWindow struct {
+	// maxHold bounds the wait for a verdict; zero means defaultMaxHold.
 	// Must stay below the sender's TakeoverReadyTimeout, so the receiver
 	// side always resolves the window before the sender's lease expires.
-	MaxHold time.Duration
+	maxHold time.Duration
 
 	mu      sync.Mutex
 	armed   bool
@@ -41,15 +41,15 @@ type CanaryWindow struct {
 	verdict chan error
 }
 
-// NewCanaryWindow returns a window with the given hold bound (0 =
-// DefaultMaxHold).
-func NewCanaryWindow(maxHold time.Duration) *CanaryWindow {
-	return &CanaryWindow{MaxHold: maxHold}
+// newCanaryWindow returns a window with the given hold bound (0 =
+// defaultMaxHold).
+func newCanaryWindow(maxHold time.Duration) *canaryWindow {
+	return &canaryWindow{maxHold: maxHold}
 }
 
-// Gate implements the proxy ReadyGate contract. Install as
+// gate implements the proxy ReadyGate contract. Install as
 // proxy.Config.ReadyGate on every generation the slot builds.
-func (w *CanaryWindow) Gate() error {
+func (w *canaryWindow) gate() error {
 	w.mu.Lock()
 	if !w.armed || w.entered == nil {
 		w.mu.Unlock()
@@ -59,15 +59,15 @@ func (w *CanaryWindow) Gate() error {
 	w.entered = nil // consumed: one canary per arm
 	w.mu.Unlock()
 	close(entered)
-	hold := w.MaxHold
+	hold := w.maxHold
 	if hold <= 0 {
-		hold = DefaultMaxHold
+		hold = defaultMaxHold
 	}
 	select {
 	case err := <-verdict:
 		return err
 	case <-time.After(hold):
-		return ErrOperatorLost
+		return errOperatorLost
 	}
 }
 
@@ -76,7 +76,7 @@ func (w *CanaryWindow) Gate() error {
 // gate is holding) and the channel the orchestrator delivers the verdict
 // on (buffered: delivery never blocks, even to a node that already
 // self-rolled-back).
-func (w *CanaryWindow) arm() (entered <-chan struct{}, verdict chan<- error) {
+func (w *canaryWindow) arm() (entered <-chan struct{}, verdict chan<- error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.armed = true
@@ -86,7 +86,7 @@ func (w *CanaryWindow) arm() (entered <-chan struct{}, verdict chan<- error) {
 }
 
 // disarm returns the window to pass-through behaviour.
-func (w *CanaryWindow) disarm() {
+func (w *canaryWindow) disarm() {
 	w.mu.Lock()
 	w.armed = false
 	w.entered = nil

@@ -9,9 +9,9 @@ import (
 // TestCanaryWindowUnarmed pins the pass-through contract: with no
 // rollout in progress the gate never blocks a restart.
 func TestCanaryWindowUnarmed(t *testing.T) {
-	w := NewCanaryWindow(0)
+	w := newCanaryWindow(0)
 	done := make(chan error, 1)
-	go func() { done <- w.Gate() }()
+	go func() { done <- w.gate() }()
 	select {
 	case err := <-done:
 		if err != nil {
@@ -25,10 +25,10 @@ func TestCanaryWindowUnarmed(t *testing.T) {
 // TestCanaryWindowPromote: an armed window blocks the gate until the
 // orchestrator delivers nil, then passes.
 func TestCanaryWindowPromote(t *testing.T) {
-	w := NewCanaryWindow(5 * time.Second)
+	w := newCanaryWindow(5 * time.Second)
 	entered, verdict := w.arm()
 	done := make(chan error, 1)
-	go func() { done <- w.Gate() }()
+	go func() { done <- w.gate() }()
 	select {
 	case <-entered:
 	case <-time.After(time.Second):
@@ -48,25 +48,25 @@ func TestCanaryWindowPromote(t *testing.T) {
 // TestCanaryWindowRollback: an error verdict surfaces from the gate
 // (failing readiness → drain-undo on the real path).
 func TestCanaryWindowRollback(t *testing.T) {
-	w := NewCanaryWindow(5 * time.Second)
+	w := newCanaryWindow(5 * time.Second)
 	entered, verdict := w.arm()
 	done := make(chan error, 1)
-	go func() { done <- w.Gate() }()
+	go func() { done <- w.gate() }()
 	<-entered
-	verdict <- ErrGateRejected
-	if err := <-done; !errors.Is(err, ErrGateRejected) {
+	verdict <- errGateRejected
+	if err := <-done; !errors.Is(err, errGateRejected) {
 		t.Fatalf("gate returned %v, want ErrGateRejected", err)
 	}
 }
 
 // TestCanaryWindowMaxHold: an abandoned canary (operator dead or
-// partitioned, no verdict ever arrives) self-rolls-back after MaxHold.
+// partitioned, no verdict ever arrives) self-rolls-back after maxHold.
 func TestCanaryWindowMaxHold(t *testing.T) {
-	w := NewCanaryWindow(30 * time.Millisecond)
+	w := newCanaryWindow(30 * time.Millisecond)
 	w.arm()
 	start := time.Now()
-	err := w.Gate()
-	if !errors.Is(err, ErrOperatorLost) {
+	err := w.gate()
+	if !errors.Is(err, errOperatorLost) {
 		t.Fatalf("abandoned gate returned %v, want ErrOperatorLost", err)
 	}
 	if time.Since(start) < 30*time.Millisecond {
@@ -80,10 +80,10 @@ func TestCanaryWindowMaxHold(t *testing.T) {
 // arm cycle's verdict or self-rolls-back. This is the invariant behind
 // ProxyNode forcing AbortRetries off.
 func TestCanaryWindowOneShot(t *testing.T) {
-	w := NewCanaryWindow(20 * time.Millisecond)
+	w := newCanaryWindow(20 * time.Millisecond)
 	_, verdict := w.arm()
 	verdict <- nil // buffered: deliver before the gate runs
-	if err := w.Gate(); err != nil {
+	if err := w.gate(); err != nil {
 		t.Fatalf("first gate: %v", err)
 	}
 	// Entry consumed: a second Gate call on the same arm cycle (what a
@@ -91,7 +91,7 @@ func TestCanaryWindowOneShot(t *testing.T) {
 	// re-entering a canary the orchestrator no longer tracks. ProxyNode
 	// disables slot retries so this degenerate pass-through is never a
 	// promotion path for a rejected build.
-	if err := w.Gate(); err != nil {
+	if err := w.gate(); err != nil {
 		t.Fatalf("second gate after consumption: %v", err)
 	}
 	w.disarm()

@@ -153,7 +153,7 @@ func (b *recvBuffer) put(s *Session, st *Stream, src []byte, more int) {
 		s.m.direct.Add(int64(n))
 		if credit := b.consumed(n); credit > 0 && s.peerWindow.Load() {
 			s.m.updates.Inc()
-			s.owed = append(s.owed, Frame{Type: FrameWindowUpdate, StreamID: st.id,
+			s.owed = append(s.owed, tunnelFrame{Type: frameWindowUpdate, streamID: st.id,
 				Payload: binary.BigEndian.AppendUint32(nil, uint32(credit))})
 		}
 		src = src[n:]

@@ -45,43 +45,43 @@ import (
 	"io"
 )
 
-// FrameType identifies a frame.
-type FrameType uint8
+// frameType identifies a frame.
+type frameType uint8
 
 // Frame types.
 const (
-	FrameHeaders  FrameType = 0x1
-	FrameData     FrameType = 0x2
-	FrameRST      FrameType = 0x3
-	FrameGoAway   FrameType = 0x4
-	FramePing     FrameType = 0x5
-	FrameSettings FrameType = 0x6
-	// FrameWindowUpdate acknowledges DATA a stream's consumer has read:
+	frameHeaders  frameType = 0x1
+	frameData     frameType = 0x2
+	frameRST      frameType = 0x3
+	frameGoAway   frameType = 0x4
+	framePing     frameType = 0x5
+	FrameSettings frameType = 0x6
+	// frameWindowUpdate acknowledges DATA a stream's consumer has read:
 	// its payload is a u32, the bytes of send window given back.
-	FrameWindowUpdate FrameType = 0x7
+	frameWindowUpdate frameType = 0x7
 
 	// DCR control frames (§4.2).
-	FrameReconnectSolicitation FrameType = 0x10
-	FrameConnectAck            FrameType = 0x11
-	FrameConnectRefuse         FrameType = 0x12
+	FrameReconnectSolicitation frameType = 0x10
+	FrameConnectAck            frameType = 0x11
+	FrameConnectRefuse         frameType = 0x12
 )
 
 // String returns a debug name.
-func (t FrameType) String() string {
+func (t frameType) String() string {
 	switch t {
-	case FrameHeaders:
+	case frameHeaders:
 		return "HEADERS"
-	case FrameData:
+	case frameData:
 		return "DATA"
-	case FrameRST:
+	case frameRST:
 		return "RST_STREAM"
-	case FrameGoAway:
+	case frameGoAway:
 		return "GOAWAY"
-	case FramePing:
+	case framePing:
 		return "PING"
 	case FrameSettings:
 		return "SETTINGS"
-	case FrameWindowUpdate:
+	case frameWindowUpdate:
 		return "WINDOW_UPDATE"
 	case FrameReconnectSolicitation:
 		return "RECONNECT_SOLICITATION"
@@ -96,10 +96,10 @@ func (t FrameType) String() string {
 
 // Frame flags.
 const (
-	// FlagEndStream on HEADERS or DATA half-closes the sender's direction.
-	FlagEndStream uint8 = 0x1
-	// FlagAck marks a PING response.
-	FlagAck uint8 = 0x2
+	// flagEndStream on HEADERS or DATA half-closes the sender's direction.
+	flagEndStream uint8 = 0x1
+	// flagAck marks a PING response.
+	flagAck uint8 = 0x2
 	// FlagWindow, on the first frame a session sends whatever its type,
 	// announces that the sender keeps a receive window on every stream and
 	// replenishes it with WINDOW_UPDATE. A peer that never sets it is not
@@ -113,20 +113,20 @@ const maxFramePayload = 1 << 16
 // frameHeaderLen is the fixed wire header: type(1) flags(1) stream(4) len(4).
 const frameHeaderLen = 10
 
-// Frame is one wire frame.
-type Frame struct {
-	Type     FrameType
+// tunnelFrame is one wire frame.
+type tunnelFrame struct {
+	Type     frameType
 	Flags    uint8
-	StreamID uint32
+	streamID uint32
 	Payload  []byte
 }
 
-// ErrFrameTooLarge is returned for frames exceeding maxFramePayload.
-var ErrFrameTooLarge = errors.New("h2t: frame payload too large")
+// errFrameTooLarge is returned for frames exceeding maxFramePayload.
+var errFrameTooLarge = errors.New("h2t: frame payload too large")
 
 // appendFrameHeader appends the fixed wire header of a frame whose payload
 // is n bytes long.
-func appendFrameHeader(b []byte, t FrameType, flags uint8, streamID uint32, n int) []byte {
+func appendFrameHeader(b []byte, t frameType, flags uint8, streamID uint32, n int) []byte {
 	b = append(b, uint8(t), flags)
 	b = binary.BigEndian.AppendUint32(b, streamID)
 	return binary.BigEndian.AppendUint32(b, uint32(n))
@@ -134,46 +134,35 @@ func appendFrameHeader(b []byte, t FrameType, flags uint8, streamID uint32, n in
 
 // parseFrameHeader decodes a fixed wire header; n is the payload length
 // that follows it.
-func parseFrameHeader(hdr []byte) (f Frame, n int, err error) {
-	f = Frame{
-		Type:     FrameType(hdr[0]),
+func parseFrameHeader(hdr []byte) (f tunnelFrame, n int, err error) {
+	f = tunnelFrame{
+		Type:     frameType(hdr[0]),
 		Flags:    hdr[1],
-		StreamID: binary.BigEndian.Uint32(hdr[2:6]),
+		streamID: binary.BigEndian.Uint32(hdr[2:6]),
 	}
 	size := binary.BigEndian.Uint32(hdr[6:10])
 	if size > maxFramePayload {
-		return Frame{}, 0, ErrFrameTooLarge
+		return tunnelFrame{}, 0, errFrameTooLarge
 	}
 	return f, int(size), nil
-}
-
-// WriteFrame serializes f to w in one Write.
-func WriteFrame(w io.Writer, f Frame) error {
-	if len(f.Payload) > maxFramePayload {
-		return ErrFrameTooLarge
-	}
-	b := make([]byte, 0, frameHeaderLen+len(f.Payload))
-	b = appendFrameHeader(b, f.Type, f.Flags, f.StreamID, len(f.Payload))
-	_, err := w.Write(append(b, f.Payload...))
-	return err
 }
 
 // ReadFrame parses one frame from r. The returned payload is freshly
 // allocated and owned by the caller. (The session read loop parses frames
 // out of its own read buffer instead; see Session.readFrame.)
-func ReadFrame(r io.Reader) (Frame, error) {
+func ReadFrame(r io.Reader) (tunnelFrame, error) {
 	var hdr [frameHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return Frame{}, err
+		return tunnelFrame{}, err
 	}
 	f, n, err := parseFrameHeader(hdr[:])
 	if err != nil {
-		return Frame{}, err
+		return tunnelFrame{}, err
 	}
 	if n > 0 {
 		f.Payload = make([]byte, n)
 		if _, err := io.ReadFull(r, f.Payload); err != nil {
-			return Frame{}, err
+			return tunnelFrame{}, err
 		}
 	}
 	return f, nil

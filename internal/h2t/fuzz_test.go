@@ -72,7 +72,7 @@ func feed(segments ...[]byte) (seen []streamSeen, ok bool) {
 // error the parser ended it for.
 type parsed struct {
 	Streams    []streamSeen
-	Owed       []Frame
+	Owed       []tunnelFrame
 	GoAway     bool
 	Window     bool
 	MaxStreams uint32

@@ -23,7 +23,7 @@ func sessionPair(t *testing.T) (client, server *Session) {
 
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	in := Frame{Type: FrameData, Flags: FlagEndStream, StreamID: 7, Payload: []byte("payload")}
+	in := tunnelFrame{Type: frameData, Flags: flagEndStream, streamID: 7, Payload: []byte("payload")}
 	if err := WriteFrame(&buf, in); err != nil {
 		t.Fatal(err)
 	}
@@ -31,20 +31,20 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Type != in.Type || out.Flags != in.Flags || out.StreamID != in.StreamID || !bytes.Equal(out.Payload, in.Payload) {
+	if out.Type != in.Type || out.Flags != in.Flags || out.streamID != in.streamID || !bytes.Equal(out.Payload, in.Payload) {
 		t.Fatalf("round trip: %+v != %+v", out, in)
 	}
 }
 
 func TestFrameTooLarge(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, Frame{Type: FrameData, Payload: make([]byte, maxFramePayload+1)}); !errors.Is(err, ErrFrameTooLarge) {
+	if err := WriteFrame(&buf, tunnelFrame{Type: frameData, Payload: make([]byte, maxFramePayload+1)}); !errors.Is(err, errFrameTooLarge) {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestFrameTypeString(t *testing.T) {
-	if FrameGoAway.String() != "GOAWAY" || FrameType(0xee).String() == "" {
+	if frameGoAway.String() != "GOAWAY" || frameType(0xee).String() == "" {
 		t.Fatal("String() broken")
 	}
 }
@@ -415,7 +415,7 @@ func TestSessionCloseFailsStreams(t *testing.T) {
 	if _, err := st.Read(buf); err == nil {
 		t.Fatal("read succeeded after session close")
 	}
-	if _, err := client.OpenStreamWith(nil, nil, false); !errors.Is(err, ErrSessionClosed) {
+	if _, err := client.OpenStreamWith(nil, nil, false); !errors.Is(err, errSessionClosed) {
 		t.Fatalf("OpenStream after close = %v", err)
 	}
 	select {
@@ -464,7 +464,7 @@ func TestControlFramesDCR(t *testing.T) {
 	if err := st.SendControl(FrameConnectAck, []byte("u-7")); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.SendControl(FrameData, nil); err == nil {
+	if err := st.SendControl(frameData, nil); err == nil {
 		t.Fatal("SendControl accepted a non-control frame type")
 	}
 }
@@ -597,7 +597,7 @@ func TestSettingsStreamLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.OpenStreamWith(nil, nil, false); !errors.Is(err, ErrStreamLimit) {
+	if _, err := client.OpenStreamWith(nil, nil, false); !errors.Is(err, errStreamLimit) {
 		t.Fatalf("third open = %v, want ErrStreamLimit", err)
 	}
 	// Finish one stream; capacity frees up.
@@ -610,7 +610,7 @@ func TestSettingsStreamLimit(t *testing.T) {
 			st3.CloseWrite()
 			break
 		}
-		if !errors.Is(err, ErrStreamLimit) {
+		if !errors.Is(err, errStreamLimit) {
 			t.Fatal(err)
 		}
 		if time.Now().After(deadline) {
@@ -647,7 +647,7 @@ func TestUnknownFrameTypeIgnored(t *testing.T) {
 	defer client.Close()
 	go func() {
 		// Raw peer: write an unknown frame, then behave as a server.
-		WriteFrame(sc, Frame{Type: FrameType(0x7f), StreamID: 9, Payload: []byte("future")})
+		WriteFrame(sc, tunnelFrame{Type: frameType(0x7f), streamID: 9, Payload: []byte("future")})
 		srv := NewSession(sc, false)
 		st, err := srv.Accept()
 		if err != nil {

@@ -107,7 +107,7 @@ func TestRecvHeadersTimeoutAndSessionDeath(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 		server.Close()
 	}()
-	if _, err := st.RecvHeaders(5 * time.Second); !errors.Is(err, ErrSessionClosed) {
+	if _, err := st.RecvHeaders(5 * time.Second); !errors.Is(err, errSessionClosed) {
 		t.Fatalf("session died while waiting: err = %v, want ErrSessionClosed", err)
 	}
 }
@@ -374,10 +374,10 @@ func TestResetBehindTheResponseKeepsIt(t *testing.T) {
 	time.Sleep(20 * time.Millisecond) // the wait is parked
 	var wire bytes.Buffer
 	block := appendFields(nil, Fields{{"status", "500"}})
-	for _, f := range []Frame{
-		{Type: FrameHeaders, StreamID: st.ID(), Payload: block},
-		{Type: FrameData, Flags: FlagEndStream, StreamID: st.ID(), Payload: []byte("no")},
-		{Type: FrameRST, StreamID: st.ID()},
+	for _, f := range []tunnelFrame{
+		{Type: frameHeaders, streamID: st.ID(), Payload: block},
+		{Type: frameData, Flags: flagEndStream, streamID: st.ID(), Payload: []byte("no")},
+		{Type: frameRST, streamID: st.ID()},
 	} {
 		WriteFrame(&wire, f)
 	}

@@ -76,24 +76,24 @@ func TestMessageFrames(t *testing.T) {
 	cases := []struct {
 		name string
 		send func(st *Stream) error
-		want []Frame // after the stream's opening HEADERS
+		want []tunnelFrame // after the stream's opening HEADERS
 	}{
 		{"headers, data and end", func(st *Stream) error {
 			return st.SendMessage(Fields{{"k", "v"}}, []byte("body"), true)
-		}, []Frame{{Type: FrameHeaders}, {Type: FrameData, Flags: FlagEndStream, Payload: []byte("body")}}},
+		}, []tunnelFrame{{Type: frameHeaders}, {Type: frameData, Flags: flagEndStream, Payload: []byte("body")}}},
 		{"headers that end the stream", func(st *Stream) error {
 			return st.SendMessage(Fields{{"k", "v"}}, nil, true)
-		}, []Frame{{Type: FrameHeaders, Flags: FlagEndStream}}},
+		}, []tunnelFrame{{Type: frameHeaders, Flags: flagEndStream}}},
 		{"data that ends the stream", func(st *Stream) error {
 			return st.SendMessage(nil, []byte("tail"), true)
-		}, []Frame{{Type: FrameData, Flags: FlagEndStream, Payload: []byte("tail")}}},
+		}, []tunnelFrame{{Type: frameData, Flags: flagEndStream, Payload: []byte("tail")}}},
 		{"bare end", func(st *Stream) error { return st.CloseWrite() },
-			[]Frame{{Type: FrameData, Flags: FlagEndStream}}},
-		{"split body", func(st *Stream) error { return st.SendMessage(nil, big, true) }, []Frame{
-			{Type: FrameData, Payload: big[:maxFramePayload]},
-			{Type: FrameData, Payload: big[maxFramePayload : 2*maxFramePayload]},
-			{Type: FrameData, Payload: big[2*maxFramePayload : 3*maxFramePayload]},
-			{Type: FrameData, Flags: FlagEndStream, Payload: big[3*maxFramePayload:]},
+			[]tunnelFrame{{Type: frameData, Flags: flagEndStream}}},
+		{"split body", func(st *Stream) error { return st.SendMessage(nil, big, true) }, []tunnelFrame{
+			{Type: frameData, Payload: big[:maxFramePayload]},
+			{Type: frameData, Payload: big[maxFramePayload : 2*maxFramePayload]},
+			{Type: frameData, Payload: big[2*maxFramePayload : 3*maxFramePayload]},
+			{Type: frameData, Flags: flagEndStream, Payload: big[3*maxFramePayload:]},
 		}},
 	}
 	for _, c := range cases {
@@ -101,9 +101,9 @@ func TestMessageFrames(t *testing.T) {
 			cc, raw := net.Pipe()
 			client := NewSession(cc, true)
 			defer client.Close()
-			got := make(chan []Frame, 1)
+			got := make(chan []tunnelFrame, 1)
 			go func() {
-				var fs []Frame
+				var fs []tunnelFrame
 				for i := 0; i < 1+len(c.want); i++ {
 					f, err := ReadFrame(raw)
 					if err != nil {
@@ -126,10 +126,10 @@ func TestMessageFrames(t *testing.T) {
 			}
 			for i, w := range c.want {
 				f := fs[1+i]
-				if f.Type != w.Type || f.Flags != w.Flags || f.StreamID != st.ID() {
-					t.Fatalf("frame %d = %v flags %#x stream %d, want %v flags %#x", i, f.Type, f.Flags, f.StreamID, w.Type, w.Flags)
+				if f.Type != w.Type || f.Flags != w.Flags || f.streamID != st.ID() {
+					t.Fatalf("frame %d = %v flags %#x stream %d, want %v flags %#x", i, f.Type, f.Flags, f.streamID, w.Type, w.Flags)
 				}
-				if w.Type == FrameData && !bytes.Equal(f.Payload, w.Payload) {
+				if w.Type == frameData && !bytes.Equal(f.Payload, w.Payload) {
 					t.Fatalf("frame %d carries %d bytes, want %d", i, len(f.Payload), len(w.Payload))
 				}
 			}
@@ -187,9 +187,9 @@ func TestHeadersArriveWithTheFramesBehindThem(t *testing.T) {
 		}
 		block := appendFields(nil, Fields{{"status", "200"}})
 		var seg bytes.Buffer
-		WriteFrame(&seg, Frame{Type: FrameHeaders, StreamID: req.StreamID, Payload: block})
-		WriteFrame(&seg, Frame{Type: FrameData, StreamID: req.StreamID, Payload: []byte("he")})
-		WriteFrame(&seg, Frame{Type: FrameData, Flags: FlagEndStream, StreamID: req.StreamID, Payload: []byte("llo")})
+		WriteFrame(&seg, tunnelFrame{Type: frameHeaders, streamID: req.streamID, Payload: block})
+		WriteFrame(&seg, tunnelFrame{Type: frameData, streamID: req.streamID, Payload: []byte("he")})
+		WriteFrame(&seg, tunnelFrame{Type: frameData, Flags: flagEndStream, streamID: req.streamID, Payload: []byte("llo")})
 		raw.Write(seg.Bytes())
 	}()
 	st, err := client.OpenStreamWith(nil, nil, true)
@@ -285,9 +285,9 @@ func TestAbortedWriteEmitsNothingTwice(t *testing.T) {
 	cc, raw := net.Pipe()
 	client := NewSession(cc, true, WithConnWrapper(in.Conn))
 	defer client.Close()
-	frames := make(chan []Frame, 1)
+	frames := make(chan []tunnelFrame, 1)
 	go func() {
-		var fs []Frame
+		var fs []tunnelFrame
 		for {
 			f, err := ReadFrame(raw)
 			if err != nil {
@@ -320,7 +320,7 @@ func TestAbortedWriteEmitsNothingTwice(t *testing.T) {
 	if in.WriteCalls() != calls {
 		t.Fatalf("%d writes reached the transport after the failed one", in.WriteCalls()-calls)
 	}
-	if fs := <-frames; len(fs) != 1 || fs[0].Type != FrameHeaders {
+	if fs := <-frames; len(fs) != 1 || fs[0].Type != frameHeaders {
 		t.Fatalf("peer read %d frames, want the opening HEADERS alone", len(fs))
 	}
 }

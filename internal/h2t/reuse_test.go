@@ -77,7 +77,7 @@ func TestReuseRule(t *testing.T) {
 		{"reset after its end", nil, func(t *testing.T, st *Stream) *Stream { consume(t, st); st.Reset(); return st }, false},
 		{"aborted by the session's death", nil, func(t *testing.T, st *Stream) *Stream {
 			consume(t, st)
-			st.abort(client, st.ID(), ErrSessionClosed) // a shutdown that took it from s.streams before its end
+			st.abort(client, st.ID(), errSessionClosed) // a shutdown that took it from s.streams before its end
 			return st
 		}, false},
 		{"sunk", Fields{{"sink", "1"}}, func(t *testing.T, st *Stream) *Stream {
@@ -131,7 +131,7 @@ func manualClient(t *testing.T) (s *Session, wake func(seg []byte)) {
 	}
 }
 
-func frameBytes(t FrameType, flags uint8, id uint32, payload []byte) []byte {
+func frameBytes(t frameType, flags uint8, id uint32, payload []byte) []byte {
 	return append(appendFrameHeader(nil, t, flags, id, len(payload)), payload...)
 }
 
@@ -168,8 +168,8 @@ func TestTrailerBlockReachesOnlyItsStream(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wake(append(frameBytes(FrameHeaders, 0, st.ID(), blockBytes(Fields{{"status", "200"}})),
-			frameBytes(FrameData, 0, st.ID(), []byte("x"))...))
+		wake(append(frameBytes(frameHeaders, 0, st.ID(), blockBytes(Fields{{"status", "200"}})),
+			frameBytes(frameData, 0, st.ID(), []byte("x"))...))
 		s.releaseHeld()
 		if _, err := st.RecvHeaders(time.Second); err != nil {
 			t.Fatal(err)
@@ -177,7 +177,7 @@ func TestTrailerBlockReachesOnlyItsStream(t *testing.T) {
 		if b, err := io.ReadAll(io.LimitReader(st, 1)); err != nil || string(b) != "x" {
 			t.Fatalf("body %q, %v", b, err)
 		}
-		wake(frameBytes(FrameHeaders, FlagEndStream, st.ID(), blockBytes(Fields{{"trailer", "mine"}})))
+		wake(frameBytes(frameHeaders, flagEndStream, st.ID(), blockBytes(Fields{{"trailer", "mine"}})))
 		if n, end := st.Buffered(); n != 0 || !end {
 			t.Fatalf("Buffered() = %d, %v after the END_STREAM block, want 0, true", n, end)
 		}
@@ -209,10 +209,10 @@ func TestDataAfterEndReachesNoStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wake(append(frameBytes(FrameHeaders, 0, st.ID(), blockBytes(Fields{{"status", "200"}})),
-		frameBytes(FrameData, FlagEndStream, st.ID(), []byte("ok"))...))
+	wake(append(frameBytes(frameHeaders, 0, st.ID(), blockBytes(Fields{{"status", "200"}})),
+		frameBytes(frameData, flagEndStream, st.ID(), []byte("ok"))...))
 	s.releaseHeld()
-	late := frameBytes(FrameData, 0, st.ID(), bytes.Repeat([]byte("L"), 100))
+	late := frameBytes(frameData, 0, st.ID(), bytes.Repeat([]byte("L"), 100))
 	wake(late[:frameHeaderLen+40])
 	s.releaseHeld()
 	if _, err := st.RecvHeaders(time.Second); err != nil {
@@ -252,8 +252,8 @@ func TestReleaseRacingRemoteEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	id := st.ID()
-	resp := append(frameBytes(FrameHeaders, 0, id, blockBytes(Fields{{"status", "200"}})),
-		frameBytes(FrameData, FlagEndStream, id, []byte("12345678"))...)
+	resp := append(frameBytes(frameHeaders, 0, id, blockBytes(Fields{{"status", "200"}})),
+		frameBytes(frameData, flagEndStream, id, []byte("12345678"))...)
 	if _, err := raw.Write(resp[:len(resp)-4]); err != nil { // the DATA frame is looked up, its end is to come
 		t.Fatal(err)
 	}
@@ -395,7 +395,7 @@ func exchange(client *Session, rng *rand.Rand, tag string) error {
 		}
 	}
 	h, err := st.RecvHeaders(5 * time.Second)
-	if errors.Is(err, ErrSessionClosed) || errors.Is(err, ErrStreamReset) {
+	if errors.Is(err, errSessionClosed) || errors.Is(err, ErrStreamReset) {
 		return nil
 	} else if err != nil {
 		return fmt.Errorf("%s: %v", tag, err)

@@ -21,26 +21,26 @@ var (
 	// ErrGoAway is returned by OpenStream once either side has announced
 	// GOAWAY: no new streams may start, existing streams drain.
 	ErrGoAway = errors.New("h2t: session is draining (GOAWAY)")
-	// ErrSessionClosed is returned once the session is dead.
-	ErrSessionClosed = errors.New("h2t: session closed")
+	// errSessionClosed is returned once the session is dead.
+	errSessionClosed = errors.New("h2t: session closed")
 	// ErrStreamReset is delivered to readers of a stream the peer reset.
 	ErrStreamReset = errors.New("h2t: stream reset by peer")
 	// ErrStreamClosed is returned for writes on a finished stream.
 	ErrStreamClosed = errors.New("h2t: stream closed")
-	// ErrStreamLimit is returned by OpenStream when the peer's advertised
+	// errStreamLimit is returned by OpenStream when the peer's advertised
 	// SETTINGS max-concurrent-streams would be exceeded.
-	ErrStreamLimit = errors.New("h2t: peer stream limit reached")
+	errStreamLimit = errors.New("h2t: peer stream limit reached")
 )
 
 // A SinkError is the end of a stream's sink that w made, not the stream.
-type SinkError struct{ Err error }
+type SinkError struct{ err error }
 
-func (e *SinkError) Error() string { return "h2t: write to sink: " + e.Err.Error() }
-func (e *SinkError) Unwrap() error { return e.Err }
+func (e *SinkError) Error() string { return "h2t: write to sink: " + e.err.Error() }
+func (e *SinkError) Unwrap() error { return e.err }
 
 // Control is a DCR control frame delivered on a stream.
 type Control struct {
-	Type    FrameType
+	Type    frameType
 	Payload []byte
 }
 
@@ -99,13 +99,13 @@ type Session struct {
 	rbuf    []byte
 	rr, rw  int
 	inFrame bool
-	cur     Frame
+	cur     tunnelFrame
 	left    int
 	curSt   *Stream
 	big     []byte
 	direct  []byte
 	held    []heldHeaders
-	owed    []Frame
+	owed    []tunnelFrame
 	rerr    error
 	policed bool // the peer is held to its windows (advance)
 
@@ -130,7 +130,7 @@ type Session struct {
 }
 
 // An Option customises a Session before it starts serving.
-type Option func(*sessionOptions)
+type option func(*sessionOptions)
 
 type sessionOptions struct {
 	wrap    func(net.Conn) net.Conn
@@ -168,20 +168,13 @@ func NewMetrics(reg *metrics.Registry) *Metrics {
 var unobserved = NewMetrics(metrics.NewRegistry())
 
 // WithMetrics makes the session report into m.
-func WithMetrics(m *Metrics) Option {
+func WithMetrics(m *Metrics) option {
 	return func(o *sessionOptions) { o.metrics = m }
-}
-
-// WithConnWrapper interposes wrap between the session and its transport.
-// It is the seam internal/faults uses to inject transport-level faults
-// beneath the framing layer without the session knowing.
-func WithConnWrapper(wrap func(net.Conn) net.Conn) Option {
-	return func(o *sessionOptions) { o.wrap = wrap }
 }
 
 // NewSession starts a session over conn, Serve on a goroutine of its own.
 // Exactly one endpoint must pass isClient=true. The session owns conn.
-func NewSession(conn net.Conn, isClient bool, opts ...Option) *Session {
+func NewSession(conn net.Conn, isClient bool, opts ...option) *Session {
 	s := newSession(conn, isClient, opts...)
 	go s.Serve()
 	return s
@@ -189,12 +182,12 @@ func NewSession(conn net.Conn, isClient bool, opts ...Option) *Session {
 
 // NewServedSession is NewSession for a caller that runs Serve itself, on a
 // goroutine it has anyway.
-func NewServedSession(conn net.Conn, isClient bool, opts ...Option) *Session {
+func NewServedSession(conn net.Conn, isClient bool, opts ...option) *Session {
 	return newSession(conn, isClient, opts...)
 }
 
 // newSession is NewSession short of starting the read side.
-func newSession(conn net.Conn, isClient bool, opts ...Option) *Session {
+func newSession(conn net.Conn, isClient bool, opts ...option) *Session {
 	var o sessionOptions
 	for _, opt := range opts {
 		opt(&o)
@@ -242,7 +235,7 @@ const inlinePayload = 4 << 10
 // assembled. The first frame a session ever sends announces its receive
 // windows: whatever that frame is, the peer has it before any DATA it
 // could answer. wmu is held.
-func (s *Session) putHeader(t FrameType, flags uint8, id uint32, n int) {
+func (s *Session) putHeader(t frameType, flags uint8, id uint32, n int) {
 	if !s.announced {
 		s.announced = true
 		flags |= FlagWindow
@@ -251,7 +244,7 @@ func (s *Session) putHeader(t FrameType, flags uint8, id uint32, n int) {
 }
 
 // putFrame adds one frame to the write being assembled. wmu is held.
-func (s *Session) putFrame(t FrameType, flags uint8, id uint32, payload []byte) {
+func (s *Session) putFrame(t frameType, flags uint8, id uint32, payload []byte) {
 	s.putHeader(t, flags, id, len(payload))
 	if len(payload) <= inlinePayload {
 		s.wbuf = append(s.wbuf, payload...)
@@ -287,7 +280,7 @@ func (s *Session) sendCredit(id uint32, n int) {
 func (s *Session) putCredits() {
 	s.cmu.Lock()
 	for _, c := range s.credits {
-		s.putHeader(FrameWindowUpdate, 0, c.id, 4)
+		s.putHeader(frameWindowUpdate, 0, c.id, 4)
 		s.wbuf = binary.BigEndian.AppendUint32(s.wbuf, c.n)
 	}
 	s.m.updates.Add(int64(len(s.credits)))
@@ -334,13 +327,13 @@ func (s *Session) resetWrite() {
 }
 
 // writeFrame sends one frame; it is on the wire when writeFrame returns.
-func (s *Session) writeFrame(f Frame) error {
+func (s *Session) writeFrame(f tunnelFrame) error {
 	if len(f.Payload) > maxFramePayload {
-		return ErrFrameTooLarge
+		return errFrameTooLarge
 	}
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
-	s.putFrame(f.Type, f.Flags, f.StreamID, f.Payload)
+	s.putFrame(f.Type, f.Flags, f.streamID, f.Payload)
 	return s.flush()
 }
 
@@ -356,12 +349,12 @@ func (s *Session) sendMessage(id uint32, hdr Fields, body []byte, end bool) erro
 			return err
 		}
 		if hdrSize > maxFramePayload {
-			return ErrFrameTooLarge
+			return errFrameTooLarge
 		}
 	}
 	endFlag := func(last bool) uint8 {
 		if end && last {
-			return FlagEndStream
+			return flagEndStream
 		}
 		return 0
 	}
@@ -369,14 +362,14 @@ func (s *Session) sendMessage(id uint32, hdr Fields, body []byte, end bool) erro
 	defer s.wmu.Unlock()
 	if hdr != nil {
 		// The header block is encoded straight behind its frame header.
-		s.putHeader(FrameHeaders, endFlag(len(body) == 0), id, hdrSize)
+		s.putHeader(frameHeaders, endFlag(len(body) == 0), id, hdrSize)
 		s.wbuf = appendFields(s.wbuf, hdr)
 	} else if len(body) == 0 && end {
-		s.putFrame(FrameData, FlagEndStream, id, nil)
+		s.putFrame(frameData, flagEndStream, id, nil)
 	}
 	for len(body) > 0 {
 		n := min(len(body), maxFramePayload)
-		s.putFrame(FrameData, endFlag(n == len(body)), id, body[:n])
+		s.putFrame(frameData, endFlag(n == len(body)), id, body[:n])
 		body = body[n:]
 	}
 	return s.flush()
@@ -398,7 +391,7 @@ func (s *Session) OpenStreamWith(hdr Fields, body []byte, endStream bool) (*Stre
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return nil, ErrSessionClosed
+		return nil, errSessionClosed
 	}
 	if s.goAwaySent || s.goAwayRecv {
 		s.mu.Unlock()
@@ -413,7 +406,7 @@ func (s *Session) OpenStreamWith(hdr Fields, body []byte, endStream bool) (*Stre
 		}
 		if mine >= s.peerMaxStreams {
 			s.mu.Unlock()
-			return nil, ErrStreamLimit
+			return nil, errStreamLimit
 		}
 	}
 	id := s.nextID
@@ -470,7 +463,7 @@ func (s *Session) GoAway() error {
 	if already {
 		return nil
 	}
-	return s.writeFrame(Frame{Type: FrameGoAway})
+	return s.writeFrame(tunnelFrame{Type: frameGoAway})
 }
 
 // AdvertiseSettings tells the peer how many concurrent streams it may keep
@@ -479,11 +472,8 @@ func (s *Session) GoAway() error {
 func (s *Session) AdvertiseSettings(maxConcurrentStreams uint32) error {
 	var payload [4]byte
 	binary.BigEndian.PutUint32(payload[:], maxConcurrentStreams)
-	return s.writeFrame(Frame{Type: FrameSettings, Payload: payload[:]})
+	return s.writeFrame(tunnelFrame{Type: FrameSettings, Payload: payload[:]})
 }
-
-// GoAwayReceived returns a channel closed when the peer announces GOAWAY.
-func (s *Session) GoAwayReceived() <-chan struct{} { return s.goAwayCh }
 
 // Draining reports whether either side has announced GOAWAY.
 func (s *Session) Draining() bool {
@@ -499,50 +489,9 @@ func (s *Session) hold(delta int) {
 	s.m.resident.Add(int64(delta))
 }
 
-// ResidentBytes returns the chunk memory the session's streams hold for
-// data received and not yet read: at most a window and a chunk per stream
-// whose peer keeps to its window.
-func (s *Session) ResidentBytes() int64 { return s.resident.Load() }
-
-// NumStreams returns the number of live streams.
-func (s *Session) NumStreams() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.streams)
-}
-
-// Ping round-trips a PING frame, bounding the wait by timeout.
-func (s *Session) Ping(timeout time.Duration) error {
-	s.pingMu.Lock()
-	s.pingSeq++
-	seq := s.pingSeq
-	ch := make(chan struct{})
-	s.pingWait[seq] = ch
-	s.pingMu.Unlock()
-	defer func() {
-		s.pingMu.Lock()
-		delete(s.pingWait, seq)
-		s.pingMu.Unlock()
-	}()
-
-	var payload [8]byte
-	binary.BigEndian.PutUint64(payload[:], seq)
-	if err := s.writeFrame(Frame{Type: FramePing, Payload: payload[:]}); err != nil {
-		return err
-	}
-	select {
-	case <-ch:
-		return nil
-	case <-s.done:
-		return s.endReason()
-	case <-time.After(timeout):
-		return fmt.Errorf("h2t: ping timeout after %v", timeout)
-	}
-}
-
 // Close tears the session down immediately; all streams error out.
 func (s *Session) Close() error {
-	return s.shutdown(ErrSessionClosed)
+	return s.shutdown(errSessionClosed)
 }
 
 // Done returns a channel closed when the session has terminated.
@@ -617,7 +566,7 @@ func (s *Session) Serve() {
 func (s *Session) payOwed() {
 	for i, f := range s.owed {
 		s.writeFrame(f)
-		s.owed[i] = Frame{}
+		s.owed[i] = tunnelFrame{}
 	}
 	s.owed = s.owed[:0]
 }
@@ -632,7 +581,7 @@ func (s *Session) endRead(err error) {
 	case s.rerr != nil:
 		s.shutdown(s.rerr)
 	case errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed):
-		s.shutdown(ErrSessionClosed)
+		s.shutdown(errSessionClosed)
 	default:
 		s.shutdown(fmt.Errorf("h2t: read: %w", err))
 	}
@@ -717,26 +666,26 @@ func (s *Session) advance(n int) error {
 			// Credit, a PING's echo and whatever names a stream this side
 			// opened answer a frame of ours, so the peer has our announcement;
 			// before, a tunnel's first upload may cross it and is not policed.
-			if !s.policed && (f.Type == FrameWindowUpdate || f.Type == FramePing && f.Flags&FlagAck != 0 ||
-				f.StreamID != 0 && !s.peerInitiated(f.StreamID)) {
+			if !s.policed && (f.Type == frameWindowUpdate || f.Type == framePing && f.Flags&flagAck != 0 ||
+				f.streamID != 0 && !s.peerInitiated(f.streamID)) {
 				s.policed = s.peerWindow.Load()
 			}
 			s.rr += frameHeaderLen
 			s.inFrame, s.cur, s.left, s.curSt, s.big = true, f, size, nil, nil
 			switch {
-			case f.Type == FrameData:
+			case f.Type == frameData:
 				// A stream the peer ended is no target, as one that is gone:
 				// its user may have released it (Stream.Release).
-				if st := s.lookup(f.StreamID); st != nil {
+				if st := s.lookup(f.streamID); st != nil {
 					if open, fits := st.buf.admits(size); open && (fits || !s.policed) {
 						s.curSt = st
 					} else if open {
 						// Past its window: the peer loses this stream and nothing
 						// else, and the payload goes nowhere.
 						s.m.overruns.Inc()
-						st.abort(s, f.StreamID, ErrStreamReset)
-						s.dropStream(f.StreamID)
-						s.owed = append(s.owed, Frame{Type: FrameRST, StreamID: f.StreamID})
+						st.abort(s, f.streamID, ErrStreamReset)
+						s.dropStream(f.streamID)
+						s.owed = append(s.owed, tunnelFrame{Type: frameRST, streamID: f.streamID})
 					}
 				}
 			case size > len(s.rbuf):
@@ -746,7 +695,7 @@ func (s *Session) advance(n int) error {
 		have := min(s.rw-s.rr, s.left)
 		src := s.rbuf[s.rr : s.rr+have]
 		switch {
-		case s.cur.Type == FrameData:
+		case s.cur.Type == frameData:
 			if s.curSt != nil && len(src) > 0 {
 				s.curSt.buf.put(s, s.curSt, src, s.left-have)
 			}
@@ -774,35 +723,35 @@ func (s *Session) advance(n int) error {
 func (s *Session) endFrame(payload []byte) error {
 	f, st := s.cur, s.curSt
 	s.inFrame, s.curSt, s.big = false, nil, nil
-	if f.Type != FrameData {
+	if f.Type != frameData {
 		f.Payload = payload
 		return s.handleFrame(f)
 	}
-	if st != nil && f.Flags&FlagEndStream != 0 {
+	if st != nil && f.Flags&flagEndStream != 0 {
 		s.remoteEnd(st)
 	}
 	return nil
 }
 
-func (s *Session) handleFrame(f Frame) error {
+func (s *Session) handleFrame(f tunnelFrame) error {
 	switch f.Type {
-	case FrameHeaders:
+	case frameHeaders:
 		return s.handleHeaders(f)
-	case FrameRST:
-		if st := s.lookup(f.StreamID); st != nil {
+	case frameRST:
+		if st := s.lookup(f.streamID); st != nil {
 			s.releaseHeld() // a block that came before the RST is the consumer's
-			st.abort(s, f.StreamID, ErrStreamReset)
-			s.dropStream(f.StreamID)
+			st.abort(s, f.streamID, ErrStreamReset)
+			s.dropStream(f.streamID)
 		}
-	case FrameWindowUpdate:
+	case frameWindowUpdate:
 		// Credit for a stream that is gone, or of a size this version
 		// does not know, is dropped: neither can be acted on.
 		if len(f.Payload) == 4 {
-			if st := s.lookup(f.StreamID); st != nil {
-				st.addCredit(s, f.StreamID, binary.BigEndian.Uint32(f.Payload))
+			if st := s.lookup(f.streamID); st != nil {
+				st.addCredit(s, f.streamID, binary.BigEndian.Uint32(f.Payload))
 			}
 		}
-	case FrameGoAway:
+	case frameGoAway:
 		s.mu.Lock()
 		first := !s.goAwayRecv
 		s.goAwayRecv = true
@@ -816,8 +765,8 @@ func (s *Session) handleFrame(f Frame) error {
 			s.peerMaxStreams = binary.BigEndian.Uint32(f.Payload)
 			s.mu.Unlock()
 		}
-	case FramePing:
-		if f.Flags&FlagAck != 0 {
+	case framePing:
+		if f.Flags&flagAck != 0 {
 			if len(f.Payload) == 8 {
 				seq := binary.BigEndian.Uint64(f.Payload)
 				s.pingMu.Lock()
@@ -830,9 +779,9 @@ func (s *Session) handleFrame(f Frame) error {
 			return nil
 		}
 		// Echo back with ACK, once this wake is spent.
-		s.owed = append(s.owed, Frame{Type: FramePing, Flags: FlagAck, Payload: append([]byte(nil), f.Payload...)})
+		s.owed = append(s.owed, tunnelFrame{Type: framePing, Flags: flagAck, Payload: append([]byte(nil), f.Payload...)})
 	case FrameReconnectSolicitation, FrameConnectAck, FrameConnectRefuse:
-		if st := s.lookup(f.StreamID); st != nil {
+		if st := s.lookup(f.streamID); st != nil {
 			// The payload aliases the read buffer but the Control sits in
 			// a channel past this iteration: copy it. Control frames are
 			// per-reconnect, not per-byte, so this allocation is off the
@@ -841,7 +790,7 @@ func (s *Session) handleFrame(f Frame) error {
 			if len(f.Payload) > 0 {
 				payload = append(payload, f.Payload...)
 			}
-			st.deliverControl(s, f.StreamID, Control{Type: f.Type, Payload: payload})
+			st.deliverControl(s, f.streamID, Control{Type: f.Type, Payload: payload})
 		}
 	default:
 		// Unknown frame types are ignored for forward compatibility.
@@ -853,9 +802,9 @@ func (s *Session) handleFrame(f Frame) error {
 // the block that opens a stream where it is accepted, the first that
 // comes back where it was opened. Any other goes to the heap, and none
 // to a stream the peer ended (see advance).
-func (s *Session) handleHeaders(f Frame) error {
-	st := s.lookup(f.StreamID)
-	fresh := st == nil && s.peerInitiated(f.StreamID)
+func (s *Session) handleHeaders(f tunnelFrame) error {
+	st := s.lookup(f.streamID)
+	fresh := st == nil && s.peerInitiated(f.streamID)
 	if st != nil {
 		if open, _ := st.buf.admits(0); !open {
 			st = nil
@@ -864,7 +813,7 @@ func (s *Session) handleHeaders(f Frame) error {
 	var room []Field
 	switch {
 	case fresh:
-		st = newStream(s, f.StreamID)
+		st = newStream(s, f.streamID)
 		room = st.room[:0]
 	case st != nil && !st.roomUsed:
 		room = st.room[:0]
@@ -878,12 +827,12 @@ func (s *Session) handleHeaders(f Frame) error {
 		return nil
 	}
 	st.roomUsed = true
-	if f.Flags&FlagEndStream != 0 {
+	if f.Flags&flagEndStream != 0 {
 		s.remoteEnd(st)
 	}
 	if !fresh {
 		// Subsequent HEADERS on a live stream: response/trailer headers.
-		s.held = append(s.held, heldHeaders{st, f.StreamID, hdr})
+		s.held = append(s.held, heldHeaders{st, f.streamID, hdr})
 		return nil
 	}
 	st.hdr = hdr
@@ -892,15 +841,15 @@ func (s *Session) handleHeaders(f Frame) error {
 		s.mu.Unlock()
 		return nil
 	}
-	s.streams[f.StreamID] = st
+	s.streams[f.streamID] = st
 	s.mu.Unlock()
 	select {
 	case s.acceptCh <- st:
 	default:
 		// Accept queue overflow: refuse the stream rather than block the
 		// reader (the peer sees RST, maps to "server overloaded").
-		s.dropStream(f.StreamID)
-		s.owed = append(s.owed, Frame{Type: FrameRST, StreamID: f.StreamID})
+		s.dropStream(f.streamID)
+		s.owed = append(s.owed, tunnelFrame{Type: frameRST, streamID: f.streamID})
 	}
 	return nil
 }
@@ -1098,9 +1047,6 @@ func (st *Stream) reserve(want int, end bool) (n int, done bool, err error) {
 	}
 	return n, done, nil
 }
-
-// ID returns the stream ID.
-func (st *Stream) ID() uint32 { return st.id }
 
 // Fields returns the header block the peer opened the stream with; nil on
 // a stream this side opened, whose block stayed the caller's.
@@ -1300,7 +1246,7 @@ func (st *Stream) Reset() error {
 	st.buf.fail(st.sess, ErrStreamReset, true)
 	st.kick()
 	st.sess.dropStream(st.id)
-	return st.sess.writeFrame(Frame{Type: FrameRST, StreamID: st.id})
+	return st.sess.writeFrame(tunnelFrame{Type: frameRST, streamID: st.id})
 }
 
 // SendHeaders is SendMessage(h, nil, endStream) for a header map (see
@@ -1365,13 +1311,13 @@ func (st *Stream) RecvHeaders(timeout time.Duration) (Fields, error) {
 }
 
 // SendControl sends a DCR control frame on this stream.
-func (st *Stream) SendControl(t FrameType, payload []byte) error {
+func (st *Stream) SendControl(t frameType, payload []byte) error {
 	switch t {
 	case FrameReconnectSolicitation, FrameConnectAck, FrameConnectRefuse:
 	default:
 		return fmt.Errorf("h2t: %v is not a control frame", t)
 	}
-	return st.sess.writeFrame(Frame{Type: t, StreamID: st.id, Payload: payload})
+	return st.sess.writeFrame(tunnelFrame{Type: t, streamID: st.id, Payload: payload})
 }
 
 // Controls returns the channel of DCR control frames received on this

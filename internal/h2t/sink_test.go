@@ -27,42 +27,42 @@ func TestWindowOverrunLosesOnlyThatStream(t *testing.T) {
 	reg := metrics.NewRegistry()
 	server := NewSession(sc, false, WithMetrics(NewMetrics(reg)))
 	defer server.Close()
-	frames := make(chan Frame, 16)
+	frames := make(chan tunnelFrame, 16)
 	go func() { // the peer's read side: it echoes PINGs and passes on the rest
 		for {
 			f, err := ReadFrame(raw)
 			if err != nil {
 				return
 			}
-			if f.Type == FramePing && f.Flags&FlagAck == 0 {
-				WriteFrame(raw, Frame{Type: FramePing, Flags: FlagAck, Payload: f.Payload})
+			if f.Type == framePing && f.Flags&flagAck == 0 {
+				WriteFrame(raw, tunnelFrame{Type: framePing, Flags: flagAck, Payload: f.Payload})
 				continue
 			}
 			frames <- f
 		}
 	}()
-	send := func(f Frame) {
+	send := func(f tunnelFrame) {
 		t.Helper()
 		if err := WriteFrame(raw, f); err != nil {
 			t.Fatal(err)
 		}
 	}
-	expect := func(typ FrameType, id uint32) Frame {
+	expect := func(typ frameType, id uint32) tunnelFrame {
 		t.Helper()
 		select {
 		case f := <-frames:
-			if f.Type != typ || f.StreamID != id {
-				t.Fatalf("the peer read %v on stream %d, want %v on stream %d", f.Type, f.StreamID, typ, id)
+			if f.Type != typ || f.streamID != id {
+				t.Fatalf("the peer read %v on stream %d, want %v on stream %d", f.Type, f.streamID, typ, id)
 			}
 			return f
 		case <-time.After(2 * time.Second):
 			t.Fatalf("no %v on stream %d", typ, id)
 		}
-		return Frame{}
+		return tunnelFrame{}
 	}
 	hdr := appendFields(nil, Fields{{":path", "/up"}})
-	send(Frame{Type: FrameHeaders, Flags: FlagWindow, StreamID: 1, Payload: hdr})
-	send(Frame{Type: FrameHeaders, StreamID: 3, Payload: hdr})
+	send(tunnelFrame{Type: frameHeaders, Flags: FlagWindow, streamID: 1, Payload: hdr})
+	send(tunnelFrame{Type: frameHeaders, streamID: 3, Payload: hdr})
 	// The echo of the session's PING is what shows the peer has read the
 	// session's first frame, and with it the announcement.
 	if err := server.Ping(2 * time.Second); err != nil {
@@ -79,13 +79,13 @@ func TestWindowOverrunLosesOnlyThatStream(t *testing.T) {
 
 	frame := make([]byte, maxFramePayload)
 	for sent := 0; sent < streamWindow; sent += len(frame) {
-		send(Frame{Type: FrameData, StreamID: 1, Payload: frame})
+		send(tunnelFrame{Type: frameData, streamID: 1, Payload: frame})
 	}
 	if n := reg.CounterValue("h2t.window.overruns"); n != 0 {
 		t.Fatalf("%d overruns counted with exactly a window sent", n)
 	}
-	send(Frame{Type: FrameData, StreamID: 1, Payload: frame[:1]})
-	expect(FrameRST, 1)
+	send(tunnelFrame{Type: frameData, streamID: 1, Payload: frame[:1]})
+	expect(frameRST, 1)
 	if n := reg.CounterValue("h2t.window.overruns"); n != 1 {
 		t.Fatalf("h2t.window.overruns = %d, want 1", n)
 	}
@@ -96,16 +96,16 @@ func TestWindowOverrunLosesOnlyThatStream(t *testing.T) {
 		t.Fatalf("%d bytes of chunks held for a stream that was reset", held)
 	}
 
-	send(Frame{Type: FrameData, StreamID: 1, Payload: frame[:100]}) // behind the reset: to nowhere
-	send(Frame{Type: FrameData, Flags: FlagEndStream, StreamID: 3, Payload: []byte("neighbour")})
+	send(tunnelFrame{Type: frameData, streamID: 1, Payload: frame[:100]}) // behind the reset: to nowhere
+	send(tunnelFrame{Type: frameData, Flags: flagEndStream, streamID: 3, Payload: []byte("neighbour")})
 	body, err := io.ReadAll(neighbour)
 	if err != nil || string(body) != "neighbour" {
 		t.Fatalf("the neighbour stream carried %q, %v", body, err)
 	}
 	done := make(chan error, 1)
 	go func() { done <- neighbour.SendMessage(Fields{{"status", "200"}}, body, true) }()
-	expect(FrameHeaders, 3)
-	if f := expect(FrameData, 3); string(f.Payload) != "neighbour" || f.Flags&FlagEndStream == 0 {
+	expect(frameHeaders, 3)
+	if f := expect(frameData, 3); string(f.Payload) != "neighbour" || f.Flags&flagEndStream == 0 {
 		t.Fatalf("the neighbour's answer: %q, flags %#x", f.Payload, f.Flags)
 	}
 	if err := <-done; err != nil {
@@ -133,11 +133,11 @@ func (c *recordConn) Write(p []byte) (int, error) {
 		if err != nil {
 			return len(p), nil
 		}
-		if f.Type == FrameWindowUpdate && len(f.Payload) == 4 {
+		if f.Type == frameWindowUpdate && len(f.Payload) == 4 {
 			if c.credit == nil {
 				c.credit = map[uint32]int64{}
 			}
-			c.credit[f.StreamID] += int64(binary.BigEndian.Uint32(f.Payload))
+			c.credit[f.streamID] += int64(binary.BigEndian.Uint32(f.Payload))
 		}
 	}
 }
@@ -267,9 +267,9 @@ func TestStreamWriteToModel(t *testing.T) {
 		// The peer announces, opens stream 1 and, with a credit for nothing,
 		// shows that it has this side's announcement: it is held to its window.
 		var wire []byte
-		wire = appendFrameHeader(wire, FrameHeaders, FlagWindow, 1, 2)
+		wire = appendFrameHeader(wire, frameHeaders, FlagWindow, 1, 2)
 		wire = append(wire, 0, 0) // a block of no fields
-		wire = appendFrameHeader(wire, FrameWindowUpdate, 0, 1, 4)
+		wire = appendFrameHeader(wire, frameWindowUpdate, 0, 1, 4)
 		wire = append(wire, 0, 0, 0, 0)
 		feedParser(s, wire, nil)
 		st := <-s.acceptCh
@@ -316,7 +316,7 @@ func TestStreamWriteToModel(t *testing.T) {
 			if n == 0 && flags == 0 {
 				return
 			}
-			frame := appendFrameHeader(nil, FrameData, flags, 1, n)
+			frame := appendFrameHeader(nil, frameData, flags, 1, n)
 			payload := make([]byte, n)
 			rng.Read(payload)
 			sent = append(sent, payload...)
@@ -351,17 +351,17 @@ func TestStreamWriteToModel(t *testing.T) {
 		sinkEnded := how == sinkClosed || how == sinkHungUp
 		switch how {
 		case endStream:
-			data(FlagEndStream)
+			data(flagEndStream)
 		case localReset:
 			st.Reset()
 		case peerReset:
-			feedParser(s, appendFrameHeader(nil, FrameRST, 0, 1, 0), nil)
+			feedParser(s, appendFrameHeader(nil, frameRST, 0, 1, 0), nil)
 		case sinkClosed:
 			w.Close()
 		case sinkHungUp:
 			far.Close()
 		case sessionDeath:
-			s.shutdown(ErrSessionClosed)
+			s.shutdown(errSessionClosed)
 		}
 		// What the stream has let go of by now is anybody's. Had it let go of
 		// the chunk a WriteTo held up by the far end is still writing out,
@@ -449,6 +449,6 @@ func TestStreamWriteToModel(t *testing.T) {
 		if held := s.ResidentBytes(); held != 0 {
 			t.Fatalf("seed %d, end %d: %d bytes of chunks still held", seed, how, held)
 		}
-		s.shutdown(ErrSessionClosed)
+		s.shutdown(errSessionClosed)
 	}
 }

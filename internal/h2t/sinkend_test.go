@@ -34,13 +34,13 @@ func goid() string {
 
 func newSinkRig(t *testing.T) *sinkRig {
 	r := &sinkRig{s: newSession(&recordConn{}, false), errs: make(chan error, 4), reader: goid()}
-	r.feed(append(appendFrameHeader(nil, FrameHeaders, FlagWindow, 1, 2), 0, 0))
+	r.feed(append(appendFrameHeader(nil, frameHeaders, FlagWindow, 1, 2), 0, 0))
 	r.st = <-r.s.acceptCh
 	r.w, r.far = socketPair(t)
 	t.Cleanup(func() {
 		r.w.Close()
 		r.far.Close()
-		r.s.shutdown(ErrSessionClosed)
+		r.s.shutdown(errSessionClosed)
 	})
 	r.st.Sink(r.w, func(err error) {
 		r.st.Buffered() // under the stream's lock this would wait for ever
@@ -65,7 +65,7 @@ func (r *sinkRig) feed(wire []byte) {
 }
 
 func (r *sinkRig) data(n int, flags uint8) {
-	r.feed(append(appendFrameHeader(nil, FrameData, flags, 1, n), make([]byte, n)...))
+	r.feed(append(appendFrameHeader(nil, frameData, flags, 1, n), make([]byte, n)...))
 }
 
 // readFar reads n bytes at the far end.
@@ -131,16 +131,16 @@ func TestSinkWriterAndEnd(t *testing.T) {
 		end  func(t *testing.T, r *sinkRig)
 		want func(error) bool
 	}{
-		{"END_STREAM", func(t *testing.T, r *sinkRig) { r.data(10, FlagEndStream) }, func(err error) bool { return err == nil }},
+		{"END_STREAM", func(t *testing.T, r *sinkRig) { r.data(10, flagEndStream) }, func(err error) bool { return err == nil }},
 		{"END_STREAM behind a queue", func(t *testing.T, r *sinkRig) {
 			r.data(maxFramePayload, 0)
-			r.data(10, FlagEndStream)
+			r.data(10, flagEndStream)
 			r.readFar(t, maxFramePayload+10)
 		}, func(err error) bool { return err == nil }},
-		{"RST", func(t *testing.T, r *sinkRig) { r.feed(appendFrameHeader(nil, FrameRST, 0, 1, 0)) },
+		{"RST", func(t *testing.T, r *sinkRig) { r.feed(appendFrameHeader(nil, frameRST, 0, 1, 0)) },
 			func(err error) bool { return errors.Is(err, ErrStreamReset) }},
-		{"session death", func(t *testing.T, r *sinkRig) { r.s.shutdown(ErrSessionClosed) },
-			func(err error) bool { return errors.Is(err, ErrSessionClosed) }},
+		{"session death", func(t *testing.T, r *sinkRig) { r.s.shutdown(errSessionClosed) },
+			func(err error) bool { return errors.Is(err, errSessionClosed) }},
 		{"a failed sink write", func(t *testing.T, r *sinkRig) {
 			r.far.Close()
 			r.data(10, 0)
@@ -159,9 +159,9 @@ func TestSinkWriterAndEnd(t *testing.T) {
 				t.Fatal("the end callback did not run")
 			}
 			// Everything else that ends a stream, after the end.
-			r.data(10, FlagEndStream)
+			r.data(10, flagEndStream)
 			r.st.Reset()
-			r.s.shutdown(ErrSessionClosed)
+			r.s.shutdown(errSessionClosed)
 			time.Sleep(20 * time.Millisecond)
 			if n := r.ends.Load(); n != 1 {
 				t.Fatalf("the end callback ran %d times", n)

@@ -29,7 +29,7 @@ func eventually(t *testing.T, what string, cond func() bool) {
 // freshPair is a session pair over TCP loopback on which nothing has been
 // sent: neither side has the other's announcement. reg counts the
 // client's stalls and both sides' credits.
-func freshPair(t *testing.T, clientOpts ...Option) (client, server *Session, reg *metrics.Registry) {
+func freshPair(t *testing.T, clientOpts ...option) (client, server *Session, reg *metrics.Registry) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -46,7 +46,7 @@ func freshPair(t *testing.T, clientOpts ...Option) (client, server *Session, reg
 	}
 	reg = metrics.NewRegistry()
 	m := NewMetrics(reg)
-	client = NewSession(cc, true, append([]Option{WithMetrics(m)}, clientOpts...)...)
+	client = NewSession(cc, true, append([]option{WithMetrics(m)}, clientOpts...)...)
 	server = NewSession(sc, false, WithMetrics(m))
 	t.Cleanup(func() { client.Close(); server.Close() })
 	return client, server, reg
@@ -55,7 +55,7 @@ func freshPair(t *testing.T, clientOpts ...Option) (client, server *Session, reg
 // windowedPair is a freshPair in which each side has the other's
 // announcement (a PING and its answer carry them), so windows are
 // enforced from the first stream on.
-func windowedPair(t *testing.T, clientOpts ...Option) (client, server *Session, reg *metrics.Registry) {
+func windowedPair(t *testing.T, clientOpts ...option) (client, server *Session, reg *metrics.Registry) {
 	t.Helper()
 	client, server, reg = freshPair(t, clientOpts...)
 	if err := client.Ping(5 * time.Second); err != nil {
@@ -345,7 +345,7 @@ func TestParkedWriterWakes(t *testing.T) {
 		{"local Reset", func(_, _ *Session, st, _ *Stream) { st.Reset() }, ErrStreamClosed},
 		{"peer RST", func(_, _ *Session, _, sst *Stream) { sst.Reset() }, ErrStreamReset},
 		{"GOAWAY then close", func(_, server *Session, _, _ *Stream) { server.GoAway(); server.Close() }, nil},
-		{"session death", func(client, _ *Session, _, _ *Stream) { client.Close() }, ErrSessionClosed},
+		{"session death", func(client, _ *Session, _, _ *Stream) { client.Close() }, errSessionClosed},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -461,7 +461,7 @@ func TestHostileWindowUpdate(t *testing.T) {
 			if err != nil {
 				return
 			}
-			if f.Type == FramePing && f.Flags&FlagAck != 0 {
+			if f.Type == framePing && f.Flags&flagAck != 0 {
 				close(acked)
 			}
 		}
@@ -471,14 +471,14 @@ func TestHostileWindowUpdate(t *testing.T) {
 		t.Fatal(err)
 	}
 	u32 := func(v uint32) []byte { return binary.BigEndian.AppendUint32(nil, v) }
-	for _, f := range []Frame{
-		{Type: FrameWindowUpdate, Flags: FlagWindow, StreamID: st.ID(), Payload: u32(0xffffffff)},
-		{Type: FrameWindowUpdate, StreamID: st.ID(), Payload: u32(0xffffffff)},
-		{Type: FrameWindowUpdate, StreamID: st.ID(), Payload: u32(0)},
-		{Type: FrameWindowUpdate, StreamID: 999, Payload: u32(1)},
-		{Type: FrameWindowUpdate, StreamID: st.ID(), Payload: []byte{1, 2, 3}},
-		{Type: FrameWindowUpdate, StreamID: st.ID(), Payload: make([]byte, 8)},
-		{Type: FramePing, Payload: make([]byte, 8)}, // answered once all of the above are handled
+	for _, f := range []tunnelFrame{
+		{Type: frameWindowUpdate, Flags: FlagWindow, streamID: st.ID(), Payload: u32(0xffffffff)},
+		{Type: frameWindowUpdate, streamID: st.ID(), Payload: u32(0xffffffff)},
+		{Type: frameWindowUpdate, streamID: st.ID(), Payload: u32(0)},
+		{Type: frameWindowUpdate, streamID: 999, Payload: u32(1)},
+		{Type: frameWindowUpdate, streamID: st.ID(), Payload: []byte{1, 2, 3}},
+		{Type: frameWindowUpdate, streamID: st.ID(), Payload: make([]byte, 8)},
+		{Type: framePing, Payload: make([]byte, 8)}, // answered once all of the above are handled
 	} {
 		if err := WriteFrame(raw, f); err != nil {
 			t.Fatal(err)

@@ -56,9 +56,6 @@ func (cw *ChunkedWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// BytesWritten returns the number of decoded body bytes emitted.
-func (cw *ChunkedWriter) BytesWritten() int64 { return cw.bytesWritten }
-
 // Close emits the terminal zero-length chunk.
 func (cw *ChunkedWriter) Close() error {
 	if cw.closed {
@@ -83,13 +80,6 @@ type ChunkedReader struct {
 
 // NewChunkedReader wraps br.
 func NewChunkedReader(br *bufio.Reader) *ChunkedReader { return &ChunkedReader{br: br} }
-
-// Offset returns the number of decoded body bytes returned so far.
-func (cr *ChunkedReader) Offset() int64 { return cr.offset }
-
-// InChunk reports whether the decoder is positioned in the middle of a
-// chunk payload.
-func (cr *ChunkedReader) InChunk() bool { return cr.remaining > 0 }
 
 // Done reports whether the terminal chunk has been consumed.
 func (cr *ChunkedReader) Done() bool { return cr.done }

@@ -89,7 +89,7 @@ func FuzzReadRequest(f *testing.F) {
 		if err != nil || !bytes.Equal(gotBody, body) {
 			t.Fatalf("body %q became %q (%v)", body, gotBody, err)
 		}
-		if got.Method != req.Method || got.Target != req.Target || got.Proto != req.Proto || got.ContentLength != req.ContentLength ||
+		if got.Method != req.Method || got.Target != req.Target || got.proto != req.proto || got.ContentLength != req.ContentLength ||
 			!reflect.DeepEqual(fieldsByName(&got.Header), fieldsByName(&req.Header)) {
 			t.Fatalf("accepted %q as\n%+v\nrewritten as %q, which reads as\n%+v", data, req, wire.Bytes(), got)
 		}
@@ -131,7 +131,7 @@ func FuzzReadResponse(f *testing.F) {
 			t.Fatalf("body %q became %q (%v)", body, gotBody, err)
 		}
 		sameMessage := resp.StatusMessage == "" || got.StatusMessage == resp.StatusMessage // none is written as the code's default
-		if got.StatusCode != resp.StatusCode || !sameMessage || got.Proto != resp.Proto || got.ContentLength != resp.ContentLength ||
+		if got.StatusCode != resp.StatusCode || !sameMessage || got.proto != resp.proto || got.ContentLength != resp.ContentLength ||
 			!reflect.DeepEqual(fieldsByName(&got.Header), fieldsByName(&resp.Header)) {
 			t.Fatalf("accepted %q as\n%+v\nrewritten as %q, which reads as\n%+v", data, resp, wire.Bytes(), got)
 		}

@@ -82,7 +82,7 @@ func TestHeadBoundedWhileRead(t *testing.T) {
 	} {
 		src := &countingReader{r: strings.NewReader(strings.Repeat("A", 1<<20))}
 		br := bufio.NewReader(src)
-		if err := read(br); !errors.Is(err, ErrMalformed) {
+		if err := read(br); !errors.Is(err, errMalformed) {
 			t.Errorf("%s: 1 MiB line with no end: err = %v, want ErrMalformed", name, err)
 		}
 		if limit := maxHead + br.Size(); src.n > limit {
@@ -108,7 +108,7 @@ func TestHeadBoundedWhileRead(t *testing.T) {
 		if req, err := ReadRequest(bufio.NewReaderSize(strings.NewReader(head(maxHead)), size)); err != nil || req.Header.Len() == 0 {
 			t.Errorf("buffer %d: head of exactly maxHead refused: %v", size, err)
 		}
-		if _, err := ReadRequest(bufio.NewReaderSize(strings.NewReader(head(maxHead+1)), size)); !errors.Is(err, ErrMalformed) {
+		if _, err := ReadRequest(bufio.NewReaderSize(strings.NewReader(head(maxHead+1)), size)); !errors.Is(err, errMalformed) {
 			t.Errorf("buffer %d: head of maxHead+1 accepted: %v", size, err)
 		}
 	}
@@ -159,7 +159,7 @@ func TestFieldLimit(t *testing.T) {
 	if err != nil || req.Header.Len() != maxFields {
 		t.Fatalf("%d fields: %v", maxFields, err)
 	}
-	if _, err := ReadRequest(bufio.NewReader(strings.NewReader(head(maxFields + 1)))); !errors.Is(err, ErrMalformed) {
+	if _, err := ReadRequest(bufio.NewReader(strings.NewReader(head(maxFields + 1)))); !errors.Is(err, errMalformed) {
 		t.Fatalf("%d fields accepted: %v", maxFields+1, err)
 	}
 }
@@ -181,10 +181,10 @@ func TestFramingThatDisagreesIsRefused(t *testing.T) {
 		"X-A: 1\r\n folded: 2\r\n",
 		": no-name\r\n",
 	} {
-		if _, err := ReadRequest(bufio.NewReader(strings.NewReader("POST / HTTP/1.1\r\n" + fields + "\r\nhello!"))); !errors.Is(err, ErrMalformed) {
+		if _, err := ReadRequest(bufio.NewReader(strings.NewReader("POST / HTTP/1.1\r\n" + fields + "\r\nhello!"))); !errors.Is(err, errMalformed) {
 			t.Errorf("request with %q: err = %v, want ErrMalformed", fields, err)
 		}
-		if _, err := ReadResponse(bufio.NewReader(strings.NewReader("HTTP/1.1 200 OK\r\n" + fields + "\r\nhello!"))); !errors.Is(err, ErrMalformed) {
+		if _, err := ReadResponse(bufio.NewReader(strings.NewReader("HTTP/1.1 200 OK\r\n" + fields + "\r\nhello!"))); !errors.Is(err, errMalformed) {
 			t.Errorf("response with %q: err = %v, want ErrMalformed", fields, err)
 		}
 	}
@@ -222,17 +222,17 @@ func TestReadIntoResetsTheMessage(t *testing.T) {
 	br := bufio.NewReader(strings.NewReader(
 		"POST /first HTTP/1.1\r\n" + twelve + "\r\nhello" + "GET /second HTTP/1.0\r\nHost: b\r\n\r\n" + "BAD\r\n\r\n"))
 	var req Request
-	if err := ReadRequestInto(br, &req); err != nil || req.Header.Len() != 12 || req.ContentLength != 5 {
+	if err := readRequestInto(br, &req); err != nil || req.Header.Len() != 12 || req.ContentLength != 5 {
 		t.Fatalf("first request: %+v, %v", req, err)
 	}
 	target, last, copied := req.Target, req.Header.Get("X-Last"), req.Header
 	if body, err := ReadFullBody(req.Body); err != nil || string(body) != "hello" {
 		t.Fatalf("first body %q, %v", body, err)
 	}
-	if err := ReadRequestInto(br, &req); err != nil {
+	if err := readRequestInto(br, &req); err != nil {
 		t.Fatal(err)
 	}
-	if req.Method != "GET" || req.Target != "/second" || req.Proto != "HTTP/1.0" || req.ContentLength != 0 || req.Body != nil ||
+	if req.Method != "GET" || req.Target != "/second" || req.proto != "HTTP/1.0" || req.ContentLength != 0 || req.Body != nil ||
 		req.Header.Len() != 1 || req.Header.Get("Host") != "b" || req.Header.Has("X-Last") || req.Header.Has("Content-Length") {
 		t.Errorf("second request shows the first: %+v", req)
 	}
@@ -240,7 +240,7 @@ func TestReadIntoResetsTheMessage(t *testing.T) {
 	if target != "/first" || last != "kept" || copied.Len() != 12 || copied.Get("X-Last") != "kept" || copied.Has("X-Mine") {
 		t.Errorf("what was kept of the first request changed: %q, %q, %+v", target, last, copied)
 	}
-	if err := ReadRequestInto(br, &req); !errors.Is(err, ErrMalformed) {
+	if err := readRequestInto(br, &req); !errors.Is(err, errMalformed) {
 		t.Errorf("a bad request line read into a used message: %v, want ErrMalformed", err)
 	}
 
@@ -297,7 +297,7 @@ func TestHeadAllocations(t *testing.T) {
 	if n := testing.AllocsPerRun(200, func() {
 		src.Reset(get + ok)
 		br.Reset(src)
-		if err := ReadRequestInto(br, &req); err != nil || req.Header.Len() != 3 {
+		if err := readRequestInto(br, &req); err != nil || req.Header.Len() != 3 {
 			t.Fatal(err)
 		}
 		if err := ReadResponseInto(br, &kept); err != nil || kept.ContentLength != 5 {

@@ -85,9 +85,9 @@ func appendCanonical(b []byte, name string) []byte {
 	return b
 }
 
-// CanonicalKey converts a header name to its canonical Title-Case form,
+// canonicalKey converts a header name to its canonical Title-Case form,
 // e.g. "content-length" -> "Content-Length".
-func CanonicalKey(k string) string { return string(appendCanonical(nil, k)) }
+func canonicalKey(k string) string { return string(appendCanonical(nil, k)) }
 
 // Len returns the number of fields.
 func (h *Header) Len() int { return h.n }
@@ -113,7 +113,7 @@ func (h *Header) Add(key, value string) {
 
 // Set replaces all values of key with value.
 func (h *Header) Set(key, value string) {
-	h.Del(key)
+	h.del(key)
 	h.Add(key, value)
 }
 
@@ -153,8 +153,8 @@ func (h *Header) HasToken(key, token string) bool {
 	return false
 }
 
-// Del removes every field named key.
-func (h *Header) Del(key string) {
+// del removes every field named key.
+func (h *Header) del(key string) {
 	if !h.Has(key) {
 		return
 	}
@@ -167,23 +167,13 @@ func (h *Header) Del(key string) {
 	}
 }
 
-// PseudoEchoPrefix is prepended to HTTP/2+ pseudo-header names when an app
+// pseudoEchoPrefix is prepended to HTTP/2+ pseudo-header names when an app
 // server echoes them back in a 379 response (§5.2: "request pseudo-headers
 // are echoed in the response message with a special prefix").
-const PseudoEchoPrefix = "Pseudo-Echo-"
+const pseudoEchoPrefix = "Pseudo-Echo-"
 
 // EchoPseudoHeader converts a pseudo-header name like ":path" to its echo
 // form "Pseudo-Echo-Path".
 func EchoPseudoHeader(name string) string {
-	return PseudoEchoPrefix + CanonicalKey(strings.TrimPrefix(name, ":"))
-}
-
-// UnechoPseudoHeader reverses EchoPseudoHeader; ok is false if name is not
-// an echoed pseudo-header.
-func UnechoPseudoHeader(name string) (pseudo string, ok bool) {
-	ck := CanonicalKey(name)
-	if !strings.HasPrefix(ck, PseudoEchoPrefix) {
-		return "", false
-	}
-	return ":" + strings.ToLower(strings.TrimPrefix(ck, PseudoEchoPrefix)), true
+	return pseudoEchoPrefix + canonicalKey(strings.TrimPrefix(name, ":"))
 }

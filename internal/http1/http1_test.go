@@ -22,7 +22,7 @@ func TestCanonicalKey(t *testing.T) {
 		"Already-Canonical": "Already-Canonical",
 	}
 	for in, want := range cases {
-		if got := CanonicalKey(in); got != want {
+		if got := canonicalKey(in); got != want {
 			t.Errorf("CanonicalKey(%q) = %q, want %q", in, got, want)
 		}
 	}
@@ -59,7 +59,7 @@ func TestHeaderOps(t *testing.T) {
 	if !h.HasToken("connection", "close") || h.HasToken("connection", "clos") {
 		t.Fatal("HasToken failed")
 	}
-	h.Del("x-one")
+	h.del("x-one")
 	if h.Has("X-One") || h.Len() != 1 {
 		t.Fatal("Del failed")
 	}
@@ -78,7 +78,7 @@ func TestHeaderCopyDoesNotAlias(t *testing.T) {
 		cp.Add("X-Copy", "c")
 		h.Add("X-Orig", "o")
 		cp.Set("X-0", "changed")
-		cp.Del("X-" + strconv.Itoa(n-1))
+		cp.del("X-" + strconv.Itoa(n-1))
 		h.Set("X-"+strconv.Itoa(n-1), "mine")
 		if h.Len() != n+1 || h.Has("X-Copy") || h.Get("X-0") != "v" || h.Get("X-Orig") != "o" || h.Get("X-"+strconv.Itoa(n-1)) != "mine" {
 			t.Fatalf("n=%d: original saw the copy's changes: %+v", n, h)
@@ -120,7 +120,7 @@ func TestRequestRoundTripContentLength(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Method != "POST" || got.Target != "/upload" || got.Proto != "HTTP/1.1" {
+	if got.Method != "POST" || got.Target != "/upload" || got.proto != "HTTP/1.1" {
 		t.Fatalf("head = %+v", got)
 	}
 	if got.Header.Get("Host") != "example.com" {

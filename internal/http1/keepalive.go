@@ -8,8 +8,8 @@ import (
 	"zdr/internal/netx"
 )
 
-// RequestHandler serves the requests of a KeepAlive.
-type RequestHandler interface {
+// requestHandler serves the requests of a KeepAlive.
+type requestHandler interface {
 	// ServeRequest serves req, whose body, if it has one, reads from br,
 	// and reports whether the connection can take another request. req is
 	// the connection's, read into again once this returns.
@@ -17,7 +17,7 @@ type RequestHandler interface {
 }
 
 // A KeepAlive reads the server's side of a keep-alive connection: one
-// request at a time, each handed to a RequestHandler. Between requests it
+// request at a time, each handed to a requestHandler. Between requests it
 // waits in a netx.WakeReader, and a request that a wake brings whole — no
 // body, or a body that came with its head — is read and served inside
 // that wake, at one read of the connection. Any other request (a head in
@@ -31,7 +31,7 @@ type KeepAlive struct {
 	wr   netx.WakeReader
 	br   *bufio.Reader // nil, as rbuf, while nothing is buffered
 	rbuf *[]byte
-	h    RequestHandler
+	h    requestHandler
 	// HTTP/1.1 has one request at a time on a connection: this is it.
 	req Request
 	// parsed: a wake left req's head parsed and its body to be read.
@@ -40,7 +40,7 @@ type KeepAlive struct {
 }
 
 // Init makes k the reader of conn.
-func (k *KeepAlive) Init(conn net.Conn, h RequestHandler) {
+func (k *KeepAlive) Init(conn net.Conn, h requestHandler) {
 	*k = KeepAlive{h: h}
 	k.wr.Init(conn, (*keepAliveReader)(k))
 }
@@ -58,7 +58,7 @@ func (k *KeepAlive) Serve() error {
 		// The wake left a request, and whatever br holds behind it, to be
 		// read the blocking way.
 		for more := !k.last; more; more = k.br.Buffered() > 0 {
-			if !k.parsed && ReadRequestInto(k.br, &k.req) != nil {
+			if !k.parsed && readRequestInto(k.br, &k.req) != nil {
 				return nil
 			}
 			k.parsed = false
@@ -97,8 +97,8 @@ func (r *keepAliveReader) ReadBuf() []byte {
 
 func (r *keepAliveReader) ServeWake(n int) (done bool) {
 	k := (*KeepAlive)(r)
-	for n > 0 && HeadBuffered(k.br) {
-		if ReadRequestInto(k.br, &k.req) != nil {
+	for n > 0 && headBuffered(k.br) {
+		if readRequestInto(k.br, &k.req) != nil {
 			k.last = true
 			return true
 		}

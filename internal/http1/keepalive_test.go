@@ -137,7 +137,7 @@ func TestHeadBuffered(t *testing.T) {
 		"GET / HTTP/1.1\n\n":                 false, // a head it misses is read the slower way
 	} {
 		br := bufio.NewReader(strings.NewReader(in))
-		if got := HeadBuffered(br); got != want {
+		if got := headBuffered(br); got != want {
 			t.Errorf("HeadBuffered(%q) = %v, want %v", in, got, want)
 		}
 		if rest, _ := io.ReadAll(br); string(rest) != in {

@@ -38,8 +38,8 @@ var reasonPhrases = map[int]string{
 	504: "Gateway Timeout",
 }
 
-// ReasonPhrase returns the default reason phrase for code.
-func ReasonPhrase(code int) string {
+// reasonPhrase returns the default reason phrase for code.
+func reasonPhrase(code int) string {
 	if p, ok := reasonPhrases[code]; ok {
 		return p
 	}
@@ -50,7 +50,7 @@ func ReasonPhrase(code int) string {
 type Request struct {
 	Method string
 	Target string // request-target, e.g. "/upload"
-	Proto  string // "HTTP/1.1"
+	proto  string // "HTTP/1.1"
 	Header Header
 	// Body is the decoded body stream (nil for bodyless requests).
 	Body io.Reader
@@ -66,7 +66,7 @@ func NewRequest(method, target string, body io.Reader, contentLength int64) *Req
 	return &Request{
 		Method:        method,
 		Target:        target,
-		Proto:         "HTTP/1.1",
+		proto:         "HTTP/1.1",
 		Body:          body,
 		ContentLength: contentLength,
 	}
@@ -76,7 +76,7 @@ func NewRequest(method, target string, body io.Reader, contentLength int64) *Req
 type Response struct {
 	StatusCode    int
 	StatusMessage string
-	Proto         string
+	proto         string
 	Header        Header
 	Body          io.Reader
 	ContentLength int64 // -1 means chunked
@@ -88,18 +88,18 @@ type Response struct {
 func NewResponse(code int, body io.Reader, contentLength int64) *Response {
 	return &Response{
 		StatusCode:    code,
-		StatusMessage: ReasonPhrase(code),
-		Proto:         "HTTP/1.1",
+		StatusMessage: reasonPhrase(code),
+		proto:         "HTTP/1.1",
 		Body:          body,
 		ContentLength: contentLength,
 	}
 }
 
-// ErrMalformed is wrapped by all parse errors.
-var ErrMalformed = errors.New("http1: malformed message")
+// errMalformed is wrapped by all parse errors.
+var errMalformed = errors.New("http1: malformed message")
 
 // A head — request or status line, fields and the empty line — is at most
-// maxHead bytes and maxFields fields; more is ErrMalformed.
+// maxHead bytes and maxFields fields; more is errMalformed.
 const (
 	maxHead   = 64 << 10
 	maxFields = 256
@@ -116,7 +116,7 @@ func readHead(br *bufio.Reader) (string, error) {
 		head = append(head, frag...)
 		switch {
 		case len(head) > maxHead:
-			return "", fmt.Errorf("%w: head longer than %d bytes", ErrMalformed, maxHead)
+			return "", fmt.Errorf("%w: head longer than %d bytes", errMalformed, maxHead)
 		case err == bufio.ErrBufferFull: // a line longer than br's buffer comes in pieces
 			whole = false
 			continue
@@ -130,12 +130,12 @@ func readHead(br *bufio.Reader) (string, error) {
 	}
 }
 
-// HeadBuffered reports whether what br holds, filling its buffer from its
+// headBuffered reports whether what br holds, filling its buffer from its
 // source once if it holds nothing, includes the end of a message head:
 // then reading that head reads nothing more from the source. It looks for
 // an empty line that ends in CRLF, as every head this program's peers
 // send does; a head it misses is only read the slower way.
-func HeadBuffered(br *bufio.Reader) bool {
+func headBuffered(br *bufio.Reader) bool {
 	br.Peek(1)
 	b, _ := br.Peek(br.Buffered())
 	return bytes.Contains(b, crlfcrlf)
@@ -156,18 +156,18 @@ func cutLine(s string) (line, rest string) {
 // strings are substrings of one copy of the head.
 func ReadRequest(br *bufio.Reader) (*Request, error) {
 	req := new(Request)
-	if err := ReadRequestInto(br, req); err != nil {
+	if err := readRequestInto(br, req); err != nil {
 		return nil, err
 	}
 	return req, nil
 }
 
-// ReadRequestInto is ReadRequest into a message the caller owns: a
+// readRequestInto is ReadRequest into a message the caller owns: a
 // connection keeps one for all it serves. Every field is set anew, the
 // fields past the Header's own room included; strings taken from the
 // message read before are of its own head and stay valid. After an error
 // req holds no message.
-func ReadRequestInto(br *bufio.Reader, req *Request) error {
+func readRequestInto(br *bufio.Reader, req *Request) error {
 	head, err := readHead(br)
 	if err != nil {
 		return err
@@ -176,9 +176,9 @@ func ReadRequestInto(br *bufio.Reader, req *Request) error {
 	method, rest, _ := strings.Cut(line, " ")
 	target, proto, _ := strings.Cut(rest, " ")
 	if method == "" || target == "" || !strings.HasPrefix(proto, "HTTP/1.") {
-		return fmt.Errorf("%w: bad request line %q", ErrMalformed, line)
+		return fmt.Errorf("%w: bad request line %q", errMalformed, line)
 	}
-	*req = Request{Method: method, Target: target, Proto: proto}
+	*req = Request{Method: method, Target: target, proto: proto}
 	req.ContentLength, req.Body, err = parseFields(br, &req.Header, fields, method == "HEAD", &req.limited)
 	return err
 }
@@ -193,7 +193,7 @@ func ReadResponse(br *bufio.Reader) (*Response, error) {
 }
 
 // ReadResponseInto is ReadResponse into a message the caller owns, as
-// ReadRequestInto is ReadRequest.
+// readRequestInto is ReadRequest.
 func ReadResponseInto(br *bufio.Reader, resp *Response) error {
 	head, err := readHead(br)
 	if err != nil {
@@ -203,13 +203,13 @@ func ReadResponseInto(br *bufio.Reader, resp *Response) error {
 	proto, rest, _ := strings.Cut(line, " ")
 	status, msg, _ := strings.Cut(rest, " ")
 	if !strings.HasPrefix(proto, "HTTP/1.") {
-		return fmt.Errorf("%w: bad status line %q", ErrMalformed, line)
+		return fmt.Errorf("%w: bad status line %q", errMalformed, line)
 	}
 	code, err := strconv.ParseUint(status, 10, 16)
 	if err != nil || len(status) != 3 || code < 100 {
-		return fmt.Errorf("%w: bad status code in %q", ErrMalformed, line)
+		return fmt.Errorf("%w: bad status code in %q", errMalformed, line)
 	}
-	*resp = Response{StatusCode: int(code), StatusMessage: msg, Proto: proto}
+	*resp = Response{StatusCode: int(code), StatusMessage: msg, proto: proto}
 	noBody := code == 204 || code == 304 || code/100 == 1
 	resp.ContentLength, resp.Body, err = parseFields(br, &resp.Header, fields, noBody, &resp.limited)
 	return err
@@ -228,10 +228,10 @@ func parseFields(br *bufio.Reader, h *Header, s string, noBody bool, lr *io.Limi
 	for line, s := cutLine(s); line != ""; line, s = cutLine(s) {
 		name, value, ok := strings.Cut(line, ":")
 		if name, value = strings.TrimSpace(name), strings.TrimSpace(value); !ok || name == "" || line[0] == ' ' || line[0] == '\t' {
-			return 0, nil, fmt.Errorf("%w: bad header field %q", ErrMalformed, line)
+			return 0, nil, fmt.Errorf("%w: bad header field %q", errMalformed, line)
 		}
 		if h.n == maxFields {
-			return 0, nil, fmt.Errorf("%w: too many header fields", ErrMalformed)
+			return 0, nil, fmt.Errorf("%w: too many header fields", errMalformed)
 		}
 		h.push(name, value)
 		switch {
@@ -239,18 +239,18 @@ func parseFields(br *bufio.Reader, h *Header, s string, noBody bool, lr *io.Limi
 			// Digits only: no sign, no list.
 			n, err := strconv.ParseUint(value, 10, 63)
 			if err != nil || length >= 0 && int64(n) != length {
-				return 0, nil, fmt.Errorf("%w: bad Content-Length %q", ErrMalformed, value)
+				return 0, nil, fmt.Errorf("%w: bad Content-Length %q", errMalformed, value)
 			}
 			length = int64(n)
 		case equalFold(name, "Transfer-Encoding"):
 			if chunked = true; !strings.EqualFold(value, "chunked") {
-				return 0, nil, fmt.Errorf("%w: unsupported Transfer-Encoding %q", ErrMalformed, value)
+				return 0, nil, fmt.Errorf("%w: unsupported Transfer-Encoding %q", errMalformed, value)
 			}
 		}
 	}
 	switch {
 	case chunked && length >= 0:
-		return 0, nil, fmt.Errorf("%w: both Content-Length and Transfer-Encoding", ErrMalformed)
+		return 0, nil, fmt.Errorf("%w: both Content-Length and Transfer-Encoding", errMalformed)
 	case noBody || length <= 0 && !chunked:
 		return 0, nil, nil
 	case chunked:
@@ -272,7 +272,7 @@ func WriteRequest(w io.Writer, req *Request) (int64, error) {
 	b = append(b, ' ')
 	b = append(b, req.Target...)
 	b = append(b, ' ')
-	b = append(b, orDefault(req.Proto, "HTTP/1.1")...)
+	b = append(b, orDefault(req.proto, "HTTP/1.1")...)
 	b = append(b, '\r', '\n')
 	mw.buf = appendHeaders(b, &req.Header, req.Body, req.ContentLength)
 	return mw.writeBody(req.Body, req.ContentLength)
@@ -282,11 +282,11 @@ func WriteRequest(w io.Writer, req *Request) (int64, error) {
 func WriteResponse(w io.Writer, resp *Response) (int64, error) {
 	msg := resp.StatusMessage
 	if msg == "" {
-		msg = ReasonPhrase(resp.StatusCode)
+		msg = reasonPhrase(resp.StatusCode)
 	}
 	mw := newMessageWriter(w, resp.Body)
 	defer mw.release()
-	b := append(mw.buf, orDefault(resp.Proto, "HTTP/1.1")...)
+	b := append(mw.buf, orDefault(resp.proto, "HTTP/1.1")...)
 	b = append(b, ' ')
 	b = strconv.AppendInt(b, int64(resp.StatusCode), 10)
 	b = append(b, ' ')

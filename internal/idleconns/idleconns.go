@@ -40,12 +40,12 @@ type Config struct {
 	// Flows is the flow-table population for the O(1) epoch-bump check.
 	// Defaults to 1<<20 (the "million-flow" in the title).
 	Flows int
-	// DrainPeriod for both proxy generations (0 = 200ms).
-	DrainPeriod time.Duration
+	// drainPeriod for both proxy generations (0 = 200ms).
+	drainPeriod time.Duration
 	// Logf, when set, receives progress lines (e.g. fmt.Printf).
 	Logf func(format string, args ...any)
-	// Dir is where the takeover socket lives (0 = os.MkdirTemp).
-	Dir string
+	// dir is where the takeover socket lives (0 = os.MkdirTemp).
+	dir string
 }
 
 // Report is what one run measured.
@@ -89,10 +89,10 @@ type Report struct {
 	ReconnectMs        float64 `json:"reconnect_ms"`
 }
 
-// FDBudget returns how many idle connections the process may hold,
+// fdBudget returns how many idle connections the process may hold,
 // leaving headroom for listeners, pipes and the runtime. Each in-process
 // connection costs two descriptors (client end + accepted end).
-func FDBudget() int {
+func fdBudget() int {
 	var lim syscall.Rlimit
 	if err := syscall.Getrlimit(syscall.RLIMIT_NOFILE, &lim); err != nil {
 		return 256
@@ -114,10 +114,10 @@ func Run(cfg Config) (*Report, error) {
 	if cfg.Flows == 0 {
 		cfg.Flows = 1 << 20
 	}
-	if cfg.DrainPeriod == 0 {
-		cfg.DrainPeriod = 200 * time.Millisecond
+	if cfg.drainPeriod == 0 {
+		cfg.drainPeriod = 200 * time.Millisecond
 	}
-	dir := cfg.Dir
+	dir := cfg.dir
 	if dir == "" {
 		d, err := os.MkdirTemp("", "idleconns-")
 		if err != nil {
@@ -127,7 +127,7 @@ func Run(cfg Config) (*Report, error) {
 		dir = d
 	}
 
-	rep := &Report{RequestedConns: cfg.Conns, FDBudget: FDBudget(), FlowTableFlows: cfg.Flows}
+	rep := &Report{RequestedConns: cfg.Conns, FDBudget: fdBudget(), FlowTableFlows: cfg.Flows}
 	rep.Conns = rep.FDBudget
 	if cfg.Conns > 0 && cfg.Conns < rep.Conns {
 		rep.Conns = cfg.Conns
@@ -142,7 +142,7 @@ func Run(cfg Config) (*Report, error) {
 	oldEdge := proxy.New(proxy.Config{
 		Name:          "idleconns-g1",
 		Role:          proxy.RoleEdge,
-		DrainPeriod:   cfg.DrainPeriod,
+		DrainPeriod:   cfg.drainPeriod,
 		StaticContent: static,
 	}, nil)
 	if err := oldEdge.Listen(); err != nil {
@@ -204,7 +204,7 @@ func Run(cfg Config) (*Report, error) {
 	newEdge := proxy.New(proxy.Config{
 		Name:          "idleconns-g2",
 		Role:          proxy.RoleEdge,
-		DrainPeriod:   cfg.DrainPeriod,
+		DrainPeriod:   cfg.drainPeriod,
 		StaticContent: static,
 	}, nil)
 	defer newEdge.Close()

@@ -15,7 +15,7 @@ func TestRunScaled(t *testing.T) {
 		Conns: 512,
 		Flows: 100_000,
 		Logf:  t.Logf,
-		Dir:   t.TempDir(),
+		dir:   t.TempDir(),
 	}
 	rep, err := Run(cfg)
 	if err != nil {
@@ -46,7 +46,7 @@ func TestRunScaled(t *testing.T) {
 
 // TestFDBudget sanity-checks the auto-scaler.
 func TestFDBudget(t *testing.T) {
-	if b := FDBudget(); b < 64 {
+	if b := fdBudget(); b < 64 {
 		t.Fatalf("fd budget %d", b)
 	}
 }

@@ -69,7 +69,6 @@ type flowTableEntry struct {
 const (
 	ftOccupied  = uint64(1) << 63
 	ftSlotShift = 32
-	ftSlotMask  = uint64(0xffff) << ftSlotShift
 	ftEpochMask = uint64(0xffffffff)
 
 	// ftBucketWay is the bucket associativity: a full bucket evicts its
@@ -117,22 +116,22 @@ type flowTableView struct {
 	slots map[string]uint16
 }
 
-// DefaultFlowTableShards is the shard count used when shards <= 0.
-const DefaultFlowTableShards = 64
+// defaultFlowTableShards is the shard count used when shards <= 0.
+const defaultFlowTableShards = 64
 
 // maxFlowTableSlots bounds interned backend identities (slot is 16 bits).
 const maxFlowTableSlots = 1 << 16
 
 // NewFlowTable creates a table holding about capacity flows, split over
 // shards locks (both rounded up to powers of two; shards <= 0 selects
-// DefaultFlowTableShards). Memory is allocated once: capacity × 16 bytes.
+// defaultFlowTableShards). Memory is allocated once: capacity × 16 bytes.
 func NewFlowTable(capacity, shards int) *FlowTable {
 	if capacity < ftBucketWay {
 		capacity = ftBucketWay
 	}
 	nShards := 1
 	if shards <= 0 {
-		shards = DefaultFlowTableShards
+		shards = defaultFlowTableShards
 	}
 	for nShards < shards {
 		nShards <<= 1
@@ -190,23 +189,17 @@ func (t *FlowTable) locate(flow uint64) (*flowTableShard, int) {
 	return s, int(bucket) * ftBucketWay
 }
 
-// Capacity returns the number of entry sockets the table holds.
-func (t *FlowTable) Capacity() int {
+// capacity returns the number of entry sockets the table holds.
+func (t *FlowTable) capacity() int {
 	return len(t.shards) * len(t.shards[0].entries)
 }
 
 // Shards returns the shard count.
 func (t *FlowTable) Shards() int { return len(t.shards) }
 
-// Epoch returns the current release generation.
-func (t *FlowTable) Epoch() uint32 { return t.view.Load().epoch }
-
 // EntryWrites returns the cumulative count of per-entry mutations. Epoch
 // bumps and backend-set publications never move it.
 func (t *FlowTable) EntryWrites() uint64 { return t.entryWrites.Load() }
-
-// EpochBumps returns how many times Bump ran.
-func (t *FlowTable) EpochBumps() uint64 { return t.epochBumps.Load() }
 
 // Len returns the number of occupied entries (including ones whose
 // generation has been invalidated but not yet overwritten).
@@ -389,10 +382,10 @@ func (t *FlowTable) storeLocked(s *flowTableShard, base int, flow, meta uint64) 
 	t.entryWrites.Add(1)
 }
 
-// Occupancy returns Len()/Capacity() in parts per thousand, the gauge the
+// occupancy returns Len()/Capacity() in parts per thousand, the gauge the
 // fleet telemetry scrapes.
-func (t *FlowTable) Occupancy() int {
-	c := t.Capacity()
+func (t *FlowTable) occupancy() int {
+	c := t.capacity()
 	if c == 0 {
 		return 0
 	}

@@ -312,8 +312,8 @@ func TestFlowTableSoak(t *testing.T) {
 				case 3:
 					ft.Insert(f, names[i%len(names)])
 				case 4:
-					if ft.Len() > ft.Capacity() {
-						t.Errorf("Len %d exceeds capacity %d", ft.Len(), ft.Capacity())
+					if ft.Len() > ft.capacity() {
+						t.Errorf("Len %d exceeds capacity %d", ft.Len(), ft.capacity())
 					}
 				}
 				if w == 0 && i%1000 == 999 {
@@ -324,7 +324,7 @@ func TestFlowTableSoak(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if ft.Len() > ft.Capacity() {
-		t.Fatalf("Len %d exceeds capacity %d", ft.Len(), ft.Capacity())
+	if ft.Len() > ft.capacity() {
+		t.Fatalf("Len %d exceeds capacity %d", ft.Len(), ft.capacity())
 	}
 }

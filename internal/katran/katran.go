@@ -16,8 +16,8 @@
 //     so established connections keep landing on the same L7LB even when
 //     a health flap briefly changes the Maglev table,
 //   - a pluggable steering Policy deciding where FRESH flows land: the
-//     default PolicyMaglev (placement-only consistent hashing) or the
-//     drain-aware adaptive PolicyPrequal (probe-based power-of-d with the
+//     default policyMaglev (placement-only consistent hashing) or the
+//     drain-aware adaptive policyPrequal (probe-based power-of-d with the
 //     hot/cold lexicographic rule).
 //
 // Steering is exposed as a function from flow hash to backend; integration
@@ -86,11 +86,11 @@ type Config struct {
 	// Prober carries health probes (default &HCProber{}, which speaks the
 	// "HC\n" → "OK\n" protocol). The same transport carries Prequal load
 	// probes, so one faults.Injector dialer chaos-tests both.
-	Prober Prober
-	// Policy decides where fresh flows land (default NewPolicyMaglev()).
+	Prober prober
+	// Policy decides where fresh flows land (default newPolicyMaglev()).
 	// The flow table sits in front of every policy; see the Policy doc
 	// for the precedence contract.
-	Policy Policy
+	Policy policy
 }
 
 // flowTableHeadroom is the table's sockets per flow of FlowCacheSize, i.e.
@@ -114,7 +114,7 @@ func (c *Config) fill() {
 		c.Prober = &HCProber{}
 	}
 	if c.Policy == nil {
-		c.Policy = NewPolicyMaglev()
+		c.Policy = newPolicyMaglev()
 	}
 }
 
@@ -123,7 +123,7 @@ type LB struct {
 	name   string
 	cfg    Config
 	reg    *metrics.Registry
-	policy Policy
+	policy policy
 
 	// Hot-path counters, resolved once: Registry.Counter takes the
 	// registry mutex per lookup, which would serialize Steer again.
@@ -136,7 +136,7 @@ type LB struct {
 	gEpoch     *metrics.Gauge
 
 	// route is the current routing snapshot; Steer loads it lock-free.
-	route atomic.Pointer[View]
+	route atomic.Pointer[view]
 
 	mu       sync.Mutex // control plane: guards backends + snapshot publication
 	backends map[string]*backendState
@@ -167,7 +167,7 @@ func New(name string, cfg Config, reg *metrics.Registry) *LB {
 		stop:        make(chan struct{}),
 	}
 	reg.Gauge("katran.steer.policy_" + lb.policy.Name()).Set(1)
-	rt := &View{
+	rt := &view{
 		maglev:  consistent.NewMaglev(0),
 		healthy: map[string]Backend{},
 	}
@@ -179,13 +179,6 @@ func New(name string, cfg Config, reg *metrics.Registry) *LB {
 	lb.route.Store(rt)
 	return lb
 }
-
-// FlowTable returns the flow table (nil unless Config.FlowCacheSize or
-// Config.FlowTableSize enabled it).
-func (lb *LB) FlowTable() *FlowTable { return lb.table }
-
-// Policy returns the steering policy deciding fresh-flow placement.
-func (lb *LB) Policy() Policy { return lb.policy }
 
 // AdvanceGeneration moves the flow table to the next release generation.
 // With drainOld, every flow pinned under earlier generations is flipped
@@ -202,11 +195,11 @@ func (lb *LB) AdvanceGeneration(drainOld bool) {
 	lb.mu.Lock()
 	old := lb.route.Load()
 	pins := lb.table.bump(drainOld)
-	lb.route.Store(&View{maglev: old.maglev, healthy: old.healthy, pins: pins})
+	lb.route.Store(&view{maglev: old.maglev, healthy: old.healthy, pins: pins})
 	lb.policy.AdvanceGeneration(pins.epoch, drainOld)
 	lb.mu.Unlock()
 	lb.gEpoch.Set(int64(pins.epoch))
-	lb.gOccupancy.Set(int64(lb.table.Occupancy()))
+	lb.gOccupancy.Set(int64(lb.table.occupancy()))
 	lb.reg.Counter("katran.flowtable.bumps").Inc()
 }
 
@@ -225,21 +218,9 @@ func (lb *LB) AddBackend(b Backend, healthyNow bool) {
 	lb.rebuildLocked()
 }
 
-// RemoveBackend deletes a backend entirely.
-func (lb *LB) RemoveBackend(name string) {
-	lb.mu.Lock()
-	defer lb.mu.Unlock()
-	if _, ok := lb.backends[name]; !ok {
-		return
-	}
-	delete(lb.backends, name)
-	lb.policy.BackendDown(name)
-	lb.rebuildLocked()
-}
-
-// ErrUnknownBackend is returned by SetHealth for a name that was never
+// errUnknownBackend is returned by SetHealth for a name that was never
 // added.
-var ErrUnknownBackend = errors.New("katran: unknown backend")
+var errUnknownBackend = errors.New("katran: unknown backend")
 
 // SetHealth overrides a backend's health (used by tests and by the
 // simulator's modeled probes). An unknown name is an error — and counts
@@ -251,7 +232,7 @@ func (lb *LB) SetHealth(name string, healthy bool) error {
 	bs, ok := lb.backends[name]
 	if !ok {
 		lb.reg.Counter("katran.health.unknown_backend").Inc()
-		return ErrUnknownBackend
+		return errUnknownBackend
 	}
 	if bs.healthy == healthy {
 		return nil
@@ -284,7 +265,7 @@ func (lb *LB) rebuildLocked() {
 		}
 	}
 	sort.Strings(names)
-	rt := &View{
+	rt := &view{
 		maglev:  consistent.NewMaglev(0, names...),
 		healthy: healthy,
 	}
@@ -298,7 +279,7 @@ func (lb *LB) rebuildLocked() {
 			live[i] = healthy[n]
 		}
 		rt.pins = lb.table.setBackends(live)
-		lb.gOccupancy.Set(int64(lb.table.Occupancy()))
+		lb.gOccupancy.Set(int64(lb.table.occupancy()))
 	}
 	lb.route.Store(rt)
 	lb.reg.Counter("katran.table.rebuilds").Inc()
@@ -310,11 +291,8 @@ func (lb *LB) HealthyBackends() []string {
 	return lb.route.Load().maglev.Members()
 }
 
-// View returns the current immutable routing snapshot.
-func (lb *LB) View() *View { return lb.route.Load() }
-
-// ErrNoBackends is returned by Steer when every backend is out.
-var ErrNoBackends = errors.New("katran: no healthy backends")
+// errNoBackends is returned by Steer when every backend is out.
+var errNoBackends = errors.New("katran: no healthy backends")
 
 // Steer picks the backend for a flow hash: the flow table first (§5.1's
 // connection table, pinning every established flow), then the steering
@@ -340,10 +318,10 @@ func (lb *LB) Steer(flow uint64) (Backend, error) {
 }
 
 // pick is the policy's fresh pick against rt.
-func (lb *LB) pick(flow uint64, rt *View) (Backend, error) {
+func (lb *LB) pick(flow uint64, rt *view) (Backend, error) {
 	b, err := lb.policy.Pick(flow, rt)
 	if err != nil {
-		return Backend{}, ErrNoBackends
+		return Backend{}, errNoBackends
 	}
 	lb.cPolicyPick.Inc()
 	return b, nil

@@ -21,7 +21,7 @@ func newLB(t *testing.T, cfg Config, backends ...string) *LB {
 
 func TestSteerNoBackends(t *testing.T) {
 	lb := newLB(t, Config{})
-	if _, err := lb.Steer(1); !errors.Is(err, ErrNoBackends) {
+	if _, err := lb.Steer(1); !errors.Is(err, errNoBackends) {
 		t.Fatalf("err = %v", err)
 	}
 }

@@ -5,36 +5,36 @@ import (
 	"zdr/internal/metrics"
 )
 
-// View is one immutable routing snapshot: the Maglev table over the
+// view is one immutable routing snapshot: the Maglev table over the
 // healthy backends, the backend records for result lookup, and — when the
 // LB pins flows — the flow table's generation window and slot → Backend
 // view, so a steer that loaded one View resolves pins and picks against
 // the same backend set. Once published it is never mutated — rebuilds
-// allocate a fresh one (consistent.Maglev.Rebuild mutates in place, so a
+// allocate a fresh one (consistent.Maglev.rebuild mutates in place, so a
 // Maglev is shared only between snapshots that never rebuild it).
 // Policies receive the current View on every Pick and may read it freely
 // without synchronization.
-type View struct {
+type view struct {
 	maglev  *consistent.Maglev
 	healthy map[string]Backend
 	pins    *flowTableView // nil when the LB has no flow table
 }
 
-// Healthy returns the names of the healthy backends, sorted.
-func (v *View) Healthy() []string { return v.maglev.Members() }
+// healthyNames returns the names of the healthy backends, sorted.
+func (v *view) healthyNames() []string { return v.maglev.Members() }
 
 // NumHealthy returns the healthy-backend count.
-func (v *View) NumHealthy() int { return len(v.healthy) }
+func (v *view) NumHealthy() int { return len(v.healthy) }
 
-// Backend resolves a healthy backend by name.
-func (v *View) Backend(name string) (Backend, bool) {
+// backend resolves a healthy backend by name.
+func (v *view) backend(name string) (Backend, bool) {
 	b, ok := v.healthy[name]
 	return b, ok
 }
 
-// PickMaglev resolves flow against the Maglev table — the placement-only
+// pickMaglev resolves flow against the Maglev table — the placement-only
 // pick every policy can fall back to.
-func (v *View) PickMaglev(flow uint64) (Backend, bool) {
+func (v *view) pickMaglev(flow uint64) (Backend, bool) {
 	name := v.maglev.PickUint(flow)
 	if name == "" {
 		return Backend{}, false
@@ -43,7 +43,7 @@ func (v *View) PickMaglev(flow uint64) (Backend, bool) {
 	return b, ok
 }
 
-// Policy is katran's pluggable steering surface: given a flow hash and
+// policy is katran's pluggable steering surface: given a flow hash and
 // the current immutable routing View, pick the backend a FRESH flow
 // should land on. The LB's flow table (§5.1's connection table) sits in
 // front of every policy and keeps established flows where they are, so
@@ -54,14 +54,14 @@ func (v *View) PickMaglev(flow uint64) (Backend, bool) {
 //
 // Lifecycle hooks observe the LB's control plane. They are invoked with
 // the LB's control-plane lock held and must not call back into the LB.
-type Policy interface {
+type policy interface {
 	// Name identifies the policy in metrics and configuration.
 	Name() string
 	// Pick selects a backend for a fresh flow against view. It must
 	// return a backend whenever view has healthy backends — a policy
 	// may deprioritize draining or probe-dead candidates but must never
 	// fail a live request while any healthy backend exists.
-	Pick(flow uint64, view *View) (Backend, error)
+	Pick(flow uint64, view *view) (Backend, error)
 	// BackendUp fires when a backend is admitted to the routing ring
 	// (added healthy, or probed back to health).
 	BackendUp(b Backend)
@@ -75,45 +75,45 @@ type Policy interface {
 	Close()
 }
 
-// PolicyMaglev is the default steering policy: the flow-table→Maglev
+// policyMaglev is the default steering policy: the flow-table→Maglev
 // pipeline's terminal pick. Fresh flows place by consistent hash,
 // established flows stay pinned by the LB's flow table.
-type PolicyMaglev struct{}
+type policyMaglev struct{}
 
-// NewPolicyMaglev returns the default placement-only policy.
-func NewPolicyMaglev() *PolicyMaglev { return &PolicyMaglev{} }
+// newPolicyMaglev returns the default placement-only policy.
+func newPolicyMaglev() *policyMaglev { return &policyMaglev{} }
 
 // Name implements Policy.
-func (*PolicyMaglev) Name() string { return "maglev" }
+func (*policyMaglev) Name() string { return "maglev" }
 
 // Pick implements Policy: the Maglev consistent-hash pick.
-func (*PolicyMaglev) Pick(flow uint64, view *View) (Backend, error) {
-	b, ok := view.PickMaglev(flow)
+func (*policyMaglev) Pick(flow uint64, view *view) (Backend, error) {
+	b, ok := view.pickMaglev(flow)
 	if !ok {
-		return Backend{}, ErrNoBackends
+		return Backend{}, errNoBackends
 	}
 	return b, nil
 }
 
 // BackendUp implements Policy (no per-backend state).
-func (*PolicyMaglev) BackendUp(Backend) {}
+func (*policyMaglev) BackendUp(Backend) {}
 
 // BackendDown implements Policy (no per-backend state).
-func (*PolicyMaglev) BackendDown(string) {}
+func (*policyMaglev) BackendDown(string) {}
 
 // AdvanceGeneration implements Policy (placement ignores generations).
-func (*PolicyMaglev) AdvanceGeneration(uint32, bool) {}
+func (*policyMaglev) AdvanceGeneration(uint32, bool) {}
 
 // Close implements Policy.
-func (*PolicyMaglev) Close() {}
+func (*policyMaglev) Close() {}
 
 // NewPolicy constructs a policy by name: "" or "maglev" selects
-// PolicyMaglev, "prequal" selects a PolicyPrequal with cfg. reg may be
-// nil. Unknown names fall back to PolicyMaglev so a typoed flag
+// policyMaglev, "prequal" selects a policyPrequal with cfg. reg may be
+// nil. Unknown names fall back to policyMaglev so a typoed flag
 // degrades to placement-only steering instead of a dead data plane.
-func NewPolicy(name string, cfg PrequalConfig, reg *metrics.Registry) Policy {
+func NewPolicy(name string, cfg PrequalConfig, reg *metrics.Registry) policy {
 	if name == "prequal" {
-		return NewPolicyPrequal(cfg, reg)
+		return newPolicyPrequal(cfg, reg)
 	}
-	return NewPolicyMaglev()
+	return newPolicyMaglev()
 }

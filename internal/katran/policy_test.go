@@ -123,7 +123,7 @@ func TestSetHealthUnknownBackend(t *testing.T) {
 	defer lb.Close()
 	lb.AddBackend(Backend{Name: "real", Addr: "x"}, true)
 
-	if err := lb.SetHealth("typo", false); !errors.Is(err, ErrUnknownBackend) {
+	if err := lb.SetHealth("typo", false); !errors.Is(err, errUnknownBackend) {
 		t.Fatalf("SetHealth(unknown) = %v, want ErrUnknownBackend", err)
 	}
 	if got := lb.Metrics().CounterValue("katran.health.unknown_backend"); got != 1 {
@@ -139,7 +139,7 @@ func TestSetHealthUnknownBackend(t *testing.T) {
 
 // recordingPolicy captures lifecycle hook invocations.
 type recordingPolicy struct {
-	PolicyMaglev
+	policyMaglev
 	mu     sync.Mutex
 	events []string
 }
@@ -211,7 +211,7 @@ func TestPolicyMaglevMatchesPlacement(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, ok := view.PickMaglev(flow)
+		want, ok := view.pickMaglev(flow)
 		if !ok || b.Name != want.Name {
 			t.Fatalf("flow %d: steer=%s maglev=%s", flow, b.Name, want.Name)
 		}

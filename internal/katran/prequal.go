@@ -9,11 +9,11 @@ import (
 	"zdr/internal/metrics"
 )
 
-// PrequalConfig tunes PolicyPrequal.
+// PrequalConfig tunes policyPrequal.
 type PrequalConfig struct {
 	// Prober carries the load probes (default &HCProber{}). Wire its
 	// dialer to a faults.Injector for chaos testing.
-	Prober Prober
+	Prober prober
 	// ProbeInterval paces the per-backend async probe loop (default
 	// 20ms). Prequal's reaction time to a drain advertisement or a load
 	// spike is one interval, not a health-check round trip.
@@ -31,12 +31,12 @@ type PrequalConfig struct {
 	MaxAge time.Duration
 	// PowerD is the power-of-d-choices candidate count (default 3).
 	PowerD int
-	// HotQuantile classifies candidates hot vs cold: a candidate is hot
+	// hotQuantile classifies candidates hot vs cold: a candidate is hot
 	// when its estimated RIF exceeds this quantile of the pooled RIF
 	// estimates across all probed backends (default 0.84, the paper's
 	// recommended Q-RIF region). Cold candidates are picked by lowest
 	// latency, hot ones by least RIF — the hot/cold lexicographic rule.
-	HotQuantile float64
+	hotQuantile float64
 	// Seed makes candidate sampling deterministic (tests, experiments).
 	// Zero selects a fixed default seed; sampling is never wall-clock
 	// dependent.
@@ -62,8 +62,8 @@ func (c *PrequalConfig) fill() {
 	if c.PowerD <= 0 {
 		c.PowerD = 3
 	}
-	if c.HotQuantile <= 0 || c.HotQuantile >= 1 {
-		c.HotQuantile = 0.84
+	if c.hotQuantile <= 0 || c.hotQuantile >= 1 {
+		c.hotQuantile = 0.84
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -88,7 +88,7 @@ type probePool struct {
 	stop    chan struct{}
 }
 
-// PolicyPrequal is the Prequal steering policy (PAPERS.md: "Load is not
+// policyPrequal is the Prequal steering policy (PAPERS.md: "Load is not
 // what you should balance"): per-backend pools of asynchronous probes
 // reporting requests-in-flight + latency, power-of-d candidate
 // sampling, and the hot/cold lexicographic selection rule. The ZDR
@@ -102,14 +102,14 @@ type probePool struct {
 //  1. backends not advertising a release beat draining ones;
 //  2. backends with fresh probe data beat probe-dead ones (expiry: a
 //     partitioned backend ages out instead of absorbing traffic);
-//  3. cold beats hot (hot = estimated RIF above the HotQuantile of the
+//  3. cold beats hot (hot = estimated RIF above the hotQuantile of the
 //     pooled estimates);
 //  4. among cold, lowest latency wins; among hot, least RIF wins.
 //
 // When every candidate advertises draining (a fleet-wide release) the
 // policy still picks the best of them — a live request is never failed
 // while the routing ring has healthy backends.
-type PolicyPrequal struct {
+type policyPrequal struct {
 	cfg PrequalConfig
 
 	cProbes    *metrics.Counter
@@ -129,15 +129,15 @@ type PolicyPrequal struct {
 	done  bool
 }
 
-// NewPolicyPrequal creates the policy. reg may be nil; pass the same
+// newPolicyPrequal creates the policy. reg may be nil; pass the same
 // registry the LB uses so katran.prequal.* rides the existing
 // telemetry scrape.
-func NewPolicyPrequal(cfg PrequalConfig, reg *metrics.Registry) *PolicyPrequal {
+func newPolicyPrequal(cfg PrequalConfig, reg *metrics.Registry) *policyPrequal {
 	cfg.fill()
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
-	return &PolicyPrequal{
+	return &policyPrequal{
 		cfg:        cfg,
 		cProbes:    reg.Counter("katran.prequal.probes"),
 		cProbeErrs: reg.Counter("katran.prequal.probe_errors"),
@@ -154,11 +154,11 @@ func NewPolicyPrequal(cfg PrequalConfig, reg *metrics.Registry) *PolicyPrequal {
 }
 
 // Name implements Policy.
-func (p *PolicyPrequal) Name() string { return "prequal" }
+func (p *policyPrequal) Name() string { return "prequal" }
 
 // BackendUp implements Policy: start (or keep) the backend's async
 // probe loop.
-func (p *PolicyPrequal) BackendUp(b Backend) {
+func (p *policyPrequal) BackendUp(b Backend) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.done {
@@ -176,7 +176,7 @@ func (p *PolicyPrequal) BackendUp(b Backend) {
 
 // BackendDown implements Policy: stop probing and forget the pool —
 // samples for a backend that left the ring must not linger.
-func (p *PolicyPrequal) BackendDown(name string) {
+func (p *policyPrequal) BackendDown(name string) {
 	p.mu.Lock()
 	pool, ok := p.pools[name]
 	if ok {
@@ -191,11 +191,11 @@ func (p *PolicyPrequal) BackendDown(name string) {
 
 // AdvanceGeneration implements Policy (the pool carries per-sample
 // generation tags already; nothing to flip).
-func (p *PolicyPrequal) AdvanceGeneration(uint32, bool) {}
+func (p *policyPrequal) AdvanceGeneration(uint32, bool) {}
 
 // Close implements Policy: stop every probe loop and the prober's
 // persistent channels.
-func (p *PolicyPrequal) Close() {
+func (p *policyPrequal) Close() {
 	p.mu.Lock()
 	if p.done {
 		p.mu.Unlock()
@@ -216,7 +216,7 @@ func (p *PolicyPrequal) Close() {
 }
 
 // probeLoop probes one backend every ProbeInterval until stopped.
-func (p *PolicyPrequal) probeLoop(pool *probePool) {
+func (p *policyPrequal) probeLoop(pool *probePool) {
 	defer p.wg.Done()
 	addr := pool.backend.HealthAddr
 	if addr == "" {
@@ -242,7 +242,7 @@ func (p *PolicyPrequal) probeLoop(pool *probePool) {
 
 // admit appends a fresh sample to the pool, evicting the oldest past
 // probePoolSize.
-func (p *PolicyPrequal) admit(pool *probePool, s LoadSample) {
+func (p *policyPrequal) admit(pool *probePool, s LoadSample) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	pool.samples = append(pool.samples, poolSample{LoadSample: s, at: time.Now()})
@@ -254,7 +254,7 @@ func (p *PolicyPrequal) admit(pool *probePool, s LoadSample) {
 // AddSample injects a probe answer for a backend directly, bypassing
 // the async loop. Tests and simulators use it to model probe arrivals
 // deterministically; BackendUp must have registered the backend first.
-func (p *PolicyPrequal) AddSample(name string, s LoadSample) {
+func (p *policyPrequal) AddSample(name string, s LoadSample) {
 	p.mu.Lock()
 	pool := p.pools[name]
 	p.mu.Unlock()
@@ -275,7 +275,7 @@ type estimate struct {
 // consume returns the freshest usable sample for pool, charging one
 // reuse against it and pruning expired or spent samples. Caller holds
 // p.mu.
-func (p *PolicyPrequal) consumeLocked(pool *probePool, now time.Time) (LoadSample, bool) {
+func (p *policyPrequal) consumeLocked(pool *probePool, now time.Time) (LoadSample, bool) {
 	// Prune from the front: samples are appended in arrival order, so
 	// everything older than the first fresh one is expired too.
 	keep := pool.samples[:0]
@@ -300,10 +300,10 @@ func (p *PolicyPrequal) consumeLocked(pool *probePool, now time.Time) (LoadSampl
 
 // Pick implements Policy: power-of-d sampling over the healthy set,
 // then the drain-aware hot/cold lexicographic rule.
-func (p *PolicyPrequal) Pick(flow uint64, view *View) (Backend, error) {
-	names := view.Healthy()
+func (p *policyPrequal) Pick(flow uint64, view *view) (Backend, error) {
+	names := view.healthyNames()
 	if len(names) == 0 {
-		return Backend{}, ErrNoBackends
+		return Backend{}, errNoBackends
 	}
 
 	p.mu.Lock()
@@ -327,7 +327,7 @@ func (p *PolicyPrequal) Pick(flow uint64, view *View) (Backend, error) {
 		}
 	}
 	for _, name := range names[:d] {
-		b, ok := view.Backend(name)
+		b, ok := view.backend(name)
 		if !ok {
 			continue
 		}
@@ -346,13 +346,13 @@ func (p *PolicyPrequal) Pick(flow uint64, view *View) (Backend, error) {
 	p.mu.Unlock()
 
 	if len(ests) == 0 {
-		return Backend{}, ErrNoBackends
+		return Backend{}, errNoBackends
 	}
 	if !anyKnown {
 		// No probe data anywhere among the candidates (cold start, or a
 		// prober that cannot load-probe): placement-only fallback.
 		p.cPickFall.Inc()
-		if b, ok := view.PickMaglev(flow); ok {
+		if b, ok := view.pickMaglev(flow); ok {
 			return b, nil
 		}
 		return ests[0].b, nil
@@ -382,13 +382,13 @@ func (p *PolicyPrequal) Pick(flow uint64, view *View) (Backend, error) {
 }
 
 // hotThreshold returns the RIF value above which a candidate counts as
-// hot: the HotQuantile of the freshest pooled RIF estimates.
-func (p *PolicyPrequal) hotThreshold(rifs []int) int {
+// hot: the hotQuantile of the freshest pooled RIF estimates.
+func (p *policyPrequal) hotThreshold(rifs []int) int {
 	if len(rifs) == 0 {
 		return 0
 	}
 	sort.Ints(rifs)
-	idx := int(float64(len(rifs)) * p.cfg.HotQuantile)
+	idx := int(float64(len(rifs)) * p.cfg.hotQuantile)
 	if idx >= len(rifs) {
 		idx = len(rifs) - 1
 	}

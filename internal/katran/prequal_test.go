@@ -16,20 +16,20 @@ func (silentProber) Load(string, time.Duration) (LoadSample, error) {
 	return LoadSample{}, errors.New("silent")
 }
 
-// quietPrequal returns a PolicyPrequal whose async probe loops fire once
+// quietPrequal returns a policyPrequal whose async probe loops fire once
 // and then sleep for an hour — every sample in the pools comes from
 // AddSample.
-func quietPrequal(cfg PrequalConfig) *PolicyPrequal {
+func quietPrequal(cfg PrequalConfig) *policyPrequal {
 	cfg.Prober = silentProber{}
 	if cfg.ProbeInterval == 0 {
 		cfg.ProbeInterval = time.Hour
 	}
-	return NewPolicyPrequal(cfg, nil)
+	return newPolicyPrequal(cfg, nil)
 }
 
 // prequalLB builds an LB (no pinning layers: every Steer exercises the
 // policy) over the named backends, all healthy.
-func prequalLB(t *testing.T, p *PolicyPrequal, names ...string) *LB {
+func prequalLB(t *testing.T, p *policyPrequal, names ...string) *LB {
 	t.Helper()
 	lb := New("lb", Config{Policy: p}, nil)
 	t.Cleanup(lb.Close)
@@ -44,7 +44,7 @@ func fresh(rif int, lat time.Duration) LoadSample {
 }
 
 func TestPrequalPrefersProbedColdBackend(t *testing.T) {
-	p := quietPrequal(PrequalConfig{PowerD: 3, HotQuantile: 0.34})
+	p := quietPrequal(PrequalConfig{PowerD: 3, hotQuantile: 0.34})
 	lb := prequalLB(t, p, "a", "b", "c")
 	// b is the coldest by latency among the cold set {a, b}; c is hot
 	// (RIF 100 is above the 0.34-quantile threshold of {1, 2, 100}).
@@ -85,7 +85,7 @@ func TestPrequalReuseBudgetExhaustion(t *testing.T) {
 	// Third decision: a's only sample is spent — no probe data anywhere,
 	// so the pick falls back to Maglev placement.
 	view := lb.View()
-	want, _ := view.PickMaglev(99)
+	want, _ := view.pickMaglev(99)
 	b, err := lb.Steer(99)
 	if err != nil {
 		t.Fatal(err)
@@ -182,7 +182,7 @@ func TestPrequalAllCandidatesDraining(t *testing.T) {
 func TestPrequalNoBackends(t *testing.T) {
 	p := quietPrequal(PrequalConfig{})
 	lb := prequalLB(t, p) // no backends
-	if _, err := lb.Steer(1); !errors.Is(err, ErrNoBackends) {
+	if _, err := lb.Steer(1); !errors.Is(err, errNoBackends) {
 		t.Fatalf("steer with no backends = %v, want ErrNoBackends", err)
 	}
 }
@@ -242,7 +242,7 @@ func TestPrequalLexicographicRule(t *testing.T) {
 }
 
 func TestPrequalHotThreshold(t *testing.T) {
-	p := quietPrequal(PrequalConfig{HotQuantile: 0.84})
+	p := quietPrequal(PrequalConfig{hotQuantile: 0.84})
 	defer p.Close()
 	if got := p.hotThreshold(nil); got != 0 {
 		t.Fatalf("empty threshold = %d", got)

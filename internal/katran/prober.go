@@ -97,11 +97,11 @@ func ParseLoadLine(line string) (LoadSample, error) {
 	return s, nil
 }
 
-// Prober is the probe transport shared by health probing and load
+// prober is the probe transport shared by health probing and load
 // probing: one implementation (and one fault-injection point) carries
 // both the §2.3 health-check protocol and the Prequal load-probe
 // protocol.
-type Prober interface {
+type prober interface {
 	// Probe performs one health probe; nil error means healthy.
 	Probe(addr string, timeout time.Duration) error
 	// Load performs one load probe, returning the backend's advertised

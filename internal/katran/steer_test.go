@@ -216,7 +216,7 @@ func TestRepinValidateAndReplace(t *testing.T) {
 
 	lb.SetHealth(second.Name, false)
 	writes = ft.EntryWrites()
-	if _, err := lb.Steer(1); !errors.Is(err, ErrNoBackends) {
+	if _, err := lb.Steer(1); !errors.Is(err, errNoBackends) {
 		t.Fatalf("steer with no backends: %v", err)
 	}
 	if ft.EntryWrites() != writes {

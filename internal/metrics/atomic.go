@@ -21,15 +21,15 @@ type AtomicHistogram struct {
 	sumBits atomic.Uint64 // float64 bits, CAS-updated
 }
 
-// DefaultLatencyBuckets spans 100µs to ~52s in log-spaced (×2) steps —
+// defaultLatencyBuckets spans 100µs to ~52s in log-spaced (×2) steps —
 // wide enough for a localhost RTT and a wedged upstream alike. Values
 // are in seconds, matching Observe(time.Since(t0).Seconds()).
-var DefaultLatencyBuckets = ExpBuckets(100e-6, 2, 20)
+var defaultLatencyBuckets = expBuckets(100e-6, 2, 20)
 
-// ExpBuckets returns n log-spaced upper bounds: start, start*growth,
+// expBuckets returns n log-spaced upper bounds: start, start*growth,
 // start*growth², … It panics on a non-positive start, growth <= 1, or
 // n <= 0 — bucket schemes are compile-time decisions, not runtime data.
-func ExpBuckets(start, growth float64, n int) []float64 {
+func expBuckets(start, growth float64, n int) []float64 {
 	if !(start > 0) || !(growth > 1) || n <= 0 {
 		panic("metrics: ExpBuckets needs start > 0, growth > 1, n > 0")
 	}
@@ -44,10 +44,10 @@ func ExpBuckets(start, growth float64, n int) []float64 {
 
 // NewAtomicHistogram returns a histogram over the given ascending upper
 // bounds. Bounds must be finite and strictly increasing; nil/empty
-// bounds fall back to DefaultLatencyBuckets.
+// bounds fall back to defaultLatencyBuckets.
 func NewAtomicHistogram(bounds []float64) *AtomicHistogram {
 	if len(bounds) == 0 {
-		bounds = DefaultLatencyBuckets
+		bounds = defaultLatencyBuckets
 	}
 	own := make([]float64, len(bounds))
 	copy(own, bounds)
@@ -97,68 +97,8 @@ func (h *AtomicHistogram) Observe(v float64) {
 	}
 }
 
-// Count returns the number of observations. The total is derived from
-// the bucket cells (reads are rare; writes stay one increment cheaper).
-func (h *AtomicHistogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	var n int64
-	for i := range h.buckets {
-		n += h.buckets[i].Load()
-	}
-	return n
-}
-
-// Sum returns the sum of all observations.
-func (h *AtomicHistogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return math.Float64frombits(h.sumBits.Load())
-}
-
-// Mean returns the mean observation, or 0 with no data.
-func (h *AtomicHistogram) Mean() float64 { return h.Snapshot().Mean() }
-
 // Quantile estimates the q-quantile from bucket counts.
 func (h *AtomicHistogram) Quantile(q float64) float64 { return h.Snapshot().Quantile(q) }
-
-// Bounds returns a copy of the bucket upper bounds.
-func (h *AtomicHistogram) Bounds() []float64 {
-	if h == nil {
-		return nil
-	}
-	out := make([]float64, len(h.bounds))
-	copy(out, h.bounds)
-	return out
-}
-
-// Merge adds o's observations into h. Both histograms must share the
-// same bucket bounds; merging incompatible schemes is an error, not a
-// silent reshape.
-func (h *AtomicHistogram) Merge(o *AtomicHistogram) error {
-	if h == nil || o == nil {
-		return nil
-	}
-	if err := compatibleBounds(h.bounds, o.bounds); err != nil {
-		return err
-	}
-	for i := range o.buckets {
-		n := o.buckets[i].Load()
-		if n > 0 {
-			h.buckets[i].Add(n)
-		}
-	}
-	sum := o.Sum()
-	for {
-		old := h.sumBits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + sum)
-		if h.sumBits.CompareAndSwap(old, next) {
-			return nil
-		}
-	}
-}
 
 // Snapshot captures the bucket counts. Under concurrent Observes the
 // buckets are read one by one, so the snapshot is monotone (never
@@ -257,8 +197,8 @@ func (s AtomicSnapshot) Sub(base AtomicSnapshot) AtomicSnapshot {
 	return out
 }
 
-// Mean returns the mean observation, or 0 with no data.
-func (s AtomicSnapshot) Mean() float64 {
+// mean returns the mean observation, or 0 with no data.
+func (s AtomicSnapshot) mean() float64 {
 	if s.Count == 0 {
 		return 0
 	}

@@ -7,7 +7,7 @@ import (
 )
 
 func TestExpBuckets(t *testing.T) {
-	b := ExpBuckets(1, 2, 4)
+	b := expBuckets(1, 2, 4)
 	want := []float64{1, 2, 4, 8}
 	if len(b) != len(want) {
 		t.Fatalf("len = %d, want %d", len(b), len(want))
@@ -18,9 +18,9 @@ func TestExpBuckets(t *testing.T) {
 		}
 	}
 	for _, bad := range []func(){
-		func() { ExpBuckets(0, 2, 4) },
-		func() { ExpBuckets(1, 1, 4) },
-		func() { ExpBuckets(1, 2, 0) },
+		func() { expBuckets(0, 2, 4) },
+		func() { expBuckets(1, 1, 4) },
+		func() { expBuckets(1, 2, 0) },
 	} {
 		func() {
 			defer func() {
@@ -73,7 +73,7 @@ func TestAtomicHistogramEmpty(t *testing.T) {
 }
 
 func TestAtomicHistogramQuantile(t *testing.T) {
-	h := NewAtomicHistogram(ExpBuckets(1, 2, 12)) // 1..2048
+	h := NewAtomicHistogram(expBuckets(1, 2, 12)) // 1..2048
 	for i := 0; i < 1000; i++ {
 		h.Observe(float64(i))
 	}
@@ -151,8 +151,8 @@ func TestAtomicSnapshotMergeAndSub(t *testing.T) {
 // TestAtomicHistogramConcurrency exercises Observe/Merge/Snapshot under
 // the race detector: many writers, periodic mergers, and a reader.
 func TestAtomicHistogramConcurrency(t *testing.T) {
-	h := NewAtomicHistogram(ExpBuckets(1, 2, 10))
-	src := NewAtomicHistogram(ExpBuckets(1, 2, 10))
+	h := NewAtomicHistogram(expBuckets(1, 2, 10))
+	src := NewAtomicHistogram(expBuckets(1, 2, 10))
 	src.Observe(3)
 	const writers, perWriter = 8, 2000
 
@@ -205,7 +205,7 @@ func TestAtomicHistogramConcurrency(t *testing.T) {
 }
 
 func TestAtomicHistogramObserveAllocFree(t *testing.T) {
-	h := NewAtomicHistogram(DefaultLatencyBuckets)
+	h := NewAtomicHistogram(defaultLatencyBuckets)
 	allocs := testing.AllocsPerRun(1000, func() { h.Observe(0.003) })
 	if allocs != 0 {
 		t.Fatalf("Observe allocates %v per op, want 0", allocs)
@@ -232,7 +232,7 @@ func TestRegistryAtomicHistogram(t *testing.T) {
 // BenchmarkAtomicHistogramObserve is recorded in BENCH_baseline.json: the
 // path must be allocation-free.
 func BenchmarkAtomicHistogramObserve(b *testing.B) {
-	h := NewAtomicHistogram(DefaultLatencyBuckets)
+	h := NewAtomicHistogram(defaultLatencyBuckets)
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
 		v := 0.0001
@@ -250,7 +250,7 @@ func BenchmarkAtomicHistogramObserve(b *testing.B) {
 // quantiles the way a /metrics scrape does: there is no shared lock for
 // an in-flight observation to convoy on.
 func BenchmarkAtomicHistogramObserveUnderScrape(b *testing.B) {
-	h := NewAtomicHistogram(DefaultLatencyBuckets)
+	h := NewAtomicHistogram(defaultLatencyBuckets)
 	for i := 0; i < 1<<16; i++ {
 		h.Observe(float64(i&1023) / 1e4)
 	}
@@ -280,7 +280,7 @@ func BenchmarkAtomicHistogramObserveUnderScrape(b *testing.B) {
 }
 
 func BenchmarkAtomicHistogramSnapshot(b *testing.B) {
-	h := NewAtomicHistogram(DefaultLatencyBuckets)
+	h := NewAtomicHistogram(defaultLatencyBuckets)
 	for i := 0; i < 10000; i++ {
 		h.Observe(float64(i) / 1000)
 	}

@@ -34,12 +34,12 @@ func TestAtomicHistogramEdgeCases(t *testing.T) {
 			if got := h.Mean(); math.Abs(got-tc.wantMean) > 1e-9 {
 				t.Fatalf("Mean = %g, want %g", got, tc.wantMean)
 			}
-			if got, want := h.Sum(), tc.wantMean*float64(tc.wantCount); math.Abs(got-want) > 1e-9 {
+			if got, want := h.sum(), tc.wantMean*float64(tc.wantCount); math.Abs(got-want) > 1e-9 {
 				t.Fatalf("Sum = %g, want %g", got, want)
 			}
 			s := h.Snapshot()
 			for name, v := range map[string]float64{
-				"sum": s.Sum, "mean": s.Mean(), "p0": s.Quantile(0), "p50": s.Quantile(0.5),
+				"sum": s.Sum, "mean": s.mean(), "p0": s.Quantile(0), "p50": s.Quantile(0.5),
 				"p99": s.Quantile(0.99), "p100": s.Quantile(1),
 			} {
 				if math.IsNaN(v) || math.IsInf(v, 0) {

@@ -104,7 +104,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 
 // AtomicHistogram returns the named atomic (bucketed) histogram,
 // creating it over bounds if needed. Empty bounds mean
-// DefaultLatencyBuckets. Callers on a hot path should look the
+// defaultLatencyBuckets. Callers on a hot path should look the
 // histogram up once and hold the pointer; the map access takes the
 // registry lock.
 func (r *Registry) AtomicHistogram(name string, bounds ...float64) *AtomicHistogram {
@@ -171,18 +171,6 @@ func (r *Registry) GaugeValue(name string) int64 {
 	return 0
 }
 
-// CounterNames returns the sorted names of all counters.
-func (r *Registry) CounterNames() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.counters))
-	for n := range r.counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // RegistrySnapshot is a plain copy of every metric in a Registry at one
 // instant, shared by Dump, the Prometheus renderer, and release reports.
 type RegistrySnapshot struct {
@@ -230,7 +218,7 @@ func (r *Registry) Dump() string {
 	}
 	for n, s := range snap.AtomicHistograms {
 		rows = append(rows, fmt.Sprintf("atomic-histogram %s count=%d mean=%g p50=%g p99=%g",
-			n, s.Count, s.Mean(), s.Quantile(0.50), s.Quantile(0.99)))
+			n, s.Count, s.mean(), s.Quantile(0.50), s.Quantile(0.99)))
 	}
 	sort.Strings(rows)
 	out := ""

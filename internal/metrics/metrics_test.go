@@ -61,7 +61,7 @@ func TestGauge(t *testing.T) {
 func TestAtomicHistogramQuantilesMonotone(t *testing.T) {
 	// Property: quantiles are non-decreasing in q for any data.
 	f := func(data []float64) bool {
-		h := NewAtomicHistogram(ExpBuckets(1e-3, 4, 16))
+		h := NewAtomicHistogram(expBuckets(1e-3, 4, 16))
 		for _, v := range data {
 			h.Observe(v)
 		}

@@ -20,7 +20,7 @@ func TestRegistrySnapshot(t *testing.T) {
 		t.Fatalf("snapshot = %+v", snap)
 	}
 	hs := snap.AtomicHistograms["h"]
-	if hs.Count != 2 || hs.Mean() != 3 {
+	if hs.Count != 2 || hs.mean() != 3 {
 		t.Fatalf("histogram snapshot = %+v", hs)
 	}
 	// The snapshot is a copy: later mutation is invisible.

@@ -118,8 +118,8 @@ func NewBroker(name string, reg *metrics.Registry) *Broker {
 // Metrics returns the broker's registry.
 func (b *Broker) Metrics() *metrics.Registry { return b.reg }
 
-// ErrBrokerClosed is returned by Serve after Close.
-var ErrBrokerClosed = errors.New("mqtt: broker closed")
+// errBrokerClosed is returned by Serve after Close.
+var errBrokerClosed = errors.New("mqtt: broker closed")
 
 // Serve accepts connections from ln until it is closed.
 func (b *Broker) Serve(ln net.Listener) error {
@@ -135,15 +135,15 @@ func (b *Broker) Serve(ln net.Listener) error {
 		b.wg.Add(1)
 		go func() {
 			defer b.wg.Done()
-			b.ServeConn(conn)
+			b.serveConn(conn)
 		}()
 	}
 }
 
-// ServeConn handles one transport connection: a direct client or a relay
+// serveConn handles one transport connection: a direct client or a relay
 // carrying one tunneled user. It returns when the transport dies; session
 // context is retained for a future resume.
-func (b *Broker) ServeConn(conn net.Conn) error {
+func (b *Broker) serveConn(conn net.Conn) error {
 	t := b.newTransport(conn)
 	err := t.wr.Run()
 	t.end()
@@ -153,7 +153,7 @@ func (b *Broker) ServeConn(conn net.Conn) error {
 	return err
 }
 
-// transport is one connection as the broker reads it: a netx.WakeHandler
+// transport is one connection as the broker reads it: a netx.wakeHandler
 // that takes what a read brought in behind what the last one left
 // unparsed, serves every whole packet of it, and then writes what serving
 // them queued, once per session (flush).
@@ -277,14 +277,14 @@ func (t *transport) connect(p *Packet) error {
 		return fmt.Errorf("mqtt: first packet was %v, want CONNECT", p.Type)
 	}
 	if p.ClientID == "" {
-		Encode(t.conn, &Packet{Type: CONNACK, ReturnCode: ConnRefusedIDRejected})
+		Encode(t.conn, &Packet{Type: CONNACK, ReturnCode: connRefusedIDRejected})
 		return errors.New("mqtt: empty client id")
 	}
 
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
-		return ErrBrokerClosed
+		return errBrokerClosed
 	}
 	sess, exists := b.sessions[p.ClientID]
 	if p.CleanSession {
@@ -297,7 +297,7 @@ func (t *transport) connect(p *Packet) error {
 		// Resume with no context: refuse (DCR connect_refuse).
 		b.mu.Unlock()
 		b.reg.Counter("mqtt.connect.refused").Inc()
-		if err := Encode(t.conn, &Packet{Type: CONNACK, ReturnCode: ConnRefusedIDRejected}); err != nil {
+		if err := Encode(t.conn, &Packet{Type: CONNACK, ReturnCode: connRefusedIDRejected}); err != nil {
 			return err
 		}
 		return errDone
@@ -315,7 +315,7 @@ func (t *transport) connect(p *Packet) error {
 	sess.out = append(sess.out, pending...)
 	sess.mu.Unlock()
 	t.sess = sess
-	t.keepAlive = time.Duration(p.KeepAlive) * time.Second
+	t.keepAlive = time.Duration(p.keepAlive) * time.Second
 
 	b.reg.Counter("mqtt.connack.sent").Inc()
 	if exists {
@@ -345,10 +345,10 @@ func (t *transport) serve(pkt *Packet) error {
 	case SUBSCRIBE:
 		b.subscribe(sess, pkt.TopicFilters)
 		granted := make([]uint8, len(pkt.TopicFilters))
-		return b.reply(t, &Packet{Type: SUBACK, PacketID: pkt.PacketID, GrantedQoS: granted})
+		return b.reply(t, &Packet{Type: SUBACK, PacketID: pkt.PacketID, grantedQoS: granted})
 	case PINGREQ:
-		return b.reply(t, &Packet{Type: PINGRESP})
-	case DISCONNECT:
+		return b.reply(t, &Packet{Type: pingresp})
+	case disconnect:
 		// Graceful disconnect retains context (the transport may be a
 		// relay that is being restarted; the user is still out there).
 		return errDone
@@ -499,14 +499,6 @@ func (b *Broker) forget(clientID string) *session {
 		b.wild = slices.DeleteFunc(b.wild, func(w string) bool { return w == f })
 	}
 	return s
-}
-
-// HasSession reports whether connection context exists for clientID.
-func (b *Broker) HasSession(clientID string) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	_, ok := b.sessions[clientID]
-	return ok
 }
 
 // SessionAttached reports whether clientID currently has a live transport.

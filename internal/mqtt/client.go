@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
@@ -48,18 +47,8 @@ func NewClient(conn net.Conn, clientID string, cleanSession bool) *Client {
 	}
 }
 
-// SetConnectProperty attaches a key/value property to the CONNECT packet
-// sent by Connect (e.g. the x-zdr-trace context). Must be called before
-// Connect.
-func (c *Client) SetConnectProperty(k, v string) {
-	if c.props == nil {
-		c.props = map[string]string{}
-	}
-	c.props[k] = v
-}
-
-// ErrClientClosed is returned after the client's transport dies.
-var ErrClientClosed = errors.New("mqtt: client closed")
+// errClientClosed is returned after the client's transport dies.
+var errClientClosed = errors.New("mqtt: client closed")
 
 // Connect performs the CONNECT/CONNACK handshake and starts the read loop.
 func (c *Client) Connect(keepAlive time.Duration, timeout time.Duration) (*Packet, error) {
@@ -71,7 +60,7 @@ func (c *Client) Connect(keepAlive time.Duration, timeout time.Duration) (*Packe
 		Type:         CONNECT,
 		ClientID:     c.clientID,
 		CleanSession: c.cleanSession,
-		KeepAlive:    uint16(keepAlive / time.Second),
+		keepAlive:    uint16(keepAlive / time.Second),
 		Properties:   c.props,
 	})
 	if err != nil {
@@ -112,7 +101,7 @@ func (c *Client) readLoop() {
 			if ok {
 				ch <- p
 			}
-		case PINGRESP:
+		case pingresp:
 			select {
 			case c.pong <- struct{}{}:
 			default:
@@ -142,16 +131,6 @@ func (c *Client) shutdown(err error) {
 // Done is closed when the transport dies.
 func (c *Client) Done() <-chan struct{} { return c.done }
 
-// Err returns the terminal error, if any.
-func (c *Client) Err() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closeErr != nil && !errors.Is(c.closeErr, io.EOF) {
-		return c.closeErr
-	}
-	return nil
-}
-
 // Messages returns the channel of received PUBLISH packets.
 func (c *Client) Messages() <-chan *Packet { return c.msgs }
 
@@ -159,7 +138,7 @@ func (c *Client) allocWaiter() (uint16, chan *Packet, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		return 0, nil, ErrClientClosed
+		return 0, nil, errClientClosed
 	}
 	id := c.nextID
 	c.nextID++
@@ -177,7 +156,7 @@ func await(ch chan *Packet, timeout time.Duration) (*Packet, error) {
 	select {
 	case p, ok := <-ch:
 		if !ok {
-			return nil, ErrClientClosed
+			return nil, errClientClosed
 		}
 		return p, nil
 	case <-t.C:
@@ -205,7 +184,7 @@ func (c *Client) Publish(topic string, payload []byte, qos uint8, timeout time.D
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		if c.closed {
-			return ErrClientClosed
+			return errClientClosed
 		}
 		return Encode(c.conn, p)
 	}
@@ -228,7 +207,7 @@ func (c *Client) Ping(timeout time.Duration) error {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return ErrClientClosed
+		return errClientClosed
 	}
 	err := Encode(c.conn, &Packet{Type: PINGREQ})
 	c.mu.Unlock()
@@ -241,7 +220,7 @@ func (c *Client) Ping(timeout time.Duration) error {
 	case <-c.pong:
 		return nil
 	case <-c.done:
-		return ErrClientClosed
+		return errClientClosed
 	case <-t.C:
 		return errors.New("mqtt: ping timeout")
 	}
@@ -254,8 +233,8 @@ func (c *Client) Disconnect() error {
 		c.mu.Unlock()
 		return nil
 	}
-	err := Encode(c.conn, &Packet{Type: DISCONNECT})
+	err := Encode(c.conn, &Packet{Type: disconnect})
 	c.mu.Unlock()
-	c.shutdown(ErrClientClosed)
+	c.shutdown(errClientClosed)
 	return err
 }

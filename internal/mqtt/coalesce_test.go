@@ -28,7 +28,7 @@ func (w *countWriter) Write(p []byte) (int, error) {
 // remaining length on either side of each of its width steps.
 func allPackets() []*Packet {
 	return []*Packet{
-		{Type: CONNECT, ClientID: "user-42", KeepAlive: 30, CleanSession: true},
+		{Type: CONNECT, ClientID: "user-42", keepAlive: 30, CleanSession: true},
 		{Type: CONNECT, ClientID: "u", Properties: map[string]string{"x-zdr-trace": "00f0-1"}},
 		{Type: CONNACK, SessionPresent: true},
 		{Type: PUBLISH, Topic: "t", Payload: []byte("hello")},
@@ -38,10 +38,10 @@ func allPackets() []*Packet {
 		{Type: PUBLISH, Topic: "t", Payload: bytes.Repeat([]byte("d"), 300<<10)}, // past every pooled tier
 		{Type: PUBACK, PacketID: 9},
 		{Type: SUBSCRIBE, PacketID: 3, TopicFilters: []string{"a/+/c", "#"}},
-		{Type: SUBACK, PacketID: 3, GrantedQoS: []uint8{0, 0}},
+		{Type: SUBACK, PacketID: 3, grantedQoS: []uint8{0, 0}},
 		{Type: PINGREQ},
-		{Type: PINGRESP},
-		{Type: DISCONNECT},
+		{Type: pingresp},
+		{Type: disconnect},
 	}
 }
 
@@ -180,7 +180,7 @@ func TestBrokerHandlesEverythingOneSegmentBrought(t *testing.T) {
 	}
 	// The connection waits with nothing left behind: it still answers.
 	Encode(conn, &Packet{Type: PINGREQ})
-	if p, err := Decode(br); err != nil || p.Type != PINGRESP {
+	if p, err := Decode(br); err != nil || p.Type != pingresp {
 		t.Fatalf("after the pair: %+v, %v", p, err)
 	}
 }

@@ -41,18 +41,18 @@ func roundTrip(t *testing.T, p *Packet) *Packet {
 
 func TestPacketRoundTrips(t *testing.T) {
 	cases := []*Packet{
-		{Type: CONNECT, ClientID: "user-42", KeepAlive: 30, CleanSession: true},
+		{Type: CONNECT, ClientID: "user-42", keepAlive: 30, CleanSession: true},
 		{Type: CONNECT, ClientID: "user-43", CleanSession: false},
 		{Type: CONNACK, SessionPresent: true, ReturnCode: 0},
-		{Type: CONNACK, ReturnCode: ConnRefusedIDRejected},
+		{Type: CONNACK, ReturnCode: connRefusedIDRejected},
 		{Type: PUBLISH, Topic: "notif/u42", Payload: []byte("hello"), QoS: 0},
 		{Type: PUBLISH, Topic: "t", Payload: []byte{}, QoS: 1, PacketID: 9},
 		{Type: PUBACK, PacketID: 9},
 		{Type: SUBSCRIBE, PacketID: 3, TopicFilters: []string{"a/+/c", "#"}},
-		{Type: SUBACK, PacketID: 3, GrantedQoS: []uint8{0, 0}},
+		{Type: SUBACK, PacketID: 3, grantedQoS: []uint8{0, 0}},
 		{Type: PINGREQ},
-		{Type: PINGRESP},
-		{Type: DISCONNECT},
+		{Type: pingresp},
+		{Type: disconnect},
 	}
 	for _, in := range cases {
 		got := roundTrip(t, in)
@@ -61,7 +61,7 @@ func TestPacketRoundTrips(t *testing.T) {
 		}
 		switch in.Type {
 		case CONNECT:
-			if got.ClientID != in.ClientID || got.KeepAlive != in.KeepAlive || got.CleanSession != in.CleanSession {
+			if got.ClientID != in.ClientID || got.keepAlive != in.keepAlive || got.CleanSession != in.CleanSession {
 				t.Fatalf("CONNECT mismatch: %+v vs %+v", got, in)
 			}
 		case CONNACK:
@@ -344,7 +344,7 @@ func TestBrokerIdleSessionsHoldNoReadBuffer(t *testing.T) {
 	}
 	for i := clients / 2; i < clients; i++ {
 		Encode(conns[i], &Packet{Type: PINGREQ})
-		if p, err := Decode(brs[i]); err != nil || p.Type != PINGRESP {
+		if p, err := Decode(brs[i]); err != nil || p.Type != pingresp {
 			t.Fatalf("user-%d: %+v, %v", i, p, err)
 		}
 	}

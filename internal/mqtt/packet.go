@@ -36,8 +36,8 @@ const (
 	SUBSCRIBE  PacketType = 8
 	SUBACK     PacketType = 9
 	PINGREQ    PacketType = 12
-	PINGRESP   PacketType = 13
-	DISCONNECT PacketType = 14
+	pingresp   PacketType = 13
+	disconnect PacketType = 14
 )
 
 // String returns the packet type name.
@@ -57,9 +57,9 @@ func (t PacketType) String() string {
 		return "SUBACK"
 	case PINGREQ:
 		return "PINGREQ"
-	case PINGRESP:
+	case pingresp:
 		return "PINGRESP"
-	case DISCONNECT:
+	case disconnect:
 		return "DISCONNECT"
 	default:
 		return fmt.Sprintf("UNKNOWN(%d)", uint8(t))
@@ -69,8 +69,7 @@ func (t PacketType) String() string {
 // CONNACK return codes.
 const (
 	ConnAccepted          uint8 = 0
-	ConnRefusedIDRejected uint8 = 2
-	ConnRefusedUnavail    uint8 = 3
+	connRefusedIDRejected uint8 = 2
 )
 
 // Packet is a decoded MQTT control packet. Only fields relevant to the
@@ -80,7 +79,7 @@ type Packet struct {
 
 	// CONNECT
 	ClientID  string
-	KeepAlive uint16 // seconds
+	keepAlive uint16 // seconds
 	// CleanSession, when false, asks the broker to resume existing
 	// session state — the property DCR relies on.
 	CleanSession bool
@@ -102,7 +101,7 @@ type Packet struct {
 	// SUBSCRIBE
 	TopicFilters []string
 	// SUBACK
-	GrantedQoS []uint8
+	grantedQoS []uint8
 }
 
 const protocolName = "MQTT"
@@ -236,7 +235,7 @@ func build(b []byte, p *Packet) (out []byte, start int, err error) {
 			connectFlags |= 0x02
 		}
 		body = append(body, connectFlags)
-		body = binary.BigEndian.AppendUint16(body, p.KeepAlive)
+		body = binary.BigEndian.AppendUint16(body, p.keepAlive)
 		body = appendString(body, p.ClientID)
 		if len(p.Properties) > 0 {
 			keys := make([]string, 0, len(p.Properties))
@@ -274,8 +273,8 @@ func build(b []byte, p *Packet) (out []byte, start int, err error) {
 		}
 	case SUBACK:
 		body = binary.BigEndian.AppendUint16(body, p.PacketID)
-		body = append(body, p.GrantedQoS...)
-	case PINGREQ, PINGRESP, DISCONNECT:
+		body = append(body, p.grantedQoS...)
+	case PINGREQ, pingresp, disconnect:
 		// no body
 	default:
 		return nil, 0, fmt.Errorf("mqtt: cannot encode packet type %v", p.Type)
@@ -299,7 +298,7 @@ func Decode(r io.Reader) (*Packet, error) {
 }
 
 // decoder parses the packets of one connection into memory it reuses: the
-// Packet next and take return, and the Payload and GrantedQoS inside it,
+// Packet next and take return, and the Payload and grantedQoS inside it,
 // are valid until the next call. Strings are copies and may be kept.
 type decoder struct {
 	r   io.Reader // of next
@@ -332,7 +331,7 @@ func (d *decoder) next() (*Packet, error) {
 }
 
 // take is next for a caller that holds the connection's bytes itself: it
-// parses the packet at the front of b, whose Payload and GrantedQoS then
+// parses the packet at the front of b, whose Payload and grantedQoS then
 // alias b, and returns its length on the wire. A packet that is not all
 // there is no error: n is 0, "not yet".
 func (d *decoder) take(b []byte) (p *Packet, n int, err error) {
@@ -364,7 +363,7 @@ func (d *decoder) parse(first byte, body []byte) (*Packet, error) {
 			return nil, fmt.Errorf("%w: protocol level %d", errMalformed, rest[0])
 		}
 		p.CleanSession = rest[1]&0x02 != 0
-		p.KeepAlive = binary.BigEndian.Uint16(rest[2:4])
+		p.keepAlive = binary.BigEndian.Uint16(rest[2:4])
 		var trailer []byte
 		p.ClientID, trailer, err = takeString(rest[4:])
 		if err != nil {
@@ -430,8 +429,8 @@ func (d *decoder) parse(first byte, body []byte) (*Packet, error) {
 			return nil, errMalformed
 		}
 		p.PacketID = binary.BigEndian.Uint16(body[:2])
-		p.GrantedQoS = body[2:]
-	case PINGREQ, PINGRESP, DISCONNECT:
+		p.grantedQoS = body[2:]
+	case PINGREQ, pingresp, disconnect:
 		if len(body) != 0 {
 			return nil, errMalformed
 		}

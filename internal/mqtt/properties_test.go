@@ -15,7 +15,7 @@ func TestConnectPropertiesRoundTrip(t *testing.T) {
 		Type:         CONNECT,
 		ClientID:     "user-1",
 		CleanSession: true,
-		KeepAlive:    30,
+		keepAlive:    30,
 		Properties: map[string]string{
 			"x-zdr-trace": "zdr1-0123456789abcdef-fedcba9876543210",
 			"other":       "value",
@@ -25,7 +25,7 @@ func TestConnectPropertiesRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got.Properties, p.Properties) {
 		t.Fatalf("properties = %v, want %v", got.Properties, p.Properties)
 	}
-	if got.ClientID != "user-1" || !got.CleanSession || got.KeepAlive != 30 {
+	if got.ClientID != "user-1" || !got.CleanSession || got.keepAlive != 30 {
 		t.Fatalf("base CONNECT fields corrupted: %+v", got)
 	}
 }

@@ -181,7 +181,7 @@ func TestFailedFlushDetaches(t *testing.T) {
 	client, server := net.Pipe()
 	defer client.Close()
 	sub := &deafConn{Conn: server}
-	go b.ServeConn(sub)
+	go b.serveConn(sub)
 	Encode(client, &Packet{Type: CONNECT, ClientID: "deaf", CleanSession: true})
 	if p, err := Decode(client); err != nil || p.Type != CONNACK {
 		t.Fatalf("CONNACK: %+v, %v", p, err)

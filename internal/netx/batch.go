@@ -34,8 +34,8 @@ import (
 // Batch sizing defaults. 64-entry rings match the burst sizes the quicx
 // router sees under load.
 const (
-	DefaultRecvBatch = 64
-	DefaultSendBatch = 64
+	defaultRecvBatch = 64
+	defaultSendBatch = 64
 )
 
 // ringSlot is the slot size a ring starts with: an MTU-sized datagram
@@ -72,8 +72,8 @@ type Message struct {
 
 // BatchConfig configures a ring. Zero values take the defaults above.
 type BatchConfig struct {
-	RecvBatch int // mmsghdr ring entries per recvmmsg
-	SendBatch int // queued datagrams before an automatic flush
+	recvBatch int // mmsghdr ring entries per recvmmsg
+	sendBatch int // queued datagrams before an automatic flush
 	// Registry+Prefix name the accounting counters (e.g. prefix
 	// "quicx.batch" yields quicx.batch.recvmmsg_calls etc.). A nil
 	// Registry keeps private counters readable via Stats.
@@ -87,11 +87,11 @@ type BatchConfig struct {
 // open fills in cfg's defaults and returns pc's raw descriptor, nil when
 // the ring is to take the fallback path.
 func (cfg *BatchConfig) open(pc net.PacketConn) syscall.RawConn {
-	if cfg.RecvBatch <= 0 {
-		cfg.RecvBatch = DefaultRecvBatch
+	if cfg.recvBatch <= 0 {
+		cfg.recvBatch = defaultRecvBatch
 	}
-	if cfg.SendBatch <= 0 {
-		cfg.SendBatch = DefaultSendBatch
+	if cfg.sendBatch <= 0 {
+		cfg.sendBatch = defaultSendBatch
 	}
 	if cfg.Registry == nil {
 		cfg.Registry = metrics.NewRegistry()
@@ -118,15 +118,6 @@ func newSlots(n int) (hdrs []mmsghdr, iovs []syscall.Iovec, names []byte) {
 		hdrs[i].hdr.Iovlen = 1
 	}
 	return hdrs, iovs, names
-}
-
-// BatchStats is a point-in-time copy of a ring's counters; a ring fills
-// in its own direction.
-type BatchStats struct {
-	RecvCalls   int64 // recvmmsg invocations (or fallback ReadFrom calls)
-	RecvPkts    int64 // datagrams received
-	SendFlushes int64 // sendmmsg invocations (or fallback WriteTo calls)
-	SendPkts    int64 // datagrams sent
 }
 
 // RecvRing reads a net.PacketConn a batch at a time. ReadBatch is
@@ -166,7 +157,7 @@ func NewRecvRing(pc net.PacketConn, cfg BatchConfig) *RecvRing {
 	r.gPktsPer = cfg.Registry.Gauge(cfg.Prefix + ".pkts_per_recvmmsg")
 	n := 1
 	if r.raw != nil {
-		n = cfg.RecvBatch
+		n = cfg.recvBatch
 		r.recvFn = r.recvmmsg
 		r.hdrs, r.iovs, r.names = newSlots(n)
 	}
@@ -189,14 +180,6 @@ func (r *RecvRing) reslab(slot int) {
 		r.iovs[i].Base = &r.slab[i*slot]
 		r.iovs[i].SetLen(slot)
 	}
-}
-
-// Batched reports whether the kernel recvmmsg path is active.
-func (r *RecvRing) Batched() bool { return r.raw != nil }
-
-// Stats snapshots the ring's counters.
-func (r *RecvRing) Stats() BatchStats {
-	return BatchStats{RecvCalls: r.cCalls.Value(), RecvPkts: r.cPkts.Value()}
 }
 
 // ReadBatch blocks until at least one datagram is available and returns
@@ -359,20 +342,12 @@ func NewSendRing(pc net.PacketConn, cfg BatchConfig) *SendRing {
 		return s
 	}
 	s.sendFn = s.sendmmsg
-	s.hdrs, s.iovs, s.names = newSlots(cfg.SendBatch)
-	s.slab = make([]byte, cfg.SendBatch*s.slot)
+	s.hdrs, s.iovs, s.names = newSlots(cfg.sendBatch)
+	s.slab = make([]byte, cfg.sendBatch*s.slot)
 	for i := range s.iovs {
 		s.iovs[i].Base = &s.slab[i*s.slot]
 	}
 	return s
-}
-
-// Batched reports whether the kernel sendmmsg path is active.
-func (s *SendRing) Batched() bool { return s.raw != nil }
-
-// Stats snapshots the ring's counters.
-func (s *SendRing) Stats() BatchStats {
-	return BatchStats{SendFlushes: s.cFlush.Value(), SendPkts: s.cPkts.Value()}
 }
 
 // QueueTo stages one datagram for addr, flushing automatically when the

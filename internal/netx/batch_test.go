@@ -69,11 +69,11 @@ func TestBatchRoundTrip(t *testing.T) {
 		}
 	}
 	st := sender.Stats()
-	if st.SendPkts != pkts {
-		t.Errorf("send pkts = %d, want %d", st.SendPkts, pkts)
+	if st.sendPkts != pkts {
+		t.Errorf("send pkts = %d, want %d", st.sendPkts, pkts)
 	}
-	if st.SendFlushes >= pkts/2 {
-		t.Errorf("sendmmsg flushes = %d for %d packets — no coalescing", st.SendFlushes, pkts)
+	if st.sendFlushes >= pkts/2 {
+		t.Errorf("sendmmsg flushes = %d for %d packets — no coalescing", st.sendFlushes, pkts)
 	}
 }
 
@@ -103,8 +103,8 @@ func TestBatchBurstSyscallReduction(t *testing.T) {
 		total += len(msgs)
 	}
 	st := receiver.Stats()
-	if st.RecvCalls > burst/4 {
-		t.Errorf("%d recvmmsg calls for a %d-packet burst — want >=4x reduction (<=%d)", st.RecvCalls, burst, burst/4)
+	if st.recvCalls > burst/4 {
+		t.Errorf("%d recvmmsg calls for a %d-packet burst — want >=4x reduction (<=%d)", st.recvCalls, burst, burst/4)
 	}
 }
 
@@ -188,7 +188,7 @@ func TestBatchDisableKernelBatch(t *testing.T) {
 	if err != nil || len(msgs) != 1 || string(msgs[0].Buf) != "hello" {
 		t.Fatalf("msgs=%v err=%v", msgs, err)
 	}
-	if st := receiver.Stats(); st.RecvCalls != 1 || st.RecvPkts != 1 {
+	if st := receiver.Stats(); st.recvCalls != 1 || st.recvPkts != 1 {
 		t.Errorf("fallback stats %+v, want 1 call / 1 pkt", st)
 	}
 }
@@ -251,7 +251,7 @@ func TestRingAllocations(t *testing.T) {
 	} {
 		allocs := testing.AllocsPerRun(20, func() { build(cfg) })
 		big := cfg
-		big.RecvBatch, big.SendBatch = 1024, 1024
+		big.recvBatch, big.sendBatch = 1024, 1024
 		if n := testing.AllocsPerRun(20, func() { build(big) }); n != allocs {
 			t.Errorf("%s ring: %v allocations with 64 slots, %v with 1024", name, allocs, n)
 		}

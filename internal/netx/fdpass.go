@@ -18,7 +18,6 @@ package netx
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -37,22 +36,18 @@ const soReusePort = 0xf
 // below it and chunk larger sets at a higher layer.
 const maxFDsPerMessage = 128
 
-// ErrNoFDs is returned by ReadFDs when a message unexpectedly carries no
-// descriptors.
-var ErrNoFDs = errors.New("netx: control message carried no file descriptors")
-
-// FDHook intercepts FD-passing operations for deterministic fault
+// fdHookFunc intercepts FD-passing operations for deterministic fault
 // injection (internal/faults chaos tests): op is "write" or "read"; for
 // writes, data and fds are the outgoing message. Returning a non-nil
 // error fails the operation before any syscall runs — simulating a
 // sendmsg/recvmsg failure mid-handoff without a real peer crash.
-type FDHook func(op string, data []byte, fds []int) error
+type fdHookFunc func(op string, data []byte, fds []int) error
 
-var fdHook atomic.Pointer[FDHook]
+var fdHook atomic.Pointer[fdHookFunc]
 
 // SetFDHook installs (or, with nil, removes) the process-wide FD hook.
 // Safe for concurrent use; intended for tests only.
-func SetFDHook(h FDHook) {
+func SetFDHook(h fdHookFunc) {
 	if h == nil {
 		fdHook.Store(nil)
 		return
@@ -93,13 +88,16 @@ func WriteFDs(conn *net.UnixConn, data []byte, fds []int) error {
 
 // ReadFDs reads one message from the UNIX socket, returning the data bytes
 // and any file descriptors received via SCM_RIGHTS. The received FDs have
-// CLOEXEC set. If the message carries no control data, fds is nil.
+// CLOEXEC set. If the message carries no control data, fds is nil. A
+// message that carried more descriptors than the control buffer holds
+// (MSG_CTRUNC: the kernel closed the rest) is an error, and the ones that
+// did arrive are closed.
 func ReadFDs(conn *net.UnixConn, buf []byte) (data []byte, fds []int, err error) {
 	if err := runFDHook("read", nil, nil); err != nil {
 		return nil, nil, fmt.Errorf("netx: recvmsg: %w", err)
 	}
 	oob := make([]byte, syscall.CmsgSpace(4*maxFDsPerMessage))
-	n, oobn, _, _, err := conn.ReadMsgUnix(buf, oob)
+	n, oobn, flags, _, err := conn.ReadMsgUnix(buf, oob)
 	if err != nil {
 		return nil, nil, fmt.Errorf("netx: recvmsg: %w", err)
 	}
@@ -118,6 +116,12 @@ func ReadFDs(conn *net.UnixConn, buf []byte) (data []byte, fds []int, err error)
 			continue
 		}
 		fds = append(fds, got...)
+	}
+	if flags&syscall.MSG_CTRUNC != 0 {
+		for _, fd := range fds {
+			syscall.Close(fd)
+		}
+		return nil, nil, fmt.Errorf("netx: control message truncated after %d fds", len(fds))
 	}
 	for _, fd := range fds {
 		syscall.CloseOnExec(fd)
@@ -269,15 +273,15 @@ func SocketCookie(c syscall.Conn) (uint64, error) {
 	var cookie uint64
 	var getErr error
 	if err := rc.Control(func(fd uintptr) {
-		cookie, getErr = SocketCookieFD(int(fd))
+		cookie, getErr = socketCookieFD(int(fd))
 	}); err != nil {
 		return 0, fmt.Errorf("netx: control: %w", err)
 	}
 	return cookie, getErr
 }
 
-// SocketCookieFD is SocketCookie for a raw descriptor.
-func SocketCookieFD(fd int) (uint64, error) {
+// socketCookieFD is SocketCookie for a raw descriptor.
+func socketCookieFD(fd int) (uint64, error) {
 	var cookie uint64
 	sz := uint32(8)
 	_, _, errno := syscall.Syscall6(syscall.SYS_GETSOCKOPT,

@@ -61,6 +61,42 @@ func TestReadFDsNoControlData(t *testing.T) {
 	}
 }
 
+// TestReadFDsTruncatedIsAnError sends more descriptors in one message than
+// ReadFDs' control buffer holds: the kernel truncates the set (MSG_CTRUNC),
+// and ReadFDs must say so and close what did arrive, not hand back a
+// partial set as if it were whole.
+func TestReadFDsTruncatedIsAnError(t *testing.T) {
+	a, b, err := SocketPair()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	defer b.Close()
+	base, err := OpenFDCount()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fds := make([]int, 200)
+	for i := range fds {
+		if fds[i], err = syscall.Dup(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, _, err = a.WriteMsgUnix([]byte("x"), syscall.UnixRights(fds...), nil)
+	for _, fd := range fds {
+		syscall.Close(fd)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, got, err := ReadFDs(b, make([]byte, 16)); err == nil {
+		t.Fatalf("ReadFDs returned %d of 200 fds and no error", len(got))
+	}
+	if n, err := OpenFDCount(); err != nil || n != base {
+		t.Fatalf("open fds %d, want %d (%v)", n, base, err)
+	}
+}
+
 // TestPassTCPListenerFD passes a live TCP listener's FD across a socketpair
 // and accepts a connection on the reconstructed listener — the essence of
 // Socket Takeover.

@@ -182,7 +182,7 @@ func DrainPipePool() int {
 func Relay(dst io.Writer, src io.Reader) (int64, error) {
 	s, wakes := src.(*net.TCPConn)
 	if d, ok := dst.(*net.TCPConn); ok && wakes {
-		n, handled, err := Splice(d, s)
+		n, handled, err := splice(d, s)
 		if handled {
 			return n, err
 		}
@@ -245,7 +245,7 @@ func relayWakes(dst io.Writer, src *net.TCPConn) (written int64, err error) {
 	return written, err
 }
 
-// Splice relays src→dst through a pooled pipe pair until EOF using
+// splice relays src→dst through a pooled pipe pair until EOF using
 // splice(2), so payload bytes never enter userspace. handled reports
 // whether the kernel path ran: false (with written==0) means the caller
 // should fall back to a userspace copy — pipe creation failed, or the
@@ -253,7 +253,7 @@ func relayWakes(dst io.Writer, src *net.TCPConn) (written int64, err error) {
 // Partial writes are accounted: written counts only bytes that reached
 // dst, and a mid-stream error reports the true count (bytes stranded in
 // the pipe are discarded with it).
-func Splice(dst, src *net.TCPConn) (written int64, handled bool, err error) {
+func splice(dst, src *net.TCPConn) (written int64, handled bool, err error) {
 	srcRC, serr := src.SyscallConn()
 	if serr != nil {
 		return 0, false, nil

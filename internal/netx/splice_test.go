@@ -328,7 +328,7 @@ func TestSpliceLargeTransferIntegrity(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		n, handled, err := Splice(dst, src)
+		n, handled, err := splice(dst, src)
 		if !handled {
 			t.Error("splice not handled on a bare TCP pair")
 		}
@@ -354,7 +354,7 @@ func TestSpliceLargeTransferIntegrity(t *testing.T) {
 func TestSpliceHonorsDeadline(t *testing.T) {
 	_, _, src, dst := relayChain(t)
 	src.SetReadDeadline(time.Now().Add(30 * time.Millisecond))
-	_, handled, err := Splice(dst, src)
+	_, handled, err := splice(dst, src)
 	if !handled {
 		t.Fatal("expected splice path")
 	}
@@ -378,7 +378,7 @@ func TestPipePoolDrainLeavesNoFDs(t *testing.T) {
 		in.CloseWrite()
 	}()
 	go io.Copy(io.Discard, out)
-	if _, handled, err := Splice(dst, src); !handled || err != nil {
+	if _, handled, err := splice(dst, src); !handled || err != nil {
 		t.Fatalf("splice handled=%v err=%v", handled, err)
 	}
 	if n := DrainPipePool(); n == 0 {

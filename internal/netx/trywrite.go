@@ -3,7 +3,7 @@ package netx
 import "syscall"
 
 // A TryWriter writes to a connection's descriptor without ever waiting for
-// it, for code that must not block — a WakeHandler's wake: a wake never
+// it, for code that must not block — a wakeHandler's wake: a wake never
 // waits — and has somewhere else to put what is left over. TryWrite is
 // RawConn.Write with a callback that never asks for the wait, so it takes
 // the descriptor's write lock as every write does: the owner arranges that
@@ -45,6 +45,3 @@ func (w *TryWriter) TryWrite(b []byte) int {
 	w.total += int64(w.n)
 	return w.n
 }
-
-// Written returns how many bytes TryWrite has put on the connection.
-func (w *TryWriter) Written() int64 { return w.total }

@@ -13,8 +13,8 @@ import (
 	"zdr/internal/bufpool"
 )
 
-// WakeHandler is a connection's read side as a WakeReader drives it.
-type WakeHandler interface {
+// wakeHandler is a connection's read side as a WakeReader drives it.
+type wakeHandler interface {
 	// ReadBuf returns the room the next read lands in, at least one byte
 	// of it, and the same room until a read has brought something.
 	ReadBuf() []byte
@@ -29,7 +29,7 @@ type WakeHandler interface {
 	ServeWake(n int) (done bool)
 }
 
-// A Pump is the WakeHandler of a connection whose bytes are not parsed
+// A Pump is the wakeHandler of a connection whose bytes are not parsed
 // where they are read, only handed on: every read lands in a pooled
 // bufpool.TierLarge buffer, taken for the read and given back once Forward
 // has them, and goes to Forward, which says whether to go on. Forward
@@ -94,7 +94,7 @@ func (p *Pump) ServeWake(n int) (done bool) {
 type WakeReader struct {
 	conn net.Conn
 	rc   syscall.RawConn // nil when conn hides its descriptor
-	h    WakeHandler
+	h    wakeHandler
 	onFD func(fd uintptr) bool // wake, bound once so that Run allocates nothing
 	// oob is where recvmsg puts the queued-bytes count, when inq: the
 	// socket took TCP_INQ, which the first wake (asked) asks of it.
@@ -162,7 +162,7 @@ func WakeReads() (n uint64) {
 }
 
 // Init makes w the reader of conn, served by h.
-func (w *WakeReader) Init(conn net.Conn, h WakeHandler) {
+func (w *WakeReader) Init(conn net.Conn, h wakeHandler) {
 	*w = WakeReader{conn: conn, h: h}
 	if sc, ok := conn.(syscall.Conn); ok {
 		if rc, err := sc.SyscallConn(); err == nil {

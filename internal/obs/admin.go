@@ -74,16 +74,16 @@ type Admin struct {
 	Profile bool
 }
 
-// Handler returns the admin HTTP handler.
-func (a *Admin) Handler() http.Handler {
+// handler returns the admin HTTP handler.
+func (a *Admin) handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		if a.Registry != nil {
-			w.Write([]byte(RenderPrometheus(a.Registry.Snapshot())))
+			w.Write([]byte(renderPrometheus(a.Registry.Snapshot())))
 		}
 		for _, reg := range a.Extra {
-			w.Write([]byte(RenderPrometheus(reg.Snapshot())))
+			w.Write([]byte(renderPrometheus(reg.Snapshot())))
 		}
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, req *http.Request) {
@@ -144,7 +144,7 @@ func (a *Admin) Start(addr string) (*AdminServer, error) {
 	if err != nil {
 		return nil, err
 	}
-	srv := &http.Server{Handler: a.Handler()}
+	srv := &http.Server{Handler: a.handler()}
 	go srv.Serve(ln)
 	return &AdminServer{ln: ln, srv: srv}, nil
 }

@@ -20,7 +20,7 @@ func TestPromName(t *testing.T) {
 		"core.restarts":         "zdr_core_restarts",
 		"weird-name/with:colon": "zdr_weird_name_with:colon",
 	} {
-		if got := PromName(in); got != want {
+		if got := promName(in); got != want {
 			t.Errorf("PromName(%q) = %q, want %q", in, got, want)
 		}
 	}
@@ -71,7 +71,7 @@ func TestRenderPrometheusValidExposition(t *testing.T) {
 		h.Observe(float64(i))
 	}
 
-	body := RenderPrometheus(reg.Snapshot())
+	body := renderPrometheus(reg.Snapshot())
 	samples := checkPromText(t, body)
 
 	if got := samples["zdr_proxy_takeovers"]; got != 3 {
@@ -92,7 +92,7 @@ func TestRenderPrometheusValidExposition(t *testing.T) {
 		t.Errorf("buckets not cumulative: le=50 %v (want 50), le=+Inf %v (want 100)", b50, bInf)
 	}
 	// Rendering is deterministic.
-	if again := RenderPrometheus(reg.Snapshot()); again != body {
+	if again := renderPrometheus(reg.Snapshot()); again != body {
 		t.Error("RenderPrometheus output is not stable across identical snapshots")
 	}
 }
@@ -101,7 +101,7 @@ func TestAdminMetricsEndpoint(t *testing.T) {
 	reg := metrics.NewRegistry()
 	reg.Counter("core.restarts").Add(7)
 	a := &Admin{Service: "test", Registry: reg}
-	srv := httptest.NewServer(a.Handler())
+	srv := httptest.NewServer(a.handler())
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/metrics")
@@ -125,7 +125,7 @@ func TestAdminMetricsEndpoint(t *testing.T) {
 func TestAdminHealthzFlipsWithDraining(t *testing.T) {
 	draining := false
 	a := &Admin{Service: "test", Draining: func() bool { return draining }}
-	srv := httptest.NewServer(a.Handler())
+	srv := httptest.NewServer(a.handler())
 	defer srv.Close()
 
 	get := func() (int, string) {
@@ -167,7 +167,7 @@ func TestAdminDebugRelease(t *testing.T) {
 			}
 		},
 	}
-	srv := httptest.NewServer(a.Handler())
+	srv := httptest.NewServer(a.handler())
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/debug/release")
@@ -220,7 +220,7 @@ func TestAdminDebugPages(t *testing.T) {
 			},
 		},
 	}
-	srv := httptest.NewServer(a.Handler())
+	srv := httptest.NewServer(a.handler())
 	defer srv.Close()
 
 	get := func() map[string]any {

@@ -8,11 +8,11 @@ import (
 	"zdr/internal/metrics"
 )
 
-// PromName maps a dotted registry name ("proxy.http.status.200") to a
+// promName maps a dotted registry name ("proxy.http.status.200") to a
 // Prometheus-legal metric name ("zdr_proxy_http_status_200"): every
 // character outside [a-zA-Z0-9_:] becomes '_', and everything is
 // prefixed with "zdr_" to namespace the exposition.
-func PromName(name string) string {
+func promName(name string) string {
 	var b strings.Builder
 	b.Grow(len(name) + 4)
 	b.WriteString("zdr_")
@@ -28,30 +28,30 @@ func PromName(name string) string {
 	return b.String()
 }
 
-// RenderPrometheus renders a registry snapshot in the Prometheus text
+// renderPrometheus renders a registry snapshot in the Prometheus text
 // exposition format (version 0.0.4): counters and gauges as their native
 // types, and bucket histograms as native histograms with cumulative
 // le-labelled buckets (including the +Inf bucket), so a scraper can
 // histogram_quantile() across nodes. Output is sorted by metric name, so
 // it is stable.
-func RenderPrometheus(snap metrics.RegistrySnapshot) string {
+func renderPrometheus(snap metrics.RegistrySnapshot) string {
 	var b strings.Builder
 
 	for _, n := range sortedKeys(snap.Counters) {
-		pn := PromName(n)
+		pn := promName(n)
 		b.WriteString("# TYPE " + pn + " counter\n")
 		b.WriteString(pn + " " + strconv.FormatInt(snap.Counters[n], 10) + "\n")
 	}
 
 	for _, n := range sortedKeys(snap.Gauges) {
-		pn := PromName(n)
+		pn := promName(n)
 		b.WriteString("# TYPE " + pn + " gauge\n")
 		b.WriteString(pn + " " + strconv.FormatInt(snap.Gauges[n], 10) + "\n")
 	}
 
 	for _, n := range sortedKeys(snap.AtomicHistograms) {
 		s := snap.AtomicHistograms[n]
-		pn := PromName(n)
+		pn := promName(n)
 		b.WriteString("# TYPE " + pn + " histogram\n")
 		var cum int64
 		for i, c := range s.Counts {

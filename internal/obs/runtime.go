@@ -10,10 +10,10 @@ import (
 
 // Runtime gauge names published by StartRuntimeStats.
 const (
-	GaugeGoroutines      = "runtime.goroutines"
-	GaugeHeapBytes       = "runtime.heap_bytes"
-	GaugeGCPauseP99Ns    = "runtime.gc_pause_p99_ns"
-	GaugeSchedLatP99Ns   = "runtime.sched_latency_p99_ns"
+	gaugeGoroutines      = "runtime.goroutines"
+	gaugeHeapBytes       = "runtime.heap_bytes"
+	gaugeGCPauseP99Ns    = "runtime.gc_pause_p99_ns"
+	gaugeSchedLatP99Ns   = "runtime.sched_latency_p99_ns"
 	runtimeSampleDefault = time.Second
 )
 
@@ -50,13 +50,13 @@ func StartRuntimeStats(reg *metrics.Registry, interval time.Duration) (stop func
 		for _, s := range samples {
 			switch s.Name {
 			case "/sched/goroutines:goroutines":
-				reg.Gauge(GaugeGoroutines).Set(asInt64(s.Value))
+				reg.Gauge(gaugeGoroutines).Set(asInt64(s.Value))
 			case "/memory/classes/heap/objects:bytes":
-				reg.Gauge(GaugeHeapBytes).Set(asInt64(s.Value))
+				reg.Gauge(gaugeHeapBytes).Set(asInt64(s.Value))
 			case "/gc/pauses:seconds":
-				reg.Gauge(GaugeGCPauseP99Ns).Set(histP99Ns(s.Value))
+				reg.Gauge(gaugeGCPauseP99Ns).Set(histP99Ns(s.Value))
 			case "/sched/latencies:seconds":
-				reg.Gauge(GaugeSchedLatP99Ns).Set(histP99Ns(s.Value))
+				reg.Gauge(gaugeSchedLatP99Ns).Set(histP99Ns(s.Value))
 			}
 		}
 	}

@@ -18,7 +18,7 @@ func TestRenderPrometheusAtomicHistogramBuckets(t *testing.T) {
 	h.Observe(0.05)
 	h.Observe(5) // overflow bucket
 
-	body := RenderPrometheus(reg.Snapshot())
+	body := renderPrometheus(reg.Snapshot())
 	samples := checkPromText(t, body)
 
 	if !strings.Contains(body, "# TYPE zdr_edge_http_latency histogram\n") {
@@ -43,7 +43,7 @@ func TestRenderPrometheusAtomicHistogramBuckets(t *testing.T) {
 
 func TestAdminPprofGatedByProfile(t *testing.T) {
 	get := func(a *Admin, path string) int {
-		srv := httptest.NewServer(a.Handler())
+		srv := httptest.NewServer(a.handler())
 		defer srv.Close()
 		resp, err := http.Get(srv.URL + path)
 		if err != nil {
@@ -69,15 +69,15 @@ func TestStartRuntimeStats(t *testing.T) {
 	stop := StartRuntimeStats(reg, 10*time.Millisecond)
 	defer stop()
 	// The first sample is synchronous, so the gauges exist immediately.
-	if g := reg.GaugeValue(GaugeGoroutines); g <= 0 {
+	if g := reg.GaugeValue(gaugeGoroutines); g <= 0 {
 		t.Fatalf("goroutines gauge = %d", g)
 	}
-	if g := reg.GaugeValue(GaugeHeapBytes); g <= 0 {
+	if g := reg.GaugeValue(gaugeHeapBytes); g <= 0 {
 		t.Fatalf("heap bytes gauge = %d", g)
 	}
 	// Pause/latency p99 gauges must exist and be non-negative (they can
 	// legitimately be 0 early in a process's life).
-	for _, name := range []string{GaugeGCPauseP99Ns, GaugeSchedLatP99Ns} {
+	for _, name := range []string{gaugeGCPauseP99Ns, gaugeSchedLatP99Ns} {
 		if g := reg.GaugeValue(name); g < 0 {
 			t.Fatalf("%s = %d", name, g)
 		}

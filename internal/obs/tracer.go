@@ -29,20 +29,20 @@ const TraceHeader = "x-zdr-trace"
 // SpanContext identifies a position in a trace. The zero value is "no
 // trace".
 type SpanContext struct {
-	TraceID uint64
-	SpanID  uint64
+	traceID uint64
+	spanID  uint64
 }
 
-// Valid reports whether the context refers to a real span.
-func (c SpanContext) Valid() bool { return c.TraceID != 0 && c.SpanID != 0 }
+// valid reports whether the context refers to a real span.
+func (c SpanContext) valid() bool { return c.traceID != 0 && c.spanID != 0 }
 
 // String renders the wire form "zdr1-<trace-id>-<span-id>" (hex), or ""
 // for an invalid context.
 func (c SpanContext) String() string {
-	if !c.Valid() {
+	if !c.valid() {
 		return ""
 	}
-	return fmt.Sprintf("zdr1-%016x-%016x", c.TraceID, c.SpanID)
+	return fmt.Sprintf("zdr1-%016x-%016x", c.traceID, c.spanID)
 }
 
 // ParseSpanContext parses the wire form produced by String. It returns
@@ -56,8 +56,8 @@ func ParseSpanContext(s string) (SpanContext, bool) {
 	if err1 != nil || err2 != nil {
 		return SpanContext{}, false
 	}
-	c := SpanContext{TraceID: tid, SpanID: sid}
-	if !c.Valid() {
+	c := SpanContext{traceID: tid, spanID: sid}
+	if !c.valid() {
 		return SpanContext{}, false
 	}
 	return c, true
@@ -164,7 +164,7 @@ func (s *Span) StartChild(name string) *Span {
 	if s == nil {
 		return nil
 	}
-	return s.tracer.startSpan(name, s.ctx.TraceID, s.ctx.SpanID)
+	return s.tracer.startSpan(name, s.ctx.traceID, s.ctx.spanID)
 }
 
 // End finishes the span and moves it into the tracer's finished set.
@@ -182,7 +182,7 @@ func (s *Span) End() {
 	rec := s.recordLocked()
 	rec.EndUnixNano = s.start.Add(time.Since(s.start)).UnixNano()
 	s.mu.Unlock()
-	s.tracer.finish(s.ctx.SpanID, rec)
+	s.tracer.finish(s.ctx.spanID, rec)
 }
 
 // recordLocked snapshots the span. Callers hold s.mu.
@@ -190,8 +190,8 @@ func (s *Span) recordLocked() SpanRecord {
 	rec := SpanRecord{
 		Name:          s.name,
 		Service:       s.tracer.service,
-		TraceID:       fmt.Sprintf("%016x", s.ctx.TraceID),
-		SpanID:        fmt.Sprintf("%016x", s.ctx.SpanID),
+		TraceID:       fmt.Sprintf("%016x", s.ctx.traceID),
+		SpanID:        fmt.Sprintf("%016x", s.ctx.spanID),
 		StartUnixNano: s.start.UnixNano(),
 		Error:         s.err,
 	}
@@ -207,12 +207,12 @@ func (s *Span) recordLocked() SpanRecord {
 	return rec
 }
 
-// DefaultFinishedCap is the default bound on retained finished spans.
+// defaultFinishedCap is the default bound on retained finished spans.
 // It is far above what a traced release produces (a few dozen spans per
 // hand-off) while keeping a long-lived daemon tracing per-request spans
 // (appserver.request) at a fixed memory ceiling instead of growing until
 // Finished() happens to be drained.
-const DefaultFinishedCap = 16384
+const defaultFinishedCap = 16384
 
 // Tracer records spans for one service instance. The zero of *Tracer
 // (nil) is a valid no-op tracer. Finished spans are retained in a
@@ -231,20 +231,20 @@ type Tracer struct {
 }
 
 // NewTracer returns a tracer whose spans carry the given service name,
-// retaining up to DefaultFinishedCap finished spans.
+// retaining up to defaultFinishedCap finished spans.
 func NewTracer(service string) *Tracer {
-	return &Tracer{service: service, open: map[uint64]*Span{}, cap: DefaultFinishedCap}
+	return &Tracer{service: service, open: map[uint64]*Span{}, cap: defaultFinishedCap}
 }
 
 // SetFinishedCap bounds the finished-span ring to n records (n <= 0
-// restores DefaultFinishedCap). If more than n spans are currently
+// restores defaultFinishedCap). If more than n spans are currently
 // retained, the oldest are dropped immediately and counted in Dropped.
 func (t *Tracer) SetFinishedCap(n int) {
 	if t == nil {
 		return
 	}
 	if n <= 0 {
-		n = DefaultFinishedCap
+		n = defaultFinishedCap
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -290,8 +290,8 @@ func (t *Tracer) StartSpan(name string, parent SpanContext) *Span {
 	if t == nil {
 		return nil
 	}
-	if parent.Valid() {
-		return t.startSpan(name, parent.TraceID, parent.SpanID)
+	if parent.valid() {
+		return t.startSpan(name, parent.traceID, parent.spanID)
 	}
 	return t.startSpan(name, newID(), 0)
 }
@@ -299,13 +299,13 @@ func (t *Tracer) StartSpan(name string, parent SpanContext) *Span {
 func (t *Tracer) startSpan(name string, traceID, parentID uint64) *Span {
 	s := &Span{
 		tracer: t,
-		ctx:    SpanContext{TraceID: traceID, SpanID: newID()},
+		ctx:    SpanContext{traceID: traceID, spanID: newID()},
 		parent: parentID,
 		name:   name,
 		start:  time.Now(),
 	}
 	t.mu.Lock()
-	t.open[s.ctx.SpanID] = s
+	t.open[s.ctx.spanID] = s
 	hook := t.onStart
 	t.mu.Unlock()
 	if hook != nil {
@@ -379,19 +379,6 @@ func (t *Tracer) InFlight() []SpanRecord {
 		return out[i].SpanID < out[j].SpanID
 	})
 	return out
-}
-
-// Reset discards all finished spans and zeroes the dropped counter
-// (open spans keep running).
-func (t *Tracer) Reset() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.finished = nil
-	t.head = 0
-	t.dropped = 0
-	t.mu.Unlock()
 }
 
 // BuildTree assembles records into forests: children are attached to

@@ -10,7 +10,7 @@ import (
 )
 
 func TestSpanContextStringParseRoundTrip(t *testing.T) {
-	c := SpanContext{TraceID: 0xdeadbeef, SpanID: 0x1234567890abcdef}
+	c := SpanContext{traceID: 0xdeadbeef, spanID: 0x1234567890abcdef}
 	s := c.String()
 	got, ok := ParseSpanContext(s)
 	if !ok || got != c {
@@ -58,7 +58,7 @@ func TestNilTracerAndSpanAreNoOps(t *testing.T) {
 	sp.SetAttrInt("status", 200)
 	sp.Fail(errors.New("boom"))
 	sp.End()
-	if sp.Context().Valid() {
+	if sp.Context().valid() {
 		t.Fatal("nil span has a valid context")
 	}
 	if sp.Name() != "" {
@@ -72,7 +72,7 @@ func TestNilTracerAndSpanAreNoOps(t *testing.T) {
 func TestTracerSpanLifecycle(t *testing.T) {
 	tr := NewTracer("svc")
 	root := tr.StartSpan("release", SpanContext{})
-	if !root.Context().Valid() {
+	if !root.Context().valid() {
 		t.Fatal("root context invalid")
 	}
 	child := root.StartChild("slot.restart")
@@ -127,12 +127,12 @@ func TestStartSpanJoinsRemoteParent(t *testing.T) {
 	sp := local.StartSpan("dcr.reconnect", parsed)
 	sp.End()
 	rec := local.Finished()[0]
-	wantTrace := remote.Context().TraceID
-	if got, _ := ParseSpanContext("zdr1-" + rec.TraceID + "-" + rec.SpanID); got.TraceID != wantTrace {
+	wantTrace := remote.Context().traceID
+	if got, _ := ParseSpanContext("zdr1-" + rec.TraceID + "-" + rec.SpanID); got.traceID != wantTrace {
 		t.Fatalf("joined trace id %s, want %016x", rec.TraceID, wantTrace)
 	}
-	if got, _ := ParseSpanContext("zdr1-" + rec.TraceID + "-" + rec.ParentID); got.SpanID != remote.Context().SpanID {
-		t.Fatalf("parent id %s, want %016x", rec.ParentID, remote.Context().SpanID)
+	if got, _ := ParseSpanContext("zdr1-" + rec.TraceID + "-" + rec.ParentID); got.spanID != remote.Context().spanID {
+		t.Fatalf("parent id %s, want %016x", rec.ParentID, remote.Context().spanID)
 	}
 }
 
@@ -201,7 +201,7 @@ func TestBuildTree(t *testing.T) {
 	b1.End()
 	root.End()
 	// A span whose parent is remote (not in the record set) becomes a root.
-	orphan := tr.StartSpan("dcr.reconnect", SpanContext{TraceID: 7, SpanID: 9})
+	orphan := tr.StartSpan("dcr.reconnect", SpanContext{traceID: 7, spanID: 9})
 	orphan.End()
 
 	roots := BuildTree(tr.Finished())
@@ -282,14 +282,14 @@ func TestFinishedRingBoundsMemory(t *testing.T) {
 }
 
 // TestFinishedRingDefaultCap pins the default bound: NewTracer must not
-// retain more than DefaultFinishedCap spans.
+// retain more than defaultFinishedCap spans.
 func TestFinishedRingDefaultCap(t *testing.T) {
 	tr := NewTracer("svc")
-	for i := 0; i < DefaultFinishedCap+100; i++ {
+	for i := 0; i < defaultFinishedCap+100; i++ {
 		tr.StartSpan("s", SpanContext{}).End()
 	}
-	if got := len(tr.Finished()); got != DefaultFinishedCap {
-		t.Fatalf("retained %d spans, want %d", got, DefaultFinishedCap)
+	if got := len(tr.Finished()); got != defaultFinishedCap {
+		t.Fatalf("retained %d spans, want %d", got, defaultFinishedCap)
 	}
 	if got := tr.Dropped(); got != 100 {
 		t.Fatalf("Dropped() = %d, want 100", got)

@@ -114,7 +114,7 @@ func TestLedgerAttributesTerminalFailures(t *testing.T) {
 		Origins:     []string{"127.0.0.1:1"}, // nothing listens here
 		Ledger:      led,
 		Generation:  2,
-		DialTimeout: 200 * time.Millisecond,
+		dialTimeout: 200 * time.Millisecond,
 	}, nil)
 	if err := e.Listen(); err != nil {
 		t.Fatal(err)

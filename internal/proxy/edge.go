@@ -243,7 +243,7 @@ func (p *Proxy) serveEdgeRequest(conn net.Conn, pump *sync.WaitGroup, req *http1
 		defer pump.Wait()
 	}
 
-	respHdr, err := st.RecvHeaders(p.cfg.UpstreamResponseTimeout)
+	respHdr, err := st.RecvHeaders(p.cfg.upstreamResponseTimeout)
 	p.latTunnel.Observe(time.Since(tunnelT0).Seconds())
 	if err != nil {
 		// The Origin said nothing in time (504), or the stream or its
@@ -615,12 +615,4 @@ func (p *Proxy) reconnectThroughAnotherOrigin(relay *mqttRelay, peerTrace string
 	sp.Fail(err)
 	st.Reset()
 	return false
-}
-
-// MQTTConnCount returns the number of user MQTT connections this
-// generation holds.
-func (p *Proxy) MQTTConnCount() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(ownersOf[*mqttRelay](p))
 }

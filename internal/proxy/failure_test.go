@@ -16,7 +16,7 @@ func TestMQTTBrokerUnreachable(t *testing.T) {
 		Name:        "origin-x",
 		Role:        RoleOrigin,
 		Brokers:     []string{"127.0.0.1:1"}, // nothing listens here
-		DialTimeout: 300 * time.Millisecond,
+		dialTimeout: 300 * time.Millisecond,
 	}, nil)
 	if err := origin.Listen(); err != nil {
 		t.Fatal(err)

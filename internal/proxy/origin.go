@@ -513,7 +513,7 @@ func (p *Proxy) exchange(uc *upstreamConn, r *upstreamReq) (*http1.Response, err
 	hp := bufpool.Get(bufpool.TierSmall)
 	uc.head, uc.streamed, uc.werr = appendRequestHead((*hp)[:0], r), r.rest != nil, nil
 	if !uc.streamed {
-		uc.SetReadDeadline(time.Now().Add(p.cfg.UpstreamResponseTimeout))
+		uc.SetReadDeadline(time.Now().Add(p.cfg.upstreamResponseTimeout))
 	}
 	err := uc.wr.Run()
 	uc.head = nil
@@ -567,7 +567,7 @@ func (p *Proxy) exchangeBody(uc *upstreamConn, r *upstreamReq) (*http1.Response,
 	fail := func(what string, err error) (*http1.Response, error) {
 		return nil, uc.lost(fmt.Errorf("proxy: %s: %w", what, err), !overwritten)
 	}
-	timeout := p.cfg.UpstreamResponseTimeout
+	timeout := p.cfg.upstreamResponseTimeout
 
 	if len(r.replay)+len(r.held) > 0 {
 		if rep, ok := uc.probe(timeout); ok {

@@ -42,12 +42,12 @@ import (
 	"zdr/internal/takeover"
 )
 
-// Role selects Edge or Origin behaviour.
-type Role int
+// role selects Edge or Origin behaviour.
+type role int
 
 // Roles.
 const (
-	RoleEdge Role = iota
+	RoleEdge role = iota
 	RoleOrigin
 )
 
@@ -65,7 +65,7 @@ type Config struct {
 	// Name identifies the instance (metrics, Via headers).
 	Name string
 	// Role is RoleEdge or RoleOrigin.
-	Role Role
+	Role role
 
 	// Origins lists Origin tunnel addresses (Edge role).
 	Origins []string
@@ -86,8 +86,8 @@ type Config struct {
 	// StaticContent maps request targets the Edge serves directly from
 	// cache (Direct Server Return, §2.2 step 2).
 	StaticContent map[string][]byte
-	// DialTimeout bounds upstream dials. Default 2s.
-	DialTimeout time.Duration
+	// dialTimeout bounds upstream dials. Default 2s.
+	dialTimeout time.Duration
 	// EnableQUIC adds a QUIC-style UDP VIP at the Edge, served by a
 	// connection-ID-routed datagram server (internal/quicx). During a
 	// Socket Takeover the UDP socket transfers like the TCP listeners,
@@ -100,10 +100,10 @@ type Config struct {
 	// must rebind the same address.
 	VIPAddrs map[string]string
 
-	// UpstreamResponseTimeout bounds the wait for an upstream response:
+	// upstreamResponseTimeout bounds the wait for an upstream response:
 	// the app-server reply at the Origin and the tunnel response headers
 	// at the Edge. Default 30s.
-	UpstreamResponseTimeout time.Duration
+	upstreamResponseTimeout time.Duration
 	// RetryBackoff paces upstream retry attempts after a dial or
 	// transport error (the §4.4 retry path). PPR replays after a 379
 	// hand-back are not delayed — the app server asked for them. The
@@ -132,7 +132,7 @@ type Config struct {
 	// the old one. Chaos tests use it to wedge the post-commit window.
 	ReadyGate func() error
 	// TakeoverReadyTimeout bounds the sender-side post-commit wait for
-	// the receiver's READY frame; zero means takeover.DefaultReadyTimeout.
+	// the receiver's READY frame; zero means takeover.defaultReadyTimeout.
 	TakeoverReadyTimeout time.Duration
 
 	// Steering selects the Edge's origin-steering policy: "" keeps the
@@ -148,12 +148,12 @@ type Config struct {
 	// VIP); with "maglev" it additionally enables active health checks
 	// on the embedded LB.
 	OriginHealth []string
-	// SteeringPrequal tunes PolicyPrequal when Steering is "prequal";
+	// steeringPrequal tunes PolicyPrequal when Steering is "prequal";
 	// the zero value uses the katran defaults.
-	SteeringPrequal katran.PrequalConfig
-	// SteeringHCInterval paces the embedded LB's health checks over
+	steeringPrequal katran.PrequalConfig
+	// steeringHCInterval paces the embedded LB's health checks over
 	// OriginHealth (default 500ms).
-	SteeringHCInterval time.Duration
+	steeringHCInterval time.Duration
 
 	// Ledger, when non-nil, receives connection-level disruption events:
 	// accepts, hand-offs, drains, undos, terminal resets/timeouts with
@@ -174,11 +174,11 @@ func (c *Config) fill() {
 	if c.DrainPeriod <= 0 {
 		c.DrainPeriod = 2 * time.Second
 	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 2 * time.Second
+	if c.dialTimeout <= 0 {
+		c.dialTimeout = 2 * time.Second
 	}
-	if c.UpstreamResponseTimeout <= 0 {
-		c.UpstreamResponseTimeout = 30 * time.Second
+	if c.upstreamResponseTimeout <= 0 {
+		c.upstreamResponseTimeout = 30 * time.Second
 	}
 	if c.RetryBackoff.Base <= 0 {
 		c.RetryBackoff.Base = 5 * time.Millisecond
@@ -186,8 +186,8 @@ func (c *Config) fill() {
 	if c.RetryBackoff.Max <= 0 {
 		c.RetryBackoff.Max = 200 * time.Millisecond
 	}
-	if c.SteeringHCInterval <= 0 {
-		c.SteeringHCInterval = 500 * time.Millisecond
+	if c.steeringHCInterval <= 0 {
+		c.steeringHCInterval = 500 * time.Millisecond
 	}
 }
 
@@ -352,7 +352,7 @@ func (p *Proxy) Listen() error {
 	if err != nil {
 		return err
 	}
-	if err := p.Adopt(set); err != nil {
+	if err := p.adopt(set); err != nil {
 		return err
 	}
 	p.syncLedgerPhase() // fresh bind: this generation is the serving one
@@ -393,9 +393,9 @@ func (p *Proxy) arm(set *takeover.ListenerSet) {
 	}
 }
 
-// Adopt starts serving on an existing listener set — either freshly bound
+// adopt starts serving on an existing listener set — either freshly bound
 // or received through Socket Takeover.
-func (p *Proxy) Adopt(set *takeover.ListenerSet) error {
+func (p *Proxy) adopt(set *takeover.ListenerSet) error {
 	p.mu.Lock()
 	if p.set != nil {
 		p.mu.Unlock()
@@ -441,7 +441,7 @@ func (p *Proxy) quicHandler(conn quicx.ConnID, payload []byte) []byte {
 // broker) through the optional fault injector; with no injector it is
 // exactly net.DialTimeout.
 func (p *Proxy) dialUpstream(addr string) (net.Conn, error) {
-	return p.cfg.Faults.Dial("tcp", addr, p.cfg.DialTimeout)
+	return p.cfg.Faults.Dial("tcp", addr, p.cfg.dialTimeout)
 }
 
 // startRequest begins every request this proxy serves, at either role: it
@@ -591,7 +591,7 @@ func (p *Proxy) phaseLocked() string {
 // flow id, so every pick is a policy decision (connection pinning lives
 // at the real katran tier in front of the Edge, not here).
 func (p *Proxy) newSteerLB(reg *metrics.Registry) *katran.LB {
-	pcfg := p.cfg.SteeringPrequal
+	pcfg := p.cfg.steeringPrequal
 	if pcfg.Prober == nil && p.cfg.Faults != nil {
 		// One probe transport, one fault-injection point: the chaos
 		// injector that wraps upstream dials wraps probe dials too.
@@ -609,7 +609,7 @@ func (p *Proxy) newSteerLB(reg *metrics.Registry) *katran.LB {
 		lb.AddBackend(b, true)
 	}
 	if len(p.cfg.OriginHealth) > 0 {
-		lb.StartHealthChecks(p.cfg.SteeringHCInterval)
+		lb.StartHealthChecks(p.cfg.steeringHCInterval)
 	}
 	return lb
 }
@@ -845,7 +845,7 @@ func (p *Proxy) TakeoverFromWith(path string, opts TakeoverOptions) (*takeover.R
 	_, res, err := takeover.Connect(path, takeover.ConnectOptions{ReceiveOptions: takeover.ReceiveOptions{
 		Trace: hand,
 		Arm: func(set *takeover.ListenerSet, res *takeover.Result) error {
-			if err := p.Adopt(set); err != nil {
+			if err := p.adopt(set); err != nil {
 				return err
 			}
 			if fwd, ok := res.Meta["quic-forward"]; ok {

@@ -27,7 +27,7 @@ func steeringTopology(t *testing.T, nOrigins int, policy string) *topology {
 		OriginHealth: healthAddrs,
 		Steering:     policy,
 		DrainPeriod:  200 * time.Millisecond,
-		SteeringPrequal: katran.PrequalConfig{
+		steeringPrequal: katran.PrequalConfig{
 			ProbeInterval: 10 * time.Millisecond,
 			ProbeTimeout:  300 * time.Millisecond,
 			Seed:          42,
@@ -35,7 +35,7 @@ func steeringTopology(t *testing.T, nOrigins int, policy string) *topology {
 		// Keep active HC slow: the test must show the DRAIN ADVERTISEMENT
 		// (heard on the persistent load-probe channel) steering flows
 		// away, not health-check eviction.
-		SteeringHCInterval: 10 * time.Second,
+		steeringHCInterval: 10 * time.Second,
 	}, nil)
 	if err := e.Listen(); err != nil {
 		t.Fatal(err)

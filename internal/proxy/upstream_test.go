@@ -226,7 +226,7 @@ func TestUpstreamPoolPeekDiscardsDeadEntries(t *testing.T) {
 					arrived = err != syscall.EAGAIN
 				})
 			}
-			p := &Proxy{cfg: Config{UpstreamResponseTimeout: 2 * time.Second}}
+			p := &Proxy{cfg: Config{upstreamResponseTimeout: 2 * time.Second}}
 			_, err = p.exchange(next, &upstreamReq{method: "GET", path: "/x", cl: -1})
 			if next != uc || !errors.Is(err, errStaleUpstream) {
 				t.Fatalf("exchange on the dead entry: %v (same entry: %v), want errStaleUpstream", err, next == uc)
@@ -651,7 +651,7 @@ func TestUpstreamStaleReuseRetry(t *testing.T) {
 				// attempt too (as any transport failure past the first
 				// buffer always was): let that attempt give up quickly.
 				PPRRetries:              1,
-				UpstreamResponseTimeout: 200 * time.Millisecond,
+				upstreamResponseTimeout: 200 * time.Millisecond,
 			})
 			tun.mustGet(t, "/warm")
 			code, got, err := tun.do(tc.method, "/again", tc.body)
@@ -755,7 +755,7 @@ func TestUpstreamFreshFailureIsAnAttempt(t *testing.T) {
 		})
 		o, tun := startOrigin(t, Config{
 			AppServers:              []string{app.ln.Addr().String()},
-			UpstreamResponseTimeout: 50 * time.Millisecond,
+			upstreamResponseTimeout: 50 * time.Millisecond,
 			RetryBackoff:            backoffForTests,
 		})
 		tun.mustGet(t, "/warm")

@@ -12,7 +12,7 @@ import (
 
 // staticReply is a handler that, like proxy's, answers from a slice built
 // once; reply copies it before the call returns.
-func staticReply(reply []byte) Handler {
+func staticReply(reply []byte) handler {
 	return func(ConnID, []byte) []byte { return reply }
 }
 

@@ -15,7 +15,7 @@
 // Forwarder that tunnels unknown-flow packets (with the original source
 // address prepended) to the draining instance's local socket.
 //
-// The package also contains ReuseportModel (reuseportmodel.go), the
+// The package also contains reuseportModel (reuseportmodel.go), the
 // deterministic model of the kernel's SO_REUSEPORT socket-ring flux used
 // to regenerate the mis-routing baseline of Fig. 2d and Fig. 10.
 package quicx
@@ -172,7 +172,7 @@ func sameAddr(a, b net.Addr) bool {
 	return ua == ub || (ua.Port == ub.Port && ua.Zone == ub.Zone && ua.IP.Equal(ub.IP))
 }
 
-// Handler processes a flow packet and returns an optional reply payload.
+// handler processes a flow packet and returns an optional reply payload.
 // The payload slice aliases the server's receive buffer and is valid only
 // for the duration of the call: a handler that retains bytes past its
 // return must copy them. (Returning payload, or a slice of it, as the
@@ -180,7 +180,7 @@ func sameAddr(a, b net.Addr) bool {
 // The server only reads the reply and is done with it when the call that
 // returned it has been answered, so a handler may hand the same slice to
 // every caller.
-type Handler func(conn ConnID, payload []byte) (reply []byte)
+type handler func(conn ConnID, payload []byte) (reply []byte)
 
 // Server is a connection-ID-routed UDP server. One Server represents one
 // proxy instance's UDP stack; during a restart two Servers (old draining,
@@ -195,7 +195,7 @@ type Server struct {
 	cForwarded, cMisrouted, cMalformed *metrics.Counter
 	cForwardBad, cInitialWhileDraining *metrics.Counter
 
-	handler Handler
+	handler handler
 
 	mu    sync.Mutex
 	flows map[ConnID]net.Addr // flow state: conn -> last client addr
@@ -243,7 +243,7 @@ type Server struct {
 // interpose fault-injection or instrumentation wrappers on the server-
 // side UDP path; the shared VIP *net.UDPConn handle used for the FD
 // hand-off stays with the caller. reg may be nil.
-func NewServer(name string, vip net.PacketConn, handler Handler, reg *metrics.Registry) *Server {
+func NewServer(name string, vip net.PacketConn, handler handler, reg *metrics.Registry) *Server {
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
@@ -306,13 +306,6 @@ func (s *Server) Start() {
 		defer s.wg.Done()
 		s.readLoop(s.main, false)
 	}()
-}
-
-// FlowCount returns the number of live flows.
-func (s *Server) FlowCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.flows)
 }
 
 // SetForward directs unknown-flow packets to addr (the draining
@@ -631,9 +624,6 @@ func Dial(addr string, id ConnID) (*Client, error) {
 	}
 	return &Client{conn: conn, id: id}, nil
 }
-
-// ID returns the client's connection ID.
-func (c *Client) ID() ConnID { return c.id }
 
 // Open sends PktInitial and waits for the handshake reply.
 func (c *Client) Open(payload []byte, timeout time.Duration) ([]byte, error) {

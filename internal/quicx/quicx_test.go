@@ -271,14 +271,14 @@ func takeoverWithUserSpaceRouting(t *testing.T) {
 }
 
 func TestReuseportModelNoChangeNoMisroute(t *testing.T) {
-	m := NewReuseportModel(4, 1)
+	m := newReuseportModel(4, 1)
 	for i := 0; i < 100; i++ {
-		f := FlowHash(uint32(i), 1, 2, 3)
-		if err := m.OpenFlow(f); err != nil {
+		f := flowHash(uint32(i), 1, 2, 3)
+		if err := m.openFlow(f); err != nil {
 			t.Fatal(err)
 		}
 		for p := 0; p < 10; p++ {
-			mis, err := m.DeliverPacket(f)
+			mis, err := m.deliverPacket(f)
 			if err != nil || mis {
 				t.Fatalf("flow %d misrouted on stable ring (err=%v)", i, err)
 			}
@@ -323,34 +323,34 @@ func TestTakeoverModelVsReuseportModel(t *testing.T) {
 }
 
 func TestReuseportModelUnbindEmptiesRing(t *testing.T) {
-	m := NewReuseportModel(2, 1)
-	m.Unbind(1)
+	m := newReuseportModel(2, 1)
+	m.unbind(1)
 	if m.RingSize() != 0 {
 		t.Fatalf("ring = %d", m.RingSize())
 	}
-	if err := m.OpenFlow(1); err == nil {
+	if err := m.openFlow(1); err == nil {
 		t.Fatal("open on empty ring should fail")
 	}
-	m.Bind(3, 2)
+	m.bind(3, 2)
 	if m.RingSize() != 3 {
 		t.Fatalf("ring = %d", m.RingSize())
 	}
 }
 
 func TestDeliverUnopenedFlowErrors(t *testing.T) {
-	m := NewReuseportModel(2, 1)
-	if _, err := m.DeliverPacket(123); err == nil {
+	m := newReuseportModel(2, 1)
+	if _, err := m.deliverPacket(123); err == nil {
 		t.Fatal("expected error for unopened flow")
 	}
 }
 
 func TestFlowHashDeterministicAndSpread(t *testing.T) {
-	if FlowHash(1, 2, 3, 4) != FlowHash(1, 2, 3, 4) {
+	if flowHash(1, 2, 3, 4) != flowHash(1, 2, 3, 4) {
 		t.Fatal("hash not deterministic")
 	}
 	seen := map[uint64]bool{}
 	for i := 0; i < 1000; i++ {
-		seen[FlowHash(uint32(i), 1000, 5, 443)%16] = true
+		seen[flowHash(uint32(i), 1000, 5, 443)%16] = true
 	}
 	if len(seen) < 12 {
 		t.Fatalf("flow hash poorly spread: %d/16 buckets", len(seen))

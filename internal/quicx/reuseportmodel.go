@@ -4,7 +4,7 @@ import (
 	"fmt"
 )
 
-// ReuseportModel is a deterministic model of the Linux kernel's
+// reuseportModel is a deterministic model of the Linux kernel's
 // SO_REUSEPORT UDP socket selection, used to regenerate the mis-routing
 // baseline of Fig. 2d and Fig. 10.
 //
@@ -22,7 +22,7 @@ import (
 // Socket Takeover avoids the flux entirely — the FD (and hence the ring)
 // is unchanged across the restart — which the model reproduces by simply
 // not mutating the ring.
-type ReuseportModel struct {
+type reuseportModel struct {
 	ring   []int // ring[i] = owning process ID
 	owners map[uint64]int
 	// flowOwner records, per flow hash, the process that holds its state
@@ -32,9 +32,9 @@ type ReuseportModel struct {
 	delivered int64
 }
 
-// NewReuseportModel creates a model with n sockets owned by process pid.
-func NewReuseportModel(n int, pid int) *ReuseportModel {
-	m := &ReuseportModel{owners: map[uint64]int{}, flowOwner: map[uint64]int{}}
+// newReuseportModel creates a model with n sockets owned by process pid.
+func newReuseportModel(n int, pid int) *reuseportModel {
+	m := &reuseportModel{owners: map[uint64]int{}, flowOwner: map[uint64]int{}}
 	for i := 0; i < n; i++ {
 		m.ring = append(m.ring, pid)
 	}
@@ -42,17 +42,17 @@ func NewReuseportModel(n int, pid int) *ReuseportModel {
 }
 
 // RingSize returns the current number of ring entries.
-func (m *ReuseportModel) RingSize() int { return len(m.ring) }
+func (m *reuseportModel) RingSize() int { return len(m.ring) }
 
-// Bind adds n sockets for process pid (the new process binding the VIP).
-func (m *ReuseportModel) Bind(n int, pid int) {
+// bind adds n sockets for process pid (the new process binding the VIP).
+func (m *reuseportModel) bind(n int, pid int) {
 	for i := 0; i < n; i++ {
 		m.ring = append(m.ring, pid)
 	}
 }
 
-// Unbind purges all of pid's entries (the old process shutting down).
-func (m *ReuseportModel) Unbind(pid int) {
+// unbind purges all of pid's entries (the old process shutting down).
+func (m *reuseportModel) unbind(pid int) {
 	kept := m.ring[:0]
 	for _, p := range m.ring {
 		if p != pid {
@@ -63,16 +63,16 @@ func (m *ReuseportModel) Unbind(pid int) {
 }
 
 // pick returns the owning process for a flow hash under the current ring.
-func (m *ReuseportModel) pick(flow uint64) (int, error) {
+func (m *reuseportModel) pick(flow uint64) (int, error) {
 	if len(m.ring) == 0 {
 		return 0, fmt.Errorf("quicx: empty socket ring")
 	}
 	return m.ring[flow%uint64(len(m.ring))], nil
 }
 
-// OpenFlow establishes state for flow at whichever process the ring picks
+// openFlow establishes state for flow at whichever process the ring picks
 // now.
-func (m *ReuseportModel) OpenFlow(flow uint64) error {
+func (m *reuseportModel) openFlow(flow uint64) error {
 	pid, err := m.pick(flow)
 	if err != nil {
 		return err
@@ -81,9 +81,9 @@ func (m *ReuseportModel) OpenFlow(flow uint64) error {
 	return nil
 }
 
-// DeliverPacket routes one packet for flow and records whether it reached
+// deliverPacket routes one packet for flow and records whether it reached
 // the process holding the flow's state.
-func (m *ReuseportModel) DeliverPacket(flow uint64) (misrouted bool, err error) {
+func (m *reuseportModel) deliverPacket(flow uint64) (misrouted bool, err error) {
 	pid, err := m.pick(flow)
 	if err != nil {
 		return false, err
@@ -101,16 +101,16 @@ func (m *ReuseportModel) DeliverPacket(flow uint64) (misrouted bool, err error) 
 }
 
 // Misrouted returns the cumulative mis-routed packet count.
-func (m *ReuseportModel) Misrouted() int64 { return m.misrouted }
+func (m *reuseportModel) Misrouted() int64 { return m.misrouted }
 
-// Delivered returns the cumulative delivered packet count.
-func (m *ReuseportModel) Delivered() int64 { return m.delivered }
+// deliveredCount returns the cumulative delivered packet count.
+func (m *reuseportModel) deliveredCount() int64 { return m.delivered }
 
 // ResetCounters clears the packet counters (flow state is kept).
-func (m *ReuseportModel) ResetCounters() { m.misrouted, m.delivered = 0, 0 }
+func (m *reuseportModel) ResetCounters() { m.misrouted, m.delivered = 0, 0 }
 
-// FlowHash is a convenient deterministic 4-tuple hash for experiments.
-func FlowHash(srcIP uint32, srcPort uint16, dstIP uint32, dstPort uint16) uint64 {
+// flowHash is a convenient deterministic 4-tuple hash for experiments.
+func flowHash(srcIP uint32, srcPort uint16, dstIP uint32, dstPort uint16) uint64 {
 	h := uint64(srcIP)<<32 | uint64(dstIP)
 	h ^= uint64(srcPort)<<16 | uint64(dstPort)
 	// splitmix64 finalizer for diffusion.
@@ -138,19 +138,19 @@ type ReleaseOutcome struct {
 // packets land on a process without their state are mis-routed.
 func SimulateReuseportRelease(sockets, flows, packetsPerFlow int) (ReleaseOutcome, error) {
 	var out ReleaseOutcome
-	m := NewReuseportModel(sockets, 1)
+	m := newReuseportModel(sockets, 1)
 	flowIDs := make([]uint64, flows)
 	for i := range flowIDs {
-		flowIDs[i] = FlowHash(0x0a000001+uint32(i), uint16(4000+i%2000), 0x0a0000fe, 443)
-		if err := m.OpenFlow(flowIDs[i]); err != nil {
+		flowIDs[i] = flowHash(0x0a000001+uint32(i), uint16(4000+i%2000), 0x0a0000fe, 443)
+		if err := m.openFlow(flowIDs[i]); err != nil {
 			return out, err
 		}
 	}
 	// Flux phase: new process binds alongside.
-	m.Bind(sockets, 2)
+	m.bind(sockets, 2)
 	for p := 0; p < packetsPerFlow; p++ {
 		for _, f := range flowIDs {
-			mis, err := m.DeliverPacket(f)
+			mis, err := m.deliverPacket(f)
 			if err != nil {
 				return out, err
 			}
@@ -160,10 +160,10 @@ func SimulateReuseportRelease(sockets, flows, packetsPerFlow int) (ReleaseOutcom
 		}
 	}
 	// Purge phase: old process gone; ALL surviving old flows lose state.
-	m.Unbind(1)
+	m.unbind(1)
 	for p := 0; p < packetsPerFlow; p++ {
 		for _, f := range flowIDs {
-			mis, err := m.DeliverPacket(f)
+			mis, err := m.deliverPacket(f)
 			if err != nil {
 				return out, err
 			}
@@ -172,7 +172,7 @@ func SimulateReuseportRelease(sockets, flows, packetsPerFlow int) (ReleaseOutcom
 			}
 		}
 	}
-	out.Delivered = m.Delivered()
+	out.Delivered = m.deliveredCount()
 	return out, nil
 }
 
@@ -184,11 +184,11 @@ func SimulateReuseportRelease(sockets, flows, packetsPerFlow int) (ReleaseOutcom
 // models that window (0 for an atomic installation).
 func SimulateTakeoverRelease(sockets, flows, packetsPerFlow, windowPackets int) (ReleaseOutcome, error) {
 	var out ReleaseOutcome
-	m := NewReuseportModel(sockets, 1)
+	m := newReuseportModel(sockets, 1)
 	flowIDs := make([]uint64, flows)
 	for i := range flowIDs {
-		flowIDs[i] = FlowHash(0x0a000001+uint32(i), uint16(4000+i%2000), 0x0a0000fe, 443)
-		if err := m.OpenFlow(flowIDs[i]); err != nil {
+		flowIDs[i] = flowHash(0x0a000001+uint32(i), uint16(4000+i%2000), 0x0a0000fe, 443)
+		if err := m.openFlow(flowIDs[i]); err != nil {
 			return out, err
 		}
 	}

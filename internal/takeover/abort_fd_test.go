@@ -58,13 +58,13 @@ func TestAbortFDAuditArmFailure(t *testing.T) {
 	a, b := pair(t)
 	sendErr := make(chan error, 1)
 	go func() {
-		_, err := Handoff(a, set, HandoffOptions{Timeout: 2 * time.Second})
+		_, err := Handoff(a, set, HandoffOptions{timeout: 2 * time.Second})
 		sendErr <- err
 	}()
 
 	disarmed := false
 	got, res, err := Receive(b, ReceiveOptions{
-		Timeout: 2 * time.Second,
+		timeout: 2 * time.Second,
 		Arm: func(s *ListenerSet, r *Result) error {
 			if s.Len() != 2 {
 				t.Errorf("Arm saw %d sockets, want 2", s.Len())
@@ -90,7 +90,7 @@ func TestAbortFDAuditArmFailure(t *testing.T) {
 	if serr == nil {
 		t.Fatal("sender committed against a receiver that never armed")
 	}
-	if !errors.Is(serr, ErrRejected) {
+	if !errors.Is(serr, errRejected) {
 		t.Fatalf("sender error = %v, want ErrRejected", serr)
 	}
 	a.Close()
@@ -127,14 +127,14 @@ func TestAbortFDAuditPrepareAckLost(t *testing.T) {
 	a, b := pair(t)
 	sendErr := make(chan error, 1)
 	go func() {
-		_, err := Handoff(a, set, HandoffOptions{Timeout: 2 * time.Second})
+		_, err := Handoff(a, set, HandoffOptions{timeout: 2 * time.Second})
 		sendErr <- err
 		a.Close()
 	}()
 
 	disarmed := false
 	_, _, err = Receive(b, ReceiveOptions{
-		Timeout: 2 * time.Second,
+		timeout: 2 * time.Second,
 		Arm:     func(*ListenerSet, *Result) error { return nil },
 		Disarm:  func(s *ListenerSet) { disarmed = true; s.Close() },
 	})
@@ -180,7 +180,7 @@ func TestAbortFDAuditCommitLost(t *testing.T) {
 	a, b := pair(t)
 	sendErr := make(chan error, 1)
 	go func() {
-		_, err := Handoff(a, set, HandoffOptions{Timeout: 2 * time.Second})
+		_, err := Handoff(a, set, HandoffOptions{timeout: 2 * time.Second})
 		sendErr <- err
 		// The real sender (Server.ListenAndServe) closes the connection on
 		// any hand-off error; that close is what tells a waiting receiver
@@ -190,7 +190,7 @@ func TestAbortFDAuditCommitLost(t *testing.T) {
 
 	disarmed := false
 	_, _, err = Receive(b, ReceiveOptions{
-		Timeout: 2 * time.Second,
+		timeout: 2 * time.Second,
 		Arm:     func(*ListenerSet, *Result) error { return nil },
 		Disarm:  func(s *ListenerSet) { disarmed = true; s.Close() },
 	})

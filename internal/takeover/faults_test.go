@@ -61,7 +61,7 @@ func TestReceiverCrashMidHandoff(t *testing.T) {
 		received <- fds
 	}()
 
-	if _, err := Handoff(a, set, HandoffOptions{Timeout: 2 * time.Second}); err == nil {
+	if _, err := Handoff(a, set, HandoffOptions{timeout: 2 * time.Second}); err == nil {
 		t.Fatal("handoff succeeded with a receiver that died before ACK")
 	}
 	a.Close()
@@ -106,7 +106,7 @@ func TestServerSurvivesReceiverCrash(t *testing.T) {
 	drained := make(chan struct{}, 1)
 	srv := &Server{
 		Set:              set,
-		HandshakeTimeout: 2 * time.Second,
+		handshakeTimeout: 2 * time.Second,
 		OnDrainStart:     func(Result) { drained <- struct{}{} },
 		OnHandoffError: func(err error) {
 			select {
@@ -153,7 +153,7 @@ func TestServerSurvivesReceiverCrash(t *testing.T) {
 	}
 
 	// A retried deploy now completes against the same, still-armed server.
-	got, res, err := Connect(path, ConnectOptions{ReceiveOptions: ReceiveOptions{Timeout: 2 * time.Second}})
+	got, res, err := Connect(path, ConnectOptions{ReceiveOptions: ReceiveOptions{timeout: 2 * time.Second}})
 	if err != nil {
 		t.Fatalf("retried takeover after abort: %v", err)
 	}
@@ -199,14 +199,14 @@ func TestHandoffSendmsgFailureMidChunk(t *testing.T) {
 	a, b := pair(t)
 	recvErr := make(chan error, 1)
 	go func() {
-		_, _, err := Receive(b, ReceiveOptions{Timeout: 2 * time.Second})
+		_, _, err := Receive(b, ReceiveOptions{timeout: 2 * time.Second})
 		recvErr <- err
 	}()
-	_, err := Handoff(a, set, HandoffOptions{Timeout: 2 * time.Second})
+	_, err := Handoff(a, set, HandoffOptions{timeout: 2 * time.Second})
 	if err == nil {
 		t.Fatal("handoff succeeded despite a failed fd chunk")
 	}
-	if !strings.Contains(err.Error(), "injected sendmsg failure") && !errors.Is(err, ErrRejected) {
+	if !strings.Contains(err.Error(), "injected sendmsg failure") && !errors.Is(err, errRejected) {
 		t.Fatalf("unexpected sender error: %v", err)
 	}
 	a.Close()

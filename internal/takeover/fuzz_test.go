@@ -55,7 +55,7 @@ func FuzzManifest(f *testing.F) {
 		}()
 
 		start := time.Now()
-		set, _, err := Receive(b, ReceiveOptions{Timeout: 250 * time.Millisecond})
+		set, _, err := Receive(b, ReceiveOptions{timeout: 250 * time.Millisecond})
 		if took := time.Since(start); took > 2*time.Second {
 			t.Errorf("Receive took %v against a 250ms timeout", took)
 		}

@@ -92,7 +92,7 @@ func TestOneShotSenderRefused(t *testing.T) {
 
 	armed := false
 	got, res, err := Receive(b, ReceiveOptions{
-		Timeout: 2 * time.Second,
+		timeout: 2 * time.Second,
 		Arm:     func(*ListenerSet, *Result) error { armed = true; return nil },
 	})
 	if err == nil {
@@ -191,7 +191,7 @@ func TestOneShotReceiverRefused(t *testing.T) {
 	if n := waitFDCount(t, before+1); n != before+1 { // +1: the server's UNIX listener
 		t.Fatalf("fd ledger after refusing a one-shot receiver: %d, want %d", n, before+1)
 	}
-	got, res, err := Connect(path, ConnectOptions{ReceiveOptions: ReceiveOptions{Timeout: 2 * time.Second}})
+	got, res, err := Connect(path, ConnectOptions{ReceiveOptions: ReceiveOptions{timeout: 2 * time.Second}})
 	if err != nil {
 		t.Fatalf("hand-off after the refusal: %v", err)
 	}

@@ -44,7 +44,7 @@
 // flux of Fig. 2d.
 //
 // Compatibility rule — N and N−1: a build speaks ProtoDrainUndo (v3) and
-// ProtoTwoPhase (v2), because a rolling upgrade only ever meets its
+// protoTwoPhase (v2), because a rolling upgrade only ever meets its
 // predecessor. The sender offers a revision in the manifest's proto field
 // and the receiver answers min(offer, v3) in its PREPARE-ACK; a v2
 // receiver answers without the field, which a v3 sender reads as
@@ -94,7 +94,7 @@ const (
 	magic = 0x5a44 // "ZD"
 	// version is the wire epoch byte. It stays 1: receivers hard-reject
 	// any other value with no retry, so protocol revisions are negotiated
-	// in-band via the manifest's proto field instead (see ProtoTwoPhase).
+	// in-band via the manifest's proto field instead (see protoTwoPhase).
 	version     = 1
 	maxManifest = 1 << 20
 
@@ -117,36 +117,36 @@ const (
 // offer) and the prepare-ack's proto field (receiver's answer); the
 // package doc states which revisions a build speaks.
 const (
-	// ProtoTwoPhase is step (D) of the package doc: PREPARE-ACK (receiver
+	// protoTwoPhase is step (D) of the package doc: PREPARE-ACK (receiver
 	// armed), then COMMIT (sender stops accepting).
-	ProtoTwoPhase = 2
+	protoTwoPhase = 2
 	// ProtoDrainUndo adds the post-commit lease and un-drain of the
-	// package doc on top of ProtoTwoPhase, instead of falling through to
+	// package doc on top of protoTwoPhase, instead of falling through to
 	// RestartFresh. Offering it promises exactly that undo behaviour, so
 	// only lease-driving senders (Server with OnUndo, or an explicit
-	// HandoffOptions.Proto) advertise it.
+	// HandoffOptions.proto) advertise it.
 	ProtoDrainUndo = 3
 
 	// maxProto is the newest revision this build understands; the oldest
-	// is ProtoTwoPhase.
+	// is protoTwoPhase.
 	maxProto = ProtoDrainUndo
 )
 
-// DefaultHandshakeTimeout bounds each protocol step.
-const DefaultHandshakeTimeout = 5 * time.Second
+// defaultHandshakeTimeout bounds each protocol step.
+const defaultHandshakeTimeout = 5 * time.Second
 
-// DefaultReadyTimeout bounds the sender's post-commit wait for the
+// defaultReadyTimeout bounds the sender's post-commit wait for the
 // receiver's READY frame (the drain-undo lease). A receiver that has not
 // confirmed serving within this window is presumed dead and the hand-off
 // is undone.
-const DefaultReadyTimeout = 5 * time.Second
+const defaultReadyTimeout = 5 * time.Second
 
 // Manifest metadata keys used by the protocol itself (everything else in
 // Meta passes through opaquely).
 const (
-	// TraceMetaKey carries the sender's span context in the manifest
+	// traceMetaKey carries the sender's span context in the manifest
 	// metadata, so the receiver's spans can join the sender's trace.
-	TraceMetaKey = obs.TraceHeader
+	traceMetaKey = obs.TraceHeader
 	// metaDrainNotify announces that the sender will send a
 	// msgDrainStarted frame once it has stopped accepting (step E). The
 	// receiver only waits for the confirmation when the key is present,
@@ -180,13 +180,13 @@ type ListenerSet struct {
 	entries []entry
 }
 
-// NewListenerSet returns an empty set.
-func NewListenerSet() *ListenerSet { return &ListenerSet{} }
+// newListenerSet returns an empty set.
+func newListenerSet() *ListenerSet { return &ListenerSet{} }
 
 // Listen binds all the given VIPs (with SO_REUSEPORT) and returns the set.
 // On error, any sockets bound so far are closed.
 func Listen(vips ...VIP) (*ListenerSet, error) {
-	s := NewListenerSet()
+	s := newListenerSet()
 	for _, v := range vips {
 		var err error
 		switch v.Network {
@@ -200,7 +200,7 @@ func Listen(vips ...VIP) (*ListenerSet, error) {
 			var pc *net.UDPConn
 			pc, err = netx.ListenUDPReusePort(v.Addr)
 			if err == nil {
-				err = s.AddUDP(v.Name, pc)
+				err = s.addUDP(v.Name, pc)
 			}
 		default:
 			err = fmt.Errorf("takeover: unknown network %q", v.Network)
@@ -218,8 +218,8 @@ func (s *ListenerSet) AddTCP(name string, ln *net.TCPListener) error {
 	return s.add(entry{vip: VIP{Name: name, Network: NetworkTCP, Addr: ln.Addr().String()}, ln: ln})
 }
 
-// AddUDP registers an already-bound UDP socket under name.
-func (s *ListenerSet) AddUDP(name string, pc *net.UDPConn) error {
+// addUDP registers an already-bound UDP socket under name.
+func (s *ListenerSet) addUDP(name string, pc *net.UDPConn) error {
 	return s.add(entry{vip: VIP{Name: name, Network: NetworkUDP, Addr: pc.LocalAddr().String()}, pc: pc})
 }
 
@@ -344,7 +344,7 @@ func (s *ListenerSet) fds() ([]int, error) {
 // it had to close, and the first adoption error; a VIP left without a
 // descriptor is one.
 func adoptFDs(vips []VIP, fds []int) (*ListenerSet, int, error) {
-	set := NewListenerSet()
+	set := newListenerSet()
 	orphans := 0
 	var firstErr error
 	if len(fds) < len(vips) {
@@ -374,7 +374,7 @@ func adoptFDs(vips []VIP, fds []int) (*ListenerSet, int, error) {
 			var pc *net.UDPConn
 			pc, err = netx.PacketConnFromFD(fd, v.Name)
 			if err == nil {
-				err = set.AddUDP(v.Name, pc)
+				err = set.addUDP(v.Name, pc)
 				if err != nil {
 					pc.Close()
 				}
@@ -393,10 +393,10 @@ func adoptFDs(vips []VIP, fds []int) (*ListenerSet, int, error) {
 	return set, orphans, firstErr
 }
 
-// RetainedSet holds the sender's dup'd listener FDs through the
+// retainedSet holds the sender's dup'd listener FDs through the
 // ProtoDrainUndo post-commit window. The dups keep the kernel sockets
 // alive (and their accept backlogs queuing) no matter what happens to the
-// receiver. Exactly one of two things must happen to a RetainedSet:
+// receiver. Exactly one of two things must happen to a retainedSet:
 //
 //   - Close — the receiver confirmed serving (READY received, lease
 //     released): drop the dups, the drain proceeds.
@@ -405,21 +405,21 @@ func adoptFDs(vips []VIP, fds []int) (*ListenerSet, int, error) {
 //
 // Server.ListenAndServe drives this lifecycle itself; only bare
 // Handoff callers that force ProtoDrainUndo need to manage it.
-type RetainedSet struct {
+type retainedSet struct {
 	mu   sync.Mutex
 	vips []VIP
 	fds  []int
 }
 
-func newRetainedSet(vips []VIP, fds []int) *RetainedSet {
-	return &RetainedSet{
+func newRetainedSet(vips []VIP, fds []int) *retainedSet {
+	return &retainedSet{
 		vips: append([]VIP(nil), vips...),
 		fds:  append([]int(nil), fds...),
 	}
 }
 
 // Len returns the number of descriptors still retained.
-func (r *RetainedSet) Len() int {
+func (r *retainedSet) Len() int {
 	if r == nil {
 		return 0
 	}
@@ -429,7 +429,7 @@ func (r *RetainedSet) Len() int {
 }
 
 // VIPs returns the VIP descriptors the retained FDs correspond to.
-func (r *RetainedSet) VIPs() []VIP {
+func (r *retainedSet) VIPs() []VIP {
 	if r == nil {
 		return nil
 	}
@@ -439,7 +439,7 @@ func (r *RetainedSet) VIPs() []VIP {
 }
 
 // Close releases every retained descriptor. Idempotent and nil-safe.
-func (r *RetainedSet) Close() error {
+func (r *retainedSet) Close() error {
 	if r == nil {
 		return nil
 	}
@@ -450,13 +450,13 @@ func (r *RetainedSet) Close() error {
 	return nil
 }
 
-// Rearm consumes the retained descriptors and rebuilds a live ListenerSet
+// rearm consumes the retained descriptors and rebuilds a live ListenerSet
 // from them — the un-drain: because the dups share the original file-table
 // entries, the re-armed listeners are the same kernel sockets the clients
 // have been connecting to all along, and every SYN queued during the
 // recovery window is accepted, not reset. After Rearm (success or failure)
 // the set is empty; on failure everything it could not adopt is closed.
-func (r *RetainedSet) Rearm() (*ListenerSet, error) {
+func (r *retainedSet) rearm() (*ListenerSet, error) {
 	if r == nil {
 		return nil, errors.New("takeover: no retained descriptors")
 	}
@@ -479,7 +479,7 @@ func (r *RetainedSet) Rearm() (*ListenerSet, error) {
 type manifest struct {
 	Magic   uint16 `json:"magic"`
 	Version uint8  `json:"version"`
-	// Proto is the protocol revision the sender offers (ProtoTwoPhase or
+	// Proto is the protocol revision the sender offers (protoTwoPhase or
 	// ProtoDrainUndo). Absent/zero means a one-shot sender, which the
 	// receiver refuses (see the package doc's compatibility rule).
 	Proto uint8 `json:"proto,omitempty"`
@@ -521,40 +521,40 @@ type Result struct {
 	// PeerTrace is the peer's span context in wire form, or "" if the
 	// peer was untraced: on the sender side, the receiver's hand-off span
 	// (from the ack); on the receiver side, whatever the sender put under
-	// TraceMetaKey in the manifest metadata.
+	// traceMetaKey in the manifest metadata.
 	PeerTrace string
-	// DrainConfirmed reports that the sender confirmed it stopped
+	// drainConfirmed reports that the sender confirmed it stopped
 	// accepting and began draining (receiver side). On v2 it requires a
 	// sender that announces metaDrainNotify (i.e. Server.ListenAndServe)
 	// and is best-effort; on ProtoDrainUndo the confirmation is the lease
 	// release and mandatory — without it the sender undid the hand-off,
 	// so Receive disarms and returns ErrUndone — hence always true on
 	// success.
-	DrainConfirmed bool
-	// Proto is the negotiated protocol revision (ProtoTwoPhase or
+	drainConfirmed bool
+	// Proto is the negotiated protocol revision (protoTwoPhase or
 	// ProtoDrainUndo).
 	Proto int
-	// Committed reports the hand-off passed its commit point: the sender
+	// committed reports the hand-off passed its commit point: the sender
 	// has stopped accepting and is draining. Always true on a successful
 	// hand-off; it exists so failure paths can be classified (see
 	// ErrAborted and ErrUndone).
-	Committed bool
-	// Ready reports that this receiver delivered its READY frame
+	committed bool
+	// ready reports that this receiver delivered its READY frame
 	// (ProtoDrainUndo, receiver side).
-	Ready bool
-	// Retained holds the sender's dup'd FDs through the post-commit
+	ready bool
+	// retained holds the sender's dup'd FDs through the post-commit
 	// window (sender side, ProtoDrainUndo only; nil otherwise). The
-	// caller owns it: see RetainedSet.
-	Retained *RetainedSet
+	// caller owns it: see retainedSet.
+	retained *retainedSet
 }
 
 var (
-	// ErrRejected is returned by Handoff when the new instance refused
+	// errRejected is returned by Handoff when the new instance refused
 	// the socket set.
-	ErrRejected = errors.New("takeover: peer rejected hand-off")
-	// ErrBadMagic indicates the peer is not speaking the takeover
+	errRejected = errors.New("takeover: peer rejected hand-off")
+	// errBadMagic indicates the peer is not speaking the takeover
 	// protocol (§5.1: guard against a mis-deployed binary).
-	ErrBadMagic = errors.New("takeover: bad protocol magic")
+	errBadMagic = errors.New("takeover: bad protocol magic")
 	// ErrAborted marks a receiver-side hand-off failure that happened
 	// before the commit point: the sender never began draining (or rolled
 	// back to serving), no client saw a reset, and the caller may safely
@@ -670,21 +670,21 @@ func closeFDs(fds []int) {
 
 // HandoffOptions configures the sender side of a hand-off.
 type HandoffOptions struct {
-	// Meta is side-band hand-off data delivered to the receiver's
+	// meta is side-band hand-off data delivered to the receiver's
 	// Result.Meta.
-	Meta map[string]string
-	// Timeout bounds the exchange; zero means DefaultHandshakeTimeout.
-	Timeout time.Duration
-	// Trace, when non-nil, gets a "takeover.prepare" child span covering
+	meta map[string]string
+	// timeout bounds the exchange; zero means defaultHandshakeTimeout.
+	timeout time.Duration
+	// trace, when non-nil, gets a "takeover.prepare" child span covering
 	// the manifest+FD transfer through commit delivery. An aborted
 	// hand-off fails that span and records no "takeover.commit" span.
-	Trace *obs.Span
-	// Proto is the protocol revision to offer; zero means ProtoTwoPhase
+	trace *obs.Span
+	// proto is the protocol revision to offer; zero means protoTwoPhase
 	// (wire-identical to an N−1 sender). ProtoDrainUndo promises the
 	// caller will drive the post-commit lease itself: close or re-arm
-	// Result.Retained (Server does this automatically and is the normal
+	// Result.retained (Server does this automatically and is the normal
 	// way to offer v3).
-	Proto int
+	proto int
 }
 
 // Handoff runs the sender side (old instance) of the takeover protocol on
@@ -698,17 +698,17 @@ type HandoffOptions struct {
 // table entries. On an error the hand-off aborted before this instance
 // stopped accepting: it is still fully in charge and must keep serving.
 // When ProtoDrainUndo is negotiated the caller owns the post-commit lease
-// (see Result.Retained).
+// (see Result.retained).
 func Handoff(conn *net.UnixConn, set *ListenerSet, opts HandoffOptions) (*Result, error) {
-	timeout := opts.Timeout
+	timeout := opts.timeout
 	if timeout <= 0 {
-		timeout = DefaultHandshakeTimeout
+		timeout = defaultHandshakeTimeout
 	}
-	proto := opts.Proto
+	proto := opts.proto
 	if proto == 0 {
-		proto = ProtoTwoPhase
+		proto = protoTwoPhase
 	}
-	if proto < ProtoTwoPhase || proto > maxProto {
+	if proto < protoTwoPhase || proto > maxProto {
 		return nil, fmt.Errorf("takeover: unknown protocol revision %d", proto)
 	}
 	start := time.Now()
@@ -717,7 +717,7 @@ func Handoff(conn *net.UnixConn, set *ListenerSet, opts HandoffOptions) (*Result
 	}
 	defer conn.SetDeadline(time.Time{})
 
-	sp := opts.Trace.StartChild(obs.SpanTakeoverPrepare)
+	sp := opts.trace.StartChild(obs.SpanTakeoverPrepare)
 	sp.SetAttr("side", "sender")
 	fail := func(err error) (*Result, error) {
 		sp.Fail(err)
@@ -733,7 +733,7 @@ func Handoff(conn *net.UnixConn, set *ListenerSet, opts HandoffOptions) (*Result
 		return fail(err)
 	}
 
-	m := manifest{Magic: magic, Version: version, Proto: uint8(proto), VIPs: set.VIPs(), Meta: opts.Meta}
+	m := manifest{Magic: magic, Version: version, Proto: uint8(proto), VIPs: set.VIPs(), Meta: opts.meta}
 	payload, err := json.Marshal(m)
 	if err != nil {
 		return fail(err)
@@ -743,7 +743,7 @@ func Handoff(conn *net.UnixConn, set *ListenerSet, opts HandoffOptions) (*Result
 		return fail(err)
 	}
 	// Our dups; the receiver has its own after sendmsg. On a negotiated
-	// ProtoDrainUndo hand-off they instead survive as Result.Retained —
+	// ProtoDrainUndo hand-off they instead survive as Result.retained —
 	// the post-commit recovery window — and fds is emptied.
 	defer func() { closeFDs(fds) }()
 	if err := writeFrame(conn, msgManifest, payload, fds[:min(len(fds), fdsPerFrame)]); err != nil {
@@ -770,7 +770,7 @@ func Handoff(conn *net.UnixConn, set *ListenerSet, opts HandoffOptions) (*Result
 	}
 	if !a.OK {
 		// The receiver already rolled itself back; no abort frame needed.
-		return fail(fmt.Errorf("%w: %s", ErrRejected, a.Err))
+		return fail(fmt.Errorf("%w: %s", errRejected, a.Err))
 	}
 	if kind == msgAck {
 		// A one-shot receiver took its single ACK for the commit point.
@@ -780,7 +780,7 @@ func Handoff(conn *net.UnixConn, set *ListenerSet, opts HandoffOptions) (*Result
 	// The receiver's answer caps the revision: a pre-v3 receiver omits
 	// the proto field (zero), and the sender must not hold a lease such a
 	// peer will never release.
-	res := &Result{VIPs: m.VIPs, PeerTrace: a.Trace, Proto: max(ProtoTwoPhase, min(proto, a.Proto))}
+	res := &Result{VIPs: m.VIPs, PeerTrace: a.Trace, Proto: max(protoTwoPhase, min(proto, a.Proto))}
 	// This write is the commit point: if COMMIT cannot be delivered the
 	// receiver disarms and this instance keeps serving — nobody drains,
 	// nobody resets.
@@ -788,11 +788,11 @@ func Handoff(conn *net.UnixConn, set *ListenerSet, opts HandoffOptions) (*Result
 		return fail(fmt.Errorf("takeover: delivering commit: %w", err))
 	}
 	if res.Proto >= ProtoDrainUndo {
-		res.Retained = newRetainedSet(m.VIPs, fds)
+		res.retained = newRetainedSet(m.VIPs, fds)
 		sp.SetAttr("retained_fds", strconv.Itoa(len(fds)))
 		fds = nil
 	}
-	res.Committed = true
+	res.committed = true
 	res.Duration = time.Since(start)
 	sp.SetAttr("proto", strconv.Itoa(res.Proto))
 	sp.End()
@@ -801,12 +801,12 @@ func Handoff(conn *net.UnixConn, set *ListenerSet, opts HandoffOptions) (*Result
 
 // ReceiveOptions configures the receiver side of a hand-off.
 type ReceiveOptions struct {
-	// Timeout bounds the exchange; zero means DefaultHandshakeTimeout.
-	Timeout time.Duration
+	// timeout bounds the exchange; zero means defaultHandshakeTimeout.
+	timeout time.Duration
 	// Trace, when non-nil, gets the receiver's Fig. 5 step spans as
 	// children, in order: step B, step C, prepare, commit, ready
 	// (ProtoDrainUndo only) and step E (obs/names.go says what each
-	// covers). A step E that fails on v2 (see Result.DrainConfirmed) is
+	// covers). A step E that fails on v2 (see Result.drainConfirmed) is
 	// recorded on its span without failing the hand-off.
 	Trace *obs.Span
 	// Arm, when non-nil, runs after the listener set is reconstructed and
@@ -826,7 +826,7 @@ type ReceiveOptions struct {
 	// serving (e.g. /healthz green) before the READY frame goes out. An
 	// error steps this instance down — Disarm runs, the sender's lease
 	// breaks, the sender un-drains, and the error is wrapped in
-	// ErrUndone. Never invoked on a ProtoTwoPhase negotiation.
+	// ErrUndone. Never invoked on a protoTwoPhase negotiation.
 	Ready func(set *ListenerSet, res *Result) error
 }
 
@@ -854,13 +854,13 @@ func readManifest(conn *net.UnixConn) (manifest, []int, error) {
 		return refuse("", fmt.Errorf("takeover: bad manifest: %w", err))
 	}
 	if m.Magic != magic {
-		return refuse("bad magic", ErrBadMagic)
+		return refuse("bad magic", errBadMagic)
 	}
 	if m.Version != version {
 		return refuse(fmt.Sprintf("unsupported version %d", m.Version),
 			fmt.Errorf("takeover: unsupported protocol version %d", m.Version))
 	}
-	if int(m.Proto) < ProtoTwoPhase {
+	if int(m.Proto) < protoTwoPhase {
 		// A one-shot sender would take the single ACK it expects for the
 		// commit point; refuse it before anything is adopted.
 		err := fmt.Errorf("takeover: peer offers protocol revision %d (one-shot); %s", m.Proto, outsideRule)
@@ -888,7 +888,7 @@ func readManifest(conn *net.UnixConn) (manifest, []int, error) {
 
 // awaitDrainStart reads the sender's drain-start confirmation (step E)
 // under its own span. What a failure means is the caller's to say: on
-// ProtoDrainUndo the lease was not released, on ProtoTwoPhase nothing.
+// ProtoDrainUndo the lease was not released, on protoTwoPhase nothing.
 func awaitDrainStart(conn *net.UnixConn, parent *obs.Span) error {
 	spE := parent.StartChild(obs.SpanTakeoverStepE)
 	defer spE.End()
@@ -906,9 +906,9 @@ func awaitDrainStart(conn *net.UnixConn, parent *obs.Span) error {
 // post-commit lease. In both cases the sender keeps (or resumes) serving
 // undisturbed and the caller may retry with a fresh receiver.
 func Receive(conn *net.UnixConn, opts ReceiveOptions) (*ListenerSet, *Result, error) {
-	timeout := opts.Timeout
+	timeout := opts.timeout
 	if timeout <= 0 {
-		timeout = DefaultHandshakeTimeout
+		timeout = defaultHandshakeTimeout
 	}
 	parent := opts.Trace
 	start := time.Now()
@@ -942,7 +942,7 @@ func Receive(conn *net.UnixConn, opts ReceiveOptions) (*ListenerSet, *Result, er
 
 	// The accepted revision is min(offer, newest): a sender from a later
 	// build is met at this build's newest.
-	res := &Result{VIPs: m.VIPs, Meta: m.Meta, OrphanedFDs: orphans, PeerTrace: m.Meta[TraceMetaKey], Proto: min(int(m.Proto), maxProto)}
+	res := &Result{VIPs: m.VIPs, Meta: m.Meta, OrphanedFDs: orphans, PeerTrace: m.Meta[traceMetaKey], Proto: min(int(m.Proto), maxProto)}
 
 	// Arm before confirming: the PREPARE-ACK attests that this instance
 	// is already serving every VIP.
@@ -989,7 +989,7 @@ func Receive(conn *net.UnixConn, opts ReceiveOptions) (*ListenerSet, *Result, er
 		return abort(spCommit, err)
 	}
 	spCommit.End()
-	res.Committed = true
+	res.committed = true
 
 	if res.Proto >= ProtoDrainUndo {
 		// READY/lease epilogue: prove this instance is genuinely serving,
@@ -1011,7 +1011,7 @@ func Receive(conn *net.UnixConn, opts ReceiveOptions) (*ListenerSet, *Result, er
 			if err := writeFrame(conn, msgReady, nil, nil); err != nil {
 				rerr = fmt.Errorf("takeover: delivering ready: %w", err)
 			} else {
-				res.Ready = true
+				res.ready = true
 			}
 		}
 		spReady.Fail(rerr)
@@ -1023,13 +1023,13 @@ func Receive(conn *net.UnixConn, opts ReceiveOptions) (*ListenerSet, *Result, er
 			disarm()
 			return nil, nil, undoneErr(rerr)
 		}
-		res.DrainConfirmed = true
+		res.drainConfirmed = true
 	} else if m.Meta[metaDrainNotify] == "1" {
 		// Step E: the old instance stops accepting and begins draining; it
 		// confirms with a msgDrainStarted frame. Best-effort — the sockets
 		// are already ours, so a timeout here degrades to an errored span
-		// and DrainConfirmed=false, not a failed hand-off.
-		res.DrainConfirmed = awaitDrainStart(conn, parent) == nil
+		// and drainConfirmed=false, not a failed hand-off.
+		res.drainConfirmed = awaitDrainStart(conn, parent) == nil
 	}
 	res.Duration = time.Since(start)
 	return set, res, nil
@@ -1067,7 +1067,7 @@ type Server struct {
 	// callback must resume accepting on them — reversing whatever
 	// OnDrainStart did. cause is the lease failure. The server offers
 	// ProtoDrainUndo exactly when this callback is set, and
-	// ProtoTwoPhase otherwise.
+	// protoTwoPhase otherwise.
 	OnUndo func(rearmed *ListenerSet, cause error)
 	// OnHandoffError, if non-nil, is invoked after a failed hand-off
 	// attempt (receiver died mid-handshake, arm failure nack, prepare-ack
@@ -1077,10 +1077,10 @@ type Server struct {
 	// hand-off attempts. The callback is the abort's observability hook
 	// (§5.1 — aborted releases must be visible, not silent).
 	OnHandoffError func(error)
-	// HandshakeTimeout bounds each hand-off; zero means the default.
-	HandshakeTimeout time.Duration
+	// handshakeTimeout bounds each hand-off; zero means the default.
+	handshakeTimeout time.Duration
 	// ReadyTimeout bounds the post-commit wait for the receiver's READY
-	// frame; zero means DefaultReadyTimeout. On expiry the hand-off is
+	// frame; zero means defaultReadyTimeout. On expiry the hand-off is
 	// undone exactly as if the receiver had crashed.
 	ReadyTimeout time.Duration
 	// Tracer, if non-nil, records the sender-side view of every hand-off
@@ -1099,23 +1099,14 @@ type Server struct {
 
 // awaitReady blocks until the receiver's READY frame arrives or the lease
 // breaks (read error, EOF, timeout, unexpected frame). A zero timeout
-// means DefaultReadyTimeout.
+// means defaultReadyTimeout.
 func awaitReady(conn *net.UnixConn, timeout time.Duration) error {
 	if timeout <= 0 {
-		timeout = DefaultReadyTimeout
+		timeout = defaultReadyTimeout
 	}
 	conn.SetDeadline(time.Now().Add(timeout))
 	defer conn.SetDeadline(time.Time{})
 	return expectFrame(conn, msgReady, "ready")
-}
-
-// ListenAndServe binds the pre-specified UNIX path and serves hand-offs
-// until Close. It removes a stale socket file first.
-func (s *Server) ListenAndServe(path string) error {
-	if err := s.Listen(path); err != nil {
-		return err
-	}
-	return s.Serve()
 }
 
 // Listen binds the pre-specified UNIX path, removing a stale socket file
@@ -1145,7 +1136,7 @@ func (s *Server) Serve() error {
 	}
 	path := ul.Addr().String()
 	defer s.Close() // release the path so the next generation can bind it
-	proto := ProtoTwoPhase
+	proto := protoTwoPhase
 	if s.OnUndo != nil {
 		proto = ProtoDrainUndo // a promise to drive the lease: see OnUndo
 	}
@@ -1165,10 +1156,10 @@ func (s *Server) Serve() error {
 		sp := s.Tracer.StartSpan(obs.SpanTakeoverServe, obs.SpanContext{})
 		sp.SetAttr("path", path)
 		res, err := Handoff(conn, s.Set, HandoffOptions{
-			Meta:    meta,
-			Timeout: s.HandshakeTimeout,
-			Trace:   sp,
-			Proto:   proto,
+			meta:    meta,
+			timeout: s.handshakeTimeout,
+			trace:   sp,
+			proto:   proto,
 		})
 		if err != nil {
 			conn.Close()
@@ -1201,7 +1192,7 @@ func (s *Server) Serve() error {
 		// silent retry — and the confirmation is best-effort: a receiver
 		// that doesn't wait (bare Receive) has already hung up.
 		var cause error
-		if res.Retained != nil {
+		if res.retained != nil {
 			spReady := sp.StartChild(obs.SpanTakeoverReady)
 			spReady.SetAttr("side", "sender")
 			cause = awaitReady(conn, s.ReadyTimeout)
@@ -1219,13 +1210,13 @@ func (s *Server) Serve() error {
 			sp.End()
 			sp = nil
 			conn.SetDeadline(time.Now().Add(time.Second))
-			if werr := writeFrame(conn, msgDrainStarted, nil, nil); werr != nil && res.Retained != nil {
+			if werr := writeFrame(conn, msgDrainStarted, nil, nil); werr != nil && res.retained != nil {
 				cause = fmt.Errorf("takeover: delivering drain-start: %w", werr)
 			}
 		}
 		conn.Close()
 		if cause == nil {
-			res.Retained.Close()
+			res.retained.Close()
 			return nil
 		}
 
@@ -1236,9 +1227,9 @@ func (s *Server) Serve() error {
 			// The hand-off's trace is closed; the undo is its own root.
 			spUndo = s.Tracer.StartSpan(obs.SpanTakeoverUndo, obs.SpanContext{})
 		}
-		spUndo.SetAttr("retained_fds", strconv.Itoa(res.Retained.Len()))
+		spUndo.SetAttr("retained_fds", strconv.Itoa(res.retained.Len()))
 		spUndo.SetAttr("cause", cause.Error())
-		rearmed, rerr := res.Retained.Rearm()
+		rearmed, rerr := res.retained.rearm()
 		err = undoneErr(cause)
 		if rerr != nil {
 			// No way back: this instance is draining and its listeners
@@ -1274,53 +1265,46 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// DefaultConnectBackoff paces Connect's dial retries: the old instance's
+// defaultConnectBackoff paces Connect's dial retries: the old instance's
 // takeover socket may not exist yet (deploy ordering) or may be briefly
 // busy with another hand-off attempt.
-var DefaultConnectBackoff = faults.Backoff{
+var defaultConnectBackoff = faults.Backoff{
 	Base:     20 * time.Millisecond,
 	Max:      250 * time.Millisecond,
 	Factor:   2,
 	Attempts: 8,
 }
 
-// ConnectOptions configures Connect: the dial-retry policy plus the
-// embedded receive options (Timeout bounds both the overall dial budget
-// and each protocol exchange).
+// ConnectOptions configures Connect: the embedded receive options
+// (Timeout bounds both the overall dial budget and each protocol
+// exchange).
 type ConnectOptions struct {
-	// Backoff paces dial retries; the zero value means
-	// DefaultConnectBackoff.
-	Backoff faults.Backoff
 	ReceiveOptions
 }
 
 // Connect dials the old instance's takeover server at path and receives
 // the socket set (steps A–F, receiver side).
 //
-// Dial failures are retried per opts.Backoff until opts.Timeout; protocol
+// Dial failures are retried per defaultConnectBackoff until opts.Timeout; protocol
 // failures behind a successful dial are not retried (the sender rolled
 // back — a blind retry would race its abort handling) and are returned
 // with their ErrAborted/ErrUndone classification intact so the
 // orchestrator can decide between retrying with a fresh receiver and
 // giving up.
 func Connect(path string, opts ConnectOptions) (*ListenerSet, *Result, error) {
-	if opts.Timeout <= 0 {
-		opts.Timeout = DefaultHandshakeTimeout
+	if opts.timeout <= 0 {
+		opts.timeout = defaultHandshakeTimeout
 	}
-	bo := opts.Backoff
-	if bo == (faults.Backoff{}) {
-		bo = DefaultConnectBackoff
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), opts.Timeout)
+	ctx, cancel := context.WithTimeout(context.Background(), opts.timeout)
 	defer cancel()
 	var (
 		set *ListenerSet
 		res *Result
 	)
-	err := bo.Retry(ctx, func() error {
+	err := defaultConnectBackoff.Retry(ctx, func() error {
 		spA := opts.Trace.StartChild(obs.SpanTakeoverStepA)
 		spA.SetAttr("path", path)
-		d := net.Dialer{Timeout: opts.Timeout}
+		d := net.Dialer{Timeout: opts.timeout}
 		c, err := d.DialContext(ctx, "unix", path)
 		if err != nil {
 			err = fmt.Errorf("takeover: connect %s: %w", path, err)

@@ -187,8 +187,8 @@ func TestReceiveRejectsBadMagic(t *testing.T) {
 		writeFrame(a, msgManifest, payload, nil)
 		readFrame(a) // drain the nack
 	}()
-	_, _, err := Receive(b, ReceiveOptions{Timeout: time.Second})
-	if !errors.Is(err, ErrBadMagic) {
+	_, _, err := Receive(b, ReceiveOptions{timeout: time.Second})
+	if !errors.Is(err, errBadMagic) {
 		t.Fatalf("err = %v, want ErrBadMagic", err)
 	}
 }
@@ -200,8 +200,8 @@ func TestReceiveRejectsBadVersion(t *testing.T) {
 		writeFrame(a, msgManifest, payload, nil)
 		readFrame(a)
 	}()
-	_, _, err := Receive(b, ReceiveOptions{Timeout: time.Second})
-	if err == nil || errors.Is(err, ErrBadMagic) {
+	_, _, err := Receive(b, ReceiveOptions{timeout: time.Second})
+	if err == nil || errors.Is(err, errBadMagic) {
 		t.Fatalf("err = %v, want version error", err)
 	}
 }
@@ -216,7 +216,7 @@ func TestReceiveClosesStrayFDs(t *testing.T) {
 	a, b := pair(t)
 	go func() {
 		// Manifest declares only VIP "a" but both FDs ride along.
-		m := manifest{Magic: magic, Version: version, Proto: ProtoTwoPhase, VIPs: set.VIPs()[:1]}
+		m := manifest{Magic: magic, Version: version, Proto: protoTwoPhase, VIPs: set.VIPs()[:1]}
 		payload, _ := mustJSON(m)
 		fds, _ := set.fds()
 		writeFrame(a, msgManifest, payload, fds)
@@ -226,7 +226,7 @@ func TestReceiveClosesStrayFDs(t *testing.T) {
 		readFrame(a)
 		writeFrame(a, msgCommit, nil, nil)
 	}()
-	got, res, err := Receive(b, ReceiveOptions{Timeout: time.Second})
+	got, res, err := Receive(b, ReceiveOptions{timeout: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestReceiveFailsOnMissingFDs(t *testing.T) {
 	a, b := pair(t)
 	handErr := make(chan error, 1)
 	go func() {
-		m := manifest{Magic: magic, Version: version, Proto: ProtoTwoPhase, VIPs: append(set.VIPs(), VIP{Name: "ghost", Network: NetworkTCP, Addr: "127.0.0.1:1"})}
+		m := manifest{Magic: magic, Version: version, Proto: protoTwoPhase, VIPs: append(set.VIPs(), VIP{Name: "ghost", Network: NetworkTCP, Addr: "127.0.0.1:1"})}
 		payload, _ := mustJSON(m)
 		fds, _ := set.fds()
 		err := writeFrame(a, msgManifest, payload, fds)
@@ -266,7 +266,7 @@ func TestReceiveFailsOnMissingFDs(t *testing.T) {
 		}
 		handErr <- nil
 	}()
-	_, _, err := Receive(b, ReceiveOptions{Timeout: time.Second})
+	_, _, err := Receive(b, ReceiveOptions{timeout: time.Second})
 	if err == nil {
 		t.Fatal("expected error for missing fds")
 	}
@@ -280,7 +280,7 @@ func TestHandoffTimeout(t *testing.T) {
 	a, _ := pair(t)
 	// Nobody ever reads on b → ack never arrives → Handoff must time out.
 	start := time.Now()
-	_, err := Handoff(a, set, HandoffOptions{Timeout: 200 * time.Millisecond})
+	_, err := Handoff(a, set, HandoffOptions{timeout: 200 * time.Millisecond})
 	if err == nil {
 		t.Fatal("expected timeout")
 	}
@@ -303,7 +303,7 @@ func TestServerConnect(t *testing.T) {
 	// Wait for the socket file to appear.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		got, _, err := Connect(path, ConnectOptions{ReceiveOptions: ReceiveOptions{Timeout: 500 * time.Millisecond}})
+		got, _, err := Connect(path, ConnectOptions{ReceiveOptions: ReceiveOptions{timeout: 500 * time.Millisecond}})
 		if err == nil {
 			// Closed here: a set left to the collector closes its socket
 			// under a later test's fd ledger.
@@ -419,7 +419,7 @@ func mustJSON(v any) ([]byte, error) {
 func TestHandoffMeta(t *testing.T) {
 	set := mustListen(t, VIP{Name: "a", Network: NetworkTCP, Addr: "127.0.0.1:0"})
 	a, b := pair(t)
-	go Handoff(a, set, HandoffOptions{Meta: map[string]string{"quic-forward": "127.0.0.1:9999"}})
+	go Handoff(a, set, HandoffOptions{meta: map[string]string{"quic-forward": "127.0.0.1:9999"}})
 	got, res, err := Receive(b, ReceiveOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -478,10 +478,10 @@ func TestHandoffVeryManyVIPs(t *testing.T) {
 	a, b := pair(t)
 	handErr := make(chan error, 1)
 	go func() {
-		_, err := Handoff(a, old, HandoffOptions{Timeout: 10 * time.Second})
+		_, err := Handoff(a, old, HandoffOptions{timeout: 10 * time.Second})
 		handErr <- err
 	}()
-	got, res, err := Receive(b, ReceiveOptions{Timeout: 10 * time.Second})
+	got, res, err := Receive(b, ReceiveOptions{timeout: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,7 +66,7 @@ func TestDrainUndoHappyPath(t *testing.T) {
 	}
 	sendCh := make(chan sendOut, 1)
 	go func() {
-		res, err := Handoff(a, set, HandoffOptions{Timeout: 2 * time.Second, Proto: ProtoDrainUndo})
+		res, err := Handoff(a, set, HandoffOptions{timeout: 2 * time.Second, proto: ProtoDrainUndo})
 		if err == nil {
 			// A bare v3 sender owns the lease: await READY, then release
 			// it with the drain-start confirmation (what
@@ -82,10 +82,10 @@ func TestDrainUndoHappyPath(t *testing.T) {
 
 	gateRan := false
 	got, res, err := Receive(b, ReceiveOptions{
-		Timeout: 2 * time.Second,
+		timeout: 2 * time.Second,
 		Ready: func(s *ListenerSet, r *Result) error {
 			gateRan = true
-			if !r.Committed {
+			if !r.committed {
 				t.Error("Ready gate ran before commit")
 			}
 			return nil
@@ -98,25 +98,25 @@ func TestDrainUndoHappyPath(t *testing.T) {
 	if !gateRan {
 		t.Fatal("readiness gate never ran on a v3 hand-off")
 	}
-	if res.Proto != ProtoDrainUndo || !res.Ready || !res.DrainConfirmed {
+	if res.Proto != ProtoDrainUndo || !res.ready || !res.drainConfirmed {
 		t.Fatalf("res = proto %d ready %v drainConfirmed %v, want v3/true/true",
-			res.Proto, res.Ready, res.DrainConfirmed)
+			res.Proto, res.ready, res.drainConfirmed)
 	}
 
 	out := <-sendCh
 	if out.err != nil {
 		t.Fatalf("v3 sender: %v", out.err)
 	}
-	if out.res.Retained == nil {
+	if out.res.retained == nil {
 		t.Fatal("v3 sender retained nothing past commit")
 	}
-	if n := out.res.Retained.Len(); n != 2 {
+	if n := out.res.retained.Len(); n != 2 {
 		t.Fatalf("retained %d fds, want 2", n)
 	}
 	// Lease released: the dups close and the FD ledger balances (the
 	// receiver's adopted set and the original set are still open — only
 	// the hand-off's own copies must be gone).
-	out.res.Retained.Close()
+	out.res.retained.Close()
 	a.Close()
 	b.Close()
 	set.Close()
@@ -150,13 +150,13 @@ func TestDrainUndoReadyGateStepsDown(t *testing.T) {
 	}
 	sendCh := make(chan sendOut, 1)
 	go func() {
-		res, err := Handoff(a, set, HandoffOptions{Timeout: 2 * time.Second, Proto: ProtoDrainUndo})
+		res, err := Handoff(a, set, HandoffOptions{timeout: 2 * time.Second, proto: ProtoDrainUndo})
 		sendCh <- sendOut{res, err}
 	}()
 
 	disarmed := false
 	_, _, rerr := Receive(b, ReceiveOptions{
-		Timeout: 2 * time.Second,
+		timeout: 2 * time.Second,
 		Arm:     func(*ListenerSet, *Result) error { return nil },
 		Disarm:  func(s *ListenerSet) { disarmed = true; s.Close() },
 		Ready: func(*ListenerSet, *Result) error {
@@ -178,7 +178,7 @@ func TestDrainUndoReadyGateStepsDown(t *testing.T) {
 	if out.err != nil {
 		t.Fatalf("sender: %v", out.err)
 	}
-	if out.res.Retained == nil {
+	if out.res.retained == nil {
 		t.Fatal("sender retained nothing to undo from")
 	}
 	// The lease breaks: the sender's await fails against the dead session.
@@ -199,7 +199,7 @@ func TestDrainUndoReadyGateStepsDown(t *testing.T) {
 		dialErr <- err
 	}()
 
-	rearmed, err := out.res.Retained.Rearm()
+	rearmed, err := out.res.retained.rearm()
 	if err != nil {
 		t.Fatalf("rearm: %v", err)
 	}
@@ -269,7 +269,7 @@ func TestServerLeaseBreakUndo(t *testing.T) {
 
 	// Attempt 1: receiver commits, then refuses to confirm serving.
 	_, _, err := Connect(path, ConnectOptions{ReceiveOptions: ReceiveOptions{
-		Timeout: 2 * time.Second,
+		timeout: 2 * time.Second,
 		Ready:   func(*ListenerSet, *Result) error { return errors.New("injected unready receiver") },
 	}})
 	if !errors.Is(err, ErrUndone) {
@@ -279,15 +279,15 @@ func TestServerLeaseBreakUndo(t *testing.T) {
 	// Attempt 2: a fresh, healthy receiver. The un-drained server must
 	// still be accepting hand-offs on the same path.
 	got, res, err := Connect(path, ConnectOptions{ReceiveOptions: ReceiveOptions{
-		Timeout: 2 * time.Second,
+		timeout: 2 * time.Second,
 		Ready:   func(*ListenerSet, *Result) error { return nil },
 	}})
 	if err != nil {
 		t.Fatalf("retry after undo: %v", err)
 	}
 	defer got.Close()
-	if res.Proto != ProtoDrainUndo || !res.Ready || !res.DrainConfirmed {
-		t.Fatalf("retry res = proto %d ready %v drain %v", res.Proto, res.Ready, res.DrainConfirmed)
+	if res.Proto != ProtoDrainUndo || !res.ready || !res.drainConfirmed {
+		t.Fatalf("retry res = proto %d ready %v drain %v", res.Proto, res.ready, res.drainConfirmed)
 	}
 	if err := <-srvDone; err != nil {
 		t.Fatalf("server exit: %v", err)
@@ -353,7 +353,7 @@ func TestServerReadyTimeoutUndo(t *testing.T) {
 	defer srv.Close()
 
 	_, _, err := Connect(path, ConnectOptions{ReceiveOptions: ReceiveOptions{
-		Timeout: 2 * time.Second,
+		timeout: 2 * time.Second,
 		Ready: func(*ListenerSet, *Result) error {
 			time.Sleep(600 * time.Millisecond) // wedge past the lease
 			return nil
@@ -460,14 +460,14 @@ func TestV3SenderToV2Receiver(t *testing.T) {
 		recvCh <- recvOut{s, err}
 	}()
 
-	res, err := Handoff(a, set, HandoffOptions{Timeout: 2 * time.Second, Proto: ProtoDrainUndo})
+	res, err := Handoff(a, set, HandoffOptions{timeout: 2 * time.Second, proto: ProtoDrainUndo})
 	if err != nil {
 		t.Fatalf("v3 sender against v2 receiver: %v", err)
 	}
-	if res.Proto != ProtoTwoPhase {
-		t.Fatalf("negotiated proto = %d, want %d (downgraded two-phase)", res.Proto, ProtoTwoPhase)
+	if res.Proto != protoTwoPhase {
+		t.Fatalf("negotiated proto = %d, want %d (downgraded two-phase)", res.Proto, protoTwoPhase)
 	}
-	if res.Retained != nil {
+	if res.retained != nil {
 		t.Fatal("sender retained FDs for a peer that will never release the lease")
 	}
 
@@ -497,15 +497,15 @@ func TestV2SenderToV3Receiver(t *testing.T) {
 	sendCh := make(chan *Result, 1)
 	sendErr := make(chan error, 1)
 	go func() {
-		// Proto: ProtoTwoPhase is wire-identical to the previous release's
+		// Proto: protoTwoPhase is wire-identical to the previous release's
 		// sender: manifest proto=2, commit, no lease.
-		res, err := Handoff(a, set, HandoffOptions{Timeout: 2 * time.Second, Proto: ProtoTwoPhase})
+		res, err := Handoff(a, set, HandoffOptions{timeout: 2 * time.Second, proto: protoTwoPhase})
 		sendCh <- res
 		sendErr <- err
 	}()
 
 	got, res, err := Receive(b, ReceiveOptions{
-		Timeout: 2 * time.Second,
+		timeout: 2 * time.Second,
 		Ready: func(*ListenerSet, *Result) error {
 			t.Error("readiness gate ran against a v2 sender")
 			return nil
@@ -515,13 +515,13 @@ func TestV2SenderToV3Receiver(t *testing.T) {
 		t.Fatalf("v3 receiver against v2 sender: %v", err)
 	}
 	defer got.Close()
-	if res.Proto != ProtoTwoPhase || res.Ready {
-		t.Fatalf("res = proto %d ready %v, want two-phase, no READY", res.Proto, res.Ready)
+	if res.Proto != protoTwoPhase || res.ready {
+		t.Fatalf("res = proto %d ready %v, want two-phase, no READY", res.Proto, res.ready)
 	}
 	if err := <-sendErr; err != nil {
 		t.Fatalf("v2 sender: %v", err)
 	}
-	if sres := <-sendCh; sres.Retained != nil {
+	if sres := <-sendCh; sres.retained != nil {
 		t.Fatal("two-phase sender retained FDs")
 	}
 	// The receiver must not have written a READY frame the v2 sender
@@ -546,12 +546,12 @@ func TestErrorTaxonomy(t *testing.T) {
 		is   []error
 		not  []error
 	}{
-		{"undone", undone, []error{ErrUndone, io.EOF}, []error{ErrAborted, ErrRejected, ErrBadMagic}},
-		{"aborted", aborted, []error{ErrAborted, io.EOF}, []error{ErrUndone, ErrRejected, ErrBadMagic}},
+		{"undone", undone, []error{ErrUndone, io.EOF}, []error{ErrAborted, errRejected, errBadMagic}},
+		{"aborted", aborted, []error{ErrAborted, io.EOF}, []error{ErrUndone, errRejected, errBadMagic}},
 		{"undone-idempotent", undoneErr(undone), []error{ErrUndone}, []error{ErrAborted}},
 		{"aborted-idempotent", abortErr(aborted), []error{ErrAborted}, []error{ErrUndone}},
-		{"rejected", fmt.Errorf("%w: nacked", ErrRejected), []error{ErrRejected}, []error{ErrAborted, ErrUndone}},
-		{"bad-magic", ErrBadMagic, []error{ErrBadMagic}, []error{ErrAborted, ErrUndone, ErrRejected}},
+		{"rejected", fmt.Errorf("%w: nacked", errRejected), []error{errRejected}, []error{ErrAborted, ErrUndone}},
+		{"bad-magic", errBadMagic, []error{errBadMagic}, []error{ErrAborted, ErrUndone, errRejected}},
 		// Connect wraps protocol failures in faults.Permanent before the
 		// backoff unwraps them; classification must survive the round trip.
 		{"undone-through-permanent", faults.Permanent(undone), []error{ErrUndone}, []error{ErrAborted}},
@@ -574,15 +574,15 @@ func TestErrorTaxonomy(t *testing.T) {
 	}
 }
 
-// TestRetainedSetLifecycle pins the RetainedSet contract: nil-safety,
+// TestRetainedSetLifecycle pins the retainedSet contract: nil-safety,
 // idempotent Close, single-consumption Rearm, and the full-count check
 // that refuses a partial re-arm.
 func TestRetainedSetLifecycle(t *testing.T) {
-	var nilSet *RetainedSet
+	var nilSet *retainedSet
 	if nilSet.Len() != 0 || nilSet.VIPs() != nil || nilSet.Close() != nil {
 		t.Fatal("nil RetainedSet accessors must be safe no-ops")
 	}
-	if _, err := nilSet.Rearm(); err == nil {
+	if _, err := nilSet.rearm(); err == nil {
 		t.Fatal("nil Rearm succeeded")
 	}
 
@@ -595,7 +595,7 @@ func TestRetainedSetLifecycle(t *testing.T) {
 	if r.Len() != 1 || r.VIPs()[0].Name != "web" {
 		t.Fatalf("retained set = len %d vips %v", r.Len(), r.VIPs())
 	}
-	rearmed, err := r.Rearm()
+	rearmed, err := r.rearm()
 	if err != nil {
 		t.Fatalf("rearm: %v", err)
 	}
@@ -603,7 +603,7 @@ func TestRetainedSetLifecycle(t *testing.T) {
 	if r.Len() != 0 {
 		t.Fatal("Rearm did not consume the set")
 	}
-	if _, err := r.Rearm(); err == nil {
+	if _, err := r.rearm(); err == nil {
 		t.Fatal("second Rearm succeeded on a consumed set")
 	}
 	if err := r.Close(); err != nil || r.Close() != nil {
@@ -617,7 +617,7 @@ func TestRetainedSetLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	short := newRetainedSet(append(set.VIPs(), VIP{Name: "ghost", Network: NetworkTCP, Addr: "127.0.0.1:0"}), fds2)
-	if _, err := short.Rearm(); err == nil {
+	if _, err := short.rearm(); err == nil {
 		t.Fatal("partial re-arm succeeded")
 	}
 }

@@ -63,7 +63,7 @@ func Suite(relayBytes int64, bursts, burstSize int) ([]Measurement, error) {
 		name    string
 		batched bool
 	}{{"quic_burst_batched", true}, {"quic_burst_unbatched", false}} {
-		r, err := RunQuicBurst(bursts, burstSize, m.batched)
+		r, err := runQuicBurst(bursts, burstSize, m.batched)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", m.name, err)
 		}
@@ -155,7 +155,7 @@ func RunTCPRelay(totalBytes int64, useSplice bool) (Measurement, error) {
 	}, nil
 }
 
-// RunQuicBurst drives a quicx echo server with bursts of burstSize data
+// runQuicBurst drives a quicx echo server with bursts of burstSize data
 // packets and reports the router's syscalls per packet, summing receive
 // calls and send flushes server-side. Each burst is in the socket buffer
 // before the server reads (the reader starts, or resumes from a drain,
@@ -163,7 +163,7 @@ func RunTCPRelay(totalBytes int64, useSplice bool) (Measurement, error) {
 // before the next, so how many datagrams one recvmmsg finds is the burst
 // size, not a race between the two sides' scheduling: batched, a burst
 // that fits the ring costs exactly one receive call and one send flush.
-func RunQuicBurst(bursts, burstSize int, batched bool) (Measurement, error) {
+func runQuicBurst(bursts, burstSize int, batched bool) (Measurement, error) {
 	vip, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
 		return Measurement{}, err

@@ -32,11 +32,11 @@ func TestRelaySpliceBeatsCopyOnSyscalls(t *testing.T) {
 
 func TestQuicBurstBatchedReducesSyscalls(t *testing.T) {
 	const bursts, burstSize = 8, 64
-	batched, err := RunQuicBurst(bursts, burstSize, true)
+	batched, err := runQuicBurst(bursts, burstSize, true)
 	if err != nil {
 		t.Fatalf("batched run: %v", err)
 	}
-	unbatched, err := RunQuicBurst(bursts, burstSize, false)
+	unbatched, err := runQuicBurst(bursts, burstSize, false)
 	if err != nil {
 		t.Fatalf("unbatched run: %v", err)
 	}

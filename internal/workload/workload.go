@@ -57,8 +57,8 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Normal returns a standard normal deviate (Box–Muller).
-func (r *RNG) Normal() float64 {
+// normal returns a standard normal deviate (Box–Muller).
+func (r *RNG) normal() float64 {
 	u1 := r.Float64()
 	for u1 == 0 {
 		u1 = r.Float64()
@@ -67,29 +67,20 @@ func (r *RNG) Normal() float64 {
 	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 }
 
-// LogNormal returns exp(mu + sigma*N(0,1)) — the classic heavy-ish tail
+// logNormal returns exp(mu + sigma*N(0,1)) — the classic heavy-ish tail
 // for request sizes and durations.
-func (r *RNG) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(mu + sigma*r.Normal())
+func (r *RNG) logNormal(mu, sigma float64) float64 {
+	return math.Exp(mu + sigma*r.normal())
 }
 
-// Pareto returns a Pareto(xm, alpha) deviate — the long tail that makes
+// pareto returns a Pareto(xm, alpha) deviate — the long tail that makes
 // p99.9 requests outlive draining periods.
-func (r *RNG) Pareto(xm, alpha float64) float64 {
+func (r *RNG) pareto(xm, alpha float64) float64 {
 	u := r.Float64()
 	for u == 0 {
 		u = r.Float64()
 	}
 	return xm / math.Pow(u, 1/alpha)
-}
-
-// Exponential returns an Exp(rate) deviate.
-func (r *RNG) Exponential(rate float64) float64 {
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return -math.Log(u) / rate
 }
 
 // Tier identifies a release tier.
@@ -107,8 +98,8 @@ type ReleaseCause int
 // Causes.
 const (
 	CauseBinary ReleaseCause = iota
-	CauseConfig
-	CauseExperiment
+	causeConfig
+	causeExperiment
 	CauseRollback
 )
 
@@ -117,9 +108,9 @@ func (c ReleaseCause) String() string {
 	switch c {
 	case CauseBinary:
 		return "binary-update"
-	case CauseConfig:
+	case causeConfig:
 		return "config-change"
-	case CauseExperiment:
+	case causeExperiment:
 		return "experiment"
 	default:
 		return "rollback"
@@ -132,14 +123,14 @@ func ReleasesPerWeek(r *RNG, tier Tier) int {
 	switch tier {
 	case TierL7LB:
 		// 2–6 releases, median ~3.
-		n := 2 + int(r.LogNormal(0.4, 0.5))
+		n := 2 + int(r.logNormal(0.4, 0.5))
 		if n > 8 {
 			n = 8
 		}
 		return n
 	default:
 		// Median ~100, long right tail, floor of 40.
-		n := int(r.LogNormal(math.Log(100), 0.35))
+		n := int(r.logNormal(math.Log(100), 0.35))
 		if n < 40 {
 			n = 40
 		}
@@ -158,9 +149,9 @@ func SampleCause(r *RNG) ReleaseCause {
 	case u < 0.47:
 		return CauseBinary
 	case u < 0.87:
-		return CauseConfig
+		return causeConfig
 	case u < 0.95:
-		return CauseExperiment
+		return causeExperiment
 	default:
 		return CauseRollback
 	}
@@ -169,7 +160,7 @@ func SampleCause(r *RNG) ReleaseCause {
 // CommitsPerRelease samples the number of distinct commits in an App
 // Server release: 10–100 (Fig. 2c), log-spread.
 func CommitsPerRelease(r *RNG) int {
-	n := int(r.LogNormal(math.Log(30), 0.6))
+	n := int(r.logNormal(math.Log(30), 0.6))
 	if n < 10 {
 		n = 10
 	}
@@ -212,29 +203,13 @@ func DiurnalLoad(hourOfDay float64) float64 {
 // any drain period (§2.5).
 func PostSizeBytes(r *RNG) int64 {
 	if r.Float64() < 0.995 {
-		return int64(r.LogNormal(math.Log(32<<10), 1.0))
+		return int64(r.logNormal(math.Log(32<<10), 1.0))
 	}
-	v := r.Pareto(1<<20, 0.8) // tail: ≥1 MiB, very heavy
+	v := r.pareto(1<<20, 0.8) // tail: ≥1 MiB, very heavy
 	if v > 1<<31 {
 		v = 1 << 31
 	}
 	return int64(v)
-}
-
-// RequestDuration samples an API request service time in milliseconds
-// (short-lived median, modest tail).
-func RequestDurationMillis(r *RNG) float64 {
-	return r.LogNormal(math.Log(40), 0.7)
-}
-
-// ConnLifetimeSeconds samples a connection lifetime: most connections are
-// short, but MQTT-style connections live effectively forever relative to
-// drain periods.
-func ConnLifetimeSeconds(r *RNG, persistent bool) float64 {
-	if persistent {
-		return 3600 + r.Exponential(1.0/3600)*1 // hours
-	}
-	return r.LogNormal(math.Log(30), 1.2)
 }
 
 // Percentile computes the p-quantile (0..1) of values by sorting a copy.

@@ -57,7 +57,7 @@ func TestNormalMoments(t *testing.T) {
 	var sum, sumSq float64
 	const n = 200_000
 	for i := 0; i < n; i++ {
-		v := r.Normal()
+		v := r.normal()
 		sum += v
 		sumSq += v * v
 	}
@@ -72,7 +72,7 @@ func TestLogNormalMedian(t *testing.T) {
 	r := NewRNG(13)
 	var vals []float64
 	for i := 0; i < 50_000; i++ {
-		vals = append(vals, r.LogNormal(math.Log(100), 0.5))
+		vals = append(vals, r.logNormal(math.Log(100), 0.5))
 	}
 	med := Percentile(vals, 0.5)
 	if med < 90 || med > 110 {
@@ -85,7 +85,7 @@ func TestParetoTail(t *testing.T) {
 	over := 0
 	const n = 100_000
 	for i := 0; i < n; i++ {
-		v := r.Pareto(1, 1.0)
+		v := r.pareto(1, 1.0)
 		if v < 1 {
 			t.Fatalf("pareto below xm: %v", v)
 		}
@@ -97,19 +97,6 @@ func TestParetoTail(t *testing.T) {
 	frac := float64(over) / n
 	if frac < 0.08 || frac > 0.12 {
 		t.Fatalf("pareto tail fraction = %v, want ~0.1", frac)
-	}
-}
-
-func TestExponentialMean(t *testing.T) {
-	r := NewRNG(19)
-	var sum float64
-	const n = 100_000
-	for i := 0; i < n; i++ {
-		sum += r.Exponential(0.5)
-	}
-	mean := sum / n
-	if mean < 1.9 || mean > 2.1 {
-		t.Fatalf("exp mean = %v, want ~2", mean)
 	}
 }
 
@@ -143,7 +130,7 @@ func TestSampleCauseMix(t *testing.T) {
 	if binFrac < 0.44 || binFrac > 0.50 {
 		t.Fatalf("binary fraction = %v, want ~0.47 (Fig 2b)", binFrac)
 	}
-	if counts[CauseConfig] == 0 || counts[CauseExperiment] == 0 || counts[CauseRollback] == 0 {
+	if counts[causeConfig] == 0 || counts[causeExperiment] == 0 || counts[CauseRollback] == 0 {
 		t.Fatal("cause mix missing categories")
 	}
 	for c := CauseBinary; c <= CauseRollback; c++ {
@@ -222,22 +209,6 @@ func TestPostSizeTailOutlivesDrain(t *testing.T) {
 	// enough to outlive a 10-15s app server drain on a slow uplink.
 	if p999 < 20*med {
 		t.Fatalf("p999/median = %v, tail not heavy enough", p999/med)
-	}
-}
-
-func TestConnLifetimes(t *testing.T) {
-	r := NewRNG(43)
-	if ConnLifetimeSeconds(r, true) < 3600 {
-		t.Fatal("persistent connection should be hours-long")
-	}
-	short := 0
-	for i := 0; i < 10_000; i++ {
-		if ConnLifetimeSeconds(r, false) < 300 {
-			short++
-		}
-	}
-	if short < 9_000 {
-		t.Fatalf("only %d/10000 ephemeral connections under 5 minutes", short)
 	}
 }
 
