@@ -1,9 +1,10 @@
 // Command zdr-operator runs the fleet release control plane against a
 // simulated fleet of in-process Edge proxies (real sockets, real Socket
 // Takeover hand-offs). It drives a canary-first, health-gated rollout:
-// the canary batch restarts into its drain-undo window, serves live
-// traffic while the gate watches counters and probes, and is promoted or
-// rolled back batch by batch.
+// the canary batch restarts into its drain-undo window and serves live
+// traffic while the orchestrator probes it; the gate judges that window
+// by the probes and by what each node's scrape reports about itself, and
+// the batch is promoted or rolled back. Each batch doubles the last.
 //
 // The rollout is observable and steerable while it runs:
 //
@@ -40,12 +41,10 @@ import (
 func main() {
 	nodes := flag.Int("nodes", 12, "simulated fleet size")
 	canary := flag.Int("canary", 1, "canary batch size")
-	growth := flag.Int("growth", 2, "batch growth factor after each promoted batch")
 	maxBatch := flag.Int("max-batch", 0, "batch size cap (0 = uncapped)")
 	healthWindow := flag.Duration("health-window", 2*time.Second, "post-commit observation window per batch")
 	probeInterval := flag.Duration("probe-interval", 50*time.Millisecond, "orchestrator probe pacing")
 	windowTimeout := flag.Duration("window-timeout", 10*time.Second, "bound on a node reaching its canary window")
-	batchDelay := flag.Duration("batch-delay", 0, "pause between promoted batches")
 	maxHold := flag.Duration("max-hold", 30*time.Second, "node-side window bound before self-rollback")
 	journalPath := flag.String("journal", "", "rollout write-ahead log path (empty = unjournaled)")
 	resume := flag.Bool("resume", false, "recover the journal and resume the interrupted rollout")
@@ -54,7 +53,7 @@ func main() {
 	bad := flag.Bool("bad", false, "ship a broken build (every request 503s) to exercise the gate")
 	ungated := flag.Bool("ungated", false, "disable canary windows and gating (the pre-gate release process)")
 	load := flag.Bool("load", true, "drive continuous client load at every node")
-	name := flag.String("name", "rollout", "rollout name (journal attribution, fence ownership)")
+	name := flag.String("name", "rollout", "rollout name (journal attribution)")
 	flag.Parse()
 
 	// good says what the NEXT generation serves: flipping it is pushing a
@@ -106,15 +105,12 @@ func main() {
 	cfg := fleet.Config{
 		Name:          *name,
 		CanarySize:    *canary,
-		GrowthFactor:  *growth,
 		MaxBatchSize:  *maxBatch,
 		HealthWindow:  *healthWindow,
 		ProbeInterval: *probeInterval,
 		WindowTimeout: *windowTimeout,
-		BatchDelay:    *batchDelay,
 		Ungated:       *ungated,
 		Trace:         obs.NewTracer("zdr-operator"),
-		Fence:         fleet.NewFence(),
 	}
 	if *journalPath != "" {
 		if *resume {

@@ -33,12 +33,13 @@ import (
 	"zdr/internal/takeover"
 )
 
-// ErrTakeoverNotArmed reports a partially successful restart: the new
-// generation owns the sockets and is serving, but its takeover server
-// could not bind the slot path, so the NEXT release cannot reach it.
-// Traffic is fine; the slot is not releasable until rearmTakeover
-// succeeds. Test with errors.Is.
-var ErrTakeoverNotArmed = errors.New("core: new generation serving but takeover server not armed")
+// ErrTakeoverNotArmed reports that the serving generation's takeover
+// server could not bind the slot path. From a restart whose hand-off
+// succeeded it is a partial success: the new generation owns the sockets
+// and serves. The next Restart re-arms before it builds a generation, and
+// returns this error, with the old generation still serving, if the path
+// still cannot be bound. Test with errors.Is.
+var ErrTakeoverNotArmed = errors.New("core: takeover server not armed")
 
 // restartOptions configures a single Restart call. The zero value is an
 // untraced restart; construct non-default calls with RestartOption values
@@ -177,10 +178,23 @@ func (s *ProxySlot) setPhase(phase string) {
 
 func (s *ProxySlot) restart(sp *obs.Span) error {
 	s.mu.Lock()
-	old := s.cur
+	old, armErr := s.cur, s.armErr
 	s.mu.Unlock()
 	if old == nil {
 		return errors.New("core: slot not started")
+	}
+	if armErr != nil {
+		// The last release left the serving generation's takeover server
+		// unbound, so nothing serves the path this hand-off dials.
+		armErr = s.rearmBackoff.Retry(context.Background(), func() error {
+			return old.ServeTakeover(s.Path)
+		})
+		s.mu.Lock()
+		s.armErr = armErr
+		s.mu.Unlock()
+		if armErr != nil {
+			return fmt.Errorf("%w, old generation keeps serving: %v", ErrTakeoverNotArmed, armErr)
+		}
 	}
 	retries := s.AbortRetries
 	switch {
@@ -304,8 +318,8 @@ func (s *ProxySlot) State() obs.SlotState {
 // server. next already owns the sockets at this point, so it is promoted
 // even if arming fails — the alternative (an error pointing at a
 // draining, soon-to-die generation) would strand the slot. An arming
-// failure is surfaced via ErrTakeoverNotArmed and is recoverable with
-// rearmTakeover.
+// failure is surfaced via ErrTakeoverNotArmed; the next restart retries
+// the arming first.
 func (s *ProxySlot) promote(next *proxy.Proxy) error {
 	armErr := s.rearmBackoff.Retry(context.Background(), func() error {
 		return next.ServeTakeover(s.Path)
@@ -317,34 +331,7 @@ func (s *ProxySlot) promote(next *proxy.Proxy) error {
 	s.armErr = armErr
 	s.mu.Unlock()
 	if armErr != nil {
-		return fmt.Errorf("%w (gen %d serves traffic; retry with RearmTakeover): %v", ErrTakeoverNotArmed, gen, armErr)
-	}
-	return nil
-}
-
-// rearmTakeover retries arming the serving generation's takeover server
-// after a Restart returned ErrTakeoverNotArmed. It is a no-op when the
-// server is already armed.
-func (s *ProxySlot) rearmTakeover() error {
-	s.mu.Lock()
-	cur, armErr := s.cur, s.armErr
-	s.mu.Unlock()
-	if cur == nil {
-		return errors.New("core: slot not started")
-	}
-	if armErr == nil {
-		return nil
-	}
-	err := s.rearmBackoff.Retry(context.Background(), func() error {
-		return cur.ServeTakeover(s.Path)
-	})
-	s.mu.Lock()
-	if s.cur == cur {
-		s.armErr = err
-	}
-	s.mu.Unlock()
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrTakeoverNotArmed, err)
+		return fmt.Errorf("%w (gen %d serves traffic; the next Restart re-arms first): %v", ErrTakeoverNotArmed, gen, armErr)
 	}
 	return nil
 }

@@ -139,7 +139,7 @@ func TestProxySlotSurvivesReceiverCrashMidHandoff(t *testing.T) {
 // fix: when the new generation cannot re-arm the takeover server, the
 // restart still promotes (the new generation owns the sockets — rolling
 // it back would kill the VIPs), the inconsistency is surfaced as
-// ErrTakeoverNotArmed, and RearmTakeover repairs it.
+// ErrTakeoverNotArmed, and the next Restart re-arms before its hand-off.
 func TestProxySlotRearmFailureSurfaced(t *testing.T) {
 	gen := 0
 	dir := t.TempDir()
@@ -194,19 +194,24 @@ func TestProxySlotRearmFailureSurfaced(t *testing.T) {
 	}
 	conn.Close()
 
-	// Repair: restore a bindable path, re-arm, and release again.
+	// While the path stays unbindable, the next release re-arms first,
+	// fails, and builds no generation: the unarmed one keeps serving.
+	built := gen
+	if err := slot.Restart(); !errors.Is(err, ErrTakeoverNotArmed) {
+		t.Fatalf("release on an unbindable path: %v, want ErrTakeoverNotArmed", err)
+	}
+	if gen != built || slot.Current() != next {
+		t.Fatalf("release on an unbindable path built gen %d, serving gen %d", gen, slot.Generation())
+	}
+
+	// Repair: restore a bindable path; a plain release re-arms and
+	// goes through.
 	slot.Path = goodPath
-	if err := slot.rearmTakeover(); err != nil {
-		t.Fatalf("RearmTakeover: %v", err)
+	if err := slot.Restart(); err != nil {
+		t.Fatalf("release after the path healed: %v", err)
 	}
 	if !slot.TakeoverArmed() {
-		t.Fatal("slot unarmed after successful RearmTakeover")
-	}
-	if err := slot.rearmTakeover(); err != nil {
-		t.Fatalf("RearmTakeover must be a no-op when armed: %v", err)
-	}
-	if err := slot.Restart(); err != nil {
-		t.Fatalf("release after rearm: %v", err)
+		t.Fatal("slot unarmed after the release that re-armed it")
 	}
 	if slot.Generation() != 3 {
 		t.Fatalf("generation = %d, want 3", slot.Generation())

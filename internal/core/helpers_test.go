@@ -14,12 +14,5 @@ func (s *ProxySlot) TakeoverArmed() bool {
 	return s.cur != nil && s.armErr == nil
 }
 
-// HealthDelta computes the release-window health delta from the report's
-// own counter snapshots (CountersBefore vs CountersAfter). It carries the
-// same zero-request guarantees as HealthDeltaBetween.
-func (r *ReleaseReport) HealthDelta(requestKeys, errorKeys []string) HealthDelta {
-	return HealthDeltaBetween(r.CountersBefore, r.CountersAfter, requestKeys, errorKeys)
-}
-
 // Total is the release's wall-clock duration.
 func (r *ReleaseReport) Total() time.Duration { return time.Duration(r.TotalNS) }

@@ -185,13 +185,11 @@ func TestFleetChaosBadCanaryRollsBack(t *testing.T) {
 	cfg := Config{
 		Name:          "bad-build",
 		CanarySize:    2,
-		GrowthFactor:  2,
 		HealthWindow:  300 * time.Millisecond,
 		ProbeInterval: 20 * time.Millisecond,
 		WindowTimeout: 10 * time.Second,
 		Journal:       j,
 		Trace:         tracer,
-		Fence:         NewFence(),
 	}
 	o, err := New(cfg, f.Nodes)
 	if err != nil {
@@ -316,7 +314,6 @@ func TestFleetChaosOperatorCrashResume(t *testing.T) {
 	cfg := Config{
 		Name:          "crash-resume",
 		CanarySize:    1,
-		GrowthFactor:  2,
 		HealthWindow:  250 * time.Millisecond,
 		ProbeInterval: 20 * time.Millisecond,
 		WindowTimeout: 10 * time.Second,

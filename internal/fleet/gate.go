@@ -3,8 +3,6 @@ package fleet
 import (
 	"fmt"
 	"time"
-
-	"zdr/internal/core"
 )
 
 // decision is the outcome of one health-gate evaluation.
@@ -44,7 +42,7 @@ func (d decision) String() string {
 type GateConfig struct {
 	// MaxErrorRateDelta is the largest tolerated increase in the node's
 	// error rate (errors/requests over the window) relative to its
-	// baseline window. Exceeding it votes Rollback. Default 0.01 (one
+	// pre-restart history. Exceeding it votes Rollback. Default 0.01 (one
 	// extra failure per hundred requests).
 	MaxErrorRateDelta float64
 	// maxP99Factor rolls a node back when its data-plane p99 (telemetry
@@ -56,8 +54,8 @@ type GateConfig struct {
 	// so this channel still votes when the node is too broken to count.
 	// Default 0.05.
 	MaxProbeFailureRate float64
-	// minWindowRequests is the minimum request count (counter delta)
-	// for the counter channel to be conclusive. Below it the counter
+	// minWindowRequests is the minimum request count over the scrape
+	// window for the node's own report to be conclusive. Below it that
 	// channel abstains. Default 1 (any traffic at all).
 	minWindowRequests int64
 	// MaxDisruptionRate bounds the windowed disruption rate — terminal
@@ -107,78 +105,60 @@ func (p probeWindow) failureRate() float64 {
 	return float64(p.Failures) / float64(p.Sent)
 }
 
-// nodeVerdict is one node's gate evaluation: both health channels, the
-// per-channel votes, and the aggregate decision.
+// nodeVerdict is one node's gate evaluation: both health channels and
+// the decision they add up to.
 type nodeVerdict struct {
-	Node      string           `json:"node"`
-	Decision  decision         `json:"-"`
-	Outcome   string           `json:"decision"`
-	Reason    string           `json:"reason,omitempty"`
-	Counters  core.HealthDelta `json:"counters"`
-	Probes    probeWindow      `json:"probes"`
-	Telemetry telemetryWindow  `json:"telemetry"`
+	Node      string          `json:"node"`
+	Decision  decision        `json:"-"`
+	Outcome   string          `json:"decision"`
+	Reason    string          `json:"reason,omitempty"`
+	Probes    probeWindow     `json:"probes"`
+	Telemetry telemetryWindow `json:"telemetry"`
 }
 
-// evalNode gates one canary node across three health channels: counters
-// (windowed deltas vs the node's own baseline, guarded by
-// core.HealthDeltaBetween), probes (failure rate), and telemetry (windowed ledger disruption rate + data-plane
-// histogram p99 from the node's own scrape). Channel semantics:
+// evalNode gates one canary node on its two health channels: what the
+// node reports about itself (tel, the window between its scrapes before
+// the restart and after the observation window: error rate against its
+// own pre-restart baseline, ledger disruption rate, data-plane p99) and
+// what the orchestrator's probes saw. The first rule that holds decides:
 //
-//   - any channel voting Rollback → Rollback (fail closed on badness)
-//   - every channel inconclusive (no traffic, no probes, no scrape) →
-//     Pause: the gate cannot tell a healthy idle node from a black hole,
-//     so a human decides
-//   - otherwise → Promote
+//   - the window's error rate exceeds the baseline's by more than
+//     MaxErrorRateDelta, the probes fail more often than
+//     MaxProbeFailureRate, the disruption rate exceeds MaxDisruptionRate,
+//     or the p99 exceeds the baseline's × maxP99Factor → Rollback (fail
+//     closed on badness);
+//   - neither channel is conclusive (a window without requests or with a
+//     lost scrape, no probes) → Pause: the gate cannot tell a healthy
+//     idle node from a black hole, so a human decides;
+//   - otherwise → Promote.
 //
 // A node still in committed-awaiting-ready is exactly the state being
 // gated — evaluation happens while the canary window holds — so phase is
 // no obstacle to gating; it is the precondition.
-func evalNode(g GateConfig, name string, delta core.HealthDelta, window probeWindow, tel telemetryWindow) nodeVerdict {
+func evalNode(g GateConfig, name string, probes probeWindow, tel telemetryWindow) nodeVerdict {
 	g = g.withDefaults()
-	v := nodeVerdict{Node: name, Counters: delta, Probes: window, Telemetry: tel}
-	countersConclusive := !delta.Inconclusive && delta.Requests >= g.minWindowRequests
-	if countersConclusive && delta.ErrorRateDelta > g.MaxErrorRateDelta {
+	v := nodeVerdict{Node: name, Probes: probes, Telemetry: tel}
+	telConclusive := tel.Scraped && tel.Requests >= g.minWindowRequests
+	switch {
+	case telConclusive && tel.ErrorRateDelta > g.MaxErrorRateDelta:
 		v.Decision = rollback
 		v.Reason = fmt.Sprintf("error rate %.4f exceeds baseline %.4f by more than %.4f",
-			delta.ErrorRate, delta.BaselineErrorRate, g.MaxErrorRateDelta)
-		v.Outcome = v.Decision.String()
-		return v
-	}
-	probesConclusive := window.Sent > 0
-	if probesConclusive {
-		if fr := window.failureRate(); fr > g.MaxProbeFailureRate {
-			v.Decision = rollback
-			v.Reason = fmt.Sprintf("probe failure rate %.4f exceeds %.4f", fr, g.MaxProbeFailureRate)
-			v.Outcome = v.Decision.String()
-			return v
-		}
-	}
-	telConclusive := tel.Scraped && tel.Requests >= g.minWindowRequests
-	if telConclusive {
-		if g.MaxDisruptionRate > 0 {
-			if dr := tel.disruptionRate(); dr > g.MaxDisruptionRate {
-				v.Decision = rollback
-				v.Reason = fmt.Sprintf("disruption rate %.4f (%d terminal / %d requests) exceeds %.4f",
-					dr, tel.Terminal, tel.Requests, g.MaxDisruptionRate)
-				v.Outcome = v.Decision.String()
-				return v
-			}
-		}
-		if g.maxP99Factor > 0 && tel.BaselineP99 > 0 && tel.P99 > tel.BaselineP99*g.maxP99Factor {
-			v.Decision = rollback
-			v.Reason = fmt.Sprintf("data-plane p99 %.6fs exceeds baseline %.6fs x%.2f",
-				tel.P99, tel.BaselineP99, g.maxP99Factor)
-			v.Outcome = v.Decision.String()
-			return v
-		}
-	}
-	if !countersConclusive && !probesConclusive && !telConclusive {
+			tel.ErrorRate, tel.BaselineErrorRate, g.MaxErrorRateDelta)
+	case probes.Sent > 0 && probes.failureRate() > g.MaxProbeFailureRate:
+		v.Decision = rollback
+		v.Reason = fmt.Sprintf("probe failure rate %.4f exceeds %.4f", probes.failureRate(), g.MaxProbeFailureRate)
+	case telConclusive && g.MaxDisruptionRate > 0 && tel.disruptionRate() > g.MaxDisruptionRate:
+		v.Decision = rollback
+		v.Reason = fmt.Sprintf("disruption rate %.4f (%d terminal / %d requests) exceeds %.4f",
+			tel.disruptionRate(), tel.Terminal, tel.Requests, g.MaxDisruptionRate)
+	case telConclusive && g.maxP99Factor > 0 && tel.BaselineP99 > 0 && tel.P99 > tel.BaselineP99*g.maxP99Factor:
+		v.Decision = rollback
+		v.Reason = fmt.Sprintf("data-plane p99 %.6fs exceeds baseline %.6fs x%.2f",
+			tel.P99, tel.BaselineP99, g.maxP99Factor)
+	case !telConclusive && probes.Sent == 0:
 		v.Decision = pause
-		v.Reason = "inconclusive: no requests, no probes, and no telemetry in window"
-		v.Outcome = v.Decision.String()
-		return v
+		v.Reason = "inconclusive: no requests and no probes in window"
 	}
-	v.Decision = promote
 	v.Outcome = v.Decision.String()
 	return v
 }

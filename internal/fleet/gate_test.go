@@ -3,28 +3,28 @@ package fleet
 import (
 	"strings"
 	"testing"
-
-	"zdr/internal/core"
 )
 
-func delta(baseReq, baseErr, req, errs int64) core.HealthDelta {
-	before := map[string]int64{"edge.http.requests": baseReq, "edge.http.errors.no_origin": baseErr}
-	after := map[string]int64{"edge.http.requests": baseReq + req, "edge.http.errors.no_origin": baseErr + errs}
-	return core.HealthDeltaBetween(before, after, []string{"edge.http.requests"}, []string{"edge.http.errors.no_origin"})
+// delta is the scrape window of a node that served baseReq requests with
+// baseErr errors before its restart, and req with errs in the window.
+func delta(baseReq, baseErr, req, errs int64) telemetryWindow {
+	before := nodeTelemetry{Scraped: true, Requests: baseReq, Errors: baseErr}
+	after := nodeTelemetry{Scraped: true, Requests: baseReq + req, Errors: baseErr + errs}
+	return telemetryWindowBetween(before, after)
 }
 
 // TestEvalNodeCanaryOfOne pins the smallest possible rollout: a single
 // canary node both evaluates and aggregates alone — a batch of one is a
 // complete gate, not a degenerate case.
 func TestEvalNodeCanaryOfOne(t *testing.T) {
-	v := evalNode(GateConfig{}, "n1", delta(1000, 0, 500, 0), probeWindow{Sent: 10}, telemetryWindow{})
+	v := evalNode(GateConfig{}, "n1", probeWindow{Sent: 10}, delta(1000, 0, 500, 0))
 	if v.Decision != promote {
 		t.Fatalf("healthy canary of one: %s (%s)", v.Decision, v.Reason)
 	}
 	if got := aggregate([]nodeVerdict{v}); got != promote {
 		t.Fatalf("aggregate of one promote = %s", got)
 	}
-	bad := evalNode(GateConfig{}, "n1", delta(1000, 0, 500, 100), probeWindow{}, telemetryWindow{})
+	bad := evalNode(GateConfig{}, "n1", probeWindow{}, delta(1000, 0, 500, 100))
 	if bad.Decision != rollback {
 		t.Fatalf("20%% error canary of one: %s", bad.Decision)
 	}
@@ -33,17 +33,17 @@ func TestEvalNodeCanaryOfOne(t *testing.T) {
 	}
 }
 
-// TestEvalNodeErrorRateDelta: the counter channel compares the window's
+// TestEvalNodeErrorRateDelta: the scrape window compares its
 // error rate against the node's OWN baseline, so a node that was already
 // erroring at 1% before the release does not trip the gate at 1% after.
 func TestEvalNodeErrorRateDelta(t *testing.T) {
 	// Baseline 1% errors, window 1% errors: delta ~0, promote.
-	v := evalNode(GateConfig{}, "n1", delta(1000, 10, 1000, 10), probeWindow{}, telemetryWindow{})
+	v := evalNode(GateConfig{}, "n1", probeWindow{}, delta(1000, 10, 1000, 10))
 	if v.Decision != promote {
 		t.Fatalf("unchanged error rate: %s (%s)", v.Decision, v.Reason)
 	}
 	// Baseline 0%, window 5%: delta 0.05 > default 0.01, rollback.
-	v = evalNode(GateConfig{}, "n1", delta(1000, 0, 1000, 50), probeWindow{}, telemetryWindow{})
+	v = evalNode(GateConfig{}, "n1", probeWindow{}, delta(1000, 0, 1000, 50))
 	if v.Decision != rollback {
 		t.Fatalf("5%% error jump: %s", v.Decision)
 	}
@@ -56,9 +56,9 @@ func TestEvalNodeErrorRateDelta(t *testing.T) {
 // when its peers are healthy — nodes in a batch run the same build.
 func TestEvalNodeMixedBatch(t *testing.T) {
 	verdicts := []nodeVerdict{
-		evalNode(GateConfig{}, "n1", delta(100, 0, 200, 0), probeWindow{Sent: 5}, telemetryWindow{}),
-		evalNode(GateConfig{}, "n2", delta(100, 0, 200, 40), probeWindow{Sent: 5}, telemetryWindow{}),
-		evalNode(GateConfig{}, "n3", delta(100, 0, 200, 0), probeWindow{Sent: 5}, telemetryWindow{}),
+		evalNode(GateConfig{}, "n1", probeWindow{Sent: 5}, delta(100, 0, 200, 0)),
+		evalNode(GateConfig{}, "n2", probeWindow{Sent: 5}, delta(100, 0, 200, 40)),
+		evalNode(GateConfig{}, "n3", probeWindow{Sent: 5}, delta(100, 0, 200, 0)),
 	}
 	if verdicts[0].Decision != promote || verdicts[2].Decision != promote {
 		t.Fatalf("healthy peers voted %s/%s", verdicts[0].Decision, verdicts[2].Decision)
@@ -75,19 +75,19 @@ func TestEvalNodeMixedBatch(t *testing.T) {
 // probes) → Pause. The gate cannot tell a healthy idle node from a
 // black hole, so promotion needs a human.
 func TestEvalNodeInconclusive(t *testing.T) {
-	v := evalNode(GateConfig{}, "n1", delta(1000, 5, 0, 0), probeWindow{}, telemetryWindow{})
+	v := evalNode(GateConfig{}, "n1", probeWindow{}, delta(1000, 5, 0, 0))
 	if v.Decision != pause {
 		t.Fatalf("silent node: %s, want pause", v.Decision)
 	}
-	// Probes alone rescue an idle node: no counter traffic but clean
+	// Probes alone rescue an idle node: no traffic in the window but clean
 	// probes promote.
-	v = evalNode(GateConfig{}, "n1", delta(1000, 5, 0, 0), probeWindow{Sent: 20}, telemetryWindow{})
+	v = evalNode(GateConfig{}, "n1", probeWindow{Sent: 20}, delta(1000, 5, 0, 0))
 	if v.Decision != promote {
 		t.Fatalf("idle node with clean probes: %s (%s)", v.Decision, v.Reason)
 	}
 	mixed := []nodeVerdict{
-		evalNode(GateConfig{}, "a", delta(100, 0, 100, 0), probeWindow{Sent: 5}, telemetryWindow{}),
-		evalNode(GateConfig{}, "b", delta(100, 0, 0, 0), probeWindow{}, telemetryWindow{}),
+		evalNode(GateConfig{}, "a", probeWindow{Sent: 5}, delta(100, 0, 100, 0)),
+		evalNode(GateConfig{}, "b", probeWindow{}, delta(100, 0, 0, 0)),
 	}
 	if got := aggregate(mixed); got != pause {
 		t.Fatalf("promote+pause batch aggregated to %s, want pause", got)
@@ -101,29 +101,29 @@ func TestEvalNodeInconclusive(t *testing.T) {
 func TestEvalNodeAwaitingReady(t *testing.T) {
 	// The node entered its window and served: counters moved. Nothing
 	// about the phase blocks evaluation.
-	v := evalNode(GateConfig{}, "n1", delta(500, 0, 300, 1), probeWindow{Sent: 8, Failures: 0}, telemetryWindow{})
+	v := evalNode(GateConfig{}, "n1", probeWindow{Sent: 8, Failures: 0}, delta(500, 0, 300, 1))
 	if v.Decision != promote {
 		t.Fatalf("awaiting-ready node with healthy window: %s (%s)", v.Decision, v.Reason)
 	}
 	// Same phase, but the window shows the new build failing probes.
-	v = evalNode(GateConfig{}, "n1", delta(500, 0, 300, 0), probeWindow{Sent: 10, Failures: 9}, telemetryWindow{})
+	v = evalNode(GateConfig{}, "n1", probeWindow{Sent: 10, Failures: 9}, delta(500, 0, 300, 0))
 	if v.Decision != rollback {
 		t.Fatalf("awaiting-ready node with failing probes: %s", v.Decision)
 	}
 }
 
 // TestEvalNodeMinWindowRequests: a trickle below minWindowRequests
-// abstains the counter channel instead of gating on noise.
+// abstains the scrape window instead of gating on noise.
 func TestEvalNodeMinWindowRequests(t *testing.T) {
 	g := GateConfig{minWindowRequests: 100}
 	// 2 requests, 1 error — a 50% "error rate" from two samples. The
-	// counter channel abstains; clean probes promote.
-	v := evalNode(g, "n1", delta(1000, 0, 2, 1), probeWindow{Sent: 10}, telemetryWindow{})
+	// scrape window abstains; clean probes promote.
+	v := evalNode(g, "n1", probeWindow{Sent: 10}, delta(1000, 0, 2, 1))
 	if v.Decision != promote {
 		t.Fatalf("sub-threshold window gated: %s (%s)", v.Decision, v.Reason)
 	}
 	// Without probes the node is inconclusive → pause, not rollback.
-	v = evalNode(g, "n1", delta(1000, 0, 2, 1), probeWindow{}, telemetryWindow{})
+	v = evalNode(g, "n1", probeWindow{}, delta(1000, 0, 2, 1))
 	if v.Decision != pause {
 		t.Fatalf("sub-threshold window without probes: %s, want pause", v.Decision)
 	}

@@ -21,19 +21,15 @@ import (
 type Node struct {
 	// Name identifies the node in the journal, status, and spans.
 	Name string
-	// vip names the VIP group the node serves. Conflict fencing never
-	// drains two nodes of the same group concurrently (the fleet-level
-	// form of the multi-Origin DCR invariant), and concurrent rollouts
-	// over overlapping groups are refused. Empty means unfenced.
+	// vip names the VIP group the node serves. planBatches never puts two
+	// nodes of one group in the same batch, so they never drain together
+	// (the fleet-level form of the multi-Origin DCR invariant). Empty
+	// means the node shares its VIP with no other.
 	vip string
 	// Target is restarted to release the node. During a gated rollout the
 	// restart blocks inside the canary window (committed-awaiting-ready)
 	// until the orchestrator's verdict resolves it.
 	Target core.Restartable
-	// counters snapshots the node's cumulative serving counters (the
-	// same shape as a ReleaseReport's CountersBefore/After). The registry
-	// must be shared across generations so windows bracket a restart.
-	counters func() map[string]int64
 	// probe issues one synchronous health probe against the node's
 	// serving path (Prequal-style: the gate reads probe latency and
 	// failures, not raw load). A nil Probe disables the probe channel.
@@ -48,8 +44,10 @@ type Node struct {
 	state func() obs.SlotState
 	// metrics snapshots the node's full metrics registry — counters,
 	// gauges, and the mergeable atomic latency histograms the telemetry
-	// pipeline aggregates fleet-wide. Nil excludes the node from latency
-	// merges and the gate's telemetry channel.
+	// pipeline aggregates fleet-wide. The gate scrapes it once before a
+	// canary's restart and once after its window, so the registry must be
+	// shared across generations. Nil leaves the node out of the fleet's
+	// totals and the gate to its probes.
 	metrics func() metrics.RegistrySnapshot
 	// Disruption reports the node's disruption ledger. Nil excludes the
 	// node from disruption accounting (the gate's disruption-rate channel
@@ -145,10 +143,9 @@ func NewFleet(n int, gated bool, maxHold time.Duration, build func(i int, cfg *p
 		addr := slot.Current().Addr(proxy.VIPWeb)
 		f.Slots, f.regs, f.addrs = append(f.Slots, slot), append(f.regs, reg), append(f.addrs, addr)
 		f.Nodes = append(f.Nodes, &Node{
-			Name:     name,
-			vip:      fmt.Sprintf("vip-%02d", i),
-			Target:   slot,
-			counters: func() map[string]int64 { return reg.Snapshot().Counters },
+			Name:   name,
+			vip:    fmt.Sprintf("vip-%02d", i),
+			Target: slot,
 			// Any transport failure or a >= 500 status fails the probe.
 			probe: func() error {
 				code, err := GetStatus(addr, "/hello", 2*time.Second)
@@ -215,17 +212,16 @@ func GetStatus(addr, path string, timeout time.Duration) (int, error) {
 	return http1.Get(conn, path)
 }
 
-// requestKeys are the cumulative request counters summed into the gate's
-// and the telemetry's request total — the serving paths a proxy node
-// exposes.
+// requestKeys are the cumulative request counters summed into a scrape's
+// request total — the serving paths a proxy node exposes.
 var requestKeys = []string{
 	"edge.http.requests",
 	"edge.quic.requests",
 	"origin.http.requests",
 }
 
-// errorKeys are the cumulative error counters summed into the gate's and
-// the telemetry's error total.
+// errorKeys are the cumulative error counters summed into a scrape's
+// error total.
 var errorKeys = []string{
 	"edge.http.errors.no_origin",
 	"edge.http.errors.open_stream",

@@ -12,12 +12,13 @@
 // not a separate traffic-splitting layer — it IS the release protocol's
 // post-commit window, held open long enough to judge the new build.
 //
-// Rollouts are canary-first (a small first batch, then exponentially
-// growing ones), health-gated per batch against each node's own
-// pre-release baseline (counter deltas + orchestrator-side probes),
-// conflict-fenced per VIP group, and journaled to disk so a crashed
-// operator resumes — or safely abandons, letting maxHold self-rollback
-// reclaim the canaries — without guessing.
+// Rollouts are canary-first (a small first batch, then doubling ones),
+// health-gated per batch against each node's own pre-release baseline
+// (one scrape before the restart and one after the window, plus
+// orchestrator-side probes), never drain two nodes of one VIP group
+// together, and are journaled to disk so a crashed operator resumes — or
+// safely abandons, letting maxHold self-rollback reclaim the canaries —
+// without guessing.
 package fleet
 
 import (
@@ -61,13 +62,11 @@ var errGateRejected = errors.New("fleet: health gate rejected the new build")
 
 // Config parameterises a rollout.
 type Config struct {
-	// Name identifies the rollout (journal records, fence ownership).
+	// Name identifies the rollout in its journal records.
 	Name string
-	// CanarySize is the first batch's size. Default 1.
+	// CanarySize is the first batch's size; each batch after it doubles.
+	// Default 1.
 	CanarySize int
-	// GrowthFactor multiplies the batch size after each promoted batch.
-	// Default 2.
-	GrowthFactor int
 	// MaxBatchSize caps batch growth. 0 = no cap.
 	MaxBatchSize int
 	// HealthWindow is the post-commit observation window per batch. Must
@@ -78,8 +77,6 @@ type Config struct {
 	// WindowTimeout bounds the wait for a restarted node to enter its
 	// canary window. Default 10s.
 	WindowTimeout time.Duration
-	// BatchDelay pauses between promoted batches.
-	BatchDelay time.Duration
 	// Gate is the health-gate parameterisation.
 	Gate GateConfig
 	// Ungated disables canary windows and gating entirely: batches are
@@ -97,9 +94,6 @@ type Config struct {
 	// control, when non-nil, injects faults into the operator↔node
 	// control channel (every RPC the orchestrator issues).
 	control *faults.Injector
-	// Fence, when non-nil, serialises this rollout against others over
-	// shared VIP groups.
-	Fence *fence
 }
 
 func (c Config) withDefaults() Config {
@@ -108,9 +102,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CanarySize <= 0 {
 		c.CanarySize = 1
-	}
-	if c.GrowthFactor < 2 {
-		c.GrowthFactor = 2
 	}
 	if c.HealthWindow <= 0 {
 		c.HealthWindow = 2 * time.Second
@@ -346,17 +337,6 @@ func (o *Orchestrator) rpc(op string) error {
 // standing when Close unwinds a pause wait. Close mid-flight returns
 // errClosed with the journal reflecting exactly what had been committed.
 func (o *Orchestrator) Run() error {
-	if o.cfg.Fence != nil {
-		var vips []string
-		for _, n := range o.nodes {
-			vips = append(vips, n.vip)
-		}
-		if err := o.cfg.Fence.acquire(o.cfg.Name, vips); err != nil {
-			return err
-		}
-		defer o.cfg.Fence.release(o.cfg.Name)
-	}
-
 	resuming := o.cfg.Resume != nil && o.cfg.Resume.Rollout == o.cfg.Name
 	if resuming {
 		for _, name := range sortedKeys(o.cfg.Resume.Promoted) {
@@ -408,7 +388,7 @@ func (o *Orchestrator) run(root *obs.Span) error {
 			o.setState(StateDone, "")
 			return nil
 		}
-		batches := planBatches(remaining, o.cfg.CanarySize, o.cfg.GrowthFactor, o.cfg.MaxBatchSize)
+		batches := planBatches(remaining, o.cfg.CanarySize, o.cfg.MaxBatchSize)
 		o.mu.Lock()
 		o.batches = batches
 		o.mu.Unlock()
@@ -449,14 +429,6 @@ func (o *Orchestrator) run(root *obs.Span) error {
 				o.setState(stateRunning, "")
 				paused = true
 				break // re-plan over what is still unpromoted
-			}
-			if o.cfg.BatchDelay > 0 && i < len(batches)-1 {
-				select {
-				case <-time.After(o.cfg.BatchDelay):
-				case <-o.closed:
-					o.setState(stateStopped, errClosed.Error())
-					return errClosed
-				}
 			}
 		}
 		if !paused {
@@ -544,7 +516,6 @@ func (o *Orchestrator) reconcileAbandoned(p *Progress) error {
 // canary is one node's in-batch bookkeeping.
 type canary struct {
 	node        *Node
-	before      map[string]int64
 	telBefore   nodeTelemetry
 	entered     <-chan struct{}
 	verdict     chan<- error
@@ -579,15 +550,12 @@ func (o *Orchestrator) runBatch(idx int, batch []*Node, root *obs.Span) (decisio
 		return promote, verdicts, err
 	}
 
-	// Baseline: per-node counter snapshot, before any restart. Each node
-	// is judged against itself.
+	// Baseline: one scrape per node, before any restart. Each node is
+	// judged against itself.
 	cans := make([]*canary, len(batch))
 	for i, n := range batch {
 		c := &canary{node: n, done: make(chan error, 1)}
 		cans[i] = c
-		if err := o.rpc("snapshot " + n.Name); err == nil && n.counters != nil {
-			c.before = n.counters()
-		}
 		if err := o.rpc("scrape " + n.Name); err == nil {
 			c.telBefore = scrapeNode(n)
 		}
@@ -661,9 +629,11 @@ func (o *Orchestrator) runBatch(idx int, batch []*Node, root *obs.Span) (decisio
 	}
 	obsWG.Wait()
 
-	// Evaluate: counter deltas vs the node's own baseline, plus the
-	// probe window. Nodes that never entered their window vote Pause —
-	// the control plane could not judge them, so a human must.
+	// Evaluate: the window between each node's two scrapes, against its
+	// own baseline, plus the probe window. A lost scrape abstains rather
+	// than judge the node's whole history against a zero baseline. Nodes
+	// that never entered their window vote Pause — the control plane could
+	// not judge them, so a human must.
 	verdicts := make([]nodeVerdict, len(cans))
 	telWindows := make([]telemetryWindow, len(cans))
 	for i, c := range cans {
@@ -676,24 +646,12 @@ func (o *Orchestrator) runBatch(idx int, batch []*Node, root *obs.Span) (decisio
 			}
 			continue
 		}
-		var after map[string]int64
-		if err := o.rpc("counters " + c.node.Name); err == nil && c.node.counters != nil {
-			after = c.node.counters()
-		}
-		delta := core.HealthDeltaBetween(c.before, after, requestKeys, errorKeys)
-		if c.before == nil || after == nil {
-			// Either snapshot RPC dropped (or the node exposes no
-			// counters): the channel abstains. Judging a missing baseline
-			// would compare the node's full cumulative history against
-			// zero and roll back healthy nodes with any lifetime errors.
-			delta.Inconclusive = true
-		}
 		var telAfter nodeTelemetry
 		if err := o.rpc("scrape " + c.node.Name); err == nil {
 			telAfter = scrapeNode(c.node)
 		}
 		telWindows[i] = telemetryWindowBetween(c.telBefore, telAfter)
-		verdicts[i] = evalNode(o.cfg.Gate, c.node.Name, delta, windows[i], telWindows[i])
+		verdicts[i] = evalNode(o.cfg.Gate, c.node.Name, windows[i], telWindows[i])
 	}
 	o.mu.Lock()
 	o.telemetry = append(o.telemetry, batchTelemetry(idx, names, telWindows))
@@ -952,18 +910,18 @@ func (o *Orchestrator) journal(rec record) error {
 }
 
 // planBatches slices nodes into canary-first batches: the first batch
-// has canary nodes, each next batch grows by growth (capped at
-// maxBatch; 0 = uncapped). Within a batch VIP groups are disjoint —
-// two nodes sharing a VIP are never drained concurrently — so same-VIP
-// peers are deferred to later batches.
-func planBatches(nodes []*Node, canary, growth, maxBatch int) [][]*Node {
+// has canary nodes, each next batch doubles (capped at maxBatch; 0 =
+// uncapped). Within a batch VIP groups are disjoint — two nodes sharing
+// a VIP are never drained concurrently — so same-VIP peers are deferred
+// to later batches.
+func planBatches(nodes []*Node, canary, maxBatch int) [][]*Node {
 	var batches [][]*Node
 	remaining := append([]*Node(nil), nodes...)
 	if maxBatch <= 0 || maxBatch > len(nodes) {
 		maxBatch = len(nodes)
 	}
 	for take := 0; len(remaining) > 0; {
-		take = rampBatch(take, canary, growth, maxBatch)
+		take = rampBatch(take, canary, maxBatch)
 		var batch, deferred []*Node
 		used := map[string]bool{}
 		for _, n := range remaining {
@@ -982,30 +940,29 @@ func planBatches(nodes []*Node, canary, growth, maxBatch int) [][]*Node {
 
 // rampBatch is the canary-first size rule: the batch after one of prev
 // nodes (0 before the first batch) has canary nodes first (at least 1),
-// then growth times prev (growth < 2 counts as 2), never more than
-// maxBatch (> 0). Once a batch reaches maxBatch the size stops growing,
-// so it cannot overflow however many batches a release takes.
-func rampBatch(prev, canary, growth, maxBatch int) int {
+// then twice prev, never more than maxBatch (> 0). Once a batch reaches
+// maxBatch the size stops growing, so it cannot overflow however many
+// batches a release takes.
+func rampBatch(prev, canary, maxBatch int) int {
 	if prev == 0 {
 		return min(max(canary, 1), maxBatch)
 	}
-	growth = max(growth, 2)
-	if prev > maxBatch/growth {
+	if prev > maxBatch/2 {
 		return maxBatch
 	}
-	return min(prev*growth, maxBatch)
+	return prev * 2
 }
 
-// BatchSizes is the canary-first staging of n nodes that share no VIP,
-// at the default growth factor (each batch doubles): the size of each
-// batch in turn. The cluster simulator stages its releases by it.
+// BatchSizes is the canary-first staging of n nodes that share no VIP:
+// the size of each batch in turn. The cluster simulator stages its
+// releases by it.
 func BatchSizes(n, canary, maxBatch int) []int {
 	if maxBatch <= 0 || maxBatch > n {
 		maxBatch = n
 	}
 	var sizes []int
 	for take := 0; n > 0; n -= take {
-		take = min(rampBatch(take, canary, 2, maxBatch), n)
+		take = min(rampBatch(take, canary, maxBatch), n)
 		sizes = append(sizes, take)
 	}
 	return sizes

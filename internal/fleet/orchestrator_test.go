@@ -12,6 +12,7 @@ import (
 
 	"zdr/internal/core"
 	"zdr/internal/faults"
+	"zdr/internal/metrics"
 	"zdr/internal/obs"
 )
 
@@ -71,7 +72,7 @@ func (f *fakeTarget) restartCount() int {
 	return f.restarts
 }
 
-// fakeCounters self-advance on every snapshot, so the orchestrator's
+// fakeCounters self-advance on every scrape, so the orchestrator's
 // before/after pair always brackets traffic. bad() controls whether the
 // advance includes errors.
 type fakeCounters struct {
@@ -82,12 +83,12 @@ type fakeCounters struct {
 	calls int
 }
 
-func (c *fakeCounters) snapshot() map[string]int64 {
+func (c *fakeCounters) snapshot() metrics.RegistrySnapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.calls++
 	if c.calls == 1 {
-		// First snapshot: the node's error-free pre-rollout history — the
+		// First scrape: the node's error-free pre-rollout history — the
 		// baseline the gate compares windows against.
 		c.reqs += 1000
 	} else {
@@ -96,10 +97,10 @@ func (c *fakeCounters) snapshot() map[string]int64 {
 			c.errs += 40 // 20% of the window's traffic errors
 		}
 	}
-	return map[string]int64{
+	return metrics.RegistrySnapshot{Counters: map[string]int64{
 		"edge.http.requests":         c.reqs,
 		"edge.http.errors.no_origin": c.errs,
-	}
+	}}
 }
 
 // newFakeNode builds a gated fake node. bad (optional) makes its counter
@@ -109,13 +110,13 @@ func newFakeNode(name, vip string, bad func() bool) (*Node, *fakeTarget) {
 	ft := &fakeTarget{name: name, win: win}
 	ctrs := &fakeCounters{bad: bad}
 	return &Node{
-		Name:     name,
-		vip:      vip,
-		Target:   ft,
-		counters: ctrs.snapshot,
-		probe:    func() error { return nil },
-		window:   win,
-		state:    ft.state,
+		Name:    name,
+		vip:     vip,
+		Target:  ft,
+		metrics: ctrs.snapshot,
+		probe:   func() error { return nil },
+		window:  win,
+		state:   ft.state,
 	}, ft
 }
 
@@ -123,7 +124,6 @@ func fastConfig(name string) Config {
 	return Config{
 		Name:          name,
 		CanarySize:    1,
-		GrowthFactor:  2,
 		HealthWindow:  30 * time.Millisecond,
 		ProbeInterval: 5 * time.Millisecond,
 		WindowTimeout: 5 * time.Second,
@@ -150,7 +150,7 @@ func TestPlanBatchesCanaryGrowth(t *testing.T) {
 	for i := 0; i < 24; i++ {
 		nodes = append(nodes, &Node{Name: fmt.Sprintf("n%02d", i)})
 	}
-	batches := planBatches(nodes, 2, 2, 8)
+	batches := planBatches(nodes, 2, 8)
 	var sizes []int
 	for _, b := range batches {
 		sizes = append(sizes, len(b))
@@ -188,14 +188,14 @@ func TestBatchSizesManyBatches(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		nodes = append(nodes, &Node{Name: fmt.Sprintf("n%03d", i), vip: "vip-a"})
 	}
-	if got := len(planBatches(nodes, 1, 2, 0)); got != 100 {
+	if got := len(planBatches(nodes, 1, 0)); got != 100 {
 		t.Fatalf("100 same-VIP nodes planned into %d batches, want 100", got)
 	}
 }
 
 // TestPlanBatchesVIPDisjoint: two nodes sharing a VIP group are never
 // co-scheduled — the batch planner defers the second to a later batch,
-// the in-rollout form of the conflict fence.
+// so they never drain together.
 func TestPlanBatchesVIPDisjoint(t *testing.T) {
 	nodes := []*Node{
 		{Name: "a1", vip: "vip-a"},
@@ -203,7 +203,7 @@ func TestPlanBatchesVIPDisjoint(t *testing.T) {
 		{Name: "b1", vip: "vip-b"},
 		{Name: "a3", vip: "vip-a"},
 	}
-	batches := planBatches(nodes, 4, 2, 0)
+	batches := planBatches(nodes, 4, 0)
 	for bi, b := range batches {
 		seen := map[string]bool{}
 		for _, n := range b {
@@ -380,30 +380,6 @@ func TestOrchestratorPauseResume(t *testing.T) {
 	}
 }
 
-// TestOrchestratorFenceRefusal: a rollout whose VIP set overlaps a held
-// fence is refused before touching any node.
-func TestOrchestratorFenceRefusal(t *testing.T) {
-	fence := NewFence()
-	if err := fence.acquire("other-rollout", []string{"vip-a"}); err != nil {
-		t.Fatal(err)
-	}
-	n, ft := newFakeNode("n0", "vip-a", nil)
-	cfg := fastConfig("fenced")
-	cfg.Fence = fence
-	o, err := New(cfg, []*Node{n})
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = o.Run()
-	var fe *errFenced
-	if !errors.As(err, &fe) {
-		t.Fatalf("run returned %v, want *ErrFenced", err)
-	}
-	if ft.restartCount() != 0 {
-		t.Fatal("fenced rollout restarted a node")
-	}
-}
-
 // TestOrchestratorResumeSkipsPromoted: a resumed rollout never
 // re-restarts nodes whose promotion was journaled.
 func TestOrchestratorResumeSkipsPromoted(t *testing.T) {
@@ -443,9 +419,9 @@ func TestOrchestratorGateDuringAwaitingReady(t *testing.T) {
 	ctrs := &fakeCounters{}
 	var sawAwaitingReady atomic.Bool
 	node := &Node{
-		Name:     "n0",
-		Target:   ft,
-		counters: ctrs.snapshot,
+		Name:    "n0",
+		Target:  ft,
+		metrics: ctrs.snapshot,
 		probe: func() error {
 			if ft.state().Phase == "committed-awaiting-ready" {
 				sawAwaitingReady.Store(true)
@@ -734,30 +710,30 @@ func TestOrchestratorWindowTimeoutPerCanary(t *testing.T) {
 	}
 }
 
-// TestOrchestratorBaselineSnapshotDropAbstains: a dropped baseline
-// snapshot must make the counter channel abstain, not judge the node's
-// full cumulative history against a zero baseline. This node's lifetime
+// TestOrchestratorBaselineSnapshotDropAbstains: a lost baseline scrape
+// must make the node's own report abstain, not judge the node's full
+// cumulative history against a zero baseline. This node's lifetime
 // error rate (50%) dwarfs MaxErrorRateDelta; only the missing-baseline
 // guard keeps the healthy window from being spuriously rolled back.
 func TestOrchestratorBaselineSnapshotDropAbstains(t *testing.T) {
 	win := newCanaryWindow(5 * time.Second)
 	ft := &fakeTarget{name: "n0", win: win}
-	var calls atomic.Int32
 	node := &Node{
 		Name:   "n0",
 		Target: ft,
-		counters: func() map[string]int64 {
-			if calls.Add(1) == 1 {
-				return nil // baseline snapshot lost
-			}
-			return map[string]int64{
-				"edge.http.requests":         10000,
-				"edge.http.errors.no_origin": 5000,
-			}
-		},
 		probe:  func() error { return nil },
 		window: win,
 		state:  ft.state,
+	}
+	// The baseline scrape is lost: the node has no surface to read until
+	// its restart is under way, and then reports its lifetime totals.
+	ft.preGate = func() {
+		node.metrics = func() metrics.RegistrySnapshot {
+			return metrics.RegistrySnapshot{Counters: map[string]int64{
+				"edge.http.requests":         10000,
+				"edge.http.errors.no_origin": 5000,
+			}}
+		}
 	}
 	o, err := New(fastConfig("no-baseline"), []*Node{node})
 	if err != nil {

@@ -142,16 +142,25 @@ func scrapeNode(n *Node) nodeTelemetry {
 	return nt
 }
 
-// telemetryWindow is the windowed node-local telemetry the health gate's
-// third channel judges: ledger disruption and data-plane latency deltas
-// across the canary observation window, against the node's own
-// pre-release history. Scraped is false when either bracketing scrape
-// was lost — the channel then abstains.
+// telemetryWindow is what a node reports about itself over the canary
+// observation window: the deltas between its scrape before the restart
+// and its scrape after the window, judged against its own pre-restart
+// history. Scraped is false when either bracketing scrape was lost — the
+// channel then abstains, as it does over a window without requests.
 type telemetryWindow struct {
-	Scraped      bool  `json:"scraped"`
-	Requests     int64 `json:"requests"`
-	Terminal     int64 `json:"terminal"`
-	Unattributed int64 `json:"unattributed"`
+	Scraped  bool  `json:"scraped"`
+	Requests int64 `json:"requests"`
+	// Errors are the window's errors. ErrorRate is Errors/Requests,
+	// BaselineErrorRate the same ratio over the history before the
+	// restart, and ErrorRateDelta their difference. Rates are 0, never
+	// NaN, without requests: NaN compares false against every threshold
+	// and would pass an unobserved node.
+	Errors            int64   `json:"errors"`
+	ErrorRate         float64 `json:"error_rate"`
+	BaselineErrorRate float64 `json:"baseline_error_rate"`
+	ErrorRateDelta    float64 `json:"error_rate_delta"`
+	Terminal          int64   `json:"terminal"`
+	Unattributed      int64   `json:"unattributed"`
 	// P99 is the windowed data-plane p99 (seconds) from the node's own
 	// atomic histograms; BaselineP99 is the cumulative pre-restart p99.
 	P99         float64 `json:"p99_s"`
@@ -165,18 +174,24 @@ func (w telemetryWindow) disruptionRate() float64 {
 }
 
 // telemetryWindowBetween computes the observation-window deltas from two
-// scrapes of the same node. Negative deltas (restarted counters, racing
-// snapshots) clamp to zero.
+// scrapes of the same node. Negative deltas (racing snapshots) clamp to
+// zero.
 func telemetryWindowBetween(before, after nodeTelemetry) telemetryWindow {
 	if !before.Scraped || !after.Scraped {
 		return telemetryWindow{}
 	}
 	w := telemetryWindow{
-		Scraped:      true,
-		Requests:     clamp0(after.Requests - before.Requests),
-		Terminal:     clamp0(after.Disruption.Terminal - before.Disruption.Terminal),
-		Unattributed: clamp0(after.Disruption.Unattributed - before.Disruption.Unattributed),
-		BaselineP99:  before.Latency.Quantile(0.99),
+		Scraped:           true,
+		Requests:          clamp0(after.Requests - before.Requests),
+		Errors:            clamp0(after.Errors - before.Errors),
+		BaselineErrorRate: rate(before.Errors, before.Requests),
+		Terminal:          clamp0(after.Disruption.Terminal - before.Disruption.Terminal),
+		Unattributed:      clamp0(after.Disruption.Unattributed - before.Disruption.Unattributed),
+		BaselineP99:       before.Latency.Quantile(0.99),
+	}
+	if w.Requests > 0 {
+		w.ErrorRate = rate(w.Errors, w.Requests)
+		w.ErrorRateDelta = w.ErrorRate - w.BaselineErrorRate
 	}
 	w.P99 = after.Latency.Sub(before.Latency).Quantile(0.99)
 	return w

@@ -59,7 +59,6 @@ func TestFleetChaosTelemetryAttribution(t *testing.T) {
 	cfg := Config{
 		Name:          "telemetry-chaos",
 		CanarySize:    2,
-		GrowthFactor:  2,
 		HealthWindow:  300 * time.Millisecond,
 		ProbeInterval: 20 * time.Millisecond,
 		WindowTimeout: 10 * time.Second,

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -137,24 +138,52 @@ func TestTelemetryWindowBetween(t *testing.T) {
 	if w := telemetryWindowBetween(nodeTelemetry{}, after); w.Scraped {
 		t.Fatalf("half-scraped window conclusive: %+v", w)
 	}
-	// Restarted counters clamp to zero rather than going negative.
+	// Totals that went backwards clamp to zero rather than going negative.
 	if w := telemetryWindowBetween(after, before); w.Requests != 0 || w.Terminal != 0 {
 		t.Fatalf("negative delta not clamped: %+v", w)
 	}
+
+	// The error rates stay finite (a NaN fails every comparison below and
+	// would pass every gate threshold), and a window without requests
+	// leaves the gate nothing to judge but its probes.
+	for _, tc := range []struct {
+		name                     string
+		before, after            [2]int64 // requests, errors
+		requests, errors         int64
+		rate, baseline, rateDiff float64
+	}{
+		{"zero-request window", [2]int64{100, 2}, [2]int64{100, 2}, 0, 0, 0, 0.02, 0},
+		{"zero baseline", [2]int64{0, 0}, [2]int64{50, 5}, 50, 5, 0.1, 0, 0.1},
+		{"errors without requests", [2]int64{0, 0}, [2]int64{0, 7}, 0, 7, 0, 0, 0},
+		{"normal", [2]int64{1000, 10}, [2]int64{1200, 60}, 200, 50, 0.25, 0.01, 0.24},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := telemetryWindowBetween(
+				nodeTelemetry{Scraped: true, Requests: tc.before[0], Errors: tc.before[1]},
+				nodeTelemetry{Scraped: true, Requests: tc.after[0], Errors: tc.after[1]})
+			if w.Requests != tc.requests || w.Errors != tc.errors || w.ErrorRate != tc.rate ||
+				w.BaselineErrorRate != tc.baseline || !(math.Abs(w.ErrorRateDelta-tc.rateDiff) <= 1e-12) {
+				t.Fatalf("window = %+v", w)
+			}
+			if v := evalNode(GateConfig{}, "n1", probeWindow{}, w); w.Requests == 0 && v.Decision != pause {
+				t.Fatalf("window without requests: %s, want pause", v.Decision)
+			}
+		})
+	}
 }
 
-// TestEvalNodeDisruptionRate: the telemetry channel rolls back on a
-// windowed ledger disruption rate the HTTP counters never saw (e.g.
-// connection resets with clean 200s).
+// TestEvalNodeDisruptionRate: the scrape window rolls back on a
+// windowed ledger disruption rate the HTTP error counters never saw
+// (e.g. connection resets with clean 200s).
 func TestEvalNodeDisruptionRate(t *testing.T) {
 	g := GateConfig{MaxDisruptionRate: 0.02}
 	clean := telemetryWindow{Scraped: true, Requests: 1000, Terminal: 10} // 1%
-	v := evalNode(g, "n1", delta(100, 0, 100, 0), probeWindow{Sent: 5}, clean)
+	v := evalNode(g, "n1", probeWindow{Sent: 5}, clean)
 	if v.Decision != promote {
 		t.Fatalf("1%% disruption under 2%% bound: %s (%s)", v.Decision, v.Reason)
 	}
 	dirty := telemetryWindow{Scraped: true, Requests: 1000, Terminal: 100} // 10%
-	v = evalNode(g, "n1", delta(100, 0, 100, 0), probeWindow{Sent: 5}, dirty)
+	v = evalNode(g, "n1", probeWindow{Sent: 5}, dirty)
 	if v.Decision != rollback {
 		t.Fatalf("10%% disruption: %s", v.Decision)
 	}
@@ -162,7 +191,7 @@ func TestEvalNodeDisruptionRate(t *testing.T) {
 		t.Fatalf("reason %q does not name the channel", v.Reason)
 	}
 	// Zero bound disables the channel entirely.
-	v = evalNode(GateConfig{}, "n1", delta(100, 0, 100, 0), probeWindow{Sent: 5}, dirty)
+	v = evalNode(GateConfig{}, "n1", probeWindow{Sent: 5}, dirty)
 	if v.Decision != promote {
 		t.Fatalf("disabled channel gated: %s (%s)", v.Decision, v.Reason)
 	}
@@ -173,29 +202,28 @@ func TestEvalNodeDisruptionRate(t *testing.T) {
 func TestEvalNodeTelemetryLatency(t *testing.T) {
 	g := GateConfig{maxP99Factor: 3}
 	ok := telemetryWindow{Scraped: true, Requests: 500, P99: 0.002, BaselineP99: 0.001}
-	v := evalNode(g, "n1", delta(100, 0, 100, 0), probeWindow{Sent: 5}, ok)
+	v := evalNode(g, "n1", probeWindow{Sent: 5}, ok)
 	if v.Decision != promote {
 		t.Fatalf("2x data-plane p99 under 3x factor: %s (%s)", v.Decision, v.Reason)
 	}
 	slow := telemetryWindow{Scraped: true, Requests: 500, P99: 0.010, BaselineP99: 0.001}
-	v = evalNode(g, "n1", delta(100, 0, 100, 0), probeWindow{Sent: 5}, slow)
+	v = evalNode(g, "n1", probeWindow{Sent: 5}, slow)
 	if v.Decision != rollback {
 		t.Fatalf("10x data-plane p99: %s", v.Decision)
 	}
 }
 
 // TestEvalNodeTelemetryRescuesInconclusive: a scraped window with
-// traffic is a conclusive health channel even when counters and probes
-// are both silent.
+// traffic is a conclusive health channel even when the probes are
+// silent.
 func TestEvalNodeTelemetryRescuesInconclusive(t *testing.T) {
-	silentCounters := delta(1000, 5, 0, 0)
 	tel := telemetryWindow{Scraped: true, Requests: 50}
-	v := evalNode(GateConfig{MaxDisruptionRate: 0.05}, "n1", silentCounters, probeWindow{}, tel)
+	v := evalNode(GateConfig{MaxDisruptionRate: 0.05}, "n1", probeWindow{}, tel)
 	if v.Decision != promote {
 		t.Fatalf("clean telemetry did not rescue: %s (%s)", v.Decision, v.Reason)
 	}
-	// All three channels silent still pauses.
-	v = evalNode(GateConfig{}, "n1", silentCounters, probeWindow{}, telemetryWindow{})
+	// Both channels silent still pauses.
+	v = evalNode(GateConfig{}, "n1", probeWindow{}, telemetryWindow{})
 	if v.Decision != pause {
 		t.Fatalf("fully silent node: %s, want pause", v.Decision)
 	}

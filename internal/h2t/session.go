@@ -1129,37 +1129,38 @@ func (st *Stream) startWriter() {
 // write is the sink's writer. It writes the queue out of the chunks with
 // the lock released and exits under the lock once the queue is empty: the
 // session reader writes w only at size 0, so one of the two writes it at
-// any instant. What the bytes earned the peer goes out first, then the
-// stream's end if it has come.
+// any instant. What each write earned the peer goes out before the writer
+// looks at the queue again, so before it gives the writing up and before
+// the stream's end, which it delivers if it has come: a writer started
+// next, or the stream's next user, never sees the end ahead of that
+// credit.
 func (st *Stream) write(r *relayState) {
 	s, b := st.sess, &st.buf
 	var err error
-	for more := true; more; {
-		credit := 0
-		b.mu.Lock()
-		if b.size > 0 { // else it was started for the end, or a failure emptied the queue
-			b.draining = true
-			p := (*b.chunks[0])[b.off:]
-			b.mu.Unlock()
-			var k int
-			k, err = r.w.Write(p)
-			s.m.buffered.Add(int64(k))
-			b.mu.Lock()
-			r.written += int64(k)
-			credit = b.drained(s, k)
-		}
-		var end func(error)
-		if more = b.size > 0 && err == nil; !more {
-			r.writing = false
-			end, err = st.takeEnd(r, err)
-		}
-		b.mu.Unlock()
+	for credit := 0; ; {
 		if credit > 0 && s.peerWindow.Load() {
 			s.sendCredit(st.id, credit)
 		}
-		if end != nil {
-			end(err)
+		b.mu.Lock()
+		if b.size == 0 || err != nil { // written out, started for the end alone, or the sink failed
+			r.writing = false
+			end, err := st.takeEnd(r, err)
+			b.mu.Unlock()
+			if end != nil {
+				end(err)
+			}
+			return
 		}
+		b.draining = true
+		p := (*b.chunks[0])[b.off:]
+		b.mu.Unlock()
+		var k int
+		k, err = r.w.Write(p)
+		s.m.buffered.Add(int64(k))
+		b.mu.Lock()
+		r.written += int64(k)
+		credit = b.drained(s, k)
+		b.mu.Unlock()
 	}
 }
 

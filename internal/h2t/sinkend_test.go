@@ -126,6 +126,38 @@ func TestSinkWriterAndEnd(t *testing.T) {
 		}
 	})
 
+	// The writer that earns a credit sends it before the stream's end can
+	// reach the sink's owner, who may hand the stream to its next user.
+	// Held up on the session's write lock, that credit still comes first.
+	t.Run("credit before the end", func(t *testing.T) {
+		r := newSinkRig(t)
+		const sent = creditThreshold + 1 // the last byte earns the one credit
+		r.data(maxFramePayload, 0)
+		r.data(maxFramePayload, 0)
+		r.data(sent-2*maxFramePayload, 0)
+		r.s.wmu.Lock()
+		r.readFar(t, sent)
+		soon(t, "the writer to earn its credit", func() bool {
+			r.st.buf.mu.Lock()
+			defer r.st.buf.mu.Unlock()
+			return r.st.buf.size == 0 && r.st.buf.unacked == 0
+		})
+		r.data(0, flagEndStream)
+		select {
+		case <-r.errs:
+			r.s.wmu.Unlock()
+			t.Fatal("the end ran ahead of the credit its bytes earned")
+		case <-time.After(50 * time.Millisecond):
+		}
+		r.s.wmu.Unlock()
+		if err := <-r.errs; err != nil {
+			t.Fatalf("the end callback was given %v", err)
+		}
+		if got := r.s.conn.(*recordConn).credited(1); got != sent {
+			t.Fatalf("%d of %d bytes acknowledged at the end", got, sent)
+		}
+	})
+
 	for _, c := range []struct {
 		name string
 		end  func(t *testing.T, r *sinkRig)
