@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -206,6 +207,9 @@ func BenchmarkTblPPRRetries(b *testing.B) {
 // otherwise pay: a full TCP reconnect per connection.
 func BenchmarkAblationTakeoverVsReconnect(b *testing.B) {
 	b.Run("takeover-3vips", func(b *testing.B) {
+		// The protocol every release runs: Server and Connect on a UNIX
+		// path, through READY and the drain-start confirmation.
+		path := filepath.Join(b.TempDir(), "takeover.sock")
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			set, err := takeover.Listen(
@@ -216,13 +220,13 @@ func BenchmarkAblationTakeoverVsReconnect(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			x, y, err := netx.SocketPair()
-			if err != nil {
+			srv := &takeover.Server{Set: set}
+			if err := srv.Listen(path); err != nil {
 				b.Fatal(err)
 			}
 			done := make(chan error, 1)
-			go func() { _, err := takeover.Handoff(x, set, takeover.HandoffOptions{}); done <- err }()
-			got, _, err := takeover.Receive(y, takeover.ReceiveOptions{})
+			go func() { done <- srv.Serve() }()
+			got, _, err := takeover.Connect(path, takeover.ReceiveOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -231,8 +235,6 @@ func BenchmarkAblationTakeoverVsReconnect(b *testing.B) {
 			}
 			got.Close()
 			set.Close()
-			x.Close()
-			y.Close()
 		}
 	})
 	b.Run("client-reconnect", func(b *testing.B) {

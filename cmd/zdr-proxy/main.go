@@ -138,8 +138,8 @@ func main() {
 			// either way this process has nothing to serve.
 			fatal("takeover from %s: %v", *takeoverFrom, err)
 		}
-		fmt.Printf("%s: took over %d sockets in %v via protocol v%d (old instance draining)\n",
-			cfg.Name, len(res.VIPs), res.Duration, res.Proto)
+		fmt.Printf("%s: took over %d sockets in %v (old instance draining)\n",
+			cfg.Name, len(res.VIPs), res.Duration)
 	} else {
 		if err := p.Listen(); err != nil {
 			fatal("listen: %v", err)

@@ -345,7 +345,7 @@ func (s *ProxySlot) promote(next *proxy.Proxy) error {
 // suffer socket-ring flux during a fresh rebind, which is why this path
 // is a rollback/mitigation tool, not the default.
 //
-// With drain-undo (takeover.ProtoDrainUndo) in place this is a LAST
+// With drain-undo (takeover's post-commit lease) this is a LAST
 // resort: a receiver that dies after COMMIT no longer needs it — the old
 // generation re-arms from its retained FDs and Restart retries. The
 // remaining case is the sender itself crashing post-commit while still

@@ -522,10 +522,17 @@ func fig16CompletionTime() (Table, error) {
 }
 
 // fig17TakeoverOverhead regenerates Fig. 17: the cost of Socket Takeover —
-// real hand-off latency on this machine plus the modeled CPU envelope of
-// running two instances in parallel.
+// real hand-off latency on this machine, measured over the protocol every
+// release runs (Server and Connect on a UNIX path: prepare, commit, READY,
+// drain-start), plus the modeled CPU envelope of running two instances in
+// parallel.
 func fig17TakeoverOverhead() (Table, error) {
 	const iterations = 25
+	dir, err := os.MkdirTemp("", "zdr-f17")
+	if err != nil {
+		return Table{}, err
+	}
+	defer os.RemoveAll(dir)
 	var durations []float64
 	for i := 0; i < iterations; i++ {
 		set, err := takeover.Listen(
@@ -536,29 +543,27 @@ func fig17TakeoverOverhead() (Table, error) {
 		if err != nil {
 			return Table{}, err
 		}
-		a, b, err := netx.SocketPair()
-		if err != nil {
+		path := filepath.Join(dir, fmt.Sprintf("f17-%d.sock", i))
+		srv := &takeover.Server{Set: set}
+		if err := srv.Listen(path); err != nil {
 			set.Close()
 			return Table{}, err
 		}
 		done := make(chan error, 1)
-		go func() {
-			_, err := takeover.Handoff(a, set, takeover.HandoffOptions{})
-			done <- err
-		}()
+		go func() { done <- srv.Serve() }()
 		start := time.Now()
-		got, _, err := takeover.Receive(b, takeover.ReceiveOptions{})
+		got, _, err := takeover.Connect(path, takeover.ReceiveOptions{})
 		if err != nil {
-			return Table{}, err
-		}
-		if err := <-done; err != nil {
+			srv.Close()
+			set.Close()
 			return Table{}, err
 		}
 		durations = append(durations, float64(time.Since(start).Microseconds()))
+		if err := <-done; err != nil {
+			return Table{}, err
+		}
 		got.Close()
 		set.Close()
-		a.Close()
-		b.Close()
 	}
 	return Table{
 		id:      "F17",

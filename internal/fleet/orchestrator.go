@@ -2,8 +2,8 @@
 // staged, health-gated rollouts across a fleet of core.Restartable
 // nodes (§6 scaled down to an in-process simulation).
 //
-// The mechanism under the mechanism is drain-undo (takeover
-// ProtoDrainUndo): every node's proxy generations install a canaryWindow
+// The mechanism under the mechanism is drain-undo (takeover's
+// post-commit lease): every node's proxy generations install a canaryWindow
 // as their readiness gate, so a restart commits the hand-off, serves
 // live traffic in committed-awaiting-ready, and then waits for the
 // orchestrator's verdict. Promote releases READY and the old generation

@@ -143,41 +143,6 @@ func OpenFDCount() (int, error) {
 	return len(ents), nil
 }
 
-// SocketPair returns both ends of a connected AF_UNIX SOCK_STREAM pair as
-// *net.UnixConn. It is how tests wire an old and a new "instance"
-// together without touching the filesystem.
-func SocketPair() (a, b *net.UnixConn, err error) {
-	fds, err := syscall.Socketpair(syscall.AF_UNIX, syscall.SOCK_STREAM|syscall.SOCK_CLOEXEC, 0)
-	if err != nil {
-		return nil, nil, fmt.Errorf("netx: socketpair: %w", err)
-	}
-	toConn := func(fd int, name string) (*net.UnixConn, error) {
-		f := os.NewFile(uintptr(fd), name)
-		defer f.Close() // net.FileConn dups the fd
-		c, err := net.FileConn(f)
-		if err != nil {
-			return nil, err
-		}
-		uc, ok := c.(*net.UnixConn)
-		if !ok {
-			c.Close()
-			return nil, fmt.Errorf("netx: socketpair end is %T, not *net.UnixConn", c)
-		}
-		return uc, nil
-	}
-	a, err = toConn(fds[0], "socketpair-a")
-	if err != nil {
-		syscall.Close(fds[1])
-		return nil, nil, err
-	}
-	b, err = toConn(fds[1], "socketpair-b")
-	if err != nil {
-		a.Close()
-		return nil, nil, err
-	}
-	return a, b, nil
-}
-
 // ListenerFD extracts a duplicated file descriptor from a TCP listener.
 // The caller owns the returned FD and must close it.
 func ListenerFD(ln *net.TCPListener) (int, error) {

@@ -9,10 +9,7 @@ import (
 )
 
 func TestSocketPairRoundTrip(t *testing.T) {
-	a, b, err := SocketPair()
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b := socketPair(t)
 	defer a.Close()
 	defer b.Close()
 	msg := []byte("hello")
@@ -30,10 +27,7 @@ func TestSocketPairRoundTrip(t *testing.T) {
 }
 
 func TestWriteFDsTooMany(t *testing.T) {
-	a, b, err := SocketPair()
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b := socketPair(t)
 	defer a.Close()
 	defer b.Close()
 	fds := make([]int, 129)
@@ -43,10 +37,7 @@ func TestWriteFDsTooMany(t *testing.T) {
 }
 
 func TestReadFDsNoControlData(t *testing.T) {
-	a, b, err := SocketPair()
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b := socketPair(t)
 	defer a.Close()
 	defer b.Close()
 	if err := WriteFDs(a, []byte("plain"), nil); err != nil {
@@ -66,10 +57,7 @@ func TestReadFDsNoControlData(t *testing.T) {
 // and ReadFDs must say so and close what did arrive, not hand back a
 // partial set as if it were whole.
 func TestReadFDsTruncatedIsAnError(t *testing.T) {
-	a, b, err := SocketPair()
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b := socketPair(t)
 	defer a.Close()
 	defer b.Close()
 	base, err := OpenFDCount()
@@ -112,10 +100,7 @@ func TestPassTCPListenerFD(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b, err := SocketPair()
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b := socketPair(t)
 	defer a.Close()
 	defer b.Close()
 	if err := WriteFDs(a, []byte("takeover"), []int{fd}); err != nil {
@@ -173,10 +158,7 @@ func TestPassUDPFD(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b, err := SocketPair()
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b := socketPair(t)
 	defer a.Close()
 	defer b.Close()
 	if err := WriteFDs(a, []byte("udp"), []int{fd}); err != nil {
@@ -231,10 +213,7 @@ func TestPassMultipleFDs(t *testing.T) {
 		}
 		fds = append(fds, fd)
 	}
-	a, b, err := SocketPair()
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b := socketPair(t)
 	defer a.Close()
 	defer b.Close()
 	if err := WriteFDs(a, []byte("batch"), fds); err != nil {

@@ -162,10 +162,7 @@ func equalInts(a, b []int) bool {
 // TestWakeReaderWithoutInqReadsToEAGAIN: a socket that does not take
 // TCP_INQ is read until it has nothing more, as conn.Read reads it.
 func TestWakeReaderWithoutInqReadsToEAGAIN(t *testing.T) {
-	client, server, err := SocketPair()
-	if err != nil {
-		t.Fatal(err)
-	}
+	client, server := socketPair(t)
 	defer client.Close()
 	defer server.Close()
 	e := &wakeEcho{conn: server, buf: make([]byte, 64), stopAt: 10}

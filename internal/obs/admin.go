@@ -15,8 +15,8 @@ type SlotState struct {
 	Name       string `json:"name"`
 	Generation int    `json:"generation"`
 	// Phase is the release state machine position: "serving",
-	// "handing-off", "committed-awaiting-ready" (a ProtoDrainUndo
-	// hand-off committed, lease not yet resolved), "rolling-back" (the
+	// "handing-off", "committed-awaiting-ready" (a hand-off
+	// committed, lease not yet resolved), "rolling-back" (the
 	// committed hand-off is unwinding — the readiness gate rejected
 	// promotion and the old generation is re-arming from its retained
 	// FDs), "rolled-back" (the unwind completed; sticky until the next

@@ -15,14 +15,11 @@ package obs
 //	takeover.step.E   sender's drain-start confirmation awaited
 //	takeover.step.F   health-check responsibility assumed
 //
-// Two-phase (ProtoTwoPhase) spans, recorded on BOTH sides with a "side"
+// Protocol spans, the first three recorded on BOTH sides with a "side"
 // attribute:
 //
 //	takeover.prepare  arm + PREPARE-ACK (receiver) / manifest→commit (sender)
 //	takeover.commit   commit delivery and drain cut-over
-//
-// Drain-undo (ProtoDrainUndo) spans:
-//
 //	takeover.ready    the post-commit lease window: receiver runs its
 //	                  readiness gate and sends READY; sender awaits it
 //	takeover.undo     lease broke before READY — the sender re-arms its

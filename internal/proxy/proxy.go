@@ -126,7 +126,7 @@ type Config struct {
 	Trace *obs.Tracer
 
 	// ReadyGate, when non-nil, is consulted by the receiver side of a
-	// ProtoDrainUndo hand-off after COMMIT, alongside the proxy's own
+	// hand-off after COMMIT, alongside the proxy's own
 	// serving checks, before the READY frame releases the old instance's
 	// lease. Returning an error steps this instance down and un-drains
 	// the old one. Chaos tests use it to wedge the post-commit window.
@@ -201,8 +201,8 @@ type Proxy struct {
 	mu       sync.Mutex
 	draining bool
 	closed   bool
-	// awaitingReady is true between a committed ProtoDrainUndo hand-off
-	// and its lease resolution (READY received or undo) — the
+	// awaitingReady is true between a committed hand-off and its lease
+	// resolution (READY received or undo) — the
 	// "committed-awaiting-ready" state of the release state machine.
 	awaitingReady bool
 	// owners is every connection this generation accepted whose handler
@@ -569,8 +569,8 @@ func (p *Proxy) syncLedgerPhase() {
 }
 
 // phaseLocked is the release state machine's position as a katran.Phase*
-// string: committed-awaiting-ready from a committed ProtoDrainUndo
-// hand-off to its lease resolution, then draining, and serving otherwise.
+// string: committed-awaiting-ready from a committed hand-off to its
+// lease resolution, then draining, and serving otherwise.
 // syncLedgerPhase stamps it, and the LOAD answer (when no ledger is
 // configured) and ReleaseState report it. Callers hold p.mu.
 func (p *Proxy) phaseLocked() string {
@@ -736,14 +736,12 @@ func (p *Proxy) ServeTakeover(path string) error {
 		OnDrainStart: func(res takeover.Result) {
 			// Join the receiver's hand-off trace (ack.Trace) so the old
 			// instance's drain appears under the new instance's span tree.
-			// Only a committed hand-off reaches this point: on the
-			// two-phase protocol draining begins strictly after COMMIT.
+			// Only a committed hand-off reaches this point: draining
+			// begins strictly after COMMIT.
 			p.reg.Counter("proxy.takeover_commits").Inc()
-			if res.Proto >= takeover.ProtoDrainUndo {
-				p.mu.Lock()
-				p.awaitingReady = true
-				p.mu.Unlock()
-			}
+			p.mu.Lock()
+			p.awaitingReady = true
+			p.mu.Unlock()
 			p.cfg.Ledger.Record(disrupt.KindHandoff, 0, "", "", "takeover committed; draining")
 			p.startDrainingTraced(res.PeerTrace)
 		},
@@ -807,7 +805,7 @@ type TakeoverOptions struct {
 	// root span is recorded on Config.Trace (nil tracer: untraced).
 	Trace *obs.Span
 	// OnCommitted, when non-nil, fires the moment the sender's COMMIT is
-	// observed on a ProtoDrainUndo hand-off — the instant the release
+	// observed — the instant the release
 	// enters its committed-awaiting-ready state. The orchestrator uses it
 	// to surface the state in core.ProxySlot.
 	OnCommitted func()
@@ -839,10 +837,10 @@ func (p *Proxy) TakeoverFromWith(path string, opts TakeoverOptions) (*takeover.R
 	// a successful Adopt aborts the hand-off (commit never arrives, peer
 	// crash), Disarm rolls this half-promoted generation back to a clean
 	// slate; the shared sockets stay alive in the old instance, which
-	// never stopped accepting. On a ProtoDrainUndo hand-off the same
-	// Disarm also unwinds a post-commit undo — there the old instance
-	// re-arms from its retained dups instead.
-	_, res, err := takeover.Connect(path, takeover.ConnectOptions{ReceiveOptions: takeover.ReceiveOptions{
+	// never stopped accepting. The same Disarm also unwinds a post-commit
+	// undo — there the old instance re-arms from its retained dups
+	// instead.
+	_, res, err := takeover.Connect(path, takeover.ReceiveOptions{
 		Trace: hand,
 		Arm: func(set *takeover.ListenerSet, res *takeover.Result) error {
 			if err := p.adopt(set); err != nil {
@@ -865,9 +863,9 @@ func (p *Proxy) TakeoverFromWith(path string, opts TakeoverOptions) (*takeover.R
 			p.stepDown()
 		},
 		Ready: func(*takeover.ListenerSet, *takeover.Result) error {
-			// The readiness gate behind the READY frame (ProtoDrainUndo):
-			// attest /healthz-green serving, not just adopted sockets. A
-			// failure here un-drains the old instance.
+			// The readiness gate behind the READY frame: attest
+			// /healthz-green serving, not just adopted sockets. A failure
+			// here un-drains the old instance.
 			if opts.OnCommitted != nil {
 				opts.OnCommitted()
 			}
@@ -880,7 +878,7 @@ func (p *Proxy) TakeoverFromWith(path string, opts TakeoverOptions) (*takeover.R
 			}
 			return err
 		},
-	}})
+	})
 	if err != nil {
 		if errors.Is(err, takeover.ErrUndone) {
 			p.reg.Counter("proxy.takeover_undone").Inc()
@@ -893,7 +891,6 @@ func (p *Proxy) TakeoverFromWith(path string, opts TakeoverOptions) (*takeover.R
 	// health-check responsibility is now this instance's.
 	spF := hand.StartChild("takeover.step.F")
 	spF.SetAttr("vips", fmt.Sprintf("%d", len(res.VIPs)))
-	spF.SetAttr("proto", fmt.Sprintf("%d", res.Proto))
 	spF.End()
 	p.reg.Counter("proxy.takeovers").Inc()
 	p.cfg.Ledger.Record(disrupt.KindHandoff, 0, "", "", "takeover received; serving")

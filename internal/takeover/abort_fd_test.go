@@ -58,12 +58,12 @@ func TestAbortFDAuditArmFailure(t *testing.T) {
 	a, b := pair(t)
 	sendErr := make(chan error, 1)
 	go func() {
-		_, err := Handoff(a, set, HandoffOptions{timeout: 2 * time.Second})
+		_, err := (&Server{Set: set, handshakeTimeout: 2 * time.Second}).handoff(a, nil)
 		sendErr <- err
 	}()
 
 	disarmed := false
-	got, res, err := Receive(b, ReceiveOptions{
+	got, res, err := receive(b, ReceiveOptions{
 		timeout: 2 * time.Second,
 		Arm: func(s *ListenerSet, r *Result) error {
 			if s.Len() != 2 {
@@ -127,13 +127,13 @@ func TestAbortFDAuditPrepareAckLost(t *testing.T) {
 	a, b := pair(t)
 	sendErr := make(chan error, 1)
 	go func() {
-		_, err := Handoff(a, set, HandoffOptions{timeout: 2 * time.Second})
+		_, err := (&Server{Set: set, handshakeTimeout: 2 * time.Second}).handoff(a, nil)
 		sendErr <- err
 		a.Close()
 	}()
 
 	disarmed := false
-	_, _, err = Receive(b, ReceiveOptions{
+	_, _, err = receive(b, ReceiveOptions{
 		timeout: 2 * time.Second,
 		Arm:     func(*ListenerSet, *Result) error { return nil },
 		Disarm:  func(s *ListenerSet) { disarmed = true; s.Close() },
@@ -180,7 +180,7 @@ func TestAbortFDAuditCommitLost(t *testing.T) {
 	a, b := pair(t)
 	sendErr := make(chan error, 1)
 	go func() {
-		_, err := Handoff(a, set, HandoffOptions{timeout: 2 * time.Second})
+		_, err := (&Server{Set: set, handshakeTimeout: 2 * time.Second}).handoff(a, nil)
 		sendErr <- err
 		// The real sender (Server.ListenAndServe) closes the connection on
 		// any hand-off error; that close is what tells a waiting receiver
@@ -189,7 +189,7 @@ func TestAbortFDAuditCommitLost(t *testing.T) {
 	}()
 
 	disarmed := false
-	_, _, err = Receive(b, ReceiveOptions{
+	_, _, err = receive(b, ReceiveOptions{
 		timeout: 2 * time.Second,
 		Arm:     func(*ListenerSet, *Result) error { return nil },
 		Disarm:  func(s *ListenerSet) { disarmed = true; s.Close() },

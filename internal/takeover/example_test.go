@@ -2,14 +2,15 @@ package takeover_test
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 
-	"zdr/internal/netx"
 	"zdr/internal/takeover"
 )
 
 // Example performs a complete in-process Socket Takeover: the "old
-// instance" binds two VIPs and hands them to the "new instance" over a
-// socketpair; the sockets are never closed.
+// instance" binds two VIPs and serves them on a takeover path; the "new
+// instance" connects and receives them; the sockets are never closed.
 func Example() {
 	old, err := takeover.Listen(
 		takeover.VIP{Name: "web", Network: takeover.NetworkTCP, Addr: "127.0.0.1:0"},
@@ -20,15 +21,18 @@ func Example() {
 	}
 	defer old.Close()
 
-	a, b, err := netx.SocketPair()
+	dir, err := os.MkdirTemp("", "takeover-example")
 	if err != nil {
 		panic(err)
 	}
-	defer a.Close()
-	defer b.Close()
+	defer os.RemoveAll(dir)
+	srv := &takeover.Server{Set: old}
+	if err := srv.Listen(filepath.Join(dir, "takeover.sock")); err != nil {
+		panic(err)
+	}
+	go srv.Serve()
 
-	go takeover.Handoff(a, old, takeover.HandoffOptions{})
-	adopted, res, err := takeover.Receive(b, takeover.ReceiveOptions{})
+	adopted, res, err := takeover.Connect(filepath.Join(dir, "takeover.sock"), takeover.ReceiveOptions{})
 	if err != nil {
 		panic(err)
 	}

@@ -61,7 +61,7 @@ func TestReceiverCrashMidHandoff(t *testing.T) {
 		received <- fds
 	}()
 
-	if _, err := Handoff(a, set, HandoffOptions{timeout: 2 * time.Second}); err == nil {
+	if _, err := (&Server{Set: set, handshakeTimeout: 2 * time.Second}).handoff(a, nil); err == nil {
 		t.Fatal("handoff succeeded with a receiver that died before ACK")
 	}
 	a.Close()
@@ -153,7 +153,7 @@ func TestServerSurvivesReceiverCrash(t *testing.T) {
 	}
 
 	// A retried deploy now completes against the same, still-armed server.
-	got, res, err := Connect(path, ConnectOptions{ReceiveOptions: ReceiveOptions{timeout: 2 * time.Second}})
+	got, res, err := Connect(path, ReceiveOptions{timeout: 2 * time.Second})
 	if err != nil {
 		t.Fatalf("retried takeover after abort: %v", err)
 	}
@@ -199,10 +199,10 @@ func TestHandoffSendmsgFailureMidChunk(t *testing.T) {
 	a, b := pair(t)
 	recvErr := make(chan error, 1)
 	go func() {
-		_, _, err := Receive(b, ReceiveOptions{timeout: 2 * time.Second})
+		_, _, err := receive(b, ReceiveOptions{timeout: 2 * time.Second})
 		recvErr <- err
 	}()
-	_, err := Handoff(a, set, HandoffOptions{timeout: 2 * time.Second})
+	_, err := (&Server{Set: set, handshakeTimeout: 2 * time.Second}).handoff(a, nil)
 	if err == nil {
 		t.Fatal("handoff succeeded despite a failed fd chunk")
 	}

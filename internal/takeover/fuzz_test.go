@@ -12,7 +12,7 @@ import (
 // descriptors. stream is everything the peer ever writes, played into one
 // end of a socketpair and followed by a hang-up; nfds%4 descriptors of a
 // live listener ride in with its first byte, as a sender's would with its
-// manifest. Receive on the other end must return — never panic, never
+// manifest. receive on the other end must return — never panic, never
 // outlast its timeout by more than scheduling — and whatever it made of
 // the bytes, every descriptor the exchange created must be closed again:
 // the process's open-fd count is back where it was. The seed corpus is
@@ -26,10 +26,7 @@ func FuzzManifest(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, stream []byte, nfds uint8) {
 		before := countOpenFDs(t)
-		a, b, err := netx.SocketPair()
-		if err != nil {
-			t.Fatal(err)
-		}
+		a, b := pair(t)
 		var peer sync.WaitGroup
 		peer.Add(1)
 		go func() {
@@ -55,9 +52,9 @@ func FuzzManifest(f *testing.F) {
 		}()
 
 		start := time.Now()
-		set, _, err := Receive(b, ReceiveOptions{timeout: 250 * time.Millisecond})
+		set, _, err := receive(b, ReceiveOptions{timeout: 250 * time.Millisecond})
 		if took := time.Since(start); took > 2*time.Second {
-			t.Errorf("Receive took %v against a 250ms timeout", took)
+			t.Errorf("receive took %v against a 250ms timeout", took)
 		}
 		if err == nil {
 			set.Close()
@@ -66,7 +63,7 @@ func FuzzManifest(f *testing.F) {
 		peer.Wait()
 		a.Close()
 		if after := waitFDCount(t, before); after != before {
-			t.Fatalf("open fds: %d before, %d after (Receive: %v)", before, after, err)
+			t.Fatalf("open fds: %d before, %d after (receive: %v)", before, after, err)
 		}
 	})
 }

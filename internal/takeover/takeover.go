@@ -25,7 +25,7 @@
 //	    drains.
 //	(F) The new instance takes over health-check responsibility.
 //
-// ProtoDrainUndo extends the commit with a post-commit recovery window:
+// The commit is fenced by a post-commit recovery window (drain-undo):
 // the sender retains dup'd FDs for every handed-off listener past COMMIT
 // and keeps the UNIX-socket session open as a liveness lease. The receiver
 // sends a READY frame once its proxy is confirmed serving; the sender
@@ -43,16 +43,16 @@
 // (no entries added or purged), which is what eliminates the mis-routing
 // flux of Fig. 2d.
 //
-// Compatibility rule — N and N−1: a build speaks ProtoDrainUndo (v3) and
-// protoTwoPhase (v2), because a rolling upgrade only ever meets its
-// predecessor. The sender offers a revision in the manifest's proto field
-// and the receiver answers min(offer, v3) in its PREPARE-ACK; a v2
-// receiver answers without the field, which a v3 sender reads as
-// "two-phase, no lease". A peer of the original one-shot protocol — no
-// proto field in its manifest, a single ACK as its commit point — is
-// refused before anything is armed or drained: the receiver nacks such a
-// manifest, the sender answers such an ACK with ABORT, and either way the
-// old instance keeps serving.
+// Compatibility rule — one revision: a build speaks protoDrainUndo (v3)
+// and nothing else, and says so in the manifest's proto field and in the
+// PREPARE-ACK's. A release only ever meets the build before it, or the
+// one after it when it rolls back, and N−1 is the nearest parent build:
+// internal/e2e builds it and releases to and from it. A peer of any other
+// revision — the one-shot protocol (no proto field, a single ACK as its
+// commit point) or two-phase v2 (no lease) — is refused before anything
+// is armed or drained: the receiver nacks its manifest, the sender
+// answers its ack with ABORT, and either way the old instance keeps
+// serving.
 //
 // §5.1 pitfalls are handled explicitly:
 //
@@ -93,8 +93,8 @@ const (
 const (
 	magic = 0x5a44 // "ZD"
 	// version is the wire epoch byte. It stays 1: receivers hard-reject
-	// any other value with no retry, so protocol revisions are negotiated
-	// in-band via the manifest's proto field instead (see protoTwoPhase).
+	// any other value with no retry, so the protocol revision rides the
+	// manifest's proto field instead (see protoDrainUndo).
 	version     = 1
 	maxManifest = 1 << 20
 
@@ -105,7 +105,7 @@ const (
 	msgPrepareAck   = 5 // receiver → sender: armed and serving, awaiting commit
 	msgCommit       = 6 // sender → receiver: hand-off committed, drain begins now
 	msgAbort        = 7 // sender → receiver: hand-off abandoned before commit
-	msgReady        = 8 // receiver → sender: confirmed serving, release the lease (v3)
+	msgReady        = 8 // receiver → sender: confirmed serving, release the lease
 
 	// fdsPerFrame bounds descriptors per sendmsg; Linux caps SCM_RIGHTS
 	// at 253 per message, and netx enforces its own lower bound. Larger
@@ -113,24 +113,10 @@ const (
 	fdsPerFrame = 64
 )
 
-// Protocol revisions, negotiated via the manifest's proto field (sender's
-// offer) and the prepare-ack's proto field (receiver's answer); the
-// package doc states which revisions a build speaks.
-const (
-	// protoTwoPhase is step (D) of the package doc: PREPARE-ACK (receiver
-	// armed), then COMMIT (sender stops accepting).
-	protoTwoPhase = 2
-	// ProtoDrainUndo adds the post-commit lease and un-drain of the
-	// package doc on top of protoTwoPhase, instead of falling through to
-	// RestartFresh. Offering it promises exactly that undo behaviour, so
-	// only lease-driving senders (Server with OnUndo, or an explicit
-	// HandoffOptions.proto) advertise it.
-	ProtoDrainUndo = 3
-
-	// maxProto is the newest revision this build understands; the oldest
-	// is protoTwoPhase.
-	maxProto = ProtoDrainUndo
-)
+// protoDrainUndo is the one protocol revision this build speaks: step (D)
+// of the package doc split into PREPARE-ACK and COMMIT, fenced by the
+// post-commit lease.
+const protoDrainUndo = 3
 
 // defaultHandshakeTimeout bounds each protocol step.
 const defaultHandshakeTimeout = 5 * time.Second
@@ -140,21 +126,6 @@ const defaultHandshakeTimeout = 5 * time.Second
 // confirmed serving within this window is presumed dead and the hand-off
 // is undone.
 const defaultReadyTimeout = 5 * time.Second
-
-// Manifest metadata keys used by the protocol itself (everything else in
-// Meta passes through opaquely).
-const (
-	// traceMetaKey carries the sender's span context in the manifest
-	// metadata, so the receiver's spans can join the sender's trace.
-	traceMetaKey = obs.TraceHeader
-	// metaDrainNotify announces that the sender will send a
-	// msgDrainStarted frame once it has stopped accepting (step E). The
-	// receiver only waits for the confirmation when the key is present,
-	// which keeps bare Handoff/Receive pairs compatible. On ProtoDrainUndo
-	// the confirmation doubles as the lease release and is mandatory
-	// regardless of this key.
-	metaDrainNotify = "zdr-drain-notify"
-)
 
 // VIP describes one service address (Virtual IP) the proxy serves.
 type VIP struct {
@@ -394,7 +365,7 @@ func adoptFDs(vips []VIP, fds []int) (*ListenerSet, int, error) {
 }
 
 // retainedSet holds the sender's dup'd listener FDs through the
-// ProtoDrainUndo post-commit window. The dups keep the kernel sockets
+// post-commit window. The dups keep the kernel sockets
 // alive (and their accept backlogs queuing) no matter what happens to the
 // receiver. Exactly one of two things must happen to a retainedSet:
 //
@@ -403,8 +374,7 @@ func adoptFDs(vips []VIP, fds []int) (*ListenerSet, int, error) {
 //   - Rearm — the lease broke: rebuild a live ListenerSet from the dups
 //     so the sender can resume accepting on the very same kernel sockets.
 //
-// Server.ListenAndServe drives this lifecycle itself; only bare
-// Handoff callers that force ProtoDrainUndo need to manage it.
+// handoff drives this lifecycle.
 type retainedSet struct {
 	mu   sync.Mutex
 	vips []VIP
@@ -479,9 +449,9 @@ func (r *retainedSet) rearm() (*ListenerSet, error) {
 type manifest struct {
 	Magic   uint16 `json:"magic"`
 	Version uint8  `json:"version"`
-	// Proto is the protocol revision the sender offers (protoTwoPhase or
-	// ProtoDrainUndo). Absent/zero means a one-shot sender, which the
-	// receiver refuses (see the package doc's compatibility rule).
+	// Proto is the sender's protocol revision, protoDrainUndo. Any other
+	// value — absent/zero is a one-shot sender — is refused (see the
+	// package doc's compatibility rule).
 	Proto uint8 `json:"proto,omitempty"`
 	VIPs  []VIP `json:"vips"`
 	// Meta carries side-band hand-off data the new instance needs before
@@ -499,15 +469,14 @@ type ack struct {
 	// Trace is the receiver's span context, so the sender's drain joins
 	// the receiver-rooted hand-off trace.
 	Trace string `json:"trace,omitempty"`
-	// Proto is the protocol revision the receiver accepted. Pre-v3
-	// receivers never set it, so a zero on a PREPARE-ACK downgrades a
-	// ProtoDrainUndo offer to plain two-phase: the sender must not hold
-	// a lease a v2 receiver will never release.
+	// Proto is the receiver's protocol revision, protoDrainUndo. A v2
+	// receiver never sets it and would never release the lease, so a
+	// PREPARE-ACK without it is answered with ABORT.
 	Proto int `json:"proto,omitempty"`
 }
 
 // Result summarises a completed hand-off, from the sender's perspective
-// (Handoff) or receiver's (Receive).
+// (handoff) or receiver's (receive).
 type Result struct {
 	// VIPs transferred, in order.
 	VIPs []VIP
@@ -518,38 +487,13 @@ type Result struct {
 	OrphanedFDs int
 	// Duration is the wall time of the protocol exchange.
 	Duration time.Duration
-	// PeerTrace is the peer's span context in wire form, or "" if the
-	// peer was untraced: on the sender side, the receiver's hand-off span
-	// (from the ack); on the receiver side, whatever the sender put under
-	// traceMetaKey in the manifest metadata.
+	// PeerTrace is the receiver's hand-off span context in wire form,
+	// from its ack (sender side), or "" if the receiver was untraced.
 	PeerTrace string
-	// drainConfirmed reports that the sender confirmed it stopped
-	// accepting and began draining (receiver side). On v2 it requires a
-	// sender that announces metaDrainNotify (i.e. Server.ListenAndServe)
-	// and is best-effort; on ProtoDrainUndo the confirmation is the lease
-	// release and mandatory — without it the sender undid the hand-off,
-	// so Receive disarms and returns ErrUndone — hence always true on
-	// success.
-	drainConfirmed bool
-	// Proto is the negotiated protocol revision (protoTwoPhase or
-	// ProtoDrainUndo).
-	Proto int
-	// committed reports the hand-off passed its commit point: the sender
-	// has stopped accepting and is draining. Always true on a successful
-	// hand-off; it exists so failure paths can be classified (see
-	// ErrAborted and ErrUndone).
-	committed bool
-	// ready reports that this receiver delivered its READY frame
-	// (ProtoDrainUndo, receiver side).
-	ready bool
-	// retained holds the sender's dup'd FDs through the post-commit
-	// window (sender side, ProtoDrainUndo only; nil otherwise). The
-	// caller owns it: see retainedSet.
-	retained *retainedSet
 }
 
 var (
-	// errRejected is returned by Handoff when the new instance refused
+	// errRejected is returned by handoff when the new instance refused
 	// the socket set.
 	errRejected = errors.New("takeover: peer rejected hand-off")
 	// errBadMagic indicates the peer is not speaking the takeover
@@ -558,13 +502,10 @@ var (
 	// ErrAborted marks a receiver-side hand-off failure that happened
 	// before the commit point: the sender never began draining (or rolled
 	// back to serving), no client saw a reset, and the caller may safely
-	// retry with a freshly built receiver. Failures NOT wrapped in
-	// ErrAborted or ErrUndone (e.g. post-commit promotion errors on
-	// pre-v3 protocols) fall through to the RestartFresh remediation
-	// instead.
+	// retry with a freshly built receiver.
 	ErrAborted = errors.New("takeover: hand-off aborted before commit")
 	// ErrUndone marks a hand-off that passed its commit point and was
-	// then rolled back through the drain-undo lease (ProtoDrainUndo): the
+	// then rolled back through the drain-undo lease: the
 	// receiver could not confirm serving — crash, wedge, failed readiness
 	// gate, lost READY — so the sender re-armed its retained listener
 	// dups and resumed serving. Like ErrAborted, no client saw a reset
@@ -573,9 +514,9 @@ var (
 	ErrUndone = errors.New("takeover: hand-off undone after commit")
 )
 
-// outsideRule is how every refusal of a one-shot peer names the
-// compatibility rule.
-const outsideRule = "this build speaks protocol v3 and v2 only (N and N-1)"
+// outsideRule is how every refusal of a peer of another revision names
+// the compatibility rule.
+const outsideRule = "this build speaks takeover protocol v3 only"
 
 // abortErr classifies err as a pre-commit abort.
 func abortErr(err error) error {
@@ -602,12 +543,11 @@ func writeFrame(conn *net.UnixConn, kind byte, payload []byte, fds []int) error 
 }
 
 func readFrame(conn *net.UnixConn) (kind byte, payload []byte, fds []int, err error) {
-	// SOCK_STREAM has no message boundaries: consecutive frames (e.g. the
-	// two-phase COMMIT immediately followed by the drain-started
-	// confirmation) coalesce into one socket read, and a large payload
-	// splits across many. Read exactly the 5-byte header, then exactly
-	// the declared payload length, never consuming bytes of the next
-	// frame. SCM_RIGHTS ancillary data rides the first byte of its
+	// SOCK_STREAM has no message boundaries: consecutive frames (e.g. a
+	// manifest and its FD continuation frames) coalesce into one socket
+	// read, and a large payload splits across many. Read exactly the
+	// 5-byte header, then exactly the declared payload length, never
+	// consuming bytes of the next frame. SCM_RIGHTS ancillary data rides the first byte of its
 	// sendmsg's segment, so collecting FDs from every recvmsg along the
 	// way picks them up regardless of how the stream fragments.
 	fail := func(err error) (byte, []byte, []int, error) {
@@ -668,60 +608,38 @@ func closeFDs(fds []int) {
 	}
 }
 
-// HandoffOptions configures the sender side of a hand-off.
-type HandoffOptions struct {
-	// meta is side-band hand-off data delivered to the receiver's
-	// Result.Meta.
-	meta map[string]string
-	// timeout bounds the exchange; zero means defaultHandshakeTimeout.
-	timeout time.Duration
-	// trace, when non-nil, gets a "takeover.prepare" child span covering
-	// the manifest+FD transfer through commit delivery. An aborted
-	// hand-off fails that span and records no "takeover.commit" span.
-	trace *obs.Span
-	// proto is the protocol revision to offer; zero means protoTwoPhase
-	// (wire-identical to an N−1 sender). ProtoDrainUndo promises the
-	// caller will drive the post-commit lease itself: close or re-arm
-	// Result.retained (Server does this automatically and is the normal
-	// way to offer v3).
-	proto int
-}
+// errNoWayBack marks a broken lease whose retained dups could not be
+// re-armed: the sender is draining with no listeners to return to.
+var errNoWayBack = errors.New("takeover: drain-undo failed, RestartFresh required")
 
-// Handoff runs the sender side (old instance) of the takeover protocol on
+// handoff runs the sender side (old instance) of the takeover protocol on
 // an established UNIX socket connection: it sends the manifest and FDs for
-// every socket in set, then waits for the new instance's confirmation and
-// delivers the COMMIT.
+// every socket in s.Set, waits for the new instance's PREPARE-ACK,
+// delivers the COMMIT, and holds the post-commit lease until READY. root,
+// when non-nil, is the hand-off's root span: handoff records its prepare,
+// commit, ready and undo children and ends it.
 //
-// On success the old instance should stop accepting new connections and
-// begin draining (step E); its copies of the listening sockets remain open
-// until it exits, which is harmless because both instances share the file
-// table entries. On an error the hand-off aborted before this instance
-// stopped accepting: it is still fully in charge and must keep serving.
-// When ProtoDrainUndo is negotiated the caller owns the post-commit lease
-// (see Result.retained).
-func Handoff(conn *net.UnixConn, set *ListenerSet, opts HandoffOptions) (*Result, error) {
-	timeout := opts.timeout
+// An error before the COMMIT means the hand-off aborted before this
+// instance stopped accepting: it is still fully in charge and must keep
+// serving. After the COMMIT, s.OnDrainStart stops accepting and drains; a
+// lease that then breaks closes conn, re-arms the retained dups, hands
+// them to s.OnUndo, and returns an error wrapped in ErrUndone
+// (errNoWayBack when re-arming failed). On success the lease was released: the retained dups
+// are closed and the drain proceeds.
+func (s *Server) handoff(conn *net.UnixConn, root *obs.Span) (*Result, error) {
+	timeout := s.handshakeTimeout
 	if timeout <= 0 {
 		timeout = defaultHandshakeTimeout
 	}
-	proto := opts.proto
-	if proto == 0 {
-		proto = protoTwoPhase
-	}
-	if proto < protoTwoPhase || proto > maxProto {
-		return nil, fmt.Errorf("takeover: unknown protocol revision %d", proto)
-	}
 	start := time.Now()
-	if err := conn.SetDeadline(start.Add(timeout)); err != nil {
-		return nil, err
-	}
 	defer conn.SetDeadline(time.Time{})
-
-	sp := opts.trace.StartChild(obs.SpanTakeoverPrepare)
+	sp := root.StartChild(obs.SpanTakeoverPrepare)
 	sp.SetAttr("side", "sender")
 	fail := func(err error) (*Result, error) {
 		sp.Fail(err)
 		sp.End()
+		root.Fail(err)
+		root.End()
 		return nil, err
 	}
 	// abort additionally tells a still-live receiver to disarm right away
@@ -732,19 +650,22 @@ func Handoff(conn *net.UnixConn, set *ListenerSet, opts HandoffOptions) (*Result
 		writeFrame(conn, msgAbort, []byte(err.Error()), nil)
 		return fail(err)
 	}
+	if err := conn.SetDeadline(start.Add(timeout)); err != nil {
+		return fail(err)
+	}
 
-	m := manifest{Magic: magic, Version: version, Proto: uint8(proto), VIPs: set.VIPs(), Meta: opts.meta}
+	m := manifest{Magic: magic, Version: version, Proto: protoDrainUndo, VIPs: s.Set.VIPs(), Meta: s.Meta}
 	payload, err := json.Marshal(m)
 	if err != nil {
 		return fail(err)
 	}
-	fds, err := set.fds()
+	fds, err := s.Set.fds()
 	if err != nil {
 		return fail(err)
 	}
-	// Our dups; the receiver has its own after sendmsg. On a negotiated
-	// ProtoDrainUndo hand-off they instead survive as Result.retained —
-	// the post-commit recovery window — and fds is emptied.
+	// Our dups; the receiver has its own after sendmsg. Past COMMIT they
+	// are retained instead — the post-commit recovery window — and fds is
+	// emptied.
 	defer func() { closeFDs(fds) }()
 	if err := writeFrame(conn, msgManifest, payload, fds[:min(len(fds), fdsPerFrame)]); err != nil {
 		return fail(err)
@@ -777,26 +698,83 @@ func Handoff(conn *net.UnixConn, set *ListenerSet, opts HandoffOptions) (*Result
 		// This instance never stopped accepting and does not start now.
 		return abort(fmt.Errorf("takeover: peer confirmed with a one-shot ack; %s", outsideRule))
 	}
-	// The receiver's answer caps the revision: a pre-v3 receiver omits
-	// the proto field (zero), and the sender must not hold a lease such a
-	// peer will never release.
-	res := &Result{VIPs: m.VIPs, PeerTrace: a.Trace, Proto: max(protoTwoPhase, min(proto, a.Proto))}
+	if a.Proto != protoDrainUndo {
+		// A v2 receiver would never release the lease.
+		return abort(fmt.Errorf("takeover: peer answers protocol revision %d; %s", a.Proto, outsideRule))
+	}
+	res := &Result{VIPs: m.VIPs, PeerTrace: a.Trace}
 	// This write is the commit point: if COMMIT cannot be delivered the
 	// receiver disarms and this instance keeps serving — nobody drains,
 	// nobody resets.
 	if err := writeFrame(conn, msgCommit, nil, nil); err != nil {
 		return fail(fmt.Errorf("takeover: delivering commit: %w", err))
 	}
-	if res.Proto >= ProtoDrainUndo {
-		res.retained = newRetainedSet(m.VIPs, fds)
-		sp.SetAttr("retained_fds", strconv.Itoa(len(fds)))
-		fds = nil
-	}
-	res.committed = true
+	retained := newRetainedSet(m.VIPs, fds)
+	sp.SetAttr("retained_fds", strconv.Itoa(len(fds)))
+	fds = nil
 	res.Duration = time.Since(start)
-	sp.SetAttr("proto", strconv.Itoa(res.Proto))
 	sp.End()
-	return res, nil
+
+	// Committed: this instance stops accepting and drains.
+	spCommit := root.StartChild(obs.SpanTakeoverCommit)
+	spCommit.SetAttr("side", "sender")
+	if s.OnDrainStart != nil {
+		s.OnDrainStart(*res)
+	}
+	spCommit.End()
+
+	// The commit is fenced by a liveness lease. Hold the session open
+	// until the receiver's READY frame proves it is serving, then release
+	// the lease by delivering the drain-start confirmation. Either half
+	// failing rolls the hand-off back: the receiver steps down (it treats
+	// a missing confirmation as undo) and this instance re-arms from the
+	// retained dups.
+	spReady := root.StartChild(obs.SpanTakeoverReady)
+	spReady.SetAttr("side", "sender")
+	cause := awaitReady(conn, s.ReadyTimeout)
+	if cause == nil && s.OnReady != nil {
+		s.OnReady(*res)
+	}
+	spReady.Fail(cause)
+	spReady.End()
+	if cause == nil {
+		// End the trace before the drain-started confirmation goes out:
+		// the frame releases the receiver, and a release report assembled
+		// right after must not catch this trace still in flight.
+		root.End()
+		conn.SetDeadline(time.Now().Add(time.Second))
+		werr := writeFrame(conn, msgDrainStarted, nil, nil)
+		if werr == nil {
+			retained.Close()
+			return res, nil
+		}
+		// The undo below joins the trace after its root has ended.
+		cause = fmt.Errorf("takeover: delivering drain-start: %w", werr)
+	}
+
+	// Undo: re-arm from the retained dups and resume serving. The kernel
+	// sockets were alive (and queuing SYNs) the whole time. The session
+	// closes first, so the receiver steps down before this instance
+	// resumes.
+	conn.Close()
+	spUndo := root.StartChild(obs.SpanTakeoverUndo)
+	spUndo.SetAttr("retained_fds", strconv.Itoa(retained.Len()))
+	spUndo.SetAttr("cause", cause.Error())
+	rearmed, rerr := retained.rearm()
+	err = undoneErr(cause)
+	switch {
+	case rerr != nil:
+		err = fmt.Errorf("%w: %w (lease: %v)", errNoWayBack, rerr, cause)
+		spUndo.Fail(err)
+	case s.OnUndo != nil:
+		s.OnUndo(rearmed, cause)
+	default:
+		rearmed.Close()
+	}
+	spUndo.End()
+	root.Fail(err)
+	root.End()
+	return nil, err
 }
 
 // ReceiveOptions configures the receiver side of a hand-off.
@@ -804,10 +782,9 @@ type ReceiveOptions struct {
 	// timeout bounds the exchange; zero means defaultHandshakeTimeout.
 	timeout time.Duration
 	// Trace, when non-nil, gets the receiver's Fig. 5 step spans as
-	// children, in order: step B, step C, prepare, commit, ready
-	// (ProtoDrainUndo only) and step E (obs/names.go says what each
-	// covers). A step E that fails on v2 (see Result.drainConfirmed) is
-	// recorded on its span without failing the hand-off.
+	// children, in order: step A (Connect only), step B, step C,
+	// prepare, commit, ready and step E (obs/names.go says what each
+	// covers).
 	Trace *obs.Span
 	// Arm, when non-nil, runs after the listener set is reconstructed and
 	// must leave this instance fully serving (accept loops running,
@@ -821,12 +798,12 @@ type ReceiveOptions struct {
 	// (failed Ready gate, broken lease). When nil the listener set is
 	// merely closed.
 	Disarm func(set *ListenerSet)
-	// Ready, when non-nil, is the ProtoDrainUndo readiness gate: it runs
+	// Ready, when non-nil, is the readiness gate behind READY: it runs
 	// after COMMIT arrives and must confirm this instance is genuinely
 	// serving (e.g. /healthz green) before the READY frame goes out. An
 	// error steps this instance down — Disarm runs, the sender's lease
 	// breaks, the sender un-drains, and the error is wrapped in
-	// ErrUndone. Never invoked on a protoTwoPhase negotiation.
+	// ErrUndone.
 	Ready func(set *ListenerSet, res *Result) error
 }
 
@@ -860,10 +837,11 @@ func readManifest(conn *net.UnixConn) (manifest, []int, error) {
 		return refuse(fmt.Sprintf("unsupported version %d", m.Version),
 			fmt.Errorf("takeover: unsupported protocol version %d", m.Version))
 	}
-	if int(m.Proto) < protoTwoPhase {
+	if m.Proto != protoDrainUndo {
 		// A one-shot sender would take the single ACK it expects for the
-		// commit point; refuse it before anything is adopted.
-		err := fmt.Errorf("takeover: peer offers protocol revision %d (one-shot); %s", m.Proto, outsideRule)
+		// commit point, and a v2 sender would never hold the lease: refuse
+		// either before anything is adopted.
+		err := fmt.Errorf("takeover: peer offers protocol revision %d; %s", m.Proto, outsideRule)
 		return refuse(err.Error(), err)
 	}
 	// Collect continuation frames until every declared VIP has its FD. A
@@ -886,26 +864,17 @@ func readManifest(conn *net.UnixConn) (manifest, []int, error) {
 	return m, fds, nil
 }
 
-// awaitDrainStart reads the sender's drain-start confirmation (step E)
-// under its own span. What a failure means is the caller's to say: on
-// ProtoDrainUndo the lease was not released, on protoTwoPhase nothing.
-func awaitDrainStart(conn *net.UnixConn, parent *obs.Span) error {
-	spE := parent.StartChild(obs.SpanTakeoverStepE)
-	defer spE.End()
-	err := expectFrame(conn, msgDrainStarted, "drain-start confirmation")
-	spE.Fail(err)
-	return err
-}
-
-// Receive runs the receiver side (new instance): it reads the manifest and
+// receive runs the receiver side (new instance): it reads the manifest and
 // FDs, reconstructs a ListenerSet, closes any FD it cannot adopt (orphan
-// prevention, §5.1), arms, and confirms to the old instance.
+// prevention, §5.1), arms, confirms to the old instance, and — past the
+// COMMIT — proves it serves with READY and waits for the drain-start
+// confirmation that releases the sender's lease.
 //
 // An error wrapped in ErrAborted means the hand-off died before its commit
 // point; one wrapped in ErrUndone means it was rolled back through the
 // post-commit lease. In both cases the sender keeps (or resumes) serving
 // undisturbed and the caller may retry with a fresh receiver.
-func Receive(conn *net.UnixConn, opts ReceiveOptions) (*ListenerSet, *Result, error) {
+func receive(conn *net.UnixConn, opts ReceiveOptions) (*ListenerSet, *Result, error) {
 	timeout := opts.timeout
 	if timeout <= 0 {
 		timeout = defaultHandshakeTimeout
@@ -940,9 +909,7 @@ func Receive(conn *net.UnixConn, opts ReceiveOptions) (*ListenerSet, *Result, er
 	spC.SetAttr("adopted", fmt.Sprintf("%d", set.Len()))
 	spC.End()
 
-	// The accepted revision is min(offer, newest): a sender from a later
-	// build is met at this build's newest.
-	res := &Result{VIPs: m.VIPs, Meta: m.Meta, OrphanedFDs: orphans, PeerTrace: m.Meta[traceMetaKey], Proto: min(int(m.Proto), maxProto)}
+	res := &Result{VIPs: m.VIPs, Meta: m.Meta, OrphanedFDs: orphans}
 
 	// Arm before confirming: the PREPARE-ACK attests that this instance
 	// is already serving every VIP.
@@ -970,9 +937,7 @@ func Receive(conn *net.UnixConn, opts ReceiveOptions) (*ListenerSet, *Result, er
 		}
 		armed = true
 	}
-	// Answer with the accepted revision so a v3 sender knows whether this
-	// side will run the READY/lease epilogue.
-	a := ack{OK: true, Adopted: set.Len(), Trace: parent.Context().String(), Proto: res.Proto}
+	a := ack{OK: true, Adopted: set.Len(), Trace: parent.Context().String(), Proto: protoDrainUndo}
 	if err := sendAck(conn, msgPrepareAck, a); err != nil {
 		return abort(spP, err)
 	}
@@ -989,47 +954,37 @@ func Receive(conn *net.UnixConn, opts ReceiveOptions) (*ListenerSet, *Result, er
 		return abort(spCommit, err)
 	}
 	spCommit.End()
-	res.committed = true
 
-	if res.Proto >= ProtoDrainUndo {
-		// READY/lease epilogue: prove this instance is genuinely serving,
-		// deliver READY, and wait for the drain-start confirmation that
-		// releases the sender's lease. Unlike the v2 best-effort step E,
-		// every failure here means the sender will (or already did)
-		// un-drain from its retained dups — so this side must step down:
-		// a half of the lease handshake that cannot complete belongs to
-		// the generation that yields.
-		spReady := parent.StartChild(obs.SpanTakeoverReady)
-		spReady.SetAttr("side", "receiver")
-		var rerr error
-		if opts.Ready != nil {
-			if err := opts.Ready(set, res); err != nil {
-				rerr = fmt.Errorf("takeover: readiness gate: %w", err)
-			}
+	// READY/lease epilogue: prove this instance is genuinely serving,
+	// deliver READY, and wait for the drain-start confirmation (step E)
+	// that releases the sender's lease. Every failure here means the
+	// sender will (or already did) un-drain from its retained dups — so
+	// this side must step down: a half of the lease handshake that cannot
+	// complete belongs to the generation that yields.
+	spReady := parent.StartChild(obs.SpanTakeoverReady)
+	spReady.SetAttr("side", "receiver")
+	var rerr error
+	if opts.Ready != nil {
+		if err := opts.Ready(set, res); err != nil {
+			rerr = fmt.Errorf("takeover: readiness gate: %w", err)
 		}
-		if rerr == nil {
-			if err := writeFrame(conn, msgReady, nil, nil); err != nil {
-				rerr = fmt.Errorf("takeover: delivering ready: %w", err)
-			} else {
-				res.ready = true
-			}
+	}
+	if rerr == nil {
+		if err := writeFrame(conn, msgReady, nil, nil); err != nil {
+			rerr = fmt.Errorf("takeover: delivering ready: %w", err)
 		}
-		spReady.Fail(rerr)
-		spReady.End()
-		if rerr == nil {
-			rerr = awaitDrainStart(conn, parent)
-		}
-		if rerr != nil {
-			disarm()
-			return nil, nil, undoneErr(rerr)
-		}
-		res.drainConfirmed = true
-	} else if m.Meta[metaDrainNotify] == "1" {
-		// Step E: the old instance stops accepting and begins draining; it
-		// confirms with a msgDrainStarted frame. Best-effort — the sockets
-		// are already ours, so a timeout here degrades to an errored span
-		// and drainConfirmed=false, not a failed hand-off.
-		res.drainConfirmed = awaitDrainStart(conn, parent) == nil
+	}
+	spReady.Fail(rerr)
+	spReady.End()
+	if rerr == nil {
+		spE := parent.StartChild(obs.SpanTakeoverStepE)
+		rerr = expectFrame(conn, msgDrainStarted, "drain-start confirmation")
+		spE.Fail(rerr)
+		spE.End()
+	}
+	if rerr != nil {
+		disarm()
+		return nil, nil, undoneErr(rerr)
 	}
 	res.Duration = time.Since(start)
 	return set, res, nil
@@ -1054,8 +1009,8 @@ type Server struct {
 	Meta map[string]string
 	// OnDrainStart, if non-nil, is invoked after a committed hand-off —
 	// the point at which the old instance must stop accepting and start
-	// draining (step E). On a ProtoDrainUndo hand-off the drain may still
-	// be rolled back by OnUndo if the receiver never confirms serving.
+	// draining (step E). The drain may still be rolled back by OnUndo if
+	// the receiver never confirms serving.
 	OnDrainStart func(Result)
 	// OnReady, if non-nil, is invoked when the receiver's READY frame
 	// releases the drain-undo lease: the hand-off is final, the retained
@@ -1065,9 +1020,8 @@ type Server struct {
 	// before READY (receiver crash, wedge, failed readiness gate): the
 	// listeners have been re-armed from the retained dups and the
 	// callback must resume accepting on them — reversing whatever
-	// OnDrainStart did. cause is the lease failure. The server offers
-	// ProtoDrainUndo exactly when this callback is set, and
-	// protoTwoPhase otherwise.
+	// OnDrainStart did. cause is the lease failure. When nil, the
+	// re-armed listeners are closed.
 	OnUndo func(rearmed *ListenerSet, cause error)
 	// OnHandoffError, if non-nil, is invoked after a failed hand-off
 	// attempt (receiver died mid-handshake, arm failure nack, prepare-ack
@@ -1086,11 +1040,11 @@ type Server struct {
 	// Tracer, if non-nil, records the sender-side view of every hand-off
 	// attempt: a "takeover.serve" root span with a "takeover.prepare"
 	// child (through commit delivery) and — only on committed hand-offs —
-	// a "takeover.commit" child covering the drain cut-over. A
-	// ProtoDrainUndo hand-off adds a "takeover.ready" child for the lease
-	// window and, if the lease breaks, a "takeover.undo" child carrying
-	// the retained-FD count. An aborted attempt therefore shows a failed
-	// takeover.prepare and no takeover.commit.
+	// a "takeover.commit" child covering the drain cut-over, a
+	// "takeover.ready" child for the lease window and, if the lease
+	// breaks, a "takeover.undo" child carrying the retained-FD count. An
+	// aborted attempt therefore shows a failed takeover.prepare and no
+	// takeover.commit.
 	Tracer *obs.Tracer
 
 	mu sync.Mutex
@@ -1136,10 +1090,6 @@ func (s *Server) Serve() error {
 	}
 	path := ul.Addr().String()
 	defer s.Close() // release the path so the next generation can bind it
-	proto := protoTwoPhase
-	if s.OnUndo != nil {
-		proto = ProtoDrainUndo // a promise to drive the lease: see OnUndo
-	}
 	for {
 		conn, err := ul.AcceptUnix()
 		if err != nil {
@@ -1148,108 +1098,21 @@ func (s *Server) Serve() error {
 			}
 			return err
 		}
-		meta := make(map[string]string, len(s.Meta)+1)
-		for k, v := range s.Meta {
-			meta[k] = v
-		}
-		meta[metaDrainNotify] = "1"
 		sp := s.Tracer.StartSpan(obs.SpanTakeoverServe, obs.SpanContext{})
 		sp.SetAttr("path", path)
-		res, err := Handoff(conn, s.Set, HandoffOptions{
-			meta:    meta,
-			timeout: s.handshakeTimeout,
-			trace:   sp,
-			proto:   proto,
-		})
-		if err != nil {
-			conn.Close()
-			sp.Fail(err)
-			sp.End()
-			// An aborted hand-off leaves this instance fully in charge;
-			// keep serving so a retried deploy can connect again.
-			if s.OnHandoffError != nil {
-				s.OnHandoffError(err)
-			}
-			continue
-		}
-		// Committed: this instance stops accepting and drains.
-		spCommit := sp.StartChild(obs.SpanTakeoverCommit)
-		spCommit.SetAttr("side", "sender")
-		spCommit.SetAttr("proto", strconv.Itoa(res.Proto))
-		if s.OnDrainStart != nil {
-			s.OnDrainStart(*res)
-		}
-		spCommit.End()
-
-		// ProtoDrainUndo (something retained): the commit is fenced by a
-		// liveness lease. Hold the session open until the receiver's READY
-		// frame proves it is serving, then release the lease by delivering
-		// the drain-start confirmation. Either half failing rolls the
-		// hand-off back: the receiver steps down (it treats a missing
-		// confirmation as undo) and this instance re-arms from the
-		// retained dups. With a v2 peer the commit is final — a failure
-		// past this point is the caller's RestartFresh territory, never a
-		// silent retry — and the confirmation is best-effort: a receiver
-		// that doesn't wait (bare Receive) has already hung up.
-		var cause error
-		if res.retained != nil {
-			spReady := sp.StartChild(obs.SpanTakeoverReady)
-			spReady.SetAttr("side", "sender")
-			cause = awaitReady(conn, s.ReadyTimeout)
-			if cause == nil && s.OnReady != nil {
-				s.OnReady(*res)
-			}
-			spReady.Fail(cause)
-			spReady.End()
-		}
-		if cause == nil {
-			// End the spans before the drain-started confirmation goes
-			// out: the frame releases the receiver, and a release report
-			// assembled right after must not catch this trace still in
-			// flight.
-			sp.End()
-			sp = nil
-			conn.SetDeadline(time.Now().Add(time.Second))
-			if werr := writeFrame(conn, msgDrainStarted, nil, nil); werr != nil && res.retained != nil {
-				cause = fmt.Errorf("takeover: delivering drain-start: %w", werr)
-			}
-		}
+		_, err = s.handoff(conn, sp)
 		conn.Close()
-		if cause == nil {
-			res.retained.Close()
+		if err == nil {
 			return nil
 		}
-
-		// Undo: re-arm from the retained dups and resume serving. The
-		// kernel sockets were alive (and queuing SYNs) the whole time.
-		spUndo := sp.StartChild(obs.SpanTakeoverUndo)
-		if sp == nil {
-			// The hand-off's trace is closed; the undo is its own root.
-			spUndo = s.Tracer.StartSpan(obs.SpanTakeoverUndo, obs.SpanContext{})
-		}
-		spUndo.SetAttr("retained_fds", strconv.Itoa(res.retained.Len()))
-		spUndo.SetAttr("cause", cause.Error())
-		rearmed, rerr := res.retained.rearm()
-		err = undoneErr(cause)
-		if rerr != nil {
-			// No way back: this instance is draining and its listeners
-			// cannot be restored — the one edge left for RestartFresh.
-			err = fmt.Errorf("takeover: drain-undo failed, RestartFresh required: %w (lease: %v)", rerr, cause)
-			spUndo.Fail(err)
-		} else {
-			s.OnUndo(rearmed, cause) // set: the lease is only offered with it
-		}
-		spUndo.End()
-		sp.Fail(err)
-		sp.End()
+		// An aborted or undone hand-off leaves this instance fully in
+		// charge; keep serving so a retried deploy can connect again.
 		if s.OnHandoffError != nil {
 			s.OnHandoffError(err)
 		}
-		if rerr != nil {
+		if errors.Is(err, errNoWayBack) {
 			return err
 		}
-		// Un-drained: this instance is fully in charge again; keep
-		// serving hand-offs so a redeploy can retry.
 	}
 }
 
@@ -1275,23 +1138,16 @@ var defaultConnectBackoff = faults.Backoff{
 	Attempts: 8,
 }
 
-// ConnectOptions configures Connect: the embedded receive options
-// (Timeout bounds both the overall dial budget and each protocol
-// exchange).
-type ConnectOptions struct {
-	ReceiveOptions
-}
-
 // Connect dials the old instance's takeover server at path and receives
 // the socket set (steps A–F, receiver side).
 //
-// Dial failures are retried per defaultConnectBackoff until opts.Timeout; protocol
+// Dial failures are retried per defaultConnectBackoff until the timeout; protocol
 // failures behind a successful dial are not retried (the sender rolled
 // back — a blind retry would race its abort handling) and are returned
 // with their ErrAborted/ErrUndone classification intact so the
 // orchestrator can decide between retrying with a fresh receiver and
 // giving up.
-func Connect(path string, opts ConnectOptions) (*ListenerSet, *Result, error) {
+func Connect(path string, opts ReceiveOptions) (*ListenerSet, *Result, error) {
 	if opts.timeout <= 0 {
 		opts.timeout = defaultHandshakeTimeout
 	}
@@ -1315,7 +1171,7 @@ func Connect(path string, opts ConnectOptions) (*ListenerSet, *Result, error) {
 		spA.End()
 		conn := c.(*net.UnixConn)
 		defer conn.Close()
-		if set, res, err = Receive(conn, opts.ReceiveOptions); err != nil {
+		if set, res, err = receive(conn, opts); err != nil {
 			return faults.Permanent(err)
 		}
 		return nil

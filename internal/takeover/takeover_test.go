@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"path/filepath"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -23,12 +25,24 @@ func mustListen(t *testing.T, vips ...VIP) *ListenerSet {
 	return s
 }
 
+// pair wires an old and a new "instance" together on both ends of an
+// AF_UNIX socketpair, without touching the filesystem.
 func pair(t *testing.T) (a, b *net.UnixConn) {
 	t.Helper()
-	a, b, err := netx.SocketPair()
+	fds, err := syscall.Socketpair(syscall.AF_UNIX, syscall.SOCK_STREAM|syscall.SOCK_CLOEXEC, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	end := func(fd int) *net.UnixConn {
+		f := os.NewFile(uintptr(fd), "socketpair")
+		defer f.Close() // net.FileConn dups the fd
+		c, err := net.FileConn(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c.(*net.UnixConn)
+	}
+	a, b = end(fds[0]), end(fds[1])
 	t.Cleanup(func() { a.Close(); b.Close() })
 	return a, b
 }
@@ -94,9 +108,9 @@ func TestHandoffEndToEnd(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		sendRes, sendErr = Handoff(a, old, HandoffOptions{})
+		sendRes, sendErr = (&Server{Set: old}).handoff(a, nil)
 	}()
-	got, recvRes, err := Receive(b, ReceiveOptions{})
+	got, recvRes, err := receive(b, ReceiveOptions{})
 	wg.Wait()
 	if err != nil || sendErr != nil {
 		t.Fatalf("receive err=%v send err=%v", err, sendErr)
@@ -163,8 +177,8 @@ func TestHandoffManyVIPs(t *testing.T) {
 	}
 	old := mustListen(t, vips...)
 	a, b := pair(t)
-	go Handoff(a, old, HandoffOptions{})
-	got, res, err := Receive(b, ReceiveOptions{})
+	go (&Server{Set: old}).handoff(a, nil)
+	got, res, err := receive(b, ReceiveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +201,7 @@ func TestReceiveRejectsBadMagic(t *testing.T) {
 		writeFrame(a, msgManifest, payload, nil)
 		readFrame(a) // drain the nack
 	}()
-	_, _, err := Receive(b, ReceiveOptions{timeout: time.Second})
+	_, _, err := receive(b, ReceiveOptions{timeout: time.Second})
 	if !errors.Is(err, errBadMagic) {
 		t.Fatalf("err = %v, want ErrBadMagic", err)
 	}
@@ -200,7 +214,7 @@ func TestReceiveRejectsBadVersion(t *testing.T) {
 		writeFrame(a, msgManifest, payload, nil)
 		readFrame(a)
 	}()
-	_, _, err := Receive(b, ReceiveOptions{timeout: time.Second})
+	_, _, err := receive(b, ReceiveOptions{timeout: time.Second})
 	if err == nil || errors.Is(err, errBadMagic) {
 		t.Fatalf("err = %v, want version error", err)
 	}
@@ -216,7 +230,7 @@ func TestReceiveClosesStrayFDs(t *testing.T) {
 	a, b := pair(t)
 	go func() {
 		// Manifest declares only VIP "a" but both FDs ride along.
-		m := manifest{Magic: magic, Version: version, Proto: protoTwoPhase, VIPs: set.VIPs()[:1]}
+		m := manifest{Magic: magic, Version: version, Proto: protoDrainUndo, VIPs: set.VIPs()[:1]}
 		payload, _ := mustJSON(m)
 		fds, _ := set.fds()
 		writeFrame(a, msgManifest, payload, fds)
@@ -225,8 +239,10 @@ func TestReceiveClosesStrayFDs(t *testing.T) {
 		}
 		readFrame(a)
 		writeFrame(a, msgCommit, nil, nil)
+		readFrame(a) // READY
+		writeFrame(a, msgDrainStarted, nil, nil)
 	}()
-	got, res, err := Receive(b, ReceiveOptions{timeout: time.Second})
+	got, res, err := receive(b, ReceiveOptions{timeout: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +262,7 @@ func TestReceiveFailsOnMissingFDs(t *testing.T) {
 	a, b := pair(t)
 	handErr := make(chan error, 1)
 	go func() {
-		m := manifest{Magic: magic, Version: version, Proto: protoTwoPhase, VIPs: append(set.VIPs(), VIP{Name: "ghost", Network: NetworkTCP, Addr: "127.0.0.1:1"})}
+		m := manifest{Magic: magic, Version: version, Proto: protoDrainUndo, VIPs: append(set.VIPs(), VIP{Name: "ghost", Network: NetworkTCP, Addr: "127.0.0.1:1"})}
 		payload, _ := mustJSON(m)
 		fds, _ := set.fds()
 		err := writeFrame(a, msgManifest, payload, fds)
@@ -266,7 +282,7 @@ func TestReceiveFailsOnMissingFDs(t *testing.T) {
 		}
 		handErr <- nil
 	}()
-	_, _, err := Receive(b, ReceiveOptions{timeout: time.Second})
+	_, _, err := receive(b, ReceiveOptions{timeout: time.Second})
 	if err == nil {
 		t.Fatal("expected error for missing fds")
 	}
@@ -278,9 +294,9 @@ func TestReceiveFailsOnMissingFDs(t *testing.T) {
 func TestHandoffTimeout(t *testing.T) {
 	set := mustListen(t, VIP{Name: "a", Network: NetworkTCP, Addr: "127.0.0.1:0"})
 	a, _ := pair(t)
-	// Nobody ever reads on b → ack never arrives → Handoff must time out.
+	// Nobody ever reads on b → ack never arrives → handoff must time out.
 	start := time.Now()
-	_, err := Handoff(a, set, HandoffOptions{timeout: 200 * time.Millisecond})
+	_, err := (&Server{Set: set, handshakeTimeout: 200 * time.Millisecond}).handoff(a, nil)
 	if err == nil {
 		t.Fatal("expected timeout")
 	}
@@ -303,7 +319,7 @@ func TestServerConnect(t *testing.T) {
 	// Wait for the socket file to appear.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		got, _, err := Connect(path, ConnectOptions{ReceiveOptions: ReceiveOptions{timeout: 500 * time.Millisecond}})
+		got, _, err := Connect(path, ReceiveOptions{timeout: 500 * time.Millisecond})
 		if err == nil {
 			// Closed here: a set left to the collector closes its socket
 			// under a later test's fd ledger.
@@ -389,8 +405,8 @@ func TestTakeoverUnderLoad(t *testing.T) {
 
 	// Restart: hand off to the new instance mid-load.
 	a, b := pair(t)
-	go Handoff(a, old, HandoffOptions{})
-	newSet, _, err := Receive(b, ReceiveOptions{})
+	go (&Server{Set: old}).handoff(a, nil)
+	newSet, _, err := receive(b, ReceiveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,8 +435,8 @@ func mustJSON(v any) ([]byte, error) {
 func TestHandoffMeta(t *testing.T) {
 	set := mustListen(t, VIP{Name: "a", Network: NetworkTCP, Addr: "127.0.0.1:0"})
 	a, b := pair(t)
-	go Handoff(a, set, HandoffOptions{meta: map[string]string{"quic-forward": "127.0.0.1:9999"}})
-	got, res, err := Receive(b, ReceiveOptions{})
+	go (&Server{Set: set, Meta: map[string]string{"quic-forward": "127.0.0.1:9999"}}).handoff(a, nil)
+	got, res, err := receive(b, ReceiveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,12 +446,12 @@ func TestHandoffMeta(t *testing.T) {
 	}
 }
 
-// TestHandoffNilMeta: plain Handoff leaves Meta empty.
+// TestHandoffNilMeta: plain handoff leaves Meta empty.
 func TestHandoffNilMeta(t *testing.T) {
 	set := mustListen(t, VIP{Name: "a", Network: NetworkTCP, Addr: "127.0.0.1:0"})
 	a, b := pair(t)
-	go Handoff(a, set, HandoffOptions{})
-	got, res, err := Receive(b, ReceiveOptions{})
+	go (&Server{Set: set}).handoff(a, nil)
+	got, res, err := receive(b, ReceiveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -478,10 +494,10 @@ func TestHandoffVeryManyVIPs(t *testing.T) {
 	a, b := pair(t)
 	handErr := make(chan error, 1)
 	go func() {
-		_, err := Handoff(a, old, HandoffOptions{timeout: 10 * time.Second})
+		_, err := (&Server{Set: old, handshakeTimeout: 10 * time.Second}).handoff(a, nil)
 		handErr <- err
 	}()
-	got, res, err := Receive(b, ReceiveOptions{timeout: 10 * time.Second})
+	got, res, err := receive(b, ReceiveOptions{timeout: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,22 +1,18 @@
 package takeover
 
-// Drain-undo (ProtoDrainUndo) coverage: the post-commit lease between the
-// sender's retained FD dups and the receiver's READY frame. These tests
-// pin the three contracts the revision adds on top of two-phase:
+// Drain-undo coverage: the post-commit lease between the sender's
+// retained FD dups and the receiver's READY frame. These tests pin the
+// two contracts the lease adds on top of PREPARE-ACK/COMMIT:
 //
 //   1. A committed hand-off whose receiver never confirms serving is
 //      UNDONE — the sender re-arms the very same kernel sockets from its
 //      retained dups (verified by SO_COOKIE identity) and resumes,
 //      classified ErrUndone on the receiver so orchestrators may retry.
-//   2. The lease frames are invisible to pre-v3 peers: mixed-version
-//      hand-offs negotiate down to plain two-phase and the wire after
-//      COMMIT stays byte-identical to the old protocol.
-//   3. Every descriptor the recovery window creates is accounted for:
+//   2. Every descriptor the recovery window creates is accounted for:
 //      retained dups are closed after READY, consumed (not leaked) by a
 //      successful undo, measured against /proc/self/fd ground truth.
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -44,11 +40,10 @@ func cookieOf(t *testing.T, ln *net.TCPListener) uint64 {
 	return c
 }
 
-// TestDrainUndoHappyPath drives the full v3 lease by hand on a
-// socketpair: the sender retains dups past COMMIT, the receiver's
-// readiness gate runs, READY releases the lease, and the drain-start
-// confirmation completes the epilogue. Afterwards the retained set closes
-// to the FD baseline.
+// TestDrainUndoHappyPath drives the full lease on a socketpair: the
+// sender retains dups past COMMIT, the receiver's readiness gate runs,
+// READY releases the lease, and the drain-start confirmation completes
+// the epilogue. Afterwards the retained set is closed to the FD baseline.
 func TestDrainUndoHappyPath(t *testing.T) {
 	set := mustListen(t,
 		VIP{Name: "web", Network: NetworkTCP, Addr: "127.0.0.1:0"},
@@ -59,35 +54,19 @@ func TestDrainUndoHappyPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, b := pair(t)
+	tracer := obs.NewTracer("undo-test")
 
-	type sendOut struct {
-		res *Result
-		err error
-	}
-	sendCh := make(chan sendOut, 1)
+	sendErr := make(chan error, 1)
 	go func() {
-		res, err := Handoff(a, set, HandoffOptions{timeout: 2 * time.Second, proto: ProtoDrainUndo})
-		if err == nil {
-			// A bare v3 sender owns the lease: await READY, then release
-			// it with the drain-start confirmation (what
-			// Server.ListenAndServe does automatically).
-			if lerr := awaitReady(a, 2*time.Second); lerr != nil {
-				err = lerr
-			} else if lerr := writeFrame(a, msgDrainStarted, nil, nil); lerr != nil {
-				err = lerr
-			}
-		}
-		sendCh <- sendOut{res, err}
+		_, err := (&Server{Set: set, handshakeTimeout: 2 * time.Second}).handoff(a, tracer.StartSpan(obs.SpanTakeoverServe, obs.SpanContext{}))
+		sendErr <- err
 	}()
 
 	gateRan := false
-	got, res, err := Receive(b, ReceiveOptions{
+	got, _, err := receive(b, ReceiveOptions{
 		timeout: 2 * time.Second,
 		Ready: func(s *ListenerSet, r *Result) error {
 			gateRan = true
-			if !r.committed {
-				t.Error("Ready gate ran before commit")
-			}
 			return nil
 		},
 	})
@@ -98,25 +77,21 @@ func TestDrainUndoHappyPath(t *testing.T) {
 	if !gateRan {
 		t.Fatal("readiness gate never ran on a v3 hand-off")
 	}
-	if res.Proto != ProtoDrainUndo || !res.ready || !res.drainConfirmed {
-		t.Fatalf("res = proto %d ready %v drainConfirmed %v, want v3/true/true",
-			res.Proto, res.ready, res.drainConfirmed)
+	if err := <-sendErr; err != nil {
+		t.Fatalf("v3 sender: %v", err)
 	}
-
-	out := <-sendCh
-	if out.err != nil {
-		t.Fatalf("v3 sender: %v", out.err)
+	retained := ""
+	for _, r := range tracer.Finished() {
+		if r.Name == obs.SpanTakeoverPrepare {
+			retained = r.Attrs["retained_fds"]
+		}
 	}
-	if out.res.retained == nil {
-		t.Fatal("v3 sender retained nothing past commit")
+	if retained != "2" {
+		t.Fatalf("sender retained %q fds past commit, want 2", retained)
 	}
-	if n := out.res.retained.Len(); n != 2 {
-		t.Fatalf("retained %d fds, want 2", n)
-	}
-	// Lease released: the dups close and the FD ledger balances (the
-	// receiver's adopted set and the original set are still open — only
-	// the hand-off's own copies must be gone).
-	out.res.retained.Close()
+	// Lease released: the dups are closed and the FD ledger balances
+	// (the receiver's adopted set and the original set are still open —
+	// only the hand-off's own copies must be gone).
 	a.Close()
 	b.Close()
 	set.Close()
@@ -131,9 +106,9 @@ func TestDrainUndoHappyPath(t *testing.T) {
 // TestDrainUndoReadyGateStepsDown is the tentpole's core failure edge in
 // unit form: the receiver commits, then its readiness gate fails. The
 // receiver must disarm and classify ErrUndone; the sender's lease breaks
-// and Rearm must restore accepting listeners that are the SAME kernel
-// sockets (SO_COOKIE identity), with a client connection queued during
-// the recovery window accepted, not reset.
+// and the re-arm must restore accepting listeners that are the SAME
+// kernel sockets (SO_COOKIE identity), with a client connection queued
+// during the recovery window accepted, not reset.
 func TestDrainUndoReadyGateStepsDown(t *testing.T) {
 	set := mustListen(t, VIP{Name: "web", Network: NetworkTCP, Addr: "127.0.0.1:0"})
 	origCookie := cookieOf(t, set.TCP("web"))
@@ -144,18 +119,19 @@ func TestDrainUndoReadyGateStepsDown(t *testing.T) {
 	}
 	a, b := pair(t)
 
-	type sendOut struct {
-		res *Result
-		err error
-	}
-	sendCh := make(chan sendOut, 1)
+	sendErr := make(chan error, 1)
+	undone := make(chan *ListenerSet, 1)
 	go func() {
-		res, err := Handoff(a, set, HandoffOptions{timeout: 2 * time.Second, proto: ProtoDrainUndo})
-		sendCh <- sendOut{res, err}
+		_, err := (&Server{
+			Set:              set,
+			handshakeTimeout: 2 * time.Second,
+			OnUndo:           func(rearmed *ListenerSet, _ error) { undone <- rearmed },
+		}).handoff(a, nil)
+		sendErr <- err
 	}()
 
 	disarmed := false
-	_, _, rerr := Receive(b, ReceiveOptions{
+	_, _, rerr := receive(b, ReceiveOptions{
 		timeout: 2 * time.Second,
 		Arm:     func(*ListenerSet, *Result) error { return nil },
 		Disarm:  func(s *ListenerSet) { disarmed = true; s.Close() },
@@ -172,20 +148,6 @@ func TestDrainUndoReadyGateStepsDown(t *testing.T) {
 	if !disarmed {
 		t.Fatal("receiver stepped down without running Disarm")
 	}
-	b.Close()
-
-	out := <-sendCh
-	if out.err != nil {
-		t.Fatalf("sender: %v", out.err)
-	}
-	if out.res.retained == nil {
-		t.Fatal("sender retained nothing to undo from")
-	}
-	// The lease breaks: the sender's await fails against the dead session.
-	if lerr := awaitReady(a, time.Second); lerr == nil {
-		t.Fatal("awaitReady succeeded against a stepped-down receiver")
-	}
-	a.Close()
 
 	// The old instance stopped accepting at commit; a client arriving in
 	// the recovery window sits in the kernel backlog of the still-open
@@ -199,10 +161,14 @@ func TestDrainUndoReadyGateStepsDown(t *testing.T) {
 		dialErr <- err
 	}()
 
-	rearmed, err := out.res.retained.rearm()
-	if err != nil {
-		t.Fatalf("rearm: %v", err)
+	// The lease breaks: the sender's READY wait fails against the dead
+	// session, and it re-arms from its retained dups.
+	b.Close()
+	if err := <-sendErr; !errors.Is(err, ErrUndone) {
+		t.Fatalf("sender against a stepped-down receiver: %v, want ErrUndone", err)
 	}
+	a.Close()
+	rearmed := <-undone
 	defer rearmed.Close()
 	if cookieOf(t, rearmed.TCP("web")) != origCookie {
 		t.Fatal("re-armed listener is not the original kernel socket")
@@ -224,8 +190,8 @@ func TestDrainUndoReadyGateStepsDown(t *testing.T) {
 	}
 }
 
-// TestServerLeaseBreakUndo runs the whole machine: a Server offering v3
-// (OnUndo set) against Connect with a failing readiness gate. The server
+// TestServerLeaseBreakUndo runs the whole machine: a Server with OnUndo
+// set against Connect with a failing readiness gate. The server
 // must re-arm, report the undo through OnUndo/OnHandoffError, record a
 // takeover.undo span carrying the retained-FD count, and keep serving
 // hand-offs so the very next attempt (healthy gate) succeeds.
@@ -268,27 +234,24 @@ func TestServerLeaseBreakUndo(t *testing.T) {
 	defer srv.Close()
 
 	// Attempt 1: receiver commits, then refuses to confirm serving.
-	_, _, err := Connect(path, ConnectOptions{ReceiveOptions: ReceiveOptions{
+	_, _, err := Connect(path, ReceiveOptions{
 		timeout: 2 * time.Second,
 		Ready:   func(*ListenerSet, *Result) error { return errors.New("injected unready receiver") },
-	}})
+	})
 	if !errors.Is(err, ErrUndone) {
 		t.Fatalf("connect against unready gate classified %v, want ErrUndone", err)
 	}
 
 	// Attempt 2: a fresh, healthy receiver. The un-drained server must
 	// still be accepting hand-offs on the same path.
-	got, res, err := Connect(path, ConnectOptions{ReceiveOptions: ReceiveOptions{
+	got, _, err := Connect(path, ReceiveOptions{
 		timeout: 2 * time.Second,
 		Ready:   func(*ListenerSet, *Result) error { return nil },
-	}})
+	})
 	if err != nil {
 		t.Fatalf("retry after undo: %v", err)
 	}
 	defer got.Close()
-	if res.Proto != ProtoDrainUndo || !res.ready || !res.drainConfirmed {
-		t.Fatalf("retry res = proto %d ready %v drain %v", res.Proto, res.ready, res.drainConfirmed)
-	}
 	if err := <-srvDone; err != nil {
 		t.Fatalf("server exit: %v", err)
 	}
@@ -352,13 +315,13 @@ func TestServerReadyTimeoutUndo(t *testing.T) {
 	go srv.ListenAndServe(path)
 	defer srv.Close()
 
-	_, _, err := Connect(path, ConnectOptions{ReceiveOptions: ReceiveOptions{
+	_, _, err := Connect(path, ReceiveOptions{
 		timeout: 2 * time.Second,
 		Ready: func(*ListenerSet, *Result) error {
 			time.Sleep(600 * time.Millisecond) // wedge past the lease
 			return nil
 		},
-	}})
+	})
 	if !errors.Is(err, ErrUndone) {
 		t.Fatalf("wedged receiver classified %v, want ErrUndone", err)
 	}
@@ -369,167 +332,6 @@ func TestServerReadyTimeoutUndo(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("sender never undid the wedged hand-off")
-	}
-}
-
-// legacyAckV2 is the pre-drain-undo confirmation: OK/Adopted/Trace and
-// crucially NO proto field — a real v2 binary answers a v3 offer with
-// this exact shape, and the sender must read the absence as "this peer
-// will never run the lease epilogue".
-type legacyAckV2 struct {
-	OK      bool   `json:"ok"`
-	Adopted int    `json:"adopted"`
-	Err     string `json:"err,omitempty"`
-	Trace   string `json:"trace,omitempty"`
-}
-
-// legacyReceiveV2 replicates the pre-v3 two-phase receiver byte for byte:
-// manifest+FDs, PREPARE-ACK without a proto field, COMMIT await, return.
-// It neither writes READY nor waits for the drain-start confirmation.
-func legacyReceiveV2(conn *net.UnixConn, timeout time.Duration) (*ListenerSet, error) {
-	conn.SetDeadline(time.Now().Add(timeout))
-	defer conn.SetDeadline(time.Time{})
-	kind, payload, fds, err := readFrame(conn)
-	if err != nil {
-		return nil, err
-	}
-	if kind != msgManifest {
-		closeFDs(fds)
-		return nil, fmt.Errorf("legacy v2 receiver: expected manifest, got frame kind %d", kind)
-	}
-	var m manifest
-	if err := json.Unmarshal(payload, &m); err != nil {
-		closeFDs(fds)
-		return nil, err
-	}
-	if m.Magic != magic || m.Version != version {
-		closeFDs(fds)
-		return nil, errors.New("legacy v2 receiver: bad manifest")
-	}
-	set, _, err := adoptFDs(m.VIPs, fds)
-	if err != nil {
-		set.Close()
-		return nil, err
-	}
-	ackPayload, err := json.Marshal(legacyAckV2{OK: true, Adopted: set.Len()})
-	if err != nil {
-		set.Close()
-		return nil, err
-	}
-	if m.Proto == 0 {
-		// v1 sender: single ack is the whole exchange.
-		if err := writeFrame(conn, msgAck, ackPayload, nil); err != nil {
-			set.Close()
-			return nil, err
-		}
-		return set, nil
-	}
-	if err := writeFrame(conn, msgPrepareAck, ackPayload, nil); err != nil {
-		set.Close()
-		return nil, err
-	}
-	kind, _, stray, err := readFrame(conn)
-	closeFDs(stray)
-	if err != nil {
-		set.Close()
-		return nil, err
-	}
-	if kind != msgCommit {
-		set.Close()
-		return nil, fmt.Errorf("legacy v2 receiver: expected commit, got frame kind %d", kind)
-	}
-	return set, nil
-}
-
-// TestV3SenderToV2Receiver pins the downgrade: a ProtoDrainUndo offer
-// against a frozen v2 receiver double must negotiate down to plain
-// two-phase — no retained FDs, no lease — and the sender must write
-// nothing after COMMIT that a v2 binary would not expect (no READY wait
-// means no drain-start probe either on the bare sender).
-func TestV3SenderToV2Receiver(t *testing.T) {
-	set := mustListen(t, VIP{Name: "web", Network: NetworkTCP, Addr: "127.0.0.1:0"})
-	a, b := pair(t)
-
-	type recvOut struct {
-		set *ListenerSet
-		err error
-	}
-	recvCh := make(chan recvOut, 1)
-	go func() {
-		s, err := legacyReceiveV2(b, 2*time.Second)
-		recvCh <- recvOut{s, err}
-	}()
-
-	res, err := Handoff(a, set, HandoffOptions{timeout: 2 * time.Second, proto: ProtoDrainUndo})
-	if err != nil {
-		t.Fatalf("v3 sender against v2 receiver: %v", err)
-	}
-	if res.Proto != protoTwoPhase {
-		t.Fatalf("negotiated proto = %d, want %d (downgraded two-phase)", res.Proto, protoTwoPhase)
-	}
-	if res.retained != nil {
-		t.Fatal("sender retained FDs for a peer that will never release the lease")
-	}
-
-	out := <-recvCh
-	if out.err != nil {
-		t.Fatalf("legacy v2 receiver: %v", out.err)
-	}
-	defer out.set.Close()
-	// Nothing after COMMIT: a READY-expecting sender would now be reading,
-	// and a confused one might write lease frames the v2 peer cannot parse.
-	b.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
-	buf := make([]byte, 16)
-	if n, _ := b.Read(buf); n != 0 {
-		t.Fatalf("v3 sender wrote %d byte(s) after commit to a v2 peer (frame kind %d)", n, buf[0])
-	}
-	assertListenerServes(t, out.set, "web")
-}
-
-// TestV2SenderToV3Receiver pins the other direction: a v2 sender (no v3
-// offer) against the newest receiver. The receiver must not run its
-// readiness gate, must not write READY, and must report the negotiated
-// two-phase revision.
-func TestV2SenderToV3Receiver(t *testing.T) {
-	set := mustListen(t, VIP{Name: "web", Network: NetworkTCP, Addr: "127.0.0.1:0"})
-	a, b := pair(t)
-
-	sendCh := make(chan *Result, 1)
-	sendErr := make(chan error, 1)
-	go func() {
-		// Proto: protoTwoPhase is wire-identical to the previous release's
-		// sender: manifest proto=2, commit, no lease.
-		res, err := Handoff(a, set, HandoffOptions{timeout: 2 * time.Second, proto: protoTwoPhase})
-		sendCh <- res
-		sendErr <- err
-	}()
-
-	got, res, err := Receive(b, ReceiveOptions{
-		timeout: 2 * time.Second,
-		Ready: func(*ListenerSet, *Result) error {
-			t.Error("readiness gate ran against a v2 sender")
-			return nil
-		},
-	})
-	if err != nil {
-		t.Fatalf("v3 receiver against v2 sender: %v", err)
-	}
-	defer got.Close()
-	if res.Proto != protoTwoPhase || res.ready {
-		t.Fatalf("res = proto %d ready %v, want two-phase, no READY", res.Proto, res.ready)
-	}
-	if err := <-sendErr; err != nil {
-		t.Fatalf("v2 sender: %v", err)
-	}
-	if sres := <-sendCh; sres.retained != nil {
-		t.Fatal("two-phase sender retained FDs")
-	}
-	// The receiver must not have written a READY frame the v2 sender
-	// would misparse.
-	a.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
-	buf := make([]byte, 16)
-	if n, _ := a.Read(buf); n != 0 {
-		t.Fatalf("v3 receiver wrote %d byte(s) a v2 sender never reads (frame kind %d)", n, buf[0])
 	}
 }
 
