@@ -64,20 +64,20 @@ func main() {
 	for i := range leds {
 		leds[i] = disrupt.New(fmt.Sprintf("edge-%02d", i), 0)
 	}
-	f, err := fleet.NewFleet(*nodes, !*ungated, *maxHold, func(i int, cfg *proxy.Config) {
+	f, err := fleet.NewTopology(fleet.EdgeFleet(*nodes, !*ungated, *maxHold, func(i int, cfg *proxy.Config) {
 		cfg.Ledger = leds[i]
 		if good.Load() {
 			cfg.StaticContent = map[string][]byte{"/hello": []byte("hello\n")}
 		}
-	})
+	}))
 	if err != nil {
 		fatal("fleet: %v", err)
 	}
 	defer f.Close()
-	for i, n := range f.Nodes {
+	for i, n := range f.Edges {
 		n.Disruption = leds[i].Report
 	}
-	fmt.Printf("zdr-operator: %d-node fleet up (generation 1 serving)\n", len(f.Nodes))
+	fmt.Printf("zdr-operator: %d-node fleet up (generation 1 serving)\n", len(f.Edges))
 
 	// Client load counts transport failures (what zero-downtime release
 	// must keep at zero) apart from server errors (what a bad build
@@ -133,7 +133,7 @@ func main() {
 		cfg.Journal = j
 	}
 
-	o, err := fleet.New(cfg, f.Nodes)
+	o, err := fleet.New(cfg, f.Edges)
 	if err != nil {
 		fatal("orchestrator: %v", err)
 	}
@@ -141,7 +141,7 @@ func main() {
 	// The telemetry pipeline: scrape every node's metrics + ledger and
 	// merge fleet-wide. Served live at /debug/telemetry and printed as
 	// the final accounting when the rollout ends.
-	tele := &fleet.Telemetry{Nodes: f.Nodes}
+	tele := &fleet.Telemetry{Nodes: f.Edges}
 
 	if *admin != "" {
 		operatorReg := metrics.NewRegistry()
@@ -153,9 +153,9 @@ func main() {
 			Debug: map[string]func() any{
 				"rollout": func() any { return o.Status() },
 				"fleet": func() any {
-					states := make([]obs.SlotState, len(f.Slots))
-					for i, s := range f.Slots {
-						states[i] = s.State()
+					states := make([]obs.SlotState, len(f.Edges))
+					for i, n := range f.Edges {
+						states[i] = n.Proxy.State()
 					}
 					return states
 				},

@@ -33,12 +33,6 @@ var testOnly = map[string]string{
 	"appserver.Server.Serve":           "proxy startCountedHops",
 	"bufpool.TierMedium":               "h2t TestStreamWriteToModel",
 	"consistent.Maglev.Pick":           "bench_test.go BenchmarkMaglevVsRing",
-	"core.AppServerSlot":               "faults TestChaosAppServerRestartKeepAlive",
-	"core.AppServerSlot.Addr":          "faults TestChaosAppServerRestartKeepAlive",
-	"core.AppServerSlot.Build":         "faults TestChaosAppServerRestartKeepAlive",
-	"core.AppServerSlot.Close":         "faults TestChaosAppServerRestartKeepAlive",
-	"core.AppServerSlot.SlotName":      "faults TestChaosAppServerRestartKeepAlive",
-	"core.AppServerSlot.Start":         "faults TestChaosAppServerRestartKeepAlive",
 	"core.ProxySlot.Generation":        "faults TestChaosReceiverDeathPostCommit",
 	"core.ReadReleaseReport":           "experiments TestReleaseReport, experiments TestReleaseReportTwoPhaseAbort",
 	"core.RestartOption":               "fleet Restart",
@@ -93,6 +87,7 @@ var testOnly = map[string]string{
 	"proxy.Config.Faults":              "faults TestChaosDialFailuresAbsorbedByRetries, faults TestChaosEdgeRestartKeepsIdleKeepAlives, ...",
 	"proxy.Config.PPRRetries":          "faults TestChaosDialFailuresAbsorbedByRetries",
 	"proxy.Config.RetryBackoff":        "faults TestChaosDialFailuresAbsorbedByRetries",
+	"proxy.Proxy.Name":                 "faults TestChaosAdminHealthzAcrossTakeover, faults TestChaosEdgeRestartKeepsIdleKeepAlives",
 	"quicx.Client.Send":                "proxy TestEdgeQUICSurvivesTakeover, proxy TestEdgeQUICVIPServes",
 	"quicx.SimulateTakeoverRelease":    "bench_test.go BenchmarkAblationConnIDRoutingVsRing",
 	"racetest.SkipAllocs":              "core TestRestartHeapAllocation, h2t TestStreamAllocations, ...",

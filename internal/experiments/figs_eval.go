@@ -7,11 +7,11 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"zdr/internal/appserver"
 	"zdr/internal/cluster"
 	"zdr/internal/fleet"
 	"zdr/internal/http1"
@@ -84,11 +84,11 @@ func fig9DCRTimeline() (Table, error) {
 
 	runScenario := func(withDCR bool) (series, error) {
 		var s series
-		tb, err := newTestbed(testbedConfig{apps: 1, origins: 2, drainPeriod: 2 * time.Second})
+		top, err := fullTopology(1, 2, 2*time.Second)
 		if err != nil {
 			return s, err
 		}
-		defer tb.close()
+		defer top.Close()
 
 		// Every client connection has a receiver that tallies what arrives
 		// by the bucket it was published in, until the connection ends.
@@ -135,7 +135,7 @@ func fig9DCRTimeline() (Table, error) {
 			}
 		}()
 		for i := range conns {
-			c, err := tb.dialMQTT(fmt.Sprintf("user-%02d", i), 5*time.Second)
+			c, err := dialMQTT(top, fmt.Sprintf("user-%02d", i), 5*time.Second)
 			if err != nil {
 				return s, fmt.Errorf("client %d: %w", i, err)
 			}
@@ -146,24 +146,25 @@ func fig9DCRTimeline() (Table, error) {
 			receive(c)
 		}
 
-		lastAcks := tb.broker.Metrics().CounterValue("mqtt.connack.sent")
+		lastAcks := top.Broker.Metrics().CounterValue("mqtt.connack.sent")
 		for b := 0; b < buckets; b++ {
 			if b == restartAt {
-				serving := tb.servingOrigin()
-				if serving < 0 {
+				// The Origin relaying the MQTT connections.
+				i := slices.IndexFunc(top.Origins, func(o *fleet.Node) bool { return o.Reg.GaugeValue("origin.mqtt.active") > 0 })
+				if i < 0 {
 					return s, fmt.Errorf("no serving origin")
 				}
-				if withDCR {
+				if serving := top.Origins[i].Proxy.Current(); withDCR {
 					// Zero Downtime restart: drain → GOAWAY + solicitation.
-					tb.origins[serving].StartDraining()
+					serving.StartDraining()
 				} else {
 					// Traditional restart: the instance just dies.
-					tb.origins[serving].Close()
+					serving.Close()
 				}
 			}
 			for r := 0; r < rounds; r++ {
 				for i := 0; i < clients; i++ {
-					tb.broker.Publish(fmt.Sprintf("notif/user-%02d", i), []byte{byte(b)})
+					top.Broker.Publish(fmt.Sprintf("notif/user-%02d", i), []byte{byte(b)})
 				}
 				time.Sleep(round)
 
@@ -173,7 +174,7 @@ func fig9DCRTimeline() (Table, error) {
 					for i, c := range conns {
 						select {
 						case <-c.Done():
-							nc, err := tb.dialMQTT(fmt.Sprintf("user-%02d", i), 2*time.Second)
+							nc, err := dialMQTT(top, fmt.Sprintf("user-%02d", i), 2*time.Second)
 							if err == nil {
 								nc.Subscribe(2*time.Second, fmt.Sprintf("notif/user-%02d", i))
 								conns[i] = nc
@@ -184,7 +185,7 @@ func fig9DCRTimeline() (Table, error) {
 					}
 				}
 			}
-			acks := tb.broker.Metrics().CounterValue("mqtt.connack.sent")
+			acks := top.Broker.Metrics().CounterValue("mqtt.connack.sent")
 			s.connacks = append(s.connacks, acks-lastAcks)
 			lastAcks = acks
 		}
@@ -192,7 +193,7 @@ func fig9DCRTimeline() (Table, error) {
 		// nothing published before it is still on its way. A client whose
 		// re-connect failed never gets one, and is not waited for long.
 		for i := 0; i < clients; i++ {
-			tb.broker.Publish(fmt.Sprintf("notif/user-%02d", i), []byte{flushMark})
+			top.Broker.Publish(fmt.Sprintf("notif/user-%02d", i), []byte{flushMark})
 		}
 		settle := time.After(2 * time.Second)
 	wait:
@@ -354,15 +355,15 @@ func fig12ProxyErrors() (Table, error) {
 
 	runScenario := func(zdr bool) (map[http1.ErrorClass]int, error) {
 		counts := map[http1.ErrorClass]int{}
-		tb, err := newTestbed(testbedConfig{apps: 2, origins: 1, drainPeriod: time.Second})
+		top, err := fullTopology(2, 1, time.Second)
 		if err != nil {
 			return nil, err
 		}
-		defer tb.close()
+		defer top.Close()
 
 		var clients []*mqtt.Client
 		for i := 0; i < mqttConns; i++ {
-			c, err := tb.dialMQTT(fmt.Sprintf("u%d", i), 5*time.Second)
+			c, err := dialMQTT(top, fmt.Sprintf("u%d", i), 5*time.Second)
 			if err != nil {
 				return nil, err
 			}
@@ -370,58 +371,30 @@ func fig12ProxyErrors() (Table, error) {
 			defer c.Disconnect()
 		}
 
-		origin := tb.origins[0]
-		tunnelAddr := origin.Addr(proxy.VIPTunnel)
-		healthAddr := origin.Addr(proxy.VIPHealth)
-		takeoverPath := filepath.Join(os.TempDir(), fmt.Sprintf("zdr-f12-%d.sock", time.Now().UnixNano()))
-		defer os.Remove(takeoverPath)
-		if zdr {
-			if err := origin.ServeTakeover(takeoverPath); err != nil {
-				return nil, err
-			}
-		}
-
-		var replacement *proxy.Proxy
-		defer func() {
-			if replacement != nil {
-				replacement.Close()
-			}
-		}()
+		origin := top.Origins[0]
+		rebound := make(chan error, 1)
 		for i := 0; i < requests; i++ {
 			if i == restartAt {
-				nextCfg := proxy.Config{
-					Name:        "origin-0-next",
-					Role:        proxy.RoleOrigin,
-					AppServers:  tb.appAddrs,
-					Brokers:     []string{tb.brokerAddr},
-					DrainPeriod: time.Second,
-				}
 				if zdr {
-					replacement = proxy.New(nextCfg, nil)
-					if _, err := replacement.TakeoverFrom(takeoverPath); err != nil {
+					if err := origin.Target.Restart(); err != nil {
 						return nil, err
 					}
-					go origin.Shutdown()
 				} else {
-					// Traditional: instance dies, replacement rebinds the
-					// same VIPs after a gap.
-					nextCfg.VIPAddrs = map[string]string{
-						proxy.VIPTunnel: tunnelAddr,
-						proxy.VIPHealth: healthAddr,
-					}
-					replacement = proxy.New(nextCfg, nil)
-					origin.Close()
-					go func(r *proxy.Proxy) {
-						time.Sleep(300 * time.Millisecond)
-						r.Listen()
-					}(replacement)
+					// Traditional: the instance dies, and its replacement
+					// binds the same VIPs after a gap.
+					go func() { rebound <- origin.Rebind(true, 300*time.Millisecond) }()
 				}
 			}
-			code, err := fleet.GetStatus(tb.edge.Addr(proxy.VIPWeb), "/api/item", 700*time.Millisecond)
+			code, err := fleet.GetStatus(top.Edges[0].Addr(proxy.VIPWeb), "/api/item", 700*time.Millisecond)
 			if class := http1.Classify(code, err); class != http1.ClassOK {
 				counts[class]++
 			}
 			time.Sleep(4 * time.Millisecond)
+		}
+		if !zdr {
+			if err := <-rebound; err != nil {
+				return nil, err
+			}
 		}
 		// MQTT connections that died count as connection resets.
 		time.Sleep(300 * time.Millisecond)
@@ -584,34 +557,15 @@ func fig17TakeoverOverhead() (Table, error) {
 // mid-body all succeed.
 func tblPPRRetries() (Table, error) {
 	const uploads = 5
-	tb, err := newTestbed(testbedConfig{apps: 3, origins: 1})
+	top, err := fullTopology(3, 1, 200*time.Millisecond)
 	if err != nil {
 		return Table{}, err
 	}
-	defer tb.close()
+	defer top.Close()
 
-	appSlots := make([]*appserver.Server, len(tb.apps))
-	copy(appSlots, tb.apps)
-	succeeded, replays := 0, int64(0)
+	succeeded := 0
 	for u := 0; u < uploads; u++ {
-		// Refresh restarted app servers so the pool never runs dry.
-		for i, as := range appSlots {
-			if as.Draining() {
-				na := appserver.New(appserver.Config{
-					Name:         fmt.Sprintf("as-%d-r%d", i, u),
-					Mode:         appserver.ModePPR,
-					DrainPeriod:  50 * time.Millisecond,
-					GraceWindow:  300 * time.Millisecond,
-					GraceSilence: 60 * time.Millisecond,
-				}, nil)
-				if _, err := na.Listen(tb.appAddrs[i]); err == nil {
-					appSlots[i] = na
-					defer na.Close()
-				}
-			}
-		}
-		before := requestsServed(appSlots)
-		ok, err := pprUpload(tb, appSlots, before)
+		ok, err := pprUpload(top)
 		if err != nil {
 			return Table{}, fmt.Errorf("upload %d: %w", u, err)
 		}
@@ -619,8 +573,8 @@ func tblPPRRetries() (Table, error) {
 			succeeded++
 		}
 	}
-	replays = tb.origins[0].Metrics().CounterValue("origin.http.ppr_replays")
-	exhausted := tb.origins[0].Metrics().CounterValue("origin.http.ppr_exhausted")
+	replays := top.Origins[0].Reg.CounterValue("origin.http.ppr_replays")
+	exhausted := top.Origins[0].Reg.CounterValue("origin.http.ppr_exhausted")
 	return Table{
 		id:      "T-A",
 		title:   "PPR retry budget under repeated mid-upload restarts",
@@ -635,18 +589,24 @@ func tblPPRRetries() (Table, error) {
 	}, nil
 }
 
-func requestsServed(apps []*appserver.Server) []int64 {
-	out := make([]int64, len(apps))
-	for i, as := range apps {
-		out[i] = as.Metrics().CounterValue("appserver.requests")
+// pprUpload runs one paced upload through the topology, restarting the
+// app server serving it mid-body, and verifies the echoed response. The
+// restart has ended when it returns.
+func pprUpload(top *fleet.Topology) (ok bool, err error) {
+	before := make([]int64, len(top.Apps))
+	for i, n := range top.Apps {
+		before[i] = n.Reg.CounterValue("appserver.requests")
 	}
-	return out
-}
-
-// pprUpload runs one paced upload through the testbed, restarting the
-// serving app server mid-body, and verifies the echoed response.
-func pprUpload(tb *testbed, apps []*appserver.Server, before []int64) (bool, error) {
-	conn, err := net.DialTimeout("tcp", tb.edge.Addr(proxy.VIPWeb), 2*time.Second)
+	var restarted chan error // set when the restart starts
+	defer func() {
+		if restarted == nil {
+			return
+		}
+		if rerr := <-restarted; err == nil {
+			err = rerr
+		}
+	}()
+	conn, err := net.DialTimeout("tcp", top.Edges[0].Addr(proxy.VIPWeb), 2*time.Second)
 	if err != nil {
 		return false, err
 	}
@@ -657,13 +617,12 @@ func pprUpload(tb *testbed, apps []*appserver.Server, before []int64) (bool, err
 	if _, err := fmt.Fprintf(conn, "POST /up HTTP/1.1\r\nContent-Length: %d\r\n\r\n", total); err != nil {
 		return false, err
 	}
-	restarted := false
 	for off := 0; off < total; off += piece {
-		if !restarted && off >= total/4 {
-			for i, as := range apps {
-				if as.Metrics().CounterValue("appserver.requests") > before[i] && !as.Draining() {
-					go as.Shutdown()
-					restarted = true
+		if restarted == nil && off >= total/4 {
+			for i, n := range top.Apps {
+				if n.Reg.CounterValue("appserver.requests") > before[i] {
+					restarted = make(chan error, 1)
+					go func(ch chan error) { ch <- n.Target.Restart() }(restarted)
 					break
 				}
 			}
@@ -683,4 +642,31 @@ func pprUpload(tb *testbed, apps []*appserver.Server, before []int64) (bool, err
 		return false, err
 	}
 	return resp.StatusCode == 200 && bytes.Equal(echoed, body), nil
+}
+
+// fullTopology stands up the real-socket experiments' deployment (F9,
+// F12, T-A): a broker, apps app servers, origins Origins and one Edge,
+// the proxies draining for drain.
+func fullTopology(apps, origins int, drain time.Duration) (*fleet.Topology, error) {
+	return fleet.NewTopology(fleet.Spec{
+		Broker:  true,
+		Apps:    apps,
+		Origins: origins,
+		Edges:   1,
+		Drain:   drain,
+	})
+}
+
+// dialMQTT connects an MQTT client through the topology's Edge.
+func dialMQTT(top *fleet.Topology, userID string, timeout time.Duration) (*mqtt.Client, error) {
+	conn, err := net.DialTimeout("tcp", top.Edges[0].Addr(proxy.VIPMQTT), timeout)
+	if err != nil {
+		return nil, err
+	}
+	c := mqtt.NewClient(conn, userID, true)
+	if _, err := c.Connect(0, timeout); err != nil {
+		conn.Close()
+		return nil, err
+	}
+	return c, nil
 }

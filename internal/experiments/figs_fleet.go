@@ -35,7 +35,8 @@ func tblFleetRollout() (Table, error) {
 		id:      "T-E",
 		title:   "Fleet rollout disruption: health-gated canary vs ungated push",
 		columns: []string{"scenario", "state", "promoted", "rolled back", "client 5xx", "transport fails"},
-		notes: "6-node fleet under continuous client load; the bad build answers every request " +
+		notes: "6-node fleet under a fixed client schedule (2 GETs per node per 10 ms), so 5xx " +
+			"counts exposure; the bad build answers every request " +
 			"503. Gating pauses the rollout at the canary batch (blast radius = canary's " +
 			"observation window) where the ungated push promotes the broken build fleet-wide; " +
 			"transport failures are zero everywhere — rollback is drain-undo, not a rebind",
@@ -68,14 +69,14 @@ type fleetRolloutResult struct {
 
 // rolloutOver builds the orchestrator that pushes a build to f: fleet's
 // canary-first defaults, a 150 ms health window probed every 10 ms.
-func rolloutOver(f *fleet.Fleet, gated bool, name string, gate fleet.GateConfig) (*fleet.Orchestrator, error) {
+func rolloutOver(f *fleet.Topology, gated bool, name string, gate fleet.GateConfig) (*fleet.Orchestrator, error) {
 	return fleet.New(fleet.Config{
 		Name:          name,
 		HealthWindow:  150 * time.Millisecond,
 		ProbeInterval: 10 * time.Millisecond,
 		Ungated:       !gated,
 		Gate:          gate,
-	}, f.Nodes)
+	}, f.Edges)
 }
 
 // fleetRollout pushes a build to a small live fleet and reports the
@@ -85,11 +86,11 @@ func fleetRollout(gated, bad bool) (fleetRolloutResult, error) {
 	var res fleetRolloutResult
 	var good atomic.Bool
 	good.Store(true)
-	f, err := fleet.NewFleet(6, gated, 5*time.Second, func(_ int, cfg *proxy.Config) {
+	f, err := fleet.NewTopology(fleet.EdgeFleet(6, gated, 5*time.Second, func(_ int, cfg *proxy.Config) {
 		if good.Load() {
 			cfg.StaticContent = map[string][]byte{"/hello": []byte("ok")}
 		}
-	})
+	}))
 	if err != nil {
 		return res, err
 	}

@@ -66,44 +66,26 @@ type steeringResult struct {
 
 // steeringRelease runs one rolling-release scenario under the named
 // steering policy. Everything that varies between runs is pinned — the
-// flow schedule is sequential, the Prequal sampler is seeded, and the
-// release fires at the same request index — so the two policies see the
-// same world.
+// flow schedule is sequential, request i is due at i × reqPeriod, the
+// Prequal sampler is seeded, and the release fires at the same request
+// index — so the two policies see the same world.
 func steeringRelease(policyName string) (steeringResult, error) {
 	const (
 		nEdges       = 4
 		totalReqs    = 600
 		reqPeriod    = 2 * time.Millisecond
-		releaseAtReq = 150 // ≈300ms into the run
-		drainPeriod  = 400 * time.Millisecond
+		releaseAtReq = 150 // 300ms into the run
 	)
 	var res steeringResult
-
-	newEdge := func(name string, gen int, vipAddrs map[string]string) (*proxy.Proxy, error) {
-		p := proxy.New(proxy.Config{
-			Name:          name,
-			Role:          proxy.RoleEdge,
-			Origins:       []string{"127.0.0.1:1"},
-			DrainPeriod:   drainPeriod,
-			StaticContent: map[string][]byte{"/s": []byte("static")},
-			VIPAddrs:      vipAddrs,
-			Generation:    gen,
-		}, nil)
-		if err := p.Listen(); err != nil {
-			return nil, err
-		}
-		return p, nil
+	top, err := fleet.NewTopology(fleet.Spec{
+		Edges: nEdges,
+		Drain: 400 * time.Millisecond,
+		Build: func(_ int, cfg *proxy.Config) { cfg.StaticContent = map[string][]byte{"/s": []byte("static")} },
+	})
+	if err != nil {
+		return res, err
 	}
-
-	edges := make([]*proxy.Proxy, nEdges)
-	for i := range edges {
-		e, err := newEdge(fmt.Sprintf("edge-%d", i), 1, nil)
-		if err != nil {
-			return res, err
-		}
-		defer e.Close()
-		edges[i] = e
-	}
+	defer top.Close()
 
 	reg := metrics.NewRegistry()
 	lb := katran.New("l4-"+policyName, katran.Config{
@@ -121,9 +103,9 @@ func steeringRelease(policyName string) (steeringResult, error) {
 		}, reg),
 	}, reg)
 	defer lb.Close()
-	for _, e := range edges {
+	for _, e := range top.Edges {
 		lb.AddBackend(katran.Backend{
-			Name:       e.Name(),
+			Name:       e.Name,
 			Addr:       e.Addr(proxy.VIPWeb),
 			HealthAddr: e.Addr(proxy.VIPHealth),
 		}, true)
@@ -131,42 +113,24 @@ func steeringRelease(policyName string) (steeringResult, error) {
 	lb.StartHealthChecks(100 * time.Millisecond)
 	time.Sleep(120 * time.Millisecond) // probe pools warm, health confirmed
 
-	victim := edges[1]
-	victimWeb := victim.Addr(proxy.VIPWeb)
-	victimHealth := victim.Addr(proxy.VIPHealth)
-
 	// releaseActive brackets the victim's disruption window: from drain
-	// start until the replacement generation is bound and serving.
+	// start until the replacement generation is bound and serving. The
+	// release is the traditional restart, drain then rebind — the §6
+	// baseline the paper replaces with Socket Takeover.
+	victim := top.Edges[1]
 	var releaseActive atomic.Bool
 	releaseDone := make(chan error, 1)
-	gen2Ch := make(chan *proxy.Proxy, 1)
 	release := func() {
 		releaseActive.Store(true)
-		victim.Shutdown() // drain 400ms, serve established conns, exit
-		// Fresh-socket restart: the replacement rebinds the SAME VIPs
-		// (the traditional restart model — the §6 baseline the paper
-		// replaces with Socket Takeover). The rebind can race the old
-		// instance's teardown; retry briefly.
-		var gen2 *proxy.Proxy
-		var err error
-		deadline := time.Now().Add(2 * time.Second)
-		for {
-			gen2, err = newEdge("edge-1-g2", 2, map[string]string{
-				proxy.VIPWeb:    victimWeb,
-				proxy.VIPHealth: victimHealth,
-			})
-			if err == nil || time.Now().After(deadline) {
-				break
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
+		err := victim.Rebind(false, 0)
 		releaseActive.Store(false)
-		gen2Ch <- gen2
 		releaseDone <- err
 	}
 
 	latencies := make([]time.Duration, 0, totalReqs)
+	t0 := time.Now()
 	for i := 0; i < totalReqs; i++ {
+		time.Sleep(time.Until(t0.Add(time.Duration(i) * reqPeriod)))
 		if i == releaseAtReq {
 			go release()
 		}
@@ -174,23 +138,18 @@ func steeringRelease(policyName string) (steeringResult, error) {
 		b, err := lb.Steer(uint64(1_000_000 + i)) // fresh flow per request
 		if err != nil {
 			res.disrupted++
-			time.Sleep(reqPeriod)
 			continue
 		}
-		if b.Name == victim.Name() && releaseActive.Load() {
+		if b.Name == victim.Name && releaseActive.Load() {
 			res.drainArrivals++
 		}
-		t0 := time.Now()
+		start := time.Now()
 		if code, err := fleet.GetStatus(b.Addr, "/s", 5*time.Second); err != nil || code != 200 {
 			res.disrupted++
 		} else {
 			res.ok++
-			latencies = append(latencies, time.Since(t0))
+			latencies = append(latencies, time.Since(start))
 		}
-		time.Sleep(reqPeriod)
-	}
-	if gen2 := <-gen2Ch; gen2 != nil {
-		defer gen2.Close()
 	}
 	if err := <-releaseDone; err != nil {
 		return res, fmt.Errorf("replacement generation never bound: %w", err)

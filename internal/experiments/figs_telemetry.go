@@ -103,15 +103,15 @@ func disruptionRollout(gated bool) (disruptionRun, error) {
 		leds[i] = disrupt.New(fmt.Sprintf("edge-%02d", i), 256)
 		injs[i] = faults.NewInjector(faults.Scenario{Seed: uint64(i + 1), AbortRate: 0.12, AbortMinOps: 1})
 	}
-	f, err := fleet.NewFleet(nodes, gated, 5*time.Second, func(i int, cfg *proxy.Config) {
+	f, err := fleet.NewTopology(fleet.EdgeFleet(nodes, gated, 5*time.Second, func(i int, cfg *proxy.Config) {
 		cfg.AcceptFaults, cfg.Ledger = injs[i], leds[i]
 		cfg.StaticContent = map[string][]byte{"/hello": []byte("ok")}
-	})
+	}))
 	if err != nil {
 		return run, err
 	}
 	defer f.Close()
-	for i, n := range f.Nodes {
+	for i, n := range f.Edges {
 		n.Disruption = leds[i].Report
 	}
 
@@ -143,7 +143,7 @@ func disruptionRollout(gated bool) (disruptionRun, error) {
 	for _, inj := range injs {
 		run.injected += int64(inj.InjectedTotal())
 	}
-	tele := &fleet.Telemetry{Nodes: f.Nodes}
+	tele := &fleet.Telemetry{Nodes: f.Edges}
 	run.report = tele.Scrape()
 	return run, nil
 }

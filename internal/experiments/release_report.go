@@ -2,14 +2,11 @@ package experiments
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"time"
 
 	"zdr/internal/core"
 	"zdr/internal/fleet"
-	"zdr/internal/metrics"
 	"zdr/internal/obs"
 	"zdr/internal/proxy"
 )
@@ -41,74 +38,38 @@ func tblReleasePhases() (Table, error) {
 // (optional) is installed as the tracer's span-start hook, which is how
 // tests inject deterministic stalls into individual takeover steps.
 func releasePhases(reportPath string, hook func(*obs.Span)) (Table, *core.ReleaseReport, error) {
-	dir, err := os.MkdirTemp("", "zdr-release-*")
-	if err != nil {
-		return Table{}, nil, err
-	}
-	defer os.RemoveAll(dir)
-
 	tracer := obs.NewTracer("experiments")
-	reg := metrics.NewRegistry()
 	if hook != nil {
 		tracer.SetSpanStartHook(hook)
 	}
-
-	originGen := 0
-	origin := &core.ProxySlot{
-		SlotName:  "origin",
-		Path:      filepath.Join(dir, "origin.sock"),
-		DrainWait: 10 * time.Millisecond,
-		Build: func() *proxy.Proxy {
-			originGen++
-			return proxy.New(proxy.Config{
-				Name:       fmt.Sprintf("origin-g%d", originGen),
-				Role:       proxy.RoleOrigin,
-				AppServers: []string{"127.0.0.1:9"}, // no traffic flows
-				Trace:      tracer,
-			}, reg)
-		},
-	}
-	if err := origin.Start(); err != nil {
+	// No app server: no traffic flows.
+	top, err := fleet.NewTopology(fleet.Spec{
+		Origins: 1,
+		Edges:   1,
+		Drain:   10 * time.Millisecond,
+		Build:   func(_ int, cfg *proxy.Config) { cfg.Trace = tracer },
+	})
+	if err != nil {
 		return Table{}, nil, err
 	}
-	defer origin.Close()
-
-	tunnelAddr := origin.Current().Addr(proxy.VIPTunnel)
-	edgeGen := 0
-	edge := &core.ProxySlot{
-		SlotName:  "edge",
-		Path:      filepath.Join(dir, "edge.sock"),
-		DrainWait: 10 * time.Millisecond,
-		Build: func() *proxy.Proxy {
-			edgeGen++
-			return proxy.New(proxy.Config{
-				Name:    fmt.Sprintf("edge-g%d", edgeGen),
-				Role:    proxy.RoleEdge,
-				Origins: []string{tunnelAddr},
-				Trace:   tracer,
-			}, reg)
-		},
-	}
-	if err := edge.Start(); err != nil {
-		return Table{}, nil, err
-	}
-	defer edge.Close()
+	defer top.Close()
 
 	// Origin then edge, one slot a batch: the operator's release with
 	// the health gate left out.
-	nodes := []*fleet.Node{{Name: origin.SlotName, Target: origin}, {Name: edge.SlotName, Target: edge}}
+	nodes := append(top.Origins, top.Edges...)
 	o, err := fleet.New(fleet.Config{Ungated: true, MaxBatchSize: 1, Trace: tracer}, nodes)
 	if err != nil {
 		return Table{}, nil, err
 	}
-	before := reg.Snapshot().Counters
+	before := counters(nodes)
 	if err := o.Run(); err != nil {
 		return Table{}, nil, err
 	}
 	// Drains outlive Restart; wait so that their spans have ended.
-	origin.WaitDrains()
-	edge.WaitDrains()
-	rr := core.NewReleaseReport(before, reg.Snapshot().Counters, tracer.Finished())
+	for _, n := range nodes {
+		n.Proxy.WaitDrains()
+	}
+	rr := core.NewReleaseReport(before, counters(nodes), tracer.Finished())
 	if reportPath != "" {
 		if err := rr.WriteFile(reportPath); err != nil {
 			return Table{}, nil, err
@@ -156,4 +117,15 @@ func releasePhases(reportPath string, hook func(*obs.Span)) (Table, *core.Releas
 		})
 	}
 	return tab, rr, nil
+}
+
+// counters sums the nodes' registry counters.
+func counters(nodes []*fleet.Node) map[string]int64 {
+	sum := map[string]int64{}
+	for _, n := range nodes {
+		for k, v := range n.Reg.Snapshot().Counters {
+			sum[k] += v
+		}
+	}
+	return sum
 }

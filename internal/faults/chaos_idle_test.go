@@ -6,13 +6,12 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"zdr/internal/core"
 	"zdr/internal/faults"
+	"zdr/internal/fleet"
 	"zdr/internal/http1"
 	"zdr/internal/proxy"
 )
@@ -129,25 +128,16 @@ func TestChaosFaultWrappedKeepAliveServes(t *testing.T) {
 		ReadStallRate:    0.2,
 		ReadStallMax:     2 * time.Millisecond,
 	})
-	edge := &core.ProxySlot{
-		SlotName: "edge",
-		Path:     filepath.Join(t.TempDir(), "edge-fb.sock"),
-		Build: func() *proxy.Proxy {
-			return proxy.New(proxy.Config{
-				Name:          "edge-fb",
-				Role:          proxy.RoleEdge,
-				DrainPeriod:   100 * time.Millisecond,
-				StaticContent: map[string][]byte{"/cached": []byte("dsr-bytes")},
-				AcceptFaults:  acceptFaults,
-			}, nil)
+	edge := newTopology(t, fleet.Spec{
+		Edges: 1,
+		Drain: 100 * time.Millisecond,
+		Build: func(_ int, cfg *proxy.Config) {
+			cfg.StaticContent = map[string][]byte{"/cached": []byte("dsr-bytes")}
+			cfg.AcceptFaults = acceptFaults
 		},
-	}
-	if err := edge.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(edge.Close)
+	}).Edges[0]
 
-	conn, err := net.DialTimeout("tcp", edge.Current().Addr(proxy.VIPWeb), 2*time.Second)
+	conn, err := net.DialTimeout("tcp", edge.Addr(proxy.VIPWeb), 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

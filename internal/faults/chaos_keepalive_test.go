@@ -10,9 +10,8 @@ import (
 	"testing"
 	"time"
 
-	"zdr/internal/appserver"
-	"zdr/internal/core"
 	"zdr/internal/disrupt"
+	"zdr/internal/fleet"
 	"zdr/internal/http1"
 	"zdr/internal/proxy"
 )
@@ -62,42 +61,21 @@ func slowPOST(addr string, body []byte, pieces int, pause time.Duration) error {
 // still come back as a 379 and be replayed byte for byte. The client sees
 // nothing; the books say what happened underneath.
 func TestChaosAppServerRestartKeepAlive(t *testing.T) {
-	var apps []*core.AppServerSlot
-	var appAddrs []string
-	for i := 0; i < 2; i++ {
-		name := fmt.Sprintf("as-%d", i)
-		slot := &core.AppServerSlot{
-			SlotName: name,
-			Build: func() *appserver.Server {
-				return appserver.New(appserver.Config{Name: name, Mode: appserver.ModePPR, DrainPeriod: 50 * time.Millisecond}, nil)
-			},
-		}
-		if err := slot.Start("127.0.0.1:0"); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(slot.Close)
-		apps = append(apps, slot)
-		appAddrs = append(appAddrs, slot.Addr())
-	}
-
 	originLedger, edgeLedger := disrupt.New("origin", 0), disrupt.New("edge", 0)
-	origin := proxy.New(proxy.Config{
-		Name: "origin", Role: proxy.RoleOrigin, AppServers: appAddrs, Ledger: originLedger,
-		DrainPeriod: 100 * time.Millisecond,
-	}, nil)
-	if err := origin.Listen(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(origin.Close)
-	edge := proxy.New(proxy.Config{
-		Name: "edge", Role: proxy.RoleEdge, Origins: []string{origin.Addr(proxy.VIPTunnel)}, Ledger: edgeLedger,
-		DrainPeriod: 100 * time.Millisecond,
-	}, nil)
-	if err := edge.Listen(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(edge.Close)
-	addr := edge.Addr(proxy.VIPWeb)
+	top := newTopology(t, fleet.Spec{
+		Apps:    2,
+		Origins: 1,
+		Edges:   1,
+		Drain:   100 * time.Millisecond,
+		Build: func(_ int, cfg *proxy.Config) {
+			cfg.Ledger = originLedger
+			if cfg.Role == proxy.RoleEdge {
+				cfg.Ledger = edgeLedger
+			}
+		},
+	})
+	apps := top.Apps
+	addr := top.Edges[0].Addr(proxy.VIPWeb)
 
 	post := make([]byte, 256<<10)
 	for i := range post {
@@ -137,13 +115,13 @@ func TestChaosAppServerRestartKeepAlive(t *testing.T) {
 	worker(func() error { return slowPOST(addr, post, 4, 150*time.Millisecond) })
 
 	time.Sleep(100 * time.Millisecond) // warm the pool
-	reg := origin.Metrics()
+	reg := top.Origins[0].Reg
 	if reg.CounterValue("origin.upstream.reuses") == 0 {
 		t.Fatal("no app-server connection was reused before the first restart")
 	}
 	const restarts = 8
 	for i := 0; i < restarts; i++ {
-		if err := apps[i%2].Restart(); err != nil {
+		if err := apps[i%2].Target.Restart(); err != nil {
 			t.Fatalf("restart %d: %v", i, err)
 		}
 		time.Sleep(60 * time.Millisecond) // the pool re-warms on the new generation

@@ -8,15 +8,13 @@
 package faults_test
 
 import (
-	"fmt"
 	"net"
-	"path/filepath"
 	"testing"
 	"time"
 
-	"zdr/internal/appserver"
 	"zdr/internal/core"
 	"zdr/internal/faults"
+	"zdr/internal/fleet"
 	"zdr/internal/mqtt"
 	"zdr/internal/proxy"
 )
@@ -31,81 +29,25 @@ type multiOriginTopo struct {
 
 func buildMultiOriginTopo(t *testing.T, originCfg, edgeCfg func(*proxy.Config)) *multiOriginTopo {
 	t.Helper()
-	dir := t.TempDir()
-
-	brokerLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	broker := mqtt.NewBroker("broker", nil)
-	go broker.Serve(brokerLn)
-	t.Cleanup(func() { brokerLn.Close(); broker.Close() })
-
-	app := &core.AppServerSlot{
-		SlotName: "as",
-		Build: func() *appserver.Server {
-			return appserver.New(appserver.Config{Name: "as", DrainPeriod: 100 * time.Millisecond}, nil)
-		},
-	}
-	if err := app.Start("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(app.Close)
-
-	tp := &multiOriginTopo{broker: broker}
-	tunnels := make([]string, 0, 2)
-	for i := range tp.origins {
-		i := i
-		gen := 0
-		slot := &core.ProxySlot{
-			SlotName: fmt.Sprintf("origin-%c", 'a'+i),
-			Path:     filepath.Join(dir, fmt.Sprintf("origin-%c.sock", 'a'+i)),
-			Build: func() *proxy.Proxy {
-				gen++
-				cfg := proxy.Config{
-					Name:        fmt.Sprintf("origin-%c-g%d", 'a'+i, gen),
-					Role:        proxy.RoleOrigin,
-					AppServers:  []string{app.Addr()},
-					Brokers:     []string{brokerLn.Addr().String()},
-					DrainPeriod: 400 * time.Millisecond,
-				}
-				if originCfg != nil {
-					originCfg(&cfg)
-				}
-				return proxy.New(cfg, nil)
-			},
-		}
-		if err := slot.Start(); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(slot.Close)
-		tp.origins[i] = slot
-		tunnels = append(tunnels, slot.Current().Addr(proxy.VIPTunnel))
-	}
-
-	edgeGen := 0
-	tp.edge = &core.ProxySlot{
-		SlotName: "edge",
-		Path:     filepath.Join(dir, "edge.sock"),
-		Build: func() *proxy.Proxy {
-			edgeGen++
-			cfg := proxy.Config{
-				Name:        fmt.Sprintf("edge-g%d", edgeGen),
-				Role:        proxy.RoleEdge,
-				Origins:     tunnels,
-				DrainPeriod: 400 * time.Millisecond,
+	top := newTopology(t, fleet.Spec{
+		Broker:  true,
+		Apps:    1,
+		Origins: 2,
+		Edges:   1,
+		Drain:   400 * time.Millisecond,
+		Build: func(_ int, cfg *proxy.Config) {
+			if cfg.Role == proxy.RoleEdge {
+				edgeCfg(cfg)
+			} else {
+				originCfg(cfg)
 			}
-			if edgeCfg != nil {
-				edgeCfg(&cfg)
-			}
-			return proxy.New(cfg, nil)
 		},
+	})
+	return &multiOriginTopo{
+		broker:  top.Broker,
+		origins: [2]*core.ProxySlot{top.Origins[0].Proxy, top.Origins[1].Proxy},
+		edge:    top.Edges[0].Proxy,
 	}
-	if err := tp.edge.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(tp.edge.Close)
-	return tp
 }
 
 func TestChaosMultiOriginDCRReconnect(t *testing.T) {

@@ -12,28 +12,24 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"zdr/internal/appserver"
 	"zdr/internal/core"
 	"zdr/internal/faults"
+	"zdr/internal/fleet"
 	"zdr/internal/http1"
 	"zdr/internal/mqtt"
 	"zdr/internal/proxy"
 	"zdr/internal/quicx"
 )
 
-// chaosTopo is one full in-process deployment: broker, app-server slot,
+// chaosTopo is one full in-process deployment: broker, app server,
 // origin slot, edge slot — every tier individually restartable.
 type chaosTopo struct {
-	broker   *mqtt.Broker
-	brokerLn net.Listener
-	app      *core.AppServerSlot
-	origin   *core.ProxySlot
-	edge     *core.ProxySlot
+	broker       *mqtt.Broker
+	origin, edge *core.ProxySlot
 }
 
 // buildChaosTopo stands the deployment up. originCfg/edgeCfg mutate each
@@ -41,76 +37,35 @@ type chaosTopo struct {
 // point); either may be nil.
 func buildChaosTopo(t *testing.T, originCfg, edgeCfg func(*proxy.Config)) *chaosTopo {
 	t.Helper()
-	dir := t.TempDir()
+	top := newTopology(t, fleet.Spec{
+		Broker:  true,
+		Apps:    1,
+		Origins: 1,
+		Edges:   1,
+		Drain:   400 * time.Millisecond,
+		Build: func(_ int, cfg *proxy.Config) {
+			hook := originCfg
+			if cfg.Role == proxy.RoleEdge {
+				cfg.StaticContent = map[string][]byte{"/cached": []byte("dsr-bytes")}
+				hook = edgeCfg
+			}
+			if hook != nil {
+				hook(cfg)
+			}
+		},
+	})
+	return &chaosTopo{broker: top.Broker, origin: top.Origins[0].Proxy, edge: top.Edges[0].Proxy}
+}
 
-	brokerLn, err := net.Listen("tcp", "127.0.0.1:0")
+// newTopology stands spec's topology up for the length of the test.
+func newTopology(t *testing.T, spec fleet.Spec) *fleet.Topology {
+	t.Helper()
+	top, err := fleet.NewTopology(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	broker := mqtt.NewBroker("broker", nil)
-	go broker.Serve(brokerLn)
-	t.Cleanup(func() { brokerLn.Close(); broker.Close() })
-
-	app := &core.AppServerSlot{
-		SlotName: "as",
-		Build: func() *appserver.Server {
-			return appserver.New(appserver.Config{Name: "as", DrainPeriod: 100 * time.Millisecond}, nil)
-		},
-	}
-	if err := app.Start("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(app.Close)
-
-	originGen := 0
-	origin := &core.ProxySlot{
-		SlotName: "origin",
-		Path:     filepath.Join(dir, "origin.sock"),
-		Build: func() *proxy.Proxy {
-			originGen++
-			cfg := proxy.Config{
-				Name:        fmt.Sprintf("origin-g%d", originGen),
-				Role:        proxy.RoleOrigin,
-				AppServers:  []string{app.Addr()},
-				Brokers:     []string{brokerLn.Addr().String()},
-				DrainPeriod: 400 * time.Millisecond,
-			}
-			if originCfg != nil {
-				originCfg(&cfg)
-			}
-			return proxy.New(cfg, nil)
-		},
-	}
-	if err := origin.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(origin.Close)
-
-	tunnelAddr := origin.Current().Addr(proxy.VIPTunnel)
-	edgeGen := 0
-	edge := &core.ProxySlot{
-		SlotName: "edge",
-		Path:     filepath.Join(dir, "edge.sock"),
-		Build: func() *proxy.Proxy {
-			edgeGen++
-			cfg := proxy.Config{
-				Name:          fmt.Sprintf("edge-g%d", edgeGen),
-				Role:          proxy.RoleEdge,
-				Origins:       []string{tunnelAddr},
-				DrainPeriod:   400 * time.Millisecond,
-				StaticContent: map[string][]byte{"/cached": []byte("dsr-bytes")},
-			}
-			if edgeCfg != nil {
-				edgeCfg(&cfg)
-			}
-			return proxy.New(cfg, nil)
-		},
-	}
-	if err := edge.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(edge.Close)
-	return &chaosTopo{broker: broker, brokerLn: brokerLn, app: app, origin: origin, edge: edge}
+	t.Cleanup(top.Close)
+	return top
 }
 
 // doHTTP runs one request on a fresh connection and checks the echo.
@@ -295,7 +250,8 @@ func TestChaosRollingRestartZeroDisruption(t *testing.T) {
 			t.Errorf("injector %s never fired", name)
 		}
 	}
-	// Classification: the surviving generations saw no user-facing errors.
+	// Classification: no generation saw a user-facing error (a node's
+	// generations share one registry).
 	edgeReg := tp.edge.Current().Metrics()
 	for _, c := range []string{"edge.http.errors.no_origin", "edge.http.errors.open_stream", "edge.http.errors.upstream"} {
 		if v := edgeReg.CounterValue(c); v != 0 {
@@ -348,28 +304,15 @@ func TestChaosDialFailuresAbsorbedByRetries(t *testing.T) {
 // generation). "Bounded" means every request completes within the retry
 // budget — and the drop schedule demonstrably fired.
 func TestChaosUDPBoundedLoss(t *testing.T) {
-	dir := t.TempDir()
-	gen := 0
-	edge := &core.ProxySlot{
-		SlotName: "edge-q",
-		Path:     filepath.Join(dir, "edge-q.sock"),
-		Build: func() *proxy.Proxy {
-			gen++
-			return proxy.New(proxy.Config{
-				Name:          fmt.Sprintf("edge-q-g%d", gen),
-				Role:          proxy.RoleEdge,
-				Origins:       []string{"127.0.0.1:1"}, // static-only
-				EnableQUIC:    true,
-				DrainPeriod:   500 * time.Millisecond,
-				StaticContent: map[string][]byte{"/video/seg1": []byte("segment-one")},
-			}, nil)
+	edge := newTopology(t, fleet.Spec{
+		Edges: 1,
+		Drain: 500 * time.Millisecond,
+		Build: func(_ int, cfg *proxy.Config) {
+			cfg.EnableQUIC = true
+			cfg.StaticContent = map[string][]byte{"/video/seg1": []byte("segment-one")}
 		},
-	}
-	if err := edge.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer edge.Close()
-	serverAddr, err := net.ResolveUDPAddr("udp", edge.Current().Addr(proxy.VIPQUIC))
+	}).Edges[0]
+	serverAddr, err := net.ResolveUDPAddr("udp", edge.Addr(proxy.VIPQUIC))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +360,7 @@ func TestChaosUDPBoundedLoss(t *testing.T) {
 		}
 	}
 
-	if err := edge.Restart(); err != nil {
+	if err := edge.Target.Restart(); err != nil {
 		t.Fatalf("edge restart: %v", err)
 	}
 

@@ -40,18 +40,18 @@ type simNode struct {
 	inj  *faults.Injector
 }
 
-// newSimFleet starts n gated Edge nodes (NewFleet); build completes
-// node i's config for each generation.
-func newSimFleet(t *testing.T, n int, maxHold time.Duration, build func(i int, cfg *proxy.Config)) (*Fleet, []*simNode) {
+// newSimFleet starts n gated Edge nodes; build completes node i's config
+// for each generation.
+func newSimFleet(t *testing.T, n int, maxHold time.Duration, build func(i int, cfg *proxy.Config)) (*Topology, []*simNode) {
 	t.Helper()
-	f, err := NewFleet(n, true, maxHold, build)
+	f, err := NewTopology(EdgeFleet(n, true, maxHold, build))
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(f.Close)
 	sims := make([]*simNode, n)
-	for i := range sims {
-		sims[i] = &simNode{name: f.Nodes[i].Name, slot: f.Slots[i], reg: f.regs[i]}
+	for i, e := range f.Edges {
+		sims[i] = &simNode{name: e.Name, slot: e.Proxy, reg: e.Reg}
 	}
 	return f, sims
 }
@@ -80,8 +80,8 @@ type loadCounts struct {
 
 // hammer drives GETs at every node of f until f closes, counting each
 // node's outcomes.
-func hammer(f *Fleet) []*loadCounts {
-	perNode := make([]*loadCounts, len(f.Nodes))
+func hammer(f *Topology) []*loadCounts {
+	perNode := make([]*loadCounts, len(f.Edges))
 	for i := range perNode {
 		perNode[i] = &loadCounts{}
 	}
@@ -90,7 +90,7 @@ func hammer(f *Fleet) []*loadCounts {
 		switch {
 		case err != nil:
 			c.transport.Add(1)
-			c.lastErr.Store(fmt.Errorf("%s: %w", f.Nodes[i].Name, err))
+			c.lastErr.Store(fmt.Errorf("%s: %w", f.Edges[i].Name, err))
 		case code == 200:
 			c.ok.Add(1)
 		default:
@@ -123,7 +123,7 @@ func TestFleetCloseLeavesNothing(t *testing.T) {
 	}
 	goroutines0 := runtime.NumGoroutine()
 
-	f, err := NewFleet(3, true, 5*time.Second, badWhile(new(atomic.Bool)))
+	f, err := NewTopology(EdgeFleet(3, true, 5*time.Second, badWhile(new(atomic.Bool))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestFleetCloseLeavesNothing(t *testing.T) {
 		Name:          "leak",
 		HealthWindow:  100 * time.Millisecond,
 		ProbeInterval: 10 * time.Millisecond,
-	}, f.Nodes)
+	}, f.Edges)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestFleetChaosBadCanaryRollsBack(t *testing.T) {
 		Journal:       j,
 		Trace:         tracer,
 	}
-	o, err := New(cfg, f.Nodes)
+	o, err := New(cfg, f.Edges)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +319,7 @@ func TestFleetChaosOperatorCrashResume(t *testing.T) {
 		WindowTimeout: 10 * time.Second,
 		Journal:       j,
 	}
-	o1, err := New(cfg, f.Nodes)
+	o1, err := New(cfg, f.Edges)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +384,7 @@ func TestFleetChaosOperatorCrashResume(t *testing.T) {
 	cfg2 := cfg
 	cfg2.Journal = j2
 	cfg2.Resume = &prog
-	o2, err := New(cfg2, f.Nodes)
+	o2, err := New(cfg2, f.Edges)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,7 +458,7 @@ func TestFleetChaosControlPartitionMidWindow(t *testing.T) {
 		WindowTimeout: 10 * time.Second,
 		control:       in,
 	}
-	o, err := New(cfg, f.Nodes)
+	o, err := New(cfg, f.Edges)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ import (
 // newTelemetrySimFleet wires the full telemetry surface onto each node:
 // a disruption ledger shared across generations and an accept-path
 // fault injector whose observer feeds the ledger.
-func newTelemetrySimFleet(t *testing.T, n int, maxHold time.Duration) (*Fleet, []*simNode) {
+func newTelemetrySimFleet(t *testing.T, n int, maxHold time.Duration) (*Topology, []*simNode) {
 	t.Helper()
 	leds := make([]*disrupt.Ledger, n)
 	injs := make([]*faults.Injector, n)
@@ -39,7 +39,7 @@ func newTelemetrySimFleet(t *testing.T, n int, maxHold time.Duration) (*Fleet, [
 	})
 	for i, s := range sims {
 		s.led, s.inj = leds[i], injs[i]
-		f.Nodes[i].Disruption = leds[i].Report
+		f.Edges[i].Disruption = leds[i].Report
 	}
 	return f, sims
 }
@@ -49,7 +49,7 @@ func newTelemetrySimFleet(t *testing.T, n int, maxHold time.Duration) (*Fleet, [
 // demands exact books: injected == attributed, unattributed == 0.
 func TestFleetChaosTelemetryAttribution(t *testing.T) {
 	f, sims := newTelemetrySimFleet(t, 24, 10*time.Second)
-	nodes := f.Nodes
+	nodes := f.Edges
 
 	f.Load(func(int, int, error) {}) // aborts are expected; outcome irrelevant
 	time.Sleep(150 * time.Millisecond)
