@@ -26,7 +26,6 @@ import (
 	"zdr/internal/h2t"
 	"zdr/internal/katran"
 	"zdr/internal/netx"
-	"zdr/internal/quicx"
 	"zdr/internal/takeover"
 	"zdr/internal/workload"
 )
@@ -91,9 +90,9 @@ func BenchmarkFig2cCommitsPerRelease(b *testing.B) {
 
 func BenchmarkFig2dReuseportMisrouting(b *testing.B) {
 	tab := runExperiment(b, figure("F2d"))
-	// Last row = 100k flows.
+	// Last row = 10k flows.
 	last := tab.Rows[len(tab.Rows)-1]
-	b.ReportMetric(cell(b, last[1])+cell(b, last[2]), "misrouted-pkts-100kflows")
+	b.ReportMetric(cell(b, last[1])+cell(b, last[2]), "misrouted-pkts-10kflows")
 }
 
 func BenchmarkFig3aCapacityTimeline(b *testing.B) {
@@ -262,31 +261,6 @@ func BenchmarkAblationTakeoverVsReconnect(b *testing.B) {
 			c.Close()
 		}
 	})
-}
-
-// BenchmarkAblationConnIDRoutingVsRing sweeps the modeled release across
-// flow counts, contrasting ring-flux misrouting with takeover routing.
-func BenchmarkAblationConnIDRoutingVsRing(b *testing.B) {
-	for _, flows := range []int{1_000, 10_000} {
-		b.Run(fmt.Sprintf("flows-%d", flows), func(b *testing.B) {
-			b.ReportAllocs()
-			var trad, zdr int64
-			for i := 0; i < b.N; i++ {
-				t, err := quicx.SimulateReuseportRelease(8, flows, 3)
-				if err != nil {
-					b.Fatal(err)
-				}
-				z, err := quicx.SimulateTakeoverRelease(8, flows, 3, 10)
-				if err != nil {
-					b.Fatal(err)
-				}
-				trad = t.FluxMisrouted + t.PurgeMisrouted
-				zdr = z.FluxMisrouted + z.PurgeMisrouted
-			}
-			b.ReportMetric(float64(trad), "misrouted-ring")
-			b.ReportMetric(float64(zdr), "misrouted-takeover")
-		})
-	}
 }
 
 // BenchmarkAblationLRUFlowCache measures collateral flow movement during

@@ -89,7 +89,6 @@ var testOnly = map[string]string{
 	"proxy.Config.RetryBackoff":        "faults TestChaosDialFailuresAbsorbedByRetries",
 	"proxy.Proxy.Name":                 "faults TestChaosAdminHealthzAcrossTakeover, faults TestChaosEdgeRestartKeepsIdleKeepAlives",
 	"quicx.Client.Send":                "proxy TestEdgeQUICSurvivesTakeover, proxy TestEdgeQUICVIPServes",
-	"quicx.SimulateTakeoverRelease":    "bench_test.go BenchmarkAblationConnIDRoutingVsRing",
 	"racetest.SkipAllocs":              "core TestRestartHeapAllocation, h2t TestStreamAllocations, ...",
 	"takeover.Result.OrphanedFDs":      "takeover Example",
 }

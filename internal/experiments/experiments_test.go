@@ -1,9 +1,13 @@
 package experiments
 
 import (
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
+
+	"zdr/internal/netx"
 )
 
 // num parses a formatted cell back to a float (stripping %, x, units).
@@ -192,6 +196,34 @@ func TestFig10Shape(t *testing.T) {
 	}
 	if num(t, tab.Rows[1][3]) == 0 {
 		t.Fatal("user-space forwarding unused")
+	}
+}
+
+// TestUDPFiguresLeaveNothing: F2d binds and closes 16 sockets and up to
+// 256 client sockets per batch, F10 two servers and 500 clients per arm;
+// once both have returned, every descriptor and goroutine they made is
+// gone.
+func TestUDPFiguresLeaveNothing(t *testing.T) {
+	fds0, err := netx.OpenFDCount()
+	if err != nil {
+		t.Fatal(err)
+	}
+	goroutines0 := runtime.NumGoroutine()
+	if _, err := fig2dReuseportMisrouting(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fig10UDPMisrouting(); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(time.Second); ; time.Sleep(10 * time.Millisecond) {
+		fds, _ := netx.OpenFDCount()
+		if fds <= fds0 && runtime.NumGoroutine() <= goroutines0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("1 s after F2d and F10: %d descriptors and %d goroutines, at start %d and %d",
+				fds, runtime.NumGoroutine(), fds0, goroutines0)
+		}
 	}
 }
 

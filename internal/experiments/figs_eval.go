@@ -3,6 +3,7 @@ package experiments
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -237,18 +238,54 @@ func fig9DCRTimeline() (Table, error) {
 	return t, nil
 }
 
-// fig10UDPMisrouting regenerates Fig. 10: mis-routed UDP packets per
-// instance — a real Socket Takeover with connection-ID user-space routing
-// vs the modeled traditional (ring-flux) release.
+// fig10UDPMisrouting regenerates Fig. 10 on real sockets: mis-routed UDP
+// packets per instance during a release, Socket Takeover with
+// connection-ID user-space routing vs the traditional release whose
+// successor joins the old instance in the kernel's SO_REUSEPORT ring.
 func fig10UDPMisrouting() (Table, error) {
-	const flows, packetsPerFlow = 500, 4
+	trad, err := udpRelease(false)
+	if err != nil {
+		return Table{}, fmt.Errorf("traditional: %w", err)
+	}
+	zdr, err := udpRelease(true)
+	if err != nil {
+		return Table{}, fmt.Errorf("takeover: %w", err)
+	}
+	ratio := "inf"
+	if zdr.misrouted > 0 {
+		ratio = fmt.Sprintf("%dx", trad.misrouted/zdr.misrouted)
+	}
+	return Table{
+		id:      "F10",
+		title:   "UDP packets mis-routed per instance during a release",
+		columns: []string{"approach", "packets", "misrouted", "forwarded in user-space"},
+		Rows: [][]string{
+			{"traditional (ring flux, real)", fmt.Sprintf("%d", trad.sent), fmt.Sprintf("%d", trad.misrouted), "-"},
+			{"socket takeover + connID routing (real)", fmt.Sprintf("%d", zdr.sent), fmt.Sprintf("%d", zdr.misrouted), fmt.Sprintf("%d", zdr.forwarded)},
+		},
+		notes: fmt.Sprintf("paper: ~100x fewer misrouted packets in the worst case; measured advantage %s; "+
+			"traditional: %d misrouted in the flux, %d after the old instance closed", ratio, trad.flux, trad.misrouted-trad.flux),
+	}, nil
+}
 
-	// Real side: takeover with user-space routing on localhost.
+// udpReleaseResult counts one Fig. 10 arm's data packets; flux is the
+// part of misrouted that arrived while both instances read the VIP.
+type udpReleaseResult struct{ sent, misrouted, flux, forwarded int64 }
+
+// udpRelease runs one arm of Fig. 10: 500 flows open on an old
+// quicx.Server, a successor comes up on its VIP, every flow sends 4 data
+// packets. Under takeover the successor gets the old socket's descriptor
+// and forwards unknown flows to the draining old Server; traditionally it
+// binds a second SO_REUSEPORT socket and forwards nothing, and after that
+// flux the old Server closes and every flow sends again (the purge).
+func udpRelease(takeover bool) (res udpReleaseResult, err error) {
+	const flows, packetsPerFlow = 500, 4
+	echo := func(_ quicx.ConnID, p []byte) []byte { return p }
 	vip, err := netx.ListenUDPReusePort("127.0.0.1:0")
 	if err != nil {
-		return Table{}, err
+		return res, err
 	}
-	oldSrv := quicx.NewServer("old", vip, func(c quicx.ConnID, p []byte) []byte { return p }, nil)
+	oldSrv := quicx.NewServer("old", vip, echo, nil)
 	oldSrv.Start()
 	defer oldSrv.Close()
 
@@ -262,64 +299,75 @@ func fig10UDPMisrouting() (Table, error) {
 	for i := 0; i < flows; i++ {
 		c, err := quicx.Dial(addr, quicx.ConnID(i+1))
 		if err != nil {
-			return Table{}, err
+			return res, err
 		}
 		conns = append(conns, c)
 		if _, err := c.Open(nil, 2*time.Second); err != nil {
-			return Table{}, fmt.Errorf("open flow %d: %w", i, err)
+			return res, fmt.Errorf("open flow %d: %w", i, err)
 		}
 	}
 
-	// Takeover.
-	fd, err := netx.PacketConnFD(vip)
-	if err != nil {
-		return Table{}, err
+	var vip2 *net.UDPConn
+	if takeover {
+		var fd int
+		if fd, err = netx.PacketConnFD(vip); err == nil {
+			vip2, err = netx.PacketConnFromFD(fd, "vip-new")
+		}
+	} else {
+		vip2, err = netx.ListenUDPReusePort(addr)
 	}
-	vip2, err := netx.PacketConnFromFD(fd, "vip-new")
 	if err != nil {
-		return Table{}, err
+		return res, err
 	}
-	newSrv := quicx.NewServer("new", vip2, func(c quicx.ConnID, p []byte) []byte { return p }, nil)
+	newSrv := quicx.NewServer("new", vip2, echo, nil)
 	defer newSrv.Close()
-	fwdAddr, err := oldSrv.StartDraining()
-	if err != nil {
-		return Table{}, err
+	if takeover {
+		fwdAddr, err := oldSrv.StartDraining()
+		if err != nil {
+			return res, err
+		}
+		newSrv.SetForward(fwdAddr)
 	}
-	newSrv.SetForward(fwdAddr)
 	newSrv.Start()
 
-	// Drive packets on the old flows during the drain.
-	for p := 0; p < packetsPerFlow; p++ {
-		for _, c := range conns {
-			c.SendNoReply([]byte("data"))
+	count := func(name string) int64 {
+		return oldSrv.Metrics().CounterValue(name) + newSrv.Metrics().CounterValue(name)
+	}
+	// send waits after every 125 packets until each is answered or
+	// counted misrouted, where its fate is decided. 125 small datagrams
+	// are half of what a socket's default receive buffer holds with no
+	// reader running, so a lost one fails the run.
+	send := func() error {
+		for range packetsPerFlow {
+			for i, c := range conns {
+				c.SendNoReply([]byte("data"))
+				if res.sent++; (i+1)%125 != 0 && i+1 != flows {
+					continue
+				}
+				deadline := time.Now().Add(2 * time.Second)
+				for count("quicx.tx")-flows+count("quicx.misrouted") < res.sent {
+					if time.Now().After(deadline) {
+						return errors.New("a data packet was lost")
+					}
+					time.Sleep(time.Millisecond)
+				}
+			}
+		}
+		return nil
+	}
+	if err := send(); err != nil {
+		return res, err
+	}
+	if !takeover {
+		res.flux = count("quicx.misrouted")
+		oldSrv.Close()
+		if err := send(); err != nil {
+			return res, err
 		}
 	}
-	time.Sleep(300 * time.Millisecond) // let the forwarding settle
-
-	realMis := newSrv.Metrics().CounterValue("quicx.misrouted") + oldSrv.Metrics().CounterValue("quicx.misrouted")
-	forwarded := newSrv.Metrics().CounterValue("quicx.forwarded")
-
-	// Model side: the traditional SO_REUSEPORT release.
-	trad, err := quicx.SimulateReuseportRelease(8, flows, packetsPerFlow)
-	if err != nil {
-		return Table{}, err
-	}
-	tradMis := trad.FluxMisrouted + trad.PurgeMisrouted
-
-	ratio := "inf"
-	if realMis > 0 {
-		ratio = fmt.Sprintf("%dx", tradMis/realMis)
-	}
-	return Table{
-		id:      "F10",
-		title:   "UDP packets mis-routed per instance during a release",
-		columns: []string{"approach", "packets", "misrouted", "forwarded in user-space"},
-		Rows: [][]string{
-			{"traditional (ring flux, modeled)", fmt.Sprintf("%d", trad.Delivered), fmt.Sprintf("%d", tradMis), "-"},
-			{"socket takeover + connID routing (real)", fmt.Sprintf("%d", flows*packetsPerFlow), fmt.Sprintf("%d", realMis), fmt.Sprintf("%d", forwarded)},
-		},
-		notes: fmt.Sprintf("paper: ~100x fewer misrouted packets in the worst case; measured advantage %s", ratio),
-	}, nil
+	res.misrouted = count("quicx.misrouted")
+	res.forwarded = count("quicx.forwarded")
+	return res, nil
 }
 
 // fig11PPRDisruption regenerates Fig. 11: percentage of POSTs across the

@@ -1,11 +1,16 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
+	"net"
+	"slices"
+	"sync"
+	"syscall"
 	"time"
 
 	"zdr/internal/cluster"
-	"zdr/internal/quicx"
+	"zdr/internal/netx"
 	"zdr/internal/workload"
 )
 
@@ -80,30 +85,133 @@ func fig2cCommitsPerRelease() (Table, error) {
 	return t, nil
 }
 
-// fig2dReuseportMisrouting regenerates Fig. 2d: UDP packets mis-routed
-// during a SO_REUSEPORT socket handover (kernel socket-ring flux model),
-// for several flow counts.
+// fig2dReuseportMisrouting regenerates Fig. 2d on the kernel's own
+// SO_REUSEPORT ring: UDP packets mis-routed while a successor's sockets
+// join the old generation's (flux) and after the old ones close (purge),
+// for several flow counts, each batch of at most 256 flows one release.
 func fig2dReuseportMisrouting() (Table, error) {
+	const packetsPerFlow, batch = 2, 256
 	t := Table{
 		id:      "F2d",
 		title:   "UDP packets mis-routed during SO_REUSEPORT socket handover",
 		columns: []string{"flows", "flux misrouted", "purge misrouted", "misroute rate"},
-		notes:   "paper: the ring flux 'significantly increases the likelihood of UDP packets being misrouted'",
+		notes: "paper: the ring flux 'significantly increases the likelihood of UDP packets being misrouted'; " +
+			"share of the flux that reached the successor, whose share of the ring is 8/16 = 0.5:",
 	}
-	for _, flows := range []int{1_000, 10_000, 100_000} {
-		out, err := quicx.SimulateReuseportRelease(8, flows, 5)
-		if err != nil {
-			return t, err
+	for _, flows := range []int{1_000, 10_000} {
+		var flux, purge int
+		for done := 0; done < flows; done += batch {
+			f, p, err := reuseportRelease(min(batch, flows-done), packetsPerFlow)
+			if err != nil {
+				return t, err
+			}
+			flux, purge = flux+f, purge+p
 		}
-		total := out.FluxMisrouted + out.PurgeMisrouted
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", flows),
-			fmt.Sprintf("%d", out.FluxMisrouted),
-			fmt.Sprintf("%d", out.PurgeMisrouted),
-			pct(float64(total) / float64(out.Delivered)),
-		})
+		sent := flows * packetsPerFlow // per phase
+		frac := float64(flux) / float64(sent)
+		if frac < 0.4 || frac > 0.6 {
+			return t, fmt.Errorf("%d flows: %.3f of the flux reached the successor, outside the band 0.4-0.6 around its ring share", flows, frac)
+		}
+		t.notes += fmt.Sprintf(" %.3f (%d flows)", frac, flows)
+		t.Rows = append(t.Rows, []string{fmt.Sprint(flows), fmt.Sprint(flux), fmt.Sprint(purge), pct(float64(flux+purge) / float64(2*sent))})
 	}
 	return t, nil
+}
+
+// reuseportRelease moves a fresh loopback port from 8 old SO_REUSEPORT
+// sockets to 8 successor sockets under flows (≤ 256) connected clients,
+// each of which sends one packet to the old ones, then packetsPerFlow
+// while both are bound (flux) and again once the old ones closed (purge),
+// and counts the packets that reached the successor in each phase. A
+// round of one datagram per flow is read in full before the next, and a
+// socket's default receive buffer holds 256 of them with no reader
+// running, so a lost datagram fails the run, never shortens a count.
+func reuseportRelease(flows, packetsPerFlow int) (flux, purge int, err error) {
+	var socks [2][]*net.UDPConn       // old, successor
+	arrivals := make(chan int, flows) // per datagram read, 1 on a successor; holds a round
+	var clients []int                 // plain descriptors: they only send
+	var readers sync.WaitGroup
+	defer func() {
+		for _, c := range slices.Concat(socks[0], socks[1]) {
+			c.Close()
+		}
+		for _, fd := range clients {
+			syscall.Close(fd)
+		}
+		readers.Wait()
+	}()
+	bind := func(gen int, addr string) error {
+		for range 8 {
+			c, err := netx.ListenUDPReusePort(addr)
+			if err != nil {
+				return err
+			}
+			addr = c.LocalAddr().String()
+			socks[gen] = append(socks[gen], c)
+			readers.Add(1)
+			go func() {
+				defer readers.Done()
+				for b := make([]byte, 1); ; {
+					if _, _, err := c.ReadFrom(b); err != nil {
+						return
+					}
+					select {
+					case arrivals <- gen:
+					default: // more than a round: the round reports a loss
+					}
+				}
+			}()
+		}
+		return nil
+	}
+	phase := func(rounds int) (onSuccessor int, err error) {
+		for range rounds {
+			for _, fd := range clients {
+				if _, err := syscall.Write(fd, []byte{0}); err != nil {
+					return 0, fmt.Errorf("client send: %w", err)
+				}
+			}
+			timeout := time.After(2 * time.Second)
+			for range flows {
+				select {
+				case gen := <-arrivals:
+					onSuccessor += gen
+				case <-timeout:
+					return 0, errors.New("a datagram was lost")
+				}
+			}
+		}
+		return onSuccessor, nil
+	}
+
+	if err := bind(0, "127.0.0.1:0"); err != nil {
+		return 0, 0, err
+	}
+	vip := socks[0][0].LocalAddr().(*net.UDPAddr)
+	for range flows {
+		fd, err := syscall.Socket(syscall.AF_INET, syscall.SOCK_DGRAM|syscall.SOCK_CLOEXEC, 0)
+		if err != nil {
+			return 0, 0, fmt.Errorf("client socket: %w", err)
+		}
+		clients = append(clients, fd)
+		if err := syscall.Connect(fd, &syscall.SockaddrInet4{Port: vip.Port, Addr: [4]byte{127, 0, 0, 1}}); err != nil {
+			return 0, 0, fmt.Errorf("client connect: %w", err)
+		}
+	}
+	if _, err := phase(1); err != nil {
+		return 0, 0, err
+	}
+	if err := bind(1, vip.String()); err != nil {
+		return 0, 0, err
+	}
+	if flux, err = phase(packetsPerFlow); err != nil {
+		return 0, 0, err
+	}
+	for _, c := range socks[0] {
+		c.Close()
+	}
+	purge, err = phase(packetsPerFlow)
+	return flux, purge, err
 }
 
 // fig3aCapacityTimeline regenerates Fig. 3a: an Edge cluster's capacity

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -29,8 +30,8 @@ func tblSteeringRelease() (Table, error) {
 	tab := Table{
 		id:      "T-G",
 		title:   "Rolling release under Maglev-only vs Prequal drain-aware steering",
-		columns: []string{"policy", "requests", "ok", "drain arrivals", "disrupted", "p50", "p99"},
-		notes: "4-edge fleet, one edge fresh-socket-restarted mid-run (drain 400ms, rebind, " +
+		columns: []string{"policy", "requests", "ok", "drain arrivals", "disrupted", "p50", "p99", "disrupted on"},
+		notes: "4-edge fleet, edge-01 fresh-socket-restarted mid-run (drain 400ms, rebind, " +
 			"readmit) under an identical seeded request schedule; 'drain arrivals' counts fresh " +
 			"flows steered to the restarting edge while its release was in flight. Maglev keeps " +
 			"feeding it until health-check eviction (2 failures x 100ms); Prequal hears the " +
@@ -50,6 +51,7 @@ func tblSteeringRelease() (Table, error) {
 			fmt.Sprintf("%d", res.disrupted),
 			fmt.Sprintf("%.0f us", float64(res.p50.Microseconds())),
 			fmt.Sprintf("%.0f us", float64(res.p99.Microseconds())),
+			strings.TrimPrefix(fmt.Sprint(res.landed), "map"), // fmt sorts the keys
 		})
 	}
 	return tab, nil
@@ -62,6 +64,7 @@ type steeringResult struct {
 	disrupted     int
 	drainArrivals int
 	p50, p99      time.Duration
+	landed        map[string]int // disrupted requests by the Edge steered to, or "none"
 }
 
 // steeringRelease runs one rolling-release scenario under the named
@@ -76,7 +79,7 @@ func steeringRelease(policyName string) (steeringResult, error) {
 		reqPeriod    = 2 * time.Millisecond
 		releaseAtReq = 150 // 300ms into the run
 	)
-	var res steeringResult
+	res := steeringResult{landed: map[string]int{}}
 	top, err := fleet.NewTopology(fleet.Spec{
 		Edges: nEdges,
 		Drain: 400 * time.Millisecond,
@@ -114,14 +117,15 @@ func steeringRelease(policyName string) (steeringResult, error) {
 	time.Sleep(120 * time.Millisecond) // probe pools warm, health confirmed
 
 	// releaseActive brackets the victim's disruption window: from drain
-	// start until the replacement generation is bound and serving. The
-	// release is the traditional restart, drain then rebind — the §6
-	// baseline the paper replaces with Socket Takeover.
+	// start until the replacement generation is bound and serving. It is
+	// set before the release's goroutine starts, so the request steered
+	// in the same instant counts as a drain arrival. The release is the
+	// traditional restart, drain then rebind — the §6 baseline the paper
+	// replaces with Socket Takeover.
 	victim := top.Edges[1]
 	var releaseActive atomic.Bool
 	releaseDone := make(chan error, 1)
 	release := func() {
-		releaseActive.Store(true)
 		err := victim.Rebind(false, 0)
 		releaseActive.Store(false)
 		releaseDone <- err
@@ -132,12 +136,14 @@ func steeringRelease(policyName string) (steeringResult, error) {
 	for i := 0; i < totalReqs; i++ {
 		time.Sleep(time.Until(t0.Add(time.Duration(i) * reqPeriod)))
 		if i == releaseAtReq {
+			releaseActive.Store(true)
 			go release()
 		}
 		res.total++
 		b, err := lb.Steer(uint64(1_000_000 + i)) // fresh flow per request
 		if err != nil {
 			res.disrupted++
+			res.landed["none"]++
 			continue
 		}
 		if b.Name == victim.Name && releaseActive.Load() {
@@ -146,6 +152,7 @@ func steeringRelease(policyName string) (steeringResult, error) {
 		start := time.Now()
 		if code, err := fleet.GetStatus(b.Addr, "/s", 5*time.Second); err != nil || code != 200 {
 			res.disrupted++
+			res.landed[b.Name]++
 		} else {
 			res.ok++
 			latencies = append(latencies, time.Since(start))

@@ -14,10 +14,6 @@
 // that: a Server with a flow table keyed by connection ID, and a
 // Forwarder that tunnels unknown-flow packets (with the original source
 // address prepended) to the draining instance's local socket.
-//
-// The package also contains reuseportModel (reuseportmodel.go), the
-// deterministic model of the kernel's SO_REUSEPORT socket-ring flux used
-// to regenerate the mis-routing baseline of Fig. 2d and Fig. 10.
 package quicx
 
 import (

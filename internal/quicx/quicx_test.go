@@ -2,7 +2,6 @@ package quicx
 
 import (
 	"bytes"
-	"fmt"
 	"net"
 	"testing"
 	"testing/quick"
@@ -270,93 +269,6 @@ func takeoverWithUserSpaceRouting(t *testing.T) {
 	}
 }
 
-func TestReuseportModelNoChangeNoMisroute(t *testing.T) {
-	m := newReuseportModel(4, 1)
-	for i := 0; i < 100; i++ {
-		f := flowHash(uint32(i), 1, 2, 3)
-		if err := m.openFlow(f); err != nil {
-			t.Fatal(err)
-		}
-		for p := 0; p < 10; p++ {
-			mis, err := m.deliverPacket(f)
-			if err != nil || mis {
-				t.Fatalf("flow %d misrouted on stable ring (err=%v)", i, err)
-			}
-		}
-	}
-}
-
-func TestReuseportModelFluxMisroutes(t *testing.T) {
-	out, err := SimulateReuseportRelease(4, 1000, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Adding an equal number of sockets remaps roughly half the flows;
-	// after the purge, flows owned by the old process are all lost.
-	if out.FluxMisrouted == 0 || out.PurgeMisrouted == 0 {
-		t.Fatalf("no misrouting modeled: %+v", out)
-	}
-	fluxRate := float64(out.FluxMisrouted) / float64(1000*5)
-	if fluxRate < 0.2 || fluxRate > 0.8 {
-		t.Fatalf("flux misroute rate %v implausible", fluxRate)
-	}
-}
-
-func TestTakeoverModelVsReuseportModel(t *testing.T) {
-	trad, err := SimulateReuseportRelease(4, 1000, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	zdr, err := SimulateTakeoverRelease(4, 1000, 5, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tradTotal := trad.FluxMisrouted + trad.PurgeMisrouted
-	zdrTotal := zdr.FluxMisrouted + zdr.PurgeMisrouted
-	if zdrTotal == 0 {
-		t.Fatal("model should show a small takeover window")
-	}
-	// Fig. 10: ~100x fewer misrouted packets in the worst case.
-	if tradTotal < 100*zdrTotal {
-		t.Fatalf("takeover advantage only %dx (trad=%d zdr=%d)", tradTotal/zdrTotal, tradTotal, zdrTotal)
-	}
-}
-
-func TestReuseportModelUnbindEmptiesRing(t *testing.T) {
-	m := newReuseportModel(2, 1)
-	m.unbind(1)
-	if m.RingSize() != 0 {
-		t.Fatalf("ring = %d", m.RingSize())
-	}
-	if err := m.openFlow(1); err == nil {
-		t.Fatal("open on empty ring should fail")
-	}
-	m.bind(3, 2)
-	if m.RingSize() != 3 {
-		t.Fatalf("ring = %d", m.RingSize())
-	}
-}
-
-func TestDeliverUnopenedFlowErrors(t *testing.T) {
-	m := newReuseportModel(2, 1)
-	if _, err := m.deliverPacket(123); err == nil {
-		t.Fatal("expected error for unopened flow")
-	}
-}
-
-func TestFlowHashDeterministicAndSpread(t *testing.T) {
-	if flowHash(1, 2, 3, 4) != flowHash(1, 2, 3, 4) {
-		t.Fatal("hash not deterministic")
-	}
-	seen := map[uint64]bool{}
-	for i := 0; i < 1000; i++ {
-		seen[flowHash(uint32(i), 1000, 5, 443)%16] = true
-	}
-	if len(seen) < 12 {
-		t.Fatalf("flow hash poorly spread: %d/16 buckets", len(seen))
-	}
-}
-
 func BenchmarkServerEcho(b *testing.B) {
 	vip, err := netx.ListenUDPReusePort("127.0.0.1:0")
 	if err != nil {
@@ -381,21 +293,6 @@ func BenchmarkServerEcho(b *testing.B) {
 			b.Fatalf("iter %d: %v", i, err)
 		}
 	}
-}
-
-func BenchmarkReuseportModelRelease(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := SimulateReuseportRelease(8, 1000, 3); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func ExampleSimulateReuseportRelease() {
-	out, _ := SimulateReuseportRelease(4, 10000, 1)
-	fmt.Println(out.FluxMisrouted > 0)
-	// Output: true
 }
 
 func TestPrepareDrainIdempotent(t *testing.T) {
