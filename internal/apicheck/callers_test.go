@@ -33,7 +33,6 @@ var testOnly = map[string]string{
 	"appserver.Server.Serve":           "proxy startCountedHops",
 	"bufpool.TierMedium":               "h2t TestStreamWriteToModel",
 	"consistent.Maglev.Pick":           "bench_test.go BenchmarkMaglevVsRing",
-	"core.ProxySlot.Generation":        "faults TestChaosReceiverDeathPostCommit",
 	"core.ReadReleaseReport":           "experiments TestReleaseReport, experiments TestReleaseReportTwoPhaseAbort",
 	"core.RestartOption":               "fleet Restart",
 	"disrupt.Ledger.Recent":            "faults TestChaosAppServerRestartKeepAlive",

@@ -24,6 +24,7 @@ import (
 	"io"
 	"net"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -99,26 +100,29 @@ func putBody(bp *[]byte) {
 	}
 }
 
-// Mode selects the restart behaviour for in-flight POSTs.
-type Mode int
+// mode selects the restart behaviour for in-flight POSTs. Only ModePPR,
+// the paper's, is exported; the two baselines are the package tests'.
+type mode int
 
 const (
 	// ModePPR responds 379 + partial body (§4.3 option iv, the paper's).
-	ModePPR Mode = iota
-	// ModeFail500 responds 500 (§4.3 option i, baseline).
-	ModeFail500
-	// ModeRedirect307 responds 307 (§4.3 option ii, baseline).
-	ModeRedirect307
+	ModePPR mode = iota
+	// modeFail500 responds 500 (§4.3 option i, baseline).
+	modeFail500
+	// modeRedirect307 responds 307 (§4.3 option ii, baseline).
+	modeRedirect307
 )
 
 // Config tunes the server.
 type Config struct {
 	// Name identifies the instance in metrics and X-Served-By.
 	Name string
-	// Handler serves completed requests; nil installs a default echo.
+	// Handler serves completed requests; nil installs the default: a
+	// body-less GET is answered "ok <Name> <target>", anything else is
+	// echoed back.
 	Handler handler
 	// Mode selects restart behaviour (default ModePPR).
-	Mode Mode
+	Mode mode
 	// DrainPeriod is how long Shutdown waits for requests whose bodies
 	// have already fully arrived (default 100ms in tests; the paper's
 	// tier uses 10–15s).
@@ -159,6 +163,10 @@ type Server struct {
 func New(cfg Config, reg *metrics.Registry) *Server {
 	if cfg.Handler == nil {
 		cfg.Handler = func(req *http1.Request, body []byte) *http1.Response {
+			if req.Method == "GET" && len(body) == 0 {
+				doc := "ok " + cfg.Name + " " + req.Target + "\n"
+				return http1.NewResponse(200, strings.NewReader(doc), int64(len(doc)))
+			}
 			resp := http1.NewResponse(200, bytes.NewReader(body), int64(len(body)))
 			resp.Header.Set("X-Echo-Method", req.Method)
 			return resp
@@ -527,9 +535,9 @@ func (s *Server) respondInterrupted(conn net.Conn, req *http1.Request, partial [
 	conn.SetDeadline(time.Now().Add(5 * time.Second))
 	var resp *http1.Response
 	switch s.cfg.Mode {
-	case ModeFail500:
+	case modeFail500:
 		resp = http1.NewResponse(500, nil, 0)
-	case ModeRedirect307:
+	case modeRedirect307:
 		resp = http1.NewResponse(307, nil, 0)
 		resp.Header.Set("Location", req.Target)
 	default: // ModePPR

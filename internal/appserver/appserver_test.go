@@ -199,7 +199,7 @@ func TestPPREchoesWhatArrivesBehindThe379(t *testing.T) {
 
 // TestFail500OnRestart is the §4.3 option-(i) baseline.
 func TestFail500OnRestart(t *testing.T) {
-	s := startServer(t, Config{Mode: ModeFail500, DrainPeriod: 50 * time.Millisecond})
+	s := startServer(t, Config{Mode: modeFail500, DrainPeriod: 50 * time.Millisecond})
 	conn, err := net.Dial("tcp", s.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -220,7 +220,7 @@ func TestFail500OnRestart(t *testing.T) {
 
 // TestRedirect307OnRestart is the §4.3 option-(ii) baseline.
 func TestRedirect307OnRestart(t *testing.T) {
-	s := startServer(t, Config{Mode: ModeRedirect307, DrainPeriod: 50 * time.Millisecond})
+	s := startServer(t, Config{Mode: modeRedirect307, DrainPeriod: 50 * time.Millisecond})
 	conn, err := net.Dial("tcp", s.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -550,13 +550,17 @@ func TestDrainHandshake(t *testing.T) {
 	s := startServer(t, Config{DrainPeriod: 150 * time.Millisecond, GraceSilence: 60 * time.Millisecond})
 
 	// Two warm keep-alive connections; neither response mentions closing.
+	// Each is read whole (the default handler's status document), so the
+	// connection holds nothing unread.
 	resp, raced, racedBR := dialReq(t, s.Addr(), http1.NewRequest("GET", "/a", nil, 0))
 	defer raced.Close()
 	if v := resp.Header.Get("Connection"); v != "" {
 		t.Fatalf("Connection: %q on a response written while serving", v)
 	}
-	_, quiet, quietBR := dialReq(t, s.Addr(), http1.NewRequest("GET", "/b", nil, 0))
+	http1.ReadFullBody(resp.Body)
+	resp, quiet, quietBR := dialReq(t, s.Addr(), http1.NewRequest("GET", "/b", nil, 0))
 	defer quiet.Close()
+	http1.ReadFullBody(resp.Body)
 	if got := s.Metrics().CounterValue("appserver.conns.accepted"); got != 2 {
 		t.Fatalf("appserver.conns.accepted = %d, want 2", got)
 	}
@@ -587,6 +591,7 @@ func TestDrainHandshake(t *testing.T) {
 	if resp.StatusCode != 200 || resp.Header.Get("Connection") != "close" {
 		t.Fatalf("status %d, Connection %q; want 200 and close", resp.StatusCode, resp.Header.Get("Connection"))
 	}
+	http1.ReadFullBody(resp.Body)
 	if _, err := racedBR.ReadByte(); err == nil {
 		t.Fatal("connection still open after a Connection: close response")
 	}

@@ -22,8 +22,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io/fs"
+	"os"
 	"strconv"
 	"sync"
+	"syscall"
 	"time"
 
 	"zdr/internal/appserver"
@@ -107,24 +110,31 @@ type ProxySlot struct {
 	drainWG sync.WaitGroup
 }
 
-// Start brings up the first generation.
+// Start brings up the first generation, and arms Path as promote does.
+// When a live generation (another process's) serves Path, the first one
+// takes its sockets over as a Restart's would; with no socket file there,
+// or a stale one a crashed process left, it listens.
 func (s *ProxySlot) Start() error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.cur != nil {
+	started := s.cur != nil
+	s.mu.Unlock()
+	if started {
 		return errors.New("core: slot already started")
 	}
 	p := s.Build()
+	if _, err := os.Stat(s.Path); err == nil {
+		if _, err = p.TakeoverFrom(s.Path); err == nil {
+			return s.promote(p)
+		}
+		if !errors.Is(err, syscall.ECONNREFUSED) && !errors.Is(err, fs.ErrNotExist) {
+			p.Close()
+			return fmt.Errorf("core: taking over from the generation at %s: %w", s.Path, err)
+		}
+	}
 	if err := p.Listen(); err != nil {
 		return err
 	}
-	if err := p.ServeTakeover(s.Path); err != nil {
-		p.Close()
-		return err
-	}
-	s.cur = p
-	s.gen = 1
-	return nil
+	return s.promote(p)
 }
 
 // Current returns the serving generation.
@@ -132,13 +142,6 @@ func (s *ProxySlot) Current() *proxy.Proxy {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.cur
-}
-
-// Generation returns the generation counter (1 = first).
-func (s *ProxySlot) Generation() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.gen
 }
 
 // Name implements Restartable.
@@ -375,11 +378,12 @@ func (s *ProxySlot) restartFresh(build func(vipAddrs map[string]string) *proxy.P
 	return s.promote(next)
 }
 
-// Close shuts the current generation down.
+// Close shuts the current generation down; a Start after it counts
+// generations from 1 again.
 func (s *ProxySlot) Close() {
 	s.mu.Lock()
 	cur := s.cur
-	s.cur = nil
+	s.cur, s.gen = nil, 0
 	s.mu.Unlock()
 	if cur != nil {
 		cur.Close()

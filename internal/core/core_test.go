@@ -40,6 +40,30 @@ func TestProxySlotGenerations(t *testing.T) {
 	defer slot.Close()
 	addr := slot.Current().Addr(proxy.VIPWeb)
 
+	finish := getLoop(addr)
+	time.Sleep(50 * time.Millisecond)
+
+	for i := 0; i < 2; i++ {
+		if err := slot.Restart(); err != nil {
+			t.Fatalf("restart %d: %v", i, err)
+		}
+		time.Sleep(150 * time.Millisecond)
+	}
+	if slot.State().Generation != 3 {
+		t.Fatalf("generation = %d, want 3", slot.State().Generation)
+	}
+	if served, err := finish(); err != nil || served == 0 {
+		t.Fatalf("load across generations: %d served, %v", served, err)
+	}
+	if slot.Current().Addr(proxy.VIPWeb) != addr {
+		t.Fatal("VIP address changed across takeover — socket was rebound")
+	}
+}
+
+// getLoop GETs /s from addr back to back, each on a connection of its
+// own, until the returned finish is called; finish reports how many were
+// served and the first failure, which ends the loop.
+func getLoop(addr string) (finish func() (int64, error)) {
 	stop := make(chan struct{})
 	loadErr := make(chan error, 1)
 	var served atomic.Int64
@@ -73,26 +97,70 @@ func TestProxySlotGenerations(t *testing.T) {
 			served.Add(1)
 		}
 	}()
-	time.Sleep(50 * time.Millisecond)
+	return func() (int64, error) {
+		close(stop)
+		return served.Load(), <-loadErr
+	}
+}
 
-	for i := 0; i < 2; i++ {
-		if err := slot.Restart(); err != nil {
-			t.Fatalf("restart %d: %v", i, err)
-		}
-		time.Sleep(150 * time.Millisecond)
+// staticEdge is an Edge generation that serves /s itself.
+func staticEdge(name string) *proxy.Proxy {
+	return proxy.New(proxy.Config{
+		Name:          name,
+		Role:          proxy.RoleEdge,
+		Origins:       []string{"127.0.0.1:1"}, // unused: static only
+		DrainPeriod:   100 * time.Millisecond,
+		StaticContent: map[string][]byte{"/s": []byte("static")},
+	}, nil)
+}
+
+// TestStartTakesOverALiveGeneration: Start on a path a live generation
+// serves (another process's, here another slot's) takes its sockets over
+// with no failed GET, and Start on a stale socket file listens.
+func TestStartTakesOverALiveGeneration(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "edge.sock")
+	slot := func(name string) *ProxySlot {
+		return &ProxySlot{SlotName: name, Path: path, Build: func() *proxy.Proxy { return staticEdge(name) }}
 	}
-	if slot.Generation() != 3 {
-		t.Fatalf("generation = %d, want 3", slot.Generation())
+	first := slot("first")
+	if err := first.Start(); err != nil {
+		t.Fatal(err)
 	}
-	close(stop)
-	if err, ok := <-loadErr; ok && err != nil {
-		t.Fatalf("load failed across generations: %v", err)
+	defer first.Close()
+	addr := first.Current().Addr(proxy.VIPWeb)
+	finish := getLoop(addr)
+	time.Sleep(50 * time.Millisecond)
+	second := slot("second")
+	if err := second.Start(); err != nil {
+		t.Fatal(err)
 	}
-	if served.Load() == 0 {
-		t.Fatal("no request served: the restarts ran without load")
+	time.Sleep(50 * time.Millisecond)
+	if served, err := finish(); err != nil || served == 0 {
+		t.Fatalf("load across the take-over: %d served, %v", served, err)
 	}
-	if slot.Current().Addr(proxy.VIPWeb) != addr {
-		t.Fatal("VIP address changed across takeover — socket was rebound")
+	st := second.State()
+	if st.Takeovers != 1 || st.Generation != 1 || !st.TakeoverArmed || !first.Current().Draining() {
+		t.Fatalf("second start: %+v; first draining %v", st, first.Current().Draining())
+	}
+	if second.Current().Addr(proxy.VIPWeb) != addr {
+		t.Fatal("the web VIP moved: the second start bound a socket of its own")
+	}
+	second.Close()
+
+	// A socket file nobody listens on, as a crashed process leaves it.
+	ln, err := net.ListenUnix("unix", &net.UnixAddr{Name: path, Net: "unix"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln.SetUnlinkOnClose(false)
+	ln.Close()
+	third := slot("third")
+	if err := third.Start(); err != nil {
+		t.Fatalf("start on a stale socket file: %v", err)
+	}
+	defer third.Close()
+	if st := third.State(); st.Takeovers != 0 || !st.TakeoverArmed || third.Current().Addr(proxy.VIPWeb) == addr {
+		t.Fatalf("start on a stale socket file did not listen: %+v", st)
 	}
 }
 
@@ -228,8 +296,8 @@ func TestProxySlotRestartFresh(t *testing.T) {
 	if spans := old.ReleaseState().InFlightSpans; len(spans) != 0 {
 		t.Fatalf("old generation still draining after WaitDrains: %+v", spans)
 	}
-	if slot.Generation() != 2 {
-		t.Fatalf("generation = %d", slot.Generation())
+	if slot.State().Generation != 2 {
+		t.Fatalf("generation = %d", slot.State().Generation)
 	}
 	if slot.Current().Addr(proxy.VIPWeb) != addr {
 		t.Fatal("fresh restart changed the VIP address")

@@ -109,8 +109,8 @@ func TestProxySlotSurvivesReceiverCrashMidHandoff(t *testing.T) {
 	}
 
 	// Rollback: same generation serving, not draining.
-	if slot.Current() != gen1 || slot.Generation() != 1 {
-		t.Fatalf("slot promoted after an aborted handoff (gen %d)", slot.Generation())
+	if slot.Current() != gen1 || slot.State().Generation != 1 {
+		t.Fatalf("slot promoted after an aborted handoff (gen %d)", slot.State().Generation)
 	}
 	if gen1.Draining() {
 		t.Fatal("old generation started draining despite the abort")
@@ -120,8 +120,8 @@ func TestProxySlotSurvivesReceiverCrashMidHandoff(t *testing.T) {
 	if err := slot.Restart(); err != nil {
 		t.Fatalf("restart after aborted handoff: %v", err)
 	}
-	if slot.Generation() != 2 {
-		t.Fatalf("generation = %d, want 2", slot.Generation())
+	if slot.State().Generation != 2 {
+		t.Fatalf("generation = %d, want 2", slot.State().Generation)
 	}
 	time.Sleep(150 * time.Millisecond)
 
@@ -181,8 +181,8 @@ func TestProxySlotRearmFailureSurfaced(t *testing.T) {
 	if !errors.Is(err, ErrTakeoverNotArmed) {
 		t.Fatalf("promote error = %v, want ErrTakeoverNotArmed", err)
 	}
-	if slot.Generation() != 2 || slot.Current() != next {
-		t.Fatalf("generation %d not promoted despite owning the sockets", slot.Generation())
+	if slot.State().Generation != 2 || slot.Current() != next {
+		t.Fatalf("generation %d not promoted despite owning the sockets", slot.State().Generation)
 	}
 	if slot.TakeoverArmed() {
 		t.Fatal("slot reports armed after a failed re-arm")
@@ -201,7 +201,7 @@ func TestProxySlotRearmFailureSurfaced(t *testing.T) {
 		t.Fatalf("release on an unbindable path: %v, want ErrTakeoverNotArmed", err)
 	}
 	if gen != built || slot.Current() != next {
-		t.Fatalf("release on an unbindable path built gen %d, serving gen %d", gen, slot.Generation())
+		t.Fatalf("release on an unbindable path built gen %d, serving gen %d", gen, slot.State().Generation)
 	}
 
 	// Repair: restore a bindable path; a plain release re-arms and
@@ -213,7 +213,7 @@ func TestProxySlotRearmFailureSurfaced(t *testing.T) {
 	if !slot.TakeoverArmed() {
 		t.Fatal("slot unarmed after the release that re-armed it")
 	}
-	if slot.Generation() != 3 {
-		t.Fatalf("generation = %d, want 3", slot.Generation())
+	if slot.State().Generation != 3 {
+		t.Fatalf("generation = %d, want 3", slot.State().Generation)
 	}
 }

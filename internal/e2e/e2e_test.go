@@ -1,13 +1,14 @@
-// Package e2e tests the production deployment shape: separate OS
-// processes exchanging listening sockets through the real zdr-proxy
-// binary. Everything else in the repository exercises the mechanisms
-// in-process; this package proves the FD hand-off works across an actual
-// process boundary, exactly as deployed (§4.1, Fig. 5), and between two
-// builds: the tree under test and its predecessor, in both directions.
+// Package e2e tests the production deployment shape: every node of a
+// topology spec is a zdr-node process, and a release is the same command
+// started again, so the sockets cross a real process boundary (§4.1,
+// Fig. 5), between processes of one build and between the tree under
+// test and its predecessor build, in both directions.
 package e2e
 
 import (
 	"bufio"
+	"cmp"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -24,60 +25,63 @@ import (
 	"testing"
 	"time"
 
+	"zdr/internal/fleet"
 	"zdr/internal/http1"
 	"zdr/internal/katran"
 	"zdr/internal/mqtt"
 )
 
 var (
-	proxyBin, appserverBin, brokerBin string
-	// prevProxyBin is zdr-proxy built from prevRev, the predecessor
-	// build; prevErr says why there is none.
-	prevProxyBin, prevRev string
-	prevErr               error
+	nodeBin string
+	// prevBin is the predecessor build's zdr-node, or its zdr-proxy when
+	// prevFlags; prevErr says why there is none.
+	prevBin, prevRev string
+	prevFlags        bool
+	prevErr          error
 )
 
 func TestMain(m *testing.M) {
 	dir, err := os.MkdirTemp("", "zdr-e2e")
+	if err == nil {
+		nodeBin = filepath.Join(dir, "zdr-node")
+		err = goBuild("", nodeBin, "zdr/cmd/zdr-node")
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	for _, b := range []struct {
-		out *string
-		pkg string
-	}{
-		{&proxyBin, "zdr/cmd/zdr-proxy"},
-		{&appserverBin, "zdr/cmd/zdr-appserver"},
-		{&brokerBin, "zdr/cmd/zdr-broker"},
-	} {
-		*b.out = filepath.Join(dir, filepath.Base(b.pkg))
-		cmd := exec.Command("go", "build", "-o", *b.out, b.pkg)
-		cmd.Stderr = os.Stderr
-		if err := cmd.Run(); err != nil {
-			fmt.Fprintln(os.Stderr, "building", b.pkg, ":", err)
-			os.Exit(1)
-		}
-	}
-	prevProxyBin, prevRev, prevErr = buildPrev(dir)
+	prevBin, prevRev, prevFlags, prevErr = buildPrev(dir)
 	code := m.Run()
-	os.RemoveAll(dir)
+	os.RemoveAll(dir) // os.Exit skips deferred calls
 	os.Exit(code)
 }
 
-// buildPrev builds zdr-proxy from the predecessor build into dir: the
-// commit ZDR_PREV names, or else the nearest of the last 20 commits whose
-// Go sources differ from the tree under test (a commit that only edits
-// documents builds this tree again and would test nothing). The commit is
-// extracted with git archive, so the repository's own state is untouched.
-func buildPrev(dir string) (bin, rev string, err error) {
+// goBuild builds package pkg of the module at src ("" for this one)
+// into out.
+func goBuild(src, out, pkg string) error {
+	build := exec.Command("go", "build", "-o", out, pkg)
+	build.Dir = src
+	if b, err := build.CombinedOutput(); err != nil {
+		return fmt.Errorf("building %s: %v\n%s", pkg, err, b)
+	}
+	return nil
+}
+
+// buildPrev builds the predecessor build's daemon into dir: zdr-node, or
+// zdr-proxy (flags) where the predecessor has no zdr-node. The
+// predecessor is the commit ZDR_PREV names, or else the nearest of the
+// last 20 commits whose Go sources differ from the tree under test (a
+// commit that only edits documents builds this tree again and would test
+// nothing). The commit is extracted with git archive, so the
+// repository's own state is untouched.
+func buildPrev(dir string) (bin, rev string, flags bool, err error) {
 	git := func(args ...string) (string, error) {
 		out, err := exec.Command("git", args...).Output()
 		return strings.TrimSpace(string(out)), err
 	}
 	root, err := git("rev-parse", "--show-toplevel")
 	if err != nil {
-		return "", "", fmt.Errorf("no git history to build a predecessor from: %v", err)
+		return "", "", false, fmt.Errorf("no git history to build a predecessor from: %v", err)
 	}
 	rev = os.Getenv("ZDR_PREV")
 	for i := 0; rev == "" && i <= 20; i++ {
@@ -90,52 +94,137 @@ func buildPrev(dir string) (bin, rev string, err error) {
 		if errors.As(err, &exit) && exit.ExitCode() == 1 {
 			rev = c
 		} else if err != nil {
-			return "", "", fmt.Errorf("git diff against %s: %v", c, err)
+			return "", "", false, fmt.Errorf("git diff against %s: %v", c, err)
 		}
 	}
 	if rev == "" {
-		return "", "", errors.New("no commit among the last 20 has Go sources that differ from the tree under test")
+		return "", "", false, errors.New("no commit among the last 20 has Go sources that differ from the tree under test")
 	}
 	if desc, err := git("-C", root, "log", "-1", "--format=%h %s", rev); err == nil {
 		rev = desc
 	}
-	src := filepath.Join(dir, "prev-src")
-	if err := os.Mkdir(src, 0o755); err != nil {
-		return "", rev, err
+	src, tarball := filepath.Join(dir, "prev-src"), filepath.Join(dir, "prev.tar")
+	for _, cmd := range [][]string{
+		{"git", "-C", root, "archive", "-o", tarball, strings.Fields(rev)[0]},
+		{"mkdir", src},
+		{"tar", "-x", "-C", src, "-f", tarball},
+	} {
+		if out, err := exec.Command(cmd[0], cmd[1:]...).CombinedOutput(); err != nil {
+			return "", rev, false, fmt.Errorf("extracting %s: %v\n%s", rev, err, out)
+		}
 	}
-	archive := exec.Command("git", "-C", root, "archive", strings.Fields(rev)[0])
-	untar := exec.Command("tar", "-x", "-C", src)
-	if untar.Stdin, err = archive.StdoutPipe(); err != nil {
-		return "", rev, err
+	pkg := "zdr/cmd/zdr-node"
+	if _, err := os.Stat(filepath.Join(src, "cmd/zdr-node")); err != nil {
+		pkg, flags = "zdr/cmd/zdr-proxy", true
 	}
-	if err := untar.Start(); err != nil {
-		return "", rev, err
+	bin = filepath.Join(dir, "prev-"+filepath.Base(pkg))
+	if err := goBuild(src, bin, pkg); err != nil {
+		return "", rev, flags, fmt.Errorf("at %s: %v", rev, err)
 	}
-	aerr := archive.Run()
-	if err := errors.Join(aerr, untar.Wait()); err != nil {
-		return "", rev, fmt.Errorf("extracting %s: %v", rev, err)
-	}
-	bin = filepath.Join(dir, "prev-zdr-proxy")
-	build := exec.Command("go", "build", "-o", bin, "./cmd/zdr-proxy")
-	build.Dir = src
-	if out, err := build.CombinedOutput(); err != nil {
-		return "", rev, fmt.Errorf("building zdr-proxy at %s: %v\n%s", rev, err, out)
-	}
-	return bin, rev, nil
+	return bin, rev, flags, nil
 }
 
-// needPrev returns the predecessor's zdr-proxy, or skips the test saying
-// why there is none.
-func needPrev(t *testing.T) string {
-	t.Helper()
+// spawns skips a test that spawns processes under -short.
+func spawns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns processes")
 	}
-	if prevProxyBin == "" {
+}
+
+// needPrev returns the predecessor's daemon, or skips the test saying
+// why there is none.
+func needPrev(t *testing.T) string {
+	t.Helper()
+	spawns(t)
+	if prevBin == "" {
 		t.Skipf("no predecessor build: %v", prevErr)
 	}
 	t.Logf("predecessor: %s", prevRev)
-	return prevProxyBin
+	return prevBin
+}
+
+// deployment is a topology spec written to a directory of its own,
+// which also holds its nodes' takeover paths, state files and logs.
+type deployment struct {
+	fleet.Spec
+	path string
+}
+
+func newDeployment(t *testing.T, spec fleet.Spec) *deployment {
+	t.Helper()
+	spec.Dir = t.TempDir()
+	d := &deployment{Spec: spec, path: filepath.Join(spec.Dir, "topo.json")}
+	b, _ := json.Marshal(spec) // a Spec's Build hook is not encoded
+	if err := os.WriteFile(d.path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// start runs node from bin, with an admin endpoint when admin is set,
+// and returns once it serves. Started while the node runs, it releases
+// the node.
+func (d *deployment) start(t *testing.T, bin, node string, admin bool) *proc {
+	t.Helper()
+	var extra []string
+	if admin {
+		extra = []string{"-admin", "127.0.0.1:0"}
+	}
+	if bin == prevBin && prevFlags {
+		return d.startFlagProxy(t, node, extra)
+	}
+	p := startProc(t, bin, d.Dir, node, append([]string{"-spec", d.path, "-node", node}, extra...)...)
+	p.field(t, `(takeover path|listening)`)
+	return p
+}
+
+// state reads node's state file, zero before the node wrote one.
+func (d *deployment) state(node string) (st struct {
+	Gen   int               `json:"gen"`
+	Addrs map[string]string `json:"addrs"`
+}) {
+	b, _ := os.ReadFile(filepath.Join(d.Dir, node+".json"))
+	json.Unmarshal(b, &st)
+	return st
+}
+
+// startFlagProxy is start for a predecessor that predates zdr-node: it
+// runs proxy node as the flag-speaking zdr-proxy, with flags derived from
+// the spec as zdr-node reads it, and writes the state file that build
+// does not, from the VIPs it printed.
+func (d *deployment) startFlagProxy(t *testing.T, node string, extra []string) *proc {
+	t.Helper()
+	upstream := func(prefix string, count int, vip string) string {
+		var addrs []string
+		for i := range count {
+			addrs = append(addrs, d.state(fmt.Sprintf("%s-%02d", prefix, i)).Addrs[vip])
+		}
+		return strings.Join(addrs, ",")
+	}
+	st, sock := d.state(node), filepath.Join(d.Dir, node+".sock")
+	args := append(extra, "-name", node, "-generation", strconv.Itoa(st.Gen+1), "-drain", d.Drain.String(),
+		"-takeover-path", sock, "-health", "127.0.0.1:0")
+	if _, err := os.Stat(sock); err == nil {
+		args = append(args, "-takeover-from", sock)
+	}
+	if strings.HasPrefix(node, "origin-") {
+		args = append(args, "-role", "origin", "-tunnel", "127.0.0.1:0", "-app", upstream("as", d.Apps, "http"),
+			"-broker", d.state("broker").Addrs["mqtt"])
+	} else { // that build requires an Origin: without one, an address nobody answers on
+		args = append(args, "-role", "edge", "-origin", cmp.Or(upstream("origin", d.Origins, "tunnel"), "127.0.0.1:1"),
+			"-web", "127.0.0.1:0", "-mqtt", "127.0.0.1:0")
+	}
+	p := startProc(t, prevBin, d.Dir, node, args...)
+	p.field(t, "(takeover path)")
+	st.Gen, st.Addrs = st.Gen+1, map[string]string{}
+	b, _ := os.ReadFile(p.path)
+	for _, m := range regexp.MustCompile(`(?m)^  (\w+) +(\S+)$`).FindAllSubmatch(b, -1) {
+		st.Addrs[string(m[1])] = string(m[2])
+	}
+	if b, err := json.Marshal(st); err != nil || os.WriteFile(filepath.Join(d.Dir, node+".json"), b, 0o644) != nil {
+		t.Fatalf("writing %s's state file: %v", node, err)
+	}
+	return p
 }
 
 // proc is one daemon process; its combined output goes to its log file.
@@ -145,29 +234,39 @@ type proc struct {
 	done chan struct{} // closed once the process has exited
 }
 
-func startProc(t *testing.T, bin, outFile string, args ...string) *proc {
+// startProc runs bin with args, its output in a log file of its own in
+// dir named for node.
+func startProc(t *testing.T, bin, dir, node string, args ...string) *proc {
 	t.Helper()
-	f, err := os.Create(outFile)
+	f, err := os.CreateTemp(dir, node+"-*.log")
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer f.Close() // the child has its own copy
 	cmd := exec.Command(bin, args...)
-	cmd.Stdout = f
-	cmd.Stderr = f
+	cmd.Stdout, cmd.Stderr = f, f
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	p := &proc{cmd: cmd, path: outFile, done: make(chan struct{})}
-	go func() {
-		cmd.Wait()
-		f.Close()
-		close(p.done)
-	}()
-	t.Cleanup(func() {
-		cmd.Process.Kill()
-		<-p.done
-	})
+	p := &proc{cmd: cmd, path: f.Name(), done: make(chan struct{})}
+	go func() { cmd.Wait(); close(p.done) }()
+	t.Cleanup(func() { cmd.Process.Kill(); <-p.done })
 	return p
+}
+
+// poll calls try every 25 ms until it reports done, and fails the test
+// after 5 s with what it last saw.
+func poll(t *testing.T, what string, try func() (seen string, done bool)) string {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(25 * time.Millisecond) {
+		seen, done := try()
+		if done {
+			return seen
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s; last seen:\n%s", what, seen)
+		}
+	}
 }
 
 // field waits for the process log to match pattern and returns the first
@@ -175,26 +274,16 @@ func startProc(t *testing.T, bin, outFile string, args ...string) *proc {
 func (p *proc) field(t *testing.T, pattern string) string {
 	t.Helper()
 	re := regexp.MustCompile(pattern)
-	deadline := time.Now().Add(5 * time.Second)
-	for {
+	var m [][]byte
+	poll(t, filepath.Base(p.path)+" never matched "+pattern, func() (string, bool) {
 		b, _ := os.ReadFile(p.path)
-		if m := re.FindSubmatch(b); m != nil {
-			return string(m[1])
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%s never matched %q; log so far:\n%s", filepath.Base(p.path), pattern, b)
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
+		m = re.FindSubmatch(b)
+		return string(b), m != nil
+	})
+	return string(m[1])
 }
 
-// waitOutput waits for the process log to contain substr.
-func (p *proc) waitOutput(t *testing.T, substr string) {
-	t.Helper()
-	p.field(t, "("+regexp.QuoteMeta(substr)+")")
-}
-
-// vip is the address zdr-proxy printed for a VIP it serves.
+// vip is the address the daemon printed for a VIP it serves.
 func (p *proc) vip(t *testing.T, name string) string {
 	t.Helper()
 	return p.field(t, `(?m)^  `+name+` +(\S+)$`)
@@ -209,24 +298,6 @@ func (p *proc) stop(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatalf("%s never exited after SIGTERM", filepath.Base(p.path))
 	}
-}
-
-// counter reads one counter from the process's admin /metrics.
-func (p *proc) counter(t *testing.T, name string) int {
-	t.Helper()
-	client := http.Client{Timeout: 2 * time.Second}
-	resp, err := client.Get("http://" + p.field(t, `admin on http://(\S+)`) + "/metrics")
-	if err != nil {
-		t.Fatalf("%s /metrics: %v", filepath.Base(p.path), err)
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	m := regexp.MustCompile(`(?m)^` + name + ` (\d+)$`).FindSubmatch(body)
-	if m == nil {
-		return 0
-	}
-	n, _ := strconv.Atoi(string(m[1]))
-	return n
 }
 
 // get sends one GET on a fresh connection and reads the response.
@@ -248,58 +319,48 @@ func get(addr, path string) (int, string, error) {
 	return resp.StatusCode, string(body), err
 }
 
-// getLoop sends back-to-back GETs until finish. A GET that cannot connect,
-// send or read its response — or, when want is set, whose status is not
-// want — counts as failed and ends the loop.
-type getLoop struct {
-	served, failed atomic.Int64
-	stop, done     chan struct{}
-}
-
-func startGetLoop(addr, path string, want int) *getLoop {
-	l := &getLoop{stop: make(chan struct{}), done: make(chan struct{})}
+// getLoop GETs path from addr back to back until the returned finish,
+// which fails the test if a GET could not connect, send or read its
+// response, or got a status other than want (when set), or if fewer than
+// 50 were served.
+func getLoop(t *testing.T, addr, path string, want int) (finish func(what string)) {
+	var stop atomic.Bool
+	done := make(chan error, 1)
+	served := 0
 	go func() {
-		defer close(l.done)
-		for {
-			select {
-			case <-l.stop:
-				return
-			default:
-			}
+		for !stop.Load() {
 			if code, _, err := get(addr, path); err != nil || want != 0 && code != want {
-				l.failed.Add(1)
+				done <- fmt.Errorf("a GET failed: status %d, %v", code, err)
 				return
 			}
-			l.served.Add(1)
+			served++
 			time.Sleep(time.Millisecond)
 		}
+		done <- nil
 	}()
-	return l
-}
-
-// finish stops the loop and fails the test on any failed GET.
-func (l *getLoop) finish(t *testing.T, what string) {
-	t.Helper()
-	close(l.stop)
-	<-l.done
-	if l.failed.Load() > 0 {
-		t.Fatalf("%d requests failed across %s (served %d)", l.failed.Load(), what, l.served.Load())
-	}
-	if l.served.Load() < 50 {
-		t.Fatalf("only %d requests served; load generator broken?", l.served.Load())
+	return func(what string) {
+		t.Helper()
+		stop.Store(true)
+		if err := <-done; err != nil || served < 50 {
+			t.Fatalf("across %s: %d requests served, then %v", what, served, err)
+		}
 	}
 }
 
 // checkLease asserts the post-commit lease was held on both sides of a
 // finished hand-off: the old process counted the receiver's READY on its
-// own admin endpoint (not handed off). A READY exists only in v3, and
-// this build refuses any other revision as sender or receiver, so the
-// count shows both ends ran the lease whichever of them is the
-// predecessor.
+// own admin endpoint. Only v3 has a READY, and this build refuses any
+// other revision either way, so both ends ran the lease.
 func checkLease(t *testing.T, old *proc) {
 	t.Helper()
-	if n := old.counter(t, "zdr_proxy_takeover_readies"); n != 1 {
-		t.Fatalf("old generation's proxy.takeover_readies = %d, want 1", n)
+	resp, err := (&http.Client{Timeout: 2 * time.Second}).Get("http://" + old.field(t, `admin on http://(\S+)`) + "/metrics")
+	if err != nil {
+		t.Fatalf("old generation's /metrics: %v", err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	if !regexp.MustCompile(`(?m)^zdr_proxy_takeover_readies 1$`).Match(body) {
+		t.Fatalf("old generation's proxy.takeover_readies is not 1:\n%s", body)
 	}
 }
 
@@ -308,39 +369,27 @@ func checkLease(t *testing.T, old *proc) {
 // one receives the sockets via SCM_RIGHTS over the takeover path, the old
 // one drains and exits, and the client sees zero failures.
 func releaseEdge(t *testing.T, oldBin, newBin string) {
-	dir := t.TempDir()
-	takeoverPath := filepath.Join(dir, "edge.sock")
-	common := []string{
-		"-role", "edge",
-		"-origin", "127.0.0.1:1", // static-only edge; origin never dialed
-		"-web", "127.0.0.1:0", "-mqtt", "127.0.0.1:0", "-health", "127.0.0.1:0",
-		"-drain", "500ms",
-		"-takeover-path", takeoverPath,
-	}
-	gen1 := startProc(t, oldBin, filepath.Join(dir, "gen1.log"), append([]string{"-name", "gen1", "-admin", "127.0.0.1:0"}, common...)...)
-	gen1.waitOutput(t, "takeover path")
+	// An Edge without Origins: every GET gets a 5xx. The point is the
+	// LISTENER never goes away and every request gets an answer.
+	d := newDeployment(t, fleet.Spec{Edges: 1, Drain: 500 * time.Millisecond})
+	gen1 := d.start(t, oldBin, "edge-00", true)
 	webAddr, healthAddr := gen1.vip(t, "web"), gen1.vip(t, "health")
 
-	// The edge has no static content and no origin, so every GET gets a
-	// 5xx: the point is the LISTENER never goes away and every request
-	// gets an answer.
-	load := startGetLoop(webAddr, "/x", 0)
+	finish := getLoop(t, webAddr, "/x", 0)
 	time.Sleep(200 * time.Millisecond)
 	if err := (&katran.HCProber{}).Probe(healthAddr, time.Second); err != nil {
 		t.Fatalf("gen1 health probe: %v", err)
 	}
 
-	// Generation 2: a different PROCESS takes the sockets over.
-	gen2 := startProc(t, newBin, filepath.Join(dir, "gen2.log"),
-		append([]string{"-name", "gen2", "-takeover-from", takeoverPath}, common...)...)
-	gen2.waitOutput(t, "took over")
-	gen2.waitOutput(t, "takeover path") // re-armed for the next release
+	// Generation 2: the node started again, in another PROCESS, takes over.
+	gen2 := d.start(t, newBin, "edge-00", false)
+	gen2.field(t, "(took over)") // and re-armed for the next release
 	checkLease(t, gen1)
 
 	gen1.stop(t)
 	// Load continues against gen2's process.
 	time.Sleep(300 * time.Millisecond)
-	load.finish(t, "the cross-process takeover")
+	finish("the cross-process takeover")
 	// Health checks now answered by gen2 (step F).
 	if err := (&katran.HCProber{}).Probe(healthAddr, time.Second); err != nil {
 		t.Fatalf("health probe after takeover: %v", err)
@@ -353,37 +402,20 @@ func releaseEdge(t *testing.T, oldBin, newBin string) {
 // across a cross-process Origin takeover: a GET loop through the whole
 // chain and a persistent MQTT connection kept alive by DCR.
 func releaseOrigin(t *testing.T, oldBin, newBin string) {
-	dir := t.TempDir()
-	takeoverPath := filepath.Join(dir, "origin.sock")
-
-	broker := startProc(t, brokerBin, filepath.Join(dir, "broker.log"), "-addr", "127.0.0.1:0", "-name", "broker-1")
-	brokerAddr := broker.field(t, `serving MQTT on (\S+)`)
-	appsrv := startProc(t, appserverBin, filepath.Join(dir, "as.log"),
-		"-addr", "127.0.0.1:0", "-name", "as-1", "-mode", "ppr", "-drain", "200ms")
-	asAddr := appsrv.field(t, `serving on (\S+)`)
-
-	originArgs := []string{
-		"-role", "origin",
-		"-app", asAddr, "-broker", brokerAddr,
-		"-tunnel", "127.0.0.1:0", "-health", "127.0.0.1:0",
-		"-drain", "500ms",
-		"-takeover-path", takeoverPath,
-	}
-	origin1 := startProc(t, oldBin, filepath.Join(dir, "origin1.log"), append([]string{"-name", "origin1", "-admin", "127.0.0.1:0"}, originArgs...)...)
-	origin1.waitOutput(t, "takeover path")
-
-	edge := startProc(t, proxyBin, filepath.Join(dir, "edge.log"),
-		"-role", "edge", "-origin", origin1.vip(t, "tunnel"),
-		"-web", "127.0.0.1:0", "-mqtt", "127.0.0.1:0", "-health", "127.0.0.1:0",
-		"-drain", "500ms")
-	edge.waitOutput(t, "listening")
+	d := newDeployment(t, fleet.Spec{Broker: true, Apps: 1, Origins: 1, Edges: 1, Drain: 500 * time.Millisecond})
+	d.start(t, nodeBin, "broker", false)
+	d.start(t, nodeBin, "as-00", false)
+	origin1 := d.start(t, oldBin, "origin-00", true)
+	edge := d.start(t, nodeBin, "edge-00", false)
 	webAddr, mqttAddr := edge.vip(t, "web"), edge.vip(t, "mqtt")
 
 	// HTTP through the whole chain.
-	code, body, err := get(webAddr, "/hello")
-	if err != nil || code != 200 || !strings.Contains(body, "as-1") {
-		t.Fatalf("pre-restart request: code=%d body=%q err=%v", code, body, err)
+	chain := func(when string) {
+		if code, body, err := get(webAddr, "/hello"); err != nil || code != 200 || !strings.Contains(body, "as-00") {
+			t.Fatalf("%s request: code=%d body=%q err=%v", when, code, body, err)
+		}
 	}
+	chain("pre-restart")
 
 	// Persistent MQTT connection through edge → origin1 → broker.
 	mc, err := net.DialTimeout("tcp", mqttAddr, 2*time.Second)
@@ -400,22 +432,18 @@ func releaseOrigin(t *testing.T, oldBin, newBin string) {
 	}
 
 	// Cross-process Origin takeover under the GET loop.
-	load := startGetLoop(webAddr, "/hello", 200)
+	finish := getLoop(t, webAddr, "/hello", 200)
 	time.Sleep(200 * time.Millisecond)
-	origin2 := startProc(t, newBin, filepath.Join(dir, "origin2.log"),
-		append([]string{"-name", "origin2", "-takeover-from", takeoverPath}, originArgs...)...)
-	origin2.waitOutput(t, "took over")
+	origin2 := d.start(t, newBin, "origin-00", false)
+	origin2.field(t, "(took over)")
 	checkLease(t, origin1)
 
 	// origin1 drains and exits; HTTP keeps working via origin2 (the edge
 	// re-dials the same tunnel address, landing on the new process).
 	origin1.stop(t)
 	time.Sleep(300 * time.Millisecond)
-	load.finish(t, "the cross-process origin takeover")
-	code, body, err = get(webAddr, "/hello")
-	if err != nil || code != 200 || !strings.Contains(body, "as-1") {
-		t.Fatalf("post-restart request: code=%d body=%q err=%v", code, body, err)
-	}
+	finish("the cross-process origin takeover")
+	chain("post-restart")
 
 	// The MQTT connection must have survived via DCR (origin1 solicited,
 	// the edge re_connected through the shared tunnel address → origin2,
@@ -433,19 +461,15 @@ func releaseOrigin(t *testing.T, oldBin, newBin string) {
 // TestCrossProcessTakeover: an Edge release between two processes of the
 // build under test.
 func TestCrossProcessTakeover(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns processes")
-	}
-	releaseEdge(t, proxyBin, proxyBin)
+	spawns(t)
+	releaseEdge(t, nodeBin, nodeBin)
 }
 
 // TestCrossProcessTopology: an Origin release between two processes of
 // the build under test, inside the five-process topology.
 func TestCrossProcessTopology(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns processes")
-	}
-	releaseOrigin(t, proxyBin, proxyBin)
+	spawns(t)
+	releaseOrigin(t, nodeBin, nodeBin)
 }
 
 // TestCrossBuildEdge releases an Edge from the predecessor build to the
@@ -453,8 +477,8 @@ func TestCrossProcessTopology(t *testing.T) {
 // two real builds rather than emulated inside one.
 func TestCrossBuildEdge(t *testing.T) {
 	prev := needPrev(t)
-	t.Run("prev-to-head", func(t *testing.T) { releaseEdge(t, prev, proxyBin) })
-	t.Run("head-to-prev", func(t *testing.T) { releaseEdge(t, proxyBin, prev) })
+	t.Run("prev-to-head", func(t *testing.T) { releaseEdge(t, prev, nodeBin) })
+	t.Run("head-to-prev", func(t *testing.T) { releaseEdge(t, nodeBin, prev) })
 }
 
 // TestCrossBuildOrigin is TestCrossBuildEdge for the Origin, with the
@@ -462,8 +486,8 @@ func TestCrossBuildEdge(t *testing.T) {
 // tunnel also meets the predecessor's.
 func TestCrossBuildOrigin(t *testing.T) {
 	prev := needPrev(t)
-	t.Run("prev-to-head", func(t *testing.T) { releaseOrigin(t, prev, proxyBin) })
-	t.Run("head-to-prev", func(t *testing.T) { releaseOrigin(t, proxyBin, prev) })
+	t.Run("prev-to-head", func(t *testing.T) { releaseOrigin(t, prev, nodeBin) })
+	t.Run("head-to-prev", func(t *testing.T) { releaseOrigin(t, nodeBin, prev) })
 }
 
 // TestCrossProcessTakeoverAbort is the §5.1 crash window across a real
@@ -472,29 +496,18 @@ func TestCrossBuildOrigin(t *testing.T) {
 // roll back — stay active, keep serving, count the abort in its STATS
 // dump — and a real second-generation process must then take over cleanly.
 func TestCrossProcessTakeoverAbort(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns processes")
-	}
-	dir := t.TempDir()
-	takeoverPath := filepath.Join(dir, "edge.sock")
-	common := []string{
-		"-role", "edge",
-		"-origin", "127.0.0.1:1", // static-only edge; origin never dialed
-		"-web", "127.0.0.1:0", "-health", "127.0.0.1:0",
-		"-drain", "500ms",
-		"-takeover-path", takeoverPath,
-	}
-	gen1 := startProc(t, proxyBin, filepath.Join(dir, "gen1.log"), append([]string{"-name", "gen1"}, common...)...)
-	gen1.waitOutput(t, "takeover path")
+	spawns(t)
+	d := newDeployment(t, fleet.Spec{Edges: 1, Drain: 500 * time.Millisecond})
+	gen1 := d.start(t, nodeBin, "edge-00", false)
 	webAddr, healthAddr := gen1.vip(t, "web"), gen1.vip(t, "health")
 
-	load := startGetLoop(webAddr, "/x", 0)
+	finish := getLoop(t, webAddr, "/x", 0)
 	time.Sleep(150 * time.Millisecond)
 
 	// The dying receiver: this TEST process connects to the takeover
 	// path, reads the start of the manifest — the moment the FDs are in
 	// flight — and slams the connection shut without ACKing.
-	crash, err := net.Dial("unix", takeoverPath)
+	crash, err := net.Dial("unix", filepath.Join(d.Dir, "edge-00.sock"))
 	if err != nil {
 		t.Fatalf("dialing takeover path: %v", err)
 	}
@@ -506,40 +519,26 @@ func TestCrossProcessTakeoverAbort(t *testing.T) {
 
 	// The abort shows up in the release signal (§6): STATS must count it
 	// while the instance stays active (never started draining).
-	stats := func() string {
+	dump := poll(t, "abort never counted in STATS", func() (string, bool) {
 		conn, err := net.DialTimeout("tcp", healthAddr, time.Second)
 		if err != nil {
-			return ""
+			return err.Error(), false
 		}
 		defer conn.Close()
 		conn.SetDeadline(time.Now().Add(2 * time.Second))
 		conn.Write([]byte("STATS\n"))
 		out, _ := io.ReadAll(conn)
-		return string(out)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	var dump string
-	for {
-		dump = stats()
-		if strings.Contains(dump, "counter proxy.takeover_aborts 1") {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("abort never counted; STATS:\n%s", dump)
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
+		return string(out), strings.Contains(string(out), "counter proxy.takeover_aborts 1")
+	})
 	if !strings.Contains(dump, "status active") {
 		t.Fatalf("gen1 not active after aborted handoff; STATS:\n%s", dump)
 	}
 
 	// The real release now goes through: a second PROCESS takes over.
-	gen2 := startProc(t, proxyBin, filepath.Join(dir, "gen2.log"),
-		append([]string{"-name", "gen2", "-takeover-from", takeoverPath}, common...)...)
-	gen2.waitOutput(t, "took over")
-	gen2.waitOutput(t, "takeover path")
+	gen2 := d.start(t, nodeBin, "edge-00", false)
+	gen2.field(t, "(took over)")
 
 	gen1.stop(t)
 	time.Sleep(300 * time.Millisecond)
-	load.finish(t, "the aborted + real takeover")
+	finish("the aborted + real takeover")
 }

@@ -74,7 +74,7 @@ func TestChaosReceiverDeathPostCommit(t *testing.T) {
 	done := httpLoad(addr, stop, &ok, &failed, &lastErr)
 
 	oldGen := tp.edge.Current()
-	oldGenN := tp.edge.Generation()
+	oldGenN := tp.edge.State().Generation
 	tp.edge.AbortRetries = -1 // observe each undo individually, no auto-retry
 
 	// expectUndo restarts the edge, expecting the injected post-commit
@@ -95,7 +95,7 @@ func TestChaosReceiverDeathPostCommit(t *testing.T) {
 		if cur := tp.edge.Current(); cur != oldGen {
 			t.Fatalf("%s: undone restart replaced the serving generation", instant)
 		}
-		if got := tp.edge.Generation(); got != oldGenN {
+		if got := tp.edge.State().Generation; got != oldGenN {
 			t.Fatalf("%s: generation advanced to %d across an undo", instant, got)
 		}
 		// The sender's undo settles asynchronously (its lease breaks when
@@ -177,7 +177,7 @@ func TestChaosReceiverDeathPostCommit(t *testing.T) {
 	if err := tp.edge.Restart(); err != nil {
 		t.Fatalf("healthy restart after three undos: %v", err)
 	}
-	if tp.edge.Current() == oldGen || tp.edge.Generation() != oldGenN+1 {
+	if tp.edge.Current() == oldGen || tp.edge.State().Generation != oldGenN+1 {
 		t.Fatal("healthy restart did not promote a new generation")
 	}
 	for i := 0; i < 3; i++ {

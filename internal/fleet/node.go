@@ -1,12 +1,17 @@
 package fleet
 
 import (
+	"cmp"
 	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"net"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -63,12 +68,15 @@ type Node struct {
 	Proxy *core.ProxySlot
 	// Reg is the registry every generation of a topology node shares.
 	Reg *metrics.Registry
-	// addrs are a proxy node's VIP addresses (Addr).
+	// addrs are the node's bound addresses by VIP (Addr).
 	addrs map[string]string
-	// gen counts the generations a proxy node's slot built since it
-	// last started, as the slot's own State does.
+	// gen is the generation the node serves: its state file's when it
+	// started, plus one per generation built since.
 	gen int
-	// close closes a topology node and waits out its drains.
+	// app is an app-server node's generation, broker the broker node's.
+	app    *appserver.Server
+	broker *mqtt.Broker
+	// close closes the node and waits out its drains.
 	close func()
 }
 
@@ -88,27 +96,40 @@ func (n *Node) phase() string {
 	return n.state().Phase
 }
 
-// Spec is the topology NewTopology stands up.
+// Spec is a topology: what NewTopology stands up in-process, and the
+// file every zdr-node of a deployment reads (testdata/spec.json). A build
+// ignores a key it does not know, so an older one reads a newer spec.
 type Spec struct {
-	// Broker stands up an MQTT broker that every Origin relays to.
-	Broker bool
-	// Apps, Origins and Edges count each tier's nodes. Every Origin
-	// serves from every app server, and every Edge tunnels to every
-	// Origin.
-	Apps, Origins, Edges int
-	// Drain is every proxy generation's DrainPeriod (zero keeps the
-	// proxy's default): a generation a restart replaced serves what it
-	// holds for that long, and is then closed.
-	Drain time.Duration
+	// Broker stands up an MQTT broker that every Origin relays to. Apps,
+	// Origins and Edges count each tier's nodes: every Origin serves from
+	// every app server, and every Edge tunnels to every Origin. Drain is
+	// every proxy generation's DrainPeriod, in nanoseconds in the file
+	// (zero keeps the proxy's default): a generation a restart replaced
+	// serves what it holds for that long, and is then closed.
+	Broker  bool          `json:"broker,omitempty"`
+	Apps    int           `json:"apps,omitempty"`
+	Origins int           `json:"origins,omitempty"`
+	Edges   int           `json:"edges,omitempty"`
+	Drain   time.Duration `json:"drain,omitempty"`
+	// Dir holds each node's takeover path <node>.sock and state file
+	// <node>.json (its generation and bound addresses by VIP, which the
+	// next tier reads); NewTopology makes a temporary Dir when it is
+	// empty. Addrs pins bind addresses by node and VIP (the proxy's VIP
+	// names, "http" for an app server, "mqtt" for the broker); the rest
+	// bind 127.0.0.1:0. Steering is every Edge's origin-steering policy
+	// ("", "maglev" or "prequal"). App servers run PPR.
+	Dir      string                       `json:"dir,omitempty"`
+	Addrs    map[string]map[string]string `json:"addrs,omitempty"`
+	Steering string                       `json:"steering,omitempty"`
 	// gated gives each proxy node a canaryWindow bounded by maxHold as the
 	// ReadyGate of every generation it builds, each generation's lease
 	// outlasting that bound by 10 s.
 	gated   bool
 	maxHold time.Duration
 	// Build, when set, completes proxy node i's config for each
-	// generation it builds. cfg.Role says the node's tier, and i counts
-	// within it.
-	Build func(i int, cfg *proxy.Config)
+	// generation it builds with what is code, not data. cfg.Role says the
+	// node's tier, and i counts within it.
+	Build func(i int, cfg *proxy.Config) `json:"-"`
 }
 
 // EdgeFleet is the spec of n Edges that rollouts push builds to: a
@@ -123,6 +144,9 @@ func EdgeFleet(n int, gated bool, maxHold time.Duration, build func(i int, cfg *
 // to 300 ms while bytes keep arriving 60 ms apart.
 var appConfig = appserver.Config{DrainPeriod: 50 * time.Millisecond, GraceWindow: 300 * time.Millisecond, GraceSilence: 60 * time.Millisecond}
 
+// vipApp is the key of an app server's address (the broker's is "mqtt").
+const vipApp = "http"
+
 // Topology is an in-process deployment stood up from a Spec: a broker,
 // then app servers, Origins and Edges, each node a slot whose
 // generations share the node's registry. Nodes are named for their tier
@@ -133,91 +157,166 @@ type Topology struct {
 	// Apps, Origins and Edges are each tier's nodes, in order.
 	Apps, Origins, Edges []*Node
 
-	brokerLn net.Listener
-	dir      string
-	stop     chan struct{}
-	wg       sync.WaitGroup
-	once     sync.Once
+	broker []*Node // the broker's node, if any
+	dir    string  // the temporary Spec.Dir, removed by Close
+	stop   chan struct{}
+	wg     sync.WaitGroup
+	once   sync.Once
 }
 
-// NewTopology stands up spec's topology, tier by tier from the broker
+// NewTopology starts every node of spec, tier by tier from the broker
 // out to the Edges, and closes what it built if a node fails to start.
 func NewTopology(spec Spec) (*Topology, error) {
-	dir, err := os.MkdirTemp("", "zdr-fleet-*")
-	if err != nil {
-		return nil, err
+	t := &Topology{stop: make(chan struct{})}
+	if spec.Dir == "" {
+		dir, err := os.MkdirTemp("", "zdr-fleet-*")
+		if err != nil {
+			return nil, err
+		}
+		spec.Dir, t.dir = dir, dir
 	}
-	t := &Topology{dir: dir, stop: make(chan struct{})}
-	if err := t.start(spec); err != nil {
-		t.Close()
-		return nil, err
+	for k, nodes := range []*[]*Node{&t.broker, &t.Apps, &t.Origins, &t.Edges} {
+		for _, name := range tierNames(spec, []string{"broker", "as", "origin", "edge"}[k]) {
+			n, err := StartNode(spec, name)
+			if n != nil {
+				*nodes = append(*nodes, n)
+			}
+			if err != nil {
+				t.Close()
+				return nil, err
+			}
+			t.Broker = cmp.Or(n.broker, t.Broker)
+		}
 	}
 	return t, nil
 }
 
-func (t *Topology) start(spec Spec) error {
-	var brokers, apps, origins []string
-	if spec.Broker {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		t.brokerLn, t.Broker = ln, mqtt.NewBroker("broker", nil)
-		go t.Broker.Serve(ln)
-		brokers = []string{ln.Addr().String()}
+// tierNames names spec's nodes of tier, in order: "broker", or as-NN,
+// origin-NN and edge-NN counted from 00.
+func tierNames(spec Spec, tier string) []string {
+	if tier == "broker" && spec.Broker {
+		return []string{"broker"}
 	}
-	for i := range spec.Apps {
-		name, reg, gen := fmt.Sprintf("as-%02d", i), metrics.NewRegistry(), 0
-		slot := &core.AppServerSlot{SlotName: name, Build: func() *appserver.Server {
-			gen++
-			cfg := appConfig
-			cfg.Name = fmt.Sprintf("%s-g%d", name, gen)
-			return appserver.New(cfg, reg)
-		}}
-		if err := slot.Start("127.0.0.1:0"); err != nil {
-			return err
-		}
-		t.Apps = append(t.Apps, &Node{Name: name, Target: slot, Reg: reg, metrics: reg.Snapshot, close: slot.Close})
-		apps = append(apps, slot.Addr())
+	names := make([]string, map[string]int{"as": spec.Apps, "origin": spec.Origins, "edge": spec.Edges}[tier])
+	for i := range names {
+		names[i] = fmt.Sprintf("%s-%02d", tier, i)
 	}
-	for i := range spec.Origins {
-		n, err := t.startProxy(spec, proxy.Config{Role: proxy.RoleOrigin, AppServers: apps, Brokers: brokers}, i)
-		if err != nil {
-			return err
-		}
-		t.Origins, origins = append(t.Origins, n), append(origins, n.Addr(proxy.VIPTunnel))
-	}
-	for i := range spec.Edges {
-		n, err := t.startProxy(spec, proxy.Config{Role: proxy.RoleEdge, Origins: origins}, i)
-		if err != nil {
-			return err
-		}
-		t.Edges = append(t.Edges, n)
-	}
-	return nil
+	return names
 }
 
-// startProxy starts proxy node i of base's tier.
-func (t *Topology) startProxy(spec Spec, base proxy.Config, i int) (*Node, error) {
+// state is what a node's state file records once it serves.
+type state struct {
+	Gen   int               `json:"gen"`
+	Addrs map[string]string `json:"addrs"`
+}
+
+func readState(dir, name string) (st state, err error) {
+	b, err := os.ReadFile(filepath.Join(dir, name+".json"))
+	if err == nil {
+		err = json.Unmarshal(b, &st)
+	}
+	return st, err
+}
+
+// StartNode starts node name of spec ("broker", "as-NN", "origin-NN" or
+// "edge-NN") from the addresses its upstream tier's state files in
+// spec.Dir record, then replaces its own state file there whole. It
+// counts generations on from the one that file records, and a proxy node
+// takes a live generation's sockets over from its takeover path: started
+// again, in this process or another, a running node is released. A proxy
+// node that serves but could not arm its takeover path is returned with
+// an error wrapping core.ErrTakeoverNotArmed: after a take-over it holds
+// the only listeners left, so it must not be closed.
+func StartNode(spec Spec, name string) (*Node, error) {
+	tier, _, _ := strings.Cut(name, "-")
+	i := slices.Index(tierNames(spec, tier), name)
+	if i < 0 {
+		return nil, fmt.Errorf("fleet: the spec has no node %q", name)
+	}
+	prev, err := readState(spec.Dir, name)
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return nil, err
+	}
+	var errs []error
+	up := func(tier, vip string) (addrs []string) {
+		for _, name := range tierNames(spec, tier) {
+			st, err := readState(spec.Dir, name)
+			errs, addrs = append(errs, err), append(addrs, st.Addrs[vip])
+		}
+		return addrs
+	}
+	bind := func(vip string) string { return cmp.Or(spec.Addrs[name][vip], "127.0.0.1:0") }
+	n := &Node{Name: name, gen: prev.Gen}
+	var armErr error // a proxy node that serves unarmed
+	switch tier {
+	case "broker":
+		ln, err := net.Listen("tcp", bind(proxy.VIPMQTT))
+		if err != nil {
+			return nil, err
+		}
+		b := mqtt.NewBroker(name, nil)
+		go b.Serve(ln)
+		n.gen++
+		n.broker, n.Reg, n.addrs = b, b.Metrics(), map[string]string{proxy.VIPMQTT: ln.Addr().String()}
+		n.close = func() { ln.Close(); b.Close() }
+	case "as":
+		n.Reg = metrics.NewRegistry()
+		slot := &core.AppServerSlot{SlotName: name, Build: func() *appserver.Server {
+			n.gen++
+			cfg := appConfig
+			cfg.Name = fmt.Sprintf("%s-g%d", name, n.gen)
+			n.app = appserver.New(cfg, n.Reg)
+			return n.app
+		}}
+		if err := slot.Start(bind(vipApp)); err != nil {
+			return nil, err
+		}
+		n.Target, n.metrics, n.close = slot, n.Reg.Snapshot, slot.Close
+		n.addrs = map[string]string{vipApp: slot.Addr()}
+	default:
+		base := proxy.Config{Role: proxy.RoleEdge, Steering: spec.Steering}
+		if tier == "origin" {
+			base = proxy.Config{Role: proxy.RoleOrigin, AppServers: up("as", vipApp), Brokers: up("broker", proxy.VIPMQTT)}
+		} else {
+			base.Origins, base.OriginHealth = up("origin", proxy.VIPTunnel), up("origin", proxy.VIPHealth)
+		}
+		if err := errors.Join(errs...); err != nil {
+			return nil, fmt.Errorf("fleet: starting %s: %w", name, err)
+		}
+		if armErr = n.startProxy(spec, base, i); armErr != nil && !errors.Is(armErr, core.ErrTakeoverNotArmed) {
+			return nil, armErr
+		}
+	}
+	b, _ := json.Marshal(state{Gen: n.gen, Addrs: n.addrs}) // a state always encodes
+	tmp := filepath.Join(spec.Dir, name+".json.tmp")
+	if werr := errors.Join(os.WriteFile(tmp, b, 0o644), os.Rename(tmp, filepath.Join(spec.Dir, name+".json"))); werr != nil {
+		n.close()
+		return nil, errors.Join(armErr, werr)
+	}
+	return n, armErr
+}
+
+// startProxy starts n as proxy node i of base's tier.
+func (n *Node) startProxy(spec Spec, base proxy.Config, i int) error {
 	// Every Edge serves a VIP of its own; an Edge reaches every Origin,
 	// so the Origins share one and never drain together.
-	name, vip := fmt.Sprintf("origin-%02d", i), "vip-origin"
+	n.vip, n.Reg = "vip-origin", metrics.NewRegistry()
 	if base.Role == proxy.RoleEdge {
-		name, vip = fmt.Sprintf("edge-%02d", i), fmt.Sprintf("vip-%02d", i)
+		n.vip = fmt.Sprintf("vip-%02d", i)
 	}
-	n := &Node{Name: name, vip: vip, Reg: metrics.NewRegistry()}
+	n.addrs = spec.Addrs[n.Name] // nil until the first generation bound its own
 	if spec.gated {
 		n.window = newCanaryWindow(spec.maxHold)
 	}
 	slot := &core.ProxySlot{
-		SlotName: name,
-		Path:     filepath.Join(t.dir, name+".sock"),
+		SlotName: n.Name,
+		Path:     filepath.Join(spec.Dir, n.Name+".sock"),
 		Build: func() *proxy.Proxy {
 			n.gen++
 			cfg := base
-			cfg.Name, cfg.Generation = fmt.Sprintf("%s-g%d", name, n.gen), n.gen
+			cfg.Name, cfg.Generation = fmt.Sprintf("%s-g%d", n.Name, n.gen), n.gen
 			cfg.DrainPeriod = spec.Drain
-			cfg.VIPAddrs = n.addrs // nil until the first generation bound its own
+			cfg.VIPAddrs = n.addrs
 			if n.window != nil {
 				cfg.ReadyGate = n.window.gate
 				cfg.TakeoverReadyTimeout = spec.maxHold + 10*time.Second
@@ -235,8 +334,10 @@ func (t *Topology) startProxy(spec Spec, base proxy.Config, i int) (*Node, error
 		// the rejected build.
 		slot.AbortRetries = -1
 	}
-	if err := slot.Start(); err != nil {
-		return nil, err
+	err := slot.Start()
+	if err != nil && !errors.Is(err, core.ErrTakeoverNotArmed) {
+		slot.Close()
+		return err
 	}
 	n.Proxy, n.Target, n.state, n.metrics = slot, slot, slot.State, n.Reg.Snapshot
 	n.addrs = slot.Current().VIPAddrs()
@@ -252,7 +353,29 @@ func (t *Topology) startProxy(spec Spec, base proxy.Config, i int) (*Node, error
 			return err
 		}
 	}
-	return n, nil
+	return err
+}
+
+// Stop drains the node and closes it, as SIGTERM does to a zdr-node: a
+// proxy's serving generation drains for its DrainPeriod, an app server
+// hands back what a drain cuts, and a broker closes.
+func (n *Node) Stop() {
+	if n.Proxy != nil {
+		n.Proxy.Current().Shutdown()
+	} else if n.app != nil {
+		n.app.Shutdown()
+	}
+	n.close()
+}
+
+// Draining reports whether a proxy or app-server node has begun to drain
+// (a proxy's also when another generation took it over).
+func (n *Node) Draining() bool {
+	if n.Proxy != nil {
+		p := n.Proxy.Current()
+		return p == nil || p.Draining()
+	}
+	return n.app != nil && n.app.Draining()
 }
 
 // Addr returns the address of a proxy node's VIP, as bound when the node
@@ -317,14 +440,12 @@ func (t *Topology) Close() {
 	t.once.Do(func() {
 		close(t.stop)
 		t.wg.Wait()
-		for _, n := range slices.Concat(t.Edges, t.Origins, t.Apps) {
+		for _, n := range slices.Concat(t.Edges, t.Origins, t.Apps, t.broker) {
 			n.close()
 		}
-		if t.Broker != nil {
-			t.brokerLn.Close()
-			t.Broker.Close()
+		if t.dir != "" {
+			os.RemoveAll(t.dir)
 		}
-		os.RemoveAll(t.dir)
 	})
 }
 

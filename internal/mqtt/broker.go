@@ -512,13 +512,6 @@ func (b *Broker) SessionAttached(clientID string) bool {
 	return s.tr.Load() != nil
 }
 
-// SessionCount returns the number of sessions with context.
-func (b *Broker) SessionCount() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.sessions)
-}
-
 // DropSession discards connection context (used by failure-injection
 // tests to force the connect_refuse path).
 func (b *Broker) DropSession(clientID string) {

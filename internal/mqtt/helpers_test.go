@@ -19,3 +19,10 @@ func (c *Client) SetConnectProperty(k, v string) {
 	}
 	c.props[k] = v
 }
+
+// SessionCount returns the number of sessions with context.
+func (b *Broker) SessionCount() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return len(b.sessions)
+}

@@ -66,6 +66,7 @@
 package takeover
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"encoding/json"
@@ -653,6 +654,9 @@ func (s *Server) handoff(conn *net.UnixConn, root *obs.Span) (*Result, error) {
 	if err := conn.SetDeadline(start.Add(timeout)); err != nil {
 		return fail(err)
 	}
+	if uid, err := peerUID(conn); err != nil || uid != os.Getuid() {
+		return abort(errors.Join(fmt.Errorf("takeover: refused a peer of uid %d, not this process's %d", uid, os.Getuid()), err))
+	}
 
 	m := manifest{Magic: magic, Version: version, Proto: protoDrainUndo, VIPs: s.Set.VIPs(), Meta: s.Meta}
 	payload, err := json.Marshal(m)
@@ -1063,19 +1067,43 @@ func awaitReady(conn *net.UnixConn, timeout time.Duration) error {
 	return expectFrame(conn, msgReady, "ready")
 }
 
+// peerUID returns the uid of the process at conn's other end, from its
+// SO_PEERCRED. A variable so that a test can present another uid.
+var peerUID = func(conn *net.UnixConn) (int, error) {
+	var cred *syscall.Ucred
+	raw, err := conn.SyscallConn()
+	if err == nil {
+		cerr := raw.Control(func(fd uintptr) {
+			cred, err = syscall.GetsockoptUcred(int(fd), syscall.SOL_SOCKET, syscall.SO_PEERCRED)
+		})
+		err = cmp.Or(cerr, err)
+	}
+	if err != nil {
+		return -1, err
+	}
+	return int(cred.Uid), nil
+}
+
 // Listen binds the pre-specified UNIX path, removing a stale socket file
-// first. When it returns nil a next generation can connect: the hand-off
-// waits in the listen backlog until Serve accepts it.
+// first, and leaves it at mode 0600. When it returns nil a next
+// generation can connect: the hand-off waits in the listen backlog until
+// Serve accepts it.
 func (s *Server) Listen(path string) error {
 	if err := removeStaleSocket(path); err != nil {
 		return err
 	}
-	ul, err := net.ListenUnix("unix", &net.UnixAddr{Name: path, Net: "unix"})
+	// Whoever connects gets every VIP's socket, so only this uid may. A
+	// bind gives the file the socket's mode less the umask: fchmod first.
+	lc := net.ListenConfig{Control: func(_, _ string, c syscall.RawConn) (err error) {
+		cerr := c.Control(func(fd uintptr) { err = syscall.Fchmod(int(fd), 0o600) })
+		return cmp.Or(cerr, err)
+	}}
+	ln, err := lc.Listen(context.Background(), "unix", path)
 	if err != nil {
 		return fmt.Errorf("takeover: listen %s: %w", path, err)
 	}
 	s.mu.Lock()
-	s.ul = ul
+	s.ul = ln.(*net.UnixListener)
 	s.mu.Unlock()
 	return nil
 }
