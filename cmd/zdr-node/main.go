@@ -3,7 +3,8 @@
 // Origin or an Edge, wired from the state files its upstream tier wrote
 // in the spec's dir. SIGTERM drains it. Started again while it runs, a
 // proxy node takes the sockets over through <dir>/<node>.sock: a release
-// is the same command started again.
+// is the same command started again, and the old process drains and
+// exits as on SIGTERM.
 //
 //	zdr-node -spec topo.json -node origin-00 &
 //	zdr-node -spec topo.json -node origin-00 &   # releases origin-00
@@ -92,7 +93,18 @@ func main() {
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
-	<-sig
+	// A successor that took the sockets over and said READY retires this
+	// process as SIGTERM does.
+	replaced := time.NewTicker(50 * time.Millisecond)
+wait:
+	for n.Reg.CounterValue("proxy.takeover_readies") == 0 {
+		select {
+		case <-sig:
+			break wait
+		case <-replaced.C:
+		}
+	}
+	replaced.Stop()
 	fmt.Printf("%s: draining ...\n", *name)
 	n.Stop()
 	fmt.Printf("%s: bye\n", *name)

@@ -97,7 +97,8 @@ var testOnly = map[string]string{
 // internal/ is used by some other package outside its _test.go files
 // (cmd/ and bench/ count). Exempt are fields with a json tag (a wire or
 // file format), methods that make their type satisfy an interface of
-// the module or of io, fmt, net, net/http or error, and testOnly. A type
+// the module or of io, fmt, net, net/http or error, or the Unwrap that
+// errors.Is and errors.As call, and testOnly. A type
 // counts as used when another package names it or reaches one of its
 // fields or methods.
 func TestCallers(t *testing.T) {
@@ -417,7 +418,13 @@ func (m *module) interfaces(t *testing.T) []*types.Interface {
 		}
 		addScope(p)
 	}
-	add(types.Universe.Lookup("error").Type())
+	errType := types.Universe.Lookup("error").Type()
+	add(errType)
+	// The errors package asks for Unwrap through an interface it never
+	// names.
+	unwrap := types.NewFunc(token.NoPos, nil, "Unwrap", types.NewSignatureType(nil, nil, nil, nil,
+		types.NewTuple(types.NewVar(token.NoPos, nil, "", errType)), false))
+	add(types.NewInterfaceType([]*types.Func{unwrap}, nil).Complete())
 	return out
 }
 

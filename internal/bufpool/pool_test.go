@@ -5,6 +5,8 @@ import (
 	"io"
 	"strings"
 	"testing"
+
+	"zdr/internal/racetest"
 )
 
 func TestGetRoundsUpToTier(t *testing.T) {
@@ -76,6 +78,20 @@ func TestGetPutSteadyStateAllocs(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("Get/Put allocates %.1f objects per round-trip, want 0", avg)
+	}
+}
+
+// TestGetPutAllocations: BenchmarkGetPut's round trip, a TierLarge buffer
+// taken and put back, allocates nothing once the pool holds one.
+func TestGetPutAllocations(t *testing.T) {
+	racetest.SkipAllocs(t)
+	Put(Get(TierLarge))
+	if n := testing.AllocsPerRun(100, func() {
+		p := Get(TierLarge)
+		(*p)[0] = 1
+		Put(p)
+	}); n != 0 {
+		t.Errorf("TierLarge Get and Put: %v allocs, want 0", n)
 	}
 }
 

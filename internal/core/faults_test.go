@@ -147,7 +147,7 @@ func TestProxySlotRearmFailureSurfaced(t *testing.T) {
 	slot := &ProxySlot{
 		SlotName:     "edge-slot",
 		Path:         goodPath,
-		rearmBackoff: faults.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond, Attempts: 3},
+		rearmBackoff: faults.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond},
 		Build: func() *proxy.Proxy {
 			gen++
 			return proxy.New(proxy.Config{

@@ -7,7 +7,6 @@ package e2e
 
 import (
 	"bufio"
-	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -18,7 +17,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -33,10 +31,9 @@ import (
 
 var (
 	nodeBin string
-	// prevBin is the predecessor build's zdr-node, or its zdr-proxy when
-	// prevFlags; prevErr says why there is none.
+	// prevBin is the predecessor build's zdr-node; prevErr says why there
+	// is none.
 	prevBin, prevRev string
-	prevFlags        bool
 	prevErr          error
 )
 
@@ -50,7 +47,7 @@ func TestMain(m *testing.M) {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	prevBin, prevRev, prevFlags, prevErr = buildPrev(dir)
+	prevBin, prevRev, prevErr = buildPrev(dir)
 	code := m.Run()
 	os.RemoveAll(dir) // os.Exit skips deferred calls
 	os.Exit(code)
@@ -67,21 +64,20 @@ func goBuild(src, out, pkg string) error {
 	return nil
 }
 
-// buildPrev builds the predecessor build's daemon into dir: zdr-node, or
-// zdr-proxy (flags) where the predecessor has no zdr-node. The
+// buildPrev builds the predecessor build's zdr-node into dir. The
 // predecessor is the commit ZDR_PREV names, or else the nearest of the
 // last 20 commits whose Go sources differ from the tree under test (a
 // commit that only edits documents builds this tree again and would test
 // nothing). The commit is extracted with git archive, so the
 // repository's own state is untouched.
-func buildPrev(dir string) (bin, rev string, flags bool, err error) {
+func buildPrev(dir string) (bin, rev string, err error) {
 	git := func(args ...string) (string, error) {
 		out, err := exec.Command("git", args...).Output()
 		return strings.TrimSpace(string(out)), err
 	}
 	root, err := git("rev-parse", "--show-toplevel")
 	if err != nil {
-		return "", "", false, fmt.Errorf("no git history to build a predecessor from: %v", err)
+		return "", "", fmt.Errorf("no git history to build a predecessor from: %v", err)
 	}
 	rev = os.Getenv("ZDR_PREV")
 	for i := 0; rev == "" && i <= 20; i++ {
@@ -94,11 +90,11 @@ func buildPrev(dir string) (bin, rev string, flags bool, err error) {
 		if errors.As(err, &exit) && exit.ExitCode() == 1 {
 			rev = c
 		} else if err != nil {
-			return "", "", false, fmt.Errorf("git diff against %s: %v", c, err)
+			return "", "", fmt.Errorf("git diff against %s: %v", c, err)
 		}
 	}
 	if rev == "" {
-		return "", "", false, errors.New("no commit among the last 20 has Go sources that differ from the tree under test")
+		return "", "", errors.New("no commit among the last 20 has Go sources that differ from the tree under test")
 	}
 	if desc, err := git("-C", root, "log", "-1", "--format=%h %s", rev); err == nil {
 		rev = desc
@@ -110,18 +106,14 @@ func buildPrev(dir string) (bin, rev string, flags bool, err error) {
 		{"tar", "-x", "-C", src, "-f", tarball},
 	} {
 		if out, err := exec.Command(cmd[0], cmd[1:]...).CombinedOutput(); err != nil {
-			return "", rev, false, fmt.Errorf("extracting %s: %v\n%s", rev, err, out)
+			return "", rev, fmt.Errorf("extracting %s: %v\n%s", rev, err, out)
 		}
 	}
-	pkg := "zdr/cmd/zdr-node"
-	if _, err := os.Stat(filepath.Join(src, "cmd/zdr-node")); err != nil {
-		pkg, flags = "zdr/cmd/zdr-proxy", true
+	bin = filepath.Join(dir, "prev-zdr-node")
+	if err := goBuild(src, bin, "zdr/cmd/zdr-node"); err != nil {
+		return "", rev, fmt.Errorf("at %s: %v", rev, err)
 	}
-	bin = filepath.Join(dir, "prev-"+filepath.Base(pkg))
-	if err := goBuild(src, bin, pkg); err != nil {
-		return "", rev, flags, fmt.Errorf("at %s: %v", rev, err)
-	}
-	return bin, rev, flags, nil
+	return bin, rev, nil
 }
 
 // spawns skips a test that spawns processes under -short.
@@ -170,60 +162,8 @@ func (d *deployment) start(t *testing.T, bin, node string, admin bool) *proc {
 	if admin {
 		extra = []string{"-admin", "127.0.0.1:0"}
 	}
-	if bin == prevBin && prevFlags {
-		return d.startFlagProxy(t, node, extra)
-	}
 	p := startProc(t, bin, d.Dir, node, append([]string{"-spec", d.path, "-node", node}, extra...)...)
 	p.field(t, `(takeover path|listening)`)
-	return p
-}
-
-// state reads node's state file, zero before the node wrote one.
-func (d *deployment) state(node string) (st struct {
-	Gen   int               `json:"gen"`
-	Addrs map[string]string `json:"addrs"`
-}) {
-	b, _ := os.ReadFile(filepath.Join(d.Dir, node+".json"))
-	json.Unmarshal(b, &st)
-	return st
-}
-
-// startFlagProxy is start for a predecessor that predates zdr-node: it
-// runs proxy node as the flag-speaking zdr-proxy, with flags derived from
-// the spec as zdr-node reads it, and writes the state file that build
-// does not, from the VIPs it printed.
-func (d *deployment) startFlagProxy(t *testing.T, node string, extra []string) *proc {
-	t.Helper()
-	upstream := func(prefix string, count int, vip string) string {
-		var addrs []string
-		for i := range count {
-			addrs = append(addrs, d.state(fmt.Sprintf("%s-%02d", prefix, i)).Addrs[vip])
-		}
-		return strings.Join(addrs, ",")
-	}
-	st, sock := d.state(node), filepath.Join(d.Dir, node+".sock")
-	args := append(extra, "-name", node, "-generation", strconv.Itoa(st.Gen+1), "-drain", d.Drain.String(),
-		"-takeover-path", sock, "-health", "127.0.0.1:0")
-	if _, err := os.Stat(sock); err == nil {
-		args = append(args, "-takeover-from", sock)
-	}
-	if strings.HasPrefix(node, "origin-") {
-		args = append(args, "-role", "origin", "-tunnel", "127.0.0.1:0", "-app", upstream("as", d.Apps, "http"),
-			"-broker", d.state("broker").Addrs["mqtt"])
-	} else { // that build requires an Origin: without one, an address nobody answers on
-		args = append(args, "-role", "edge", "-origin", cmp.Or(upstream("origin", d.Origins, "tunnel"), "127.0.0.1:1"),
-			"-web", "127.0.0.1:0", "-mqtt", "127.0.0.1:0")
-	}
-	p := startProc(t, prevBin, d.Dir, node, args...)
-	p.field(t, "(takeover path)")
-	st.Gen, st.Addrs = st.Gen+1, map[string]string{}
-	b, _ := os.ReadFile(p.path)
-	for _, m := range regexp.MustCompile(`(?m)^  (\w+) +(\S+)$`).FindAllSubmatch(b, -1) {
-		st.Addrs[string(m[1])] = string(m[2])
-	}
-	if b, err := json.Marshal(st); err != nil || os.WriteFile(filepath.Join(d.Dir, node+".json"), b, 0o644) != nil {
-		t.Fatalf("writing %s's state file: %v", node, err)
-	}
 	return p
 }
 
@@ -287,6 +227,34 @@ func (p *proc) field(t *testing.T, pattern string) string {
 func (p *proc) vip(t *testing.T, name string) string {
 	t.Helper()
 	return p.field(t, `(?m)^  `+name+` +(\S+)$`)
+}
+
+// exits waits, for at most d, for the process to exit by itself, saying
+// bye with status 0, as a generation whose successor took its sockets over
+// does once its drain ends.
+func (p *proc) exits(t *testing.T, d time.Duration) {
+	t.Helper()
+	select {
+	case <-p.done:
+	case <-time.After(d):
+		t.Fatalf("%s did not exit within %v of its successor's takeover", filepath.Base(p.path), d)
+	}
+	if code := p.cmd.ProcessState.ExitCode(); code != 0 {
+		t.Fatalf("%s exited with status %d", filepath.Base(p.path), code)
+	}
+	p.field(t, `(?m)^\S+: (bye)$`)
+}
+
+// retire ends old, whose sockets its successor took over: a generation of
+// the build under test exits by itself within the spec's drain and 2 s; a
+// predecessor's may predate that, and is sent SIGTERM.
+func (d *deployment) retire(t *testing.T, old *proc, bin string) {
+	t.Helper()
+	if bin == nodeBin {
+		old.exits(t, d.Drain+2*time.Second)
+	} else {
+		old.stop(t)
+	}
 }
 
 // stop sends SIGTERM and waits for the process to exit.
@@ -385,8 +353,7 @@ func releaseEdge(t *testing.T, oldBin, newBin string) {
 	gen2 := d.start(t, newBin, "edge-00", false)
 	gen2.field(t, "(took over)") // and re-armed for the next release
 	checkLease(t, gen1)
-
-	gen1.stop(t)
+	d.retire(t, gen1, oldBin)
 	// Load continues against gen2's process.
 	time.Sleep(300 * time.Millisecond)
 	finish("the cross-process takeover")
@@ -440,7 +407,7 @@ func releaseOrigin(t *testing.T, oldBin, newBin string) {
 
 	// origin1 drains and exits; HTTP keeps working via origin2 (the edge
 	// re-dials the same tunnel address, landing on the new process).
-	origin1.stop(t)
+	d.retire(t, origin1, oldBin)
 	time.Sleep(300 * time.Millisecond)
 	finish("the cross-process origin takeover")
 	chain("post-restart")
@@ -538,7 +505,7 @@ func TestCrossProcessTakeoverAbort(t *testing.T) {
 	gen2 := d.start(t, nodeBin, "edge-00", false)
 	gen2.field(t, "(took over)")
 
-	gen1.stop(t)
+	d.retire(t, gen1, nodeBin)
 	time.Sleep(300 * time.Millisecond)
 	finish("the aborted + real takeover")
 }

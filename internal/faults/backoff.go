@@ -10,14 +10,14 @@ import (
 // Backoff is a capped exponential backoff with deterministic jitter. The
 // zero value is usable: 20ms base, doubling, capped at 500ms, 10
 // attempts, no jitter. It replaces the hand-rolled fixed-interval retry
-// loops that used to live in core.ProxySlot.Restart, the origin's PPR
-// retry loop, and takeover.Connect.
+// loops that used to live in core.ProxySlot.Restart and the origin's PPR
+// retry loop.
 type Backoff struct {
 	Base     time.Duration // first delay (default 20ms)
 	Max      time.Duration // per-delay cap (default 500ms)
-	Factor   float64       // growth factor (default 2)
+	factor   float64       // growth factor (default 2)
 	jitter   float64       // fraction of the delay randomised, in [0,1]
-	Attempts int           // attempts for Retry (default 10)
+	attempts int           // attempts for Retry (default 10)
 	seed     uint64        // jitter seed; same seed → same jitter sequence
 }
 
@@ -31,7 +31,7 @@ const (
 // Delay returns the pause after the attempt-th failure (attempt 0 is the
 // first). It is a pure function: deterministic given (Backoff, attempt).
 func (b Backoff) Delay(attempt int) time.Duration {
-	base, max, factor := b.Base, b.Max, b.Factor
+	base, max, factor := b.Base, b.Max, b.factor
 	if base <= 0 {
 		base = defaultBase
 	}
@@ -68,29 +68,11 @@ func (b Backoff) Delay(attempt int) time.Duration {
 	return time.Duration(d)
 }
 
-// permanentError marks an error as non-retryable.
-type permanentError struct{ err error }
-
-func (p permanentError) Error() string { return p.err.Error() }
-func (p permanentError) Unwrap() error { return p.err }
-
-// Permanent wraps err so Retry stops immediately and returns err instead
-// of burning the remaining attempts (e.g. a protocol violation behind a
-// successful dial).
-func Permanent(err error) error {
-	if err == nil {
-		return nil
-	}
-	return permanentError{err: err}
-}
-
-// Retry runs op up to b.Attempts times, sleeping Delay(i) between
-// attempts, until op returns nil, a Permanent error, or ctx is done. It
-// returns nil on success, the unwrapped error for a Permanent failure,
-// and otherwise the last attempt's error (or ctx.Err() if cancellation
-// struck before any attempt failed).
+// Retry runs op up to b.attempts times, sleeping Delay(i) between
+// attempts, until op returns nil or ctx is done. It returns nil on
+// success, and otherwise the last attempt's error.
 func (b Backoff) Retry(ctx context.Context, op func() error) error {
-	attempts := b.Attempts
+	attempts := b.attempts
 	if attempts <= 0 {
 		attempts = defaultAttempts
 	}
@@ -108,30 +90,9 @@ func (b Backoff) Retry(ctx context.Context, op func() error) error {
 		if err = op(); err == nil {
 			return nil
 		}
-		var pe permanentError
-		if ok := asPermanent(err, &pe); ok {
-			return pe.err
-		}
 		if ctx.Err() != nil {
 			return err
 		}
 	}
 	return err
-}
-
-// asPermanent is errors.As specialised to permanentError without pulling
-// reflection into the hot path.
-func asPermanent(err error, target *permanentError) bool {
-	for err != nil {
-		if pe, ok := err.(permanentError); ok {
-			*target = pe
-			return true
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-	}
-	return false
 }

@@ -278,7 +278,7 @@ func TestChaosDialFailuresAbsorbedByRetries(t *testing.T) {
 	tp := buildChaosTopo(t, func(cfg *proxy.Config) {
 		cfg.Faults = hard
 		cfg.PPRRetries = 15
-		cfg.RetryBackoff = faults.Backoff{Base: time.Millisecond, Max: 5 * time.Millisecond, Factor: 2}
+		cfg.RetryBackoff = faults.Backoff{Base: time.Millisecond, Max: 5 * time.Millisecond}
 	}, nil)
 
 	addr := tp.edge.Current().Addr(proxy.VIPWeb)
@@ -327,7 +327,7 @@ func TestChaosUDPBoundedLoss(t *testing.T) {
 
 	const retryBudget = 10
 	request := func(typ quicx.PacketType, id quicx.ConnID) error {
-		raw := quicx.Marshal(quicx.Packet{Type: typ, Conn: id, Payload: []byte("/video/seg1")})
+		raw := quicx.AppendPacket(nil, quicx.Packet{Type: typ, Conn: id, Payload: []byte("/video/seg1")})
 		buf := make([]byte, 64<<10)
 		for attempt := 0; attempt < retryBudget; attempt++ {
 			if _, err := fpc.WriteTo(raw, serverAddr); err != nil {

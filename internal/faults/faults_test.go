@@ -238,20 +238,20 @@ func TestPacketDrops(t *testing.T) {
 // TestBackoffDelayShape: delays grow geometrically, cap at Max, and are
 // deterministic per (Backoff, attempt).
 func TestBackoffDelayShape(t *testing.T) {
-	b := Backoff{Base: 10 * time.Millisecond, Max: 80 * time.Millisecond, Factor: 2}
+	b := Backoff{Base: 10 * time.Millisecond, Max: 80 * time.Millisecond, factor: 2}
 	want := []time.Duration{10, 20, 40, 80, 80, 80}
 	for i, w := range want {
 		if got := b.Delay(i); got != w*time.Millisecond {
 			t.Fatalf("Delay(%d) = %v, want %v", i, got, w*time.Millisecond)
 		}
 	}
-	j := Backoff{Base: 10 * time.Millisecond, Max: time.Second, Factor: 2, jitter: 0.5, seed: 9}
+	j := Backoff{Base: 10 * time.Millisecond, Max: time.Second, factor: 2, jitter: 0.5, seed: 9}
 	for i := 0; i < 6; i++ {
 		d1, d2 := j.Delay(i), j.Delay(i)
 		if d1 != d2 {
 			t.Fatalf("jittered Delay(%d) not deterministic: %v vs %v", i, d1, d2)
 		}
-		base := Backoff{Base: j.Base, Max: j.Max, Factor: j.Factor}.Delay(i)
+		base := Backoff{Base: j.Base, Max: j.Max, factor: j.factor}.Delay(i)
 		lo, hi := base*3/4, base*5/4
 		if d1 < lo || d1 > hi {
 			t.Fatalf("jittered Delay(%d) = %v outside [%v, %v]", i, d1, lo, hi)
@@ -259,10 +259,10 @@ func TestBackoffDelayShape(t *testing.T) {
 	}
 }
 
-// TestBackoffRetry: retries until success; Permanent short-circuits; ctx
-// cancellation interrupts the sleep.
+// TestBackoffRetry: retries until success, or until its attempts are
+// spent; ctx cancellation interrupts the sleep.
 func TestBackoffRetry(t *testing.T) {
-	b := Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond, Attempts: 10}
+	b := Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond, attempts: 10}
 	calls := 0
 	err := b.Retry(context.Background(), func() error {
 		calls++
@@ -276,16 +276,6 @@ func TestBackoffRetry(t *testing.T) {
 	}
 
 	calls = 0
-	sentinel := errors.New("protocol violation")
-	err = b.Retry(context.Background(), func() error {
-		calls++
-		return Permanent(sentinel)
-	})
-	if !errors.Is(err, sentinel) || calls != 1 {
-		t.Fatalf("Permanent: err=%v calls=%d", err, calls)
-	}
-
-	calls = 0
 	exhausted := b.Retry(context.Background(), func() error {
 		calls++
 		return errors.New("always")
@@ -295,7 +285,7 @@ func TestBackoffRetry(t *testing.T) {
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
-	slow := Backoff{Base: time.Minute, Attempts: 5}
+	slow := Backoff{Base: time.Minute, attempts: 5}
 	start := time.Now()
 	go func() {
 		time.Sleep(20 * time.Millisecond)

@@ -520,41 +520,6 @@ func TestWriteAfterCloseWrite(t *testing.T) {
 	}
 }
 
-func BenchmarkStreamEcho(b *testing.B) {
-	cc, sc := net.Pipe()
-	client := NewSession(cc, true)
-	server := NewSession(sc, false)
-	defer client.Close()
-	defer server.Close()
-	go func() {
-		for {
-			st, err := server.Accept()
-			if err != nil {
-				return
-			}
-			go func(st *Stream) {
-				buf, _ := io.ReadAll(st)
-				st.Write(buf)
-				st.CloseWrite()
-			}(st)
-		}
-	}()
-	payload := bytes.Repeat([]byte("b"), 1024)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st, err := client.OpenStreamWith(nil, nil, false)
-		if err != nil {
-			b.Fatal(err)
-		}
-		st.Write(payload)
-		st.CloseWrite()
-		if _, err := io.ReadAll(st); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // TestSettingsStreamLimit: the peer's advertised max-concurrent-streams is
 // enforced on OpenStream and releases as streams finish.
 func TestSettingsStreamLimit(t *testing.T) {

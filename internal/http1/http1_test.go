@@ -435,28 +435,6 @@ func TestPipelinedMessages(t *testing.T) {
 	}
 }
 
-func BenchmarkWriteRequestContentLength(b *testing.B) {
-	body := bytes.Repeat([]byte("x"), 4096)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		req := NewRequest("POST", "/upload", bytes.NewReader(body), int64(len(body)))
-		WriteRequest(io.Discard, req)
-	}
-}
-
-func BenchmarkChunkedRoundTrip(b *testing.B) {
-	body := bytes.Repeat([]byte("y"), 4096)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		cw := NewChunkedWriter(&buf)
-		cw.Write(body)
-		cw.Close()
-		cr := NewChunkedReader(bufio.NewReader(&buf))
-		io.Copy(io.Discard, cr)
-	}
-}
-
 // TestGetClassify runs Get against one loopback server per case and
 // sorts the outcome into Fig. 12's classes.
 func TestGetClassify(t *testing.T) {

@@ -64,7 +64,7 @@ func BenchmarkForwardNoCache(b *testing.B) {
 // entry shard.
 func BenchmarkFlowTableLookup(b *testing.B) {
 	const flows = 1 << 20
-	ft := NewFlowTable(flows*2, 0)
+	ft := newFlowTable(flows*2, 0)
 	ft.SetBackends([]string{"a", "b", "c", "d"})
 	for f := uint64(0); f < flows; f++ {
 		ft.Insert(f, []string{"a", "b", "c", "d"}[f%4])
@@ -82,7 +82,7 @@ func BenchmarkFlowTableLookup(b *testing.B) {
 
 // BenchmarkFlowTableInsert measures pinning churn (connection setup rate).
 func BenchmarkFlowTableInsert(b *testing.B) {
-	ft := NewFlowTable(1<<21, 0)
+	ft := newFlowTable(1<<21, 0)
 	ft.SetBackends([]string{"a", "b", "c", "d"})
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -100,7 +100,7 @@ func BenchmarkFlowTableInsert(b *testing.B) {
 // publication — constant time, independent of occupancy.
 func BenchmarkFlowTableBump(b *testing.B) {
 	const flows = 1 << 20
-	ft := NewFlowTable(flows*2, 0)
+	ft := newFlowTable(flows*2, 0)
 	ft.SetBackends([]string{"a", "b"})
 	for f := uint64(0); f < flows; f++ {
 		ft.Insert(f, "a")
@@ -114,32 +114,4 @@ func BenchmarkFlowTableBump(b *testing.B) {
 	if ft.EntryWrites() != flows {
 		b.Fatalf("bump wrote entries: %d writes for %d inserts", ft.EntryWrites(), flows)
 	}
-}
-
-// BenchmarkForwardFlowTable is BenchmarkForward with the table sized by
-// FlowTableSize, the other name for the same size; both stay because
-// BENCH_baseline.json tracks both.
-func BenchmarkForwardFlowTable(b *testing.B) {
-	const flows = 8192
-	lb := New("bench", Config{FlowTableSize: 1 << 16}, nil)
-	for i := 0; i < 64; i++ {
-		lb.AddBackend(Backend{Name: fmt.Sprintf("p%02d", i), Addr: "x"}, true)
-	}
-	b.Cleanup(lb.Close)
-	for f := uint64(0); f < flows; f++ {
-		if _, err := lb.Steer(f); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		f := uint64(0)
-		for pb.Next() {
-			if _, err := lb.Steer(f % flows); err != nil {
-				b.Fatal(err)
-			}
-			f += 0x9e3779b97f4a7c15 % flows
-		}
-	})
 }

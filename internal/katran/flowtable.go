@@ -1,12 +1,11 @@
 package katran
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 )
 
-// FlowTable is the routing memory behind Steer and the LB's only
+// flowTable is the routing memory behind Steer and the LB's only
 // flow-pinning tier — §5.1's "connection table cache for the most recent
 // flows": a compact, bounded-memory, O(1)-update hash table pinning flow
 // hashes to backends, in the spirit of Concury's stateless-ish connection
@@ -22,7 +21,7 @@ import (
 //     in place. No linked lists, no rehashing, no growth.
 //   - Generation-tagged entries: every entry records the release epoch it
 //     was written under. A takeover that must flip routing for millions of
-//     established flows bumps the epoch ONCE (Bump(true) publishes a new
+//     established flows bumps the epoch ONCE (bump(true) publishes a new
 //     view whose validity window excludes all earlier generations) instead
 //     of issuing N per-entry writes; stale entries are lazily overwritten
 //     by the next packet of their flow, which is O(1) per packet. The
@@ -35,15 +34,14 @@ import (
 // O(1) publication flipping every flow pinned to it — and re-admitting it
 // revives the slot, so flows return to their §5.1-consistent home.
 //
-// A table owned by an LB is published by the LB: each view it derives is
-// carried inside the LB's routing View, so Steer resolves a pin and its
-// Backend record from the one snapshot it loaded. The name-based methods
-// below serve a standalone table (idleconns, tests).
+// The LB publishes its table: each view it derives is carried inside the
+// LB's routing View, so Steer resolves a pin and its Backend record from
+// the one snapshot it loaded.
 //
 // All methods are safe for concurrent use: lookups take one shard mutex
 // held for a handful of word operations; view publications are lock-free
 // for readers.
-type FlowTable struct {
+type flowTable struct {
 	shardMask  uint64
 	bucketMask uint64
 	shardBits  uint
@@ -122,10 +120,10 @@ const defaultFlowTableShards = 64
 // maxFlowTableSlots bounds interned backend identities (slot is 16 bits).
 const maxFlowTableSlots = 1 << 16
 
-// NewFlowTable creates a table holding about capacity flows, split over
+// newFlowTable creates a table holding about capacity flows, split over
 // shards locks (both rounded up to powers of two; shards <= 0 selects
 // defaultFlowTableShards). Memory is allocated once: capacity × 16 bytes.
-func NewFlowTable(capacity, shards int) *FlowTable {
+func newFlowTable(capacity, shards int) *flowTable {
 	if capacity < ftBucketWay {
 		capacity = ftBucketWay
 	}
@@ -145,7 +143,7 @@ func NewFlowTable(capacity, shards int) *FlowTable {
 	}
 	bucketsPerShard := totalBuckets / nShards
 
-	t := &FlowTable{
+	t := &flowTable{
 		shardMask:  uint64(nShards - 1),
 		bucketMask: uint64(bucketsPerShard - 1),
 		shardBits:  uint(bitsFor(nShards)),
@@ -182,7 +180,7 @@ func shardMix(h uint64) uint64 {
 }
 
 // locate returns the shard and the first entry index of flow's bucket.
-func (t *FlowTable) locate(flow uint64) (*flowTableShard, int) {
+func (t *flowTable) locate(flow uint64) (*flowTableShard, int) {
 	h := shardMix(flow)
 	s := &t.shards[h&t.shardMask]
 	bucket := (h >> t.shardBits) & t.bucketMask
@@ -190,20 +188,13 @@ func (t *FlowTable) locate(flow uint64) (*flowTableShard, int) {
 }
 
 // capacity returns the number of entry sockets the table holds.
-func (t *FlowTable) capacity() int {
+func (t *flowTable) capacity() int {
 	return len(t.shards) * len(t.shards[0].entries)
 }
 
-// Shards returns the shard count.
-func (t *FlowTable) Shards() int { return len(t.shards) }
-
-// EntryWrites returns the cumulative count of per-entry mutations. Epoch
-// bumps and backend-set publications never move it.
-func (t *FlowTable) EntryWrites() uint64 { return t.entryWrites.Load() }
-
 // Len returns the number of occupied entries (including ones whose
 // generation has been invalidated but not yet overwritten).
-func (t *FlowTable) Len() int {
+func (t *flowTable) Len() int {
 	total := 0
 	for i := range t.shards {
 		s := &t.shards[i]
@@ -214,22 +205,13 @@ func (t *FlowTable) Len() int {
 	return total
 }
 
-// SetBackends publishes the routable backend set: names keep (or are
-// assigned) stable slots and are marked live; every previously known name
-// missing from names has its slot tombstoned, flipping all flows pinned
-// to it in this one O(1) publication. Entry arrays are untouched.
-func (t *FlowTable) SetBackends(names []string) {
-	live := make([]Backend, len(names))
-	for i, n := range names {
-		live[i] = Backend{Name: n}
-	}
-	sort.Slice(live, func(i, j int) bool { return live[i].Name < live[j].Name })
-	t.setBackends(live)
-}
-
-// setBackends is SetBackends over full records, in the order given (slot
-// assignment follows it, so callers sort), returning the published view.
-func (t *FlowTable) setBackends(live []Backend) *flowTableView {
+// setBackends publishes the routable backend set, in the order given
+// (slot assignment follows it, so callers sort): each keeps (or is
+// assigned) a stable slot and is marked live; every previously known name
+// missing from live has its slot tombstoned, flipping all flows pinned to
+// it in this one O(1) publication. Entry arrays are untouched. It returns
+// the published view.
+func (t *flowTable) setBackends(live []Backend) *flowTableView {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	old := t.view.Load()
@@ -261,17 +243,14 @@ func (t *FlowTable) setBackends(live []Backend) *flowTableView {
 	return nv
 }
 
-// Bump advances the release generation. With invalidate, the validity
-// window closes behind the new epoch: every entry written under an older
-// generation is dead after this single publication — the O(1) routing
-// flip for a takeover that must not touch N entries. Without invalidate,
-// existing pins stay routable and only new writes carry the new tag
-// (bookkeeping bump, e.g. a release that kept the backend set).
-func (t *FlowTable) Bump(invalidate bool) uint32 {
-	return t.bump(invalidate).epoch
-}
-
-func (t *FlowTable) bump(invalidate bool) *flowTableView {
+// bump advances the release generation and returns the published view.
+// With invalidate, the validity window closes behind the new epoch: every
+// entry written under an older generation is dead after this single
+// publication — the O(1) routing flip for a takeover that must not touch
+// N entries. Without invalidate, existing pins stay routable and only new
+// writes carry the new tag (bookkeeping bump, e.g. a release that kept
+// the backend set).
+func (t *flowTable) bump(invalidate bool) *flowTableView {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	nv := *t.view.Load()
@@ -313,7 +292,7 @@ func (s *flowTableShard) findLocked(base int, flow uint64) int {
 }
 
 // lookup resolves flow's pin against v, the view the caller is routing by.
-func (t *FlowTable) lookup(v *flowTableView, flow uint64) (slot uint16, ok bool) {
+func (t *flowTable) lookup(v *flowTableView, flow uint64) (slot uint16, ok bool) {
 	s, base := t.locate(flow)
 	s.mu.Lock()
 	if at := s.findLocked(base, flow); at >= 0 {
@@ -323,36 +302,10 @@ func (t *FlowTable) lookup(v *flowTableView, flow uint64) (slot uint16, ok bool)
 	return slot, ok
 }
 
-// Lookup returns the pinned backend for flow, if the pin's generation is
-// still routable and its backend is live.
-func (t *FlowTable) Lookup(flow uint64) (string, bool) {
-	v := t.view.Load()
-	slot, ok := t.lookup(v, flow)
-	if !ok {
-		return "", false
-	}
-	return v.backends[slot].Name, true
-}
-
-// Insert pins flow to backend under the current generation. It reports
-// false when backend has no interned slot (unknown to SetBackends).
-func (t *FlowTable) Insert(flow uint64, backend string) bool {
-	v := t.view.Load()
-	slot, ok := v.slots[backend]
-	if !ok {
-		return false
-	}
-	s, base := t.locate(flow)
-	s.mu.Lock()
-	t.storeLocked(s, base, flow, ftMeta(slot, v.epoch))
-	s.mu.Unlock()
-	return true
-}
-
 // storeLocked writes {flow, meta} into the bucket at base: in place when
 // flow is already pinned, into a free socket otherwise, evicting the
 // oldest-generation entry when the bucket is full. Caller holds s.mu.
-func (t *FlowTable) storeLocked(s *flowTableShard, base int, flow, meta uint64) {
+func (t *flowTable) storeLocked(s *flowTableShard, base int, flow, meta uint64) {
 	free, victim := -1, base
 	victimEpoch := uint32(0xffffffff)
 	for i := base; i < base+ftBucketWay; i++ {
@@ -382,9 +335,9 @@ func (t *FlowTable) storeLocked(s *flowTableShard, base int, flow, meta uint64) 
 	t.entryWrites.Add(1)
 }
 
-// occupancy returns Len()/Capacity() in parts per thousand, the gauge the
+// occupancy returns Len()/capacity() in parts per thousand, the gauge the
 // fleet telemetry scrapes.
-func (t *FlowTable) occupancy() int {
+func (t *flowTable) occupancy() int {
 	c := t.capacity()
 	if c == 0 {
 		return 0

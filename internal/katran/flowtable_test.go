@@ -7,10 +7,12 @@ import (
 	"sync/atomic"
 	"testing"
 	"unsafe"
+
+	"zdr/internal/racetest"
 )
 
 func TestFlowTableBasic(t *testing.T) {
-	ft := NewFlowTable(1024, 4)
+	ft := newFlowTable(1024, 4)
 	ft.SetBackends([]string{"a", "b"})
 
 	if _, ok := ft.Lookup(7); ok {
@@ -50,7 +52,7 @@ func TestFlowTableShardStride(t *testing.T) {
 // pinned to it in one view publication; re-admitting it revives them
 // (the §5.1 consistency property at table scale).
 func TestFlowTableTombstoneAndRevive(t *testing.T) {
-	ft := NewFlowTable(1024, 4)
+	ft := newFlowTable(1024, 4)
 	ft.SetBackends([]string{"a", "b"})
 	for f := uint64(0); f < 100; f++ {
 		ft.Insert(f, "a")
@@ -79,7 +81,7 @@ func TestFlowTableTombstoneAndRevive(t *testing.T) {
 // writes — and afterwards no flow resolves from the drained generation.
 func TestFlowTableEpochBumpIsO1(t *testing.T) {
 	const flows = 200_000
-	ft := NewFlowTable(flows*2, 0)
+	ft := newFlowTable(flows*2, 0)
 	ft.SetBackends([]string{"a", "b", "c"})
 	for f := uint64(0); f < flows; f++ {
 		ft.Insert(f, []string{"a", "b", "c"}[f%3])
@@ -118,10 +120,66 @@ func TestFlowTableEpochBumpIsO1(t *testing.T) {
 	}
 }
 
+// TestFlowTableAllocations bounds what BenchmarkFlowTableLookup,
+// BenchmarkFlowTableInsert and BenchmarkFlowTableBump time: a resident
+// flow's lookup and a pin's insert allocate nothing, and an epoch bump
+// its one view, however many flows are resident.
+func TestFlowTableAllocations(t *testing.T) {
+	racetest.SkipAllocs(t)
+	const flows = 1 << 16
+	backends := []string{"a", "b", "c", "d"}
+	ft := newFlowTable(flows*2, 0)
+	ft.SetBackends(backends)
+	for f := uint64(0); f < flows; f++ {
+		ft.Insert(f, backends[f%4])
+	}
+	f := uint64(0)
+	if n := testing.AllocsPerRun(1000, func() { ft.Lookup(f % flows); f += 0x9e3779b97f4a7c15 }); n != 0 {
+		t.Errorf("lookup: %v allocs, want 0", n)
+	}
+	if n := testing.AllocsPerRun(1000, func() { ft.Insert(f, "a"); f += 0x9e3779b97f4a7c15 }); n != 0 {
+		t.Errorf("insert: %v allocs, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { ft.Bump(true) }); n != 1 {
+		t.Errorf("epoch bump: %v allocs, want 1", n)
+	}
+}
+
+// TestMillionFlowEpochBump is the takeover's routing flip at the scale of
+// the claim: with 1,048,576 flows pinned through the LB,
+// AdvanceGeneration(true) writes no entry, and no sampled flow is steered
+// by its drained generation's pin.
+func TestMillionFlowEpochBump(t *testing.T) {
+	const flows, sample = 1 << 20, 4096
+	lb := newLB(t, Config{FlowTableSize: 2 * flows}, "pool-a", "pool-b", "pool-c", "pool-d")
+	key := func(i int) uint64 { return uint64(i)*0x9e3779b97f4a7c15 + 1 }
+	for i := 0; i < flows; i++ {
+		lb.Steer(key(i))
+	}
+	// Bucket placement is hashed, so a sliver of pins can land in full
+	// 8-way buckets and evict; require at least 99% residency.
+	ft := lb.FlowTable()
+	if got := ft.Len(); got < flows-flows/100 {
+		t.Fatalf("flow table resident %d, want >= %d", got, flows-flows/100)
+	}
+	writes := ft.EntryWrites()
+	lb.AdvanceGeneration(true)
+	if got := ft.EntryWrites() - writes; got != 0 {
+		t.Fatalf("epoch bump over %d flows wrote %d entries, want 0", flows, got)
+	}
+	hits := lb.Metrics().CounterValue("katran.steer.flowtable_hit")
+	for i := 0; i < sample; i++ {
+		lb.Steer(key(i * (flows / sample)))
+	}
+	if got := lb.Metrics().CounterValue("katran.steer.flowtable_hit") - hits; got != 0 {
+		t.Fatalf("%d of %d sampled flows steered by a drained generation's pin", got, sample)
+	}
+}
+
 // TestFlowTableBumpWithoutInvalidate: a bookkeeping bump keeps old pins
 // routable.
 func TestFlowTableBumpWithoutInvalidate(t *testing.T) {
-	ft := NewFlowTable(256, 2)
+	ft := newFlowTable(256, 2)
 	ft.SetBackends([]string{"a"})
 	ft.Insert(1, "a")
 	ft.Bump(false)
@@ -135,7 +193,7 @@ func TestFlowTableBumpWithoutInvalidate(t *testing.T) {
 // win.
 func TestFlowTableEvictsOldestGeneration(t *testing.T) {
 	// Smallest table: one shard, one bucket of ftBucketWay entries.
-	ft := NewFlowTable(ftBucketWay, 1)
+	ft := newFlowTable(ftBucketWay, 1)
 	ft.SetBackends([]string{"a", "b"})
 	var flows []uint64
 	for f := uint64(0); len(flows) < ftBucketWay+1; f++ {
@@ -294,7 +352,7 @@ func TestLBAdvanceGenerationDrainsPins(t *testing.T) {
 // the locking discipline of every table op against concurrent view
 // publications.
 func TestFlowTableSoak(t *testing.T) {
-	ft := NewFlowTable(1<<12, 8)
+	ft := newFlowTable(1<<12, 8)
 	names := []string{"a", "b", "c", "d"}
 	ft.SetBackends(names)
 	const workers = 8

@@ -12,7 +12,7 @@
 //     instance from the routing ring", §2.3) with consecutive-success/
 //     -failure thresholds,
 //   - the §5.1 remediation: a connection table of recent flows (the
-//     FlowTable) that absorbs momentary shuffles in the routing topology
+//     flowTable) that absorbs momentary shuffles in the routing topology
 //     so established connections keep landing on the same L7LB even when
 //     a health flap briefly changes the Maglev table,
 //   - a pluggable steering Policy deciding where FRESH flows land: the
@@ -141,7 +141,7 @@ type LB struct {
 	mu       sync.Mutex // control plane: guards backends + snapshot publication
 	backends map[string]*backendState
 
-	table *FlowTable // nil: no pinning, every steer is a policy pick
+	table *flowTable // nil: no pinning, every steer is a policy pick
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -172,7 +172,7 @@ func New(name string, cfg Config, reg *metrics.Registry) *LB {
 		healthy: map[string]Backend{},
 	}
 	if sockets := max(cfg.FlowCacheSize*flowTableHeadroom, cfg.FlowTableSize); sockets > 0 {
-		lb.table = NewFlowTable(sockets, 0)
+		lb.table = newFlowTable(sockets, 0)
 		rt.pins = lb.table.view.Load()
 		lb.gEpoch.Set(int64(rt.pins.epoch))
 	}

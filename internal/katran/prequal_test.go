@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"zdr/internal/racetest"
 )
 
 // silentProber never produces load samples on its own, so tests drive
@@ -299,34 +301,70 @@ func TestPrequalConcurrentSteering(t *testing.T) {
 	wg.Wait()
 }
 
-func BenchmarkSteerPolicyMaglev(b *testing.B) {
+// maglevSteer is BenchmarkSteerPolicyMaglev's operation: a steer of one
+// of 8192 flows in turn through a table of 4096 sockets, so that table
+// hits, Maglev picks and evictions all recur.
+func maglevSteer(tb testing.TB) func() {
 	lb := New("lb", Config{FlowCacheSize: 1024, FlowTableSize: 4096}, nil)
-	defer lb.Close()
+	tb.Cleanup(lb.Close)
 	for _, n := range []string{"a", "b", "c", "d"} {
 		lb.AddBackend(Backend{Name: n, Addr: n + ":80"}, true)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := lb.Steer(uint64(i) % 8192); err != nil {
-			b.Fatal(err)
+	i := uint64(0)
+	return func() {
+		if _, err := lb.Steer(i % 8192); err != nil {
+			tb.Fatal(err)
 		}
+		i++
 	}
 }
 
-func BenchmarkSteerPolicyPrequal(b *testing.B) {
+// prequalSteer is BenchmarkSteerPolicyPrequal's operation: a new flow's
+// pick by Prequal over four sampled backends, no table in front.
+func prequalSteer(tb testing.TB) func() {
 	p := quietPrequal(PrequalConfig{PowerD: 3, ReuseBudget: 1 << 30, MaxAge: time.Hour})
 	lb := New("lb", Config{Policy: p}, nil)
-	defer lb.Close()
+	tb.Cleanup(lb.Close)
 	for _, n := range []string{"a", "b", "c", "d"} {
 		lb.AddBackend(Backend{Name: n, Addr: n + ":80"}, true)
 		p.AddSample(n, fresh(len(n), time.Millisecond))
 	}
+	i := uint64(0)
+	return func() {
+		if _, err := lb.Steer(i); err != nil {
+			tb.Fatal(err)
+		}
+		i++
+	}
+}
+
+func BenchmarkSteerPolicyMaglev(b *testing.B) {
+	steer := maglevSteer(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := lb.Steer(uint64(i)); err != nil {
-			b.Fatal(err)
-		}
+		steer()
+	}
+}
+
+func BenchmarkSteerPolicyPrequal(b *testing.B) {
+	steer := prequalSteer(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		steer()
+	}
+}
+
+// TestSteerPolicyAllocations bounds the steers the two benchmarks above
+// time. Through a table its flows overflow, a Maglev steer allocates
+// nothing; a Prequal pick makes its three.
+func TestSteerPolicyAllocations(t *testing.T) {
+	racetest.SkipAllocs(t)
+	if n := testing.AllocsPerRun(10000, maglevSteer(t)); n != 0 {
+		t.Errorf("Maglev steer over 8192 flows and 4096 sockets: %v allocs, want 0", n)
+	}
+	if n := testing.AllocsPerRun(1000, prequalSteer(t)); n != 3 {
+		t.Errorf("Prequal pick: %v allocs, want 3", n)
 	}
 }

@@ -2,8 +2,11 @@ package metrics
 
 import (
 	"math"
+	"runtime"
 	"sync"
 	"testing"
+
+	"zdr/internal/racetest"
 )
 
 func TestExpBuckets(t *testing.T) {
@@ -229,8 +232,56 @@ func TestRegistryAtomicHistogram(t *testing.T) {
 	}
 }
 
-// BenchmarkAtomicHistogramObserve is recorded in BENCH_baseline.json: the
-// path must be allocation-free.
+// TestAtomicHistogramAllocations bounds what the three benchmarks below
+// time: an observation anywhere on the bucket range allocates nothing,
+// also while scrapes run beside it, and a snapshot with its quantile
+// exactly two.
+func TestAtomicHistogramAllocations(t *testing.T) {
+	racetest.SkipAllocs(t)
+	h := NewAtomicHistogram(defaultLatencyBuckets)
+	v := 0.0001
+	if n := testing.AllocsPerRun(1000, func() {
+		h.Observe(v)
+		if v *= 1.1; v > 10 {
+			v = 0.0001
+		}
+	}); n != 0 {
+		t.Errorf("Observe: %v allocs, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = h.Snapshot().Quantile(0.99) }); n != 2 {
+		t.Errorf("Snapshot and Quantile: %v allocs, want 2", n)
+	}
+
+	// Under scrape, the scraper's own allocations, two a snapshot, are
+	// taken out of the process's count.
+	stop, scraped := make(chan struct{}), make(chan int64)
+	go func() {
+		var snaps int64
+		for {
+			select {
+			case <-stop:
+				scraped <- snaps
+				return
+			default:
+				_ = h.Snapshot().Quantile(0.99)
+				snaps++
+			}
+		}
+	}()
+	const observes = 100_000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < observes; i++ {
+		h.Observe(0.003)
+	}
+	close(stop)
+	snaps := <-scraped
+	runtime.ReadMemStats(&after)
+	if per := (int64(after.Mallocs-before.Mallocs) - 2*snaps) / observes; per != 0 {
+		t.Errorf("Observe under %d scrapes: %d allocs, want 0", snaps, per)
+	}
+}
+
 func BenchmarkAtomicHistogramObserve(b *testing.B) {
 	h := NewAtomicHistogram(defaultLatencyBuckets)
 	b.ReportAllocs()

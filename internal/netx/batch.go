@@ -79,9 +79,6 @@ type BatchConfig struct {
 	// Registry keeps private counters readable via Stats.
 	Registry *metrics.Registry
 	Prefix   string
-	// DisableKernelBatch forces the one-syscall-per-packet fallback even
-	// on a real UDP socket — the before/after lever for benchmarks.
-	DisableKernelBatch bool
 }
 
 // open fills in cfg's defaults and returns pc's raw descriptor, nil when
@@ -99,7 +96,7 @@ func (cfg *BatchConfig) open(pc net.PacketConn) syscall.RawConn {
 	if cfg.Prefix == "" {
 		cfg.Prefix = "netx.batch"
 	}
-	if sc, ok := pc.(syscall.Conn); ok && !cfg.DisableKernelBatch {
+	if sc, ok := pc.(syscall.Conn); ok {
 		if rc, err := sc.SyscallConn(); err == nil {
 			return rc
 		}
@@ -148,7 +145,7 @@ type RecvRing struct {
 }
 
 // NewRecvRing wraps pc's read side. Kernel batching engages only when pc
-// exposes a raw descriptor and DisableKernelBatch is unset.
+// exposes a raw descriptor.
 func NewRecvRing(pc net.PacketConn, cfg BatchConfig) *RecvRing {
 	r := &RecvRing{pc: pc, raw: cfg.open(pc)}
 	r.cCalls = cfg.Registry.Counter(cfg.Prefix + ".recvmmsg_calls")

@@ -171,14 +171,16 @@ func TestBatchReadHonorsDeadline(t *testing.T) {
 	}
 }
 
-func TestBatchDisableKernelBatch(t *testing.T) {
+// TestBatchFallbackOneCallPerPacket: on a conn that hides its descriptor
+// each ReadBatch is one read of one datagram, and counted so.
+func TestBatchFallbackOneCallPerPacket(t *testing.T) {
 	a, b := udpPair(t)
-	sender := NewSendRing(a, BatchConfig{DisableKernelBatch: true})
-	receiver := NewRecvRing(b, BatchConfig{DisableKernelBatch: true})
+	sender := NewSendRing(&opaquePacketConn{PacketConn: a}, BatchConfig{})
+	receiver := NewRecvRing(&opaquePacketConn{PacketConn: b}, BatchConfig{})
 	defer sender.Release()
 	defer receiver.Release()
 	if sender.Batched() || receiver.Batched() {
-		t.Fatal("DisableKernelBatch must force the fallback path")
+		t.Fatal("a conn without a descriptor must take the fallback path")
 	}
 	if err := sender.QueueTo([]byte("hello"), b.LocalAddr()); err != nil {
 		t.Fatal(err)
@@ -275,13 +277,17 @@ func TestRingAllocations(t *testing.T) {
 // between two reads, so that the next one of that size arrives whole. A
 // stream of small datagrams never grows the slab.
 func TestRingTruncatedDatagram(t *testing.T) {
-	for name, disable := range map[string]bool{"kernel": false, "fallback": true} {
+	for name, fallback := range map[string]bool{"kernel": false, "fallback": true} {
 		t.Run(name, func(t *testing.T) {
 			a, b := udpPair(t)
 			reg := metrics.NewRegistry()
-			ring := NewRecvRing(b, BatchConfig{Registry: reg, Prefix: "t", DisableKernelBatch: disable})
+			var pc net.PacketConn = b
+			if fallback {
+				pc = &opaquePacketConn{PacketConn: b}
+			}
+			ring := NewRecvRing(pc, BatchConfig{Registry: reg, Prefix: "t"})
 			defer ring.Release()
-			if ring.Batched() == disable {
+			if ring.Batched() == fallback {
 				t.Fatalf("Batched() = %v", ring.Batched())
 			}
 			dst := b.LocalAddr()

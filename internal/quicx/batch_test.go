@@ -34,11 +34,11 @@ func TestBurstPacketsPerSyscall(t *testing.T) {
 	}
 	defer client.Close()
 	const burst = 64
-	if _, err := client.Write(Marshal(Packet{Type: PktInitial, Conn: 7, Payload: []byte("open")})); err != nil {
+	if _, err := client.Write(marshal(Packet{Type: PktInitial, Conn: 7, Payload: []byte("open")})); err != nil {
 		t.Fatal(err)
 	}
 	for i := 1; i < burst; i++ {
-		if _, err := client.Write(Marshal(Packet{Type: PktData, Conn: 7, Payload: []byte(fmt.Sprintf("d%02d", i))})); err != nil {
+		if _, err := client.Write(marshal(Packet{Type: PktData, Conn: 7, Payload: []byte(fmt.Sprintf("d%02d", i))})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -72,20 +72,18 @@ func TestBurstPacketsPerSyscall(t *testing.T) {
 	}
 }
 
-// TestDisableBatchOneSyscallPerPacket locks the before/after lever the
-// throughput benchmark depends on: with batching disabled the server
-// falls back to exactly one read syscall and one write syscall per
-// packet.
-func TestDisableBatchOneSyscallPerPacket(t *testing.T) {
+// TestUnbatchedOneSyscallPerPacket: on a VIP socket that hides its
+// descriptor (a fault-injection wrapper, say) the server falls back to
+// exactly one read syscall and one write syscall per packet.
+func TestUnbatchedOneSyscallPerPacket(t *testing.T) {
 	vip, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := metrics.NewRegistry()
-	srv := NewServer("unbatched", vip, func(conn ConnID, payload []byte) []byte {
+	srv := NewServer("unbatched", struct{ net.PacketConn }{vip}, func(conn ConnID, payload []byte) []byte {
 		return payload
 	}, reg)
-	srv.DisableBatch()
 	defer srv.Close()
 	srv.Start()
 

@@ -41,11 +41,11 @@ func TestPacketPathAllocatesNothing(t *testing.T) {
 
 	// Flow 1 lives on the new instance, flow 2 on the old one.
 	out := next.sender()
-	next.handlePacket(out, Marshal(Packet{Type: PktInitial, Conn: 1}), from)
+	next.handlePacket(out, marshal(Packet{Type: PktInitial, Conn: 1}), from)
 	oldOut := old.sender()
-	old.handlePacket(oldOut, Marshal(Packet{Type: PktInitial, Conn: 2}), from)
+	old.handlePacket(oldOut, marshal(Packet{Type: PktInitial, Conn: 2}), from)
 
-	known := Marshal(Packet{Type: PktData, Conn: 1, Payload: []byte("/ping")})
+	known := marshal(Packet{Type: PktData, Conn: 1, Payload: []byte("/ping")})
 	if n := testing.AllocsPerRun(500, func() { next.handlePacket(out, known, from) }); n != 0 {
 		t.Errorf("known-flow data packet: %v allocs, want 0", n)
 	}
@@ -53,7 +53,7 @@ func TestPacketPathAllocatesNothing(t *testing.T) {
 		t.Fatalf("only %d replies queued", got)
 	}
 
-	unknown := Marshal(Packet{Type: PktData, Conn: 2, Payload: []byte("/ping")})
+	unknown := marshal(Packet{Type: PktData, Conn: 2, Payload: []byte("/ping")})
 	if n := testing.AllocsPerRun(500, func() { next.handlePacket(out, unknown, from) }); n != 0 {
 		t.Errorf("unknown-flow packet forwarded: %v allocs, want 0", n)
 	}
@@ -140,7 +140,7 @@ func TestSamePeerNewPointerIsNotAMigration(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		other.Write(Marshal(Packet{Type: PktClose, Conn: ConnID(1000 + i)}))
+		other.Write(marshal(Packet{Type: PktClose, Conn: ConnID(1000 + i)}))
 		other.Close()
 		for deadline := time.Now().Add(2 * time.Second); i%32 == 31 && srv.reg.CounterValue("quicx.rx") < int64(i+2); {
 			if time.Now().After(deadline) {
@@ -185,7 +185,7 @@ func TestSamePeerNewPointerIsNotAMigration(t *testing.T) {
 // value, and an encapsulation built from the bytes must come back intact.
 func FuzzPacket(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(Marshal(Packet{Type: PktData, Conn: 7, Payload: []byte("x")}))
+	f.Add(marshal(Packet{Type: PktData, Conn: 7, Payload: []byte("x")}))
 	f.Add(appendForwarded(nil, []byte("inner"), netip.MustParseAddrPort("127.0.0.1:4433")))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if p, err := Unmarshal(b); err == nil {

@@ -63,8 +63,8 @@ type Packet struct {
 	Payload []byte
 }
 
-// Marshal serializes p into a fresh buffer.
-func Marshal(p Packet) []byte {
+// marshal serializes p into a fresh buffer.
+func marshal(p Packet) []byte {
 	return AppendPacket(make([]byte, 0, headerLen+len(p.Payload)), p)
 }
 
@@ -224,12 +224,9 @@ type Server struct {
 
 	// out is the batched sender over the shared VIP socket: replies and
 	// forwards from both read loops coalesce through it, one sendmmsg
-	// per drained burst instead of one WriteTo per packet. Created
-	// lazily so DisableBatch can run between NewServer and Start.
+	// per drained burst instead of one WriteTo per packet. Created on
+	// first use.
 	out *netx.SendRing
-	// noBatch forces one-syscall-per-packet I/O in both directions —
-	// the before/after lever for throughput benchmarks.
-	noBatch bool
 
 	wg sync.WaitGroup
 }
@@ -267,15 +264,6 @@ func NewServer(name string, vip net.PacketConn, handler handler, reg *metrics.Re
 // Metrics returns the server's registry.
 func (s *Server) Metrics() *metrics.Registry { return s.reg }
 
-// DisableBatch forces one-syscall-per-packet socket I/O (the pre-batching
-// data plane) so benchmarks can measure the recvmmsg/sendmmsg win. Must
-// be called before Start.
-func (s *Server) DisableBatch() {
-	s.mu.Lock()
-	s.noBatch = true
-	s.mu.Unlock()
-}
-
 // sender returns the batched VIP writer, creating it on first use. Both
 // read loops share it: the VIP socket outlives any one loop generation,
 // so the send ring follows the socket, not the loop.
@@ -283,11 +271,7 @@ func (s *Server) sender() *netx.SendRing {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.out == nil {
-		s.out = netx.NewSendRing(s.main, netx.BatchConfig{
-			Registry:           s.reg,
-			Prefix:             "quicx.batch",
-			DisableKernelBatch: s.noBatch,
-		})
+		s.out = netx.NewSendRing(s.main, netx.BatchConfig{Registry: s.reg, Prefix: "quicx.batch"})
 	}
 	return s.out
 }
@@ -453,20 +437,13 @@ func (s *Server) Close() {
 }
 
 func (s *Server) readLoop(conn net.PacketConn, forwarded bool) {
-	s.mu.Lock()
-	noBatch := s.noBatch
-	s.mu.Unlock()
 	// The receive ring belongs to this loop and is released when it
 	// exits — the loop-per-generation ownership rule: after a drain →
 	// undo cycle the replacement reader builds its own ring, just as a
 	// succeeding process builds its own. On a fault-wrapped conn the
 	// ring degrades to one ReadFrom per packet, keeping every datagram
 	// visible to the wrapper.
-	bc := netx.NewRecvRing(conn, netx.BatchConfig{
-		Registry:           s.reg,
-		Prefix:             "quicx.batch",
-		DisableKernelBatch: noBatch,
-	})
+	bc := netx.NewRecvRing(conn, netx.BatchConfig{Registry: s.reg, Prefix: "quicx.batch"})
 	defer bc.Release()
 	out := s.sender()
 	peers := forwardedPeers{} // used by the forward loop only
@@ -633,18 +610,18 @@ func (c *Client) Send(payload []byte, timeout time.Duration) ([]byte, error) {
 
 // SendNoReply fires a data packet without waiting.
 func (c *Client) SendNoReply(payload []byte) error {
-	_, err := c.conn.Write(Marshal(Packet{Type: PktData, Conn: c.id, Payload: payload}))
+	_, err := c.conn.Write(marshal(Packet{Type: PktData, Conn: c.id, Payload: payload}))
 	return err
 }
 
 // Close sends PktClose and releases the socket.
 func (c *Client) Close() error {
-	c.conn.Write(Marshal(Packet{Type: PktClose, Conn: c.id}))
+	c.conn.Write(marshal(Packet{Type: PktClose, Conn: c.id}))
 	return c.conn.Close()
 }
 
 func (c *Client) roundTrip(t PacketType, payload []byte, timeout time.Duration) ([]byte, error) {
-	if _, err := c.conn.Write(Marshal(Packet{Type: t, Conn: c.id, Payload: payload})); err != nil {
+	if _, err := c.conn.Write(marshal(Packet{Type: t, Conn: c.id, Payload: payload})); err != nil {
 		return nil, err
 	}
 	c.conn.SetReadDeadline(time.Now().Add(timeout))

@@ -16,7 +16,7 @@ func echoHandler(conn ConnID, payload []byte) []byte {
 
 func TestMarshalRoundTrip(t *testing.T) {
 	in := Packet{Type: PktData, Conn: 0xdeadbeef, Payload: []byte("payload")}
-	out, err := Unmarshal(Marshal(in))
+	out, err := Unmarshal(marshal(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestUnmarshalShort(t *testing.T) {
 func TestMarshalProperty(t *testing.T) {
 	f := func(conn uint64, payload []byte) bool {
 		p := Packet{Type: PktData, Conn: ConnID(conn), Payload: payload}
-		got, err := Unmarshal(Marshal(p))
+		got, err := Unmarshal(marshal(p))
 		return err == nil && got.Conn == p.Conn && bytes.Equal(got.Payload, payload)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -44,7 +44,7 @@ func TestMarshalProperty(t *testing.T) {
 
 func TestForwardEncapsulation(t *testing.T) {
 	from := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 54321}
-	raw := Marshal(Packet{Type: PktData, Conn: 7, Payload: []byte("x")})
+	raw := marshal(Packet{Type: PktData, Conn: 7, Payload: []byte("x")})
 	ap, ok := addrPortOf(from)
 	if !ok {
 		t.Fatalf("addrPortOf(%v) failed", from)
@@ -266,32 +266,6 @@ func takeoverWithUserSpaceRouting(t *testing.T) {
 	}
 	if fwd := newSrv.Metrics().CounterValue("quicx.forwarded"); fwd == 0 {
 		t.Fatal("forwarding path never used")
-	}
-}
-
-func BenchmarkServerEcho(b *testing.B) {
-	vip, err := netx.ListenUDPReusePort("127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	srv := NewServer("bench", vip, echoHandler, nil)
-	srv.Start()
-	defer srv.Close()
-	c, err := Dial(vip.LocalAddr().String(), 7)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.Open(nil, 2*time.Second); err != nil {
-		b.Fatal(err)
-	}
-	payload := bytes.Repeat([]byte("q"), 256)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Send(payload, 2*time.Second); err != nil {
-			b.Fatalf("iter %d: %v", i, err)
-		}
 	}
 }
 

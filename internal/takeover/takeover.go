@@ -79,7 +79,6 @@ import (
 	"syscall"
 	"time"
 
-	"zdr/internal/faults"
 	"zdr/internal/netx"
 	"zdr/internal/obs"
 )
@@ -486,8 +485,6 @@ type Result struct {
 	// OrphanedFDs counts descriptors the receiver closed because it did
 	// not adopt them (receiver side only).
 	OrphanedFDs int
-	// Duration is the wall time of the protocol exchange.
-	Duration time.Duration
 	// PeerTrace is the receiver's hand-off span context in wire form,
 	// from its ack (sender side), or "" if the receiver was untraced.
 	PeerTrace string
@@ -716,7 +713,6 @@ func (s *Server) handoff(conn *net.UnixConn, root *obs.Span) (*Result, error) {
 	retained := newRetainedSet(m.VIPs, fds)
 	sp.SetAttr("retained_fds", strconv.Itoa(len(fds)))
 	fds = nil
-	res.Duration = time.Since(start)
 	sp.End()
 
 	// Committed: this instance stops accepting and drains.
@@ -990,7 +986,6 @@ func receive(conn *net.UnixConn, opts ReceiveOptions) (*ListenerSet, *Result, er
 		disarm()
 		return nil, nil, undoneErr(rerr)
 	}
-	res.Duration = time.Since(start)
 	return set, res, nil
 }
 
@@ -1156,55 +1151,32 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// defaultConnectBackoff paces Connect's dial retries: the old instance's
-// takeover socket may not exist yet (deploy ordering) or may be briefly
-// busy with another hand-off attempt.
-var defaultConnectBackoff = faults.Backoff{
-	Base:     20 * time.Millisecond,
-	Max:      250 * time.Millisecond,
-	Factor:   2,
-	Attempts: 8,
-}
-
 // Connect dials the old instance's takeover server at path and receives
 // the socket set (steps A–F, receiver side).
 //
-// Dial failures are retried per defaultConnectBackoff until the timeout; protocol
-// failures behind a successful dial are not retried (the sender rolled
-// back — a blind retry would race its abort handling) and are returned
-// with their ErrAborted/ErrUndone classification intact so the
-// orchestrator can decide between retrying with a fresh receiver and
-// giving up.
+// It dials once: a refused or missing path means nothing serves it, and
+// a receiver that arrives while another hand-off runs waits in the
+// listen backlog rather than being refused. Failures behind a successful
+// dial are returned with their ErrAborted/ErrUndone classification
+// intact so the orchestrator can decide between retrying with a fresh
+// receiver and giving up.
 func Connect(path string, opts ReceiveOptions) (*ListenerSet, *Result, error) {
 	if opts.timeout <= 0 {
 		opts.timeout = defaultHandshakeTimeout
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), opts.timeout)
-	defer cancel()
-	var (
-		set *ListenerSet
-		res *Result
-	)
-	err := defaultConnectBackoff.Retry(ctx, func() error {
-		spA := opts.Trace.StartChild(obs.SpanTakeoverStepA)
-		spA.SetAttr("path", path)
-		d := net.Dialer{Timeout: opts.timeout}
-		c, err := d.DialContext(ctx, "unix", path)
-		if err != nil {
-			err = fmt.Errorf("takeover: connect %s: %w", path, err)
-			spA.Fail(err)
-			spA.End()
-			return err
-		}
+	spA := opts.Trace.StartChild(obs.SpanTakeoverStepA)
+	spA.SetAttr("path", path)
+	c, err := net.DialTimeout("unix", path, opts.timeout)
+	if err != nil {
+		err = fmt.Errorf("takeover: connect %s: %w", path, err)
+		spA.Fail(err)
 		spA.End()
-		conn := c.(*net.UnixConn)
-		defer conn.Close()
-		if set, res, err = receive(conn, opts); err != nil {
-			return faults.Permanent(err)
-		}
-		return nil
-	})
-	return set, res, err // both nil unless the hand-off completed
+		return nil, nil, err
+	}
+	spA.End()
+	conn := c.(*net.UnixConn)
+	defer conn.Close()
+	return receive(conn, opts)
 }
 
 func removeStaleSocket(path string) error {

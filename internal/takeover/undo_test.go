@@ -23,7 +23,6 @@ import (
 	"testing"
 	"time"
 
-	"zdr/internal/faults"
 	"zdr/internal/netx"
 	"zdr/internal/obs"
 )
@@ -229,8 +228,11 @@ func TestServerLeaseBreakUndo(t *testing.T) {
 			mu.Unlock()
 		},
 	}
+	if err := srv.Listen(path); err != nil {
+		t.Fatal(err)
+	}
 	srvDone := make(chan error, 1)
-	go func() { srvDone <- srv.ListenAndServe(path) }()
+	go func() { srvDone <- srv.Serve() }()
 	defer srv.Close()
 
 	// Attempt 1: receiver commits, then refuses to confirm serving.
@@ -312,7 +314,10 @@ func TestServerReadyTimeoutUndo(t *testing.T) {
 			undone <- cause
 		},
 	}
-	go srv.ListenAndServe(path)
+	if err := srv.Listen(path); err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve()
 	defer srv.Close()
 
 	_, _, err := Connect(path, ReceiveOptions{
@@ -336,9 +341,8 @@ func TestServerReadyTimeoutUndo(t *testing.T) {
 }
 
 // TestErrorTaxonomy pins the DESIGN.md §7 error lattice with errors.Is:
-// the four sentinel classes are mutually exclusive and survive both the
-// %w chains the package builds and the faults.Permanent wrapper Connect
-// applies.
+// the four sentinel classes are mutually exclusive and survive the %w
+// chains the package builds.
 func TestErrorTaxonomy(t *testing.T) {
 	undone := undoneErr(io.EOF)
 	aborted := abortErr(io.EOF)
@@ -354,10 +358,6 @@ func TestErrorTaxonomy(t *testing.T) {
 		{"aborted-idempotent", abortErr(aborted), []error{ErrAborted}, []error{ErrUndone}},
 		{"rejected", fmt.Errorf("%w: nacked", errRejected), []error{errRejected}, []error{ErrAborted, ErrUndone}},
 		{"bad-magic", errBadMagic, []error{errBadMagic}, []error{ErrAborted, ErrUndone, errRejected}},
-		// Connect wraps protocol failures in faults.Permanent before the
-		// backoff unwraps them; classification must survive the round trip.
-		{"undone-through-permanent", faults.Permanent(undone), []error{ErrUndone}, []error{ErrAborted}},
-		{"aborted-through-permanent", faults.Permanent(aborted), []error{ErrAborted}, []error{ErrUndone}},
 	}
 	for _, tc := range cases {
 		for _, want := range tc.is {

@@ -20,63 +20,29 @@ func TestRelaySpliceBeatsCopyOnSyscalls(t *testing.T) {
 	if spliced.Bytes != total || copied.Bytes != total {
 		t.Fatalf("byte counts: splice=%d copy=%d want %d", spliced.Bytes, copied.Bytes, total)
 	}
-	if spliced.Syscalls == 0 || copied.Syscalls == 0 {
-		t.Fatalf("missing syscall accounting: splice=%d copy=%d", spliced.Syscalls, copied.Syscalls)
+	if spliced.syscalls == 0 || copied.syscalls == 0 {
+		t.Fatalf("missing syscall accounting: splice=%d copy=%d", spliced.syscalls, copied.syscalls)
 	}
 	// Loopback Gbps is too noisy for CI, but the syscall ratio is
 	// structural: require splice to halve the copy path's crossings.
-	if spliced.SyscallsPerMB*2 > copied.SyscallsPerMB {
-		t.Fatalf("splice %.2f syscalls/MB not < half of copy %.2f", spliced.SyscallsPerMB, copied.SyscallsPerMB)
+	if spliced.syscallsPerMB*2 > copied.syscallsPerMB {
+		t.Fatalf("splice %.2f syscalls/MB not < half of copy %.2f", spliced.syscallsPerMB, copied.syscallsPerMB)
 	}
 }
 
-func TestQuicBurstBatchedReducesSyscalls(t *testing.T) {
-	const bursts, burstSize = 8, 64
-	batched, err := runQuicBurst(bursts, burstSize, true)
+// TestRelayCopySyscallsPerMB bounds the pooled copy's crossings per MiB
+// absolutely: 38.4 is 1.2 × the 32.04 a 256 MiB relay took when the
+// bound was first set, a read and a write per 64 KiB that loopback hands
+// one read. The splice path's count is how much each call found queued,
+// which follows the scheduler, so it has no bound of its own.
+func TestRelayCopySyscallsPerMB(t *testing.T) {
+	m, err := RunTCPRelay(64<<20, false)
 	if err != nil {
-		t.Fatalf("batched run: %v", err)
+		t.Fatal(err)
 	}
-	unbatched, err := runQuicBurst(bursts, burstSize, false)
-	if err != nil {
-		t.Fatalf("unbatched run: %v", err)
-	}
-	// Unbatched is exactly one recv and one send flush per packet.
-	if got := unbatched.SyscallsPerPkt; got < 1.9 {
-		t.Fatalf("unbatched syscalls/pkt = %.2f, want ~2", got)
-	}
-	const pkts = bursts * burstSize
-	if unbatched.Packets != pkts || unbatched.RecvCalls != pkts || unbatched.SendFlushes != pkts {
-		t.Fatalf("unbatched: %d packets in %d receive calls and %d send flushes, want %d of each",
-			unbatched.Packets, unbatched.RecvCalls, unbatched.SendFlushes, pkts)
-	}
-	// Batched, every burst was queued before the reader ran and fits the
-	// 64-entry rings: one recvmmsg and one sendmmsg per burst.
-	if batched.Packets != pkts || batched.RecvCalls != bursts || batched.SendFlushes != bursts {
-		t.Fatalf("batched: %d packets in %d receive calls and %d send flushes, want %d in %d and %d",
-			batched.Packets, batched.RecvCalls, batched.SendFlushes, pkts, bursts, bursts)
-	}
-	// The acceptance bar: ≥4× fewer syscalls per packet on 64-packet
-	// bursts.
-	if batched.SyscallsPerPkt*4 > unbatched.SyscallsPerPkt {
-		t.Fatalf("batched %.3f syscalls/pkt not ≤ ¼ of unbatched %.3f", batched.SyscallsPerPkt, unbatched.SyscallsPerPkt)
-	}
-}
-
-func TestSuiteShape(t *testing.T) {
-	ms, err := Suite(4<<20, 2, 32)
-	if err != nil {
-		t.Fatalf("suite: %v", err)
-	}
-	want := []string{"tcp_relay_splice", "tcp_relay_copy", "quic_burst_batched", "quic_burst_unbatched"}
-	if len(ms) != len(want) {
-		t.Fatalf("got %d measurements, want %d", len(ms), len(want))
-	}
-	for i, name := range want {
-		if ms[i].Name != name {
-			t.Fatalf("measurement %d = %q, want %q", i, ms[i].Name, name)
-		}
-		if ms[i].Seconds <= 0 {
-			t.Fatalf("%s: no duration recorded", name)
-		}
+	if m.syscallsPerMB > 38.4 {
+		t.Errorf("pooled-copy relay: %.2f syscalls/MB, want <= 38.4", m.syscallsPerMB)
+	} else {
+		t.Logf("pooled-copy relay: %.2f syscalls/MB", m.syscallsPerMB)
 	}
 }
