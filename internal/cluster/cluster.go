@@ -50,17 +50,14 @@ type Config struct {
 	// DrainPeriod is the per-batch drain (paper: 20 min for Proxygen,
 	// 10–15 s for App Servers).
 	DrainPeriod time.Duration
-	// RestartOverhead is the non-drain part of a restart: spawn, warm-up,
+	// restartOverhead is the non-drain part of a restart: spawn, warm-up,
 	// cache priming (dominant for HHVM).
-	RestartOverhead time.Duration
+	restartOverhead time.Duration
 	// BatchGap is idle time between batches (visible as the capacity
 	// recovery notches in Fig. 3a).
 	BatchGap time.Duration
 	// Strategy selects HardRestart or ZeroDowntime.
 	Strategy Strategy
-	// Load is the offered load as a fraction of total fleet capacity
-	// right before the release (baseline utilisation). Default 0.7.
-	Load float64
 	// canarySize, when > 0, stages the release canary-first by the fleet
 	// orchestrator's rule (fleet.BatchSizes): the first batch has
 	// canarySize machines and each next one doubles, capped at
@@ -85,9 +82,6 @@ func (c *Config) fill() {
 	if c.DrainPeriod <= 0 {
 		c.DrainPeriod = 20 * time.Minute
 	}
-	if c.Load <= 0 || c.Load >= 1 {
-		c.Load = 0.7
-	}
 	if c.Tick <= 0 {
 		c.Tick = 10 * time.Second
 	}
@@ -98,6 +92,10 @@ func (c *Config) fill() {
 		c.mqttConnsPerMachine = 10_000
 	}
 }
+
+// baselineLoad is the offered load as a fraction of total fleet capacity
+// right before a release (baseline utilisation).
+const baselineLoad = 0.7
 
 // The extra per-machine CPU (fraction of one machine) while two instances
 // run in parallel: takeoverSpike at the instant of takeover, decaying to
@@ -133,9 +131,9 @@ type TickSample struct {
 	// CapacityFraction is the serving pool's capacity relative to the
 	// full fleet (Fig. 3a).
 	CapacityFraction float64
-	// IdleCPUFraction is total idle CPU normalised by the pre-release
+	// idleCPUFraction is total idle CPU normalised by the pre-release
 	// idle CPU (Fig. 8b).
-	IdleCPUFraction float64
+	idleCPUFraction float64
 	// RPSRestartedGroup / RPSNonRestartedGroup are per-machine RPS
 	// normalised to pre-release values for the batch being restarted (GR)
 	// and the rest (GNR) — Fig. 13.
@@ -232,7 +230,7 @@ func RunRelease(cfg Config) ReleaseResult {
 					m.state = stateRestarting
 					m.stateSince = now
 				}
-				if m.state == stateRestarting && now-m.stateSince >= cfg.RestartOverhead && elapsed >= cfg.DrainPeriod {
+				if m.state == stateRestarting && now-m.stateSince >= cfg.restartOverhead && elapsed >= cfg.DrainPeriod {
 					if !m.restarted {
 						m.restarted = true
 						m.state = stateActive
@@ -270,8 +268,8 @@ func RunRelease(cfg Config) ReleaseResult {
 		if last.CapacityFraction < res.MinCapacityFraction {
 			res.MinCapacityFraction = last.CapacityFraction
 		}
-		if last.IdleCPUFraction < res.MinIdleCPUFraction {
-			res.MinIdleCPUFraction = last.IdleCPUFraction
+		if last.idleCPUFraction < res.MinIdleCPUFraction {
+			res.MinIdleCPUFraction = last.idleCPUFraction
 		}
 
 		now += cfg.Tick
@@ -320,7 +318,7 @@ func sampleTick(cfg Config, machines []machine, now, batchStart time.Duration, c
 	capacity := float64(online) / float64(n)
 
 	// Idle CPU: demand redistributes over online machines.
-	demand := cfg.Load * float64(n) // in machine-units of CPU
+	demand := baselineLoad * float64(n) // in machine-units of CPU
 	perMachine := demand / float64(online)
 	if perMachine > 1 {
 		perMachine = 1 // saturated
@@ -329,11 +327,11 @@ func sampleTick(cfg Config, machines []machine, now, batchStart time.Duration, c
 	if idle < 0 {
 		idle = 0
 	}
-	baselineIdle := float64(n) * (1 - cfg.Load)
+	baselineIdle := float64(n) * (1 - baselineLoad)
 	idleFrac := idle / baselineIdle
 
 	// Group series (Fig. 13), normalised to baseline per-machine values.
-	baseRPS := cfg.Load
+	baseRPS := baselineLoad
 	grRPS, gnrRPS := 1.0, 1.0
 	grCPU := 1.0
 	if len(current) > 0 {
@@ -348,7 +346,7 @@ func sampleTick(cfg Config, machines []machine, now, batchStart time.Duration, c
 			// overhead.
 			grRPS = 1
 			gnrRPS = 1
-			grCPU = 1 + (takeoverCPU/float64(len(current)))/cfg.Load
+			grCPU = 1 + (takeoverCPU/float64(len(current)))/baselineLoad
 		}
 	}
 	// Small measurement noise so series look like Fig. 13's bands.
@@ -357,7 +355,7 @@ func sampleTick(cfg Config, machines []machine, now, batchStart time.Duration, c
 	return TickSample{
 		T:                    now,
 		CapacityFraction:     capacity,
-		IdleCPUFraction:      idleFrac,
+		idleCPUFraction:      idleFrac,
 		RPSRestartedGroup:    noise(grRPS),
 		RPSNonRestartedGroup: noise(gnrRPS),
 		CPURestartedGroup:    noise(grCPU),

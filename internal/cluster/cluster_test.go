@@ -280,46 +280,6 @@ func TestPeakHourRelease(t *testing.T) {
 	}
 }
 
-// TestRunDayPeakVsNight: a HardRestart release scheduled at the 16:00 peak
-// saturates the pool; the same release at 04:00 is safe; ZDR is safe at
-// any hour — the §6.2.2 operational story over a diurnal day.
-func TestRunDayPeakVsNight(t *testing.T) {
-	hardPeak := RunDay(DayConfig{Strategy: HardRestart, ReleaseHour: 15})
-	if hardPeak.SaturatedHours == 0 {
-		t.Fatalf("HardRestart at peak never saturated: worst util %v", hardPeak.WorstUtilisation)
-	}
-	hardNight := RunDay(DayConfig{Strategy: HardRestart, ReleaseHour: 3})
-	if hardNight.SaturatedHours != 0 {
-		t.Fatalf("HardRestart at night saturated %d hours", hardNight.SaturatedHours)
-	}
-	for _, hour := range []int{3, 15} {
-		zdr := RunDay(DayConfig{Strategy: ZeroDowntime, ReleaseHour: hour})
-		if zdr.SaturatedHours != 0 {
-			t.Fatalf("ZDR at hour %d saturated %d hours", hour, zdr.SaturatedHours)
-		}
-	}
-}
-
-func TestRunDayShape(t *testing.T) {
-	res := RunDay(DayConfig{Strategy: ZeroDowntime, ReleaseHour: 13})
-	if len(res.Hours) != 24 {
-		t.Fatalf("hours = %d", len(res.Hours))
-	}
-	if res.Hours[16].Load <= res.Hours[4].Load {
-		t.Fatal("diurnal curve missing: peak load not above trough")
-	}
-	active := 0
-	for _, h := range res.Hours {
-		if h.ReleaseActive {
-			active++
-		}
-	}
-	// 5 batches x 20 min ≈ 2 hours of release activity.
-	if active < 1 || active > 4 {
-		t.Fatalf("release active for %d hours", active)
-	}
-}
-
 // TestCanaryFirstStaging: with canarySize set, the release follows the
 // fleet orchestrator's batch plan — a small first batch, exponential
 // growth to the BatchFraction cap. The ramp trades completion time for

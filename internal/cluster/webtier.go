@@ -141,7 +141,7 @@ func CompletionTimes(cfg CompletionTimeConfig) []time.Duration {
 				Machines:        200 + rng.Intn(100),
 				BatchFraction:   0.05 + 0.05*rng.Float64(), // 5–10%
 				DrainPeriod:     time.Duration(10+rng.Intn(6)) * time.Second,
-				RestartOverhead: time.Duration(45+rng.Intn(30)) * time.Second, // cache priming
+				restartOverhead: time.Duration(45+rng.Intn(30)) * time.Second, // cache priming
 				Strategy:        HardRestart,                                  // §4.4: no takeover at this tier
 				Tick:            5 * time.Second,
 				Seed:            rng.Uint64() | 1,

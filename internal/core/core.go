@@ -99,7 +99,7 @@ type ProxySlot struct {
 	// a retry risks nothing. Zero means the default of 1 retry; negative
 	// disables retries. Only non-survivable post-commit failures (the
 	// sender itself died holding the sockets) surface to the caller,
-	// whose last-resort remediation is RestartFresh (§5.1 rebind).
+	// whose last-resort remediation is fleet's Node.Rebind (§5.1 rebind).
 	AbortRetries int
 
 	mu      sync.Mutex
@@ -280,10 +280,9 @@ func (s *ProxySlot) retire(old *proxy.Proxy, sp *obs.Span) {
 	}()
 }
 
-// WaitDrains blocks until every background drain started by Restart or
-// restartFresh has retired its old generation: a traced release waits
-// for it before it reads the spans, so that every slot.drain span has
-// ended.
+// WaitDrains blocks until every background drain started by Restart has
+// retired its old generation: a traced release waits for it before it
+// reads the spans, so that every slot.drain span has ended.
 func (s *ProxySlot) WaitDrains() { s.drainWG.Wait() }
 
 // State summarises the slot for /debug/release.
@@ -337,45 +336,6 @@ func (s *ProxySlot) promote(next *proxy.Proxy) error {
 		return fmt.Errorf("%w (gen %d serves traffic; the next Restart re-arms first): %v", ErrTakeoverNotArmed, gen, armErr)
 	}
 	return nil
-}
-
-// restartFresh performs the §5.1 remediation restart: instead of passing
-// the existing socket FDs (whose in-kernel state survives a process
-// restart — the pitfall behind the UDP GSO sk_buff bug the paper
-// describes), the next generation binds BRAND-NEW sockets on the same
-// addresses. SO_REUSEPORT lets old and new coexist during the switch, so
-// TCP service continues; the trade-off is exactly the paper's: UDP VIPs
-// suffer socket-ring flux during a fresh rebind, which is why this path
-// is a rollback/mitigation tool, not the default.
-//
-// With drain-undo (takeover's post-commit lease) this is a LAST
-// resort: a receiver that dies after COMMIT no longer needs it — the old
-// generation re-arms from its retained FDs and Restart retries. The
-// remaining case is the sender itself crashing post-commit while still
-// holding the sockets.
-//
-// build receives the current generation's bound VIP addresses and must
-// return a proxy configured to bind them (Config.VIPAddrs).
-func (s *ProxySlot) restartFresh(build func(vipAddrs map[string]string) *proxy.Proxy) error {
-	s.mu.Lock()
-	old := s.cur
-	s.mu.Unlock()
-	if old == nil {
-		return errors.New("core: slot not started")
-	}
-	next := build(old.VIPAddrs())
-	if next == nil {
-		return errors.New("core: build returned nil")
-	}
-	if err := next.Listen(); err != nil {
-		return fmt.Errorf("core: fresh rebind failed, old generation keeps serving: %w", err)
-	}
-	// Old generation leaves the pool: health answers DRAIN and its accept
-	// loops stop, so the new sockets receive all new connections.
-	old.StopTakeoverServer()
-	old.StartDraining()
-	s.retire(old, nil)
-	return s.promote(next)
 }
 
 // Close shuts the current generation down; a Start after it counts

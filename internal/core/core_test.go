@@ -11,7 +11,6 @@ import (
 
 	"zdr/internal/appserver"
 	"zdr/internal/http1"
-	"zdr/internal/obs"
 	"zdr/internal/proxy"
 )
 
@@ -234,95 +233,5 @@ func TestRestartBeforeStartErrors(t *testing.T) {
 	as := &AppServerSlot{SlotName: "a", Build: func() *appserver.Server { return nil }}
 	if err := as.Restart(); err == nil {
 		t.Fatal("restart before start accepted")
-	}
-}
-
-// TestProxySlotRestartFresh exercises the §5.1 remediation path: the next
-// generation binds brand-new sockets on the same addresses (SO_REUSEPORT
-// coexistence) instead of inheriting FDs — no downtime for TCP service.
-func TestProxySlotRestartFresh(t *testing.T) {
-	gen := 0
-	build := func(addrs map[string]string) *proxy.Proxy {
-		gen++
-		return proxy.New(proxy.Config{
-			Name:          fmt.Sprintf("edge-fresh-g%d", gen),
-			Role:          proxy.RoleEdge,
-			Origins:       []string{"127.0.0.1:1"},
-			DrainPeriod:   100 * time.Millisecond,
-			StaticContent: map[string][]byte{"/s": []byte("static")},
-			VIPAddrs:      addrs,
-			Trace:         obs.NewTracer(fmt.Sprintf("edge-fresh-g%d", gen)),
-		}, nil)
-	}
-	slot := &ProxySlot{
-		SlotName: "edge-fresh",
-		Path:     filepath.Join(t.TempDir(), "fresh.sock"),
-		Build:    func() *proxy.Proxy { return build(nil) },
-	}
-	if err := slot.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer slot.Close()
-	addr := slot.Current().Addr(proxy.VIPWeb)
-
-	get := func() (string, error) {
-		conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
-		if err != nil {
-			return "", err
-		}
-		defer conn.Close()
-		if _, err := http1.WriteRequest(conn, http1.NewRequest("GET", "/s", nil, 0)); err != nil {
-			return "", err
-		}
-		conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-		resp, err := http1.ReadResponse(bufio.NewReader(conn))
-		if err != nil {
-			return "", err
-		}
-		http1.ReadFullBody(resp.Body)
-		return resp.Header.Get("Via"), nil
-	}
-
-	if via, err := get(); err != nil || via != "edge-fresh-g1" {
-		t.Fatalf("gen1: via=%q err=%v", via, err)
-	}
-	old := slot.Current()
-	if err := slot.restartFresh(build); err != nil {
-		t.Fatal(err)
-	}
-	// The old generation's drain is the slot's like a takeover's: once
-	// WaitDrains returns, it has terminated and its proxy.drain span ended.
-	slot.WaitDrains()
-	if spans := old.ReleaseState().InFlightSpans; len(spans) != 0 {
-		t.Fatalf("old generation still draining after WaitDrains: %+v", spans)
-	}
-	if slot.State().Generation != 2 {
-		t.Fatalf("generation = %d", slot.State().Generation)
-	}
-	if slot.Current().Addr(proxy.VIPWeb) != addr {
-		t.Fatal("fresh restart changed the VIP address")
-	}
-	// New connections now land on generation 2 (the old accept loops are
-	// stopped); every request must succeed throughout.
-	deadline := time.Now().Add(3 * time.Second)
-	for {
-		via, err := get()
-		if err != nil {
-			t.Fatalf("request failed during fresh restart: %v", err)
-		}
-		if via == "edge-fresh-g2" {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("generation 2 never took over new connections (still %q)", via)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	// A further normal takeover restart still works after a fresh one.
-	if err := slot.Restart(); err != nil {
-		t.Fatalf("takeover restart after fresh restart: %v", err)
-	}
-	if via, err := get(); err != nil || via != "edge-fresh-g3" {
-		t.Fatalf("gen3: via=%q err=%v", via, err)
 	}
 }

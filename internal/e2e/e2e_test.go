@@ -394,8 +394,8 @@ func releaseOrigin(t *testing.T, oldBin, newBin string) {
 		t.Fatalf("mqtt connect: %v", err)
 	}
 	defer client.Disconnect()
-	if err := client.Ping(3 * time.Second); err != nil {
-		t.Fatalf("mqtt ping: %v", err)
+	if err := client.Publish("ping/user-e2e", []byte("ping"), 1, 3*time.Second); err != nil {
+		t.Fatalf("mqtt QoS 1 round trip: %v", err)
 	}
 
 	// Cross-process Origin takeover under the GET loop.
@@ -420,8 +420,8 @@ func releaseOrigin(t *testing.T, oldBin, newBin string) {
 		t.Fatal("MQTT connection dropped across the cross-process origin restart")
 	default:
 	}
-	if err := client.Ping(5 * time.Second); err != nil {
-		t.Fatalf("post-restart mqtt ping: %v", err)
+	if err := client.Publish("ping/user-e2e", []byte("ping"), 1, 5*time.Second); err != nil {
+		t.Fatalf("post-restart mqtt QoS 1 round trip: %v", err)
 	}
 }
 

@@ -150,8 +150,8 @@ func TestChaosMultiOriginDCRReconnect(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("post-restart notification lost")
 	}
-	if err := mc.Ping(5 * time.Second); err != nil {
-		t.Fatalf("post-restart ping: %v", err)
+	if err := mc.Publish("ping/user-dcr-multi", []byte("ping"), 1, 5*time.Second); err != nil {
+		t.Fatalf("post-restart QoS 1 round trip: %v", err)
 	}
 
 	// The fault schedules demonstrably ran.

@@ -218,8 +218,8 @@ func TestChaosRollingRestartZeroDisruption(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("post-restart notification lost")
 	}
-	if err := mc.Ping(5 * time.Second); err != nil {
-		t.Fatalf("post-restart ping: %v", err)
+	if err := mc.Publish("ping/user-chaos", []byte("ping"), 1, 5*time.Second); err != nil {
+		t.Fatalf("post-restart QoS 1 round trip: %v", err)
 	}
 
 	// MQTT disconnects cleanly before the edge restart: an edge restart

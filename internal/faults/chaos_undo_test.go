@@ -4,7 +4,7 @@
 // silent wedge past the lease timeout — under live HTTP load, and every
 // time the release must be a non-event: the sender un-drains from its
 // retained FD dups and keeps serving the same generation, no client sees
-// a reset, no RestartFresh is needed, the FD ledger returns to baseline,
+// a reset, no Node.Rebind is needed, the FD ledger returns to baseline,
 // and the trace shows a takeover.undo span carrying the retained-FD
 // count.
 package faults_test
@@ -173,7 +173,7 @@ func TestChaosReceiverDeathPostCommit(t *testing.T) {
 	}
 
 	// With the faults cleared, the same slot releases normally: drain-undo
-	// failures never escalate to RestartFresh.
+	// failures never escalate to Node.Rebind.
 	if err := tp.edge.Restart(); err != nil {
 		t.Fatalf("healthy restart after three undos: %v", err)
 	}

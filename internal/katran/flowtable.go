@@ -48,14 +48,9 @@ type flowTable struct {
 
 	view atomic.Pointer[flowTableView]
 
-	// entryWrites counts per-entry mutations (insert, in-place update,
-	// delete, eviction). Epoch bumps and backend-set changes must never
-	// move it — that is the O(1)-flip property the chaos suite asserts.
-	entryWrites atomic.Uint64
-	epochBumps  atomic.Uint64
-
-	mu     sync.Mutex // serializes view publications (control plane)
-	shards []flowTableShard
+	mu         sync.Mutex // serializes view publications (control plane)
+	epochBumps uint64     // bumps published, under mu
+	shards     []flowTableShard
 }
 
 // flowTableEntry is one pinned flow: 16 bytes, no pointers.
@@ -90,7 +85,11 @@ type flowTableShard struct {
 	mu      sync.Mutex
 	entries []flowTableEntry // bucketsPerShard × ftBucketWay
 	count   int
-	_       [128 - 8 - 24 - 8]byte
+	// writes counts entry mutations (insert, in-place update, eviction).
+	// Epoch bumps and backend-set changes must never move it — that is
+	// the O(1)-flip property the chaos suite asserts.
+	writes uint64
+	_      [128 - 8 - 24 - 8 - 8]byte
 }
 
 // flowTableView is one immutable generation view. Readers load it
@@ -259,7 +258,7 @@ func (t *flowTable) bump(invalidate bool) *flowTableView {
 		nv.minEpoch = nv.epoch
 	}
 	t.view.Store(&nv)
-	t.epochBumps.Add(1)
+	t.epochBumps++
 	return &nv
 }
 
@@ -305,7 +304,7 @@ func (t *flowTable) lookup(v *flowTableView, flow uint64) (slot uint16, ok bool)
 // storeLocked writes {flow, meta} into the bucket at base: in place when
 // flow is already pinned, into a free socket otherwise, evicting the
 // oldest-generation entry when the bucket is full. Caller holds s.mu.
-func (t *flowTable) storeLocked(s *flowTableShard, base int, flow, meta uint64) {
+func (s *flowTableShard) storeLocked(base int, flow, meta uint64) {
 	free, victim := -1, base
 	victimEpoch := uint32(0xffffffff)
 	for i := base; i < base+ftBucketWay; i++ {
@@ -318,7 +317,7 @@ func (t *flowTable) storeLocked(s *flowTableShard, base int, flow, meta uint64) 
 		}
 		if e.key == flow {
 			s.entries[i].meta = meta
-			t.entryWrites.Add(1)
+			s.writes++
 			return
 		}
 		if ep := e.epoch(); ep < victimEpoch {
@@ -332,7 +331,7 @@ func (t *flowTable) storeLocked(s *flowTableShard, base int, flow, meta uint64) 
 		s.count++
 	}
 	s.entries[at] = flowTableEntry{key: flow, meta: meta}
-	t.entryWrites.Add(1)
+	s.writes++
 }
 
 // occupancy returns Len()/capacity() in parts per thousand, the gauge the

@@ -6,7 +6,16 @@ import "sort"
 
 // EntryWrites returns the cumulative count of per-entry mutations. Epoch
 // bumps and backend-set publications never move it.
-func (t *flowTable) EntryWrites() uint64 { return t.entryWrites.Load() }
+func (t *flowTable) EntryWrites() uint64 {
+	var n uint64
+	for i := range t.shards {
+		s := &t.shards[i]
+		s.mu.Lock()
+		n += s.writes
+		s.mu.Unlock()
+	}
+	return n
+}
 
 // SetBackends is setBackends by name, sorted.
 func (t *flowTable) SetBackends(names []string) {
@@ -45,13 +54,17 @@ func (t *flowTable) Insert(flow uint64, backend string) bool {
 	}
 	s, base := t.locate(flow)
 	s.mu.Lock()
-	t.storeLocked(s, base, flow, ftMeta(slot, v.epoch))
+	s.storeLocked(base, flow, ftMeta(slot, v.epoch))
 	s.mu.Unlock()
 	return true
 }
 
 // EpochBumps returns how many times Bump ran.
-func (t *flowTable) EpochBumps() uint64 { return t.epochBumps.Load() }
+func (t *flowTable) EpochBumps() uint64 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.epochBumps
+}
 
 // FlowTable returns the flow table (nil unless Config.FlowCacheSize or
 // Config.FlowTableSize enabled it).

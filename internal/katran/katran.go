@@ -349,7 +349,7 @@ func (lb *LB) repin(flow uint64) (Backend, error) {
 		return Backend{}, err
 	}
 	if slot, ok := rt.pins.slots[b.Name]; ok {
-		lb.table.storeLocked(s, base, flow, ftMeta(slot, rt.pins.epoch))
+		s.storeLocked(base, flow, ftMeta(slot, rt.pins.epoch))
 	}
 	return b, nil
 }

@@ -200,10 +200,10 @@ func (c *Client) Publish(topic string, payload []byte, qos uint8, timeout time.D
 	return err
 }
 
-// Ping round-trips a PINGREQ (§4.2: "MQTT clients periodically exchange
+// ping round-trips a PINGREQ (§4.2: "MQTT clients periodically exchange
 // ping ... and initiate new connections as soon as transport layer
 // sessions are broken").
-func (c *Client) Ping(timeout time.Duration) error {
+func (c *Client) ping(timeout time.Duration) error {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()

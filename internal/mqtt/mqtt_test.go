@@ -228,7 +228,7 @@ func TestBrokerPing(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := c.Ping(2 * time.Second); err != nil {
+		if err := c.ping(2 * time.Second); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -483,7 +483,7 @@ func TestBrokerKeepAliveSatisfiedByPings(t *testing.T) {
 	}
 	for i := 0; i < 4; i++ {
 		time.Sleep(500 * time.Millisecond)
-		if err := c.Ping(2 * time.Second); err != nil {
+		if err := c.ping(2 * time.Second); err != nil {
 			t.Fatalf("ping %d: %v", i, err)
 		}
 	}

@@ -543,18 +543,6 @@ func (p *Proxy) VIPAddrs() map[string]string {
 	return out
 }
 
-// StopTakeoverServer closes the armed takeover server (if any), releasing
-// the UNIX socket path for the next generation.
-func (p *Proxy) StopTakeoverServer() {
-	p.mu.Lock()
-	srv := p.takeSrv
-	p.takeSrv = nil
-	p.mu.Unlock()
-	if srv != nil {
-		srv.Close()
-	}
-}
-
 // syncLedgerPhase stamps the ledger with the same release phase
 // ReleaseState reports, so disruption attribution tracks the release
 // state machine. Call after every phase transition.

@@ -608,7 +608,7 @@ func closeFDs(fds []int) {
 
 // errNoWayBack marks a broken lease whose retained dups could not be
 // re-armed: the sender is draining with no listeners to return to.
-var errNoWayBack = errors.New("takeover: drain-undo failed, RestartFresh required")
+var errNoWayBack = errors.New("takeover: drain-undo failed, Node.Rebind required")
 
 // handoff runs the sender side (old instance) of the takeover protocol on
 // an established UNIX socket connection: it sends the manifest and FDs for
