@@ -118,6 +118,40 @@ func TestLoadLineRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLoadLineRejectsWhatNoResponderWrites: a LOAD answer steers new
+// flows, so values no honest responder writes do not parse — a negative
+// rif (never hot) with a negative lat_us (the lowest latency) would win
+// every Prequal pick.
+func TestLoadLineRejectsWhatNoResponderWrites(t *testing.T) {
+	for _, line := range []string{
+		"LOAD rif=-1000 lat_us=10 phase=serving gen=1\n",
+		"LOAD rif=1 lat_us=-5 phase=serving gen=1\n",
+		"LOAD rif=1 lat_us=10 phase=serving gen=-1\n",
+		"LOAD rif=1 lat_us=9223372036854776 phase=serving gen=1\n", // past a Duration
+		"LOAD rif=1 lat_us=10 phase= gen=1\n",
+	} {
+		if s, err := ParseLoadLine(line); err == nil {
+			t.Errorf("ParseLoadLine(%q) = %+v, want an error", line, s)
+		}
+	}
+}
+
+// FuzzLoadLine: parsing never panics, and a sample it accepts survives
+// EncodeLoadLine and ParseLoadLine unchanged. The seed corpus is
+// testdata/fuzz/FuzzLoadLine.
+func FuzzLoadLine(f *testing.F) {
+	f.Fuzz(func(t *testing.T, line string) {
+		s, err := ParseLoadLine(line)
+		if err != nil {
+			return
+		}
+		back, err := ParseLoadLine(EncodeLoadLine(s))
+		if err != nil || back != s {
+			t.Fatalf("%q parsed as %+v, which encodes as %q and parses as %+v, %v", line, s, EncodeLoadLine(s), back, err)
+		}
+	})
+}
+
 func TestSetHealthUnknownBackend(t *testing.T) {
 	lb := New("lb", Config{}, nil)
 	defer lb.Close()

@@ -3,6 +3,7 @@ package katran
 import (
 	"bufio"
 	"fmt"
+	"math"
 	"net"
 	"strconv"
 	"strings"
@@ -58,7 +59,10 @@ func EncodeLoadLine(s LoadSample) string {
 }
 
 // ParseLoadLine parses one load-probe answer line. Unknown fields are
-// ignored so the format can grow without breaking older probers.
+// ignored so the format can grow without breaking older probers. Values
+// no honest responder writes are refused: a negative count or latency
+// (rif=-1000 would win every Prequal pick), a latency past what a
+// time.Duration holds, an empty phase.
 func ParseLoadLine(line string) (LoadSample, error) {
 	line = strings.TrimSuffix(line, "\n")
 	fields := strings.Fields(line)
@@ -74,21 +78,24 @@ func ParseLoadLine(line string) (LoadSample, error) {
 		switch k {
 		case "rif":
 			n, err := strconv.Atoi(v)
-			if err != nil {
+			if err != nil || n < 0 {
 				return LoadSample{}, fmt.Errorf("katran: bad rif %q", v)
 			}
 			s.RIF = n
 		case "lat_us":
 			n, err := strconv.ParseInt(v, 10, 64)
-			if err != nil {
+			if err != nil || n < 0 || n > math.MaxInt64/int64(time.Microsecond) {
 				return LoadSample{}, fmt.Errorf("katran: bad lat_us %q", v)
 			}
 			s.Latency = time.Duration(n) * time.Microsecond
 		case "phase":
+			if v == "" {
+				return LoadSample{}, fmt.Errorf("katran: empty phase")
+			}
 			s.Phase = v
 		case "gen":
 			n, err := strconv.Atoi(v)
-			if err != nil {
+			if err != nil || n < 0 {
 				return LoadSample{}, fmt.Errorf("katran: bad gen %q", v)
 			}
 			s.Generation = n

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
-	"io"
 	"net"
 	"os"
 	"strconv"
@@ -12,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"zdr/internal/bufpool"
 	"zdr/internal/disrupt"
 	"zdr/internal/h2t"
 	"zdr/internal/http1"
@@ -32,17 +30,47 @@ func alive(sess *h2t.Session) bool {
 	return !sess.Draining()
 }
 
+// openStream opens a stream toward an Origin for a user of vip, with the
+// head hdr and body, END_STREAM on its last frame when end. The head
+// carries the trace context of sp or, untraced here, incoming. A session
+// can announce GOAWAY (its Origin started draining) between the pick and
+// the open, which is routine during a release: it costs one more pick.
+// It returns the Origin's address, or the stage it failed at.
+func (p *Proxy) openStream(vip, exclude string, sp *obs.Span, incoming string, hdr h2t.Fields, body []byte, end bool) (*h2t.Stream, string, *stage, error) {
+	if own := sp.Context().String(); own != "" {
+		incoming = own
+	}
+	if incoming != "" {
+		hdr = append(hdr, h2t.Field{Name: obs.TraceHeader, Value: incoming})
+	}
+	for retried := false; ; retried = true {
+		sess, addr, err := p.originSessionFor(exclude)
+		if err != nil {
+			return nil, "", stageNoOrigin, err
+		}
+		st, err := sess.OpenStreamWith(hdr, body, end)
+		if err == nil {
+			return st, addr, nil, nil
+		}
+		if retried || !errors.Is(err, h2t.ErrGoAway) {
+			return nil, "", stageOpenStream, err
+		}
+		p.cfg.Ledger.Record(disrupt.KindRetry, 0, vip, "", "goaway between pick and open")
+	}
+}
+
 // originSessionFor returns a live tunnel session to an origin other than
-// exclude (the DCR "another healthy LB" requirement), dialing one if
-// needed. With a steering policy configured, the embedded katran LB picks
-// the origin first: a fresh flow id per request leaves the policy free to
-// rebalance request by request, while sessions to each origin are still
-// shared. Without a pick, or once the pick fails to dial, any live
-// session will do, and else the origins are dialed in round-robin order.
-// Sessions that died or announced GOAWAY are replaced by a fresh dial —
-// which, after a Socket Takeover, transparently lands on the new instance
-// because the listening socket never closed. It returns the session and
-// its origin's address.
+// exclude (the DCR "another healthy LB" requirement), or to any when no
+// other answers: the restarting one's new instance is a healthy process
+// too. It dials one if needed. With a steering policy configured, the
+// embedded katran LB picks the origin first: a fresh flow id per request
+// leaves the policy free to rebalance request by request, while sessions
+// to each origin are still shared. Without a pick, or once the pick fails
+// to dial, any live session will do, and else the origins are dialed in
+// round-robin order. Sessions that died or announced GOAWAY are replaced
+// by a fresh dial — which, after a Socket Takeover, transparently lands
+// on the new instance because the listening socket never closed. It
+// returns the session and its origin's address.
 func (p *Proxy) originSessionFor(exclude string) (*h2t.Session, string, error) {
 	pick := ""
 	if p.steerLB != nil {
@@ -83,10 +111,14 @@ func (p *Proxy) originSessionFor(exclude string) (*h2t.Session, string, error) {
 				return sess, addr, nil
 			}
 		}
-		if pick == "" {
+		switch {
+		case pick != "":
+			pick = ""
+		case exclude != "":
+			exclude = ""
+		default:
 			return nil, "", err
 		}
-		pick = ""
 	}
 }
 
@@ -132,7 +164,7 @@ func (wc *webConn) serve() { wc.ka.Serve() }
 // close does not wait for a request being served, and records one it cuts.
 func (wc *webConn) close() {
 	if wc.busy.Load() {
-		wc.p.cfg.Ledger.Record(disrupt.KindReset, 0, VIPWeb, "drain-expired", "")
+		wc.p.fail(stageEdgeDrainExpired, nil, nil, "")
 	}
 	wc.ka.Close()
 }
@@ -142,19 +174,6 @@ func (wc *webConn) ServeRequest(req *http1.Request, _ *bufio.Reader) bool {
 	ok := wc.p.serveEdgeRequest(wc.Conn, &wc.pump, req)
 	wc.busy.Store(false)
 	return ok
-}
-
-// appendTrace appends the trace context a stream opened under sp carries
-// to the Origin: sp's own, or with tracing off here the one that came in,
-// so that the spans beyond this hop still join the caller's trace.
-func appendTrace(hdr h2t.Fields, sp *obs.Span, incoming string) h2t.Fields {
-	if own := sp.Context().String(); own != "" {
-		incoming = own
-	}
-	if incoming == "" {
-		return hdr
-	}
-	return append(hdr, h2t.Field{Name: obs.TraceHeader, Value: incoming})
 }
 
 // serveEdgeRequest serves one request of conn, its body pump counted in
@@ -182,66 +201,27 @@ func (p *Proxy) serveEdgeRequest(conn net.Conn, pump *sync.WaitGroup, req *http1
 	var room [4]h2t.Field
 	hdr := append(room[:0], h2t.Field{Name: ":method", Value: req.Method}, h2t.Field{Name: ":path", Value: req.Target},
 		h2t.Field{Name: "content-length", Value: strconv.FormatInt(req.ContentLength, 10)})
-	hdr = appendTrace(hdr, sp, incoming)
-	// A request body that arrived whole with its head (the small POST)
-	// rides in the same write as the stream's HEADERS, END_STREAM on its
-	// last frame; any other body is pumped behind them as it arrives.
-	var body []byte
-	streamed := req.Body != nil
-	if n := req.ContentLength; n > 0 && int64(http1.Buffered(req.Body)) >= n {
-		bp := bufpool.Get(int(n))
-		defer bufpool.Put(bp)
-		body = (*bp)[:n]
-		if _, err := io.ReadFull(req.Body, body); err != nil {
-			return false
-		}
-		streamed = false
-	}
-	// A session can announce GOAWAY (its Origin started draining) between
-	// our pick and the open; retry once on a fresh session rather than
-	// failing the user request — the race is routine during releases.
-	var st *h2t.Stream
-	var err error
-	tunnelT0 := time.Now()
-	for attempt := 0; attempt < 2; attempt++ {
-		var sess *h2t.Session
-		if sess, _, err = p.originSessionFor(""); err != nil {
-			return p.failRequest(conn, sp, 503, "edge.http.errors.no_origin", "edge:no-origin", err)
-		}
-		if st, err = sess.OpenStreamWith(hdr, body, !streamed); !errors.Is(err, h2t.ErrGoAway) {
-			break
-		}
-		// The session announced GOAWAY between pick and open — routine
-		// during a release; the retry absorbs it.
-		p.cfg.Ledger.Record(disrupt.KindRetry, 0, VIPWeb, "", "goaway between pick and open")
-	}
-	if err != nil {
-		return p.failRequest(conn, sp, 502, "edge.http.errors.open_stream", "edge:open-stream", err)
-	}
-	defer st.Release() // after the body pump is joined (below)
-
-	// Pump the request body upstream on a goroutine of its own (netx.Relay,
-	// the pooled-copy path: the stream side is h2t-framed). The Origin may
-	// answer before taking the whole body (a 500 once its attempts are
+	// A body still arriving is pumped on a goroutine of its own. The Origin
+	// may answer before taking the whole body (a 500 once its attempts are
 	// spent, an app server's 413): pumped from here, the upload would wait
-	// on the Origin's window while an answer longer than a window waited
-	// on this Edge's. The Origin resets the stream behind such an answer:
-	// the pump ends there and reads what the client still sends to
-	// nowhere, so that the connection is fit for its next request.
-	if streamed {
-		pump.Add(1)
-		go func() {
-			defer pump.Done()
-			_, err := netx.Relay(st, req.Body)
-			switch {
-			case err == nil:
-				st.CloseWrite()
-			case errors.Is(err, h2t.ErrStreamClosed) || errors.Is(err, h2t.ErrStreamReset):
-				io.Copy(io.Discard, req.Body)
-			}
-		}()
-		defer pump.Wait()
+	// on the Origin's window while an answer longer than a window waited on
+	// this Edge's. The Origin resets the stream behind such an answer, and
+	// the pump ends there.
+	var at *stage
+	tunnelT0 := time.Now()
+	st, err := sendMessage(req.Body, req.ContentLength, pump, func(bool) {},
+		func(body []byte, end bool) (st *h2t.Stream, err error) {
+			st, _, at, err = p.openStream(VIPWeb, "", sp, incoming, hdr, body, end)
+			return st, err
+		})
+	if err != nil {
+		if at != nil { // else the body in hand could not be read
+			http1.WriteResponse(conn, http1.NewResponse(p.fail(at, sp, err, ""), nil, 0))
+		}
+		return false
 	}
+	defer st.Release() // after the body pump is joined
+	defer pump.Wait()
 
 	respHdr, err := st.RecvHeaders(p.cfg.upstreamResponseTimeout)
 	p.latTunnel.Observe(time.Since(tunnelT0).Seconds())
@@ -249,11 +229,12 @@ func (p *Proxy) serveEdgeRequest(conn net.Conn, pump *sync.WaitGroup, req *http1
 		// The Origin said nothing in time (504), or the stream or its
 		// session ended first (502).
 		st.Reset()
-		code := 502
+		at = stageUpstream
 		if errors.Is(err, os.ErrDeadlineExceeded) {
-			code = 504
+			at = stageUpstreamTimeout
 		}
-		return p.failRequest(conn, sp, code, "edge.http.errors.upstream", "edge:upstream", err)
+		http1.WriteResponse(conn, http1.NewResponse(p.fail(at, sp, err, ""), nil, 0))
+		return false
 	}
 	code, _ := strconv.Atoi(respHdr.Get("status"))
 	if code == 0 {
@@ -280,21 +261,6 @@ func (p *Proxy) serveEdgeRequest(conn net.Conn, pump *sync.WaitGroup, req *http1
 		return false
 	}
 	return true
-}
-
-// failRequest answers a request that did not get an Origin's response with
-// code, counts it in counter, records it as a disruption with cause — a
-// timeout for a 504, a reset otherwise — and ends the connection.
-func (p *Proxy) failRequest(conn net.Conn, sp *obs.Span, code int, counter, cause string, err error) bool {
-	kind := disrupt.KindReset
-	if code == 504 {
-		kind = disrupt.KindTimeout
-	}
-	p.reg.Counter(counter).Inc()
-	p.cfg.Ledger.Record(kind, 0, VIPWeb, cause, err.Error())
-	sp.Fail(err)
-	http1.WriteResponse(conn, http1.NewResponse(code, nil, 0))
-	return false
 }
 
 // mqttRelay is the Edge-side state for one end-user MQTT connection: the
@@ -450,12 +416,22 @@ func (r *mqttRelay) connect() *h2t.Stream {
 
 	// Clients may carry a trace context in CONNECT properties; it rides
 	// the tunnel stream headers so the Origin relay joins the same trace.
+	// The Edge is the trust boundary: a value that does not parse goes no
+	// further.
 	incoming := connectPkt.Properties[obs.TraceHeader]
-	remote, _ := obs.ParseSpanContext(incoming)
+	remote, ok := obs.ParseSpanContext(incoming)
+	if !ok {
+		incoming = ""
+	}
 	sp := r.p.cfg.Trace.StartSpan("edge.mqtt.connect", remote)
 	sp.SetAttr("user-id", r.userID)
 	defer sp.End()
-	st, addr, err := r.open("mqtt", sp, incoming)
+	// The CONNECT rides the stream's HEADERS write, so that the broker sees
+	// it verbatim.
+	var connectBuf bytes.Buffer
+	mqtt.Encode(&connectBuf, connectPkt)
+	hdr := h2t.Fields{{Name: "proto", Value: "mqtt"}, {Name: "user-id", Value: r.userID}}
+	st, addr, _, err := r.p.openStream(VIPMQTT, "", sp, incoming, hdr, connectBuf.Bytes(), false)
 	if err != nil {
 		sp.Fail(err)
 		return nil
@@ -465,31 +441,7 @@ func (r *mqttRelay) connect() *h2t.Stream {
 		st.Reset() // the generation terminated meanwhile
 		return nil
 	}
-	// Replay the CONNECT into the tunnel so the broker sees it verbatim.
-	var connectBuf bytes.Buffer
-	mqtt.Encode(&connectBuf, connectPkt)
-	if _, err := st.Write(connectBuf.Bytes()); err != nil {
-		return nil
-	}
 	return st
-}
-
-// open opens a tunnel stream for the relay's user, proto "mqtt" for its
-// CONNECT or "mqtt-resume" for a DCR re_connect, carrying the trace of sp
-// or, untraced here, incoming. The Origin is one other than the relay's,
-// or any when no other answers: the restarting one's new instance is a
-// different, healthy process too. It returns the Origin's address.
-func (r *mqttRelay) open(proto string, sp *obs.Span, incoming string) (*h2t.Stream, string, error) {
-	sess, addr, err := r.p.originSessionFor(r.originAddr)
-	if err != nil && r.originAddr != "" {
-		sess, addr, err = r.p.originSessionFor("")
-	}
-	if err != nil {
-		return nil, "", err
-	}
-	hdr := h2t.Fields{{Name: "proto", Value: proto}, {Name: "user-id", Value: r.userID}}
-	st, err := sess.OpenStreamWith(appendTrace(hdr, sp, incoming), nil, false)
-	return st, addr, err
 }
 
 // sink has st's DATA written to the user's connection (h2t.Stream.Sink)
@@ -519,8 +471,7 @@ func (r *mqttRelay) sink(st *h2t.Stream) {
 		}
 		// Stream ended without a successful splice: the user is disrupted
 		// (the woutDCR baseline measures exactly this).
-		r.p.reg.Counter("edge.mqtt.stream_lost").Inc()
-		r.p.cfg.Ledger.Record(disrupt.KindReset, 0, VIPMQTT, "dcr:stream-lost", r.userID)
+		r.p.fail(stageStreamLost, nil, nil, r.userID)
 		r.close()
 	})
 }
@@ -580,7 +531,10 @@ func (p *Proxy) reconnectThroughAnotherOrigin(relay *mqttRelay, peerTrace string
 	sp := p.cfg.Trace.StartSpan("dcr.reconnect", remote)
 	sp.SetAttr("user-id", relay.userID)
 	defer sp.End()
-	st, addr, err := relay.open("mqtt-resume", sp, peerTrace)
+	// A re_connect goes through an Origin other than the relay's, or any
+	// when no other answers.
+	hdr := h2t.Fields{{Name: "proto", Value: "mqtt-resume"}, {Name: "user-id", Value: relay.userID}}
+	st, addr, _, err := p.openStream(VIPMQTT, relay.originAddr, sp, peerTrace, hdr, nil, false)
 	if err != nil {
 		p.reg.Counter("edge.mqtt.reconnect.failed").Inc()
 		p.cfg.Ledger.Record(disrupt.KindRetry, 0, VIPMQTT, "", "re_connect: "+err.Error())
@@ -594,9 +548,9 @@ func (p *Proxy) reconnectThroughAnotherOrigin(relay *mqttRelay, peerTrace string
 		if c.Type != h2t.FrameConnectAck {
 			p.reg.Counter("edge.mqtt.reconnect.refused").Inc()
 			p.cfg.Ledger.Record(disrupt.KindRetry, 0, VIPMQTT, "", "re_connect refused")
-			err = errors.New("proxy: re_connect refused")
+			sp.Fail(errors.New("proxy: re_connect refused"))
 		} else if old, ok := relay.swapStream(st); !ok {
-			err = errors.New("proxy: relay closed during re_connect") // the user hung up
+			sp.Fail(errors.New("proxy: relay closed during re_connect")) // the user hung up
 		} else {
 			old.Reset()
 			relay.originAddr = addr
@@ -608,11 +562,8 @@ func (p *Proxy) reconnectThroughAnotherOrigin(relay *mqttRelay, peerTrace string
 			return true
 		}
 	case <-ackTimer.C:
-		p.reg.Counter("edge.mqtt.reconnect.timeout").Inc()
-		p.cfg.Ledger.Record(disrupt.KindTimeout, 0, VIPMQTT, "dcr:reconnect-timeout", relay.userID)
-		err = errors.New("proxy: connect_ack timeout")
+		p.fail(stageReconnectTimeout, sp, errors.New("proxy: connect_ack timeout"), relay.userID)
 	}
-	sp.Fail(err)
 	st.Reset()
 	return false
 }

@@ -210,11 +210,11 @@ func (p *Proxy) brokerConn(st *h2t.Stream, userID string, resume bool, sp *obs.S
 	sp.SetAttr("broker", addr)
 	bconn, err := p.dialUpstream(addr)
 	if err != nil {
-		p.reg.Counter("origin.mqtt.broker_dial_failed").Inc()
 		if resume { // not yet terminal: the Edge keeps its old stream
+			p.reg.Counter(stageBrokerDialFailed.counter).Inc()
 			p.cfg.Ledger.Record(disrupt.KindRetry, 0, VIPTunnel, "", "resume: broker dial failed")
 		} else {
-			p.cfg.Ledger.Record(disrupt.KindReset, 0, VIPTunnel, "origin:broker-dial-failed", userID)
+			p.fail(stageBrokerDialFailed, sp, err, userID)
 		}
 		return nil, err
 	}
@@ -331,8 +331,7 @@ func (p *Proxy) forwardHTTP(st *h2t.Stream, hdr h2t.Fields) {
 			if errors.Is(err, errUpstreamClosed) {
 				// The generation was terminated under the request: the
 				// forced end of the drain period, not an app-server fault.
-				p.cfg.Ledger.Record(disrupt.KindReset, 0, VIPTunnel, "drain-expired", r.path)
-				sp.Fail(err)
+				p.fail(stageOriginDrainExpired, sp, err, r.path)
 				st.Reset()
 				return
 			}
@@ -377,13 +376,7 @@ func (p *Proxy) forwardHTTP(st *h2t.Stream, hdr h2t.Fields) {
 		return
 	}
 	// All attempts failed: the paper's fallback — a standard 500.
-	p.reg.Counter("origin.http.ppr_exhausted").Inc()
-	detail := ""
-	if lastErr != nil {
-		detail = lastErr.Error()
-	}
-	p.cfg.Ledger.Record(disrupt.KindReset, 0, VIPTunnel, "origin:ppr-exhausted", detail)
-	sp.Fail(lastErr)
+	p.fail(stagePPRExhausted, sp, lastErr, "")
 	st.SendMessage(h2t.Fields{{Name: "status", Value: "500"}}, nil, true)
 }
 
@@ -636,35 +629,12 @@ func (p *Proxy) relayResponse(st *h2t.Stream, resp *http1.Response, uc *upstream
 		}
 	}
 	p.cStatus.Inc(resp.StatusCode)
-
-	if n := resp.ContentLength; n >= 0 && int64(uc.br.Buffered()) >= n {
-		// The whole body came in with the head (the small reply): take
-		// it out of the connection's reader, which ends the checkout,
-		// and send HEADERS, DATA and END_STREAM as one message.
-		bp := bufpool.Get(int(n))
-		defer bufpool.Put(bp)
-		body := (*bp)[:n]
-		if resp.Body != nil {
-			if _, err := io.ReadFull(resp.Body, body); err != nil {
-				p.upstream.release(uc, resp, false)
-				st.Reset()
-				return
-			}
-		}
-		p.upstream.release(uc, resp, true)
-		st.SendMessage(hdr, body, true)
-		return
-	}
-
-	relayed := st.SendMessage(hdr, nil, false) == nil
-	if relayed && resp.Body != nil {
-		if _, err := netx.Relay(st, resp.Body); err != nil {
-			st.Reset()
-			relayed = false
-		}
-	}
-	p.upstream.release(uc, resp, relayed)
-	if relayed {
-		st.CloseWrite()
+	_, err := sendMessage(resp.Body, resp.ContentLength, nil, func(ok bool) {
+		p.upstream.release(uc, resp, ok)
+	}, func(body []byte, end bool) (*h2t.Stream, error) {
+		return st, st.SendMessage(hdr, body, end)
+	})
+	if err != nil {
+		st.Reset()
 	}
 }
